@@ -6,10 +6,10 @@
 //! `results/bench_pipeline.json`.
 //!
 //! Stages measured:
-//! * access-log build, sequential and parallel at 1/2/4/8 workers, in
-//!   both representations (row `build_access_log*` and columnar
-//!   `build_access_log_columns*`; all outputs asserted bit-for-bit
-//!   equal to the sequential row build);
+//! * access-log build: the sequential row reference
+//!   (`build_access_log`), then columnar sequential and parallel at
+//!   1/2/4/8 workers (`build_access_log_columns*`; all outputs asserted
+//!   bit-for-bit equal to the sequential row build);
 //! * the shared 39-byte binary codec, decoded into rows vs straight
 //!   into columns;
 //! * per-satellite visibility scan: exact-only vs culled vs top-k vs
@@ -19,8 +19,8 @@
 //! * parallel sharded replayer, row vs columnar.
 //!
 //! `--gate-columnar` exits nonzero if the columnar 8-worker log build
-//! is slower than the row 8-worker build — the CI regression gate for
-//! the struct-of-arrays hot path.
+//! is slower than the sequential row build — the CI regression gate
+//! for the struct-of-arrays hot path.
 
 use spacegen::classes::TrafficClass;
 use starcdn::config::StarCdnConfig;
@@ -37,10 +37,9 @@ use starcdn_orbit::visibility::{
 };
 use starcdn_sim::columns::AccessLogColumns;
 use starcdn_sim::engine::{run_space, run_space_columns, SimConfig};
-use starcdn_sim::replayer::{replay_parallel, replay_parallel_columns};
 use starcdn_sim::{
-    build_access_log, build_access_log_columns, build_access_log_columns_parallel,
-    build_access_log_parallel, AccessLog, World,
+    build_access_log, build_access_log_columns, build_access_log_columns_parallel, replayer,
+    AccessLog, LogView, RunSpec, World,
 };
 use std::time::Instant;
 
@@ -104,16 +103,16 @@ fn report_json(
     stages: &[StageResult],
 ) -> String {
     let find = |name: &str| stages.iter().find(|s| s.stage == name);
-    let row8 = find("log_build_par8").map_or(0.0, |s| s.items_per_sec);
+    let row = find("log_build_seq").map_or(0.0, |s| s.items_per_sec);
     let cols8 = find("log_build_cols_par8").map_or(0.0, |s| s.items_per_sec);
     let stage_rows: Vec<String> = stages.iter().map(StageResult::to_json).collect();
     format!
         ("{{\n  \"scale\": \"{scale}\",\n  \"seed\": {seed},\n  \"trace_entries\": {trace_entries},\n  \
          \"hardware_threads\": {hardware_threads},\n  \"stages\": [\n{}\n  ],\n  \
-         \"columnar_vs_row\": {{\"row_par8_entries_per_sec\": {row8:.1}, \
+         \"columnar_vs_row\": {{\"row_seq_entries_per_sec\": {row:.1}, \
          \"cols_par8_entries_per_sec\": {cols8:.1}, \"speedup\": {:.4}}}\n}}\n",
         stage_rows.join(",\n"),
-        cols8 / row8.max(1e-9),
+        cols8 / row.max(1e-9),
     )
 }
 
@@ -132,21 +131,13 @@ fn main() {
     let entries = w.production.len() as u64;
     let mut stages = Vec::new();
 
-    // Stage 1: access-log build — sequential row baseline, then parallel
-    // row, then the columnar twins; every variant is asserted bit-for-bit
-    // equal to the sequential row build.
+    // Stage 1: access-log build — the sequential row reference, then the
+    // columnar builders; every variant is asserted bit-for-bit equal to
+    // the sequential row build.
     let t0 = Instant::now();
     let seq = build_access_log(&world, &w.production, sim.epoch_secs, &scheduler);
     let seq_secs = t0.elapsed().as_secs_f64();
     stages.push(stage("log_build_seq", entries, seq_secs, seq_secs));
-    for workers in LOG_WORKERS {
-        let t0 = Instant::now();
-        let par =
-            build_access_log_parallel(&world, &w.production, sim.epoch_secs, &scheduler, workers);
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(seq, par, "parallel log build diverged at {workers} workers");
-        stages.push(stage(&format!("log_build_par{workers}"), entries, secs, seq_secs));
-    }
     let t0 = Instant::now();
     let cols = build_access_log_columns(&world, &w.production, sim.epoch_secs, &scheduler);
     let cols_secs = t0.elapsed().as_secs_f64();
@@ -278,36 +269,18 @@ fn main() {
     stages.push(stage("engine_replay_cols", entries, cols_replay_secs, replay_secs));
 
     // Stage 5: parallel sharded replayer, row vs columnar.
-    let t0 = Instant::now();
-    let mp = replay_parallel(
-        StarCdnConfig::starcdn(9, cache),
-        world.failures.clone(),
-        &seq,
-        REPLAY_WORKERS,
-    );
-    let par_replay_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(mp.stats.requests, seq.len() as u64);
-    stages.push(stage(
-        &format!("replayer_par{REPLAY_WORKERS}"),
-        entries,
-        par_replay_secs,
-        replay_secs,
-    ));
-    let t0 = Instant::now();
-    let mpc = replay_parallel_columns(
-        StarCdnConfig::starcdn(9, cache),
-        world.failures.clone(),
-        &cols,
-        REPLAY_WORKERS,
-    );
-    let cols_par_replay_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(mpc.stats.requests, seq.len() as u64);
-    stages.push(stage(
-        &format!("replayer_cols_par{REPLAY_WORKERS}"),
-        entries,
-        cols_par_replay_secs,
-        replay_secs,
-    ));
+    let replay_cfg = StarCdnConfig::starcdn(9, cache);
+    let mut replay_stage = |name: &str, log: LogView<'_>| {
+        let t0 = Instant::now();
+        let m =
+            replayer::run(&replay_cfg, &world.failures, log, REPLAY_WORKERS, &RunSpec::default())
+                .expect("no checkpoint, no I/O");
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(m.stats.requests, seq.len() as u64);
+        stages.push(stage(&format!("{name}{REPLAY_WORKERS}"), entries, secs, replay_secs));
+    };
+    replay_stage("replayer_par", (&seq).into());
+    replay_stage("replayer_cols_par", (&cols).into());
 
     let scale = format!("{:?}", a.scale);
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -346,14 +319,14 @@ fn main() {
         let ips = |name: &str| {
             stages.iter().find(|s| s.stage == name).map(|s| s.items_per_sec).unwrap_or(0.0)
         };
-        let row8 = ips("log_build_par8");
+        let row = ips("log_build_seq");
         let cols8 = ips("log_build_cols_par8");
-        if cols8 < row8 {
+        if cols8 < row {
             eprintln!(
-                "columnar gate FAILED: log_build_cols_par8 {cols8:.0}/s < log_build_par8 {row8:.0}/s"
+                "columnar gate FAILED: log_build_cols_par8 {cols8:.0}/s < log_build_seq {row:.0}/s"
             );
             std::process::exit(1);
         }
-        println!("columnar gate ok: {cols8:.0}/s >= {row8:.0}/s ({:.2}x)", cols8 / row8.max(1e-9));
+        println!("columnar gate ok: {cols8:.0}/s >= {row:.0}/s ({:.2}x)", cols8 / row.max(1e-9));
     }
 }

@@ -31,14 +31,15 @@ use starcdn::system::SpaceCdn;
 use starcdn_bench::table::print_table;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
+use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
-    build_access_log, list_checkpoint_files, resume_space_checkpointed, run_space_checkpointed,
-    run_space_overloaded_recorded, AccessLog, CheckpointPolicy, OverloadConfig, World,
+    build_access_log, engine, list_checkpoint_files, AccessLog, CheckpointPolicy, Checkpointing,
+    OverloadConfig, RunSpec, World,
 };
-use starcdn_telemetry::{MemoryRecorder, TelemetrySnapshot};
+use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -71,6 +72,29 @@ fn workload() -> (AccessLog, FaultSchedule, OverloadConfig) {
 
 fn cdn() -> SpaceCdn {
     SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000))
+}
+
+/// A fresh fleet through the engine under the harness workload's
+/// schedule and overload; `checkpoint` is `(policy, resume)`.
+fn run_engine(
+    log: &AccessLog,
+    sched: &FaultSchedule,
+    overload: &OverloadConfig,
+    rec: &dyn Recorder,
+    checkpoint: Option<(&CheckpointPolicy, bool)>,
+) -> Result<SystemMetrics, starcdn_sim::CheckpointError> {
+    let spec = RunSpec {
+        schedule: sched,
+        overload: *overload,
+        recorder: rec,
+        checkpoint: checkpoint.map(|(policy, resume)| Checkpointing {
+            policy,
+            io: &RealIo,
+            resume,
+        }),
+        measure_from_secs: None,
+    };
+    engine::run(&mut cdn(), log, &spec)
 }
 
 /// FNV-1a over a byte stream, for compact fingerprint lines.
@@ -186,7 +210,7 @@ fn run_golden(dir: &Path, out: &Path) {
     let (log, sched, overload) = workload();
     let policy = CheckpointPolicy { every_n_epochs: 20, dir: dir.to_path_buf(), keep_last: 0 };
     let rec = MemoryRecorder::new();
-    let m = run_space_checkpointed(&mut cdn(), &log, &sched, &overload, &policy, &rec)
+    let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, false)))
         .expect("golden checkpointed run");
     std::fs::write(out, fingerprint_json(&m, &rec.snapshot())).expect("write golden fingerprint");
     println!(
@@ -205,15 +229,8 @@ fn run_crash(dir: &Path, kill_epoch: u64) {
         .unwrap_or(log.entries.len());
     let partial = AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
     let policy = CheckpointPolicy { every_n_epochs: 20, dir: dir.to_path_buf(), keep_last: 0 };
-    run_space_checkpointed(
-        &mut cdn(),
-        &partial,
-        &sched,
-        &overload,
-        &policy,
-        &MemoryRecorder::new(),
-    )
-    .expect("crashed prefix run");
+    run_engine(&partial, &sched, &overload, &MemoryRecorder::new(), Some((&policy, false)))
+        .expect("crashed prefix run");
     // Simulate the kill arriving mid-write: tear the newest checkpoint in
     // half and leave a stray temp file. Resume must detect both and fall
     // back to the previous intact checkpoint.
@@ -233,7 +250,7 @@ fn run_resume(dir: &Path, out: &Path) {
     let (log, sched, overload) = workload();
     let policy = CheckpointPolicy { every_n_epochs: 20, dir: dir.to_path_buf(), keep_last: 0 };
     let rec = MemoryRecorder::new();
-    let m = resume_space_checkpointed(&mut cdn(), &log, &sched, &overload, &policy, &rec)
+    let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, true)))
         .expect("resume from crash-left checkpoints");
     let fallbacks: u64 = rec
         .snapshot()
@@ -310,7 +327,7 @@ fn run_overhead(gate: Option<PathBuf>) {
     // Baseline: the non-checkpointed engine.
     let t0 = Instant::now();
     let rec = MemoryRecorder::new();
-    let base = run_space_overloaded_recorded(&mut cdn(), &log, &sched, &overload, &rec);
+    let base = run_engine(&log, &sched, &overload, &rec, None).expect("no checkpoint, no I/O");
     let base_secs = t0.elapsed().as_secs_f64();
 
     let mut rows = Vec::new();
@@ -323,15 +340,8 @@ fn run_overhead(gate: Option<PathBuf>) {
         let policy = CheckpointPolicy { every_n_epochs: every_n, dir: dir.clone(), keep_last: 0 };
 
         let t0 = Instant::now();
-        let m = run_space_checkpointed(
-            &mut cdn(),
-            &log,
-            &sched,
-            &overload,
-            &policy,
-            &MemoryRecorder::new(),
-        )
-        .expect("checkpointed run");
+        let m = run_engine(&log, &sched, &overload, &MemoryRecorder::new(), Some((&policy, false)))
+            .expect("checkpointed run");
         let ckpt_secs = t0.elapsed().as_secs_f64();
         assert_eq!(m.stats.requests, base.stats.requests, "checkpointed run diverged");
 
@@ -343,15 +353,8 @@ fn run_overhead(gate: Option<PathBuf>) {
         // Restore latency: resume from the newest checkpoint (replays
         // only the tail of the log).
         let t0 = Instant::now();
-        resume_space_checkpointed(
-            &mut cdn(),
-            &log,
-            &sched,
-            &overload,
-            &policy,
-            &MemoryRecorder::new(),
-        )
-        .expect("resume");
+        run_engine(&log, &sched, &overload, &MemoryRecorder::new(), Some((&policy, true)))
+            .expect("resume");
         let resume_secs = t0.elapsed().as_secs_f64();
 
         let overhead_pct = (ckpt_secs / base_secs.max(1e-9) - 1.0) * 100.0;

@@ -15,9 +15,9 @@ use starcdn_bench::args;
 use starcdn_bench::table::print_table;
 use starcdn_bench::workload::{cache_bytes_for_gb, Workload};
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule};
-use starcdn_sim::engine::{run_space_with_faults_recorded, SimConfig};
-use starcdn_sim::replayer::replay_parallel_with_faults_recorded;
+use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{build_access_log_recorded, World};
+use starcdn_sim::{engine, replayer, RunSpec};
 use starcdn_telemetry::{Counter, Histo, MemoryRecorder, Noop, Recorder, TelemetrySnapshot};
 use std::time::Instant;
 
@@ -40,16 +40,12 @@ fn run_pipeline(
         &sim.scheduler(),
         rec,
     );
-    let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn_no_relay(9, cache));
-    let m_seq = run_space_with_faults_recorded(&mut cdn, &log, schedule, rec);
-    let m_par = replay_parallel_with_faults_recorded(
-        StarCdnConfig::starcdn_no_relay(9, cache),
-        world.failures.clone(),
-        &log,
-        schedule,
-        REPLAY_WORKERS,
-        rec,
-    );
+    let cfg = StarCdnConfig::starcdn_no_relay(9, cache);
+    let spec = RunSpec { schedule, recorder: rec, ..RunSpec::default() };
+    let mut cdn = SpaceCdn::new(cfg.clone());
+    let m_seq = engine::run(&mut cdn, &log, &spec).expect("no checkpoint, no I/O");
+    let m_par = replayer::run(&cfg, &world.failures, &log, REPLAY_WORKERS, &spec)
+        .expect("no checkpoint, no I/O");
     assert_eq!(m_seq.stats, m_par.stats, "replayer diverged from engine");
     let fingerprint = format!(
         "req={} hits={} uplink={} remap={} reroute={} cold={}",

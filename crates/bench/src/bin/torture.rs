@@ -26,16 +26,14 @@ use starcdn_bench::table::print_table;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
-use starcdn_io::{FaultPlan, FaultyIo};
+use starcdn_io::{FaultPlan, FaultyIo, Io, RealIo};
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
-    build_access_log, list_checkpoint_files, metrics_digest, replay_parallel_checkpointed,
-    replay_parallel_checkpointed_io, resume_replay_checkpointed, resume_space_checkpointed,
-    resume_space_checkpointed_io, run_space_checkpointed, run_space_checkpointed_io, AccessLog,
-    CheckpointError, CheckpointPolicy, OverloadConfig, World,
+    build_access_log, engine, list_checkpoint_files, metrics_digest, replayer, AccessLog,
+    CheckpointError, CheckpointPolicy, Checkpointing, OverloadConfig, RunSpec, World,
 };
-use starcdn_telemetry::MemoryRecorder;
+use starcdn_telemetry::{MemoryRecorder, Recorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -64,6 +62,24 @@ fn tmpdir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
+}
+
+/// The [`RunSpec`] of a checkpointed (or, with `resume`, resumed) run.
+fn ckpt_spec<'a>(
+    schedule: &'a FaultSchedule,
+    overload: &OverloadConfig,
+    policy: &'a CheckpointPolicy,
+    rec: &'a dyn Recorder,
+    io: &'a dyn Io,
+    resume: bool,
+) -> RunSpec<'a> {
+    RunSpec {
+        schedule,
+        overload: *overload,
+        recorder: rec,
+        checkpoint: Some(Checkpointing { policy, io, resume }),
+        measure_from_secs: None,
+    }
 }
 
 fn policy(dir: &Path, every: u64, keep: usize) -> CheckpointPolicy {
@@ -116,16 +132,23 @@ fn recover_engine(
 ) -> Result<(), String> {
     let sched = FaultSchedule::empty();
     let ov = OverloadConfig::disabled();
-    match resume_space_checkpointed(&mut cdn(), log, &sched, &ov, pol, &MemoryRecorder::new()) {
+    match engine::run(
+        &mut cdn(),
+        log,
+        &ckpt_spec(&sched, &ov, pol, &MemoryRecorder::new(), &RealIo, true),
+    ) {
         Ok(m) if metrics_digest(&m) == golden => {
             t.resumed_identical += 1;
             Ok(())
         }
         Ok(_) => Err("resume silently diverged".into()),
         Err(CheckpointError::NoValidCheckpoint) => {
-            let m =
-                run_space_checkpointed(&mut cdn(), log, &sched, &ov, pol, &MemoryRecorder::new())
-                    .map_err(|e| format!("fresh rerun failed: {e}"))?;
+            let m = engine::run(
+                &mut cdn(),
+                log,
+                &ckpt_spec(&sched, &ov, pol, &MemoryRecorder::new(), &RealIo, false),
+            )
+            .map_err(|e| format!("fresh rerun failed: {e}"))?;
             if metrics_digest(&m) != golden {
                 return Err("fresh rerun diverged".into());
             }
@@ -147,8 +170,11 @@ fn engine_schedule(
     let ov = OverloadConfig::disabled();
     let pol = policy(dir, 3, 0);
     let io = FaultyIo::new(plan);
-    match run_space_checkpointed_io(&mut cdn(), log, &sched, &ov, &pol, &MemoryRecorder::new(), &io)
-    {
+    match engine::run(
+        &mut cdn(),
+        log,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
+    ) {
         Ok(m) => {
             if metrics_digest(&m) != golden {
                 return Err("faulted run silently diverged".into());
@@ -175,8 +201,11 @@ fn single_fault_schedule(
     let ov = OverloadConfig::disabled();
     let pol = policy(dir, 2, 2);
     let io = FaultyIo::new(FaultPlan::single(seed));
-    match run_space_checkpointed_io(&mut cdn(), log, &sched, &ov, &pol, &MemoryRecorder::new(), &io)
-    {
+    match engine::run(
+        &mut cdn(),
+        log,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
+    ) {
         Ok(m) => {
             if metrics_digest(&m) != golden {
                 return Err("faulted run silently diverged".into());
@@ -190,11 +219,12 @@ fn single_fault_schedule(
     t.faults_injected += s.faults;
     if s.clean_renames >= 1 {
         // The availability invariant: resume MUST succeed here.
-        let m =
-            resume_space_checkpointed(&mut cdn(), log, &sched, &ov, &pol, &MemoryRecorder::new())
-                .map_err(|e| {
-                format!("{} clean renames on disk but resume failed: {e}", s.clean_renames)
-            })?;
+        let m = engine::run(
+            &mut cdn(),
+            log,
+            &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
+        )
+        .map_err(|e| format!("{} clean renames on disk but resume failed: {e}", s.clean_renames))?;
         if metrics_digest(&m) != golden {
             return Err("resume after single fault diverged".into());
         }
@@ -215,16 +245,12 @@ fn replayer_schedule(
     let cfg = StarCdnConfig::starcdn_no_relay(4, 2_000_000);
     let pol = policy(dir, 3, 0);
     let io = FaultyIo::new(plan);
-    match replay_parallel_checkpointed_io(
-        cfg.clone(),
-        FailureModel::none(),
+    match replayer::run(
+        &cfg,
+        &FailureModel::none(),
         log,
-        &sched,
         WORKERS,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
-        &io,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
     ) {
         Ok(m) => {
             if metrics_digest(&m) != golden {
@@ -240,15 +266,12 @@ fn replayer_schedule(
     t.crashes += u64::from(s.crashed());
 
     let rerun = |t: &mut Tally| -> Result<(), String> {
-        let m = replay_parallel_checkpointed(
-            cfg.clone(),
-            FailureModel::none(),
+        let m = replayer::run(
+            &cfg,
+            &FailureModel::none(),
             log,
-            &sched,
             WORKERS,
-            &ov,
-            &pol,
-            &MemoryRecorder::new(),
+            &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
         )
         .map_err(|e| format!("fresh replay failed: {e}"))?;
         if metrics_digest(&m) != golden {
@@ -260,15 +283,12 @@ fn replayer_schedule(
     if list_checkpoint_files(&pol.dir).is_empty() {
         return rerun(t);
     }
-    match resume_replay_checkpointed(
-        cfg.clone(),
-        FailureModel::none(),
+    match replayer::run(
+        &cfg,
+        &FailureModel::none(),
         log,
-        &sched,
         WORKERS,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
     ) {
         Ok(m) if metrics_digest(&m) == golden => {
             t.resumed_identical += 1;
@@ -290,14 +310,10 @@ fn read_fault_schedule(
     let sched = FaultSchedule::empty();
     let ov = OverloadConfig::disabled();
     let io = FaultyIo::new(FaultPlan::read_faults(seed));
-    match resume_space_checkpointed_io(
+    match engine::run(
         &mut cdn(),
         log,
-        &sched,
-        &ov,
-        pol,
-        &MemoryRecorder::new(),
-        &io,
+        &ckpt_spec(&sched, &ov, pol, &MemoryRecorder::new(), &io, true),
     ) {
         Ok(m) => {
             if metrics_digest(&m) != golden {
@@ -340,13 +356,17 @@ fn main() {
     // Golden digests, one per policy shape.
     let gold = |every, keep| {
         let dir = tmpdir(&format!("gold-{every}-{keep}"));
-        let m = run_space_checkpointed(
+        let m = engine::run(
             &mut cdn(),
             &log,
-            &sched,
-            &ov,
-            &policy(&dir, every, keep),
-            &MemoryRecorder::new(),
+            &ckpt_spec(
+                &sched,
+                &ov,
+                &policy(&dir, every, keep),
+                &MemoryRecorder::new(),
+                &RealIo,
+                false,
+            ),
         )
         .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -356,15 +376,12 @@ fn main() {
     let single_gold = gold(2, 2);
     let rep_gold = {
         let dir = tmpdir("gold-rep");
-        let m = replay_parallel_checkpointed(
-            StarCdnConfig::starcdn_no_relay(4, 2_000_000),
-            FailureModel::none(),
+        let m = replayer::run(
+            &StarCdnConfig::starcdn_no_relay(4, 2_000_000),
+            &FailureModel::none(),
             &log,
-            &sched,
             WORKERS,
-            &ov,
-            &policy(&dir, 3, 0),
-            &MemoryRecorder::new(),
+            &ckpt_spec(&sched, &ov, &policy(&dir, 3, 0), &MemoryRecorder::new(), &RealIo, false),
         )
         .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -373,8 +390,12 @@ fn main() {
     // An intact checkpoint directory for the read-fault leg to chew on.
     let read_dir = tmpdir("read-gold");
     let read_pol = policy(&read_dir, 2, 0);
-    run_space_checkpointed(&mut cdn(), &log, &sched, &ov, &read_pol, &MemoryRecorder::new())
-        .unwrap();
+    engine::run(
+        &mut cdn(),
+        &log,
+        &ckpt_spec(&sched, &ov, &read_pol, &MemoryRecorder::new(), &RealIo, false),
+    )
+    .unwrap();
 
     let t0 = std::time::Instant::now();
     let mut legs: Vec<(&str, Tally)> = Vec::new();

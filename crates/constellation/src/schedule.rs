@@ -135,8 +135,8 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// No events: the failure view never changes.
-    pub fn empty() -> Self {
-        Self::default()
+    pub const fn empty() -> Self {
+        FaultSchedule { events: Vec::new() }
     }
 
     /// Build from explicit events (any order; sorted stably by time).

@@ -19,6 +19,7 @@
 //!
 //! All legs are doubled (request out, response back).
 
+use crate::system::ServedFrom;
 use serde::{Deserialize, Serialize};
 use starcdn_constellation::isl::{IslKind, LinkModel};
 
@@ -108,6 +109,28 @@ impl LatencyModel {
         self.space_hit_rtt_ms(gsl_oneway_ms, intra_hops, inter_hops)
             + 2.0 * relay_penalty_span as f64 * self.link.delay_ms(IslKind::InterOrbit)
             + 2.0 * (self.link.delay_ms(IslKind::Gsl) + self.origin_oneway_ms)
+    }
+
+    /// First-order serialization delay of the response body: once per
+    /// store-and-forward ISL hop (100 Gbps) plus the user service link
+    /// (20 Gbps), plus the feeder uplink for ground fetches. Lives here,
+    /// not on the fleet, so the engine and the shard replayer charge it
+    /// through the same function.
+    pub fn transmission_ms(&self, from: ServedFrom, size: u64, route_hops: u16, span: u16) -> f64 {
+        let isl_bw = self.link.inter_orbit.bandwidth_gbps;
+        let gsl_bw = self.link.gsl.bandwidth_gbps;
+        let isl_hops = route_hops
+            + match from {
+                ServedFrom::RelayWest | ServedFrom::RelayEast => span,
+                _ => 0,
+            };
+        let mut ms = isl_hops as f64 * transmission_delay_ms(size, isl_bw)
+            + transmission_delay_ms(size, gsl_bw);
+        if from == ServedFrom::Ground {
+            // The object also crossed the feeder uplink.
+            ms += transmission_delay_ms(size, gsl_bw);
+        }
+        ms
     }
 
     /// RTT of regular Starlink with no space cache (bent pipe to a
@@ -276,6 +299,20 @@ mod tests {
         let m = model();
         assert!((m.static_cache_rtt_ms(2.0, true) - 4.0).abs() < 1e-9);
         assert!(m.static_cache_rtt_ms(2.0, false) > 60.0);
+    }
+
+    #[test]
+    fn transmission_charges_each_link_the_body_crosses() {
+        let m = LatencyModel::default();
+        let size = 1 << 20;
+        let gsl = transmission_delay_ms(size, m.link.gsl.bandwidth_gbps);
+        let isl = transmission_delay_ms(size, m.link.inter_orbit.bandwidth_gbps);
+        // A local hit over 3 route hops: 3 ISLs and the service link.
+        assert_eq!(m.transmission_ms(ServedFrom::LocalHit, size, 3, 2), 3.0 * isl + gsl);
+        // A relay hit adds the span to the neighbour.
+        assert_eq!(m.transmission_ms(ServedFrom::RelayEast, size, 3, 2), 5.0 * isl + gsl);
+        // A ground fetch also crossed the feeder uplink.
+        assert_eq!(m.transmission_ms(ServedFrom::Ground, size, 3, 2), 3.0 * isl + gsl + gsl);
     }
 
     #[test]

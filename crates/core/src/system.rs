@@ -560,7 +560,7 @@ impl SpaceCdn {
         };
 
         let latency_ms = if self.cfg.model_transmission_delay {
-            latency_ms + self.transmission_ms(served_from, size, intra + inter, span)
+            latency_ms + self.latency.transmission_ms(served_from, size, intra + inter, span)
         } else {
             latency_ms
         };
@@ -606,27 +606,6 @@ impl SpaceCdn {
             fetch_retired,
             coalesced,
         }
-    }
-
-    /// First-order serialization delay of the response body: once per
-    /// store-and-forward ISL hop (100 Gbps) plus the user service link
-    /// (20 Gbps), plus the feeder uplink for ground fetches.
-    fn transmission_ms(&self, from: ServedFrom, size: u64, route_hops: u16, span: u16) -> f64 {
-        use crate::latency::transmission_delay_ms;
-        let isl_bw = self.latency.link.inter_orbit.bandwidth_gbps;
-        let gsl_bw = self.latency.link.gsl.bandwidth_gbps;
-        let isl_hops = route_hops
-            + match from {
-                ServedFrom::RelayWest | ServedFrom::RelayEast => span,
-                _ => 0,
-            };
-        let mut ms = isl_hops as f64 * transmission_delay_ms(size, isl_bw)
-            + transmission_delay_ms(size, gsl_bw);
-        if from == ServedFrom::Ground {
-            // The object also crossed the feeder uplink.
-            ms += transmission_delay_ms(size, gsl_bw);
-        }
-        ms
     }
 
     fn neighbor_has(&self, owner: SatelliteId, span: u16, west: bool, object: ObjectId) -> bool {

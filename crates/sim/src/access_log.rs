@@ -19,8 +19,7 @@ use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Event, Histo, Noop, Recorder, SpanTimer, Stage};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One request with its resolved first-contact satellite.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -292,12 +291,9 @@ pub(crate) fn record_fault_delta(
 }
 
 /// Materialize one log entry from a request and its user's assignment —
-/// shared by the sequential and parallel builders (row and columnar) so
-/// all construct entries through identical code.
-pub(crate) fn resolve_entry(
-    r: &Request,
-    assignment: Option<crate::scheduler::Assignment>,
-) -> AccessLogEntry {
+/// the row builder's half of entry construction (the columnar builders
+/// mirror it field for field).
+fn resolve_entry(r: &Request, assignment: Option<crate::scheduler::Assignment>) -> AccessLogEntry {
     match assignment {
         Some(a) => AccessLogEntry {
             time: r.time,
@@ -330,9 +326,9 @@ pub(crate) struct EpochRun {
     pub(crate) view: Arc<FailureModel>,
 }
 
-/// Sequential pre-scan shared by the row and columnar parallel builders:
-/// splits `reqs` into maximal same-epoch runs, replays the fault cursor
-/// once (the only inherently sequential state), and snapshots per-run
+/// Sequential pre-scan of the parallel columnar builder: splits `reqs`
+/// into maximal same-epoch runs, replays the fault cursor once (the
+/// only inherently sequential state), and snapshots per-run
 /// failure views and round-robin counters so workers can schedule runs
 /// independently and still reproduce the sequential builder bit-for-bit.
 pub(crate) fn prescan_epoch_runs(
@@ -384,101 +380,6 @@ pub(crate) fn prescan_epoch_runs(
         start = end;
     }
     runs
-}
-
-/// [`build_access_log`] fanned out over `num_workers` OS threads,
-/// bit-for-bit identical to the sequential builder (including under
-/// churn schedules).
-///
-/// The trace is pre-scanned into [`EpochRun`]s — maximal runs of
-/// consecutive same-epoch entries, exactly the granularity at which the
-/// sequential builder recomputes the link schedule. The pre-scan also
-/// replays the [`ScheduleCursor`] once (sequentially, in run order — the
-/// cursor is monotonic state, so this is the one part that cannot be
-/// parallelized) and snapshots a per-run failure view, sharing one
-/// `Arc` across runs whose view did not change; round-robin user
-/// counters depend only on the location sequence, so each run records
-/// their starting values. With the sequential dependencies captured,
-/// epoch runs are embarrassingly parallel: workers pull runs off an
-/// atomic queue, each owning a private `SnapshotPropagator`
-/// (`advance_to` is a pure function of `t`, so worker-local snapshots
-/// produce identical bits), and results are stitched back in trace
-/// order.
-pub fn build_access_log_parallel(
-    world: &World,
-    trace: &Trace,
-    epoch_secs: u64,
-    cfg: &SchedulerConfig,
-    num_workers: usize,
-) -> AccessLog {
-    build_access_log_parallel_recorded(world, trace, epoch_secs, cfg, num_workers, &Noop)
-}
-
-/// [`build_access_log_parallel`] with telemetry: the sequential pre-scan
-/// is timed as [`Stage::PreScan`] (with per-run [`Histo::QueueDepth`]
-/// observations and churn events), workers report the scheduler's
-/// per-epoch spans through the shared recorder (epoch keys are unique
-/// per run, so concurrent recording lands in disjoint timeline cells),
-/// and the final stitch is timed as [`Stage::Merge`]. The produced log
-/// stays bit-for-bit identical to the sequential builder.
-pub fn build_access_log_parallel_recorded(
-    world: &World,
-    trace: &Trace,
-    epoch_secs: u64,
-    cfg: &SchedulerConfig,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> AccessLog {
-    assert!(epoch_secs > 0);
-    if num_workers <= 1 || trace.len() < 2 {
-        return build_access_log_recorded(world, trace, epoch_secs, cfg, rec);
-    }
-    let reqs = &trace.requests;
-
-    // Sequential pre-scan: run boundaries, failure views, RR counters.
-    let prescan_span = SpanTimer::start(rec, Stage::PreScan, 0);
-    let runs = prescan_epoch_runs(world, reqs, epoch_secs, rec);
-    prescan_span.stop();
-
-    // Fan the runs out; each slot is written exactly once by whichever
-    // worker claims its run.
-    let next_run = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Vec<AccessLogEntry>>> = runs.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for _ in 0..num_workers.min(runs.len()) {
-            s.spawn(|| {
-                let mut snapshot = world.snapshot();
-                loop {
-                    let i = next_run.fetch_add(1, Ordering::Relaxed);
-                    let Some(run) = runs.get(i) else { break };
-                    {
-                        let _propagate = SpanTimer::start(rec, Stage::Propagate, run.epoch);
-                        snapshot.advance_to(SimTime::from_secs(run.epoch * epoch_secs));
-                    }
-                    let sched =
-                        schedule_epoch_recorded(world, &snapshot, run.epoch, cfg, &run.view, rec);
-                    let mut rr = run.rr_start.clone();
-                    let mut out = Vec::with_capacity(run.end - run.start);
-                    for r in &reqs[run.start..run.end] {
-                        let loc = r.location.0 as usize;
-                        let user = rr[loc] % cfg.users_per_location;
-                        rr[loc] += 1;
-                        out.push(resolve_entry(r, sched.assignments[loc][user]));
-                    }
-                    slots[i].set(out).expect("each run is claimed once");
-                }
-            });
-        }
-    });
-
-    // Stitch per-run results back in trace order.
-    let merge_span = SpanTimer::start(rec, Stage::Merge, 0);
-    let mut entries = Vec::with_capacity(reqs.len());
-    for slot in slots {
-        entries.extend(slot.into_inner().expect("worker completed every claimed run"));
-    }
-    merge_span.stop();
-    AccessLog { entries, epoch_secs }
 }
 
 #[cfg(test)]
@@ -645,66 +546,6 @@ mod tests {
     fn zero_epoch_rejected() {
         let w = World::starlink_nine_cities();
         build_access_log(&w, &Trace::default(), 0, &SchedulerConfig::default());
-    }
-
-    #[test]
-    #[should_panic]
-    fn parallel_zero_epoch_rejected() {
-        let w = World::starlink_nine_cities();
-        build_access_log_parallel(&w, &Trace::default(), 0, &SchedulerConfig::default(), 4);
-    }
-
-    /// A schedule that churns satellites the nine cities actually use,
-    /// including down/up round trips, so the parallel pre-scan must
-    /// reproduce the cursor's view at every epoch boundary.
-    fn churny_world() -> World {
-        use starcdn_constellation::schedule::{ChurnParams, FaultSchedule};
-        let base = World::starlink_nine_cities();
-        let p = ChurnParams::sats_only(1800.0, 120.0, 600, 0xD00D);
-        let schedule = FaultSchedule::churn(&base.grid, &p);
-        assert!(!schedule.is_empty(), "churn parameters produced no events");
-        base.with_fault_schedule(schedule)
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bit_for_bit() {
-        let w = World::starlink_nine_cities();
-        let trace = tiny_trace();
-        let cfg = SchedulerConfig::default();
-        let seq = build_access_log(&w, &trace, 15, &cfg);
-        for n in [1usize, 2, 4, 7] {
-            let par = build_access_log_parallel(&w, &trace, 15, &cfg, n);
-            assert_eq!(seq, par, "{n} workers diverged from sequential");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_under_churn() {
-        let w = churny_world();
-        let trace = tiny_trace();
-        let cfg = SchedulerConfig::default();
-        let seq = build_access_log(&w, &trace, 15, &cfg);
-        for n in [1usize, 2, 4, 7] {
-            let par = build_access_log_parallel(&w, &trace, 15, &cfg, n);
-            assert_eq!(seq, par, "{n} workers diverged from sequential under churn");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_degenerate_traces() {
-        let w = World::starlink_nine_cities();
-        let cfg = SchedulerConfig::default();
-        let empty = build_access_log_parallel(&w, &Trace::default(), 15, &cfg, 4);
-        assert!(empty.is_empty());
-        let one = Trace::new(vec![Request {
-            time: SimTime::from_secs(7),
-            object: ObjectId(1),
-            size: 10,
-            location: LocationId(4),
-        }]);
-        let seq = build_access_log(&w, &one, 15, &cfg);
-        let par = build_access_log_parallel(&w, &one, 15, &cfg, 8);
-        assert_eq!(seq, par);
     }
 
     /// A small log that exercises the unreachable (`first_contact: None`)

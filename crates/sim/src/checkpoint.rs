@@ -33,9 +33,9 @@
 //! previous epoch and re-enters the loop at the same entry index, so the
 //! boundary re-executes exactly as the uninterrupted run did.
 
-use crate::access_log::AccessLog;
-use crate::engine::{record_outcome, FaultEventWatermark};
-use crate::overload::OverloadConfig;
+use crate::columns::LogView;
+use crate::engine::{FaultEventWatermark, RunSpec};
+use starcdn::config::StarCdnConfig;
 use starcdn::metrics::{AvailabilityPoint, NeighborAvailability, SystemMetrics};
 use starcdn::system::{CdnState, SpaceCdn};
 use starcdn_cache::inflight::InflightEntryState;
@@ -43,14 +43,12 @@ use starcdn_cache::object::ObjectId;
 use starcdn_cache::state::{LfuEntryState, MadEntryState, SieveEntryState};
 use starcdn_cache::stats::CacheStats;
 use starcdn_cache::{CacheState, InflightState};
-use starcdn_constellation::capacity::{CapacityLedger, EpochUsageState, UtilizationPoint};
+use starcdn_constellation::capacity::{EpochUsageState, UtilizationPoint};
 use starcdn_constellation::failures::FailureModel;
-use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_io::{Io, RealIo};
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{
-    Counter, Event, Histo, HistogramSnapshot, MemoryRecorder, Noop, Recorder, SpanStats, SpanTimer,
-    Stage, TelemetrySnapshot,
+    Counter, Event, Histo, HistogramSnapshot, SpanStats, Stage, TelemetrySnapshot,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -71,6 +69,24 @@ impl CheckpointPolicy {
     pub fn new(dir: impl Into<PathBuf>, every_n_epochs: u64) -> Self {
         CheckpointPolicy { every_n_epochs, dir: dir.into(), keep_last: 3 }
     }
+}
+
+/// The checkpoint field of a [`RunSpec`]: where and how often to write,
+/// through which filesystem, and whether to start from the newest valid
+/// checkpoint already in `policy.dir`.
+#[derive(Clone, Copy)]
+pub struct Checkpointing<'a> {
+    pub policy: &'a CheckpointPolicy,
+    /// The filesystem seam ([`RealIo`] outside the storage-fault
+    /// torture harness).
+    pub io: &'a dyn Io,
+    /// Resume an interrupted run instead of starting one. Corrupt, torn
+    /// or configuration-mismatched checkpoints are skipped newest-first
+    /// (one [`Event::CheckpointRestoreFallback`] each, keyed by the
+    /// skipped file's epoch); if nothing survives the run fails with
+    /// [`CheckpointError::NoValidCheckpoint`] and the caller may start
+    /// from scratch.
+    pub resume: bool,
 }
 
 /// Why a checkpoint could not be written, read, or restored.
@@ -1117,16 +1133,12 @@ pub(crate) fn fp_bytes(h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// A fingerprint of everything a checkpoint must agree with the resuming
-/// run about: system configuration, epoch length, fault schedule, and
-/// overload settings. Resume rejects checkpoints whose fingerprint
-/// differs (falling back to older files, which will also mismatch).
-pub(crate) fn config_fingerprint(
-    cdn: &SpaceCdn,
-    epoch_secs: u64,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-) -> u64 {
-    let cfg = cdn.config();
+/// run about: system configuration, epoch length, fault schedule,
+/// overload settings and the measurement cutoff. Resume rejects
+/// checkpoints whose fingerprint differs (falling back to older files,
+/// which will also mismatch). The one fingerprint both the engine and
+/// the replayer build on.
+pub(crate) fn config_fingerprint(cfg: &StarCdnConfig, epoch_secs: u64, spec: &RunSpec<'_>) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     h = fp_bytes(h, cfg.policy.name().as_bytes());
     h = fp(h, cfg.cache_capacity_bytes);
@@ -1138,14 +1150,15 @@ pub(crate) fn config_fingerprint(
     h = fp(h, cfg.model_transmission_delay as u64);
     h = fp(h, cfg.prefetch_top_k.map_or(0, |k| 1 + k as u64));
     h = fp(h, epoch_secs);
-    h = fp(h, schedule.len() as u64);
-    h = fp(h, overload.headroom.to_bits());
-    h = fp(h, overload.retry.max_attempts as u64);
-    h = fp(h, overload.retry.backoff_epochs);
-    h = fp(h, overload.retry.deadline_ms.to_bits());
+    h = fp(h, spec.schedule.len() as u64);
+    h = fp(h, spec.overload.headroom.to_bits());
+    h = fp(h, spec.overload.retry.max_attempts as u64);
+    h = fp(h, spec.overload.retry.backoff_epochs);
+    h = fp(h, spec.overload.retry.deadline_ms.to_bits());
     h = fp(h, cfg.delayed.fetch_epochs);
     h = fp(h, cfg.delayed.wait_ms_per_epoch.to_bits());
     h = fp(h, cfg.delayed.origin_tiers);
+    h = fp(h, spec.measure_from_secs.map_or(0, |s| 1 + s));
     h
 }
 
@@ -1327,436 +1340,213 @@ pub fn metrics_digest(m: &SystemMetrics) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The checkpointed engine driver.
+// The engine loop's checkpoint side.
 // ---------------------------------------------------------------------------
 
-struct ResumeState {
-    prev_epoch: u64,
-    entry_index: usize,
-    boundary_epoch: u64,
-    cursor: Option<(u64, FailureModel)>,
-    ledger: Option<Vec<EpochUsageState>>,
-    watermark: [u64; 3],
-    telemetry: Option<TelemetrySnapshot>,
+/// The loop-local state of [`crate::engine::run`] that a checkpoint
+/// freezes beside the fleet's own ([`CdnState`]).
+pub(crate) struct LoopState {
+    /// The epoch the loop was in before the boundary; resume restores
+    /// `current_epoch` to this so the boundary re-executes.
+    pub prev_epoch: u64,
+    /// Index of the first unprocessed entry.
+    pub entry_index: usize,
+    /// `(events applied, live failure view)` of the schedule cursor.
+    pub cursor: Option<(u64, FailureModel)>,
+    pub ledger: Option<Vec<EpochUsageState>>,
+    pub watermark: FaultEventWatermark,
+    pub telemetry: Option<TelemetrySnapshot>,
 }
 
-/// Run the full request lifecycle — plain, fault-scheduled, or
-/// overload-aware, selected exactly as
-/// [`crate::engine::run_space_overloaded_recorded`] selects — while
-/// writing crash-consistent checkpoints per [`CheckpointPolicy`].
-///
-/// Simulation output (metrics, latency samples, telemetry counters,
-/// histograms, and events) is bit-for-bit identical to the matching
-/// non-checkpointed entry point; only span wall-clock times differ.
-pub fn run_space_checkpointed(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-) -> Result<SystemMetrics, CheckpointError> {
-    run_space_checkpointed_io(cdn, log, schedule, overload, policy, rec, &RealIo)
-}
-
-/// [`run_space_checkpointed`] over an explicit [`Io`] — the seam the
-/// storage-fault torture harness drives.
-#[allow(clippy::too_many_arguments)]
-pub fn run_space_checkpointed_io(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    sweep_stale_tmps_io(io, &policy.dir);
-    drive_checkpointed(cdn, log, schedule, overload, policy, rec, None, io)
-}
-
-/// Resume an interrupted [`run_space_checkpointed`] run from the newest
-/// valid checkpoint in `policy.dir`, replay the remaining log, and
-/// return metrics bit-for-bit identical to the uninterrupted run.
-///
-/// Corrupt, torn, or configuration-mismatched checkpoints are skipped
-/// (one [`Event::CheckpointRestoreFallback`] each, keyed by the skipped
-/// file's epoch); if nothing survives,
-/// [`CheckpointError::NoValidCheckpoint`] is returned and the caller may
-/// start from scratch. `cdn` must be freshly built with the same
-/// configuration as the original run.
-pub fn resume_space_checkpointed(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-) -> Result<SystemMetrics, CheckpointError> {
-    resume_space_checkpointed_io(cdn, log, schedule, overload, policy, rec, &RealIo)
-}
-
-/// [`resume_space_checkpointed`] over an explicit [`Io`].
-#[allow(clippy::too_many_arguments)]
-pub fn resume_space_checkpointed_io(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    let use_overload = overload.is_enabled();
-    let use_cursor = !schedule.is_empty();
-    let epoch_secs = log.epoch_secs.max(1);
-    let fingerprint = config_fingerprint(cdn, epoch_secs, schedule, overload);
-    sweep_stale_tmps_io(io, &policy.dir);
-    let files = list_checkpoint_files_io(io, &policy.dir);
-    for (epoch, path) in files.iter().rev() {
-        let resume = match try_load_engine(io, path, fingerprint, use_cursor, use_overload, log) {
-            Ok((meta, body, telemetry)) => {
-                let state = CdnState {
-                    failures: body.failures,
-                    caches: body.caches,
-                    inflight: body.inflight,
-                    cold: body.cold,
-                    metrics: body.metrics,
-                };
-                if cdn.import_state(state).is_err() {
-                    rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                    continue;
-                }
-                ResumeState {
-                    prev_epoch: meta.prev_epoch,
-                    entry_index: meta.entry_index as usize,
-                    boundary_epoch: meta.boundary_epoch,
-                    cursor: body.cursor,
-                    ledger: body.ledger,
-                    watermark: body.watermark,
-                    telemetry,
-                }
-            }
-            Err(_) => {
-                rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            }
-        };
-        return drive_checkpointed(cdn, log, schedule, overload, policy, rec, Some(resume), io);
-    }
-    Err(CheckpointError::NoValidCheckpoint)
-}
-
-#[allow(clippy::type_complexity)]
-fn try_load_engine(
-    io: &dyn Io,
-    path: &Path,
+/// Writes the engine loop's checkpoints and, on resume, finds the one
+/// to start from.
+pub(crate) struct EngineCheckpointer<'a> {
+    ck: Checkpointing<'a>,
     fingerprint: u64,
     use_cursor: bool,
     use_overload: bool,
-    log: &AccessLog,
-) -> Result<(EngineMeta, EngineBody, Option<TelemetrySnapshot>), CheckpointError> {
-    let bytes = io.read(path)?;
-    let raw = decode_container(&bytes)?;
-    if raw.kind != KIND_ENGINE {
-        return Err(CheckpointError::ConfigMismatch);
-    }
-    let meta = decode_engine_meta(&raw.meta)?;
-    if meta.fingerprint != fingerprint
-        || meta.use_cursor != use_cursor
-        || meta.use_overload != use_overload
-    {
-        return Err(CheckpointError::ConfigMismatch);
-    }
-    if meta.entry_index as usize > log.entries.len() {
-        return Err(CheckpointError::ConfigMismatch);
-    }
-    let body = decode_engine_body(&raw.body)?;
-    if use_cursor != body.cursor.is_some() || use_overload != body.ledger.is_some() {
-        return Err(CheckpointError::Malformed("mode does not match stored sections"));
-    }
-    let telemetry = decode_telemetry_section(&raw.telemetry)?;
-    Ok((meta, body, telemetry))
+    last_written: Option<u64>,
 }
 
-/// One driver covering all three engine modes, with the mode-specific
-/// blocks copied branch-for-branch from `run_space_entries_recorded`,
-/// `drive_with_faults`, and `drive_overloaded` so simulation output is
-/// identical to the non-checkpointed paths.
-///
-/// When `rec` is enabled, recording goes through an internal
-/// [`MemoryRecorder`] (snapshotted into each checkpoint) and is absorbed
-/// into `rec` once at the end — [`MemoryRecorder::absorb`] is exact, so
-/// the caller sees the same counters, histograms, and events as a direct
-/// recording.
-#[allow(clippy::too_many_arguments)]
-fn drive_checkpointed(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    resume: Option<ResumeState>,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    let use_overload = overload.is_enabled();
-    let use_cursor = !schedule.is_empty();
-    let faulty = use_cursor || use_overload;
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let enabled = rec.is_enabled();
-    let epoch_secs = log.epoch_secs.max(1);
-    let epoch_ms = epoch_secs as f64 * 1000.0;
-    let span_planes = cdn.config().relay_span_planes();
-    let every_n = policy.every_n_epochs.max(1);
-    let fingerprint = config_fingerprint(cdn, epoch_secs, schedule, overload);
-
-    let mrec = enabled.then(MemoryRecorder::new);
-    let noop = Noop;
-    let eff: &dyn Recorder = match &mrec {
-        Some(m) => m,
-        None => &noop,
-    };
-
-    let mut ledger = use_overload.then(|| {
-        CapacityLedger::new(
-            &cdn.config().grid,
-            &cdn.config().link_model,
-            epoch_secs,
-            overload.headroom,
-        )
-    });
-    let mut cursor = use_cursor.then(|| ScheduleCursor::new(schedule, cdn.failures().clone()));
-    let mut watermark = FaultEventWatermark::default();
-    let mut current_epoch = u64::MAX;
-    let mut start_index = 0usize;
-    let mut last_written: Option<u64> = None;
-
-    if let Some(rs) = resume {
-        if let Some((applied, view)) = rs.cursor {
-            cursor = Some(ScheduleCursor::resume(schedule, applied as usize, view));
-        }
-        if let (Some(led), Some(usage)) = (ledger.as_mut(), rs.ledger.as_ref()) {
-            led.import_state(usage);
-        }
-        watermark = FaultEventWatermark {
-            remapped: rs.watermark[0],
-            extra_hops: rs.watermark[1],
-            cold_misses: rs.watermark[2],
+impl<'a> EngineCheckpointer<'a> {
+    /// Open `ck.policy.dir` for a run of `log` under `spec`. With
+    /// `ck.resume`, also restore `cdn` from the newest checkpoint that
+    /// validates against this run and return the loop state to continue
+    /// from.
+    pub(crate) fn open(
+        ck: &Checkpointing<'a>,
+        cdn: &mut SpaceCdn,
+        log: LogView<'_>,
+        spec: &RunSpec<'_>,
+    ) -> Result<(Self, Option<LoopState>), CheckpointError> {
+        let mut cp = EngineCheckpointer {
+            ck: *ck,
+            fingerprint: config_fingerprint(cdn.config(), log.epoch_secs().max(1), spec),
+            use_cursor: spec.live_schedule().is_some(),
+            use_overload: spec.live_overload().is_some(),
+            last_written: None,
         };
-        current_epoch = rs.prev_epoch;
-        start_index = rs.entry_index;
-        last_written = Some(rs.boundary_epoch);
-        if let (Some(m), Some(t)) = (&mrec, rs.telemetry.as_ref()) {
-            m.absorb(t);
+        sweep_stale_tmps_io(ck.io, &ck.policy.dir);
+        if !ck.resume {
+            return Ok((cp, None));
         }
-    }
-
-    let mut epoch_span: Option<SpanTimer> = None;
-    for i in start_index..log.entries.len() {
-        let e = &log.entries[i];
-        let epoch = e.time.as_secs() / epoch_secs;
-        if epoch != current_epoch {
-            if current_epoch != u64::MAX
-                && epoch / every_n != current_epoch / every_n
-                && last_written != Some(epoch)
-            {
-                // Close the open span first so its stats make the
-                // snapshot; the checkpoint then captures the state
-                // *before* any of this boundary's actions.
-                epoch_span = None;
-                let meta = EngineMeta {
-                    fingerprint,
-                    boundary_epoch: epoch,
-                    prev_epoch: current_epoch,
-                    entry_index: i as u64,
-                    use_cursor,
-                    use_overload,
-                };
-                let state = cdn.export_state();
-                let body = EngineBody {
-                    failures: state.failures,
-                    caches: state.caches,
-                    inflight: state.inflight,
-                    cold: state.cold,
-                    metrics: state.metrics,
-                    cursor: cursor.as_ref().map(|c| (c.position() as u64, c.view().clone())),
-                    ledger: ledger.as_ref().map(|l| l.export_state()),
-                    watermark: [watermark.remapped, watermark.extra_hops, watermark.cold_misses],
-                };
-                let tele = mrec.as_ref().map(|m| m.snapshot());
-                let bytes = encode_container(
-                    KIND_ENGINE,
-                    &encode_engine_meta(&meta),
-                    &encode_engine_body(&body),
-                    &encode_telemetry_section(tele.as_ref()),
-                );
-                write_atomic(io, &policy.dir, epoch, &bytes, policy.keep_last)?;
-                last_written = Some(epoch);
-            }
-            if faulty && enabled && current_epoch != u64::MAX {
-                watermark.flush(eff, current_epoch, &cdn.metrics);
-            }
-            current_epoch = epoch;
-            cdn.set_now_epoch(epoch);
-            if enabled {
-                epoch_span = Some(SpanTimer::start(eff, Stage::CacheAccess, epoch));
-            }
-            if let Some(cur) = cursor.as_mut() {
-                let delta = cur.advance_to(epoch * epoch_secs);
-                if !delta.is_empty() {
-                    if enabled {
-                        eff.event(Event::SatDown, epoch, delta.went_down.len() as u64);
-                        eff.event(Event::SatUp, epoch, delta.came_up.len() as u64);
-                        eff.event(Event::LinkDown, epoch, delta.links_cut.len() as u64);
-                        eff.event(Event::LinkUp, epoch, delta.links_restored.len() as u64);
-                        let applied = delta.went_down.len()
-                            + delta.came_up.len()
-                            + delta.links_cut.len()
-                            + delta.links_restored.len();
-                        eff.add(Counter::FaultEventsApplied, applied as u64);
-                        eff.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                        eff.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                    }
-                    // Down first: a satellite that restarted within one
-                    // step is wiped, then marked cold.
-                    for &id in &delta.went_down {
-                        cdn.wipe_cache(id);
-                    }
-                    for &id in &delta.came_up {
-                        cdn.mark_cold(id);
-                    }
-                    cdn.set_failures(cur.view().clone());
-                }
-                cdn.record_availability(epoch);
-            }
-            if let Some(led) = ledger.as_mut() {
-                for p in led.advance_to(epoch) {
-                    cdn.metrics.utilization.push(p);
-                }
-            }
-            if prefetching {
-                cdn.prefetch_round();
-                if enabled {
-                    eff.add(Counter::PrefetchRounds, 1);
-                }
-            }
-        }
-        if use_overload {
-            let Some(fc) = e.first_contact else {
-                cdn.handle_unreachable(e.size);
-                if enabled {
-                    eff.add(Counter::RequestsUnreachable, 1);
-                }
+        let files = list_checkpoint_files_io(ck.io, &ck.policy.dir);
+        for (epoch, path) in files.iter().rev() {
+            let Ok((boundary_epoch, body, state)) = cp.try_load(path, log.len()) else {
+                spec.recorder.event(Event::CheckpointRestoreFallback, *epoch, 1);
                 continue;
             };
-            let led = ledger.as_mut().expect("overload mode always builds a ledger");
-            let lifecycle = crate::overload::decide(
-                &cdn.config().grid,
-                cdn.tiling(),
-                cdn.failures(),
-                cdn.config().remap_on_failure,
-                span_planes,
-                led,
-                epoch,
-                epoch_ms,
-                fc,
-                e.object,
-                e.size,
-                cdn.latency_model(),
-                overload,
-                eff,
-            );
-            cdn.metrics.shed_requests += lifecycle.sheds as u64;
-            cdn.metrics.retry_attempts += lifecycle.retries as u64;
-            if lifecycle.partitioned > 0 {
-                cdn.metrics.partitioned_requests += 1;
+            if cdn.import_state(body).is_err() {
+                spec.recorder.event(Event::CheckpointRestoreFallback, *epoch, 1);
+                continue;
             }
-            if enabled {
-                eff.add(Counter::RequestsShed, lifecycle.sheds as u64);
-                eff.add(Counter::RetryAttempts, lifecycle.retries as u64);
-                eff.observe(Histo::RetryCount, lifecycle.retries as u64);
-                if lifecycle.partitioned > 0 {
-                    eff.add(Counter::RequestsPartitioned, 1);
-                }
-            }
-            match lifecycle.decision {
-                crate::overload::Decision::Serve { route, replica, penalty_ms } => {
-                    let out =
-                        cdn.serve_routed(route, e.object, e.size, e.gsl_oneway_ms, penalty_ms);
-                    if replica {
-                        cdn.metrics.served_replica += 1;
-                    } else {
-                        cdn.metrics.served_primary += 1;
-                    }
-                    if enabled {
-                        record_outcome(eff, &out, e.size);
-                    }
-                }
-                crate::overload::Decision::OriginFallback { penalty_ms } => {
-                    cdn.serve_origin_fallback(fc, e.size, e.gsl_oneway_ms, penalty_ms);
-                    if enabled {
-                        eff.add(Counter::OriginFallbacks, 1);
-                    }
-                }
-                crate::overload::Decision::Drop => {
-                    cdn.metrics.dropped_requests += 1;
-                    if enabled {
-                        eff.add(Counter::RequestsDropped, 1);
-                    }
-                }
-            }
-        } else {
-            match e.first_contact {
-                Some(sat) => {
-                    let partitioned_before =
-                        if enabled { cdn.metrics.partitioned_requests } else { 0 };
-                    let out = cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
-                    if enabled {
-                        record_outcome(eff, &out, e.size);
-                        if cdn.metrics.partitioned_requests > partitioned_before {
-                            eff.add(Counter::RequestsPartitioned, 1);
-                        }
-                    }
-                }
-                None => {
-                    cdn.handle_unreachable(e.size);
-                    if enabled {
-                        eff.add(Counter::RequestsUnreachable, 1);
-                    }
-                }
-            }
+            cp.last_written = Some(boundary_epoch);
+            return Ok((cp, Some(state)));
         }
+        Err(CheckpointError::NoValidCheckpoint)
     }
-    drop(epoch_span);
-    if faulty && enabled && current_epoch != u64::MAX {
-        watermark.flush(eff, current_epoch, &cdn.metrics);
-    }
-    if let Some(mut led) = ledger {
-        for p in led.finish() {
-            cdn.metrics.utilization.push(p);
+
+    fn try_load(
+        &self,
+        path: &Path,
+        log_len: usize,
+    ) -> Result<(u64, CdnState, LoopState), CheckpointError> {
+        let bytes = self.ck.io.read(path)?;
+        let raw = decode_container(&bytes)?;
+        if raw.kind != KIND_ENGINE {
+            return Err(CheckpointError::ConfigMismatch);
         }
+        let meta = decode_engine_meta(&raw.meta)?;
+        if meta.fingerprint != self.fingerprint
+            || meta.use_cursor != self.use_cursor
+            || meta.use_overload != self.use_overload
+            || meta.entry_index as usize > log_len
+        {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        let body = decode_engine_body(&raw.body)?;
+        if self.use_cursor != body.cursor.is_some() || self.use_overload != body.ledger.is_some() {
+            return Err(CheckpointError::Malformed("mode does not match stored sections"));
+        }
+        let telemetry = decode_telemetry_section(&raw.telemetry)?;
+        let [remapped, extra_hops, cold_misses] = body.watermark;
+        let state = LoopState {
+            prev_epoch: meta.prev_epoch,
+            entry_index: meta.entry_index as usize,
+            cursor: body.cursor,
+            ledger: body.ledger,
+            watermark: FaultEventWatermark { remapped, extra_hops, cold_misses },
+            telemetry,
+        };
+        let fleet = CdnState {
+            failures: body.failures,
+            caches: body.caches,
+            inflight: body.inflight,
+            cold: body.cold,
+            metrics: body.metrics,
+        };
+        Ok((meta.boundary_epoch, fleet, state))
     }
-    if let Some(m) = &mrec {
-        rec.absorb(&m.snapshot());
+
+    /// Whether crossing from `current_epoch` into `epoch` owes a
+    /// checkpoint: every `every_n_epochs`, never before the first epoch,
+    /// and not the boundary a resume just restored.
+    pub(crate) fn due(&self, current_epoch: u64, epoch: u64) -> bool {
+        let every_n = self.ck.policy.every_n_epochs.max(1);
+        current_epoch != u64::MAX
+            && epoch / every_n != current_epoch / every_n
+            && self.last_written != Some(epoch)
     }
-    Ok(cdn.metrics.clone())
+
+    /// Write the checkpoint for boundary `epoch`: the fleet as it stands
+    /// plus the loop's `state`, both from *before* any boundary action.
+    pub(crate) fn write(
+        &mut self,
+        cdn: &SpaceCdn,
+        epoch: u64,
+        state: LoopState,
+    ) -> Result<(), CheckpointError> {
+        let meta = EngineMeta {
+            fingerprint: self.fingerprint,
+            boundary_epoch: epoch,
+            prev_epoch: state.prev_epoch,
+            entry_index: state.entry_index as u64,
+            use_cursor: self.use_cursor,
+            use_overload: self.use_overload,
+        };
+        let fleet = cdn.export_state();
+        let wm = state.watermark;
+        let body = EngineBody {
+            failures: fleet.failures,
+            caches: fleet.caches,
+            inflight: fleet.inflight,
+            cold: fleet.cold,
+            metrics: fleet.metrics,
+            cursor: state.cursor,
+            ledger: state.ledger,
+            watermark: [wm.remapped, wm.extra_hops, wm.cold_misses],
+        };
+        let bytes = encode_container(
+            KIND_ENGINE,
+            &encode_engine_meta(&meta),
+            &encode_engine_body(&body),
+            &encode_telemetry_section(state.telemetry.as_ref()),
+        );
+        let policy = self.ck.policy;
+        write_atomic(self.ck.io, &policy.dir, epoch, &bytes, policy.keep_last)?;
+        self.last_written = Some(epoch);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access_log::build_access_log;
-    use crate::engine::{
-        run_space, run_space_overloaded_recorded, run_space_with_faults_recorded, SimConfig,
-    };
+    use crate::access_log::AccessLog;
+    use crate::engine::{run, run_space, SimConfig};
+    use crate::overload::OverloadConfig;
     use crate::world::World;
     use proptest::prelude::*;
     use spacegen::trace::{LocationId, Request, Trace};
     use starcdn::config::{DelayedHitConfig, StarCdnConfig};
-    use starcdn_constellation::schedule::{FaultEvent, TimedFault};
+    use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
     use starcdn_orbit::time::SimTime;
+    use starcdn_telemetry::{MemoryRecorder, Noop, Recorder};
     use std::fs;
+
+    /// The engine under `sched`/`overload`, recording into `rec`, with
+    /// no checkpoint: the reference the checkpointed runs must match.
+    fn run_recorded(
+        cdn: &mut SpaceCdn,
+        log: &AccessLog,
+        sched: &FaultSchedule,
+        overload: &OverloadConfig,
+        rec: &dyn Recorder,
+    ) -> SystemMetrics {
+        let spec =
+            RunSpec { schedule: sched, overload: *overload, recorder: rec, ..RunSpec::default() };
+        run(cdn, log, &spec).unwrap()
+    }
+
+    fn checkpointed(
+        cdn: &mut SpaceCdn,
+        log: &AccessLog,
+        sched: &FaultSchedule,
+        overload: &OverloadConfig,
+        policy: &CheckpointPolicy,
+        rec: &dyn Recorder,
+        resume: bool,
+    ) -> Result<SystemMetrics, CheckpointError> {
+        let spec = RunSpec {
+            schedule: sched,
+            overload: *overload,
+            recorder: rec,
+            checkpoint: Some(Checkpointing { policy, io: &RealIo, resume }),
+            measure_from_secs: None,
+        };
+        run(cdn, log, &spec)
+    }
 
     fn log() -> AccessLog {
         let w = World::starlink_nine_cities();
@@ -2047,13 +1837,14 @@ mod tests {
         let mut a = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
         let ma = run_space(&mut a, &log);
         let mut b = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let mb = run_space_checkpointed(
+        let mb = checkpointed(
             &mut b,
             &log,
             &FaultSchedule::empty(),
             &OverloadConfig::disabled(),
             &policy(&dir, 5),
             &Noop,
+            false,
         )
         .unwrap();
         assert_metrics_identical(&ma, &mb);
@@ -2070,16 +1861,17 @@ mod tests {
         let sched = churn();
         let rec_a = MemoryRecorder::new();
         let mut a = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let ma = run_space_with_faults_recorded(&mut a, &log, &sched, &rec_a);
+        let ma = run_recorded(&mut a, &log, &sched, &OverloadConfig::disabled(), &rec_a);
         let rec_b = MemoryRecorder::new();
         let mut b = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let mb = run_space_checkpointed(
+        let mb = checkpointed(
             &mut b,
             &log,
             &sched,
             &OverloadConfig::disabled(),
             &policy(&dir, 4),
             &rec_b,
+            false,
         )
         .unwrap();
         assert_metrics_identical(&ma, &mb);
@@ -2094,11 +1886,11 @@ mod tests {
         let overload = OverloadConfig::with_headroom(0.4);
         let rec_a = MemoryRecorder::new();
         let mut a = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let ma = run_space_overloaded_recorded(&mut a, &log, &sched, &overload, &rec_a);
+        let ma = run_recorded(&mut a, &log, &sched, &overload, &rec_a);
         let rec_b = MemoryRecorder::new();
         let mut b = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let mb = run_space_checkpointed(&mut b, &log, &sched, &overload, &policy(&dir, 4), &rec_b)
-            .unwrap();
+        let mb =
+            checkpointed(&mut b, &log, &sched, &overload, &policy(&dir, 4), &rec_b, false).unwrap();
         assert_metrics_identical(&ma, &mb);
         assert_telemetry_identical(&rec_a.snapshot(), &rec_b.snapshot());
     }
@@ -2129,13 +1921,14 @@ mod tests {
         let dir_golden = tmpdir(&format!("{name}-golden"));
         let rec_golden = MemoryRecorder::new();
         let mut golden = SpaceCdn::new(cfg());
-        let m_golden = run_space_checkpointed(
+        let m_golden = checkpointed(
             &mut golden,
             log,
             sched,
             overload,
             &policy(&dir_golden, 3),
             &rec_golden,
+            false,
         )
         .unwrap();
 
@@ -2144,28 +1937,23 @@ mod tests {
         let partial =
             AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
         let mut crashed = SpaceCdn::new(cfg());
-        run_space_checkpointed(
+        checkpointed(
             &mut crashed,
             &partial,
             sched,
             overload,
             &policy(&dir, 3),
             &MemoryRecorder::new(),
+            false,
         )
         .unwrap();
         assert!(!list_checkpoint_files(&dir).is_empty(), "crash point past first checkpoint");
 
         let rec_resumed = MemoryRecorder::new();
         let mut resumed = SpaceCdn::new(cfg());
-        let m_resumed = resume_space_checkpointed(
-            &mut resumed,
-            log,
-            sched,
-            overload,
-            &policy(&dir, 3),
-            &rec_resumed,
-        )
-        .unwrap();
+        let m_resumed =
+            checkpointed(&mut resumed, log, sched, overload, &policy(&dir, 3), &rec_resumed, true)
+                .unwrap();
 
         assert_metrics_identical(&m_golden, &m_resumed);
         assert_telemetry_identical(&rec_golden.snapshot(), &rec_resumed.snapshot());
@@ -2228,17 +2016,18 @@ mod tests {
         let sched = churn();
         let rec_a = MemoryRecorder::new();
         let mut a = SpaceCdn::new(cfg.clone());
-        let ma = run_space_with_faults_recorded(&mut a, &log, &sched, &rec_a);
+        let ma = run_recorded(&mut a, &log, &sched, &OverloadConfig::disabled(), &rec_a);
         assert!(ma.delayed_hits > 0, "scenario must exercise coalescing");
         let rec_b = MemoryRecorder::new();
         let mut b = SpaceCdn::new(cfg.clone());
-        let mb = run_space_checkpointed(
+        let mb = checkpointed(
             &mut b,
             &log,
             &sched,
             &OverloadConfig::disabled(),
             &policy(&dir, 4),
             &rec_b,
+            false,
         )
         .unwrap();
         assert_metrics_identical(&ma, &mb);
@@ -2260,6 +2049,56 @@ mod tests {
         );
     }
 
+    /// The measurement cutoff composes with kill/resume on either side
+    /// of it: a kill before the cutoff resets after the resume, a kill
+    /// past it restores metrics that were already reset.
+    fn measured_resume_roundtrip(name: &str, kill_at_fraction: (usize, usize)) {
+        let log = log();
+        let sched = churn();
+        let cutoff = 250;
+        let measured = |checkpoint| RunSpec {
+            schedule: &sched,
+            checkpoint,
+            measure_from_secs: Some(cutoff),
+            ..RunSpec::default()
+        };
+        let mut plain = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+        let golden = run(&mut plain, &log, &measured(None)).unwrap();
+        let tail = log.entries.iter().filter(|e| e.time.as_secs() >= cutoff).count() as u64;
+        assert_eq!(golden.stats.requests, tail, "only post-cutoff entries measured");
+
+        let dir = tmpdir(name);
+        let pol = policy(&dir, 3);
+        let ck = |resume| Some(Checkpointing { policy: &pol, io: &RealIo, resume });
+        let cut = log.entries.len() * kill_at_fraction.0 / kill_at_fraction.1;
+        let partial =
+            AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
+        let mut crashed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+        run(&mut crashed, &partial, &measured(ck(false))).unwrap();
+        assert!(!list_checkpoint_files(&dir).is_empty(), "crash point past first checkpoint");
+        let mut resumed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+        let m = run(&mut resumed, &log, &measured(ck(true))).unwrap();
+        assert_metrics_identical(&golden, &m);
+
+        // The cutoff is part of the run description: another one finds
+        // no checkpoint it may resume from.
+        let moved = RunSpec { measure_from_secs: Some(cutoff + 15), ..measured(ck(true)) };
+        let mut other = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+        let err = run(&mut other, &log, &moved).unwrap_err();
+        assert!(matches!(err, CheckpointError::NoValidCheckpoint));
+    }
+
+    #[test]
+    fn resume_before_the_measurement_cutoff_resets_once() {
+        // 2000 requests at 4/s: the cutoff (250 s) is entry 1000.
+        measured_resume_roundtrip("measured-before", (1, 4));
+    }
+
+    #[test]
+    fn resume_past_the_measurement_cutoff_does_not_reset_again() {
+        measured_resume_roundtrip("measured-after", (3, 4));
+    }
+
     #[test]
     fn corrupt_newest_falls_back_to_older() {
         let log = log();
@@ -2268,13 +2107,14 @@ mod tests {
         let dir = tmpdir("fallback");
         let rec_golden = MemoryRecorder::new();
         let mut golden = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m_golden = run_space_checkpointed(
+        let m_golden = checkpointed(
             &mut golden,
             &log,
             &sched,
             &overload,
             &policy(&dir, 3),
             &rec_golden,
+            false,
         )
         .unwrap();
 
@@ -2288,15 +2128,9 @@ mod tests {
 
         let rec = MemoryRecorder::new();
         let mut resumed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m_resumed = resume_space_checkpointed(
-            &mut resumed,
-            &log,
-            &sched,
-            &overload,
-            &policy(&dir, 3),
-            &rec,
-        )
-        .unwrap();
+        let m_resumed =
+            checkpointed(&mut resumed, &log, &sched, &overload, &policy(&dir, 3), &rec, true)
+                .unwrap();
         // Resuming from ANY valid checkpoint of the same run converges to
         // the same final state.
         assert_metrics_identical(&m_golden, &m_resumed);
@@ -2315,13 +2149,14 @@ mod tests {
         let log = log();
         let rec = MemoryRecorder::new();
         let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let err = resume_space_checkpointed(
+        let err = checkpointed(
             &mut cdn,
             &log,
             &FaultSchedule::empty(),
             &OverloadConfig::disabled(),
             &policy(&dir, 3),
             &rec,
+            true,
         )
         .unwrap_err();
         assert!(matches!(err, CheckpointError::NoValidCheckpoint));
@@ -2333,24 +2168,26 @@ mod tests {
         let log = log();
         let dir = tmpdir("fingerprint");
         let mut a = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        run_space_checkpointed(
+        checkpointed(
             &mut a,
             &log,
             &FaultSchedule::empty(),
             &OverloadConfig::disabled(),
             &policy(&dir, 3),
             &Noop,
+            false,
         )
         .unwrap();
         // Different capacity → different fingerprint → no valid file.
         let mut b = SpaceCdn::new(StarCdnConfig::starcdn(4, 2_000_000));
-        let err = resume_space_checkpointed(
+        let err = checkpointed(
             &mut b,
             &log,
             &FaultSchedule::empty(),
             &OverloadConfig::disabled(),
             &policy(&dir, 3),
             &Noop,
+            true,
         )
         .unwrap_err();
         assert!(matches!(err, CheckpointError::NoValidCheckpoint));
@@ -2362,13 +2199,14 @@ mod tests {
         let dir = tmpdir("prune");
         let pol = CheckpointPolicy { every_n_epochs: 1, dir: dir.clone(), keep_last: 2 };
         let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        run_space_checkpointed(
+        checkpointed(
             &mut cdn,
             &log,
             &FaultSchedule::empty(),
             &OverloadConfig::disabled(),
             &pol,
             &Noop,
+            false,
         )
         .unwrap();
         let files = list_checkpoint_files(&dir);

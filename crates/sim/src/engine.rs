@@ -6,13 +6,16 @@
 //! reproducible; the throughput-oriented parallel path lives in
 //! [`crate::replayer`].
 
-use crate::access_log::AccessLog;
-use crate::columns::AccessLogColumns;
+use crate::access_log::{record_fault_delta, AccessLog, AccessLogEntry};
+use crate::checkpoint::{CheckpointError, Checkpointing, EngineCheckpointer, LoopState};
+use crate::columns::{AccessLogColumns, LogView};
+use crate::overload::{Decision, OverloadConfig};
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::{ServeOutcome, SpaceCdn};
+use starcdn_constellation::capacity::CapacityLedger;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
-use starcdn_telemetry::{Counter, Event, Histo, Noop, Recorder, SpanTimer, Stage};
+use starcdn_telemetry::{Counter, Event, Histo, MemoryRecorder, Noop, Recorder, SpanTimer, Stage};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,35 +57,60 @@ impl SimConfig {
     }
 }
 
-/// Replay the log through a satellite fleet; returns the run's metrics
-/// (also left in `cdn.metrics`). When the fleet is configured with
-/// proactive prefetch, a prefetch round runs at every scheduler-epoch
-/// boundary.
-pub fn run_space(cdn: &mut SpaceCdn, log: &AccessLog) -> SystemMetrics {
-    run_space_entries(cdn, &log.entries, log.epoch_secs)
+/// Everything that distinguishes one run from another, consumed by
+/// [`run`] and [`crate::replayer::run`]. `Default` is the plain run, and
+/// every field left at its default is free: an empty schedule builds no
+/// fault cursor, a disabled overload builds no ledger, [`Noop`] records
+/// nothing, and no checkpoint touches no file — each bit-for-bit the
+/// run without that feature.
+#[derive(Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Time-varying faults applied at scheduler-epoch boundaries: down
+    /// satellites lose their cache contents, recovered ones come back
+    /// cold, and an availability sample is recorded per epoch.
+    pub schedule: &'a FaultSchedule,
+    /// Capacity enforcement and the admit/retry/fallback lifecycle of
+    /// [`crate::overload`].
+    pub overload: OverloadConfig,
+    /// Telemetry sink. Recording never feeds back into the simulation.
+    pub recorder: &'a dyn Recorder,
+    /// Write crash-consistent checkpoints (and optionally resume from
+    /// the newest valid one); see [`crate::checkpoint`].
+    pub checkpoint: Option<Checkpointing<'a>>,
+    /// Reset the metrics at the first entry at or after this time, so
+    /// only the steady state after a fault transient is measured while
+    /// caches and cold flags carry the full history. Engine only:
+    /// [`crate::replayer::run`] measures the whole log regardless.
+    pub measure_from_secs: Option<u64>,
 }
 
-/// [`run_space`] with telemetry (see [`run_space_entries_recorded`]).
-pub fn run_space_recorded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    run_space_entries_recorded(cdn, &log.entries, log.epoch_secs, rec)
+static NO_FAULTS: FaultSchedule = FaultSchedule::empty();
+
+impl Default for RunSpec<'_> {
+    fn default() -> Self {
+        RunSpec {
+            schedule: &NO_FAULTS,
+            overload: OverloadConfig::disabled(),
+            recorder: &Noop,
+            checkpoint: None,
+            measure_from_secs: None,
+        }
+    }
 }
 
-/// [`run_space`] over a borrowed slice of entries — lets callers replay
-/// part of a log (e.g. the post-warmup tail) without copying it into a
-/// fresh [`AccessLog`].
-pub fn run_space_entries(
-    cdn: &mut SpaceCdn,
-    entries: &[crate::access_log::AccessLogEntry],
-    epoch_secs: u64,
-) -> SystemMetrics {
-    run_space_entries_recorded(cdn, entries, epoch_secs, &Noop)
+impl<'a> RunSpec<'a> {
+    /// The schedule, when it holds any event.
+    pub(crate) fn live_schedule(&self) -> Option<&'a FaultSchedule> {
+        (!self.schedule.is_empty()).then_some(self.schedule)
+    }
+
+    /// The overload configuration, when enforcement is on.
+    pub(crate) fn live_overload(&self) -> Option<&OverloadConfig> {
+        self.overload.is_enabled().then_some(&self.overload)
+    }
 }
 
-/// Record one served request into `rec`. Shared by the engine loops and
+/// Record one served request into `rec`. Shared by the engine loop and
 /// the replayer workers so hit/miss classification stays consistent.
 pub(crate) fn record_outcome(rec: &dyn Recorder, out: &ServeOutcome, size: u64) {
     use starcdn::system::ServedFrom;
@@ -108,62 +136,193 @@ pub(crate) fn record_outcome(rec: &dyn Recorder, out: &ServeOutcome, size: u64) 
     }
 }
 
-/// [`run_space_entries`] with telemetry: per-request latency/hop/size
-/// histograms and hit-miss counters, plus a [`Stage::CacheAccess`] span
-/// per scheduler epoch. All instrumentation is gated on one hoisted
-/// [`Recorder::is_enabled`] check, and none of it feeds back into the
-/// simulation — the metrics are identical with any recorder installed.
-pub fn run_space_entries_recorded(
-    cdn: &mut SpaceCdn,
-    entries: &[crate::access_log::AccessLogEntry],
-    epoch_secs: u64,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    run_space_iter_recorded(cdn, entries.iter().copied(), epoch_secs, rec)
+/// Degraded-mode counter levels at the last epoch boundary; the deltas
+/// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Checkpoints
+/// persist the levels so a resumed run emits the same per-epoch deltas
+/// as the uninterrupted one.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FaultEventWatermark {
+    pub(crate) remapped: u64,
+    pub(crate) extra_hops: u64,
+    pub(crate) cold_misses: u64,
 }
 
-/// [`run_space`] over a columnar log: entries are materialized lane by
-/// lane from the column buffers as the loop consumes them, never
-/// collected into a row vector. Bit-for-bit [`run_space`] on the
-/// equivalent row log.
-pub fn run_space_columns(cdn: &mut SpaceCdn, cols: &AccessLogColumns) -> SystemMetrics {
-    run_space_columns_recorded(cdn, cols, &Noop)
+impl FaultEventWatermark {
+    fn of(m: &SystemMetrics) -> Self {
+        FaultEventWatermark {
+            remapped: m.remapped_requests,
+            extra_hops: m.reroute_extra_hops,
+            cold_misses: m.cold_restart_misses,
+        }
+    }
+
+    /// Emit this epoch's growth and advance the watermark.
+    fn flush(&mut self, rec: &dyn Recorder, epoch: u64, m: &SystemMetrics) {
+        let now = Self::of(m);
+        rec.event(Event::Remap, epoch, now.remapped.saturating_sub(self.remapped));
+        rec.event(Event::Reroute, epoch, now.extra_hops.saturating_sub(self.extra_hops));
+        rec.event(Event::ColdMiss, epoch, now.cold_misses.saturating_sub(self.cold_misses));
+        *self = now;
+    }
 }
 
-/// [`run_space_columns`] with telemetry (see
-/// [`run_space_entries_recorded`]).
-pub fn run_space_columns_recorded(
+/// Replay `log` (rows or columns) through a satellite fleet as `spec`
+/// describes; returns the run's metrics (also left in `cdn.metrics`).
+///
+/// At every scheduler-epoch boundary met in the log: a due checkpoint
+/// is written, the fault cursor advances (wipe, mark cold, availability
+/// sample), the capacity ledger rolls over, and — when the fleet is
+/// configured with proactive prefetch — a prefetch round runs. Each
+/// request then goes through the overload lifecycle when enforcement is
+/// on, or straight to [`SpaceCdn::handle_request`].
+///
+/// A run without a checkpoint cannot fail. With telemetry, per-request
+/// histograms and counters, a [`Stage::CacheAccess`] span per epoch and
+/// the epoch-stamped fault events are recorded; all of it is gated on
+/// one hoisted [`Recorder::is_enabled`] check. A checkpointed run's
+/// output is bit-for-bit the uncheckpointed one's; only span wall-clock
+/// times differ. On resume `cdn` must be freshly built with the
+/// original run's configuration.
+pub fn run<'a>(
     cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    run_space_iter_recorded(cdn, cols.iter(), cols.epoch_secs(), rec)
+    log: impl Into<LogView<'a>>,
+    spec: &RunSpec<'_>,
+) -> Result<SystemMetrics, CheckpointError> {
+    let log = log.into();
+    // One loop, monomorphized per representation so neither pays a
+    // conversion copy or a per-entry dispatch.
+    match log {
+        LogView::Rows(l) => drive(cdn, log, |from| l.entries[from..].iter().copied(), spec),
+        LogView::Columns(c) => drive(cdn, log, |from| (from..c.len()).map(|i| c.entry(i)), spec),
+    }
 }
 
-/// The shared engine loop behind the row and columnar entry points —
-/// generic over any entry stream so neither representation pays a
-/// conversion copy.
-fn run_space_iter_recorded(
+fn drive<I: Iterator<Item = AccessLogEntry>>(
     cdn: &mut SpaceCdn,
-    entries: impl Iterator<Item = crate::access_log::AccessLogEntry>,
-    epoch_secs: u64,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
+    log: LogView<'_>,
+    entries_from: impl FnOnce(usize) -> I,
+    spec: &RunSpec<'_>,
+) -> Result<SystemMetrics, CheckpointError> {
+    let schedule = spec.live_schedule();
+    let overload = spec.live_overload();
+    let faulty = schedule.is_some() || overload.is_some();
     let prefetching = cdn.config().prefetch_top_k.is_some();
-    let delayed = cdn.config().delayed.is_enabled();
-    let enabled = rec.is_enabled();
-    let epoch_secs = epoch_secs.max(1);
+    let enabled = spec.recorder.is_enabled();
+    let epoch_secs = log.epoch_secs().max(1);
+
+    // A checkpointed run records through an internal recorder that is
+    // snapshotted into each checkpoint and absorbed into the caller's
+    // once at the end — `absorb` is exact, so the caller sees the same
+    // counters, histograms and events as a direct recording.
+    let mrec = (enabled && spec.checkpoint.is_some()).then(MemoryRecorder::new);
+    let rec: &dyn Recorder = match &mrec {
+        Some(m) => m,
+        None => spec.recorder,
+    };
+
+    let mut admission = overload.map(|cfg| Admission {
+        ledger: CapacityLedger::new(
+            &cdn.config().grid,
+            &cdn.config().link_model,
+            epoch_secs,
+            cfg.headroom,
+        ),
+        cfg,
+        epoch_ms: epoch_secs as f64 * 1000.0,
+        span_planes: cdn.config().relay_span_planes(),
+    });
+    let mut cursor = schedule.map(|s| ScheduleCursor::new(s, cdn.failures().clone()));
+    let mut watermark = FaultEventWatermark::default();
     let mut current_epoch = u64::MAX;
+    let mut start = 0usize;
+
+    let mut checkpointer = None;
+    if let Some(ck) = &spec.checkpoint {
+        let (cp, resumed) = EngineCheckpointer::open(ck, cdn, log, spec)?;
+        checkpointer = Some(cp);
+        if let Some(rs) = resumed {
+            if let (Some(s), Some((applied, view))) = (schedule, rs.cursor) {
+                cursor = Some(ScheduleCursor::resume(s, applied as usize, view));
+            }
+            if let (Some(adm), Some(usage)) = (admission.as_mut(), rs.ledger.as_ref()) {
+                adm.ledger.import_state(usage);
+            }
+            watermark = rs.watermark;
+            current_epoch = rs.prev_epoch;
+            start = rs.entry_index;
+            if let (Some(m), Some(t)) = (&mrec, rs.telemetry.as_ref()) {
+                m.absorb(t);
+            }
+        }
+    }
+    // The reset fires on the first entry at or after the cutoff; a
+    // resume past that entry restored already-reset metrics.
+    let mut reset_at = spec
+        .measure_from_secs
+        .filter(|&cut| start == 0 || log.entry(start - 1).time.as_secs() < cut);
+
+    // The plain run never looks at the clock: skipping the per-request
+    // epoch division is the hot loop's one specialization.
+    let track_epochs = faulty
+        || prefetching
+        || enabled
+        || cdn.config().delayed.is_enabled()
+        || checkpointer.is_some();
     let mut epoch_span: Option<SpanTimer> = None;
-    for e in entries {
-        if prefetching || enabled || delayed {
+    for (k, e) in entries_from(start).enumerate() {
+        if track_epochs {
             let epoch = e.time.as_secs() / epoch_secs;
             if epoch != current_epoch {
+                if let Some(cp) = checkpointer.as_mut() {
+                    if cp.due(current_epoch, epoch) {
+                        // Close the open span first so its stats make
+                        // the snapshot; the checkpoint then captures the
+                        // state *before* any of this boundary's actions.
+                        epoch_span = None;
+                        let state = LoopState {
+                            prev_epoch: current_epoch,
+                            entry_index: start + k,
+                            cursor: cursor
+                                .as_ref()
+                                .map(|c| (c.position() as u64, c.view().clone())),
+                            ledger: admission.as_ref().map(|a| a.ledger.export_state()),
+                            watermark,
+                            telemetry: mrec.as_ref().map(|m| m.snapshot()),
+                        };
+                        cp.write(cdn, epoch, state)?;
+                    }
+                }
+                if faulty && enabled && current_epoch != u64::MAX {
+                    watermark.flush(rec, current_epoch, &cdn.metrics);
+                }
                 current_epoch = epoch;
                 cdn.set_now_epoch(epoch);
                 if enabled {
                     // Replacing the guard closes the previous epoch's span.
                     epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
+                }
+                if let Some(cur) = cursor.as_mut() {
+                    let delta = cur.advance_to(epoch * epoch_secs);
+                    if !delta.is_empty() {
+                        if enabled {
+                            record_fault_delta(rec, epoch, &delta);
+                            rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
+                            rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
+                        }
+                        // Down first: a satellite that restarted within
+                        // one step is wiped, then marked cold.
+                        for &id in &delta.went_down {
+                            cdn.wipe_cache(id);
+                        }
+                        for &id in &delta.came_up {
+                            cdn.mark_cold(id);
+                        }
+                        cdn.set_failures(cur.view().clone());
+                    }
+                    cdn.record_availability(epoch);
+                }
+                if let Some(adm) = admission.as_mut() {
+                    cdn.metrics.utilization.extend(adm.ledger.advance_to(epoch));
                 }
                 if prefetching {
                     cdn.prefetch_round();
@@ -173,200 +332,25 @@ fn run_space_iter_recorded(
                 }
             }
         }
-        match e.first_contact {
-            Some(sat) => {
-                let out = cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
-                if enabled {
-                    record_outcome(rec, &out, e.size);
-                }
-            }
-            None => {
-                cdn.handle_unreachable(e.size);
-                if enabled {
-                    rec.add(Counter::RequestsUnreachable, 1);
-                }
-            }
-        }
-    }
-    drop(epoch_span);
-    cdn.metrics.clone()
-}
-
-/// Replay the log under a time-varying fault schedule. At every scheduler
-/// epoch boundary encountered in the log the live failure view advances:
-/// satellites that went down lose their cache contents, recovered ones
-/// come back cold (their warm-up is tracked in
-/// `metrics.cold_restart_misses`), and an availability sample is
-/// recorded. With an empty schedule this is exactly [`run_space`] —
-/// bit-for-bit, including the absence of an availability timeline.
-pub fn run_space_with_faults(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-) -> SystemMetrics {
-    run_space_with_faults_recorded(cdn, log, schedule, &Noop)
-}
-
-/// [`run_space_with_faults`] with telemetry. On top of the per-request
-/// instrumentation of [`run_space_entries_recorded`], the fault path
-/// emits epoch-stamped [`Event`]s: churn applied at each boundary
-/// (`SatDown`/`SatUp`/`LinkDown`/`LinkUp`) and the per-epoch growth of
-/// the degraded-mode counters (`Remap`/`Reroute`/`ColdMiss`).
-pub fn run_space_with_faults_recorded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if schedule.is_empty() {
-        return run_space_recorded(cdn, log, rec);
-    }
-    drive_with_faults(cdn, log.entries.iter().copied(), log.epoch_secs, schedule, None, rec)
-}
-
-/// [`run_space_with_faults`] over a columnar log — bit-for-bit the row
-/// path on the equivalent log, including the empty-schedule fast path.
-pub fn run_space_with_faults_columns(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-) -> SystemMetrics {
-    run_space_with_faults_columns_recorded(cdn, cols, schedule, &Noop)
-}
-
-/// [`run_space_with_faults_columns`] with telemetry (see
-/// [`run_space_with_faults_recorded`]).
-pub fn run_space_with_faults_columns_recorded(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if schedule.is_empty() {
-        return run_space_columns_recorded(cdn, cols, rec);
-    }
-    drive_with_faults(cdn, cols.iter(), cols.epoch_secs(), schedule, None, rec)
-}
-
-/// [`run_space_with_faults`] with metrics reset at the first entry at or
-/// after `measure_from_secs` — measures the steady state after a fault
-/// transient (e.g. hit-rate recovery after a mass restart) while the
-/// caches and cold flags carry the full history.
-pub fn run_space_with_faults_measured(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    measure_from_secs: u64,
-) -> SystemMetrics {
-    drive_with_faults(
-        cdn,
-        log.entries.iter().copied(),
-        log.epoch_secs,
-        schedule,
-        Some(measure_from_secs),
-        &Noop,
-    )
-}
-
-/// Degraded-mode counter levels at the last epoch boundary; the deltas
-/// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Shared with
-/// [`crate::checkpoint`], which persists the levels so a resumed run
-/// emits the same per-epoch deltas as the uninterrupted one.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct FaultEventWatermark {
-    pub(crate) remapped: u64,
-    pub(crate) extra_hops: u64,
-    pub(crate) cold_misses: u64,
-}
-
-impl FaultEventWatermark {
-    pub(crate) fn of(m: &SystemMetrics) -> Self {
-        FaultEventWatermark {
-            remapped: m.remapped_requests,
-            extra_hops: m.reroute_extra_hops,
-            cold_misses: m.cold_restart_misses,
-        }
-    }
-
-    /// Emit this epoch's growth and advance the watermark.
-    pub(crate) fn flush(&mut self, rec: &dyn Recorder, epoch: u64, m: &SystemMetrics) {
-        let now = Self::of(m);
-        rec.event(Event::Remap, epoch, now.remapped.saturating_sub(self.remapped));
-        rec.event(Event::Reroute, epoch, now.extra_hops.saturating_sub(self.extra_hops));
-        rec.event(Event::ColdMiss, epoch, now.cold_misses.saturating_sub(self.cold_misses));
-        *self = now;
-    }
-}
-
-fn drive_with_faults(
-    cdn: &mut SpaceCdn,
-    entries: impl Iterator<Item = crate::access_log::AccessLogEntry>,
-    epoch_secs: u64,
-    schedule: &FaultSchedule,
-    measure_from_secs: Option<u64>,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let enabled = rec.is_enabled();
-    let epoch_secs = epoch_secs.max(1);
-    let mut current_epoch = u64::MAX;
-    let mut cursor = ScheduleCursor::new(schedule, cdn.failures().clone());
-    let mut reset_done = measure_from_secs.is_none();
-    let mut watermark = FaultEventWatermark::default();
-    let mut epoch_span: Option<SpanTimer> = None;
-    for e in entries {
-        let epoch = e.time.as_secs() / epoch_secs;
-        if epoch != current_epoch {
-            if enabled && current_epoch != u64::MAX {
-                watermark.flush(rec, current_epoch, &cdn.metrics);
-            }
-            current_epoch = epoch;
-            cdn.set_now_epoch(epoch);
-            if enabled {
-                epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
-            }
-            let delta = cursor.advance_to(epoch * epoch_secs);
-            if !delta.is_empty() {
-                if enabled {
-                    rec.event(Event::SatDown, epoch, delta.went_down.len() as u64);
-                    rec.event(Event::SatUp, epoch, delta.came_up.len() as u64);
-                    rec.event(Event::LinkDown, epoch, delta.links_cut.len() as u64);
-                    rec.event(Event::LinkUp, epoch, delta.links_restored.len() as u64);
-                    let applied = delta.went_down.len()
-                        + delta.came_up.len()
-                        + delta.links_cut.len()
-                        + delta.links_restored.len();
-                    rec.add(Counter::FaultEventsApplied, applied as u64);
-                    rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                    rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                }
-                // Down first: a satellite that restarted within one step
-                // is wiped, then marked cold.
-                for &id in &delta.went_down {
-                    cdn.wipe_cache(id);
-                }
-                for &id in &delta.came_up {
-                    cdn.mark_cold(id);
-                }
-                cdn.set_failures(cursor.view().clone());
-            }
-            cdn.record_availability(epoch);
-            if prefetching {
-                cdn.prefetch_round();
-                if enabled {
-                    rec.add(Counter::PrefetchRounds, 1);
-                }
-            }
-        }
-        if !reset_done && e.time.as_secs() >= measure_from_secs.unwrap_or(0) {
+        if reset_at.is_some_and(|cut| e.time.as_secs() >= cut) {
             cdn.reset_metrics();
             watermark = FaultEventWatermark::default();
-            reset_done = true;
+            reset_at = None;
         }
-        match e.first_contact {
-            Some(sat) => {
-                let partitioned_before = if enabled { cdn.metrics.partitioned_requests } else { 0 };
-                let out = cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
+        let Some(fc) = e.first_contact else {
+            // No satellite in view: outside the overload lifecycle too
+            // (no GSL of ours carries it).
+            cdn.handle_unreachable(e.size);
+            if enabled {
+                rec.add(Counter::RequestsUnreachable, 1);
+            }
+            continue;
+        };
+        match admission.as_mut() {
+            Some(adm) => adm.serve(cdn, rec, current_epoch, fc, &e),
+            None => {
+                let partitioned_before = cdn.metrics.partitioned_requests;
+                let out = cdn.handle_request(fc, e.object, e.size, e.gsl_oneway_ms);
                 if enabled {
                     record_outcome(rec, &out, e.size);
                     if cdn.metrics.partitioned_requests > partitioned_before {
@@ -374,180 +358,56 @@ fn drive_with_faults(
                     }
                 }
             }
-            None => {
-                cdn.handle_unreachable(e.size);
-                if enabled {
-                    rec.add(Counter::RequestsUnreachable, 1);
-                }
-            }
         }
     }
     drop(epoch_span);
-    if enabled && current_epoch != u64::MAX {
+    if faulty && enabled && current_epoch != u64::MAX {
         watermark.flush(rec, current_epoch, &cdn.metrics);
     }
-    cdn.metrics.clone()
-}
-
-/// Replay the log under a fault schedule *and* capacity enforcement:
-/// the full overload-aware request lifecycle of [`crate::overload`].
-/// With `overload` disabled (infinite headroom) this is exactly
-/// [`run_space_with_faults`] — bit-for-bit, with no ledger built, no
-/// utilization timeline, and every new counter left at zero. The
-/// schedule may be empty (pure overload, no churn).
-pub fn run_space_overloaded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-) -> SystemMetrics {
-    run_space_overloaded_recorded(cdn, log, schedule, overload, &Noop)
-}
-
-/// [`run_space_overloaded`] with telemetry: shed/retry/fallback/drop
-/// counters and the per-request retry-count histogram on top of the
-/// fault-path instrumentation.
-pub fn run_space_overloaded_recorded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return run_space_with_faults_recorded(cdn, log, schedule, rec);
+    if let Some(mut adm) = admission {
+        cdn.metrics.utilization.extend(adm.ledger.finish());
     }
-    drive_overloaded(cdn, log.entries.iter().copied(), log.epoch_secs, schedule, overload, rec)
-}
-
-/// [`run_space_overloaded`] over a columnar log — bit-for-bit the row
-/// path on the equivalent log, including the disabled-overload fast
-/// path.
-pub fn run_space_overloaded_columns(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-) -> SystemMetrics {
-    run_space_overloaded_columns_recorded(cdn, cols, schedule, overload, &Noop)
-}
-
-/// [`run_space_overloaded_columns`] with telemetry (see
-/// [`run_space_overloaded_recorded`]).
-pub fn run_space_overloaded_columns_recorded(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return run_space_with_faults_columns_recorded(cdn, cols, schedule, rec);
+    if let Some(m) = &mrec {
+        spec.recorder.absorb(&m.snapshot());
     }
-    drive_overloaded(cdn, cols.iter(), cols.epoch_secs(), schedule, overload, rec)
+    Ok(cdn.metrics.clone())
 }
 
-/// The overload twin of [`drive_with_faults`]: same epoch-boundary churn
-/// handling, plus a [`CapacityLedger`](starcdn_constellation::capacity::CapacityLedger)
-/// advanced at each boundary and consulted — through the retry state
-/// machine — before any cache access. Kept separate so the existing
-/// fault path stays untouched on its hot loop.
-fn drive_overloaded(
-    cdn: &mut SpaceCdn,
-    entries: impl Iterator<Item = crate::access_log::AccessLogEntry>,
-    epoch_secs: u64,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    use starcdn_constellation::capacity::CapacityLedger;
+/// The overload side of the loop: the capacity ledger and what
+/// [`crate::overload::decide`] needs beside the fleet.
+struct Admission<'a> {
+    ledger: CapacityLedger,
+    cfg: &'a OverloadConfig,
+    epoch_ms: f64,
+    span_planes: u16,
+}
 
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let enabled = rec.is_enabled();
-    let epoch_secs = epoch_secs.max(1);
-    let epoch_ms = epoch_secs as f64 * 1000.0;
-    let span = cdn.config().relay_span_planes();
-    let mut ledger = CapacityLedger::new(
-        &cdn.config().grid,
-        &cdn.config().link_model,
-        epoch_secs,
-        overload.headroom,
-    );
-    let mut current_epoch = u64::MAX;
-    let mut cursor =
-        (!schedule.is_empty()).then(|| ScheduleCursor::new(schedule, cdn.failures().clone()));
-    let mut watermark = FaultEventWatermark::default();
-    let mut epoch_span: Option<SpanTimer> = None;
-    for e in entries {
-        let epoch = e.time.as_secs() / epoch_secs;
-        if epoch != current_epoch {
-            if enabled && current_epoch != u64::MAX {
-                watermark.flush(rec, current_epoch, &cdn.metrics);
-            }
-            current_epoch = epoch;
-            cdn.set_now_epoch(epoch);
-            if enabled {
-                epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
-            }
-            if let Some(cur) = cursor.as_mut() {
-                let delta = cur.advance_to(epoch * epoch_secs);
-                if !delta.is_empty() {
-                    if enabled {
-                        rec.event(Event::SatDown, epoch, delta.went_down.len() as u64);
-                        rec.event(Event::SatUp, epoch, delta.came_up.len() as u64);
-                        rec.event(Event::LinkDown, epoch, delta.links_cut.len() as u64);
-                        rec.event(Event::LinkUp, epoch, delta.links_restored.len() as u64);
-                        let applied = delta.went_down.len()
-                            + delta.came_up.len()
-                            + delta.links_cut.len()
-                            + delta.links_restored.len();
-                        rec.add(Counter::FaultEventsApplied, applied as u64);
-                        rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                        rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                    }
-                    for &id in &delta.went_down {
-                        cdn.wipe_cache(id);
-                    }
-                    for &id in &delta.came_up {
-                        cdn.mark_cold(id);
-                    }
-                    cdn.set_failures(cur.view().clone());
-                }
-                cdn.record_availability(epoch);
-            }
-            for p in ledger.advance_to(epoch) {
-                cdn.metrics.utilization.push(p);
-            }
-            if prefetching {
-                cdn.prefetch_round();
-                if enabled {
-                    rec.add(Counter::PrefetchRounds, 1);
-                }
-            }
-        }
-        let Some(fc) = e.first_contact else {
-            // No satellite in view: outside the lifecycle, exactly as in
-            // the non-overload path (no GSL of ours carries it).
-            cdn.handle_unreachable(e.size);
-            if enabled {
-                rec.add(Counter::RequestsUnreachable, 1);
-            }
-            continue;
-        };
+impl Admission<'_> {
+    /// Run one reachable request through the admit/retry/fallback
+    /// lifecycle and serve, fall back or drop as it decides.
+    fn serve(
+        &mut self,
+        cdn: &mut SpaceCdn,
+        rec: &dyn Recorder,
+        epoch: u64,
+        fc: starcdn_orbit::walker::SatelliteId,
+        e: &AccessLogEntry,
+    ) {
+        let enabled = rec.is_enabled();
         let lifecycle = crate::overload::decide(
             &cdn.config().grid,
             cdn.tiling(),
             cdn.failures(),
             cdn.config().remap_on_failure,
-            span,
-            &mut ledger,
+            self.span_planes,
+            &mut self.ledger,
             epoch,
-            epoch_ms,
+            self.epoch_ms,
             fc,
             e.object,
             e.size,
             cdn.latency_model(),
-            overload,
+            self.cfg,
             rec,
         );
         cdn.metrics.shed_requests += lifecycle.sheds as u64;
@@ -564,7 +424,7 @@ fn drive_overloaded(
             }
         }
         match lifecycle.decision {
-            crate::overload::Decision::Serve { route, replica, penalty_ms } => {
+            Decision::Serve { route, replica, penalty_ms } => {
                 let out = cdn.serve_routed(route, e.object, e.size, e.gsl_oneway_ms, penalty_ms);
                 if replica {
                     cdn.metrics.served_replica += 1;
@@ -575,13 +435,13 @@ fn drive_overloaded(
                     record_outcome(rec, &out, e.size);
                 }
             }
-            crate::overload::Decision::OriginFallback { penalty_ms } => {
+            Decision::OriginFallback { penalty_ms } => {
                 cdn.serve_origin_fallback(fc, e.size, e.gsl_oneway_ms, penalty_ms);
                 if enabled {
                     rec.add(Counter::OriginFallbacks, 1);
                 }
             }
-            crate::overload::Decision::Drop => {
+            Decision::Drop => {
                 cdn.metrics.dropped_requests += 1;
                 if enabled {
                     rec.add(Counter::RequestsDropped, 1);
@@ -589,49 +449,70 @@ fn drive_overloaded(
             }
         }
     }
-    drop(epoch_span);
-    if enabled && current_epoch != u64::MAX {
-        watermark.flush(rec, current_epoch, &cdn.metrics);
-    }
-    for p in ledger.finish() {
-        cdn.metrics.utilization.push(p);
-    }
-    cdn.metrics.clone()
 }
 
-/// Replay the log with the first `warmup_fraction` of entries excluded
-/// from the metrics: caches warm up, then counters reset and only the
-/// steady-state remainder is measured.
-pub fn run_space_with_warmup(
+// The names `benchmark/src/abi.rs` calls (that package is frozen by
+// BENCHMARK.json and pinned to these signatures). Each is [`run`] with
+// the arguments it names; none can fail, since no checkpoint is set.
+
+fn run_infallible<'a>(
+    cdn: &mut SpaceCdn,
+    log: impl Into<LogView<'a>>,
+    spec: &RunSpec<'_>,
+) -> SystemMetrics {
+    run(cdn, log, spec).expect("a run without a checkpoint performs no I/O")
+}
+
+/// [`run`] with the default [`RunSpec`] over a row log.
+pub fn run_space(cdn: &mut SpaceCdn, log: &AccessLog) -> SystemMetrics {
+    run_infallible(cdn, log, &RunSpec::default())
+}
+
+/// [`run`] with the default [`RunSpec`] over a columnar log.
+pub fn run_space_columns(cdn: &mut SpaceCdn, cols: &AccessLogColumns) -> SystemMetrics {
+    run_infallible(cdn, cols, &RunSpec::default())
+}
+
+/// [`run_space_columns`] recording into `rec`.
+pub fn run_space_columns_recorded(
+    cdn: &mut SpaceCdn,
+    cols: &AccessLogColumns,
+    rec: &dyn Recorder,
+) -> SystemMetrics {
+    run_infallible(cdn, cols, &RunSpec { recorder: rec, ..RunSpec::default() })
+}
+
+/// [`run`] under a fault schedule and an overload configuration, over a
+/// row log.
+pub fn run_space_overloaded(
     cdn: &mut SpaceCdn,
     log: &AccessLog,
-    warmup_fraction: f64,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
 ) -> SystemMetrics {
-    assert!((0.0..1.0).contains(&warmup_fraction), "warmup fraction in [0,1)");
-    let cut = (log.entries.len() as f64 * warmup_fraction) as usize;
-    let (warm, measured) = log.entries.split_at(cut);
-    let delayed = cdn.config().delayed.is_enabled();
-    let epoch_secs = log.epoch_secs.max(1);
-    let mut current_epoch = u64::MAX;
-    for e in warm {
-        if delayed {
-            let epoch = e.time.as_secs() / epoch_secs;
-            if epoch != current_epoch {
-                current_epoch = epoch;
-                cdn.set_now_epoch(epoch);
-            }
-        }
-        match e.first_contact {
-            Some(sat) => {
-                cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
-            }
-            None => {
-                cdn.handle_unreachable(e.size);
-            }
-        }
-    }
-    cdn.reset_metrics();
-    run_space_entries(cdn, measured, log.epoch_secs)
+    run_infallible(cdn, log, &RunSpec { schedule, overload: *overload, ..RunSpec::default() })
+}
+
+/// [`run_space_overloaded`] over a columnar log.
+pub fn run_space_overloaded_columns(
+    cdn: &mut SpaceCdn,
+    cols: &AccessLogColumns,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
+) -> SystemMetrics {
+    run_space_overloaded_columns_recorded(cdn, cols, schedule, overload, &Noop)
+}
+
+/// [`run_space_overloaded_columns`] recording into `rec`.
+pub fn run_space_overloaded_columns_recorded(
+    cdn: &mut SpaceCdn,
+    cols: &AccessLogColumns,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
+    rec: &dyn Recorder,
+) -> SystemMetrics {
+    let spec = RunSpec { schedule, overload: *overload, recorder: rec, ..RunSpec::default() };
+    run_infallible(cdn, cols, &spec)
 }
 
 /// Replay the log through the Static Cache ideal: each location's
@@ -746,40 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn warmup_discounts_cold_start() {
-        let log = log();
-        let mut cold = SpaceCdn::new(StarCdnConfig::starcdn(4, 10_000_000));
-        let m_cold = run_space(&mut cold, &log);
-        let mut warm = SpaceCdn::new(StarCdnConfig::starcdn(4, 10_000_000));
-        let m_warm = run_space_with_warmup(&mut warm, &log, 0.5);
-        assert_eq!(m_warm.stats.requests, (log.len() - log.len() / 2) as u64);
-        assert!(
-            m_warm.stats.request_hit_rate() >= m_cold.stats.request_hit_rate(),
-            "warm {} !>= cold {}",
-            m_warm.stats.request_hit_rate(),
-            m_cold.stats.request_hit_rate()
-        );
-    }
-
-    #[test]
-    fn slice_replay_equals_full_log_replay() {
-        let log = log();
-        let mut a = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let ma = run_space(&mut a, &log);
-        let mut b = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let mb = run_space_entries(&mut b, &log.entries, log.epoch_secs);
-        assert_eq!(ma.stats, mb.stats);
-        assert_eq!(ma.latencies_ms, mb.latencies_ms);
-    }
-
-    #[test]
-    #[should_panic(expected = "warmup fraction")]
-    fn warmup_fraction_must_be_sub_one() {
-        let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1000));
-        run_space_with_warmup(&mut cdn, &AccessLog::default(), 1.0);
-    }
-
-    #[test]
     fn deterministic_end_to_end() {
         let log = log();
         let mut a = SpaceCdn::new(StarCdnConfig::starcdn(9, 100_000));
@@ -797,7 +644,9 @@ mod tests {
         let mut plain = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
         let mp = run_space(&mut plain, &log);
         let mut churn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let mc = run_space_with_faults(&mut churn, &log, &FaultSchedule::empty());
+        let empty = FaultSchedule::empty();
+        let spec = RunSpec { schedule: &empty, ..RunSpec::default() };
+        let mc = run(&mut churn, &log, &spec).unwrap();
         assert_eq!(mp.stats, mc.stats);
         assert_eq!(mp.latencies_ms, mc.latencies_ms);
         assert_eq!(mp.uplink_bytes, mc.uplink_bytes);
@@ -822,7 +671,7 @@ mod tests {
             TimedFault { at_secs: 240, event: FaultEvent::SatUp(victim) },
         ]);
         let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m = run_space_with_faults(&mut cdn, &log, &sched);
+        let m = run(&mut cdn, &log, &RunSpec { schedule: &sched, ..RunSpec::default() }).unwrap();
         assert_eq!(m.stats.requests, log.len() as u64);
         assert!(m.cold_restart_misses > 0, "recovered satellite must re-warm");
         assert!(m.remapped_requests > 0, "owner was dead for 8 epochs");
@@ -844,7 +693,9 @@ mod tests {
         let cutoff = 250;
         let tail_len = log.entries.iter().filter(|e| e.time.as_secs() >= cutoff).count() as u64;
         let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m = run_space_with_faults_measured(&mut cdn, &log, &sched, cutoff);
+        let spec =
+            RunSpec { schedule: &sched, measure_from_secs: Some(cutoff), ..RunSpec::default() };
+        let m = run(&mut cdn, &log, &spec).unwrap();
         assert_eq!(m.stats.requests, tail_len, "only post-cutoff entries measured");
     }
 

@@ -2,7 +2,7 @@
 //! examples.
 
 use crate::access_log::{build_access_log, AccessLog};
-use crate::engine::{run_no_cache, run_space_with_faults, run_static, run_terrestrial, SimConfig};
+use crate::engine::{run, run_no_cache, run_static, run_terrestrial, RunSpec, SimConfig};
 use crate::world::World;
 use spacegen::trace::Trace;
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};
@@ -54,8 +54,7 @@ impl Runner {
             }
             space => {
                 let cfg = space.space_config(cache_bytes).expect("space variants provide a config");
-                let mut cdn = SpaceCdn::with_failures(cfg, self.world.failures.clone());
-                run_space_with_faults(&mut cdn, &self.log, &self.world.schedule)
+                self.run_space(cfg)
             }
         }
     }
@@ -64,8 +63,14 @@ impl Runner {
     pub fn run_with_probe(&self, variant: Variant, cache_bytes: u64) -> SystemMetrics {
         let mut cfg = variant.space_config(cache_bytes).expect("space variant");
         cfg.probe_neighbors_on_miss = true;
+        self.run_space(cfg)
+    }
+
+    /// The engine under the world's static failures and fault schedule.
+    fn run_space(&self, cfg: starcdn::config::StarCdnConfig) -> SystemMetrics {
         let mut cdn = SpaceCdn::with_failures(cfg, self.world.failures.clone());
-        run_space_with_faults(&mut cdn, &self.log, &self.world.schedule)
+        let spec = RunSpec { schedule: &self.world.schedule, ..RunSpec::default() };
+        run(&mut cdn, &self.log, &spec).expect("a run without a checkpoint performs no I/O")
     }
 }
 

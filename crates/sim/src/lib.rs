@@ -10,23 +10,29 @@
 //!   (Starlink's global scheduler reconfiguration interval) each
 //!   location's virtual users are (re)assigned to one of the best
 //!   visible satellites;
-//! * [`access_log`] — per-request first-contact assignments, the analog
-//!   of CosmicBeats' per-satellite access logs; built sequentially or
-//!   epoch-sharded over threads ([`build_access_log_parallel`]) with
-//!   bit-for-bit identical output;
+//! * [`access_log`] / [`columns`] — per-request first-contact
+//!   assignments, the analog of CosmicBeats' per-satellite access logs,
+//!   as rows or as struct-of-arrays columns; built sequentially or
+//!   epoch-sharded over threads
+//!   ([`build_access_log_columns_parallel`]) with bit-for-bit identical
+//!   output;
 //! * [`engine`] — the deterministic single-threaded replay of an access
 //!   log through a [`starcdn::system::SpaceCdn`] or a baseline;
-//! * [`replayer`] — a crossbeam-parallel replayer sharded by bucket
-//!   owner, mirroring the paper's process-per-satellite architecture
-//!   (channel transport instead of TCP — DESIGN.md substitution #3);
+//! * [`replayer`] — scoped worker threads over owner-sharded op
+//!   streams, mirroring the paper's process-per-satellite architecture
+//!   (shared memory instead of TCP — DESIGN.md substitution #3);
 //! * [`experiment`] — one-call runners used by the per-figure
 //!   experiment binaries.
 //!
-//! Every pipeline stage has a `*_recorded` variant taking a
-//! [`starcdn_telemetry::Recorder`]; the plain entry points pass the
-//! no-op recorder, and recording never changes simulation output (the
-//! parallel replayer merges per-worker recorders in shard index order,
-//! so even its telemetry is deterministic).
+//! One description drives both: a [`RunSpec`] (fault schedule, overload
+//! lifecycle, telemetry recorder, checkpoint/resume, measurement
+//! cutoff — each free at its default) goes to [`engine::run`] or
+//! [`replayer::run`] together with a log in either representation
+//! ([`LogView`]). Recording never changes simulation output (the
+//! replayer merges per-worker recorders in shard index order, so even
+//! its telemetry is deterministic). The `run_space*` and
+//! `replay_parallel*` functions are those two calls under the names the
+//! frozen `benchmark/` package links against.
 
 pub mod access_log;
 pub mod checkpoint;
@@ -36,45 +42,28 @@ pub mod engine;
 pub mod experiment;
 pub mod overload;
 pub mod replayer;
-pub mod replayer_checkpoint;
+mod replayer_checkpoint;
 pub mod scheduler;
 pub mod serve;
 pub mod transfers;
 pub mod world;
 
-pub use access_log::{
-    build_access_log, build_access_log_parallel, build_access_log_parallel_recorded,
-    build_access_log_recorded, AccessLog, AccessLogEntry,
-};
+pub use access_log::{build_access_log, build_access_log_recorded, AccessLog, AccessLogEntry};
 pub use checkpoint::{
-    crc32, list_checkpoint_files, list_checkpoint_files_io, metrics_digest,
-    resume_space_checkpointed, resume_space_checkpointed_io, run_space_checkpointed,
-    run_space_checkpointed_io, sweep_stale_tmps, sweep_stale_tmps_io, validate_checkpoint_bytes,
-    CheckpointError, CheckpointPolicy,
+    crc32, list_checkpoint_files, list_checkpoint_files_io, metrics_digest, sweep_stale_tmps,
+    sweep_stale_tmps_io, validate_checkpoint_bytes, CheckpointError, CheckpointPolicy,
+    Checkpointing,
 };
 pub use columns::{
     build_access_log_columns, build_access_log_columns_parallel,
     build_access_log_columns_parallel_recorded, build_access_log_columns_recorded,
-    AccessLogColumns,
+    AccessLogColumns, LogView,
 };
 pub use engine::{
-    run_space, run_space_columns, run_space_columns_recorded, run_space_entries,
-    run_space_entries_recorded, run_space_overloaded, run_space_overloaded_columns,
-    run_space_overloaded_columns_recorded, run_space_overloaded_recorded, run_space_recorded,
-    run_space_with_faults, run_space_with_faults_columns, run_space_with_faults_columns_recorded,
-    run_space_with_faults_measured, run_space_with_faults_recorded, SimConfig,
+    run_space, run_space_columns, run_space_columns_recorded, run_space_overloaded,
+    run_space_overloaded_columns, run_space_overloaded_columns_recorded, RunSpec, SimConfig,
 };
 pub use overload::{OverloadConfig, RetryPolicy};
-pub use replayer::{
-    replay_parallel, replay_parallel_columns, replay_parallel_columns_recorded,
-    replay_parallel_overloaded, replay_parallel_overloaded_columns,
-    replay_parallel_overloaded_columns_recorded, replay_parallel_overloaded_recorded,
-    replay_parallel_recorded, replay_parallel_with_faults, replay_parallel_with_faults_columns,
-    replay_parallel_with_faults_columns_recorded, replay_parallel_with_faults_recorded,
-};
-pub use replayer_checkpoint::{
-    replay_parallel_checkpointed, replay_parallel_checkpointed_io, resume_replay_checkpointed,
-    resume_replay_checkpointed_io,
-};
+pub use replayer::{replay_parallel, replay_parallel_overloaded};
 pub use serve::{decode_drain, ServePlan, ServePlanError, ShardState};
 pub use world::World;

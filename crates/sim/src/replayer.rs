@@ -2,10 +2,12 @@
 //!
 //! The paper's replayer spawns one process per satellite and uses TCP to
 //! mimic ISL message exchange. This reproduction shards satellites over
-//! a crossbeam worker pool: each worker replays, in log order, the
-//! requests owned by its satellites; per-satellite caches sit behind
-//! `parking_lot` mutexes so relay probes can read neighbour caches
-//! across shards (DESIGN.md substitution #3).
+//! scoped worker threads: a sequential pre-pass resolves every request
+//! to its owner and appends it to that owner's shard stream, then each
+//! worker replays its stream in log order. There are no channels — the
+//! streams are plain vectors handed to the workers by reference.
+//! Per-satellite caches sit behind `parking_lot` mutexes so relay probes
+//! can read neighbour caches across shards (DESIGN.md substitution #3).
 //!
 //! Determinism: each satellite's own request stream is processed in
 //! order, so *per-satellite* cache behaviour is exact. Relay probes read
@@ -13,25 +15,34 @@
 //! relay hit counts can differ slightly from the sequential engine run
 //! (bounded by in-flight skew); variants without relayed fetch produce
 //! bit-identical statistics. Locks are never held two-at-a-time, so the
-//! pool cannot deadlock.
+//! workers cannot deadlock.
 //!
-//! Fault schedules ([`replay_parallel_with_faults`]) keep that exactness:
-//! the sequential pre-pass resolves every request against the live
-//! failure view of its epoch and injects cache-wipe / mark-cold
-//! pseudo-ops into the owning satellite's shard stream. A dead satellite
-//! receives no routed requests while dead, so the pseudo-ops land at the
-//! same stream position the sequential engine applies them — per-satellite
-//! behaviour stays bit-for-bit identical for no-relay configurations.
-//! (Relay probes under churn resolve candidates against the *base*
-//! failure set, the same approximation as the static path.)
+//! Fault schedules keep that exactness: the sequential pre-pass resolves
+//! every request against the live failure view of its epoch and injects
+//! cache-wipe / mark-cold pseudo-ops into the owning satellite's shard
+//! stream. A dead satellite receives no routed requests while dead, so
+//! the pseudo-ops land at the same stream position the sequential engine
+//! applies them — per-satellite behaviour stays bit-for-bit identical
+//! for no-relay configurations. (Relay probes under churn resolve
+//! candidates against the *base* failure set, the same approximation as
+//! the static path.) The overload lifecycle runs on the pre-pass too: it
+//! depends only on routes, sizes and cumulative ledger state, never on
+//! cache contents, so its decision sequence is the engine's.
+//!
+//! Checkpoints (the private `replayer_checkpoint` module) cut the run
+//! into segments at pre-pass barriers; a run without one is a single
+//! segment.
 //!
 //! Proactive-prefetch configurations are *not* simulated here (prefetch
 //! rounds are global barriers, which would defeat the sharding); use the
 //! sequential engine for the prefetch ablation.
 
-use crate::access_log::{AccessLog, AccessLogEntry};
-use crate::columns::AccessLogColumns;
-use crate::engine::record_outcome;
+use crate::access_log::AccessLog;
+use crate::checkpoint::CheckpointError;
+use crate::columns::LogView;
+use crate::engine::{record_outcome, RunSpec};
+use crate::overload::{Decision, OverloadConfig};
+use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
 use crossbeam::thread;
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
@@ -45,7 +56,7 @@ use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_telemetry::{
-    Counter, Event, Histo, MemoryRecorder, Noop, Recorder, SpanTimer, Stage, TelemetrySnapshot,
+    Counter, Event, Histo, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot,
 };
 
 /// A request resolved to its owner, ready for sharded replay.
@@ -77,250 +88,184 @@ pub(crate) enum ShardOp {
     MarkCold(usize),
 }
 
-/// Replay `log` against the fleet described by `cfg`/`failures` using
-/// `num_workers` threads. Returns aggregate metrics.
+/// Replay `log` (rows or columns) against the fleet described by
+/// `cfg`/`failures` on `num_workers` threads, as `spec` describes;
+/// returns the aggregate metrics. The schedule applies on top of the
+/// static `failures` base.
+///
+/// Workers record into private per-shard [`MemoryRecorder`]s that are
+/// merged into `spec.recorder` in shard index order after the last
+/// segment joins, so the returned metrics — and the recorded snapshot —
+/// are identical run-to-run regardless of thread interleaving. Fault
+/// events are stamped with their epoch in the pre-pass, which already
+/// walks the schedule sequentially.
+///
+/// A checkpointed run joins all workers at every `every_n_epochs`
+/// barrier — so the snapshot is globally consistent even with relay
+/// probes reading neighbour caches across shards — and writes the
+/// worker-side state there. A resumed run re-runs the pre-pass in full
+/// (it is deterministic and cheap next to the cache work) and restores
+/// per-worker state in shard index order, so it finishes bit-for-bit
+/// identical to the uninterrupted run at any worker count. A run
+/// without a checkpoint cannot fail.
+///
+/// `spec.measure_from_secs` is not honoured — the sharded workers share
+/// no instant at which to reset — so the whole log is measured.
+///
+/// # Panics
+/// Panics when `num_workers` is zero.
+pub fn run<'a>(
+    cfg: &StarCdnConfig,
+    base_failures: &FailureModel,
+    log: impl Into<LogView<'a>>,
+    num_workers: usize,
+    spec: &RunSpec<'_>,
+) -> Result<SystemMetrics, CheckpointError> {
+    assert!(num_workers > 0);
+    let log = log.into();
+    let rec = spec.recorder;
+    let enabled = rec.is_enabled();
+    let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
+
+    let checkpointer = spec
+        .checkpoint
+        .as_ref()
+        .map(|ck| ReplayCheckpointer::open(ck, cfg, base_failures, log, spec, num_workers));
+    // A resume first finds a checkpoint to start from, so a hopeless one
+    // fails before the pre-pass runs or records anything.
+    let resuming = checkpointer.as_ref().filter(|cp| cp.resuming());
+    let mut restored = match resuming {
+        Some(cp) => Some(cp.load_newest(cfg, u64::MAX, rec)?),
+        None => None,
+    };
+
+    // Sequential pre-pass: partition by owner, preserving per-owner
+    // order. Route resolution uses the live failure view of each entry's
+    // epoch; wipe/cold pseudo-ops land in the owning satellite's stream
+    // at the epoch boundary. Unreachable or unroutable requests and the
+    // degraded-mode counters are accounted directly there.
+    let PrePass { shards, direct, cuts } = prepare_shards(
+        cfg,
+        base_failures,
+        log,
+        spec.live_schedule(),
+        num_workers,
+        rec,
+        spec.live_overload(),
+        checkpointer.as_ref().map(|cp| cp.every_n_epochs()),
+    );
+
+    // Per-worker recorders: workers never touch the shared `rec`, so the
+    // hot path has no cross-thread contention and the merged snapshot is
+    // independent of thread interleaving.
+    let worker_recs: Vec<MemoryRecorder> = if enabled {
+        (0..num_workers).map(|_| MemoryRecorder::new()).collect()
+    } else {
+        Vec::new()
+    };
+    let mut state = ReplayState::fresh(cfg, num_workers);
+    let mut starts: Vec<usize> = vec![0; num_workers];
+    let mut next_segment = 0usize; // segments are [0, cuts.len()]
+    while let (Some(cp), Some(r)) = (resuming, restored.take()) {
+        // A valid checkpoint can still be wrong for this log (its
+        // barrier is past the log's end): fall back to an older one.
+        let Some(pos) = cuts.iter().position(|c| c.barrier_epoch == r.barrier_epoch) else {
+            rec.event(Event::CheckpointRestoreFallback, r.barrier_epoch, 1);
+            restored = Some(cp.load_newest(cfg, r.barrier_epoch, rec)?);
+            continue;
+        };
+        state = r.state;
+        for (wr, snap) in worker_recs.iter().zip(&r.telemetry) {
+            wr.absorb(snap);
+        }
+        starts = cuts[pos].lens.clone();
+        next_segment = pos + 1;
+    }
+
+    let ctx = WorkerCtx::new(cfg, base_failures, &latency, &state.caches, &state.inflight);
+    for seg in next_segment..=cuts.len() {
+        let ends: Vec<usize> = match cuts.get(seg) {
+            Some(cut) => cut.lens.clone(),
+            None => shards.iter().map(Vec::len).collect(),
+        };
+        {
+            let (ctx, starts, ends, shards, worker_recs) =
+                (&ctx, &starts, &ends, &shards, &worker_recs);
+            thread::scope(|s| {
+                let handles: Vec<_> = state
+                    .metrics
+                    .iter_mut()
+                    .zip(state.cold.iter_mut())
+                    .enumerate()
+                    .map(|(w, (m, cold))| {
+                        s.spawn(move |_| {
+                            let wrec = worker_recs.get(w);
+                            let _shard_span =
+                                wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
+                            run_shard_ops(&shards[w][starts[w]..ends[w]], ctx, m, cold, wrec);
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().expect("worker panicked");
+                }
+            })
+            .expect("replayer scope");
+        }
+        starts = ends;
+        if let (Some(cp), Some(cut)) = (&checkpointer, cuts.get(seg)) {
+            // All workers joined: the snapshot is globally consistent.
+            cp.write(cut.barrier_epoch, &state, &worker_recs)?;
+        }
+    }
+
+    // Deterministic telemetry merge: snapshot each worker recorder in
+    // shard index order, fold into one snapshot, absorb once. The shard
+    // streams themselves are deterministic, so the merged snapshot is
+    // bit-for-bit stable across runs and worker interleavings.
+    if enabled {
+        let mut merged = TelemetrySnapshot::default();
+        for wr in &worker_recs {
+            merged.merge(&wr.snapshot());
+        }
+        rec.absorb(&merged);
+    }
+
+    let mut total = direct;
+    for m in &state.metrics {
+        total.merge(m);
+    }
+    Ok(total)
+}
+
+// The names `benchmark/src/abi.rs` calls (that package is frozen by
+// BENCHMARK.json and pinned to these signatures). Each is [`run`] with
+// the arguments it names; neither can fail, since no checkpoint is set.
+
+/// [`run`] with the default [`RunSpec`] over a row log.
 pub fn replay_parallel(
     cfg: StarCdnConfig,
     failures: FailureModel,
     log: &AccessLog,
     num_workers: usize,
 ) -> SystemMetrics {
-    replay_impl(cfg, failures, log.view(), None, num_workers, &Noop, None)
+    run(&cfg, &failures, log, num_workers, &RunSpec::default())
+        .expect("a run without a checkpoint performs no I/O")
 }
 
-/// A borrowed entry stream feeding [`replay_impl`]/[`prepare_shards`]:
-/// either representation replays through the identical code path, the
-/// columnar one materializing entries lane-by-lane as the pre-pass
-/// consumes them.
-#[derive(Clone, Copy)]
-pub(crate) enum LogView<'a> {
-    Rows(&'a AccessLog),
-    Columns(&'a AccessLogColumns),
-}
-
-impl<'a> LogView<'a> {
-    pub(crate) fn epoch_secs(&self) -> u64 {
-        match self {
-            LogView::Rows(l) => l.epoch_secs,
-            LogView::Columns(c) => c.epoch_secs(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            LogView::Rows(l) => l.len(),
-            LogView::Columns(c) => c.len(),
-        }
-    }
-
-    pub(crate) fn entries(&self) -> impl Iterator<Item = AccessLogEntry> + 'a {
-        let (rows, cols) = match self {
-            LogView::Rows(l) => (Some(l.entries.iter().copied()), None),
-            LogView::Columns(c) => (None, Some(c.iter())),
-        };
-        rows.into_iter().flatten().chain(cols.into_iter().flatten())
-    }
-}
-
-impl AccessLog {
-    pub(crate) fn view(&self) -> LogView<'_> {
-        LogView::Rows(self)
-    }
-}
-
-impl AccessLogColumns {
-    pub(crate) fn view(&self) -> LogView<'_> {
-        LogView::Columns(self)
-    }
-}
-
-/// [`replay_parallel`] over a columnar log. The pre-pass streams entries
-/// straight out of the column buffers; metrics are bit-for-bit
-/// [`replay_parallel`] on the equivalent row log.
-pub fn replay_parallel_columns(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    num_workers: usize,
-) -> SystemMetrics {
-    replay_parallel_columns_recorded(cfg, failures, cols, num_workers, &Noop)
-}
-
-/// [`replay_parallel_columns`] with telemetry (see
-/// [`replay_parallel_recorded`]).
-pub fn replay_parallel_columns_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    replay_impl(cfg, failures, cols.view(), None, num_workers, rec, None)
-}
-
-/// [`replay_parallel`] with telemetry. Workers record into private
-/// per-shard [`MemoryRecorder`]s that are merged into `rec` in shard
-/// index order after the pool joins, so the returned metrics — and the
-/// recorded snapshot — are identical run-to-run regardless of thread
-/// interleaving.
-pub fn replay_parallel_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    replay_impl(cfg, failures, log.view(), None, num_workers, rec, None)
-}
-
-/// [`replay_parallel`] under a time-varying fault schedule applied on top
-/// of the static `failures` base, mirroring the sequential
-/// [`run_space_with_faults`](crate::engine::run_space_with_faults): at
-/// each scheduler epoch boundary the live view advances, down satellites
-/// lose their cache contents, recovered satellites come back cold, and an
-/// availability sample is recorded. With an empty schedule this is
-/// exactly [`replay_parallel`].
-pub fn replay_parallel_with_faults(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-) -> SystemMetrics {
-    replay_parallel_with_faults_recorded(cfg, failures, log, schedule, num_workers, &Noop)
-}
-
-/// [`replay_parallel_with_faults`] with telemetry; same determinism
-/// guarantee as [`replay_parallel_recorded`]. Fault events are stamped
-/// with their epoch in the pre-pass, which already walks the schedule
-/// sequentially.
-pub fn replay_parallel_with_faults_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if schedule.is_empty() {
-        return replay_impl(cfg, failures, log.view(), None, num_workers, rec, None);
-    }
-    replay_impl(cfg, failures, log.view(), Some(schedule), num_workers, rec, None)
-}
-
-/// [`replay_parallel_with_faults`] over a columnar log — bit-for-bit
-/// the row path, including the empty-schedule fast path.
-pub fn replay_parallel_with_faults_columns(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-) -> SystemMetrics {
-    replay_parallel_with_faults_columns_recorded(cfg, failures, cols, schedule, num_workers, &Noop)
-}
-
-/// [`replay_parallel_with_faults_columns`] with telemetry.
-pub fn replay_parallel_with_faults_columns_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    let schedule = (!schedule.is_empty()).then_some(schedule);
-    replay_impl(cfg, failures, cols.view(), schedule, num_workers, rec, None)
-}
-
-/// [`replay_parallel_with_faults`] with the overload-aware request
-/// lifecycle on top: the sequential pre-pass runs the full
-/// admit/retry/fallback state machine of [`crate::overload`] — it
-/// depends only on routes, sizes, and cumulative ledger state, never on
-/// cache contents, so the decision sequence is identical to the
-/// sequential engine's ([`crate::engine::run_space_overloaded`]) and the
-/// per-shard results merge deterministically in shard index order. With
-/// `overload` disabled this is exactly [`replay_parallel_with_faults`].
+/// [`run`] under a fault schedule and an overload configuration, over a
+/// row log.
 pub fn replay_parallel_overloaded(
     cfg: StarCdnConfig,
     failures: FailureModel,
     log: &AccessLog,
     schedule: &FaultSchedule,
     num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
+    overload: &OverloadConfig,
 ) -> SystemMetrics {
-    replay_parallel_overloaded_recorded(cfg, failures, log, schedule, num_workers, overload, &Noop)
-}
-
-/// [`replay_parallel_overloaded`] with telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_parallel_overloaded_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return replay_parallel_with_faults_recorded(
-            cfg,
-            failures,
-            log,
-            schedule,
-            num_workers,
-            rec,
-        );
-    }
-    let schedule = (!schedule.is_empty()).then_some(schedule);
-    replay_impl(cfg, failures, log.view(), schedule, num_workers, rec, Some(overload))
-}
-
-/// [`replay_parallel_overloaded`] over a columnar log — bit-for-bit the
-/// row path, including the disabled-overload fast path.
-pub fn replay_parallel_overloaded_columns(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
-) -> SystemMetrics {
-    replay_parallel_overloaded_columns_recorded(
-        cfg,
-        failures,
-        cols,
-        schedule,
-        num_workers,
-        overload,
-        &Noop,
-    )
-}
-
-/// [`replay_parallel_overloaded_columns`] with telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_parallel_overloaded_columns_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return replay_parallel_with_faults_columns_recorded(
-            cfg,
-            failures,
-            cols,
-            schedule,
-            num_workers,
-            rec,
-        );
-    }
-    let schedule = (!schedule.is_empty()).then_some(schedule);
-    replay_impl(cfg, failures, cols.view(), schedule, num_workers, rec, Some(overload))
+    let spec = RunSpec { schedule, overload: *overload, ..RunSpec::default() };
+    run(&cfg, &failures, log, num_workers, &spec)
+        .expect("a run without a checkpoint performs no I/O")
 }
 
 /// A checkpointable barrier recorded by the pre-pass: the length of every
@@ -343,12 +288,11 @@ pub(crate) struct PrePass {
     pub cuts: Vec<ShardCut>,
 }
 
-/// The sequential pre-pass, shared verbatim between [`replay_impl`] and
-/// the checkpointed path in [`crate::replayer_checkpoint`] so both
-/// resolve, admit, and shard every request identically. `barrier_every`
-/// additionally records a [`ShardCut`] each time the log crosses that
-/// many scheduler epochs; `None` records no cuts and changes nothing
-/// else.
+/// The sequential pre-pass, shared by [`run`] and the socket plane's
+/// [`crate::serve::ServePlan`] so both resolve, admit, and shard every
+/// request identically. `barrier_every` additionally records a
+/// [`ShardCut`] each time the log crosses that many scheduler epochs;
+/// `None` records no cuts and changes nothing else.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn prepare_shards(
     cfg: &StarCdnConfig,
@@ -357,7 +301,7 @@ pub(crate) fn prepare_shards(
     schedule: Option<&FaultSchedule>,
     num_workers: usize,
     rec: &dyn Recorder,
-    overload: Option<&crate::overload::OverloadConfig>,
+    overload: Option<&OverloadConfig>,
     barrier_every: Option<u64>,
 ) -> PrePass {
     let tiling = cfg
@@ -473,7 +417,10 @@ pub(crate) fn prepare_shards(
             }
             continue;
         };
-        if let (Some(l), Some(ocfg)) = (ledger.as_mut(), overload) {
+        // Either way a request ends up routed to an owner (with the
+        // retry penalty and replica flag the overload lifecycle decided)
+        // or accounted directly.
+        let routed = if let (Some(l), Some(ocfg)) = (ledger.as_mut(), overload) {
             // Overload lifecycle: admit/retry/fallback decided here on
             // the sequential spine; workers only touch caches.
             let lc = crate::overload::decide(
@@ -506,33 +453,10 @@ pub(crate) fn prepare_shards(
                 }
             }
             match lc.decision {
-                crate::overload::Decision::Serve { route, replica, penalty_ms } => {
-                    if route.remapped {
-                        direct.remapped_requests += 1;
-                    }
-                    direct.reroute_extra_hops += route.extra_hops as u64;
-                    if enabled {
-                        if route.remapped {
-                            rec.add(Counter::RemappedRequests, 1);
-                            epoch_remaps += 1;
-                        }
-                        rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
-                        epoch_reroutes += route.extra_hops as u64;
-                    }
-                    let shard = route.owner.index(spp) % num_workers;
-                    shards[shard].push(ShardOp::Request(ResolvedEntry {
-                        object: e.object,
-                        size: e.size,
-                        owner: route.owner,
-                        intra: route.intra,
-                        inter: route.inter,
-                        gsl_oneway_ms: e.gsl_oneway_ms,
-                        penalty_ms,
-                        replica: Some(replica),
-                        epoch,
-                    }));
+                Decision::Serve { route, replica, penalty_ms } => {
+                    Some((route, penalty_ms, Some(replica)))
                 }
-                crate::overload::Decision::OriginFallback { penalty_ms } => {
+                Decision::OriginFallback { penalty_ms } => {
                     let base = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
                     let lat = if penalty_ms > 0.0 { base + penalty_ms } else { base };
                     direct.record(fc, ServedFrom::Ground, e.size, lat);
@@ -540,71 +464,72 @@ pub(crate) fn prepare_shards(
                     if enabled {
                         rec.add(Counter::OriginFallbacks, 1);
                     }
+                    None
                 }
-                crate::overload::Decision::Drop => {
+                Decision::Drop => {
                     direct.dropped_requests += 1;
                     if enabled {
                         rec.add(Counter::RequestsDropped, 1);
                     }
+                    None
                 }
             }
-            continue;
-        }
-        match classify_route_in_recorded(
-            &cfg.grid,
-            tiling.as_ref(),
-            view,
-            cfg.remap_on_failure,
-            fc,
-            e.object,
-            rec,
-        ) {
-            RouteOutcome::Routed(route) => {
-                if route.remapped {
-                    direct.remapped_requests += 1;
-                }
-                direct.reroute_extra_hops += route.extra_hops as u64;
-                if enabled {
-                    if route.remapped {
-                        rec.add(Counter::RemappedRequests, 1);
-                        epoch_remaps += 1;
-                    }
-                    rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
-                    epoch_reroutes += route.extra_hops as u64;
-                }
-                let shard = route.owner.index(spp) % num_workers;
-                shards[shard].push(ShardOp::Request(ResolvedEntry {
-                    object: e.object,
-                    size: e.size,
-                    owner: route.owner,
-                    intra: route.intra,
-                    inter: route.inter,
-                    gsl_oneway_ms: e.gsl_oneway_ms,
-                    penalty_ms: 0.0,
-                    replica: None,
-                    epoch,
-                }));
-            }
-            RouteOutcome::Partitioned { .. } => {
-                // Owner alive but cut off behind a grid partition:
-                // degrade to the origin bent pipe, exactly like the
-                // engine's `handle_request` (uplink charged to the first
-                // contact's GSL, zero ISL hops).
+        } else {
+            let outcome = classify_route_in_recorded(
+                &cfg.grid,
+                tiling.as_ref(),
+                view,
+                cfg.remap_on_failure,
+                fc,
+                e.object,
+                rec,
+            );
+            if let RouteOutcome::Routed(route) = outcome {
+                Some((route, 0.0, None))
+            } else {
+                // No reachable owner: degrade to the origin bent pipe,
+                // exactly like the engine's `handle_request` (uplink
+                // charged to the first contact's GSL, zero ISL hops). A
+                // partition — owner alive but cut off — is counted.
                 let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
                 direct.record(fc, ServedFrom::Ground, e.size, lat);
-                direct.partitioned_requests += 1;
+                let partitioned = matches!(outcome, RouteOutcome::Partitioned { .. });
+                direct.partitioned_requests += partitioned as u64;
                 if enabled {
-                    rec.add(Counter::RequestsPartitioned, 1);
+                    let counter = if partitioned {
+                        Counter::RequestsPartitioned
+                    } else {
+                        Counter::RequestsUnroutable
+                    };
+                    rec.add(counter, 1);
                 }
+                None
             }
-            RouteOutcome::Unroutable => {
-                let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-                direct.record(fc, ServedFrom::Ground, e.size, lat);
-                if enabled {
-                    rec.add(Counter::RequestsUnroutable, 1);
-                }
-            }
+        };
+        let Some((route, penalty_ms, replica)) = routed else { continue };
+        if route.remapped {
+            direct.remapped_requests += 1;
         }
+        direct.reroute_extra_hops += route.extra_hops as u64;
+        if enabled {
+            if route.remapped {
+                rec.add(Counter::RemappedRequests, 1);
+                epoch_remaps += 1;
+            }
+            rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
+            epoch_reroutes += route.extra_hops as u64;
+        }
+        shards[route.owner.index(spp) % num_workers].push(ShardOp::Request(ResolvedEntry {
+            object: e.object,
+            size: e.size,
+            owner: route.owner,
+            intra: route.intra,
+            inter: route.inter,
+            gsl_oneway_ms: e.gsl_oneway_ms,
+            penalty_ms,
+            replica,
+            epoch,
+        }));
     }
     // Close out the last epoch's resolve span and event cells, then
     // record how much work each shard was handed.
@@ -627,7 +552,7 @@ pub(crate) fn prepare_shards(
 }
 
 /// Everything a worker needs besides its own mutable state. Shared
-/// between [`replay_impl`] and the checkpointed path so the per-op
+/// between [`run`] and the socket plane's shard servers so the per-op
 /// behaviour is identical by construction.
 pub(crate) struct WorkerCtx<'a> {
     pub caches: &'a [Mutex<Box<dyn Cache + Send>>],
@@ -642,8 +567,34 @@ pub(crate) struct WorkerCtx<'a> {
     pub relay: starcdn::config::RelayPolicy,
     pub delayed: starcdn::config::DelayedHitConfig,
     pub probe: bool,
+    /// `StarCdnConfig::model_transmission_delay`.
+    pub transmission: bool,
     pub span: u16,
     pub spp: u16,
+}
+
+impl<'a> WorkerCtx<'a> {
+    pub(crate) fn new(
+        cfg: &'a StarCdnConfig,
+        failures: &'a FailureModel,
+        latency: &'a LatencyModel,
+        caches: &'a [Mutex<Box<dyn Cache + Send>>],
+        inflight: &'a [Mutex<InflightQueue>],
+    ) -> Self {
+        WorkerCtx {
+            caches,
+            inflight,
+            grid: &cfg.grid,
+            failures,
+            latency,
+            relay: cfg.relay,
+            delayed: cfg.delayed,
+            probe: cfg.probe_neighbors_on_miss,
+            transmission: cfg.model_transmission_delay,
+            span: cfg.relay_span_planes(),
+            spp: cfg.grid.sats_per_plane,
+        }
+    }
 }
 
 /// Replay one contiguous slice of a shard's op stream against the shared
@@ -763,6 +714,11 @@ pub(crate) fn run_shard_ops(
                 )
             })
         };
+        let lat = if ctx.transmission {
+            lat + ctx.latency.transmission_ms(from, e.size, e.intra + e.inter, ctx.span)
+        } else {
+            lat
+        };
         // Gated: `x + 0.0` is not a bitwise no-op for every float
         // (-0.0); the no-penalty path must stay byte-identical.
         let lat = if e.penalty_ms > 0.0 { lat + e.penalty_ms } else { lat };
@@ -809,101 +765,6 @@ pub(crate) fn run_shard_ops(
             );
         }
     }
-}
-
-fn replay_impl(
-    cfg: StarCdnConfig,
-    base_failures: FailureModel,
-    log: LogView<'_>,
-    schedule: Option<&FaultSchedule>,
-    num_workers: usize,
-    rec: &dyn Recorder,
-    overload: Option<&crate::overload::OverloadConfig>,
-) -> SystemMetrics {
-    assert!(num_workers > 0);
-    let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-    let spp = cfg.grid.sats_per_plane;
-    let span = cfg.relay_span_planes();
-    let total_slots = cfg.grid.total_slots();
-    let enabled = rec.is_enabled();
-
-    // Shared caches, one per slot, plus the owner-sharded
-    // outstanding-fetch queues of the delayed-hit model.
-    let caches: Vec<Mutex<Box<dyn Cache + Send>>> =
-        (0..total_slots).map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes))).collect();
-    let inflight: Vec<Mutex<InflightQueue>> =
-        (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect();
-
-    // Sequential pre-pass: partition by owner, preserving per-owner
-    // order. Route resolution uses the live failure view of each entry's
-    // epoch; wipe/cold pseudo-ops land in the owning satellite's stream
-    // at the epoch boundary. Unreachable or unroutable requests and the
-    // degraded-mode counters are accounted directly there.
-    let pre = prepare_shards(&cfg, &base_failures, log, schedule, num_workers, rec, overload, None);
-    let PrePass { shards, direct, .. } = pre;
-
-    let ctx = WorkerCtx {
-        caches: &caches,
-        inflight: &inflight,
-        grid: &cfg.grid,
-        failures: &base_failures,
-        latency: &latency,
-        relay: cfg.relay,
-        delayed: cfg.delayed,
-        probe: cfg.probe_neighbors_on_miss,
-        span,
-        spp,
-    };
-    let ctx_ref = &ctx;
-
-    // Per-worker recorders: workers never touch the shared `rec`, so the
-    // hot path has no cross-thread contention and the merged snapshot is
-    // independent of thread interleaving (merged in shard index order
-    // below).
-    let worker_recs: Vec<MemoryRecorder> = if enabled {
-        (0..num_workers).map(|_| MemoryRecorder::new()).collect()
-    } else {
-        Vec::new()
-    };
-    let worker_recs_ref = &worker_recs;
-
-    let per_worker: Vec<SystemMetrics> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(widx, shard)| {
-                s.spawn(move |_| {
-                    let wrec = worker_recs_ref.get(widx);
-                    let _shard_span =
-                        wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, widx as u64));
-                    let mut m = SystemMetrics::default();
-                    let mut cold = vec![false; total_slots];
-                    run_shard_ops(shard, ctx_ref, &mut m, &mut cold, wrec);
-                    m
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-    .expect("replayer scope");
-
-    // Deterministic telemetry merge: snapshot each worker recorder in
-    // shard index order, fold into one snapshot, absorb once. The shard
-    // streams themselves are deterministic, so the merged snapshot is
-    // bit-for-bit stable across runs and worker interleavings.
-    if enabled {
-        let mut merged = TelemetrySnapshot::default();
-        for wr in &worker_recs {
-            merged.merge(&wr.snapshot());
-        }
-        rec.absorb(&merged);
-    }
-
-    let mut total = direct;
-    for m in &per_worker {
-        total.merge(m);
-    }
-    total
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,7 +907,7 @@ fn neighbor_contains(
 mod tests {
     use super::*;
     use crate::access_log::build_access_log;
-    use crate::engine::{run_space, run_space_with_faults, SimConfig};
+    use crate::engine::{run_space, SimConfig};
     use crate::world::World;
     use spacegen::trace::{LocationId, Request, Trace};
     use starcdn::system::SpaceCdn;
@@ -1123,13 +984,9 @@ mod tests {
         let log = log();
         let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
         let m_static = replay_parallel(cfg.clone(), FailureModel::none(), &log, 4);
-        let m_sched = replay_parallel_with_faults(
-            cfg,
-            FailureModel::none(),
-            &log,
-            &FaultSchedule::empty(),
-            4,
-        );
+        let empty = FaultSchedule::empty();
+        let spec = RunSpec { schedule: &empty, ..RunSpec::default() };
+        let m_sched = run(&cfg, &FailureModel::none(), &log, 4, &spec).unwrap();
         assert_eq!(m_static.stats, m_sched.stats);
         assert_eq!(m_static.per_satellite, m_sched.per_satellite);
         assert!(m_sched.availability.is_empty());
@@ -1159,10 +1016,10 @@ mod tests {
 
         let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
         let mut seq = SpaceCdn::with_failures(cfg.clone(), base.clone());
-        let m_seq = run_space_with_faults(&mut seq, &log, &sched);
+        let spec = RunSpec { schedule: &sched, ..RunSpec::default() };
+        let m_seq = crate::engine::run(&mut seq, &log, &spec).unwrap();
         for workers in [1, 4] {
-            let m_par =
-                replay_parallel_with_faults(cfg.clone(), base.clone(), &log, &sched, workers);
+            let m_par = run(&cfg, &base, &log, workers, &spec).unwrap();
             assert_eq!(m_seq.stats, m_par.stats, "{workers} workers");
             assert_eq!(m_seq.per_satellite, m_par.per_satellite);
             assert_eq!(m_seq.uplink_bytes, m_par.uplink_bytes);

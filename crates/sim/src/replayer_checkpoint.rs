@@ -4,76 +4,50 @@
 //! is deterministic and cheap relative to the cache work, so a resumed
 //! run simply re-runs it in full to rebuild the shard streams, the
 //! directly-accounted metrics, and the segment cut table. Only the
-//! worker-side state is persisted: every slot's cache contents, each
-//! worker's cold-satellite flags, accumulated metrics, and telemetry
-//! recorder.
+//! worker-side state ([`ReplayState`]) is persisted: every slot's cache
+//! contents and in-flight fetches, each worker's cold-satellite flags,
+//! accumulated metrics, and telemetry recorder.
 //!
-//! Execution is segmented at the pre-pass's [`ShardCut`] barriers (one
-//! per `every_n_epochs` scheduler epochs): all workers join at the
-//! barrier — so the snapshot is globally consistent even with relay
-//! probes reading neighbour caches across shards — a checkpoint is
-//! written with the same atomic-rename/CRC container as the engine's
-//! ([`crate::checkpoint`], KIND_REPLAY), and the next segment starts.
-//! Workers keep their metric/cold state across segments, and per-shard
-//! streams are replayed in order, so the checkpointed run's output is
-//! bit-for-bit identical to [`crate::replayer::replay_parallel_overloaded_recorded`]
-//! for configurations whose parallel replay is itself deterministic
-//! (no-relay; relay configs keep the usual bounded skew).
-//!
-//! Resume restores per-worker state in shard index order (the PR 3
-//! determinism rule), so a resumed run matches the uninterrupted one at
-//! any worker count.
+//! [`crate::replayer::run`] segments execution at the pre-pass's
+//! [`crate::replayer::ShardCut`] barriers (one per `every_n_epochs`
+//! scheduler epochs) and
+//! calls [`ReplayCheckpointer::write`] at each, with the same
+//! atomic-rename/CRC container as the engine's ([`crate::checkpoint`],
+//! KIND_REPLAY). Workers keep their metric/cold state across segments,
+//! and per-shard streams are replayed in order, so a checkpointed run's
+//! output is bit-for-bit the uncheckpointed one's for configurations
+//! whose parallel replay is itself deterministic (no-relay; relay
+//! configs keep the usual bounded skew).
 
-use crate::access_log::AccessLog;
 use crate::checkpoint::{
-    decode_container, encode_container, fp, fp_bytes, get_cache_state, get_inflight, get_metrics,
-    get_telemetry, list_checkpoint_files_io, put_cache_state, put_inflight, put_metrics,
-    put_telemetry, sweep_stale_tmps_io, write_atomic, ByteReader, ByteWriter, CheckpointError,
-    CheckpointPolicy, RawCheckpoint, KIND_REPLAY,
+    config_fingerprint, decode_container, encode_container, fp, get_cache_state, get_inflight,
+    get_metrics, get_telemetry, list_checkpoint_files_io, put_cache_state, put_inflight,
+    put_metrics, put_telemetry, sweep_stale_tmps_io, write_atomic, ByteReader, ByteWriter,
+    CheckpointError, Checkpointing, RawCheckpoint, KIND_REPLAY,
 };
-use crate::overload::OverloadConfig;
-use crate::replayer::{prepare_shards, run_shard_ops, PrePass, WorkerCtx};
-use crossbeam::thread;
+use crate::columns::LogView;
+use crate::engine::RunSpec;
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
-use starcdn::latency::LatencyModel;
 use starcdn::metrics::SystemMetrics;
 use starcdn_cache::policy::Cache;
 use starcdn_cache::{CacheState, InflightQueue, InflightState};
 use starcdn_constellation::failures::FailureModel;
-use starcdn_constellation::schedule::FaultSchedule;
-use starcdn_io::{Io, RealIo};
-use starcdn_telemetry::{Event, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot};
+use starcdn_telemetry::{Event, MemoryRecorder, Recorder, TelemetrySnapshot};
 use std::path::Path;
 
 /// Fingerprint of everything a replayer checkpoint must agree with the
-/// resuming run about. Unlike the engine fingerprint this includes the
+/// resuming run about: the shared [`config_fingerprint`], plus the
 /// worker count (shard assignment is `owner % num_workers`) and the
 /// static base failure set (it shapes routing and the relay view).
 fn replay_fingerprint(
     cfg: &StarCdnConfig,
     base_failures: &FailureModel,
     epoch_secs: u64,
-    schedule: Option<&FaultSchedule>,
-    overload: Option<&OverloadConfig>,
+    spec: &RunSpec<'_>,
     num_workers: usize,
 ) -> u64 {
-    let mut h = 0x6272_6F77_6E66_6F78u64; // distinct seed from the engine's
-    h = fp_bytes(h, cfg.policy.name().as_bytes());
-    h = fp(h, cfg.cache_capacity_bytes);
-    h = fp(h, cfg.grid.total_slots() as u64);
-    h = fp(h, cfg.num_buckets.map_or(0, |b| 1 + b as u64));
-    h = fp(h, cfg.relay_span_planes() as u64);
-    h = fp(h, cfg.relay.enabled() as u64);
-    h = fp(h, cfg.remap_on_failure as u64);
-    h = fp(h, cfg.probe_neighbors_on_miss as u64);
-    h = fp(h, epoch_secs);
-    h = fp(h, schedule.map_or(0, |s| s.len() as u64));
-    h = fp(h, overload.map_or(0, |o| 1 + o.headroom.to_bits()));
-    h = fp(h, num_workers as u64);
-    h = fp(h, cfg.delayed.fetch_epochs);
-    h = fp(h, cfg.delayed.wait_ms_per_epoch.to_bits());
-    h = fp(h, cfg.delayed.origin_tiers);
+    let mut h = fp(config_fingerprint(cfg, epoch_secs, spec), num_workers as u64);
     for s in base_failures.dead() {
         h = fp(h, ((s.orbit as u64) << 16) | s.slot as u64);
     }
@@ -211,371 +185,230 @@ pub(crate) fn validate_sections(raw: &RawCheckpoint) -> Result<(), CheckpointErr
     Ok(())
 }
 
-struct ReplayResume {
-    barrier_epoch: u64,
-    body: ReplayBody,
-    telemetry: Vec<TelemetrySnapshot>,
+/// The worker-side state of a replay — what a checkpoint persists.
+pub(crate) struct ReplayState {
+    pub caches: Vec<Mutex<Box<dyn Cache + Send>>>,
+    /// Per-slot outstanding-fetch queues, owner-sharded like the caches.
+    pub inflight: Vec<Mutex<InflightQueue>>,
+    /// Per worker, shard index order: cold flags and accumulated metrics.
+    pub cold: Vec<Vec<bool>>,
+    pub metrics: Vec<SystemMetrics>,
 }
 
-/// [`crate::replayer::replay_parallel_overloaded_recorded`] with
-/// crash-consistent checkpoints every `policy.every_n_epochs` scheduler
-/// epochs. Dispatches exactly like the non-checkpointed entry point: an
-/// empty schedule disables churn, a disabled `overload` disables the
-/// admission lifecycle.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_parallel_checkpointed(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-) -> Result<SystemMetrics, CheckpointError> {
-    replay_parallel_checkpointed_io(
-        cfg,
-        failures,
-        log,
-        schedule,
-        num_workers,
-        overload,
-        policy,
-        rec,
-        &RealIo,
-    )
-}
-
-/// [`replay_parallel_checkpointed`] over an explicit [`Io`] — the seam
-/// the storage-fault torture harness drives.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_parallel_checkpointed_io(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    let sched = (!schedule.is_empty()).then_some(schedule);
-    let ov = overload.is_enabled().then_some(overload);
-    sweep_stale_tmps_io(io, &policy.dir);
-    checkpointed_impl(cfg, failures, log, sched, num_workers, ov, policy, rec, None, io)
-}
-
-/// Resume an interrupted [`replay_parallel_checkpointed`] run from the
-/// newest valid checkpoint in `policy.dir`. The pre-pass is re-run in
-/// full (it is deterministic); per-worker state is restored in shard
-/// index order, so the final metrics and telemetry are bit-for-bit
-/// identical to the uninterrupted run at any worker count. Corrupt or
-/// mismatched checkpoints fall back to older files with one
-/// [`Event::CheckpointRestoreFallback`] each.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_replay_checkpointed(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-) -> Result<SystemMetrics, CheckpointError> {
-    resume_replay_checkpointed_io(
-        cfg,
-        failures,
-        log,
-        schedule,
-        num_workers,
-        overload,
-        policy,
-        rec,
-        &RealIo,
-    )
-}
-
-/// [`resume_replay_checkpointed`] over an explicit [`Io`].
-#[allow(clippy::too_many_arguments)]
-pub fn resume_replay_checkpointed_io(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    overload: &OverloadConfig,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    let sched = (!schedule.is_empty()).then_some(schedule);
-    let ov = overload.is_enabled().then_some(overload);
-    let fingerprint =
-        replay_fingerprint(&cfg, &failures, log.epoch_secs.max(1), sched, ov, num_workers);
-    sweep_stale_tmps_io(io, &policy.dir);
-    let files = list_checkpoint_files_io(io, &policy.dir);
-    for (epoch, path) in files.iter().rev() {
-        let resume = match try_load_replay(io, path, fingerprint, &cfg, num_workers) {
-            Ok(r) => r,
-            Err(_) => {
-                rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            }
-        };
-        match checkpointed_impl(
-            cfg.clone(),
-            failures.clone(),
-            log,
-            sched,
-            num_workers,
-            ov,
-            policy,
-            rec,
-            Some(resume),
-            io,
-        ) {
-            Ok(m) => return Ok(m),
-            // A structurally valid checkpoint can still fail semantic
-            // validation against this log (e.g. its barrier is past the
-            // log's end): fall back to an older one. Real I/O failures
-            // propagate.
-            Err(CheckpointError::ConfigMismatch) | Err(CheckpointError::State(_)) => {
-                rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            }
-            Err(e) => return Err(e),
+impl ReplayState {
+    /// Empty caches and queues, nothing cold, nothing counted.
+    pub(crate) fn fresh(cfg: &StarCdnConfig, num_workers: usize) -> Self {
+        let total_slots = cfg.grid.total_slots();
+        ReplayState {
+            caches: (0..total_slots)
+                .map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes)))
+                .collect(),
+            inflight: (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect(),
+            cold: (0..num_workers).map(|_| vec![false; total_slots]).collect(),
+            metrics: (0..num_workers).map(|_| SystemMetrics::default()).collect(),
         }
     }
-    Err(CheckpointError::NoValidCheckpoint)
-}
 
-fn try_load_replay(
-    io: &dyn Io,
-    path: &Path,
-    fingerprint: u64,
-    cfg: &StarCdnConfig,
-    num_workers: usize,
-) -> Result<ReplayResume, CheckpointError> {
-    let bytes = io.read(path)?;
-    let raw = decode_container(&bytes)?;
-    if raw.kind != KIND_REPLAY {
-        return Err(CheckpointError::ConfigMismatch);
-    }
-    let meta = decode_replay_meta(&raw.meta)?;
-    let total_slots = cfg.grid.total_slots();
-    if meta.fingerprint != fingerprint
-        || meta.num_workers != num_workers as u64
-        || meta.total_slots != total_slots as u64
-    {
-        return Err(CheckpointError::ConfigMismatch);
-    }
-    let body = decode_replay_body(&raw.body)?;
-    if body.caches.len() != total_slots
-        || body.inflight.len() != total_slots
-        || body.cold.len() != num_workers
-        || body.metrics.len() != num_workers
-        || body.cold.iter().any(|c| c.len() != total_slots)
-    {
-        return Err(CheckpointError::Malformed("replay body shape mismatch"));
-    }
-    if body.caches.iter().any(|c| c.policy_name() != cfg.policy.name()) {
-        return Err(CheckpointError::ConfigMismatch);
-    }
-    let telemetry = decode_worker_telemetry(&raw.telemetry)?;
-    if !telemetry.is_empty() && telemetry.len() != num_workers {
-        return Err(CheckpointError::Malformed("worker telemetry count mismatch"));
-    }
-    Ok(ReplayResume { barrier_epoch: meta.barrier_epoch, body, telemetry })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn checkpointed_impl(
-    cfg: StarCdnConfig,
-    base_failures: FailureModel,
-    log: &AccessLog,
-    schedule: Option<&FaultSchedule>,
-    num_workers: usize,
-    overload: Option<&OverloadConfig>,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    resume: Option<ReplayResume>,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    assert!(num_workers > 0);
-    let enabled = rec.is_enabled();
-    let every = policy.every_n_epochs.max(1);
-    let epoch_secs = log.epoch_secs.max(1);
-    let total_slots = cfg.grid.total_slots();
-    let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-    let fingerprint =
-        replay_fingerprint(&cfg, &base_failures, epoch_secs, schedule, overload, num_workers);
-
-    // The pre-pass is re-run in full on resume: it is deterministic, so
-    // the shard streams, direct metrics, and cut table come out
-    // identical to the original run's.
-    let pre = prepare_shards(
-        &cfg,
-        &base_failures,
-        log.view(),
-        schedule,
-        num_workers,
-        rec,
-        overload,
-        Some(every),
-    );
-    let PrePass { shards, direct, cuts } = pre;
-
-    let mut caches: Vec<Mutex<Box<dyn Cache + Send>>> =
-        (0..total_slots).map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes))).collect();
-    let mut inflight: Vec<Mutex<InflightQueue>> =
-        (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect();
-    let mut worker_metrics: Vec<SystemMetrics> =
-        (0..num_workers).map(|_| SystemMetrics::default()).collect();
-    let mut worker_cold: Vec<Vec<bool>> =
-        (0..num_workers).map(|_| vec![false; total_slots]).collect();
-    let worker_recs: Vec<MemoryRecorder> = if enabled {
-        (0..num_workers).map(|_| MemoryRecorder::new()).collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut starts: Vec<usize> = vec![0; num_workers];
-    let mut next_segment = 0usize; // segments are [0, cuts.len()]
-
-    if let Some(rs) = resume {
-        let Some(pos) = cuts.iter().position(|c| c.barrier_epoch == rs.barrier_epoch) else {
-            return Err(CheckpointError::ConfigMismatch);
-        };
-        // Restore in shard index order (PR 3 determinism rule).
-        for (slot, state) in rs.body.caches.into_iter().enumerate() {
+    /// Rebuild live state from a decoded body, slot by slot in index
+    /// order (the PR 3 determinism rule).
+    fn restore(body: ReplayBody) -> Result<Self, CheckpointError> {
+        let mut caches = Vec::with_capacity(body.caches.len());
+        for (slot, state) in body.caches.into_iter().enumerate() {
             let built = state
                 .build()
                 .map_err(|e| CheckpointError::State(format!("cache slot {slot}: {e:?}")))?;
-            caches[slot] = Mutex::new(built);
+            caches.push(Mutex::new(built));
         }
-        for (slot, qs) in rs.body.inflight.iter().enumerate() {
+        let mut inflight = Vec::with_capacity(body.inflight.len());
+        for (slot, qs) in body.inflight.iter().enumerate() {
             let q = InflightQueue::from_state(qs)
                 .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
-            inflight[slot] = Mutex::new(q);
+            inflight.push(Mutex::new(q));
         }
-        worker_cold = rs.body.cold;
-        worker_metrics = rs.body.metrics;
-        if enabled {
-            for (w, snap) in rs.telemetry.iter().enumerate() {
-                if let Some(r) = worker_recs.get(w) {
-                    r.absorb(snap);
-                }
+        Ok(ReplayState { caches, inflight, cold: body.cold, metrics: body.metrics })
+    }
+}
+
+/// What a checkpoint restores: the worker state at `barrier_epoch` and
+/// each worker's telemetry (empty when the run recorded none).
+pub(crate) struct Restored {
+    pub barrier_epoch: u64,
+    pub state: ReplayState,
+    pub telemetry: Vec<TelemetrySnapshot>,
+}
+
+/// Writes the replayer's barrier checkpoints and, on resume, finds the
+/// one to start from.
+pub(crate) struct ReplayCheckpointer<'a> {
+    ck: &'a Checkpointing<'a>,
+    fingerprint: u64,
+    num_workers: usize,
+    total_slots: usize,
+}
+
+impl<'a> ReplayCheckpointer<'a> {
+    /// Open `ck.policy.dir` for a `num_workers` replay of `log` under
+    /// `spec`, sweeping the droppings of writes that died mid-way.
+    pub(crate) fn open(
+        ck: &'a Checkpointing<'a>,
+        cfg: &StarCdnConfig,
+        base_failures: &FailureModel,
+        log: LogView<'_>,
+        spec: &RunSpec<'_>,
+        num_workers: usize,
+    ) -> Self {
+        sweep_stale_tmps_io(ck.io, &ck.policy.dir);
+        let epoch_secs = log.epoch_secs().max(1);
+        ReplayCheckpointer {
+            ck,
+            fingerprint: replay_fingerprint(cfg, base_failures, epoch_secs, spec, num_workers),
+            num_workers,
+            total_slots: cfg.grid.total_slots(),
+        }
+    }
+
+    /// Scheduler epochs between barriers.
+    pub(crate) fn every_n_epochs(&self) -> u64 {
+        self.ck.policy.every_n_epochs.max(1)
+    }
+
+    pub(crate) fn resuming(&self) -> bool {
+        self.ck.resume
+    }
+
+    /// Restore the newest checkpoint written before epoch `before` that
+    /// validates against this run — everything that can be checked
+    /// without the pre-pass. Corrupt or mismatched files fall back to
+    /// older ones with one [`Event::CheckpointRestoreFallback`] each.
+    pub(crate) fn load_newest(
+        &self,
+        cfg: &StarCdnConfig,
+        before: u64,
+        rec: &dyn Recorder,
+    ) -> Result<Restored, CheckpointError> {
+        let files = list_checkpoint_files_io(self.ck.io, &self.ck.policy.dir);
+        for (epoch, path) in files.iter().rev().filter(|(epoch, _)| *epoch < before) {
+            match self.try_load(path, *epoch, cfg) {
+                Ok(restored) => return Ok(restored),
+                Err(_) => rec.event(Event::CheckpointRestoreFallback, *epoch, 1),
             }
         }
-        starts = cuts[pos].lens.clone();
-        if starts.iter().zip(&shards).any(|(&s, shard)| s > shard.len()) {
-            return Err(CheckpointError::State("cut beyond shard stream".into()));
-        }
-        next_segment = pos + 1;
+        Err(CheckpointError::NoValidCheckpoint)
     }
 
-    let ctx = WorkerCtx {
-        caches: &caches,
-        inflight: &inflight,
-        delayed: cfg.delayed,
-        grid: &cfg.grid,
-        failures: &base_failures,
-        latency: &latency,
-        relay: cfg.relay,
-        probe: cfg.probe_neighbors_on_miss,
-        span: cfg.relay_span_planes(),
-        spp: cfg.grid.sats_per_plane,
-    };
-
-    for seg in next_segment..=cuts.len() {
-        let ends: Vec<usize> = match cuts.get(seg) {
-            Some(cut) => cut.lens.clone(),
-            None => shards.iter().map(Vec::len).collect(),
-        };
+    fn try_load(
+        &self,
+        path: &Path,
+        epoch: u64,
+        cfg: &StarCdnConfig,
+    ) -> Result<Restored, CheckpointError> {
+        let bytes = self.ck.io.read(path)?;
+        let raw = decode_container(&bytes)?;
+        if raw.kind != KIND_REPLAY {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        let meta = decode_replay_meta(&raw.meta)?;
+        // The file name's epoch is what `load_newest` orders by.
+        if meta.barrier_epoch != epoch
+            || meta.fingerprint != self.fingerprint
+            || meta.num_workers != self.num_workers as u64
+            || meta.total_slots != self.total_slots as u64
         {
-            let ctx_ref = &ctx;
-            let starts_ref = &starts;
-            let ends_ref = &ends;
-            let shards_ref = &shards;
-            let worker_recs_ref = &worker_recs;
-            thread::scope(|s| {
-                let handles: Vec<_> = worker_metrics
-                    .iter_mut()
-                    .zip(worker_cold.iter_mut())
-                    .enumerate()
-                    .map(|(w, (m, cold))| {
-                        s.spawn(move |_| {
-                            let ops = &shards_ref[w][starts_ref[w]..ends_ref[w]];
-                            let wrec = worker_recs_ref.get(w);
-                            let _shard_span =
-                                wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
-                            run_shard_ops(ops, ctx_ref, m, cold, wrec);
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("worker panicked");
-                }
-            })
-            .expect("replayer scope");
+            return Err(CheckpointError::ConfigMismatch);
         }
-        starts = ends;
-        if let Some(cut) = cuts.get(seg) {
-            // All workers joined: snapshot is globally consistent.
-            let body = ReplayBody {
-                caches: caches.iter().map(|c| c.lock().to_state()).collect(),
-                inflight: inflight.iter().map(|q| q.lock().to_state()).collect(),
-                cold: worker_cold.clone(),
-                metrics: worker_metrics.clone(),
-            };
-            let meta = ReplayMeta {
-                fingerprint,
-                barrier_epoch: cut.barrier_epoch,
-                num_workers: num_workers as u64,
-                total_slots: total_slots as u64,
-            };
-            let snaps: Vec<TelemetrySnapshot> = worker_recs.iter().map(|r| r.snapshot()).collect();
-            let bytes = encode_container(
-                KIND_REPLAY,
-                &encode_replay_meta(&meta),
-                &encode_replay_body(&body),
-                &encode_worker_telemetry(&snaps),
-            );
-            write_atomic(io, &policy.dir, cut.barrier_epoch, &bytes, policy.keep_last)?;
+        let body = decode_replay_body(&raw.body)?;
+        if body.caches.len() != self.total_slots
+            || body.inflight.len() != self.total_slots
+            || body.cold.len() != self.num_workers
+            || body.metrics.len() != self.num_workers
+            || body.cold.iter().any(|c| c.len() != self.total_slots)
+        {
+            return Err(CheckpointError::Malformed("replay body shape mismatch"));
         }
+        if body.caches.iter().any(|c| c.policy_name() != cfg.policy.name()) {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        let telemetry = decode_worker_telemetry(&raw.telemetry)?;
+        if !telemetry.is_empty() && telemetry.len() != self.num_workers {
+            return Err(CheckpointError::Malformed("worker telemetry count mismatch"));
+        }
+        Ok(Restored {
+            barrier_epoch: meta.barrier_epoch,
+            state: ReplayState::restore(body)?,
+            telemetry,
+        })
     }
 
-    if enabled {
-        let mut merged = TelemetrySnapshot::default();
-        for wr in &worker_recs {
-            merged.merge(&wr.snapshot());
-        }
-        rec.absorb(&merged);
+    /// Write the checkpoint for the barrier at `barrier_epoch`. All
+    /// workers have joined, so `state` is globally consistent.
+    pub(crate) fn write(
+        &self,
+        barrier_epoch: u64,
+        state: &ReplayState,
+        worker_recs: &[MemoryRecorder],
+    ) -> Result<(), CheckpointError> {
+        let body = ReplayBody {
+            caches: state.caches.iter().map(|c| c.lock().to_state()).collect(),
+            inflight: state.inflight.iter().map(|q| q.lock().to_state()).collect(),
+            cold: state.cold.clone(),
+            metrics: state.metrics.clone(),
+        };
+        let meta = ReplayMeta {
+            fingerprint: self.fingerprint,
+            barrier_epoch,
+            num_workers: self.num_workers as u64,
+            total_slots: self.total_slots as u64,
+        };
+        let snaps: Vec<TelemetrySnapshot> = worker_recs.iter().map(|r| r.snapshot()).collect();
+        let bytes = encode_container(
+            KIND_REPLAY,
+            &encode_replay_meta(&meta),
+            &encode_replay_body(&body),
+            &encode_worker_telemetry(&snaps),
+        );
+        let policy = self.ck.policy;
+        write_atomic(self.ck.io, &policy.dir, barrier_epoch, &bytes, policy.keep_last)
     }
-
-    let mut total = direct;
-    for m in &worker_metrics {
-        total.merge(m);
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access_log::build_access_log;
-    use crate::checkpoint::list_checkpoint_files;
+    use crate::access_log::{build_access_log, AccessLog};
+    use crate::checkpoint::{list_checkpoint_files, CheckpointPolicy};
     use crate::engine::SimConfig;
-    use crate::replayer::replay_parallel_overloaded_recorded;
+    use crate::overload::OverloadConfig;
+    use crate::replayer::run;
     use crate::world::World;
     use spacegen::trace::{LocationId, Request, Trace};
     use starcdn_cache::object::ObjectId;
-    use starcdn_constellation::schedule::{FaultEvent, TimedFault};
+    use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
+    use starcdn_io::RealIo;
     use starcdn_orbit::time::SimTime;
     use starcdn_orbit::walker::SatelliteId;
     use std::path::PathBuf;
+
+    /// A no-base-failures replay of `log`, checkpointing per `policy`.
+    #[allow(clippy::too_many_arguments)]
+    fn checkpointed(
+        cfg: StarCdnConfig,
+        log: &AccessLog,
+        sched: &FaultSchedule,
+        workers: usize,
+        overload: &OverloadConfig,
+        policy: &CheckpointPolicy,
+        rec: &dyn Recorder,
+        resume: bool,
+    ) -> Result<SystemMetrics, CheckpointError> {
+        let spec = RunSpec {
+            schedule: sched,
+            overload: *overload,
+            recorder: rec,
+            checkpoint: Some(Checkpointing { policy, io: &RealIo, resume }),
+            measure_from_secs: None,
+        };
+        run(&cfg, &FailureModel::none(), log, workers, &spec)
+    }
 
     fn log() -> AccessLog {
         let w = World::starlink_nine_cities();
@@ -638,25 +471,18 @@ mod tests {
         let dir = tmpdir("parity");
         let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
         let rec_a = MemoryRecorder::new();
-        let ma = replay_parallel_overloaded_recorded(
-            cfg.clone(),
-            FailureModel::none(),
-            &log,
-            &churn(),
-            4,
-            &OverloadConfig::disabled(),
-            &rec_a,
-        );
+        let spec = RunSpec { schedule: &churn(), recorder: &rec_a, ..RunSpec::default() };
+        let ma = run(&cfg, &FailureModel::none(), &log, 4, &spec).unwrap();
         let rec_b = MemoryRecorder::new();
-        let mb = replay_parallel_checkpointed(
+        let mb = checkpointed(
             cfg,
-            FailureModel::none(),
             &log,
             &churn(),
             4,
             &OverloadConfig::disabled(),
             &policy(&dir, 4),
             &rec_b,
+            false,
         )
         .unwrap();
         assert_equal(&ma, &mb);
@@ -688,15 +514,15 @@ mod tests {
     ) -> SystemMetrics {
         let dir_golden = tmpdir(&format!("{name}-golden-{workers}"));
         let rec_golden = MemoryRecorder::new();
-        let m_golden = replay_parallel_checkpointed(
+        let m_golden = checkpointed(
             cfg.clone(),
-            FailureModel::none(),
             log,
             sched,
             workers,
             overload,
             &policy(&dir_golden, 4),
             &rec_golden,
+            false,
         )
         .unwrap();
 
@@ -704,31 +530,23 @@ mod tests {
         let cut = log.entries.len() * 3 / 4;
         let partial =
             AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
-        replay_parallel_checkpointed(
+        checkpointed(
             cfg.clone(),
-            FailureModel::none(),
             &partial,
             sched,
             workers,
             overload,
             &policy(&dir, 4),
             &MemoryRecorder::new(),
+            false,
         )
         .unwrap();
         assert!(!list_checkpoint_files(&dir).is_empty(), "crash past first barrier");
 
         let rec_resumed = MemoryRecorder::new();
-        let m_resumed = resume_replay_checkpointed(
-            cfg,
-            FailureModel::none(),
-            log,
-            sched,
-            workers,
-            overload,
-            &policy(&dir, 4),
-            &rec_resumed,
-        )
-        .unwrap();
+        let m_resumed =
+            checkpointed(cfg, log, sched, workers, overload, &policy(&dir, 4), &rec_resumed, true)
+                .unwrap();
         assert_equal(&m_golden, &m_resumed);
         assert_tele_equal(&rec_golden.snapshot(), &rec_resumed.snapshot());
         m_golden
@@ -787,15 +605,15 @@ mod tests {
         let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
         let dir = tmpdir("fallback");
         let rec_golden = MemoryRecorder::new();
-        let m_golden = replay_parallel_checkpointed(
+        let m_golden = checkpointed(
             cfg.clone(),
-            FailureModel::none(),
             &log,
             &churn(),
             4,
             &OverloadConfig::disabled(),
             &policy(&dir, 2),
             &rec_golden,
+            false,
         )
         .unwrap();
         let files = list_checkpoint_files(&dir);
@@ -807,15 +625,15 @@ mod tests {
         std::fs::write(newest, &bytes).unwrap();
 
         let rec = MemoryRecorder::new();
-        let m_resumed = resume_replay_checkpointed(
+        let m_resumed = checkpointed(
             cfg,
-            FailureModel::none(),
             &log,
             &churn(),
             4,
             &OverloadConfig::disabled(),
             &policy(&dir, 2),
             &rec,
+            true,
         )
         .unwrap();
         assert_equal(&m_golden, &m_resumed);
@@ -826,30 +644,69 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_past_the_logs_end_falls_back_to_an_older_one() {
+        let log = log();
+        let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
+        let dir = tmpdir("past-end");
+        let off = OverloadConfig::disabled();
+        // The full log leaves a checkpoint at each of its barriers; the
+        // later ones are no barrier of the half log resumed below.
+        checkpointed(
+            cfg.clone(),
+            &log,
+            &churn(),
+            4,
+            &off,
+            &policy(&dir, 4),
+            &starcdn_telemetry::Noop,
+            false,
+        )
+        .unwrap();
+        let half = AccessLog {
+            entries: log.entries[..log.entries.len() / 2].to_vec(),
+            epoch_secs: log.epoch_secs,
+        };
+        let spec = RunSpec { schedule: &churn(), ..RunSpec::default() };
+        let golden = run(&cfg, &FailureModel::none(), &half, 4, &spec).unwrap();
+
+        let rec = MemoryRecorder::new();
+        let resumed =
+            checkpointed(cfg, &half, &churn(), 4, &off, &policy(&dir, 4), &rec, true).unwrap();
+        assert_equal(&golden, &resumed);
+        let fallbacks = rec
+            .snapshot()
+            .events
+            .keys()
+            .filter(|(e, _)| *e == Event::CheckpointRestoreFallback)
+            .count();
+        assert!(fallbacks > 0, "the newest checkpoints lie past the half log's end");
+    }
+
+    #[test]
     fn worker_count_mismatch_is_rejected() {
         let log = log();
         let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
         let dir = tmpdir("workers");
-        replay_parallel_checkpointed(
+        checkpointed(
             cfg.clone(),
-            FailureModel::none(),
             &log,
             &churn(),
             4,
             &OverloadConfig::disabled(),
             &policy(&dir, 4),
             &starcdn_telemetry::Noop,
+            false,
         )
         .unwrap();
-        let err = resume_replay_checkpointed(
+        let err = checkpointed(
             cfg,
-            FailureModel::none(),
             &log,
             &churn(),
             8, // different sharding → different fingerprint
             &OverloadConfig::disabled(),
             &policy(&dir, 4),
             &starcdn_telemetry::Noop,
+            true,
         )
         .unwrap_err();
         assert!(matches!(err, CheckpointError::NoValidCheckpoint));

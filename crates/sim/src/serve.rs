@@ -139,7 +139,7 @@ impl ServePlan {
     ) -> Result<ServePlan, ServePlanError> {
         validate(cfg, num_shards, batch_ops)?;
         let PrePass { shards, direct, .. } =
-            prepare_shards(cfg, failures, log.view(), schedule, num_shards, rec, overload, None);
+            prepare_shards(cfg, failures, log.into(), schedule, num_shards, rec, overload, None);
         let mut streams = Vec::with_capacity(num_shards);
         let mut h = 0x7365_7276_6531_3030u64; // "serve100"
         h = fp(h, num_shards as u64);
@@ -303,18 +303,8 @@ impl ShardState {
             ops.push(get_shard_op(&mut r, spp, self.total_slots)?);
         }
         r.finish()?;
-        let ctx = WorkerCtx {
-            caches: &self.caches,
-            inflight: &self.inflight,
-            delayed: self.cfg.delayed,
-            grid: &self.cfg.grid,
-            failures: &self.failures,
-            latency: &self.latency,
-            relay: self.cfg.relay,
-            probe: self.cfg.probe_neighbors_on_miss,
-            span: self.cfg.relay_span_planes(),
-            spp,
-        };
+        let ctx =
+            WorkerCtx::new(&self.cfg, &self.failures, &self.latency, &self.caches, &self.inflight);
         run_shard_ops(&ops, &ctx, &mut self.metrics, &mut self.cold, self.rec.as_ref());
         Ok(count)
     }
@@ -411,6 +401,41 @@ mod tests {
                 "serve parity at {shards} shards"
             );
         }
+    }
+
+    /// The shard servers charge serialization delay through the same
+    /// `LatencyModel::transmission_ms` as the engine, so a plan built
+    /// with `model_transmission_delay` lands on the engine's latencies.
+    #[test]
+    fn shard_states_honour_transmission_delay() {
+        let l = log();
+        let mut cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
+        cfg.model_transmission_delay = true;
+        let mut fleet = starcdn::system::SpaceCdn::new(cfg.clone());
+        let engine = crate::engine::run_space(&mut fleet, &l);
+        let plain = replay_parallel(
+            StarCdnConfig::starcdn_no_relay(4, 100_000),
+            FailureModel::none(),
+            &l,
+            4,
+        );
+        let p =
+            ServePlan::build(&cfg, &FailureModel::none(), &l, None, None, 4, 64, &Noop).unwrap();
+        let mut total = p.direct_metrics().clone();
+        for k in 0..4 {
+            let mut st = p.shard_state(false);
+            for b in 0..p.batch_count(k) {
+                st.apply_batch(p.batch_bytes(k, b)).unwrap();
+            }
+            total.merge(st.metrics());
+        }
+        let sorted = |m: &SystemMetrics| {
+            let mut bits: Vec<u64> = m.latencies_ms.iter().map(|x| x.to_bits()).collect();
+            bits.sort_unstable();
+            bits
+        };
+        assert_eq!(sorted(&engine), sorted(&total), "socket plane vs engine, flag on");
+        assert_ne!(sorted(&plain), sorted(&total), "the flag must move the latencies");
     }
 
     #[test]

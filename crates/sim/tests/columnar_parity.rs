@@ -1,11 +1,18 @@
-//! Columnar ↔ row parity pins: the struct-of-arrays pipeline (columnar
-//! builders, columnar engine runs, columnar replayer runs) must produce
-//! bit-for-bit the `SystemMetrics` of the row paths under every serving
-//! regime — plain, churn, overload, an extreme solar-storm event, and
-//! each of those with the delayed-hit fetch model enabled — at 1, 4,
-//! and 8 workers.
+//! One scenario table, every driver: each row — a world (with its fault
+//! schedule), a trace, a fleet configuration and an overload setting —
+//! goes through the row and columnar log builders, the engine over rows
+//! and over columns, the replayer over rows and over columns at 1, 4
+//! and 8 workers, and a kill-at-mid-epoch → resume of the engine and of
+//! the replayer, and must come out as one bit-exact `SystemMetrics`.
 //!
-//! Replayer comparisons use the no-relay config, where the parallel
+//! Within one driver the comparison is field by field with latency
+//! samples in sequence order (row and columnar runs execute identical
+//! code, so even the ordering must agree). Across drivers the latency
+//! samples are sorted first — the replayer merges per-shard samples in
+//! shard order — and everything else is compared through
+//! `metrics_digest`, which hashes every field a checkpoint preserves.
+//!
+//! Replayer comparisons need the no-relay config, where the parallel
 //! replayer's exactness contract holds (relayed fetch replays
 //! approximately; see `crates/sim/src/replayer.rs`).
 
@@ -14,18 +21,26 @@ use starcdn::config::{DelayedHitConfig, StarCdnConfig};
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
-use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormParams};
+use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::columns::AccessLogColumns;
 use starcdn_sim::overload::OverloadConfig;
 use starcdn_sim::{
-    build_access_log, build_access_log_columns, build_access_log_columns_parallel,
-    replay_parallel_overloaded, replay_parallel_overloaded_columns, run_space_overloaded,
-    run_space_overloaded_columns, AccessLog, SimConfig, World,
+    build_access_log, build_access_log_columns, build_access_log_columns_parallel, engine,
+    metrics_digest, replayer, AccessLog, CheckpointPolicy, Checkpointing, LogView, RunSpec,
+    SimConfig, World,
 };
+use std::path::PathBuf;
 
 const WORKERS: [usize; 3] = [1, 4, 8];
+
+struct Row {
+    world: World,
+    trace: Trace,
+    cdn: StarCdnConfig,
+    overload: OverloadConfig,
+}
 
 fn trace() -> Trace {
     let reqs: Vec<Request> = (0..3000u64)
@@ -39,9 +54,9 @@ fn trace() -> Trace {
     Trace::new(reqs)
 }
 
-/// Single-city trace for the delayed-hit scenarios: the first contact
-/// is stable within a scheduler epoch, so same-epoch repeats land on
-/// one owner and coalesce onto in-flight fetches; the small object
+/// Single-city trace for the delayed-hit rows: the first contact is
+/// stable within a scheduler epoch, so same-epoch repeats land on one
+/// owner and coalesce onto in-flight fetches; the small object
 /// population keeps misses (and fetches) going all run.
 fn delayed_trace() -> Trace {
     let reqs: Vec<Request> = (0..3000u64)
@@ -55,9 +70,91 @@ fn delayed_trace() -> Trace {
     Trace::new(reqs)
 }
 
-/// Every exported metric, bit-for-bit (latency samples compared as f64
-/// bit patterns in sequence order — both sides run identical code paths,
-/// so even the ordering must agree).
+fn plain_cdn() -> StarCdnConfig {
+    StarCdnConfig::starcdn_no_relay(4, 1_000_000)
+}
+
+/// Heterogeneous origin tiers (2/4/6 epochs) so the latency-aware paths
+/// are live, not just the uniform degenerate case.
+fn delayed_cdn() -> StarCdnConfig {
+    let delayed = DelayedHitConfig::with_latency(2, 40.0).with_origin_tiers(3);
+    StarCdnConfig::starcdn_no_relay(4, 20_000).with_delayed_hits(delayed)
+}
+
+fn transmission_cdn() -> StarCdnConfig {
+    let mut cfg = plain_cdn();
+    cfg.model_transmission_delay = true;
+    cfg
+}
+
+fn calm() -> World {
+    World::starlink_nine_cities()
+}
+
+fn churning(mtbf_secs: f64, mttr_secs: f64, seed: u64) -> World {
+    let base = World::starlink_nine_cities();
+    let schedule =
+        FaultSchedule::churn(&base.grid, &ChurnParams::sats_only(mtbf_secs, mttr_secs, 500, seed));
+    assert!(!schedule.is_empty(), "churn parameters produced no events");
+    base.with_fault_schedule(schedule)
+}
+
+fn storm() -> World {
+    let base = World::starlink_nine_cities();
+    let storm = SolarStormParams {
+        center_plane: 20,
+        plane_halfwidth: 4,
+        kill_prob: 0.9,
+        onset_secs: 120,
+        onset_jitter_secs: 30,
+        recovery_start_secs: 300,
+        recovery_spread_secs: 120,
+        seed: 0xBEEF,
+    };
+    let schedule = FaultSchedule::solar_storm(&base.grid, &storm);
+    assert!(!schedule.is_empty(), "storm produced no events");
+    base.with_fault_schedule(schedule)
+}
+
+/// Headroom of `objects` mean-size objects per satellite per epoch —
+/// tight enough that the lifecycle actually sheds (same calibration as
+/// `ablation_overload`).
+fn tight(t: &Trace, objects: f64) -> OverloadConfig {
+    let mean = (t.total_bytes() / t.len() as u64) as f64;
+    OverloadConfig::with_headroom(mean / 37_500_000_000.0 * objects)
+}
+
+fn off() -> OverloadConfig {
+    OverloadConfig::disabled()
+}
+
+/// One `#[test]` per table row.
+macro_rules! scenario_table {
+    ($($name:ident: $world:expr, $trace:expr, $cdn:expr, $overload:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            let trace = $trace;
+            let overload = ($overload)(&trace);
+            check(stringify!($name), &Row { world: $world, trace, cdn: $cdn, overload });
+        }
+    )*};
+}
+
+scenario_table! {
+    plain:                calm(),                         trace(),         plain_cdn(),        |_| off();
+    churn:                churning(1800.0, 120.0, 0xD00D), trace(),        plain_cdn(),        |_| off();
+    churn_fast:           churning(1500.0, 90.0, 0xFEED), trace(),         plain_cdn(),        |_| off();
+    overload:             calm(),                         trace(),         plain_cdn(),        |t| tight(t, 1.5);
+    churn_and_overload:   churning(1800.0, 120.0, 0xD00D), trace(),        plain_cdn(),        |t| tight(t, 1.5);
+    solar_storm:          storm(),                        trace(),         plain_cdn(),        |t| tight(t, 8.0);
+    delayed:              calm(),                         delayed_trace(), delayed_cdn(),      |_| off();
+    delayed_churn:        churning(1800.0, 120.0, 0xD00D), delayed_trace(), delayed_cdn(),     |_| off();
+    delayed_overload:     calm(),                         delayed_trace(), delayed_cdn(),      |t| tight(t, 1.5);
+    transmission_delay:   calm(),                         trace(),         transmission_cdn(), |_| off();
+    transmission_degraded: churning(1800.0, 120.0, 0xD00D), trace(),       transmission_cdn(), |t| tight(t, 1.5);
+}
+
+/// Every exported metric, bit-for-bit, latency samples in sequence.
 fn assert_metrics_identical(a: &SystemMetrics, b: &SystemMetrics, what: &str) {
     assert_eq!(a.stats, b.stats, "{what}: stats");
     assert_eq!(a.uplink_bytes, b.uplink_bytes, "{what}: uplink");
@@ -77,192 +174,108 @@ fn assert_metrics_identical(a: &SystemMetrics, b: &SystemMetrics, what: &str) {
     let bits =
         |m: &SystemMetrics| -> Vec<u64> { m.latencies_ms.iter().map(|l| l.to_bits()).collect() };
     assert_eq!(bits(a), bits(b), "{what}: latency bit patterns");
+    assert_eq!(metrics_digest(a), metrics_digest(b), "{what}: digest");
 }
 
-/// One scenario: build row + columnar logs, assert the builders agree,
-/// then assert engine and replayer parity across worker counts.
-fn check_scenario(world: &World, schedule: &FaultSchedule, overload: &OverloadConfig, what: &str) {
-    let ccfg = StarCdnConfig::starcdn_no_relay(4, 1_000_000);
-    check_scenario_with(world, schedule, overload, &trace(), &ccfg, what);
+/// The order-free identity of a run: the digest of its metrics with the
+/// latency samples sorted by bit pattern.
+fn canonical(m: &SystemMetrics) -> u64 {
+    let mut m = m.clone();
+    m.latencies_ms.sort_by_key(|l| l.to_bits());
+    metrics_digest(&m)
 }
 
-/// The same battery over the coalescing-friendly single-city trace with
-/// fetch latency enabled: every scenario must keep bit parity *and*
-/// actually exercise the delayed-hit counters.
-fn check_delayed_scenario(
-    world: &World,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    what: &str,
-) {
-    // Heterogeneous origin tiers (2/4/6 epochs) so the latency-aware
-    // paths are live, not just the uniform degenerate case.
-    let delayed = DelayedHitConfig::with_latency(2, 40.0).with_origin_tiers(3);
-    let ccfg = StarCdnConfig::starcdn_no_relay(4, 20_000).with_delayed_hits(delayed);
-    check_scenario_with(world, schedule, overload, &delayed_trace(), &ccfg, what);
+fn tmpdir(name: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("starcdn-parity-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
 }
 
-fn check_scenario_with(
-    world: &World,
-    schedule: &FaultSchedule,
-    overload: &OverloadConfig,
-    trace: &Trace,
-    ccfg: &StarCdnConfig,
-    what: &str,
-) {
-    let cfg = SimConfig::default();
-    let log: AccessLog = build_access_log(world, trace, cfg.epoch_secs, &cfg.scheduler());
+fn check(name: &str, row: &Row) {
+    let Row { world, trace, cdn, overload } = row;
+    let sim = SimConfig::default();
+    let log: AccessLog = build_access_log(world, trace, sim.epoch_secs, &sim.scheduler());
     let cols: AccessLogColumns =
-        build_access_log_columns(world, trace, cfg.epoch_secs, &cfg.scheduler());
-    assert_eq!(cols.to_log(), log, "{what}: columnar builder diverged from row builder");
+        build_access_log_columns(world, trace, sim.epoch_secs, &sim.scheduler());
+    assert_eq!(cols.to_log(), log, "{name}: columnar builder diverged from row builder");
     for n in WORKERS {
         let par =
-            build_access_log_columns_parallel(world, trace, cfg.epoch_secs, &cfg.scheduler(), n);
-        assert_eq!(par, cols, "{what}: parallel columnar builder at {n} workers");
+            build_access_log_columns_parallel(world, trace, sim.epoch_secs, &sim.scheduler(), n);
+        assert_eq!(par, cols, "{name}: parallel columnar builder at {n} workers");
     }
 
-    // Engine: row vs columnar, same CDN config.
-    let mut row_cdn = SpaceCdn::with_failures(ccfg.clone(), world.failures.clone());
-    let m_row = run_space_overloaded(&mut row_cdn, &log, schedule, overload);
-    let mut col_cdn = SpaceCdn::with_failures(ccfg.clone(), world.failures.clone());
-    let m_col = run_space_overloaded_columns(&mut col_cdn, &cols, schedule, overload);
-    assert_metrics_identical(&m_row, &m_col, &format!("{what}: engine"));
-    if ccfg.delayed.is_enabled() {
-        assert!(m_row.delayed_hits > 0, "{what}: delayed config must exercise coalescing");
-    }
-
-    // Replayer: row vs columnar at each worker count, and both against
-    // the engine (exact for the no-relay config).
-    for n in WORKERS {
-        let m_rpar = replay_parallel_overloaded(
-            ccfg.clone(),
-            world.failures.clone(),
-            &log,
-            schedule,
-            n,
-            overload,
-        );
-        let m_cpar = replay_parallel_overloaded_columns(
-            ccfg.clone(),
-            world.failures.clone(),
-            &cols,
-            schedule,
-            n,
-            overload,
-        );
-        assert_metrics_identical(&m_rpar, &m_cpar, &format!("{what}: replayer {n} workers"));
-        assert_eq!(m_row.stats, m_rpar.stats, "{what}: engine vs replayer {n} workers");
-        assert_eq!(m_row.per_satellite, m_rpar.per_satellite, "{what}: {n} workers");
-    }
-}
-
-#[test]
-fn plain_serving_parity() {
-    let w = World::starlink_nine_cities();
-    check_scenario(&w, &FaultSchedule::empty(), &OverloadConfig::disabled(), "plain");
-}
-
-#[test]
-fn churn_parity() {
-    let base = World::starlink_nine_cities();
-    let p = ChurnParams::sats_only(1800.0, 120.0, 500, 0xD00D);
-    let schedule = FaultSchedule::churn(&base.grid, &p);
-    assert!(!schedule.is_empty(), "churn parameters produced no events");
-    let w = base.with_fault_schedule(schedule.clone());
-    check_scenario(&w, &schedule, &OverloadConfig::disabled(), "churn");
-}
-
-#[test]
-fn overload_parity() {
-    let w = World::starlink_nine_cities();
-    // Headroom in mean-objects-per-epoch units, tight enough that the
-    // lifecycle actually sheds (same calibration as ablation_overload).
-    let t = trace();
-    let mean = (t.total_bytes() / t.len() as u64) as f64;
-    let overload = OverloadConfig::with_headroom(mean / 37_500_000_000.0 * 1.5);
-    check_scenario(&w, &FaultSchedule::empty(), &overload, "overload");
-}
-
-#[test]
-fn extreme_storm_parity() {
-    let base = World::starlink_nine_cities();
-    let storm = SolarStormParams {
-        center_plane: 20,
-        plane_halfwidth: 4,
-        kill_prob: 0.9,
-        onset_secs: 120,
-        onset_jitter_secs: 30,
-        recovery_start_secs: 300,
-        recovery_spread_secs: 120,
-        seed: 0xBEEF,
+    let spec = RunSpec { schedule: &world.schedule, overload: *overload, ..RunSpec::default() };
+    let run_engine = |log: LogView<'_>, spec: &RunSpec<'_>| {
+        let mut fleet = SpaceCdn::with_failures(cdn.clone(), world.failures.clone());
+        engine::run(&mut fleet, log, spec)
     };
-    let schedule = FaultSchedule::solar_storm(&base.grid, &storm);
-    assert!(!schedule.is_empty(), "storm produced no events");
-    let w = base.with_fault_schedule(schedule.clone());
-    let t = trace();
-    let mean = (t.total_bytes() / t.len() as u64) as f64;
-    let overload = OverloadConfig::with_headroom(mean / 37_500_000_000.0 * 8.0);
-    check_scenario(&w, &schedule, &overload, "extreme");
-}
-
-#[test]
-fn delayed_plain_parity() {
-    let w = World::starlink_nine_cities();
-    check_delayed_scenario(&w, &FaultSchedule::empty(), &OverloadConfig::disabled(), "delayed");
-}
-
-#[test]
-fn delayed_churn_parity() {
-    let base = World::starlink_nine_cities();
-    let p = ChurnParams::sats_only(1800.0, 120.0, 500, 0xD00D);
-    let schedule = FaultSchedule::churn(&base.grid, &p);
-    assert!(!schedule.is_empty(), "churn parameters produced no events");
-    let w = base.with_fault_schedule(schedule.clone());
-    check_delayed_scenario(&w, &schedule, &OverloadConfig::disabled(), "delayed churn");
-}
-
-#[test]
-fn delayed_overload_parity() {
-    let w = World::starlink_nine_cities();
-    let t = delayed_trace();
-    let mean = (t.total_bytes() / t.len() as u64) as f64;
-    let overload = OverloadConfig::with_headroom(mean / 37_500_000_000.0 * 1.5);
-    check_delayed_scenario(&w, &FaultSchedule::empty(), &overload, "delayed overload");
-}
-
-#[test]
-fn mixed_run_with_faults_parity() {
-    // The faults-only entry points (no overload config) through both
-    // representations.
-    use starcdn_sim::{
-        replay_parallel_with_faults, replay_parallel_with_faults_columns, run_space_with_faults,
-        run_space_with_faults_columns,
+    let run_replayer = |log: LogView<'_>, workers: usize, spec: &RunSpec<'_>| {
+        replayer::run(cdn, &world.failures, log, workers, spec)
     };
-    let base = World::starlink_nine_cities();
-    let p = ChurnParams::sats_only(1500.0, 90.0, 500, 0xFEED);
-    let schedule = FaultSchedule::churn(&base.grid, &p);
-    let w = base.with_fault_schedule(schedule.clone());
-    let cfg = SimConfig::default();
-    let trace = trace();
-    let log = build_access_log(&w, &trace, cfg.epoch_secs, &cfg.scheduler());
-    let cols = build_access_log_columns(&w, &trace, cfg.epoch_secs, &cfg.scheduler());
 
-    let ccfg = StarCdnConfig::starcdn_no_relay(4, 1_000_000);
-    let mut a = SpaceCdn::new(ccfg.clone());
-    let m_row = run_space_with_faults(&mut a, &log, &schedule);
-    let mut b = SpaceCdn::new(ccfg.clone());
-    let m_col = run_space_with_faults_columns(&mut b, &cols, &schedule);
-    assert_metrics_identical(&m_row, &m_col, "faults engine");
+    // Engine: rows vs columns.
+    let m_row = run_engine((&log).into(), &spec).unwrap();
+    let m_col = run_engine((&cols).into(), &spec).unwrap();
+    assert_metrics_identical(&m_row, &m_col, &format!("{name}: engine"));
+    if cdn.delayed.is_enabled() {
+        assert!(m_row.delayed_hits > 0, "{name}: delayed config must exercise coalescing");
+    }
+    let golden = canonical(&m_row);
+
+    // Replayer: rows vs columns at each worker count, and both against
+    // the engine.
     for n in WORKERS {
-        let m_rpar =
-            replay_parallel_with_faults(ccfg.clone(), FailureModel::none(), &log, &schedule, n);
-        let m_cpar = replay_parallel_with_faults_columns(
-            ccfg.clone(),
-            FailureModel::none(),
-            &cols,
-            &schedule,
-            n,
-        );
-        assert_metrics_identical(&m_rpar, &m_cpar, &format!("faults replayer {n} workers"));
+        let m_rpar = run_replayer((&log).into(), n, &spec).unwrap();
+        let m_cpar = run_replayer((&cols).into(), n, &spec).unwrap();
+        assert_metrics_identical(&m_rpar, &m_cpar, &format!("{name}: replayer {n} workers"));
+        assert_eq!(m_row.stats, m_rpar.stats, "{name}: engine vs replayer {n} workers");
+        assert_eq!(m_row.per_satellite, m_rpar.per_satellite, "{name}: {n} workers");
+        assert_eq!(golden, canonical(&m_rpar), "{name}: engine vs replayer {n} workers");
+    }
+
+    // Kill mid-epoch, resume: a run over a prefix that ends inside an
+    // epoch leaves exactly the checkpoints a process killed there would;
+    // resuming over the full log must land on the same metrics, in
+    // either representation.
+    let cut = log.len() * 2 / 3;
+    let epoch_of = |i: usize| log.entries[i].time.as_secs() / log.epoch_secs;
+    assert_eq!(epoch_of(cut - 1), epoch_of(cut), "{name}: the kill must land inside an epoch");
+    let prefix = AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
+    let prefix_cols = AccessLogColumns::from_log(&prefix);
+    let kill_resume = |tag: &str, run: &dyn Fn(bool, &RunSpec<'_>) -> SystemMetrics| {
+        let dir = tmpdir(&format!("{name}-{tag}"));
+        let policy = CheckpointPolicy { every_n_epochs: 3, dir: dir.clone(), keep_last: 0 };
+        let with = |resume| RunSpec {
+            checkpoint: Some(Checkpointing { policy: &policy, io: &RealIo, resume }),
+            ..spec
+        };
+        run(true, &with(false));
+        let resumed = run(false, &with(true));
+        assert_eq!(golden, canonical(&resumed), "{name}: {tag} kill/resume");
+        let _ = std::fs::remove_dir_all(&dir);
+        resumed
+    };
+    let e_rows = kill_resume("engine-rows", &|killed, spec| {
+        run_engine(if killed { (&prefix).into() } else { (&log).into() }, spec).unwrap()
+    });
+    assert_metrics_identical(&m_row, &e_rows, &format!("{name}: engine rows kill/resume"));
+    let e_cols = kill_resume("engine-cols", &|killed, spec| {
+        run_engine(if killed { (&prefix_cols).into() } else { (&cols).into() }, spec).unwrap()
+    });
+    assert_metrics_identical(&m_row, &e_cols, &format!("{name}: engine columns kill/resume"));
+    for n in WORKERS {
+        // Alternate the representation so both meet every worker count
+        // across the table without doubling the runs.
+        let columnar = n == 4;
+        kill_resume(&format!("replayer-{n}"), &|killed, spec| {
+            let view: LogView<'_> = match (killed, columnar) {
+                (true, false) => (&prefix).into(),
+                (true, true) => (&prefix_cols).into(),
+                (false, false) => (&log).into(),
+                (false, true) => (&cols).into(),
+            };
+            run_replayer(view, n, spec).unwrap()
+        });
     }
 }

@@ -11,6 +11,9 @@
 //! seeded generator. Torn and garbage checkpoint files must be skipped
 //! via fallback without ever panicking.
 
+mod common;
+
+use common::ckpt_spec;
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
 use starcdn::metrics::SystemMetrics;
@@ -18,13 +21,13 @@ use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, SolarStormParams, TimedFault};
+use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
-    build_access_log, list_checkpoint_files, replay_parallel_checkpointed,
-    resume_replay_checkpointed, resume_space_checkpointed, run_space_checkpointed,
-    validate_checkpoint_bytes, AccessLog, CheckpointError, CheckpointPolicy, OverloadConfig, World,
+    build_access_log, engine, list_checkpoint_files, replayer, validate_checkpoint_bytes,
+    AccessLog, CheckpointError, CheckpointPolicy, OverloadConfig, World,
 };
 use starcdn_telemetry::{Event, MemoryRecorder, TelemetrySnapshot};
 use std::path::{Path, PathBuf};
@@ -153,13 +156,10 @@ fn engine_kill_sweep(name: &str, sched: &FaultSchedule, overload: &OverloadConfi
 
     let gold_dir = tmpdir(&format!("{name}-gold"));
     let gold_rec = MemoryRecorder::new();
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut fresh_cdn(),
         &log,
-        sched,
-        overload,
-        &policy(&gold_dir, 7),
-        &gold_rec,
+        &ckpt_spec(sched, overload, &policy(&gold_dir, 7), &gold_rec, &RealIo, false),
     )
     .unwrap();
 
@@ -167,13 +167,10 @@ fn engine_kill_sweep(name: &str, sched: &FaultSchedule, overload: &OverloadConfi
         let dir = tmpdir(&format!("{name}-kill{i}"));
         let pol = policy(&dir, 7);
         // Crash: the killed process got through the prefix only.
-        run_space_checkpointed(
+        engine::run(
             &mut fresh_cdn(),
             &prefix_before(&log, kill),
-            sched,
-            overload,
-            &pol,
-            &MemoryRecorder::new(),
+            &ckpt_spec(sched, overload, &pol, &MemoryRecorder::new(), &RealIo, false),
         )
         .unwrap();
         // Resume over the full log. A kill before the first barrier
@@ -181,13 +178,26 @@ fn engine_kill_sweep(name: &str, sched: &FaultSchedule, overload: &OverloadConfi
         // operator path is a fresh checkpointed run.
         let rec = MemoryRecorder::new();
         let resumed = if list_checkpoint_files(&dir).is_empty() {
-            let err =
-                resume_space_checkpointed(&mut fresh_cdn(), &log, sched, overload, &pol, &rec)
-                    .unwrap_err();
+            let err = engine::run(
+                &mut fresh_cdn(),
+                &log,
+                &ckpt_spec(sched, overload, &pol, &rec, &RealIo, true),
+            )
+            .unwrap_err();
             assert!(matches!(err, CheckpointError::NoValidCheckpoint), "got {err:?}");
-            run_space_checkpointed(&mut fresh_cdn(), &log, sched, overload, &pol, &rec).unwrap()
+            engine::run(
+                &mut fresh_cdn(),
+                &log,
+                &ckpt_spec(sched, overload, &pol, &rec, &RealIo, false),
+            )
+            .unwrap()
         } else {
-            resume_space_checkpointed(&mut fresh_cdn(), &log, sched, overload, &pol, &rec).unwrap()
+            engine::run(
+                &mut fresh_cdn(),
+                &log,
+                &ckpt_spec(sched, overload, &pol, &rec, &RealIo, true),
+            )
+            .unwrap()
         };
         assert_metrics_identical(&golden, &resumed);
         assert_telemetry_identical(&gold_rec.snapshot(), &rec.snapshot());
@@ -235,13 +245,10 @@ fn engine_kill_resume_bit_identical_mid_solar_storm() {
 
     let gold_dir = tmpdir("storm-gold");
     let gold_rec = MemoryRecorder::new();
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &overload,
-        &policy(&gold_dir, 7),
-        &gold_rec,
+        &ckpt_spec(&sched, &overload, &policy(&gold_dir, 7), &gold_rec, &RealIo, false),
     )
     .unwrap();
     // The storm really happened: the availability timeline dips.
@@ -260,19 +267,19 @@ fn engine_kill_resume_bit_identical_mid_solar_storm() {
         assert!(kill > first_down && kill < last_up, "kill epoch {kill} must be mid-storm");
         let dir = tmpdir(&format!("storm-kill{i}"));
         let pol = policy(&dir, 7);
-        run_space_checkpointed(
+        engine::run(
             &mut fresh_cdn(),
             &prefix_before(&log, kill),
-            &sched,
-            &overload,
-            &pol,
-            &MemoryRecorder::new(),
+            &ckpt_spec(&sched, &overload, &pol, &MemoryRecorder::new(), &RealIo, false),
         )
         .unwrap();
         let rec = MemoryRecorder::new();
-        let resumed =
-            resume_space_checkpointed(&mut fresh_cdn(), &log, &sched, &overload, &pol, &rec)
-                .unwrap();
+        let resumed = engine::run(
+            &mut fresh_cdn(),
+            &log,
+            &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, true),
+        )
+        .unwrap();
         assert_metrics_identical(&golden, &resumed);
         assert_telemetry_identical(&gold_rec.snapshot(), &rec.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
@@ -318,13 +325,10 @@ fn engine_kill_resume_bit_identical_with_fetches_in_flight() {
 
     let gold_dir = tmpdir("delayed-gold");
     let gold_rec = MemoryRecorder::new();
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut SpaceCdn::new(cfg.clone()),
         &log,
-        &sched,
-        &overload,
-        &policy(&gold_dir, 1),
-        &gold_rec,
+        &ckpt_spec(&sched, &overload, &policy(&gold_dir, 1), &gold_rec, &RealIo, false),
     )
     .unwrap();
     assert!(golden.delayed_hits > 0, "trace must exercise coalescing");
@@ -334,13 +338,10 @@ fn engine_kill_resume_bit_identical_with_fetches_in_flight() {
         let dir = tmpdir(&format!("delayed-kill{i}"));
         let pol = policy(&dir, 1);
         let mut crashed = SpaceCdn::new(cfg.clone());
-        run_space_checkpointed(
+        engine::run(
             &mut crashed,
             &prefix_before(&log, kill),
-            &sched,
-            &overload,
-            &pol,
-            &MemoryRecorder::new(),
+            &ckpt_spec(&sched, &overload, &pol, &MemoryRecorder::new(), &RealIo, false),
         )
         .unwrap();
         // The kill must actually strand fetches: the crashed process's
@@ -351,23 +352,17 @@ fn engine_kill_resume_bit_identical_with_fetches_in_flight() {
 
         let rec = MemoryRecorder::new();
         let resumed = if list_checkpoint_files(&dir).is_empty() {
-            run_space_checkpointed(
+            engine::run(
                 &mut SpaceCdn::new(cfg.clone()),
                 &log,
-                &sched,
-                &overload,
-                &pol,
-                &rec,
+                &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, false),
             )
             .unwrap()
         } else {
-            resume_space_checkpointed(
+            engine::run(
                 &mut SpaceCdn::new(cfg.clone()),
                 &log,
-                &sched,
-                &overload,
-                &pol,
-                &rec,
+                &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, true),
             )
             .unwrap()
         };
@@ -392,15 +387,12 @@ fn replayer_kill_resume_bit_identical_with_fetches_in_flight() {
     for workers in [1usize, 4, 8] {
         let gold_dir = tmpdir(&format!("delayed-rep-gold-{workers}"));
         let gold_rec = MemoryRecorder::new();
-        let golden = replay_parallel_checkpointed(
-            cfg.clone(),
-            FailureModel::none(),
+        let golden = replayer::run(
+            &cfg,
+            &FailureModel::none(),
             &log,
-            &sched,
             workers,
-            &overload,
-            &policy(&gold_dir, 3),
-            &gold_rec,
+            &ckpt_spec(&sched, &overload, &policy(&gold_dir, 3), &gold_rec, &RealIo, false),
         )
         .unwrap();
         assert!(golden.delayed_hits > 0, "{workers} workers: trace must exercise coalescing");
@@ -410,40 +402,31 @@ fn replayer_kill_resume_bit_identical_with_fetches_in_flight() {
         {
             let dir = tmpdir(&format!("delayed-rep-kill-{workers}-{i}"));
             let pol = policy(&dir, 3);
-            replay_parallel_checkpointed(
-                cfg.clone(),
-                FailureModel::none(),
+            replayer::run(
+                &cfg,
+                &FailureModel::none(),
                 &prefix_before(&log, kill),
-                &sched,
                 workers,
-                &overload,
-                &pol,
-                &MemoryRecorder::new(),
+                &ckpt_spec(&sched, &overload, &pol, &MemoryRecorder::new(), &RealIo, false),
             )
             .unwrap();
             let rec = MemoryRecorder::new();
             let resumed = if list_checkpoint_files(&dir).is_empty() {
-                replay_parallel_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &overload,
-                    &pol,
-                    &rec,
+                    &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, false),
                 )
                 .unwrap()
             } else {
-                resume_replay_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &overload,
-                    &pol,
-                    &rec,
+                    &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, true),
                 )
                 .unwrap()
             };
@@ -466,15 +449,12 @@ fn replayer_kill_resume_bit_identical_at_1_4_8_workers() {
     for workers in [1usize, 4, 8] {
         let gold_dir = tmpdir(&format!("rep-gold-{workers}"));
         let gold_rec = MemoryRecorder::new();
-        let golden = replay_parallel_checkpointed(
-            cfg.clone(),
-            FailureModel::none(),
+        let golden = replayer::run(
+            &cfg,
+            &FailureModel::none(),
             &log,
-            &sched,
             workers,
-            &overload,
-            &policy(&gold_dir, 7),
-            &gold_rec,
+            &ckpt_spec(&sched, &overload, &policy(&gold_dir, 7), &gold_rec, &RealIo, false),
         )
         .unwrap();
 
@@ -483,52 +463,40 @@ fn replayer_kill_resume_bit_identical_at_1_4_8_workers() {
         {
             let dir = tmpdir(&format!("rep-kill-{workers}-{i}"));
             let pol = policy(&dir, 7);
-            replay_parallel_checkpointed(
-                cfg.clone(),
-                FailureModel::none(),
+            replayer::run(
+                &cfg,
+                &FailureModel::none(),
                 &prefix_before(&log, kill),
-                &sched,
                 workers,
-                &overload,
-                &pol,
-                &MemoryRecorder::new(),
+                &ckpt_spec(&sched, &overload, &pol, &MemoryRecorder::new(), &RealIo, false),
             )
             .unwrap();
             let rec = MemoryRecorder::new();
             let resumed = if list_checkpoint_files(&dir).is_empty() {
-                let err = resume_replay_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                let err = replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &overload,
-                    &pol,
-                    &rec,
+                    &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, true),
                 )
                 .unwrap_err();
                 assert!(matches!(err, CheckpointError::NoValidCheckpoint), "got {err:?}");
-                replay_parallel_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &overload,
-                    &pol,
-                    &rec,
+                    &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, false),
                 )
                 .unwrap()
             } else {
-                resume_replay_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &overload,
-                    &pol,
-                    &rec,
+                    &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, true),
                 )
                 .unwrap()
             };
@@ -538,6 +506,59 @@ fn replayer_kill_resume_bit_identical_at_1_4_8_workers() {
         }
         let _ = std::fs::remove_dir_all(&gold_dir);
     }
+}
+
+/// One fingerprint for both drivers: a checkpoint written under one
+/// retry policy (or transmission-delay setting) must not be accepted on
+/// resume under another — the restored caches and ledger would meet a
+/// pre-pass or lifecycle that decides differently.
+#[test]
+fn resume_under_a_different_run_description_is_rejected() {
+    let log = log();
+    let sched = churn();
+    let cfg = StarCdnConfig::starcdn_no_relay(4, 2_000_000);
+    let written = OverloadConfig::with_headroom(0.4);
+    let dir_engine = tmpdir("fingerprint-engine");
+    let dir_replay = tmpdir("fingerprint-replay");
+    let (pol_engine, pol_replay) = (policy(&dir_engine, 5), policy(&dir_replay, 5));
+    let rec = MemoryRecorder::new();
+    let mut fleet = SpaceCdn::new(cfg.clone());
+    engine::run(&mut fleet, &log, &ckpt_spec(&sched, &written, &pol_engine, &rec, &RealIo, false))
+        .unwrap();
+    let spec = ckpt_spec(&sched, &written, &pol_replay, &rec, &RealIo, false);
+    replayer::run(&cfg, &FailureModel::none(), &log, 4, &spec).unwrap();
+
+    let mut other_retry = written;
+    other_retry.retry.max_attempts += 1;
+    let mut other_backoff = written;
+    other_backoff.retry.backoff_epochs += 1;
+    let mut other_deadline = written;
+    other_deadline.retry.deadline_ms /= 2.0;
+    let mut other_cfg = cfg.clone();
+    other_cfg.model_transmission_delay = true;
+    let resumes = [
+        ("max_attempts", &cfg, &other_retry),
+        ("backoff_epochs", &cfg, &other_backoff),
+        ("deadline_ms", &cfg, &other_deadline),
+        ("model_transmission_delay", &other_cfg, &written),
+    ];
+    for (what, cfg, overload) in resumes {
+        let mut fleet = SpaceCdn::new(cfg.clone());
+        let spec = ckpt_spec(&sched, overload, &pol_engine, &rec, &RealIo, true);
+        let err = engine::run(&mut fleet, &log, &spec).unwrap_err();
+        assert!(matches!(err, CheckpointError::NoValidCheckpoint), "engine, {what}: {err:?}");
+        let spec = ckpt_spec(&sched, overload, &pol_replay, &rec, &RealIo, true);
+        let err = replayer::run(cfg, &FailureModel::none(), &log, 4, &spec).unwrap_err();
+        assert!(matches!(err, CheckpointError::NoValidCheckpoint), "replayer, {what}: {err:?}");
+    }
+    // The description it was written under still resumes.
+    let mut fleet = SpaceCdn::new(cfg.clone());
+    engine::run(&mut fleet, &log, &ckpt_spec(&sched, &written, &pol_engine, &rec, &RealIo, true))
+        .unwrap();
+    let spec = ckpt_spec(&sched, &written, &pol_replay, &rec, &RealIo, true);
+    replayer::run(&cfg, &FailureModel::none(), &log, 4, &spec).unwrap();
+    let _ = std::fs::remove_dir_all(&dir_engine);
+    let _ = std::fs::remove_dir_all(&dir_replay);
 }
 
 #[test]
@@ -551,25 +572,19 @@ fn torn_checkpoint_is_skipped_and_resume_still_exact() {
 
     let gold_dir = tmpdir("torn-gold");
     let gold_rec = MemoryRecorder::new();
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &overload,
-        &policy(&gold_dir, 5),
-        &gold_rec,
+        &ckpt_spec(&sched, &overload, &policy(&gold_dir, 5), &gold_rec, &RealIo, false),
     )
     .unwrap();
 
     let dir = tmpdir("torn");
     let pol = policy(&dir, 5);
-    run_space_checkpointed(
+    engine::run(
         &mut fresh_cdn(),
         &prefix_before(&log, 40),
-        &sched,
-        &overload,
-        &pol,
-        &MemoryRecorder::new(),
+        &ckpt_spec(&sched, &overload, &pol, &MemoryRecorder::new(), &RealIo, false),
     )
     .unwrap();
     let files = list_checkpoint_files(&dir);
@@ -580,8 +595,12 @@ fn torn_checkpoint_is_skipped_and_resume_still_exact() {
     std::fs::write(dir.join("ckpt-9999999999.ckpt.tmp"), b"torn mid write").unwrap();
 
     let rec = MemoryRecorder::new();
-    let resumed =
-        resume_space_checkpointed(&mut fresh_cdn(), &log, &sched, &overload, &pol, &rec).unwrap();
+    let resumed = engine::run(
+        &mut fresh_cdn(),
+        &log,
+        &ckpt_spec(&sched, &overload, &pol, &rec, &RealIo, true),
+    )
+    .unwrap();
     assert_metrics_identical(&golden, &resumed);
     assert_telemetry_identical(&gold_rec.snapshot(), &rec.snapshot());
     let fallbacks: u64 = rec
@@ -620,13 +639,17 @@ fn garbage_checkpoint_files_never_panic() {
         std::fs::write(dir.join(format!("ckpt-{:010}.ckpt", i * 5)), &junk).unwrap();
     }
 
-    let err = resume_space_checkpointed(
+    let err = engine::run(
         &mut fresh_cdn(),
         &log,
-        &FaultSchedule::empty(),
-        &OverloadConfig::disabled(),
-        &pol,
-        &MemoryRecorder::new(),
+        &ckpt_spec(
+            &FaultSchedule::empty(),
+            &OverloadConfig::disabled(),
+            &pol,
+            &MemoryRecorder::new(),
+            &RealIo,
+            true,
+        ),
     )
     .unwrap_err();
     assert!(matches!(err, CheckpointError::NoValidCheckpoint), "got {err:?}");

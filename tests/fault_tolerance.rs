@@ -14,11 +14,21 @@ use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{ChurnParams, FaultEvent, FaultSchedule, TimedFault};
 use starcdn_orbit::time::SimDuration;
 use starcdn_sim::access_log::build_access_log;
-use starcdn_sim::engine::{
-    run_space, run_space_with_faults, run_space_with_faults_measured, SimConfig,
-};
+use starcdn_sim::access_log::AccessLog;
+use starcdn_sim::engine::{run, run_space, RunSpec, SimConfig};
 use starcdn_sim::experiment::Runner;
 use starcdn_sim::world::World;
+
+/// The engine under a fault schedule, optionally measuring only from
+/// `measure_from_secs` on.
+fn run_with_faults(
+    cdn: &mut SpaceCdn,
+    log: &AccessLog,
+    schedule: &FaultSchedule,
+    measure_from_secs: Option<u64>,
+) -> starcdn::metrics::SystemMetrics {
+    run(cdn, log, &RunSpec { schedule, measure_from_secs, ..RunSpec::default() }).unwrap()
+}
 
 fn trace() -> Trace {
     let locations = Location::akamai_nine();
@@ -90,7 +100,7 @@ fn empty_schedule_is_bit_for_bit_identical_to_static_run() {
     let mut plain = SpaceCdn::new(cfg.clone());
     let m_plain = run_space(&mut plain, &log);
     let mut churn = SpaceCdn::new(cfg);
-    let m_churn = run_space_with_faults(&mut churn, &log2, &w2.schedule);
+    let m_churn = run_with_faults(&mut churn, &log2, &w2.schedule, None);
     assert_eq!(m_plain.stats, m_churn.stats);
     assert_eq!(m_plain.latencies_ms, m_churn.latencies_ms);
     assert_eq!(m_plain.uplink_bytes, m_churn.uplink_bytes);
@@ -119,7 +129,7 @@ fn mass_outage_at_t0_reproduces_static_outage_metrics() {
     assert_eq!(log_static, log_churn, "t=0 mass outage must schedule like the static set");
 
     let mut c = SpaceCdn::new(cfg);
-    let m_churn = run_space_with_faults(&mut c, &log_churn, &sched);
+    let m_churn = run_with_faults(&mut c, &log_churn, &sched, None);
     assert_eq!(m_static.stats, m_churn.stats);
     assert_eq!(m_static.uplink_bytes, m_churn.uplink_bytes);
     assert_eq!(m_static.latencies_ms, m_churn.latencies_ms);
@@ -150,7 +160,7 @@ fn recovered_satellites_rewarm_within_the_run() {
     let cfg = StarCdnConfig::starcdn(9, 5_000_000);
 
     let mut full = SpaceCdn::new(cfg.clone());
-    let m_full = run_space_with_faults(&mut full, &log, &sched);
+    let m_full = run_with_faults(&mut full, &log, &sched, None);
     assert!(m_full.cold_restart_misses > 0, "recovery must be observed as cold misses");
     assert!(m_full.remapped_requests > 0, "outage phase remaps");
     // Availability timeline shows the dip and the recovery.
@@ -162,9 +172,9 @@ fn recovered_satellites_rewarm_within_the_run() {
     // Windowed hit rates after recovery (deterministic runs, so the
     // difference of two measured tails isolates the early window).
     let mut a = SpaceCdn::new(cfg.clone());
-    let m_a = run_space_with_faults_measured(&mut a, &log, &sched, 3600); // [3600, end)
+    let m_a = run_with_faults(&mut a, &log, &sched, Some(3600)); // [3600, end)
     let mut b = SpaceCdn::new(cfg);
-    let m_b = run_space_with_faults_measured(&mut b, &log, &sched, 5400); // [5400, end)
+    let m_b = run_with_faults(&mut b, &log, &sched, Some(5400)); // [5400, end)
     let early_requests = m_a.stats.requests - m_b.stats.requests;
     let early_hits = m_a.stats.hits - m_b.stats.hits;
     assert!(early_requests > 0 && m_b.stats.requests > 0, "both windows see traffic");
@@ -195,7 +205,7 @@ fn link_flap_churn_runs_and_reroutes() {
     let w = World::starlink_nine_cities().with_fault_schedule(sched.clone());
     let log = build_access_log(&w, &t, 15, &SimConfig::default().scheduler());
     let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(9, 5_000_000));
-    let m = run_space_with_faults(&mut cdn, &log, &sched);
+    let m = run_with_faults(&mut cdn, &log, &sched, None);
     assert_eq!(m.stats.requests as usize, t.len());
     assert_eq!(m.cold_restart_misses, 0, "links flapping wipes no caches");
     assert_eq!(m.remapped_requests, 0, "ownership is node-liveness based");

@@ -16,20 +16,21 @@
 //! The CI tests sweep a few dozen seeds per scenario; the
 //! `torture` bench binary runs the same legs over 1000+ seeds.
 
+mod common;
+
+use common::ckpt_spec;
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
 use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
-use starcdn_io::{FaultKind, FaultPlan, FaultyIo};
+use starcdn_io::{FaultKind, FaultPlan, FaultyIo, RealIo};
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
-    build_access_log, list_checkpoint_files, metrics_digest, replay_parallel_checkpointed,
-    replay_parallel_checkpointed_io, resume_replay_checkpointed, resume_space_checkpointed,
-    resume_space_checkpointed_io, run_space_checkpointed, run_space_checkpointed_io,
-    sweep_stale_tmps, AccessLog, CheckpointError, CheckpointPolicy, OverloadConfig, World,
+    build_access_log, engine, list_checkpoint_files, metrics_digest, replayer, sweep_stale_tmps,
+    AccessLog, CheckpointError, CheckpointPolicy, OverloadConfig, World,
 };
 use starcdn_telemetry::MemoryRecorder;
 use std::path::{Path, PathBuf};
@@ -89,17 +90,17 @@ fn tmp_files(dir: &Path) -> Vec<String> {
 fn assert_recoverable(dir: &Path, pol: &CheckpointPolicy, log: &AccessLog, golden: u64, tag: &str) {
     let sched = FaultSchedule::empty();
     let ov = OverloadConfig::disabled();
-    match resume_space_checkpointed(&mut fresh_cdn(), log, &sched, &ov, pol, &MemoryRecorder::new())
-    {
+    match engine::run(
+        &mut fresh_cdn(),
+        log,
+        &ckpt_spec(&sched, &ov, pol, &MemoryRecorder::new(), &RealIo, true),
+    ) {
         Ok(m) => assert_eq!(metrics_digest(&m), golden, "{tag}: resume diverged"),
         Err(CheckpointError::NoValidCheckpoint) => {
-            let m = run_space_checkpointed(
+            let m = engine::run(
                 &mut fresh_cdn(),
                 log,
-                &sched,
-                &ov,
-                pol,
-                &MemoryRecorder::new(),
+                &ckpt_spec(&sched, &ov, pol, &MemoryRecorder::new(), &RealIo, false),
             )
             .unwrap();
             assert_eq!(metrics_digest(&m), golden, "{tag}: fresh rerun diverged");
@@ -116,14 +117,10 @@ fn engine_leg(golden: u64, log: &AccessLog, plan: FaultPlan, dir: &Path, tag: &s
     let ov = OverloadConfig::disabled();
     let pol = policy(dir, 3, 0);
     let io = FaultyIo::new(plan);
-    match run_space_checkpointed_io(
+    match engine::run(
         &mut fresh_cdn(),
         log,
-        &sched,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
-        &io,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
     ) {
         Ok(m) => assert_eq!(metrics_digest(&m), golden, "{tag}: faulted run silently diverged"),
         Err(CheckpointError::Io(e)) => {
@@ -143,13 +140,17 @@ fn engine_leg(golden: u64, log: &AccessLog, plan: FaultPlan, dir: &Path, tag: &s
 fn engine_seeded_write_fault_sweep() {
     let log = log();
     let gold_dir = tmpdir("eng-gold");
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut fresh_cdn(),
         &log,
-        &FaultSchedule::empty(),
-        &OverloadConfig::disabled(),
-        &policy(&gold_dir, 3, 0),
-        &MemoryRecorder::new(),
+        &ckpt_spec(
+            &FaultSchedule::empty(),
+            &OverloadConfig::disabled(),
+            &policy(&gold_dir, 3, 0),
+            &MemoryRecorder::new(),
+            &RealIo,
+            false,
+        ),
     )
     .unwrap();
     let golden = metrics_digest(&golden);
@@ -169,13 +170,17 @@ fn engine_seeded_write_fault_sweep() {
 fn engine_crash_point_sweep() {
     let log = log();
     let gold_dir = tmpdir("crash-gold");
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut fresh_cdn(),
         &log,
-        &FaultSchedule::empty(),
-        &OverloadConfig::disabled(),
-        &policy(&gold_dir, 3, 0),
-        &MemoryRecorder::new(),
+        &ckpt_spec(
+            &FaultSchedule::empty(),
+            &OverloadConfig::disabled(),
+            &policy(&gold_dir, 3, 0),
+            &MemoryRecorder::new(),
+            &RealIo,
+            false,
+        ),
     )
     .unwrap();
     let golden = metrics_digest(&golden);
@@ -203,13 +208,10 @@ fn single_fault_with_keep2_always_leaves_a_restorable_checkpoint() {
     let sched = FaultSchedule::empty();
     let ov = OverloadConfig::disabled();
     let gold_dir = tmpdir("single-gold");
-    let golden = run_space_checkpointed(
+    let golden = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &ov,
-        &policy(&gold_dir, 2, 2),
-        &MemoryRecorder::new(),
+        &ckpt_spec(&sched, &ov, &policy(&gold_dir, 2, 2), &MemoryRecorder::new(), &RealIo, false),
     )
     .unwrap();
     let golden = metrics_digest(&golden);
@@ -219,14 +221,10 @@ fn single_fault_with_keep2_always_leaves_a_restorable_checkpoint() {
         let dir = tmpdir(&format!("single-{seed}"));
         let pol = policy(&dir, 2, 2);
         let io = FaultyIo::new(FaultPlan::single(seed));
-        let res = run_space_checkpointed_io(
+        let res = engine::run(
             &mut fresh_cdn(),
             &log,
-            &sched,
-            &ov,
-            &pol,
-            &MemoryRecorder::new(),
-            &io,
+            &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
         );
         if let Ok(m) = &res {
             assert_eq!(metrics_digest(m), golden, "seed {seed}: faulted run silently diverged");
@@ -235,13 +233,10 @@ fn single_fault_with_keep2_always_leaves_a_restorable_checkpoint() {
         assert!(!stats.crashed(), "single plans never crash");
         if stats.clean_renames >= 1 {
             restorable += 1;
-            let m = resume_space_checkpointed(
+            let m = engine::run(
                 &mut fresh_cdn(),
                 &log,
-                &sched,
-                &ov,
-                &pol,
-                &MemoryRecorder::new(),
+                &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
             )
             .unwrap_or_else(|e| {
                 panic!(
@@ -266,15 +261,12 @@ fn replayer_seeded_and_crash_sweeps() {
     let workers = 4;
 
     let gold_dir = tmpdir("rep-gold");
-    let golden = replay_parallel_checkpointed(
-        cfg.clone(),
-        FailureModel::none(),
+    let golden = replayer::run(
+        &cfg,
+        &FailureModel::none(),
         &log,
-        &sched,
         workers,
-        &ov,
-        &policy(&gold_dir, 3, 0),
-        &MemoryRecorder::new(),
+        &ckpt_spec(&sched, &ov, &policy(&gold_dir, 3, 0), &MemoryRecorder::new(), &RealIo, false),
     )
     .unwrap();
     let golden = metrics_digest(&golden);
@@ -286,16 +278,12 @@ fn replayer_seeded_and_crash_sweeps() {
             let dir = tmpdir(&format!("rep-{mode}-{seed}"));
             let pol = policy(&dir, 3, 0);
             let io = FaultyIo::new(plan);
-            match replay_parallel_checkpointed_io(
-                cfg.clone(),
-                FailureModel::none(),
+            match replayer::run(
+                &cfg,
+                &FailureModel::none(),
                 &log,
-                &sched,
                 workers,
-                &ov,
-                &pol,
-                &MemoryRecorder::new(),
-                &io,
+                &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
             ) {
                 Ok(m) => assert_eq!(
                     metrics_digest(&m),
@@ -306,38 +294,29 @@ fn replayer_seeded_and_crash_sweeps() {
                 Err(e) => panic!("{mode} {seed}: unexpected error type: {e}"),
             }
             let resumed = if list_checkpoint_files(&dir).is_empty() {
-                replay_parallel_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &ov,
-                    &pol,
-                    &MemoryRecorder::new(),
+                    &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
                 )
                 .unwrap()
             } else {
-                match resume_replay_checkpointed(
-                    cfg.clone(),
-                    FailureModel::none(),
+                match replayer::run(
+                    &cfg,
+                    &FailureModel::none(),
                     &log,
-                    &sched,
                     workers,
-                    &ov,
-                    &pol,
-                    &MemoryRecorder::new(),
+                    &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
                 ) {
                     Ok(m) => m,
-                    Err(CheckpointError::NoValidCheckpoint) => replay_parallel_checkpointed(
-                        cfg.clone(),
-                        FailureModel::none(),
+                    Err(CheckpointError::NoValidCheckpoint) => replayer::run(
+                        &cfg,
+                        &FailureModel::none(),
                         &log,
-                        &sched,
                         workers,
-                        &ov,
-                        &pol,
-                        &MemoryRecorder::new(),
+                        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
                     )
                     .unwrap(),
                     Err(e) => panic!("{mode} {seed}: unexpected resume error: {e}"),
@@ -362,22 +341,21 @@ fn read_fault_resume_sweep() {
     let ov = OverloadConfig::disabled();
     let dir = tmpdir("readf");
     let pol = policy(&dir, 2, 0);
-    let golden =
-        run_space_checkpointed(&mut fresh_cdn(), &log, &sched, &ov, &pol, &MemoryRecorder::new())
-            .unwrap();
+    let golden = engine::run(
+        &mut fresh_cdn(),
+        &log,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
+    )
+    .unwrap();
     let golden = metrics_digest(&golden);
 
     let (mut flips, mut eios, mut oks) = (0u64, 0u64, 0u64);
     for seed in 0..seeds() {
         let io = FaultyIo::new(FaultPlan::read_faults(seed));
-        match resume_space_checkpointed_io(
+        match engine::run(
             &mut fresh_cdn(),
             &log,
-            &sched,
-            &ov,
-            &pol,
-            &MemoryRecorder::new(),
-            &io,
+            &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, true),
         ) {
             Ok(m) => {
                 assert_eq!(metrics_digest(&m), golden, "seed {seed}: corrupted resume was silent");
@@ -409,9 +387,12 @@ fn adversarial_checkpoint_dirs_never_panic() {
     // resume must thread past all of it to the newest valid file.
     let dir = tmpdir("adversarial");
     let pol = policy(&dir, 5, 0);
-    let golden =
-        run_space_checkpointed(&mut fresh_cdn(), &log, &sched, &ov, &pol, &MemoryRecorder::new())
-            .unwrap();
+    let golden = engine::run(
+        &mut fresh_cdn(),
+        &log,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
+    )
+    .unwrap();
     let golden = metrics_digest(&golden);
 
     // Newer-than-valid garbage, so every piece sits first in fallback
@@ -425,13 +406,10 @@ fn adversarial_checkpoint_dirs_never_panic() {
     weird.extend(b".ckpt");
     std::fs::write(dir.join(OsString::from_vec(weird)), b"not utf-8").unwrap();
 
-    let m = resume_space_checkpointed(
+    let m = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
     )
     .unwrap();
     assert_eq!(metrics_digest(&m), golden, "junk in the dir changed the resumed run");
@@ -443,13 +421,10 @@ fn adversarial_checkpoint_dirs_never_panic() {
     std::fs::create_dir(dir.join("ckpt-0000000005.ckpt")).unwrap();
     std::fs::write(dir.join("ckpt-0000000010.ckpt"), b"").unwrap();
     std::fs::write(dir.join("ckpt-0000000015.ckpt"), vec![0x5Au8; 777]).unwrap();
-    let err = resume_space_checkpointed(
+    let err = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
     )
     .unwrap_err();
     assert!(matches!(err, CheckpointError::NoValidCheckpoint), "got {err:?}");
@@ -467,14 +442,10 @@ fn crash_mid_write_strands_a_tmp_and_the_next_open_sweeps_it() {
     // Ops: 0 = open sweep's list_dir, 1 = create_dir_all, 2 = create
     // tmp, 3 = the checkpoint body write — die there, mid-write.
     let io = FaultyIo::new(FaultPlan { crash_at_op: Some(3), ..FaultPlan::none() });
-    let err = run_space_checkpointed_io(
+    let err = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
-        &io,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
     )
     .unwrap_err();
     match err {
@@ -491,18 +462,18 @@ fn crash_mid_write_strands_a_tmp_and_the_next_open_sweeps_it() {
     // …and a later crash's dropping is cleaned implicitly by the next
     // run's own open sweep.
     let io = FaultyIo::new(FaultPlan { crash_at_op: Some(3), ..FaultPlan::none() });
-    let _ = run_space_checkpointed_io(
+    let _ = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
-        &io,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
     );
     assert_eq!(tmp_files(&dir).len(), 1);
-    run_space_checkpointed(&mut fresh_cdn(), &log, &sched, &ov, &pol, &MemoryRecorder::new())
-        .unwrap();
+    engine::run(
+        &mut fresh_cdn(),
+        &log,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
+    )
+    .unwrap();
     assert!(tmp_files(&dir).is_empty(), "the open sweep must collect stale tmps");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -525,14 +496,10 @@ fn non_crash_checkpoint_failure_cleans_its_own_tmp() {
         enospc_budget: None,
         crash_at_op: None,
     });
-    let err = run_space_checkpointed_io(
+    let err = engine::run(
         &mut fresh_cdn(),
         &log,
-        &sched,
-        &ov,
-        &pol,
-        &MemoryRecorder::new(),
-        &io,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
     )
     .unwrap_err();
     assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");

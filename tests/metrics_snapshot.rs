@@ -15,7 +15,7 @@ use starcdn_cache::object::ObjectId;
 use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
-use starcdn_sim::engine::{run_space_with_faults, SimConfig};
+use starcdn_sim::engine::{run, RunSpec, SimConfig};
 use starcdn_sim::{build_access_log, World};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -57,7 +57,7 @@ fn run_pinned_scenario() -> SystemMetrics {
     }
     let schedule = FaultSchedule::from_events(events);
     let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn_no_relay(4, 100_000));
-    run_space_with_faults(&mut cdn, &log, &schedule)
+    run(&mut cdn, &log, &RunSpec { schedule: &schedule, ..RunSpec::default() }).unwrap()
 }
 
 /// Reduce metrics to a stable JSON document: integer fields verbatim,
@@ -127,7 +127,7 @@ fn run_pinned_delayed_scenario() -> SystemMetrics {
         TimedFault { at_secs: 600, event: FaultEvent::SatUp(busy) },
     ]);
     let mut cdn = SpaceCdn::new(cfg);
-    run_space_with_faults(&mut cdn, &log, &schedule)
+    run(&mut cdn, &log, &RunSpec { schedule: &schedule, ..RunSpec::default() }).unwrap()
 }
 
 /// The delayed scenario's snapshot: the plain document plus the

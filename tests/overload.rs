@@ -17,9 +17,9 @@ use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_orbit::time::SimDuration;
 use starcdn_sim::access_log::{build_access_log, AccessLog};
-use starcdn_sim::engine::{run_space_overloaded, run_space_with_faults, SimConfig};
+use starcdn_sim::engine::{run_space, run_space_overloaded, SimConfig};
 use starcdn_sim::overload::{OverloadConfig, RetryPolicy};
-use starcdn_sim::replayer::{replay_parallel_overloaded, replay_parallel_with_faults};
+use starcdn_sim::replayer::{replay_parallel, replay_parallel_overloaded};
 use starcdn_sim::world::World;
 
 fn log() -> AccessLog {
@@ -70,14 +70,14 @@ fn disabled_overload_is_byte_identical_to_plain_runs() {
     let sched = FaultSchedule::empty();
 
     let mut plain = SpaceCdn::new(cfg.clone());
-    let reference = run_space_with_faults(&mut plain, &log, &sched);
+    let reference = run_space(&mut plain, &log);
 
     let mut gated = SpaceCdn::new(cfg.clone());
     let off = run_space_overloaded(&mut gated, &log, &sched, &OverloadConfig::disabled());
     assert_identical(&reference, &off, "engine");
     assert_untouched(&off, "engine");
 
-    let par_ref = replay_parallel_with_faults(cfg.clone(), FailureModel::none(), &log, &sched, 4);
+    let par_ref = replay_parallel(cfg.clone(), FailureModel::none(), &log, 4);
     let par_off = replay_parallel_overloaded(
         cfg,
         FailureModel::none(),

@@ -1,4 +1,4 @@
-//! Integration: the crossbeam parallel replayer agrees with the
+//! Integration: the sharded parallel replayer agrees with the
 //! deterministic engine (exactly without relay, approximately with).
 
 use spacegen::classes::TrafficClass;
@@ -10,9 +10,32 @@ use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormParams};
 use starcdn_orbit::time::SimDuration;
 use starcdn_sim::access_log::{build_access_log, AccessLog};
-use starcdn_sim::engine::{run_space, run_space_with_faults, SimConfig};
-use starcdn_sim::replayer::{replay_parallel, replay_parallel_with_faults};
+use starcdn_sim::engine::{run_space, RunSpec, SimConfig};
+use starcdn_sim::replayer::replay_parallel;
 use starcdn_sim::world::World;
+use starcdn_telemetry::{Noop, Recorder};
+
+/// The engine under a fault schedule.
+fn engine_with_faults(
+    cdn: &mut SpaceCdn,
+    log: &AccessLog,
+    schedule: &FaultSchedule,
+) -> starcdn::metrics::SystemMetrics {
+    starcdn_sim::engine::run(cdn, log, &RunSpec { schedule, ..RunSpec::default() }).unwrap()
+}
+
+/// The replayer (no static failures) under a fault schedule, recording
+/// into `rec`.
+fn replay_with_faults(
+    cfg: &StarCdnConfig,
+    log: &AccessLog,
+    schedule: &FaultSchedule,
+    workers: usize,
+    rec: &dyn Recorder,
+) -> starcdn::metrics::SystemMetrics {
+    let spec = RunSpec { schedule, recorder: rec, ..RunSpec::default() };
+    starcdn_sim::replayer::run(cfg, &FailureModel::none(), log, workers, &spec).unwrap()
+}
 
 fn log() -> AccessLog {
     let locations = Location::akamai_nine();
@@ -73,12 +96,11 @@ fn parallel_exact_parity_under_churn() {
 
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
     let mut seq = SpaceCdn::new(cfg.clone());
-    let reference = run_space_with_faults(&mut seq, &log, &sched);
+    let reference = engine_with_faults(&mut seq, &log, &sched);
     assert!(reference.cold_restart_misses > 0, "churn must surface cold restarts");
     assert!(reference.remapped_requests > 0, "churn must remap some requests");
     for workers in [1, 3, 8] {
-        let par =
-            replay_parallel_with_faults(cfg.clone(), FailureModel::none(), &log, &sched, workers);
+        let par = replay_with_faults(&cfg, &log, &sched, workers, &Noop);
         assert_eq!(par.stats, reference.stats, "{workers} workers");
         assert_eq!(par.uplink_bytes, reference.uplink_bytes, "{workers} workers");
         assert_eq!(par.per_satellite, reference.per_satellite, "{workers} workers");
@@ -174,7 +196,6 @@ fn telemetry_recording_never_changes_replayer_output() {
     // perturb a single metric relative to the no-op recorder, under
     // churn and at any worker count — and the recorder itself must merge
     // its per-worker shards deterministically.
-    use starcdn_sim::replayer::replay_parallel_with_faults_recorded;
     use starcdn_telemetry::{Counter, MemoryRecorder, Stage};
 
     let locations = Location::akamai_nine();
@@ -194,18 +215,11 @@ fn telemetry_recording_never_changes_replayer_output() {
     let log = build_access_log(&world, &trace, 15, &SimConfig::default().scheduler());
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
 
-    let reference = replay_parallel_with_faults(cfg.clone(), FailureModel::none(), &log, &sched, 4);
+    let reference = replay_with_faults(&cfg, &log, &sched, 4, &Noop);
     let mut snapshots = Vec::new();
     for workers in [1, 4, 8] {
         let rec = MemoryRecorder::new();
-        let recorded = replay_parallel_with_faults_recorded(
-            cfg.clone(),
-            FailureModel::none(),
-            &log,
-            &sched,
-            workers,
-            &rec,
-        );
+        let recorded = replay_with_faults(&cfg, &log, &sched, workers, &rec);
         assert_eq!(recorded.stats, reference.stats, "{workers} workers");
         assert_eq!(recorded.per_satellite, reference.per_satellite, "{workers} workers");
         assert_eq!(recorded.uplink_bytes, reference.uplink_bytes, "{workers} workers");
@@ -256,7 +270,7 @@ fn telemetry_recording_never_changes_replayer_output() {
     // Two runs at the same worker count export byte-identically apart
     // from wall-clock span durations.
     let rec = MemoryRecorder::new();
-    replay_parallel_with_faults_recorded(cfg.clone(), FailureModel::none(), &log, &sched, 4, &rec);
+    replay_with_faults(&cfg, &log, &sched, 4, &rec);
     let again = rec.snapshot();
     assert_eq!(again.counters, snapshots[1].counters);
     assert_eq!(again.histograms, snapshots[1].histograms);
@@ -340,11 +354,10 @@ fn delayed_exact_parity_under_churn() {
     let log = delayed_log();
     let cfg = delayed_cfg();
     let mut seq = SpaceCdn::new(cfg.clone());
-    let reference = run_space_with_faults(&mut seq, &log, &sched);
+    let reference = engine_with_faults(&mut seq, &log, &sched);
     assert!(reference.delayed_hits > 0, "churn run must still coalesce");
     for workers in [1, 4, 8] {
-        let par =
-            replay_parallel_with_faults(cfg.clone(), FailureModel::none(), &log, &sched, workers);
+        let par = replay_with_faults(&cfg, &log, &sched, workers, &Noop);
         assert_delayed_metrics_equal(&reference, &par, &format!("churn {workers} workers"));
         assert_eq!(par.cold_restart_misses, reference.cold_restart_misses, "{workers} workers");
         assert_eq!(par.remapped_requests, reference.remapped_requests, "{workers} workers");
@@ -401,8 +414,7 @@ fn parallel_empty_schedule_matches_static_replayer() {
     let log = log();
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
     let plain = replay_parallel(cfg.clone(), FailureModel::none(), &log, 4);
-    let empty =
-        replay_parallel_with_faults(cfg, FailureModel::none(), &log, &FaultSchedule::empty(), 4);
+    let empty = replay_with_faults(&cfg, &log, &FaultSchedule::empty(), 4, &Noop);
     assert_eq!(plain.stats, empty.stats);
     assert_eq!(plain.per_satellite, empty.per_satellite);
     assert_eq!(plain.uplink_bytes, empty.uplink_bytes);
@@ -450,7 +462,7 @@ fn parallel_exact_parity_under_solar_storm_with_partitions() {
 
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
     let mut seq = SpaceCdn::new(cfg.clone());
-    let reference = run_space_with_faults(&mut seq, &log, &sched);
+    let reference = engine_with_faults(&mut seq, &log, &sched);
     assert!(
         reference.partitioned_requests > 0,
         "a 90% storm must strand some survivors behind a partition"
@@ -477,8 +489,7 @@ fn parallel_exact_parity_under_solar_storm_with_partitions() {
     };
     let ref_lat = sorted_bits(&reference);
     for workers in [1, 4, 8] {
-        let par =
-            replay_parallel_with_faults(cfg.clone(), FailureModel::none(), &log, &sched, workers);
+        let par = replay_with_faults(&cfg, &log, &sched, workers, &Noop);
         assert_eq!(par.stats, reference.stats, "{workers} workers");
         assert_eq!(par.uplink_bytes, reference.uplink_bytes, "{workers} workers");
         assert_eq!(par.per_satellite, reference.per_satellite, "{workers} workers");
