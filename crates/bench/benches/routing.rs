@@ -2,12 +2,16 @@
 //! request hot path of consistent hashing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use starcdn::system::classify_route_in_recorded;
+use starcdn_cache::object::ObjectId;
 use starcdn_constellation::buckets::{BucketId, BucketTiling};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_constellation::hashring::{mix64, HashRing};
 use starcdn_constellation::routing::{shortest_path, shortest_path_avoiding};
+use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, ScheduleCursor};
 use starcdn_orbit::walker::SatelliteId;
+use starcdn_telemetry::Noop;
 
 fn bench_routing(c: &mut Criterion) {
     let grid = GridTopology::starlink();
@@ -34,6 +38,8 @@ fn bench_routing(c: &mut Criterion) {
         })
     });
 
+    // Far pairs only (24–36 planes and 6–9 slots apart): the search has
+    // to cross the grid. What a request does is `classify_under_churn`.
     let failures = FailureModel::sample(&grid, 126, 1);
     c.bench_function("shortest_path_bfs_with_outage", |b| {
         let mut k = 0u64;
@@ -41,10 +47,45 @@ fn bench_routing(c: &mut Criterion) {
             k += 1;
             let a = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
             let bm = mix64(k);
-            let z = SatelliteId::new((bm % 72) as u16, ((bm >> 8) % 18) as u16);
+            let z = SatelliteId::new(
+                (a.orbit + 24 + (bm % 25) as u16) % 72,
+                (a.slot + 6 + ((bm >> 8) % 7) as u16) % 18,
+            );
             black_box(
                 shortest_path_avoiding(&grid, a, z, |id| failures.is_alive(id)).map(|p| p.len()),
             )
+        })
+    });
+
+    // What a request does under faults: first contact to the owner of
+    // its bucket, a hop or two away, under the view half-way through an
+    // hour of churn.
+    let churn = ChurnParams {
+        sat_mtbf_secs: 2.0 * 3600.0,
+        sat_mttr_secs: 900.0,
+        link_mtbf_secs: Some(3.0 * 3600.0),
+        link_mttr_secs: 900.0,
+        horizon_secs: 3600,
+        seed: 1,
+    };
+    let schedule = FaultSchedule::churn(&grid, &churn);
+    let mut cursor = ScheduleCursor::new(&schedule, FailureModel::none());
+    cursor.advance_to(1800);
+    let midrun = cursor.view().clone();
+    c.bench_function("classify_under_churn", |b| {
+        let mut k = 0u64;
+        b.iter(|| {
+            k += 1;
+            let fc = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
+            black_box(classify_route_in_recorded(
+                &grid,
+                Some(&tiling),
+                &midrun,
+                true,
+                fc,
+                ObjectId(mix64(k)),
+                &Noop,
+            ))
         })
     });
 

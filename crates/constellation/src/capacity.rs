@@ -223,9 +223,8 @@ impl CapacityLedger {
         // Check phase (no mutation): GSL first, then each hop.
         let usage = self.epochs.entry(epoch).or_default();
         let gsl_key = owner.index(spp) as u32;
-        if usage.gsl_used.get(&gsl_key).copied().unwrap_or(0) + bytes
-            > (self.gsl_budget as f64 * self.headroom) as u64
-        {
+        let gsl_used = usage.gsl_used.get(&gsl_key).copied().unwrap_or(0);
+        if exceeds(gsl_used, bytes, (self.gsl_budget as f64 * self.headroom) as u64) {
             usage.shed += 1;
             return AdmitDecision::Shed(ShedReason::GslSaturated);
         }
@@ -238,7 +237,7 @@ impl CapacityLedger {
                 IslKind::Gsl => self.gsl_budget,
             };
             let used = usage.isl_used.get(&key).copied().unwrap_or(0);
-            if used + bytes > (raw as f64 * self.headroom) as u64 {
+            if exceeds(used, bytes, (raw as f64 * self.headroom) as u64) {
                 over_isl = true;
             }
         });
@@ -267,7 +266,7 @@ impl CapacityLedger {
         let usage = self.epochs.entry(epoch).or_default();
         let key = first_contact.index(spp) as u32;
         let used = usage.gsl_used.entry(key).or_insert(0);
-        if *used + bytes > limit {
+        if exceeds(*used, bytes, limit) {
             usage.shed += 1;
             return AdmitDecision::Shed(ShedReason::GslSaturated);
         }
@@ -333,6 +332,13 @@ impl CapacityLedger {
     pub fn isl_budget_bytes(&self, kind: IslKind) -> u64 {
         self.budget_of(kind)
     }
+}
+
+/// Whether charging `bytes` on top of `used` passes `limit`. Sizes come
+/// straight from log records, so a sum past `u64::MAX` is over any
+/// limit rather than a wrapped small number.
+fn exceeds(used: u64, bytes: u64, limit: u64) -> bool {
+    used.checked_add(bytes).is_none_or(|total| total > limit)
 }
 
 /// Normalized key for the undirected link between two satellites.
@@ -507,6 +513,21 @@ mod tests {
         let rest = l.gsl_budget_bytes() - 500;
         assert!(l.admit_direct(0, fc, rest).is_admit());
         assert_eq!(l.admit_direct(0, fc, 1), AdmitDecision::Shed(ShedReason::GslSaturated));
+    }
+
+    #[test]
+    fn oversized_request_sheds_instead_of_wrapping() {
+        let mut l = ledger(1.0);
+        let fc = SatelliteId::new(3, 3);
+        let owner = SatelliteId::new(4, 3);
+        assert!(l.admit(0, fc, owner, 1000).is_admit());
+        assert!(l.admit_direct(0, fc, 1000).is_admit());
+        // 1000 + u64::MAX wraps to 999, under every limit.
+        assert_eq!(l.admit(0, fc, owner, u64::MAX), AdmitDecision::Shed(ShedReason::GslSaturated));
+        assert_eq!(l.admit_direct(0, fc, u64::MAX), AdmitDecision::Shed(ShedReason::GslSaturated));
+        assert_eq!(l.gsl_used(0, owner), 1000, "shed charges nothing");
+        assert_eq!(l.gsl_used(0, fc), 1000);
+        assert_eq!(l.link_used(0, fc, owner), 1000);
     }
 
     #[test]

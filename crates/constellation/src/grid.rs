@@ -113,9 +113,21 @@ impl GridTopology {
         }
     }
 
-    /// All existing neighbours of `id`, with their directions.
-    pub fn neighbors(&self, id: SatelliteId) -> Vec<(Direction, SatelliteId)> {
-        Direction::ALL.iter().filter_map(|&d| self.neighbor(id, d).map(|n| (d, n))).collect()
+    /// All existing neighbours of `id`, with their directions, in
+    /// [`Direction::ALL`] order.
+    pub fn neighbors(
+        &self,
+        id: SatelliteId,
+    ) -> impl ExactSizeIterator<Item = (Direction, SatelliteId)> {
+        let mut found = [(Direction::North, id); 4];
+        let mut len = 0;
+        for d in Direction::ALL {
+            if let Some(n) = self.neighbor(id, d) {
+                found[len] = (d, n);
+                len += 1;
+            }
+        }
+        found.into_iter().take(len)
     }
 
     /// The inter-orbit neighbour `planes` hops west of `id` (wrapping).

@@ -8,8 +8,8 @@
 use crate::grid::{Direction, GridTopology};
 use crate::isl::{IslKind, LinkModel};
 use starcdn_orbit::walker::SatelliteId;
-use starcdn_telemetry::{Counter, Histo, Noop, Recorder};
-use std::collections::VecDeque;
+use starcdn_telemetry::{Counter, Histo, Recorder};
+use std::cell::Cell;
 
 /// A path across the grid: the sequence of hops (directions taken) plus
 /// the satellites visited (including both endpoints).
@@ -117,80 +117,185 @@ pub fn shortest_path_avoiding_links(
     alive: impl Fn(SatelliteId) -> bool,
     link_ok: impl Fn(SatelliteId, SatelliteId) -> bool,
 ) -> Option<GridPath> {
-    shortest_path_avoiding_links_recorded(grid, from, to, alive, link_ok, &Noop)
+    search(grid, from, to, alive, link_ok, |route| {
+        let (mut hops, mut nodes) = (Vec::new(), vec![to]);
+        for (pred, d) in route {
+            hops.push(d);
+            nodes.push(pred);
+        }
+        hops.reverse();
+        nodes.reverse();
+        GridPath { hops, nodes }
+    })
 }
 
-/// [`shortest_path_avoiding_links`] with telemetry: counts BFS
-/// invocations ([`Counter::BfsRoutes`]) and observes the hop length of
-/// found detours ([`Histo::BfsPathHops`]). The plain entry point passes
-/// [`Noop`], which compiles down to the uninstrumented search.
-pub fn shortest_path_avoiding_links_recorded(
+/// The `(intra, inter)` hop mix of the route
+/// [`shortest_path_avoiding_links`] would return, without building the
+/// path: this is what every non-local request under a faulted view asks
+/// for. Counts BFS invocations ([`Counter::BfsRoutes`]) and observes the
+/// hop length of found detours ([`Histo::BfsPathHops`]).
+pub fn hop_mix_avoiding_links_recorded(
     grid: &GridTopology,
     from: SatelliteId,
     to: SatelliteId,
     alive: impl Fn(SatelliteId) -> bool,
     link_ok: impl Fn(SatelliteId, SatelliteId) -> bool,
     rec: &dyn Recorder,
-) -> Option<GridPath> {
+) -> Option<(u16, u16)> {
     let enabled = rec.is_enabled();
     if enabled {
         rec.add(Counter::BfsRoutes, 1);
     }
-    let path = bfs_avoiding_links(grid, from, to, alive, link_ok);
+    let mix = search(grid, from, to, alive, link_ok, |route| {
+        let (mut intra, mut inter) = (0u16, 0u16);
+        for (_, d) in route {
+            if d.is_inter_orbit() {
+                inter += 1;
+            } else {
+                intra += 1;
+            }
+        }
+        (intra, inter)
+    });
     if enabled {
-        if let Some(p) = &path {
-            rec.observe(Histo::BfsPathHops, p.len() as u64);
+        if let Some((intra, inter)) = mix {
+            rec.observe(Histo::BfsPathHops, (intra + inter) as u64);
         }
     }
-    path
+    mix
 }
 
-fn bfs_avoiding_links(
+/// The working set of one breadth-first search, kept per thread and
+/// reused: a search stamps the slots it visits with its generation
+/// instead of clearing a visited table, and the frontier is a `Vec`
+/// consumed by index. After the first search on a grid nothing here
+/// allocates.
+struct BfsScratch {
+    generation: u32,
+    /// `seen[slot] == generation` marks a slot visited by this search.
+    seen: Vec<u32>,
+    /// For a visited slot, its predecessor and the direction taken from
+    /// it; stale for slots this search has not stamped.
+    prev: Vec<(SatelliteId, Direction)>,
+    queue: Vec<SatelliteId>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<BfsScratch> = const { Cell::new(BfsScratch::new()) };
+}
+
+impl BfsScratch {
+    const fn new() -> Self {
+        BfsScratch { generation: 0, seen: Vec::new(), prev: Vec::new(), queue: Vec::new() }
+    }
+
+    /// Breadth-first search from `from` until `to` is reached, expanding
+    /// neighbours in [`Direction::ALL`] order: the first route found to a
+    /// slot wins, so this order is the tie-break among equally short
+    /// routes and every recorded detour depends on it. True when `to`
+    /// was reached; [`RouteBack`] then reads the route.
+    fn reach(
+        &mut self,
+        grid: &GridTopology,
+        from: SatelliteId,
+        to: SatelliteId,
+        alive: impl Fn(SatelliteId) -> bool,
+        link_ok: impl Fn(SatelliteId, SatelliteId) -> bool,
+    ) -> bool {
+        if from == to {
+            return true;
+        }
+        let spp = grid.sats_per_plane;
+        let slots = grid.total_slots();
+        if self.seen.len() < slots {
+            self.seen.resize(slots, 0);
+            self.prev.resize(slots, (from, Direction::North));
+            self.queue.reserve(slots);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.seen.fill(0);
+            self.generation = 1;
+        }
+        self.seen[from.index(spp)] = self.generation;
+        self.queue.clear();
+        self.queue.push(from);
+        let mut head = 0;
+        while let Some(&cur) = self.queue.get(head) {
+            head += 1;
+            for d in Direction::ALL {
+                let Some(n) = grid.neighbor(cur, d) else {
+                    continue;
+                };
+                let i = n.index(spp);
+                if self.seen[i] == self.generation || !alive(n) || !link_ok(cur, n) {
+                    continue;
+                }
+                self.seen[i] = self.generation;
+                self.prev[i] = (cur, d);
+                if n == to {
+                    return true;
+                }
+                self.queue.push(n);
+            }
+        }
+        false
+    }
+}
+
+/// The route a successful [`BfsScratch::reach`] left in the scratch,
+/// walked from `to` back to `from`: each item is a hop's source
+/// satellite and the direction taken from it.
+struct RouteBack<'a> {
+    prev: &'a [(SatelliteId, Direction)],
+    spp: u16,
+    from: SatelliteId,
+    cur: SatelliteId,
+}
+
+impl Iterator for RouteBack<'_> {
+    type Item = (SatelliteId, Direction);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        (self.cur != self.from).then(|| {
+            let hop = self.prev[self.cur.index(self.spp)];
+            self.cur = hop.0;
+            hop
+        })
+    }
+}
+
+/// Run `f` on this thread's scratch. The scratch is taken out of its
+/// cell for the duration, so an `alive` / `link_ok` closure that itself
+/// searches finds an empty scratch rather than a borrow panic.
+fn with_scratch<R>(f: impl FnOnce(&mut BfsScratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.replace(BfsScratch::new());
+        let out = f(&mut scratch);
+        cell.set(scratch);
+        out
+    })
+}
+
+/// Search on this thread's scratch and, when `to` is reachable, read the
+/// route (hops from `to` back to `from`) out of it with `found`. `None`
+/// when an endpoint is dead or no surviving path exists.
+fn search<R>(
     grid: &GridTopology,
     from: SatelliteId,
     to: SatelliteId,
     alive: impl Fn(SatelliteId) -> bool,
     link_ok: impl Fn(SatelliteId, SatelliteId) -> bool,
-) -> Option<GridPath> {
+    found: impl FnOnce(RouteBack<'_>) -> R,
+) -> Option<R> {
     if !alive(from) || !alive(to) {
         return None;
     }
-    if from == to {
-        return Some(GridPath { hops: vec![], nodes: vec![from] });
-    }
-    let spp = grid.sats_per_plane;
-    let mut prev: Vec<Option<(SatelliteId, Direction)>> = vec![None; grid.total_slots()];
-    let mut visited = vec![false; grid.total_slots()];
-    visited[from.index(spp)] = true;
-    let mut q = VecDeque::from([from]);
-    while let Some(cur) = q.pop_front() {
-        for (d, n) in grid.neighbors(cur) {
-            if visited[n.index(spp)] || !alive(n) || !link_ok(cur, n) {
-                continue;
-            }
-            visited[n.index(spp)] = true;
-            prev[n.index(spp)] = Some((cur, d));
-            if n == to {
-                // Reconstruct.
-                let mut hops = Vec::new();
-                let mut nodes = vec![to];
-                let mut walk = to;
-                while walk != from {
-                    let (p, d) = prev[walk.index(spp)].expect(
-                        "BFS invariant: every visited node except `from` has a predecessor",
-                    );
-                    hops.push(d);
-                    nodes.push(p);
-                    walk = p;
-                }
-                hops.reverse();
-                nodes.reverse();
-                return Some(GridPath { hops, nodes });
-            }
-            q.push_back(n);
-        }
-    }
-    None
+    with_scratch(|scratch| {
+        scratch.reach(grid, from, to, alive, link_ok).then(|| {
+            found(RouteBack { prev: &scratch.prev, spp: grid.sats_per_plane, from, cur: to })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -355,10 +460,75 @@ mod tests {
     fn bfs_none_when_isolated() {
         let g = grid();
         let target = SatelliteId::new(10, 10);
-        let ring: Vec<SatelliteId> = g.neighbors(target).into_iter().map(|(_, n)| n).collect();
+        let ring: Vec<SatelliteId> = g.neighbors(target).map(|(_, n)| n).collect();
         let p =
             shortest_path_avoiding(&g, SatelliteId::new(0, 0), target, |id| !ring.contains(&id));
         assert!(p.is_none());
+    }
+
+    /// A faulted view (10 % dead) and forty random pairs over it.
+    fn faulted_pairs() -> (crate::failures::FailureModel, Vec<(SatelliteId, SatelliteId)>) {
+        let g = grid();
+        let f = crate::failures::FailureModel::sample(&g, 130, 17);
+        let mut rng = crate::failures::rand_like::SmallRng::new(29);
+        let mut sat = || SatelliteId::new(rng.gen_range(72) as u16, rng.gen_range(18) as u16);
+        let pairs = (0..40).map(|_| (sat(), sat())).collect();
+        (f, pairs)
+    }
+
+    #[test]
+    fn generation_wrap_rezeroes_the_stamps() {
+        let g = grid();
+        let (f, pairs) = faulted_pairs();
+        let route = |a, b| {
+            shortest_path_avoiding_links(
+                &g,
+                a,
+                b,
+                |id| f.is_alive(id),
+                |x, y| f.is_link_alive(x, y),
+            )
+        };
+        let expected: Vec<_> = pairs.iter().map(|&(a, b)| route(a, b)).collect();
+        assert!(expected.iter().flatten().count() > 20, "most pairs must route");
+        for (&(a, b), want) in pairs.iter().zip(&expected) {
+            if a == b {
+                continue;
+            }
+            // With every link into `b` refused, a search stamps all the
+            // other slots with generation 1 before it gives up ...
+            with_scratch(|scratch| *scratch = BfsScratch::new());
+            let stranded =
+                shortest_path_avoiding_links(&g, a, b, |_| true, |x, y| x != b && y != b);
+            assert!(stranded.is_none());
+            // ... and the next search wraps back onto generation 1.
+            with_scratch(|scratch| scratch.generation = u32::MAX);
+            assert_eq!(&route(a, b), want, "{a} -> {b}");
+            if want.is_some() {
+                assert_eq!(with_scratch(|scratch| scratch.generation), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_closure_that_searches_gets_its_own_scratch() {
+        let g = grid();
+        let (f, pairs) = faulted_pairs();
+        let small = GridTopology { num_planes: 4, sats_per_plane: 3, seamless: true };
+        for (a, b) in pairs {
+            let plain = shortest_path_avoiding(&g, a, b, |id| f.is_alive(id));
+            let nested = shortest_path_avoiding(&g, a, b, |id| {
+                let inner = shortest_path_avoiding(
+                    &small,
+                    SatelliteId::new(0, 0),
+                    SatelliteId::new(2, 1),
+                    |n| n != SatelliteId::new(1, 0),
+                );
+                assert_eq!(inner.expect("one dead slot leaves a route").len(), 3);
+                f.is_alive(id)
+            });
+            assert_eq!(nested, plain, "{a} -> {b}");
+        }
     }
 
     proptest! {
@@ -411,7 +581,7 @@ mod tests {
                     rng.gen_range(g.num_planes as u64) as u16,
                     rng.gen_range(g.sats_per_plane as u64) as u16,
                 );
-                let (_, n) = g.neighbors(x)[rng.gen_range(4) as usize];
+                let (_, n) = g.neighbors(x).nth(rng.gen_range(4) as usize).unwrap();
                 f.cut_link(x, n);
             }
             prop_assume!(f.is_alive(a) && f.is_alive(b));

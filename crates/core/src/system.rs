@@ -25,7 +25,7 @@ use starcdn_cache::{InflightQueue, InflightState};
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
-use starcdn_constellation::routing::shortest_path_avoiding_links_recorded;
+use starcdn_constellation::routing::hop_mix_avoiding_links_recorded;
 use starcdn_orbit::walker::SatelliteId;
 
 /// Where a request was ultimately served from.
@@ -169,7 +169,7 @@ pub fn resolve_route_in(
 
 /// [`resolve_route_in`] with telemetry: the fault-avoiding BFS fallback
 /// reports route counts and detour hop lengths through `rec` (see
-/// [`shortest_path_avoiding_links_recorded`]). The plain entry point
+/// [`hop_mix_avoiding_links_recorded`]). The plain entry point
 /// passes a no-op recorder.
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_route_in_recorded(
@@ -259,7 +259,7 @@ pub fn classify_route_toward_recorded(
         let intra = grid.slot_distance(first_contact.slot, owner.slot);
         RouteOutcome::Routed(ResolvedRoute { owner, intra, inter, remapped, extra_hops: 0 })
     } else {
-        let Some(path) = shortest_path_avoiding_links_recorded(
+        let Some((intra, inter)) = hop_mix_avoiding_links_recorded(
             grid,
             first_contact,
             owner,
@@ -271,16 +271,8 @@ pub fn classify_route_toward_recorded(
             // path: first contact and owner are in different components.
             return RouteOutcome::Partitioned { owner };
         };
-        let (intra, inter) = path.hop_mix();
-        let extra_hops =
-            (path.len() as u16).saturating_sub(grid.hop_distance(first_contact, owner));
-        RouteOutcome::Routed(ResolvedRoute {
-            owner,
-            intra: intra as u16,
-            inter: inter as u16,
-            remapped,
-            extra_hops,
-        })
+        let extra_hops = (intra + inter).saturating_sub(grid.hop_distance(first_contact, owner));
+        RouteOutcome::Routed(ResolvedRoute { owner, intra, inter, remapped, extra_hops })
     }
 }
 
@@ -1041,8 +1033,7 @@ mod tests {
         let route = probe.resolve_route(fc, ObjectId(5)).unwrap();
         assert!(route.hops() > 0, "pick an object owned elsewhere");
         let grid = cfg.grid.clone();
-        let failures =
-            FailureModel::from_outages([], grid.neighbors(fc).into_iter().map(|(_, n)| (fc, n)));
+        let failures = FailureModel::from_outages([], grid.neighbors(fc).map(|(_, n)| (fc, n)));
         let mut cdn = SpaceCdn::with_failures(cfg, failures);
         match cdn.classify_route(fc, ObjectId(5)) {
             RouteOutcome::Partitioned { owner } => assert_eq!(owner, route.owner),

@@ -151,12 +151,12 @@ pub(crate) fn decide(
         }
         // Attempt k probes the k-th same-bucket replica east of the
         // preferred owner (k = 0 is the preferred owner itself), against
-        // the budget of the backed-off epoch.
-        let target = if attempt == 0 {
-            preferred
-        } else {
-            grid.east_by(preferred, replica_span * attempt as u16)
-        };
+        // the budget of the backed-off epoch. The offset is reduced
+        // modulo the plane count in `u32`: `max_attempts` is a public
+        // `u32`, and `span × k` passes `u16::MAX` long before it does.
+        let planes = grid.num_planes as u32;
+        let offset = (replica_span as u32 % planes) * (attempt % planes) % planes;
+        let target = grid.east_by(preferred, offset as u16);
         let admit_epoch = epoch + attempt as u64 * policy.backoff_epochs;
         last_epoch = admit_epoch;
         match classify_route_toward_recorded(
@@ -376,6 +376,21 @@ mod tests {
     }
 
     #[test]
+    fn replica_offset_survives_a_long_retry_chain() {
+        let (cfg, latency, view) = ctx();
+        let size = 1_000_000u64;
+        let headroom = size as f64 * 0.5 / 37_500_000_000.0; // nothing fits
+        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, headroom);
+        let mut ocfg = OverloadConfig::with_headroom(headroom);
+        // Span 3 × attempt 21 846 is the first product past `u16::MAX`.
+        ocfg.retry = RetryPolicy { max_attempts: 30_000, backoff_epochs: 0, deadline_ms: 1e12 };
+        let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, remote_object(&cfg), size);
+        assert_eq!(out.retries, 29_999);
+        assert_eq!(out.sheds, 30_001, "every probe and the origin fallback were shed");
+        assert!(matches!(out.decision, Decision::Drop), "{:?}", out.decision);
+    }
+
+    #[test]
     fn max_attempts_one_never_retries() {
         let (cfg, latency, view) = ctx();
         let size = 1_000_000u64;
@@ -395,7 +410,7 @@ mod tests {
         // across the partition, so each attempt is Partitioned and the
         // request degrades to the origin bent pipe.
         let fc = SatelliteId::new(10, 5);
-        let cuts: Vec<_> = cfg.grid.neighbors(fc).into_iter().map(|(_, n)| (fc, n)).collect();
+        let cuts: Vec<_> = cfg.grid.neighbors(fc).map(|(_, n)| (fc, n)).collect();
         let view = FailureModel::from_outages([], cuts);
         let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, 1.0);
         let ocfg = OverloadConfig::with_headroom(1.0);
