@@ -89,6 +89,27 @@ fn bench_routing(c: &mut Criterion) {
         })
     });
 
+    // The two questions the fault-routing search asks of every node it
+    // expands, over the 126-dead view.
+    c.bench_function("failure_is_alive", |b| {
+        let mut k = 0u64;
+        b.iter(|| {
+            k += 1;
+            let id = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
+            black_box(failures.is_alive(id))
+        })
+    });
+
+    c.bench_function("failure_is_link_alive", |b| {
+        let mut k = 0u64;
+        b.iter(|| {
+            k += 1;
+            let a = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
+            let z = SatelliteId::new(a.orbit, (a.slot + 1) % 18);
+            black_box(failures.is_link_alive(a, z))
+        })
+    });
+
     c.bench_function("failure_resolve_owner", |b| {
         let mut k = 0u64;
         b.iter(|| {

@@ -1646,6 +1646,42 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    #[test]
+    fn failure_view_bytes_are_the_sorted_id_lists_whatever_the_kill_order() {
+        // Sorted by (orbit, slot), hand-listed: slots past one word, a
+        // run inside one plane, the far planes.
+        let sorted: [(u16, u16); 9] =
+            [(0, 0), (0, 17), (3, 1), (3, 7), (3, 64), (10, 2), (40, 3), (71, 0), (71, 17)];
+        let sat = |(o, s): (u16, u16)| SatelliteId::new(o, s);
+        let mut view = FailureModel::none();
+        for i in [6, 3, 8, 0, 5, 2, 7, 1, 4] {
+            view.kill(sat(sorted[i]));
+        }
+        // One that came and went, one cut given tail first.
+        view.kill(sat((20, 5)));
+        view.revive(sat((20, 5)));
+        view.cut_link(sat((5, 6)), sat((5, 5)));
+        view.cut_link(sat((2, 0)), sat((1, 0)));
+
+        let mut expected = ByteWriter::new();
+        expected.u64(sorted.len() as u64);
+        for (o, s) in sorted {
+            expected.u16(o);
+            expected.u16(s);
+        }
+        expected.u64(2);
+        for (o, s) in [(1, 0), (2, 0), (5, 5), (5, 6)] {
+            expected.u16(o);
+            expected.u16(s);
+        }
+
+        let mut w = ByteWriter::new();
+        put_failures(&mut w, &view);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, expected.into_bytes());
+        assert_eq!(get_failures(&mut ByteReader::new(&bytes)).unwrap(), view);
+    }
+
     fn sample_body() -> EngineBody {
         let mut metrics = SystemMetrics::default();
         metrics.record(SatelliteId::new(1, 2), starcdn::system::ServedFrom::LocalHit, 512, 11.25);
