@@ -2,12 +2,14 @@
 //! request hot path of consistent hashing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use starcdn::system::classify_route_in_recorded;
+use starcdn::system::{classify_route_in_recorded, classify_route_toward_recorded};
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::buckets::{BucketId, BucketTiling};
+use starcdn_constellation::capacity::CapacityLedger;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_constellation::hashring::{mix64, HashRing};
+use starcdn_constellation::isl::LinkModel;
 use starcdn_constellation::routing::{shortest_path, shortest_path_avoiding};
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, ScheduleCursor};
 use starcdn_orbit::walker::SatelliteId;
@@ -86,6 +88,64 @@ fn bench_routing(c: &mut Criterion) {
                 ObjectId(mix64(k)),
                 &Noop,
             ))
+        })
+    });
+
+    // The resolution neither staircase answers: every fourth plane has
+    // the two satellites dead that each first step of (o,5) -> (o+1,6)
+    // lands on, so all of these search, and find a six-hop way round.
+    let mut walled = FailureModel::none();
+    for o in (0..72).step_by(4) {
+        walled.kill(SatelliteId::new(o + 1, 5));
+        walled.kill(SatelliteId::new(o, 6));
+    }
+    c.bench_function("classify_staircase_blocked", |b| {
+        let mut k = 0u16;
+        b.iter(|| {
+            k = (k + 4) % 72;
+            black_box(classify_route_toward_recorded(
+                &grid,
+                &walled,
+                true,
+                SatelliteId::new(k, 5),
+                SatelliteId::new(k + 1, 6),
+                &Noop,
+            ))
+        })
+    });
+
+    // What `overload::decide` asks of the ledger: the bucket owner one
+    // to three hops from the first contact and, on a retry, the replica
+    // `span` planes east of it, against the backed-off epoch.
+    let link = LinkModel::table1();
+    let span = 3;
+    c.bench_function("ledger_admit_near", |b| {
+        let mut ledger = CapacityLedger::new(&grid, &link, 15, 1.0);
+        let mut k = 0u64;
+        b.iter(|| {
+            k += 1;
+            let fc = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
+            let owner = tiling.nearest_owner(&grid, fc, BucketId((mix64(k) % 9) as u32));
+            let epoch = k >> 16;
+            if k.is_multiple_of(3) {
+                black_box(ledger.admit(epoch + 1, fc, grid.east_by(owner, span), 1000));
+            }
+            black_box(ledger.admit(epoch, fc, owner, 1000))
+        })
+    });
+
+    // What the benchmark's `capacity.admits_per_s` probe asks: the next
+    // request's first contact as owner, anywhere on the torus — walks
+    // of 22 hops on average, an order longer than any request's.
+    c.bench_function("ledger_admit_far", |b| {
+        let mut ledger = CapacityLedger::new(&grid, &link, 15, 1.0);
+        let mut k = 0u64;
+        b.iter(|| {
+            k += 1;
+            let fc = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
+            let m = mix64(k);
+            let owner = SatelliteId::new((m % 72) as u16, ((m >> 8) % 18) as u16);
+            black_box(ledger.admit(k >> 16, fc, owner, 1000))
         })
     });
 

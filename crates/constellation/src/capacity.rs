@@ -29,12 +29,16 @@
 //! ledger keeps one usage table per in-flight epoch and finalizes each
 //! into a [`UtilizationPoint`] once [`CapacityLedger::advance_to`] moves
 //! past it.
+//!
+//! A usage table is flat (DESIGN.md §7, "The flat ledger"): one `u64`
+//! per GSL and per ISL of the grid, indexed by slot, so an admit is a
+//! few indexed loads and stores — no hashing, no ordered-map descent
+//! and, once its epoch's table exists, no allocation.
 
-use crate::grid::GridTopology;
+use crate::grid::{Direction, GridTopology};
 use crate::isl::{IslKind, LinkModel};
 use serde::{Deserialize, Serialize};
 use starcdn_orbit::walker::SatelliteId;
-use std::collections::{BTreeMap, HashMap};
 
 /// Why a request was refused admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -80,19 +84,60 @@ pub struct UtilizationPoint {
     pub shed_requests: u64,
 }
 
-/// Cumulative per-link usage of one epoch.
-#[derive(Debug, Default, Clone)]
-struct EpochUsage {
-    /// GSL bytes per serving-satellite slot index.
-    gsl_used: HashMap<u32, u64>,
-    /// ISL bytes per link, keyed by normalized (low, high) slot indices.
-    isl_used: HashMap<(u32, u32), u64>,
+/// Cumulative per-link usage of one in-flight epoch, over a grid of `n`
+/// slots: `used[i]` is the GSL of slot `i`, `used[n + i]` the ISL from
+/// slot `i` to its east neighbour, `used[2n + i]` the ISL to its north
+/// neighbour (see [`hop_index`] for which end owns a link).
+#[derive(Debug, Clone)]
+struct EpochTable {
+    epoch: u64,
+    used: Vec<u64>,
+    /// Bit `k` is set once a charge has opened `used[k]`, a zero-byte
+    /// one included: the export lists opened balances, not non-zero
+    /// ones.
+    touched: Vec<u64>,
     shed: u64,
 }
 
+impl EpochTable {
+    fn new(epoch: u64, slots: usize) -> Self {
+        let links = 3 * slots;
+        EpochTable { epoch, used: vec![0; links], touched: vec![0; links.div_ceil(64)], shed: 0 }
+    }
+
+    /// This finalized table, emptied, as the table of `epoch`.
+    fn reopened(mut self, epoch: u64) -> Self {
+        self.epoch = epoch;
+        self.used.fill(0);
+        self.touched.fill(0);
+        self.shed = 0;
+        self
+    }
+
+    /// Open balance `k`; false when it was open already.
+    fn open(&mut self, k: usize) -> bool {
+        let (word, bit) = (k / 64, 1u64 << (k % 64));
+        let fresh = self.touched[word] & bit == 0;
+        self.touched[word] |= bit;
+        fresh
+    }
+
+    fn charge(&mut self, k: usize, bytes: u64) {
+        self.open(k);
+        self.used[k] += bytes;
+    }
+
+    /// The opened balances, in index order.
+    fn opened(&self) -> impl Iterator<Item = usize> + '_ {
+        self.touched
+            .iter()
+            .enumerate()
+            .flat_map(|(word, &bits)| crate::bits::ones(bits).map(move |b| word * 64 + b as usize))
+    }
+}
+
 /// Serializable balances of one in-flight epoch (checkpoint hook).
-/// Entries are sorted by key so the export is deterministic regardless
-/// of `HashMap` iteration order.
+/// Entries are sorted by key so the export is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EpochUsageState {
     pub epoch: u64,
@@ -103,6 +148,37 @@ pub struct EpochUsageState {
     pub shed: u64,
 }
 
+/// Why [`CapacityLedger::import_state`] refused a set of balances: a
+/// flat table cannot hold a key its grid does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LedgerStateError {
+    /// A slot index at or past the grid's slot count.
+    OffGrid { epoch: u64, slot: u32 },
+    /// Two slots of the grid that no ISL joins, or a pair that is not
+    /// `(low, high)`.
+    NotALink { epoch: u64, link: (u32, u32) },
+    /// An epoch, a GSL or a link listed twice.
+    Duplicate { epoch: u64 },
+}
+
+impl std::fmt::Display for LedgerStateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            LedgerStateError::OffGrid { epoch, slot } => {
+                write!(f, "epoch {epoch}: slot {slot} is off the ledger's grid")
+            }
+            LedgerStateError::NotALink { epoch, link: (a, b) } => {
+                write!(f, "epoch {epoch}: ({a}, {b}) is not an ISL of the ledger's grid")
+            }
+            LedgerStateError::Duplicate { epoch } => {
+                write!(f, "epoch {epoch}: an epoch or a balance is listed twice")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LedgerStateError {}
+
 /// Per-epoch byte budgets and cumulative charges for every link in the
 /// grid. See the module docs for the accounting rules.
 #[derive(Debug, Clone)]
@@ -112,11 +188,16 @@ pub struct CapacityLedger {
     gsl_budget: u64,
     intra_budget: u64,
     inter_budget: u64,
-    /// Usable fraction of each budget. Finite by construction: an
-    /// infinite headroom means "don't build a ledger at all".
-    headroom: f64,
-    /// In-flight epochs (current plus backoff targets), by epoch index.
-    epochs: BTreeMap<u64, EpochUsage>,
+    /// The usable byte limits: each budget scaled by the headroom, which
+    /// is finite by construction (an infinite headroom means "don't
+    /// build a ledger at all").
+    gsl_limit: u64,
+    intra_limit: u64,
+    inter_limit: u64,
+    /// In-flight epochs (current plus backoff targets), ascending.
+    epochs: Vec<EpochTable>,
+    /// Finalized tables, kept for the next epoch to open.
+    spare: Vec<EpochTable>,
 }
 
 /// Bytes a link of `bandwidth_gbps` can move in one epoch.
@@ -137,19 +218,21 @@ impl CapacityLedger {
             "capacity ledger needs a finite positive headroom (got {headroom}); \
              infinite headroom means capacity enforcement is disabled"
         );
+        let gsl_budget = epoch_budget_bytes(link.gsl.bandwidth_gbps, epoch_secs);
+        let intra_budget = epoch_budget_bytes(link.intra_orbit.bandwidth_gbps, epoch_secs);
+        let inter_budget = epoch_budget_bytes(link.inter_orbit.bandwidth_gbps, epoch_secs);
+        let limit = |raw: u64| (raw as f64 * headroom) as u64;
         CapacityLedger {
             grid: grid.clone(),
-            gsl_budget: epoch_budget_bytes(link.gsl.bandwidth_gbps, epoch_secs),
-            intra_budget: epoch_budget_bytes(link.intra_orbit.bandwidth_gbps, epoch_secs),
-            inter_budget: epoch_budget_bytes(link.inter_orbit.bandwidth_gbps, epoch_secs),
-            headroom,
-            epochs: BTreeMap::new(),
+            gsl_budget,
+            intra_budget,
+            inter_budget,
+            gsl_limit: limit(gsl_budget),
+            intra_limit: limit(intra_budget),
+            inter_limit: limit(inter_budget),
+            epochs: Vec::new(),
+            spare: Vec::new(),
         }
-    }
-
-    /// The usable byte limit of a raw budget under the headroom.
-    fn limit(&self, raw: u64) -> u64 {
-        (raw as f64 * self.headroom) as u64
     }
 
     fn budget_of(&self, kind: IslKind) -> u64 {
@@ -160,58 +243,71 @@ impl CapacityLedger {
         }
     }
 
+    /// Position in `self.epochs` of `epoch`'s table, opening one (a
+    /// finalized table when there is one to reuse) if the epoch is not
+    /// in flight yet. A handful of epochs are ever in flight, so the
+    /// scan is shorter than any map lookup.
+    fn table_index(&mut self, epoch: u64) -> usize {
+        let at = self.epochs.iter().position(|t| t.epoch >= epoch).unwrap_or(self.epochs.len());
+        if self.epochs.get(at).is_none_or(|t| t.epoch != epoch) {
+            let table = match self.spare.pop() {
+                Some(finalized) => finalized.reopened(epoch),
+                None => EpochTable::new(epoch, self.grid.total_slots()),
+            };
+            self.epochs.insert(at, table);
+        }
+        at
+    }
+
+    fn table(&self, epoch: u64) -> Option<&EpochTable> {
+        self.epochs.iter().find(|t| t.epoch == epoch)
+    }
+
     /// Enter `epoch`: finalize every older in-flight epoch into a
     /// [`UtilizationPoint`] (returned in epoch order) and open a usage
     /// table for `epoch` so it appears in the timeline even if idle.
     pub fn advance_to(&mut self, epoch: u64) -> Vec<UtilizationPoint> {
-        let newer = self.epochs.split_off(&epoch);
-        let done = std::mem::replace(&mut self.epochs, newer);
-        let points = done.iter().map(|(&e, u)| self.finalize(e, u)).collect();
-        self.epochs.entry(epoch).or_default();
+        let points = self.retire(self.epochs.partition_point(|t| t.epoch < epoch));
+        self.table_index(epoch);
         points
     }
 
     /// Finalize every remaining in-flight epoch (end of run).
     pub fn finish(&mut self) -> Vec<UtilizationPoint> {
-        let done = std::mem::take(&mut self.epochs);
-        done.iter().map(|(&e, u)| self.finalize(e, u)).collect()
+        self.retire(self.epochs.len())
     }
 
-    fn finalize(&self, epoch: u64, u: &EpochUsage) -> UtilizationPoint {
-        let peak_gsl = u.gsl_used.values().copied().max().unwrap_or(0);
+    /// Finalize the `count` oldest in-flight epochs.
+    fn retire(&mut self, count: usize) -> Vec<UtilizationPoint> {
+        let points = self.epochs[..count].iter().map(|t| self.finalize(t)).collect();
+        self.spare.extend(self.epochs.drain(..count));
+        points
+    }
+
+    fn finalize(&self, t: &EpochTable) -> UtilizationPoint {
+        let (gsl, isl) = t.used.split_at(self.grid.total_slots());
+        let (east, north) = isl.split_at(self.grid.total_slots());
+        let peak = |used: &[u64]| used.iter().copied().max().unwrap_or(0);
         // Peak ISL utilization compares each link against its own class
-        // budget; max over fractions is order-independent, so HashMap
-        // iteration order cannot leak into the result.
-        let mut peak_isl_util = 0.0f64;
-        for (&(a, b), &used) in &u.isl_used {
-            let kind = self.link_kind(a, b);
-            let raw = self.budget_of(kind).max(1);
-            peak_isl_util = peak_isl_util.max(used as f64 / raw as f64);
-        }
+        // budget. Within a class the busiest link has the largest
+        // fraction (conversion and division are monotone), so two
+        // divisions give the maximum over all links bit for bit.
+        let util = |used: &[u64], raw: u64| peak(used) as f64 / raw.max(1) as f64;
         UtilizationPoint {
-            epoch,
-            peak_gsl_util: peak_gsl as f64 / self.gsl_budget.max(1) as f64,
-            peak_isl_util,
-            gsl_bytes: u.gsl_used.values().sum(),
-            isl_bytes: u.isl_used.values().sum(),
-            shed_requests: u.shed,
-        }
-    }
-
-    /// ISL class of the link between two slot indices.
-    fn link_kind(&self, a: u32, b: u32) -> IslKind {
-        let spp = self.grid.sats_per_plane as u32;
-        if a / spp == b / spp {
-            IslKind::IntraOrbit
-        } else {
-            IslKind::InterOrbit
+            epoch: t.epoch,
+            peak_gsl_util: util(gsl, self.gsl_budget),
+            peak_isl_util: util(east, self.inter_budget).max(util(north, self.intra_budget)),
+            gsl_bytes: gsl.iter().sum(),
+            isl_bytes: isl.iter().sum(),
+            shed_requests: t.shed,
         }
     }
 
     /// Admission for a request arriving at `first_contact` and served by
     /// `owner`, charged against `epoch`'s budgets: the owner's GSL plus
     /// every ISL hop of the canonical path. All-or-nothing — a shed
-    /// charges nothing.
+    /// charges nothing. An endpoint outside the ledger's grid has no
+    /// link to charge and is shed.
     pub fn admit(
         &mut self,
         epoch: u64,
@@ -219,71 +315,79 @@ impl CapacityLedger {
         owner: SatelliteId,
         bytes: u64,
     ) -> AdmitDecision {
-        let spp = self.grid.sats_per_plane;
+        let at = self.table_index(epoch);
+        let CapacityLedger { grid, epochs, gsl_limit, intra_limit, inter_limit, .. } = self;
+        let table = &mut epochs[at];
         // Check phase (no mutation): GSL first, then each hop.
-        let usage = self.epochs.entry(epoch).or_default();
-        let gsl_key = owner.index(spp) as u32;
-        let gsl_used = usage.gsl_used.get(&gsl_key).copied().unwrap_or(0);
-        if exceeds(gsl_used, bytes, (self.gsl_budget as f64 * self.headroom) as u64) {
-            usage.shed += 1;
+        let gsl = owner.index(grid.sats_per_plane);
+        if !grid.contains(owner) || exceeds(table.used[gsl], bytes, *gsl_limit) {
+            table.shed += 1;
             return AdmitDecision::Shed(ShedReason::GslSaturated);
         }
-        let mut over_isl = false;
-        for_each_canonical_hop(&self.grid, first_contact, owner, |a, b, kind| {
-            let key = link_key(a, b, spp);
-            let raw = match kind {
-                IslKind::IntraOrbit => self.intra_budget,
-                IslKind::InterOrbit => self.inter_budget,
-                IslKind::Gsl => self.gsl_budget,
-            };
-            let used = usage.isl_used.get(&key).copied().unwrap_or(0);
-            if exceeds(used, bytes, (raw as f64 * self.headroom) as u64) {
-                over_isl = true;
-            }
-        });
+        let mut over_isl = !grid.contains(first_contact);
+        if !over_isl {
+            for_each_canonical_hop(grid, first_contact, owner, |a, b, kind| {
+                let limit = match kind {
+                    IslKind::IntraOrbit => *intra_limit,
+                    IslKind::InterOrbit => *inter_limit,
+                    IslKind::Gsl => *gsl_limit,
+                };
+                over_isl |= exceeds(table.used[hop_index(grid, a, b)], bytes, limit);
+            });
+        }
         if over_isl {
-            usage.shed += 1;
+            table.shed += 1;
             return AdmitDecision::Shed(ShedReason::IslSaturated);
         }
         // Commit phase.
-        *usage.gsl_used.entry(gsl_key).or_insert(0) += bytes;
-        for_each_canonical_hop(&self.grid, first_contact, owner, |a, b, _| {
-            *usage.isl_used.entry(link_key(a, b, spp)).or_insert(0) += bytes;
+        table.charge(gsl, bytes);
+        for_each_canonical_hop(grid, first_contact, owner, |a, b, _| {
+            table.charge(hop_index(grid, a, b), bytes);
         });
         AdmitDecision::Admit
     }
 
     /// Admission for an origin-direct (bent-pipe) serve: only the
-    /// first-contact satellite's GSL carries the bytes.
+    /// first-contact satellite's GSL carries the bytes. A first contact
+    /// outside the ledger's grid is shed.
     pub fn admit_direct(
         &mut self,
         epoch: u64,
         first_contact: SatelliteId,
         bytes: u64,
     ) -> AdmitDecision {
-        let spp = self.grid.sats_per_plane;
-        let limit = self.limit(self.gsl_budget);
-        let usage = self.epochs.entry(epoch).or_default();
-        let key = first_contact.index(spp) as u32;
-        let used = usage.gsl_used.entry(key).or_insert(0);
-        if exceeds(*used, bytes, limit) {
-            usage.shed += 1;
+        let at = self.table_index(epoch);
+        let table = &mut self.epochs[at];
+        if !self.grid.contains(first_contact) {
+            table.shed += 1;
             return AdmitDecision::Shed(ShedReason::GslSaturated);
         }
-        *used += bytes;
+        // The balance is opened before it is checked, so a refusal still
+        // lists it (at whatever it held) in the export.
+        let gsl = first_contact.index(self.grid.sats_per_plane);
+        table.open(gsl);
+        if exceeds(table.used[gsl], bytes, self.gsl_limit) {
+            table.shed += 1;
+            return AdmitDecision::Shed(ShedReason::GslSaturated);
+        }
+        table.used[gsl] += bytes;
         AdmitDecision::Admit
     }
 
     /// GSL bytes charged to `sat` in `epoch` so far.
     pub fn gsl_used(&self, epoch: u64, sat: SatelliteId) -> u64 {
-        let key = sat.index(self.grid.sats_per_plane) as u32;
-        self.epochs.get(&epoch).and_then(|u| u.gsl_used.get(&key)).copied().unwrap_or(0)
+        match self.table(epoch) {
+            Some(t) if self.grid.contains(sat) => t.used[sat.index(self.grid.sats_per_plane)],
+            _ => 0,
+        }
     }
 
     /// Bytes charged to the ISL between `a` and `b` in `epoch` so far.
     pub fn link_used(&self, epoch: u64, a: SatelliteId, b: SatelliteId) -> u64 {
-        let key = link_key(a, b, self.grid.sats_per_plane);
-        self.epochs.get(&epoch).and_then(|u| u.isl_used.get(&key)).copied().unwrap_or(0)
+        match (self.table(epoch), link_index(&self.grid, a, b)) {
+            (Some(t), Some(k)) => t.used[k],
+            _ => 0,
+        }
     }
 
     /// Export every in-flight epoch's balances (current plus backoff
@@ -291,16 +395,26 @@ impl CapacityLedger {
     /// hook. Budgets, headroom, and grid travel via configuration, not
     /// the export.
     pub fn export_state(&self) -> Vec<EpochUsageState> {
+        let slots = self.grid.total_slots();
+        let spp = self.grid.sats_per_plane;
         self.epochs
             .iter()
-            .map(|(&epoch, u)| {
-                let mut gsl_used: Vec<(u32, u64)> =
-                    u.gsl_used.iter().map(|(&k, &v)| (k, v)).collect();
-                gsl_used.sort_unstable();
-                let mut isl_used: Vec<((u32, u32), u64)> =
-                    u.isl_used.iter().map(|(&k, &v)| (k, v)).collect();
+            .map(|t| {
+                let mut gsl_used = Vec::new();
+                let mut isl_used = Vec::new();
+                for k in t.opened() {
+                    if k < slots {
+                        gsl_used.push((k as u32, t.used[k]));
+                        continue;
+                    }
+                    let dir = if k < 2 * slots { Direction::East } else { Direction::North };
+                    let end = SatelliteId::from_index(k % slots, spp);
+                    let other = self.grid.neighbor(end, dir).expect("only grid links are opened");
+                    let (x, y) = (end.index(spp) as u32, other.index(spp) as u32);
+                    isl_used.push(((x.min(y), x.max(y)), t.used[k]));
+                }
                 isl_used.sort_unstable();
-                EpochUsageState { epoch, gsl_used, isl_used, shed: u.shed }
+                EpochUsageState { epoch: t.epoch, gsl_used, isl_used, shed: t.shed }
             })
             .collect()
     }
@@ -308,19 +422,46 @@ impl CapacityLedger {
     /// Replace the in-flight balances with a previously exported set,
     /// leaving budgets and headroom as constructed. After an import the
     /// ledger admits, finalizes, and sheds exactly as the exporting
-    /// ledger would have.
-    pub fn import_state(&mut self, state: &[EpochUsageState]) {
-        self.epochs = state
-            .iter()
-            .map(|s| {
-                let u = EpochUsage {
-                    gsl_used: s.gsl_used.iter().copied().collect(),
-                    isl_used: s.isl_used.iter().copied().collect(),
-                    shed: s.shed,
-                };
-                (s.epoch, u)
-            })
-            .collect();
+    /// ledger would have. A set that names a slot or a link this grid
+    /// does not have, or names anything twice, is refused whole and the
+    /// ledger keeps what it held.
+    pub fn import_state(&mut self, state: &[EpochUsageState]) -> Result<(), LedgerStateError> {
+        let slots = self.grid.total_slots();
+        let spp = self.grid.sats_per_plane;
+        let on_grid = |epoch, slot: u32| {
+            if (slot as usize) < slots {
+                Ok(SatelliteId::from_index(slot as usize, spp))
+            } else {
+                Err(LedgerStateError::OffGrid { epoch, slot })
+            }
+        };
+        let mut epochs: Vec<EpochTable> = Vec::with_capacity(state.len());
+        for s in state {
+            let epoch = s.epoch;
+            let mut table = EpochTable::new(epoch, slots);
+            table.shed = s.shed;
+            let mut set = |k: usize, bytes: u64| {
+                table.used[k] = bytes;
+                table.open(k).then_some(()).ok_or(LedgerStateError::Duplicate { epoch })
+            };
+            for &(slot, bytes) in &s.gsl_used {
+                set(on_grid(epoch, slot)?.index(spp), bytes)?;
+            }
+            for &(link, bytes) in &s.isl_used {
+                let (a, b) = (on_grid(epoch, link.0)?, on_grid(epoch, link.1)?);
+                let k = link_index(&self.grid, a, b)
+                    .filter(|_| link.0 < link.1)
+                    .ok_or(LedgerStateError::NotALink { epoch, link })?;
+                set(k, bytes)?;
+            }
+            epochs.push(table);
+        }
+        epochs.sort_by_key(|t| t.epoch);
+        if let Some(twice) = epochs.windows(2).find(|w| w[0].epoch == w[1].epoch) {
+            return Err(LedgerStateError::Duplicate { epoch: twice[0].epoch });
+        }
+        self.epochs = epochs;
+        Ok(())
     }
 
     /// The raw (headroom-less) per-epoch GSL budget, bytes.
@@ -341,50 +482,58 @@ fn exceeds(used: u64, bytes: u64, limit: u64) -> bool {
     used.checked_add(bytes).is_none_or(|total| total > limit)
 }
 
-/// Normalized key for the undirected link between two satellites.
-fn link_key(a: SatelliteId, b: SatelliteId, spp: u16) -> (u32, u32) {
-    let (x, y) = (a.index(spp) as u32, b.index(spp) as u32);
-    if x <= y {
-        (x, y)
+/// The coordinate, on one axis, of the end that owns the link between
+/// neighbouring coordinates `x` and `y`: the western (southern) end —
+/// the lower of two adjacent coordinates, the higher across the wrap.
+/// On a two-wide axis both steps reach the same neighbour and the two
+/// coordinates are always adjacent, so that one physical pair is owned
+/// by its lower end and stays one budget.
+fn link_end(x: u16, y: u16) -> u16 {
+    if x.abs_diff(y) == 1 {
+        x.min(y)
     } else {
-        (y, x)
+        x.max(y)
     }
+}
+
+/// Table index of the ISL that the hop between grid neighbours `a` and
+/// `b` crosses, whichever way it is walked.
+fn hop_index(grid: &GridTopology, a: SatelliteId, b: SatelliteId) -> usize {
+    let (slots, spp) = (grid.total_slots(), grid.sats_per_plane);
+    if a.orbit == b.orbit {
+        2 * slots + SatelliteId::new(a.orbit, link_end(a.slot, b.slot)).index(spp)
+    } else {
+        slots + SatelliteId::new(link_end(a.orbit, b.orbit), a.slot).index(spp)
+    }
+}
+
+/// [`hop_index`] for any two ids: `None` unless both are on the grid and
+/// an ISL joins them.
+fn link_index(grid: &GridTopology, a: SatelliteId, b: SatelliteId) -> Option<usize> {
+    (grid.contains(a) && grid.contains(b) && grid.hop_distance(a, b) == 1)
+        .then(|| hop_index(grid, a, b))
 }
 
 /// Walk the canonical healthy-torus path from `from` to `to` — planes
 /// first, then slots, taking the shorter wrap direction (east/north on
 /// ties) — calling `f(hop_src, hop_dst, kind)` for every ISL hop. This
 /// is the hop sequence behind `GridTopology::hop_distance`, so the hop
-/// count always equals the healthy-torus distance.
+/// count always equals the healthy-torus distance. Both ends must be on
+/// the grid.
 pub fn for_each_canonical_hop(
     grid: &GridTopology,
     from: SatelliteId,
     to: SatelliteId,
     mut f: impl FnMut(SatelliteId, SatelliteId, IslKind),
 ) {
-    let p = grid.num_planes;
-    let s = grid.sats_per_plane;
     let mut cur = from;
-    // Inter-orbit axis: step east when the eastward wrap is no longer
-    // than the westward one (or when the seam blocks wrapping).
-    let east_dist = (to.orbit + p - cur.orbit) % p;
-    let go_east = if grid.seamless { east_dist <= p - east_dist } else { to.orbit > cur.orbit };
-    let plane_hops = grid.plane_distance(cur.orbit, to.orbit);
-    for _ in 0..plane_hops {
-        let next_orbit = if go_east { (cur.orbit + 1) % p } else { (cur.orbit + p - 1) % p };
-        let next = SatelliteId::new(next_orbit, cur.slot);
-        f(cur, next, IslKind::InterOrbit);
-        cur = next;
-    }
-    // Intra-orbit axis: north (slot + 1) when no longer than south.
-    let north_dist = (to.slot + s - cur.slot) % s;
-    let go_north = north_dist <= s - north_dist;
-    let slot_hops = grid.slot_distance(cur.slot, to.slot);
-    for _ in 0..slot_hops {
-        let next_slot = if go_north { (cur.slot + 1) % s } else { (cur.slot + s - 1) % s };
-        let next = SatelliteId::new(cur.orbit, next_slot);
-        f(cur, next, IslKind::IntraOrbit);
-        cur = next;
+    for (dir, hops) in grid.canonical_legs(from, to) {
+        let kind = IslKind::of_direction(dir);
+        for _ in 0..hops {
+            let next = grid.neighbor(cur, dir).expect("a canonical leg never leaves the grid");
+            f(cur, next, kind);
+            cur = next;
+        }
     }
 }
 

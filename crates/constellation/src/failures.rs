@@ -125,11 +125,8 @@ impl DeadRows {
     fn iter(&self) -> impl Iterator<Item = SatelliteId> + '_ {
         self.rows.iter().enumerate().flat_map(|(orbit, words)| {
             words.iter().enumerate().flat_map(move |(word, &bits)| {
-                // Lowest set bit first; each step clears it.
-                let nonzero = |b: u64| (b != 0).then_some(b);
-                std::iter::successors(nonzero(bits), move |&b| nonzero(b & (b - 1))).map(move |b| {
-                    SatelliteId::new(orbit as u16, (word * 64) as u16 + b.trailing_zeros() as u16)
-                })
+                crate::bits::ones(bits)
+                    .map(move |b| SatelliteId::new(orbit as u16, (word * 64) as u16 + b as u16))
             })
         })
     }

@@ -162,6 +162,34 @@ impl GridTopology {
         self.plane_distance(a.orbit, b.orbit) + self.slot_distance(a.slot, b.slot)
     }
 
+    /// The two legs of the wrap-minimal staircase from `from` to `to`:
+    /// the plane leg, then the slot leg, each as the direction to step
+    /// in and the hop count ([`Self::plane_distance`] /
+    /// [`Self::slot_distance`]). East / north win an exact half-way tie;
+    /// without the seam the plane leg heads straight for `to`. Both ids
+    /// must be on the grid.
+    pub(crate) fn canonical_legs(
+        &self,
+        from: SatelliteId,
+        to: SatelliteId,
+    ) -> [(Direction, u16); 2] {
+        debug_assert!(self.contains(from) && self.contains(to));
+        let (p, s) = (self.num_planes, self.sats_per_plane);
+        let east = (to.orbit + p - from.orbit) % p;
+        let go_east = if self.seamless { east <= p - east } else { to.orbit > from.orbit };
+        let north = (to.slot + s - from.slot) % s;
+        [
+            (
+                if go_east { Direction::East } else { Direction::West },
+                self.plane_distance(from.orbit, to.orbit),
+            ),
+            (
+                if north <= s - north { Direction::North } else { Direction::South },
+                self.slot_distance(from.slot, to.slot),
+            ),
+        ]
+    }
+
     /// Iterate over every slot id.
     pub fn iter_ids(&self) -> impl Iterator<Item = SatelliteId> + '_ {
         let spp = self.sats_per_plane;

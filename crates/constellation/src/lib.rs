@@ -20,6 +20,7 @@
 //! ```
 
 pub mod analysis;
+mod bits;
 pub mod buckets;
 pub mod capacity;
 pub mod failures;

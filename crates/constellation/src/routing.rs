@@ -132,8 +132,10 @@ pub fn shortest_path_avoiding_links(
 /// The `(intra, inter)` hop mix of the route
 /// [`shortest_path_avoiding_links`] would return, without building the
 /// path: this is what every non-local request under a faulted view asks
-/// for. Counts BFS invocations ([`Counter::BfsRoutes`]) and observes the
-/// hop length of found detours ([`Histo::BfsPathHops`]).
+/// for. A surviving wrap-minimal staircase answers without a search
+/// ([`staircase_survives`]); either way the resolution is counted
+/// ([`Counter::BfsRoutes`]) and the hop length of a found route observed
+/// ([`Histo::BfsPathHops`]).
 pub fn hop_mix_avoiding_links_recorded(
     grid: &GridTopology,
     from: SatelliteId,
@@ -146,23 +148,70 @@ pub fn hop_mix_avoiding_links_recorded(
     if enabled {
         rec.add(Counter::BfsRoutes, 1);
     }
-    let mix = search(grid, from, to, alive, link_ok, |route| {
-        let (mut intra, mut inter) = (0u16, 0u16);
-        for (_, d) in route {
-            if d.is_inter_orbit() {
-                inter += 1;
-            } else {
-                intra += 1;
+    let mix = if !alive(from) || !alive(to) {
+        None
+    } else if staircase_survives(grid, from, to, &alive, &link_ok) {
+        Some((grid.slot_distance(from.slot, to.slot), grid.plane_distance(from.orbit, to.orbit)))
+    } else {
+        search(grid, from, to, alive, link_ok, |route| {
+            let (mut intra, mut inter) = (0u16, 0u16);
+            for (_, d) in route {
+                if d.is_inter_orbit() {
+                    inter += 1;
+                } else {
+                    intra += 1;
+                }
             }
-        }
-        (intra, inter)
-    });
+            (intra, inter)
+        })
+    };
     if enabled {
         if let Some((intra, inter)) = mix {
             rec.observe(Histo::BfsPathHops, (intra + inter) as u64);
         }
     }
     mix
+}
+
+/// Whether one of the two wrap-minimal staircases from a live `from` to
+/// `to` — planes first (the canonical walk), else slots first — has
+/// every satellite alive and every link intact.
+///
+/// Such a route has the healthy torus's length, so it is a shortest
+/// route over the surviving grid too; and every route of that length is
+/// monotone on both axes, so whichever of them the search's tie-break
+/// would have kept, its hop mix is `(slot_distance, plane_distance)`
+/// with no extra hops. The answer is the search's, exactly; the search
+/// is only skipped. Two walks rather than one because a lone dead
+/// satellite on the first leg blocks the canonical walk of every pair
+/// that crosses it, and the other order steps round it.
+fn staircase_survives(
+    grid: &GridTopology,
+    from: SatelliteId,
+    to: SatelliteId,
+    alive: impl Fn(SatelliteId) -> bool,
+    link_ok: impl Fn(SatelliteId, SatelliteId) -> bool,
+) -> bool {
+    // An id off the grid stays the search's to refuse: the legs'
+    // arithmetic must not see it.
+    if !grid.contains(from) || !grid.contains(to) {
+        return false;
+    }
+    let [planes, slots] = grid.canonical_legs(from, to);
+    let survives = |legs: [(Direction, u16); 2]| {
+        let mut cur = from;
+        for (dir, hops) in legs {
+            for _ in 0..hops {
+                match grid.neighbor(cur, dir) {
+                    Some(next) if alive(next) && link_ok(cur, next) => cur = next,
+                    _ => return false,
+                }
+            }
+        }
+        true
+    };
+    // With an axis at distance zero the two orders are one walk.
+    survives([planes, slots]) || (planes.1 > 0 && slots.1 > 0 && survives([slots, planes]))
 }
 
 /// The working set of one breadth-first search, kept per thread and
@@ -302,6 +351,7 @@ fn search<R>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use starcdn_telemetry::Noop;
 
     fn grid() -> GridTopology {
         GridTopology::starlink()
@@ -508,6 +558,41 @@ mod tests {
                 assert_eq!(with_scratch(|scratch| scratch.generation), 1);
             }
         }
+    }
+
+    #[test]
+    fn a_surviving_staircase_never_enters_the_search() {
+        let g = grid();
+        let (from, to) = (SatelliteId::new(10, 5), SatelliteId::new(12, 7));
+        let mix = |dead: &[SatelliteId]| {
+            hop_mix_avoiding_links_recorded(
+                &g,
+                from,
+                to,
+                |id| !dead.contains(&id),
+                |_, _| true,
+                &Noop,
+            )
+        };
+        let searches = || with_scratch(|scratch| scratch.generation);
+        with_scratch(|scratch| *scratch = BfsScratch::new());
+        // Planes first whole; planes first blocked and slots first whole.
+        assert_eq!(mix(&[SatelliteId::new(30, 3)]), Some((2, 2)));
+        assert_eq!(mix(&[SatelliteId::new(11, 5)]), Some((2, 2)));
+        assert_eq!(mix(&[SatelliteId::new(12, 6)]), Some((2, 2)));
+        assert_eq!(searches(), 0, "a whole staircase is answered without the scratch");
+        // Both blocked: the search runs, and finds the third staircase.
+        assert_eq!(mix(&[SatelliteId::new(12, 5), SatelliteId::new(10, 7)]), Some((2, 2)));
+        assert_eq!(searches(), 1);
+        // A dead endpoint is answered before either.
+        assert_eq!(mix(&[to]), None);
+        assert_eq!(searches(), 1);
+        // An owner off the grid is never walked toward: the search looks
+        // for it, as it always did, and finds nothing.
+        let off = SatelliteId::new(65535, 65535);
+        let lost = hop_mix_avoiding_links_recorded(&g, from, off, |_| true, |_, _| true, &Noop);
+        assert_eq!(lost, None);
+        assert_eq!(searches(), 2);
     }
 
     #[test]

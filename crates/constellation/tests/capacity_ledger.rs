@@ -1,0 +1,771 @@
+//! Model test of [`CapacityLedger`]: the hash-map ledger it replaced is
+//! kept here as the reference (`Reference`, the old body verbatim, its
+//! own copy of the canonical walk included), and both are driven through
+//! the same seeded `advance_to` / `admit` / `admit_direct` /
+//! `export_state` / `import_state` / `clone` / `finish` sequences. Every
+//! decision, every balance, every export and every finalized
+//! `UtilizationPoint` must match, whatever the ledger stores underneath.
+//!
+//! The seed loops are explicit: the vendored `proptest` replays one input
+//! per property, so a `proptest!` block here would be a single case.
+
+use starcdn_constellation::capacity::{
+    epoch_budget_bytes, AdmitDecision, CapacityLedger, EpochUsageState, LedgerStateError,
+    ShedReason, UtilizationPoint,
+};
+use starcdn_constellation::grid::GridTopology;
+use starcdn_constellation::isl::{IslKind, LinkModel};
+use starcdn_orbit::walker::SatelliteId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
+
+const SEEDS: u64 = 200;
+const STEPS: usize = 240;
+const EPOCH_SECS: u64 = 15;
+
+thread_local! {
+    // Per thread, so the tests of this binary can run side by side.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates every operation to the system allocator unchanged;
+// the counter is a plain thread-local cell with no destructor and no
+// effect on allocation behavior.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocator calls on this thread while `f` runs.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let calls = ALLOC_CALLS.with(Cell::get);
+    let out = f();
+    (out, ALLOC_CALLS.with(Cell::get) - calls)
+}
+
+/// splitmix64 — the test's own stream, independent of the crate's.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The reference: the ledger as it stood on hash maps.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Default, Clone)]
+struct EpochUsage {
+    gsl_used: HashMap<u32, u64>,
+    isl_used: HashMap<(u32, u32), u64>,
+    shed: u64,
+}
+
+#[derive(Debug, Clone)]
+struct Reference {
+    grid: GridTopology,
+    gsl_budget: u64,
+    intra_budget: u64,
+    inter_budget: u64,
+    headroom: f64,
+    epochs: BTreeMap<u64, EpochUsage>,
+}
+
+impl Reference {
+    fn new(grid: &GridTopology, link: &LinkModel, epoch_secs: u64, headroom: f64) -> Self {
+        Reference {
+            grid: grid.clone(),
+            gsl_budget: epoch_budget_bytes(link.gsl.bandwidth_gbps, epoch_secs),
+            intra_budget: epoch_budget_bytes(link.intra_orbit.bandwidth_gbps, epoch_secs),
+            inter_budget: epoch_budget_bytes(link.inter_orbit.bandwidth_gbps, epoch_secs),
+            headroom,
+            epochs: BTreeMap::new(),
+        }
+    }
+
+    fn limit(&self, raw: u64) -> u64 {
+        (raw as f64 * self.headroom) as u64
+    }
+
+    fn budget_of(&self, kind: IslKind) -> u64 {
+        match kind {
+            IslKind::IntraOrbit => self.intra_budget,
+            IslKind::InterOrbit => self.inter_budget,
+            IslKind::Gsl => self.gsl_budget,
+        }
+    }
+
+    fn advance_to(&mut self, epoch: u64) -> Vec<UtilizationPoint> {
+        let newer = self.epochs.split_off(&epoch);
+        let done = std::mem::replace(&mut self.epochs, newer);
+        let points = done.iter().map(|(&e, u)| self.finalize(e, u)).collect();
+        self.epochs.entry(epoch).or_default();
+        points
+    }
+
+    fn finish(&mut self) -> Vec<UtilizationPoint> {
+        let done = std::mem::take(&mut self.epochs);
+        done.iter().map(|(&e, u)| self.finalize(e, u)).collect()
+    }
+
+    fn finalize(&self, epoch: u64, u: &EpochUsage) -> UtilizationPoint {
+        let peak_gsl = u.gsl_used.values().copied().max().unwrap_or(0);
+        let mut peak_isl_util = 0.0f64;
+        for (&(a, b), &used) in &u.isl_used {
+            let kind = self.link_kind(a, b);
+            let raw = self.budget_of(kind).max(1);
+            peak_isl_util = peak_isl_util.max(used as f64 / raw as f64);
+        }
+        UtilizationPoint {
+            epoch,
+            peak_gsl_util: peak_gsl as f64 / self.gsl_budget.max(1) as f64,
+            peak_isl_util,
+            gsl_bytes: u.gsl_used.values().sum(),
+            isl_bytes: u.isl_used.values().sum(),
+            shed_requests: u.shed,
+        }
+    }
+
+    fn link_kind(&self, a: u32, b: u32) -> IslKind {
+        let spp = self.grid.sats_per_plane as u32;
+        if a / spp == b / spp {
+            IslKind::IntraOrbit
+        } else {
+            IslKind::InterOrbit
+        }
+    }
+
+    fn admit(
+        &mut self,
+        epoch: u64,
+        first_contact: SatelliteId,
+        owner: SatelliteId,
+        bytes: u64,
+    ) -> AdmitDecision {
+        let spp = self.grid.sats_per_plane;
+        let usage = self.epochs.entry(epoch).or_default();
+        let gsl_key = owner.index(spp) as u32;
+        let gsl_used = usage.gsl_used.get(&gsl_key).copied().unwrap_or(0);
+        if exceeds(gsl_used, bytes, (self.gsl_budget as f64 * self.headroom) as u64) {
+            usage.shed += 1;
+            return AdmitDecision::Shed(ShedReason::GslSaturated);
+        }
+        let mut over_isl = false;
+        reference_canonical_hops(&self.grid, first_contact, owner, |a, b, kind| {
+            let key = link_key(a, b, spp);
+            let raw = match kind {
+                IslKind::IntraOrbit => self.intra_budget,
+                IslKind::InterOrbit => self.inter_budget,
+                IslKind::Gsl => self.gsl_budget,
+            };
+            let used = usage.isl_used.get(&key).copied().unwrap_or(0);
+            if exceeds(used, bytes, (raw as f64 * self.headroom) as u64) {
+                over_isl = true;
+            }
+        });
+        if over_isl {
+            usage.shed += 1;
+            return AdmitDecision::Shed(ShedReason::IslSaturated);
+        }
+        *usage.gsl_used.entry(gsl_key).or_insert(0) += bytes;
+        reference_canonical_hops(&self.grid, first_contact, owner, |a, b, _| {
+            *usage.isl_used.entry(link_key(a, b, spp)).or_insert(0) += bytes;
+        });
+        AdmitDecision::Admit
+    }
+
+    fn admit_direct(
+        &mut self,
+        epoch: u64,
+        first_contact: SatelliteId,
+        bytes: u64,
+    ) -> AdmitDecision {
+        let spp = self.grid.sats_per_plane;
+        let limit = self.limit(self.gsl_budget);
+        let usage = self.epochs.entry(epoch).or_default();
+        let key = first_contact.index(spp) as u32;
+        let used = usage.gsl_used.entry(key).or_insert(0);
+        if exceeds(*used, bytes, limit) {
+            usage.shed += 1;
+            return AdmitDecision::Shed(ShedReason::GslSaturated);
+        }
+        *used += bytes;
+        AdmitDecision::Admit
+    }
+
+    fn gsl_used(&self, epoch: u64, sat: SatelliteId) -> u64 {
+        let key = sat.index(self.grid.sats_per_plane) as u32;
+        self.epochs.get(&epoch).and_then(|u| u.gsl_used.get(&key)).copied().unwrap_or(0)
+    }
+
+    fn link_used(&self, epoch: u64, a: SatelliteId, b: SatelliteId) -> u64 {
+        let key = link_key(a, b, self.grid.sats_per_plane);
+        self.epochs.get(&epoch).and_then(|u| u.isl_used.get(&key)).copied().unwrap_or(0)
+    }
+
+    fn export_state(&self) -> Vec<EpochUsageState> {
+        self.epochs
+            .iter()
+            .map(|(&epoch, u)| {
+                let mut gsl_used: Vec<(u32, u64)> =
+                    u.gsl_used.iter().map(|(&k, &v)| (k, v)).collect();
+                gsl_used.sort_unstable();
+                let mut isl_used: Vec<((u32, u32), u64)> =
+                    u.isl_used.iter().map(|(&k, &v)| (k, v)).collect();
+                isl_used.sort_unstable();
+                EpochUsageState { epoch, gsl_used, isl_used, shed: u.shed }
+            })
+            .collect()
+    }
+
+    fn import_state(&mut self, state: &[EpochUsageState]) {
+        self.epochs = state
+            .iter()
+            .map(|s| {
+                let u = EpochUsage {
+                    gsl_used: s.gsl_used.iter().copied().collect(),
+                    isl_used: s.isl_used.iter().copied().collect(),
+                    shed: s.shed,
+                };
+                (s.epoch, u)
+            })
+            .collect();
+    }
+}
+
+fn exceeds(used: u64, bytes: u64, limit: u64) -> bool {
+    used.checked_add(bytes).is_none_or(|total| total > limit)
+}
+
+fn link_key(a: SatelliteId, b: SatelliteId, spp: u16) -> (u32, u32) {
+    let (x, y) = (a.index(spp) as u32, b.index(spp) as u32);
+    if x <= y {
+        (x, y)
+    } else {
+        (y, x)
+    }
+}
+
+/// The canonical walk as the hash-map ledger had it: planes first, then
+/// slots, shorter wrap direction, east / north on ties.
+fn reference_canonical_hops(
+    grid: &GridTopology,
+    from: SatelliteId,
+    to: SatelliteId,
+    mut f: impl FnMut(SatelliteId, SatelliteId, IslKind),
+) {
+    let p = grid.num_planes;
+    let s = grid.sats_per_plane;
+    let mut cur = from;
+    let east_dist = (to.orbit + p - cur.orbit) % p;
+    let go_east = if grid.seamless { east_dist <= p - east_dist } else { to.orbit > cur.orbit };
+    let plane_hops = grid.plane_distance(cur.orbit, to.orbit);
+    for _ in 0..plane_hops {
+        let next_orbit = if go_east { (cur.orbit + 1) % p } else { (cur.orbit + p - 1) % p };
+        let next = SatelliteId::new(next_orbit, cur.slot);
+        f(cur, next, IslKind::InterOrbit);
+        cur = next;
+    }
+    let north_dist = (to.slot + s - cur.slot) % s;
+    let go_north = north_dist <= s - north_dist;
+    let slot_hops = grid.slot_distance(cur.slot, to.slot);
+    for _ in 0..slot_hops {
+        let next_slot = if go_north { (cur.slot + 1) % s } else { (cur.slot + s - 1) % s };
+        let next = SatelliteId::new(cur.orbit, next_slot);
+        f(cur, next, IslKind::IntraOrbit);
+        cur = next;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sweep.
+// ---------------------------------------------------------------------------
+
+fn grid(num_planes: u16, sats_per_plane: u16, seamless: bool) -> GridTopology {
+    GridTopology { num_planes, sats_per_plane, seamless }
+}
+
+fn grids() -> Vec<GridTopology> {
+    vec![
+        grid(72, 18, true),
+        grid(48, 110, true),
+        // Two-wide axes: east and west (north and south) are one link.
+        grid(2, 2, true),
+        grid(2, 6, true),
+        grid(6, 2, true),
+        // No east-west wrap: the walk goes the long way round the seam.
+        grid(5, 4, false),
+    ]
+}
+
+/// Table 1 on even seeds; on odd seeds three distinct class budgets with
+/// the ISLs under the GSL, so `IslSaturated` is the common refusal and
+/// `peak_isl_util` has to pick each link's own class.
+fn link_model(seed: u64) -> LinkModel {
+    let mut m = LinkModel::table1();
+    if seed % 2 == 1 {
+        m.intra_orbit.bandwidth_gbps = 7.0;
+        m.inter_orbit.bandwidth_gbps = 11.0;
+    }
+    m
+}
+
+/// Both ledgers, driven in lock step.
+struct Pair {
+    grid: GridTopology,
+    new: CapacityLedger,
+    reference: Reference,
+    points_new: Vec<UtilizationPoint>,
+    points_ref: Vec<UtilizationPoint>,
+}
+
+impl Pair {
+    fn new(grid: &GridTopology, link: &LinkModel, headroom: f64) -> Self {
+        Pair {
+            grid: grid.clone(),
+            new: CapacityLedger::new(grid, link, EPOCH_SECS, headroom),
+            reference: Reference::new(grid, link, EPOCH_SECS, headroom),
+            points_new: Vec::new(),
+            points_ref: Vec::new(),
+        }
+    }
+
+    fn admit(&mut self, epoch: u64, fc: SatelliteId, owner: SatelliteId, bytes: u64) -> bool {
+        let got = self.new.admit(epoch, fc, owner, bytes);
+        let want = self.reference.admit(epoch, fc, owner, bytes);
+        assert_eq!(got, want, "admit({epoch}, {fc}, {owner}, {bytes}) on {:?}", self.grid);
+        got.is_admit()
+    }
+
+    fn admit_direct(&mut self, epoch: u64, fc: SatelliteId, bytes: u64) -> bool {
+        let got = self.new.admit_direct(epoch, fc, bytes);
+        let want = self.reference.admit_direct(epoch, fc, bytes);
+        assert_eq!(got, want, "admit_direct({epoch}, {fc}, {bytes}) on {:?}", self.grid);
+        got.is_admit()
+    }
+
+    fn advance_to(&mut self, epoch: u64) {
+        self.points_new.extend(self.new.advance_to(epoch));
+        self.points_ref.extend(self.reference.advance_to(epoch));
+        self.check_points();
+    }
+
+    fn finish(&mut self) {
+        self.points_new.extend(self.new.finish());
+        self.points_ref.extend(self.reference.finish());
+        self.check_points();
+        assert!(self.new.export_state().is_empty(), "finish leaves nothing in flight");
+    }
+
+    fn check_points(&self) {
+        assert_eq!(self.points_new, self.points_ref, "timeline on {:?}", self.grid);
+        for (a, b) in self.points_new.iter().zip(&self.points_ref) {
+            assert_eq!(a.peak_gsl_util.to_bits(), b.peak_gsl_util.to_bits(), "{a:?} vs {b:?}");
+            assert_eq!(a.peak_isl_util.to_bits(), b.peak_isl_util.to_bits(), "{a:?} vs {b:?}");
+        }
+    }
+
+    fn check_export(&self) -> Vec<EpochUsageState> {
+        let state = self.new.export_state();
+        assert_eq!(state, self.reference.export_state(), "export on {:?}", self.grid);
+        state
+    }
+
+    /// Every slot's GSL and every link, both ways round, in every epoch
+    /// either side could hold.
+    fn check_every_balance(&self, epochs: std::ops::RangeInclusive<u64>) {
+        let g = &self.grid;
+        for epoch in epochs {
+            for id in g.iter_ids() {
+                assert_eq!(
+                    self.new.gsl_used(epoch, id),
+                    self.reference.gsl_used(epoch, id),
+                    "gsl_used({epoch}, {id}) on {g:?}"
+                );
+                for (_, n) in g.neighbors(id) {
+                    assert_eq!(
+                        self.new.link_used(epoch, id, n),
+                        self.reference.link_used(epoch, id, n),
+                        "link_used({epoch}, {id}, {n}) on {g:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn sat_in(rng: &mut Rng, grid: &GridTopology) -> SatelliteId {
+    SatelliteId::new(
+        rng.below(grid.num_planes as u64) as u16,
+        rng.below(grid.sats_per_plane as u64) as u16,
+    )
+}
+
+/// A satellite within two hops of `centre` on each axis: traffic that
+/// shares links and owners, so budgets actually fill.
+fn sat_near(rng: &mut Rng, grid: &GridTopology, centre: SatelliteId) -> SatelliteId {
+    let (p, s) = (grid.num_planes, grid.sats_per_plane);
+    SatelliteId::new(
+        (centre.orbit + p + rng.below(5) as u16 - 2) % p,
+        (centre.slot + s + rng.below(5) as u16 - 2) % s,
+    )
+}
+
+#[derive(Debug, Default)]
+struct Coverage {
+    admits: u64,
+    gsl_sheds: u64,
+    isl_sheds: u64,
+    direct_sheds: u64,
+    imports: u64,
+}
+
+fn run_seed(grid: &GridTopology, seed: u64, cov: &mut Coverage) {
+    let link = link_model(seed);
+    // Usable GSL budget of 37.5 KB (3.75 KB on every fourth seed): a
+    // handful of charges fills a link.
+    let headroom = if seed.is_multiple_of(4) { 1e-7 } else { 1e-6 };
+    let gsl_limit =
+        (epoch_budget_bytes(link.gsl.bandwidth_gbps, EPOCH_SECS) as f64 * headroom) as u64;
+    let mut pair = Pair::new(grid, &link, headroom);
+    let mut rng = Rng(seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ grid.total_slots() as u64);
+    let hot = sat_in(&mut rng, grid);
+    let mut epoch = rng.below(3);
+    if rng.below(4) != 0 {
+        pair.advance_to(epoch);
+    }
+    let full_checks = [rng.below(STEPS as u64) as usize, STEPS - 1];
+    for step in 0..STEPS {
+        let at = epoch + rng.below(4);
+        let bytes = match rng.below(16) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => gsl_limit,
+            _ => rng.below(gsl_limit / 3 + 1),
+        };
+        let (fc, owner) = if rng.below(5) == 0 {
+            (sat_in(&mut rng, grid), sat_in(&mut rng, grid))
+        } else {
+            (sat_near(&mut rng, grid, hot), sat_near(&mut rng, grid, hot))
+        };
+        match rng.below(100) {
+            0..=59 => {
+                let gsl_before = pair.reference.gsl_used(at, owner);
+                if pair.admit(at, fc, owner, bytes) {
+                    cov.admits += 1;
+                } else if exceeds(gsl_before, bytes, gsl_limit) {
+                    cov.gsl_sheds += 1;
+                } else {
+                    cov.isl_sheds += 1;
+                }
+            }
+            60..=74 => {
+                if !pair.admit_direct(at, fc, bytes) {
+                    cov.direct_sheds += 1;
+                }
+            }
+            75..=82 => {
+                epoch += rng.below(3);
+                pair.advance_to(epoch);
+            }
+            83..=88 => {
+                pair.check_export();
+            }
+            89..=93 => {
+                // Export, import into a freshly built ledger, carry on
+                // with that one: what a resume does.
+                let state = pair.check_export();
+                let mut fresh = CapacityLedger::new(grid, &link, EPOCH_SECS, headroom);
+                fresh.import_state(&state).expect("an export is importable on its own grid");
+                assert_eq!(fresh.export_state(), state, "import → export round trip");
+                pair.new = fresh;
+                let mut fresh = Reference::new(grid, &link, EPOCH_SECS, headroom);
+                fresh.import_state(&state);
+                pair.reference = fresh;
+                cov.imports += 1;
+            }
+            _ => {
+                // A clone carries on; the original must not see its
+                // charges.
+                let original = pair.new.clone();
+                let snapshot = original.export_state();
+                pair.new = pair.new.clone();
+                pair.reference = pair.reference.clone();
+                pair.admit(at, fc, owner, bytes / 2);
+                assert_eq!(original.export_state(), snapshot, "a clone shares no table");
+            }
+        }
+        if full_checks.contains(&step) {
+            pair.check_export();
+            // One finalized epoch (reads zero) and everything in flight.
+            pair.check_every_balance(epoch.saturating_sub(1)..=epoch + 3);
+        }
+    }
+    pair.check_export();
+    pair.finish();
+}
+
+/// All seeds on one grid; a test per grid so they run side by side.
+fn sweep(grid: GridTopology) {
+    let mut cov = Coverage::default();
+    for seed in 1..=SEEDS {
+        run_seed(&grid, seed, &mut cov);
+    }
+    // Headrooms that shed often, on every path that can refuse.
+    assert!(cov.admits > 3_000, "{cov:?}");
+    assert!(cov.gsl_sheds > 800, "{cov:?}");
+    assert!(cov.isl_sheds > 800, "{cov:?}");
+    assert!(cov.direct_sheds > 150, "{cov:?}");
+    assert!(cov.imports > 150, "{cov:?}");
+}
+
+#[test]
+fn seeded_sequences_match_the_hash_map_ledger_on_72x18() {
+    sweep(grid(72, 18, true));
+}
+
+#[test]
+fn seeded_sequences_match_the_hash_map_ledger_on_48x110() {
+    sweep(grid(48, 110, true));
+}
+
+#[test]
+fn seeded_sequences_match_the_hash_map_ledger_on_2x2() {
+    sweep(grid(2, 2, true));
+}
+
+#[test]
+fn seeded_sequences_match_the_hash_map_ledger_on_2x6() {
+    sweep(grid(2, 6, true));
+}
+
+#[test]
+fn seeded_sequences_match_the_hash_map_ledger_on_6x2() {
+    sweep(grid(6, 2, true));
+}
+
+#[test]
+fn seeded_sequences_match_the_hash_map_ledger_on_non_seamless_5x4() {
+    sweep(grid(5, 4, false));
+}
+
+#[test]
+fn a_shed_admit_direct_still_lists_its_zero_balance() {
+    // `admit_direct` opens the first contact's GSL entry before it
+    // checks the budget, so a refusal leaves a zero-byte key in the
+    // export — and a checkpoint written then holds it.
+    for grid in grids() {
+        let link = LinkModel::table1();
+        let mut pair = Pair::new(&grid, &link, 1e-6);
+        let fc = SatelliteId::new(grid.num_planes - 1, grid.sats_per_plane - 1);
+        assert!(!pair.admit_direct(3, fc, u64::MAX));
+        assert!(pair.admit(3, fc, SatelliteId::new(0, 0), 0), "zero bytes always fit");
+        let state = pair.check_export();
+        let spp = grid.sats_per_plane;
+        assert_eq!(state.len(), 1);
+        assert_eq!(state[0].gsl_used, vec![(0, 0), (fc.index(spp) as u32, 0)]);
+        assert_eq!(state[0].isl_used.len() as u16, grid.hop_distance(fc, SatelliteId::new(0, 0)));
+        assert_eq!(state[0].shed, 1);
+        pair.finish();
+    }
+}
+
+#[test]
+fn admits_do_not_allocate_once_the_epoch_table_exists() {
+    for grid in grids() {
+        let link = link_model(1);
+        let mut ledger = CapacityLedger::new(&grid, &link, EPOCH_SECS, 1e-6);
+        // The current epoch and three backoff targets, opened out of
+        // order; epoch 0 is finalized so epoch 5 reuses its table.
+        ledger.advance_to(0);
+        for epoch in [3, 1, 2] {
+            ledger.admit_direct(epoch, SatelliteId::new(0, 0), 1);
+        }
+        ledger.advance_to(1);
+        let mut rng = Rng(grid.total_slots() as u64);
+        let requests: Vec<(u64, SatelliteId, SatelliteId, u64)> = (0..4000)
+            .map(|_| {
+                let bytes = if rng.below(8) == 0 { u64::MAX } else { rng.below(9_000) };
+                (1 + rng.below(3), sat_in(&mut rng, &grid), sat_in(&mut rng, &grid), bytes)
+            })
+            .collect();
+        let ((admits, sheds), calls) = allocations_during(|| {
+            let (mut admits, mut sheds) = (0u32, 0u32);
+            for &(epoch, fc, owner, bytes) in &requests {
+                for decision in
+                    [ledger.admit(epoch, fc, owner, bytes), ledger.admit_direct(epoch, fc, bytes)]
+                {
+                    if decision.is_admit() {
+                        admits += 1;
+                    } else {
+                        sheds += 1;
+                    }
+                }
+            }
+            (admits, sheds)
+        });
+        assert_eq!(calls, 0, "admits on open epochs allocated on {grid:?}");
+        assert!(admits > 100 && sheds > 500, "{admits} admits, {sheds} sheds on {grid:?}");
+        // Opening epoch 5 takes the table epoch 0 left behind.
+        let (_, calls) = allocations_during(|| ledger.admit_direct(5, SatelliteId::new(0, 0), 1));
+        assert_eq!(calls, 0, "a finalized table is reused on {grid:?}");
+    }
+}
+
+#[test]
+fn an_endpoint_off_the_grid_is_a_clean_shed() {
+    // A hash map took any key; a table must not be indexed by one. Runs
+    // under both profiles in CI: the id arithmetic this guards panics in
+    // debug and wraps in release.
+    let far = SatelliteId::new(65535, 65535);
+    for grid in grids() {
+        let edge = SatelliteId::new(grid.num_planes, 0);
+        let inside = SatelliteId::new(grid.num_planes - 1, grid.sats_per_plane - 1);
+        let mut ledger = CapacityLedger::new(&grid, &LinkModel::table1(), EPOCH_SECS, 1.0);
+        ledger.advance_to(7);
+        assert!(ledger.admit(7, inside, SatelliteId::new(0, 0), 10).is_admit());
+        let before = ledger.export_state();
+        let mut shed = 0;
+        for off in [far, edge, SatelliteId::new(0, grid.sats_per_plane)] {
+            assert_eq!(
+                ledger.admit(7, inside, off, 1),
+                AdmitDecision::Shed(ShedReason::GslSaturated),
+                "no GSL to charge at {off}"
+            );
+            assert_eq!(
+                ledger.admit(7, off, inside, 1),
+                AdmitDecision::Shed(ShedReason::IslSaturated),
+                "no route from {off}"
+            );
+            assert_eq!(ledger.admit(7, off, off, 1), AdmitDecision::Shed(ShedReason::GslSaturated));
+            assert_eq!(
+                ledger.admit_direct(7, off, 1),
+                AdmitDecision::Shed(ShedReason::GslSaturated)
+            );
+            shed += 4;
+            assert_eq!(ledger.gsl_used(7, off), 0);
+            assert_eq!(ledger.link_used(7, inside, off), 0);
+            assert_eq!(ledger.link_used(7, off, off), 0);
+        }
+        let after = ledger.export_state();
+        assert_eq!(after[0].shed, shed, "every refusal is counted");
+        assert_eq!(after[0].gsl_used, before[0].gsl_used, "nothing charged");
+        assert_eq!(after[0].isl_used, before[0].isl_used, "nothing charged");
+        assert_eq!(ledger.finish()[0].shed_requests, shed);
+    }
+}
+
+#[test]
+fn import_refuses_keys_the_grid_does_not_have() {
+    let grid = GridTopology::starlink();
+    let fresh = || CapacityLedger::new(&grid, &LinkModel::table1(), EPOCH_SECS, 1.0);
+    let mut held = fresh();
+    held.advance_to(4);
+    assert!(held.admit(4, SatelliteId::new(71, 17), SatelliteId::new(1, 0), 99).is_admit());
+    let good = held.export_state();
+    assert_eq!(good[0].isl_used.len(), 3);
+    assert_eq!(fresh().import_state(&good), Ok(()));
+
+    let with = |edit: &dyn Fn(&mut EpochUsageState)| {
+        let mut state = good.clone();
+        edit(&mut state[0]);
+        state
+    };
+    let cases: Vec<(Vec<EpochUsageState>, LedgerStateError)> = vec![
+        (with(&|s| s.gsl_used.push((1296, 5))), LedgerStateError::OffGrid { epoch: 4, slot: 1296 }),
+        (
+            with(&|s| s.isl_used.push(((0, 5000), 5))),
+            LedgerStateError::OffGrid { epoch: 4, slot: 5000 },
+        ),
+        (
+            with(&|s| s.isl_used.push(((u32::MAX, 0), 5))),
+            LedgerStateError::OffGrid { epoch: 4, slot: u32::MAX },
+        ),
+        // On the grid, but two slots apart / diagonal / the same slot.
+        (
+            with(&|s| s.isl_used.push(((0, 2), 5))),
+            LedgerStateError::NotALink { epoch: 4, link: (0, 2) },
+        ),
+        (
+            with(&|s| s.isl_used.push(((0, 19), 5))),
+            LedgerStateError::NotALink { epoch: 4, link: (0, 19) },
+        ),
+        (
+            with(&|s| s.isl_used.push(((7, 7), 5))),
+            LedgerStateError::NotALink { epoch: 4, link: (7, 7) },
+        ),
+        // A real link the wrong way round: exports are `(low, high)`.
+        (
+            with(&|s| s.isl_used.push(((19, 1), 5))),
+            LedgerStateError::NotALink { epoch: 4, link: (19, 1) },
+        ),
+        (with(&|s| s.gsl_used.push((18, 5))), LedgerStateError::Duplicate { epoch: 4 }),
+        (
+            with(&|s| {
+                let again = s.isl_used[0];
+                s.isl_used.push(again)
+            }),
+            LedgerStateError::Duplicate { epoch: 4 },
+        ),
+        (vec![good[0].clone(), good[0].clone()], LedgerStateError::Duplicate { epoch: 4 }),
+    ];
+    for (state, want) in cases {
+        let mut ledger = held.clone();
+        assert_eq!(ledger.import_state(&state), Err(want));
+        assert_eq!(ledger.export_state(), good, "a refused import leaves the ledger as it was");
+    }
+
+    // The seam link exists only on a seamless grid.
+    let seam =
+        vec![EpochUsageState { epoch: 0, gsl_used: vec![], isl_used: vec![((0, 16), 1)], shed: 0 }];
+    let open = GridTopology { num_planes: 5, sats_per_plane: 4, seamless: false };
+    let closed = GridTopology { seamless: true, ..open.clone() };
+    let on = |g: &GridTopology| {
+        CapacityLedger::new(g, &LinkModel::table1(), EPOCH_SECS, 1.0).import_state(&seam)
+    };
+    assert_eq!(on(&closed), Ok(()));
+    assert_eq!(on(&open), Err(LedgerStateError::NotALink { epoch: 0, link: (0, 16) }));
+
+    // Epochs may arrive in any order; they are held ascending.
+    let mut shuffled = fresh();
+    let later = EpochUsageState { epoch: 9, ..good[0].clone() };
+    assert_eq!(shuffled.import_state(&[later.clone(), good[0].clone()]), Ok(()));
+    assert_eq!(shuffled.export_state(), vec![good[0].clone(), later]);
+}

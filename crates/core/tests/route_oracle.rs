@@ -8,6 +8,11 @@
 //! of failure views and grids the two must agree on the full
 //! `RouteOutcome`, on every `GridPath` node, and on what they record.
 //! (The `proptest` stand-in is fixed-input, so seeds are swept by hand.)
+//!
+//! A resolution whose wrap-minimal staircase survives is answered
+//! without that search; the `staircase_*` tests below place the faults
+//! where that shortcut could go wrong, and the reference still searches
+//! every time.
 
 use starcdn::system::{classify_route_toward_recorded, ResolvedRoute, RouteOutcome};
 use starcdn_constellation::failures::FailureModel;
@@ -428,4 +433,150 @@ fn back_to_back_searches_across_grid_sizes_share_one_scratch() {
         assert!(oracle.routed > 0);
         oracle.finish();
     }
+}
+
+/// `(orbit, slot)`.
+type Sat = (u16, u16);
+
+/// A view with exactly these satellites dead and these links cut.
+fn faults(dead: &[Sat], cuts: &[(Sat, Sat)]) -> FailureModel {
+    let mut view = FailureModel::none();
+    for &(o, s) in dead {
+        view.kill(SatelliteId::new(o, s));
+    }
+    for &((o1, s1), (o2, s2)) in cuts {
+        view.cut_link(SatelliteId::new(o1, s1), SatelliteId::new(o2, s2));
+    }
+    view
+}
+
+/// Check `from -> to` against the reference and against the outcome the
+/// case was built to produce.
+fn expect_route(
+    grid: &GridTopology,
+    view: &FailureModel,
+    from: Sat,
+    to: Sat,
+    (intra, inter, extra_hops): (u16, u16, u16),
+) {
+    let owner = SatelliteId::new(to.0, to.1);
+    let mut oracle = Oracle::new(grid, view);
+    let got = oracle.check(SatelliteId::new(from.0, from.1), owner);
+    let want = ResolvedRoute { owner, intra, inter, remapped: false, extra_hops };
+    assert_eq!(got, RouteOutcome::Routed(want), "{from:?} -> {to:?} under {view:?}");
+    assert_eq!(oracle.finish(), 2, "one resolution per remap mode, searched or not");
+}
+
+#[test]
+fn staircase_one_order_blocked_the_other_open() {
+    let grid = GridTopology::starlink();
+    // (10,5) -> (12,7): planes first runs (11,5) (12,5) (12,6); slots
+    // first runs (10,6) (10,7) (11,7).
+    for blocked in [(11, 5), (12, 5), (12, 6)] {
+        expect_route(&grid, &faults(&[blocked], &[]), (10, 5), (12, 7), (2, 2, 0));
+    }
+    for blocked in [(10, 6), (10, 7), (11, 7)] {
+        expect_route(&grid, &faults(&[blocked], &[]), (10, 5), (12, 7), (2, 2, 0));
+    }
+    // The same with a cut link on an otherwise live staircase.
+    for cut in [((10, 5), (11, 5)), ((12, 6), (12, 7)), ((10, 5), (10, 6)), ((11, 7), (12, 7))] {
+        expect_route(&grid, &faults(&[], &[cut]), (10, 5), (12, 7), (2, 2, 0));
+    }
+    // Westward and southward, across both wraps.
+    for blocked in [(71, 1), (0, 17)] {
+        expect_route(&grid, &faults(&[blocked], &[]), (0, 1), (70, 17), (2, 2, 0));
+    }
+}
+
+#[test]
+fn staircase_both_orders_blocked_a_third_survives() {
+    let grid = GridTopology::starlink();
+    // Both walks lose their second hop; (11,5) (11,6) (11,7) and
+    // (10,6) (11,6) (12,6) are still whole, so the search finds a route
+    // of healthy length: the same mix, no extra hops.
+    let view = faults(&[(12, 5), (10, 7)], &[]);
+    expect_route(&grid, &view, (10, 5), (12, 7), (2, 2, 0));
+    let view = faults(&[], &[((11, 5), (12, 5)), ((10, 6), (10, 7))]);
+    expect_route(&grid, &view, (10, 5), (12, 7), (2, 2, 0));
+    // A longer pair, blocked at the far corner of each walk.
+    let view = faults(&[(15, 5), (10, 9)], &[]);
+    expect_route(&grid, &view, (10, 5), (15, 9), (4, 5, 0));
+}
+
+#[test]
+fn staircase_both_orders_blocked_only_a_detour_left() {
+    let grid = GridTopology::starlink();
+    // Every monotone route of (10,5) -> (11,6) passes (11,5) or (10,6).
+    // Dead, they also close the owner's south and west side: round by
+    // (10,4) (11,4) (12,4) (12,5) (12,6).
+    expect_route(&grid, &faults(&[(11, 5), (10, 6)], &[]), (10, 5), (11, 6), (3, 3, 4));
+    // Cut off from the first contact only: (10,4) (11,4) (11,5).
+    let cuts = [((10, 5), (11, 5)), ((10, 5), (10, 6))];
+    expect_route(&grid, &faults(&[], &cuts), (10, 5), (11, 6), (3, 1, 2));
+    // One axis at distance zero: the two orders are one walk, and a cut
+    // link on it (every satellite alive) forces the detour.
+    expect_route(&grid, &faults(&[], &[((11, 5), (12, 5))]), (10, 5), (12, 5), (2, 2, 2));
+    expect_route(&grid, &faults(&[(10, 6)], &[]), (10, 5), (10, 7), (2, 2, 2));
+}
+
+#[test]
+fn staircase_half_way_tie_blocked_in_the_canonical_direction() {
+    let grid = GridTopology::starlink();
+    // 36 planes apart: east is canonical, west is as short. With east
+    // blocked the search goes west — same length, same mix, no extras.
+    expect_route(&grid, &faults(&[(20, 5)], &[]), (10, 5), (46, 5), (0, 36, 0));
+    expect_route(&grid, &faults(&[], &[((45, 5), (46, 5))]), (10, 5), (46, 5), (0, 36, 0));
+    // 9 slots apart: north is canonical, south is as short.
+    expect_route(&grid, &faults(&[(10, 8)], &[]), (10, 5), (10, 14), (9, 0, 0));
+    // Both at once, east blocked on both rows the two walks use.
+    let view = faults(&[(11, 5), (11, 14)], &[]);
+    expect_route(&grid, &view, (10, 5), (46, 14), (9, 36, 0));
+}
+
+#[test]
+fn staircase_dead_endpoints_are_not_routed() {
+    let grid = GridTopology::starlink();
+    let (from, to) = (SatelliteId::new(10, 5), SatelliteId::new(12, 7));
+    // Dead first contact, every hop of both walks alive: partitioned.
+    let view = faults(&[(10, 5)], &[]);
+    let mut oracle = Oracle::new(&grid, &view);
+    assert_eq!(oracle.check(from, to), RouteOutcome::Partitioned { owner: to });
+    oracle.finish();
+    // Dead owner: without remapping there is nobody to route to; with
+    // it the request goes to the next live slot north.
+    let view = faults(&[(12, 7)], &[]);
+    let mut oracle = Oracle::new(&grid, &view);
+    assert_eq!(oracle.check(from, to), RouteOutcome::Unroutable);
+    let remapped = classify_route_toward_recorded(&grid, &view, true, from, to, &oracle.new_rec);
+    let want = ResolvedRoute {
+        owner: SatelliteId::new(12, 8),
+        intra: 3,
+        inter: 2,
+        remapped: true,
+        extra_hops: 0,
+    };
+    assert_eq!(remapped, RouteOutcome::Routed(want));
+}
+
+#[test]
+fn staircase_on_two_wide_axes_and_at_the_seam() {
+    // Two planes: east and west are the same neighbour, slots tie at 3.
+    let grid = GridTopology { num_planes: 2, sats_per_plane: 6, seamless: true };
+    expect_route(&grid, &faults(&[(1, 0)], &[]), (0, 0), (1, 3), (3, 1, 0));
+    expect_route(&grid, &faults(&[(0, 1)], &[]), (0, 0), (1, 3), (3, 1, 0));
+    expect_route(&grid, &faults(&[], &[((0, 0), (1, 0))]), (0, 0), (1, 0), (2, 1, 2));
+    // Two slots per plane: north and south are the same neighbour.
+    let grid = GridTopology { num_planes: 6, sats_per_plane: 2, seamless: true };
+    expect_route(&grid, &faults(&[(1, 0)], &[]), (0, 0), (2, 1), (1, 2, 0));
+    expect_route(&grid, &faults(&[(0, 1)], &[]), (0, 0), (2, 1), (1, 2, 0));
+    let grid = GridTopology { num_planes: 2, sats_per_plane: 2, seamless: true };
+    expect_route(&grid, &faults(&[(1, 0)], &[]), (0, 0), (1, 1), (1, 1, 0));
+    expect_route(&grid, &faults(&[], &[((0, 0), (0, 1))]), (0, 0), (0, 1), (1, 2, 2));
+    // No seam: plane 4 to plane 0 is four hops west, never one east.
+    let grid = GridTopology { num_planes: 5, sats_per_plane: 4, seamless: false };
+    expect_route(&grid, &FailureModel::sample(&grid, 1, 3), (4, 0), (0, 0), (0, 4, 0));
+    expect_route(&grid, &faults(&[(2, 0)], &[]), (4, 0), (0, 1), (1, 4, 0));
+    expect_route(&grid, &faults(&[(4, 1)], &[]), (4, 0), (0, 1), (1, 4, 0));
+    expect_route(&grid, &faults(&[(2, 0)], &[]), (4, 0), (0, 0), (2, 4, 2));
+    expect_route(&grid, &faults(&[(3, 0), (4, 1)], &[]), (4, 0), (0, 1), (3, 4, 2));
 }

@@ -43,7 +43,9 @@ use starcdn_cache::object::ObjectId;
 use starcdn_cache::state::{LfuEntryState, MadEntryState, SieveEntryState};
 use starcdn_cache::stats::CacheStats;
 use starcdn_cache::{CacheState, InflightState};
-use starcdn_constellation::capacity::{EpochUsageState, UtilizationPoint};
+use starcdn_constellation::capacity::{
+    CapacityLedger, EpochUsageState, LedgerStateError, UtilizationPoint,
+};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_io::{Io, RealIo};
 use starcdn_orbit::walker::SatelliteId;
@@ -146,6 +148,12 @@ impl std::error::Error for CheckpointError {
 impl From<starcdn_io::IoError> for CheckpointError {
     fn from(e: starcdn_io::IoError) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<LedgerStateError> for CheckpointError {
+    fn from(_: LedgerStateError) -> Self {
+        CheckpointError::Malformed("ledger balance keyed off the configured grid")
     }
 }
 
@@ -1370,12 +1378,13 @@ pub(crate) struct EngineCheckpointer<'a> {
 
 impl<'a> EngineCheckpointer<'a> {
     /// Open `ck.policy.dir` for a run of `log` under `spec`. With
-    /// `ck.resume`, also restore `cdn` from the newest checkpoint that
-    /// validates against this run and return the loop state to continue
-    /// from.
+    /// `ck.resume`, also restore `cdn` and the overload `ledger` from
+    /// the newest checkpoint that validates against this run and return
+    /// the loop state to continue from.
     pub(crate) fn open(
         ck: &Checkpointing<'a>,
         cdn: &mut SpaceCdn,
+        mut ledger: Option<&mut CapacityLedger>,
         log: LogView<'_>,
         spec: &RunSpec<'_>,
     ) -> Result<(Self, Option<LoopState>), CheckpointError> {
@@ -1392,7 +1401,15 @@ impl<'a> EngineCheckpointer<'a> {
         }
         let files = list_checkpoint_files_io(ck.io, &ck.policy.dir);
         for (epoch, path) in files.iter().rev() {
-            let Ok((boundary_epoch, body, state)) = cp.try_load(path, log.len()) else {
+            // The ledger goes first: it refuses a set of balances whole,
+            // so a checkpoint rejected here has restored nothing yet.
+            let loaded = cp.try_load(path, log.len()).and_then(|(boundary_epoch, body, state)| {
+                if let (Some(l), Some(usage)) = (ledger.as_deref_mut(), state.ledger.as_ref()) {
+                    l.import_state(usage)?;
+                }
+                Ok((boundary_epoch, body, state))
+            });
+            let Ok((boundary_epoch, body, state)) = loaded else {
                 spec.recorder.event(Event::CheckpointRestoreFallback, *epoch, 1);
                 continue;
             };
@@ -2176,6 +2193,52 @@ mod tests {
             Some(&1),
             "skipping the corrupt file is telemetered"
         );
+    }
+
+    #[test]
+    fn forged_ledger_key_falls_back_or_fails_typed() {
+        let log = log();
+        let sched = churn();
+        let overload = OverloadConfig::with_headroom(0.4);
+        let cdn = || SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+        let dir = tmpdir("forged-ledger");
+        let pol = policy(&dir, 3);
+        let m_golden =
+            checkpointed(&mut cdn(), &log, &sched, &overload, &pol, &Noop, false).unwrap();
+
+        // The newest checkpoint, re-encoded (every CRC valid) with one
+        // more ledger balance: a link to slot 5000 of a 1296-slot grid.
+        let files = list_checkpoint_files(&dir);
+        assert!(files.len() >= 2, "need at least two checkpoints for fallback");
+        let (newest_epoch, newest) = files.last().unwrap();
+        let raw = decode_container(&fs::read(newest).unwrap()).unwrap();
+        let mut body = decode_engine_body(&raw.body).unwrap();
+        let usage = body.ledger.as_mut().expect("overload runs checkpoint their ledger");
+        usage[0].isl_used.push(((0, 5000), 1));
+        let forged =
+            encode_container(raw.kind, &raw.meta, &encode_engine_body(&body), &raw.telemetry);
+        assert!(decode_container(&forged).is_ok(), "the forgery passes every CRC");
+        fs::write(newest, &forged).unwrap();
+
+        // With an older barrier on disk the resume takes that one.
+        let rec = MemoryRecorder::new();
+        let m_resumed =
+            checkpointed(&mut cdn(), &log, &sched, &overload, &pol, &rec, true).unwrap();
+        assert_metrics_identical(&m_golden, &m_resumed);
+        assert_eq!(
+            rec.snapshot().events.get(&(Event::CheckpointRestoreFallback, *newest_epoch)),
+            Some(&1),
+            "skipping the forged file is telemetered"
+        );
+
+        // Alone, it is no checkpoint at all — not a panic, and not a run
+        // that silently starts from an empty ledger.
+        let alone = tmpdir("forged-ledger-alone");
+        fs::write(checkpoint_path(&alone, *newest_epoch), &forged).unwrap();
+        let err =
+            checkpointed(&mut cdn(), &log, &sched, &overload, &policy(&alone, 3), &Noop, true)
+                .unwrap_err();
+        assert!(matches!(err, CheckpointError::NoValidCheckpoint), "{err}");
     }
 
     #[test]

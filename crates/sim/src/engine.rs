@@ -238,14 +238,12 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
 
     let mut checkpointer = None;
     if let Some(ck) = &spec.checkpoint {
-        let (cp, resumed) = EngineCheckpointer::open(ck, cdn, log, spec)?;
+        let ledger = admission.as_mut().map(|a| &mut a.ledger);
+        let (cp, resumed) = EngineCheckpointer::open(ck, cdn, ledger, log, spec)?;
         checkpointer = Some(cp);
         if let Some(rs) = resumed {
             if let (Some(s), Some((applied, view))) = (schedule, rs.cursor) {
                 cursor = Some(ScheduleCursor::resume(s, applied as usize, view));
-            }
-            if let (Some(adm), Some(usage)) = (admission.as_mut(), rs.ledger.as_ref()) {
-                adm.ledger.import_state(usage);
             }
             watermark = rs.watermark;
             current_epoch = rs.prev_epoch;

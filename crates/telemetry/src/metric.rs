@@ -37,7 +37,8 @@ pub enum Counter {
     FaultEventsApplied,
     /// Prefetch rounds executed at epoch boundaries.
     PrefetchRounds,
-    /// BFS shortest-path computations.
+    /// Route resolutions under a faulted view, whether a surviving
+    /// staircase or the breadth-first search answered.
     BfsRoutes,
     /// Admission attempts refused by the capacity ledger.
     RequestsShed,
@@ -161,7 +162,7 @@ pub enum Histo {
     QueueDepth,
     /// One-way user↔satellite propagation delay, microseconds.
     GslDelayUs,
-    /// Hop count of BFS-computed detour paths.
+    /// Hop count of each route found under a faulted view.
     BfsPathHops,
     /// Retry attempts consumed per request under overload (0 = admitted
     /// first try).
