@@ -5,8 +5,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::propagator::SnapshotPropagator;
 use starcdn_orbit::time::SimTime;
-use starcdn_orbit::visibility::{visible_from_positions, visible_satellites};
+use starcdn_orbit::visibility::{visible_from_positions, visible_satellites, VisibilityWindow};
 use starcdn_orbit::walker::WalkerConstellation;
+use starcdn_sim::scheduler::{schedule_epoch_with, EpochScheduler, SchedulerConfig};
+use starcdn_sim::World;
+use starcdn_telemetry::Noop;
 
 fn bench_orbit(c: &mut Criterion) {
     let shell = WalkerConstellation::starlink_shell1();
@@ -27,6 +30,53 @@ fn bench_orbit(c: &mut Criterion) {
             t += 15;
             snap.advance_to(SimTime::from_secs(t));
             black_box(snap.positions().len())
+        })
+    });
+
+    // The same advance for the candidate union of the nine cities only
+    // (what an epoch inside a visibility window propagates).
+    c.bench_function("snapshot_advance_subset", |b| {
+        let world = World::starlink_nine_cities();
+        let mut snap = world.snapshot();
+        let grounds: Vec<Geodetic> = world
+            .locations
+            .iter()
+            .map(|l| Geodetic::from_degrees(l.lat_deg, l.lon_deg, 0.0))
+            .collect();
+        let mut window = VisibilityWindow::default();
+        window.refresh(&snap, 25.0, &grounds);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 15;
+            snap.advance_subset(SimTime::from_secs(t), window.union());
+            black_box(snap.epoch())
+        })
+    });
+
+    // One scheduler epoch for the nine cities, propagation included: the
+    // full-scan reference scheduler against the windowed one (a rescan
+    // every ninth epoch, candidate lists in between).
+    c.bench_function("schedule_epoch_full_scan", |b| {
+        let world = World::starlink_nine_cities();
+        let cfg = SchedulerConfig::default();
+        let mut snap = world.snapshot();
+        let mut epoch = 0u64;
+        b.iter(|| {
+            epoch += 1;
+            snap.advance_to(SimTime::from_secs(epoch * 15));
+            black_box(schedule_epoch_with(&world, &snap, epoch, &cfg, &world.failures))
+        })
+    });
+
+    c.bench_function("schedule_epoch_windowed", |b| {
+        let world = World::starlink_nine_cities();
+        let cfg = SchedulerConfig::default();
+        let mut scheduler = EpochScheduler::new(&world);
+        let mut epoch = 0u64;
+        b.iter(|| {
+            epoch += 1;
+            scheduler.step(&world, epoch, 15, &cfg, &world.failures, &Noop);
+            black_box(scheduler.schedule().assignments.len())
         })
     });
 

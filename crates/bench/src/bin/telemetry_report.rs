@@ -1,5 +1,6 @@
 //! Telemetry demonstration and overhead benchmark: runs the full
-//! pipeline (log build → engine replay with churn → parallel replayer)
+//! pipeline (columnar log build → engine replay with churn → parallel
+//! replayer)
 //! with a [`MemoryRecorder`] attached, prints the per-stage and
 //! per-epoch breakdown, checks the no-op-recorder overhead, and writes
 //! `BENCH_telemetry.json` + `BENCH_telemetry.csv`.
@@ -16,7 +17,7 @@ use starcdn_bench::table::print_table;
 use starcdn_bench::workload::{cache_bytes_for_gb, Workload};
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule};
 use starcdn_sim::engine::SimConfig;
-use starcdn_sim::{build_access_log_recorded, World};
+use starcdn_sim::{build_access_log_columns_recorded, World};
 use starcdn_sim::{engine, replayer, RunSpec};
 use starcdn_telemetry::{Counter, Histo, MemoryRecorder, Noop, Recorder, TelemetrySnapshot};
 use std::time::Instant;
@@ -33,7 +34,7 @@ fn run_pipeline(
     schedule: &FaultSchedule,
     rec: &dyn Recorder,
 ) -> (u64, String) {
-    let log = build_access_log_recorded(
+    let log = build_access_log_columns_recorded(
         world,
         &workload.production,
         sim.epoch_secs,
@@ -168,6 +169,20 @@ fn main() {
         snap.counter(Counter::ColdRestartMisses),
         snap.counter(Counter::FaultEventsApplied),
     );
+    // The scheduler's visibility window: how many epochs rescanned the
+    // fleet, and how many satellites the others propagated and tested.
+    let refreshes = snap.counter(Counter::VisibilityRefreshes);
+    let epochs = snap.counter(Counter::ScheduleEpochs);
+    assert!(refreshes >= 1 && refreshes <= epochs, "{refreshes} refreshes in {epochs} epochs");
+    if let Some(union) = snap.histogram(Histo::VisibilityCandidates) {
+        println!(
+            "visibility window: {refreshes} refreshes in {epochs} scheduled epochs, candidate \
+             union {}..{} satellites (mean {:.0})",
+            union.min.unwrap_or(0),
+            union.max.unwrap_or(0),
+            union.sum as f64 / union.count.max(1) as f64,
+        );
+    }
     if let Some(lat) = snap.histogram(Histo::LatencyUs) {
         println!(
             "latency_us: p50<={} p90<={} p99<={} max={} (log2 buckets)",

@@ -84,6 +84,23 @@ impl ConstantsSoa {
     fn len(&self) -> usize {
         self.radius_km.len()
     }
+
+    /// ECEF position of satellite `i` given the epoch's rate-angle sincos
+    /// `(sin n·t, cos n·t, sin (Ω̇−ω⊕)·t, cos (Ω̇−ω⊕)·t)` — the one copy of
+    /// the per-satellite arithmetic, so a full and a subset advance
+    /// produce the same bits for the same satellite and time.
+    #[inline(always)]
+    fn ecef(&self, i: usize, (snt, cnt, sot, cot): (f64, f64, f64, f64)) -> (f64, f64, f64) {
+        // Angle addition: u = phase + n·t, node = raan₀ + (Ω̇−ω⊕)·t.
+        let su = self.sin_phase[i] * cnt + self.cos_phase[i] * snt;
+        let cu = self.cos_phase[i] * cnt - self.sin_phase[i] * snt;
+        let sn = self.sin_raan[i] * cot + self.cos_raan[i] * sot;
+        let cn = self.cos_raan[i] * cot - self.sin_raan[i] * sot;
+        // In-plane vector rotated by the combined node angle about z.
+        let xo = self.radius_km[i] * cu;
+        let yo = self.radius_km[i] * su * self.cos_inc[i];
+        (cn * xo - sn * yo, sn * xo + cn * yo, self.radius_km[i] * su * self.sin_inc[i])
+    }
 }
 
 /// Struct-of-arrays snapshot positions: one contiguous column per ECEF
@@ -165,10 +182,19 @@ impl PositionsSoa {
 /// total plus ~a dozen multiplies per satellite, streamed through
 /// struct-of-arrays columns. After the first `advance_to` all buffers are
 /// warm and subsequent advances perform **zero heap allocations**.
+///
+/// [`SnapshotPropagator::advance_subset`] moves only a chosen index list
+/// to a new epoch (the [`VisibilityWindow`](crate::visibility::VisibilityWindow)'s
+/// candidate union). The snapshot is then *incomplete*: the other
+/// satellites still hold an older epoch's position, so the whole-fleet
+/// accessors (`positions`, `position_of`, `positions_soa`) panic rather
+/// than hand out stale data until the next full `advance_to`.
 #[derive(Debug)]
 pub struct SnapshotPropagator {
     satellites: Vec<Satellite>,
     epoch: SimTime,
+    /// False after an `advance_subset`, true after an `advance_to`.
+    complete: bool,
     positions: Vec<Ecef>,
     soa: PositionsSoa,
     sats_per_plane: u16,
@@ -179,6 +205,9 @@ pub struct SnapshotPropagator {
     /// Reusable per-epoch sincos table, one entry per rate pair
     /// (allocation-free after the first advance).
     trigs: Vec<(f64, f64, f64, f64)>,
+    /// FNV-1a over every satellite's orbit bits: two snapshots with the
+    /// same fingerprint place the same satellites at the same positions.
+    fingerprint: u64,
 }
 
 impl SnapshotPropagator {
@@ -188,8 +217,12 @@ impl SnapshotPropagator {
     pub fn new(satellites: Vec<Satellite>, sats_per_plane: u16) -> Self {
         let mut rates: Vec<(f64, f64)> = Vec::new();
         let mut constants = ConstantsSoa::default();
+        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
         for s in &satellites {
             let o = &s.orbit;
+            for bits in [o.altitude_km, o.inclination_rad, o.raan_rad, o.phase_rad] {
+                fingerprint = (fingerprint ^ bits.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
             let n = o.mean_motion_rad_s();
             let node_rate = o.raan_drift_rad_s() - crate::constants::EARTH_ROTATION_RAD_S;
             let key = (n, node_rate);
@@ -217,10 +250,12 @@ impl SnapshotPropagator {
             soa: PositionsSoa::default(),
             satellites,
             epoch: SimTime::ZERO,
+            complete: true,
             sats_per_plane,
             constants,
             rates,
             trigs: Vec::new(),
+            fingerprint,
         };
         p.advance_to(SimTime::ZERO);
         p
@@ -234,48 +269,22 @@ impl SnapshotPropagator {
     /// just stream it through contiguous columns (with the whole-shell
     /// single-rate-group case free of the per-satellite trig gather).
     pub fn advance_to(&mut self, t: SimTime) {
-        self.epoch = t;
-        let ts = t.as_secs_f64();
-        // sincos of the two rate angles, once per distinct rate pair.
-        self.trigs.clear();
-        self.trigs.extend(self.rates.iter().map(|&(n, node_rate)| {
-            let (snt, cnt) = (n * ts).sin_cos();
-            let (sot, cot) = (node_rate * ts).sin_cos();
-            (snt, cnt, sot, cot)
-        }));
+        self.set_epoch(t);
+        self.complete = true;
         let n = self.constants.len();
         self.soa.resize(n);
         let c = &self.constants;
         let soa = &mut self.soa;
-        if let [(snt, cnt, sot, cot)] = self.trigs[..] {
+        if let [trig] = self.trigs[..] {
             // Uniform shell: one rate pair for the whole fleet, so the
             // sincos values are loop-invariant scalars and the body is a
             // pure column sweep.
             for i in 0..n {
-                // Angle addition: u = phase + n·t, node = raan₀ + (Ω̇−ω⊕)·t.
-                let su = c.sin_phase[i] * cnt + c.cos_phase[i] * snt;
-                let cu = c.cos_phase[i] * cnt - c.sin_phase[i] * snt;
-                let sn = c.sin_raan[i] * cot + c.cos_raan[i] * sot;
-                let cn = c.cos_raan[i] * cot - c.sin_raan[i] * sot;
-                // In-plane vector rotated by the combined node angle about z.
-                let xo = c.radius_km[i] * cu;
-                let yo = c.radius_km[i] * su * c.cos_inc[i];
-                soa.x[i] = cn * xo - sn * yo;
-                soa.y[i] = sn * xo + cn * yo;
-                soa.z[i] = c.radius_km[i] * su * c.sin_inc[i];
+                (soa.x[i], soa.y[i], soa.z[i]) = c.ecef(i, trig);
             }
         } else {
             for i in 0..n {
-                let (snt, cnt, sot, cot) = self.trigs[c.rate_group[i] as usize];
-                let su = c.sin_phase[i] * cnt + c.cos_phase[i] * snt;
-                let cu = c.cos_phase[i] * cnt - c.sin_phase[i] * snt;
-                let sn = c.sin_raan[i] * cot + c.cos_raan[i] * sot;
-                let cn = c.cos_raan[i] * cot - c.sin_raan[i] * sot;
-                let xo = c.radius_km[i] * cu;
-                let yo = c.radius_km[i] * su * c.cos_inc[i];
-                soa.x[i] = cn * xo - sn * yo;
-                soa.y[i] = sn * xo + cn * yo;
-                soa.z[i] = c.radius_km[i] * su * c.sin_inc[i];
+                (soa.x[i], soa.y[i], soa.z[i]) = c.ecef(i, self.trigs[c.rate_group[i] as usize]);
             }
         }
         // Squared norms and their maximum feed the visibility culling
@@ -294,9 +303,66 @@ impl SnapshotPropagator {
         self.positions.extend((0..n).map(|i| Ecef { x: soa.x[i], y: soa.y[i], z: soa.z[i] }));
     }
 
+    /// Move only the satellites in `indices` (ascending, indexed like
+    /// `satellites()`) to epoch `t`: the same per-satellite arithmetic as
+    /// [`SnapshotPropagator::advance_to`], so the same bits, at a cost
+    /// proportional to the list. Every other satellite keeps its older
+    /// position and the snapshot stays incomplete until the next full
+    /// advance. `r2_max` keeps the last full advance's value: orbital
+    /// radii are constant to the ulp, and the value only parameterizes a
+    /// conservative cull with 1e-6 rad of slack.
+    pub fn advance_subset(&mut self, t: SimTime, indices: &[u32]) {
+        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must ascend");
+        self.set_epoch(t);
+        self.complete = false;
+        let c = &self.constants;
+        let soa = &mut self.soa;
+        for &i in indices {
+            let i = i as usize;
+            let (x, y, z) = c.ecef(i, self.trigs[c.rate_group[i] as usize]);
+            (soa.x[i], soa.y[i], soa.z[i]) = (x, y, z);
+            soa.p2[i] = x * x + y * y + z * z;
+        }
+    }
+
+    /// Stamp the epoch and fill the per-rate-pair sincos table for it.
+    fn set_epoch(&mut self, t: SimTime) {
+        self.epoch = t;
+        let ts = t.as_secs_f64();
+        self.trigs.clear();
+        self.trigs.extend(self.rates.iter().map(|&(n, node_rate)| {
+            let (snt, cnt) = (n * ts).sin_cos();
+            let (sot, cot) = (node_rate * ts).sin_cos();
+            (snt, cnt, sot, cot)
+        }));
+    }
+
     /// The snapshot's epoch.
     pub fn epoch(&self) -> SimTime {
         self.epoch
+    }
+
+    /// True when every satellite sits at [`SnapshotPropagator::epoch`]
+    /// (the last advance was a full one).
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// Upper bound on how fast any satellite's Earth-fixed unit position
+    /// vector turns, rad/s: `max |n| + |Ω̇ − ω⊕|` over the fleet. The
+    /// position is the in-plane unit vector at argument of latitude
+    /// `phase + n·t` rotated about z by `raan₀ + (Ω̇ − ω⊕)·t`; the first
+    /// angle moves it at `|n|`, the rotation at no more than `|Ω̇ − ω⊕|`,
+    /// and the two add at worst.
+    pub(crate) fn max_angular_rate_rad_s(&self) -> f64 {
+        self.rates.iter().map(|&(n, node_rate)| n.abs() + node_rate.abs()).fold(0.0, f64::max)
+    }
+
+    /// Identity of the fleet this snapshot positions (a hash of every
+    /// orbit's bits): equal fingerprints mean equal positions at equal
+    /// epochs, whichever snapshot instance computed them.
+    pub(crate) fn fleet_fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The satellite set this snapshot covers.
@@ -305,25 +371,51 @@ impl SnapshotPropagator {
     }
 
     /// Position of a satellite (by id) in the current snapshot.
+    ///
+    /// # Panics
+    /// Panics on an incomplete (subset-advanced) snapshot.
     pub fn position_of(&self, id: SatelliteId) -> Ecef {
-        self.positions[id.index(self.sats_per_plane)]
+        self.positions()[id.index(self.sats_per_plane)]
     }
 
     /// All positions in the current snapshot, indexed like `satellites()`.
+    ///
+    /// # Panics
+    /// Panics on an incomplete (subset-advanced) snapshot.
     pub fn positions(&self) -> &[Ecef] {
+        self.assert_complete();
         &self.positions
     }
 
     /// The struct-of-arrays view of the current snapshot, indexed like
     /// `satellites()` — the batched visibility fast path consumes this.
+    ///
+    /// # Panics
+    /// Panics on an incomplete (subset-advanced) snapshot.
     pub fn positions_soa(&self) -> &PositionsSoa {
+        self.assert_complete();
         &self.soa
+    }
+
+    /// The columns of a possibly incomplete snapshot, for the visibility
+    /// window: it reads only the indices it had advanced.
+    pub(crate) fn columns(&self) -> &PositionsSoa {
+        &self.soa
+    }
+
+    fn assert_complete(&self) {
+        assert!(
+            self.complete,
+            "snapshot at {} was advanced for a subset only: whole-fleet positions are stale \
+             until the next advance_to",
+            self.epoch
+        );
     }
 }
 
 impl Propagator for SnapshotPropagator {
     fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef {
-        if t == self.epoch {
+        if t == self.epoch && self.complete {
             self.position_of(sat.id)
         } else {
             AnalyticPropagator.position_ecef(sat, t)
@@ -375,13 +467,11 @@ mod tests {
         assert!(a.distance_km(&b) < 1e-9);
     }
 
-    #[test]
-    fn snapshot_hoisting_matches_analytic_for_mixed_altitude_fleet() {
+    /// A TLE-catalog-like fleet: every satellite on its own slightly
+    /// different orbit, so each lands in its own rate group.
+    fn mixed_fleet() -> Vec<Satellite> {
         use crate::kepler::CircularOrbit;
-        use crate::walker::SatelliteId;
-        // A TLE-catalog-like fleet: every satellite on its own slightly
-        // different orbit, so each lands in its own rate group.
-        let sats: Vec<Satellite> = (0..24)
+        (0..24)
             .map(|i| Satellite {
                 id: SatelliteId::from_index(i, 6),
                 orbit: CircularOrbit::from_degrees(
@@ -391,7 +481,12 @@ mod tests {
                     i as f64 * 31.0,
                 ),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_hoisting_matches_analytic_for_mixed_altitude_fleet() {
+        let sats = mixed_fleet();
         let mut snap = SnapshotPropagator::new(sats.clone(), 6);
         for secs in [0u64, 15, 300, 86400, 432_000] {
             let t = SimTime::from_secs(secs);
@@ -407,6 +502,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The mixed fleet and the uniform shell: both advance paths (many
+    /// rate groups, one).
+    fn subset_test_fleets() -> Vec<(Vec<Satellite>, u16)> {
+        let shell = WalkerConstellation::starlink_shell1();
+        vec![(mixed_fleet(), 6), (shell.satellites(), shell.sats_per_plane)]
+    }
+
+    #[test]
+    fn subset_advance_is_bit_for_bit_the_full_advance() {
+        for (sats, per_plane) in subset_test_fleets() {
+            let mut full = SnapshotPropagator::new(sats.clone(), per_plane);
+            let mut part = SnapshotPropagator::new(sats.clone(), per_plane);
+            let r2_max = part.soa.r2_max;
+            for (step, secs) in [15u64, 16, 4_000, 3, 2_592_000].into_iter().enumerate() {
+                let t = SimTime::from_millis(secs * 1000 + step as u64 * 7);
+                let subset: Vec<u32> =
+                    (0..sats.len() as u32).filter(|i| (i * 7 + step as u32) % 5 < 2).collect();
+                full.advance_to(t);
+                part.advance_subset(t, &subset);
+                assert_eq!(part.epoch(), t);
+                assert!(!part.is_complete());
+                for &i in &subset {
+                    let i = i as usize;
+                    assert_eq!(part.soa.x[i].to_bits(), full.soa.x[i].to_bits(), "x[{i}] at {t}");
+                    assert_eq!(part.soa.y[i].to_bits(), full.soa.y[i].to_bits(), "y[{i}] at {t}");
+                    assert_eq!(part.soa.z[i].to_bits(), full.soa.z[i].to_bits(), "z[{i}] at {t}");
+                    assert_eq!(part.soa.p2[i].to_bits(), full.soa.p2[i].to_bits(), "p2[{i}]");
+                }
+                // Held from the last full advance, and within an ulp or
+                // two of what a full advance would compute now.
+                assert_eq!(part.soa.r2_max.to_bits(), r2_max.to_bits());
+                assert!((part.soa.r2_max / full.soa.r2_max - 1.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn angular_rate_bounds_every_satellites_earth_fixed_motion() {
+        for (sats, per_plane) in subset_test_fleets() {
+            let mut a = SnapshotPropagator::new(sats.clone(), per_plane);
+            let mut b = SnapshotPropagator::new(sats, per_plane);
+            let omega = a.max_angular_rate_rad_s();
+            // Shell 1: 2π/95.6 min plus Earth rotation and J2 drift.
+            assert!((1.1e-3..1.3e-3).contains(&omega), "ω = {omega}");
+            for t0 in [0u64, 999, 86_400 * 17] {
+                for dt in [1u64, 15, 126, 900] {
+                    a.advance_to(SimTime::from_secs(t0));
+                    b.advance_to(SimTime::from_secs(t0 + dt));
+                    for (p, q) in a.positions().iter().zip(b.positions()) {
+                        let cos = (p.x * q.x + p.y * q.y + p.z * q.z) / (p.norm() * q.norm());
+                        let turned = cos.clamp(-1.0, 1.0).acos();
+                        assert!(
+                            turned <= omega * dt as f64 + 1e-7,
+                            "turned {turned} rad in {dt} s, bound {}",
+                            omega * dt as f64
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_follows_the_orbits_not_the_instance() {
+        let shell = WalkerConstellation::starlink_shell1();
+        let a = SnapshotPropagator::new(shell.satellites(), shell.sats_per_plane);
+        let b = SnapshotPropagator::new(shell.satellites(), shell.sats_per_plane);
+        assert_eq!(a.fleet_fingerprint(), b.fleet_fingerprint());
+        let mut sats = shell.satellites();
+        sats.swap(3, 4);
+        let c = SnapshotPropagator::new(sats, shell.sats_per_plane);
+        assert_ne!(a.fleet_fingerprint(), c.fleet_fingerprint());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::constants::{EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S};
 use crate::coords::{Ecef, Geodetic};
-use crate::propagator::{PositionsSoa, Satellite};
+use crate::propagator::{PositionsSoa, Satellite, SnapshotPropagator};
 use crate::time::{SimDuration, SimTime};
 use crate::walker::SatelliteId;
 
@@ -67,10 +67,11 @@ pub fn visible_satellites(
     min_elevation_deg: f64,
 ) -> Vec<VisibleSatellite> {
     let g = ground.to_ecef();
-    let max_range = max_slant_range_km(
-        satellites.first().map(|s| s.orbit.altitude_km).unwrap_or(550.0),
-        min_elevation_deg,
-    );
+    // From the highest satellite present: a higher satellite is above the
+    // mask out to a longer slant range, so the first satellite's altitude
+    // would reject it in a mixed-altitude fleet (a TLE catalog).
+    let max_altitude_km = satellites.iter().map(|s| s.orbit.altitude_km).reduce(f64::max);
+    let max_range = max_slant_range_km(max_altitude_km.unwrap_or(550.0), min_elevation_deg);
     let mut out: Vec<VisibleSatellite> = satellites
         .iter()
         .filter_map(|sat| {
@@ -93,7 +94,7 @@ pub fn visible_satellites(
     out
 }
 
-/// Cosine of the maximum Earth-central angle between a ground point (at
+/// The maximum Earth-central angle, radians, between a ground point (at
 /// radius `ground_radius_km` from the Earth's centre) and any satellite
 /// at `orbit_radius_km` that sits above `min_elevation_deg`.
 ///
@@ -101,12 +102,10 @@ pub fn visible_satellites(
 /// elevation `el` the angle at the ground point is `90° + el`, so the
 /// central angle is `γ = 90° − el − asin((Rg/Rs)·cos el)`, monotonically
 /// decreasing in `el`. Any satellite above the mask therefore satisfies
-/// `cos γ ≥ cos γ_max` — one dot product against the ground unit vector
-/// decides "provably below the mask" without `asin`/`sqrt`. The bound is
-/// conservative (it never rejects a satellite above the mask), which is
-/// what keeps the culling fast path bit-for-bit identical to the exact
-/// scan.
-pub fn max_central_angle_cos(
+/// `γ ≤ γ_max`. The returned bound carries 1e-6 rad of slack (~6 m of
+/// surface arc), which swamps every floating-point rounding source in
+/// the tests built on it while admitting essentially nothing extra.
+fn max_central_angle_rad(
     ground_radius_km: f64,
     orbit_radius_km: f64,
     min_elevation_deg: f64,
@@ -114,10 +113,21 @@ pub fn max_central_angle_cos(
     let el = min_elevation_deg.to_radians();
     let ratio = (ground_radius_km / orbit_radius_km) * el.cos();
     let gamma = std::f64::consts::FRAC_PI_2 - el - ratio.clamp(-1.0, 1.0).asin();
-    // Slack of 1e-6 rad (~6 m of surface arc) swamps every floating-point
-    // rounding source in the dot-product test while culling essentially
-    // nothing extra.
-    (gamma + 1e-6).cos()
+    gamma + 1e-6
+}
+
+/// Cosine of `max_central_angle_rad`: any satellite above the mask
+/// satisfies `cos γ ≥ cos γ_max` — one dot product against the ground
+/// unit vector decides "provably below the mask" without `asin`/`sqrt`.
+/// The bound is conservative (it never rejects a satellite above the
+/// mask), which is what keeps the culling fast path bit-for-bit
+/// identical to the exact scan.
+pub fn max_central_angle_cos(
+    ground_radius_km: f64,
+    orbit_radius_km: f64,
+    min_elevation_deg: f64,
+) -> f64 {
+    max_central_angle_rad(ground_radius_km, orbit_radius_km, min_elevation_deg).cos()
 }
 
 /// The conservative culling threshold for a satellite set: computed from
@@ -242,27 +252,104 @@ pub struct VisScratch {
     tagged: Vec<(usize, VisibleSatellite)>,
 }
 
-/// The culling threshold over a struct-of-arrays snapshot: identical to
-/// [`cull_threshold`] but reading the precomputed fleet-wide maximum
-/// radius² off the snapshot instead of rescanning every position.
-fn cull_threshold_soa(g2: f64, soa: &PositionsSoa, min_elevation_deg: f64) -> Option<(f64, f64)> {
-    let r2_max = soa.r2_max();
-    if r2_max <= 0.0 || g2 <= 0.0 {
-        return None;
+/// [`max_central_angle_rad`] for a ground point against a fleet whose
+/// largest orbital radius² is `r2_max` (a higher satellite can be above
+/// the mask at a wider central angle, so one angle is valid for a
+/// mixed-altitude fleet); `None` for a degenerate ground or fleet.
+fn fleet_central_angle(g2: f64, r2_max: f64, min_elevation_deg: f64) -> Option<f64> {
+    (r2_max > 0.0 && g2 > 0.0)
+        .then(|| max_central_angle_rad(g2.sqrt(), r2_max.sqrt(), min_elevation_deg))
+}
+
+/// `cos²(angle)·|g|²`, the constant of the one-dot-product cone test
+/// `cos γ ≥ cos(angle)  ⇔  d > 0 ∧ d² ≥ cos²(angle)·|g|²·|p|²` with
+/// `d = g·p`. `None` when the cone is a hemisphere or wider, where the
+/// sign shortcut does not hold and nothing is culled.
+fn cone_threshold(angle: f64, g2: f64) -> Option<f64> {
+    (angle < std::f64::consts::FRAC_PI_2).then(|| {
+        let c = angle.cos();
+        c * c * g2
+    })
+}
+
+/// The culling threshold over a struct-of-arrays snapshot: the scalar
+/// [`cull_threshold`]'s bound, reading the precomputed fleet-wide
+/// maximum radius² off the snapshot instead of rescanning every position.
+fn cull_threshold_soa(g2: f64, soa: &PositionsSoa, min_elevation_deg: f64) -> Option<f64> {
+    cone_threshold(fleet_central_angle(g2, soa.r2_max(), min_elevation_deg)?, g2)
+}
+
+/// The branch-free cone sweep: `pass[i] = 1` where `threshold` cannot
+/// rule satellite `i` out (everywhere when there is no threshold). The
+/// same reject test as the scalar path, over zipped column slices — no
+/// index bound checks in the hot loop, and the compiler autovectorizes
+/// the two fused comparisons per lane.
+fn sweep_cone(pass: &mut Vec<u8>, soa: &PositionsSoa, g: &Ecef, threshold: Option<f64>) {
+    pass.clear();
+    pass.resize(soa.len(), 1);
+    if let Some(t) = threshold {
+        for ((((pass, x), y), z), p2) in
+            pass.iter_mut().zip(soa.x()).zip(soa.y()).zip(soa.z()).zip(soa.p2())
+        {
+            let d = g.x * x + g.y * y + g.z * z;
+            *pass = ((d > 0.0) & (d * d >= t * p2)) as u8;
+        }
     }
-    let c = max_central_angle_cos(g2.sqrt(), r2_max.sqrt(), min_elevation_deg);
-    (c > 0.0).then_some((c * c, g2))
+}
+
+/// Call `survivor(i)` for every set verdict, in index order. Walks the
+/// verdicts eight at a time: for a Starlink shell ~97 % of the words are
+/// all-zero, so one u64 compare skips eight satellites.
+fn for_each_survivor(pass: &[u8], mut survivor: impl FnMut(usize)) {
+    let words = pass.chunks_exact(8);
+    let tail_start = pass.len() - words.remainder().len();
+    for (w, chunk) in words.enumerate() {
+        if u64::from_ne_bytes(chunk.try_into().unwrap()) == 0 {
+            continue;
+        }
+        for (j, &v) in chunk.iter().enumerate() {
+            if v != 0 {
+                survivor(w * 8 + j);
+            }
+        }
+    }
+    for (i, &v) in pass.iter().enumerate().skip(tail_start) {
+        if v != 0 {
+            survivor(i);
+        }
+    }
+}
+
+/// The exact test every cull survivor pays: `keep`, then the
+/// `asin`/`sqrt` elevation math; above the mask it is tagged with its
+/// collection order and pushed.
+#[inline]
+fn push_if_visible(
+    tagged: &mut Vec<(usize, VisibleSatellite)>,
+    id: SatelliteId,
+    p: &Ecef,
+    g: &Ecef,
+    min_elevation_deg: f64,
+    keep: &mut impl FnMut(SatelliteId) -> bool,
+) {
+    if !keep(id) {
+        return;
+    }
+    let (el, range) = elevation_and_range(g, p);
+    if el >= min_elevation_deg {
+        let tag = tagged.len();
+        tagged.push((tag, VisibleSatellite { id, elevation_deg: el, slant_range_km: range }));
+    }
 }
 
 /// Batched candidate collection over SoA columns, writing tagged
 /// candidates into `scratch.tagged` (cleared first) in slice order.
 ///
 /// Two passes: a branch-free sweep evaluates the conservative culling
-/// bound for every satellite over the contiguous x/y/z/p2 columns (the
-/// compiler autovectorizes the two fused comparisons per lane), then only
-/// the survivors — a dozen out of 1296 for a Starlink shell — pay the
-/// `keep` lookup and the exact `asin`/`sqrt` elevation math. Reordering
-/// `keep` after the cull is sound because the two filters are
+/// bound for every satellite over the contiguous x/y/z/p2 columns, then
+/// only the survivors — a dozen out of 1296 for a Starlink shell — pay
+/// the `keep` lookup and the exact `asin`/`sqrt` elevation math.
+/// Reordering `keep` after the cull is sound because the two filters are
 /// independent; candidates still arrive in slice order, so the result is
 /// bit-for-bit the scalar [`collect_visible`] set. (A stateful `keep`
 /// closure would observe fewer calls than the scalar path makes — the
@@ -276,59 +363,13 @@ fn collect_visible_batched(
     scratch: &mut VisScratch,
 ) {
     debug_assert_eq!(satellites.len(), soa.len());
-    let n = satellites.len();
     let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
-    scratch.tagged.clear();
-    scratch.pass.clear();
-    scratch.pass.resize(n, 1);
-    if let Some((c2, g2)) = cull_threshold_soa(g2, soa, min_elevation_deg) {
-        let (xs, ys, zs, p2s) = (soa.x(), soa.y(), soa.z(), soa.p2());
-        let t = c2 * g2;
-        // cos γ ≥ c  ⇔  d ≥ 0 ∧ d² ≥ c²·|g|²·|p|²  (c > 0) — the same
-        // reject test as the scalar path, evaluated branch-free over
-        // zipped column slices (no index bound checks in the hot loop).
-        for ((((pass, x), y), z), p2) in
-            scratch.pass[..n].iter_mut().zip(xs).zip(ys).zip(zs).zip(p2s)
-        {
-            let d = g.x * x + g.y * y + g.z * z;
-            *pass = ((d > 0.0) & (d * d >= t * p2)) as u8;
-        }
-    }
     let VisScratch { pass, tagged } = scratch;
-    let mut survivor = |i: usize| {
-        let sat = &satellites[i];
-        if !keep(sat.id) {
-            return;
-        }
-        let p = soa.ecef(i);
-        let (el, range) = elevation_and_range(g, &p);
-        if el >= min_elevation_deg {
-            let tag = tagged.len();
-            tagged.push((
-                tag,
-                VisibleSatellite { id: sat.id, elevation_deg: el, slant_range_km: range },
-            ));
-        }
-    };
-    // Walk the verdicts eight at a time: for a Starlink shell ~97 % of
-    // the words are all-zero, so one u64 compare skips eight satellites.
-    let words = pass[..n].chunks_exact(8);
-    let tail_start = n - words.remainder().len();
-    for (w, chunk) in words.enumerate() {
-        if u64::from_ne_bytes(chunk.try_into().unwrap()) == 0 {
-            continue;
-        }
-        for (j, &v) in chunk.iter().enumerate() {
-            if v != 0 {
-                survivor(w * 8 + j);
-            }
-        }
-    }
-    for (i, &v) in pass[..n].iter().enumerate().skip(tail_start) {
-        if v != 0 {
-            survivor(i);
-        }
-    }
+    tagged.clear();
+    sweep_cone(pass, soa, g, cull_threshold_soa(g2, soa, min_elevation_deg));
+    for_each_survivor(pass, |i| {
+        push_if_visible(tagged, satellites[i].id, &soa.ecef(i), g, min_elevation_deg, &mut keep)
+    });
 }
 
 /// Total order shared by the top-k selection and the full sort:
@@ -380,13 +421,257 @@ pub fn visible_top_k_into(
     }
     let g = ground.to_ecef();
     collect_visible_batched(satellites, soa, &g, min_elevation_deg, keep, scratch);
-    let tagged = &mut scratch.tagged;
+    best_k_into(&mut scratch.tagged, k, out);
+}
+
+/// The `k` best of `tagged` appended to `out`, best first, under
+/// [`by_elevation_then_order`] (`k ≥ 1`).
+fn best_k_into(
+    tagged: &mut Vec<(usize, VisibleSatellite)>,
+    k: usize,
+    out: &mut Vec<VisibleSatellite>,
+) {
     if tagged.len() > k {
         tagged.select_nth_unstable_by(k - 1, by_elevation_then_order);
         tagged.truncate(k);
     }
     tagged.sort_unstable_by(by_elevation_then_order);
     out.extend(tagged.iter().map(|&(_, v)| v));
+}
+
+/// What a [`VisibilityWindow`]'s candidate lists were collected for. A
+/// query with any other fleet, mask or ground set, or a time outside
+/// `refreshed_ms ± window_ms`, needs a refresh first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WindowKey {
+    /// [`SnapshotPropagator::fleet_fingerprint`]: every orbit, hence
+    /// also the fleet's size.
+    fleet: u64,
+    min_elevation_deg: f64,
+    refreshed_ms: u64,
+    window_ms: u64,
+}
+
+/// One ground point of a [`VisibilityWindow`]: where it is, and the
+/// per-window constants of its cone tests.
+#[derive(Debug, Clone, Copy)]
+struct WindowGround {
+    at: Geodetic,
+    ecef: Ecef,
+    /// [`cone_threshold`] at `γ_max`: the scans' own per-epoch cull.
+    tight: Option<f64>,
+}
+
+/// Temporal coherence for repeated top-k scans of one fleet from a fixed
+/// set of ground points: a short per-ground candidate list that provably
+/// contains every satellite able to rise above the mask within a time
+/// window, so a scan inside the window tests a few dozen satellites
+/// instead of the fleet.
+///
+/// **The bound.** Every satellite's Earth-fixed unit position vector
+/// turns at no more than `ω` rad/s
+/// (`SnapshotPropagator::max_angular_rate_rad_s`), and a satellite
+/// above the mask sits within central angle `γ_max` of the ground point
+/// (`max_central_angle_rad`, from the fleet's largest radius). By the
+/// triangle inequality on the sphere, a satellite farther than
+/// `γ_max + margin` from the ground point at `t0` is farther than
+/// `γ_max` — below the mask — at every `t` with `|t − t0| ≤ margin / ω`.
+/// The margin is one visibility radius, `margin = γ_max`: a refresh
+/// sweeps the fleet with the cone widened to `2·γ_max` and the lists
+/// stay valid for `γ_max / ω` (≈ 126 s for Starlink's shell 1 at a 25°
+/// mask), floored to whole milliseconds and taken as the minimum over
+/// the ground points. Where `2·γ_max ≥ 90°` the list is simply every
+/// satellite and imposes no time limit.
+///
+/// **Exactness.** [`VisibilityWindow::top_k_into`] runs the same tight
+/// cull, the same `keep`, the same [`elevation_and_range`] and the same
+/// top-k order as [`visible_top_k_into`], over the candidates in
+/// ascending index order. The lists are a superset of the above-mask
+/// satellites, the cull only filters and the exact elevation test
+/// decides, so the members, their collection order and therefore the
+/// output are bit for bit the full scan's. Liveness is the caller's
+/// `keep`, applied per call: the lists hold geometry only.
+///
+/// All buffers are sized at the first refresh for a given fleet and
+/// ground count; later refreshes and scans allocate nothing.
+#[derive(Debug, Default)]
+pub struct VisibilityWindow {
+    key: Option<WindowKey>,
+    grounds: Vec<WindowGround>,
+    /// Candidate indices of ground `j`, ascending:
+    /// `candidates[starts[j]..starts[j + 1]]`.
+    candidates: Vec<u32>,
+    starts: Vec<usize>,
+    /// Sorted union of every ground's candidates — what a scan inside
+    /// the window reads, hence all a subset advance has to move.
+    union: Vec<u32>,
+    /// Epoch this window last subset-advanced a snapshot to: an
+    /// incomplete snapshot is readable at that epoch only.
+    subset_epoch: Option<SimTime>,
+    /// Union membership flags, one per satellite (refresh scratch).
+    member: Vec<u8>,
+    vis: VisScratch,
+}
+
+impl VisibilityWindow {
+    /// True when the candidate lists are valid for a scan of `snapshot`'s
+    /// fleet at time `t` with this mask from exactly these ground points.
+    pub fn covers(
+        &self,
+        snapshot: &SnapshotPropagator,
+        t: SimTime,
+        min_elevation_deg: f64,
+        grounds: &[Geodetic],
+    ) -> bool {
+        self.key.is_some_and(|k| {
+            k.fleet == snapshot.fleet_fingerprint()
+                && k.min_elevation_deg == min_elevation_deg
+                && t.as_millis().abs_diff(k.refreshed_ms) <= k.window_ms
+                && self.grounds.iter().map(|g| &g.at).eq(grounds)
+        })
+    }
+
+    /// Advance `snapshot` to `t` for a coming scan: only the candidate
+    /// union when the window covers `t`, the whole fleet when a refresh
+    /// is due.
+    pub fn advance(
+        &mut self,
+        snapshot: &mut SnapshotPropagator,
+        t: SimTime,
+        min_elevation_deg: f64,
+        grounds: &[Geodetic],
+    ) {
+        if self.covers(snapshot, t, min_elevation_deg, grounds) {
+            snapshot.advance_subset(t, &self.union);
+            self.subset_epoch = Some(t);
+        } else {
+            snapshot.advance_to(t);
+        }
+    }
+
+    /// Rescan the whole fleet at `snapshot`'s epoch with the widened cone
+    /// and restart the window there.
+    ///
+    /// # Panics
+    /// Panics when `snapshot` is incomplete: a refresh reads every
+    /// satellite.
+    pub fn refresh(
+        &mut self,
+        snapshot: &SnapshotPropagator,
+        min_elevation_deg: f64,
+        grounds: &[Geodetic],
+    ) {
+        let soa = snapshot.positions_soa();
+        let n = soa.len();
+        let omega = snapshot.max_angular_rate_rad_s();
+        self.grounds.clear();
+        self.candidates.clear();
+        self.candidates.reserve(n * grounds.len());
+        self.starts.clear();
+        self.starts.push(0);
+        self.union.clear();
+        self.union.reserve(n);
+        self.member.clear();
+        self.member.resize(n, 0);
+        self.vis.tagged.clear();
+        self.vis.tagged.reserve(n);
+        let mut window_ms = u64::MAX;
+        for &at in grounds {
+            let ecef = at.to_ecef();
+            let g2 = ecef.x * ecef.x + ecef.y * ecef.y + ecef.z * ecef.z;
+            let gamma = fleet_central_angle(g2, soa.r2_max(), min_elevation_deg);
+            let wide = gamma.and_then(|gamma| cone_threshold(2.0 * gamma, g2));
+            if let (Some(gamma), Some(_)) = (gamma, wide) {
+                // `as` saturates: a motionless fleet never leaves its window.
+                window_ms = window_ms.min((gamma / omega * 1000.0).floor() as u64);
+            }
+            sweep_cone(&mut self.vis.pass, soa, &ecef, wide);
+            for_each_survivor(&self.vis.pass, |i| {
+                self.candidates.push(i as u32);
+                self.member[i] = 1;
+            });
+            self.starts.push(self.candidates.len());
+            let tight = gamma.and_then(|gamma| cone_threshold(gamma, g2));
+            self.grounds.push(WindowGround { at, ecef, tight });
+        }
+        for_each_survivor(&self.member, |i| self.union.push(i as u32));
+        self.subset_epoch = None;
+        self.key = Some(WindowKey {
+            fleet: snapshot.fleet_fingerprint(),
+            min_elevation_deg,
+            refreshed_ms: snapshot.epoch().as_millis(),
+            window_ms,
+        });
+    }
+
+    /// The `k` best satellites above the mask from ground point `ground`
+    /// (its position in the refresh's ground list) at `snapshot`'s epoch,
+    /// restricted to ids passing `keep`: bit for bit
+    /// [`visible_top_k_into`]'s output, read off the candidate list.
+    /// The caller has established [`VisibilityWindow::covers`] for this
+    /// snapshot and epoch.
+    ///
+    /// # Panics
+    /// Panics when `snapshot` is incomplete and was not advanced to its
+    /// epoch by [`VisibilityWindow::advance`] of this window — its
+    /// candidates' positions would be stale.
+    pub fn top_k_into(
+        &mut self,
+        ground: usize,
+        snapshot: &SnapshotPropagator,
+        k: usize,
+        mut keep: impl FnMut(SatelliteId) -> bool,
+        out: &mut Vec<VisibleSatellite>,
+    ) {
+        out.clear();
+        if k == 0 {
+            return;
+        }
+        assert!(
+            snapshot.is_complete() || self.subset_epoch == Some(snapshot.epoch()),
+            "snapshot at {} is incomplete and this window did not advance it there",
+            snapshot.epoch()
+        );
+        let key = self.key.expect("top_k_into before the first refresh");
+        let WindowGround { ecef: g, tight, .. } = self.grounds[ground];
+        let soa = snapshot.columns();
+        let satellites = snapshot.satellites();
+        let tagged = &mut self.vis.tagged;
+        tagged.clear();
+        let list = &self.candidates[self.starts[ground]..self.starts[ground + 1]];
+        // A no-op once `out` has held `k` (or the fleet): later calls
+        // never grow it, whatever the sky looks like.
+        out.reserve(k.min(satellites.len()));
+        for &i in list {
+            let i = i as usize;
+            let p = soa.ecef(i);
+            if let Some(t) = tight {
+                let d = g.x * p.x + g.y * p.y + g.z * p.z;
+                if !((d > 0.0) & (d * d >= t * soa.p2()[i])) {
+                    continue;
+                }
+            }
+            push_if_visible(tagged, satellites[i].id, &p, &g, key.min_elevation_deg, &mut keep);
+        }
+        best_k_into(tagged, k, out);
+    }
+
+    /// Candidate indices of ground point `ground`, ascending.
+    pub fn candidates(&self, ground: usize) -> &[u32] {
+        &self.candidates[self.starts[ground]..self.starts[ground + 1]]
+    }
+
+    /// Sorted union of every ground point's candidates.
+    pub fn union(&self) -> &[u32] {
+        &self.union
+    }
+
+    /// How long either side of a refresh the lists stay valid, ms
+    /// (`u64::MAX` when every list is the whole fleet; 0 before the
+    /// first refresh).
+    pub fn window_ms(&self) -> u64 {
+        self.key.map_or(0, |k| k.window_ms)
+    }
 }
 
 /// Maximum slant range to a satellite at `altitude_km` that is still above
@@ -738,6 +1023,39 @@ mod tests {
             assert!(v.elevation_deg >= 25.0);
             assert!(v.slant_range_km <= max_slant_range_km(550.0, 25.0) + 1.0);
         }
+    }
+
+    #[test]
+    fn direct_scan_sizes_its_range_cut_from_the_highest_satellite() {
+        use crate::kepler::CircularOrbit;
+        // Altitudes 540 km (first) to 1230 km: the first satellite's
+        // maximum slant range is well inside the higher ones'.
+        let sats: Vec<Satellite> = (0..24)
+            .map(|i| Satellite {
+                id: SatelliteId::from_index(i, 6),
+                orbit: CircularOrbit::from_degrees(
+                    540.0 + i as f64 * 30.0,
+                    52.0 + (i % 5) as f64 * 0.4,
+                    i as f64 * 15.0,
+                    i as f64 * 31.0,
+                ),
+            })
+            .collect();
+        let first_cut = max_slant_range_km(sats[0].orbit.altitude_km, 25.0) + 1.0;
+        let mut beyond_first_cut = 0;
+        for (lat, lon) in [(40.7, -74.0), (0.0, 0.0), (-33.9, 151.2), (51.5, -0.1)] {
+            let ground = Geodetic::from_degrees(lat, lon, 0.0);
+            for secs in (0..86_400u64).step_by(97) {
+                let t = SimTime::from_secs(secs);
+                let positions: Vec<Ecef> =
+                    sats.iter().map(|s| s.orbit.position_eci(t).to_ecef(t)).collect();
+                let want = visible_brute_force(&sats, &positions, ground, 25.0);
+                let got = visible_satellites(&sats, ground, t, 25.0);
+                assert_eq!(got, want, "({lat},{lon}) t={secs}");
+                beyond_first_cut += want.iter().filter(|v| v.slant_range_km > first_cut).count();
+            }
+        }
+        assert!(beyond_first_cut > 20, "only {beyond_first_cut} witnesses past the first cut");
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! The columnar builders ([`build_access_log_columns`] and
 //! [`build_access_log_columns_parallel`]) produce logs whose
 //! materialized entries are bit-for-bit identical to the row builder's
-//! output: scheduling goes through the same `assign_user` arithmetic
-//! (via `schedule_epoch_into`) and entry resolution mirrors
-//! `resolve_entry` field for field. The parallel builder pre-sizes the
+//! output: both take every epoch boundary through one
+//! [`EpochScheduler::step`] (visibility-window advance, then
+//! `schedule_epoch_into` and with it the shared `assign_user`
+//! arithmetic), and entry resolution mirrors `resolve_entry` field for
+//! field. The parallel builder pre-sizes the
 //! column buffers once and hands each worker disjoint `&mut` chunks
 //! (split at epoch-run boundaries), so the steady-state epoch loop —
 //! propagate, schedule into reusable scratch, write columns in place —
@@ -22,9 +24,7 @@
 
 use crate::access_log::BIN_MAGIC;
 use crate::access_log::{prescan_epoch_runs, record_fault_delta, AccessLog, AccessLogEntry};
-use crate::scheduler::{
-    epoch_of, schedule_epoch_into, Assignment, EpochSchedule, ScheduleScratch, SchedulerConfig,
-};
+use crate::scheduler::{epoch_of, Assignment, EpochScheduler, SchedulerConfig};
 use crate::world::World;
 use spacegen::io::{read_fixed_record, IoError};
 use spacegen::trace::{LocationId, Request, Trace};
@@ -473,11 +473,9 @@ pub fn build_access_log_columns_recorded(
     let enabled = rec.is_enabled();
     let users = cfg.users_per_location;
     assert!(users > 0, "users_per_location must be positive");
-    let mut snapshot = world.snapshot();
+    let mut scheduler = EpochScheduler::new(world);
     let mut cols = AccessLogColumns::with_capacity(trace.len(), epoch_secs);
     let mut epoch_len = 0u64;
-    let mut scratch = ScheduleScratch::default();
-    let mut schedule = EpochSchedule::default();
     let mut have_schedule = false;
     // Wrapped round-robin cursors: each slot holds `raw_count % users`,
     // stepped without the per-entry modulo the row builder pays.
@@ -501,24 +499,11 @@ pub fn build_access_log_columns_recorded(
             epoch_len = 0;
             epoch_start_ms = epoch * epoch_ms;
             epoch_end_ms = epoch_start_ms + epoch_ms;
-            {
-                let _propagate = SpanTimer::start(rec, Stage::Propagate, epoch);
-                snapshot.advance_to(SimTime::from_secs(epoch * epoch_secs));
-            }
             let delta = cursor.advance_to(epoch * epoch_secs);
             if enabled && !delta.is_empty() {
                 record_fault_delta(rec, epoch, &delta);
             }
-            schedule_epoch_into(
-                world,
-                &snapshot,
-                epoch,
-                cfg,
-                cursor.view(),
-                rec,
-                &mut scratch,
-                &mut schedule,
-            );
+            scheduler.step(world, epoch, epoch_secs, cfg, cursor.view(), rec);
             have_schedule = true;
         }
         epoch_len += 1;
@@ -526,7 +511,7 @@ pub fn build_access_log_columns_recorded(
         let loc = r.location.0 as usize;
         let user = rr_counters[loc];
         rr_counters[loc] = if user + 1 == users { 0 } else { user + 1 };
-        cols.push_resolved(r, schedule.assignments[loc][user]);
+        cols.push_resolved(r, scheduler.schedule().assignments[loc][user]);
     }
     if enabled && epoch_len > 0 {
         rec.observe(Histo::QueueDepth, epoch_len);
@@ -544,9 +529,11 @@ pub fn build_access_log_columns_recorded(
 /// per-run failure view and the round-robin user counters' starting
 /// values. With the sequential dependencies captured, epoch runs are
 /// embarrassingly parallel: each worker owns a private
-/// `SnapshotPropagator` (`advance_to` is a pure function of `t`, so
-/// worker-local snapshots produce identical bits) and writes its runs'
-/// results directly into disjoint pre-split column chunks. Once a
+/// [`EpochScheduler`] (a satellite's position is a pure function of
+/// `t`, so worker-local snapshots produce identical bits, whichever
+/// epochs a worker's visibility window happens to refresh at), takes a
+/// contiguous block of runs, and writes their results directly into
+/// disjoint pre-split column chunks. Once a
 /// worker's scratch is warm, its steady-state epoch loop — propagate,
 /// schedule into scratch, write the run's chunk — performs zero heap
 /// allocations, and there is no stitch copy at the end. Output is
@@ -590,49 +577,40 @@ pub fn build_access_log_columns_parallel_recorded(
     cols.resize_zeroed(reqs.len());
 
     // Split the columns into one disjoint chunk per run and deal the
-    // (run, chunk) pairs round-robin across workers. Epoch runs are
-    // near-uniform in cost, so static assignment balances well and
-    // needs no claim queue.
+    // (run, chunk) pairs to workers as contiguous blocks: consecutive
+    // epochs share a visibility window, so a worker that walks
+    // neighbouring runs rescans the fleet once per ~8 epochs, where a
+    // round-robin deal at 8 workers would put every run a whole window
+    // from the worker's previous one. Static assignment needs no claim
+    // queue.
     let merge_span = SpanTimer::start(rec, Stage::Merge, 0);
     let chunks = split_into_chunks(&mut cols, runs.iter().map(|r| (r.start, r.end)));
     merge_span.stop();
     let workers = num_workers.min(runs.len()).max(1);
     let mut buckets: Vec<Vec<(usize, ColumnChunk)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        buckets[i % workers].push((i, chunk));
+    let sizes = balanced_block_sizes(runs.iter().map(|r| r.end - r.start), reqs.len(), workers);
+    let mut chunks = chunks.into_iter().enumerate();
+    for (bucket, size) in buckets.iter_mut().zip(sizes) {
+        bucket.extend(chunks.by_ref().take(size));
     }
 
     let users = cfg.users_per_location;
     assert!(users > 0, "users_per_location must be positive");
     std::thread::scope(|s| {
-        for bucket in buckets {
+        for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
             s.spawn(|| {
-                let mut snapshot = world.snapshot();
-                let mut scratch = ScheduleScratch::default();
-                let mut schedule = EpochSchedule::default();
+                let mut scheduler = EpochScheduler::new(world);
                 let mut rr = vec![0usize; world.num_locations()];
                 for (i, mut chunk) in bucket {
                     let run = &runs[i];
-                    {
-                        let _propagate = SpanTimer::start(rec, Stage::Propagate, run.epoch);
-                        snapshot.advance_to(SimTime::from_secs(run.epoch * epoch_secs));
-                    }
-                    schedule_epoch_into(
-                        world,
-                        &snapshot,
-                        run.epoch,
-                        cfg,
-                        &run.view,
-                        rec,
-                        &mut scratch,
-                        &mut schedule,
-                    );
+                    scheduler.step(world, run.epoch, epoch_secs, cfg, &run.view, rec);
                     // Fold the pre-scan's raw counts into wrapped
                     // cursors once per run; entries then step without
                     // the modulo (see the sequential builder).
                     for (w, &raw) in rr.iter_mut().zip(&run.rr_start) {
                         *w = raw % users;
                     }
+                    let schedule = scheduler.schedule();
                     for (j, r) in reqs[run.start..run.end].iter().enumerate() {
                         let loc = r.location.0 as usize;
                         let user = rr[loc];
@@ -644,6 +622,32 @@ pub fn build_access_log_columns_parallel_recorded(
         }
     });
     cols
+}
+
+/// Cut consecutive runs into `blocks` consecutive blocks of near-equal
+/// work; returns how many runs each block takes, in order. A run costs a
+/// fixed part (propagate and schedule its epoch) and a part per entry;
+/// with no constant to tune between the two, each run weighs its share
+/// of the runs plus its share of the `entries`, so a block exceeds its
+/// fair share of either cost by at most its fair share of the other. A
+/// block is empty when a single run outweighs it whole.
+fn balanced_block_sizes(
+    run_lens: impl ExactSizeIterator<Item = usize>,
+    entries: usize,
+    blocks: usize,
+) -> Vec<usize> {
+    let (runs, entries) = (run_lens.len() as u128, entries as u128);
+    // 1/runs + len/entries, scaled by runs·entries.
+    let total = (2 * runs * entries).max(1);
+    let mut sizes = vec![0usize; blocks];
+    let mut before = 0u128;
+    for len in run_lens {
+        // The block a run starts in owns it: monotone in `before`, so
+        // the blocks are contiguous.
+        sizes[(before * blocks as u128 / total) as usize] += 1;
+        before += entries + len as u128 * runs;
+    }
+    sizes
 }
 
 #[cfg(test)]
@@ -784,6 +788,37 @@ mod tests {
             // And against the sequential row builder, through transpose.
             assert_eq!(seq.to_log(), build_access_log(&w, &trace, 15, &cfg));
         }
+    }
+
+    #[test]
+    fn blocks_are_contiguous_and_balance_runs_and_entries() {
+        // Uniform runs: an even split.
+        assert_eq!(balanced_block_sizes([10usize; 12].into_iter(), 120, 4), [3, 3, 3, 3]);
+        // One heavy run among empty-ish ones: it takes a block's worth of
+        // weight, the light runs share the rest.
+        let mut lens = vec![1usize; 99];
+        lens.insert(0, 901);
+        let sizes = balanced_block_sizes(lens.iter().copied(), 1000, 2);
+        assert_eq!(sizes.iter().sum::<usize>(), 100);
+        assert!(sizes[0] < 20, "the heavy run's block took {} runs", sizes[0]);
+        // More blocks than weight boundaries: some stay empty, none is lost.
+        let sizes = balanced_block_sizes([5usize, 5].into_iter(), 10, 8);
+        assert_eq!(sizes.iter().sum::<usize>(), 2);
+        assert_eq!(sizes.len(), 8);
+        // Each block's share of runs plus its share of entries is within
+        // one run's weight of 2/blocks.
+        let lens: Vec<usize> = (0..500).map(|i| i * 7919 % 40).collect();
+        let entries: usize = lens.iter().sum();
+        let sizes = balanced_block_sizes(lens.iter().copied(), entries, 3);
+        let mut start = 0;
+        for size in sizes {
+            let block = &lens[start..start + size];
+            let share =
+                block.len() as f64 / 500.0 + block.iter().sum::<usize>() as f64 / entries as f64;
+            assert!((share - 2.0 / 3.0).abs() < 0.01, "block share {share}");
+            start += size;
+        }
+        assert_eq!(start, 500);
     }
 
     #[test]

@@ -14,8 +14,7 @@ use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::propagator::SnapshotPropagator;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::visibility::{
-    propagation_delay_ms_f64, visible_top_k_from_positions, visible_top_k_into, VisScratch,
-    VisibleSatellite,
+    propagation_delay_ms_f64, visible_top_k_from_positions, VisibilityWindow, VisibleSatellite,
 };
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Histo, Noop, Recorder, SpanTimer, Stage};
@@ -166,25 +165,47 @@ pub fn schedule_epoch_recorded(
     EpochSchedule { epoch_index, assignments }
 }
 
-/// Reusable buffers for [`schedule_epoch_into`]: the batched visibility
-/// scratch plus the top-k output list. One instance per worker keeps the
-/// steady-state epoch loop free of heap allocations.
+/// Reusable state for [`schedule_epoch_into`]: the visibility window
+/// (per-location candidate lists that stay valid for ~126 s of simulated
+/// time, see [`VisibilityWindow`]) plus the ground-point and top-k
+/// buffers. One instance per worker keeps the steady-state epoch loop
+/// free of heap allocations.
 #[derive(Debug, Default)]
 pub struct ScheduleScratch {
-    vis: VisScratch,
+    window: VisibilityWindow,
+    grounds: Vec<Geodetic>,
     visible: Vec<VisibleSatellite>,
 }
 
+impl ScheduleScratch {
+    fn set_grounds(&mut self, world: &World) {
+        self.grounds.clear();
+        self.grounds.extend(
+            world.locations.iter().map(|l| Geodetic::from_degrees(l.lat_deg, l.lon_deg, 0.0)),
+        );
+    }
+}
+
 /// The allocation-free twin of [`schedule_epoch_recorded`]: computes the
-/// schedule into a caller-owned [`EpochSchedule`] using the batched
-/// struct-of-arrays visibility scan and reusable scratch buffers. Once
-/// `scratch` and `out` are warm (after the first call with this world's
-/// shape), an invocation performs zero heap allocations.
+/// schedule into a caller-owned [`EpochSchedule`] through the scratch's
+/// [`VisibilityWindow`]. The time is `snapshot.epoch()`. When the window
+/// does not cover it — the first call, a jump past the window either
+/// way, another mask, fleet or location set — the whole fleet is
+/// rescanned with the widened cone and the window restarts (this needs a
+/// complete snapshot); inside the window each location tests its
+/// candidate list only. Liveness (`failures`) is applied per call and
+/// never enters the lists. Once `scratch` and `out` have seen this
+/// world's shape, an invocation performs zero heap allocations.
 ///
 /// The produced schedule is bit-for-bit what [`schedule_epoch_recorded`]
-/// returns: the visibility fast path is proven identical in
-/// `starcdn-orbit`, and the per-user assignment arithmetic is shared
-/// (`assign_user`).
+/// returns: the window is proven to select the full scan's satellites in
+/// `starcdn-orbit` (`tests/visibility_window.rs`), and the per-user
+/// assignment arithmetic is shared (`assign_user`).
+///
+/// With an enabled recorder a rescan counts one
+/// [`Counter::VisibilityRefreshes`] and observes the candidate union's
+/// size in [`Histo::VisibilityCandidates`]; its time is part of the
+/// epoch's [`Stage::Visibility`] span.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_epoch_into(
     world: &World,
@@ -196,32 +217,52 @@ pub fn schedule_epoch_into(
     scratch: &mut ScheduleScratch,
     out: &mut EpochSchedule,
 ) {
+    scratch.set_grounds(world);
+    schedule_from_grounds(world, snapshot, epoch_index, cfg, failures, rec, scratch, out);
+}
+
+/// [`schedule_epoch_into`] once `scratch.grounds` holds `world`'s
+/// locations.
+#[allow(clippy::too_many_arguments)]
+fn schedule_from_grounds(
+    world: &World,
+    snapshot: &SnapshotPropagator,
+    epoch_index: u64,
+    cfg: &SchedulerConfig,
+    failures: &starcdn_constellation::failures::FailureModel,
+    rec: &dyn Recorder,
+    scratch: &mut ScheduleScratch,
+    out: &mut EpochSchedule,
+) {
+    debug_assert_eq!(world.satellites.len(), snapshot.satellites().len());
     let enabled = rec.is_enabled();
     let span = SpanTimer::start(rec, Stage::Schedule, epoch_index);
     let mut vis_ns = 0u64;
     out.epoch_index = epoch_index;
     out.assignments.truncate(world.locations.len());
     out.assignments.resize_with(world.locations.len(), Vec::new);
-    for (loc_idx, loc) in world.locations.iter().enumerate() {
-        let ground = Geodetic::from_degrees(loc.lat_deg, loc.lon_deg, 0.0);
+    let ScheduleScratch { window, grounds, visible } = scratch;
+    let vis_t0 = enabled.then(std::time::Instant::now);
+    if !window.covers(snapshot, snapshot.epoch(), cfg.min_elevation_deg, grounds) {
+        window.refresh(snapshot, cfg.min_elevation_deg, grounds);
+        if enabled {
+            rec.add(Counter::VisibilityRefreshes, 1);
+            rec.observe(Histo::VisibilityCandidates, window.union().len() as u64);
+        }
+    }
+    if let Some(t0) = vis_t0 {
+        vis_ns += t0.elapsed().as_nanos() as u64;
+    }
+    for loc_idx in 0..world.locations.len() {
         let vis_t0 = enabled.then(std::time::Instant::now);
-        visible_top_k_into(
-            &world.satellites,
-            snapshot.positions_soa(),
-            ground,
-            cfg.min_elevation_deg,
-            cfg.top_k.max(1),
-            |id| failures.is_alive(id),
-            &mut scratch.vis,
-            &mut scratch.visible,
-        );
+        window.top_k_into(loc_idx, snapshot, cfg.top_k.max(1), |id| failures.is_alive(id), visible);
         if let Some(t0) = vis_t0 {
             vis_ns += t0.elapsed().as_nanos() as u64;
         }
         let per_user = &mut out.assignments[loc_idx];
         per_user.clear();
         for user in 0..cfg.users_per_location {
-            per_user.push(assign_user(&scratch.visible, cfg, epoch_index, loc_idx, user));
+            per_user.push(assign_user(visible, cfg, epoch_index, loc_idx, user));
         }
         if enabled {
             for a in per_user.iter().flatten() {
@@ -234,6 +275,61 @@ pub fn schedule_epoch_into(
         rec.span_ns(Stage::Visibility, epoch_index, vis_ns);
     }
     span.stop();
+}
+
+/// The epoch loop's moving parts — a position snapshot, the scratch
+/// whose window tracks it, and the schedule they produce — and the one
+/// step both columnar builders take at an epoch boundary.
+#[derive(Debug)]
+pub struct EpochScheduler {
+    snapshot: SnapshotPropagator,
+    scratch: ScheduleScratch,
+    schedule: EpochSchedule,
+}
+
+impl EpochScheduler {
+    /// A scheduler over `world`'s fleet, positioned at t = 0.
+    pub fn new(world: &World) -> Self {
+        EpochScheduler {
+            snapshot: world.snapshot(),
+            scratch: ScheduleScratch::default(),
+            schedule: EpochSchedule::default(),
+        }
+    }
+
+    /// Propagate to the start of `epoch` and schedule it under
+    /// `failures`. The advance asks the window which satellites the
+    /// coming schedule will read and moves only that union (~150 of 1296
+    /// for nine cities); when the schedule is going to rescan, it moves
+    /// everything. Timed as [`Stage::Propagate`], then
+    /// [`schedule_epoch_into`]'s own spans.
+    pub fn step(
+        &mut self,
+        world: &World,
+        epoch: u64,
+        epoch_secs: u64,
+        cfg: &SchedulerConfig,
+        failures: &starcdn_constellation::failures::FailureModel,
+        rec: &dyn Recorder,
+    ) {
+        let EpochScheduler { snapshot, scratch, schedule } = self;
+        scratch.set_grounds(world);
+        {
+            let _propagate = SpanTimer::start(rec, Stage::Propagate, epoch);
+            scratch.window.advance(
+                snapshot,
+                SimTime::from_secs(epoch * epoch_secs),
+                cfg.min_elevation_deg,
+                &scratch.grounds,
+            );
+        }
+        schedule_from_grounds(world, snapshot, epoch, cfg, failures, rec, scratch, schedule);
+    }
+
+    /// The schedule of the last [`EpochScheduler::step`].
+    pub fn schedule(&self) -> &EpochSchedule {
+        &self.schedule
+    }
 }
 
 /// The epoch index containing time `t` for a given epoch length.
@@ -343,6 +439,70 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    fn assert_same_schedule(a: &EpochSchedule, b: &EpochSchedule, what: &str) {
+        assert_eq!(a.epoch_index, b.epoch_index, "{what}");
+        assert_eq!(a.assignments.len(), b.assignments.len(), "{what}");
+        for (loc, (x, y)) in a.assignments.iter().zip(&b.assignments).enumerate() {
+            let bits = |v: &[Option<Assignment>]| -> Vec<Option<(SatelliteId, u64)>> {
+                v.iter().map(|a| a.map(|a| (a.satellite, a.gsl_oneway_ms.to_bits()))).collect()
+            };
+            assert_eq!(bits(x), bits(y), "{what} loc {loc}");
+        }
+    }
+
+    #[test]
+    fn epoch_scheduler_tracks_the_allocating_scheduler_through_windows_and_jumps() {
+        use starcdn_telemetry::MemoryRecorder;
+        let w = world();
+        let cfg = SchedulerConfig::default();
+        let mut full = w.snapshot();
+        let mut tracked = EpochScheduler::new(&w);
+        let rec = MemoryRecorder::new();
+        // Consecutive epochs (inside a window), a jump ahead, a run, a
+        // jump back into the first window's span, a repeat.
+        let epochs: Vec<u64> =
+            (0..30).chain(400..420).chain([5, 5, 6, 11_519]).chain(11_500..11_519).collect();
+        for (step, &epoch) in epochs.iter().enumerate() {
+            // A different dead set at every step: liveness is applied
+            // per call and never enters the candidate lists.
+            let dead = FailureModel::sample(&w.grid, 200, step as u64);
+            full.advance_to(SimTime::from_secs(epoch * 15));
+            let want = schedule_epoch_with(&w, &full, epoch, &cfg, &dead);
+            tracked.step(&w, epoch, 15, &cfg, &dead, &rec);
+            assert_same_schedule(tracked.schedule(), &want, &format!("epoch {epoch}"));
+        }
+        let snap = rec.snapshot();
+        let refreshes = snap.counter(Counter::VisibilityRefreshes);
+        // 0, 9, 18, 27 | 400, 409, 418 | 5 | 11519 | 11500, 11509, 11518.
+        assert_eq!(refreshes, 12);
+        assert_eq!(snap.counter(Counter::ScheduleEpochs), epochs.len() as u64);
+        let union = snap.histogram(Histo::VisibilityCandidates).expect("observed per refresh");
+        assert_eq!(union.count, refreshes);
+        assert!(union.max.unwrap() < 300 && union.min.unwrap() > 60, "{union:?}");
+    }
+
+    #[test]
+    fn one_scratch_serves_another_world_by_refreshing() {
+        // Same fleet size and epoch, other cities, then another mask: the
+        // window must not answer for what it was not collected for.
+        let nine = world();
+        let mut far = world();
+        for loc in &mut far.locations {
+            loc.lat_deg = -loc.lat_deg;
+            loc.lon_deg += 90.0;
+        }
+        let cfg = SchedulerConfig::default();
+        let steep = SchedulerConfig { min_elevation_deg: 40.0, ..cfg };
+        let snap = nine.snapshot();
+        let live = FailureModel::none();
+        let mut scratch = ScheduleScratch::default();
+        let mut out = EpochSchedule::default();
+        for (w, cfg) in [(&nine, &cfg), (&far, &cfg), (&far, &steep), (&nine, &cfg)] {
+            schedule_epoch_into(w, &snap, 0, cfg, &live, &Noop, &mut scratch, &mut out);
+            assert_same_schedule(&out, &schedule_epoch_with(w, &snap, 0, cfg, &live), "reuse");
         }
     }
 

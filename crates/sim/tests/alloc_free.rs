@@ -1,13 +1,16 @@
 //! Zero-allocation invariant of the steady-state epoch loop.
 //!
-//! A counting global allocator wraps the system allocator; after one
-//! warm-up pass over the measured epochs (growing every scratch buffer
-//! to its high-water mark), re-running the same epochs — orbital
-//! advance, batched schedule into reusable scratch, per-request
-//! resolution into a pre-sized columnar log — must perform zero heap
-//! allocations. This pins the contract the parallel columnar builder's
-//! worker loop relies on (`build_access_log_columns_parallel` hands
-//! each worker warm scratch plus pre-split column chunks).
+//! A counting global allocator wraps the system allocator; after a
+//! warm-up of one epoch (which sizes every scratch buffer for this
+//! world), running 40 epochs — orbital
+//! advance (full at a visibility-window refresh, the candidate union
+//! otherwise), schedule through the window into reusable scratch,
+//! per-request resolution into a pre-sized columnar log — must perform
+//! zero heap allocations. The 40 measured epochs span five refreshes:
+//! the candidate lists are sized once, not grown refresh by refresh.
+//! This pins the contract the parallel columnar builder's worker loop
+//! relies on (`build_access_log_columns_parallel` hands each worker
+//! warm scratch plus pre-split column chunks).
 //!
 //! One `#[test]` only: the allocation counter is process-global, and a
 //! concurrently running test would pollute the measured window.
@@ -16,9 +19,9 @@ use spacegen::trace::{LocationId, Request, Trace};
 use starcdn_cache::object::ObjectId;
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::columns::AccessLogColumns;
-use starcdn_sim::scheduler::{epoch_of, schedule_epoch_into, EpochSchedule, ScheduleScratch};
-use starcdn_sim::{SimConfig, World};
-use starcdn_telemetry::Noop;
+use starcdn_sim::scheduler::{epoch_of, EpochScheduler};
+use starcdn_sim::{build_access_log_columns_recorded, SimConfig, World};
+use starcdn_telemetry::{Counter, MemoryRecorder, Noop, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,8 +61,8 @@ fn steady_state_epoch_loop_allocates_nothing() {
     let cfg = SimConfig::default();
     let sched_cfg = cfg.scheduler();
 
-    // 20 epochs of requests, every city, pre-built outside the window.
-    let reqs: Vec<Request> = (0..1800u64)
+    // 40 epochs of requests, every city, pre-built outside the window.
+    let reqs: Vec<Request> = (0..3600u64)
         .map(|k| Request {
             time: SimTime::from_secs(k / 6),
             object: ObjectId(k % 97),
@@ -69,54 +72,45 @@ fn steady_state_epoch_loop_allocates_nothing() {
         .collect();
     let trace = Trace::new(reqs);
 
-    let mut snapshot = world.snapshot();
-    let mut scratch = ScheduleScratch::default();
-    let mut schedule = EpochSchedule::default();
+    let mut scheduler = EpochScheduler::new(&world);
     let mut rr = vec![0usize; world.num_locations()];
     let mut cols = AccessLogColumns::with_capacity(trace.len(), cfg.epoch_secs);
 
     // The steady-state loop under test — identical shape to one parallel
     // columnar worker's per-run body.
-    let run_epochs = |cols: &mut AccessLogColumns,
-                      snapshot: &mut starcdn_orbit::propagator::SnapshotPropagator,
-                      scratch: &mut ScheduleScratch,
-                      schedule: &mut EpochSchedule,
-                      rr: &mut [usize]| {
+    let run_epochs = |trace: &Trace,
+                      cols: &mut AccessLogColumns,
+                      scheduler: &mut EpochScheduler,
+                      rr: &mut [usize],
+                      rec: &dyn Recorder| {
         rr.fill(0);
         let mut current_epoch = u64::MAX;
         for r in &trace.requests {
             let epoch = epoch_of(r.time, cfg.epoch_secs);
             if epoch != current_epoch {
                 current_epoch = epoch;
-                snapshot.advance_to(SimTime::from_secs(epoch * cfg.epoch_secs));
-                schedule_epoch_into(
-                    &world,
-                    snapshot,
-                    epoch,
-                    &sched_cfg,
-                    &world.failures,
-                    &Noop,
-                    scratch,
-                    schedule,
-                );
+                scheduler.step(&world, epoch, cfg.epoch_secs, &sched_cfg, &world.failures, rec);
             }
             let loc = r.location.0 as usize;
             let user = rr[loc] % sched_cfg.users_per_location;
             rr[loc] += 1;
-            cols.push_resolved(r, schedule.assignments[loc][user]);
+            cols.push_resolved(r, scheduler.schedule().assignments[loc][user]);
         }
     };
 
-    // Warm-up: grows scratch, schedule, and snapshot buffers to their
-    // high-water marks and fills the (pre-reserved) columns once.
-    run_epochs(&mut cols, &mut snapshot, &mut scratch, &mut schedule, &mut rr);
-    let warm = cols.to_log();
-    assert_eq!(warm.len(), trace.len());
+    // Warm-up: the first epoch only — one refresh, which sizes the
+    // window's lists, the scratch and the schedule for this world. The
+    // 39 epochs after it, and the four later refreshes, are first seen
+    // inside the measured pass.
+    let first_epoch = Trace::new(trace.requests[..90].to_vec());
+    assert_eq!(epoch_of(first_epoch.requests[89].time, cfg.epoch_secs), 0);
+    run_epochs(&first_epoch, &mut cols, &mut scheduler, &mut rr, &Noop);
 
-    // Measured pass over the same epochs: zero allocator calls allowed.
+    // Measured pass over all 40 epochs (a backward jump to epoch 0
+    // first): zero allocator calls allowed.
     let mut fresh_cols = AccessLogColumns::with_capacity(trace.len(), cfg.epoch_secs);
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    run_epochs(&mut fresh_cols, &mut snapshot, &mut scratch, &mut schedule, &mut rr);
+    run_epochs(&trace, &mut fresh_cols, &mut scheduler, &mut rr, &Noop);
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
@@ -125,6 +119,12 @@ fn steady_state_epoch_loop_allocates_nothing() {
         after - before
     );
 
-    // And the allocation-free pass still produced the right answer.
-    assert_eq!(fresh_cols.to_log(), warm);
+    // And the allocation-free pass produced the right answer — the
+    // sequential columnar builder's — across at least three refreshes.
+    let counted = MemoryRecorder::new();
+    let want =
+        build_access_log_columns_recorded(&world, &trace, cfg.epoch_secs, &sched_cfg, &counted);
+    assert_eq!(fresh_cols, want);
+    let refreshes = counted.snapshot().counter(Counter::VisibilityRefreshes);
+    assert!(refreshes >= 3, "the measured epochs span only {refreshes} refreshes");
 }

@@ -15,12 +15,23 @@
 //! Replayer comparisons need the no-relay config, where the parallel
 //! replayer's exactness contract holds (relayed fetch replays
 //! approximately; see `crates/sim/src/replayer.rs`).
+//!
+//! The `builders_*` rows stop after the log builders. Their traces are
+//! shaped to stress the scheduler's visibility window — two days of
+//! sparse requests, silences longer than a window between bursts inside
+//! one epoch — under churn on top of a sampled base outage, and every
+//! builder (rows, sequential columns, parallel columns at 1, 2, 3, 4
+//! and 8 workers) must produce the same entries down to
+//! `gsl_oneway_ms.to_bits()`.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::{DelayedHitConfig, StarCdnConfig};
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
+use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormParams};
 use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
@@ -34,6 +45,7 @@ use starcdn_sim::{
 use std::path::PathBuf;
 
 const WORKERS: [usize; 3] = [1, 4, 8];
+const BUILD_WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
 
 struct Row {
     world: World,
@@ -68,6 +80,63 @@ fn delayed_trace() -> Trace {
         })
         .collect();
     Trace::new(reqs)
+}
+
+fn request(t_ms: u64, k: u64, rng: &mut StdRng) -> Request {
+    Request {
+        time: SimTime::from_millis(t_ms),
+        object: ObjectId(k % 211),
+        size: 500 + (k % 5) * 100,
+        location: LocationId(rng.gen_range(0..9u16)),
+    }
+}
+
+/// 48 h of one request every 1–40 s: most epochs hold a request or two,
+/// some none, so the window is reused across gaps of every length up to
+/// a few epochs.
+fn sparse_two_days() -> Trace {
+    let mut rng = StdRng::seed_from_u64(0x5AA5);
+    let mut t_ms = 0u64;
+    let mut reqs = Vec::new();
+    while t_ms < 48 * 3_600_000 {
+        reqs.push(request(t_ms, reqs.len() as u64, &mut rng));
+        t_ms += rng.gen_range(1_000..40_000u64);
+    }
+    Trace::new(reqs)
+}
+
+/// Bursts of 30–90 requests inside one epoch, separated by silences: a
+/// third of them shorter than the ~126 s window, the rest up to 40 min,
+/// so every burst after a long silence starts from a refresh.
+fn bursts_and_silences() -> Trace {
+    let mut rng = StdRng::seed_from_u64(0xB0B5);
+    let mut epoch = 0u64;
+    let mut reqs = Vec::new();
+    while epoch < 12 * 240 {
+        let mut offsets: Vec<u64> =
+            (0..rng.gen_range(30..90)).map(|_| rng.gen_range(0..15_000u64)).collect();
+        offsets.sort_unstable();
+        for off in offsets {
+            reqs.push(request(epoch * 15_000 + off, reqs.len() as u64, &mut rng));
+        }
+        epoch += if rng.gen_range(0..3) == 0 {
+            rng.gen_range(1..9u64)
+        } else {
+            rng.gen_range(9..159u64)
+        };
+    }
+    Trace::new(reqs)
+}
+
+/// Churn over `horizon_secs` on top of a sampled static outage of 126
+/// slots (the paper's §5.4 count).
+fn churning_with_outage(horizon_secs: u64, seed: u64) -> World {
+    let base = World::starlink_nine_cities();
+    let outage = FailureModel::sample(&base.grid, 126, seed);
+    let churn = ChurnParams::sats_only(6.0 * 3600.0, 900.0, horizon_secs, seed ^ 0xC0FFEE);
+    let schedule = FaultSchedule::churn(&base.grid, &churn);
+    assert!(schedule.len() > 100, "churn parameters produced {} events", schedule.len());
+    base.with_failures(outage).with_fault_schedule(schedule)
 }
 
 fn plain_cdn() -> StarCdnConfig {
@@ -154,6 +223,29 @@ scenario_table! {
     transmission_degraded: churning(1800.0, 120.0, 0xD00D), trace(),       transmission_cdn(), |t| tight(t, 1.5);
 }
 
+#[test]
+fn builders_sparse_two_days() {
+    let (log, _) =
+        check_builders("sparse 48 h", &churning_with_outage(48 * 3600, 7), &sparse_two_days());
+    let epochs: std::collections::BTreeSet<u64> =
+        log.entries.iter().map(|e| e.time.as_secs() / 15).collect();
+    assert!(epochs.len() > 6_000, "only {} of 11520 epochs hold a request", epochs.len());
+    assert!(log.entries.iter().all(|e| e.first_contact.is_some()));
+}
+
+#[test]
+fn builders_bursts_and_silences() {
+    let (log, _) =
+        check_builders("bursts", &churning_with_outage(12 * 3600, 11), &bursts_and_silences());
+    let gaps: Vec<u64> = log
+        .entries
+        .windows(2)
+        .map(|w| w[1].time.as_millis() - w[0].time.as_millis())
+        .filter(|&gap| gap >= 15_000)
+        .collect();
+    assert!(gaps.iter().any(|&g| g < 126_000) && gaps.iter().any(|&g| g > 1_200_000));
+}
+
 /// Every exported metric, bit-for-bit, latency samples in sequence.
 fn assert_metrics_identical(a: &SystemMetrics, b: &SystemMetrics, what: &str) {
     assert_eq!(a.stats, b.stats, "{what}: stats");
@@ -192,18 +284,34 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn check(name: &str, row: &Row) {
-    let Row { world, trace, cdn, overload } = row;
+/// Row builder ≡ sequential columnar ≡ parallel columnar at every worker
+/// count, entry for entry with the GSL delay compared as bits.
+fn check_builders(name: &str, world: &World, trace: &Trace) -> (AccessLog, AccessLogColumns) {
     let sim = SimConfig::default();
     let log: AccessLog = build_access_log(world, trace, sim.epoch_secs, &sim.scheduler());
     let cols: AccessLogColumns =
         build_access_log_columns(world, trace, sim.epoch_secs, &sim.scheduler());
-    assert_eq!(cols.to_log(), log, "{name}: columnar builder diverged from row builder");
-    for n in WORKERS {
+    assert_eq!(cols.len(), log.len(), "{name}: columnar builder's entry count");
+    for (i, (c, r)) in cols.iter().zip(&log.entries).enumerate() {
+        assert_eq!(c, *r, "{name}: columnar builder diverged from row builder at entry {i}");
+        assert_eq!(c.gsl_oneway_ms.to_bits(), r.gsl_oneway_ms.to_bits(), "{name}: entry {i} gsl");
+    }
+    let gsl_bits = |c: &AccessLogColumns| -> Vec<u64> {
+        c.iter().map(|e| e.gsl_oneway_ms.to_bits()).collect()
+    };
+    let want_bits = gsl_bits(&cols);
+    for n in BUILD_WORKERS {
         let par =
             build_access_log_columns_parallel(world, trace, sim.epoch_secs, &sim.scheduler(), n);
         assert_eq!(par, cols, "{name}: parallel columnar builder at {n} workers");
+        assert_eq!(gsl_bits(&par), want_bits, "{name}: gsl bits at {n} workers");
     }
+    (log, cols)
+}
+
+fn check(name: &str, row: &Row) {
+    let Row { world, trace, cdn, overload } = row;
+    let (log, cols) = check_builders(name, world, trace);
 
     let spec = RunSpec { schedule: &world.schedule, overload: *overload, ..RunSpec::default() };
     let run_engine = |log: LogView<'_>, spec: &RunSpec<'_>| {

@@ -74,11 +74,14 @@ pub enum Counter {
     /// Requests degraded to the origin bent pipe because a shard's
     /// circuit stayed open.
     NetRequestsDegraded,
+    /// Full-fleet rescans that restarted a scheduler's visibility window
+    /// (every other scheduled epoch tested its candidate lists only).
+    VisibilityRefreshes,
 }
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::RequestsRouted,
         Counter::RequestsUnreachable,
         Counter::RequestsUnroutable,
@@ -109,6 +112,7 @@ impl Counter {
         Counter::NetCircuitOpens,
         Counter::NetDuplicatesDropped,
         Counter::NetRequestsDegraded,
+        Counter::VisibilityRefreshes,
     ];
 
     /// Stable snake_case name used by the exporters.
@@ -144,6 +148,7 @@ impl Counter {
             Counter::NetCircuitOpens => "net_circuit_opens",
             Counter::NetDuplicatesDropped => "net_duplicates_dropped",
             Counter::NetRequestsDegraded => "net_requests_degraded",
+            Counter::VisibilityRefreshes => "visibility_refreshes",
         }
     }
 }
@@ -173,11 +178,14 @@ pub enum Histo {
     NetAckRttUs,
     /// Encoded frame size on the wire, bytes.
     NetFrameBytes,
+    /// Satellites in the candidate union at each visibility-window
+    /// refresh — what the following epochs propagate and test.
+    VisibilityCandidates,
 }
 
 impl Histo {
     /// Every histogram, in snapshot order.
-    pub const ALL: [Histo; 10] = [
+    pub const ALL: [Histo; 11] = [
         Histo::LatencyUs,
         Histo::IslHops,
         Histo::ObjectBytes,
@@ -188,6 +196,7 @@ impl Histo {
         Histo::ResidualWaitEpochs,
         Histo::NetAckRttUs,
         Histo::NetFrameBytes,
+        Histo::VisibilityCandidates,
     ];
 
     /// Stable snake_case name used by the exporters.
@@ -203,6 +212,7 @@ impl Histo {
             Histo::ResidualWaitEpochs => "residual_wait_epochs",
             Histo::NetAckRttUs => "net_ack_rtt_us",
             Histo::NetFrameBytes => "net_frame_bytes",
+            Histo::VisibilityCandidates => "visibility_candidates",
         }
     }
 }
