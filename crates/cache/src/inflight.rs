@@ -29,10 +29,9 @@
 //! object's requests in the same order, so lazy retirement produces
 //! bit-identical outcomes in both without any global epoch barrier.
 
-use crate::object::ObjectId;
+use crate::object::{IdMap, ObjectId};
 use crate::state::StateError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One outstanding origin fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +57,7 @@ pub struct RetiredFetch {
 }
 
 /// Serializable snapshot of one queue (entries in ascending object-id
-/// order, which is also the queue's iteration order).
+/// order; the queue itself is unordered and sorts on export).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InflightState {
     pub fetches: Vec<InflightEntryState>,
@@ -75,9 +74,13 @@ pub struct InflightEntryState {
 }
 
 /// The per-satellite outstanding-fetch queue.
+///
+/// Every operation the serving path makes is a point lookup by object
+/// id, so the fetches sit in a hash map ([`IdMap`]); only
+/// [`to_state`](Self::to_state) needs an order, and sorts for it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InflightQueue {
-    fetches: BTreeMap<ObjectId, InflightFetch>,
+    fetches: IdMap<ObjectId, InflightFetch>,
 }
 
 impl InflightQueue {
@@ -156,21 +159,22 @@ impl InflightQueue {
         self.fetches.clear();
     }
 
-    /// Export the queue as portable state (ascending object id).
+    /// Export the queue as portable state (ascending object id, so the
+    /// checkpoint bytes do not depend on the map's iteration order).
     pub fn to_state(&self) -> InflightState {
-        InflightState {
-            fetches: self
-                .fetches
-                .iter()
-                .map(|(&id, f)| InflightEntryState {
-                    id,
-                    completes_at: f.completes_at,
-                    size: f.size,
-                    followers: f.followers,
-                    delay_epochs: f.delay_epochs,
-                })
-                .collect(),
-        }
+        let mut fetches: Vec<InflightEntryState> = self
+            .fetches
+            .iter()
+            .map(|(&id, f)| InflightEntryState {
+                id,
+                completes_at: f.completes_at,
+                size: f.size,
+                followers: f.followers,
+                delay_epochs: f.delay_epochs,
+            })
+            .collect();
+        fetches.sort_unstable_by_key(|e| e.id);
+        InflightState { fetches }
     }
 
     /// Rebuild a queue from exported state, rejecting duplicates and

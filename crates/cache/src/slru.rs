@@ -9,10 +9,10 @@
 //! content — the scan-resistance plain LRU lacks.
 
 use crate::lru::{LinkedSlab, NIL};
-use crate::object::ObjectId;
+use crate::object::{IdMap, ObjectId};
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{checked_total, CacheState, StateError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -30,7 +30,7 @@ pub struct SlruCache {
     used_protected: u64,
     probation: LinkedSlab,
     protected: LinkedSlab,
-    index: HashMap<ObjectId, (Segment, usize)>,
+    index: IdMap<ObjectId, (Segment, usize)>,
 }
 
 impl SlruCache {
@@ -49,7 +49,7 @@ impl SlruCache {
             used_protected: 0,
             probation: LinkedSlab::new(),
             protected: LinkedSlab::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         }
     }
 

@@ -19,6 +19,9 @@ pub struct BucketId(pub u32);
 pub enum TilingError {
     /// `L` must be a positive perfect square so a √L×√L tile exists.
     NotPerfectSquare(u32),
+    /// The √L×√L tile is wider than a grid axis, so some bucket has no
+    /// owner anywhere on the grid.
+    TileExceedsGrid { root: u32, num_planes: u16, sats_per_plane: u16 },
 }
 
 impl std::fmt::Display for TilingError {
@@ -27,6 +30,10 @@ impl std::fmt::Display for TilingError {
             TilingError::NotPerfectSquare(l) => {
                 write!(f, "bucket count {l} is not a positive perfect square")
             }
+            TilingError::TileExceedsGrid { root, num_planes, sats_per_plane } => write!(
+                f,
+                "a {root}×{root} bucket tile does not fit a {num_planes}×{sats_per_plane} grid"
+            ),
         }
     }
 }
@@ -54,6 +61,22 @@ impl BucketTiling {
             return Err(TilingError::NotPerfectSquare(num_buckets));
         }
         Ok(BucketTiling { num_buckets, root })
+    }
+
+    /// [`BucketTiling::new`], additionally requiring that one whole tile
+    /// fits `grid` — the condition under which every bucket has an owner
+    /// and [`nearest_owner`](Self::nearest_owner) is total. Every
+    /// serving path builds its tiling through here.
+    pub fn for_grid(num_buckets: u32, grid: &GridTopology) -> Result<Self, TilingError> {
+        let tiling = Self::new(num_buckets)?;
+        if tiling.root > grid.num_planes.min(grid.sats_per_plane) as u32 {
+            return Err(TilingError::TileExceedsGrid {
+                root: tiling.root,
+                num_planes: grid.num_planes,
+                sats_per_plane: grid.sats_per_plane,
+            });
+        }
+        Ok(tiling)
     }
 
     /// The bucket a satellite slot is responsible for.
@@ -84,7 +107,8 @@ impl BucketTiling {
     /// The nearest satellite (in wrap-around grid distance) owning
     /// `bucket`, starting from `from`. Ties prefer the smaller offset on
     /// the plane axis, then the slot axis, eastward/northward first —
-    /// deterministic so every satellite routes identically.
+    /// deterministic so every satellite routes identically. The tile
+    /// must fit the grid ([`BucketTiling::for_grid`]).
     pub fn nearest_owner(
         &self,
         grid: &GridTopology,
@@ -92,9 +116,9 @@ impl BucketTiling {
         bucket: BucketId,
     ) -> SatelliteId {
         debug_assert!(bucket.0 < self.num_buckets);
-        // Scan offsets outward on each axis independently: the bucket
-        // pattern is axis-separable, so the nearest owner combines the
-        // nearest plane residue with the nearest slot residue.
+        // The bucket pattern is axis-separable, so the nearest owner
+        // combines the nearest plane residue with the nearest slot
+        // residue.
         let want_plane_mod = (bucket.0 / self.root) as u16;
         let want_slot_mod = (bucket.0 % self.root) as u16;
         let plane =
@@ -106,22 +130,33 @@ impl BucketTiling {
 }
 
 /// Nearest coordinate to `from` (cyclic, size `n`) whose value mod `r`
-/// equals `residue`. Scans outward: offset 0, +1, -1, +2, -2, …
+/// equals `residue`; on equal offsets the upward one.
+///
+/// Closed form, for every `residue < r ≤ n` (`r` need not divide `n`):
+/// upward the candidate is the next value ≥ `from` with the residue, or
+/// past the wrap the first such value from 0 (`residue` itself);
+/// downward the previous value ≤ `from`, or past the wrap the last such
+/// value below `n`.
 fn nearest_with_residue(from: u16, residue: u16, r: u16, n: u16) -> u16 {
+    // `for_grid` guarantees it for every serving path; a tiling built by
+    // `new` and laid over a smaller grid stops here, not at a slot that
+    // does not exist.
+    assert!(r <= n, "a tile edge of {r} does not fit an axis of {n}");
     debug_assert!(residue < r);
-    for d in 0..=(n / 2 + 1) {
-        let up = (from + d) % n;
-        if up % r == residue {
-            return up;
-        }
-        let down = (from + n - d % n) % n;
-        if down % r == residue {
-            return down;
-        }
-    }
-    // r ≤ n always yields a hit within ⌈r/2⌉ steps when r | n; when r ∤ n
-    // the wrap seam may distort residues but a hit still exists within n.
-    unreachable!("no coordinate with residue {residue} (mod {r}) in 0..{n}")
+    let (residue, r, n) = (residue as u32, r as u32, n as u32);
+    let from = if from as u32 >= n { from as u32 % n } else { from as u32 };
+    let phase = from % r;
+    let ahead = if residue >= phase { residue - phase } else { residue + r - phase };
+    let behind = if ahead == 0 { 0 } else { r - ahead };
+    let (up, up_offset) =
+        if from + ahead < n { (from + ahead, ahead) } else { (residue, n - from + residue) };
+    let (down, down_offset) = if behind <= from {
+        (from - behind, behind)
+    } else {
+        let last = residue + (n - 1 - residue) / r * r;
+        (last, from + n - last)
+    };
+    (if up_offset <= down_offset { up } else { down }) as u16
 }
 
 #[cfg(test)]
@@ -131,6 +166,108 @@ mod tests {
 
     fn grid() -> GridTopology {
         GridTopology::starlink()
+    }
+
+    /// The outward scan `nearest_with_residue` used to be — offset 0,
+    /// +1, −1, +2, −2, … — kept as the reference the closed form is
+    /// checked against.
+    fn scan_nearest_with_residue(from: u16, residue: u16, r: u16, n: u16) -> u16 {
+        for d in 0..=(n / 2 + 1) {
+            let up = (from + d) % n;
+            if up % r == residue {
+                return up;
+            }
+            let down = (from + n - d % n) % n;
+            if down % r == residue {
+                return down;
+            }
+        }
+        unreachable!("no coordinate with residue {residue} (mod {r}) in 0..{n}")
+    }
+
+    #[test]
+    fn nearest_with_residue_matches_the_scan_on_every_small_axis() {
+        for n in 1..=80u16 {
+            for r in 1..=n.min(9) {
+                for residue in 0..r {
+                    for from in 0..n + 3 {
+                        assert_eq!(
+                            nearest_with_residue(from, residue, r, n),
+                            scan_nearest_with_residue(from, residue, r, n),
+                            "from={from} residue={residue} r={r} n={n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_owner_matches_the_scan_on_every_slot_and_bucket() {
+        // 16 and 25 do not divide 72 × 18: the wrap seam cuts a tile.
+        let grids = [(72u16, 18u16), (6, 70), (5, 4)];
+        let mut checked = 0usize;
+        for (num_planes, sats_per_plane) in grids {
+            let g = GridTopology { num_planes, sats_per_plane, seamless: true };
+            for l in [1u32, 4, 9, 16, 25, 36] {
+                let t = BucketTiling::new(l).unwrap();
+                let r = t.root as u16;
+                if r > num_planes.min(sats_per_plane) {
+                    // Some bucket has no owner at all: construction
+                    // for a serving path refuses the pair.
+                    assert!(BucketTiling::for_grid(l, &g).is_err());
+                    continue;
+                }
+                assert_eq!(BucketTiling::for_grid(l, &g), Ok(t));
+                for from in g.iter_ids() {
+                    for b in 0..l {
+                        let want = SatelliteId::new(
+                            scan_nearest_with_residue(
+                                from.orbit,
+                                (b / t.root) as u16,
+                                r,
+                                num_planes,
+                            ),
+                            scan_nearest_with_residue(
+                                from.slot,
+                                (b % t.root) as u16,
+                                r,
+                                sats_per_plane,
+                            ),
+                        );
+                        let got = t.nearest_owner(&g, from, BucketId(b));
+                        assert_eq!(got, want, "{num_planes}×{sats_per_plane} L={l} {from} b={b}");
+                        assert_eq!(t.bucket_of_sat(got), BucketId(b));
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1296 * 91, "{checked}");
+    }
+
+    #[test]
+    fn rejects_a_tile_wider_than_a_grid_axis() {
+        let g = |num_planes, sats_per_plane| GridTopology {
+            num_planes,
+            sats_per_plane,
+            seamless: true,
+        };
+        for (grid, l) in [(g(2, 2), 9u32), (g(3, 2), 9), (g(2, 3), 9), (g(72, 18), 361)] {
+            assert_eq!(
+                BucketTiling::for_grid(l, &grid),
+                Err(TilingError::TileExceedsGrid {
+                    root: BucketTiling::new(l).unwrap().root,
+                    num_planes: grid.num_planes,
+                    sats_per_plane: grid.sats_per_plane,
+                }),
+                "{grid:?} L={l}"
+            );
+        }
+        assert_eq!(BucketTiling::for_grid(8, &g(2, 2)), Err(TilingError::NotPerfectSquare(8)));
+        for (grid, l) in [(g(2, 2), 4u32), (g(3, 3), 9), (g(72, 18), 324), (g(72, 18), 25)] {
+            assert_eq!(BucketTiling::for_grid(l, &grid), BucketTiling::new(l), "{grid:?} L={l}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use starcdn_cache::policy::PolicyKind;
+use starcdn_constellation::buckets::{BucketTiling, TilingError};
 use starcdn_constellation::grid::GridTopology;
 use starcdn_constellation::isl::LinkModel;
 
@@ -202,6 +203,15 @@ impl StarCdnConfig {
             relay: RelayPolicy::None,
             ..Self::starcdn(4, cache_capacity_bytes)
         }
+    }
+
+    /// The bucket tiling this configuration asks for (`None` without
+    /// hashing), checked against the grid it will be laid over. Every
+    /// serving path — the fleet, the replayer's pre-pass — builds its
+    /// tiling here, so a bucket count that is not a perfect square or
+    /// whose tile does not fit the grid is refused before any request.
+    pub fn tiling(&self) -> Result<Option<BucketTiling>, TilingError> {
+        self.num_buckets.map(|l| BucketTiling::for_grid(l, &self.grid)).transpose()
     }
 
     /// Inter-orbit planes between same-bucket neighbours: √L with

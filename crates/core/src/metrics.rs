@@ -5,10 +5,10 @@
 use crate::latency::LatencyCdf;
 use crate::system::ServedFrom;
 use serde::{Deserialize, Serialize};
+use starcdn_cache::object::IdMap;
 use starcdn_cache::policy::AccessOutcome;
 use starcdn_cache::stats::CacheStats;
 use starcdn_orbit::walker::SatelliteId;
-use std::collections::HashMap;
 
 /// Table-3 counters: on a miss at the bucket owner, was the object
 /// available in the west / east / both same-bucket neighbours?
@@ -94,8 +94,9 @@ pub struct SystemMetrics {
     pub prefetch_copies: u64,
     /// Raw latency samples, ms.
     pub latencies_ms: Vec<f64>,
-    /// Per-owner-satellite hit statistics (Fig. 11 grouping).
-    pub per_satellite: HashMap<SatelliteId, CacheStats>,
+    /// Per-owner-satellite hit statistics (Fig. 11 grouping). Iteration
+    /// order differs per process: sort before writing it anywhere.
+    pub per_satellite: IdMap<SatelliteId, CacheStats>,
     /// Table-3 monitor (populated when `probe_neighbors_on_miss` is on).
     pub neighbor_availability: NeighborAvailability,
     /// Requests whose preferred bucket owner was dead and that were

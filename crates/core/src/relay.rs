@@ -16,6 +16,32 @@ use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_orbit::walker::SatelliteId;
 
+/// The at most two candidates of one miss, held inline (every owner
+/// miss asks for them, so they must not cost an allocation). Derefs to
+/// the slice of candidates and iterates by value, both in probe order.
+#[derive(Debug, Clone, Copy)]
+pub struct RelayCandidates {
+    slots: [(ServedFrom, SatelliteId); 2],
+    len: usize,
+}
+
+impl std::ops::Deref for RelayCandidates {
+    type Target = [(ServedFrom, SatelliteId)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots[..self.len]
+    }
+}
+
+impl IntoIterator for RelayCandidates {
+    type Item = (ServedFrom, SatelliteId);
+    type IntoIter = std::iter::Take<std::array::IntoIter<Self::Item, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().take(self.len)
+    }
+}
+
 /// The neighbours a miss at `owner` may relay to, in probe order
 /// (west first — the historically-useful direction — then east).
 ///
@@ -28,12 +54,13 @@ pub fn relay_candidates(
     span_planes: u16,
     policy: RelayPolicy,
     failures: &FailureModel,
-) -> Vec<(ServedFrom, SatelliteId)> {
-    let mut out = Vec::with_capacity(2);
+) -> RelayCandidates {
+    let mut out = RelayCandidates { slots: [(ServedFrom::RelayWest, owner); 2], len: 0 };
     let mut push = |tag: ServedFrom, slot: SatelliteId| {
         if let Some(resolved) = failures.resolve_owner(grid, slot) {
             if resolved != owner && !out.iter().any(|&(_, s)| s == resolved) {
-                out.push((tag, resolved));
+                out.slots[out.len] = (tag, resolved);
+                out.len += 1;
             }
         }
     };
@@ -87,7 +114,7 @@ mod tests {
             RelayPolicy::WestOnly,
             &FailureModel::none(),
         );
-        assert_eq!(c, vec![(ServedFrom::RelayWest, SatelliteId::new(70, 5))]);
+        assert_eq!(*c, [(ServedFrom::RelayWest, SatelliteId::new(70, 5))]);
     }
 
     #[test]

@@ -305,9 +305,7 @@ impl SpaceCdn {
     /// Build the fleet with an outage set; bucket responsibilities of
     /// dead satellites are remapped per §3.4.
     pub fn with_failures(cfg: StarCdnConfig, failures: FailureModel) -> Self {
-        let tiling = cfg.num_buckets.map(|l| {
-            BucketTiling::new(l).unwrap_or_else(|e| panic!("invalid bucket count {l}: {e}"))
-        });
+        let tiling = cfg.tiling().unwrap_or_else(|e| panic!("invalid bucket configuration: {e}"));
         let caches = (0..cfg.grid.total_slots())
             .map(|_| cfg.policy.build(cfg.cache_capacity_bytes))
             .collect();
@@ -861,6 +859,38 @@ mod tests {
         assert_eq!(o2.uplink_bytes, 0);
         assert!(o2.latency_ms < o1.latency_ms);
         assert_eq!(o1.owner, o2.owner, "same object routes to the same owner");
+    }
+
+    #[test]
+    fn tile_wider_than_a_grid_axis_is_refused_before_any_request() {
+        use starcdn_constellation::buckets::TilingError;
+        let on = |num_planes, sats_per_plane, l| StarCdnConfig {
+            grid: GridTopology { num_planes, sats_per_plane, seamless: true },
+            ..StarCdnConfig::starcdn(l, CAP)
+        };
+        // Used to build, then hit `unreachable!()` on the first request
+        // whose bucket residue does not exist on the short axis.
+        for (num_planes, sats_per_plane) in [(2, 2), (3, 2)] {
+            let cfg = on(num_planes, sats_per_plane, 9);
+            assert_eq!(
+                cfg.tiling(),
+                Err(TilingError::TileExceedsGrid { root: 3, num_planes, sats_per_plane })
+            );
+            let built = std::panic::catch_unwind(|| SpaceCdn::new(cfg));
+            let why = built.err().expect("construction must refuse the tiling");
+            let why = why.downcast_ref::<String>().expect("panic message");
+            assert!(why.contains("3×3 bucket tile does not fit"), "{why}");
+        }
+        // A tile that exactly covers the grid serves every bucket from
+        // every slot.
+        let mut cdn = SpaceCdn::new(on(2, 2, 4));
+        for k in 0..64u64 {
+            let fc = SatelliteId::new((k % 2) as u16, (k / 2 % 2) as u16);
+            let out = cdn.handle_request(fc, ObjectId(k), 100, 2.9);
+            assert!(out.route_hops <= 2, "{out:?}");
+        }
+        assert_eq!(cdn.metrics.stats.requests, 64);
+        assert_eq!(cdn.metrics.per_satellite.len(), 4, "all four buckets were asked for");
     }
 
     #[test]

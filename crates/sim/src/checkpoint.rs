@@ -39,7 +39,7 @@ use starcdn::config::StarCdnConfig;
 use starcdn::metrics::{AvailabilityPoint, NeighborAvailability, SystemMetrics};
 use starcdn::system::{CdnState, SpaceCdn};
 use starcdn_cache::inflight::InflightEntryState;
-use starcdn_cache::object::ObjectId;
+use starcdn_cache::object::{IdMap, ObjectId};
 use starcdn_cache::state::{LfuEntryState, MadEntryState, SieveEntryState};
 use starcdn_cache::stats::CacheStats;
 use starcdn_cache::{CacheState, InflightState};
@@ -52,7 +52,7 @@ use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{
     Counter, Event, Histo, HistogramSnapshot, SpanStats, Stage, TelemetrySnapshot,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// When and where the engine writes checkpoints.
@@ -588,7 +588,7 @@ pub(crate) fn put_metrics(w: &mut ByteWriter, m: &SystemMetrics) {
     for &l in &m.latencies_ms {
         w.f64_bits(l);
     }
-    // HashMap iteration order is process-local; persist sorted so the
+    // The map's iteration order is process-local; persist sorted so the
     // file bytes are deterministic.
     let mut per_sat: Vec<(SatelliteId, CacheStats)> =
         m.per_satellite.iter().map(|(&s, &st)| (s, st)).collect();
@@ -661,7 +661,7 @@ pub(crate) fn get_metrics(r: &mut ByteReader) -> Result<SystemMetrics, Checkpoin
         latencies_ms.push(r.f64_bits()?);
     }
     let ns = r.len()?;
-    let mut per_satellite = HashMap::with_capacity(ns);
+    let mut per_satellite = IdMap::with_capacity_and_hasher(ns, Default::default());
     for _ in 0..ns {
         let s = get_sat(r)?;
         per_satellite.insert(s, get_stats(r)?);

@@ -52,7 +52,6 @@ use starcdn::relay::relay_candidates;
 use starcdn::system::{classify_route_in_recorded, RouteOutcome, ServeOutcome, ServedFrom};
 use starcdn_cache::policy::{AccessOutcome, Cache};
 use starcdn_cache::InflightQueue;
-use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_telemetry::{
@@ -304,9 +303,7 @@ pub(crate) fn prepare_shards(
     overload: Option<&OverloadConfig>,
     barrier_every: Option<u64>,
 ) -> PrePass {
-    let tiling = cfg
-        .num_buckets
-        .map(|l| BucketTiling::new(l).unwrap_or_else(|e| panic!("invalid bucket count {l}: {e}")));
+    let tiling = cfg.tiling().unwrap_or_else(|e| panic!("invalid bucket configuration: {e}"));
     let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
     let spp = cfg.grid.sats_per_plane;
     let span = cfg.relay_span_planes();
@@ -942,6 +939,21 @@ mod tests {
             // Per-satellite stats identical too.
             assert_eq!(m_seq.per_satellite, m_par.per_satellite);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "3×3 bucket tile does not fit a 3×2 grid")]
+    fn pre_pass_refuses_a_tile_wider_than_a_grid_axis() {
+        let cfg = StarCdnConfig {
+            grid: starcdn_constellation::grid::GridTopology {
+                num_planes: 3,
+                sats_per_plane: 2,
+                seamless: true,
+            },
+            ..StarCdnConfig::starcdn(9, 100_000)
+        };
+        let log = AccessLog { entries: Vec::new(), epoch_secs: 15 };
+        replay_parallel(cfg, FailureModel::none(), &log, 2);
     }
 
     #[test]

@@ -220,6 +220,53 @@ fn derive_shape_matrix_roundtrips() {
 }
 
 #[test]
+fn id_keyed_maps_roundtrip_whatever_their_hasher() {
+    use starcdn::metrics::SystemMetrics;
+    use starcdn::system::ServedFrom;
+    use starcdn_cache::object::IdMap;
+    use starcdn_cache::stats::CacheStats;
+
+    // `HashMap<K, V, S>` for an `S` that is not `RandomState`: built by
+    // `S::default()` on the way in, keys emitted sorted on the way out
+    // (so two maps with the same entries give the same bytes, whatever
+    // their insertion or iteration order).
+    let stats =
+        |n: u64| CacheStats { requests: n, hits: n / 2, bytes_requested: 9 * n, bytes_hit: n };
+    let ids = [7u64, 300, 1 << 40, u64::MAX, 0];
+    let forward: IdMap<ObjectId, CacheStats> =
+        ids.iter().map(|&i| (ObjectId(i), stats(i % 97))).collect();
+    let backward: IdMap<ObjectId, CacheStats> =
+        ids.iter().rev().map(|&i| (ObjectId(i), stats(i % 97))).collect();
+    let json = serde_json::to_string(&forward).unwrap();
+    assert_eq!(json, serde_json::to_string(&backward).unwrap());
+    let keys: Vec<usize> =
+        ["\"0\"", "\"1099511627776\"", "\"18446744073709551615\"", "\"300\"", "\"7\""]
+            .iter()
+            .map(|k| json.find(k).unwrap_or_else(|| panic!("{k} missing from {json}")))
+            .collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys not in sorted order: {json}");
+    let back: IdMap<ObjectId, CacheStats> = serde_json::from_str(&json).expect("decode id map");
+    assert_eq!(back, forward);
+
+    // The run metrics carry such a map (`per_satellite`) between their
+    // plain fields and decode with it in place. Its keys are structs,
+    // which JSON object keys cannot be (real serde_json refuses them
+    // too), so the entries travel by checkpoint, not JSON, and are set
+    // aside here.
+    let mut m = SystemMetrics::default();
+    m.record(SatelliteId::new(3, 11), ServedFrom::RelayWest, 4096, 41.5);
+    m.record(SatelliteId::new(3, 11), ServedFrom::Ground, 100, 97.25);
+    let per_satellite = std::mem::take(&mut m.per_satellite);
+    let back: SystemMetrics =
+        serde_json::from_str(&serde_json::to_string(&m).unwrap()).expect("decode metrics");
+    assert_eq!(back.stats, m.stats);
+    assert_eq!(back.latencies_ms, m.latencies_ms);
+    assert_eq!((back.relay_bytes, back.uplink_bytes), (4096, 100));
+    assert!(back.per_satellite.is_empty());
+    assert_eq!(per_satellite[&SatelliteId::new(3, 11)].requests, 2);
+}
+
+#[test]
 fn serde_default_fills_missing_fields() {
     let d: Defaults = serde_json::from_str("{\"required\":5}").expect("defaults apply");
     assert_eq!(d, Defaults { required: 5, optional_count: 0, optional_name: String::new() });
