@@ -74,20 +74,13 @@ fn bench_routing(c: &mut Criterion) {
     let mut cursor = ScheduleCursor::new(&schedule, FailureModel::none());
     cursor.advance_to(1800);
     let midrun = cursor.view().clone();
+    let env = starcdn::kernel::ServeEnv::new(&starcdn::StarCdnConfig::starcdn(9, 0));
     c.bench_function("classify_under_churn", |b| {
         let mut k = 0u64;
         b.iter(|| {
             k += 1;
             let fc = SatelliteId::new((k % 72) as u16, (k % 18) as u16);
-            black_box(classify_route_in_recorded(
-                &grid,
-                Some(&tiling),
-                &midrun,
-                true,
-                fc,
-                ObjectId(mix64(k)),
-                &Noop,
-            ))
+            black_box(classify_route_in_recorded(&env, &midrun, fc, ObjectId(mix64(k)), &Noop))
         })
     });
 

@@ -72,10 +72,12 @@ pub struct DelayedStats {
 }
 
 /// Classify one access at epoch `now` under the delayed-hit model and
-/// advance `cache` + `queue` accordingly. This is the canonical
-/// ordering every serving layer mirrors (see `crate::inflight`):
-/// retire a landed fetch (admission + delay charge), then cache
-/// presence, then coalesce, then register a new fetch.
+/// advance `cache` + `queue` accordingly: retire a landed fetch
+/// (admission + delay charge), then cache presence, then coalesce, then
+/// register a new fetch (see `crate::inflight`). This is the
+/// single-cache reference for the order the fleet's serve kernel
+/// (`starcdn::kernel::serve_one`) runs per owner; the differential
+/// tests compare against it.
 ///
 /// Returns the outcome plus the followers retired by this access.
 pub fn access_delayed<C: Cache + ?Sized>(

@@ -15,8 +15,9 @@
 //!   inter-orbit neighbours ([`relay`]), making cached content flow
 //!   opposite to the orbital motion.
 //!
-//! The crate provides the full system ([`system::SpaceCdn`]), its
-//! ablations and baselines ([`variants`], [`baselines`]), the
+//! The crate provides the full system ([`system::SpaceCdn`]), the serve
+//! kernel every driver runs a request through ([`kernel::serve_one`]),
+//! its ablations and baselines ([`variants`], [`baselines`]), the
 //! propagation-delay latency model ([`latency`]), and metrics
 //! ([`metrics`]).
 //!
@@ -34,6 +35,7 @@
 
 pub mod baselines;
 pub mod config;
+pub mod kernel;
 pub mod latency;
 pub mod metrics;
 pub mod relay;
@@ -41,7 +43,6 @@ pub mod system;
 pub mod variants;
 
 pub use config::{RelayPolicy, StarCdnConfig};
+pub use kernel::{serve_one, RoutedRequest, ServeEnv, SlotStore, Slots};
 pub use metrics::{AvailabilityPoint, RecoverySlo, SystemMetrics};
-pub use system::{
-    resolve_route_in, ResolvedRoute, RouteOutcome, ServeOutcome, ServedFrom, SpaceCdn,
-};
+pub use system::{ResolvedRoute, RouteOutcome, ServeOutcome, ServedFrom, SpaceCdn};

@@ -13,14 +13,16 @@
 //!    always caching what it fetched;
 //! 4. latency is accounted leg by leg and uplink bytes are charged only
 //!    for ground fetches.
+//!
+//! Step 2 is the route resolution below; steps 3 and 4 are
+//! [`crate::kernel::serve_one`], here against the fleet's own slots.
 
 use crate::config::StarCdnConfig;
-use crate::latency::LatencyModel;
+use crate::kernel::{self, RoutedRequest, ServeEnv, Slots};
 use crate::metrics::SystemMetrics;
-use crate::relay::relay_candidates;
 use serde::{Deserialize, Serialize};
 use starcdn_cache::object::ObjectId;
-use starcdn_cache::policy::{AccessOutcome, Cache};
+use starcdn_cache::policy::Cache;
 use starcdn_cache::{InflightQueue, InflightState};
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
@@ -70,6 +72,8 @@ pub struct ServeOutcome {
     pub fetch_retired: bool,
     /// Followers that were aboard the retired fetch.
     pub coalesced: u64,
+    /// The owner missed while still cold from a restart.
+    pub cold_miss: bool,
 }
 
 /// The owner a request routes to, with the degraded-mode context the
@@ -95,6 +99,14 @@ impl ResolvedRoute {
     /// Total one-way ISL hops.
     pub fn hops(&self) -> u16 {
         self.intra + self.inter
+    }
+
+    /// Book what degraded mode cost this route: the remap and the detour
+    /// hops. Once per request served over it.
+    #[inline]
+    pub fn book(&self, m: &mut SystemMetrics) {
+        m.remapped_requests += self.remapped as u64;
+        m.reroute_extra_hops += self.extra_hops as u64;
     }
 }
 
@@ -129,60 +141,21 @@ impl RouteOutcome {
     }
 }
 
-/// [`resolve_route_in_recorded`] with the explicit three-way outcome.
-#[allow(clippy::too_many_arguments)]
+/// Resolve the serving owner and route for `object` arriving at
+/// `first_contact` under an arbitrary failure view — a free function, so
+/// the replayer's pre-pass resolves against a churn cursor's view with no
+/// fleet (and no per-slot caches) behind it. The fault-avoiding search
+/// reports route counts and detour hop lengths through `rec` (see
+/// [`hop_mix_avoiding_links_recorded`]).
 pub fn classify_route_in_recorded(
-    grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    env: &ServeEnv,
     failures: &FailureModel,
-    remap_on_failure: bool,
     first_contact: SatelliteId,
     object: ObjectId,
     rec: &dyn starcdn_telemetry::Recorder,
 ) -> RouteOutcome {
-    let preferred = preferred_owner(grid, tiling, first_contact, object);
-    classify_route_toward_recorded(grid, failures, remap_on_failure, first_contact, preferred, rec)
-}
-
-/// Resolve the serving owner and route for `object` arriving at
-/// `first_contact`, under an arbitrary failure view. Free function so the
-/// parallel replayer's pre-pass can resolve against a churn cursor's view
-/// without rebuilding a [`SpaceCdn`] (and its per-slot caches) per epoch.
-pub fn resolve_route_in(
-    grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
-    failures: &FailureModel,
-    remap_on_failure: bool,
-    first_contact: SatelliteId,
-    object: ObjectId,
-) -> Option<ResolvedRoute> {
-    resolve_route_in_recorded(
-        grid,
-        tiling,
-        failures,
-        remap_on_failure,
-        first_contact,
-        object,
-        &starcdn_telemetry::Noop,
-    )
-}
-
-/// [`resolve_route_in`] with telemetry: the fault-avoiding BFS fallback
-/// reports route counts and detour hop lengths through `rec` (see
-/// [`hop_mix_avoiding_links_recorded`]). The plain entry point
-/// passes a no-op recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_route_in_recorded(
-    grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
-    failures: &FailureModel,
-    remap_on_failure: bool,
-    first_contact: SatelliteId,
-    object: ObjectId,
-    rec: &dyn starcdn_telemetry::Recorder,
-) -> Option<ResolvedRoute> {
-    let preferred = preferred_owner(grid, tiling, first_contact, object);
-    resolve_route_toward_recorded(grid, failures, remap_on_failure, first_contact, preferred, rec)
+    let preferred = preferred_owner(&env.grid, env.tiling.as_ref(), first_contact, object);
+    classify_route_toward_recorded(&env.grid, failures, env.remap, first_contact, preferred, rec)
 }
 
 /// The owner `object` hashes to under the tiling (the first contact
@@ -201,27 +174,11 @@ pub fn preferred_owner(
 
 /// Resolve the route toward an explicit `preferred` owner (rather than
 /// the one the object hashes to): §3.4 remapping, then hop mix on the
-/// healthy torus or the fault-avoiding BFS. The overload retry path uses
-/// this to probe successive same-bucket replicas. `None` collapses both
-/// degraded outcomes; use [`classify_route_toward_recorded`] to tell a
-/// partition from a dead owner chain.
-pub fn resolve_route_toward_recorded(
-    grid: &GridTopology,
-    failures: &FailureModel,
-    remap_on_failure: bool,
-    first_contact: SatelliteId,
-    preferred: SatelliteId,
-    rec: &dyn starcdn_telemetry::Recorder,
-) -> Option<ResolvedRoute> {
-    classify_route_toward_recorded(grid, failures, remap_on_failure, first_contact, preferred, rec)
-        .routed()
-}
-
-/// [`resolve_route_toward_recorded`] with the explicit three-way
-/// outcome: `Routed`, `Partitioned` (live owner, no surviving path — a
-/// dead first contact counts, it is trivially disconnected), or
-/// `Unroutable` (owner chain dead). Telemetry recording is identical to
-/// the `Option` form — the BFS fallback runs exactly once either way.
+/// healthy torus or the fault-avoiding search. The overload retry path
+/// uses this to probe successive same-bucket replicas. Three outcomes:
+/// `Routed`, `Partitioned` (live owner, no surviving path — a dead first
+/// contact counts, it is trivially disconnected), or `Unroutable` (owner
+/// chain dead).
 pub fn classify_route_toward_recorded(
     grid: &GridTopology,
     failures: &FailureModel,
@@ -279,19 +236,19 @@ pub fn classify_route_toward_recorded(
 /// The satellite CDN fleet.
 pub struct SpaceCdn {
     cfg: StarCdnConfig,
-    tiling: Option<BucketTiling>,
+    /// What `cfg` fixes for every request: tiling, latency model, relay
+    /// and delayed-hit parameters.
+    env: ServeEnv,
     failures: FailureModel,
-    caches: Vec<Box<dyn Cache + Send>>,
+    /// One cache and one outstanding-fetch queue per grid slot (the
+    /// queues stay empty unless the delayed-hit model is enabled).
+    slots: Slots,
     /// Per-slot cold-restart flag: set when a satellite recovers from an
     /// outage with an empty cache, cleared by its first local hit.
     cold: Vec<bool>,
-    /// Per-slot outstanding origin fetches (empty unless the delayed-hit
-    /// model is enabled).
-    inflight: Vec<InflightQueue>,
-    /// Current scheduler epoch, the delayed-hit clock. Drivers call
-    /// [`SpaceCdn::set_now_epoch`] at every epoch boundary.
+    /// Current scheduler epoch, the delayed-hit clock of
+    /// [`SpaceCdn::handle_request`] and [`SpaceCdn::serve_routed`].
     now_epoch: u64,
-    latency: LatencyModel,
     /// Aggregate run metrics.
     pub metrics: SystemMetrics,
 }
@@ -305,29 +262,19 @@ impl SpaceCdn {
     /// Build the fleet with an outage set; bucket responsibilities of
     /// dead satellites are remapped per §3.4.
     pub fn with_failures(cfg: StarCdnConfig, failures: FailureModel) -> Self {
-        let tiling = cfg.tiling().unwrap_or_else(|e| panic!("invalid bucket configuration: {e}"));
-        let caches = (0..cfg.grid.total_slots())
-            .map(|_| cfg.policy.build(cfg.cache_capacity_bytes))
-            .collect();
-        let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-        let cold = vec![false; cfg.grid.total_slots()];
-        let inflight = (0..cfg.grid.total_slots()).map(|_| InflightQueue::new()).collect();
         SpaceCdn {
+            env: ServeEnv::new(&cfg),
+            slots: Slots::new(&cfg),
+            cold: vec![false; cfg.grid.total_slots()],
             cfg,
-            tiling,
             failures,
-            caches,
-            cold,
-            inflight,
             now_epoch: 0,
-            latency,
             metrics: SystemMetrics::default(),
         }
     }
 
-    /// Advance the delayed-hit clock to `epoch`. Drivers call this at
-    /// every scheduler epoch boundary; with the model disabled it only
-    /// stores a number.
+    /// Advance the delayed-hit clock to `epoch`; with the model disabled
+    /// it only stores a number.
     pub fn set_now_epoch(&mut self, epoch: u64) {
         self.now_epoch = epoch;
     }
@@ -339,7 +286,7 @@ impl SpaceCdn {
 
     /// Read-only view of one satellite's outstanding-fetch queue.
     pub fn inflight_of(&self, id: SatelliteId) -> &InflightQueue {
-        &self.inflight[self.cache_idx(id)]
+        &self.slots.inflight[self.cache_idx(id)]
     }
 
     /// The configuration in force.
@@ -352,14 +299,9 @@ impl SpaceCdn {
         &self.failures
     }
 
-    /// The latency model (calibration constants + link model).
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// The bucket tiling, when hashing is enabled.
-    pub fn tiling(&self) -> Option<&BucketTiling> {
-        self.tiling.as_ref()
+    /// What the configuration fixes for every request, derived once.
+    pub fn env(&self) -> &ServeEnv {
+        &self.env
     }
 
     fn cache_idx(&self, id: SatelliteId) -> usize {
@@ -368,7 +310,7 @@ impl SpaceCdn {
 
     /// Read-only view of one satellite's cache.
     pub fn cache_of(&self, id: SatelliteId) -> &dyn Cache {
-        self.caches[self.cache_idx(id)].as_ref()
+        self.slots.caches[self.cache_idx(id)].as_ref()
     }
 
     /// The satellite that owns requests for `object` arriving at
@@ -379,27 +321,36 @@ impl SpaceCdn {
         first_contact: SatelliteId,
         object: ObjectId,
     ) -> Option<ResolvedRoute> {
-        resolve_route_in(
-            &self.cfg.grid,
-            self.tiling.as_ref(),
-            &self.failures,
-            self.cfg.remap_on_failure,
-            first_contact,
-            object,
-        )
+        self.classify_route(first_contact, object).routed()
     }
 
     /// [`SpaceCdn::resolve_route`] with the explicit three-way outcome
     /// (routed / partitioned / unroutable).
     pub fn classify_route(&self, first_contact: SatelliteId, object: ObjectId) -> RouteOutcome {
-        classify_route_in_recorded(
-            &self.cfg.grid,
-            self.tiling.as_ref(),
+        let rec = &starcdn_telemetry::Noop;
+        classify_route_in_recorded(&self.env, &self.failures, first_contact, object, rec)
+    }
+
+    /// What resolving a request needs of the fleet, borrowed at once:
+    /// the serve environment, the live failure view, and the metrics the
+    /// directly-accounted outcomes are booked into.
+    #[inline]
+    pub fn resolving(&mut self) -> (&ServeEnv, &FailureModel, &mut SystemMetrics) {
+        (&self.env, &self.failures, &mut self.metrics)
+    }
+
+    /// Serve one routed request through [`kernel::serve_one`] against
+    /// this fleet's own slots, under its live failure view. Inline, so
+    /// the engine's loop holds the kernel's body as the workers' do.
+    #[inline(always)]
+    pub fn serve(&mut self, req: &RoutedRequest) -> ServeOutcome {
+        kernel::serve_one(
+            &mut self.slots,
+            &self.env,
             &self.failures,
-            self.cfg.remap_on_failure,
-            first_contact,
-            object,
-            &starcdn_telemetry::Noop,
+            &mut self.cold,
+            &mut self.metrics,
+            req,
         )
     }
 
@@ -412,39 +363,25 @@ impl SpaceCdn {
         size: u64,
         gsl_oneway_ms: f64,
     ) -> ServeOutcome {
-        let route = match self.classify_route(first_contact, object) {
-            RouteOutcome::Routed(route) => route,
-            degraded @ (RouteOutcome::Partitioned { .. } | RouteOutcome::Unroutable) => {
-                // No reachable owner: downlink straight from the
-                // first-contact satellite (transient-failure path of
-                // §3.4). A partition — live owner across a severed grid —
-                // additionally bumps its own counter; the serve itself is
-                // identical degraded bent-pipe either way.
-                if matches!(degraded, RouteOutcome::Partitioned { .. }) {
-                    self.metrics.partitioned_requests += 1;
-                }
-                let latency_ms = self.latency.ground_miss_rtt_ms(gsl_oneway_ms, 0, 0, 0);
-                self.metrics.record(first_contact, ServedFrom::Ground, size, latency_ms);
-                return ServeOutcome {
-                    served_from: ServedFrom::Ground,
-                    latency_ms,
-                    uplink_bytes: size,
-                    owner: first_contact,
-                    route_hops: 0,
-                    residual_epochs: 0,
-                    fetch_retired: false,
-                    coalesced: 0,
-                };
+        match self.classify_route(first_contact, object) {
+            RouteOutcome::Routed(route) => {
+                self.serve_routed(route, object, size, gsl_oneway_ms, 0.0)
             }
-        };
-        self.serve_routed(route, object, size, gsl_oneway_ms, 0.0)
+            degraded => kernel::serve_degraded(
+                &self.env,
+                &mut self.metrics,
+                degraded,
+                first_contact,
+                size,
+                gsl_oneway_ms,
+            ),
+        }
     }
 
-    /// Serve a request over an already-resolved route. The split from
-    /// [`SpaceCdn::handle_request`] lets the overload lifecycle admit or
-    /// shed on the route *before* any cache state is touched;
-    /// `extra_latency_ms` carries the accumulated retry penalty (0.0 adds
-    /// nothing and leaves the latency sample bit-identical).
+    /// Serve a request over an already-resolved route, at the current
+    /// delayed-hit clock. `extra_latency_ms` carries an accumulated retry
+    /// penalty (0.0 adds nothing and leaves the latency sample
+    /// bit-identical).
     pub fn serve_routed(
         &mut self,
         route: ResolvedRoute,
@@ -453,162 +390,18 @@ impl SpaceCdn {
         gsl_oneway_ms: f64,
         extra_latency_ms: f64,
     ) -> ServeOutcome {
-        let ResolvedRoute { owner, intra, inter, remapped, extra_hops } = route;
-        if remapped {
-            self.metrics.remapped_requests += 1;
-        }
-        self.metrics.reroute_extra_hops += extra_hops as u64;
-
-        let owner_idx = self.cache_idx(owner);
-        let span = self.cfg.relay_span_planes();
-
-        // Delayed-hit preamble, mirroring `starcdn_cache::simulate::
-        // access_delayed` branch for branch: retire a landed fetch
-        // (admission + eviction-delay charge), then classify against the
-        // cache and the outstanding queue. Fully gated — with the model
-        // off, the plain auto-admitting access below runs unchanged.
-        let delayed_cfg = self.cfg.delayed;
-        let mut fetch_retired = false;
-        let mut coalesced = 0u64;
-        let mut residual_epochs = 0u64;
-        if delayed_cfg.is_enabled() {
-            if let Some(r) = self.inflight[owner_idx].take_completed(object, self.now_epoch) {
-                self.caches[owner_idx].insert(object, r.size);
-                self.caches[owner_idx].record_fetch_delay(object, r.delay_epochs);
-                fetch_retired = true;
-                coalesced = r.followers;
-                self.metrics.coalesced_requests += r.followers;
-            }
-            if !self.caches[owner_idx].contains(object) {
-                if let Some(res) = self.inflight[owner_idx].coalesce(object, self.now_epoch) {
-                    residual_epochs = res;
-                    self.metrics.delayed_hits += 1;
-                    *self.metrics.residual_epoch_hist.entry(res).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // Owner cache access. Plain model: a miss auto-admits (the owner
-        // will cache the object wherever it ends up coming from).
-        // Delayed model: a delayed hit counts as a space hit without
-        // touching the cache, and a true miss does NOT admit — the
-        // object is only admitted when its fetch retires.
-        let local = if !delayed_cfg.is_enabled() {
-            self.caches[owner_idx].access(object, size)
-        } else if residual_epochs > 0 {
-            AccessOutcome::Hit
-        } else if self.caches[owner_idx].contains(object) {
-            let hit = self.caches[owner_idx].access(object, size);
-            debug_assert!(hit.is_hit());
-            hit
-        } else {
-            AccessOutcome::Miss
-        };
-        if self.cold[owner_idx] {
-            if local.is_hit() {
-                // Re-warmed: cached content is flowing again.
-                self.cold[owner_idx] = false;
-            } else {
-                self.metrics.cold_restart_misses += 1;
-            }
-        }
-
-        let (served_from, latency_ms, uplink) = if local.is_hit() {
-            (ServedFrom::LocalHit, self.latency.space_hit_rtt_ms(gsl_oneway_ms, intra, inter), 0)
-        } else {
-            // Table-3 monitor: neighbour availability at miss time.
-            if self.cfg.probe_neighbors_on_miss {
-                let west = self.neighbor_has(owner, span, true, object);
-                let east = self.neighbor_has(owner, span, false, object);
-                self.metrics.neighbor_availability.record(west, east, size);
-            }
-
-            let mut result = None;
-            for (tag, neighbor) in
-                relay_candidates(&self.cfg.grid, owner, span, self.cfg.relay, &self.failures)
-            {
-                let n_idx = self.cache_idx(neighbor);
-                if self.caches[n_idx].contains(object) {
-                    // Serving refreshes the neighbour's recency state.
-                    self.caches[n_idx].access(object, size);
-                    result = Some((
-                        tag,
-                        self.latency.relay_hit_rtt_ms(gsl_oneway_ms, intra, inter, span),
-                        0u64,
-                    ));
-                    break;
-                }
-            }
-            result.unwrap_or_else(|| {
-                let relay_penalty = if self.cfg.relay.enabled() { span } else { 0 };
-                (
-                    ServedFrom::Ground,
-                    self.latency.ground_miss_rtt_ms(gsl_oneway_ms, intra, inter, relay_penalty),
-                    size,
-                )
-            })
-        };
-
-        let latency_ms = if self.cfg.model_transmission_delay {
-            latency_ms + self.latency.transmission_ms(served_from, size, intra + inter, span)
-        } else {
-            latency_ms
-        };
-        // Gated: `x + 0.0` is not a bitwise no-op for every float (-0.0),
-        // and the no-penalty path must stay byte-identical.
-        let latency_ms =
-            if extra_latency_ms > 0.0 { latency_ms + extra_latency_ms } else { latency_ms };
-
-        // The relayed copy crosses the ISL within the epoch: the owner
-        // caches it immediately, with no origin fetch to wait out (the
-        // plain model admits it through the auto-admitting access above).
-        if delayed_cfg.is_enabled()
-            && matches!(served_from, ServedFrom::RelayWest | ServedFrom::RelayEast)
-        {
-            self.caches[owner_idx].insert(object, size);
-        }
-
-        // Delayed-hit wait accounting: a ground miss starts a fetch and
-        // waits it out in full; a delayed hit waits only the residual.
-        // Relay hits wait nothing (served from a neighbour's cache).
-        let latency_ms = if delayed_cfg.is_enabled() {
-            if served_from == ServedFrom::Ground {
-                let fetch_epochs = delayed_cfg.fetch_epochs_for(object);
-                self.inflight[owner_idx].register(object, size, self.now_epoch, fetch_epochs);
-                latency_ms + fetch_epochs as f64 * delayed_cfg.wait_ms_per_epoch
-            } else if residual_epochs > 0 {
-                latency_ms + residual_epochs as f64 * delayed_cfg.wait_ms_per_epoch
-            } else {
-                latency_ms
-            }
-        } else {
-            latency_ms
-        };
-
-        self.metrics.record(owner, served_from, size, latency_ms);
-        ServeOutcome {
-            served_from,
-            latency_ms,
-            uplink_bytes: uplink,
-            owner,
-            route_hops: intra + inter,
-            residual_epochs,
-            fetch_retired,
-            coalesced,
-        }
-    }
-
-    fn neighbor_has(&self, owner: SatelliteId, span: u16, west: bool, object: ObjectId) -> bool {
-        let slot = if west {
-            self.cfg.grid.west_by(owner, span)
-        } else {
-            self.cfg.grid.east_by(owner, span)
-        };
-        self.failures
-            .resolve_owner(&self.cfg.grid, slot)
-            .filter(|&s| s != owner)
-            .map(|s| self.caches[self.cache_idx(s)].contains(object))
-            .unwrap_or(false)
+        route.book(&mut self.metrics);
+        self.serve(&RoutedRequest {
+            object,
+            size,
+            owner: route.owner,
+            intra: route.intra,
+            inter: route.inter,
+            gsl_oneway_ms,
+            penalty_ms: extra_latency_ms,
+            replica: None,
+            epoch: self.now_epoch,
+        })
     }
 
     /// One proactive-prefetch round (the §3.3 rejected alternative):
@@ -635,15 +428,15 @@ impl SpaceCdn {
                 continue;
             };
             let own_idx = self.cache_idx(id);
-            for (obj, size) in self.caches[self.cache_idx(west)].hottest(top_k) {
-                if !self.caches[own_idx].contains(obj) {
+            for (obj, size) in self.slots.caches[self.cache_idx(west)].hottest(top_k) {
+                if !self.slots.caches[own_idx].contains(obj) {
                     planned.push((own_idx, obj, size));
                 }
             }
         }
         for (idx, obj, size) in planned {
-            if !self.caches[idx].contains(obj) {
-                self.caches[idx].insert(obj, size);
+            if !self.slots.caches[idx].contains(obj) {
+                self.slots.caches[idx].insert(obj, size);
                 self.metrics.prefetch_bytes += size;
                 self.metrics.prefetch_copies += 1;
             }
@@ -661,24 +454,15 @@ impl SpaceCdn {
         gsl_oneway_ms: f64,
         extra_latency_ms: f64,
     ) -> f64 {
-        let base = self.latency.ground_miss_rtt_ms(gsl_oneway_ms, 0, 0, 0);
-        let latency_ms = if extra_latency_ms > 0.0 { base + extra_latency_ms } else { base };
-        self.metrics.record(first_contact, ServedFrom::Ground, size, latency_ms);
         self.metrics.served_origin_fallback += 1;
-        latency_ms
+        let m = &mut self.metrics;
+        kernel::bent_pipe(&self.env, m, first_contact, size, gsl_oneway_ms, extra_latency_ms)
     }
 
     /// Record a request that could not reach any satellite (no satellite
     /// in view): served bent-pipe from the ground, like today's Starlink.
     pub fn handle_unreachable(&mut self, size: u64) -> f64 {
-        let latency_ms = self.latency.starlink_no_cache_rtt_ms(self.latency.link.gsl.avg_delay_ms);
-        self.metrics.record(
-            SatelliteId::new(u16::MAX, u16::MAX),
-            ServedFrom::Ground,
-            size,
-            latency_ms,
-        );
-        latency_ms
+        kernel::serve_unreachable(&self.env, &mut self.metrics, size)
     }
 
     /// Swap in a new failure view (churn: the live view changes at epoch
@@ -693,8 +477,8 @@ impl SpaceCdn {
     /// it — their followers were already counted as delayed hits.
     pub fn wipe_cache(&mut self, id: SatelliteId) {
         let idx = self.cache_idx(id);
-        self.caches[idx].clear();
-        self.inflight[idx].clear();
+        self.slots.caches[idx].clear();
+        self.slots.inflight[idx].clear();
         self.cold[idx] = false;
     }
 
@@ -723,10 +507,10 @@ impl SpaceCdn {
 
     /// Drop all cached content and metrics (fresh run, same config).
     pub fn reset(&mut self) {
-        for c in &mut self.caches {
+        for c in &mut self.slots.caches {
             c.clear();
         }
-        for q in &mut self.inflight {
+        for q in &mut self.slots.inflight {
             q.clear();
         }
         self.cold.fill(false);
@@ -748,9 +532,9 @@ impl SpaceCdn {
     pub fn export_state(&self) -> CdnState {
         CdnState {
             failures: self.failures.clone(),
-            caches: self.caches.iter().map(|c| c.to_state()).collect(),
+            caches: self.slots.caches.iter().map(|c| c.to_state()).collect(),
             cold: self.cold.clone(),
-            inflight: self.inflight.iter().map(|q| q.to_state()).collect(),
+            inflight: self.slots.inflight.iter().map(|q| q.to_state()).collect(),
             metrics: self.metrics.clone(),
         }
     }
@@ -783,9 +567,8 @@ impl SpaceCdn {
         for qs in &state.inflight {
             queues.push(InflightQueue::from_state(qs).map_err(CdnStateError::Inflight)?);
         }
-        self.caches = rebuilt;
+        self.slots = Slots { caches: rebuilt, inflight: queues };
         self.cold = state.cold;
-        self.inflight = queues;
         self.failures = state.failures;
         self.metrics = state.metrics;
         Ok(())
@@ -920,7 +703,7 @@ mod tests {
     #[test]
     fn route_hops_within_worst_case() {
         let mut cdn = system(9);
-        let bound = cdn.tiling().unwrap().worst_case_hops();
+        let bound = cdn.env().tiling.unwrap().worst_case_hops();
         for s in 0..18u16 {
             for o in (0..72u16).step_by(7) {
                 let out = cdn.handle_request(
@@ -1326,7 +1109,7 @@ mod tests {
             ) {
                 let l = [4u32, 9][l_idx];
                 let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(l, 200_000));
-                let bound = cdn.tiling().unwrap().worst_case_hops();
+                let bound = cdn.env().tiling.unwrap().worst_case_hops();
                 let mut expected_uplink = 0u64;
                 let mut expected_bytes = 0u64;
                 for (o, s, obj, size) in reqs {
@@ -1339,7 +1122,7 @@ mod tests {
                     expected_uplink += out.uplink_bytes;
                     expected_bytes += size;
                     // Owner serves the object's bucket.
-                    let t = cdn.tiling().unwrap();
+                    let t = cdn.env().tiling.unwrap();
                     prop_assert_eq!(
                         t.bucket_of_sat(out.owner),
                         t.bucket_of_object(ObjectId(obj).hash64())

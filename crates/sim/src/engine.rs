@@ -9,13 +9,13 @@
 use crate::access_log::{record_fault_delta, AccessLog, AccessLogEntry};
 use crate::checkpoint::{CheckpointError, Checkpointing, EngineCheckpointer, LoopState};
 use crate::columns::{AccessLogColumns, LogView};
-use crate::overload::{Decision, OverloadConfig};
+use crate::overload::{Admission, OverloadConfig};
+use crate::resolve::{record_outcome, resolve_request, Resolved};
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};
 use starcdn::metrics::SystemMetrics;
-use starcdn::system::{ServeOutcome, SpaceCdn};
-use starcdn_constellation::capacity::CapacityLedger;
+use starcdn::system::SpaceCdn;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
-use starcdn_telemetry::{Counter, Event, Histo, MemoryRecorder, Noop, Recorder, SpanTimer, Stage};
+use starcdn_telemetry::{Counter, Event, MemoryRecorder, Noop, Recorder, SpanTimer, Stage};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,32 +110,6 @@ impl<'a> RunSpec<'a> {
     }
 }
 
-/// Record one served request into `rec`. Shared by the engine loop and
-/// the replayer workers so hit/miss classification stays consistent.
-pub(crate) fn record_outcome(rec: &dyn Recorder, out: &ServeOutcome, size: u64) {
-    use starcdn::system::ServedFrom;
-    rec.add(Counter::RequestsRouted, 1);
-    rec.observe(Histo::LatencyUs, (out.latency_ms * 1000.0) as u64);
-    rec.observe(Histo::IslHops, out.route_hops as u64);
-    rec.observe(Histo::ObjectBytes, size);
-    if out.served_from.is_space_hit() {
-        rec.add(Counter::CacheHits, 1);
-        if matches!(out.served_from, ServedFrom::RelayWest | ServedFrom::RelayEast) {
-            rec.add(Counter::RelayHits, 1);
-        }
-    } else {
-        rec.add(Counter::CacheMisses, 1);
-    }
-    if out.residual_epochs > 0 {
-        rec.add(Counter::DelayedHits, 1);
-        rec.observe(Histo::ResidualWaitEpochs, out.residual_epochs);
-    }
-    if out.fetch_retired {
-        rec.add(Counter::FetchesRetired, 1);
-        rec.add(Counter::CoalescedRequests, out.coalesced);
-    }
-}
-
 /// Degraded-mode counter levels at the last epoch boundary; the deltas
 /// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Checkpoints
 /// persist the levels so a resumed run emits the same per-epoch deltas
@@ -157,7 +131,7 @@ impl FaultEventWatermark {
     }
 
     /// Emit this epoch's growth and advance the watermark.
-    fn flush(&mut self, rec: &dyn Recorder, epoch: u64, m: &SystemMetrics) {
+    pub(crate) fn flush(&mut self, rec: &dyn Recorder, epoch: u64, m: &SystemMetrics) {
         let now = Self::of(m);
         rec.event(Event::Remap, epoch, now.remapped.saturating_sub(self.remapped));
         rec.event(Event::Reroute, epoch, now.extra_hops.saturating_sub(self.extra_hops));
@@ -173,8 +147,9 @@ impl FaultEventWatermark {
 /// is written, the fault cursor advances (wipe, mark cold, availability
 /// sample), the capacity ledger rolls over, and — when the fleet is
 /// configured with proactive prefetch — a prefetch round runs. Each
-/// request then goes through the overload lifecycle when enforcement is
-/// on, or straight to [`SpaceCdn::handle_request`].
+/// request is then resolved (`resolve_request`: the overload lifecycle
+/// when enforcement is on, plain route classification otherwise) and
+/// served at once by [`SpaceCdn::serve`], the serve kernel.
 ///
 /// A run without a checkpoint cannot fail. With telemetry, per-request
 /// histograms and counters, a [`Stage::CacheAccess`] span per epoch and
@@ -220,17 +195,7 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
         None => spec.recorder,
     };
 
-    let mut admission = overload.map(|cfg| Admission {
-        ledger: CapacityLedger::new(
-            &cdn.config().grid,
-            &cdn.config().link_model,
-            epoch_secs,
-            cfg.headroom,
-        ),
-        cfg,
-        epoch_ms: epoch_secs as f64 * 1000.0,
-        span_planes: cdn.config().relay_span_planes(),
-    });
+    let mut admission = overload.map(|o| Admission::new(cdn.env(), o, epoch_secs));
     let mut cursor = schedule.map(|s| ScheduleCursor::new(s, cdn.failures().clone()));
     let mut watermark = FaultEventWatermark::default();
     let mut current_epoch = u64::MAX;
@@ -320,7 +285,7 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
                     cdn.record_availability(epoch);
                 }
                 if let Some(adm) = admission.as_mut() {
-                    cdn.metrics.utilization.extend(adm.ledger.advance_to(epoch));
+                    cdn.metrics.utilization.extend(adm.advance_to(epoch));
                 }
                 if prefetching {
                     cdn.prefetch_round();
@@ -335,27 +300,17 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
             watermark = FaultEventWatermark::default();
             reset_at = None;
         }
-        let Some(fc) = e.first_contact else {
-            // No satellite in view: outside the overload lifecycle too
-            // (no GSL of ours carries it).
-            cdn.handle_unreachable(e.size);
-            if enabled {
-                rec.add(Counter::RequestsUnreachable, 1);
-            }
-            continue;
-        };
-        match admission.as_mut() {
-            Some(adm) => adm.serve(cdn, rec, current_epoch, fc, &e),
-            None => {
-                let partitioned_before = cdn.metrics.partitioned_requests;
-                let out = cdn.handle_request(fc, e.object, e.size, e.gsl_oneway_ms);
-                if enabled {
-                    record_outcome(rec, &out, e.size);
-                    if cdn.metrics.partitioned_requests > partitioned_before {
-                        rec.add(Counter::RequestsPartitioned, 1);
-                    }
-                }
-            }
+        // Resolve, then serve at once: the one-shard case of the
+        // replayer's pre-pass and workers.
+        let (env, view, metrics) = cdn.resolving();
+        let out =
+            match resolve_request(env, view, admission.as_mut(), current_epoch, &e, metrics, rec) {
+                Resolved::Serve(req) => cdn.serve(&req),
+                Resolved::BentPipe(out) => out,
+                Resolved::Accounted => continue,
+            };
+        if enabled {
+            record_outcome(rec, &out, e.size);
         }
     }
     drop(epoch_span);
@@ -369,84 +324,6 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
         spec.recorder.absorb(&m.snapshot());
     }
     Ok(cdn.metrics.clone())
-}
-
-/// The overload side of the loop: the capacity ledger and what
-/// [`crate::overload::decide`] needs beside the fleet.
-struct Admission<'a> {
-    ledger: CapacityLedger,
-    cfg: &'a OverloadConfig,
-    epoch_ms: f64,
-    span_planes: u16,
-}
-
-impl Admission<'_> {
-    /// Run one reachable request through the admit/retry/fallback
-    /// lifecycle and serve, fall back or drop as it decides.
-    fn serve(
-        &mut self,
-        cdn: &mut SpaceCdn,
-        rec: &dyn Recorder,
-        epoch: u64,
-        fc: starcdn_orbit::walker::SatelliteId,
-        e: &AccessLogEntry,
-    ) {
-        let enabled = rec.is_enabled();
-        let lifecycle = crate::overload::decide(
-            &cdn.config().grid,
-            cdn.tiling(),
-            cdn.failures(),
-            cdn.config().remap_on_failure,
-            self.span_planes,
-            &mut self.ledger,
-            epoch,
-            self.epoch_ms,
-            fc,
-            e.object,
-            e.size,
-            cdn.latency_model(),
-            self.cfg,
-            rec,
-        );
-        cdn.metrics.shed_requests += lifecycle.sheds as u64;
-        cdn.metrics.retry_attempts += lifecycle.retries as u64;
-        if lifecycle.partitioned > 0 {
-            cdn.metrics.partitioned_requests += 1;
-        }
-        if enabled {
-            rec.add(Counter::RequestsShed, lifecycle.sheds as u64);
-            rec.add(Counter::RetryAttempts, lifecycle.retries as u64);
-            rec.observe(Histo::RetryCount, lifecycle.retries as u64);
-            if lifecycle.partitioned > 0 {
-                rec.add(Counter::RequestsPartitioned, 1);
-            }
-        }
-        match lifecycle.decision {
-            Decision::Serve { route, replica, penalty_ms } => {
-                let out = cdn.serve_routed(route, e.object, e.size, e.gsl_oneway_ms, penalty_ms);
-                if replica {
-                    cdn.metrics.served_replica += 1;
-                } else {
-                    cdn.metrics.served_primary += 1;
-                }
-                if enabled {
-                    record_outcome(rec, &out, e.size);
-                }
-            }
-            Decision::OriginFallback { penalty_ms } => {
-                cdn.serve_origin_fallback(fc, e.size, e.gsl_oneway_ms, penalty_ms);
-                if enabled {
-                    rec.add(Counter::OriginFallbacks, 1);
-                }
-            }
-            Decision::Drop => {
-                cdn.metrics.dropped_requests += 1;
-                if enabled {
-                    rec.add(Counter::RequestsDropped, 1);
-                }
-            }
-        }
-    }
 }
 
 // The names `benchmark/src/abi.rs` calls (that package is frozen by

@@ -19,8 +19,11 @@
 //! * [`engine`] — the deterministic single-threaded replay of an access
 //!   log through a [`starcdn::system::SpaceCdn`] or a baseline;
 //! * [`replayer`] — scoped worker threads over owner-sharded op
-//!   streams, mirroring the paper's process-per-satellite architecture
-//!   (shared memory instead of TCP — DESIGN.md substitution #3);
+//!   streams, after the paper's process-per-satellite architecture
+//!   (shared memory instead of TCP — DESIGN.md substitution #3). Both
+//!   run one request lifecycle: the private `resolve` module decides
+//!   everything that needs no cache (route, overload admission, direct
+//!   accounting) and [`starcdn::kernel::serve_one`] serves the rest;
 //! * [`experiment`] — one-call runners used by the per-figure
 //!   experiment binaries.
 //!
@@ -43,6 +46,7 @@ pub mod experiment;
 pub mod overload;
 pub mod replayer;
 mod replayer_checkpoint;
+mod resolve;
 pub mod scheduler;
 pub mod serve;
 pub mod transfers;

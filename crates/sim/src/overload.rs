@@ -23,15 +23,13 @@
 //! lifecycle on its sequential pre-pass and stays bit-for-bit identical
 //! to the engine.
 
-use starcdn::latency::LatencyModel;
+use starcdn::kernel::ServeEnv;
 use starcdn::system::{
     classify_route_toward_recorded, preferred_owner, ResolvedRoute, RouteOutcome,
 };
 use starcdn_cache::object::ObjectId;
-use starcdn_constellation::buckets::BucketTiling;
-use starcdn_constellation::capacity::{AdmitDecision, CapacityLedger};
+use starcdn_constellation::capacity::{AdmitDecision, CapacityLedger, UtilizationPoint};
 use starcdn_constellation::failures::FailureModel;
-use starcdn_constellation::grid::GridTopology;
 use starcdn_orbit::walker::SatelliteId;
 
 /// Bounded-retry parameters of the overload lifecycle.
@@ -112,26 +110,52 @@ pub(crate) struct LifecycleOutcome {
     pub partitioned: u32,
 }
 
+/// The overload side of a run: the capacity ledger with its clock, and
+/// what [`decide`] needs beside the serve environment. Lives on its
+/// driver's one sequential spine (engine loop, replayer pre-pass).
+pub(crate) struct Admission<'a> {
+    pub ledger: CapacityLedger,
+    cfg: &'a OverloadConfig,
+    epoch_ms: f64,
+    /// The epoch requests are admitted against; `u64::MAX` before the
+    /// first [`Admission::advance_to`].
+    pub epoch: u64,
+}
+
+impl<'a> Admission<'a> {
+    pub(crate) fn new(env: &ServeEnv, overload: &'a OverloadConfig, epoch_secs: u64) -> Self {
+        let link = &env.latency.link;
+        Admission {
+            ledger: CapacityLedger::new(&env.grid, link, epoch_secs, overload.headroom),
+            cfg: overload,
+            epoch_ms: epoch_secs as f64 * 1000.0,
+            epoch: u64::MAX,
+        }
+    }
+
+    /// Roll the ledger over to `epoch`; returns the utilization samples
+    /// of the epochs that closed.
+    pub(crate) fn advance_to(&mut self, epoch: u64) -> Vec<UtilizationPoint> {
+        self.epoch = epoch;
+        self.ledger.advance_to(epoch)
+    }
+}
+
 /// Run the admission/retry state machine for one request. Deterministic
 /// in (view, ledger state, request); never touches cache state.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
-    grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    env: &ServeEnv,
     view: &FailureModel,
-    remap_on_failure: bool,
-    replica_span: u16,
-    ledger: &mut CapacityLedger,
-    epoch: u64,
-    epoch_ms: f64,
+    adm: &mut Admission<'_>,
     first_contact: SatelliteId,
     object: ObjectId,
     size: u64,
-    latency: &LatencyModel,
-    cfg: &OverloadConfig,
     rec: &dyn starcdn_telemetry::Recorder,
 ) -> LifecycleOutcome {
-    let preferred = preferred_owner(grid, tiling, first_contact, object);
+    let grid = &env.grid;
+    let Admission { ledger, cfg, epoch_ms, epoch } = adm;
+    let (epoch, epoch_ms) = (*epoch, *epoch_ms);
+    let preferred = preferred_owner(grid, env.tiling.as_ref(), first_contact, object);
     let policy = &cfg.retry;
     let backoff_wait_ms = policy.backoff_epochs as f64 * epoch_ms;
     let max_attempts = policy.max_attempts.max(1);
@@ -155,18 +179,11 @@ pub(crate) fn decide(
         // modulo the plane count in `u32`: `max_attempts` is a public
         // `u32`, and `span × k` passes `u16::MAX` long before it does.
         let planes = grid.num_planes as u32;
-        let offset = (replica_span as u32 % planes) * (attempt % planes) % planes;
+        let offset = (env.span as u32 % planes) * (attempt % planes) % planes;
         let target = grid.east_by(preferred, offset as u16);
         let admit_epoch = epoch + attempt as u64 * policy.backoff_epochs;
         last_epoch = admit_epoch;
-        match classify_route_toward_recorded(
-            grid,
-            view,
-            remap_on_failure,
-            first_contact,
-            target,
-            rec,
-        ) {
+        match classify_route_toward_recorded(grid, view, env.remap, first_contact, target, rec) {
             RouteOutcome::Routed(route) => {
                 match ledger.admit(admit_epoch, first_contact, route.owner, size) {
                     AdmitDecision::Admit => {
@@ -181,7 +198,7 @@ pub(crate) fn decide(
                         sheds += 1;
                         // The refused probe still cost a round trip to the
                         // owner, plus the backoff wait before the next try.
-                        penalty_ms += 2.0 * latency.route_oneway_ms(route.intra, route.inter)
+                        penalty_ms += 2.0 * env.latency.route_oneway_ms(route.intra, route.inter)
                             + backoff_wait_ms;
                     }
                 }
@@ -221,44 +238,32 @@ pub(crate) fn decide(
 mod tests {
     use super::*;
     use starcdn::config::StarCdnConfig;
-    use starcdn_constellation::isl::LinkModel;
+    use starcdn_constellation::buckets::BucketTiling;
     use starcdn_telemetry::Noop;
 
-    fn ctx() -> (StarCdnConfig, LatencyModel, FailureModel) {
+    fn ctx() -> (StarCdnConfig, ServeEnv, FailureModel) {
         let cfg = StarCdnConfig::starcdn_no_relay(9, 1_000_000);
-        let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-        (cfg, latency, FailureModel::none())
+        let env = ServeEnv::new(&cfg);
+        (cfg, env, FailureModel::none())
+    }
+
+    /// The ledger and lifecycle state of a run in its epoch 0 (15 s
+    /// epochs over the Table-1 link model `cfg` carries).
+    fn admission<'a>(env: &ServeEnv, ocfg: &'a OverloadConfig) -> Admission<'a> {
+        let mut adm = Admission::new(env, ocfg, 15);
+        adm.advance_to(0);
+        adm
     }
 
     fn run_decide(
-        cfg: &StarCdnConfig,
-        latency: &LatencyModel,
+        env: &ServeEnv,
         view: &FailureModel,
-        ledger: &mut CapacityLedger,
-        ocfg: &OverloadConfig,
+        adm: &mut Admission<'_>,
         object: u64,
         size: u64,
     ) -> LifecycleOutcome {
-        let tiling = cfg.num_buckets.map(|l| BucketTiling::new(l).unwrap());
-        decide(
-            &cfg.grid,
-            tiling.as_ref(),
-            view,
-            cfg.remap_on_failure,
-            cfg.relay_span_planes(),
-            ledger,
-            0,
-            15_000.0,
-            SatelliteId::new(10, 5),
-            ObjectId(object),
-            size,
-            latency,
-            ocfg,
-            &Noop,
-        )
+        decide(env, view, adm, SatelliteId::new(10, 5), ObjectId(object), size, &Noop)
     }
-
-    use starcdn_cache::object::ObjectId;
 
     /// An object whose preferred owner is *not* the first contact
     /// (10, 5): the route has real ISL hops, so a shed probe costs
@@ -273,17 +278,9 @@ mod tests {
 
     #[test]
     fn ample_budget_serves_primary_with_no_penalty() {
-        let (cfg, latency, view) = ctx();
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, 1.0);
-        let out = run_decide(
-            &cfg,
-            &latency,
-            &view,
-            &mut ledger,
-            &OverloadConfig::with_headroom(1.0),
-            1,
-            1000,
-        );
+        let (_, env, view) = ctx();
+        let ocfg = OverloadConfig::with_headroom(1.0);
+        let out = run_decide(&env, &view, &mut admission(&env, &ocfg), 1, 1000);
         match out.decision {
             Decision::Serve { replica, penalty_ms, .. } => {
                 assert!(!replica);
@@ -297,7 +294,7 @@ mod tests {
 
     #[test]
     fn saturated_primary_retries_to_replica() {
-        let (cfg, latency, view) = ctx();
+        let (cfg, env, view) = ctx();
         // Budget below a single request: every owner sheds, but each
         // retry targets a *different* replica whose GSL... is also below
         // one request. So instead: budget that admits exactly one
@@ -305,12 +302,12 @@ mod tests {
         // second request of the same object must go to the replica.
         let size = 1_000_000u64;
         let headroom = size as f64 * 1.5 / 37_500_000_000.0; // fits 1, not 2
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, headroom);
         let ocfg = OverloadConfig::with_headroom(headroom);
+        let mut adm = admission(&env, &ocfg);
         let obj = remote_object(&cfg);
-        let first = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, size);
+        let first = run_decide(&env, &view, &mut adm, obj, size);
         assert!(matches!(first.decision, Decision::Serve { replica: false, .. }), "{first:?}");
-        let second = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, size);
+        let second = run_decide(&env, &view, &mut adm, obj, size);
         match second.decision {
             Decision::Serve { route, replica, penalty_ms } => {
                 assert!(replica, "primary saturated, replica must serve");
@@ -327,21 +324,21 @@ mod tests {
 
     #[test]
     fn exhausted_replicas_fall_back_to_origin_then_drop() {
-        let (cfg, latency, view) = ctx();
+        let (cfg, env, view) = ctx();
         // Tiny headroom: nothing ever fits an ISL-routed admit, but the
         // first contact's GSL can still take a couple of direct serves.
         let size = 1_000_000u64;
         let headroom = size as f64 * 2.5 / 37_500_000_000.0;
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, headroom);
         let mut ocfg = OverloadConfig::with_headroom(headroom);
         ocfg.retry = RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 };
+        let mut adm = admission(&env, &ocfg);
         let obj = remote_object(&cfg);
         // Saturate primary + both retry replicas (3 serves of the same
         // object land on 3 distinct owners, two per owner to fill).
         for _ in 0..6 {
-            run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, size);
+            run_decide(&env, &view, &mut adm, obj, size);
         }
-        let fb = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, size);
+        let fb = run_decide(&env, &view, &mut adm, obj, size);
         assert!(
             matches!(fb.decision, Decision::OriginFallback { .. }),
             "all replicas saturated → origin: {fb:?}"
@@ -352,7 +349,7 @@ mod tests {
         // requests start dropping.
         let mut dropped = false;
         for _ in 0..4 {
-            let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, size);
+            let out = run_decide(&env, &view, &mut adm, obj, size);
             if matches!(out.decision, Decision::Drop) {
                 dropped = true;
                 break;
@@ -363,28 +360,28 @@ mod tests {
 
     #[test]
     fn deadline_bounds_the_retry_chain() {
-        let (cfg, latency, view) = ctx();
+        let (_, env, view) = ctx();
         let size = 1_000_000u64;
         let headroom = size as f64 * 0.5 / 37_500_000_000.0; // nothing fits
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, headroom);
         let mut ocfg = OverloadConfig::with_headroom(headroom);
         // One epoch of backoff per attempt (15 s ≫ any deadline).
         ocfg.retry = RetryPolicy { max_attempts: 5, backoff_epochs: 1, deadline_ms: 100.0 };
-        let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, 1, size);
+        let mut adm = admission(&env, &ocfg);
+        let out = run_decide(&env, &view, &mut adm, 1, size);
         assert!(matches!(out.decision, Decision::Drop), "{out:?}");
         assert!(out.retries < 4, "deadline must cut the chain short, got {} retries", out.retries);
     }
 
     #[test]
     fn replica_offset_survives_a_long_retry_chain() {
-        let (cfg, latency, view) = ctx();
+        let (cfg, env, view) = ctx();
         let size = 1_000_000u64;
         let headroom = size as f64 * 0.5 / 37_500_000_000.0; // nothing fits
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, headroom);
         let mut ocfg = OverloadConfig::with_headroom(headroom);
         // Span 3 × attempt 21 846 is the first product past `u16::MAX`.
         ocfg.retry = RetryPolicy { max_attempts: 30_000, backoff_epochs: 0, deadline_ms: 1e12 };
-        let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, remote_object(&cfg), size);
+        let mut adm = admission(&env, &ocfg);
+        let out = run_decide(&env, &view, &mut adm, remote_object(&cfg), size);
         assert_eq!(out.retries, 29_999);
         assert_eq!(out.sheds, 30_001, "every probe and the origin fallback were shed");
         assert!(matches!(out.decision, Decision::Drop), "{:?}", out.decision);
@@ -392,35 +389,35 @@ mod tests {
 
     #[test]
     fn max_attempts_one_never_retries() {
-        let (cfg, latency, view) = ctx();
+        let (_, env, view) = ctx();
         let size = 1_000_000u64;
         let headroom = size as f64 * 0.5 / 37_500_000_000.0;
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, headroom);
         let mut ocfg = OverloadConfig::with_headroom(headroom);
         ocfg.retry = RetryPolicy { max_attempts: 1, backoff_epochs: 0, deadline_ms: 1e9 };
-        let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, 1, size);
+        let mut adm = admission(&env, &ocfg);
+        let out = run_decide(&env, &view, &mut adm, 1, size);
         assert_eq!(out.retries, 0);
         assert!(matches!(out.decision, Decision::OriginFallback { .. } | Decision::Drop));
     }
 
     #[test]
     fn partitioned_attempts_count_and_fall_back_to_origin() {
-        let (cfg, latency, _) = ctx();
+        let (cfg, env, _) = ctx();
         // Cut all four ISLs of the first contact: every live replica sits
         // across the partition, so each attempt is Partitioned and the
         // request degrades to the origin bent pipe.
         let fc = SatelliteId::new(10, 5);
         let cuts: Vec<_> = cfg.grid.neighbors(fc).map(|(_, n)| (fc, n)).collect();
         let view = FailureModel::from_outages([], cuts);
-        let mut ledger = CapacityLedger::new(&cfg.grid, &LinkModel::table1(), 15, 1.0);
         let ocfg = OverloadConfig::with_headroom(1.0);
+        let mut adm = admission(&env, &ocfg);
         // Owner on a different slot: no east-shifted retry replica can
         // coincide with the first contact (east_by preserves the slot).
         let tiling = cfg.num_buckets.map(|l| BucketTiling::new(l).unwrap());
         let obj = (0..64)
             .find(|&o| preferred_owner(&cfg.grid, tiling.as_ref(), fc, ObjectId(o)).slot != fc.slot)
             .expect("some bucket owner must sit off the first contact's slot");
-        let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, 1000);
+        let out = run_decide(&env, &view, &mut adm, obj, 1000);
         assert!(matches!(out.decision, Decision::OriginFallback { .. }), "{out:?}");
         assert_eq!(out.partitioned, 3, "every attempt crossed the partition");
         assert_eq!(out.sheds, 0);

@@ -1,13 +1,16 @@
 //! The parallel cache replayer.
 //!
-//! The paper's replayer spawns one process per satellite and uses TCP to
-//! mimic ISL message exchange. This reproduction shards satellites over
-//! scoped worker threads: a sequential pre-pass resolves every request
-//! to its owner and appends it to that owner's shard stream, then each
-//! worker replays its stream in log order. There are no channels — the
-//! streams are plain vectors handed to the workers by reference.
-//! Per-satellite caches sit behind `parking_lot` mutexes so relay probes
-//! can read neighbour caches across shards (DESIGN.md substitution #3).
+//! The paper's replayer spawns one process per satellite, every process
+//! running the same cache code, and uses TCP to mimic ISL message
+//! exchange. This reproduction shards satellites over scoped worker
+//! threads: a sequential pre-pass resolves every request to its owner
+//! ([`crate::resolve`], the function the engine resolves with) and
+//! appends it to that owner's shard stream, then each worker replays its
+//! stream in log order through [`starcdn::kernel::serve_one`] — the body
+//! the engine serves with. There are no channels — the streams are plain
+//! vectors handed to the workers by reference. Per-satellite caches sit
+//! behind `parking_lot` mutexes so relay probes can read neighbour
+//! caches across shards (DESIGN.md substitution #3).
 //!
 //! Determinism: each satellite's own request stream is processed in
 //! order, so *per-satellite* cache behaviour is exact. Relay probes read
@@ -25,9 +28,11 @@
 //! applies them — per-satellite behaviour stays bit-for-bit identical
 //! for no-relay configurations. (Relay probes under churn resolve
 //! candidates against the *base* failure set, the same approximation as
-//! the static path.) The overload lifecycle runs on the pre-pass too: it
-//! depends only on routes, sizes and cumulative ledger state, never on
-//! cache contents, so its decision sequence is the engine's.
+//! the static path; with one worker, whose single stream is the log's
+//! order, the replay is the engine's exactly, relay included.) The
+//! overload lifecycle runs on the pre-pass too: it depends only on
+//! routes, sizes and cumulative ledger state, never on cache contents,
+//! so its decision sequence is the engine's.
 //!
 //! Checkpoints (the private `replayer_checkpoint` module) cut the run
 //! into segments at pre-pass barriers; a run without one is a single
@@ -40,47 +45,30 @@
 use crate::access_log::AccessLog;
 use crate::checkpoint::CheckpointError;
 use crate::columns::LogView;
-use crate::engine::{record_outcome, RunSpec};
-use crate::overload::{Decision, OverloadConfig};
+use crate::engine::{FaultEventWatermark, RunSpec};
+use crate::overload::{Admission, OverloadConfig};
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
+use crate::resolve::{record_outcome, resolve_request, Resolved};
 use crossbeam::thread;
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
-use starcdn::latency::LatencyModel;
+use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, SlotStore};
 use starcdn::metrics::{AvailabilityPoint, SystemMetrics};
-use starcdn::relay::relay_candidates;
-use starcdn::system::{classify_route_in_recorded, RouteOutcome, ServeOutcome, ServedFrom};
-use starcdn_cache::policy::{AccessOutcome, Cache};
+use starcdn_cache::policy::Cache;
 use starcdn_cache::InflightQueue;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_telemetry::{
     Counter, Event, Histo, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot,
 };
-
-/// A request resolved to its owner, ready for sharded replay.
-pub(crate) struct ResolvedEntry {
-    object: starcdn_cache::object::ObjectId,
-    size: u64,
-    owner: starcdn_orbit::walker::SatelliteId,
-    intra: u16,
-    inter: u16,
-    gsl_oneway_ms: f64,
-    /// Accumulated retry penalty decided on the pre-pass (overload mode
-    /// only; 0.0 adds nothing to the latency sample).
-    penalty_ms: f64,
-    /// Overload classification: `Some(false)` = admitted at the primary,
-    /// `Some(true)` = at a retry replica, `None` = overload mode off.
-    replica: Option<bool>,
-    /// Scheduler epoch of this request — the delayed-hit clock. The
-    /// pre-pass stamps it so each shard replays its own slots' fetch
-    /// timelines exactly as the sequential engine does.
-    epoch: u64,
-}
+use std::ops::DerefMut;
 
 /// One element of a shard's ordered work stream.
 pub(crate) enum ShardOp {
-    Request(ResolvedEntry),
+    /// A routed request, stamped with its scheduler epoch (the
+    /// delayed-hit clock) so each shard replays its own slots' fetch
+    /// timelines exactly as the sequential engine does.
+    Request(RoutedRequest),
     /// The satellite at this slot index went down: its cache is lost.
     Wipe(usize),
     /// The satellite at this slot index recovered: cold until first hit.
@@ -124,7 +112,7 @@ pub fn run<'a>(
     let log = log.into();
     let rec = spec.recorder;
     let enabled = rec.is_enabled();
-    let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
+    let env = ServeEnv::new(cfg);
 
     let checkpointer = spec
         .checkpoint
@@ -143,16 +131,9 @@ pub fn run<'a>(
     // epoch; wipe/cold pseudo-ops land in the owning satellite's stream
     // at the epoch boundary. Unreachable or unroutable requests and the
     // degraded-mode counters are accounted directly there.
-    let PrePass { shards, direct, cuts } = prepare_shards(
-        cfg,
-        base_failures,
-        log,
-        spec.live_schedule(),
-        num_workers,
-        rec,
-        spec.live_overload(),
-        checkpointer.as_ref().map(|cp| cp.every_n_epochs()),
-    );
+    let barrier_every = checkpointer.as_ref().map(|cp| cp.every_n_epochs());
+    let PrePass { shards, direct, cuts } =
+        prepare_shards(&env, base_failures, log, spec, num_workers, barrier_every);
 
     // Per-worker recorders: workers never touch the shared `rec`, so the
     // hot path has no cross-thread contention and the merged snapshot is
@@ -181,15 +162,15 @@ pub fn run<'a>(
         next_segment = pos + 1;
     }
 
-    let ctx = WorkerCtx::new(cfg, base_failures, &latency, &state.caches, &state.inflight);
     for seg in next_segment..=cuts.len() {
         let ends: Vec<usize> = match cuts.get(seg) {
             Some(cut) => cut.lens.clone(),
             None => shards.iter().map(Vec::len).collect(),
         };
         {
-            let (ctx, starts, ends, shards, worker_recs) =
-                (&ctx, &starts, &ends, &shards, &worker_recs);
+            let (env, starts, ends, shards, worker_recs) =
+                (&env, &starts, &ends, &shards, &worker_recs);
+            let store = SharedSlots { caches: &state.caches, inflight: &state.inflight };
             thread::scope(|s| {
                 let handles: Vec<_> = state
                     .metrics
@@ -201,7 +182,8 @@ pub fn run<'a>(
                             let wrec = worker_recs.get(w);
                             let _shard_span =
                                 wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
-                            run_shard_ops(&shards[w][starts[w]..ends[w]], ctx, m, cold, wrec);
+                            let (ops, mut store) = (&shards[w][starts[w]..ends[w]], store);
+                            run_shard_ops(ops, &mut store, env, base_failures, m, cold, wrec);
                         })
                     })
                     .collect();
@@ -289,25 +271,23 @@ pub(crate) struct PrePass {
 
 /// The sequential pre-pass, shared by [`run`] and the socket plane's
 /// [`crate::serve::ServePlan`] so both resolve, admit, and shard every
-/// request identically. `barrier_every` additionally records a
-/// [`ShardCut`] each time the log crosses that many scheduler epochs;
-/// `None` records no cuts and changes nothing else.
-#[allow(clippy::too_many_arguments)]
+/// request identically: [`resolve_request`] per entry under the live
+/// failure view of its epoch, then a push onto the owner's stream.
+/// `barrier_every` additionally records a [`ShardCut`] each time the log
+/// crosses that many scheduler epochs; `None` records no cuts and
+/// changes nothing else. Of `spec`, the schedule, the overload
+/// configuration and the recorder are read.
 pub(crate) fn prepare_shards(
-    cfg: &StarCdnConfig,
+    env: &ServeEnv,
     base_failures: &FailureModel,
     log: LogView<'_>,
-    schedule: Option<&FaultSchedule>,
+    spec: &RunSpec<'_>,
     num_workers: usize,
-    rec: &dyn Recorder,
-    overload: Option<&OverloadConfig>,
     barrier_every: Option<u64>,
 ) -> PrePass {
-    let tiling = cfg.tiling().unwrap_or_else(|e| panic!("invalid bucket configuration: {e}"));
-    let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-    let spp = cfg.grid.sats_per_plane;
-    let span = cfg.relay_span_planes();
-    let total_slots = cfg.grid.total_slots();
+    let rec = spec.recorder;
+    let spp = env.grid.sats_per_plane;
+    let total_slots = env.grid.total_slots();
 
     let enabled = rec.is_enabled();
     // Reserve each shard for its expected share up front: the op streams
@@ -318,29 +298,19 @@ pub(crate) fn prepare_shards(
         (0..num_workers).map(|_| Vec::with_capacity(shard_hint)).collect();
     let mut cuts: Vec<ShardCut> = Vec::new();
     let mut direct = SystemMetrics::default();
-    let mut cursor = schedule.map(|s| ScheduleCursor::new(s, base_failures.clone()));
+    let mut cursor = spec.live_schedule().map(|s| ScheduleCursor::new(s, base_failures.clone()));
     let epoch_secs = log.epoch_secs().max(1);
-    let epoch_ms = epoch_secs as f64 * 1000.0;
     // Overload mode: the capacity ledger lives on this sequential
     // pre-pass (per-shard results merge in shard index order below), so
     // admission decisions are identical to the sequential engine's.
-    let mut ledger = overload.map(|o| {
-        starcdn_constellation::capacity::CapacityLedger::new(
-            &cfg.grid,
-            &cfg.link_model,
-            epoch_secs,
-            o.headroom,
-        )
-    });
-    let mut ledger_epoch = u64::MAX;
+    let mut admission = spec.live_overload().map(|o| Admission::new(env, o, epoch_secs));
     let mut current_epoch = u64::MAX;
     let mut seg_epoch = u64::MAX;
     // Telemetry epoch tracking is independent of the fault cursor so the
     // static (no-schedule) path still gets a per-epoch resolve timeline.
     let mut tele_epoch = u64::MAX;
     let mut resolve_span: Option<SpanTimer> = None;
-    let mut epoch_remaps = 0u64;
-    let mut epoch_reroutes = 0u64;
+    let mut watermark = FaultEventWatermark::default();
     for e in log.entries() {
         let epoch = e.time.as_secs() / epoch_secs;
         if let Some(every) = barrier_every {
@@ -358,10 +328,7 @@ pub(crate) fn prepare_shards(
         }
         if enabled && epoch != tele_epoch {
             if tele_epoch != u64::MAX {
-                rec.event(Event::Remap, tele_epoch, epoch_remaps);
-                rec.event(Event::Reroute, tele_epoch, epoch_reroutes);
-                epoch_remaps = 0;
-                epoch_reroutes = 0;
+                watermark.flush(rec, tele_epoch, &direct);
             }
             tele_epoch = epoch;
             // Replacing the span drops (and thus reports) the previous
@@ -392,154 +359,27 @@ pub(crate) fn prepare_shards(
                 });
             }
         }
-        if let Some(l) = ledger.as_mut() {
-            if epoch != ledger_epoch {
-                ledger_epoch = epoch;
-                for p in l.advance_to(epoch) {
-                    direct.utilization.push(p);
-                }
-            }
+        if let Some(adm) = admission.as_mut().filter(|adm| adm.epoch != epoch) {
+            direct.utilization.extend(adm.advance_to(epoch));
         }
         let view = cursor.as_ref().map(|c| c.view()).unwrap_or(base_failures);
-        let Some(fc) = e.first_contact else {
-            let lat = latency.starlink_no_cache_rtt_ms(latency.link.gsl.avg_delay_ms);
-            direct.record(
-                starcdn_orbit::walker::SatelliteId::new(u16::MAX, u16::MAX),
-                ServedFrom::Ground,
-                e.size,
-                lat,
-            );
-            if enabled {
-                rec.add(Counter::RequestsUnreachable, 1);
-            }
-            continue;
-        };
-        // Either way a request ends up routed to an owner (with the
-        // retry penalty and replica flag the overload lifecycle decided)
-        // or accounted directly.
-        let routed = if let (Some(l), Some(ocfg)) = (ledger.as_mut(), overload) {
-            // Overload lifecycle: admit/retry/fallback decided here on
-            // the sequential spine; workers only touch caches.
-            let lc = crate::overload::decide(
-                &cfg.grid,
-                tiling.as_ref(),
-                view,
-                cfg.remap_on_failure,
-                span,
-                l,
-                epoch,
-                epoch_ms,
-                fc,
-                e.object,
-                e.size,
-                &latency,
-                ocfg,
-                rec,
-            );
-            direct.shed_requests += lc.sheds as u64;
-            direct.retry_attempts += lc.retries as u64;
-            if lc.partitioned > 0 {
-                direct.partitioned_requests += 1;
-            }
-            if enabled {
-                rec.add(Counter::RequestsShed, lc.sheds as u64);
-                rec.add(Counter::RetryAttempts, lc.retries as u64);
-                rec.observe(Histo::RetryCount, lc.retries as u64);
-                if lc.partitioned > 0 {
-                    rec.add(Counter::RequestsPartitioned, 1);
-                }
-            }
-            match lc.decision {
-                Decision::Serve { route, replica, penalty_ms } => {
-                    Some((route, penalty_ms, Some(replica)))
-                }
-                Decision::OriginFallback { penalty_ms } => {
-                    let base = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-                    let lat = if penalty_ms > 0.0 { base + penalty_ms } else { base };
-                    direct.record(fc, ServedFrom::Ground, e.size, lat);
-                    direct.served_origin_fallback += 1;
-                    if enabled {
-                        rec.add(Counter::OriginFallbacks, 1);
-                    }
-                    None
-                }
-                Decision::Drop => {
-                    direct.dropped_requests += 1;
-                    if enabled {
-                        rec.add(Counter::RequestsDropped, 1);
-                    }
-                    None
-                }
-            }
-        } else {
-            let outcome = classify_route_in_recorded(
-                &cfg.grid,
-                tiling.as_ref(),
-                view,
-                cfg.remap_on_failure,
-                fc,
-                e.object,
-                rec,
-            );
-            if let RouteOutcome::Routed(route) = outcome {
-                Some((route, 0.0, None))
-            } else {
-                // No reachable owner: degrade to the origin bent pipe,
-                // exactly like the engine's `handle_request` (uplink
-                // charged to the first contact's GSL, zero ISL hops). A
-                // partition — owner alive but cut off — is counted.
-                let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-                direct.record(fc, ServedFrom::Ground, e.size, lat);
-                let partitioned = matches!(outcome, RouteOutcome::Partitioned { .. });
-                direct.partitioned_requests += partitioned as u64;
-                if enabled {
-                    let counter = if partitioned {
-                        Counter::RequestsPartitioned
-                    } else {
-                        Counter::RequestsUnroutable
-                    };
-                    rec.add(counter, 1);
-                }
-                None
-            }
-        };
-        let Some((route, penalty_ms, replica)) = routed else { continue };
-        if route.remapped {
-            direct.remapped_requests += 1;
+        // Workers only touch caches: whatever is decided without one is
+        // accounted here, on the sequential spine.
+        if let Resolved::Serve(req) =
+            resolve_request(env, view, admission.as_mut(), epoch, &e, &mut direct, rec)
+        {
+            shards[req.owner.index(spp) % num_workers].push(ShardOp::Request(req));
         }
-        direct.reroute_extra_hops += route.extra_hops as u64;
-        if enabled {
-            if route.remapped {
-                rec.add(Counter::RemappedRequests, 1);
-                epoch_remaps += 1;
-            }
-            rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
-            epoch_reroutes += route.extra_hops as u64;
-        }
-        shards[route.owner.index(spp) % num_workers].push(ShardOp::Request(ResolvedEntry {
-            object: e.object,
-            size: e.size,
-            owner: route.owner,
-            intra: route.intra,
-            inter: route.inter,
-            gsl_oneway_ms: e.gsl_oneway_ms,
-            penalty_ms,
-            replica,
-            epoch,
-        }));
     }
     // Close out the last epoch's resolve span and event cells, then
     // record how much work each shard was handed.
     drop(resolve_span);
-    if let Some(mut l) = ledger.take() {
-        for p in l.finish() {
-            direct.utilization.push(p);
-        }
+    if let Some(mut adm) = admission {
+        direct.utilization.extend(adm.ledger.finish());
     }
     if enabled {
         if tele_epoch != u64::MAX {
-            rec.event(Event::Remap, tele_epoch, epoch_remaps);
-            rec.event(Event::Reroute, tele_epoch, epoch_reroutes);
+            watermark.flush(rec, tele_epoch, &direct);
         }
         for shard in &shards {
             rec.observe(Histo::QueueDepth, shard.len() as u64);
@@ -548,218 +388,54 @@ pub(crate) fn prepare_shards(
     PrePass { shards, direct, cuts }
 }
 
-/// Everything a worker needs besides its own mutable state. Shared
-/// between [`run`] and the socket plane's shard servers so the per-op
-/// behaviour is identical by construction.
-pub(crate) struct WorkerCtx<'a> {
-    pub caches: &'a [Mutex<Box<dyn Cache + Send>>],
-    /// Per-slot outstanding-fetch queues. Owner-sharded like the
-    /// requests themselves, so each queue is only ever touched by the
-    /// one worker that owns its slot — the mutex is uncontended and
-    /// exists to satisfy `Sync`.
-    pub inflight: &'a [Mutex<InflightQueue>],
-    pub grid: &'a starcdn_constellation::grid::GridTopology,
-    pub failures: &'a FailureModel,
-    pub latency: &'a LatencyModel,
-    pub relay: starcdn::config::RelayPolicy,
-    pub delayed: starcdn::config::DelayedHitConfig,
-    pub probe: bool,
-    /// `StarCdnConfig::model_transmission_delay`.
-    pub transmission: bool,
-    pub span: u16,
-    pub spp: u16,
+/// The threaded replayer's slot store: every slot behind its own mutex,
+/// because a relay probe reads a neighbour's cache on another worker's
+/// shard. The in-flight queues are only ever touched by the worker that
+/// owns their slot — those mutexes are uncontended and exist for `Sync`.
+#[derive(Clone, Copy)]
+struct SharedSlots<'s> {
+    caches: &'s [Mutex<Box<dyn Cache + Send>>],
+    inflight: &'s [Mutex<InflightQueue>],
 }
 
-impl<'a> WorkerCtx<'a> {
-    pub(crate) fn new(
-        cfg: &'a StarCdnConfig,
-        failures: &'a FailureModel,
-        latency: &'a LatencyModel,
-        caches: &'a [Mutex<Box<dyn Cache + Send>>],
-        inflight: &'a [Mutex<InflightQueue>],
-    ) -> Self {
-        WorkerCtx {
-            caches,
-            inflight,
-            grid: &cfg.grid,
-            failures,
-            latency,
-            relay: cfg.relay,
-            delayed: cfg.delayed,
-            probe: cfg.probe_neighbors_on_miss,
-            transmission: cfg.model_transmission_delay,
-            span: cfg.relay_span_planes(),
-            spp: cfg.grid.sats_per_plane,
-        }
+impl SlotStore for SharedSlots<'_> {
+    fn cache(&mut self, slot: usize) -> impl DerefMut<Target = Box<dyn Cache + Send>> {
+        self.caches[slot].lock()
+    }
+
+    fn inflight(&mut self, slot: usize) -> impl DerefMut<Target = InflightQueue> {
+        self.inflight[slot].lock()
     }
 }
 
-/// Replay one contiguous slice of a shard's op stream against the shared
-/// caches, accumulating into the worker's persistent `m`/`cold` state.
-pub(crate) fn run_shard_ops(
+/// Replay one contiguous slice of a shard's op stream against `store`,
+/// accumulating into the worker's persistent `m`/`cold` state: wipe,
+/// mark cold, or [`serve_one`]. Relay candidates resolve against the
+/// static `base_failures`, not a live view — workers run ahead of and
+/// behind the pre-pass's churn cursor.
+pub(crate) fn run_shard_ops<S: SlotStore>(
     ops: &[ShardOp],
-    ctx: &WorkerCtx<'_>,
+    store: &mut S,
+    env: &ServeEnv,
+    base_failures: &FailureModel,
     m: &mut SystemMetrics,
     cold: &mut [bool],
     wrec: Option<&MemoryRecorder>,
 ) {
     for op in ops {
-        let e = match op {
-            ShardOp::Request(e) => e,
-            ShardOp::Wipe(idx) => {
-                ctx.caches[*idx].lock().clear();
-                ctx.inflight[*idx].lock().clear();
-                cold[*idx] = false;
-                continue;
-            }
-            ShardOp::MarkCold(idx) => {
-                cold[*idx] = true;
-                continue;
-            }
-        };
-        let owner_idx = e.owner.index(ctx.spp);
-        // Mirrors `SpaceCdn::serve_routed` branch for branch. Delayed
-        // model: retire a landed fetch, classify against cache + queue;
-        // a delayed hit is a space hit that never touches the cache and
-        // a true miss does not admit. Plain model: the auto-admitting
-        // access, unchanged.
-        let mut fetch_retired = false;
-        let mut coalesced = 0u64;
-        let mut residual_epochs = 0u64;
-        let local = if !ctx.delayed.is_enabled() {
-            ctx.caches[owner_idx].lock().access(e.object, e.size)
-        } else {
-            if let Some(r) = ctx.inflight[owner_idx].lock().take_completed(e.object, e.epoch) {
-                let mut g = ctx.caches[owner_idx].lock();
-                g.insert(e.object, r.size);
-                g.record_fetch_delay(e.object, r.delay_epochs);
-                drop(g);
-                fetch_retired = true;
-                coalesced = r.followers;
-                m.coalesced_requests += r.followers;
-            }
-            let mut g = ctx.caches[owner_idx].lock();
-            if g.contains(e.object) {
-                let hit = g.access(e.object, e.size);
-                debug_assert!(hit.is_hit());
-                hit
-            } else {
-                drop(g);
-                if let Some(res) = ctx.inflight[owner_idx].lock().coalesce(e.object, e.epoch) {
-                    residual_epochs = res;
-                    m.delayed_hits += 1;
-                    *m.residual_epoch_hist.entry(res).or_insert(0) += 1;
-                    AccessOutcome::Hit
-                } else {
-                    AccessOutcome::Miss
-                }
-            }
-        };
-        if cold[owner_idx] {
-            if local.is_hit() {
-                cold[owner_idx] = false;
-            } else {
-                m.cold_restart_misses += 1;
+        match op {
+            ShardOp::Request(req) => {
+                let out = serve_one(store, env, base_failures, cold, m, req);
                 if let Some(r) = wrec {
-                    r.add(Counter::ColdRestartMisses, 1);
+                    record_outcome(r, &out, req.size);
                 }
             }
-        }
-        let (from, lat) = if local.is_hit() {
-            (ServedFrom::LocalHit, ctx.latency.space_hit_rtt_ms(e.gsl_oneway_ms, e.intra, e.inter))
-        } else {
-            if ctx.probe {
-                let w = neighbor_contains(
-                    ctx.caches,
-                    ctx.grid,
-                    ctx.failures,
-                    e.owner,
-                    ctx.span,
-                    true,
-                    e.object,
-                    ctx.spp,
-                );
-                let ea = neighbor_contains(
-                    ctx.caches,
-                    ctx.grid,
-                    ctx.failures,
-                    e.owner,
-                    ctx.span,
-                    false,
-                    e.object,
-                    ctx.spp,
-                );
-                m.neighbor_availability.record(w, ea, e.size);
+            ShardOp::Wipe(idx) => {
+                store.cache(*idx).clear();
+                store.inflight(*idx).clear();
+                cold[*idx] = false;
             }
-            let mut served = None;
-            for (tag, n) in relay_candidates(ctx.grid, e.owner, ctx.span, ctx.relay, ctx.failures) {
-                let mut guard = ctx.caches[n.index(ctx.spp)].lock();
-                if guard.contains(e.object) {
-                    guard.access(e.object, e.size);
-                    served = Some((
-                        tag,
-                        ctx.latency.relay_hit_rtt_ms(e.gsl_oneway_ms, e.intra, e.inter, ctx.span),
-                    ));
-                    break;
-                }
-            }
-            served.unwrap_or_else(|| {
-                let penalty = if ctx.relay.enabled() { ctx.span } else { 0 };
-                (
-                    ServedFrom::Ground,
-                    ctx.latency.ground_miss_rtt_ms(e.gsl_oneway_ms, e.intra, e.inter, penalty),
-                )
-            })
-        };
-        let lat = if ctx.transmission {
-            lat + ctx.latency.transmission_ms(from, e.size, e.intra + e.inter, ctx.span)
-        } else {
-            lat
-        };
-        // Gated: `x + 0.0` is not a bitwise no-op for every float
-        // (-0.0); the no-penalty path must stay byte-identical.
-        let lat = if e.penalty_ms > 0.0 { lat + e.penalty_ms } else { lat };
-        // Relayed copies admit instantly; a ground miss registers its
-        // origin fetch and waits it out in full; a delayed hit waits
-        // only the residual — the engine's wait accounting, verbatim.
-        if ctx.delayed.is_enabled() && matches!(from, ServedFrom::RelayWest | ServedFrom::RelayEast)
-        {
-            ctx.caches[owner_idx].lock().insert(e.object, e.size);
-        }
-        let lat = if ctx.delayed.is_enabled() {
-            if from == ServedFrom::Ground {
-                let fetch_epochs = ctx.delayed.fetch_epochs_for(e.object);
-                ctx.inflight[owner_idx].lock().register(e.object, e.size, e.epoch, fetch_epochs);
-                lat + fetch_epochs as f64 * ctx.delayed.wait_ms_per_epoch
-            } else if residual_epochs > 0 {
-                lat + residual_epochs as f64 * ctx.delayed.wait_ms_per_epoch
-            } else {
-                lat
-            }
-        } else {
-            lat
-        };
-        match e.replica {
-            Some(true) => m.served_replica += 1,
-            Some(false) => m.served_primary += 1,
-            None => {}
-        }
-        m.record(e.owner, from, e.size, lat);
-        if let Some(r) = wrec {
-            record_outcome(
-                r,
-                &ServeOutcome {
-                    served_from: from,
-                    latency_ms: lat,
-                    uplink_bytes: 0,
-                    owner: e.owner,
-                    route_hops: e.intra + e.inter,
-                    residual_epochs,
-                    fetch_retired,
-                    coalesced,
-                },
-                e.size,
-            );
+            ShardOp::MarkCold(idx) => cold[*idx] = true,
         }
     }
 }
@@ -767,10 +443,8 @@ pub(crate) fn run_shard_ops(
 // ---------------------------------------------------------------------------
 // Shard-op wire codec (used by the socket serving plane in `crate::serve`).
 //
-// `ResolvedEntry`'s fields are private to this module, so the byte codec
-// lives here next to the struct: the serving plane ships pre-resolved op
-// streams over TCP and must decode them without ever panicking on
-// hostile input.
+// The serving plane ships pre-resolved op streams over TCP and must
+// decode them without ever panicking on hostile input.
 // ---------------------------------------------------------------------------
 
 const OP_REQUEST: u8 = 0;
@@ -821,34 +495,28 @@ pub(crate) fn get_shard_op(
     use crate::checkpoint::CheckpointError;
     match r.u8()? {
         OP_REQUEST => {
-            let object = starcdn_cache::object::ObjectId(r.u64()?);
-            let size = r.u64()?;
-            let owner = starcdn_orbit::walker::SatelliteId::new(r.u16()?, r.u16()?);
-            let intra = r.u16()?;
-            let inter = r.u16()?;
-            let gsl_oneway_ms = r.f64_bits()?;
-            let penalty_ms = r.f64_bits()?;
-            let replica = match r.u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                _ => return Err(CheckpointError::Malformed("bad replica tag")),
+            // Fields decode in wire order: a struct literal evaluates
+            // its fields as written.
+            let req = RoutedRequest {
+                object: starcdn_cache::object::ObjectId(r.u64()?),
+                size: r.u64()?,
+                owner: starcdn_orbit::walker::SatelliteId::new(r.u16()?, r.u16()?),
+                intra: r.u16()?,
+                inter: r.u16()?,
+                gsl_oneway_ms: r.f64_bits()?,
+                penalty_ms: r.f64_bits()?,
+                replica: match r.u8()? {
+                    0 => None,
+                    1 => Some(false),
+                    2 => Some(true),
+                    _ => return Err(CheckpointError::Malformed("bad replica tag")),
+                },
+                epoch: r.u64()?,
             };
-            let epoch = r.u64()?;
-            if owner.index(spp) >= total_slots {
+            if req.owner.index(spp) >= total_slots {
                 return Err(CheckpointError::Malformed("op owner out of range"));
             }
-            Ok(ShardOp::Request(ResolvedEntry {
-                object,
-                size,
-                owner,
-                intra,
-                inter,
-                gsl_oneway_ms,
-                penalty_ms,
-                replica,
-                epoch,
-            }))
+            Ok(ShardOp::Request(req))
         }
         OP_WIPE => {
             let idx = r.u64()? as usize;
@@ -866,38 +534,6 @@ pub(crate) fn get_shard_op(
         }
         _ => Err(CheckpointError::Malformed("unknown shard op tag")),
     }
-}
-
-/// Origin bent-pipe accounting for one degraded request: the serving
-/// plane charges an op it could not deliver to a shard exactly like the
-/// engine's `Partitioned` path (uplink on the request's GSL, zero ISL
-/// hops), attributed to the resolved owner.
-pub(crate) fn degrade_op_to_origin(op: &ShardOp, latency: &LatencyModel, m: &mut SystemMetrics) {
-    if let ShardOp::Request(e) = op {
-        let base = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-        let lat = if e.penalty_ms > 0.0 { base + e.penalty_ms } else { base };
-        m.record(e.owner, ServedFrom::Ground, e.size, lat);
-        m.partitioned_requests += 1;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn neighbor_contains(
-    caches: &[Mutex<Box<dyn Cache + Send>>],
-    grid: &starcdn_constellation::grid::GridTopology,
-    failures: &FailureModel,
-    owner: starcdn_orbit::walker::SatelliteId,
-    span: u16,
-    west: bool,
-    object: starcdn_cache::object::ObjectId,
-    spp: u16,
-) -> bool {
-    let slot = if west { grid.west_by(owner, span) } else { grid.east_by(owner, span) };
-    failures
-        .resolve_owner(grid, slot)
-        .filter(|&s| s != owner)
-        .map(|s| caches[s.index(spp)].lock().contains(object))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

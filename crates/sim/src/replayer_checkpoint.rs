@@ -29,6 +29,7 @@ use crate::columns::LogView;
 use crate::engine::RunSpec;
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
+use starcdn::kernel::Slots;
 use starcdn::metrics::SystemMetrics;
 use starcdn_cache::policy::Cache;
 use starcdn_cache::{CacheState, InflightQueue, InflightState};
@@ -199,11 +200,10 @@ impl ReplayState {
     /// Empty caches and queues, nothing cold, nothing counted.
     pub(crate) fn fresh(cfg: &StarCdnConfig, num_workers: usize) -> Self {
         let total_slots = cfg.grid.total_slots();
+        let Slots { caches, inflight } = Slots::new(cfg);
         ReplayState {
-            caches: (0..total_slots)
-                .map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes)))
-                .collect(),
-            inflight: (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect(),
+            caches: caches.into_iter().map(Mutex::new).collect(),
+            inflight: inflight.into_iter().map(Mutex::new).collect(),
             cold: (0..num_workers).map(|_| vec![false; total_slots]).collect(),
             metrics: (0..num_workers).map(|_| SystemMetrics::default()).collect(),
         }

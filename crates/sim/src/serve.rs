@@ -16,8 +16,9 @@
 //!   inflight queues, cold flags, and its accumulated
 //!   [`SystemMetrics`]. [`ShardState::apply_batch`] decodes a batch and
 //!   feeds it through [`crate::replayer::run_shard_ops`] — the very
-//!   function the in-process replayer uses — so a zero-fault socket run
-//!   is bit-for-bit identical to `replay_parallel` by construction.
+//!   function the in-process replayer's workers run, over the plain
+//!   slot store the engine's fleet uses — so a zero-fault socket run is
+//!   bit-for-bit identical to `replay_parallel` by construction.
 //!
 //! Only no-relay, no-probe configurations are accepted: relay probes
 //! read *neighbour* caches, which live on other shards once the plane is
@@ -35,17 +36,14 @@ use crate::checkpoint::{
     fp, fp_bytes, get_metrics, get_telemetry, put_metrics, put_telemetry, ByteReader, ByteWriter,
     CheckpointError,
 };
+use crate::engine::RunSpec;
 use crate::overload::OverloadConfig;
 use crate::replayer::{
-    degrade_op_to_origin, get_shard_op, prepare_shards, put_shard_op, run_shard_ops, PrePass,
-    ShardOp, WorkerCtx,
+    get_shard_op, prepare_shards, put_shard_op, run_shard_ops, PrePass, ShardOp,
 };
-use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
-use starcdn::latency::LatencyModel;
+use starcdn::kernel::{bent_pipe, ServeEnv, Slots};
 use starcdn::metrics::SystemMetrics;
-use starcdn_cache::policy::Cache;
-use starcdn_cache::InflightQueue;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
@@ -115,8 +113,8 @@ struct ShardStream {
 /// every shard server must agree with before ops flow.
 pub struct ServePlan {
     cfg: StarCdnConfig,
+    env: ServeEnv,
     failures: FailureModel,
-    latency: LatencyModel,
     shards: Vec<ShardStream>,
     direct: SystemMetrics,
     fingerprint: u64,
@@ -126,6 +124,8 @@ impl ServePlan {
     /// Run the sequential pre-pass and freeze per-shard op batches of at
     /// most `batch_ops` ops each. Rejects configurations whose parallel
     /// replay is not bit-deterministic when distributed (relay, probe).
+    /// `schedule`, `overload` and `rec` are [`RunSpec`]'s fields of those
+    /// names (`None` = its default).
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         cfg: &StarCdnConfig,
@@ -138,8 +138,12 @@ impl ServePlan {
         rec: &dyn Recorder,
     ) -> Result<ServePlan, ServePlanError> {
         validate(cfg, num_shards, batch_ops)?;
+        let env = ServeEnv::new(cfg);
+        let mut spec = RunSpec { recorder: rec, ..RunSpec::default() };
+        spec.schedule = schedule.unwrap_or(spec.schedule);
+        spec.overload = overload.copied().unwrap_or(spec.overload);
         let PrePass { shards, direct, .. } =
-            prepare_shards(cfg, failures, log.into(), schedule, num_shards, rec, overload, None);
+            prepare_shards(&env, failures, log.into(), &spec, num_shards, None);
         let mut streams = Vec::with_capacity(num_shards);
         let mut h = 0x7365_7276_6531_3030u64; // "serve100"
         h = fp(h, num_shards as u64);
@@ -168,8 +172,8 @@ impl ServePlan {
         }
         Ok(ServePlan {
             cfg: cfg.clone(),
+            env,
             failures: failures.clone(),
-            latency: LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() },
             shards: streams,
             direct,
             fingerprint: h,
@@ -217,8 +221,9 @@ impl ServePlan {
     /// Origin bent-pipe accounting for every request op in batches
     /// `from_batch..` of `shard` — the circuit-breaker degradation path.
     /// Each request is served exactly like the engine's `Partitioned`
-    /// outcome; churn pseudo-ops are skipped (a degraded shard's cache
-    /// state is gone anyway).
+    /// outcome (uplink on the request's GSL, zero ISL hops), attributed
+    /// to the resolved owner; churn pseudo-ops are skipped (a degraded
+    /// shard's cache state is gone anyway).
     pub fn degraded_metrics(&self, shard: usize, from_batch: usize) -> SystemMetrics {
         let mut m = SystemMetrics::default();
         let s = &self.shards[shard];
@@ -226,7 +231,10 @@ impl ServePlan {
             return m;
         };
         for op in &s.ops[start..] {
-            degrade_op_to_origin(op, &self.latency, &mut m);
+            if let ShardOp::Request(e) = op {
+                bent_pipe(&self.env, &mut m, e.owner, e.size, e.gsl_oneway_ms, e.penalty_ms);
+                m.partitioned_requests += 1;
+            }
         }
         m
     }
@@ -247,6 +255,8 @@ impl ServePlan {
 
 /// Everything one shard server owns: per-slot caches, inflight queues,
 /// cold flags, accumulated metrics, and an optional telemetry recorder.
+/// A server is single-threaded and a plan carries no relay and no
+/// probe, so nothing here is shared or locked.
 ///
 /// The slot vectors are full-size (`total_slots`): a shard only ever
 /// receives ops for slots it owns (`owner.index(spp) % num_shards`), so
@@ -254,32 +264,23 @@ impl ServePlan {
 /// in-process replayer's memory layout, which keeps the parity argument
 /// trivial.
 pub struct ShardState {
-    cfg: StarCdnConfig,
+    env: ServeEnv,
     failures: FailureModel,
-    latency: LatencyModel,
-    caches: Vec<Mutex<Box<dyn Cache + Send>>>,
-    inflight: Vec<Mutex<InflightQueue>>,
+    slots: Slots,
     cold: Vec<bool>,
     metrics: SystemMetrics,
     rec: Option<MemoryRecorder>,
-    total_slots: usize,
 }
 
 impl ShardState {
     pub fn new(cfg: &StarCdnConfig, failures: &FailureModel, record: bool) -> ShardState {
-        let total_slots = cfg.grid.total_slots();
         ShardState {
-            cfg: cfg.clone(),
+            env: ServeEnv::new(cfg),
             failures: failures.clone(),
-            latency: LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() },
-            caches: (0..total_slots)
-                .map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes)))
-                .collect(),
-            inflight: (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect(),
-            cold: vec![false; total_slots],
+            slots: Slots::new(cfg),
+            cold: vec![false; cfg.grid.total_slots()],
             metrics: SystemMetrics::default(),
             rec: record.then(MemoryRecorder::new),
-            total_slots,
         }
     }
 
@@ -290,7 +291,7 @@ impl ShardState {
     /// state untouched (the batch is decoded in full before any op
     /// runs).
     pub fn apply_batch(&mut self, payload: &[u8]) -> Result<u32, CheckpointError> {
-        let spp = self.cfg.grid.sats_per_plane;
+        let spp = self.env.grid.sats_per_plane;
         let mut r = ByteReader::new(payload);
         let count = r.u32()?;
         if count as usize > payload.len() {
@@ -300,12 +301,18 @@ impl ShardState {
         }
         let mut ops = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            ops.push(get_shard_op(&mut r, spp, self.total_slots)?);
+            ops.push(get_shard_op(&mut r, spp, self.cold.len())?);
         }
         r.finish()?;
-        let ctx =
-            WorkerCtx::new(&self.cfg, &self.failures, &self.latency, &self.caches, &self.inflight);
-        run_shard_ops(&ops, &ctx, &mut self.metrics, &mut self.cold, self.rec.as_ref());
+        run_shard_ops(
+            &ops,
+            &mut self.slots,
+            &self.env,
+            &self.failures,
+            &mut self.metrics,
+            &mut self.cold,
+            self.rec.as_ref(),
+        );
         Ok(count)
     }
 
