@@ -13,12 +13,24 @@
 //! before any allocation, a CRC mismatch fails before the body is
 //! interpreted, and body decoding never reads past its slice.
 //!
+//! A frame's bytes are touched once per side. [`FrameRef::encode_into`]
+//! writes prefix, kind, body and CRC straight into a caller-owned
+//! buffer and checksums them where they lie (the router frames a plan
+//! batch into its endpoint's scratch: one copy, one CRC pass);
+//! [`FrameCodec::recv_from`] lets the transport read into the decoder's
+//! own buffer, and [`FrameCodec::next_frame_ref`] hands an `Ops` payload
+//! out as a slice of that buffer (the shard applies it in place: one
+//! read, one CRC pass). [`Frame`] is the owning form of the same eleven
+//! kinds; its `encode` / `next_frame` are thin wrappers, so the bounds,
+//! CRC and hostile-length checks exist in one decoder body.
+//!
 //! Sequence numbers: `Ops` frames are numbered per shard from 0 in plan
 //! order. Acks are cumulative and carry the *next expected* sequence
 //! (`Ack { next }` means batches `0..next` are applied), which keeps the
 //! zero-applied case representable without underflow.
 
 use crate::error::NetError;
+use crate::transport::NetConn;
 use starcdn_sim::crc32;
 
 /// Hard cap on `len`: bounds the decoder's buffer and any allocation a
@@ -52,9 +64,12 @@ pub mod code {
     pub const BAD_PAYLOAD: u16 = 2;
     /// A frame kind arrived that this side never accepts.
     pub const UNEXPECTED: u16 = 3;
+    /// The shard's drain payload does not fit one frame: asking again
+    /// cannot shrink it, so the router fails typed instead of retrying.
+    pub const DRAIN_TOO_LARGE: u16 = 4;
 }
 
-/// One protocol frame.
+/// One protocol frame, owning its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Router → shard on every (re)connect: which shard it wants and
@@ -162,66 +177,175 @@ impl<'a> Body<'a> {
     }
 }
 
+/// One protocol frame whose variable-length part borrows the bytes it
+/// was built from or decoded out of: same kinds, same fields as
+/// [`Frame`] (which documents them), no allocation either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameRef<'a> {
+    Hello {
+        shard: u32,
+        fingerprint: u64,
+    },
+    HelloAck {
+        next: u64,
+    },
+    Ops {
+        seq: u64,
+        payload: &'a [u8],
+    },
+    Ack {
+        next: u64,
+    },
+    SkipTo {
+        next: u64,
+    },
+    Ping {
+        nonce: u64,
+    },
+    Pong {
+        nonce: u64,
+    },
+    Drain,
+    DrainAck {
+        payload: &'a [u8],
+    },
+    Shutdown,
+    /// `msg` is the message's bytes: cut at the cap on encode, read as
+    /// lossy UTF-8 by [`FrameRef::into_owned`].
+    Error {
+        code: u16,
+        msg: &'a [u8],
+    },
+}
+
 impl Frame {
-    /// Serialize to the wire format (length prefix, kind, body, CRC).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut inner = Vec::new();
+    /// The same frame, borrowing this one's payload.
+    pub fn as_ref(&self) -> FrameRef<'_> {
         match self {
             Frame::Hello { shard, fingerprint } => {
-                inner.push(K_HELLO);
-                put_u32(&mut inner, *shard);
-                put_u64(&mut inner, *fingerprint);
+                FrameRef::Hello { shard: *shard, fingerprint: *fingerprint }
             }
-            Frame::HelloAck { next } => {
-                inner.push(K_HELLO_ACK);
-                put_u64(&mut inner, *next);
-            }
-            Frame::Ops { seq, payload } => {
-                inner.push(K_OPS);
-                put_u64(&mut inner, *seq);
-                inner.extend_from_slice(payload);
-            }
-            Frame::Ack { next } => {
-                inner.push(K_ACK);
-                put_u64(&mut inner, *next);
-            }
-            Frame::SkipTo { next } => {
-                inner.push(K_SKIP_TO);
-                put_u64(&mut inner, *next);
-            }
-            Frame::Ping { nonce } => {
-                inner.push(K_PING);
-                put_u64(&mut inner, *nonce);
-            }
-            Frame::Pong { nonce } => {
-                inner.push(K_PONG);
-                put_u64(&mut inner, *nonce);
-            }
-            Frame::Drain => inner.push(K_DRAIN),
-            Frame::DrainAck { payload } => {
-                inner.push(K_DRAIN_ACK);
-                inner.extend_from_slice(payload);
-            }
-            Frame::Shutdown => inner.push(K_SHUTDOWN),
-            Frame::Error { code, msg } => {
-                inner.push(K_ERROR);
-                put_u16(&mut inner, *code);
-                let bytes = msg.as_bytes();
-                let n = bytes.len().min(MAX_ERR_MSG);
-                put_u16(&mut inner, n as u16);
-                inner.extend_from_slice(&bytes[..n]);
+            Frame::HelloAck { next } => FrameRef::HelloAck { next: *next },
+            Frame::Ops { seq, payload } => FrameRef::Ops { seq: *seq, payload },
+            Frame::Ack { next } => FrameRef::Ack { next: *next },
+            Frame::SkipTo { next } => FrameRef::SkipTo { next: *next },
+            Frame::Ping { nonce } => FrameRef::Ping { nonce: *nonce },
+            Frame::Pong { nonce } => FrameRef::Pong { nonce: *nonce },
+            Frame::Drain => FrameRef::Drain,
+            Frame::DrainAck { payload } => FrameRef::DrainAck { payload },
+            Frame::Shutdown => FrameRef::Shutdown,
+            Frame::Error { code, msg } => FrameRef::Error { code: *code, msg: msg.as_bytes() },
+        }
+    }
+
+    /// Serialize to the wire format (length prefix, kind, body, CRC):
+    /// [`FrameRef::encode_into`] a fresh buffer, which it sizes once.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.as_ref().encode_into(&mut out);
+        out
+    }
+}
+
+impl<'a> FrameRef<'a> {
+    /// The owning form (copies the payload; an `Error` message becomes
+    /// lossy UTF-8).
+    pub fn into_owned(self) -> Frame {
+        match self {
+            FrameRef::Hello { shard, fingerprint } => Frame::Hello { shard, fingerprint },
+            FrameRef::HelloAck { next } => Frame::HelloAck { next },
+            FrameRef::Ops { seq, payload } => Frame::Ops { seq, payload: payload.to_vec() },
+            FrameRef::Ack { next } => Frame::Ack { next },
+            FrameRef::SkipTo { next } => Frame::SkipTo { next },
+            FrameRef::Ping { nonce } => Frame::Ping { nonce },
+            FrameRef::Pong { nonce } => Frame::Pong { nonce },
+            FrameRef::Drain => Frame::Drain,
+            FrameRef::DrainAck { payload } => Frame::DrainAck { payload: payload.to_vec() },
+            FrameRef::Shutdown => Frame::Shutdown,
+            FrameRef::Error { code, msg } => {
+                Frame::Error { code, msg: String::from_utf8_lossy(msg).into_owned() }
             }
         }
-        let crc = crc32(&inner);
-        let mut out = Vec::with_capacity(8 + inner.len());
-        put_u32(&mut out, (inner.len() + 4) as u32);
-        out.extend_from_slice(&inner);
-        put_u32(&mut out, crc);
-        out
+    }
+
+    /// What this frame's length prefix will say: kind + body + CRC.
+    /// A frame is sendable iff this is at most [`MAX_FRAME_LEN`].
+    pub fn wire_len(&self) -> usize {
+        let body = match self {
+            FrameRef::Hello { .. } => 12,
+            FrameRef::HelloAck { .. }
+            | FrameRef::Ack { .. }
+            | FrameRef::SkipTo { .. }
+            | FrameRef::Ping { .. }
+            | FrameRef::Pong { .. } => 8,
+            FrameRef::Ops { payload, .. } => 8 + payload.len(),
+            FrameRef::Drain | FrameRef::Shutdown => 0,
+            FrameRef::DrainAck { payload } => payload.len(),
+            FrameRef::Error { msg, .. } => 4 + msg.len().min(MAX_ERR_MSG),
+        };
+        1 + body + 4
+    }
+
+    /// Append this frame's wire bytes to `out` — prefix, kind, body,
+    /// then the CRC of what was just written, computed in place. `out`
+    /// grows at most once.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let len = self.wire_len();
+        out.reserve(4 + len);
+        put_u32(out, len as u32);
+        let inner = out.len();
+        match *self {
+            FrameRef::Hello { shard, fingerprint } => {
+                out.push(K_HELLO);
+                put_u32(out, shard);
+                put_u64(out, fingerprint);
+            }
+            FrameRef::HelloAck { next } => {
+                out.push(K_HELLO_ACK);
+                put_u64(out, next);
+            }
+            FrameRef::Ops { seq, payload } => {
+                out.push(K_OPS);
+                put_u64(out, seq);
+                out.extend_from_slice(payload);
+            }
+            FrameRef::Ack { next } => {
+                out.push(K_ACK);
+                put_u64(out, next);
+            }
+            FrameRef::SkipTo { next } => {
+                out.push(K_SKIP_TO);
+                put_u64(out, next);
+            }
+            FrameRef::Ping { nonce } => {
+                out.push(K_PING);
+                put_u64(out, nonce);
+            }
+            FrameRef::Pong { nonce } => {
+                out.push(K_PONG);
+                put_u64(out, nonce);
+            }
+            FrameRef::Drain => out.push(K_DRAIN),
+            FrameRef::DrainAck { payload } => {
+                out.push(K_DRAIN_ACK);
+                out.extend_from_slice(payload);
+            }
+            FrameRef::Shutdown => out.push(K_SHUTDOWN),
+            FrameRef::Error { code, msg } => {
+                out.push(K_ERROR);
+                put_u16(out, code);
+                let n = msg.len().min(MAX_ERR_MSG);
+                put_u16(out, n as u16);
+                out.extend_from_slice(&msg[..n]);
+            }
+        }
+        debug_assert_eq!(out.len() - inner, len - 4, "wire_len disagrees with the bytes written");
+        let crc = crc32(&out[inner..]);
+        put_u32(out, crc);
     }
 
     /// Decode a complete kind+body slice (CRC already checked).
-    fn decode_inner(inner: &[u8]) -> Result<Frame, NetError> {
+    fn decode_inner(inner: &'a [u8]) -> Result<FrameRef<'a>, NetError> {
         let kind = inner[0];
         let mut b = Body::new(&inner[1..]);
         match kind {
@@ -229,45 +353,45 @@ impl Frame {
                 let shard = b.u32()?;
                 let fingerprint = b.u64()?;
                 b.finish()?;
-                Ok(Frame::Hello { shard, fingerprint })
+                Ok(FrameRef::Hello { shard, fingerprint })
             }
             K_HELLO_ACK => {
                 let next = b.u64()?;
                 b.finish()?;
-                Ok(Frame::HelloAck { next })
+                Ok(FrameRef::HelloAck { next })
             }
             K_OPS => {
                 let seq = b.u64()?;
-                Ok(Frame::Ops { seq, payload: b.rest().to_vec() })
+                Ok(FrameRef::Ops { seq, payload: b.rest() })
             }
             K_ACK => {
                 let next = b.u64()?;
                 b.finish()?;
-                Ok(Frame::Ack { next })
+                Ok(FrameRef::Ack { next })
             }
             K_SKIP_TO => {
                 let next = b.u64()?;
                 b.finish()?;
-                Ok(Frame::SkipTo { next })
+                Ok(FrameRef::SkipTo { next })
             }
             K_PING => {
                 let nonce = b.u64()?;
                 b.finish()?;
-                Ok(Frame::Ping { nonce })
+                Ok(FrameRef::Ping { nonce })
             }
             K_PONG => {
                 let nonce = b.u64()?;
                 b.finish()?;
-                Ok(Frame::Pong { nonce })
+                Ok(FrameRef::Pong { nonce })
             }
             K_DRAIN => {
                 b.finish()?;
-                Ok(Frame::Drain)
+                Ok(FrameRef::Drain)
             }
-            K_DRAIN_ACK => Ok(Frame::DrainAck { payload: b.rest().to_vec() }),
+            K_DRAIN_ACK => Ok(FrameRef::DrainAck { payload: b.rest() }),
             K_SHUTDOWN => {
                 b.finish()?;
-                Ok(Frame::Shutdown)
+                Ok(FrameRef::Shutdown)
             }
             K_ERROR => {
                 let code = b.u16()?;
@@ -275,9 +399,9 @@ impl Frame {
                 if n > MAX_ERR_MSG {
                     return Err(NetError::Malformed("error message over cap"));
                 }
-                let msg = String::from_utf8_lossy(b.take(n)?).into_owned();
+                let msg = b.take(n)?;
                 b.finish()?;
-                Ok(Frame::Error { code, msg })
+                Ok(FrameRef::Error { code, msg })
             }
             k => Err(NetError::BadKind(k)),
         }
@@ -286,38 +410,72 @@ impl Frame {
 
 /// Incremental frame decoder over a byte stream.
 ///
-/// Push received bytes in, pull complete frames out. The internal buffer
-/// is bounded: a hostile length prefix is rejected the moment the four
-/// prefix bytes arrive, so the buffer never grows past
-/// `MAX_FRAME_LEN + 4` plus one read's worth of slack.
+/// Put received bytes in ([`recv_from`](Self::recv_from) reads a
+/// connection straight into the buffer, [`push`](Self::push) copies a
+/// slice), pull complete frames out. The internal buffer is bounded: a
+/// hostile length prefix is rejected the moment the four prefix bytes
+/// arrive, so the buffer never grows past `MAX_FRAME_LEN + 4` plus one
+/// read's worth of slack.
 #[derive(Default)]
 pub struct FrameCodec {
+    /// Every byte up to `buf.len()` is initialized, so a read can be
+    /// handed `buf[end..]` as it is: the zero-fill is paid when the
+    /// buffer grows, not on every poll.
     buf: Vec<u8>,
-    /// Consumed prefix; compacted periodically instead of per frame.
+    /// Received, undecoded bytes are `buf[start..end]`.
     start: usize,
+    end: usize,
 }
+
+/// Least room [`FrameCodec::recv_from`] offers one read.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl FrameCodec {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Append received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact once the dead prefix dominates, keeping push O(1)
-        // amortized without shifting on every frame.
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
+    /// Make `buf[end..]` at least `want` bytes long, reclaiming the
+    /// consumed prefix first: for nothing once every frame is decoded
+    /// (the steady state), by one shift once it dominates.
+    fn make_room(&mut self, want: usize) {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start > 4096 && self.start * 2 > self.end {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < want {
+            self.buf.resize(self.end + want, 0);
+        }
     }
 
-    /// Try to decode the next complete frame. `Ok(None)` means more
-    /// bytes are needed. Any error is fatal for the stream: framing is
-    /// lost and the connection should be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, NetError> {
-        let avail = &self.buf[self.start..];
+    /// Append received bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `recv` on `conn`, straight into the buffer's free tail.
+    /// Returns what `recv` returned: the byte count (`0` = nothing yet)
+    /// or its error.
+    pub fn recv_from(&mut self, conn: &mut dyn NetConn) -> Result<usize, NetError> {
+        self.make_room(READ_CHUNK);
+        let n = conn.recv(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Try to decode the next complete frame, its payload borrowed from
+    /// the codec's buffer (valid until the next call that takes bytes
+    /// in). `Ok(None)` means more bytes are needed. Any error is fatal
+    /// for the stream: framing is lost and the connection should be
+    /// dropped.
+    pub fn next_frame_ref(&mut self) -> Result<Option<FrameRef<'_>>, NetError> {
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -337,9 +495,14 @@ impl FrameCodec {
         if crc != crc32(inner) {
             return Err(NetError::BadCrc);
         }
-        let frame = Frame::decode_inner(inner)?;
+        let frame = FrameRef::decode_inner(inner)?;
         self.start += total;
         Ok(Some(frame))
+    }
+
+    /// [`next_frame_ref`](Self::next_frame_ref), payload copied out.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, NetError> {
+        Ok(self.next_frame_ref()?.map(FrameRef::into_owned))
     }
 }
 

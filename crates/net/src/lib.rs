@@ -29,7 +29,7 @@ pub mod transport;
 
 pub use chaos::{ChaosNet, ChaosPlan, ChaosStats, FaultKind};
 pub use error::NetError;
-pub use frame::{Frame, FrameCodec, MAX_FRAME_LEN, MIN_FRAME_LEN};
+pub use frame::{Frame, FrameCodec, FrameRef, MAX_FRAME_LEN, MIN_FRAME_LEN};
 pub use mem::MemNet;
 pub use plane::{serve_replay, CircuitAction, ServeConfig, ServeReport, ServeStats};
 pub use shard::{run_shard_server, ShardServerStats};

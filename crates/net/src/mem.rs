@@ -69,9 +69,11 @@ impl NetConn for MemConn {
             return if p.closed { Err(NetError::Closed) } else { Ok(0) };
         }
         let n = p.buf.len().min(buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = p.buf.pop_front().expect("non-empty");
-        }
+        let (head, tail) = p.buf.as_slices();
+        let h = head.len().min(n);
+        buf[..h].copy_from_slice(&head[..h]);
+        buf[h..n].copy_from_slice(&tail[..n - h]);
+        p.buf.drain(..n);
         Ok(n)
     }
 }

@@ -39,9 +39,9 @@
 
 use crate::chaos::splitmix64;
 use crate::error::NetError;
-use crate::frame::{code, Frame, FrameCodec, MAX_FRAME_LEN};
+use crate::frame::{code, Frame, FrameCodec, FrameRef, MAX_FRAME_LEN};
 use crate::shard::run_shard_server;
-use crate::transport::{Net, NetConn};
+use crate::transport::{Idle, Net, NetConn};
 use starcdn::metrics::SystemMetrics;
 use starcdn_sim::serve::{decode_drain, ServePlan};
 use starcdn_telemetry::{Counter, Histo, Recorder};
@@ -128,6 +128,9 @@ struct Endpoint {
     total: u64,
     conn: Option<Box<dyn NetConn>>,
     codec: FrameCodec,
+    /// The frame being sent: every outgoing frame is encoded here, so a
+    /// batch's bytes are copied (and checksummed) once on their way out.
+    wire: Vec<u8>,
     helloed: bool,
     acked: u64,
     next_send: u64,
@@ -196,7 +199,8 @@ pub fn serve_replay(
     let shards = plan.num_shards();
     for k in 0..shards {
         for b in 0..plan.batch_count(k) {
-            if plan.batch_bytes(k, b).len() + 13 > MAX_FRAME_LEN as usize {
+            let frame = FrameRef::Ops { seq: b as u64, payload: plan.batch_bytes(k, b) };
+            if frame.wire_len() > MAX_FRAME_LEN as usize {
                 return Err(NetError::Malformed("batch exceeds frame cap"));
             }
         }
@@ -234,6 +238,7 @@ pub fn serve_replay(
             total: plan.batch_count(k) as u64,
             conn: None,
             codec: FrameCodec::new(),
+            wire: Vec::new(),
             helloed: false,
             acked: 0,
             next_send: 0,
@@ -316,6 +321,7 @@ fn route_all(
     stats: &mut ServeStats,
 ) -> Result<(), NetError> {
     let start = Instant::now();
+    let mut idle = Idle::new(Duration::from_micros(100));
     loop {
         if eps.iter().all(|e| e.done) {
             return Ok(());
@@ -327,9 +333,7 @@ fn route_all(
         for ep in eps.iter_mut() {
             progress |= drive(net, plan, scfg, rec, ep, stats)?;
         }
-        if !progress {
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        idle.pass(progress);
     }
 }
 
@@ -409,9 +413,8 @@ fn drive(
             Ok(conn) => {
                 ep.conn = Some(conn);
                 ep.ever_connected = true;
-                let hello =
-                    Frame::Hello { shard: ep.shard, fingerprint: plan.fingerprint() }.encode();
-                if send_raw(ep, &hello, rec, stats).is_err() {
+                let hello = FrameRef::Hello { shard: ep.shard, fingerprint: plan.fingerprint() };
+                if send_frame(ep, hello, rec, stats).is_err() {
                     register_failure(ep, scfg, rec, stats, plan)?;
                     return Ok(true);
                 }
@@ -426,15 +429,11 @@ fn drive(
 
     // Pump the receive side.
     let mut progress = false;
-    let mut buf = [0u8; 16 * 1024];
     loop {
         let conn = ep.conn.as_mut().expect("connected above");
-        match conn.recv(&mut buf) {
+        match ep.codec.recv_from(conn.as_mut()) {
             Ok(0) => break,
-            Ok(n) => {
-                progress = true;
-                ep.codec.push(&buf[..n]);
-            }
+            Ok(_) => progress = true,
             Err(_) => {
                 register_failure(ep, scfg, rec, stats, plan)?;
                 return Ok(true);
@@ -485,8 +484,7 @@ fn drive(
             Frame::Pong { nonce } => {
                 if nonce == ep.nonce && ep.probe_sent && !ep.drain_sent {
                     ep.wait = None;
-                    let drain = Frame::Drain.encode();
-                    if send_raw(ep, &drain, rec, stats).is_err() {
+                    if send_frame(ep, FrameRef::Drain, rec, stats).is_err() {
                         register_failure(ep, scfg, rec, stats, plan)?;
                         return Ok(true);
                     }
@@ -501,9 +499,10 @@ fn drive(
                 return Ok(true);
             }
             Frame::Error { code: c, msg } => {
-                // Handshake and payload rejections are plan-level bugs:
-                // retrying cannot fix them, so they surface typed.
-                if c == code::BAD_HANDSHAKE || c == code::BAD_PAYLOAD {
+                // Handshake and payload rejections are plan-level bugs,
+                // and a drain over the frame cap only grows: retrying
+                // cannot fix them, so they surface typed.
+                if matches!(c, code::BAD_HANDSHAKE | code::BAD_PAYLOAD | code::DRAIN_TOO_LARGE) {
                     return Err(NetError::Protocol { code: c, msg });
                 }
                 register_failure(ep, scfg, rec, stats, plan)?;
@@ -527,8 +526,8 @@ fn drive(
     if ep.helloed && !ep.done {
         if ep.degraded {
             if ep.acked < ep.total && !ep.skip_sent {
-                let f = Frame::SkipTo { next: ep.total }.encode();
-                if send_raw(ep, &f, rec, stats).is_err() {
+                let skip = FrameRef::SkipTo { next: ep.total };
+                if send_frame(ep, skip, rec, stats).is_err() {
                     register_failure(ep, scfg, rec, stats, plan)?;
                     return Ok(true);
                 }
@@ -538,15 +537,14 @@ fn drive(
         } else {
             while ep.next_send < ep.total && ep.next_send - ep.acked < scfg.window {
                 let seq = ep.next_send;
-                let payload = plan.batch_bytes(ep.shard as usize, seq as usize).to_vec();
-                let f = Frame::Ops { seq, payload }.encode();
+                let payload = plan.batch_bytes(ep.shard as usize, seq as usize);
                 if seq < ep.high_water {
                     stats.frames_resent += 1;
                     rec.add(Counter::NetFramesResent, 1);
                 } else {
                     ep.high_water = seq + 1;
                 }
-                if send_raw(ep, &f, rec, stats).is_err() {
+                if send_frame(ep, FrameRef::Ops { seq, payload }, rec, stats).is_err() {
                     register_failure(ep, scfg, rec, stats, plan)?;
                     return Ok(true);
                 }
@@ -559,8 +557,7 @@ fn drive(
             // All applied (or skipped): health-check, then drain on the
             // pong. The nonce is deterministic but connection-unique.
             ep.nonce = splitmix64(plan.fingerprint() ^ ep.shard as u64 ^ ep.acked);
-            let f = Frame::Ping { nonce: ep.nonce }.encode();
-            if send_raw(ep, &f, rec, stats).is_err() {
+            if send_frame(ep, FrameRef::Ping { nonce: ep.nonce }, rec, stats).is_err() {
                 register_failure(ep, scfg, rec, stats, plan)?;
                 return Ok(true);
             }
@@ -588,16 +585,18 @@ fn drive(
     Ok(progress)
 }
 
-/// Send a pre-encoded frame on the endpoint's live connection, with the
-/// router-side counters every send shares.
-fn send_raw(
+/// Frame `f` into the endpoint's scratch and send it on the live
+/// connection, with the router-side counters every send shares.
+fn send_frame(
     ep: &mut Endpoint,
-    bytes: &[u8],
+    f: FrameRef<'_>,
     rec: &dyn Recorder,
     stats: &mut ServeStats,
 ) -> Result<(), NetError> {
+    ep.wire.clear();
+    f.encode_into(&mut ep.wire);
     stats.frames_sent += 1;
     rec.add(Counter::NetFramesSent, 1);
-    rec.observe(Histo::NetFrameBytes, bytes.len() as u64);
-    ep.conn.as_mut().expect("live connection").send(bytes)
+    rec.observe(Histo::NetFrameBytes, ep.wire.len() as u64);
+    ep.conn.as_mut().expect("live connection").send(&ep.wire)
 }

@@ -17,11 +17,18 @@
 //! chaos-torn stream must not take the serving state down.
 //!
 //! Single-threaded and non-blocking throughout: the loop polls its
-//! listener and every live connection, sleeping briefly only when a
-//! full pass made no progress.
+//! listener and every live connection, and a full pass that made no
+//! progress goes to the shared [`Idle`] policy (yield first, sleep
+//! later).
+//!
+//! A batch's bytes are read once and checksummed once: each connection
+//! receives straight into its codec's buffer, the decoded `Ops` payload
+//! is a slice of that buffer, and [`ShardState::apply_batch`] decodes
+//! the ops out of the slice — no owned copy of the payload exists on
+//! this side. Replies are framed into one scratch buffer per connection.
 
-use crate::frame::{code, Frame, FrameCodec};
-use crate::transport::{NetConn, NetListener};
+use crate::frame::{code, FrameCodec, FrameRef, MAX_FRAME_LEN};
+use crate::transport::{Idle, NetConn, NetListener};
 use starcdn_sim::ShardState;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,9 +48,38 @@ pub struct ShardServerStats {
 }
 
 struct SrvConn {
-    conn: Box<dyn NetConn>,
     codec: FrameCodec,
+    peer: Peer,
+}
+
+/// The sending half of a connection — apart from the codec, so a reply
+/// can go out while a decoded frame still borrows the codec's buffer.
+struct Peer {
+    conn: Box<dyn NetConn>,
     greeted: bool,
+    /// Every reply is framed here.
+    wire: Vec<u8>,
+}
+
+impl Peer {
+    /// Frame `f` and send it. A reply that fails to send means the
+    /// connection is gone; dropping it is the whole remedy (the router
+    /// resyncs on reconnect).
+    fn answer(&mut self, f: FrameRef<'_>) -> Action {
+        self.wire.clear();
+        f.encode_into(&mut self.wire);
+        if self.conn.send(&self.wire).is_ok() {
+            Action::Keep
+        } else {
+            Action::Drop
+        }
+    }
+
+    /// Best-effort `Error` frame ahead of dropping the connection.
+    fn refuse(&mut self, code: u16, msg: &str) -> Action {
+        self.answer(FrameRef::Error { code, msg: msg.as_bytes() });
+        Action::Drop
+    }
 }
 
 /// What to do with a connection after handling one frame.
@@ -66,12 +102,14 @@ pub fn run_shard_server(
     let mut stats = ShardServerStats::default();
     let mut conns: Vec<SrvConn> = Vec::new();
     let mut next: u64 = 0;
+    let mut idle = Idle::new(Duration::from_micros(200));
     while !stop.load(Ordering::Relaxed) {
         let mut progress = false;
         match listener.accept() {
             Ok(Some(conn)) => {
                 stats.accepted += 1;
-                conns.push(SrvConn { conn, codec: FrameCodec::new(), greeted: false });
+                let peer = Peer { conn, greeted: false, wire: Vec::new() };
+                conns.push(SrvConn { codec: FrameCodec::new(), peer });
                 progress = true;
             }
             Ok(None) => {}
@@ -99,9 +137,7 @@ pub fn run_shard_server(
         if shutdown {
             break;
         }
-        if !progress {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        idle.pass(progress);
     }
     (stats, state)
 }
@@ -117,35 +153,27 @@ fn pump_conn(
     next: &mut u64,
     stats: &mut ShardServerStats,
 ) -> (bool, Action) {
+    let SrvConn { codec, peer } = sc;
     let mut progress = false;
-    let mut buf = [0u8; 16 * 1024];
     loop {
-        match sc.conn.recv(&mut buf) {
+        match codec.recv_from(peer.conn.as_mut()) {
             Ok(0) => break,
-            Ok(n) => {
-                progress = true;
-                sc.codec.push(&buf[..n]);
-            }
+            Ok(_) => progress = true,
             // EOF or reset: the router went away (or chaos killed the
             // stream); it will reconnect and resync via Hello.
             Err(_) => return (progress, Action::Drop),
         }
     }
     loop {
-        let frame = match sc.codec.next_frame() {
+        let frame = match codec.next_frame_ref() {
             Ok(Some(f)) => f,
             Ok(None) => break,
-            Err(e) => {
-                // Torn/hostile stream: framing is unrecoverable on this
-                // connection. Tell the peer (best effort) and drop.
-                let _ = sc
-                    .conn
-                    .send(&Frame::Error { code: code::UNEXPECTED, msg: e.to_string() }.encode());
-                return (progress, Action::Drop);
-            }
+            // Torn/hostile stream: framing is unrecoverable on this
+            // connection. Tell the peer (best effort) and drop.
+            Err(e) => return (progress, peer.refuse(code::UNEXPECTED, &e.to_string())),
         };
         progress = true;
-        match handle_frame(frame, sc, state, shard, fingerprint, next, stats) {
+        match handle_frame(frame, peer, state, shard, fingerprint, next, stats) {
             Action::Keep => {}
             fate => return (progress, fate),
         }
@@ -154,88 +182,92 @@ fn pump_conn(
 }
 
 fn handle_frame(
-    frame: Frame,
-    sc: &mut SrvConn,
+    frame: FrameRef<'_>,
+    peer: &mut Peer,
     state: &mut ShardState,
     shard: u32,
     fingerprint: u64,
     next: &mut u64,
     stats: &mut ShardServerStats,
 ) -> Action {
-    // An ack that fails to send means the connection is gone; dropping
-    // it is the whole remedy (the router resyncs on reconnect).
-    let send = |sc: &mut SrvConn, f: Frame| -> Action {
-        if sc.conn.send(&f.encode()).is_ok() {
-            Action::Keep
-        } else {
-            Action::Drop
-        }
-    };
     match frame {
-        Frame::Hello { shard: s, fingerprint: f } => {
+        FrameRef::Hello { shard: s, fingerprint: f } => {
             if s != shard || f != fingerprint {
-                let _ = sc.conn.send(
-                    &Frame::Error { code: code::BAD_HANDSHAKE, msg: "wrong shard or plan".into() }
-                        .encode(),
-                );
-                return Action::Drop;
+                return peer.refuse(code::BAD_HANDSHAKE, "wrong shard or plan");
             }
-            sc.greeted = true;
-            send(sc, Frame::HelloAck { next: *next })
+            peer.greeted = true;
+            peer.answer(FrameRef::HelloAck { next: *next })
         }
-        Frame::Ops { seq, payload } => {
-            if !sc.greeted {
-                let _ = sc.conn.send(
-                    &Frame::Error { code: code::UNEXPECTED, msg: "ops before hello".into() }
-                        .encode(),
-                );
-                return Action::Drop;
+        FrameRef::Ops { seq, payload } => {
+            if !peer.greeted {
+                return peer.refuse(code::UNEXPECTED, "ops before hello");
             }
             if seq < *next {
                 // Retry or chaos duplicate of an applied batch: count it,
                 // ack where we are, move on.
                 stats.duplicates += 1;
             } else if seq == *next {
-                match state.apply_batch(&payload) {
+                match state.apply_batch(payload) {
                     Ok(_) => {
                         stats.applied += 1;
                         *next += 1;
                     }
-                    Err(e) => {
-                        let _ = sc.conn.send(
-                            &Frame::Error { code: code::BAD_PAYLOAD, msg: e.to_string() }.encode(),
-                        );
-                        return Action::Drop;
-                    }
+                    Err(e) => return peer.refuse(code::BAD_PAYLOAD, &e.to_string()),
                 }
             }
             // seq > next is a gap (a swallowed frame): fall through — the
             // cumulative ack below doubles as a NAK telling the router
             // where to resume.
-            send(sc, Frame::Ack { next: *next })
+            peer.answer(FrameRef::Ack { next: *next })
         }
-        Frame::SkipTo { next: target } => {
+        FrameRef::SkipTo { next: target } => {
             if target > *next {
                 stats.skipped += target - *next;
                 *next = target;
             }
-            send(sc, Frame::Ack { next: *next })
+            peer.answer(FrameRef::Ack { next: *next })
         }
-        Frame::Ping { nonce } => send(sc, Frame::Pong { nonce }),
-        Frame::Drain => {
+        FrameRef::Ping { nonce } => peer.answer(FrameRef::Pong { nonce }),
+        FrameRef::Drain => {
             let payload = state.drain_bytes();
-            send(sc, Frame::DrainAck { payload })
+            if !drain_fits(&payload) {
+                return peer.refuse(code::DRAIN_TOO_LARGE, "drain exceeds the frame cap");
+            }
+            peer.answer(FrameRef::DrainAck { payload: &payload })
         }
-        Frame::Shutdown => Action::Shutdown,
-        Frame::Error { .. } => Action::Drop,
-        Frame::HelloAck { .. }
-        | Frame::Ack { .. }
-        | Frame::Pong { .. }
-        | Frame::DrainAck { .. } => {
-            let _ = sc.conn.send(
-                &Frame::Error { code: code::UNEXPECTED, msg: "client-only frame".into() }.encode(),
-            );
-            Action::Drop
-        }
+        FrameRef::Shutdown => Action::Shutdown,
+        FrameRef::Error { .. } => Action::Drop,
+        FrameRef::HelloAck { .. }
+        | FrameRef::Ack { .. }
+        | FrameRef::Pong { .. }
+        | FrameRef::DrainAck { .. } => peer.refuse(code::UNEXPECTED, "client-only frame"),
+    }
+}
+
+/// Whether a drain payload makes a frame the router's decoder accepts.
+/// One that does not is answered with `DRAIN_TOO_LARGE` instead: the
+/// payload only grows, so a resend could never cure it.
+fn drain_fits(payload: &[u8]) -> bool {
+    FrameRef::DrainAck { payload }.wire_len() <= MAX_FRAME_LEN as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::Frame;
+
+    #[test]
+    fn drain_size_check_agrees_with_the_decoder() {
+        // The length prefix counts kind + payload + CRC.
+        let mut payload = vec![0u8; MAX_FRAME_LEN as usize - 5];
+        assert!(drain_fits(&payload));
+        let mut codec = FrameCodec::new();
+        codec.push(&Frame::DrainAck { payload: payload.clone() }.encode());
+        assert!(matches!(codec.next_frame_ref(), Ok(Some(FrameRef::DrainAck { .. }))));
+        payload.push(0);
+        assert!(!drain_fits(&payload));
+        let mut codec = FrameCodec::new();
+        codec.push(&Frame::DrainAck { payload }.encode());
+        assert!(matches!(codec.next_frame_ref(), Err(crate::NetError::FrameTooLarge(_))));
     }
 }

@@ -11,16 +11,18 @@ use starcdn::config::StarCdnConfig;
 use starcdn::metrics::SystemMetrics;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
+use starcdn_net::frame::code;
 use starcdn_net::{
-    serve_replay, ChaosNet, ChaosPlan, CircuitAction, MemNet, Net, NetConn, NetError, NetListener,
-    RealNet, ServeConfig,
+    serve_replay, ChaosNet, ChaosPlan, CircuitAction, Frame, FrameCodec, MemNet, Net, NetConn,
+    NetError, NetListener, RealNet, ServeConfig,
 };
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{build_access_log, metrics_digest, replay_parallel, AccessLog, ServePlan, World};
 use starcdn_telemetry::Noop;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn log() -> AccessLog {
     let w = World::starlink_nine_cities();
@@ -219,6 +221,75 @@ fn unreachable_shard_fails_typed() {
     assert!(matches!(err, NetError::RetriesExhausted { shard: 1, .. }), "wrong error: {err}");
 }
 
+/// A shard whose drain payload cannot fit one frame says so with
+/// `DRAIN_TOO_LARGE`, and the router gives up at once, typed: the
+/// payload only grows, so the reconnect-and-redrain loop it used to
+/// enter ended at the overall deadline. The shard's half (the size
+/// check) is unit-tested in `shard.rs`; here a scripted peer plays a
+/// shard that acks everything and refuses the drain.
+#[test]
+fn oversized_drain_fails_typed_without_a_reconnect() {
+    /// Answers each router frame the way a shard server would, except
+    /// `Drain`.
+    struct Scripted {
+        from_router: FrameCodec,
+        to_router: Vec<u8>,
+    }
+    impl NetConn for Scripted {
+        fn send(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+            self.from_router.push(bytes);
+            while let Some(f) = self.from_router.next_frame()? {
+                let reply = match f {
+                    Frame::Hello { .. } => Frame::HelloAck { next: 0 },
+                    Frame::Ops { seq, .. } => Frame::Ack { next: seq + 1 },
+                    Frame::Ping { nonce } => Frame::Pong { nonce },
+                    Frame::Drain => Frame::Error {
+                        code: code::DRAIN_TOO_LARGE,
+                        msg: "drain exceeds the frame cap".into(),
+                    },
+                    _ => continue,
+                };
+                self.to_router.extend_from_slice(&reply.encode());
+            }
+            Ok(())
+        }
+        fn recv(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
+            let n = self.to_router.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.to_router[..n]);
+            self.to_router.drain(..n);
+            Ok(n)
+        }
+    }
+    /// Real listeners (the shard threads idle on them until teardown),
+    /// scripted connections, and a count of the dials.
+    struct ScriptedNet {
+        inner: MemNet,
+        connects: Arc<AtomicU64>,
+    }
+    impl Net for ScriptedNet {
+        fn listen(&self, hint: &str) -> Result<Box<dyn NetListener>, NetError> {
+            self.inner.listen(hint)
+        }
+        fn connect(&self, _addr: &str) -> Result<Box<dyn NetConn>, NetError> {
+            self.connects.fetch_add(1, Ordering::Relaxed);
+            Ok(Box::new(Scripted { from_router: FrameCodec::new(), to_router: Vec::new() }))
+        }
+    }
+
+    let l = log();
+    let p = plan(&l, 1);
+    let connects = Arc::new(AtomicU64::new(0));
+    let net = ScriptedNet { inner: MemNet::new(), connects: Arc::clone(&connects) };
+    let started = Instant::now();
+    let err = serve_replay(&net, &p, &fast(CircuitAction::Fail), &Noop).err().unwrap();
+    assert!(
+        matches!(err, NetError::Protocol { code: code::DRAIN_TOO_LARGE, .. }),
+        "wrong error: {err}"
+    );
+    assert!(started.elapsed() < Duration::from_secs(2), "took {:?}", started.elapsed());
+    assert_eq!(connects.load(Ordering::Relaxed), 1, "one dial, no reconnect");
+}
+
 /// ChaosNet's op index advances only on connects and sends, so a fault
 /// schedule is a pure function of the op sequence — identical across
 /// runs, reconnects included, no matter how often either side polls.
@@ -256,5 +327,10 @@ fn chaos_schedule_stable_across_reconnects_and_polls() {
     let (b, sb) = run(7);
     assert_eq!(a, b, "op-index schedule must ignore polling frequency");
     assert_eq!(sa, sb, "fault counts must be identical");
+    // Far more empty polls in a row than any event loop yields through
+    // before it starts sleeping: neither side of that boundary is an op.
+    let (c, sc) = run(1000);
+    assert_eq!(a, c, "op-index schedule must ignore how long a loop idles");
+    assert_eq!(sa, sc, "fault counts must be identical");
     assert!(sa.injected > 0, "schedule actually injected faults");
 }

@@ -99,6 +99,30 @@ fn validate(
     Ok(())
 }
 
+/// Fold one encoded batch into the plan fingerprint a word at a time:
+/// the FNV state and prime of [`fp_bytes`], but one multiply per eight
+/// bytes (length first, byte tail last), with the state's high half
+/// folded back down so a word's top bytes reach the low ones. The plan
+/// fingerprint only ever meets itself across one handshake — it is
+/// never persisted — so its value is free to differ from `fp_bytes`';
+/// the checkpoint fingerprints are not, and stay on `fp` / `fp_bytes`.
+fn fp_words(h: u64, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let step = |h: u64, v: u64| {
+        let h = (h ^ v).wrapping_mul(PRIME);
+        h ^ (h >> 32)
+    };
+    let mut h = step(h, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    for &b in words.remainder() {
+        h = step(h, b as u64);
+    }
+    h
+}
+
 /// One shard's frozen op stream: encoded byte batches plus the retained
 /// ops for origin-degradation accounting.
 struct ShardStream {
@@ -162,7 +186,7 @@ impl ServePlan {
                     put_shard_op(&mut w, op);
                 }
                 let bytes = w.into_bytes();
-                h = fp_bytes(h, &bytes);
+                h = fp_words(h, &bytes);
                 ranges.push((start, end));
                 batches.push(bytes);
                 start = end;
@@ -270,6 +294,8 @@ pub struct ShardState {
     cold: Vec<bool>,
     metrics: SystemMetrics,
     rec: Option<MemoryRecorder>,
+    /// The batch being applied, decoded; kept for its capacity.
+    ops: Vec<ShardOp>,
 }
 
 impl ShardState {
@@ -281,6 +307,7 @@ impl ShardState {
             cold: vec![false; cfg.grid.total_slots()],
             metrics: SystemMetrics::default(),
             rec: record.then(MemoryRecorder::new),
+            ops: Vec::new(),
         }
     }
 
@@ -299,13 +326,14 @@ impl ShardState {
             // payload size is hostile, fail before allocating.
             return Err(CheckpointError::Truncated);
         }
-        let mut ops = Vec::with_capacity(count as usize);
+        self.ops.clear();
+        self.ops.reserve(count as usize);
         for _ in 0..count {
-            ops.push(get_shard_op(&mut r, spp, self.cold.len())?);
+            self.ops.push(get_shard_op(&mut r, spp, self.cold.len())?);
         }
         r.finish()?;
         run_shard_ops(
-            &ops,
+            &self.ops,
             &mut self.slots,
             &self.env,
             &self.failures,
