@@ -5,9 +5,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::propagator::SnapshotPropagator;
 use starcdn_orbit::time::SimTime;
-use starcdn_orbit::visibility::{visible_from_positions, visible_satellites, VisibilityWindow};
+use starcdn_orbit::visibility::{visible_satellites, VisibilityWindow};
 use starcdn_orbit::walker::WalkerConstellation;
-use starcdn_sim::scheduler::{schedule_epoch_with, EpochScheduler, SchedulerConfig};
+use starcdn_sim::scheduler::{EpochScheduler, SchedulerConfig};
 use starcdn_sim::World;
 use starcdn_telemetry::Noop;
 
@@ -29,7 +29,7 @@ fn bench_orbit(c: &mut Criterion) {
         b.iter(|| {
             t += 15;
             snap.advance_to(SimTime::from_secs(t));
-            black_box(snap.positions().len())
+            black_box(snap.positions_soa().len())
         })
     });
 
@@ -53,21 +53,8 @@ fn bench_orbit(c: &mut Criterion) {
         })
     });
 
-    // One scheduler epoch for the nine cities, propagation included: the
-    // full-scan reference scheduler against the windowed one (a rescan
-    // every ninth epoch, candidate lists in between).
-    c.bench_function("schedule_epoch_full_scan", |b| {
-        let world = World::starlink_nine_cities();
-        let cfg = SchedulerConfig::default();
-        let mut snap = world.snapshot();
-        let mut epoch = 0u64;
-        b.iter(|| {
-            epoch += 1;
-            snap.advance_to(SimTime::from_secs(epoch * 15));
-            black_box(schedule_epoch_with(&world, &snap, epoch, &cfg, &world.failures))
-        })
-    });
-
+    // One scheduler epoch for the nine cities, propagation included (a
+    // rescan every ninth epoch, candidate lists in between).
     c.bench_function("schedule_epoch_windowed", |b| {
         let world = World::starlink_nine_cities();
         let cfg = SchedulerConfig::default();
@@ -86,13 +73,6 @@ fn bench_orbit(c: &mut Criterion) {
         b.iter(|| {
             t += 15;
             black_box(visible_satellites(&sats, nyc, SimTime::from_secs(t), 25.0).len())
-        })
-    });
-
-    c.bench_function("visibility_scan_snapshot_1296", |b| {
-        let snap = SnapshotPropagator::new(sats.clone(), shell.sats_per_plane);
-        b.iter(|| {
-            black_box(visible_from_positions(snap.satellites(), snap.positions(), nyc, 25.0).len())
         })
     });
 }

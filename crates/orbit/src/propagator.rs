@@ -5,7 +5,9 @@
 //! evaluates the analytic circular model directly; a caching layer
 //! ([`SnapshotPropagator`]) amortizes per-epoch evaluation when many
 //! queries share the same simulation step (the common case: the scheduler
-//! queries all 1296 satellites every 15 s epoch).
+//! queries all 1296 satellites every 15 s epoch). It holds its positions
+//! in one form, struct-of-arrays columns ([`PositionsSoa`]), which the
+//! visibility scans sweep and [`SnapshotPropagator::position_of`] reads.
 
 use crate::coords::{Ecef, Eci, Geodetic};
 use crate::kepler::CircularOrbit;
@@ -108,9 +110,10 @@ impl ConstantsSoa {
 /// maximum (the largest orbital radius², which parameterizes the
 /// conservative visibility culling bound).
 ///
-/// The batched visibility scans in
-/// [`visibility`](crate::visibility) consume this layout directly so the
-/// per-satellite dot products run over plain `f64` slices.
+/// This is the snapshot's only position store: the visibility scans in
+/// [`visibility`](crate::visibility) sweep it directly, so the
+/// per-satellite dot products run over plain `f64` slices, and
+/// [`SnapshotPropagator::position_of`] reads one lane of it.
 #[derive(Debug, Default, Clone)]
 pub struct PositionsSoa {
     x: Vec<f64>,
@@ -187,15 +190,14 @@ impl PositionsSoa {
 /// to a new epoch (the [`VisibilityWindow`](crate::visibility::VisibilityWindow)'s
 /// candidate union). The snapshot is then *incomplete*: the other
 /// satellites still hold an older epoch's position, so the whole-fleet
-/// accessors (`positions`, `position_of`, `positions_soa`) panic rather
-/// than hand out stale data until the next full `advance_to`.
+/// accessors (`position_of`, `positions_soa`) panic rather than hand out
+/// stale data until the next full `advance_to`.
 #[derive(Debug)]
 pub struct SnapshotPropagator {
     satellites: Vec<Satellite>,
     epoch: SimTime,
     /// False after an `advance_subset`, true after an `advance_to`.
     complete: bool,
-    positions: Vec<Ecef>,
     soa: PositionsSoa,
     sats_per_plane: u16,
     constants: ConstantsSoa,
@@ -246,7 +248,6 @@ impl SnapshotPropagator {
             constants.rate_group.push(rate_group);
         }
         let mut p = SnapshotPropagator {
-            positions: Vec::with_capacity(satellites.len()),
             soa: PositionsSoa::default(),
             satellites,
             epoch: SimTime::ZERO,
@@ -288,8 +289,7 @@ impl SnapshotPropagator {
             }
         }
         // Squared norms and their maximum feed the visibility culling
-        // bound; computing them here (once per epoch) replaces the
-        // per-ground-location rescan of the scalar path with a lookup.
+        // bound: computed once per epoch here, read by every scan.
         for i in 0..n {
             soa.p2[i] = soa.x[i] * soa.x[i] + soa.y[i] * soa.y[i] + soa.z[i] * soa.z[i];
         }
@@ -298,9 +298,6 @@ impl SnapshotPropagator {
             r2_max = r2_max.max(p2);
         }
         soa.r2_max = r2_max;
-        // Keep the array-of-structs view for scalar callers.
-        self.positions.clear();
-        self.positions.extend((0..n).map(|i| Ecef { x: soa.x[i], y: soa.y[i], z: soa.z[i] }));
     }
 
     /// Move only the satellites in `indices` (ascending, indexed like
@@ -375,20 +372,11 @@ impl SnapshotPropagator {
     /// # Panics
     /// Panics on an incomplete (subset-advanced) snapshot.
     pub fn position_of(&self, id: SatelliteId) -> Ecef {
-        self.positions()[id.index(self.sats_per_plane)]
+        self.positions_soa().ecef(id.index(self.sats_per_plane))
     }
 
-    /// All positions in the current snapshot, indexed like `satellites()`.
-    ///
-    /// # Panics
-    /// Panics on an incomplete (subset-advanced) snapshot.
-    pub fn positions(&self) -> &[Ecef] {
-        self.assert_complete();
-        &self.positions
-    }
-
-    /// The struct-of-arrays view of the current snapshot, indexed like
-    /// `satellites()` — the batched visibility fast path consumes this.
+    /// Every position in the current snapshot, struct-of-arrays, indexed
+    /// like `satellites()`.
     ///
     /// # Panics
     /// Panics on an incomplete (subset-advanced) snapshot.
@@ -552,7 +540,8 @@ mod tests {
                 for dt in [1u64, 15, 126, 900] {
                     a.advance_to(SimTime::from_secs(t0));
                     b.advance_to(SimTime::from_secs(t0 + dt));
-                    for (p, q) in a.positions().iter().zip(b.positions()) {
+                    for i in 0..a.satellites().len() {
+                        let (p, q) = (a.positions_soa().ecef(i), b.positions_soa().ecef(i));
                         let cos = (p.x * q.x + p.y * q.y + p.z * q.z) / (p.norm() * q.norm());
                         let turned = cos.clamp(-1.0, 1.0).acos();
                         assert!(
@@ -590,6 +579,9 @@ mod tests {
         assert!((80.0..160.0).contains(&d), "moved {d} km in 15 s");
     }
 
+    /// The per-satellite point view (`position_of`, one `Ecef` per id) is
+    /// the columns' lane at that id's index, and the squared norms and
+    /// their maximum are the columns' own.
     #[test]
     fn soa_view_matches_aos_view_bit_for_bit() {
         let shell = WalkerConstellation::starlink_shell1();
@@ -597,10 +589,10 @@ mod tests {
         for secs in [0u64, 15, 450, 86400] {
             snap.advance_to(SimTime::from_secs(secs));
             let soa = snap.positions_soa();
-            let aos = snap.positions();
-            assert_eq!(soa.len(), aos.len());
+            assert_eq!(soa.len(), snap.satellites().len());
             let mut r2_max = 0.0f64;
-            for (i, p) in aos.iter().enumerate() {
+            for (i, sat) in snap.satellites().iter().enumerate() {
+                let p = snap.position_of(sat.id);
                 assert_eq!(soa.x()[i].to_bits(), p.x.to_bits());
                 assert_eq!(soa.y()[i].to_bits(), p.y.to_bits());
                 assert_eq!(soa.z()[i].to_bits(), p.z.to_bits());
@@ -609,7 +601,6 @@ mod tests {
                 r2_max = r2_max.max(p2);
             }
             assert_eq!(soa.r2_max().to_bits(), r2_max.to_bits());
-            assert_eq!(soa.ecef(7), aos[7]);
         }
     }
 }

@@ -4,6 +4,15 @@
 //! a minimum elevation angle (Starlink operates at 25°). At 550 km and a
 //! 25° mask, a user typically sees on the order of 10+ satellites of the
 //! full shell at mid-latitudes, matching the paper's observation.
+//!
+//! Three scans, one per use: [`visible_satellites`] evaluates the orbits
+//! at any instant (the analytic reference `table1` reads);
+//! [`visible_top_k_into`] sweeps a struct-of-arrays snapshot with a
+//! conservative cone cull; and a [`VisibilityWindow`] reuses per-ground
+//! candidate lists across the epochs they provably cover — the scan the
+//! scheduler runs. The last two are bit for bit the brute-force scan
+//! (every satellite's exact elevation, a stable sort by it), which is
+//! what their tests compare against.
 
 use crate::constants::{EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S};
 use crate::coords::{Ecef, Geodetic};
@@ -116,133 +125,11 @@ fn max_central_angle_rad(
     gamma + 1e-6
 }
 
-/// Cosine of `max_central_angle_rad`: any satellite above the mask
-/// satisfies `cos γ ≥ cos γ_max` — one dot product against the ground
-/// unit vector decides "provably below the mask" without `asin`/`sqrt`.
-/// The bound is conservative (it never rejects a satellite above the
-/// mask), which is what keeps the culling fast path bit-for-bit
-/// identical to the exact scan.
-pub fn max_central_angle_cos(
-    ground_radius_km: f64,
-    orbit_radius_km: f64,
-    min_elevation_deg: f64,
-) -> f64 {
-    max_central_angle_rad(ground_radius_km, orbit_radius_km, min_elevation_deg).cos()
-}
-
-/// The conservative culling threshold for a satellite set: computed from
-/// the *largest* orbital radius present (a higher satellite can be above
-/// the mask at a wider central angle), so one threshold is valid for
-/// mixed-altitude fleets such as TLE catalogs.
-fn cull_threshold(g2: f64, positions: &[Ecef], min_elevation_deg: f64) -> Option<(f64, f64)> {
-    let mut r2_max = 0.0f64;
-    for p in positions {
-        r2_max = r2_max.max(p.x * p.x + p.y * p.y + p.z * p.z);
-    }
-    if r2_max <= 0.0 || g2 <= 0.0 {
-        return None;
-    }
-    let c = max_central_angle_cos(g2.sqrt(), r2_max.sqrt(), min_elevation_deg);
-    // The one-dot-product test below assumes cos γ_max > 0 (γ_max < 90°);
-    // exotic masks at or below the horizon fall back to the exact scan.
-    (c > 0.0).then_some((c * c, g2))
-}
-
-/// Collect satellites above the mask (unsorted, in slice order), culling
-/// provably-invisible ones with one dot product before the exact math.
-/// `keep` pre-filters by identity (e.g. alive satellites only).
-fn collect_visible(
-    satellites: &[Satellite],
-    positions: &[Ecef],
-    g: &Ecef,
-    min_elevation_deg: f64,
-    mut keep: impl FnMut(SatelliteId) -> bool,
-) -> Vec<VisibleSatellite> {
-    debug_assert_eq!(satellites.len(), positions.len());
-    let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
-    let cull = cull_threshold(g2, positions, min_elevation_deg);
-    let mut out = Vec::new();
-    for (sat, p) in satellites.iter().zip(positions) {
-        if !keep(sat.id) {
-            continue;
-        }
-        if let Some((c2, g2)) = cull {
-            // cos γ ≥ c  ⇔  d ≥ 0 ∧ d² ≥ c²·|g|²·|p|²  (c > 0), with no
-            // square roots or inverse trig on the reject path.
-            let d = g.x * p.x + g.y * p.y + g.z * p.z;
-            if d <= 0.0 {
-                continue;
-            }
-            let p2 = p.x * p.x + p.y * p.y + p.z * p.z;
-            if d * d < c2 * g2 * p2 {
-                continue;
-            }
-        }
-        let (el, range) = elevation_and_range(g, p);
-        if el >= min_elevation_deg {
-            out.push(VisibleSatellite { id: sat.id, elevation_deg: el, slant_range_km: range });
-        }
-    }
-    out
-}
-
-/// Same as [`visible_satellites`] but using precomputed ECEF positions
-/// aligned with `satellites` (snapshot fast path). Satellites provably
-/// below the mask are rejected with one dot product each (see
-/// [`max_central_angle_cos`]); the result set is exactly the brute-force
-/// scan's.
-pub fn visible_from_positions(
-    satellites: &[Satellite],
-    positions: &[Ecef],
-    ground: Geodetic,
-    min_elevation_deg: f64,
-) -> Vec<VisibleSatellite> {
-    let g = ground.to_ecef();
-    let mut out = collect_visible(satellites, positions, &g, min_elevation_deg, |_| true);
-    out.sort_by(|a, b| b.elevation_deg.total_cmp(&a.elevation_deg));
-    out
-}
-
-/// The `k` best (highest-elevation) satellites above the mask, best
-/// first, restricted to ids passing `keep` — the scheduler's fast path:
-/// it spreads users over `top_k` satellites only, so a full descending
-/// sort of every visible satellite is wasted work.
-///
-/// Uses `select_nth_unstable` top-k selection with a total order of
-/// (elevation descending, slice position ascending); the result is
-/// bit-for-bit the first `k` elements of [`visible_from_positions`]'s
-/// stable full sort filtered by `keep`.
-pub fn visible_top_k_from_positions(
-    satellites: &[Satellite],
-    positions: &[Ecef],
-    ground: Geodetic,
-    min_elevation_deg: f64,
-    k: usize,
-    keep: impl FnMut(SatelliteId) -> bool,
-) -> Vec<VisibleSatellite> {
-    let g = ground.to_ecef();
-    let found = collect_visible(satellites, positions, &g, min_elevation_deg, keep);
-    if k == 0 {
-        return Vec::new();
-    }
-    // Tag with the slice position so ties break exactly like the stable
-    // elevation-only sort (candidates are collected in slice order).
-    let mut tagged: Vec<(usize, VisibleSatellite)> = found.into_iter().enumerate().collect();
-    let cmp = |a: &(usize, VisibleSatellite), b: &(usize, VisibleSatellite)| {
-        b.1.elevation_deg.total_cmp(&a.1.elevation_deg).then(a.0.cmp(&b.0))
-    };
-    if tagged.len() > k {
-        tagged.select_nth_unstable_by(k - 1, cmp);
-        tagged.truncate(k);
-    }
-    tagged.sort_unstable_by(cmp);
-    tagged.into_iter().map(|(_, v)| v).collect()
-}
-
-/// Reusable buffers for the batched (struct-of-arrays) visibility scans:
-/// the per-satellite culling verdicts and the tagged candidate list the
-/// top-k selection runs over. One scratch per worker makes the
-/// steady-state epoch loop allocation-free once the buffers are warm.
+/// Reusable buffers for [`visible_top_k_into`] and the
+/// [`VisibilityWindow`]: the per-satellite culling verdicts and the
+/// tagged candidate list the top-k selection runs over. One scratch per
+/// worker makes the steady-state epoch loop allocation-free once the
+/// buffers are warm.
 #[derive(Debug, Default)]
 pub struct VisScratch {
     /// 1 where the conservative dot-product bound cannot rule the
@@ -272,18 +159,10 @@ fn cone_threshold(angle: f64, g2: f64) -> Option<f64> {
     })
 }
 
-/// The culling threshold over a struct-of-arrays snapshot: the scalar
-/// [`cull_threshold`]'s bound, reading the precomputed fleet-wide
-/// maximum radius² off the snapshot instead of rescanning every position.
-fn cull_threshold_soa(g2: f64, soa: &PositionsSoa, min_elevation_deg: f64) -> Option<f64> {
-    cone_threshold(fleet_central_angle(g2, soa.r2_max(), min_elevation_deg)?, g2)
-}
-
 /// The branch-free cone sweep: `pass[i] = 1` where `threshold` cannot
-/// rule satellite `i` out (everywhere when there is no threshold). The
-/// same reject test as the scalar path, over zipped column slices — no
-/// index bound checks in the hot loop, and the compiler autovectorizes
-/// the two fused comparisons per lane.
+/// rule satellite `i` out (everywhere when there is no threshold), over
+/// zipped column slices — no index bound checks in the hot loop, and the
+/// compiler autovectorizes the two fused comparisons per lane.
 fn sweep_cone(pass: &mut Vec<u8>, soa: &PositionsSoa, g: &Ecef, threshold: Option<f64>) {
     pass.clear();
     pass.resize(soa.len(), 1);
@@ -342,39 +221,9 @@ fn push_if_visible(
     }
 }
 
-/// Batched candidate collection over SoA columns, writing tagged
-/// candidates into `scratch.tagged` (cleared first) in slice order.
-///
-/// Two passes: a branch-free sweep evaluates the conservative culling
-/// bound for every satellite over the contiguous x/y/z/p2 columns, then
-/// only the survivors — a dozen out of 1296 for a Starlink shell — pay
-/// the `keep` lookup and the exact `asin`/`sqrt` elevation math.
-/// Reordering `keep` after the cull is sound because the two filters are
-/// independent; candidates still arrive in slice order, so the result is
-/// bit-for-bit the scalar [`collect_visible`] set. (A stateful `keep`
-/// closure would observe fewer calls than the scalar path makes — the
-/// schedulers pass pure liveness lookups.)
-fn collect_visible_batched(
-    satellites: &[Satellite],
-    soa: &PositionsSoa,
-    g: &Ecef,
-    min_elevation_deg: f64,
-    mut keep: impl FnMut(SatelliteId) -> bool,
-    scratch: &mut VisScratch,
-) {
-    debug_assert_eq!(satellites.len(), soa.len());
-    let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
-    let VisScratch { pass, tagged } = scratch;
-    tagged.clear();
-    sweep_cone(pass, soa, g, cull_threshold_soa(g2, soa, min_elevation_deg));
-    for_each_survivor(pass, |i| {
-        push_if_visible(tagged, satellites[i].id, &soa.ecef(i), g, min_elevation_deg, &mut keep)
-    });
-}
-
-/// Total order shared by the top-k selection and the full sort:
-/// elevation descending, collection order ascending (so ties break
-/// exactly like a stable elevation-only sort).
+/// Total order of the top-k selection: elevation descending, collection
+/// order ascending (so ties break exactly like a stable elevation-only
+/// sort).
 fn by_elevation_then_order(
     a: &(usize, VisibleSatellite),
     b: &(usize, VisibleSatellite),
@@ -382,28 +231,21 @@ fn by_elevation_then_order(
     b.1.elevation_deg.total_cmp(&a.1.elevation_deg).then(a.0.cmp(&b.0))
 }
 
-/// Batched, allocation-free [`visible_from_positions`]: the full sorted
-/// visible list computed over a struct-of-arrays snapshot into a caller
-/// buffer. Bit-for-bit the scalar function's output.
-pub fn visible_into(
-    satellites: &[Satellite],
-    soa: &PositionsSoa,
-    ground: Geodetic,
-    min_elevation_deg: f64,
-    scratch: &mut VisScratch,
-    out: &mut Vec<VisibleSatellite>,
-) {
-    let g = ground.to_ecef();
-    collect_visible_batched(satellites, soa, &g, min_elevation_deg, |_| true, scratch);
-    scratch.tagged.sort_unstable_by(by_elevation_then_order);
-    out.clear();
-    out.extend(scratch.tagged.iter().map(|&(_, v)| v));
-}
-
-/// Batched, allocation-free [`visible_top_k_from_positions`]: the `k`
-/// best visible satellites computed over a struct-of-arrays snapshot
-/// into a caller buffer. Bit-for-bit the scalar function's output for
-/// any pure `keep` filter.
+/// The `k` best (highest-elevation) satellites above the mask from
+/// `ground`, best first, restricted to ids passing `keep`, computed over
+/// a struct-of-arrays snapshot into a caller buffer; `k = usize::MAX`
+/// lists every visible satellite.
+///
+/// Two passes: a branch-free sweep evaluates the conservative culling
+/// bound (the cone of the fleet's `γ_max`, see `max_central_angle_rad`)
+/// for every satellite over the contiguous x/y/z/p2 columns, then only
+/// the survivors — a dozen out of 1296 for a Starlink shell — pay the
+/// `keep` lookup and the exact `asin`/`sqrt` elevation math. The bound
+/// only rejects satellites below the mask and `keep` is independent of
+/// it, so the output is bit for bit the brute-force scan's: every
+/// satellite's [`elevation_and_range`], `keep`, `el >= mask`, a stable
+/// descending sort by elevation, the first `k`. (A stateful `keep` sees
+/// the survivors only.)
 #[allow(clippy::too_many_arguments)]
 pub fn visible_top_k_into(
     satellites: &[Satellite],
@@ -411,7 +253,7 @@ pub fn visible_top_k_into(
     ground: Geodetic,
     min_elevation_deg: f64,
     k: usize,
-    keep: impl FnMut(SatelliteId) -> bool,
+    mut keep: impl FnMut(SatelliteId) -> bool,
     scratch: &mut VisScratch,
     out: &mut Vec<VisibleSatellite>,
 ) {
@@ -419,9 +261,17 @@ pub fn visible_top_k_into(
     if k == 0 {
         return;
     }
+    debug_assert_eq!(satellites.len(), soa.len());
     let g = ground.to_ecef();
-    collect_visible_batched(satellites, soa, &g, min_elevation_deg, keep, scratch);
-    best_k_into(&mut scratch.tagged, k, out);
+    let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
+    let gamma = fleet_central_angle(g2, soa.r2_max(), min_elevation_deg);
+    let VisScratch { pass, tagged } = scratch;
+    tagged.clear();
+    sweep_cone(pass, soa, &g, gamma.and_then(|gamma| cone_threshold(gamma, g2)));
+    for_each_survivor(pass, |i| {
+        push_if_visible(tagged, satellites[i].id, &soa.ecef(i), &g, min_elevation_deg, &mut keep)
+    });
+    best_k_into(tagged, k, out);
 }
 
 /// The `k` best of `tagged` appended to `out`, best first, under
@@ -752,49 +602,81 @@ mod tests {
     use crate::walker::WalkerConstellation;
     use proptest::prelude::*;
 
-    /// The pre-culling exact scan, kept as the test oracle.
-    fn visible_brute_force(
+    /// The brute-force reference: every satellite's [`elevation_and_range`]
+    /// at `position(i)`, then `keep`, then `el >= mask`, then a stable
+    /// descending sort by elevation, then the first `k`.
+    fn brute_force(
         satellites: &[Satellite],
-        positions: &[Ecef],
+        position: impl Fn(usize) -> Ecef,
         ground: Geodetic,
-        min_elevation_deg: f64,
+        mask: f64,
+        k: usize,
+        keep: impl Fn(SatelliteId) -> bool,
     ) -> Vec<VisibleSatellite> {
         let g = ground.to_ecef();
-        let mut out: Vec<VisibleSatellite> = satellites
-            .iter()
-            .zip(positions)
-            .filter_map(|(sat, p)| {
-                let (el, range) = elevation_and_range(&g, p);
-                (el >= min_elevation_deg).then_some(VisibleSatellite {
-                    id: sat.id,
+        let mut out: Vec<VisibleSatellite> = (0..satellites.len())
+            .filter(|&i| keep(satellites[i].id))
+            .filter_map(|i| {
+                let (el, range) = elevation_and_range(&g, &position(i));
+                let id = satellites[i].id;
+                (el >= mask).then_some(VisibleSatellite {
+                    id,
                     elevation_deg: el,
                     slant_range_km: range,
                 })
             })
             .collect();
         out.sort_by(|a, b| b.elevation_deg.total_cmp(&a.elevation_deg));
+        out.truncate(k);
         out
+    }
+
+    /// [`brute_force`] over a snapshot's columns.
+    fn brute_force_snap(
+        snap: &SnapshotPropagator,
+        g: Geodetic,
+        mask: f64,
+        k: usize,
+        keep: impl Fn(SatelliteId) -> bool,
+    ) -> Vec<VisibleSatellite> {
+        brute_force(snap.satellites(), |i| snap.positions_soa().ecef(i), g, mask, k, keep)
+    }
+
+    /// [`visible_top_k_into`] with a fresh scratch.
+    fn scan(
+        snap: &SnapshotPropagator,
+        g: Geodetic,
+        mask: f64,
+        k: usize,
+        keep: impl FnMut(SatelliteId) -> bool,
+    ) -> Vec<VisibleSatellite> {
+        let mut out = Vec::new();
+        let (sats, soa) = (snap.satellites(), snap.positions_soa());
+        visible_top_k_into(sats, soa, g, mask, k, keep, &mut VisScratch::default(), &mut out);
+        out
+    }
+
+    /// Ids with both floats as bit patterns.
+    fn bits(v: &[VisibleSatellite]) -> Vec<(SatelliteId, u64, u64)> {
+        v.iter().map(|v| (v.id, v.elevation_deg.to_bits(), v.slant_range_km.to_bits())).collect()
+    }
+
+    fn shell1_snapshot() -> SnapshotPropagator {
+        let shell = WalkerConstellation::starlink_shell1();
+        SnapshotPropagator::new(shell.satellites(), shell.sats_per_plane)
     }
 
     #[test]
     fn culled_scan_is_bit_for_bit_the_exact_scan() {
-        use crate::propagator::SnapshotPropagator;
-        let shell = WalkerConstellation::starlink_shell1();
-        let sats = shell.satellites();
-        let mut snap = SnapshotPropagator::new(sats.clone(), shell.sats_per_plane);
+        let mut snap = shell1_snapshot();
         for (lat, lon) in [(40.7, -74.0), (0.0, 0.0), (51.5, -0.1), (-33.9, 151.2), (65.0, 25.0)] {
             let g = Geodetic::from_degrees(lat, lon, 0.0);
             for secs in [0u64, 137, 1234, 5000] {
                 snap.advance_to(SimTime::from_secs(secs));
                 for mask in [5.0, 25.0, 40.0] {
-                    let fast = visible_from_positions(snap.satellites(), snap.positions(), g, mask);
-                    let slow = visible_brute_force(snap.satellites(), snap.positions(), g, mask);
-                    assert_eq!(fast.len(), slow.len(), "({lat},{lon}) t={secs} mask={mask}");
-                    for (a, b) in fast.iter().zip(&slow) {
-                        assert_eq!(a.id, b.id);
-                        assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits());
-                        assert_eq!(a.slant_range_km.to_bits(), b.slant_range_km.to_bits());
-                    }
+                    let fast = scan(&snap, g, mask, usize::MAX, |_| true);
+                    let slow = brute_force_snap(&snap, g, mask, usize::MAX, |_| true);
+                    assert_eq!(bits(&fast), bits(&slow), "({lat},{lon}) t={secs} mask={mask}");
                 }
             }
         }
@@ -802,81 +684,37 @@ mod tests {
 
     #[test]
     fn top_k_is_prefix_of_full_sort() {
-        use crate::propagator::SnapshotPropagator;
-        let shell = WalkerConstellation::starlink_shell1();
-        let sats = shell.satellites();
-        let mut snap = SnapshotPropagator::new(sats.clone(), shell.sats_per_plane);
+        let mut snap = shell1_snapshot();
         let g = Geodetic::from_degrees(40.7128, -74.0060, 0.0);
         for secs in [0u64, 450, 3600] {
             snap.advance_to(SimTime::from_secs(secs));
-            let full = visible_from_positions(snap.satellites(), snap.positions(), g, 25.0);
+            let full = scan(&snap, g, 25.0, usize::MAX, |_| true);
             for k in [0usize, 1, 3, 4, 10, 100] {
-                let top = visible_top_k_from_positions(
-                    snap.satellites(),
-                    snap.positions(),
-                    g,
-                    25.0,
-                    k,
-                    |_| true,
-                );
+                let top = scan(&snap, g, 25.0, k, |_| true);
                 assert_eq!(top.len(), k.min(full.len()), "k={k}");
-                for (a, b) in top.iter().zip(&full) {
-                    assert_eq!(a.id, b.id, "k={k} t={secs}");
-                    assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits());
-                }
+                assert_eq!(bits(&top), bits(&full[..top.len()]), "k={k} t={secs}");
             }
         }
     }
 
+    /// One reused scratch against the brute-force (scalar) scan, for
+    /// every `k` and a `keep` that drops one satellite in three.
     #[test]
     fn batched_scans_are_bit_for_bit_the_scalar_scans() {
-        use crate::propagator::SnapshotPropagator;
-        let shell = WalkerConstellation::starlink_shell1();
-        let sats = shell.satellites();
-        let mut snap = SnapshotPropagator::new(sats.clone(), shell.sats_per_plane);
+        let mut snap = shell1_snapshot();
         let mut scratch = VisScratch::default();
         let mut out = Vec::new();
+        let keep = |id: SatelliteId| !(id.orbit + id.slot).is_multiple_of(3);
         for (lat, lon) in [(40.7, -74.0), (0.0, 0.0), (-33.9, 151.2), (65.0, 25.0)] {
             let g = Geodetic::from_degrees(lat, lon, 0.0);
             for secs in [0u64, 137, 5000] {
                 snap.advance_to(SimTime::from_secs(secs));
+                let (sats, soa) = (snap.satellites(), snap.positions_soa());
                 for mask in [5.0, 25.0, 40.0] {
-                    let scalar =
-                        visible_from_positions(snap.satellites(), snap.positions(), g, mask);
-                    visible_into(
-                        snap.satellites(),
-                        snap.positions_soa(),
-                        g,
-                        mask,
-                        &mut scratch,
-                        &mut out,
-                    );
-                    assert_eq!(out.len(), scalar.len(), "({lat},{lon}) t={secs} mask={mask}");
-                    for (a, b) in out.iter().zip(&scalar) {
-                        assert_eq!(a.id, b.id);
-                        assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits());
-                        assert_eq!(a.slant_range_km.to_bits(), b.slant_range_km.to_bits());
-                    }
-                    for k in [0usize, 1, 4, 100] {
-                        let scalar_k = visible_top_k_from_positions(
-                            snap.satellites(),
-                            snap.positions(),
-                            g,
-                            mask,
-                            k,
-                            |_| true,
-                        );
-                        visible_top_k_into(
-                            snap.satellites(),
-                            snap.positions_soa(),
-                            g,
-                            mask,
-                            k,
-                            |_| true,
-                            &mut scratch,
-                            &mut out,
-                        );
-                        assert_eq!(out, scalar_k, "k={k} ({lat},{lon}) t={secs} mask={mask}");
+                    for k in [0usize, 1, 4, 100, usize::MAX] {
+                        visible_top_k_into(sats, soa, g, mask, k, keep, &mut scratch, &mut out);
+                        let want = brute_force_snap(&snap, g, mask, k, keep);
+                        assert_eq!(bits(&out), bits(&want), "k={k} ({lat},{lon}) t={secs} {mask}");
                     }
                 }
             }
@@ -885,47 +723,22 @@ mod tests {
 
     #[test]
     fn batched_top_k_respects_keep_filter_like_scalar() {
-        use crate::propagator::SnapshotPropagator;
-        let shell = WalkerConstellation::starlink_shell1();
-        let snap = SnapshotPropagator::new(shell.satellites(), shell.sats_per_plane);
+        let snap = shell1_snapshot();
         let g = Geodetic::from_degrees(40.7128, -74.0060, 0.0);
-        let full = visible_from_positions(snap.satellites(), snap.positions(), g, 25.0);
-        assert!(full.len() >= 2);
-        let banned = full[0].id;
-        let scalar =
-            visible_top_k_from_positions(snap.satellites(), snap.positions(), g, 25.0, 4, |id| {
-                id != banned
-            });
-        let mut scratch = VisScratch::default();
-        let mut out = Vec::new();
-        visible_top_k_into(
-            snap.satellites(),
-            snap.positions_soa(),
-            g,
-            25.0,
-            4,
-            |id| id != banned,
-            &mut scratch,
-            &mut out,
-        );
-        assert_eq!(out, scalar);
+        let banned = scan(&snap, g, 25.0, 1, |_| true)[0].id;
+        let out = scan(&snap, g, 25.0, 4, |id| id != banned);
+        assert_eq!(bits(&out), bits(&brute_force_snap(&snap, g, 25.0, 4, |id| id != banned)));
         assert!(!out.iter().any(|v| v.id == banned));
     }
 
     #[test]
     fn top_k_respects_keep_filter() {
-        use crate::propagator::SnapshotPropagator;
-        let shell = WalkerConstellation::starlink_shell1();
-        let sats = shell.satellites();
-        let snap = SnapshotPropagator::new(sats.clone(), shell.sats_per_plane);
+        let snap = shell1_snapshot();
         let g = Geodetic::from_degrees(40.7128, -74.0060, 0.0);
-        let full = visible_from_positions(snap.satellites(), snap.positions(), g, 25.0);
+        let full = scan(&snap, g, 25.0, usize::MAX, |_| true);
         assert!(full.len() >= 2);
         let banned = full[0].id;
-        let top =
-            visible_top_k_from_positions(snap.satellites(), snap.positions(), g, 25.0, 4, |id| {
-                id != banned
-            });
+        let top = scan(&snap, g, 25.0, 4, |id| id != banned);
         assert!(!top.iter().any(|v| v.id == banned));
         assert_eq!(top[0].id, full[1].id, "next-best satellite moves up");
     }
@@ -934,7 +747,7 @@ mod tests {
         /// §-critical safety property of the fast path: the conservative
         /// bound may only reject satellites that are *below* the mask —
         /// random ground points × orbital phases never produce an
-        /// above-mask satellite that fails the dot-product test.
+        /// above-mask satellite that fails the sweep's dot-product test.
         #[test]
         fn prop_cull_bound_never_rejects_visible(
             lat in -85.0f64..85.0, lon in -180.0f64..180.0,
@@ -950,15 +763,15 @@ mod tests {
             let (el, _) = elevation_and_range(&g, &p);
             // Vacuously true below the mask; the bound only promises
             // never to cull an *above-mask* satellite.
-            if el >= mask {
-                let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
-                let p2 = p.x * p.x + p.y * p.y + p.z * p.z;
-                let c = max_central_angle_cos(g2.sqrt(), p2.sqrt(), mask);
+            let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
+            let p2 = p.x * p.x + p.y * p.y + p.z * p.z;
+            let gamma = fleet_central_angle(g2, p2, mask).unwrap();
+            if let (true, Some(t)) = (el >= mask, cone_threshold(gamma, g2)) {
                 let d = g.x * p.x + g.y * p.y + g.z * p.z;
                 // An above-mask satellite must pass the conservative test.
                 prop_assert!(d > 0.0, "above-mask satellite culled by sign test (el={el})");
                 prop_assert!(
-                    d * d >= c * c * g2 * p2,
+                    d * d >= t * p2,
                     "above-mask satellite culled by angle bound (el={el}, mask={mask})"
                 );
             }
@@ -1047,9 +860,8 @@ mod tests {
             let ground = Geodetic::from_degrees(lat, lon, 0.0);
             for secs in (0..86_400u64).step_by(97) {
                 let t = SimTime::from_secs(secs);
-                let positions: Vec<Ecef> =
-                    sats.iter().map(|s| s.orbit.position_eci(t).to_ecef(t)).collect();
-                let want = visible_brute_force(&sats, &positions, ground, 25.0);
+                let position = |i: usize| sats[i].orbit.position_eci(t).to_ecef(t);
+                let want = brute_force(&sats, position, ground, 25.0, usize::MAX, |_| true);
                 let got = visible_satellites(&sats, ground, t, 25.0);
                 assert_eq!(got, want, "({lat},{lon}) t={secs}");
                 beyond_first_cut += want.iter().filter(|v| v.slant_range_km > first_cut).count();
@@ -1060,7 +872,6 @@ mod tests {
 
     #[test]
     fn snapshot_path_agrees_with_direct_path() {
-        use crate::propagator::SnapshotPropagator;
         let shell = WalkerConstellation::starlink_shell1();
         let sats = shell.satellites();
         let t = SimTime::from_secs(450);
@@ -1068,7 +879,7 @@ mod tests {
         snap.advance_to(t);
         let g = Geodetic::from_degrees(48.0, 16.0, 0.0);
         let a = visible_satellites(&sats, g, t, 25.0);
-        let b = visible_from_positions(snap.satellites(), snap.positions(), g, 25.0);
+        let b = scan(&snap, g, 25.0, usize::MAX, |_| true);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);

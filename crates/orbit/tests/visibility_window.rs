@@ -1,8 +1,9 @@
 //! Oracle for the visibility window: the tracked path (a
-//! [`VisibilityWindow`] over a snapshot it subset-advances) against a
-//! separately, fully advanced snapshot scanned with
-//! `visible_top_k_from_positions`, compared id for id with
-//! `elevation_deg.to_bits()` and `slant_range_km.to_bits()`.
+//! [`VisibilityWindow`] over a snapshot it subset-advances) against the
+//! brute-force scan of a separately, fully advanced snapshot (every
+//! satellite's exact elevation, `keep`, the mask, a stable sort, the first
+//! `k`), compared id for id with `elevation_deg.to_bits()` and
+//! `slant_range_km.to_bits()`.
 //!
 //! The window's claim is a proof (see `VisibilityWindow`'s docs), so the
 //! oracle is wide rather than clever: every epoch of a 48 h run, seeded
@@ -17,9 +18,7 @@ use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::kepler::CircularOrbit;
 use starcdn_orbit::propagator::{Satellite, SnapshotPropagator};
 use starcdn_orbit::time::SimTime;
-use starcdn_orbit::visibility::{
-    elevation_and_range, visible_top_k_from_positions, VisibilityWindow, VisibleSatellite,
-};
+use starcdn_orbit::visibility::{elevation_and_range, VisibilityWindow, VisibleSatellite};
 use starcdn_orbit::walker::{SatelliteId, WalkerConstellation};
 
 /// The nine trace cities, (0°, 0°), a high-latitude point at the shell's
@@ -119,6 +118,36 @@ impl Tracked {
     }
 }
 
+/// The brute-force reference: every satellite's [`elevation_and_range`]
+/// at its snapshot position, then `keep`, then `el >= mask`, then a
+/// stable descending sort by elevation, then the first `k`.
+fn brute_force(
+    snap: &SnapshotPropagator,
+    ground: Geodetic,
+    mask: f64,
+    k: usize,
+    keep: impl Fn(SatelliteId) -> bool,
+) -> Vec<VisibleSatellite> {
+    let g = ground.to_ecef();
+    let mut out: Vec<VisibleSatellite> = snap
+        .satellites()
+        .iter()
+        .enumerate()
+        .filter(|(_, sat)| keep(sat.id))
+        .filter_map(|(i, sat)| {
+            let (el, range) = elevation_and_range(&g, &snap.positions_soa().ecef(i));
+            (el >= mask).then_some(VisibleSatellite {
+                id: sat.id,
+                elevation_deg: el,
+                slant_range_km: range,
+            })
+        })
+        .collect();
+    out.sort_by(|a, b| b.elevation_deg.total_cmp(&a.elevation_deg));
+    out.truncate(k);
+    out
+}
+
 /// One time step of both paths, compared bit for bit for every ground.
 #[allow(clippy::too_many_arguments)]
 fn check_step(
@@ -135,8 +164,7 @@ fn check_step(
     full.advance_to(t);
     for (j, &g) in grounds.iter().enumerate() {
         tracked.window.top_k_into(j, &tracked.snapshot, k, &keep, &mut tracked.out);
-        let want =
-            visible_top_k_from_positions(full.satellites(), full.positions(), g, mask, k, &keep);
+        let want = brute_force(full, g, mask, k, &keep);
         assert_eq!(tracked.out.len(), want.len(), "{what}: t={t} ground {j}: count");
         for (a, b) in tracked.out.iter().zip(&want) {
             assert_eq!(a.id, b.id, "{what}: t={t} ground {j}");
@@ -254,8 +282,8 @@ fn candidates_hold_every_above_mask_satellite_across_the_window() {
                     snap.advance_to(t);
                     for (j, g) in grounds.iter().enumerate() {
                         let g = g.to_ecef();
-                        for (i, p) in snap.positions().iter().enumerate() {
-                            if elevation_and_range(&g, p).0 >= mask {
+                        for i in 0..snap.satellites().len() {
+                            if elevation_and_range(&g, &snap.positions_soa().ecef(i)).0 >= mask {
                                 above += 1;
                                 assert!(
                                     window.candidates(j).binary_search(&(i as u32)).is_ok(),
@@ -348,12 +376,6 @@ fn subset_advanced() -> SnapshotPropagator {
 
 #[test]
 #[should_panic(expected = "subset only")]
-fn positions_of_a_subset_advanced_snapshot_panic() {
-    subset_advanced().positions();
-}
-
-#[test]
-#[should_panic(expected = "subset only")]
 fn position_of_on_a_subset_advanced_snapshot_panics() {
     subset_advanced().position_of(SatelliteId::new(0, 3));
 }
@@ -388,5 +410,5 @@ fn a_full_advance_makes_the_snapshot_whole_again() {
     let mut snap = subset_advanced();
     snap.advance_to(SimTime::from_secs(30));
     assert!(snap.is_complete());
-    assert_eq!(snap.positions().len(), 1296);
+    assert_eq!(snap.positions_soa().len(), 1296);
 }

@@ -6,18 +6,26 @@
 //! replays the log. Splitting the stages lets the same log drive the
 //! deterministic engine, the parallel replayer, and every system variant
 //! with identical inputs.
+//!
+//! One builder and one codec serve both representations: the builders
+//! live in [`columns`](crate::columns) and [`build_access_log`] is the
+//! sequential one's rows; the 39-byte binary format has one encoder and
+//! one decoder here (`write_log` / `read_log`), which
+//! [`AccessLog`]'s and [`AccessLogColumns`](crate::columns::AccessLogColumns)'
+//! `write_binary` / `read_binary` adapt entry by entry.
 
-use crate::scheduler::{epoch_of, schedule_epoch_recorded, SchedulerConfig};
+use crate::columns::build_access_log_columns;
+use crate::scheduler::{epoch_of, Assignment, SchedulerConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
-use spacegen::io::IoError;
+use spacegen::io::{le_u16, le_u64, read_fixed_record, IoError};
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::ScheduleCursor;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
-use starcdn_telemetry::{Counter, Event, Histo, Noop, Recorder, SpanTimer, Stage};
+use starcdn_telemetry::{Counter, Event, Histo, Recorder};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -76,72 +84,14 @@ impl AccessLog {
     /// multi-gigabyte logs this is ~5× smaller and an order of magnitude
     /// faster than JSON; [`AccessLog::write_json`] stays for interop.
     pub fn write_binary(&self, w: impl std::io::Write) -> Result<(), IoError> {
-        use std::io::Write;
-        let mut w = std::io::BufWriter::new(w);
-        w.write_all(BIN_MAGIC)?;
-        w.write_all(&self.epoch_secs.to_le_bytes())?;
-        for e in &self.entries {
-            w.write_all(&e.time.as_millis().to_le_bytes())?;
-            w.write_all(&e.object.0.to_le_bytes())?;
-            w.write_all(&e.size.to_le_bytes())?;
-            w.write_all(&e.location.0.to_le_bytes())?;
-            match e.first_contact {
-                Some(sat) => {
-                    w.write_all(&[1u8])?;
-                    w.write_all(&sat.orbit.to_le_bytes())?;
-                    w.write_all(&sat.slot.to_le_bytes())?;
-                }
-                None => w.write_all(&[0u8, 0, 0, 0, 0])?,
-            }
-            w.write_all(&e.gsl_oneway_ms.to_bits().to_le_bytes())?;
-        }
-        w.flush()?;
-        Ok(())
+        write_log(w, self.epoch_secs, self.entries.iter().copied())
     }
 
-    /// Load a log written by [`AccessLog::write_binary`].
+    /// Load a log written by [`AccessLog::write_binary`] (or by
+    /// [`AccessLogColumns::write_binary`](crate::columns::AccessLogColumns::write_binary)).
     pub fn read_binary(r: impl std::io::Read) -> Result<Self, IoError> {
-        use std::io::Read;
-        let mut r = std::io::BufReader::new(r);
-        let mut header = [0u8; 16];
-        r.read_exact(&mut header).map_err(|_| IoError::BadHeader)?;
-        if &header[..8] != BIN_MAGIC {
-            return Err(IoError::BadHeader);
-        }
-        let (_, epoch_b) = header.split_at(8);
-        let epoch_secs = spacegen::io::le_u64(epoch_b)?;
         let mut entries = Vec::new();
-        let mut rec = [0u8; 39];
-        // A partial trailing record is reported as corruption rather
-        // than silently dropped (see `read_fixed_record`).
-        while spacegen::io::read_fixed_record(&mut r, &mut rec)? {
-            // Field widths come from splits over the fixed 39-byte
-            // record, but the decoders stay fallible so a codec edit
-            // that desynchronizes the splits reports corruption
-            // instead of panicking mid-read.
-            let field8 = spacegen::io::le_u64;
-            let field2 = spacegen::io::le_u16;
-            let (time_b, rest) = rec.split_at(8);
-            let (object_b, rest) = rest.split_at(8);
-            let (size_b, rest) = rest.split_at(8);
-            let (loc_b, rest) = rest.split_at(2);
-            let (fc_tag, rest) = rest.split_at(1);
-            let (orbit_b, rest) = rest.split_at(2);
-            let (slot_b, gsl_b) = rest.split_at(2);
-            let first_contact = if fc_tag[0] != 0 {
-                Some(SatelliteId { orbit: field2(orbit_b)?, slot: field2(slot_b)? })
-            } else {
-                None
-            };
-            entries.push(AccessLogEntry {
-                time: SimTime::from_millis(field8(time_b)?),
-                object: ObjectId(field8(object_b)?),
-                size: field8(size_b)?,
-                location: LocationId(field2(loc_b)?),
-                first_contact,
-                gsl_oneway_ms: f64::from_bits(field8(gsl_b)?),
-            });
-        }
+        let epoch_secs = read_log(r, |e| entries.push(e))?;
         Ok(AccessLog { entries, epoch_secs })
     }
 
@@ -193,7 +143,117 @@ impl AccessLog {
     }
 }
 
-pub(crate) const BIN_MAGIC: &[u8; 8] = b"STARLOG1";
+impl AccessLogEntry {
+    /// A request with its user's assignment for the epoch — the one entry
+    /// constructor both columnar builders store through. An unreachable
+    /// request carries no contact and a zero GSL delay.
+    #[inline]
+    pub(crate) fn resolved(r: &Request, assignment: Option<Assignment>) -> Self {
+        let (first_contact, gsl_oneway_ms) = match assignment {
+            Some(a) => (Some(a.satellite), a.gsl_oneway_ms),
+            None => (None, 0.0),
+        };
+        let Request { time, object, size, location } = *r;
+        AccessLogEntry { time, object, size, location, first_contact, gsl_oneway_ms }
+    }
+}
+
+/// A contact as the tag/orbit/slot lanes the columns and the binary
+/// record store: an absent contact is all zeros.
+#[inline]
+pub(crate) fn contact_lanes(contact: Option<SatelliteId>) -> (u8, u16, u16) {
+    match contact {
+        Some(sat) => (1, sat.orbit, sat.slot),
+        None => (0, 0, 0),
+    }
+}
+
+const BIN_MAGIC: &[u8; 8] = b"STARLOG1";
+
+/// Length of one binary record: time, object, size (u64 each), location
+/// (u16), contact tag (u8), orbit and slot (u16 each), GSL delay bits
+/// (u64).
+const RECORD_LEN: usize = 39;
+
+/// The binary log encoder both representations write through: the
+/// header, then one record per entry, streamed through a buffer. A
+/// record with no contact stores tag, orbit and slot as zeros.
+pub(crate) fn write_log(
+    w: impl std::io::Write,
+    epoch_secs: u64,
+    entries: impl Iterator<Item = AccessLogEntry>,
+) -> Result<(), IoError> {
+    use std::io::Write;
+    let mut w = std::io::BufWriter::new(w);
+    w.write_all(BIN_MAGIC)?;
+    w.write_all(&epoch_secs.to_le_bytes())?;
+    let mut rec = [0u8; RECORD_LEN];
+    for e in entries {
+        rec[0..8].copy_from_slice(&e.time.as_millis().to_le_bytes());
+        rec[8..16].copy_from_slice(&e.object.0.to_le_bytes());
+        rec[16..24].copy_from_slice(&e.size.to_le_bytes());
+        rec[24..26].copy_from_slice(&e.location.0.to_le_bytes());
+        let (tag, orbit, slot) = contact_lanes(e.first_contact);
+        rec[26] = tag;
+        rec[27..29].copy_from_slice(&orbit.to_le_bytes());
+        rec[29..31].copy_from_slice(&slot.to_le_bytes());
+        rec[31..39].copy_from_slice(&e.gsl_oneway_ms.to_bits().to_le_bytes());
+        w.write_all(&rec)?;
+    }
+    w.flush()?;
+    Ok(())
+}
+
+/// The binary log decoder both representations read through: checks the
+/// header, hands every record to `push` as an entry (no intermediate
+/// copy of the log), and returns the epoch length. A stream that ends
+/// inside the header is not a log ([`IoError::BadHeader`]); a partial
+/// trailing record is corruption ([`IoError::TruncatedRecord`]). A zero
+/// tag byte means "no contact", whatever the orbit/slot bytes hold.
+/// `#[inline(always)]`: inlined into each reader, `push`'s target stays
+/// a local the decode loop can keep in registers (≈ 5 % of a row decode,
+/// measured).
+#[inline(always)]
+pub(crate) fn read_log(
+    r: impl std::io::Read,
+    mut push: impl FnMut(AccessLogEntry),
+) -> Result<u64, IoError> {
+    let mut r = std::io::BufReader::new(r);
+    let mut header = [0u8; 16];
+    spacegen::io::read_header(&mut r, &mut header)?;
+    let (magic, epoch_b) = header.split_at(8);
+    if magic != BIN_MAGIC {
+        return Err(IoError::BadHeader);
+    }
+    let epoch_secs = le_u64(epoch_b)?;
+    let mut rec = [0u8; RECORD_LEN];
+    while read_fixed_record(&mut r, &mut rec)? {
+        // Field widths come from splits over the fixed record, but the
+        // decoders stay fallible so a codec edit that desynchronizes the
+        // splits reports corruption instead of panicking mid-read.
+        let (time_b, rest) = rec.split_at(8);
+        let (object_b, rest) = rest.split_at(8);
+        let (size_b, rest) = rest.split_at(8);
+        let (loc_b, rest) = rest.split_at(2);
+        let (fc_tag, rest) = rest.split_at(1);
+        let (orbit_b, rest) = rest.split_at(2);
+        let (slot_b, gsl_b) = rest.split_at(2);
+        let first_contact = if fc_tag[0] != 0 {
+            Some(SatelliteId { orbit: le_u16(orbit_b)?, slot: le_u16(slot_b)? })
+        } else {
+            None
+        };
+        push(AccessLogEntry {
+            time: SimTime::from_millis(le_u64(time_b)?),
+            object: ObjectId(le_u64(object_b)?),
+            size: le_u64(size_b)?,
+            location: LocationId(le_u16(loc_b)?),
+            first_contact,
+            gsl_oneway_ms: f64::from_bits(le_u64(gsl_b)?),
+        });
+    }
+    Ok(epoch_secs)
+}
 
 /// Resolve a trace against the world: advance the constellation in
 /// `epoch_secs` steps, recompute the link schedule each epoch, and
@@ -207,69 +267,16 @@ pub(crate) const BIN_MAGIC: &[u8; 8] = b"STARLOG1";
 /// is honored: at each epoch boundary the live failure view advances, so
 /// users on a satellite that just died are handed over to a surviving one
 /// (with an empty schedule this is bit-for-bit the static behavior).
+///
+/// The rows of [`build_access_log_columns`]: one builder, two
+/// representations.
 pub fn build_access_log(
     world: &World,
     trace: &Trace,
     epoch_secs: u64,
     cfg: &SchedulerConfig,
 ) -> AccessLog {
-    build_access_log_recorded(world, trace, epoch_secs, cfg, &Noop)
-}
-
-/// [`build_access_log`] with telemetry: per-epoch [`Stage::Propagate`]
-/// spans around the orbital advance, the scheduler's own
-/// `Schedule`/`Visibility` spans (via
-/// [`schedule_epoch_recorded`]), epoch-stamped churn events from the
-/// fault cursor, and the per-epoch entry count as
-/// [`Histo::QueueDepth`]. The produced log is identical with any
-/// recorder.
-pub fn build_access_log_recorded(
-    world: &World,
-    trace: &Trace,
-    epoch_secs: u64,
-    cfg: &SchedulerConfig,
-    rec: &dyn Recorder,
-) -> AccessLog {
-    assert!(epoch_secs > 0);
-    let enabled = rec.is_enabled();
-    let mut snapshot = world.snapshot();
-    let mut entries = Vec::with_capacity(trace.len());
-    let mut current_epoch = u64::MAX;
-    let mut epoch_len = 0u64;
-    let mut schedule = None;
-    let mut rr_counters = vec![0usize; world.num_locations()];
-    let mut cursor = ScheduleCursor::new(&world.schedule, world.failures.clone());
-
-    for r in &trace.requests {
-        let epoch = epoch_of(r.time, epoch_secs);
-        if epoch != current_epoch {
-            if enabled && current_epoch != u64::MAX {
-                rec.observe(Histo::QueueDepth, epoch_len);
-            }
-            epoch_len = 0;
-            current_epoch = epoch;
-            {
-                let _propagate = SpanTimer::start(rec, Stage::Propagate, epoch);
-                snapshot.advance_to(SimTime::from_secs(epoch * epoch_secs));
-            }
-            let delta = cursor.advance_to(epoch * epoch_secs);
-            if enabled && !delta.is_empty() {
-                record_fault_delta(rec, epoch, &delta);
-            }
-            schedule =
-                Some(schedule_epoch_recorded(world, &snapshot, epoch, cfg, cursor.view(), rec));
-        }
-        epoch_len += 1;
-        let sched = schedule.as_ref().expect("schedule computed");
-        let loc = r.location.0 as usize;
-        let user = rr_counters[loc] % cfg.users_per_location;
-        rr_counters[loc] += 1;
-        entries.push(resolve_entry(r, sched.assignments[loc][user]));
-    }
-    if enabled && epoch_len > 0 {
-        rec.observe(Histo::QueueDepth, epoch_len);
-    }
-    AccessLog { entries, epoch_secs }
+    build_access_log_columns(world, trace, epoch_secs, cfg).to_log()
 }
 
 /// Record one epoch boundary's applied churn as epoch-stamped events.
@@ -288,30 +295,6 @@ pub(crate) fn record_fault_delta(
         + delta.links_cut.len()
         + delta.links_restored.len();
     rec.add(Counter::FaultEventsApplied, applied as u64);
-}
-
-/// Materialize one log entry from a request and its user's assignment —
-/// the row builder's half of entry construction (the columnar builders
-/// mirror it field for field).
-fn resolve_entry(r: &Request, assignment: Option<crate::scheduler::Assignment>) -> AccessLogEntry {
-    match assignment {
-        Some(a) => AccessLogEntry {
-            time: r.time,
-            object: r.object,
-            size: r.size,
-            location: r.location,
-            first_contact: Some(a.satellite),
-            gsl_oneway_ms: a.gsl_oneway_ms,
-        },
-        None => AccessLogEntry {
-            time: r.time,
-            object: r.object,
-            size: r.size,
-            location: r.location,
-            first_contact: None,
-            gsl_oneway_ms: 0.0,
-        },
-    }
 }
 
 /// A maximal run of consecutive same-epoch trace entries, plus everything

@@ -8,12 +8,13 @@
 //!   mapping cannot last beyond a few minutes";
 //! * a satellite serves a given location for under ten minutes (§3.1.1).
 
-use crate::scheduler::{schedule_epoch, SchedulerConfig};
+use crate::scheduler::{EpochScheduler, SchedulerConfig};
 use crate::world::World;
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::time::{SimDuration, SimTime};
-use starcdn_orbit::visibility::visible_from_positions;
+use starcdn_orbit::visibility::{visible_top_k_into, VisScratch};
 use starcdn_orbit::walker::SatelliteId;
+use starcdn_telemetry::Noop;
 
 /// Visibility statistics for one location over a window.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +49,7 @@ impl HandoverStats {
     }
 }
 
-/// Count visible satellites per location every `epoch_secs` over
+/// Count visible alive satellites per location every `epoch_secs` over
 /// `duration`.
 pub fn visibility_stats(
     world: &World,
@@ -59,20 +60,21 @@ pub fn visibility_stats(
     let mut snapshot = world.snapshot();
     let epochs = (duration.as_secs_f64() / epoch_secs as f64).ceil() as u64;
     let mut counts: Vec<Vec<usize>> = vec![Vec::new(); world.num_locations()];
+    let (mut scratch, mut visible) = (VisScratch::default(), Vec::new());
     for e in 0..epochs {
         snapshot.advance_to(SimTime::from_secs(e * epoch_secs));
         for (i, loc) in world.locations.iter().enumerate() {
-            let ground = Geodetic::from_degrees(loc.lat_deg, loc.lon_deg, 0.0);
-            let vis = visible_from_positions(
+            visible_top_k_into(
                 &world.satellites,
-                snapshot.positions(),
-                ground,
+                snapshot.positions_soa(),
+                Geodetic::from_degrees(loc.lat_deg, loc.lon_deg, 0.0),
                 min_elevation_deg,
-            )
-            .into_iter()
-            .filter(|v| world.failures.is_alive(v.id))
-            .count();
-            counts[i].push(vis);
+                usize::MAX,
+                |id| world.failures.is_alive(id),
+                &mut scratch,
+                &mut visible,
+            );
+            counts[i].push(visible.len());
         }
     }
     world
@@ -103,15 +105,14 @@ pub fn handover_stats(
     cfg: &SchedulerConfig,
 ) -> HandoverStats {
     assert!(user < cfg.users_per_location);
-    let mut snapshot = world.snapshot();
+    let mut scheduler = EpochScheduler::new(world);
     let epochs = (duration.as_secs_f64() / epoch_secs as f64).ceil() as u64;
     let mut stats = HandoverStats::default();
     let mut prev: Option<SatelliteId> = None;
     let mut run = 0u64;
     for e in 0..epochs {
-        snapshot.advance_to(SimTime::from_secs(e * epoch_secs));
-        let sched = schedule_epoch(world, &snapshot, e, cfg);
-        let cur = sched.assignments[location_idx][user].map(|a| a.satellite);
+        scheduler.step(world, e, epoch_secs, cfg, &world.failures, &Noop);
+        let cur = scheduler.schedule().assignments[location_idx][user].map(|a| a.satellite);
         if let Some(p) = prev {
             stats.transitions += 1;
             if cur != Some(p) {

@@ -52,7 +52,7 @@ pub mod serve;
 pub mod transfers;
 pub mod world;
 
-pub use access_log::{build_access_log, build_access_log_recorded, AccessLog, AccessLogEntry};
+pub use access_log::{build_access_log, AccessLog, AccessLogEntry};
 pub use checkpoint::{
     crc32, list_checkpoint_files, list_checkpoint_files_io, metrics_digest, sweep_stale_tmps,
     sweep_stale_tmps_io, validate_checkpoint_bytes, CheckpointError, CheckpointPolicy,

@@ -8,14 +8,18 @@
 //! deterministically (seeded) assigned one of the `top_k` highest-
 //! elevation visible satellites, spreading users like the real
 //! scheduler does.
+//!
+//! One body computes a schedule: [`schedule_epoch_into`], through a
+//! [`VisibilityWindow`] kept in reusable scratch. [`EpochScheduler`]
+//! steps it epoch by epoch for the log builders, the coverage analytics
+//! and the transfer model; [`schedule_epoch`] / [`schedule_epoch_with`]
+//! run it once with a fresh scratch.
 
 use crate::world::World;
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::propagator::SnapshotPropagator;
 use starcdn_orbit::time::SimTime;
-use starcdn_orbit::visibility::{
-    propagation_delay_ms_f64, visible_top_k_from_positions, VisibilityWindow, VisibleSatellite,
-};
+use starcdn_orbit::visibility::{propagation_delay_ms_f64, VisibilityWindow, VisibleSatellite};
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Histo, Noop, Recorder, SpanTimer, Stage};
 
@@ -60,9 +64,9 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One user's deterministic pick among the visible candidates — shared
-/// by the allocating and scratch-based schedulers so both assign through
-/// identical arithmetic.
+/// One user's deterministic pick among the visible candidates (best
+/// first): a seeded hash of (epoch, location, user) over the first
+/// `top_k`.
 #[inline]
 fn assign_user(
     visible: &[VisibleSatellite],
@@ -85,7 +89,8 @@ fn assign_user(
 }
 
 /// Compute the schedule for one epoch. `snapshot` must already be
-/// advanced to the epoch's time; dead satellites are never assigned.
+/// advanced (fully) to the epoch's time; dead satellites are never
+/// assigned.
 pub fn schedule_epoch(
     world: &World,
     snapshot: &SnapshotPropagator,
@@ -99,6 +104,8 @@ pub fn schedule_epoch(
 /// passes the live [`ScheduleCursor`](starcdn_constellation::schedule::ScheduleCursor)
 /// view instead of the world's static base outage, which is how users on
 /// a just-died satellite get force-handed-over at the next epoch.
+///
+/// [`schedule_epoch_into`] with a fresh scratch: a whole-fleet scan.
 pub fn schedule_epoch_with(
     world: &World,
     snapshot: &SnapshotPropagator,
@@ -106,63 +113,10 @@ pub fn schedule_epoch_with(
     cfg: &SchedulerConfig,
     failures: &starcdn_constellation::failures::FailureModel,
 ) -> EpochSchedule {
-    schedule_epoch_recorded(world, snapshot, epoch_index, cfg, failures, &Noop)
-}
-
-/// [`schedule_epoch_with`] with telemetry: times the whole epoch under
-/// [`Stage::Schedule`] and the visibility/top-k selection alone under
-/// [`Stage::Visibility`] (both keyed by `epoch_index`), counts the
-/// epoch, and observes each assignment's GSL delay in
-/// [`Histo::GslDelayUs`]. Recording never affects the schedule itself.
-pub fn schedule_epoch_recorded(
-    world: &World,
-    snapshot: &SnapshotPropagator,
-    epoch_index: u64,
-    cfg: &SchedulerConfig,
-    failures: &starcdn_constellation::failures::FailureModel,
-    rec: &dyn Recorder,
-) -> EpochSchedule {
-    let enabled = rec.is_enabled();
-    let span = SpanTimer::start(rec, Stage::Schedule, epoch_index);
-    let mut vis_ns = 0u64;
-    let mut assignments = Vec::with_capacity(world.locations.len());
-    for (loc_idx, loc) in world.locations.iter().enumerate() {
-        let ground = Geodetic::from_degrees(loc.lat_deg, loc.lon_deg, 0.0);
-        // Top-k selection instead of a full visibility sort: users are
-        // spread over at most `top_k` satellites, so everything past the
-        // k best alive ones is dead weight. The selection's total order
-        // matches the full sort's, so the assignments below are
-        // bit-for-bit what the sort-then-truncate path produced
-        // (`.max(1)` mirrors the degenerate `top_k: 0` guard on `k`).
-        let vis_t0 = enabled.then(std::time::Instant::now);
-        let visible = visible_top_k_from_positions(
-            &world.satellites,
-            snapshot.positions(),
-            ground,
-            cfg.min_elevation_deg,
-            cfg.top_k.max(1),
-            |id| failures.is_alive(id),
-        );
-        if let Some(t0) = vis_t0 {
-            vis_ns += t0.elapsed().as_nanos() as u64;
-        }
-
-        let per_user: Vec<Option<Assignment>> = (0..cfg.users_per_location)
-            .map(|user| assign_user(&visible, cfg, epoch_index, loc_idx, user))
-            .collect();
-        if enabled {
-            for a in per_user.iter().flatten() {
-                rec.observe(Histo::GslDelayUs, (a.gsl_oneway_ms * 1000.0) as u64);
-            }
-        }
-        assignments.push(per_user);
-    }
-    if enabled {
-        rec.add(Counter::ScheduleEpochs, 1);
-        rec.span_ns(Stage::Visibility, epoch_index, vis_ns);
-    }
-    span.stop();
-    EpochSchedule { epoch_index, assignments }
+    let mut out = EpochSchedule::default();
+    let mut scratch = ScheduleScratch::default();
+    schedule_epoch_into(world, snapshot, epoch_index, cfg, failures, &Noop, &mut scratch, &mut out);
+    out
 }
 
 /// Reusable state for [`schedule_epoch_into`]: the visibility window
@@ -186,26 +140,29 @@ impl ScheduleScratch {
     }
 }
 
-/// The allocation-free twin of [`schedule_epoch_recorded`]: computes the
-/// schedule into a caller-owned [`EpochSchedule`] through the scratch's
-/// [`VisibilityWindow`]. The time is `snapshot.epoch()`. When the window
-/// does not cover it — the first call, a jump past the window either
-/// way, another mask, fleet or location set — the whole fleet is
-/// rescanned with the widened cone and the window restarts (this needs a
-/// complete snapshot); inside the window each location tests its
-/// candidate list only. Liveness (`failures`) is applied per call and
-/// never enters the lists. Once `scratch` and `out` have seen this
-/// world's shape, an invocation performs zero heap allocations.
+/// The scheduler: computes the schedule into a caller-owned
+/// [`EpochSchedule`] through the scratch's [`VisibilityWindow`]. The time
+/// is `snapshot.epoch()`. When the window does not cover it — the first
+/// call, a jump past the window either way, another mask, fleet or
+/// location set — the whole fleet is rescanned with the widened cone and
+/// the window restarts (this needs a complete snapshot); inside the
+/// window each location tests its candidate list only. Liveness
+/// (`failures`) is applied per call and never enters the lists. Each
+/// location's users are spread over its `top_k` best alive satellites
+/// (`assign_user`). Once `scratch` and `out` have seen this world's
+/// shape, an invocation performs zero heap allocations.
 ///
-/// The produced schedule is bit-for-bit what [`schedule_epoch_recorded`]
-/// returns: the window is proven to select the full scan's satellites in
-/// `starcdn-orbit` (`tests/visibility_window.rs`), and the per-user
-/// assignment arithmetic is shared (`assign_user`).
+/// The window selects exactly the brute-force scan's satellites (proven
+/// in `starcdn-orbit`, `tests/visibility_window.rs`), so a reused scratch
+/// schedules bit for bit what a fresh one does.
 ///
-/// With an enabled recorder a rescan counts one
-/// [`Counter::VisibilityRefreshes`] and observes the candidate union's
-/// size in [`Histo::VisibilityCandidates`]; its time is part of the
-/// epoch's [`Stage::Visibility`] span.
+/// With an enabled recorder the epoch is timed under [`Stage::Schedule`]
+/// and the visibility/top-k selection alone under [`Stage::Visibility`]
+/// (both keyed by `epoch_index`), the epoch is counted, and each
+/// assignment's GSL delay is observed in [`Histo::GslDelayUs`]; a rescan
+/// counts one [`Counter::VisibilityRefreshes`] and observes the candidate
+/// union's size in [`Histo::VisibilityCandidates`]. Recording never
+/// affects the schedule itself.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_epoch_into(
     world: &World,
@@ -217,24 +174,8 @@ pub fn schedule_epoch_into(
     scratch: &mut ScheduleScratch,
     out: &mut EpochSchedule,
 ) {
-    scratch.set_grounds(world);
-    schedule_from_grounds(world, snapshot, epoch_index, cfg, failures, rec, scratch, out);
-}
-
-/// [`schedule_epoch_into`] once `scratch.grounds` holds `world`'s
-/// locations.
-#[allow(clippy::too_many_arguments)]
-fn schedule_from_grounds(
-    world: &World,
-    snapshot: &SnapshotPropagator,
-    epoch_index: u64,
-    cfg: &SchedulerConfig,
-    failures: &starcdn_constellation::failures::FailureModel,
-    rec: &dyn Recorder,
-    scratch: &mut ScheduleScratch,
-    out: &mut EpochSchedule,
-) {
     debug_assert_eq!(world.satellites.len(), snapshot.satellites().len());
+    scratch.set_grounds(world);
     let enabled = rec.is_enabled();
     let span = SpanTimer::start(rec, Stage::Schedule, epoch_index);
     let mut vis_ns = 0u64;
@@ -255,6 +196,8 @@ fn schedule_from_grounds(
     }
     for loc_idx in 0..world.locations.len() {
         let vis_t0 = enabled.then(std::time::Instant::now);
+        // `.max(1)`: a degenerate `top_k: 0` config still selects the
+        // best satellite (see `assign_user`).
         window.top_k_into(loc_idx, snapshot, cfg.top_k.max(1), |id| failures.is_alive(id), visible);
         if let Some(t0) = vis_t0 {
             vis_ns += t0.elapsed().as_nanos() as u64;
@@ -279,7 +222,8 @@ fn schedule_from_grounds(
 
 /// The epoch loop's moving parts — a position snapshot, the scratch
 /// whose window tracks it, and the schedule they produce — and the one
-/// step both columnar builders take at an epoch boundary.
+/// step every epoch loop takes at an epoch boundary (both log builders,
+/// `coverage::handover_stats`, the transfer model's oracle).
 #[derive(Debug)]
 pub struct EpochScheduler {
     snapshot: SnapshotPropagator,
@@ -323,7 +267,7 @@ impl EpochScheduler {
                 &scratch.grounds,
             );
         }
-        schedule_from_grounds(world, snapshot, epoch, cfg, failures, rec, scratch, schedule);
+        schedule_epoch_into(world, snapshot, epoch, cfg, failures, rec, scratch, schedule);
     }
 
     /// The schedule of the last [`EpochScheduler::step`].
@@ -453,6 +397,22 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a schedule's epoch and every user's satellite and GSL
+    /// delay bits (`u64::MAX` for an unassigned user).
+    fn schedule_digest(mut h: u64, s: &EpochSchedule) -> u64 {
+        let words = s.assignments.iter().flatten().flat_map(|a| match a {
+            Some(a) => {
+                let sat = (a.satellite.orbit as u64) << 16 | a.satellite.slot as u64;
+                [sat, a.gsl_oneway_ms.to_bits()]
+            }
+            None => [u64::MAX, u64::MAX],
+        });
+        for w in std::iter::once(s.epoch_index).chain(words) {
+            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
     #[test]
     fn epoch_scheduler_tracks_the_allocating_scheduler_through_windows_and_jumps() {
         use starcdn_telemetry::MemoryRecorder;
@@ -465,6 +425,7 @@ mod tests {
         // jump back into the first window's span, a repeat.
         let epochs: Vec<u64> =
             (0..30).chain(400..420).chain([5, 5, 6, 11_519]).chain(11_500..11_519).collect();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for (step, &epoch) in epochs.iter().enumerate() {
             // A different dead set at every step: liveness is applied
             // per call and never enters the candidate lists.
@@ -473,7 +434,11 @@ mod tests {
             let want = schedule_epoch_with(&w, &full, epoch, &cfg, &dead);
             tracked.step(&w, epoch, 15, &cfg, &dead, &rec);
             assert_same_schedule(tracked.schedule(), &want, &format!("epoch {epoch}"));
+            digest = schedule_digest(digest, &want);
         }
+        // The licence for folding the allocating scheduler into a wrapper:
+        // recorded at the parent of that PR (15f0bb9).
+        assert_eq!(digest, 0x9ea2_a72e_b73c_c8f5, "schedule_epoch_with's output moved");
         let snap = rec.snapshot();
         let refreshes = snap.counter(Counter::VisibilityRefreshes);
         // 0, 9, 18, 27 | 400, 409, 418 | 5 | 11519 | 11500, 11509, 11518.

@@ -15,11 +15,11 @@
 //! space under StarCDN (the new first contact routes to the same bucket
 //! owner), but a full bent-pipe round trip without a space cache.
 
-use crate::scheduler::{schedule_epoch, SchedulerConfig};
+use crate::scheduler::{EpochScheduler, SchedulerConfig};
 use crate::world::World;
-use starcdn_orbit::propagator::SnapshotPropagator;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
+use starcdn_telemetry::Noop;
 use std::collections::HashMap;
 
 /// Transfer-model parameters.
@@ -131,7 +131,7 @@ pub struct AssignmentOracle<'a> {
     world: &'a World,
     cfg: SchedulerConfig,
     epoch_secs: u64,
-    snapshot: SnapshotPropagator,
+    scheduler: EpochScheduler,
     cache: HashMap<u64, Vec<Vec<Option<SatelliteId>>>>,
 }
 
@@ -139,7 +139,7 @@ impl<'a> AssignmentOracle<'a> {
     /// Build an oracle over `world` with the given scheduler settings.
     pub fn new(world: &'a World, cfg: SchedulerConfig, epoch_secs: u64) -> Self {
         AssignmentOracle {
-            snapshot: world.snapshot(),
+            scheduler: EpochScheduler::new(world),
             world,
             cfg,
             epoch_secs,
@@ -150,10 +150,10 @@ impl<'a> AssignmentOracle<'a> {
     /// The satellite assigned to `(location, user)` during `epoch`.
     pub fn assignment(&mut self, epoch: u64, location: usize, user: usize) -> Option<SatelliteId> {
         if !self.cache.contains_key(&epoch) {
-            self.snapshot.advance_to(SimTime::from_secs(epoch * self.epoch_secs));
-            let sched = schedule_epoch(self.world, &self.snapshot, epoch, &self.cfg);
-            let table: Vec<Vec<Option<SatelliteId>>> = sched
-                .assignments
+            let world = self.world;
+            self.scheduler.step(world, epoch, self.epoch_secs, &self.cfg, &world.failures, &Noop);
+            let assignments = &self.scheduler.schedule().assignments;
+            let table: Vec<Vec<Option<SatelliteId>>> = assignments
                 .iter()
                 .map(|users| users.iter().map(|a| a.map(|x| x.satellite)).collect())
                 .collect();

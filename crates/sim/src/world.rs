@@ -131,7 +131,7 @@ mod tests {
     fn snapshot_covers_fleet() {
         let w = World::new(WalkerConstellation::test_shell(), Location::akamai_nine());
         let snap = w.snapshot();
-        assert_eq!(snap.positions().len(), w.satellites.len());
+        assert_eq!(snap.positions_soa().len(), w.satellites.len());
     }
 
     #[test]
@@ -164,7 +164,7 @@ mod tests {
         assert_eq!(world.failures.dead_count(), 144, "1296/9 gaps out of slot");
         // Snapshot indexing works across gaps.
         let snap = world.snapshot();
-        assert_eq!(snap.positions().len(), 1296);
+        assert_eq!(snap.positions_soa().len(), 1296);
         // Alive satellites match the catalog orbits.
         for sat in &fleet.satellites {
             assert!(world.failures.is_alive(sat.id));

@@ -1,6 +1,6 @@
 //! One scenario table, every driver: each row — a world (with its fault
 //! schedule), a trace, a fleet configuration and an overload setting —
-//! goes through the row and columnar log builders, the engine over rows
+//! goes through the log builders, the engine over rows
 //! and over columns, the replayer over rows and over columns at 1, 4
 //! and 8 workers, and a kill-at-mid-epoch → resume of the engine and of
 //! the replayer, and must come out as one bit-exact `SystemMetrics`.
@@ -16,13 +16,17 @@
 //! replayer's exactness contract holds (relayed fetch replays
 //! approximately; see `crates/sim/src/replayer.rs`).
 //!
+//! Every row's log is first held to a reference builder that reuses
+//! nothing: a full advance and a fresh whole-fleet scan at every epoch
+//! (`reference_log`). So the builders' window reuse, epoch runs and
+//! chunks are pinned to the plainest answer, entry for entry down to
+//! `gsl_oneway_ms.to_bits()`, at every worker count (1, 2, 3, 4, 8).
+//!
 //! The `builders_*` rows stop after the log builders. Their traces are
 //! shaped to stress the scheduler's visibility window — two days of
 //! sparse requests, silences longer than a window between bursts inside
-//! one epoch — under churn on top of a sampled base outage, and every
-//! builder (rows, sequential columns, parallel columns at 1, 2, 3, 4
-//! and 8 workers) must produce the same entries down to
-//! `gsl_oneway_ms.to_bits()`.
+//! one epoch — under churn on top of a sampled base outage, and each
+//! also pins the CRC-32 of its log's binary encoding.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,15 +36,18 @@ use starcdn::metrics::SystemMetrics;
 use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
-use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormParams};
+use starcdn_constellation::schedule::{
+    ChurnParams, FaultSchedule, ScheduleCursor, SolarStormParams,
+};
 use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::columns::AccessLogColumns;
 use starcdn_sim::overload::OverloadConfig;
+use starcdn_sim::scheduler::{schedule_epoch_with, EpochSchedule, SchedulerConfig};
 use starcdn_sim::{
-    build_access_log, build_access_log_columns, build_access_log_columns_parallel, engine,
-    metrics_digest, replayer, AccessLog, CheckpointPolicy, Checkpointing, LogView, RunSpec,
-    SimConfig, World,
+    build_access_log, build_access_log_columns, build_access_log_columns_parallel, crc32, engine,
+    metrics_digest, replayer, AccessLog, AccessLogEntry, CheckpointPolicy, Checkpointing, LogView,
+    RunSpec, SimConfig, World,
 };
 use std::path::PathBuf;
 
@@ -223,10 +230,26 @@ scenario_table! {
     transmission_degraded: churning(1800.0, 120.0, 0xD00D), trace(),       transmission_cdn(), |t| tight(t, 1.5);
 }
 
+// The licence constants: CRC-32 of the three `builders_*` logs' binary
+// encoding, recorded through the row builder and both columnar builders
+// at the parent of the PR that deleted the row builder, the AoS scans
+// and the allocating scheduler (15f0bb9). The reference and every
+// builder that remains must still produce these bytes.
+const CALM_LOG_CRC: u32 = 0x1b74_11db;
+const SPARSE_LOG_CRC: u32 = 0x4259_a899;
+const BURSTS_LOG_CRC: u32 = 0xa961_e5ff;
+
+#[test]
+fn builders_calm_nine_cities() {
+    let (_, _, crc) = check_builders("calm", &calm(), &trace());
+    assert_eq!(crc, CALM_LOG_CRC, "calm: log bytes moved");
+}
+
 #[test]
 fn builders_sparse_two_days() {
-    let (log, _) =
+    let (log, _, crc) =
         check_builders("sparse 48 h", &churning_with_outage(48 * 3600, 7), &sparse_two_days());
+    assert_eq!(crc, SPARSE_LOG_CRC, "sparse 48 h: log bytes moved");
     let epochs: std::collections::BTreeSet<u64> =
         log.entries.iter().map(|e| e.time.as_secs() / 15).collect();
     assert!(epochs.len() > 6_000, "only {} of 11520 epochs hold a request", epochs.len());
@@ -235,8 +258,9 @@ fn builders_sparse_two_days() {
 
 #[test]
 fn builders_bursts_and_silences() {
-    let (log, _) =
+    let (log, _, crc) =
         check_builders("bursts", &churning_with_outage(12 * 3600, 11), &bursts_and_silences());
+    assert_eq!(crc, BURSTS_LOG_CRC, "bursts: log bytes moved");
     let gaps: Vec<u64> = log
         .entries
         .windows(2)
@@ -284,18 +308,66 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-/// Row builder ≡ sequential columnar ≡ parallel columnar at every worker
-/// count, entry for entry with the GSL delay compared as bits.
-fn check_builders(name: &str, world: &World, trace: &Trace) -> (AccessLog, AccessLogColumns) {
+/// CRC-32 of the 39-byte binary encoding of a log.
+fn crc_of(write: impl FnOnce(&mut Vec<u8>) -> Result<(), spacegen::io::IoError>) -> u32 {
+    let mut bytes = Vec::new();
+    write(&mut bytes).expect("encode log");
+    crc32(&bytes)
+}
+
+/// The reference log builder: at every epoch boundary a full advance,
+/// the fault cursor, and a fresh whole-fleet `schedule_epoch_with`; users
+/// round-robin by `count % users`. No window, no runs, no chunks.
+fn reference_log(
+    world: &World,
+    trace: &Trace,
+    epoch_secs: u64,
+    cfg: &SchedulerConfig,
+) -> AccessLog {
+    let mut snapshot = world.snapshot();
+    let mut cursor = ScheduleCursor::new(&world.schedule, world.failures.clone());
+    let mut schedule = EpochSchedule { epoch_index: u64::MAX, assignments: Vec::new() };
+    let mut rr = vec![0usize; world.num_locations()];
+    let mut entries = Vec::with_capacity(trace.len());
+    for r in &trace.requests {
+        let epoch = r.time.as_secs() / epoch_secs;
+        if epoch != schedule.epoch_index {
+            snapshot.advance_to(SimTime::from_secs(epoch * epoch_secs));
+            cursor.advance_to(epoch * epoch_secs);
+            schedule = schedule_epoch_with(world, &snapshot, epoch, cfg, cursor.view());
+        }
+        let loc = r.location.0 as usize;
+        let assignment = schedule.assignments[loc][rr[loc] % cfg.users_per_location];
+        rr[loc] += 1;
+        entries.push(AccessLogEntry {
+            time: r.time,
+            object: r.object,
+            size: r.size,
+            location: r.location,
+            first_contact: assignment.map(|a| a.satellite),
+            gsl_oneway_ms: assignment.map_or(0.0, |a| a.gsl_oneway_ms),
+        });
+    }
+    AccessLog { entries, epoch_secs }
+}
+
+/// Reference ≡ rows ≡ sequential columnar ≡ parallel columnar at every
+/// worker count, entry for entry with the GSL delay compared as bits;
+/// returns the logs and the CRC-32 of their (identical) binary encoding.
+fn check_builders(name: &str, world: &World, trace: &Trace) -> (AccessLog, AccessLogColumns, u32) {
     let sim = SimConfig::default();
-    let log: AccessLog = build_access_log(world, trace, sim.epoch_secs, &sim.scheduler());
+    let log = reference_log(world, trace, sim.epoch_secs, &sim.scheduler());
     let cols: AccessLogColumns =
         build_access_log_columns(world, trace, sim.epoch_secs, &sim.scheduler());
     assert_eq!(cols.len(), log.len(), "{name}: columnar builder's entry count");
     for (i, (c, r)) in cols.iter().zip(&log.entries).enumerate() {
-        assert_eq!(c, *r, "{name}: columnar builder diverged from row builder at entry {i}");
+        assert_eq!(c, *r, "{name}: columnar builder diverged from the reference at entry {i}");
         assert_eq!(c.gsl_oneway_ms.to_bits(), r.gsl_oneway_ms.to_bits(), "{name}: entry {i} gsl");
     }
+    let crc = crc_of(|b| log.write_binary(b));
+    assert_eq!(crc_of(|b| cols.write_binary(b)), crc, "{name}: columnar builder's bytes");
+    let rows = build_access_log(world, trace, sim.epoch_secs, &sim.scheduler());
+    assert_eq!(crc_of(|b| rows.write_binary(b)), crc, "{name}: row builder's bytes");
     let gsl_bits = |c: &AccessLogColumns| -> Vec<u64> {
         c.iter().map(|e| e.gsl_oneway_ms.to_bits()).collect()
     };
@@ -305,13 +377,14 @@ fn check_builders(name: &str, world: &World, trace: &Trace) -> (AccessLog, Acces
             build_access_log_columns_parallel(world, trace, sim.epoch_secs, &sim.scheduler(), n);
         assert_eq!(par, cols, "{name}: parallel columnar builder at {n} workers");
         assert_eq!(gsl_bits(&par), want_bits, "{name}: gsl bits at {n} workers");
+        assert_eq!(crc_of(|b| par.write_binary(b)), crc, "{name}: bytes at {n} workers");
     }
-    (log, cols)
+    (log, cols, crc)
 }
 
 fn check(name: &str, row: &Row) {
     let Row { world, trace, cdn, overload } = row;
-    let (log, cols) = check_builders(name, world, trace);
+    let (log, cols, _) = check_builders(name, world, trace);
 
     let spec = RunSpec { schedule: &world.schedule, overload: *overload, ..RunSpec::default() };
     let run_engine = |log: LogView<'_>, spec: &RunSpec<'_>| {

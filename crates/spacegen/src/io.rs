@@ -167,11 +167,22 @@ pub fn read_fixed_record(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, IoEr
     Ok(true)
 }
 
+/// Fill `buf` with a binary format's fixed-size header. A stream that
+/// ends first is not this format ([`IoError::BadHeader`]); any other
+/// failure is the stream's own and comes back as [`IoError::Io`].
+/// Shared by every fixed-record binary codec in the pipeline.
+pub fn read_header(r: &mut impl Read, buf: &mut [u8]) -> Result<(), IoError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => IoError::BadHeader,
+        _ => IoError::Io(e),
+    })
+}
+
 /// Read a binary trace written by [`write_binary`].
 pub fn read_binary(r: impl Read) -> Result<Trace, IoError> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(|_| IoError::BadHeader)?;
+    read_header(&mut r, &mut magic)?;
     if &magic != BIN_MAGIC {
         return Err(IoError::BadHeader);
     }
@@ -379,6 +390,22 @@ mod tests {
     fn binary_rejects_bad_magic() {
         let buf = b"NOTATRCE".to_vec();
         assert!(matches!(read_binary(buf.as_slice()), Err(IoError::BadHeader)));
+    }
+
+    #[test]
+    fn a_failing_stream_is_an_io_error_not_a_bad_header() {
+        struct Eio;
+        impl Read for Eio {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("EIO"))
+            }
+        }
+        match read_binary(Eio) {
+            Err(IoError::Io(e)) if e.kind() == io::ErrorKind::Other => {}
+            other => panic!("expected the stream's own error, got {other:?}"),
+        }
+        // A stream that simply ends inside the magic is not a trace.
+        assert!(matches!(read_binary(&b"SPACE"[..]), Err(IoError::BadHeader)));
     }
 
     #[test]
