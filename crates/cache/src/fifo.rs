@@ -10,6 +10,7 @@ use std::collections::{HashSet, VecDeque};
 
 /// A FIFO cache with byte capacity.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct FifoCache {
     capacity: u64,
     used: u64,

@@ -19,6 +19,7 @@ struct Entry {
 
 /// An LFU cache with byte capacity.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct LfuCache {
     capacity: u64,
     used: u64,

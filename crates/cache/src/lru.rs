@@ -131,6 +131,7 @@ impl LinkedSlab {
 
 /// An LRU cache with byte capacity.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct LruCache {
     capacity: u64,
     used: u64,

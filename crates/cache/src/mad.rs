@@ -62,6 +62,7 @@ struct Entry {
 
 /// A MAD cache with byte capacity.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct MadCache {
     capacity: u64,
     used: u64,

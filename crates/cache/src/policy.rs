@@ -114,6 +114,13 @@ impl PolicyKind {
     ];
 
     /// Instantiate a cache of this policy with `capacity_bytes`.
+    ///
+    /// Every policy's struct is `#[repr(align(128))]`, so each boxed cache
+    /// has a 128-byte block to itself: the threaded replayer's workers
+    /// own alternate grid slots, and every access writes the cache's
+    /// header (byte count, list ends, index length). Packed side by side,
+    /// neighbouring slots' headers shared lines across workers; 128, not
+    /// 64, because x86 prefetchers pull lines in aligned pairs.
     pub fn build(self, capacity_bytes: u64) -> Box<dyn Cache + Send> {
         match self {
             PolicyKind::Lru => Box::new(crate::lru::LruCache::new(capacity_bytes)),

@@ -14,6 +14,7 @@ use crate::state::{CacheState, SieveEntryState, StateError};
 
 /// A SIEVE cache with byte capacity.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct SieveCache {
     capacity: u64,
     used: u64,

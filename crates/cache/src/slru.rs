@@ -22,6 +22,7 @@ enum Segment {
 
 /// An SLRU cache with byte capacity.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct SlruCache {
     capacity: u64,
     /// Byte budget of the protected segment (default 80 % of capacity).

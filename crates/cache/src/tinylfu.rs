@@ -73,6 +73,7 @@ impl CountMinSketch {
 
 /// An LRU cache guarded by a TinyLFU admission filter.
 #[derive(Debug)]
+#[repr(align(128))] // cache lines of its own: see `PolicyKind::build`
 pub struct TinyLfuCache {
     main: LruCache,
     sketch: CountMinSketch,

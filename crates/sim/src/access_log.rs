@@ -280,7 +280,7 @@ pub fn build_access_log(
 }
 
 /// Record one epoch boundary's applied churn as epoch-stamped events.
-/// Shared with the replayer's sequential pre-pass.
+/// Shared with the replayer's pre-pass.
 pub(crate) fn record_fault_delta(
     rec: &dyn Recorder,
     epoch: u64,

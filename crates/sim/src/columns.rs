@@ -281,12 +281,15 @@ impl<'a> LogView<'a> {
         }
     }
 
-    /// Stream the entries in log order, the columnar side materializing
-    /// them lane by lane as the consumer advances.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = AccessLogEntry> + 'a {
-        let (rows, cols) = match self {
-            LogView::Rows(l) => (Some(l.entries.iter().copied()), None),
-            LogView::Columns(c) => (None, Some(c.iter())),
+    /// Stream entries `range` in log order, the columnar side
+    /// materializing them lane by lane as the consumer advances.
+    pub(crate) fn entries(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = AccessLogEntry> + 'a {
+        let (rows, cols) = match *self {
+            LogView::Rows(l) => (Some(l.entries[range].iter().copied()), None),
+            LogView::Columns(c) => (None, Some(range.map(move |i| c.entry(i)))),
         };
         rows.into_iter().flatten().chain(cols.into_iter().flatten())
     }

@@ -306,7 +306,6 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
         let out =
             match resolve_request(env, view, admission.as_mut(), current_epoch, &e, metrics, rec) {
                 Resolved::Serve(req) => cdn.serve(&req),
-                Resolved::BentPipe(out) => out,
                 Resolved::Accounted => continue,
             };
         if enabled {

@@ -20,8 +20,9 @@
 //! Determinism (DESIGN.md §10): [`decide`] depends only on the failure
 //! view, the route, the object size, and the cumulative ledger state —
 //! never on cache contents — so the parallel replayer runs the whole
-//! lifecycle on its sequential pre-pass and stays bit-for-bit identical
-//! to the engine.
+//! lifecycle on its pre-pass, which resolves as one chunk in log order
+//! whenever admission is live, and stays bit-for-bit identical to the
+//! engine.
 
 use starcdn::kernel::ServeEnv;
 use starcdn::system::{

@@ -3,14 +3,17 @@
 //! The paper's replayer spawns one process per satellite, every process
 //! running the same cache code, and uses TCP to mimic ISL message
 //! exchange. This reproduction shards satellites over scoped worker
-//! threads: a sequential pre-pass resolves every request to its owner
-//! ([`crate::resolve`], the function the engine resolves with) and
-//! appends it to that owner's shard stream, then each worker replays its
-//! stream in log order through [`starcdn::kernel::serve_one`] — the body
-//! the engine serves with. There are no channels — the streams are plain
-//! vectors handed to the workers by reference. Per-satellite caches sit
-//! behind `parking_lot` mutexes so relay probes can read neighbour
-//! caches across shards (DESIGN.md substitution #3).
+//! threads in two phases. The pre-pass resolves every request to its
+//! owner ([`crate::resolve`], the function the engine resolves with) and
+//! appends it to that owner's shard stream; it splits the log into
+//! scheduler-epoch-aligned chunks and resolves them in parallel, one
+//! thread per chunk. Then each worker replays its stream in log order
+//! through [`starcdn::kernel::serve_one`] — the body the engine serves
+//! with. There are no channels — the streams are plain vectors handed to
+//! the workers by reference. Per-satellite caches sit behind mutexes,
+//! so relay probes can read neighbour caches across shards (DESIGN.md
+//! substitution #3); each lock and each cache has cache lines of its
+//! own, since neighbouring slots belong to different workers.
 //!
 //! Determinism: each satellite's own request stream is processed in
 //! order, so *per-satellite* cache behaviour is exact. Relay probes read
@@ -20,8 +23,8 @@
 //! bit-identical statistics. Locks are never held two-at-a-time, so the
 //! workers cannot deadlock.
 //!
-//! Fault schedules keep that exactness: the sequential pre-pass resolves
-//! every request against the live failure view of its epoch and injects
+//! Fault schedules keep that exactness: the pre-pass resolves every
+//! request against the live failure view of its epoch and injects
 //! cache-wipe / mark-cold pseudo-ops into the owning satellite's shard
 //! stream. A dead satellite receives no routed requests while dead, so
 //! the pseudo-ops land at the same stream position the sequential engine
@@ -29,10 +32,14 @@
 //! for no-relay configurations. (Relay probes under churn resolve
 //! candidates against the *base* failure set, the same approximation as
 //! the static path; with one worker, whose single stream is the log's
-//! order, the replay is the engine's exactly, relay included.) The
-//! overload lifecycle runs on the pre-pass too: it depends only on
-//! routes, sizes and cumulative ledger state, never on cache contents,
-//! so its decision sequence is the engine's.
+//! order, the replay is the engine's exactly, relay included.) A chunk
+//! starts from the failure view the entry before it left, and chunks
+//! never share an epoch, so the chunked pre-pass is the sequential one
+//! bit for bit. The overload lifecycle runs on the pre-pass too: it
+//! depends only on routes, sizes and cumulative ledger state, never on
+//! cache contents, so its decision sequence is the engine's — and since
+//! the ledger is cumulative, a run with admission live resolves as one
+//! chunk, in log order.
 //!
 //! Checkpoints (the private `replayer_checkpoint` module) cut the run
 //! into segments at pre-pass barriers; a run without one is a single
@@ -49,19 +56,15 @@ use crate::engine::{FaultEventWatermark, RunSpec};
 use crate::overload::{Admission, OverloadConfig};
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
 use crate::resolve::{record_outcome, resolve_request, Resolved};
-use crossbeam::thread;
-use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, SlotStore};
 use starcdn::metrics::{AvailabilityPoint, SystemMetrics};
-use starcdn_cache::policy::Cache;
-use starcdn_cache::InflightQueue;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_telemetry::{
     Counter, Event, Histo, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot,
 };
-use std::ops::DerefMut;
+use std::ops::Range;
 
 /// One element of a shard's ordered work stream.
 pub(crate) enum ShardOp {
@@ -80,12 +83,12 @@ pub(crate) enum ShardOp {
 /// returns the aggregate metrics. The schedule applies on top of the
 /// static `failures` base.
 ///
-/// Workers record into private per-shard [`MemoryRecorder`]s that are
-/// merged into `spec.recorder` in shard index order after the last
-/// segment joins, so the returned metrics — and the recorded snapshot —
-/// are identical run-to-run regardless of thread interleaving. Fault
-/// events are stamped with their epoch in the pre-pass, which already
-/// walks the schedule sequentially.
+/// Pre-pass chunks and workers record into private [`MemoryRecorder`]s
+/// that are merged into `spec.recorder` in chunk, then shard index
+/// order, so the returned metrics — and the recorded snapshot — are
+/// identical run-to-run regardless of thread interleaving. Fault events
+/// are stamped with their epoch in the pre-pass, which walks the
+/// schedule in each chunk's epoch order.
 ///
 /// A checkpointed run joins all workers at every `every_n_epochs`
 /// barrier — so the snapshot is globally consistent even with relay
@@ -126,14 +129,14 @@ pub fn run<'a>(
         None => None,
     };
 
-    // Sequential pre-pass: partition by owner, preserving per-owner
-    // order. Route resolution uses the live failure view of each entry's
-    // epoch; wipe/cold pseudo-ops land in the owning satellite's stream
-    // at the epoch boundary. Unreachable or unroutable requests and the
+    // The pre-pass: partition by owner, preserving per-owner order.
+    // Route resolution uses the live failure view of each entry's epoch;
+    // wipe/cold pseudo-ops land in the owning satellite's stream at the
+    // epoch boundary. Unreachable or unroutable requests and the
     // degraded-mode counters are accounted directly there.
     let barrier_every = checkpointer.as_ref().map(|cp| cp.every_n_epochs());
-    let PrePass { shards, direct, cuts } =
-        prepare_shards(&env, base_failures, log, spec, num_workers, barrier_every);
+    let pre = prepare_shards(&env, base_failures, log, spec, num_workers, barrier_every);
+    let cuts = &pre.cuts;
 
     // Per-worker recorders: workers never touch the shared `rec`, so the
     // hot path has no cross-thread contention and the merged snapshot is
@@ -165,33 +168,35 @@ pub fn run<'a>(
     for seg in next_segment..=cuts.len() {
         let ends: Vec<usize> = match cuts.get(seg) {
             Some(cut) => cut.lens.clone(),
-            None => shards.iter().map(Vec::len).collect(),
+            None => (0..num_workers).map(|w| pre.stream_len(w)).collect(),
         };
         {
-            let (env, starts, ends, shards, worker_recs) =
-                (&env, &starts, &ends, &shards, &worker_recs);
-            let store = SharedSlots { caches: &state.caches, inflight: &state.inflight };
-            thread::scope(|s| {
-                let handles: Vec<_> = state
-                    .metrics
-                    .iter_mut()
-                    .zip(state.cold.iter_mut())
-                    .enumerate()
-                    .map(|(w, (m, cold))| {
-                        s.spawn(move |_| {
-                            let wrec = worker_recs.get(w);
-                            let _shard_span =
-                                wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
-                            let (ops, mut store) = (&shards[w][starts[w]..ends[w]], store);
-                            run_shard_ops(ops, &mut store, env, base_failures, m, cold, wrec);
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("worker panicked");
+            let (store, workers) = state.split();
+            let (env, pre, starts, ends, worker_recs) = (&env, &pre, &starts, &ends, &worker_recs);
+            std::thread::scope(|s| {
+                for (w, (m, cold)) in workers.enumerate() {
+                    s.spawn(move || {
+                        let wrec = worker_recs.get(w);
+                        let _shard_span =
+                            wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
+                        // Count on this thread's stack, not beside the
+                        // other workers' metrics; write back at the end.
+                        let (mut local, mut store) = (std::mem::take(m), store);
+                        for ops in pre.stream(w, starts[w]..ends[w]) {
+                            run_shard_ops(
+                                ops,
+                                &mut store,
+                                env,
+                                base_failures,
+                                &mut local,
+                                cold,
+                                wrec,
+                            );
+                        }
+                        *m = local;
+                    });
                 }
-            })
-            .expect("replayer scope");
+            });
         }
         starts = ends;
         if let (Some(cp), Some(cut)) = (&checkpointer, cuts.get(seg)) {
@@ -212,7 +217,7 @@ pub fn run<'a>(
         rec.absorb(&merged);
     }
 
-    let mut total = direct;
+    let mut total = pre.direct;
     for m in &state.metrics {
         total.merge(m);
     }
@@ -258,18 +263,42 @@ pub(crate) struct ShardCut {
     pub lens: Vec<usize>,
 }
 
-/// Everything the sequential pre-pass produces: per-shard op streams,
-/// the directly-accounted metrics (unreachable/unroutable requests,
+/// Everything the pre-pass produces: per-shard op streams, the
+/// directly-accounted metrics (unreachable/unroutable requests,
 /// availability and utilization timelines, overload outcomes), and —
 /// when `barrier_every` is set — the segment cut table for the
 /// checkpointed path.
 pub(crate) struct PrePass {
-    pub shards: Vec<Vec<ShardOp>>,
+    /// `pieces[c][w]` is chunk `c`'s part of shard `w`'s stream: the
+    /// stream is chunk 0's piece, then chunk 1's, and so on. Readers walk
+    /// the pieces in place; nothing concatenates them.
+    pub pieces: Vec<Vec<Vec<ShardOp>>>,
     pub direct: SystemMetrics,
+    /// [`ShardCut::lens`] are offsets into the whole streams.
     pub cuts: Vec<ShardCut>,
 }
 
-/// The sequential pre-pass, shared by [`run`] and the socket plane's
+impl PrePass {
+    /// Length of shard `w`'s whole stream.
+    pub(crate) fn stream_len(&self, w: usize) -> usize {
+        self.pieces.iter().map(|chunk| chunk[w].len()).sum()
+    }
+
+    /// Ops `range` of shard `w`'s whole stream, as the piece slices that
+    /// hold them, in stream order.
+    pub(crate) fn stream(&self, w: usize, range: Range<usize>) -> impl Iterator<Item = &[ShardOp]> {
+        let mut base = 0;
+        self.pieces.iter().filter_map(move |chunk| {
+            let piece = &chunk[w];
+            let lo = range.start.max(base) - base;
+            let hi = range.end.min(base + piece.len()).saturating_sub(base);
+            base += piece.len();
+            (lo < hi).then(|| &piece[lo..hi])
+        })
+    }
+}
+
+/// The pre-pass, shared by [`run`] and the socket plane's
 /// [`crate::serve::ServePlan`] so both resolve, admit, and shard every
 /// request identically: [`resolve_request`] per entry under the live
 /// failure view of its epoch, then a push onto the owner's stream.
@@ -277,6 +306,14 @@ pub(crate) struct PrePass {
 /// crosses that many scheduler epochs; `None` records no cuts and
 /// changes nothing else. Of `spec`, the schedule, the overload
 /// configuration and the recorder are read.
+///
+/// The log resolves in the chunks [`chunk_starts`] picks, one thread
+/// each, the first on the calling thread. Their results merge in chunk
+/// order — metrics by [`SystemMetrics::merge`] (chunks never share an
+/// epoch, so that is the one-pass metrics bit for bit), telemetry by
+/// absorbing each chunk's recorder — into what one pass over the whole
+/// log produces. A log whose time runs backwards is resolved again as
+/// one chunk.
 pub(crate) fn prepare_shards(
     env: &ServeEnv,
     base_failures: &FailureModel,
@@ -285,34 +322,215 @@ pub(crate) fn prepare_shards(
     num_workers: usize,
     barrier_every: Option<u64>,
 ) -> PrePass {
+    let starts = chunk_starts(log, num_workers, spec.live_overload().is_some());
+    let pre = prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &starts);
+    pre.unwrap_or_else(|| {
+        prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &[])
+            .expect("one chunk is the one-pass order")
+    })
+}
+
+/// Where the pre-pass splits `log`: the first entry of every chunk but
+/// the first. Chunks start at scheduler-epoch boundaries, there are
+/// `min(num_workers, distinct epochs)` of them, and each cut is the
+/// first epoch start at or after an equal share of the entries — moved
+/// only as far as it takes to leave every chunk an epoch of its own.
+/// There is one chunk when `sequential` (admission is live: the ledger
+/// is cumulative, so it resolves in log order). The epochs of a log
+/// sorted by time are found by binary search: O(num_workers · log n)
+/// entry reads, not a pass.
+fn chunk_starts(log: LogView<'_>, num_workers: usize, sequential: bool) -> Vec<usize> {
+    let (n, epoch_secs) = (log.len(), log.epoch_secs().max(1));
+    if sequential || num_workers < 2 || n == 0 {
+        return Vec::new();
+    }
+    let epoch = |i: usize| log.entry(i).time.as_secs() / epoch_secs;
+    // The first index in `lo..hi` where `holds` stops holding.
+    let first_not = |mut lo: usize, mut hi: usize, holds: &dyn Fn(usize) -> bool| {
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if holds(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    // The first entry of the epoch after entry `i`'s (`n` if none), and
+    // the first entry of entry `i`'s own epoch.
+    let next_start = |i: usize| first_not(i + 1, n, &|j| epoch(j) == epoch(i));
+    let own_start = |i: usize| first_not(0, i, &|j| epoch(j) < epoch(i));
+    // The last `num_workers - 1` epoch starts, latest last: cut `c` may
+    // lie no later than `lasts[c]`, so every later cut still finds an
+    // epoch. Reaching entry 0 first means fewer epochs than workers, and
+    // then every epoch is a chunk.
+    let mut lasts = Vec::with_capacity(num_workers - 1);
+    let mut b = n;
+    while lasts.len() < num_workers - 1 {
+        b = own_start(b - 1);
+        if b == 0 {
+            break;
+        }
+        lasts.push(b);
+    }
+    lasts.reverse();
+    if lasts.len() < num_workers - 1 {
+        return lasts;
+    }
+    let mut cuts: Vec<usize> = Vec::with_capacity(num_workers - 1);
+    for (c, &last) in lasts.iter().enumerate() {
+        let (prev, share) = (cuts.last().copied().unwrap_or(0), (c + 1) * n / num_workers);
+        let cut = next_start(share - 1).max(next_start(prev)).min(last);
+        // Only a log unsorted by time can fail this; `prepare_chunks`
+        // then falls back to one chunk anyway.
+        if prev < cut && cut < n {
+            cuts.push(cut);
+        }
+    }
+    cuts
+}
+
+/// One chunk of the pre-pass: its entry range and everything resolving
+/// it produces. Built on the calling thread, outputs pre-sized, so the
+/// chunk's thread fills memory from the caller's allocator arena: glibc
+/// keeps what a thread allocates in that thread's own arena, and with
+/// trimming off (as the benchmark pins it) never returns it.
+struct Chunk {
+    range: Range<usize>,
+    pieces: Vec<Vec<ShardOp>>,
+    direct: SystemMetrics,
+    cuts: Vec<ShardCut>,
+    rec: Option<MemoryRecorder>,
+    /// Whether the chunk's epochs never decrease, starting above the
+    /// epoch of the entry before it.
+    in_order: bool,
+}
+
+/// [`prepare_shards`] over the chunks that begin at `starts`; `None`
+/// when there are several and the log's time runs backwards, which one
+/// pass would resolve differently (it keeps such a log's availability
+/// timeline in log order, a merge sorts it).
+fn prepare_chunks(
+    env: &ServeEnv,
+    base_failures: &FailureModel,
+    log: LogView<'_>,
+    spec: &RunSpec<'_>,
+    num_workers: usize,
+    barrier_every: Option<u64>,
+    starts: &[usize],
+) -> Option<PrePass> {
     let rec = spec.recorder;
+    let enabled = rec.is_enabled();
+    let bounds: Vec<usize> =
+        std::iter::once(0).chain(starts.iter().copied()).chain([log.len()]).collect();
+    let mut chunks: Vec<Chunk> = bounds
+        .windows(2)
+        .map(|b| {
+            // Reserve each piece for its expected share up front: the
+            // streams together hold nearly every entry, and pre-sizing
+            // keeps the hot loop free of reallocation copies.
+            let hint = (b[1] - b[0]) / num_workers + 16;
+            Chunk {
+                range: b[0]..b[1],
+                pieces: (0..num_workers).map(|_| Vec::with_capacity(hint)).collect(),
+                direct: SystemMetrics::default(),
+                cuts: Vec::new(),
+                rec: enabled.then(MemoryRecorder::new),
+                in_order: true,
+            }
+        })
+        .collect();
+    let resolve = &|ch: &mut Chunk| {
+        resolve_chunk(env, base_failures, log, spec, num_workers, barrier_every, ch)
+    };
+    std::thread::scope(|s| {
+        let (first, rest) = chunks.split_first_mut().expect("bounds hold at least one chunk");
+        for ch in rest {
+            s.spawn(move || resolve(ch));
+        }
+        resolve(first);
+    });
+    if chunks.len() > 1 && !chunks.iter().all(|ch| ch.in_order) {
+        return None;
+    }
+
+    // The first chunk is the base, not merged into an empty one: a merge
+    // sorts the availability timeline, which one chunk of a log whose
+    // time runs backwards must keep in log order.
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().expect("bounds hold at least one chunk");
+    let mut lens: Vec<usize> = first.pieces.iter().map(Vec::len).collect();
+    let mut pre = PrePass { pieces: vec![first.pieces], direct: first.direct, cuts: first.cuts };
+    let mut snapshot = first.rec.map(|r| r.snapshot()).unwrap_or_default();
+    for ch in chunks {
+        pre.direct.merge(&ch.direct);
+        pre.cuts.extend(ch.cuts.into_iter().map(|mut cut| {
+            cut.lens.iter_mut().zip(&lens).for_each(|(len, offset)| *len += offset);
+            cut
+        }));
+        lens.iter_mut().zip(&ch.pieces).for_each(|(len, piece)| *len += piece.len());
+        pre.pieces.push(ch.pieces);
+        if let Some(r) = ch.rec {
+            snapshot.merge(&r.snapshot());
+        }
+    }
+    if enabled {
+        rec.absorb(&snapshot);
+        // How much work each shard was handed.
+        for len in lens {
+            rec.observe(Histo::QueueDepth, len as u64);
+        }
+    }
+    Some(pre)
+}
+
+/// The pre-pass's one per-entry loop, over chunk `ch`'s entries. A chunk
+/// after the first starts where the entry before it left one pass: the
+/// fault cursor advanced silently to that entry's epoch, which also
+/// seeds the epoch the barriers count from.
+fn resolve_chunk(
+    env: &ServeEnv,
+    base_failures: &FailureModel,
+    log: LogView<'_>,
+    spec: &RunSpec<'_>,
+    num_workers: usize,
+    barrier_every: Option<u64>,
+    ch: &mut Chunk,
+) {
+    let rec: &dyn Recorder = match &ch.rec {
+        Some(r) => r,
+        None => spec.recorder,
+    };
+    let enabled = rec.is_enabled();
     let spp = env.grid.sats_per_plane;
     let total_slots = env.grid.total_slots();
-
-    let enabled = rec.is_enabled();
-    // Reserve each shard for its expected share up front: the op streams
-    // together hold nearly every entry, and pre-sizing keeps the hot
-    // pre-pass loop free of reallocation copies.
-    let shard_hint = log.len() / num_workers + 16;
-    let mut shards: Vec<Vec<ShardOp>> =
-        (0..num_workers).map(|_| Vec::with_capacity(shard_hint)).collect();
-    let mut cuts: Vec<ShardCut> = Vec::new();
-    let mut direct = SystemMetrics::default();
-    let mut cursor = spec.live_schedule().map(|s| ScheduleCursor::new(s, base_failures.clone()));
     let epoch_secs = log.epoch_secs().max(1);
-    // Overload mode: the capacity ledger lives on this sequential
-    // pre-pass (per-shard results merge in shard index order below), so
-    // admission decisions are identical to the sequential engine's.
+    let before = ch.range.start.checked_sub(1).map(|i| log.entry(i).time.as_secs() / epoch_secs);
+    let mut cursor = spec.live_schedule().map(|s| {
+        let mut cur = ScheduleCursor::new(s, base_failures.clone());
+        if let Some(epoch) = before {
+            cur.advance_to(epoch * epoch_secs);
+        }
+        cur
+    });
+    // Overload mode: the capacity ledger lives on the pre-pass, which
+    // then is one chunk, so admission decisions are identical to the
+    // sequential engine's.
     let mut admission = spec.live_overload().map(|o| Admission::new(env, o, epoch_secs));
-    let mut current_epoch = u64::MAX;
-    let mut seg_epoch = u64::MAX;
+    let mut current_epoch = before.unwrap_or(u64::MAX);
+    let mut seg_epoch = before.unwrap_or(u64::MAX);
     // Telemetry epoch tracking is independent of the fault cursor so the
     // static (no-schedule) path still gets a per-epoch resolve timeline.
     let mut tele_epoch = u64::MAX;
     let mut resolve_span: Option<SpanTimer> = None;
     let mut watermark = FaultEventWatermark::default();
-    for e in log.entries() {
+    let mut floor = before.map_or(0, |epoch| epoch + 1);
+    let Chunk { range, pieces, direct, cuts, in_order, .. } = ch;
+    for e in log.entries(range.clone()) {
         let epoch = e.time.as_secs() / epoch_secs;
+        *in_order &= epoch >= floor;
+        floor = epoch;
         if let Some(every) = barrier_every {
             let every = every.max(1);
             // Cut before this epoch's churn pseudo-ops are pushed: a
@@ -321,14 +539,14 @@ pub(crate) fn prepare_shards(
             if seg_epoch != u64::MAX && epoch / every != seg_epoch / every {
                 cuts.push(ShardCut {
                     barrier_epoch: epoch,
-                    lens: shards.iter().map(Vec::len).collect(),
+                    lens: pieces.iter().map(Vec::len).collect(),
                 });
             }
             seg_epoch = epoch;
         }
         if enabled && epoch != tele_epoch {
             if tele_epoch != u64::MAX {
-                watermark.flush(rec, tele_epoch, &direct);
+                watermark.flush(rec, tele_epoch, direct);
             }
             tele_epoch = epoch;
             // Replacing the span drops (and thus reports) the previous
@@ -346,11 +564,11 @@ pub(crate) fn prepare_shards(
                 }
                 for &id in &delta.went_down {
                     let idx = id.index(spp);
-                    shards[idx % num_workers].push(ShardOp::Wipe(idx));
+                    pieces[idx % num_workers].push(ShardOp::Wipe(idx));
                 }
                 for &id in &delta.came_up {
                     let idx = id.index(spp);
-                    shards[idx % num_workers].push(ShardOp::MarkCold(idx));
+                    pieces[idx % num_workers].push(ShardOp::MarkCold(idx));
                 }
                 direct.availability.push(AvailabilityPoint {
                     epoch,
@@ -364,47 +582,20 @@ pub(crate) fn prepare_shards(
         }
         let view = cursor.as_ref().map(|c| c.view()).unwrap_or(base_failures);
         // Workers only touch caches: whatever is decided without one is
-        // accounted here, on the sequential spine.
+        // accounted here, in the pre-pass.
         if let Resolved::Serve(req) =
-            resolve_request(env, view, admission.as_mut(), epoch, &e, &mut direct, rec)
+            resolve_request(env, view, admission.as_mut(), epoch, &e, direct, rec)
         {
-            shards[req.owner.index(spp) % num_workers].push(ShardOp::Request(req));
+            pieces[req.owner.index(spp) % num_workers].push(ShardOp::Request(req));
         }
     }
-    // Close out the last epoch's resolve span and event cells, then
-    // record how much work each shard was handed.
+    // Close out the last epoch's resolve span and event cells.
     drop(resolve_span);
     if let Some(mut adm) = admission {
         direct.utilization.extend(adm.ledger.finish());
     }
-    if enabled {
-        if tele_epoch != u64::MAX {
-            watermark.flush(rec, tele_epoch, &direct);
-        }
-        for shard in &shards {
-            rec.observe(Histo::QueueDepth, shard.len() as u64);
-        }
-    }
-    PrePass { shards, direct, cuts }
-}
-
-/// The threaded replayer's slot store: every slot behind its own mutex,
-/// because a relay probe reads a neighbour's cache on another worker's
-/// shard. The in-flight queues are only ever touched by the worker that
-/// owns their slot — those mutexes are uncontended and exist for `Sync`.
-#[derive(Clone, Copy)]
-struct SharedSlots<'s> {
-    caches: &'s [Mutex<Box<dyn Cache + Send>>],
-    inflight: &'s [Mutex<InflightQueue>],
-}
-
-impl SlotStore for SharedSlots<'_> {
-    fn cache(&mut self, slot: usize) -> impl DerefMut<Target = Box<dyn Cache + Send>> {
-        self.caches[slot].lock()
-    }
-
-    fn inflight(&mut self, slot: usize) -> impl DerefMut<Target = InflightQueue> {
-        self.inflight[slot].lock()
+    if enabled && tele_epoch != u64::MAX {
+        watermark.flush(rec, tele_epoch, direct);
     }
 }
 
@@ -640,20 +831,23 @@ mod tests {
         assert!(m_sched.availability.is_empty());
     }
 
+    /// The `n` satellites that serve the most requests of `log`.
+    fn busy_sats(log: &AccessLog, n: usize) -> Vec<starcdn_orbit::walker::SatelliteId> {
+        let mut probe = SpaceCdn::new(StarCdnConfig::starcdn_no_relay(4, 100_000));
+        run_space(&mut probe, log);
+        let mut sats: Vec<_> =
+            probe.metrics.per_satellite.iter().map(|(s, st)| (*s, st.requests)).collect();
+        sats.sort_by_key(|(s, r)| (std::cmp::Reverse(*r), *s));
+        sats.into_iter().take(n).map(|(s, _)| s).collect()
+    }
+
     #[test]
     fn churn_matches_engine_exactly_without_relay() {
         let log = log();
         let w = World::starlink_nine_cities();
         // A handful of restarts among the satellites actually serving
         // traffic, plus a background of random failures.
-        let busy: Vec<_> = {
-            let mut probe = SpaceCdn::new(StarCdnConfig::starcdn_no_relay(4, 100_000));
-            run_space(&mut probe, &log);
-            let mut sats: Vec<_> =
-                probe.metrics.per_satellite.iter().map(|(s, st)| (*s, st.requests)).collect();
-            sats.sort_by_key(|(s, r)| (std::cmp::Reverse(*r), *s));
-            sats.into_iter().take(6).map(|(s, _)| s).collect()
-        };
+        let busy = busy_sats(&log, 6);
         let mut events = Vec::new();
         for (i, &s) in busy.iter().enumerate() {
             events.push(TimedFault { at_secs: 60 + 15 * i as u64, event: FaultEvent::SatDown(s) });
@@ -712,6 +906,279 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "latency multiset identical at {workers} workers");
+        }
+    }
+
+    /// Everything [`prepare_shards`] returns, as one number: every shard
+    /// stream's op bytes in stream order, the direct metrics, every cut.
+    fn pre_pass_digest(p: &PrePass) -> u64 {
+        let mut w = crate::checkpoint::ByteWriter::new();
+        for shard in 0..p.pieces[0].len() {
+            let len = p.stream_len(shard);
+            w.len(len);
+            for op in p.stream(shard, 0..len).flatten() {
+                put_shard_op(&mut w, op);
+            }
+        }
+        w.u64(crate::checkpoint::metrics_digest(&p.direct));
+        for cut in &p.cuts {
+            w.u64(cut.barrier_epoch);
+            for &len in &cut.lens {
+                w.len(len);
+            }
+        }
+        crate::checkpoint::fp_bytes(0xCBF2_9CE4_8422_2325, &w.into_bytes())
+    }
+
+    /// A recorded snapshot with every span's wall-clock durations zeroed
+    /// (their keys and counts stay), as one number.
+    fn snapshot_digest(snap: &TelemetrySnapshot) -> u64 {
+        let mut snap = snap.clone();
+        for cell in snap.spans.values_mut() {
+            cell.total_ns = 0;
+            cell.max_ns = 0;
+        }
+        let mut w = crate::checkpoint::ByteWriter::new();
+        crate::checkpoint::put_telemetry(&mut w, &snap);
+        crate::checkpoint::fp_bytes(0xCBF2_9CE4_8422_2325, &w.into_bytes())
+    }
+
+    /// Headroom ≈ 1.5 mean objects per satellite per epoch: tight enough
+    /// that shedding, retries, fallbacks and drops all happen.
+    fn tight_overload(log: &AccessLog) -> OverloadConfig {
+        let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
+        OverloadConfig {
+            headroom: mean as f64 * 1.5 / 37_500_000_000.0,
+            retry: crate::overload::RetryPolicy {
+                max_attempts: 3,
+                backoff_epochs: 0,
+                deadline_ms: 1e9,
+            },
+        }
+    }
+
+    /// Satellite and link churn over the whole 500 s of [`log`].
+    fn pin_churn() -> FaultSchedule {
+        let grid = World::starlink_nine_cities().grid;
+        FaultSchedule::churn(
+            &grid,
+            &starcdn_constellation::schedule::ChurnParams {
+                sat_mtbf_secs: 3600.0,
+                sat_mttr_secs: 120.0,
+                link_mtbf_secs: Some(3600.0),
+                link_mttr_secs: 120.0,
+                horizon_secs: 500,
+                seed: 91,
+            },
+        )
+    }
+
+    /// The pre-pass, pinned: its output at 1, 2, 3, 4 and 8 workers in
+    /// six scenarios, and the recorded snapshot of the last one, as
+    /// digests taken from the single sequential pass it was before it
+    /// resolved in epoch-aligned chunks.
+    #[test]
+    fn pre_pass_output_is_pinned() {
+        const WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
+        #[rustfmt::skip]
+        const PINS: [(&str, [u64; 5]); 6] = [
+            ("plain", [0xadfde8642b09b075, 0x8d9da68a40b6473a, 0x133e2bc8f9589d9e,
+                       0xd5c59e60c3983c19, 0xb94c1ce3e391aa7e]),
+            ("outages", [0x10dcd556d249f1da, 0x798768d26d16f82d, 0xba4b6b36b0c52ee3,
+                         0x2dc1dc542952de76, 0xb61715ce62fb0b7c]),
+            ("churn", [0x12e67ba0d795b898, 0x8e58b1ba22322232, 0x14bf2d0a550ae52c,
+                       0xca15c0e11f1021c0, 0xb38f1bde4150fa38]),
+            ("churn+barriers", [0x5ac6adaa756f6958, 0x4d4fe0c0c282d6fd, 0x44e31040a94f7b4a,
+                                0xcd0c0356df081ebc, 0x7f6e84d9e3652911]),
+            ("churn+overload", [0x5f1a2273dd2d6237, 0x24a24963a551842a, 0xc02b65fc64e44b4d,
+                                0xb9f34595fedb4d02, 0x4f52c768cdd7b09c]),
+            ("churn+recorder", [0x12e67ba0d795b898, 0x8e58b1ba22322232, 0x14bf2d0a550ae52c,
+                                0xca15c0e11f1021c0, 0xb38f1bde4150fa38]),
+        ];
+        #[rustfmt::skip]
+        const SNAPSHOT_PINS: [u64; 5] = [
+            0xb23ec3ee1f579b6d, 0x5efd722c27210973, 0xa950bbc090a1f7ca,
+            0xdbb7cca059b715fa, 0xe546769d3f1e3383,
+        ];
+        let log = log();
+        let env = ServeEnv::new(&StarCdnConfig::starcdn_no_relay(4, 100_000));
+        let outages = FailureModel::sample(&World::starlink_nine_cities().grid, 126, 3);
+        let churn = pin_churn();
+        let overload = tight_overload(&log);
+        for (name, pins) in PINS {
+            for (k, &workers) in WORKERS.iter().enumerate() {
+                let rec = MemoryRecorder::new();
+                let mut spec = RunSpec::default();
+                let mut base = &FailureModel::none();
+                let mut barrier = None;
+                match name {
+                    "plain" => {}
+                    "outages" => base = &outages,
+                    "churn" => spec.schedule = &churn,
+                    "churn+barriers" => (spec.schedule, barrier) = (&churn, Some(7)),
+                    "churn+overload" => (spec.schedule, spec.overload) = (&churn, overload),
+                    _ => (spec.schedule, spec.recorder) = (&churn, &rec),
+                }
+                let pre = prepare_shards(&env, base, (&log).into(), &spec, workers, barrier);
+                let got = pre_pass_digest(&pre);
+                assert_eq!(got, pins[k], "{name} at {workers} workers: {got:#018x}");
+                if spec.recorder.is_enabled() {
+                    let got = snapshot_digest(&rec.snapshot());
+                    assert_eq!(got, SNAPSHOT_PINS[k], "snapshot at {workers} workers: {got:#018x}");
+                }
+            }
+        }
+    }
+
+    fn epoch_of(log: &AccessLog, i: usize) -> u64 {
+        log.entries[i].time.as_secs() / log.epoch_secs
+    }
+
+    /// `sizes[e]` entries spread over 15 s epoch `e`, nine cities.
+    fn epochs_log(sizes: &[u64]) -> AccessLog {
+        let reqs: Vec<Request> = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(e, &n)| {
+                (0..n).map(move |k| Request {
+                    time: SimTime::from_millis(e as u64 * 15_000 + k * 15_000 / n),
+                    object: ObjectId(k % 50),
+                    size: 500,
+                    location: LocationId((k % 9) as u16),
+                })
+            })
+            .collect();
+        build_access_log(
+            &World::starlink_nine_cities(),
+            &Trace::new(reqs),
+            15,
+            &SimConfig::default().scheduler(),
+        )
+    }
+
+    #[test]
+    fn chunks_start_at_epochs_and_number_min_of_workers_and_epochs() {
+        let starts = |log: &AccessLog, workers| chunk_starts(log.into(), workers, false);
+        // Empty and one-epoch logs: one chunk.
+        assert!(starts(&AccessLog::default(), 4).is_empty());
+        assert!(starts(&epochs_log(&[40]), 4).is_empty());
+        // Fewer epochs than workers: every epoch is a chunk.
+        assert_eq!(starts(&epochs_log(&[5, 7, 3]), 8), [5, 12]);
+        // Skewed epochs still give every chunk an epoch of its own.
+        assert_eq!(starts(&epochs_log(&[1, 1000, 1]), 3), [1, 1001]);
+        assert_eq!(starts(&epochs_log(&[1, 1, 1, 1000]), 4), [1, 2, 3]);
+        // One worker, or admission live: one chunk.
+        let log = log();
+        assert!(starts(&log, 1).is_empty());
+        assert!(chunk_starts((&log).into(), 8, true).is_empty());
+        // Otherwise each cut is the first epoch start at or after an
+        // equal share of the entries.
+        let n = log.entries.len();
+        for workers in [2, 3, 4, 8] {
+            let cuts = starts(&log, workers);
+            assert_eq!(cuts.len(), workers - 1, "{workers} workers");
+            for (c, &b) in cuts.iter().enumerate() {
+                let share = (c + 1) * n / workers;
+                assert!(epoch_of(&log, b - 1) < epoch_of(&log, b), "cut {b} starts an epoch");
+                assert!(b >= share && epoch_of(&log, share - 1) == epoch_of(&log, b - 1));
+            }
+        }
+    }
+
+    /// Any epoch-aligned split resolves to the one pass, bit for bit:
+    /// here every epoch is a chunk, under churn, barriers and a live
+    /// recorder.
+    #[test]
+    fn every_epoch_a_chunk_is_the_one_pass() {
+        let log = log();
+        let env = ServeEnv::new(&StarCdnConfig::starcdn_no_relay(4, 100_000));
+        let churn = pin_churn();
+        let base = FailureModel::sample(&World::starlink_nine_cities().grid, 20, 9);
+        let every_epoch: Vec<usize> =
+            (1..log.entries.len()).filter(|&i| epoch_of(&log, i - 1) < epoch_of(&log, i)).collect();
+        assert!(every_epoch.len() > 30);
+        for workers in [1, 3, 8] {
+            let (one_rec, split_rec) = (MemoryRecorder::new(), MemoryRecorder::new());
+            let spec = |rec| RunSpec { schedule: &churn, recorder: rec, ..RunSpec::default() };
+            let [one, split] =
+                [(&one_rec, &[][..]), (&split_rec, &every_epoch[..])].map(|(rec, starts)| {
+                    prepare_chunks(&env, &base, (&log).into(), &spec(rec), workers, Some(3), starts)
+                        .expect("a log sorted by time")
+                });
+            assert_eq!(split.pieces.len(), every_epoch.len() + 1);
+            assert_eq!(pre_pass_digest(&one), pre_pass_digest(&split), "{workers} workers");
+            assert_eq!(
+                snapshot_digest(&one_rec.snapshot()),
+                snapshot_digest(&split_rec.snapshot()),
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Engine ≡ replayer, exactly, when the epoch the second chunk starts
+    /// at takes one busy satellite down and brings another back up.
+    #[test]
+    fn churn_on_a_chunk_boundary_matches_engine_exactly() {
+        let log = log();
+        let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
+        let env = ServeEnv::new(&cfg);
+        let busy = busy_sats(&log, 2);
+        for workers in [2, 3, 8] {
+            let first_cut = chunk_starts((&log).into(), workers, false)[0];
+            let at = epoch_of(&log, first_cut) * log.epoch_secs;
+            let sched = FaultSchedule::from_events([
+                TimedFault { at_secs: 30, event: FaultEvent::SatDown(busy[1]) },
+                TimedFault { at_secs: at, event: FaultEvent::SatDown(busy[0]) },
+                TimedFault { at_secs: at, event: FaultEvent::SatUp(busy[1]) },
+                TimedFault { at_secs: at + 60, event: FaultEvent::SatUp(busy[0]) },
+            ]);
+            let spec = RunSpec { schedule: &sched, ..RunSpec::default() };
+            let none = FailureModel::none();
+            let chunked = prepare_shards(&env, &none, (&log).into(), &spec, workers, None);
+            let one = prepare_chunks(&env, &none, (&log).into(), &spec, workers, None, &[]);
+            assert_eq!(pre_pass_digest(&chunked), pre_pass_digest(&one.unwrap()));
+
+            let m_seq = crate::engine::run(&mut SpaceCdn::new(cfg.clone()), &log, &spec).unwrap();
+            let m_par = run(&cfg, &none, &log, workers, &spec).unwrap();
+            assert!(m_seq.cold_restart_misses > 0, "the revived satellite must serve cold");
+            assert_eq!(m_seq.stats, m_par.stats, "{workers} workers");
+            assert_eq!(m_seq.per_satellite, m_par.per_satellite);
+            assert_eq!(m_seq.cold_restart_misses, m_par.cold_restart_misses);
+            assert_eq!(m_seq.remapped_requests, m_par.remapped_requests);
+            assert_eq!(m_seq.availability, m_par.availability);
+            let sorted = |m: &SystemMetrics| {
+                let mut bits: Vec<u64> = m.latencies_ms.iter().map(|l| l.to_bits()).collect();
+                bits.sort_unstable();
+                bits
+            };
+            assert_eq!(sorted(&m_seq), sorted(&m_par), "{workers} workers");
+        }
+    }
+
+    /// A log whose time runs backwards resolves as one chunk, so the
+    /// split cannot change its result.
+    #[test]
+    fn a_log_running_backwards_resolves_as_one_chunk() {
+        let mut log = log();
+        let n = log.entries.len();
+        log.entries.rotate_left(n / 2);
+        let back = n - n / 2;
+        assert!(epoch_of(&log, back - 1) > epoch_of(&log, back));
+        let env = ServeEnv::new(&StarCdnConfig::starcdn_no_relay(4, 100_000));
+        let churn = pin_churn();
+        let spec = RunSpec { schedule: &churn, ..RunSpec::default() };
+        let none = FailureModel::none();
+        let prepare = |workers, starts: &[usize]| {
+            prepare_chunks(&env, &none, (&log).into(), &spec, workers, Some(5), starts)
+        };
+        let first_epoch_start = (1..n).find(|&i| epoch_of(&log, i - 1) < epoch_of(&log, i));
+        for workers in [2, 4] {
+            // The jump at a chunk start, or inside a chunk.
+            assert!(prepare(workers, &[back]).is_none());
+            assert!(prepare(workers, &[first_epoch_start.unwrap()]).is_none());
+            let one = pre_pass_digest(&prepare(workers, &[]).unwrap());
+            let pre = prepare_shards(&env, &none, (&log).into(), &spec, workers, Some(5));
+            assert_eq!(pre_pass_digest(&pre), one, "{workers} workers");
         }
     }
 

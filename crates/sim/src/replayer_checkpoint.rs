@@ -1,12 +1,15 @@
 //! Checkpoint/resume for the parallel cache replayer.
 //!
-//! The replayer's sequential pre-pass ([`crate::replayer::prepare_shards`])
-//! is deterministic and cheap relative to the cache work, so a resumed
-//! run simply re-runs it in full to rebuild the shard streams, the
-//! directly-accounted metrics, and the segment cut table. Only the
-//! worker-side state ([`ReplayState`]) is persisted: every slot's cache
-//! contents and in-flight fetches, each worker's cold-satellite flags,
-//! accumulated metrics, and telemetry recorder.
+//! The replayer's pre-pass ([`crate::replayer::prepare_shards`]) is
+//! deterministic and cheap relative to the cache work, so a resumed run
+//! simply re-runs it in full to rebuild the shard streams, the
+//! directly-accounted metrics, and the segment cut table. Its chunks
+//! change neither: a cut is an offset into a shard's whole stream, the
+//! one pass's offset bit for bit, wherever the chunk boundaries fall.
+//! Only the worker-side state ([`ReplayState`]) is persisted: every
+//! slot's cache contents and in-flight fetches, each worker's
+//! cold-satellite flags, accumulated metrics, and telemetry recorder.
+//! Live, the state keeps each slot's lock on cache lines of its own.
 //!
 //! [`crate::replayer::run`] segments execution at the pre-pass's
 //! [`crate::replayer::ShardCut`] barriers (one per `every_n_epochs`
@@ -29,12 +32,13 @@ use crate::columns::LogView;
 use crate::engine::RunSpec;
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
-use starcdn::kernel::Slots;
+use starcdn::kernel::{SlotStore, Slots};
 use starcdn::metrics::SystemMetrics;
 use starcdn_cache::policy::Cache;
 use starcdn_cache::{CacheState, InflightQueue, InflightState};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_telemetry::{Event, MemoryRecorder, Recorder, TelemetrySnapshot};
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
 /// Fingerprint of everything a replayer checkpoint must agree with the
@@ -186,14 +190,49 @@ pub(crate) fn validate_sections(raw: &RawCheckpoint) -> Result<(), CheckpointErr
     Ok(())
 }
 
+/// One slot's lock on cache lines of its own. Slot `i` belongs to worker
+/// `i % num_workers`, so unpadded neighbours alternate workers and every
+/// lock or unlock would write a line the other worker's core holds. 128
+/// bytes, not 64: x86 prefetchers pull lines in aligned pairs.
+#[repr(align(128))]
+struct SlotLock<T>(Mutex<T>);
+
+impl<T> Deref for SlotLock<T> {
+    type Target = Mutex<T>;
+
+    fn deref(&self) -> &Mutex<T> {
+        &self.0
+    }
+}
+
 /// The worker-side state of a replay — what a checkpoint persists.
 pub(crate) struct ReplayState {
-    pub caches: Vec<Mutex<Box<dyn Cache + Send>>>,
+    caches: Vec<SlotLock<Box<dyn Cache + Send>>>,
     /// Per-slot outstanding-fetch queues, owner-sharded like the caches.
-    pub inflight: Vec<Mutex<InflightQueue>>,
+    inflight: Vec<SlotLock<InflightQueue>>,
     /// Per worker, shard index order: cold flags and accumulated metrics.
     pub cold: Vec<Vec<bool>>,
     pub metrics: Vec<SystemMetrics>,
+}
+
+/// The threaded replayer's slot store: every slot behind its own mutex,
+/// because a relay probe reads a neighbour's cache on another worker's
+/// shard. The in-flight queues are only ever touched by the worker that
+/// owns their slot — those mutexes are uncontended and exist for `Sync`.
+#[derive(Clone, Copy)]
+pub(crate) struct SharedSlots<'s> {
+    caches: &'s [SlotLock<Box<dyn Cache + Send>>],
+    inflight: &'s [SlotLock<InflightQueue>],
+}
+
+impl SlotStore for SharedSlots<'_> {
+    fn cache(&mut self, slot: usize) -> impl DerefMut<Target = Box<dyn Cache + Send>> {
+        self.caches[slot].lock()
+    }
+
+    fn inflight(&mut self, slot: usize) -> impl DerefMut<Target = InflightQueue> {
+        self.inflight[slot].lock()
+    }
 }
 
 impl ReplayState {
@@ -202,11 +241,20 @@ impl ReplayState {
         let total_slots = cfg.grid.total_slots();
         let Slots { caches, inflight } = Slots::new(cfg);
         ReplayState {
-            caches: caches.into_iter().map(Mutex::new).collect(),
-            inflight: inflight.into_iter().map(Mutex::new).collect(),
+            caches: caches.into_iter().map(|c| SlotLock(Mutex::new(c))).collect(),
+            inflight: inflight.into_iter().map(|q| SlotLock(Mutex::new(q))).collect(),
             cold: (0..num_workers).map(|_| vec![false; total_slots]).collect(),
             metrics: (0..num_workers).map(|_| SystemMetrics::default()).collect(),
         }
+    }
+
+    /// The state as the workers borrow it: the slot store they share,
+    /// and each worker's own metrics and cold flags, shard index order.
+    pub(crate) fn split(
+        &mut self,
+    ) -> (SharedSlots<'_>, impl Iterator<Item = (&mut SystemMetrics, &mut Vec<bool>)>) {
+        let store = SharedSlots { caches: &self.caches, inflight: &self.inflight };
+        (store, self.metrics.iter_mut().zip(&mut self.cold))
     }
 
     /// Rebuild live state from a decoded body, slot by slot in index
@@ -217,13 +265,13 @@ impl ReplayState {
             let built = state
                 .build()
                 .map_err(|e| CheckpointError::State(format!("cache slot {slot}: {e:?}")))?;
-            caches.push(Mutex::new(built));
+            caches.push(SlotLock(Mutex::new(built)));
         }
         let mut inflight = Vec::with_capacity(body.inflight.len());
         for (slot, qs) in body.inflight.iter().enumerate() {
             let q = InflightQueue::from_state(qs)
                 .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
-            inflight.push(Mutex::new(q));
+            inflight.push(SlotLock(Mutex::new(q)));
         }
         Ok(ReplayState { caches, inflight, cold: body.cold, metrics: body.metrics })
     }

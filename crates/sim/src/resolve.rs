@@ -19,12 +19,8 @@ use starcdn_telemetry::{Counter, Histo, Recorder};
 pub(crate) enum Resolved {
     /// A live owner over a surviving (under overload: admitted) route.
     Serve(RoutedRequest),
-    /// Outside the overload lifecycle, no reachable owner: served over
-    /// the origin bent pipe from the first contact and booked. The
-    /// engine records the outcome like any served request; the pre-pass
-    /// never has, and a recorded snapshot is not this change's to move.
-    BentPipe(ServeOutcome),
-    /// Booked in full: no satellite in view, origin fallback, or drop.
+    /// Booked in full: no satellite in view, no reachable owner (served
+    /// over the origin bent pipe), origin fallback, or drop.
     Accounted,
 }
 
@@ -103,8 +99,8 @@ pub(crate) fn resolve_request(
                         1,
                     );
                 }
-                let out = serve_degraded(env, m, degraded, fc, e.size, e.gsl_oneway_ms);
-                return Resolved::BentPipe(out);
+                serve_degraded(env, m, degraded, fc, e.size, e.gsl_oneway_ms);
+                return Resolved::Accounted;
             }
         },
     };

@@ -6,9 +6,11 @@
 //! socket-served shard per worker. This module is the boundary between
 //! the deterministic replayer core and that wire world:
 //!
-//! * [`ServePlan`] runs the sequential pre-pass
-//!   ([`crate::replayer::prepare_shards`]) once on the router side and
-//!   freezes each shard's op stream into CRC-friendly byte batches. The
+//! * [`ServePlan`] runs the replayer's pre-pass
+//!   ([`crate::replayer::prepare_shards`], epoch-aligned chunks resolved
+//!   in parallel) once on the router side and encodes each shard's op
+//!   stream straight from the chunks' pieces into CRC-friendly byte
+//!   batches — the only copy of the ops it keeps. The
 //!   directly-accounted metrics (unroutable, partitioned, overload
 //!   decisions, availability timeline) stay on the router, exactly as
 //!   `replay_parallel` keeps them on the caller.
@@ -38,9 +40,7 @@ use crate::checkpoint::{
 };
 use crate::engine::RunSpec;
 use crate::overload::OverloadConfig;
-use crate::replayer::{
-    get_shard_op, prepare_shards, put_shard_op, run_shard_ops, PrePass, ShardOp,
-};
+use crate::replayer::{get_shard_op, prepare_shards, put_shard_op, run_shard_ops, ShardOp};
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::{bent_pipe, ServeEnv, Slots};
 use starcdn::metrics::SystemMetrics;
@@ -123,13 +123,12 @@ fn fp_words(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// One shard's frozen op stream: encoded byte batches plus the retained
-/// ops for origin-degradation accounting.
+/// One shard's frozen op stream: encoded byte batches, the only copy of
+/// its ops the plan keeps.
 struct ShardStream {
-    ops: Vec<ShardOp>,
-    /// `(start, end)` op ranges, one per encoded batch.
-    ranges: Vec<(usize, usize)>,
     batches: Vec<Vec<u8>>,
+    /// Request ops across all batches (churn pseudo-ops excluded).
+    requests: u64,
 }
 
 /// The router side of a socket-served replay: per-shard encoded op
@@ -145,7 +144,7 @@ pub struct ServePlan {
 }
 
 impl ServePlan {
-    /// Run the sequential pre-pass and freeze per-shard op batches of at
+    /// Run the replayer's pre-pass and freeze per-shard op batches of at
     /// most `batch_ops` ops each. Rejects configurations whose parallel
     /// replay is not bit-deterministic when distributed (relay, probe).
     /// `schedule`, `overload` and `rec` are [`RunSpec`]'s fields of those
@@ -166,40 +165,47 @@ impl ServePlan {
         let mut spec = RunSpec { recorder: rec, ..RunSpec::default() };
         spec.schedule = schedule.unwrap_or(spec.schedule);
         spec.overload = overload.copied().unwrap_or(spec.overload);
-        let PrePass { shards, direct, .. } =
-            prepare_shards(&env, failures, log.into(), &spec, num_shards, None);
+        let mut pre = prepare_shards(&env, failures, log.into(), &spec, num_shards, None);
         let mut streams = Vec::with_capacity(num_shards);
         let mut h = 0x7365_7276_6531_3030u64; // "serve100"
         h = fp(h, num_shards as u64);
         h = fp(h, cfg.grid.total_slots() as u64);
         h = fp_bytes(h, cfg.policy.name().as_bytes());
         h = fp(h, cfg.cache_capacity_bytes);
-        for ops in shards {
-            let mut ranges = Vec::new();
-            let mut batches = Vec::new();
+        for shard in 0..num_shards {
+            // Batches run across the pre-pass chunks' pieces: the stream
+            // is one sequence of ops, however it was resolved.
+            let len = pre.stream_len(shard);
+            let mut stream = ShardStream { batches: Vec::new(), requests: 0 };
             let mut start = 0usize;
-            while start < ops.len() {
-                let end = (start + batch_ops).min(ops.len());
+            while start < len {
+                let end = (start + batch_ops).min(len);
                 let mut w = ByteWriter::new();
                 w.u32((end - start) as u32);
-                for op in &ops[start..end] {
-                    put_shard_op(&mut w, op);
+                for ops in pre.stream(shard, start..end) {
+                    for op in ops {
+                        stream.requests += matches!(op, ShardOp::Request(_)) as u64;
+                        put_shard_op(&mut w, op);
+                    }
                 }
                 let bytes = w.into_bytes();
                 h = fp_words(h, &bytes);
-                ranges.push((start, end));
-                batches.push(bytes);
+                stream.batches.push(bytes);
                 start = end;
             }
-            h = fp(h, batches.len() as u64);
-            streams.push(ShardStream { ops, ranges, batches });
+            h = fp(h, stream.batches.len() as u64);
+            streams.push(stream);
+            // Encoded: free this shard's ops before the next one encodes.
+            for chunk in &mut pre.pieces {
+                chunk[shard] = Vec::new();
+            }
         }
         Ok(ServePlan {
             cfg: cfg.clone(),
             env,
             failures: failures.clone(),
             shards: streams,
-            direct,
+            direct: pre.direct,
             fingerprint: h,
         })
     }
@@ -225,14 +231,9 @@ impl ServePlan {
         &self.shards[shard].batches[batch]
     }
 
-    /// Ops queued for `shard` (requests plus churn pseudo-ops).
-    pub fn op_count(&self, shard: usize) -> usize {
-        self.shards[shard].ops.len()
-    }
-
     /// Request ops queued for `shard` (excludes churn pseudo-ops).
     pub fn request_count(&self, shard: usize) -> u64 {
-        self.shards[shard].ops.iter().filter(|op| matches!(op, ShardOp::Request(_))).count() as u64
+        self.shards[shard].requests
     }
 
     /// The pre-pass's directly-accounted metrics: merge shard results
@@ -243,21 +244,24 @@ impl ServePlan {
     }
 
     /// Origin bent-pipe accounting for every request op in batches
-    /// `from_batch..` of `shard` — the circuit-breaker degradation path.
+    /// `from_batch..` of `shard`, decoded from the batches themselves —
+    /// the circuit-breaker degradation path.
     /// Each request is served exactly like the engine's `Partitioned`
     /// outcome (uplink on the request's GSL, zero ISL hops), attributed
     /// to the resolved owner; churn pseudo-ops are skipped (a degraded
     /// shard's cache state is gone anyway).
     pub fn degraded_metrics(&self, shard: usize, from_batch: usize) -> SystemMetrics {
         let mut m = SystemMetrics::default();
-        let s = &self.shards[shard];
-        let Some(&(start, _)) = s.ranges.get(from_batch) else {
-            return m;
-        };
-        for op in &s.ops[start..] {
-            if let ShardOp::Request(e) = op {
-                bent_pipe(&self.env, &mut m, e.owner, e.size, e.gsl_oneway_ms, e.penalty_ms);
-                m.partitioned_requests += 1;
+        let (spp, total_slots) = (self.env.grid.sats_per_plane, self.cfg.grid.total_slots());
+        for batch in self.shards[shard].batches.iter().skip(from_batch) {
+            let mut r = ByteReader::new(batch);
+            let count = r.u32().expect("the plan encoded this batch");
+            for _ in 0..count {
+                let op = get_shard_op(&mut r, spp, total_slots).expect("the plan encoded this op");
+                if let ShardOp::Request(e) = op {
+                    bent_pipe(&self.env, &mut m, e.owner, e.size, e.gsl_oneway_ms, e.penalty_ms);
+                    m.partitioned_requests += 1;
+                }
             }
         }
         m
@@ -560,6 +564,57 @@ mod tests {
             }
         }
         assert_eq!(golden.stats.requests, total.stats.requests, "no request lost or doubled");
+    }
+
+    /// The plan keeps its ops only as encoded batches: degrading from the
+    /// first, a middle or the last batch, or past the end, books what the
+    /// pre-pass's request ops from that batch on would, and the request
+    /// count is theirs.
+    #[test]
+    fn degraded_metrics_decode_the_batches() {
+        use starcdn_constellation::schedule::{FaultEvent, TimedFault};
+        use starcdn_orbit::walker::SatelliteId;
+        let l = log();
+        let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
+        let churn = FaultSchedule::from_events([
+            TimedFault { at_secs: 100, event: FaultEvent::SatDown(SatelliteId::new(3, 7)) },
+            TimedFault { at_secs: 300, event: FaultEvent::SatUp(SatelliteId::new(3, 7)) },
+        ]);
+        let (shards, batch_ops) = (3, 64);
+        let none = FailureModel::none();
+        let p = ServePlan::build(&cfg, &none, &l, Some(&churn), None, shards, batch_ops, &Noop)
+            .unwrap();
+        let spec = RunSpec { schedule: &churn, ..RunSpec::default() };
+        let pre = prepare_shards(&ServeEnv::new(&cfg), &none, (&l).into(), &spec, shards, None);
+        for shard in 0..shards {
+            let ops: Vec<&ShardOp> =
+                pre.stream(shard, 0..pre.stream_len(shard)).flatten().collect();
+            let requests = ops.iter().filter(|op| matches!(op, ShardOp::Request(_))).count();
+            assert_eq!(p.request_count(shard), requests as u64);
+            let n = p.batch_count(shard);
+            for from in [0, n / 2, n - 1, n, n + 3] {
+                let mut want = SystemMetrics::default();
+                for op in &ops[(from * batch_ops).min(ops.len())..] {
+                    if let ShardOp::Request(e) = op {
+                        bent_pipe(
+                            &p.env,
+                            &mut want,
+                            e.owner,
+                            e.size,
+                            e.gsl_oneway_ms,
+                            e.penalty_ms,
+                        );
+                        want.partitioned_requests += 1;
+                    }
+                }
+                let got = p.degraded_metrics(shard, from);
+                assert_eq!(
+                    metrics_digest(&got),
+                    metrics_digest(&want),
+                    "shard {shard} from {from}"
+                );
+            }
+        }
     }
 
     #[test]

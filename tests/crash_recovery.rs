@@ -607,6 +607,58 @@ fn replayer_kill_resume_bit_identical_at_1_4_8_workers() {
     }
 }
 
+/// Kill and resume at a barrier that is also where the replayer's
+/// pre-pass splits the log: at two workers without admission it
+/// resolves two chunks, the second starting at the first epoch start at
+/// or after half the entries. On that epoch one busy satellite goes down
+/// and another comes back up. The resumed run restarts the workers at
+/// the first chunk's piece lengths and must end bit-for-bit on the
+/// golden run.
+#[test]
+fn replayer_kill_resume_at_a_chunk_boundary_is_bit_identical() {
+    let log = log();
+    let epoch = |i: usize| log.entries[i].time.as_secs() / EPOCH_SECS;
+    let half = log.entries.len() / 2;
+    let boundary = (half..log.entries.len()).map(epoch).find(|&e| e != epoch(half - 1)).unwrap();
+    let cfg = StarCdnConfig::starcdn_no_relay(4, 2_000_000);
+    let busy: Vec<SatelliteId> = {
+        let plain = engine::run(&mut SpaceCdn::new(cfg.clone()), &log, &Default::default());
+        let mut sats: Vec<_> =
+            plain.unwrap().per_satellite.iter().map(|(s, st)| (st.requests, *s)).collect();
+        sats.sort_unstable_by(|a, b| b.cmp(a));
+        sats.iter().take(2).map(|&(_, s)| s).collect()
+    };
+    let at = boundary * EPOCH_SECS;
+    let sched = FaultSchedule::from_events([
+        TimedFault { at_secs: 120, event: FaultEvent::SatDown(busy[1]) },
+        TimedFault { at_secs: at, event: FaultEvent::SatDown(busy[0]) },
+        TimedFault { at_secs: at, event: FaultEvent::SatUp(busy[1]) },
+        TimedFault { at_secs: at + 60, event: FaultEvent::SatUp(busy[0]) },
+    ]);
+    let off = OverloadConfig::disabled();
+    let run = |log: &AccessLog, pol: &CheckpointPolicy, rec: &MemoryRecorder, resume: bool| {
+        let spec = ckpt_spec(&sched, &off, pol, rec, &RealIo, resume);
+        replayer::run(&cfg, &FailureModel::none(), log, 2, &spec).unwrap()
+    };
+
+    // Every `boundary` epochs: the chunk boundary is the one barrier.
+    let gold_dir = tmpdir("rep-chunk-gold");
+    let gold_rec = MemoryRecorder::new();
+    let golden = run(&log, &policy(&gold_dir, boundary), &gold_rec, false);
+    let dir = tmpdir("rep-chunk-kill");
+    let pol = policy(&dir, boundary);
+    run(&prefix_before(&log, boundary + 1), &pol, &MemoryRecorder::new(), false);
+    let written: Vec<u64> = list_checkpoint_files(&dir).into_iter().map(|(e, _)| e).collect();
+    assert_eq!(written, [boundary], "the kill leaves the boundary's checkpoint");
+    let rec = MemoryRecorder::new();
+    let resumed = run(&log, &pol, &rec, true);
+    assert_metrics_identical(&golden, &resumed);
+    assert_telemetry_identical(&gold_rec.snapshot(), &rec.snapshot());
+    assert!(golden.cold_restart_misses > 0, "the revived satellite serves cold");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&gold_dir);
+}
+
 /// One fingerprint for both drivers: a checkpoint written under one
 /// retry policy (or transmission-delay setting) must not be accepted on
 /// resume under another — the restored caches and ledger would meet a

@@ -375,6 +375,34 @@ fn telemetry_recording_never_changes_replayer_output() {
     assert_eq!(again.events, snapshots[1].events);
 }
 
+/// A request whose owner no path reaches is booked where it is resolved
+/// and never served, so both drivers count it once, as partitioned or
+/// unroutable — never also as routed, missed and timed.
+#[test]
+fn engine_and_replayer_record_owner_unreachable_alike() {
+    use starcdn_telemetry::{Counter, MemoryRecorder};
+    let log = log();
+    let failures = FailureModel::sample(&World::starlink_nine_cities().grid, 126, 3);
+    let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
+    let spec_for = |rec| RunSpec { recorder: rec, ..RunSpec::default() };
+
+    let engine_rec = MemoryRecorder::new();
+    let mut fleet = SpaceCdn::with_failures(cfg.clone(), failures.clone());
+    let engine = starcdn_sim::engine::run(&mut fleet, &log, &spec_for(&engine_rec)).unwrap();
+    let replay_rec = MemoryRecorder::new();
+    let replay =
+        starcdn_sim::replayer::run(&cfg, &failures, &log, 1, &spec_for(&replay_rec)).unwrap();
+
+    let (e, r) = (engine_rec.snapshot(), replay_rec.snapshot());
+    assert!(
+        e.counter(Counter::RequestsPartitioned) + e.counter(Counter::RequestsUnroutable) > 0,
+        "126 dead satellites must strand some owners"
+    );
+    assert_eq!(e.counters, r.counters);
+    assert_eq!(engine.stats, replay.stats);
+    assert_eq!(engine.partitioned_requests, replay.partitioned_requests);
+}
+
 /// Single-city trace for the delayed-hit parity pins: the first
 /// contact is stable within a scheduler epoch, so same-epoch repeats
 /// land on one owner and coalesce onto in-flight fetches.
