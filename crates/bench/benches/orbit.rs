@@ -44,7 +44,7 @@ fn bench_orbit(c: &mut Criterion) {
             .map(|l| Geodetic::from_degrees(l.lat_deg, l.lon_deg, 0.0))
             .collect();
         let mut window = VisibilityWindow::default();
-        window.refresh(&snap, 25.0, &grounds);
+        window.refresh(&snap, snap.epoch(), 25.0, &grounds);
         let mut t = 0u64;
         b.iter(|| {
             t += 15;

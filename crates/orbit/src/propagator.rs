@@ -87,6 +87,44 @@ impl ConstantsSoa {
         self.radius_km.len()
     }
 
+    /// Every column sliced to the fleet's length: a loop over `0..len`
+    /// that indexes the view carries no bounds checks.
+    fn view(&self) -> ConstantsView<'_> {
+        let n = self.len();
+        ConstantsView {
+            radius_km: &self.radius_km[..n],
+            sin_phase: &self.sin_phase[..n],
+            cos_phase: &self.cos_phase[..n],
+            sin_raan: &self.sin_raan[..n],
+            cos_raan: &self.cos_raan[..n],
+            sin_inc: &self.sin_inc[..n],
+            cos_inc: &self.cos_inc[..n],
+        }
+    }
+}
+
+/// [`ConstantsSoa`]'s columns as equally long slices.
+struct ConstantsView<'a> {
+    radius_km: &'a [f64],
+    sin_phase: &'a [f64],
+    cos_phase: &'a [f64],
+    sin_raan: &'a [f64],
+    cos_raan: &'a [f64],
+    sin_inc: &'a [f64],
+    cos_inc: &'a [f64],
+}
+
+impl ConstantsView<'_> {
+    /// `(sin, cos)` of satellite `i`'s Earth-fixed node angle
+    /// `raan₀ + (Ω̇−ω⊕)·t`, by angle addition from the epoch's
+    /// `(sin (Ω̇−ω⊕)·t, cos (Ω̇−ω⊕)·t)`.
+    #[inline(always)]
+    fn sin_cos_node(&self, i: usize, sot: f64, cot: f64) -> (f64, f64) {
+        let sn = self.sin_raan[i] * cot + self.cos_raan[i] * sot;
+        let cn = self.cos_raan[i] * cot - self.sin_raan[i] * sot;
+        (sn, cn)
+    }
+
     /// ECEF position of satellite `i` given the epoch's rate-angle sincos
     /// `(sin n·t, cos n·t, sin (Ω̇−ω⊕)·t, cos (Ω̇−ω⊕)·t)` — the one copy of
     /// the per-satellite arithmetic, so a full and a subset advance
@@ -96,12 +134,75 @@ impl ConstantsSoa {
         // Angle addition: u = phase + n·t, node = raan₀ + (Ω̇−ω⊕)·t.
         let su = self.sin_phase[i] * cnt + self.cos_phase[i] * snt;
         let cu = self.cos_phase[i] * cnt - self.sin_phase[i] * snt;
-        let sn = self.sin_raan[i] * cot + self.cos_raan[i] * sot;
-        let cn = self.cos_raan[i] * cot - self.sin_raan[i] * sot;
+        let (sn, cn) = self.sin_cos_node(i, sot, cot);
         // In-plane vector rotated by the combined node angle about z.
         let xo = self.radius_km[i] * cu;
         let yo = self.radius_km[i] * su * self.cos_inc[i];
         (cn * xo - sn * yo, sn * xo + cn * yo, self.radius_km[i] * su * self.sin_inc[i])
+    }
+}
+
+/// The fleet's orbital planes: satellites that share `(raan₀,
+/// inclination, rate group)` ride one great circle, whose Earth-fixed
+/// orientation at any `t` is one node angle and one in-plane turn `n·t`.
+/// A Walker shell is a few dozen planes; a TLE catalog is one satellite
+/// per plane.
+#[derive(Debug, Default)]
+struct Planes {
+    /// A member of each plane, whose node, inclination and rate constants
+    /// are the plane's.
+    lead: Vec<u32>,
+    /// Members of plane `k`, ascending: `members[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    members: Vec<u32>,
+    /// `cos phase` and `sin phase` of each entry of `members`, stored
+    /// alongside it so a plane's members are one contiguous stretch.
+    cos_phase: Vec<f64>,
+    sin_phase: Vec<f64>,
+}
+
+/// Every plane's in-plane basis at one time, for
+/// [`SnapshotPropagator::for_each_within`]: `(E1, E2)`, the Earth-fixed
+/// unit directions of a member at phase 0 and at phase 90°. A member at
+/// phase `φ` points along `cos φ·E1 + sin φ·E2` then.
+#[derive(Debug, Default)]
+pub(crate) struct PlaneFrames {
+    trigs: Vec<(f64, f64, f64, f64)>,
+    bases: Vec<([f64; 3], [f64; 3])>,
+}
+
+impl Planes {
+    /// Group satellite `i` of `c` under the key `key(i)`, planes in the
+    /// order of their first member.
+    fn group(c: &ConstantsSoa, key: impl Fn(usize) -> (u64, u64, u32)) -> Self {
+        let n = c.len();
+        let mut plane_of: std::collections::HashMap<(u64, u64, u32), usize> = Default::default();
+        let mut of_sat = Vec::with_capacity(n);
+        let mut lead = Vec::new();
+        for i in 0..n {
+            let k = *plane_of.entry(key(i)).or_insert_with(|| {
+                lead.push(i as u32);
+                lead.len() - 1
+            });
+            of_sat.push(k);
+        }
+        // Counting sort by plane: members stay ascending within each.
+        let mut starts = vec![0usize; lead.len() + 1];
+        for &k in &of_sat {
+            starts[k + 1] += 1;
+        }
+        for k in 0..lead.len() {
+            starts[k + 1] += starts[k];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0u32; n];
+        for (i, &k) in of_sat.iter().enumerate() {
+            members[next[k]] = i as u32;
+            next[k] += 1;
+        }
+        let cos_phase = members.iter().map(|&i| c.cos_phase[i as usize]).collect();
+        let sin_phase = members.iter().map(|&i| c.sin_phase[i as usize]).collect();
+        Planes { lead, starts, members, cos_phase, sin_phase }
     }
 }
 
@@ -191,7 +292,10 @@ impl PositionsSoa {
 /// candidate union). The snapshot is then *incomplete*: the other
 /// satellites still hold an older epoch's position, so the whole-fleet
 /// accessors (`position_of`, `positions_soa`) panic rather than hand out
-/// stale data until the next full `advance_to`.
+/// stale data until the next full `advance_to`. The window's refresh
+/// needs no positions at all: the fleet is grouped into orbital planes
+/// at construction, and `for_each_within` answers a cone query at any
+/// time from each plane's basis.
 #[derive(Debug)]
 pub struct SnapshotPropagator {
     satellites: Vec<Satellite>,
@@ -201,6 +305,7 @@ pub struct SnapshotPropagator {
     soa: PositionsSoa,
     sats_per_plane: u16,
     constants: ConstantsSoa,
+    planes: Planes,
     /// Distinct `(mean motion, node rate)` pairs across the fleet — one
     /// entry for a uniform Walker shell, a handful for a TLE catalog.
     rates: Vec<(f64, f64)>,
@@ -247,6 +352,10 @@ impl SnapshotPropagator {
             constants.cos_inc.push(cos_inc);
             constants.rate_group.push(rate_group);
         }
+        let planes = Planes::group(&constants, |i| {
+            let o = &satellites[i].orbit;
+            (o.raan_rad.to_bits(), o.inclination_rad.to_bits(), constants.rate_group[i])
+        });
         let mut p = SnapshotPropagator {
             soa: PositionsSoa::default(),
             satellites,
@@ -254,6 +363,7 @@ impl SnapshotPropagator {
             complete: true,
             sats_per_plane,
             constants,
+            planes,
             rates,
             trigs: Vec::new(),
             fingerprint,
@@ -274,27 +384,31 @@ impl SnapshotPropagator {
         self.complete = true;
         let n = self.constants.len();
         self.soa.resize(n);
-        let c = &self.constants;
+        let c = self.constants.view();
+        let rate_group = &self.constants.rate_group[..n];
         let soa = &mut self.soa;
+        // Every column sliced to `n`: the loops below index in bounds by
+        // construction, so they carry no bounds checks.
+        let (x, y, z, p2) = (&mut soa.x[..n], &mut soa.y[..n], &mut soa.z[..n], &mut soa.p2[..n]);
         if let [trig] = self.trigs[..] {
             // Uniform shell: one rate pair for the whole fleet, so the
             // sincos values are loop-invariant scalars and the body is a
             // pure column sweep.
             for i in 0..n {
-                (soa.x[i], soa.y[i], soa.z[i]) = c.ecef(i, trig);
+                (x[i], y[i], z[i]) = c.ecef(i, trig);
             }
         } else {
             for i in 0..n {
-                (soa.x[i], soa.y[i], soa.z[i]) = c.ecef(i, self.trigs[c.rate_group[i] as usize]);
+                (x[i], y[i], z[i]) = c.ecef(i, self.trigs[rate_group[i] as usize]);
             }
         }
         // Squared norms and their maximum feed the visibility culling
         // bound: computed once per epoch here, read by every scan.
         for i in 0..n {
-            soa.p2[i] = soa.x[i] * soa.x[i] + soa.y[i] * soa.y[i] + soa.z[i] * soa.z[i];
+            p2[i] = x[i] * x[i] + y[i] * y[i] + z[i] * z[i];
         }
         let mut r2_max = 0.0f64;
-        for &p2 in &soa.p2 {
+        for &p2 in p2.iter() {
             r2_max = r2_max.max(p2);
         }
         soa.r2_max = r2_max;
@@ -312,11 +426,12 @@ impl SnapshotPropagator {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must ascend");
         self.set_epoch(t);
         self.complete = false;
-        let c = &self.constants;
+        let c = self.constants.view();
+        let rate_group = &self.constants.rate_group;
         let soa = &mut self.soa;
         for &i in indices {
             let i = i as usize;
-            let (x, y, z) = c.ecef(i, self.trigs[c.rate_group[i] as usize]);
+            let (x, y, z) = c.ecef(i, self.trigs[rate_group[i] as usize]);
             (soa.x[i], soa.y[i], soa.z[i]) = (x, y, z);
             soa.p2[i] = x * x + y * y + z * z;
         }
@@ -325,13 +440,67 @@ impl SnapshotPropagator {
     /// Stamp the epoch and fill the per-rate-pair sincos table for it.
     fn set_epoch(&mut self, t: SimTime) {
         self.epoch = t;
-        let ts = t.as_secs_f64();
-        self.trigs.clear();
-        self.trigs.extend(self.rates.iter().map(|&(n, node_rate)| {
-            let (snt, cnt) = (n * ts).sin_cos();
-            let (sot, cot) = (node_rate * ts).sin_cos();
-            (snt, cnt, sot, cot)
-        }));
+        rate_trigs_into(&self.rates, t, &mut self.trigs);
+    }
+
+    /// Every plane's in-plane basis at `t`, into `frames` (allocation-free
+    /// once it has held this fleet's). The composition `advance_to`
+    /// evaluates puts a member at argument of latitude `u = φ + n·t` along
+    /// `cos u·e1 + sin u·e2`, with `e1 = (cos N, sin N, 0)` and
+    /// `e2 = (−sin N·cos i, cos N·cos i, sin i)` (`N` the Earth-fixed node
+    /// angle at `t`, by the same angle addition as a position's). The
+    /// angle addition for `u` turns that basis by `n·t` once per plane:
+    /// `E1 = cos n·t·e1 + sin n·t·e2`, `E2 = −sin n·t·e1 + cos n·t·e2`.
+    pub(crate) fn plane_frames_at(&self, t: SimTime, frames: &mut PlaneFrames) {
+        rate_trigs_into(&self.rates, t, &mut frames.trigs);
+        frames.bases.clear();
+        let c = self.constants.view();
+        for &lead in &self.planes.lead {
+            let lead = lead as usize;
+            let (snt, cnt, sot, cot) = frames.trigs[self.constants.rate_group[lead] as usize];
+            let (sn, cn) = c.sin_cos_node(lead, sot, cot);
+            let (si, ci) = (c.sin_inc[lead], c.cos_inc[lead]);
+            let e1 = [cn, sn, 0.0];
+            let e2 = [-sn * ci, cn * ci, si];
+            let turn = |p: f64, q: f64| [p * e1[0] + q * e2[0], p * e1[1] + q * e2[1], q * e2[2]];
+            frames.bases.push((turn(cnt, snt), turn(-snt, cnt)));
+        }
+    }
+
+    /// Call `hit(i)` for every satellite `i` whose direction from the
+    /// Earth's centre lies within the cone `cos d ≥ cos_min` around the
+    /// unit vector `g` at the time of `frames` ([`plane_frames_at`]) — read
+    /// off the orbital elements, with no position computed. Planes come in
+    /// the order of their first member, each plane's members ascending.
+    ///
+    /// With `a = g·E1`, `b = g·E2` a member at phase `φ` has
+    /// `cos d = a·cos φ + b·sin φ`, at most `√(a² + b²)` over the whole
+    /// circle: a plane with `a² + b² < cos_min²` (and `cos_min > 0`) is
+    /// skipped whole, and each member of the others pays two products.
+    ///
+    /// [`plane_frames_at`]: SnapshotPropagator::plane_frames_at
+    pub(crate) fn for_each_within(
+        &self,
+        frames: &PlaneFrames,
+        g: [f64; 3],
+        cos_min: f64,
+        mut hit: impl FnMut(u32),
+    ) {
+        let Planes { starts, members, cos_phase, sin_phase, .. } = &self.planes;
+        for (k, (e1, e2)) in frames.bases.iter().enumerate() {
+            let a = g[0] * e1[0] + g[1] * e1[1] + g[2] * e1[2];
+            let b = g[0] * e2[0] + g[1] * e2[1] + g[2] * e2[2];
+            if cos_min > 0.0 && a * a + b * b < cos_min * cos_min {
+                continue;
+            }
+            let plane = starts[k]..starts[k + 1];
+            let phases = cos_phase[plane.clone()].iter().zip(&sin_phase[plane.clone()]);
+            for (&i, (&cp, &sp)) in members[plane].iter().zip(phases) {
+                if a * cp + b * sp >= cos_min {
+                    hit(i);
+                }
+            }
+        }
     }
 
     /// The snapshot's epoch.
@@ -399,6 +568,19 @@ impl SnapshotPropagator {
             self.epoch
         );
     }
+}
+
+/// The sincos table of every rate pair at `t`, one
+/// `(sin n·t, cos n·t, sin (Ω̇−ω⊕)·t, cos (Ω̇−ω⊕)·t)` per rate group, into
+/// `out` (allocation-free once it has held the table).
+fn rate_trigs_into(rates: &[(f64, f64)], t: SimTime, out: &mut Vec<(f64, f64, f64, f64)>) {
+    let ts = t.as_secs_f64();
+    out.clear();
+    out.extend(rates.iter().map(|&(n, node_rate)| {
+        let (snt, cnt) = (n * ts).sin_cos();
+        let (sot, cot) = (node_rate * ts).sin_cos();
+        (snt, cnt, sot, cot)
+    }));
 }
 
 impl Propagator for SnapshotPropagator {
@@ -553,6 +735,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Shell 1 is 72 planes of 18 in index order; a catalog of distinct
+    /// orbits is one plane per satellite; members carry their own phases.
+    #[test]
+    fn planes_group_satellites_that_share_node_inclination_and_rates() {
+        let shell = WalkerConstellation::starlink_shell1();
+        let snap = SnapshotPropagator::new(shell.satellites(), shell.sats_per_plane);
+        let Planes { lead, starts, members, cos_phase, sin_phase } = &snap.planes;
+        assert_eq!(lead.len(), 72);
+        assert!(starts.windows(2).all(|w| w[1] - w[0] == 18));
+        assert_eq!(members, &(0..1296).collect::<Vec<u32>>());
+        for (m, &i) in members.iter().enumerate() {
+            assert_eq!(cos_phase[m].to_bits(), snap.constants.cos_phase[i as usize].to_bits());
+            assert_eq!(sin_phase[m].to_bits(), snap.constants.sin_phase[i as usize].to_bits());
+        }
+        let mixed = SnapshotPropagator::new(mixed_fleet(), 6);
+        assert_eq!(mixed.planes.lead.len(), 24);
+        // Two planes dealt alternately: members ascend within each.
+        let mut sats = shell.satellites()[..36].to_vec();
+        sats.sort_by_key(|s| (s.id.slot, s.id.orbit));
+        let two = SnapshotPropagator::new(sats, 18);
+        assert_eq!(two.planes.starts, [0, 18, 36]);
+        let evens: Vec<u32> = (0..36).step_by(2).collect();
+        assert_eq!(&two.planes.members[..18], &evens[..]);
     }
 
     #[test]

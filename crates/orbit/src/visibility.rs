@@ -16,7 +16,7 @@
 
 use crate::constants::{EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S};
 use crate::coords::{Ecef, Geodetic};
-use crate::propagator::{PositionsSoa, Satellite, SnapshotPropagator};
+use crate::propagator::{PlaneFrames, PositionsSoa, Satellite, SnapshotPropagator};
 use crate::time::{SimDuration, SimTime};
 use crate::walker::SatelliteId;
 
@@ -125,10 +125,9 @@ fn max_central_angle_rad(
     gamma + 1e-6
 }
 
-/// Reusable buffers for [`visible_top_k_into`] and the
-/// [`VisibilityWindow`]: the per-satellite culling verdicts and the
-/// tagged candidate list the top-k selection runs over. One scratch per
-/// worker makes the steady-state epoch loop allocation-free once the
+/// Reusable buffers for [`visible_top_k_into`]: the per-satellite culling
+/// verdicts and the tagged candidate list the top-k selection runs over.
+/// One scratch per worker makes repeated scans allocation-free once the
 /// buffers are warm.
 #[derive(Debug, Default)]
 pub struct VisScratch {
@@ -147,6 +146,14 @@ fn fleet_central_angle(g2: f64, r2_max: f64, min_elevation_deg: f64) -> Option<f
     (r2_max > 0.0 && g2 > 0.0)
         .then(|| max_central_angle_rad(g2.sqrt(), r2_max.sqrt(), min_elevation_deg))
 }
+
+/// What a widened-cone refresh subtracts from `cos 2γ_max` before testing
+/// a satellite's `cos d` against it, from the orbital elements
+/// ([`SnapshotPropagator::for_each_within`]): a thousand times the rounding
+/// of either side (a few ulp of 1), so the lists keep every satellite the
+/// same cone tested on computed positions keeps, down to the cone's edge,
+/// while admitting ≈ 20 µm of arc more (at shell 1's 25° cone).
+const WIDE_COS_SLACK: f64 = 1e-12;
 
 /// `cos²(angle)·|g|²`, the constant of the one-dot-product cone test
 /// `cos γ ≥ cos(angle)  ⇔  d > 0 ∧ d² ≥ cos²(angle)·|g|²·|p|²` with
@@ -327,11 +334,22 @@ struct WindowGround {
 /// `γ_max + margin` from the ground point at `t0` is farther than
 /// `γ_max` — below the mask — at every `t` with `|t − t0| ≤ margin / ω`.
 /// The margin is one visibility radius, `margin = γ_max`: a refresh
-/// sweeps the fleet with the cone widened to `2·γ_max` and the lists
-/// stay valid for `γ_max / ω` (≈ 126 s for Starlink's shell 1 at a 25°
-/// mask), floored to whole milliseconds and taken as the minimum over
+/// collects the satellites inside the cone widened to `2·γ_max` and the
+/// lists stay valid for `γ_max / ω` (≈ 126 s for Starlink's shell 1 at a
+/// 25° mask), floored to whole milliseconds and taken as the minimum over
 /// the ground points. Where `2·γ_max ≥ 90°` the list is simply every
 /// satellite and imposes no time limit.
+///
+/// **A refresh reads orbital elements, not positions.** The widened cone
+/// is tested in angular form, plane by plane
+/// (`SnapshotPropagator::for_each_within`): a plane whose great circle
+/// never comes within `2·γ_max` of the ground point is dropped whole, and
+/// each member of the others is kept when `cos d ≥ cos 2γ_max` minus a
+/// rounding slack (`WIDE_COS_SLACK`). That is a superset of the
+/// cone tested on computed positions, collected in ascending index order,
+/// and needs no snapshot state beyond the fleet's constants and its
+/// largest radius: a refresh runs on an incomplete snapshot as well, and
+/// [`VisibilityWindow::advance`] then moves the new union only.
 ///
 /// **Exactness.** [`VisibilityWindow::top_k_into`] runs the same tight
 /// cull, the same `keep`, the same [`elevation_and_range`] and the same
@@ -360,7 +378,11 @@ pub struct VisibilityWindow {
     subset_epoch: Option<SimTime>,
     /// Union membership flags, one per satellite (refresh scratch).
     member: Vec<u8>,
-    vis: VisScratch,
+    /// Every plane's basis at the refresh time (refresh scratch).
+    frames: PlaneFrames,
+    /// Above-mask candidates tagged with their collection order (scan
+    /// scratch).
+    tagged: Vec<(usize, VisibleSatellite)>,
 }
 
 impl VisibilityWindow {
@@ -381,9 +403,10 @@ impl VisibilityWindow {
         })
     }
 
-    /// Advance `snapshot` to `t` for a coming scan: only the candidate
-    /// union when the window covers `t`, the whole fleet when a refresh
-    /// is due.
+    /// Advance `snapshot` to `t` for a coming scan: refresh at `t` first
+    /// when the window does not cover it, then move the candidate union
+    /// only. The snapshot is left incomplete, readable by this window's
+    /// scans at `t`.
     pub fn advance(
         &mut self,
         snapshot: &mut SnapshotPropagator,
@@ -391,29 +414,29 @@ impl VisibilityWindow {
         min_elevation_deg: f64,
         grounds: &[Geodetic],
     ) {
-        if self.covers(snapshot, t, min_elevation_deg, grounds) {
-            snapshot.advance_subset(t, &self.union);
-            self.subset_epoch = Some(t);
-        } else {
-            snapshot.advance_to(t);
+        if !self.covers(snapshot, t, min_elevation_deg, grounds) {
+            self.refresh(snapshot, t, min_elevation_deg, grounds);
         }
+        snapshot.advance_subset(t, &self.union);
+        self.subset_epoch = Some(t);
     }
 
-    /// Rescan the whole fleet at `snapshot`'s epoch with the widened cone
-    /// and restart the window there.
-    ///
-    /// # Panics
-    /// Panics when `snapshot` is incomplete: a refresh reads every
-    /// satellite.
+    /// Collect every ground point's widened-cone candidates at time `t`
+    /// from `snapshot`'s orbital elements and restart the window there.
+    /// Reads no positions, so `snapshot` may be incomplete and at any
+    /// epoch; the fleet's largest radius is the one its last full advance
+    /// measured.
     pub fn refresh(
         &mut self,
         snapshot: &SnapshotPropagator,
+        t: SimTime,
         min_elevation_deg: f64,
         grounds: &[Geodetic],
     ) {
-        let soa = snapshot.positions_soa();
-        let n = soa.len();
+        let n = snapshot.satellites().len();
+        let r2_max = snapshot.columns().r2_max();
         let omega = snapshot.max_angular_rate_rad_s();
+        snapshot.plane_frames_at(t, &mut self.frames);
         self.grounds.clear();
         self.candidates.clear();
         self.candidates.reserve(n * grounds.len());
@@ -423,23 +446,34 @@ impl VisibilityWindow {
         self.union.reserve(n);
         self.member.clear();
         self.member.resize(n, 0);
-        self.vis.tagged.clear();
-        self.vis.tagged.reserve(n);
+        self.tagged.clear();
+        self.tagged.reserve(n);
         let mut window_ms = u64::MAX;
         for &at in grounds {
             let ecef = at.to_ecef();
             let g2 = ecef.x * ecef.x + ecef.y * ecef.y + ecef.z * ecef.z;
-            let gamma = fleet_central_angle(g2, soa.r2_max(), min_elevation_deg);
-            let wide = gamma.and_then(|gamma| cone_threshold(2.0 * gamma, g2));
-            if let (Some(gamma), Some(_)) = (gamma, wide) {
-                // `as` saturates: a motionless fleet never leaves its window.
-                window_ms = window_ms.min((gamma / omega * 1000.0).floor() as u64);
+            let gamma = fleet_central_angle(g2, r2_max, min_elevation_deg);
+            let start = self.candidates.len();
+            match gamma.filter(|&gamma| cone_threshold(2.0 * gamma, g2).is_some()) {
+                Some(gamma) => {
+                    // `as` saturates: a motionless fleet never leaves its window.
+                    window_ms = window_ms.min((gamma / omega * 1000.0).floor() as u64);
+                    let norm = g2.sqrt();
+                    let unit = [ecef.x / norm, ecef.y / norm, ecef.z / norm];
+                    let cos_min = (2.0 * gamma).cos() - WIDE_COS_SLACK;
+                    let candidates = &mut self.candidates;
+                    snapshot.for_each_within(&self.frames, unit, cos_min, |i| candidates.push(i));
+                    // Planes come in first-member order: ascending for a
+                    // plane-major fleet, sorted here for any other.
+                    candidates[start..].sort_unstable();
+                }
+                // A hemisphere or wider (or a degenerate ground or fleet):
+                // every satellite, no time limit.
+                None => self.candidates.extend(0..n as u32),
             }
-            sweep_cone(&mut self.vis.pass, soa, &ecef, wide);
-            for_each_survivor(&self.vis.pass, |i| {
-                self.candidates.push(i as u32);
-                self.member[i] = 1;
-            });
+            for &i in &self.candidates[start..] {
+                self.member[i as usize] = 1;
+            }
             self.starts.push(self.candidates.len());
             let tight = gamma.and_then(|gamma| cone_threshold(gamma, g2));
             self.grounds.push(WindowGround { at, ecef, tight });
@@ -449,7 +483,7 @@ impl VisibilityWindow {
         self.key = Some(WindowKey {
             fleet: snapshot.fleet_fingerprint(),
             min_elevation_deg,
-            refreshed_ms: snapshot.epoch().as_millis(),
+            refreshed_ms: t.as_millis(),
             window_ms,
         });
     }
@@ -486,7 +520,7 @@ impl VisibilityWindow {
         let WindowGround { ecef: g, tight, .. } = self.grounds[ground];
         let soa = snapshot.columns();
         let satellites = snapshot.satellites();
-        let tagged = &mut self.vis.tagged;
+        let tagged = &mut self.tagged;
         tagged.clear();
         let list = &self.candidates[self.starts[ground]..self.starts[ground + 1]];
         // A no-op once `out` has held `k` (or the fleet): later calls

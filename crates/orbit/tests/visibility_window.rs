@@ -8,9 +8,12 @@
 //! The window's claim is a proof (see `VisibilityWindow`'s docs), so the
 //! oracle is wide rather than clever: every epoch of a 48 h run, seeded
 //! step patterns in an explicit loop (the vendored `proptest` replays
-//! one input per test), three fleets, three masks, three `k`, and a
-//! `keep` whose dead set changes at every step. Run it under the
-//! release profile too (`cargo test --release -p starcdn-orbit --test
+//! one input per test), four fleets, three masks, three `k`, and a
+//! `keep` whose dead set changes at every step. A refresh reads the
+//! orbital elements, plane by plane, not positions; its lists are held
+//! to the widened cone tested on a complete snapshot's positions, from
+//! both sides and down to the cone's edge. Run it under the release
+//! profile too (`cargo test --release -p starcdn-orbit --test
 //! visibility_window`): the benchmark executes the release build's
 //! arithmetic.
 
@@ -64,6 +67,33 @@ fn mixed_fleet() -> (Vec<Satellite>, u16) {
     (sats, 6)
 }
 
+/// 288 satellites of one rate group (550 km, 53°), every one on a plane
+/// of its own: a node 1.25° from the last, phases a golden angle apart.
+fn own_planes_fleet() -> (Vec<Satellite>, u16) {
+    let sats = (0..288)
+        .map(|i| Satellite {
+            id: SatelliteId::from_index(i, 18),
+            orbit: CircularOrbit::from_degrees(
+                550.0,
+                53.0,
+                i as f64 * 1.25,
+                (i as f64 * 137.507_764).rem_euclid(360.0),
+            ),
+        })
+        .collect();
+    (sats, 18)
+}
+
+/// Shell 1 with its satellites dealt out of plane order, so a plane's
+/// members are not a contiguous index range.
+fn shuffled_shell1() -> (Vec<Satellite>, u16) {
+    let (sats, per_plane) = shell1();
+    let n = sats.len();
+    // 785 = 5·157 is coprime to 1296 = 2⁴·3⁴: a permutation.
+    let shuffled = (0..n).map(|i| sats[i * 785 % n]).collect();
+    (shuffled, per_plane)
+}
+
 /// 24 satellites at `altitude_km` in two rate groups, for the cones that
 /// reach a hemisphere.
 fn high_fleet(altitude_km: f64) -> (Vec<Satellite>, u16) {
@@ -90,8 +120,8 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// The tracked path, composed the way a scheduler composes it: advance
-/// through the window, refresh when it does not cover the new time, scan
-/// the candidate lists.
+/// through the window (which refreshes first when it does not cover the
+/// new time), scan the candidate lists.
 struct Tracked {
     window: VisibilityWindow,
     snapshot: SnapshotPropagator,
@@ -110,11 +140,9 @@ impl Tracked {
     }
 
     fn step(&mut self, t: SimTime, mask: f64, grounds: &[Geodetic]) {
+        self.refreshes += !self.window.covers(&self.snapshot, t, mask, grounds) as u64;
         self.window.advance(&mut self.snapshot, t, mask, grounds);
-        if !self.window.covers(&self.snapshot, t, mask, grounds) {
-            self.window.refresh(&self.snapshot, mask, grounds);
-            self.refreshes += 1;
-        }
+        assert!(self.window.covers(&self.snapshot, t, mask, grounds));
     }
 }
 
@@ -198,12 +226,12 @@ fn every_epoch_of_48_hours_matches_the_full_scan() {
 
 #[test]
 fn seeded_step_patterns_match_the_full_scan() {
-    let fleets = [shell1(), mixed_fleet(), high_fleet(8_000.0)];
+    let fleets = [shell1(), mixed_fleet(), high_fleet(8_000.0), own_planes_fleet()];
     let mut refreshes = 0u64;
     let mut steps = 0u64;
     for seed in 0..240u64 {
         let mut rng = seed.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x5EED;
-        let fleet = &fleets[(seed % 3) as usize];
+        let fleet = &fleets[(seed % 4) as usize];
         let mask = [5.0, 25.0, 40.0][(seed / 3 % 3) as usize];
         let k = [1usize, 4, 100][(seed / 9 % 3) as usize];
         let points: Vec<(f64, f64)> = (0..3)
@@ -258,22 +286,42 @@ fn seeded_step_patterns_match_the_full_scan() {
 
 /// The claim itself, checked directly: at 1 s granularity (and at the
 /// exact millisecond edges) across a whole window, every satellite above
-/// the mask is in its ground point's candidate list.
+/// the mask is in its ground point's candidate list — for a Walker shell,
+/// a fleet of one rate group per satellite, one of one plane per
+/// satellite, and one whose cones reach a hemisphere at a 5° mask (its
+/// lists are every satellite, checked over ±1 h). The refresh is handed a
+/// snapshot that stays at epoch 0: it reads the elements, not positions.
 #[test]
 fn candidates_hold_every_above_mask_satellite_across_the_window() {
     let grounds = grounds(&GROUNDS);
-    for (fleet, name) in [(shell1(), "shell1"), (mixed_fleet(), "mixed")] {
+    let fleets = [
+        (shell1(), "shell1"),
+        (mixed_fleet(), "mixed"),
+        (own_planes_fleet(), "own planes"),
+        (high_fleet(8_000.0), "high"),
+    ];
+    let mut hemispheres = 0;
+    for (fleet, name) in fleets {
+        let stale = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
         for mask in [5.0, 25.0, 40.0] {
             for t0_secs in [0u64, 7_777, 30 * 86_400] {
                 let mut snap = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
                 let t0 = SimTime::from_secs(t0_secs);
-                snap.advance_to(t0);
                 let mut window = VisibilityWindow::default();
-                window.refresh(&snap, mask, &grounds);
+                window.refresh(&stale, t0, mask, &grounds);
                 let w = window.window_ms();
-                assert!((60_000..600_000).contains(&w), "{name} mask {mask}: window of {w} ms");
-                let lo = t0.as_millis().saturating_sub(w);
-                let hi = t0.as_millis() + w;
+                let span = if w == u64::MAX {
+                    hemispheres += 1;
+                    for j in 0..grounds.len() {
+                        assert_eq!(window.candidates(j).len(), fleet.0.len(), "{name} {mask}");
+                    }
+                    3_600_000
+                } else {
+                    assert!(w >= 60_000, "{name} mask {mask}: window of {w} ms");
+                    w
+                };
+                let lo = t0.as_millis().saturating_sub(span);
+                let hi = t0.as_millis() + span;
                 let times = (lo..=hi).step_by(1000).chain([hi]);
                 let mut above = 0u64;
                 for t_ms in times {
@@ -295,32 +343,154 @@ fn candidates_hold_every_above_mask_satellite_across_the_window() {
                     }
                 }
                 assert!(above > 0, "{name} mask {mask}: nothing was ever above the mask");
-                assert!(!window.covers(&snap, SimTime::from_millis(hi + 1), mask, &grounds));
-                if lo > 0 {
-                    assert!(!window.covers(&snap, SimTime::from_millis(lo - 1), mask, &grounds));
+                if w != u64::MAX {
+                    assert!(!window.covers(&snap, SimTime::from_millis(hi + 1), mask, &grounds));
+                    if lo > 0 {
+                        let before = SimTime::from_millis(lo - 1);
+                        assert!(!window.covers(&snap, before, mask, &grounds));
+                    }
                 }
             }
         }
     }
+    assert_eq!(hemispheres, 3, "the high fleet's 5° cones are hemispheres, and only those");
+}
+
+/// `max_central_angle_rad` + `fleet_central_angle`, restated: the
+/// largest Earth-central angle at which a satellite of the fleet's
+/// largest radius² `r2_max` is above `mask` from a ground point at radius²
+/// `g2`, plus its 1e-6 rad of slack.
+fn gamma_max(g2: f64, r2_max: f64, mask: f64) -> f64 {
+    let el = f64::to_radians(mask);
+    let ratio = (g2.sqrt() / r2_max.sqrt()) * el.cos();
+    std::f64::consts::FRAC_PI_2 - el - ratio.clamp(-1.0, 1.0).asin() + 1e-6
+}
+
+/// The widened cone as a refresh used to test it, on a complete
+/// snapshot's positions: satellite `i` is in when `d > 0` and
+/// `d² ≥ cos²(angle)·|g|²·|p|²` for `d = g·p`.
+fn in_cone(snap: &SnapshotPropagator, g: Geodetic, angle: f64, i: usize) -> bool {
+    let g = g.to_ecef();
+    let p = snap.positions_soa().ecef(i);
+    let (g2, p2) = (g.x * g.x + g.y * g.y + g.z * g.z, snap.positions_soa().p2()[i]);
+    let c = angle.cos();
+    let d = g.x * p.x + g.y * p.y + g.z * p.z;
+    (d > 0.0) & (d * d >= c * c * g2 * p2)
+}
+
+/// A fleet of `count` satellites on planes of their own, each phased by
+/// bisection to sit on the widened cone's edge over `ground` at `t0`
+/// (`mask`): the last phase whose position the cone test above keeps,
+/// next to one it drops. Planes that never come that close are left at
+/// phase 0.
+fn edge_fleet(ground: Geodetic, t0: SimTime, mask: f64, count: usize) -> (Vec<Satellite>, usize) {
+    let sat = |i: usize, phase_rad: f64| {
+        let mut orbit =
+            CircularOrbit::from_degrees(550.0, 53.0, i as f64 * 360.0 / count as f64, 0.0);
+        orbit.phase_rad = phase_rad;
+        Satellite { id: SatelliteId::from_index(i, 1), orbit }
+    };
+    let kept = |i: usize, phase_rad: f64| {
+        let mut one = SnapshotPropagator::new(vec![sat(i, phase_rad)], 1);
+        let g = ground.to_ecef();
+        let r2_max = one.positions_soa().r2_max();
+        let gamma = gamma_max(g.x * g.x + g.y * g.y + g.z * g.z, r2_max, mask);
+        one.advance_to(t0);
+        in_cone(&one, ground, 2.0 * gamma, 0)
+    };
+    let mut on_edge = 0;
+    let sats = (0..count)
+        .map(|i| {
+            let step = std::f64::consts::TAU / 360.0;
+            let flip =
+                (0..360).map(|d| d as f64 * step).find(|&p| kept(i, p) && !kept(i, p + step));
+            let Some(mut inside) = flip else { return sat(i, 0.0) };
+            let mut outside = inside + step;
+            for _ in 0..80 {
+                let mid = 0.5 * (inside + outside);
+                if mid == inside || mid == outside {
+                    break;
+                }
+                *(if kept(i, mid) { &mut inside } else { &mut outside }) = mid;
+            }
+            on_edge += 1;
+            sat(i, inside)
+        })
+        .collect();
+    (sats, on_edge)
+}
+
+/// Each list against the widened cone on a complete snapshot's
+/// positions, from both sides: it holds every satellite the cone holds,
+/// and nothing beyond the cone widened by 1e-9 of cosine (≈ 20 m of
+/// arc). The last fleet sits on the cone's edge by construction, where
+/// the two computations differ by rounding: the refresh's slack is what
+/// keeps those satellites.
+#[test]
+fn refresh_lists_the_widened_cone_from_both_sides_down_to_its_edge() {
+    let grounds = grounds(&GROUNDS);
+    let t_edge = SimTime::from_secs(7_777);
+    let (edge, on_edge) = edge_fleet(grounds[4], t_edge, 25.0, 96);
+    assert!(on_edge >= 24, "only {on_edge} planes reach the cone's edge");
+    let fleets = [
+        (shell1(), "shell1"),
+        (shuffled_shell1(), "shuffled shell1"),
+        (mixed_fleet(), "mixed"),
+        (own_planes_fleet(), "own planes"),
+        ((edge, 1), "edge"),
+    ];
+    let mut edge_members = 0;
+    for (fleet, name) in fleets {
+        let stale = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
+        let r2_max = stale.positions_soa().r2_max();
+        for mask in [5.0, 25.0, 40.0] {
+            for t0 in [SimTime::ZERO, t_edge, SimTime::from_secs(30 * 86_400)] {
+                let mut window = VisibilityWindow::default();
+                window.refresh(&stale, t0, mask, &grounds);
+                let mut full = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
+                full.advance_to(t0);
+                for (j, &g) in grounds.iter().enumerate() {
+                    let e = g.to_ecef();
+                    let wide = 2.0 * gamma_max(e.x * e.x + e.y * e.y + e.z * e.z, r2_max, mask);
+                    let outer = (wide.cos() - 1e-9).acos();
+                    let list = window.candidates(j);
+                    for i in 0..fleet.0.len() {
+                        let listed = list.binary_search(&(i as u32)).is_ok();
+                        let inner = in_cone(&full, g, wide, i);
+                        let what = format!("{name} mask {mask} t0 {t0} ground {j} satellite {i}");
+                        assert!(listed || !inner, "{what}: inside the cone, not listed");
+                        assert!(!listed || in_cone(&full, g, outer, i), "{what}: listed, far out");
+                        let on_edge = name == "edge" && mask == 25.0 && j == 4 && t0 == t_edge;
+                        edge_members += (on_edge && inner) as usize;
+                    }
+                }
+            }
+        }
+    }
+    // The fleet's largest radius is at least each satellite's own, so
+    // every satellite placed on the edge is inside the fleet's cone.
+    assert!(edge_members >= on_edge, "{edge_members} of {on_edge} edge satellites inside");
 }
 
 #[test]
 fn lists_are_ascending_and_the_union_is_their_sorted_merge() {
-    let fleet = shell1();
     let grounds = grounds(&GROUNDS);
-    let mut snap = SnapshotPropagator::new(fleet.0, fleet.1);
-    snap.advance_to(SimTime::from_secs(4_321));
-    let mut window = VisibilityWindow::default();
-    window.refresh(&snap, 25.0, &grounds);
-    let mut merged = std::collections::BTreeSet::new();
-    for j in 0..grounds.len() {
-        let list = window.candidates(j);
-        assert!(list.windows(2).all(|w| w[0] < w[1]), "ground {j}: not ascending");
-        assert!(list.len() < 80, "ground {j}: {} candidates", list.len());
-        merged.extend(list.iter().copied());
+    // Shuffled, a plane's members are not contiguous: the lists are
+    // sorted, not collected in plane order.
+    for fleet in [shell1(), shuffled_shell1()] {
+        let snap = SnapshotPropagator::new(fleet.0, fleet.1);
+        let mut window = VisibilityWindow::default();
+        window.refresh(&snap, SimTime::from_secs(4_321), 25.0, &grounds);
+        let mut merged = std::collections::BTreeSet::new();
+        for j in 0..grounds.len() {
+            let list = window.candidates(j);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "ground {j}: not ascending");
+            assert!(list.len() < 80, "ground {j}: {} candidates", list.len());
+            merged.extend(list.iter().copied());
+        }
+        assert!(window.candidates(11).is_empty(), "no satellite comes within 2γ of the pole");
+        assert_eq!(window.union(), merged.into_iter().collect::<Vec<_>>());
     }
-    assert!(window.candidates(11).is_empty(), "no satellite comes within 2γ of the pole point");
-    assert_eq!(window.union(), merged.into_iter().collect::<Vec<_>>());
 }
 
 /// Cones that reach a hemisphere: the list is every satellite, there is
@@ -351,7 +521,7 @@ fn another_fleet_mask_or_ground_set_is_not_covered() {
     let mut window = VisibilityWindow::default();
     let t = SimTime::ZERO;
     assert!(!window.covers(&snap, t, 25.0, &grounds), "nothing is covered before a refresh");
-    window.refresh(&snap, 25.0, &grounds);
+    window.refresh(&snap, t, 25.0, &grounds);
     assert!(window.covers(&snap, t, 25.0, &grounds));
     assert!(!window.covers(&snap, t, 24.0, &grounds));
     assert!(!window.covers(&snap, t, 25.0, &grounds[..11]));
@@ -386,10 +556,45 @@ fn positions_soa_of_a_subset_advanced_snapshot_panics() {
     subset_advanced().positions_soa();
 }
 
+/// A refresh reads no positions: on a snapshot another window left
+/// subset-advanced, and on a window's own snapshot past its window (no
+/// full advance in between), it lists and scans what a refresh on a
+/// complete snapshot does.
 #[test]
-#[should_panic(expected = "subset only")]
-fn refresh_from_a_subset_advanced_snapshot_panics() {
-    VisibilityWindow::default().refresh(&subset_advanced(), 25.0, &grounds(&GROUNDS));
+fn refresh_on_a_subset_advanced_snapshot_matches_a_complete_one() {
+    let fleet = shell1();
+    let grounds = grounds(&GROUNDS);
+    let t = SimTime::from_millis(86_400_000 + 4_321);
+    let mut full = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
+    full.advance_to(t);
+    let mut reference = VisibilityWindow::default();
+    reference.refresh(&full, t, 25.0, &grounds);
+    // Someone else's subset advance, then a refresh at another epoch.
+    let mut from_elements = VisibilityWindow::default();
+    from_elements.refresh(&subset_advanced(), t, 25.0, &grounds);
+    // This window's own: advanced at 15 s, then past its window.
+    let mut own = Tracked::new(&fleet);
+    own.step(SimTime::from_secs(15), 25.0, &grounds);
+    own.step(t, 25.0, &grounds);
+    assert_eq!(own.refreshes, 2);
+    assert!(!own.snapshot.is_complete(), "the refresh did a full advance");
+    for window in [&from_elements, &own.window] {
+        assert_eq!(window.union(), reference.union());
+        assert_eq!(window.window_ms(), reference.window_ms());
+        for j in 0..grounds.len() {
+            assert_eq!(window.candidates(j), reference.candidates(j), "ground {j}");
+        }
+    }
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for j in 0..grounds.len() {
+        own.window.top_k_into(j, &own.snapshot, 4, |_| true, &mut got);
+        reference.top_k_into(j, &full, 4, |_| true, &mut want);
+        assert_eq!(got, want, "ground {j}");
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits(), "ground {j}");
+            assert_eq!(a.slant_range_km.to_bits(), b.slant_range_km.to_bits(), "ground {j}");
+        }
+    }
 }
 
 #[test]
@@ -399,7 +604,7 @@ fn scanning_a_snapshot_someone_else_subset_advanced_panics() {
     let grounds = grounds(&GROUNDS);
     let mut snap = SnapshotPropagator::new(fleet.0, fleet.1);
     let mut window = VisibilityWindow::default();
-    window.refresh(&snap, 25.0, &grounds);
+    window.refresh(&snap, snap.epoch(), 25.0, &grounds);
     snap.advance_subset(SimTime::from_secs(15), &[1, 2, 3]);
     assert!(window.covers(&snap, snap.epoch(), 25.0, &grounds));
     window.top_k_into(0, &snap, 4, |_| true, &mut Vec::new());

@@ -297,16 +297,22 @@ pub(crate) fn record_fault_delta(
     rec.add(Counter::FaultEventsApplied, applied as u64);
 }
 
-/// A maximal run of consecutive same-epoch trace entries, plus everything
-/// a worker needs to schedule it independently: the failure view the
-/// sequential pass would have used and the round-robin counters as they
-/// stood when the run began.
+/// A maximal run of consecutive same-epoch trace entries, plus the
+/// failure view the sequential pass would have used for it.
 pub(crate) struct EpochRun {
     pub(crate) start: usize,
     pub(crate) end: usize,
     pub(crate) epoch: u64,
-    pub(crate) rr_start: Vec<usize>,
     pub(crate) view: Arc<FailureModel>,
+}
+
+/// What the parallel builder's workers need to schedule runs
+/// independently: the runs, and the round-robin counters as they stood
+/// when each run began — one flat runs × locations table, run `i`'s row
+/// at `rr_start[i * L..(i + 1) * L]`.
+pub(crate) struct EpochRuns {
+    pub(crate) runs: Vec<EpochRun>,
+    pub(crate) rr_start: Vec<usize>,
 }
 
 /// Sequential pre-scan of the parallel columnar builder: splits `reqs`
@@ -319,9 +325,10 @@ pub(crate) fn prescan_epoch_runs(
     reqs: &[Request],
     epoch_secs: u64,
     rec: &dyn Recorder,
-) -> Vec<EpochRun> {
+) -> EpochRuns {
     let enabled = rec.is_enabled();
     let mut runs: Vec<EpochRun> = Vec::new();
+    let mut rr_start = Vec::new();
     let mut cursor = ScheduleCursor::new(&world.schedule, world.failures.clone());
     let mut rr = vec![0usize; world.num_locations()];
     let mut shared_view: Option<Arc<FailureModel>> = None;
@@ -356,13 +363,14 @@ pub(crate) fn prescan_epoch_runs(
                 v
             }
         };
-        runs.push(EpochRun { start, end, epoch, rr_start: rr.clone(), view });
+        runs.push(EpochRun { start, end, epoch, view });
+        rr_start.extend_from_slice(&rr);
         for r in &reqs[start..end] {
             rr[r.location.0 as usize] += 1;
         }
         start = end;
     }
-    runs
+    EpochRuns { runs, rr_start }
 }
 
 #[cfg(test)]

@@ -12,17 +12,21 @@
 //! [`build_access_log_columns_parallel`] produce bit-for-bit the same
 //! log (and [`build_access_log`](crate::access_log::build_access_log) is
 //! the sequential one's rows). Both take every epoch boundary through one
-//! [`EpochScheduler::step`] (visibility-window advance, then
-//! `schedule_epoch_into`) and store every entry through the one entry
-//! constructor, `AccessLogEntry::resolved`. The parallel builder pre-sizes
-//! the column buffers once and hands each worker disjoint `&mut` chunks
-//! (split at epoch-run boundaries), so the steady-state epoch loop —
-//! propagate, schedule into reusable scratch, write columns in place —
-//! performs zero heap allocations and there is no final stitch copy.
+//! [`EpochScheduler::begin`] (the schedule's prologue, then the
+//! visibility window's advance), read every entry's assignment through
+//! [`EpochScheduler::assignment`] — which schedules a location on the
+//! first request that reads it in the epoch, so an (epoch, location) cell
+//! no request reads is never scheduled — and store every entry through
+//! the one entry constructor, `AccessLogEntry::resolved`. The parallel
+//! builder pre-sizes the column buffers once and hands each worker
+//! disjoint `&mut` chunks (split at epoch-run boundaries), so the
+//! steady-state epoch loop — propagate, schedule into reusable scratch,
+//! write columns in place — performs zero heap allocations and there is
+//! no final stitch copy.
 
 use crate::access_log::{
     contact_lanes, prescan_epoch_runs, read_log, record_fault_delta, write_log, AccessLog,
-    AccessLogEntry,
+    AccessLogEntry, EpochRuns,
 };
 use crate::scheduler::{epoch_of, Assignment, EpochScheduler, SchedulerConfig};
 use crate::world::World;
@@ -380,7 +384,8 @@ fn split_into_chunks<'a>(
 /// Resolve a trace against the world into a columnar log (see
 /// [`build_access_log`](crate::access_log::build_access_log) for what
 /// the log holds): one sequential pass over the trace, one
-/// [`EpochScheduler::step`] per epoch with reusable scratch.
+/// [`EpochScheduler::begin`] per epoch with reusable scratch, each
+/// location scheduled on its first read in the epoch.
 pub fn build_access_log_columns(
     world: &World,
     trace: &Trace,
@@ -391,8 +396,9 @@ pub fn build_access_log_columns(
 }
 
 /// [`build_access_log_columns`] with telemetry: the scheduler's per-epoch
-/// `Propagate`/`Schedule`/`Visibility` spans, epoch-stamped churn events
-/// from the fault cursor, and the per-epoch entry count as
+/// `Propagate`/`Schedule`/`Visibility` spans and `GslDelayUs` — for the
+/// cells a request read, the only ones scheduled — epoch-stamped churn
+/// events from the fault cursor, and the per-epoch entry count as
 /// [`Histo::QueueDepth`]. The produced log is identical with any
 /// recorder.
 pub fn build_access_log_columns_recorded(
@@ -436,7 +442,7 @@ pub fn build_access_log_columns_recorded(
             if enabled && !delta.is_empty() {
                 record_fault_delta(rec, epoch, &delta);
             }
-            scheduler.step(world, epoch, epoch_secs, cfg, cursor.view(), rec);
+            scheduler.begin(world, epoch, epoch_secs, cfg, rec);
             have_schedule = true;
         }
         epoch_len += 1;
@@ -444,7 +450,7 @@ pub fn build_access_log_columns_recorded(
         let loc = r.location.0 as usize;
         let user = rr_counters[loc];
         rr_counters[loc] = if user + 1 == users { 0 } else { user + 1 };
-        cols.push_resolved(r, scheduler.schedule().assignments[loc][user]);
+        cols.push_resolved(r, scheduler.assignment(loc, user, cursor.view(), rec));
     }
     if enabled && epoch_len > 0 {
         rec.observe(Histo::QueueDepth, epoch_len);
@@ -460,13 +466,16 @@ pub fn build_access_log_columns_recorded(
 /// replays the [`ScheduleCursor`] once (the cursor is monotonic state,
 /// so this is the one part that cannot be parallelized) and snapshots a
 /// per-run failure view and the round-robin user counters' starting
-/// values. With the sequential dependencies captured, epoch runs are
+/// values (one flat runs × locations table). With the sequential
+/// dependencies captured, epoch runs are
 /// embarrassingly parallel: each worker owns a private
 /// [`EpochScheduler`] (a satellite's position is a pure function of
 /// `t`, so worker-local snapshots produce identical bits, whichever
 /// epochs a worker's visibility window happens to refresh at), takes a
-/// contiguous block of runs, and writes their results directly into
-/// disjoint pre-split column chunks. Once a
+/// contiguous block of runs, schedules each run's locations on their
+/// first read through the same [`EpochScheduler::assignment`] as the
+/// sequential builder, and writes the results directly into disjoint
+/// pre-split column chunks. Once a
 /// worker's scratch is warm, its steady-state epoch loop — propagate,
 /// schedule into scratch, write the run's chunk — performs zero heap
 /// allocations, and there is no stitch copy at the end. Output is
@@ -503,7 +512,7 @@ pub fn build_access_log_columns_parallel_recorded(
     let reqs = &trace.requests;
 
     let prescan_span = SpanTimer::start(rec, Stage::PreScan, 0);
-    let runs = prescan_epoch_runs(world, reqs, epoch_secs, rec);
+    let EpochRuns { runs, rr_start } = prescan_epoch_runs(world, reqs, epoch_secs, rec);
     prescan_span.stop();
 
     let mut cols = AccessLogColumns::new(epoch_secs);
@@ -529,26 +538,27 @@ pub fn build_access_log_columns_parallel_recorded(
 
     let users = cfg.users_per_location;
     assert!(users > 0, "users_per_location must be positive");
+    let locations = world.num_locations();
     std::thread::scope(|s| {
         for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
             s.spawn(|| {
                 let mut scheduler = EpochScheduler::new(world);
-                let mut rr = vec![0usize; world.num_locations()];
+                let mut rr = vec![0usize; locations];
                 for (i, mut chunk) in bucket {
                     let run = &runs[i];
-                    scheduler.step(world, run.epoch, epoch_secs, cfg, &run.view, rec);
+                    scheduler.begin(world, run.epoch, epoch_secs, cfg, rec);
                     // Fold the pre-scan's raw counts into wrapped
                     // cursors once per run; entries then step without
                     // the modulo (see the sequential builder).
-                    for (w, &raw) in rr.iter_mut().zip(&run.rr_start) {
+                    let counts = &rr_start[i * locations..(i + 1) * locations];
+                    for (w, &raw) in rr.iter_mut().zip(counts) {
                         *w = raw % users;
                     }
-                    let schedule = scheduler.schedule();
                     for (j, r) in reqs[run.start..run.end].iter().enumerate() {
                         let loc = r.location.0 as usize;
                         let user = rr[loc];
                         rr[loc] = if user + 1 == users { 0 } else { user + 1 };
-                        chunk.write_resolved(j, r, schedule.assignments[loc][user]);
+                        chunk.write_resolved(j, r, scheduler.assignment(loc, user, &run.view, rec));
                     }
                 }
             });
@@ -718,6 +728,52 @@ mod tests {
                 let par = build_access_log_columns_parallel(&w, &trace, 15, &cfg, n);
                 assert_eq!(seq, par, "{n} workers diverged from sequential");
             }
+        }
+    }
+
+    /// Telemetry under lazy scheduling: a recorder changes no entry, and
+    /// the scheduler's per-cell records cover the (epoch, location) cells
+    /// a request read — `users_per_location` GSL delays each (every
+    /// nine-city user is covered), one `Visibility` span each plus one per
+    /// epoch for its prologue — whatever the worker count.
+    #[test]
+    fn recorded_builders_schedule_and_observe_requested_cells_only() {
+        use starcdn_telemetry::MemoryRecorder;
+        let w = World::starlink_nine_cities();
+        let cfg = SchedulerConfig::default();
+        // Cities 1, 4 and 7 only, a request every 7 s and a minute's
+        // silence after every tenth: epochs read one cell, two, three or
+        // none.
+        let trace = Trace::new(
+            (0..400u64)
+                .map(|k| Request {
+                    time: SimTime::from_secs(k * 7 + k / 10 * 60),
+                    object: ObjectId(k % 23),
+                    size: 100,
+                    location: LocationId((1 + 3 * ((k + k / 5) % 3)) as u16),
+                })
+                .collect(),
+        );
+        let cells: std::collections::BTreeSet<(u64, u16)> =
+            trace.requests.iter().map(|r| (epoch_of(r.time, 15), r.location.0)).collect();
+        let epochs = cells.iter().map(|&(e, _)| e).collect::<std::collections::BTreeSet<_>>();
+        assert!(cells.len() > epochs.len() && cells.len() < 3 * epochs.len());
+        let noop = build_access_log_columns(&w, &trace, 15, &cfg);
+        for workers in [1usize, 2, 3] {
+            let rec = MemoryRecorder::new();
+            let log =
+                build_access_log_columns_parallel_recorded(&w, &trace, 15, &cfg, workers, &rec);
+            assert_eq!(log, noop, "{workers} workers: a recorder changed the log");
+            let snap = rec.snapshot();
+            let gsl = snap.histogram(Histo::GslDelayUs).expect("observed per assignment");
+            assert_eq!(gsl.count, (cells.len() * cfg.users_per_location) as u64, "{workers}");
+            let visibility: u64 = snap
+                .spans
+                .iter()
+                .filter(|((stage, _), _)| *stage == Stage::Visibility)
+                .map(|(_, s)| s.count)
+                .sum();
+            assert_eq!(visibility, (epochs.len() + cells.len()) as u64, "{workers} workers");
         }
     }
 

@@ -9,19 +9,26 @@
 //! elevation visible satellites, spreading users like the real
 //! scheduler does.
 //!
-//! One body computes a schedule: [`schedule_epoch_into`], through a
-//! [`VisibilityWindow`] kept in reusable scratch. [`EpochScheduler`]
-//! steps it epoch by epoch for the log builders, the coverage analytics
-//! and the transfer model; [`schedule_epoch`] / [`schedule_epoch_with`]
-//! run it once with a fresh scratch.
+//! One body computes a schedule, in two parts kept in reusable scratch:
+//! an epoch prologue (the [`VisibilityWindow`] made to cover the epoch,
+//! the output sized) and a per-location body (the location's top-k, each
+//! user's pick). [`schedule_epoch_into`] runs the body for every location;
+//! [`EpochScheduler`] steps epochs for the log builders, which schedule a
+//! location only when the first request that reads it arrives
+//! ([`EpochScheduler::assignment`]), and for the coverage analytics and
+//! the transfer model, which read every location
+//! ([`EpochScheduler::step`]); [`schedule_epoch`] /
+//! [`schedule_epoch_with`] run it once with a fresh scratch.
 
 use crate::world::World;
+use starcdn_constellation::failures::FailureModel;
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::propagator::SnapshotPropagator;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::visibility::{propagation_delay_ms_f64, VisibilityWindow, VisibleSatellite};
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Histo, Noop, Recorder, SpanTimer, Stage};
+use std::time::Instant;
 
 /// One user's link assignment for the current epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +118,7 @@ pub fn schedule_epoch_with(
     snapshot: &SnapshotPropagator,
     epoch_index: u64,
     cfg: &SchedulerConfig,
-    failures: &starcdn_constellation::failures::FailureModel,
+    failures: &FailureModel,
 ) -> EpochSchedule {
     let mut out = EpochSchedule::default();
     let mut scratch = ScheduleScratch::default();
@@ -131,6 +138,11 @@ pub struct ScheduleScratch {
     visible: Vec<VisibleSatellite>,
 }
 
+/// Nanoseconds since `t0`, when a recorder is timing.
+fn elapsed_ns(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64)
+}
+
 impl ScheduleScratch {
     fn set_grounds(&mut self, world: &World) {
         self.grounds.clear();
@@ -138,28 +150,98 @@ impl ScheduleScratch {
             world.locations.iter().map(|l| Geodetic::from_degrees(l.lat_deg, l.lon_deg, 0.0)),
         );
     }
+
+    /// The epoch prologue, with `grounds` already `world`'s: stamp and
+    /// size `out` for `world`, and make the window cover time `t` —
+    /// refreshing it from the fleet's orbital elements when it does not
+    /// (the first call, a jump past the window either way, another mask,
+    /// fleet or location set), which an enabled recorder counts in
+    /// [`Counter::VisibilityRefreshes`] with the candidate union's size in
+    /// [`Histo::VisibilityCandidates`]. Returns the refresh's time in ns
+    /// when recording.
+    #[allow(clippy::too_many_arguments)]
+    fn begin_epoch(
+        &mut self,
+        world: &World,
+        snapshot: &SnapshotPropagator,
+        t: SimTime,
+        epoch_index: u64,
+        cfg: &SchedulerConfig,
+        rec: &dyn Recorder,
+        out: &mut EpochSchedule,
+    ) -> u64 {
+        debug_assert_eq!(world.satellites.len(), snapshot.satellites().len());
+        out.epoch_index = epoch_index;
+        out.assignments.truncate(world.locations.len());
+        out.assignments.resize_with(world.locations.len(), Vec::new);
+        let t0 = rec.is_enabled().then(Instant::now);
+        let ScheduleScratch { window, grounds, .. } = self;
+        if !window.covers(snapshot, t, cfg.min_elevation_deg, grounds) {
+            window.refresh(snapshot, t, cfg.min_elevation_deg, grounds);
+            if rec.is_enabled() {
+                rec.add(Counter::VisibilityRefreshes, 1);
+                rec.observe(Histo::VisibilityCandidates, window.union().len() as u64);
+            }
+        }
+        elapsed_ns(t0)
+    }
+
+    /// One location's body: its `top_k` best alive satellites at
+    /// `snapshot`'s epoch, then each of its users' picks (`assign_user`)
+    /// into `out`, each assignment's GSL delay observed in
+    /// [`Histo::GslDelayUs`] when recording. Returns the top-k selection's
+    /// time in ns when recording.
+    #[allow(clippy::too_many_arguments)]
+    fn schedule_location(
+        &mut self,
+        loc_idx: usize,
+        snapshot: &SnapshotPropagator,
+        epoch_index: u64,
+        cfg: &SchedulerConfig,
+        failures: &FailureModel,
+        rec: &dyn Recorder,
+        out: &mut EpochSchedule,
+    ) -> u64 {
+        let t0 = rec.is_enabled().then(Instant::now);
+        // `.max(1)`: a degenerate `top_k: 0` config still selects the
+        // best satellite (see `assign_user`).
+        let keep = |id| failures.is_alive(id);
+        self.window.top_k_into(loc_idx, snapshot, cfg.top_k.max(1), keep, &mut self.visible);
+        let vis_ns = elapsed_ns(t0);
+        let per_user = &mut out.assignments[loc_idx];
+        per_user.clear();
+        for user in 0..cfg.users_per_location {
+            per_user.push(assign_user(&self.visible, cfg, epoch_index, loc_idx, user));
+        }
+        if rec.is_enabled() {
+            for a in per_user.iter().flatten() {
+                rec.observe(Histo::GslDelayUs, (a.gsl_oneway_ms * 1000.0) as u64);
+            }
+        }
+        vis_ns
+    }
 }
 
-/// The scheduler: computes the schedule into a caller-owned
-/// [`EpochSchedule`] through the scratch's [`VisibilityWindow`]. The time
-/// is `snapshot.epoch()`. When the window does not cover it — the first
-/// call, a jump past the window either way, another mask, fleet or
-/// location set — the whole fleet is rescanned with the widened cone and
-/// the window restarts (this needs a complete snapshot); inside the
-/// window each location tests its candidate list only. Liveness
-/// (`failures`) is applied per call and never enters the lists. Each
-/// location's users are spread over its `top_k` best alive satellites
-/// (`assign_user`). Once `scratch` and `out` have seen this world's
-/// shape, an invocation performs zero heap allocations.
+/// The scheduler: computes the schedule of every location into a
+/// caller-owned [`EpochSchedule`] through the scratch's
+/// [`VisibilityWindow`]. The time is `snapshot.epoch()`. When the window
+/// does not cover it, it is refreshed there from the fleet's orbital
+/// elements (any snapshot will do); inside the window each location tests
+/// its candidate list only, which needs `snapshot` complete or advanced
+/// to its epoch by this window. Liveness (`failures`) is applied per call
+/// and never enters the lists. Each location's users are spread over its
+/// `top_k` best alive satellites (`assign_user`). Once `scratch` and
+/// `out` have seen this world's shape, an invocation performs zero heap
+/// allocations.
 ///
 /// The window selects exactly the brute-force scan's satellites (proven
 /// in `starcdn-orbit`, `tests/visibility_window.rs`), so a reused scratch
 /// schedules bit for bit what a fresh one does.
 ///
 /// With an enabled recorder the epoch is timed under [`Stage::Schedule`]
-/// and the visibility/top-k selection alone under [`Stage::Visibility`]
+/// and the refresh plus the top-k selections under [`Stage::Visibility`]
 /// (both keyed by `epoch_index`), the epoch is counted, and each
-/// assignment's GSL delay is observed in [`Histo::GslDelayUs`]; a rescan
+/// assignment's GSL delay is observed in [`Histo::GslDelayUs`]; a refresh
 /// counts one [`Counter::VisibilityRefreshes`] and observes the candidate
 /// union's size in [`Histo::VisibilityCandidates`]. Recording never
 /// affects the schedule itself.
@@ -169,51 +251,20 @@ pub fn schedule_epoch_into(
     snapshot: &SnapshotPropagator,
     epoch_index: u64,
     cfg: &SchedulerConfig,
-    failures: &starcdn_constellation::failures::FailureModel,
+    failures: &FailureModel,
     rec: &dyn Recorder,
     scratch: &mut ScheduleScratch,
     out: &mut EpochSchedule,
 ) {
-    debug_assert_eq!(world.satellites.len(), snapshot.satellites().len());
     scratch.set_grounds(world);
-    let enabled = rec.is_enabled();
     let span = SpanTimer::start(rec, Stage::Schedule, epoch_index);
-    let mut vis_ns = 0u64;
-    out.epoch_index = epoch_index;
-    out.assignments.truncate(world.locations.len());
-    out.assignments.resize_with(world.locations.len(), Vec::new);
-    let ScheduleScratch { window, grounds, visible } = scratch;
-    let vis_t0 = enabled.then(std::time::Instant::now);
-    if !window.covers(snapshot, snapshot.epoch(), cfg.min_elevation_deg, grounds) {
-        window.refresh(snapshot, cfg.min_elevation_deg, grounds);
-        if enabled {
-            rec.add(Counter::VisibilityRefreshes, 1);
-            rec.observe(Histo::VisibilityCandidates, window.union().len() as u64);
-        }
-    }
-    if let Some(t0) = vis_t0 {
-        vis_ns += t0.elapsed().as_nanos() as u64;
-    }
+    let t = snapshot.epoch();
+    let mut vis_ns = scratch.begin_epoch(world, snapshot, t, epoch_index, cfg, rec, out);
     for loc_idx in 0..world.locations.len() {
-        let vis_t0 = enabled.then(std::time::Instant::now);
-        // `.max(1)`: a degenerate `top_k: 0` config still selects the
-        // best satellite (see `assign_user`).
-        window.top_k_into(loc_idx, snapshot, cfg.top_k.max(1), |id| failures.is_alive(id), visible);
-        if let Some(t0) = vis_t0 {
-            vis_ns += t0.elapsed().as_nanos() as u64;
-        }
-        let per_user = &mut out.assignments[loc_idx];
-        per_user.clear();
-        for user in 0..cfg.users_per_location {
-            per_user.push(assign_user(visible, cfg, epoch_index, loc_idx, user));
-        }
-        if enabled {
-            for a in per_user.iter().flatten() {
-                rec.observe(Histo::GslDelayUs, (a.gsl_oneway_ms * 1000.0) as u64);
-            }
-        }
+        vis_ns +=
+            scratch.schedule_location(loc_idx, snapshot, epoch_index, cfg, failures, rec, out);
     }
-    if enabled {
+    if rec.is_enabled() {
         rec.add(Counter::ScheduleEpochs, 1);
         rec.span_ns(Stage::Visibility, epoch_index, vis_ns);
     }
@@ -221,14 +272,20 @@ pub fn schedule_epoch_into(
 }
 
 /// The epoch loop's moving parts — a position snapshot, the scratch
-/// whose window tracks it, and the schedule they produce — and the one
-/// step every epoch loop takes at an epoch boundary (both log builders,
-/// `coverage::handover_stats`, the transfer model's oracle).
+/// whose window tracks it, the schedule they produce and which of its
+/// locations the current epoch has scheduled — and the one boundary step
+/// every epoch loop takes ([`EpochScheduler::begin`]: both log builders;
+/// [`EpochScheduler::step`]: `coverage::handover_stats`, the transfer
+/// model's oracle).
 #[derive(Debug)]
 pub struct EpochScheduler {
     snapshot: SnapshotPropagator,
     scratch: ScheduleScratch,
     schedule: EpochSchedule,
+    /// The configuration of the current epoch.
+    cfg: SchedulerConfig,
+    /// `ready[loc]`: location `loc` is scheduled in the current epoch.
+    ready: Vec<bool>,
 }
 
 impl EpochScheduler {
@@ -238,40 +295,100 @@ impl EpochScheduler {
             snapshot: world.snapshot(),
             scratch: ScheduleScratch::default(),
             schedule: EpochSchedule::default(),
+            cfg: SchedulerConfig::default(),
+            ready: Vec::new(),
         }
     }
 
-    /// Propagate to the start of `epoch` and schedule it under
-    /// `failures`. The advance asks the window which satellites the
-    /// coming schedule will read and moves only that union (~150 of 1296
-    /// for nine cities); when the schedule is going to rescan, it moves
-    /// everything. Timed as [`Stage::Propagate`], then
-    /// [`schedule_epoch_into`]'s own spans.
+    /// Start `epoch`: the schedule's prologue at the epoch's start time
+    /// (the window refreshed there from orbital elements when it does not
+    /// cover it), then the window's candidate union — ~150 of 1296
+    /// satellites for nine cities — advanced there, and no location
+    /// scheduled yet. Timed as [`Stage::Schedule`] (the refresh under
+    /// [`Stage::Visibility`]) and [`Stage::Propagate`], and counted in
+    /// [`Counter::ScheduleEpochs`].
+    pub fn begin(
+        &mut self,
+        world: &World,
+        epoch: u64,
+        epoch_secs: u64,
+        cfg: &SchedulerConfig,
+        rec: &dyn Recorder,
+    ) {
+        let t = SimTime::from_secs(epoch * epoch_secs);
+        let EpochScheduler { snapshot, scratch, schedule, cfg: held, ready } = self;
+        scratch.set_grounds(world);
+        let span = SpanTimer::start(rec, Stage::Schedule, epoch);
+        let vis_ns = scratch.begin_epoch(world, snapshot, t, epoch, cfg, rec, schedule);
+        if rec.is_enabled() {
+            rec.add(Counter::ScheduleEpochs, 1);
+            rec.span_ns(Stage::Visibility, epoch, vis_ns);
+        }
+        span.stop();
+        {
+            let _propagate = SpanTimer::start(rec, Stage::Propagate, epoch);
+            // Covered by the prologue: moves the union, refreshes nothing.
+            scratch.window.advance(snapshot, t, cfg.min_elevation_deg, &scratch.grounds);
+        }
+        *held = *cfg;
+        ready.clear();
+        ready.resize(world.locations.len(), false);
+    }
+
+    /// The assignment of `user` at location `loc` in the epoch of the last
+    /// [`EpochScheduler::begin`]. The first read of a location in an
+    /// epoch schedules it under `failures` — the view the epoch holds
+    /// throughout, so a location scheduled late reads what one scheduled
+    /// at the boundary would — and a location nobody reads costs nothing.
+    #[inline]
+    pub fn assignment(
+        &mut self,
+        loc: usize,
+        user: usize,
+        failures: &FailureModel,
+        rec: &dyn Recorder,
+    ) -> Option<Assignment> {
+        if !self.ready[loc] {
+            self.schedule_cell(loc, failures, rec);
+        }
+        self.schedule.assignments[loc][user]
+    }
+
+    /// Schedule location `loc` in the current epoch: one
+    /// [`Stage::Schedule`] span and one [`Stage::Visibility`] span (its
+    /// top-k) per cell when recording.
+    fn schedule_cell(&mut self, loc: usize, failures: &FailureModel, rec: &dyn Recorder) {
+        let EpochScheduler { snapshot, scratch, schedule, cfg, ready } = self;
+        let epoch = schedule.epoch_index;
+        let span = SpanTimer::start(rec, Stage::Schedule, epoch);
+        let vis_ns = scratch.schedule_location(loc, snapshot, epoch, cfg, failures, rec, schedule);
+        if rec.is_enabled() {
+            rec.span_ns(Stage::Visibility, epoch, vis_ns);
+        }
+        span.stop();
+        ready[loc] = true;
+    }
+
+    /// [`EpochScheduler::begin`] `epoch`, then schedule every location
+    /// under `failures`.
     pub fn step(
         &mut self,
         world: &World,
         epoch: u64,
         epoch_secs: u64,
         cfg: &SchedulerConfig,
-        failures: &starcdn_constellation::failures::FailureModel,
+        failures: &FailureModel,
         rec: &dyn Recorder,
     ) {
-        let EpochScheduler { snapshot, scratch, schedule } = self;
-        scratch.set_grounds(world);
-        {
-            let _propagate = SpanTimer::start(rec, Stage::Propagate, epoch);
-            scratch.window.advance(
-                snapshot,
-                SimTime::from_secs(epoch * epoch_secs),
-                cfg.min_elevation_deg,
-                &scratch.grounds,
-            );
+        self.begin(world, epoch, epoch_secs, cfg, rec);
+        for loc in 0..world.locations.len() {
+            self.schedule_cell(loc, failures, rec);
         }
-        schedule_epoch_into(world, snapshot, epoch, cfg, failures, rec, scratch, schedule);
     }
 
     /// The schedule of the last [`EpochScheduler::step`].
     pub fn schedule(&self) -> &EpochSchedule {
+        debug_assert!(self.ready.iter().all(|&r| r), "read after a begin that scheduled lazily");
         &self.schedule
     }
 }
@@ -284,7 +401,6 @@ pub fn epoch_of(t: SimTime, epoch_secs: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starcdn_constellation::failures::FailureModel;
 
     fn world() -> World {
         World::starlink_nine_cities()
@@ -447,6 +563,41 @@ mod tests {
         let union = snap.histogram(Histo::VisibilityCandidates).expect("observed per refresh");
         assert_eq!(union.count, refreshes);
         assert!(union.max.unwrap() < 300 && union.min.unwrap() > 60, "{union:?}");
+    }
+
+    /// Cells scheduled on first read, in any order and any subset, under
+    /// the epoch's dead set: each is the eager schedule's row for that
+    /// location, through windows, jumps both ways and repeats.
+    #[test]
+    fn cells_scheduled_on_first_read_are_the_eager_schedule() {
+        let w = world();
+        let cfg = SchedulerConfig::default();
+        let mut full = w.snapshot();
+        let mut lazy = EpochScheduler::new(&w);
+        let epochs: Vec<u64> =
+            (0..30).chain(400..420).chain([5, 5, 6, 11_519]).chain(11_500..11_519).collect();
+        let mut cells = 0;
+        for (step, &epoch) in epochs.iter().enumerate() {
+            let dead = FailureModel::sample(&w.grid, 200, step as u64);
+            full.advance_to(SimTime::from_secs(epoch * 15));
+            let want = schedule_epoch_with(&w, &full, epoch, &cfg, &dead);
+            lazy.begin(&w, epoch, 15, &cfg, &Noop);
+            // Every third step reads no location at all; the others a
+            // step-dependent subset, last location first, each user twice.
+            let read: Vec<usize> =
+                (0..9).rev().filter(|loc| step % 3 != 0 && (loc * 7 + step) % 4 != 0).collect();
+            for user in (0..cfg.users_per_location).chain(0..cfg.users_per_location) {
+                for &loc in &read {
+                    let got = lazy.assignment(loc, user, &dead, &Noop);
+                    let want = want.assignments[loc][user];
+                    let bits =
+                        |a: Option<Assignment>| a.map(|a| (a.satellite, a.gsl_oneway_ms.to_bits()));
+                    assert_eq!(bits(got), bits(want), "epoch {epoch} loc {loc} user {user}");
+                }
+            }
+            cells += read.len();
+        }
+        assert!(cells > 100, "only {cells} cells read");
     }
 
     #[test]

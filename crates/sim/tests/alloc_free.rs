@@ -2,22 +2,28 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up of one epoch (which sizes every scratch buffer for this
-//! world), running 40 epochs — orbital
-//! advance (full at a visibility-window refresh, the candidate union
-//! otherwise), schedule through the window into reusable scratch,
-//! per-request resolution into a pre-sized columnar log — must perform
-//! zero heap allocations. The 40 measured epochs span five refreshes:
-//! the candidate lists are sized once, not grown refresh by refresh.
-//! This pins the contract the parallel columnar builder's worker loop
-//! relies on (`build_access_log_columns_parallel` hands each worker
-//! warm scratch plus pre-split column chunks).
+//! world), running 40 epochs — the schedule's prologue (a
+//! visibility-window refresh from orbital elements where the window runs
+//! out), the candidate union's advance, each location scheduled into
+//! reusable scratch on the first request that reads it, per-request
+//! resolution into a pre-sized columnar log — must perform zero heap
+//! allocations. The 40 measured epochs span five refreshes, and every
+//! other epoch leaves five of the nine cities silent: the candidate lists
+//! are sized once, not grown refresh by refresh, and a cell first read
+//! late allocates no more than one read at the boundary. This pins the
+//! contract the parallel columnar builder's worker loop relies on
+//! (`build_access_log_columns_parallel` hands each worker warm scratch
+//! plus pre-split column chunks). A second measured pass drives a
+//! window alone across five refreshes, none of them a full advance.
 //!
 //! One `#[test]` only: the allocation counter is process-global, and a
 //! concurrently running test would pollute the measured window.
 
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn_cache::object::ObjectId;
+use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::time::SimTime;
+use starcdn_orbit::visibility::VisibilityWindow;
 use starcdn_sim::columns::AccessLogColumns;
 use starcdn_sim::scheduler::{epoch_of, EpochScheduler};
 use starcdn_sim::{build_access_log_columns_recorded, SimConfig, World};
@@ -61,13 +67,14 @@ fn steady_state_epoch_loop_allocates_nothing() {
     let cfg = SimConfig::default();
     let sched_cfg = cfg.scheduler();
 
-    // 40 epochs of requests, every city, pre-built outside the window.
+    // 40 epochs of requests, pre-built outside the window: every city in
+    // even epochs, cities 0–3 only in odd ones.
     let reqs: Vec<Request> = (0..3600u64)
         .map(|k| Request {
             time: SimTime::from_secs(k / 6),
             object: ObjectId(k % 97),
             size: 1000,
-            location: LocationId((k % 9) as u16),
+            location: LocationId((k % if k / 90 % 2 == 0 { 9 } else { 4 }) as u16),
         })
         .collect();
     let trace = Trace::new(reqs);
@@ -89,12 +96,12 @@ fn steady_state_epoch_loop_allocates_nothing() {
             let epoch = epoch_of(r.time, cfg.epoch_secs);
             if epoch != current_epoch {
                 current_epoch = epoch;
-                scheduler.step(&world, epoch, cfg.epoch_secs, &sched_cfg, &world.failures, rec);
+                scheduler.begin(&world, epoch, cfg.epoch_secs, &sched_cfg, rec);
             }
             let loc = r.location.0 as usize;
             let user = rr[loc] % sched_cfg.users_per_location;
             rr[loc] += 1;
-            cols.push_resolved(r, scheduler.schedule().assignments[loc][user]);
+            cols.push_resolved(r, scheduler.assignment(loc, user, &world.failures, rec));
         }
     };
 
@@ -127,4 +134,31 @@ fn steady_state_epoch_loop_allocates_nothing() {
     assert_eq!(fresh_cols, want);
     let refreshes = counted.snapshot().counter(Counter::VisibilityRefreshes);
     assert!(refreshes >= 3, "the measured epochs span only {refreshes} refreshes");
+
+    // A window alone, advancing its own snapshot an hour at a time: every
+    // advance refreshes from the elements and moves the new union, and
+    // no full advance happens. Warm-up: one advance and one scan.
+    let grounds: Vec<Geodetic> =
+        world.locations.iter().map(|l| Geodetic::from_degrees(l.lat_deg, l.lon_deg, 0.0)).collect();
+    let mask = sched_cfg.min_elevation_deg;
+    let mut snapshot = world.snapshot();
+    let mut window = VisibilityWindow::default();
+    let mut visible = Vec::new();
+    window.advance(&mut snapshot, SimTime::ZERO, mask, &grounds);
+    window.top_k_into(0, &snapshot, sched_cfg.top_k, |_| true, &mut visible);
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let mut seen = 0;
+    for hour in 1..=5u64 {
+        let t = SimTime::from_secs(hour * 3600);
+        assert!(!window.covers(&snapshot, t, mask, &grounds));
+        window.advance(&mut snapshot, t, mask, &grounds);
+        for j in 0..grounds.len() {
+            window.top_k_into(j, &snapshot, sched_cfg.top_k, |_| true, &mut visible);
+            seen += visible.len();
+        }
+    }
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "refresh from elements allocated ({} calls)", after - before);
+    assert!(!snapshot.is_complete(), "a refresh advanced the whole fleet");
+    assert!(seen >= 5 * 9 * 3, "only {seen} satellites scanned");
 }

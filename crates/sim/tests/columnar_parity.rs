@@ -26,7 +26,12 @@
 //! shaped to stress the scheduler's visibility window — two days of
 //! sparse requests, silences longer than a window between bursts inside
 //! one epoch — under churn on top of a sampled base outage, and each
-//! also pins the CRC-32 of its log's binary encoding.
+//! also pins the CRC-32 of its log's binary encoding. Four more stress
+//! the builders' lazy cells (a location is scheduled on the first request
+//! that reads it in an epoch): cities that never speak, epochs of one
+//! request, a city whose first read in an epoch follows a `SatDown` at
+//! that epoch's boundary, and time running backwards — each in a calm
+//! and a churning world.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,10 +42,11 @@ use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{
-    ChurnParams, FaultSchedule, ScheduleCursor, SolarStormParams,
+    ChurnParams, FaultEvent, FaultSchedule, ScheduleCursor, SolarStormParams, TimedFault,
 };
 use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
+use starcdn_orbit::walker::SatelliteId;
 use starcdn_sim::columns::AccessLogColumns;
 use starcdn_sim::overload::OverloadConfig;
 use starcdn_sim::scheduler::{schedule_epoch_with, EpochSchedule, SchedulerConfig};
@@ -133,6 +139,103 @@ fn bursts_and_silences() -> Trace {
         };
     }
     Trace::new(reqs)
+}
+
+/// 12 h of one request every 1–30 s from six cities: 2, 5 and 7 never
+/// speak, so their cells are never read.
+fn three_silent_cities() -> Trace {
+    let mut rng = StdRng::seed_from_u64(0x5113);
+    let speakers = [0u16, 1, 3, 4, 6, 8];
+    let mut t_ms = 0u64;
+    let mut reqs = Vec::new();
+    while t_ms < 12 * 3_600_000 {
+        let mut r = request(t_ms, reqs.len() as u64, &mut rng);
+        r.location = LocationId(speakers[rng.gen_range(0..speakers.len())]);
+        reqs.push(r);
+        t_ms += rng.gen_range(1_000..30_000u64);
+    }
+    Trace::new(reqs)
+}
+
+/// 12 h in which an epoch holds one request or none (about a third hold
+/// one): every scheduled epoch schedules exactly one cell.
+fn one_request_epochs() -> Trace {
+    let mut rng = StdRng::seed_from_u64(0x0E0E);
+    let mut reqs = Vec::new();
+    for epoch in 0..12 * 240u64 {
+        if rng.gen_range(0..3) == 0 {
+            let t_ms = epoch * 15_000 + rng.gen_range(0..15_000u64);
+            reqs.push(request(t_ms, reqs.len() as u64, &mut rng));
+        }
+    }
+    Trace::new(reqs)
+}
+
+/// Twelve boundaries, 97 epochs apart: in the epoch before each, city 4
+/// speaks; at the boundary every satellite its users held goes down (and
+/// comes back two epochs later); in the epoch after, cities 0 and 8 speak
+/// first and city 4's first request comes 5 s in. Returns the world with
+/// those events, the trace, and each boundary's epoch with the
+/// satellites that went down there.
+#[allow(clippy::type_complexity)]
+fn sat_down_before_first_read() -> (World, Trace, Vec<(u64, Vec<SatelliteId>)>) {
+    let calm = World::starlink_nine_cities();
+    let cfg = SimConfig::default().scheduler();
+    let mut snapshot = calm.snapshot();
+    let mut events = Vec::new();
+    let mut boundaries = Vec::new();
+    let mut reqs = Vec::new();
+    let mut rng = StdRng::seed_from_u64(0xD017);
+    let mut at = |secs_ms: u64, loc: u16, reqs: &mut Vec<Request>| {
+        let mut r = request(secs_ms, reqs.len() as u64, &mut rng);
+        r.location = LocationId(loc);
+        reqs.push(r);
+    };
+    for b in (1..=12u64).map(|i| i * 97) {
+        let before = (b - 1) * 15_000;
+        for (off, loc) in [(3_000, 4), (6_000, 1), (9_000, 4)] {
+            at(before + off, loc, &mut reqs);
+        }
+        for (off, loc) in [(500, 0), (2_000, 8), (5_000, 4), (7_000, 4), (11_000, 4), (12_000, 0)] {
+            at(b * 15_000 + off, loc, &mut reqs);
+        }
+        snapshot.advance_to(SimTime::from_secs((b - 1) * 15));
+        let held = schedule_epoch_with(&calm, &snapshot, b - 1, &cfg, &calm.failures);
+        let mut down: Vec<SatelliteId> =
+            held.assignments[4].iter().flatten().map(|a| a.satellite).collect();
+        down.sort();
+        down.dedup();
+        for &sat in &down {
+            events.push(TimedFault { at_secs: b * 15, event: FaultEvent::SatDown(sat) });
+            events.push(TimedFault { at_secs: (b + 2) * 15, event: FaultEvent::SatUp(sat) });
+        }
+        boundaries.push((b, down));
+    }
+    let world = calm.with_fault_schedule(FaultSchedule::from_events(events));
+    (world, Trace::new(reqs), boundaries)
+}
+
+/// Four hours of one request every 2–20 s, then the clock runs back: 50 s
+/// (inside the last window), to an hour before, and to t = 0, each time
+/// running forward again for 20–30 min. The trace is left in that order.
+fn backward_jumps() -> Trace {
+    let mut rng = StdRng::seed_from_u64(0xBAC4);
+    let mut reqs = Vec::new();
+    let hour = 3_600_000u64;
+    for (from, to) in [
+        (0, 4 * hour),
+        (4 * hour - 50_000, 4 * hour + hour / 2),
+        (3 * hour, 3 * hour + hour / 3),
+        (0, hour / 3),
+    ] {
+        let mut t_ms = from;
+        while t_ms < to {
+            reqs.push(request(t_ms, reqs.len() as u64, &mut rng));
+            t_ms += rng.gen_range(2_000..20_000u64);
+        }
+    }
+    assert!(reqs.windows(2).filter(|w| w[1].time < w[0].time).count() == 3);
+    Trace { requests: reqs }
 }
 
 /// Churn over `horizon_secs` on top of a sampled static outage of 126
@@ -268,6 +371,78 @@ fn builders_bursts_and_silences() {
         .filter(|&gap| gap >= 15_000)
         .collect();
     assert!(gaps.iter().any(|&g| g < 126_000) && gaps.iter().any(|&g| g > 1_200_000));
+}
+
+// CRC-32s of the lazy-cell rows' logs, calm world then churning world,
+// recorded at the parent of the change that schedules a location on its
+// first read and refreshes the window from orbital elements (92a1728):
+// every cell scheduled at its epoch's boundary, every refresh a full
+// advance and a sweep of positions.
+const SILENT_CITIES_CRCS: [u32; 2] = [0xe378_e715, 0xe25a_4a6e];
+const ONE_REQUEST_EPOCHS_CRCS: [u32; 2] = [0xd795_3e84, 0x9847_fdb0];
+const SAT_DOWN_CRCS: [u32; 2] = [0xb455_d41f, 0x8046_e921];
+const BACKWARD_CRCS: [u32; 2] = [0xcd4b_e0b7, 0x9014_a594];
+
+/// [`check_builders`] in the calm world and under churn on a sampled
+/// outage over `hours`; returns the two CRC-32s.
+fn check_builders_calm_and_churn(name: &str, trace: &Trace, hours: u64) -> [u32; 2] {
+    let churn = churning_with_outage(hours * 3600, 13);
+    [check_builders(name, &calm(), trace).2, check_builders(name, &churn, trace).2]
+}
+
+#[test]
+fn builders_three_silent_cities() {
+    let trace = three_silent_cities();
+    assert!(trace.requests.iter().all(|r| ![2, 5, 7].contains(&r.location.0)));
+    let crcs = check_builders_calm_and_churn("silent cities", &trace, 12);
+    assert_eq!(crcs, SILENT_CITIES_CRCS, "silent cities: log bytes moved ({crcs:#010x?})");
+}
+
+#[test]
+fn builders_one_request_epochs() {
+    let trace = one_request_epochs();
+    let epochs: std::collections::BTreeSet<u64> =
+        trace.requests.iter().map(|r| r.time.as_secs() / 15).collect();
+    assert_eq!(epochs.len(), trace.len(), "an epoch holds two requests");
+    assert!(trace.len() > 800);
+    let crcs = check_builders_calm_and_churn("one-request epochs", &trace, 12);
+    assert_eq!(
+        crcs, ONE_REQUEST_EPOCHS_CRCS,
+        "one-request epochs: log bytes moved ({crcs:#010x?})"
+    );
+}
+
+#[test]
+fn builders_first_read_after_sat_down() {
+    let (churn, trace, boundaries) = sat_down_before_first_read();
+    let (calm_log, _, calm_crc) = check_builders("sat down, calm", &calm(), &trace);
+    let (log, _, crc) = check_builders("sat down", &churn, &trace);
+    assert_eq!(
+        [calm_crc, crc],
+        SAT_DOWN_CRCS,
+        "sat down: log bytes moved ({calm_crc:#010x}, {crc:#010x})"
+    );
+    // City 4, first read 5 s after the boundary, is handed over: none of
+    // its entries in that epoch is on a satellite that went down, and
+    // some differ from the calm world's.
+    let mut moved = 0;
+    for (b, down) in &boundaries {
+        for (e, c) in log.entries.iter().zip(&calm_log.entries) {
+            if e.location.0 == 4 && e.time.as_secs() / 15 == *b {
+                let sat = e.first_contact.expect("a local outage leaves city 4 covered");
+                assert!(!down.contains(&sat), "epoch {b}: city 4 on {sat}, down at the boundary");
+                moved += (e.first_contact != c.first_contact) as usize;
+            }
+        }
+    }
+    assert!(moved >= boundaries.len(), "only {moved} handovers");
+}
+
+#[test]
+fn builders_backward_time_jump() {
+    let trace = backward_jumps();
+    let crcs = check_builders_calm_and_churn("backward", &trace, 5);
+    assert_eq!(crcs, BACKWARD_CRCS, "backward: log bytes moved ({crcs:#010x?})");
 }
 
 /// Every exported metric, bit-for-bit, latency samples in sequence.
