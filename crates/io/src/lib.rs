@@ -20,8 +20,13 @@
 //! so production entry points and the torture harness share one code
 //! path, with the real-filesystem case costing one virtual call per
 //! file *operation* (not per byte — bulk reads and writes stay bulk).
+//!
+//! What goes into those files (and onto the socket plane's wire) is
+//! read and written through [`wire`]: one bounds-checked little-endian
+//! reader and writer, CRC-32 and FNV-1a.
 
 pub mod faulty;
+pub mod wire;
 
 pub use faulty::{FaultKind, FaultPlan, FaultStats, FaultyIo};
 

@@ -5,6 +5,7 @@
 //! structure, tests assert "typed error, never a panic", and chaos
 //! injections are distinguishable from real faults.
 
+use starcdn_sim::wire::WireError;
 use starcdn_sim::CheckpointError;
 
 /// Every way the serving plane can fail.
@@ -82,6 +83,17 @@ impl std::error::Error for NetError {
 impl From<CheckpointError> for NetError {
     fn from(e: CheckpointError) -> Self {
         NetError::Codec(e)
+    }
+}
+
+/// Whatever is wrong with a frame body, it is a malformed frame.
+impl From<WireError> for NetError {
+    fn from(e: WireError) -> Self {
+        NetError::Malformed(match e {
+            WireError::Short => "body shorter than its fields",
+            WireError::Trailing => "trailing bytes in frame body",
+            WireError::Invalid(why) => why,
+        })
     }
 }
 

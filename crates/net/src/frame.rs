@@ -11,7 +11,10 @@
 //! is hostile-input safe: a length prefix below [`MIN_FRAME_LEN`]
 //! (zero-length frames included) or above [`MAX_FRAME_LEN`] fails typed
 //! before any allocation, a CRC mismatch fails before the body is
-//! interpreted, and body decoding never reads past its slice.
+//! interpreted, and the body is read through the workspace's one
+//! bounds-checked reader (`starcdn_sim::wire::Reader`, written through
+//! its `Writer`), which never reads past its slice: a body too short or
+//! too long for its kind is [`NetError::Malformed`].
 //!
 //! A frame's bytes are touched once per side. [`FrameRef::encode_into`]
 //! writes prefix, kind, body and CRC straight into a caller-owned
@@ -31,7 +34,7 @@
 
 use crate::error::NetError;
 use crate::transport::NetConn;
-use starcdn_sim::crc32;
+use starcdn_sim::wire::{crc32, Reader, Writer};
 
 /// Hard cap on `len`: bounds the decoder's buffer and any allocation a
 /// hostile prefix could drive. Far above any real batch (a 256-op batch
@@ -119,62 +122,6 @@ pub enum Frame {
         code: u16,
         msg: String,
     },
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reads over a frame body.
-struct Body<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Body<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Body { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.buf.len() - self.pos < n {
-            return Err(NetError::Malformed("body shorter than its fields"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, NetError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    fn finish(self) -> Result<(), NetError> {
-        if self.pos != self.buf.len() {
-            return Err(NetError::Malformed("trailing bytes in frame body"));
-        }
-        Ok(())
-    }
 }
 
 /// One protocol frame whose variable-length part borrows the bytes it
@@ -292,62 +239,63 @@ impl<'a> FrameRef<'a> {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let len = self.wire_len();
         out.reserve(4 + len);
-        put_u32(out, len as u32);
-        let inner = out.len();
+        let inner = out.len() + 4;
+        let mut w = Writer::new(out);
+        w.u32(len as u32);
         match *self {
             FrameRef::Hello { shard, fingerprint } => {
-                out.push(K_HELLO);
-                put_u32(out, shard);
-                put_u64(out, fingerprint);
+                w.u8(K_HELLO);
+                w.u32(shard);
+                w.u64(fingerprint);
             }
             FrameRef::HelloAck { next } => {
-                out.push(K_HELLO_ACK);
-                put_u64(out, next);
+                w.u8(K_HELLO_ACK);
+                w.u64(next);
             }
             FrameRef::Ops { seq, payload } => {
-                out.push(K_OPS);
-                put_u64(out, seq);
-                out.extend_from_slice(payload);
+                w.u8(K_OPS);
+                w.u64(seq);
+                w.bytes(payload);
             }
             FrameRef::Ack { next } => {
-                out.push(K_ACK);
-                put_u64(out, next);
+                w.u8(K_ACK);
+                w.u64(next);
             }
             FrameRef::SkipTo { next } => {
-                out.push(K_SKIP_TO);
-                put_u64(out, next);
+                w.u8(K_SKIP_TO);
+                w.u64(next);
             }
             FrameRef::Ping { nonce } => {
-                out.push(K_PING);
-                put_u64(out, nonce);
+                w.u8(K_PING);
+                w.u64(nonce);
             }
             FrameRef::Pong { nonce } => {
-                out.push(K_PONG);
-                put_u64(out, nonce);
+                w.u8(K_PONG);
+                w.u64(nonce);
             }
-            FrameRef::Drain => out.push(K_DRAIN),
+            FrameRef::Drain => w.u8(K_DRAIN),
             FrameRef::DrainAck { payload } => {
-                out.push(K_DRAIN_ACK);
-                out.extend_from_slice(payload);
+                w.u8(K_DRAIN_ACK);
+                w.bytes(payload);
             }
-            FrameRef::Shutdown => out.push(K_SHUTDOWN),
+            FrameRef::Shutdown => w.u8(K_SHUTDOWN),
             FrameRef::Error { code, msg } => {
-                out.push(K_ERROR);
-                put_u16(out, code);
+                w.u8(K_ERROR);
+                w.u16(code);
                 let n = msg.len().min(MAX_ERR_MSG);
-                put_u16(out, n as u16);
-                out.extend_from_slice(&msg[..n]);
+                w.u16(n as u16);
+                w.bytes(&msg[..n]);
             }
         }
         debug_assert_eq!(out.len() - inner, len - 4, "wire_len disagrees with the bytes written");
         let crc = crc32(&out[inner..]);
-        put_u32(out, crc);
+        Writer::new(out).u32(crc);
     }
 
     /// Decode a complete kind+body slice (CRC already checked).
     fn decode_inner(inner: &'a [u8]) -> Result<FrameRef<'a>, NetError> {
         let kind = inner[0];
-        let mut b = Body::new(&inner[1..]);
+        let mut b = Reader::new(&inner[1..]);
         match kind {
             K_HELLO => {
                 let shard = b.u32()?;
@@ -479,7 +427,7 @@ impl FrameCodec {
         if avail.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
+        let len = Reader::new(avail).u32()?;
         if len < MIN_FRAME_LEN {
             return Err(NetError::FrameTooShort(len));
         }
@@ -491,8 +439,7 @@ impl FrameCodec {
             return Ok(None);
         }
         let inner = &avail[4..total - 4];
-        let crc = u32::from_le_bytes(avail[total - 4..total].try_into().expect("4 bytes"));
-        if crc != crc32(inner) {
+        if Reader::new(&avail[total - 4..]).u32()? != crc32(inner) {
             return Err(NetError::BadCrc);
         }
         let frame = FrameRef::decode_inner(inner)?;

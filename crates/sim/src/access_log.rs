@@ -18,11 +18,12 @@ use crate::columns::build_access_log_columns;
 use crate::scheduler::{epoch_of, Assignment, SchedulerConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
-use spacegen::io::{le_u16, le_u64, read_fixed_record, IoError};
+use spacegen::io::{read_fixed_record, IoError};
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::ScheduleCursor;
+use starcdn_io::wire::Reader;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Event, Histo, Recorder};
@@ -209,7 +210,8 @@ pub(crate) fn write_log(
 /// copy of the log), and returns the epoch length. A stream that ends
 /// inside the header is not a log ([`IoError::BadHeader`]); a partial
 /// trailing record is corruption ([`IoError::TruncatedRecord`]). A zero
-/// tag byte means "no contact", whatever the orbit/slot bytes hold.
+/// tag byte means "no contact", whatever the orbit/slot bytes hold. A
+/// record is read field by field through the one wire [`Reader`].
 /// `#[inline(always)]`: inlined into each reader, `push`'s target stays
 /// a local the decode loop can keep in registers (≈ 5 % of a row decode,
 /// measured).
@@ -221,35 +223,28 @@ pub(crate) fn read_log(
     let mut r = std::io::BufReader::new(r);
     let mut header = [0u8; 16];
     spacegen::io::read_header(&mut r, &mut header)?;
-    let (magic, epoch_b) = header.split_at(8);
-    if magic != BIN_MAGIC {
+    let mut h = Reader::new(&header);
+    if h.take(8)? != BIN_MAGIC {
         return Err(IoError::BadHeader);
     }
-    let epoch_secs = le_u64(epoch_b)?;
+    let epoch_secs = h.u64()?;
     let mut rec = [0u8; RECORD_LEN];
     while read_fixed_record(&mut r, &mut rec)? {
-        // Field widths come from splits over the fixed record, but the
-        // decoders stay fallible so a codec edit that desynchronizes the
-        // splits reports corruption instead of panicking mid-read.
-        let (time_b, rest) = rec.split_at(8);
-        let (object_b, rest) = rest.split_at(8);
-        let (size_b, rest) = rest.split_at(8);
-        let (loc_b, rest) = rest.split_at(2);
-        let (fc_tag, rest) = rest.split_at(1);
-        let (orbit_b, rest) = rest.split_at(2);
-        let (slot_b, gsl_b) = rest.split_at(2);
-        let first_contact = if fc_tag[0] != 0 {
-            Some(SatelliteId { orbit: le_u16(orbit_b)?, slot: le_u16(slot_b)? })
-        } else {
-            None
-        };
+        // The reads stay fallible, so a codec edit that outgrows the
+        // record reports corruption instead of panicking mid-read.
+        let mut f = Reader::new(&rec);
+        let time = SimTime::from_millis(f.u64()?);
+        let object = ObjectId(f.u64()?);
+        let size = f.u64()?;
+        let location = LocationId(f.u16()?);
+        let (tag, orbit, slot) = (f.u8()?, f.u16()?, f.u16()?);
         push(AccessLogEntry {
-            time: SimTime::from_millis(le_u64(time_b)?),
-            object: ObjectId(le_u64(object_b)?),
-            size: le_u64(size_b)?,
-            location: LocationId(le_u16(loc_b)?),
-            first_contact,
-            gsl_oneway_ms: f64::from_bits(le_u64(gsl_b)?),
+            time,
+            object,
+            size,
+            location,
+            first_contact: (tag != 0).then_some(SatelliteId { orbit, slot }),
+            gsl_oneway_ms: f.f64()?,
         });
     }
     Ok(epoch_secs)

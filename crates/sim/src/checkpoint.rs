@@ -21,10 +21,12 @@
 //!   checkpoint when one fails validation, emitting an
 //!   [`Event::CheckpointRestoreFallback`] per skipped file.
 //!
-//! The payload codec is hand-rolled little-endian binary (this workspace
-//! deliberately keeps serialization frameworks off the simulation hot
-//! path): floats travel as IEEE-754 bit patterns, so restored latency
-//! samples and utilization timelines compare bit-equal.
+//! This module is the container and its files. What the sections hold
+//! is written and read by the `codec` module's field lists over the one
+//! little-endian [`starcdn_io::wire`] reader and writer (no serialization
+//! framework on the simulation path): floats travel as IEEE-754 bit
+//! patterns, so restored latency samples and utilization timelines
+//! compare bit-equal.
 //!
 //! Snapshot semantics: a checkpoint taken when entering boundary epoch
 //! `E` captures the state *before* any of `E`'s boundary actions
@@ -33,26 +35,18 @@
 //! previous epoch and re-enters the loop at the same entry index, so the
 //! boundary re-executes exactly as the uninterrupted run did.
 
+use crate::codec::{decode, encode, wire_struct};
 use crate::columns::LogView;
 use crate::engine::{FaultEventWatermark, RunSpec};
 use starcdn::config::StarCdnConfig;
-use starcdn::metrics::{AvailabilityPoint, NeighborAvailability, SystemMetrics};
+use starcdn::metrics::SystemMetrics;
 use starcdn::system::{CdnState, SpaceCdn};
-use starcdn_cache::inflight::InflightEntryState;
-use starcdn_cache::object::{IdMap, ObjectId};
-use starcdn_cache::state::{LfuEntryState, MadEntryState, SieveEntryState};
-use starcdn_cache::stats::CacheStats;
 use starcdn_cache::{CacheState, InflightState};
-use starcdn_constellation::capacity::{
-    CapacityLedger, EpochUsageState, LedgerStateError, UtilizationPoint,
-};
+use starcdn_constellation::capacity::{CapacityLedger, EpochUsageState, LedgerStateError};
 use starcdn_constellation::failures::FailureModel;
+use starcdn_io::wire::{crc32, fp, fp_bytes, Reader, WireError, Writer};
 use starcdn_io::{Io, RealIo};
-use starcdn_orbit::walker::SatelliteId;
-use starcdn_telemetry::{
-    Counter, Event, Histo, HistogramSnapshot, SpanStats, Stage, TelemetrySnapshot,
-};
-use std::collections::BTreeMap;
+use starcdn_telemetry::{Event, TelemetrySnapshot};
 use std::path::{Path, PathBuf};
 
 /// When and where the engine writes checkpoints.
@@ -151,784 +145,22 @@ impl From<starcdn_io::IoError> for CheckpointError {
     }
 }
 
+/// A payload that ends early is a truncated file; any other wire fault
+/// is a malformed one.
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Short => CheckpointError::Truncated,
+            WireError::Trailing => CheckpointError::Malformed("trailing bytes after payload"),
+            WireError::Invalid(why) => CheckpointError::Malformed(why),
+        }
+    }
+}
+
 impl From<LedgerStateError> for CheckpointError {
     fn from(_: LedgerStateError) -> Self {
         CheckpointError::Malformed("ledger balance keyed off the configured grid")
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), slicing-by-8.
-// ---------------------------------------------------------------------------
-
-/// `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][b]` is the
-/// CRC state after byte `b` followed by `k` zero bytes, so eight table
-/// loads — independent of one another — advance the state by eight
-/// input bytes at once (Intel's "slicing-by-8"). 8 KiB, L1-resident.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `bytes`. Public so the wire protocol in
-/// `starcdn-net` guards its frames with the same checksum discipline as
-/// the checkpoint container.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// The one-table bytewise loop `crc32` replaced, kept as its oracle.
-#[cfg(test)]
-fn crc32_bytewise(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian byte codec.
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-pub(crate) struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn boolean(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Floats travel as bit patterns so restores are bit-exact.
-    pub(crate) fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn len(&mut self, n: usize) {
-        self.u64(n as u64);
-    }
-}
-
-pub(crate) struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn boolean(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("boolean byte is not 0/1")),
-        }
-    }
-
-    pub(crate) fn f64_bits(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A collection length, sanity-bounded by the bytes left (every
-    /// element costs at least one byte), so corrupt lengths cannot
-    /// trigger huge allocations.
-    pub(crate) fn len(&mut self) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        if n > self.remaining() as u64 {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n as usize)
-    }
-
-    pub(crate) fn finish(&self) -> Result<(), CheckpointError> {
-        if self.remaining() != 0 {
-            return Err(CheckpointError::Malformed("trailing bytes after payload"));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Domain codecs.
-// ---------------------------------------------------------------------------
-
-fn put_sat(w: &mut ByteWriter, s: SatelliteId) {
-    w.u16(s.orbit);
-    w.u16(s.slot);
-}
-
-fn get_sat(r: &mut ByteReader) -> Result<SatelliteId, CheckpointError> {
-    Ok(SatelliteId::new(r.u16()?, r.u16()?))
-}
-
-fn put_entries(w: &mut ByteWriter, entries: &[(ObjectId, u64)]) {
-    w.len(entries.len());
-    for &(id, size) in entries {
-        w.u64(id.0);
-        w.u64(size);
-    }
-}
-
-fn get_entries(r: &mut ByteReader) -> Result<Vec<(ObjectId, u64)>, CheckpointError> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((ObjectId(r.u64()?), r.u64()?));
-    }
-    Ok(out)
-}
-
-pub(crate) fn put_cache_state(w: &mut ByteWriter, s: &CacheState) {
-    match s {
-        CacheState::Lru { capacity, entries } => {
-            w.u8(0);
-            w.u64(*capacity);
-            put_entries(w, entries);
-        }
-        CacheState::Fifo { capacity, queue } => {
-            w.u8(1);
-            w.u64(*capacity);
-            put_entries(w, queue);
-        }
-        CacheState::Lfu { capacity, clock, entries } => {
-            w.u8(2);
-            w.u64(*capacity);
-            w.u64(*clock);
-            w.len(entries.len());
-            for e in entries {
-                w.u64(e.id.0);
-                w.u64(e.size);
-                w.u64(e.freq);
-                w.u64(e.last_touch);
-            }
-        }
-        CacheState::Sieve { capacity, entries, hand } => {
-            w.u8(3);
-            w.u64(*capacity);
-            w.len(entries.len());
-            for e in entries {
-                w.u64(e.id.0);
-                w.u64(e.size);
-                w.boolean(e.visited);
-            }
-            match hand {
-                None => w.u8(0),
-                Some(pos) => {
-                    w.u8(1);
-                    w.u64(*pos);
-                }
-            }
-        }
-        CacheState::Slru { capacity, protected_capacity, protected, probation } => {
-            w.u8(4);
-            w.u64(*capacity);
-            w.u64(*protected_capacity);
-            put_entries(w, protected);
-            put_entries(w, probation);
-        }
-        CacheState::TinyLfu { capacity, entries, rows, mask, ops, window } => {
-            w.u8(5);
-            w.u64(*capacity);
-            put_entries(w, entries);
-            w.len(rows.len());
-            for row in rows {
-                w.len(row.len());
-                for &c in row {
-                    w.u32(c);
-                }
-            }
-            w.u64(*mask);
-            w.u64(*ops);
-            w.u64(*window);
-        }
-        CacheState::Mad { capacity, clock, inflation, entries } => {
-            w.u8(6);
-            w.u64(*capacity);
-            w.u64(*clock);
-            w.u64(*inflation);
-            w.len(entries.len());
-            for e in entries {
-                w.u64(e.id.0);
-                w.u64(e.size);
-                w.u64(e.delay);
-                w.u64(e.priority);
-                w.u64(e.last_touch);
-            }
-        }
-    }
-}
-
-pub(crate) fn get_cache_state(r: &mut ByteReader) -> Result<CacheState, CheckpointError> {
-    Ok(match r.u8()? {
-        0 => CacheState::Lru { capacity: r.u64()?, entries: get_entries(r)? },
-        1 => CacheState::Fifo { capacity: r.u64()?, queue: get_entries(r)? },
-        2 => {
-            let capacity = r.u64()?;
-            let clock = r.u64()?;
-            let n = r.len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(LfuEntryState {
-                    id: ObjectId(r.u64()?),
-                    size: r.u64()?,
-                    freq: r.u64()?,
-                    last_touch: r.u64()?,
-                });
-            }
-            CacheState::Lfu { capacity, clock, entries }
-        }
-        3 => {
-            let capacity = r.u64()?;
-            let n = r.len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(SieveEntryState {
-                    id: ObjectId(r.u64()?),
-                    size: r.u64()?,
-                    visited: r.boolean()?,
-                });
-            }
-            let hand = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                _ => return Err(CheckpointError::Malformed("bad sieve hand tag")),
-            };
-            CacheState::Sieve { capacity, entries, hand }
-        }
-        4 => CacheState::Slru {
-            capacity: r.u64()?,
-            protected_capacity: r.u64()?,
-            protected: get_entries(r)?,
-            probation: get_entries(r)?,
-        },
-        5 => {
-            let capacity = r.u64()?;
-            let entries = get_entries(r)?;
-            let nrows = r.len()?;
-            let mut rows = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                let width = r.len()?;
-                let mut row = Vec::with_capacity(width);
-                for _ in 0..width {
-                    row.push(r.u32()?);
-                }
-                rows.push(row);
-            }
-            CacheState::TinyLfu {
-                capacity,
-                entries,
-                rows,
-                mask: r.u64()?,
-                ops: r.u64()?,
-                window: r.u64()?,
-            }
-        }
-        6 => {
-            let capacity = r.u64()?;
-            let clock = r.u64()?;
-            let inflation = r.u64()?;
-            let n = r.len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(MadEntryState {
-                    id: ObjectId(r.u64()?),
-                    size: r.u64()?,
-                    delay: r.u64()?,
-                    priority: r.u64()?,
-                    last_touch: r.u64()?,
-                });
-            }
-            CacheState::Mad { capacity, clock, inflation, entries }
-        }
-        _ => return Err(CheckpointError::Malformed("unknown cache-state tag")),
-    })
-}
-
-/// An in-flight fetch queue snapshot. [`InflightState`] keeps fetches in
-/// ascending object-id order, so the encoding is deterministic.
-pub(crate) fn put_inflight(w: &mut ByteWriter, s: &InflightState) {
-    w.len(s.fetches.len());
-    for f in &s.fetches {
-        w.u64(f.id.0);
-        w.u64(f.completes_at);
-        w.u64(f.size);
-        w.u64(f.followers);
-        w.u64(f.delay_epochs);
-    }
-}
-
-pub(crate) fn get_inflight(r: &mut ByteReader) -> Result<InflightState, CheckpointError> {
-    let n = r.len()?;
-    let mut fetches = Vec::with_capacity(n);
-    for _ in 0..n {
-        fetches.push(InflightEntryState {
-            id: ObjectId(r.u64()?),
-            completes_at: r.u64()?,
-            size: r.u64()?,
-            followers: r.u64()?,
-            delay_epochs: r.u64()?,
-        });
-    }
-    Ok(InflightState { fetches })
-}
-
-pub(crate) fn put_failures(w: &mut ByteWriter, f: &FailureModel) {
-    let dead: Vec<SatelliteId> = f.dead().collect();
-    w.len(dead.len());
-    for s in dead {
-        put_sat(w, s);
-    }
-    let cut: Vec<(SatelliteId, SatelliteId)> = f.cut_links().collect();
-    w.len(cut.len());
-    for (a, b) in cut {
-        put_sat(w, a);
-        put_sat(w, b);
-    }
-}
-
-pub(crate) fn get_failures(r: &mut ByteReader) -> Result<FailureModel, CheckpointError> {
-    let nd = r.len()?;
-    let mut dead = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        dead.push(get_sat(r)?);
-    }
-    let nc = r.len()?;
-    let mut cut = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        cut.push((get_sat(r)?, get_sat(r)?));
-    }
-    Ok(FailureModel::from_outages(dead, cut))
-}
-
-fn put_stats(w: &mut ByteWriter, s: &CacheStats) {
-    w.u64(s.requests);
-    w.u64(s.hits);
-    w.u64(s.bytes_requested);
-    w.u64(s.bytes_hit);
-}
-
-fn get_stats(r: &mut ByteReader) -> Result<CacheStats, CheckpointError> {
-    Ok(CacheStats {
-        requests: r.u64()?,
-        hits: r.u64()?,
-        bytes_requested: r.u64()?,
-        bytes_hit: r.u64()?,
-    })
-}
-
-pub(crate) fn put_metrics(w: &mut ByteWriter, m: &SystemMetrics) {
-    put_stats(w, &m.stats);
-    w.u64(m.uplink_bytes);
-    w.u64(m.served_local);
-    w.u64(m.served_relay_west);
-    w.u64(m.served_relay_east);
-    w.u64(m.served_ground);
-    w.u64(m.relay_bytes);
-    w.u64(m.prefetch_bytes);
-    w.u64(m.prefetch_copies);
-    w.len(m.latencies_ms.len());
-    for &l in &m.latencies_ms {
-        w.f64_bits(l);
-    }
-    // The map's iteration order is process-local; persist sorted so the
-    // file bytes are deterministic.
-    let mut per_sat: Vec<(SatelliteId, CacheStats)> =
-        m.per_satellite.iter().map(|(&s, &st)| (s, st)).collect();
-    per_sat.sort_by_key(|&(s, _)| s);
-    w.len(per_sat.len());
-    for (s, st) in &per_sat {
-        put_sat(w, *s);
-        put_stats(w, st);
-    }
-    let n = &m.neighbor_availability;
-    for v in [
-        n.west_only_requests,
-        n.west_only_bytes,
-        n.east_only_requests,
-        n.east_only_bytes,
-        n.both_requests,
-        n.both_bytes,
-        n.neither_requests,
-        n.neither_bytes,
-    ] {
-        w.u64(v);
-    }
-    w.u64(m.remapped_requests);
-    w.u64(m.cold_restart_misses);
-    w.u64(m.reroute_extra_hops);
-    w.len(m.availability.len());
-    for p in &m.availability {
-        w.u64(p.epoch);
-        w.u32(p.alive_sats);
-        w.u32(p.cut_links);
-    }
-    w.u64(m.shed_requests);
-    w.u64(m.retry_attempts);
-    w.u64(m.served_primary);
-    w.u64(m.served_replica);
-    w.u64(m.served_origin_fallback);
-    w.u64(m.dropped_requests);
-    w.len(m.utilization.len());
-    for p in &m.utilization {
-        w.u64(p.epoch);
-        w.f64_bits(p.peak_gsl_util);
-        w.f64_bits(p.peak_isl_util);
-        w.u64(p.gsl_bytes);
-        w.u64(p.isl_bytes);
-        w.u64(p.shed_requests);
-    }
-    w.u64(m.partitioned_requests);
-    w.u64(m.delayed_hits);
-    w.u64(m.coalesced_requests);
-    w.len(m.residual_epoch_hist.len());
-    for (&residual, &count) in &m.residual_epoch_hist {
-        w.u64(residual);
-        w.u64(count);
-    }
-}
-
-pub(crate) fn get_metrics(r: &mut ByteReader) -> Result<SystemMetrics, CheckpointError> {
-    let stats = get_stats(r)?;
-    let uplink_bytes = r.u64()?;
-    let served_local = r.u64()?;
-    let served_relay_west = r.u64()?;
-    let served_relay_east = r.u64()?;
-    let served_ground = r.u64()?;
-    let relay_bytes = r.u64()?;
-    let prefetch_bytes = r.u64()?;
-    let prefetch_copies = r.u64()?;
-    let nl = r.len()?;
-    let mut latencies_ms = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        latencies_ms.push(r.f64_bits()?);
-    }
-    let ns = r.len()?;
-    let mut per_satellite = IdMap::with_capacity_and_hasher(ns, Default::default());
-    for _ in 0..ns {
-        let s = get_sat(r)?;
-        per_satellite.insert(s, get_stats(r)?);
-    }
-    let neighbor_availability = NeighborAvailability {
-        west_only_requests: r.u64()?,
-        west_only_bytes: r.u64()?,
-        east_only_requests: r.u64()?,
-        east_only_bytes: r.u64()?,
-        both_requests: r.u64()?,
-        both_bytes: r.u64()?,
-        neither_requests: r.u64()?,
-        neither_bytes: r.u64()?,
-    };
-    let remapped_requests = r.u64()?;
-    let cold_restart_misses = r.u64()?;
-    let reroute_extra_hops = r.u64()?;
-    let na = r.len()?;
-    let mut availability = Vec::with_capacity(na);
-    for _ in 0..na {
-        availability.push(AvailabilityPoint {
-            epoch: r.u64()?,
-            alive_sats: r.u32()?,
-            cut_links: r.u32()?,
-        });
-    }
-    let shed_requests = r.u64()?;
-    let retry_attempts = r.u64()?;
-    let served_primary = r.u64()?;
-    let served_replica = r.u64()?;
-    let served_origin_fallback = r.u64()?;
-    let dropped_requests = r.u64()?;
-    let nu = r.len()?;
-    let mut utilization = Vec::with_capacity(nu);
-    for _ in 0..nu {
-        utilization.push(UtilizationPoint {
-            epoch: r.u64()?,
-            peak_gsl_util: r.f64_bits()?,
-            peak_isl_util: r.f64_bits()?,
-            gsl_bytes: r.u64()?,
-            isl_bytes: r.u64()?,
-            shed_requests: r.u64()?,
-        });
-    }
-    let partitioned_requests = r.u64()?;
-    let delayed_hits = r.u64()?;
-    let coalesced_requests = r.u64()?;
-    let nrh = r.len()?;
-    let mut residual_epoch_hist = BTreeMap::new();
-    for _ in 0..nrh {
-        let residual = r.u64()?;
-        residual_epoch_hist.insert(residual, r.u64()?);
-    }
-    Ok(SystemMetrics {
-        stats,
-        uplink_bytes,
-        served_local,
-        served_relay_west,
-        served_relay_east,
-        served_ground,
-        relay_bytes,
-        prefetch_bytes,
-        prefetch_copies,
-        latencies_ms,
-        per_satellite,
-        neighbor_availability,
-        remapped_requests,
-        cold_restart_misses,
-        reroute_extra_hops,
-        availability,
-        shed_requests,
-        retry_attempts,
-        served_primary,
-        served_replica,
-        served_origin_fallback,
-        dropped_requests,
-        utilization,
-        partitioned_requests,
-        delayed_hits,
-        coalesced_requests,
-        residual_epoch_hist,
-    })
-}
-
-fn put_usage(w: &mut ByteWriter, usage: &[EpochUsageState]) {
-    w.len(usage.len());
-    for u in usage {
-        w.u64(u.epoch);
-        w.len(u.gsl_used.len());
-        for &(slot, bytes) in &u.gsl_used {
-            w.u32(slot);
-            w.u64(bytes);
-        }
-        w.len(u.isl_used.len());
-        for &((a, b), bytes) in &u.isl_used {
-            w.u32(a);
-            w.u32(b);
-            w.u64(bytes);
-        }
-        w.u64(u.shed);
-    }
-}
-
-fn get_usage(r: &mut ByteReader) -> Result<Vec<EpochUsageState>, CheckpointError> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let epoch = r.u64()?;
-        let ng = r.len()?;
-        let mut gsl_used = Vec::with_capacity(ng);
-        for _ in 0..ng {
-            gsl_used.push((r.u32()?, r.u64()?));
-        }
-        let ni = r.len()?;
-        let mut isl_used = Vec::with_capacity(ni);
-        for _ in 0..ni {
-            isl_used.push(((r.u32()?, r.u32()?), r.u64()?));
-        }
-        out.push(EpochUsageState { epoch, gsl_used, isl_used, shed: r.u64()? });
-    }
-    Ok(out)
-}
-
-/// Telemetry enums are persisted by discriminant; decode validates the
-/// index against the vocabulary so a stale file from a different build
-/// errors instead of panicking.
-pub(crate) fn put_telemetry(w: &mut ByteWriter, s: &TelemetrySnapshot) {
-    w.len(s.counters.len());
-    for &(c, v) in &s.counters {
-        w.u32(c as u32);
-        w.u64(v);
-    }
-    w.len(s.histograms.len());
-    for (h, snap) in &s.histograms {
-        w.u32(*h as u32);
-        w.len(snap.buckets.len());
-        for &(k, n) in &snap.buckets {
-            w.u8(k);
-            w.u64(n);
-        }
-        w.u64(snap.count);
-        w.u64(snap.sum);
-        match snap.min {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                w.u64(v);
-            }
-        }
-        match snap.max {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                w.u64(v);
-            }
-        }
-    }
-    w.len(s.spans.len());
-    for (&(stage, epoch), cell) in &s.spans {
-        w.u32(stage as u32);
-        w.u64(epoch);
-        w.u64(cell.count);
-        w.u64(cell.total_ns);
-        w.u64(cell.max_ns);
-    }
-    w.len(s.events.len());
-    for (&(event, epoch), &count) in &s.events {
-        w.u32(event as u32);
-        w.u64(epoch);
-        w.u64(count);
-    }
-}
-
-fn get_opt_u64(r: &mut ByteReader) -> Result<Option<u64>, CheckpointError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        _ => Err(CheckpointError::Malformed("bad option tag")),
-    }
-}
-
-pub(crate) fn get_telemetry(r: &mut ByteReader) -> Result<TelemetrySnapshot, CheckpointError> {
-    let nc = r.len()?;
-    let mut counters = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        let idx = r.u32()? as usize;
-        let c = *Counter::ALL
-            .get(idx)
-            .ok_or(CheckpointError::Malformed("unknown counter discriminant"))?;
-        counters.push((c, r.u64()?));
-    }
-    let nh = r.len()?;
-    let mut histograms = Vec::with_capacity(nh);
-    for _ in 0..nh {
-        let idx = r.u32()? as usize;
-        let h = *Histo::ALL
-            .get(idx)
-            .ok_or(CheckpointError::Malformed("unknown histogram discriminant"))?;
-        let nb = r.len()?;
-        let mut buckets = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            buckets.push((r.u8()?, r.u64()?));
-        }
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let min = get_opt_u64(r)?;
-        let max = get_opt_u64(r)?;
-        histograms.push((h, HistogramSnapshot { buckets, count, sum, min, max }));
-    }
-    let nsp = r.len()?;
-    let mut spans = BTreeMap::new();
-    for _ in 0..nsp {
-        let idx = r.u32()? as usize;
-        let stage =
-            *Stage::ALL.get(idx).ok_or(CheckpointError::Malformed("unknown stage discriminant"))?;
-        let epoch = r.u64()?;
-        let cell = SpanStats { count: r.u64()?, total_ns: r.u64()?, max_ns: r.u64()? };
-        spans.insert((stage, epoch), cell);
-    }
-    let ne = r.len()?;
-    let mut events = BTreeMap::new();
-    for _ in 0..ne {
-        let idx = r.u32()? as usize;
-        let event =
-            *Event::ALL.get(idx).ok_or(CheckpointError::Malformed("unknown event discriminant"))?;
-        let epoch = r.u64()?;
-        events.insert((event, epoch), r.u64()?);
-    }
-    Ok(TelemetrySnapshot { counters, histograms, spans, events })
 }
 
 // ---------------------------------------------------------------------------
@@ -946,35 +178,39 @@ const SEC_TELEMETRY: u32 = 3;
 pub(crate) const KIND_ENGINE: u32 = 1;
 pub(crate) const KIND_REPLAY: u32 = 2;
 
-pub(crate) struct RawCheckpoint {
+/// A container's sections, borrowed from its bytes.
+pub(crate) struct RawCheckpoint<'a> {
     pub kind: u32,
-    pub meta: Vec<u8>,
-    pub body: Vec<u8>,
-    pub telemetry: Vec<u8>,
+    pub meta: &'a [u8],
+    pub body: &'a [u8],
+    pub telemetry: &'a [u8],
 }
 
-fn put_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    let mut framed = Vec::with_capacity(12 + payload.len());
-    framed.extend_from_slice(&tag.to_le_bytes());
-    framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    framed.extend_from_slice(payload);
-    let crc = crc32(&framed);
-    out.extend_from_slice(&framed);
-    out.extend_from_slice(&crc.to_le_bytes());
+/// `tag | len | payload | crc32(tag‖len‖payload)`, checksummed where it
+/// lies.
+fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+    let start = out.len();
+    let mut w = Writer::new(out);
+    w.u32(tag);
+    w.u64(payload.len() as u64);
+    w.bytes(payload);
+    let crc = crc32(&out[start..]);
+    Writer::new(out).u32(crc);
 }
 
 /// Serialize a complete checkpoint container.
 pub(crate) fn encode_container(kind: u32, meta: &[u8], body: &[u8], telemetry: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + meta.len() + body.len() + telemetry.len() + 48);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&3u32.to_le_bytes()); // section count
+    let mut w = Writer::new(&mut out);
+    w.bytes(MAGIC);
+    w.u32(VERSION);
+    w.u32(kind);
+    w.u32(3); // section count
     let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    put_section(&mut out, SEC_META, meta);
-    put_section(&mut out, SEC_BODY, body);
-    put_section(&mut out, SEC_TELEMETRY, telemetry);
+    Writer::new(&mut out).u32(header_crc);
+    write_section(&mut out, SEC_META, meta);
+    write_section(&mut out, SEC_BODY, body);
+    write_section(&mut out, SEC_TELEMETRY, telemetry);
     out
 }
 
@@ -985,52 +221,43 @@ pub(crate) fn encode_container(kind: u32, meta: &[u8], body: &[u8], telemetry: &
 /// frame cap in `starcdn-net`.
 pub(crate) const MAX_SECTION_LEN: u64 = 1 << 30;
 
-fn read_section(r: &mut ByteReader, expect_tag: u32) -> Result<Vec<u8>, CheckpointError> {
-    let start = r.pos;
-    let tag = r.u32()?;
-    let len = r.u64()?;
+fn read_section<'a>(r: &mut Reader<'a>, expect_tag: u32) -> Result<&'a [u8], CheckpointError> {
+    let mut head = r.clone();
+    let tag = head.u32()?;
+    let len = head.u64()?;
     if len > MAX_SECTION_LEN {
         return Err(CheckpointError::Malformed("section length exceeds cap"));
     }
-    if len > r.remaining() as u64 {
-        return Err(CheckpointError::Truncated);
-    }
-    let payload = r.take(len as usize)?.to_vec();
-    let framed = &r.buf[start..r.pos];
-    let crc = r.u32()?;
-    if crc != crc32(framed) {
+    let framed = r.take(12 + len as usize)?;
+    if r.u32()? != crc32(framed) {
         return Err(CheckpointError::CrcMismatch);
     }
     if tag != expect_tag {
         return Err(CheckpointError::Malformed("sections out of order"));
     }
-    Ok(payload)
+    Ok(&framed[12..])
 }
 
 /// Parse and integrity-check a checkpoint container. Never panics on
 /// arbitrary input; every corruption maps to a typed error.
-pub(crate) fn decode_container(bytes: &[u8]) -> Result<RawCheckpoint, CheckpointError> {
+pub(crate) fn decode_container(bytes: &[u8]) -> Result<RawCheckpoint<'_>, CheckpointError> {
     if bytes.len() < 24 {
         return Err(CheckpointError::Truncated);
     }
-    if &bytes[..8] != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(8)? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let header_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    if header_crc != crc32(&bytes[..20]) {
+    let (version, kind, sections) = (r.u32()?, r.u32()?, r.u32()?);
+    if r.u32()? != crc32(&bytes[..20]) {
         return Err(CheckpointError::CrcMismatch);
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let kind = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    let sections = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
     if sections != 3 {
         return Err(CheckpointError::Malformed("unexpected section count"));
     }
-    let mut r = ByteReader::new(bytes);
-    r.pos = 24;
     let meta = read_section(&mut r, SEC_META)?;
     let body = read_section(&mut r, SEC_BODY)?;
     let telemetry = read_section(&mut r, SEC_TELEMETRY)?;
@@ -1159,25 +386,6 @@ pub(crate) fn write_atomic(
 // Engine checkpoint payloads.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over one more field.
-pub(crate) fn fp(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-pub(crate) fn fp_bytes(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// A fingerprint of everything a checkpoint must agree with the resuming
 /// run about: system configuration, epoch length, fault schedule,
 /// overload settings and the measurement cutoff. Resume rejects
@@ -1221,30 +429,14 @@ pub(crate) struct EngineMeta {
     pub use_overload: bool,
 }
 
-fn encode_engine_meta(m: &EngineMeta) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(m.fingerprint);
-    w.u64(m.boundary_epoch);
-    w.u64(m.prev_epoch);
-    w.u64(m.entry_index);
-    w.boolean(m.use_cursor);
-    w.boolean(m.use_overload);
-    w.into_bytes()
-}
-
-fn decode_engine_meta(bytes: &[u8]) -> Result<EngineMeta, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let m = EngineMeta {
-        fingerprint: r.u64()?,
-        boundary_epoch: r.u64()?,
-        prev_epoch: r.u64()?,
-        entry_index: r.u64()?,
-        use_cursor: r.boolean()?,
-        use_overload: r.boolean()?,
-    };
-    r.finish()?;
-    Ok(m)
-}
+wire_struct!(EngineMeta {
+    fingerprint,
+    boundary_epoch,
+    prev_epoch,
+    entry_index,
+    use_cursor,
+    use_overload
+});
 
 struct EngineBody {
     failures: FailureModel,
@@ -1260,99 +452,7 @@ struct EngineBody {
     watermark: [u64; 3],
 }
 
-fn encode_engine_body(b: &EngineBody) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    put_failures(&mut w, &b.failures);
-    w.len(b.caches.len());
-    for c in &b.caches {
-        put_cache_state(&mut w, c);
-    }
-    w.len(b.inflight.len());
-    for q in &b.inflight {
-        put_inflight(&mut w, q);
-    }
-    w.len(b.cold.len());
-    for &c in &b.cold {
-        w.boolean(c);
-    }
-    put_metrics(&mut w, &b.metrics);
-    match &b.cursor {
-        None => w.u8(0),
-        Some((applied, view)) => {
-            w.u8(1);
-            w.u64(*applied);
-            put_failures(&mut w, view);
-        }
-    }
-    match &b.ledger {
-        None => w.u8(0),
-        Some(usage) => {
-            w.u8(1);
-            put_usage(&mut w, usage);
-        }
-    }
-    for v in b.watermark {
-        w.u64(v);
-    }
-    w.into_bytes()
-}
-
-fn decode_engine_body(bytes: &[u8]) -> Result<EngineBody, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let failures = get_failures(&mut r)?;
-    let nc = r.len()?;
-    let mut caches = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        caches.push(get_cache_state(&mut r)?);
-    }
-    let nq = r.len()?;
-    let mut inflight = Vec::with_capacity(nq);
-    for _ in 0..nq {
-        inflight.push(get_inflight(&mut r)?);
-    }
-    let ncold = r.len()?;
-    let mut cold = Vec::with_capacity(ncold);
-    for _ in 0..ncold {
-        cold.push(r.boolean()?);
-    }
-    let metrics = get_metrics(&mut r)?;
-    let cursor = match r.u8()? {
-        0 => None,
-        1 => Some((r.u64()?, get_failures(&mut r)?)),
-        _ => return Err(CheckpointError::Malformed("bad cursor tag")),
-    };
-    let ledger = match r.u8()? {
-        0 => None,
-        1 => Some(get_usage(&mut r)?),
-        _ => return Err(CheckpointError::Malformed("bad ledger tag")),
-    };
-    let watermark = [r.u64()?, r.u64()?, r.u64()?];
-    r.finish()?;
-    Ok(EngineBody { failures, caches, inflight, cold, metrics, cursor, ledger, watermark })
-}
-
-fn encode_telemetry_section(tele: Option<&TelemetrySnapshot>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match tele {
-        None => w.u8(0),
-        Some(s) => {
-            w.u8(1);
-            put_telemetry(&mut w, s);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_telemetry_section(bytes: &[u8]) -> Result<Option<TelemetrySnapshot>, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let out = match r.u8()? {
-        0 => None,
-        1 => Some(get_telemetry(&mut r)?),
-        _ => return Err(CheckpointError::Malformed("bad telemetry tag")),
-    };
-    r.finish()?;
-    Ok(out)
-}
+wire_struct!(EngineBody { failures, caches, inflight, cold, metrics, cursor, ledger, watermark });
 
 /// Structurally validate checkpoint bytes without restoring anything:
 /// container framing, CRCs, and full payload decode. Used by corruption
@@ -1361,9 +461,9 @@ pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
     let raw = decode_container(bytes)?;
     match raw.kind {
         KIND_ENGINE => {
-            decode_engine_meta(&raw.meta)?;
-            decode_engine_body(&raw.body)?;
-            decode_telemetry_section(&raw.telemetry)?;
+            decode::<EngineMeta>(raw.meta)?;
+            decode::<EngineBody>(raw.body)?;
+            decode::<Option<TelemetrySnapshot>>(raw.telemetry)?;
             Ok(())
         }
         KIND_REPLAY => {
@@ -1380,9 +480,7 @@ pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
 /// everything checkpoints preserve. The torture harness compares runs
 /// through this.
 pub fn metrics_digest(m: &SystemMetrics) -> u64 {
-    let mut w = ByteWriter::new();
-    put_metrics(&mut w, m);
-    fp_bytes(0xCBF2_9CE4_8422_2325, &w.into_bytes())
+    fp_bytes(0xCBF2_9CE4_8422_2325, &encode(m))
 }
 
 // ---------------------------------------------------------------------------
@@ -1471,7 +569,7 @@ impl<'a> EngineCheckpointer<'a> {
         if raw.kind != KIND_ENGINE {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let meta = decode_engine_meta(&raw.meta)?;
+        let meta: EngineMeta = decode(raw.meta)?;
         if meta.fingerprint != self.fingerprint
             || meta.use_cursor != self.use_cursor
             || meta.use_overload != self.use_overload
@@ -1479,11 +577,11 @@ impl<'a> EngineCheckpointer<'a> {
         {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let body = decode_engine_body(&raw.body)?;
+        let body: EngineBody = decode(raw.body)?;
         if self.use_cursor != body.cursor.is_some() || self.use_overload != body.ledger.is_some() {
             return Err(CheckpointError::Malformed("mode does not match stored sections"));
         }
-        let telemetry = decode_telemetry_section(&raw.telemetry)?;
+        let telemetry = decode(raw.telemetry)?;
         let [remapped, extra_hops, cold_misses] = body.watermark;
         let state = LoopState {
             prev_epoch: meta.prev_epoch,
@@ -1543,9 +641,9 @@ impl<'a> EngineCheckpointer<'a> {
         };
         let bytes = encode_container(
             KIND_ENGINE,
-            &encode_engine_meta(&meta),
-            &encode_engine_body(&body),
-            &encode_telemetry_section(state.telemetry.as_ref()),
+            &encode(&meta),
+            &encode(&body),
+            &encode(&state.telemetry),
         );
         let policy = self.ck.policy;
         write_atomic(self.ck.io, &policy.dir, epoch, &bytes, policy.keep_last)?;
@@ -1561,13 +659,19 @@ mod tests {
     use crate::access_log::AccessLog;
     use crate::engine::{run, run_space, SimConfig};
     use crate::overload::OverloadConfig;
+    use crate::serve::{decode_drain, ShardState};
     use crate::world::World;
     use proptest::prelude::*;
     use spacegen::trace::{LocationId, Request, Trace};
     use starcdn::config::{DelayedHitConfig, StarCdnConfig};
+    use starcdn::metrics::AvailabilityPoint;
+    use starcdn_cache::inflight::InflightEntryState;
+    use starcdn_cache::object::ObjectId;
+    use starcdn_constellation::capacity::UtilizationPoint;
     use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
     use starcdn_orbit::time::SimTime;
-    use starcdn_telemetry::{MemoryRecorder, Noop, Recorder};
+    use starcdn_orbit::walker::SatelliteId;
+    use starcdn_telemetry::{Counter, Histo, MemoryRecorder, Noop, Recorder, Stage};
     use std::fs;
 
     /// The engine under `sched`/`overload`, recording into `rec`, with
@@ -1696,37 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-    }
-
-    /// Slicing-by-8 against the bytewise oracle: every length around
-    /// the 8-byte step and its tail at every alignment, then a buffer
-    /// long enough that the word loop dominates.
-    #[test]
-    fn crc32_matches_bytewise_reference() {
-        let seeded = |n: usize, mut x: u64| -> Vec<u8> {
-            (0..n)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (x >> 56) as u8
-                })
-                .collect()
-        };
-        let buf = seeded(8 + 130, 0x5EED);
-        for off in 0..8 {
-            for len in 0..=130 {
-                let s = &buf[off..off + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "offset {off}, length {len}");
-            }
-        }
-        let big = seeded(1 << 20, 0xC0FFEE);
-        assert_eq!(crc32(&big), crc32_bytewise(&big));
-    }
-
-    #[test]
     fn failure_view_bytes_are_the_sorted_id_lists_whatever_the_kill_order() {
         // Sorted by (orbit, slot), hand-listed: slots past one word, a
         // run inside one plane, the far planes.
@@ -1743,23 +816,22 @@ mod tests {
         view.cut_link(sat((5, 6)), sat((5, 5)));
         view.cut_link(sat((2, 0)), sat((1, 0)));
 
-        let mut expected = ByteWriter::new();
-        expected.u64(sorted.len() as u64);
+        let mut expected = Vec::new();
+        let mut w = Writer::new(&mut expected);
+        w.u64(sorted.len() as u64);
         for (o, s) in sorted {
-            expected.u16(o);
-            expected.u16(s);
+            w.u16(o);
+            w.u16(s);
         }
-        expected.u64(2);
+        w.u64(2);
         for (o, s) in [(1, 0), (2, 0), (5, 5), (5, 6)] {
-            expected.u16(o);
-            expected.u16(s);
+            w.u16(o);
+            w.u16(s);
         }
 
-        let mut w = ByteWriter::new();
-        put_failures(&mut w, &view);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes, expected.into_bytes());
-        assert_eq!(get_failures(&mut ByteReader::new(&bytes)).unwrap(), view);
+        let bytes = encode(&view);
+        assert_eq!(bytes, expected);
+        assert_eq!(decode::<FailureModel>(&bytes).unwrap(), view);
     }
 
     fn sample_body() -> EngineBody {
@@ -1836,9 +908,9 @@ mod tests {
         rec.event(Event::Remap, 7, 2);
         encode_container(
             KIND_ENGINE,
-            &encode_engine_meta(&meta),
-            &encode_engine_body(&sample_body()),
-            &encode_telemetry_section(Some(&rec.snapshot())),
+            &encode(&meta),
+            &encode(&sample_body()),
+            &encode(&Some(rec.snapshot())),
         )
     }
 
@@ -1848,19 +920,19 @@ mod tests {
         validate_checkpoint_bytes(&bytes).unwrap();
         let raw = decode_container(&bytes).unwrap();
         assert_eq!(raw.kind, KIND_ENGINE);
-        let meta = decode_engine_meta(&raw.meta).unwrap();
+        let meta: EngineMeta = decode(raw.meta).unwrap();
         assert_eq!(meta.boundary_epoch, 8);
         assert_eq!(meta.entry_index, 1234);
-        let body = decode_engine_body(&raw.body).unwrap();
+        let body: EngineBody = decode(raw.body).unwrap();
         assert_eq!(body.watermark, [5, 6, 7]);
         assert_eq!(body.failures.dead_count(), 1);
         assert_eq!(body.failures.cut_link_count(), 1);
         // Re-encoding the decoded payloads reproduces the exact bytes.
         let again = encode_container(
             KIND_ENGINE,
-            &encode_engine_meta(&meta),
-            &encode_engine_body(&body),
-            &encode_telemetry_section(decode_telemetry_section(&raw.telemetry).unwrap().as_ref()),
+            &encode(&meta),
+            &encode(&body),
+            &encode(&decode::<Option<TelemetrySnapshot>>(raw.telemetry).unwrap()),
         );
         assert_eq!(again, bytes, "codec is deterministic and lossless");
     }
@@ -1902,19 +974,15 @@ mod tests {
 
     #[test]
     fn sections_out_of_order_rejected() {
-        let raw = decode_container(&sample_bytes()).unwrap();
+        let bytes = sample_bytes();
+        let raw = decode_container(&bytes).unwrap();
         // Rebuild with BODY and META swapped; every section CRC is valid
         // but the strict order check must fire.
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&KIND_ENGINE.to_le_bytes());
-        out.extend_from_slice(&3u32.to_le_bytes());
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        put_section(&mut out, SEC_BODY, &raw.body);
-        put_section(&mut out, SEC_META, &raw.meta);
-        put_section(&mut out, SEC_TELEMETRY, &raw.telemetry);
+        let mut out = encode_container(KIND_ENGINE, raw.meta, raw.body, raw.telemetry);
+        out.truncate(24);
+        write_section(&mut out, SEC_BODY, raw.body);
+        write_section(&mut out, SEC_META, raw.meta);
+        write_section(&mut out, SEC_TELEMETRY, raw.telemetry);
         assert!(matches!(decode_container(&out), Err(CheckpointError::Malformed(_))));
     }
 
@@ -1939,10 +1007,18 @@ mod tests {
             prop_assert!(validate_checkpoint_bytes(&bytes[..n]).is_err());
         }
 
-        /// Arbitrary garbage never panics the validator.
+        /// Arbitrary garbage never panics the validator, the drain
+        /// decoder or a shard server's batch decoder (fed once as it
+        /// is and once behind an op count the bytes could hold).
         #[test]
         fn prop_garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             let _ = validate_checkpoint_bytes(&data);
+            let _ = decode_drain(&data);
+            let cfg = StarCdnConfig::starcdn_no_relay(4, 1_000_000);
+            let mut shard = ShardState::new(&cfg, &FailureModel::none(), false);
+            let _ = shard.apply_batch(&data);
+            let counted = [&(data.len() as u32 / 9).to_le_bytes()[..], &data].concat();
+            let _ = shard.apply_batch(&counted);
         }
     }
 
@@ -2274,12 +1350,12 @@ mod tests {
         let files = list_checkpoint_files(&dir);
         assert!(files.len() >= 2, "need at least two checkpoints for fallback");
         let (newest_epoch, newest) = files.last().unwrap();
-        let raw = decode_container(&fs::read(newest).unwrap()).unwrap();
-        let mut body = decode_engine_body(&raw.body).unwrap();
+        let bytes = fs::read(newest).unwrap();
+        let raw = decode_container(&bytes).unwrap();
+        let mut body: EngineBody = decode(raw.body).unwrap();
         let usage = body.ledger.as_mut().expect("overload runs checkpoint their ledger");
         usage[0].isl_used.push(((0, 5000), 1));
-        let forged =
-            encode_container(raw.kind, &raw.meta, &encode_engine_body(&body), &raw.telemetry);
+        let forged = encode_container(raw.kind, raw.meta, &encode(&body), raw.telemetry);
         assert!(decode_container(&forged).is_ok(), "the forgery passes every CRC");
         fs::write(newest, &forged).unwrap();
 

@@ -61,6 +61,7 @@ use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, SlotStore};
 use starcdn::metrics::{AvailabilityPoint, SystemMetrics};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
+use starcdn_io::wire::{Reader, WireError, Writer};
 use starcdn_telemetry::{
     Counter, Event, Histo, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot,
 };
@@ -643,8 +644,10 @@ const OP_WIPE: u8 = 1;
 const OP_MARK_COLD: u8 = 2;
 
 /// Append one shard op to `w` (tag byte + fields, little-endian; floats
-/// travel as bit patterns so replay stays bit-exact).
-pub(crate) fn put_shard_op(w: &mut crate::checkpoint::ByteWriter, op: &ShardOp) {
+/// travel as bit patterns so replay stays bit-exact). Written by hand,
+/// not as a `codec` field list: the replica tag (0/1/2) is not an
+/// `Option<bool>`, and decoding validates slots.
+pub(crate) fn put_shard_op(w: &mut Writer<'_>, op: &ShardOp) {
     match op {
         ShardOp::Request(e) => {
             w.u8(OP_REQUEST);
@@ -654,8 +657,8 @@ pub(crate) fn put_shard_op(w: &mut crate::checkpoint::ByteWriter, op: &ShardOp) 
             w.u16(e.owner.slot);
             w.u16(e.intra);
             w.u16(e.inter);
-            w.f64_bits(e.gsl_oneway_ms);
-            w.f64_bits(e.penalty_ms);
+            w.f64(e.gsl_oneway_ms);
+            w.f64(e.penalty_ms);
             w.u8(match e.replica {
                 None => 0,
                 Some(false) => 1,
@@ -679,11 +682,10 @@ pub(crate) fn put_shard_op(w: &mut crate::checkpoint::ByteWriter, op: &ShardOp) 
 /// stream becomes a typed error instead of an out-of-bounds panic in
 /// [`run_shard_ops`].
 pub(crate) fn get_shard_op(
-    r: &mut crate::checkpoint::ByteReader<'_>,
+    r: &mut Reader<'_>,
     spp: u16,
     total_slots: usize,
-) -> Result<ShardOp, crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::CheckpointError;
+) -> Result<ShardOp, WireError> {
     match r.u8()? {
         OP_REQUEST => {
             // Fields decode in wire order: a struct literal evaluates
@@ -694,36 +696,36 @@ pub(crate) fn get_shard_op(
                 owner: starcdn_orbit::walker::SatelliteId::new(r.u16()?, r.u16()?),
                 intra: r.u16()?,
                 inter: r.u16()?,
-                gsl_oneway_ms: r.f64_bits()?,
-                penalty_ms: r.f64_bits()?,
+                gsl_oneway_ms: r.f64()?,
+                penalty_ms: r.f64()?,
                 replica: match r.u8()? {
                     0 => None,
                     1 => Some(false),
                     2 => Some(true),
-                    _ => return Err(CheckpointError::Malformed("bad replica tag")),
+                    _ => return Err(WireError::Invalid("bad replica tag")),
                 },
                 epoch: r.u64()?,
             };
             if req.owner.index(spp) >= total_slots {
-                return Err(CheckpointError::Malformed("op owner out of range"));
+                return Err(WireError::Invalid("op owner out of range"));
             }
             Ok(ShardOp::Request(req))
         }
         OP_WIPE => {
             let idx = r.u64()? as usize;
             if idx >= total_slots {
-                return Err(CheckpointError::Malformed("wipe slot out of range"));
+                return Err(WireError::Invalid("wipe slot out of range"));
             }
             Ok(ShardOp::Wipe(idx))
         }
         OP_MARK_COLD => {
             let idx = r.u64()? as usize;
             if idx >= total_slots {
-                return Err(CheckpointError::Malformed("mark-cold slot out of range"));
+                return Err(WireError::Invalid("mark-cold slot out of range"));
             }
             Ok(ShardOp::MarkCold(idx))
         }
-        _ => Err(CheckpointError::Malformed("unknown shard op tag")),
+        _ => Err(WireError::Invalid("unknown shard op tag")),
     }
 }
 
@@ -912,10 +914,11 @@ mod tests {
     /// Everything [`prepare_shards`] returns, as one number: every shard
     /// stream's op bytes in stream order, the direct metrics, every cut.
     fn pre_pass_digest(p: &PrePass) -> u64 {
-        let mut w = crate::checkpoint::ByteWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = Writer::new(&mut bytes);
         for shard in 0..p.pieces[0].len() {
             let len = p.stream_len(shard);
-            w.len(len);
+            w.u64(len as u64);
             for op in p.stream(shard, 0..len).flatten() {
                 put_shard_op(&mut w, op);
             }
@@ -924,10 +927,10 @@ mod tests {
         for cut in &p.cuts {
             w.u64(cut.barrier_epoch);
             for &len in &cut.lens {
-                w.len(len);
+                w.u64(len as u64);
             }
         }
-        crate::checkpoint::fp_bytes(0xCBF2_9CE4_8422_2325, &w.into_bytes())
+        starcdn_io::wire::fp_bytes(0xCBF2_9CE4_8422_2325, &bytes)
     }
 
     /// A recorded snapshot with every span's wall-clock durations zeroed
@@ -938,9 +941,7 @@ mod tests {
             cell.total_ns = 0;
             cell.max_ns = 0;
         }
-        let mut w = crate::checkpoint::ByteWriter::new();
-        crate::checkpoint::put_telemetry(&mut w, &snap);
-        crate::checkpoint::fp_bytes(0xCBF2_9CE4_8422_2325, &w.into_bytes())
+        starcdn_io::wire::fp_bytes(0xCBF2_9CE4_8422_2325, &crate::codec::encode(&snap))
     }
 
     /// Headroom ≈ 1.5 mean objects per satellite per epoch: tight enough

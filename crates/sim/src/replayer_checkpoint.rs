@@ -16,18 +16,18 @@
 //! scheduler epochs) and
 //! calls [`ReplayCheckpointer::write`] at each, with the same
 //! atomic-rename/CRC container as the engine's ([`crate::checkpoint`],
-//! KIND_REPLAY). Workers keep their metric/cold state across segments,
-//! and per-shard streams are replayed in order, so a checkpointed run's
-//! output is bit-for-bit the uncheckpointed one's for configurations
-//! whose parallel replay is itself deterministic (no-relay; relay
-//! configs keep the usual bounded skew).
+//! KIND_REPLAY). META and BODY are each one `codec` field list, and
+//! TELEMETRY is one snapshot per worker. Workers keep their metric/cold
+//! state across segments, and per-shard streams are replayed in order,
+//! so a checkpointed run's output is bit-for-bit the uncheckpointed
+//! one's for configurations whose parallel replay is itself
+//! deterministic (no-relay; relay configs keep the usual bounded skew).
 
 use crate::checkpoint::{
-    config_fingerprint, decode_container, encode_container, fp, get_cache_state, get_inflight,
-    get_metrics, get_telemetry, list_checkpoint_files_io, put_cache_state, put_inflight,
-    put_metrics, put_telemetry, sweep_stale_tmps_io, write_atomic, ByteReader, ByteWriter,
-    CheckpointError, Checkpointing, RawCheckpoint, KIND_REPLAY,
+    config_fingerprint, decode_container, encode_container, list_checkpoint_files_io,
+    sweep_stale_tmps_io, write_atomic, CheckpointError, Checkpointing, RawCheckpoint, KIND_REPLAY,
 };
+use crate::codec::{decode, encode, wire_struct};
 use crate::columns::LogView;
 use crate::engine::RunSpec;
 use parking_lot::Mutex;
@@ -37,6 +37,7 @@ use starcdn::metrics::SystemMetrics;
 use starcdn_cache::policy::Cache;
 use starcdn_cache::{CacheState, InflightQueue, InflightState};
 use starcdn_constellation::failures::FailureModel;
+use starcdn_io::wire::fp;
 use starcdn_telemetry::{Event, MemoryRecorder, Recorder, TelemetrySnapshot};
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
@@ -75,26 +76,7 @@ struct ReplayMeta {
     total_slots: u64,
 }
 
-fn encode_replay_meta(m: &ReplayMeta) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(m.fingerprint);
-    w.u64(m.barrier_epoch);
-    w.u64(m.num_workers);
-    w.u64(m.total_slots);
-    w.into_bytes()
-}
-
-fn decode_replay_meta(bytes: &[u8]) -> Result<ReplayMeta, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let m = ReplayMeta {
-        fingerprint: r.u64()?,
-        barrier_epoch: r.u64()?,
-        num_workers: r.u64()?,
-        total_slots: r.u64()?,
-    };
-    r.finish()?;
-    Ok(m)
-}
+wire_struct!(ReplayMeta { fingerprint, barrier_epoch, num_workers, total_slots });
 
 struct ReplayBody {
     caches: Vec<CacheState>,
@@ -106,87 +88,14 @@ struct ReplayBody {
     metrics: Vec<SystemMetrics>,
 }
 
-fn encode_replay_body(b: &ReplayBody) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.len(b.caches.len());
-    for c in &b.caches {
-        put_cache_state(&mut w, c);
-    }
-    w.len(b.inflight.len());
-    for q in &b.inflight {
-        put_inflight(&mut w, q);
-    }
-    w.len(b.cold.len());
-    for worker in &b.cold {
-        w.len(worker.len());
-        for &c in worker {
-            w.boolean(c);
-        }
-    }
-    w.len(b.metrics.len());
-    for m in &b.metrics {
-        put_metrics(&mut w, m);
-    }
-    w.into_bytes()
-}
-
-fn decode_replay_body(bytes: &[u8]) -> Result<ReplayBody, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let nc = r.len()?;
-    let mut caches = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        caches.push(get_cache_state(&mut r)?);
-    }
-    let nq = r.len()?;
-    let mut inflight = Vec::with_capacity(nq);
-    for _ in 0..nq {
-        inflight.push(get_inflight(&mut r)?);
-    }
-    let nw = r.len()?;
-    let mut cold = Vec::with_capacity(nw);
-    for _ in 0..nw {
-        let n = r.len()?;
-        let mut worker = Vec::with_capacity(n);
-        for _ in 0..n {
-            worker.push(r.boolean()?);
-        }
-        cold.push(worker);
-    }
-    let nm = r.len()?;
-    let mut metrics = Vec::with_capacity(nm);
-    for _ in 0..nm {
-        metrics.push(get_metrics(&mut r)?);
-    }
-    r.finish()?;
-    Ok(ReplayBody { caches, inflight, cold, metrics })
-}
-
-fn encode_worker_telemetry(snaps: &[TelemetrySnapshot]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.len(snaps.len());
-    for s in snaps {
-        put_telemetry(&mut w, s);
-    }
-    w.into_bytes()
-}
-
-fn decode_worker_telemetry(bytes: &[u8]) -> Result<Vec<TelemetrySnapshot>, CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_telemetry(&mut r)?);
-    }
-    r.finish()?;
-    Ok(out)
-}
+wire_struct!(ReplayBody { caches, inflight, cold, metrics });
 
 /// Structural validation of a KIND_REPLAY container's sections, used by
 /// [`crate::checkpoint::validate_checkpoint_bytes`].
-pub(crate) fn validate_sections(raw: &RawCheckpoint) -> Result<(), CheckpointError> {
-    decode_replay_meta(&raw.meta)?;
-    decode_replay_body(&raw.body)?;
-    decode_worker_telemetry(&raw.telemetry)?;
+pub(crate) fn validate_sections(raw: &RawCheckpoint<'_>) -> Result<(), CheckpointError> {
+    decode::<ReplayMeta>(raw.meta)?;
+    decode::<ReplayBody>(raw.body)?;
+    decode::<Vec<TelemetrySnapshot>>(raw.telemetry)?;
     Ok(())
 }
 
@@ -355,7 +264,7 @@ impl<'a> ReplayCheckpointer<'a> {
         if raw.kind != KIND_REPLAY {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let meta = decode_replay_meta(&raw.meta)?;
+        let meta: ReplayMeta = decode(raw.meta)?;
         // The file name's epoch is what `load_newest` orders by.
         if meta.barrier_epoch != epoch
             || meta.fingerprint != self.fingerprint
@@ -364,7 +273,7 @@ impl<'a> ReplayCheckpointer<'a> {
         {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let body = decode_replay_body(&raw.body)?;
+        let body: ReplayBody = decode(raw.body)?;
         if body.caches.len() != self.total_slots
             || body.inflight.len() != self.total_slots
             || body.cold.len() != self.num_workers
@@ -376,7 +285,7 @@ impl<'a> ReplayCheckpointer<'a> {
         if body.caches.iter().any(|c| c.policy_name() != cfg.policy.name()) {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let telemetry = decode_worker_telemetry(&raw.telemetry)?;
+        let telemetry: Vec<TelemetrySnapshot> = decode(raw.telemetry)?;
         if !telemetry.is_empty() && telemetry.len() != self.num_workers {
             return Err(CheckpointError::Malformed("worker telemetry count mismatch"));
         }
@@ -408,12 +317,7 @@ impl<'a> ReplayCheckpointer<'a> {
             total_slots: self.total_slots as u64,
         };
         let snaps: Vec<TelemetrySnapshot> = worker_recs.iter().map(|r| r.snapshot()).collect();
-        let bytes = encode_container(
-            KIND_REPLAY,
-            &encode_replay_meta(&meta),
-            &encode_replay_body(&body),
-            &encode_worker_telemetry(&snaps),
-        );
+        let bytes = encode_container(KIND_REPLAY, &encode(&meta), &encode(&body), &encode(&snaps));
         let policy = self.ck.policy;
         write_atomic(self.ck.io, &policy.dir, barrier_epoch, &bytes, policy.keep_last)
     }

@@ -30,14 +30,15 @@
 //! diverging.
 //!
 //! Every decoder here is hostile-input safe: batch payloads, drain
-//! payloads, and op records all fail with typed [`CheckpointError`]s —
-//! never a panic, never an unbounded allocation.
+//! payloads, and op records are read through the one bounded
+//! [`starcdn_io::wire::Reader`] and fail with typed [`CheckpointError`]s —
+//! never a panic, and never a reservation larger than the payload could
+//! fill. A drain payload is `(SystemMetrics, Option<TelemetrySnapshot>)`
+//! in the checkpoint codec's encoding.
 
 use crate::access_log::AccessLog;
-use crate::checkpoint::{
-    fp, fp_bytes, get_metrics, get_telemetry, put_metrics, put_telemetry, ByteReader, ByteWriter,
-    CheckpointError,
-};
+use crate::checkpoint::CheckpointError;
+use crate::codec::{decode, Wire};
 use crate::engine::RunSpec;
 use crate::overload::OverloadConfig;
 use crate::replayer::{get_shard_op, prepare_shards, put_shard_op, run_shard_ops, ShardOp};
@@ -46,6 +47,7 @@ use starcdn::kernel::{bent_pipe, ServeEnv, Slots};
 use starcdn::metrics::SystemMetrics;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
+use starcdn_io::wire::{fp, fp_bytes, Reader, Writer};
 use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
 
 /// Why a configuration cannot be served over the socket plane.
@@ -180,7 +182,8 @@ impl ServePlan {
             let mut start = 0usize;
             while start < len {
                 let end = (start + batch_ops).min(len);
-                let mut w = ByteWriter::new();
+                let mut bytes = Vec::new();
+                let mut w = Writer::new(&mut bytes);
                 w.u32((end - start) as u32);
                 for ops in pre.stream(shard, start..end) {
                     for op in ops {
@@ -188,7 +191,6 @@ impl ServePlan {
                         put_shard_op(&mut w, op);
                     }
                 }
-                let bytes = w.into_bytes();
                 h = fp_words(h, &bytes);
                 stream.batches.push(bytes);
                 start = end;
@@ -254,7 +256,7 @@ impl ServePlan {
         let mut m = SystemMetrics::default();
         let (spp, total_slots) = (self.env.grid.sats_per_plane, self.cfg.grid.total_slots());
         for batch in self.shards[shard].batches.iter().skip(from_batch) {
-            let mut r = ByteReader::new(batch);
+            let mut r = Reader::new(batch);
             let count = r.u32().expect("the plan encoded this batch");
             for _ in 0..count {
                 let op = get_shard_op(&mut r, spp, total_slots).expect("the plan encoded this op");
@@ -323,7 +325,7 @@ impl ShardState {
     /// runs).
     pub fn apply_batch(&mut self, payload: &[u8]) -> Result<u32, CheckpointError> {
         let spp = self.env.grid.sats_per_plane;
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let count = r.u32()?;
         if count as usize > payload.len() {
             // Each op costs at least one tag byte: a count beyond the
@@ -331,7 +333,7 @@ impl ShardState {
             return Err(CheckpointError::Truncated);
         }
         self.ops.clear();
-        self.ops.reserve(count as usize);
+        self.ops.reserve(r.capacity_for::<ShardOp>(count as usize));
         for _ in 0..count {
             self.ops.push(get_shard_op(&mut r, spp, self.cold.len())?);
         }
@@ -348,19 +350,15 @@ impl ShardState {
         Ok(count)
     }
 
-    /// The drain payload: accumulated metrics plus the telemetry
-    /// snapshot when recording. Bit-exact via the checkpoint codec.
+    /// The drain payload: accumulated metrics, then the telemetry
+    /// snapshot when recording (an `Option`). Bit-exact via the
+    /// checkpoint codec.
     pub fn drain_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        put_metrics(&mut w, &self.metrics);
-        match &self.rec {
-            Some(r) => {
-                w.boolean(true);
-                put_telemetry(&mut w, &r.snapshot());
-            }
-            None => w.boolean(false),
-        }
-        w.into_bytes()
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
+        self.metrics.put(&mut w);
+        self.rec.as_ref().map(MemoryRecorder::snapshot).put(&mut w);
+        out
     }
 
     pub fn metrics(&self) -> &SystemMetrics {
@@ -373,11 +371,7 @@ impl ShardState {
 pub fn decode_drain(
     bytes: &[u8],
 ) -> Result<(SystemMetrics, Option<TelemetrySnapshot>), CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    let m = get_metrics(&mut r)?;
-    let snap = if r.boolean()? { Some(get_telemetry(&mut r)?) } else { None };
-    r.finish()?;
-    Ok((m, snap))
+    Ok(decode(bytes)?)
 }
 
 #[cfg(test)]
@@ -519,20 +513,14 @@ mod tests {
         trailing.push(0xAB);
         assert!(st.apply_batch(&trailing).is_err());
         // Unknown op tag.
-        let mut w = ByteWriter::new();
-        w.u32(1);
-        w.u8(9);
+        let one_op = |tag: u8, rest: &[u8]| [&1u32.to_le_bytes()[..], &[tag], rest].concat();
         assert!(matches!(
-            st.apply_batch(&w.into_bytes()),
+            st.apply_batch(&one_op(9, &[])),
             Err(CheckpointError::Malformed("unknown shard op tag"))
         ));
         // Out-of-range wipe slot.
-        let mut w = ByteWriter::new();
-        w.u32(1);
-        w.u8(1);
-        w.u64(u64::MAX);
         assert!(matches!(
-            st.apply_batch(&w.into_bytes()),
+            st.apply_batch(&one_op(1, &u64::MAX.to_le_bytes())),
             Err(CheckpointError::Malformed("wipe slot out of range"))
         ));
         assert_eq!(before, metrics_digest(st.metrics()), "failed batches leave state untouched");

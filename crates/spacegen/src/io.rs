@@ -8,12 +8,18 @@
 //! * traces as a compact binary format (fixed 26-byte records) for the
 //!   multi-gigabyte synthetic traces;
 //! * pFD + GPD model bundles as JSON.
+//!
+//! Every fixed binary record in the pipeline (these traces, the access
+//! logs) is read field by field through the one bounds-checked
+//! [`starcdn_io::wire::Reader`]; a read it cannot satisfy is
+//! [`IoError::TruncatedRecord`].
 
 use crate::fd::FootprintDescriptor;
 use crate::gpd::GlobalPopularity;
 use crate::trace::{LocationId, Request, Trace};
 use serde::{Deserialize, Serialize};
 use starcdn_cache::object::ObjectId;
+use starcdn_io::wire::{Reader, WireError};
 use starcdn_io::{Io, ReadAdapter, RealIo, WriteAdapter};
 use starcdn_orbit::time::SimTime;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -74,16 +80,12 @@ impl From<starcdn_io::IoError> for IoError {
     }
 }
 
-/// Decode a little-endian `u64` from a field slice, reporting
-/// [`IoError::TruncatedRecord`] instead of panicking when the slice has
-/// the wrong width. Shared by every fixed-record codec in the pipeline.
-pub fn le_u64(b: &[u8]) -> Result<u64, IoError> {
-    <[u8; 8]>::try_from(b).map(u64::from_le_bytes).map_err(|_| IoError::TruncatedRecord)
-}
-
-/// Decode a little-endian `u16` field; see [`le_u64`].
-pub fn le_u16(b: &[u8]) -> Result<u16, IoError> {
-    <[u8; 2]>::try_from(b).map(u16::from_le_bytes).map_err(|_| IoError::TruncatedRecord)
+/// A record field the record cannot hold. Shared by every fixed-record
+/// codec in the pipeline.
+impl From<WireError> for IoError {
+    fn from(_: WireError) -> Self {
+        IoError::TruncatedRecord
+    }
 }
 
 /// Write a trace as CSV with a header line.
@@ -189,21 +191,12 @@ pub fn read_binary(r: impl Read) -> Result<Trace, IoError> {
     let mut requests = Vec::new();
     let mut rec = [0u8; 26];
     while read_fixed_record(&mut r, &mut rec)? {
-        // Field widths are fixed by the splits over the 26-byte record;
-        // the decoders still return typed errors rather than panicking
-        // if a width is ever wrong.
-        let (time_b, rest) = rec.split_at(8);
-        let (object_b, rest) = rest.split_at(8);
-        let (size_b, loc_b) = rest.split_at(8);
-        let time = le_u64(time_b)?;
-        let object = le_u64(object_b)?;
-        let size = le_u64(size_b)?;
-        let loc = le_u16(loc_b)?;
+        let mut f = Reader::new(&rec);
         requests.push(Request {
-            time: SimTime::from_millis(time),
-            object: ObjectId(object),
-            size,
-            location: LocationId(loc),
+            time: SimTime::from_millis(f.u64()?),
+            object: ObjectId(f.u64()?),
+            size: f.u64()?,
+            location: LocationId(f.u16()?),
         });
     }
     Ok(Trace::new(requests))
