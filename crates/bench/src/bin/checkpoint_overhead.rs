@@ -19,6 +19,8 @@
 //! * `--mode diff --a F1 --b F2` — byte-compare two fingerprint dumps,
 //!   exit non-zero on any difference.
 //!
+//! An unknown flag, or a missing or malformed value, exits 2.
+//!
 //! The fingerprint includes every counter, the bit patterns of all
 //! latency samples, the utilization timeline, and the telemetry
 //! counters/histograms/events — if `golden` and `resume` dumps are
@@ -29,6 +31,7 @@ use starcdn::config::StarCdnConfig;
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::SpaceCdn;
 use starcdn_bench::table::print_table;
+use starcdn_bench::Flags;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
 use starcdn_io::RealIo;
@@ -200,10 +203,6 @@ fn fingerprint_json(m: &SystemMetrics, tele: &TelemetrySnapshot) -> String {
         m.latencies_ms.len(),
         counters.join(",\n"),
     )
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
 }
 
 fn run_golden(dir: &Path, out: &Path) {
@@ -400,32 +399,15 @@ fn run_overhead(gate: Option<PathBuf>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match arg_value(&args, "--mode").as_deref() {
-        None => run_overhead(arg_value(&args, "--gate").map(PathBuf::from)),
-        Some("golden") => {
-            let dir = PathBuf::from(arg_value(&args, "--dir").expect("--dir required"));
-            let out = PathBuf::from(arg_value(&args, "--out").expect("--out required"));
-            run_golden(&dir, &out);
-        }
-        Some("crash") => {
-            let dir = PathBuf::from(arg_value(&args, "--dir").expect("--dir required"));
-            let kill: u64 = arg_value(&args, "--kill-epoch")
-                .expect("--kill-epoch required")
-                .parse()
-                .expect("numeric --kill-epoch");
-            run_crash(&dir, kill);
-        }
-        Some("resume") => {
-            let dir = PathBuf::from(arg_value(&args, "--dir").expect("--dir required"));
-            let out = PathBuf::from(arg_value(&args, "--out").expect("--out required"));
-            run_resume(&dir, &out);
-        }
-        Some("diff") => {
-            let a = PathBuf::from(arg_value(&args, "--a").expect("--a required"));
-            let b = PathBuf::from(arg_value(&args, "--b").expect("--b required"));
-            run_diff(&a, &b);
-        }
+    let flags =
+        Flags::from_env(&["--mode", "--gate", "--dir", "--out", "--kill-epoch", "--a", "--b"]);
+    let path = |key| flags.require::<PathBuf>(key);
+    match flags.get::<String>("--mode").as_deref() {
+        None => run_overhead(flags.get("--gate")),
+        Some("golden") => run_golden(&path("--dir"), &path("--out")),
+        Some("crash") => run_crash(&path("--dir"), flags.require("--kill-epoch")),
+        Some("resume") => run_resume(&path("--dir"), &path("--out")),
+        Some("diff") => run_diff(&path("--a"), &path("--b")),
         Some(other) => {
             eprintln!("unknown --mode {other}; use golden|crash|resume|diff or no mode");
             std::process::exit(2);

@@ -13,16 +13,16 @@
 //!    typed `NetError` — never a panic, never silent divergence.
 //!
 //! Flags: `--seeds N` sets the sweep size (default 500), `--scale
-//! smoke` runs a CI-sized 200-seed sweep. Ctrl-C/SIGTERM stops the
-//! sweep cleanly and flushes a partial artifact marked interrupted.
-//! Writes `BENCH_serve.json` (trajectory) and, on full uninterrupted
-//! runs, `results/bench_serve.json` (committed record). Exits non-zero
-//! on any violation.
+//! smoke` runs a CI-sized 200-seed sweep; a malformed value exits 2.
+//! Ctrl-C/SIGTERM stops the sweep cleanly and flushes a partial artifact
+//! marked interrupted. Writes `BENCH_serve.json` (trajectory) and, on
+//! uninterrupted default-scale runs, `results/bench_serve.json`
+//! (committed record). Exits non-zero on any violation.
 
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
 use starcdn_bench::table::print_table;
-use starcdn_bench::{interrupt, output};
+use starcdn_bench::{interrupt, output, Flags, Scale};
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_net::{
@@ -70,10 +70,6 @@ fn scfg() -> ServeConfig {
     }
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
-}
-
 #[derive(Default)]
 struct Tally {
     schedules: u64,
@@ -86,10 +82,10 @@ struct Tally {
 
 fn main() {
     interrupt::install();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds: u64 = arg_value(&args, "--seeds").and_then(|s| s.parse().ok()).unwrap_or(500);
-    let smoke = arg_value(&args, "--scale").as_deref() == Some("smoke");
-    if smoke {
+    let flags = Flags::from_env(&["--seeds", "--scale"]);
+    let scale = flags.get("--scale").unwrap_or(Scale::Default);
+    let mut seeds: u64 = flags.get("--seeds").unwrap_or(500);
+    if scale == Scale::Smoke {
         seeds = seeds.min(200);
     }
 
@@ -223,11 +219,9 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // The committed record reflects full, uninterrupted, passing runs
-    // only; smoke runs stay out of version-controlled results.
-    if !smoke {
-        output::write_results_artifact("bench_serve.json", &json);
-    }
+    // The committed record reflects uninterrupted, passing,
+    // default-scale runs only.
+    output::write_results_artifact(scale, "bench_serve.json", &json);
     println!(
         "OK: parity at 1/4/8 shards, {} chaos schedules, zero panics, zero silent divergence",
         t.schedules

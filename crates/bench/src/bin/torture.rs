@@ -16,13 +16,15 @@
 //!   restorable checkpoint whenever at least one rename completed.
 //!
 //! Flags: `--seeds N` scales the sweep (default 1280 schedules),
-//! `--scale smoke` runs a 10× smaller CI-sized sweep. Writes
-//! `BENCH_torture.json` and exits non-zero on any violation.
+//! `--scale smoke` runs a 10× smaller CI-sized sweep; a malformed value
+//! exits 2. Writes `BENCH_torture.json` and exits non-zero on any
+//! violation.
 
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
 use starcdn::system::SpaceCdn;
 use starcdn_bench::table::print_table;
+use starcdn_bench::{Flags, Scale};
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
@@ -329,15 +331,11 @@ fn read_fault_schedule(
     Ok(())
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
-}
-
 fn main() {
     starcdn_bench::interrupt::install();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut total: u64 = arg_value(&args, "--seeds").and_then(|s| s.parse().ok()).unwrap_or(1280);
-    if arg_value(&args, "--scale").as_deref() == Some("smoke") {
+    let flags = Flags::from_env(&["--seeds", "--scale"]);
+    let mut total: u64 = flags.get("--seeds").unwrap_or(1280);
+    if flags.get("--scale") == Some(Scale::Smoke) {
         total /= 10;
     }
     // Leg budgets: engine legs carry most of the sweep; the replayer

@@ -1,7 +1,8 @@
-//! Shared infrastructure for the experiment binaries (one per table and
-//! figure of the paper) and the Criterion benchmarks.
+//! Shared infrastructure for the bench binaries: `reproduce`, which
+//! regenerates every table, figure and ablation of the paper by name,
+//! and the `checkpoint_overhead`, `serve_soak` and `torture` harnesses.
 //!
-//! Every binary accepts:
+//! `reproduce` accepts:
 //!
 //! * `--scale smoke|default|full` — workload size (smoke finishes in
 //!   seconds for CI; default reproduces shapes in ~a minute; full runs
@@ -20,4 +21,4 @@ pub mod output;
 pub mod table;
 pub mod workload;
 
-pub use args::{parse_args, Args, Scale};
+pub use args::{parse_args, Args, Flags, Scale};

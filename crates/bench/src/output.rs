@@ -1,4 +1,4 @@
-//! Standardized output paths for the experiment binaries.
+//! Standardized output paths for the bench binaries.
 //!
 //! Every bin writes machine-readable artifacts through these helpers so
 //! the destinations stay uniform regardless of the invocation CWD:
@@ -8,12 +8,13 @@
 //!   scratch outputs for local before/after comparisons and CI logs.
 //! * [`write_results_artifact`] — files under `results/`, the committed
 //!   record of seeded, default-scale runs (tables in `.txt`, summaries
-//!   in `.json`).
+//!   in `.json`); a run at any other scale writes nothing there.
 //!
 //! Both write atomically enough for our purposes (single `write` call)
 //! and panic with a clear message on IO failure — a bench that cannot
 //! record its results has failed.
 
+use crate::args::Scale;
 use std::path::PathBuf;
 
 /// The repository root, resolved from this crate's manifest directory
@@ -42,14 +43,19 @@ pub fn write_root_artifact(name: &str, contents: &str) -> PathBuf {
 }
 
 /// Write a committed artifact under `results/` at the repository root
-/// (created if missing); returns the full path written.
-pub fn write_results_artifact(name: &str, contents: &str) -> PathBuf {
+/// (created if missing); returns the full path written. `results/` holds
+/// default-scale runs only, so at any other scale this writes nothing
+/// and returns `None` — a smoke run never overwrites the record.
+pub fn write_results_artifact(scale: Scale, name: &str, contents: &str) -> Option<PathBuf> {
+    if scale != Scale::Default {
+        return None;
+    }
     let dir = repo_root().join("results");
     std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
     let path = dir.join(name);
     std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("wrote {}", path.display());
-    path
+    Some(path)
 }
 
 #[cfg(test)]
@@ -66,5 +72,14 @@ mod tests {
     #[should_panic(expected = "must be named BENCH_")]
     fn root_artifacts_enforce_the_prefix() {
         write_root_artifact("pipeline.json", "{}");
+    }
+
+    #[test]
+    fn results_artifacts_are_written_only_at_default_scale() {
+        let name = "non_default_scale_probe.json";
+        for scale in [Scale::Smoke, Scale::Full] {
+            assert_eq!(write_results_artifact(scale, name, "{}"), None);
+        }
+        assert!(!repo_root().join("results").join(name).exists());
     }
 }

@@ -1,6 +1,6 @@
-//! Plain-text table/series output for the experiment binaries.
+//! Plain-text table/series output for the bench binaries.
 //!
-//! Each binary prints (a) the paper's reported values and (b) the
+//! Each `reproduce` entry prints (a) the paper's reported values and (b) the
 //! measured values side by side, as aligned rows that paste cleanly
 //! into EXPERIMENTS.md.
 

@@ -1,4 +1,4 @@
-//! Workload construction shared by the experiment binaries.
+//! Workload construction shared by the `reproduce` entries.
 
 use crate::args::Args;
 use spacegen::classes::TrafficClass;
@@ -63,7 +63,7 @@ impl Workload {
 /// 100 "GB" maps to `RATIO_AT_100GB` of the workload's unique bytes,
 /// and other labels scale linearly — so "50 GB" exercises the same
 /// cache-pressure regime as the paper's 50 GB. The value is calibrated
-/// (see `--bin calibrate` and EXPERIMENTS.md) so the Naive-LRU baseline
+/// (see `reproduce calibrate` and EXPERIMENTS.md) so the Naive-LRU baseline
 /// lands near the paper's ~60 % request hit rate at the 50 GB label.
 pub const RATIO_AT_100GB: f64 = 0.04;
 

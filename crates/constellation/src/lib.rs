@@ -25,7 +25,6 @@ pub mod buckets;
 pub mod capacity;
 pub mod failures;
 pub mod grid;
-pub mod hashring;
 pub mod isl;
 pub mod routing;
 pub mod schedule;

@@ -247,7 +247,7 @@ pub struct SpaceCdn {
     /// outage with an empty cache, cleared by its first local hit.
     cold: Vec<bool>,
     /// Current scheduler epoch, the delayed-hit clock of
-    /// [`SpaceCdn::handle_request`] and [`SpaceCdn::serve_routed`].
+    /// [`SpaceCdn::handle_request`].
     now_epoch: u64,
     /// Aggregate run metrics.
     pub metrics: SystemMetrics,
@@ -365,7 +365,18 @@ impl SpaceCdn {
     ) -> ServeOutcome {
         match self.classify_route(first_contact, object) {
             RouteOutcome::Routed(route) => {
-                self.serve_routed(route, object, size, gsl_oneway_ms, 0.0)
+                route.book(&mut self.metrics);
+                self.serve(&RoutedRequest {
+                    object,
+                    size,
+                    owner: route.owner,
+                    intra: route.intra,
+                    inter: route.inter,
+                    gsl_oneway_ms,
+                    penalty_ms: 0.0,
+                    replica: None,
+                    epoch: self.now_epoch,
+                })
             }
             degraded => kernel::serve_degraded(
                 &self.env,
@@ -376,32 +387,6 @@ impl SpaceCdn {
                 gsl_oneway_ms,
             ),
         }
-    }
-
-    /// Serve a request over an already-resolved route, at the current
-    /// delayed-hit clock. `extra_latency_ms` carries an accumulated retry
-    /// penalty (0.0 adds nothing and leaves the latency sample
-    /// bit-identical).
-    pub fn serve_routed(
-        &mut self,
-        route: ResolvedRoute,
-        object: ObjectId,
-        size: u64,
-        gsl_oneway_ms: f64,
-        extra_latency_ms: f64,
-    ) -> ServeOutcome {
-        route.book(&mut self.metrics);
-        self.serve(&RoutedRequest {
-            object,
-            size,
-            owner: route.owner,
-            intra: route.intra,
-            inter: route.inter,
-            gsl_oneway_ms,
-            penalty_ms: extra_latency_ms,
-            replica: None,
-            epoch: self.now_epoch,
-        })
     }
 
     /// One proactive-prefetch round (the §3.3 rejected alternative):
@@ -441,22 +426,6 @@ impl SpaceCdn {
                 self.metrics.prefetch_copies += 1;
             }
         }
-    }
-
-    /// Serve a request origin-direct from its first-contact satellite —
-    /// the overload lifecycle's last resort after every replica shed it.
-    /// Bent-pipe latency (no ISL legs) plus the accumulated retry
-    /// penalty; bytes are charged to the uplink like any ground serve.
-    pub fn serve_origin_fallback(
-        &mut self,
-        first_contact: SatelliteId,
-        size: u64,
-        gsl_oneway_ms: f64,
-        extra_latency_ms: f64,
-    ) -> f64 {
-        self.metrics.served_origin_fallback += 1;
-        let m = &mut self.metrics;
-        kernel::bent_pipe(&self.env, m, first_contact, size, gsl_oneway_ms, extra_latency_ms)
     }
 
     /// Record a request that could not reach any satellite (no satellite

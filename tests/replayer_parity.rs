@@ -14,6 +14,7 @@ use starcdn_sim::access_log::{build_access_log, AccessLog};
 use starcdn_sim::engine::{run_space, RunSpec, SimConfig};
 use starcdn_sim::replayer::replay_parallel;
 use starcdn_sim::world::World;
+use starcdn_sim::{build_access_log_columns_recorded, metrics_digest};
 use starcdn_telemetry::{Noop, Recorder};
 
 /// The engine under a fault schedule.
@@ -373,6 +374,37 @@ fn telemetry_recording_never_changes_replayer_output() {
     assert_eq!(again.counters, snapshots[1].counters);
     assert_eq!(again.histograms, snapshots[1].histograms);
     assert_eq!(again.events, snapshots[1].events);
+
+    // The whole pipeline under one recorder: the columnar log build
+    // feeding the engine and the replayer. Recording moves the metrics
+    // of neither, and a second recorded pipeline exports the same
+    // counters, events and histogram buckets.
+    let pipeline = |rec: &dyn Recorder| {
+        let scheduler = SimConfig::default().scheduler();
+        let log = build_access_log_columns_recorded(&world, &trace, 15, &scheduler, rec);
+        let spec = RunSpec { schedule: &sched, recorder: rec, ..RunSpec::default() };
+        let engine = starcdn_sim::engine::run(&mut SpaceCdn::new(cfg.clone()), &log, &spec);
+        let replayer = starcdn_sim::replayer::run(&cfg, &FailureModel::none(), &log, 4, &spec);
+        let (engine, replayer) = (engine.unwrap(), replayer.unwrap());
+        assert_eq!(engine.stats, replayer.stats, "replayer diverged from engine");
+        (metrics_digest(&engine), metrics_digest(&replayer))
+    };
+    let silent = pipeline(&Noop);
+    let [rec, rec2] = [MemoryRecorder::new(), MemoryRecorder::new()];
+    assert_eq!(pipeline(&rec), silent, "pipeline: Noop ≡ recorded");
+    assert_eq!(pipeline(&rec2), silent);
+    let (snap, snap2) = (rec.snapshot(), rec2.snapshot());
+    assert_eq!(snap.counters, snap2.counters, "counters are not deterministic");
+    assert_eq!(snap.events, snap2.events, "event timeline is not deterministic");
+    let buckets = |s: &starcdn_telemetry::TelemetrySnapshot| {
+        s.histograms.iter().map(|(h, hs)| (*h, hs.buckets.clone())).collect::<Vec<_>>()
+    };
+    assert_eq!(buckets(&snap), buckets(&snap2), "histograms are not deterministic");
+    // The build's visibility window refreshed at least once, and never
+    // more often than it scheduled an epoch.
+    let refreshes = snap.counter(Counter::VisibilityRefreshes);
+    let epochs = snap.counter(Counter::ScheduleEpochs);
+    assert!((1..=epochs).contains(&refreshes), "{refreshes} refreshes in {epochs} epochs");
 }
 
 /// A request whose owner no path reaches is booked where it is resolved
