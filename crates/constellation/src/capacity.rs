@@ -18,8 +18,8 @@
 //!
 //! * the charge depends only on the route and the object size, never on
 //!   the cache outcome (hit or miss move the same bytes over the same
-//!   service links, and the replayer's sequential pre-pass has no cache
-//!   state to consult);
+//!   service links, and the replayer's pre-pass has no cache state to
+//!   consult);
 //! * ISL hops are attributed to the *canonical* healthy-torus path
 //!   (planes first, then slots, shorter wrap direction, east/north on
 //!   ties). Fault detours add `extra_hops` that are not link-attributed —

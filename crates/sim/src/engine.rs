@@ -110,6 +110,32 @@ impl<'a> RunSpec<'a> {
     }
 }
 
+/// Check, in debug builds, the conservation identities of a run that
+/// measured every one of its log's `entries` into `m`, from empty
+/// metrics: every entry is recorded or dropped; with `admission` live,
+/// primary + replica + origin fallback + unreachable serves are exactly
+/// the recorded requests; and every follower a retired fetch carried was
+/// counted as a delayed hit when it coalesced. (Followers are not
+/// bounded by misses: a delayed hit is a space hit, and one missed fetch
+/// carries any number of them.)
+pub(crate) fn debug_assert_conserved(m: &SystemMetrics, entries: usize, admission: bool) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let recorded = m.stats.requests;
+    assert_eq!(recorded + m.dropped_requests, entries as u64, "recorded + dropped = log entries");
+    if admission {
+        // Requests with no satellite in view are booked on a sentinel id.
+        let sentinel = starcdn_orbit::walker::SatelliteId::new(u16::MAX, u16::MAX);
+        let unreachable = m.per_satellite.get(&sentinel).map_or(0, |s| s.requests);
+        let classified =
+            m.served_primary + m.served_replica + m.served_origin_fallback + unreachable;
+        assert_eq!(classified, recorded, "primary + replica + fallback + unreachable = recorded");
+    }
+    let (coalesced, delayed_hits) = (m.coalesced_requests, m.delayed_hits);
+    assert!(coalesced <= delayed_hits, "coalesced {coalesced} > delayed hits {delayed_hits}");
+}
+
 /// Degraded-mode counter levels at the last epoch boundary; the deltas
 /// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Checkpoints
 /// persist the levels so a resumed run emits the same per-epoch deltas
@@ -195,6 +221,9 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
         None => spec.recorder,
     };
 
+    // A fleet that served before this run holds counts of other logs.
+    let whole_log = spec.measure_from_secs.is_none()
+        && cdn.metrics.stats.requests + cdn.metrics.dropped_requests == 0;
     let mut admission = overload.map(|o| Admission::new(cdn.env(), o, epoch_secs));
     let mut cursor = schedule.map(|s| ScheduleCursor::new(s, cdn.failures().clone()));
     let mut watermark = FaultEventWatermark::default();
@@ -321,6 +350,9 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
     }
     if let Some(m) = &mrec {
         spec.recorder.absorb(&m.snapshot());
+    }
+    if whole_log {
+        debug_assert_conserved(&cdn.metrics, log.len(), overload.is_some());
     }
     Ok(cdn.metrics.clone())
 }

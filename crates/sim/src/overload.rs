@@ -18,11 +18,15 @@
 //! the non-overload path.
 //!
 //! Determinism (DESIGN.md §10): [`decide`] depends only on the failure
-//! view, the route, the object size, and the cumulative ledger state —
-//! never on cache contents — so the parallel replayer runs the whole
-//! lifecycle on its pre-pass, which resolves as one chunk in log order
-//! whenever admission is live, and stays bit-for-bit identical to the
-//! engine.
+//! view, the route, the object size, and the ledger state — never on
+//! cache contents — so the parallel replayer runs the whole lifecycle on
+//! its pre-pass and stays bit-for-bit identical to the engine. The
+//! ledger keeps one usage table per epoch, and an attempt charges an
+//! epoch other than its request's only when a retry backs off
+//! ([`OverloadConfig::charges_later_epochs`]); without one, every
+//! epoch's admissions start from an empty table, and the pre-pass
+//! resolves the log in epoch-aligned chunks as it does without
+//! admission. With one, it resolves as one chunk, in log order.
 
 use starcdn::kernel::ServeEnv;
 use starcdn::system::{
@@ -80,6 +84,14 @@ impl OverloadConfig {
     pub fn is_enabled(&self) -> bool {
         self.headroom.is_finite()
     }
+
+    /// Whether an admission may charge an epoch later than its
+    /// request's: only a retry that backs off does. Otherwise every
+    /// epoch's admissions start from an empty ledger table, and a log's
+    /// epochs may be admitted apart from one another.
+    pub fn charges_later_epochs(&self) -> bool {
+        self.is_enabled() && self.retry.backoff_epochs > 0 && self.retry.max_attempts > 1
+    }
 }
 
 /// Terminal decision for one routed request.
@@ -113,7 +125,8 @@ pub(crate) struct LifecycleOutcome {
 
 /// The overload side of a run: the capacity ledger with its clock, and
 /// what [`decide`] needs beside the serve environment. Lives on its
-/// driver's one sequential spine (engine loop, replayer pre-pass).
+/// driver's sequential spine: the engine loop, or one replayer pre-pass
+/// chunk (a whole log's worth when retries back off).
 pub(crate) struct Admission<'a> {
     pub ledger: CapacityLedger,
     cfg: &'a OverloadConfig,
@@ -431,5 +444,33 @@ mod tests {
         let d = RetryPolicy::default();
         assert_eq!(d.max_attempts, 3);
         assert_eq!(d.backoff_epochs, 0);
+    }
+
+    #[test]
+    fn only_backed_off_retries_charge_a_later_epoch() {
+        let (cfg, env, view) = ctx();
+        let size = 1_000_000u64;
+        let headroom = size as f64 * 1.5 / 37_500_000_000.0; // fits 1, not 2
+        let obj = remote_object(&cfg);
+        for (max_attempts, backoff_epochs, later) in
+            [(3, 0, false), (1, 2, false), (0, 2, false), (3, 1, true), (2, 4, true)]
+        {
+            let retry = RetryPolicy { max_attempts, backoff_epochs, deadline_ms: 1e9 };
+            let ocfg = OverloadConfig { headroom, retry };
+            assert_eq!(ocfg.charges_later_epochs(), later, "{retry:?}");
+            assert!(!OverloadConfig { headroom: f64::INFINITY, retry }.charges_later_epochs());
+            // Saturate the primary, then let the same object retry: the
+            // replica's charge lands `backoff_epochs` later, if it retries.
+            let mut adm = admission(&env, &ocfg);
+            let first = run_decide(&env, &view, &mut adm, obj, size);
+            let Decision::Serve { route, .. } = first.decision else { panic!("{first:?}") };
+            let second = run_decide(&env, &view, &mut adm, obj, size);
+            let charged_later = (1..=8).any(|epoch| {
+                let replica = cfg.grid.east_by(route.owner, cfg.relay_span_planes());
+                adm.ledger.gsl_used(epoch, replica) > 0
+                    || adm.ledger.gsl_used(epoch, SatelliteId::new(10, 5)) > 0
+            });
+            assert_eq!(charged_later, later, "{retry:?}: {second:?}");
+        }
     }
 }

@@ -36,10 +36,13 @@
 //! starts from the failure view the entry before it left, and chunks
 //! never share an epoch, so the chunked pre-pass is the sequential one
 //! bit for bit. The overload lifecycle runs on the pre-pass too: it
-//! depends only on routes, sizes and cumulative ledger state, never on
-//! cache contents, so its decision sequence is the engine's — and since
-//! the ledger is cumulative, a run with admission live resolves as one
-//! chunk, in log order.
+//! depends only on routes, sizes and ledger state, never on cache
+//! contents, so its decision sequence is the engine's. The ledger keeps
+//! one usage table per epoch, and only a retry that backs off charges an
+//! epoch after its request's
+//! ([`OverloadConfig::charges_later_epochs`]); otherwise each chunk
+//! admits its own epochs from empty tables, as one pass would. A run
+//! whose retries back off resolves as one chunk, in log order.
 //!
 //! Checkpoints (the private `replayer_checkpoint` module) cut the run
 //! into segments at pre-pass barriers; a run without one is a single
@@ -52,7 +55,7 @@
 use crate::access_log::AccessLog;
 use crate::checkpoint::CheckpointError;
 use crate::columns::LogView;
-use crate::engine::{FaultEventWatermark, RunSpec};
+use crate::engine::{debug_assert_conserved, FaultEventWatermark, RunSpec};
 use crate::overload::{Admission, OverloadConfig};
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
 use crate::resolve::{record_outcome, resolve_request, Resolved};
@@ -222,6 +225,9 @@ pub fn run<'a>(
     for m in &state.metrics {
         total.merge(m);
     }
+    // The replayer measures the whole log whatever `measure_from_secs`
+    // says, so a chunk or shard lost or counted twice shows here.
+    debug_assert_conserved(&total, log.len(), spec.live_overload().is_some());
     Ok(total)
 }
 
@@ -311,7 +317,8 @@ impl PrePass {
 /// The log resolves in the chunks [`chunk_starts`] picks, one thread
 /// each, the first on the calling thread. Their results merge in chunk
 /// order — metrics by [`SystemMetrics::merge`] (chunks never share an
-/// epoch, so that is the one-pass metrics bit for bit), telemetry by
+/// epoch, so that is the one-pass metrics bit for bit, availability and
+/// utilization timelines included), telemetry by
 /// absorbing each chunk's recorder — into what one pass over the whole
 /// log produces. A log whose time runs backwards is resolved again as
 /// one chunk.
@@ -323,7 +330,7 @@ pub(crate) fn prepare_shards(
     num_workers: usize,
     barrier_every: Option<u64>,
 ) -> PrePass {
-    let starts = chunk_starts(log, num_workers, spec.live_overload().is_some());
+    let starts = chunk_starts(log, num_workers, spec.overload.charges_later_epochs());
     let pre = prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &starts);
     pre.unwrap_or_else(|| {
         prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &[])
@@ -336,10 +343,10 @@ pub(crate) fn prepare_shards(
 /// `min(num_workers, distinct epochs)` of them, and each cut is the
 /// first epoch start at or after an equal share of the entries — moved
 /// only as far as it takes to leave every chunk an epoch of its own.
-/// There is one chunk when `sequential` (admission is live: the ledger
-/// is cumulative, so it resolves in log order). The epochs of a log
-/// sorted by time are found by binary search: O(num_workers · log n)
-/// entry reads, not a pass.
+/// There is one chunk when `sequential` (retries back off: an admission
+/// may charge a later epoch's ledger table, so the log resolves in
+/// order). The epochs of a log sorted by time are found by binary
+/// search: O(num_workers · log n) entry reads, not a pass.
 fn chunk_starts(log: LogView<'_>, num_workers: usize, sequential: bool) -> Vec<usize> {
     let (n, epoch_secs) = (log.len(), log.epoch_secs().max(1));
     if sequential || num_workers < 2 || n == 0 {
@@ -515,9 +522,9 @@ fn resolve_chunk(
         }
         cur
     });
-    // Overload mode: the capacity ledger lives on the pre-pass, which
-    // then is one chunk, so admission decisions are identical to the
-    // sequential engine's.
+    // Overload mode: each chunk's ledger starts empty, as one pass's
+    // does at the chunk's first epoch unless retries back off (and then
+    // there is one chunk), so admission decisions are the engine's.
     let mut admission = spec.live_overload().map(|o| Admission::new(env, o, epoch_secs));
     let mut current_epoch = before.unwrap_or(u64::MAX);
     let mut seg_epoch = before.unwrap_or(u64::MAX);
@@ -734,6 +741,7 @@ mod tests {
     use super::*;
     use crate::access_log::build_access_log;
     use crate::engine::{run_space, SimConfig};
+    use crate::overload::RetryPolicy;
     use crate::world::World;
     use spacegen::trace::{LocationId, Request, Trace};
     use starcdn::system::SpaceCdn;
@@ -950,11 +958,7 @@ mod tests {
         let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
         OverloadConfig {
             headroom: mean as f64 * 1.5 / 37_500_000_000.0,
-            retry: crate::overload::RetryPolicy {
-                max_attempts: 3,
-                backoff_epochs: 0,
-                deadline_ms: 1e9,
-            },
+            retry: RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 },
         }
     }
 
@@ -1035,6 +1039,11 @@ mod tests {
         log.entries[i].time.as_secs() / log.epoch_secs
     }
 
+    /// The first entry of every epoch but the first.
+    fn every_epoch_start(log: &AccessLog) -> Vec<usize> {
+        (1..log.entries.len()).filter(|&i| epoch_of(log, i - 1) < epoch_of(log, i)).collect()
+    }
+
     /// `sizes[e]` entries spread over 15 s epoch `e`, nine cities.
     fn epochs_log(sizes: &[u64]) -> AccessLog {
         let reqs: Vec<Request> = sizes
@@ -1068,10 +1077,21 @@ mod tests {
         // Skewed epochs still give every chunk an epoch of its own.
         assert_eq!(starts(&epochs_log(&[1, 1000, 1]), 3), [1, 1001]);
         assert_eq!(starts(&epochs_log(&[1, 1, 1, 1000]), 4), [1, 2, 3]);
-        // One worker, or admission live: one chunk.
+        // One worker, or retries that back off: one chunk. Admission
+        // alone splits like the plain run.
         let log = log();
         assert!(starts(&log, 1).is_empty());
-        assert!(chunk_starts((&log).into(), 8, true).is_empty());
+        let overloaded = |max_attempts, backoff_epochs| {
+            let retry = RetryPolicy { max_attempts, backoff_epochs, deadline_ms: 1e9 };
+            chunk_starts(
+                (&log).into(),
+                8,
+                OverloadConfig { retry, ..tight_overload(&log) }.charges_later_epochs(),
+            )
+        };
+        assert!(overloaded(3, 1).is_empty());
+        assert_eq!(overloaded(3, 0), starts(&log, 8));
+        assert_eq!(overloaded(1, 2), starts(&log, 8));
         // Otherwise each cut is the first epoch start at or after an
         // equal share of the entries.
         let n = log.entries.len();
@@ -1087,32 +1107,83 @@ mod tests {
     }
 
     /// Any epoch-aligned split resolves to the one pass, bit for bit:
-    /// here every epoch is a chunk, under churn, barriers and a live
-    /// recorder.
+    /// here every epoch is a chunk, under churn, barriers, a live
+    /// recorder and — with retries that never charge a later epoch —
+    /// overload admission.
     #[test]
     fn every_epoch_a_chunk_is_the_one_pass() {
         let log = log();
         let env = ServeEnv::new(&StarCdnConfig::starcdn_no_relay(4, 100_000));
         let churn = pin_churn();
         let base = FailureModel::sample(&World::starlink_nine_cities().grid, 20, 9);
-        let every_epoch: Vec<usize> =
-            (1..log.entries.len()).filter(|&i| epoch_of(&log, i - 1) < epoch_of(&log, i)).collect();
+        let every_epoch = every_epoch_start(&log);
         assert!(every_epoch.len() > 30);
-        for workers in [1, 3, 8] {
-            let (one_rec, split_rec) = (MemoryRecorder::new(), MemoryRecorder::new());
-            let spec = |rec| RunSpec { schedule: &churn, recorder: rec, ..RunSpec::default() };
-            let [one, split] =
-                [(&one_rec, &[][..]), (&split_rec, &every_epoch[..])].map(|(rec, starts)| {
-                    prepare_chunks(&env, &base, (&log).into(), &spec(rec), workers, Some(3), starts)
-                        .expect("a log sorted by time")
-                });
-            assert_eq!(split.pieces.len(), every_epoch.len() + 1);
-            assert_eq!(pre_pass_digest(&one), pre_pass_digest(&split), "{workers} workers");
-            assert_eq!(
-                snapshot_digest(&one_rec.snapshot()),
-                snapshot_digest(&split_rec.snapshot()),
-                "{workers} workers"
-            );
+        let tight = tight_overload(&log);
+        let retry = |max_attempts, backoff_epochs| OverloadConfig {
+            retry: RetryPolicy { max_attempts, backoff_epochs, ..tight.retry },
+            ..tight
+        };
+        for overload in [OverloadConfig::disabled(), retry(3, 0), retry(1, 2)] {
+            assert!(!overload.charges_later_epochs());
+            for workers in [1, 3, 8] {
+                let (one_rec, split_rec) = (MemoryRecorder::new(), MemoryRecorder::new());
+                let spec = |recorder| RunSpec {
+                    schedule: &churn,
+                    overload,
+                    recorder,
+                    ..RunSpec::default()
+                };
+                let [one, split] =
+                    [(&one_rec, &[][..]), (&split_rec, &every_epoch[..])].map(|(rec, starts)| {
+                        let spec = spec(rec);
+                        prepare_chunks(&env, &base, (&log).into(), &spec, workers, Some(3), starts)
+                            .expect("a log sorted by time")
+                    });
+                let tag = format!("{:?} at {workers} workers", overload.retry);
+                assert_eq!(split.pieces.len(), every_epoch.len() + 1);
+                assert_eq!(pre_pass_digest(&one), pre_pass_digest(&split), "{tag}");
+                assert_eq!(one.direct.utilization, split.direct.utilization, "{tag}");
+                assert_eq!(
+                    snapshot_digest(&one_rec.snapshot()),
+                    snapshot_digest(&split_rec.snapshot()),
+                    "{tag}"
+                );
+                if overload.is_enabled() {
+                    assert!(one.direct.shed_requests > 0, "{tag}: admission must shed");
+                    assert!(one.direct.utilization.len() > 30, "{tag}");
+                }
+            }
+        }
+    }
+
+    /// The guard is load-bearing: once retries back off, an admission
+    /// charges a later epoch's ledger table, so an every-epoch split
+    /// resolves differently from the one pass — and [`prepare_shards`]
+    /// therefore resolves such a log as that one pass.
+    #[test]
+    fn backed_off_retries_resolve_as_one_pass() {
+        let log = log();
+        let env = ServeEnv::new(&StarCdnConfig::starcdn_no_relay(4, 100_000));
+        let churn = pin_churn();
+        let none = FailureModel::none();
+        let tight = tight_overload(&log);
+        let overload =
+            OverloadConfig { retry: RetryPolicy { backoff_epochs: 1, ..tight.retry }, ..tight };
+        assert!(overload.charges_later_epochs());
+        let spec = RunSpec { schedule: &churn, overload, ..RunSpec::default() };
+        let prepare = |workers, starts: &[usize]| {
+            prepare_chunks(&env, &none, (&log).into(), &spec, workers, None, starts)
+                .expect("a log sorted by time")
+        };
+        for workers in [2, 4, 8] {
+            let one = prepare(workers, &[]);
+            assert!(one.direct.retry_attempts > 0, "retries must back off");
+            let split = prepare(workers, &every_epoch_start(&log));
+            assert_ne!(pre_pass_digest(&split), pre_pass_digest(&one), "{workers} workers");
+            assert_ne!(split.direct.utilization, one.direct.utilization, "{workers} workers");
+            let pre = prepare_shards(&env, &none, (&log).into(), &spec, workers, None);
+            assert_eq!(pre.pieces.len(), 1, "{workers} workers");
+            assert_eq!(pre_pass_digest(&pre), pre_pass_digest(&one), "{workers} workers");
         }
     }
 

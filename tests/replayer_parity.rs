@@ -12,6 +12,7 @@ use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormPara
 use starcdn_orbit::time::SimDuration;
 use starcdn_sim::access_log::{build_access_log, AccessLog};
 use starcdn_sim::engine::{run_space, RunSpec, SimConfig};
+use starcdn_sim::overload::RetryPolicy;
 use starcdn_sim::replayer::replay_parallel;
 use starcdn_sim::world::World;
 use starcdn_sim::{build_access_log_columns_recorded, metrics_digest};
@@ -180,14 +181,25 @@ fn parallel_exact_parity_under_churn() {
 
 #[test]
 fn parallel_exact_parity_under_overload_and_churn() {
-    // Overload admission on top of a nonempty churn schedule: the
-    // lifecycle (admit/shed/retry/fallback/drop) runs on the replayer's
-    // sequential pre-pass against the same failure views and ledger
-    // state as the engine, so every metric — including the new
-    // counters, the utilization timeline, and each individual latency
-    // sample — must agree bit-for-bit at any worker count.
+    overload_and_churn_parity(RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 });
+}
+
+/// Retries that back off charge a later epoch's ledger table, which the
+/// pre-pass can honour only by resolving the log in one chunk.
+#[test]
+fn parallel_exact_parity_under_backed_off_retries() {
+    overload_and_churn_parity(RetryPolicy { max_attempts: 3, backoff_epochs: 1, deadline_ms: 1e9 });
+}
+
+/// Overload admission under `retry` on top of a nonempty churn schedule:
+/// the lifecycle (admit/shed/retry/fallback/drop) runs on the replayer's
+/// pre-pass against the same failure views and ledger state as the
+/// engine, so every metric — including the overload counters, the
+/// utilization timeline, and each individual latency sample — must
+/// agree bit-for-bit at any worker count.
+fn overload_and_churn_parity(retry: RetryPolicy) {
     use starcdn_sim::engine::run_space_overloaded;
-    use starcdn_sim::overload::{OverloadConfig, RetryPolicy};
+    use starcdn_sim::overload::OverloadConfig;
     use starcdn_sim::replayer::replay_parallel_overloaded;
 
     let locations = Location::akamai_nine();
@@ -210,10 +222,7 @@ fn parallel_exact_parity_under_overload_and_churn() {
     // Headroom ≈ 1.5 mean objects per satellite per epoch: tight enough
     // that shedding, retries, fallbacks and drops all actually happen.
     let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
-    let overload = OverloadConfig {
-        headroom: mean as f64 * 1.5 / 37_500_000_000.0,
-        retry: RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 },
-    };
+    let overload = OverloadConfig { headroom: mean as f64 * 1.5 / 37_500_000_000.0, retry };
 
     let mut seq = SpaceCdn::new(cfg.clone());
     let reference = run_space_overloaded(&mut seq, &log, &sched, &overload);
@@ -236,7 +245,7 @@ fn parallel_exact_parity_under_overload_and_churn() {
             workers,
             &overload,
         );
-        assert_eq!(par.stats, reference.stats, "{workers} workers");
+        assert_eq!(par.stats, reference.stats, "{retry:?} at {workers} workers");
         assert_eq!(par.uplink_bytes, reference.uplink_bytes, "{workers} workers");
         assert_eq!(par.per_satellite, reference.per_satellite, "{workers} workers");
         assert_eq!(par.cold_restart_misses, reference.cold_restart_misses, "{workers} workers");
@@ -526,7 +535,7 @@ fn delayed_exact_parity_under_churn() {
 #[test]
 fn delayed_exact_parity_under_overload_and_churn() {
     use starcdn_sim::engine::run_space_overloaded;
-    use starcdn_sim::overload::{OverloadConfig, RetryPolicy};
+    use starcdn_sim::overload::OverloadConfig;
     use starcdn_sim::replayer::replay_parallel_overloaded;
 
     let world = World::starlink_nine_cities();
