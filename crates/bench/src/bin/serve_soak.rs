@@ -37,7 +37,11 @@ use std::time::Duration;
 
 const BATCH_OPS: usize = 64;
 const CHAOS_SHARDS: usize = 4;
-const CHAOS_DENOM: u64 = 23;
+/// One chaos decision in this many injects a fault. `ChaosNet` decides
+/// per connect and per write, and a router write carries a window of
+/// frames, so this is sized by the faults a sweep injects: a smoke sweep
+/// must inject at least 665 (≈ 725 at 9).
+const CHAOS_DENOM: u64 = 9;
 
 fn workload() -> AccessLog {
     let w = World::starlink_nine_cities();

@@ -153,6 +153,13 @@ impl<'a> Writer<'a> {
         Writer { buf }
     }
 
+    /// Length of the underlying buffer: what was there before plus
+    /// what this writer appended.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.buf.len()
+    }
+
     #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);

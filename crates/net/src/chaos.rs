@@ -14,14 +14,19 @@
 //! * [`FaultKind::ConnectRefused`] — the dial fails typed.
 //! * [`FaultKind::Disconnect`] — the connection dies mid-stream: this
 //!   send fails, every later op on the connection fails.
-//! * [`FaultKind::PartialFrame`] — a prefix of this frame is delivered
-//!   and reported as success; the receiver's codec detects the torn
-//!   frame (CRC/desync) and drops the connection.
+//! * [`FaultKind::PartialFrame`] — the first half of this send is
+//!   delivered and reported as success; the receiver handles the frames
+//!   that arrived whole, its codec detects the torn one (CRC/desync) or
+//!   the EOF behind it, and it drops the connection.
 //! * [`FaultKind::Stall`] — the connection black-holes: this send and
 //!   everything after it is silently swallowed and reads return no
 //!   data, so only the router's deadline can detect it.
-//! * [`FaultKind::Duplicate`] — the frame is delivered twice; the
-//!   shard's sequence dedup must absorb it.
+//! * [`FaultKind::Duplicate`] — the send is delivered twice; the
+//!   shard's sequence dedup must absorb every frame of the copy.
+//!
+//! A router send carries every `Ops` frame its window admits, so one
+//! decision covers up to a window of frames: a sweep's fault count
+//! follows the number of writes, not of frames.
 //!
 //! Only the *dialing* side is wrapped: `listen` passes through, faults
 //! are injected on router-originated connections, which keeps one op

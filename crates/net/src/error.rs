@@ -43,6 +43,9 @@ pub enum NetError {
     RetriesExhausted { shard: u32, attempts: u32 },
     /// Some other OS-level socket error.
     Io(std::io::ErrorKind),
+    /// A router setting that cannot serve, rejected before any shard
+    /// starts.
+    Config(&'static str),
 }
 
 impl std::fmt::Display for NetError {
@@ -67,6 +70,7 @@ impl std::fmt::Display for NetError {
                 write!(f, "shard {shard} unreachable after {attempts} attempts")
             }
             NetError::Io(kind) => write!(f, "socket error: {kind:?}"),
+            NetError::Config(why) => write!(f, "bad serve config: {why}"),
         }
     }
 }

@@ -17,9 +17,10 @@
 //! too long for its kind is [`NetError::Malformed`].
 //!
 //! A frame's bytes are touched once per side. [`FrameRef::encode_into`]
-//! writes prefix, kind, body and CRC straight into a caller-owned
-//! buffer and checksums them where they lie (the router frames a plan
-//! batch into its endpoint's scratch: one copy, one CRC pass);
+//! appends prefix, kind, body and CRC to a caller-owned buffer and
+//! checksums them where they lie (the router frames every plan batch its
+//! window admits back to back into its endpoint's scratch and sends them
+//! in one write: one copy, one CRC pass per batch);
 //! [`FrameCodec::recv_from`] lets the transport read into the decoder's
 //! own buffer, and [`FrameCodec::next_frame_ref`] hands an `Ops` payload
 //! out as a slice of that buffer (the shard applies it in place: one
@@ -30,7 +31,9 @@
 //! Sequence numbers: `Ops` frames are numbered per shard from 0 in plan
 //! order. Acks are cumulative and carry the *next expected* sequence
 //! (`Ack { next }` means batches `0..next` are applied), which keeps the
-//! zero-applied case representable without underflow.
+//! zero-applied case representable without underflow. One ack answers
+//! however many `Ops` the shard read in one receive pass, so a stream
+//! carries fewer acks than batches; nothing in the protocol pairs them.
 
 use crate::error::NetError;
 use crate::transport::NetConn;

@@ -8,9 +8,18 @@
 //! results in shard index order — so a zero-fault run reproduces the
 //! in-process replayer's `metrics_digest` bit-for-bit.
 //!
+//! A write carries every `Ops` frame the window admits at that moment:
+//! a whole window after a handshake, then whatever room each cumulative
+//! ack frees. The shard answers a receive pass with one ack (see
+//! `shard`), so both directions pay a syscall per write, not per frame.
+//! The counters (`frames_sent`, `frames_resent`, the frame-size
+//! histogram) stay per frame, and so does the ack clock:
+//! `Histo::NetAckRttUs` times each frame from its write to the
+//! cumulative ack that covers it.
+//!
 //! ## Failure handling
 //!
-//! Every frame the router sends starts a deadline; progress (acks,
+//! Every write the router makes starts a deadline; progress (acks,
 //! handshakes, pongs, drain results) resets it. A missed deadline or a
 //! connection error tears the connection down and schedules a reconnect
 //! after jittered exponential backoff (the jitter is a pure function of
@@ -62,7 +71,8 @@ pub enum CircuitAction {
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Max unacked `Ops` frames in flight per shard.
+    /// Max unacked `Ops` frames in flight per shard, sent in one write
+    /// as acks free room. At least 1 ([`NetError::Config`] otherwise).
     pub window: u64,
     /// Deadline for any awaited response (handshake, ack, pong, drain).
     pub deadline: Duration,
@@ -196,6 +206,11 @@ pub fn serve_replay(
     scfg: &ServeConfig,
     rec: &dyn Recorder,
 ) -> Result<ServeReport, NetError> {
+    if scfg.window == 0 {
+        // Nothing could ever be sent, so nothing would arm a deadline:
+        // the serve would spin until `overall_deadline`.
+        return Err(NetError::Config("window must admit at least one frame"));
+    }
     let shards = plan.num_shards();
     for k in 0..shards {
         for b in 0..plan.batch_count(k) {
@@ -535,21 +550,28 @@ fn drive(
                 progress = true;
             }
         } else {
-            while ep.next_send < ep.total && ep.next_send - ep.acked < scfg.window {
-                let seq = ep.next_send;
-                let payload = plan.batch_bytes(ep.shard as usize, seq as usize);
-                if seq < ep.high_water {
-                    stats.frames_resent += 1;
-                    rec.add(Counter::NetFramesResent, 1);
-                } else {
-                    ep.high_water = seq + 1;
+            // Every batch the window admits goes out back to back in one
+            // write; the counters and the ack clock stay per frame.
+            let first = ep.next_send;
+            let last = ep.total.min(ep.acked.saturating_add(scfg.window));
+            if first < last {
+                ep.wire.clear();
+                for seq in first..last {
+                    let payload = plan.batch_bytes(ep.shard as usize, seq as usize);
+                    if seq < ep.high_water {
+                        stats.frames_resent += 1;
+                        rec.add(Counter::NetFramesResent, 1);
+                    }
+                    count_frame(FrameRef::Ops { seq, payload }, &mut ep.wire, rec, stats);
                 }
-                if send_frame(ep, FrameRef::Ops { seq, payload }, rec, stats).is_err() {
+                ep.high_water = ep.high_water.max(last);
+                if send_wire(ep).is_err() {
                     register_failure(ep, scfg, rec, stats, plan)?;
                     return Ok(true);
                 }
-                ep.sent_at.push_back((seq, Instant::now()));
-                ep.next_send = seq + 1;
+                let at = Instant::now();
+                ep.sent_at.extend((first..last).map(|seq| (seq, at)));
+                ep.next_send = last;
                 progress = true;
             }
         }
@@ -585,8 +607,7 @@ fn drive(
     Ok(progress)
 }
 
-/// Frame `f` into the endpoint's scratch and send it on the live
-/// connection, with the router-side counters every send shares.
+/// Frame `f` into the endpoint's scratch and send it alone.
 fn send_frame(
     ep: &mut Endpoint,
     f: FrameRef<'_>,
@@ -594,9 +615,21 @@ fn send_frame(
     stats: &mut ServeStats,
 ) -> Result<(), NetError> {
     ep.wire.clear();
-    f.encode_into(&mut ep.wire);
+    count_frame(f, &mut ep.wire, rec, stats);
+    send_wire(ep)
+}
+
+/// Append `f` to `wire`, with the router-side counters every frame
+/// shares.
+fn count_frame(f: FrameRef<'_>, wire: &mut Vec<u8>, rec: &dyn Recorder, stats: &mut ServeStats) {
+    let start = wire.len();
+    f.encode_into(wire);
     stats.frames_sent += 1;
     rec.add(Counter::NetFramesSent, 1);
-    rec.observe(Histo::NetFrameBytes, ep.wire.len() as u64);
+    rec.observe(Histo::NetFrameBytes, (wire.len() - start) as u64);
+}
+
+/// One write of everything framed into the endpoint's scratch.
+fn send_wire(ep: &mut Endpoint) -> Result<(), NetError> {
     ep.conn.as_mut().expect("live connection").send(&ep.wire)
 }

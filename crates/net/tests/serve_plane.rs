@@ -98,17 +98,25 @@ fn zero_fault_realnet_matches_replayer_digest() {
 /// the serve_soak bench): every seeded chaos schedule either converges
 /// to the golden digest or fails typed. Nothing panics, nothing
 /// silently diverges.
+///
+/// `ChaosNet` decides a fault per connect and per write, and a write
+/// carries a window of frames, so the denominator is sized by the faults
+/// the sweep injects: at least `FAULT_FLOOR` (≈ 136 at 9).
 #[test]
 fn chaos_sweep_matches_golden_or_fails_typed() {
+    const FAULT_FLOOR: u64 = 123;
     let l = log();
     let shards = 4;
     let gold = metrics_digest(&golden(&l, shards));
     let p = plan(&l, shards);
     let mut matched = 0u32;
     let mut typed = 0u32;
+    let mut injected = 0;
     for seed in 0..40u64 {
-        let net = ChaosNet::new(Box::new(MemNet::new()), ChaosPlan::all(seed, 23));
-        match serve_replay(&net, &p, &fast(CircuitAction::Fail), &Noop) {
+        let net = ChaosNet::new(Box::new(MemNet::new()), ChaosPlan::all(seed, 9));
+        let outcome = serve_replay(&net, &p, &fast(CircuitAction::Fail), &Noop);
+        injected += net.stats().injected;
+        match outcome {
             Ok(report) => {
                 assert_eq!(
                     gold,
@@ -129,11 +137,11 @@ fn chaos_sweep_matches_golden_or_fails_typed() {
         }
     }
     assert!(matched > 0, "some chaos schedules must converge");
-    // With denom 23 and retries, most schedules should still converge.
     assert!(
         matched + typed == 40,
         "every schedule accounted for: {matched} matched, {typed} typed"
     );
+    assert!(injected >= FAULT_FLOOR, "{injected} faults injected, fewer than {FAULT_FLOOR}");
 }
 
 /// Degraded serving conserves requests: when one shard's circuit opens
@@ -333,4 +341,211 @@ fn chaos_schedule_stable_across_reconnects_and_polls() {
     assert_eq!(a, c, "op-index schedule must ignore how long a loop idles");
     assert_eq!(sa, sc, "fault counts must be identical");
     assert!(sa.injected > 0, "schedule actually injected faults");
+}
+
+/// What [`Tap`] does to the first router write that carries two or more
+/// frames.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum WriteFault {
+    /// Leave it alone.
+    None,
+    /// Deliver it up to the middle of its second frame, then kill the
+    /// connection.
+    Tear,
+    /// Deliver it twice.
+    Duplicate,
+}
+
+/// What a [`Tap`] saw.
+#[derive(Default)]
+struct Taps {
+    listens: AtomicU64,
+    /// Writes the shard servers made.
+    shard_sends: AtomicU64,
+    /// Frames in the write the fault hit (0: none hit yet).
+    faulted_frames: AtomicU64,
+}
+
+/// MemNet with one scripted fault on the router's side and a count of
+/// the shard servers' writes on the listener's.
+struct Tap {
+    inner: MemNet,
+    fault: WriteFault,
+    taps: Arc<Taps>,
+}
+
+impl Tap {
+    fn new(fault: WriteFault) -> Self {
+        Tap { inner: MemNet::new(), fault, taps: Arc::default() }
+    }
+}
+
+/// End offset of each whole frame in `bytes`, read off the length
+/// prefixes.
+fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0;
+    while at + 4 <= bytes.len() {
+        at += 4 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        ends.push(at);
+    }
+    ends
+}
+
+struct TapConn {
+    inner: Box<dyn NetConn>,
+    fault: WriteFault,
+    taps: Arc<Taps>,
+    dead: bool,
+}
+
+impl NetConn for TapConn {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+        if self.dead {
+            return Err(NetError::Reset("tap: torn"));
+        }
+        let ends = frame_ends(bytes);
+        if self.fault == WriteFault::None
+            || ends.len() < 2
+            || self.taps.faulted_frames.load(Ordering::Relaxed) > 0
+        {
+            return self.inner.send(bytes);
+        }
+        self.taps.faulted_frames.store(ends.len() as u64, Ordering::Relaxed);
+        match self.fault {
+            WriteFault::Tear => {
+                self.dead = true;
+                self.inner.send(&bytes[..(ends[0] + ends[1]) / 2])
+            }
+            _ => {
+                self.inner.send(bytes)?;
+                self.inner.send(bytes)
+            }
+        }
+    }
+    fn recv(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
+        if self.dead {
+            return Err(NetError::Reset("tap: torn"));
+        }
+        self.inner.recv(buf)
+    }
+}
+
+struct CountingConn {
+    inner: Box<dyn NetConn>,
+    taps: Arc<Taps>,
+}
+
+impl NetConn for CountingConn {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+        self.taps.shard_sends.fetch_add(1, Ordering::Relaxed);
+        self.inner.send(bytes)
+    }
+    fn recv(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
+        self.inner.recv(buf)
+    }
+}
+
+struct CountingListener {
+    inner: Box<dyn NetListener>,
+    taps: Arc<Taps>,
+}
+
+impl NetListener for CountingListener {
+    fn accept(&mut self) -> Result<Option<Box<dyn NetConn>>, NetError> {
+        Ok(self.inner.accept()?.map(|inner| {
+            Box::new(CountingConn { inner, taps: Arc::clone(&self.taps) }) as Box<dyn NetConn>
+        }))
+    }
+    fn addr(&self) -> String {
+        self.inner.addr()
+    }
+}
+
+impl Net for Tap {
+    fn listen(&self, hint: &str) -> Result<Box<dyn NetListener>, NetError> {
+        self.taps.listens.fetch_add(1, Ordering::Relaxed);
+        let inner = self.inner.listen(hint)?;
+        Ok(Box::new(CountingListener { inner, taps: Arc::clone(&self.taps) }))
+    }
+    fn connect(&self, addr: &str) -> Result<Box<dyn NetConn>, NetError> {
+        Ok(Box::new(TapConn {
+            inner: self.inner.connect(addr)?,
+            fault: self.fault,
+            taps: Arc::clone(&self.taps),
+            dead: false,
+        }))
+    }
+}
+
+/// Patient deadlines: the scripted tests count resends and duplicates
+/// exactly, so no deadline may fire on a slow machine.
+fn patient() -> ServeConfig {
+    ServeConfig { overall_deadline: Duration::from_secs(30), ..ServeConfig::default() }
+}
+
+/// The router frames a window of `Ops` into one write. Torn in the
+/// middle of its second frame, that write still delivers its first: the
+/// shard applies it, drops the connection at the torn one, and the
+/// router resumes from the `HelloAck` — resending every other frame of
+/// the write and nothing more.
+#[test]
+fn torn_multi_frame_write_applies_its_whole_frames_and_resyncs() {
+    let l = log();
+    let p = plan(&l, 2);
+    let net = Tap::new(WriteFault::Tear);
+    let report = serve_replay(&net, &p, &patient(), &Noop).unwrap();
+    let torn = net.taps.faulted_frames.load(Ordering::Relaxed);
+    assert!(torn >= 2, "a multi-frame write was torn ({torn} frames)");
+    assert_eq!(metrics_digest(&golden(&l, 2)), metrics_digest(&report.metrics));
+    assert_eq!(report.stats.reconnects, 1);
+    assert_eq!(report.stats.frames_resent, torn - 1, "the shard applied exactly the first frame");
+    assert_eq!(report.stats.duplicates_dropped, 0);
+}
+
+/// A multi-frame write delivered twice: the shard drops every frame of
+/// the second copy.
+#[test]
+fn duplicated_multi_frame_write_drops_each_frame_once() {
+    let l = log();
+    let p = plan(&l, 2);
+    let net = Tap::new(WriteFault::Duplicate);
+    let report = serve_replay(&net, &p, &patient(), &Noop).unwrap();
+    let dup = net.taps.faulted_frames.load(Ordering::Relaxed);
+    assert!(dup >= 2, "a multi-frame write was duplicated ({dup} frames)");
+    assert_eq!(metrics_digest(&golden(&l, 2)), metrics_digest(&report.metrics));
+    assert_eq!(report.stats.duplicates_dropped, dup);
+    assert_eq!(report.stats.reconnects + report.stats.frames_resent, 0);
+}
+
+/// Acks are cumulative per receive pass, so the shards write less often
+/// than the router sends frames.
+#[test]
+fn shards_write_fewer_replies_than_the_router_sends_frames() {
+    let l = log();
+    let p = plan(&l, 4);
+    let net = Tap::new(WriteFault::None);
+    let report = serve_replay(&net, &p, &patient(), &Noop).unwrap();
+    assert_eq!(metrics_digest(&golden(&l, 4)), metrics_digest(&report.metrics));
+    let shard_sends = net.taps.shard_sends.load(Ordering::Relaxed);
+    assert!(
+        shard_sends < report.stats.frames_sent,
+        "{shard_sends} shard writes for {} router frames",
+        report.stats.frames_sent
+    );
+}
+
+/// A window of zero could never send a batch, so nothing would arm a
+/// deadline: the serve fails typed at once, before a shard starts.
+#[test]
+fn zero_window_fails_typed_before_any_shard_starts() {
+    let l = log();
+    let p = plan(&l, 2);
+    let net = Tap::new(WriteFault::None);
+    let started = Instant::now();
+    let scfg = ServeConfig { window: 0, ..patient() };
+    let err = serve_replay(&net, &p, &scfg, &Noop).err().unwrap();
+    assert!(matches!(err, NetError::Config(_)), "wrong error: {err}");
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+    assert_eq!(net.taps.listens.load(Ordering::Relaxed), 0, "no shard was started");
 }

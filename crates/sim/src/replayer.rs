@@ -650,11 +650,27 @@ const OP_REQUEST: u8 = 0;
 const OP_WIPE: u8 = 1;
 const OP_MARK_COLD: u8 = 2;
 
+/// Encoded length of a request op: tag, object, size, owner (orbit,
+/// slot), intra, inter, GSL one-way, penalty, replica tag, epoch.
+const REQUEST_OP_LEN: usize = 1 + 8 + 8 + 2 + 2 + 2 + 2 + 8 + 8 + 1 + 8;
+/// Encoded length of a wipe or mark-cold op: tag, slot index.
+const SLOT_OP_LEN: usize = 1 + 8;
+
+/// Bytes [`put_shard_op`] writes for `op`, so an encoder can size its
+/// buffer once.
+pub(crate) fn shard_op_len(op: &ShardOp) -> usize {
+    match op {
+        ShardOp::Request(_) => REQUEST_OP_LEN,
+        ShardOp::Wipe(_) | ShardOp::MarkCold(_) => SLOT_OP_LEN,
+    }
+}
+
 /// Append one shard op to `w` (tag byte + fields, little-endian; floats
 /// travel as bit patterns so replay stays bit-exact). Written by hand,
 /// not as a `codec` field list: the replica tag (0/1/2) is not an
 /// `Option<bool>`, and decoding validates slots.
 pub(crate) fn put_shard_op(w: &mut Writer<'_>, op: &ShardOp) {
+    let start = w.position();
     match op {
         ShardOp::Request(e) => {
             w.u8(OP_REQUEST);
@@ -682,6 +698,7 @@ pub(crate) fn put_shard_op(w: &mut Writer<'_>, op: &ShardOp) {
             w.u64(*idx as u64);
         }
     }
+    debug_assert_eq!(w.position() - start, shard_op_len(op), "shard_op_len disagrees");
 }
 
 /// Decode one shard op. Slot indices and owner ids are validated against

@@ -41,7 +41,9 @@ use crate::checkpoint::CheckpointError;
 use crate::codec::{decode, Wire};
 use crate::engine::RunSpec;
 use crate::overload::OverloadConfig;
-use crate::replayer::{get_shard_op, prepare_shards, put_shard_op, run_shard_ops, ShardOp};
+use crate::replayer::{
+    get_shard_op, prepare_shards, put_shard_op, run_shard_ops, shard_op_len, ShardOp,
+};
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::{bent_pipe, ServeEnv, Slots};
 use starcdn::metrics::SystemMetrics;
@@ -182,7 +184,9 @@ impl ServePlan {
             let mut start = 0usize;
             while start < len {
                 let end = (start + batch_ops).min(len);
-                let mut bytes = Vec::new();
+                let op_bytes: usize =
+                    pre.stream(shard, start..end).flatten().map(shard_op_len).sum();
+                let mut bytes = Vec::with_capacity(4 + op_bytes);
                 let mut w = Writer::new(&mut bytes);
                 w.u32((end - start) as u32);
                 for ops in pre.stream(shard, start..end) {

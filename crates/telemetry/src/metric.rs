@@ -174,7 +174,10 @@ pub enum Histo {
     RetryCount,
     /// Residual fetch wait charged to a delayed hit, in epochs.
     ResidualWaitEpochs,
-    /// Round trip from frame send to its cumulative ack, microseconds.
+    /// From the write that carried a frame to the first cumulative ack
+    /// that covers it, microseconds. A shard acks once per receive pass
+    /// (and after every four batches it applies), so this includes the
+    /// time the frames ahead of it in that pass took to apply.
     NetAckRttUs,
     /// Encoded frame size on the wire, bytes.
     NetFrameBytes,
