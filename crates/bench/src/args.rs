@@ -19,7 +19,7 @@ pub enum Scale {
 
 impl Scale {
     /// Parse from the CLI token.
-    pub fn parse(s: &str) -> Result<Scale, String> {
+    pub(crate) fn parse(s: &str) -> Result<Scale, String> {
         match s {
             "smoke" => Ok(Scale::Smoke),
             "default" => Ok(Scale::Default),
@@ -60,7 +60,7 @@ impl Scale {
     }
 }
 
-/// [`Scale::parse`], so a `--scale` flag reads like any other value.
+/// `Scale::parse`, so a `--scale` flag reads like any other value.
 impl FromStr for Scale {
     type Err = String;
 
@@ -89,7 +89,10 @@ pub struct Flags(Vec<(String, String)>);
 impl Flags {
     /// Parse `argv` as `--key value` pairs; a key outside `keys` or a
     /// key without a value is an error.
-    pub fn parse(argv: impl IntoIterator<Item = String>, keys: &[&str]) -> Result<Flags, String> {
+    pub(crate) fn parse(
+        argv: impl IntoIterator<Item = String>,
+        keys: &[&str],
+    ) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut it = argv.into_iter();
         while let Some(key) = it.next() {
@@ -102,14 +105,14 @@ impl Flags {
         Ok(Flags(pairs))
     }
 
-    /// [`Flags::parse`] over the current process's arguments.
+    /// `Flags::parse` over the current process's arguments.
     pub fn from_env(keys: &[&str]) -> Flags {
         Flags::parse(std::env::args().skip(1), keys).unwrap_or_else(|e| die(&e))
     }
 
     /// The last value given for `key`, parsed as a `T` (a [`Scale`]
     /// through [`Scale::parse`]); `Ok(None)` when the flag is absent.
-    pub fn try_get<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    pub(crate) fn try_get<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
     where
         T::Err: Display,
     {
@@ -119,7 +122,7 @@ impl Flags {
         }
     }
 
-    /// [`Flags::try_get`]; a malformed value exits.
+    /// `Flags::try_get`; a malformed value exits.
     pub fn get<T: FromStr>(&self, key: &str) -> Option<T>
     where
         T::Err: Display,

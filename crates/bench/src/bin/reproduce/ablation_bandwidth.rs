@@ -15,7 +15,7 @@ use starcdn_bench::workload::{cache_bytes_for_gb, Workload};
 use starcdn_bench::Args;
 use starcdn_sim::engine::run_space;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     for class in [TrafficClass::Video, TrafficClass::Web] {
         let w = Workload::build(class, a);
         let (_, ws) = w.production.unique_objects();

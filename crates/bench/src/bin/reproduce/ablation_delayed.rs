@@ -58,7 +58,7 @@ fn latency_bits(m: &SystemMetrics) -> Vec<u64> {
     m.latencies_ms.iter().map(|l| l.to_bits()).collect()
 }
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let horizon_secs = a.scale.trace_hours() * 3600;
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();

@@ -123,7 +123,7 @@ fn json_curve(curve: &[(u64, u32)]) -> String {
     format!("[{}]", pts.join(", "))
 }
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     starcdn_bench::interrupt::install();
     let horizon_secs = a.scale.trace_hours() * 3600;
     let world = World::starlink_nine_cities();

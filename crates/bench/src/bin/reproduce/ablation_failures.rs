@@ -11,7 +11,7 @@ use starcdn_bench::Args;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_sim::engine::run_space;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();
     let runner = w.runner(a.seed);

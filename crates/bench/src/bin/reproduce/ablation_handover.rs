@@ -14,7 +14,7 @@ use starcdn_sim::engine::SimConfig;
 use starcdn_sim::transfers::{simulate_transfers, TransferConfig};
 use starcdn_sim::world::World;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let world = World::starlink_nine_cities();
     let sim = SimConfig { seed: a.seed, ..SimConfig::default() };

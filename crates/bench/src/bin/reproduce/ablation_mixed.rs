@@ -19,7 +19,7 @@ use starcdn_sim::access_log::build_access_log;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::world::World;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let locations = Location::akamai_nine();
     let classes: Vec<_> = TrafficClass::ALL
         .iter()

@@ -80,7 +80,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();
     let cache = cache_bytes_for_gb(50, ws);

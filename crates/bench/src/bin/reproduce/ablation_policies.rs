@@ -15,7 +15,7 @@ use starcdn_bench::Args;
 use starcdn_cache::policy::PolicyKind;
 use starcdn_sim::engine::run_space;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();
     let runner = w.runner(a.seed);

@@ -14,7 +14,7 @@ use starcdn_bench::table::{bytes_h, pct, print_table};
 use starcdn_bench::workload::{cache_bytes_for_gb, Workload};
 use starcdn_bench::Args;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();
     let runner = w.runner(a.seed);

@@ -16,7 +16,7 @@ use starcdn_sim::engine::SimConfig;
 use starcdn_sim::experiment::Runner;
 use starcdn_sim::world::World;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();
     let cache = cache_bytes_for_gb(50, ws);

@@ -9,7 +9,7 @@ use starcdn_bench::table::{pct, print_table};
 use starcdn_bench::workload::Workload;
 use starcdn_bench::{Args, Scale};
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     eprintln!("calibrate: scale {:?} seed {}", a.scale, a.seed);
     let w = Workload::build(TrafficClass::Video, a);
     let (uniq, ws_bytes) = w.production.unique_objects();

@@ -9,7 +9,7 @@ use starcdn_bench::workload::Workload;
 use starcdn_bench::Args;
 use std::collections::HashMap;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let synth = w.synthetic(a.seed + 1);
     let n = w.locations.len();

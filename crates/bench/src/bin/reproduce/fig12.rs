@@ -12,7 +12,7 @@ use starcdn_bench::table::{pct, print_table};
 use starcdn_bench::workload::{cache_bytes_for_gb, Workload};
 use starcdn_bench::Args;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     for class in [TrafficClass::Web, TrafficClass::Download] {
         let w = Workload::build(class, a);
         let (uniq, ws) = w.production.unique_objects();

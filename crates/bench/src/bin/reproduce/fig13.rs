@@ -14,7 +14,7 @@ use starcdn_bench::Args;
 use starcdn_cache::policy::PolicyKind;
 use starcdn_cache::simulate::hit_rate_curve;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let synth = w.synthetic(a.seed + 1);
     let (_, ws) = w.production.unique_objects();

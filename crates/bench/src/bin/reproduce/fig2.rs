@@ -10,7 +10,7 @@ use starcdn_bench::table::{pct, print_table};
 use starcdn_bench::workload::Workload;
 use starcdn_bench::Args;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let series = overlap_vs_distance(&w.production, &w.locations, "New York");
 

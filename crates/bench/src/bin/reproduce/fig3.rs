@@ -11,7 +11,7 @@ use starcdn_orbit::groundtrack::{ground_track, track_similarity_km};
 use starcdn_orbit::time::{SimDuration, SimTime};
 use starcdn_orbit::walker::{SatelliteId, WalkerConstellation};
 
-pub fn run(_a: Args) {
+pub(crate) fn run(_a: Args) {
     let shell = WalkerConstellation::starlink_shell1();
     let east = shell.orbit_for(SatelliteId::new(10, 0));
     let period = SimDuration::from_secs_f64(east.period_s());

@@ -15,7 +15,7 @@ use starcdn_constellation::analysis::bucket_routing_distribution;
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::grid::GridTopology;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let (_, ws) = w.production.unique_objects();
     let runner = w.runner(a.seed);

@@ -13,7 +13,7 @@ use starcdn_orbit::time::SimTime;
 use starcdn_orbit::visibility::{propagation_delay_ms_f64, visible_satellites};
 use starcdn_orbit::walker::WalkerConstellation;
 
-pub fn run(_a: Args) {
+pub(crate) fn run(_a: Args) {
     let shell = WalkerConstellation::starlink_shell1();
     let stats = geometric_delay_stats(&shell, SimTime::ZERO);
 

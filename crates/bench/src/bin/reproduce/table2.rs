@@ -12,7 +12,7 @@ use starcdn_bench::table::print_table;
 use starcdn_bench::workload::Workload;
 use starcdn_bench::Args;
 
-pub fn run(a: Args) {
+pub(crate) fn run(a: Args) {
     let w = Workload::build(TrafficClass::Video, a);
     let n = w.locations.len();
     let m = overlap_matrices(&w.production, n);

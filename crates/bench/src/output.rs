@@ -20,7 +20,7 @@ use std::path::PathBuf;
 /// The repository root, resolved from this crate's manifest directory
 /// (`crates/bench` → two levels up), independent of the CWD the bin was
 /// launched from.
-pub fn repo_root() -> PathBuf {
+pub(crate) fn repo_root() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop(); // crates/
     p.pop(); // repo root

@@ -45,7 +45,7 @@ impl FifoCache {
 
     /// Rebuild from an exported [`CacheState::Fifo`] (queue oldest
     /// first, i.e. next victim first).
-    pub fn from_state(state: &CacheState) -> Result<Self, StateError> {
+    pub(crate) fn from_state(state: &CacheState) -> Result<Self, StateError> {
         let CacheState::Fifo { capacity, queue } = state else {
             return Err(StateError::wrong("fifo", state));
         };

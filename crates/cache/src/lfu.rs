@@ -85,7 +85,7 @@ impl LfuCache {
     /// Rebuild from an exported [`CacheState::Lfu`] (entries in victim
     /// order). The logical clock resumes where the export left it, so
     /// future tie-breaks replay identically.
-    pub fn from_state(state: &CacheState) -> Result<Self, StateError> {
+    pub(crate) fn from_state(state: &CacheState) -> Result<Self, StateError> {
         let CacheState::Lfu { capacity, clock, entries } = state else {
             return Err(StateError::wrong("lfu", state));
         };

@@ -32,36 +32,36 @@ pub(crate) struct Node {
 pub(crate) const NIL: usize = usize::MAX;
 
 impl LinkedSlab {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LinkedSlab { nodes: Vec::new(), free: Vec::new(), head: NIL, tail: NIL }
     }
 
-    pub fn node(&self, idx: usize) -> &Node {
+    pub(crate) fn node(&self, idx: usize) -> &Node {
         &self.nodes[idx]
     }
 
-    pub fn node_mut(&mut self, idx: usize) -> &mut Node {
+    pub(crate) fn node_mut(&mut self, idx: usize) -> &mut Node {
         &mut self.nodes[idx]
     }
 
-    pub fn head(&self) -> usize {
+    pub(crate) fn head(&self) -> usize {
         self.head
     }
 
-    pub fn tail(&self) -> usize {
+    pub(crate) fn tail(&self) -> usize {
         self.tail
     }
 
-    pub fn next_of(&self, idx: usize) -> usize {
+    pub(crate) fn next_of(&self, idx: usize) -> usize {
         self.nodes[idx].next
     }
 
-    pub fn prev_of(&self, idx: usize) -> usize {
+    pub(crate) fn prev_of(&self, idx: usize) -> usize {
         self.nodes[idx].prev
     }
 
     /// Insert at the head (most-recent end), returning the node index.
-    pub fn push_front(&mut self, id: ObjectId, size: u64) -> usize {
+    pub(crate) fn push_front(&mut self, id: ObjectId, size: u64) -> usize {
         let node = Node { id, size, flag: false, prev: NIL, next: self.head };
         let idx = if let Some(i) = self.free.pop() {
             self.nodes[i] = node;
@@ -96,14 +96,14 @@ impl LinkedSlab {
     }
 
     /// Remove a node and recycle its slot.
-    pub fn remove(&mut self, idx: usize) -> Node {
+    pub(crate) fn remove(&mut self, idx: usize) -> Node {
         self.unlink(idx);
         self.free.push(idx);
         self.nodes[idx]
     }
 
     /// Move a node to the head.
-    pub fn move_to_front(&mut self, idx: usize) {
+    pub(crate) fn move_to_front(&mut self, idx: usize) {
         if self.head == idx {
             return;
         }
@@ -121,7 +121,7 @@ impl LinkedSlab {
         }
     }
 
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.nodes.clear();
         self.free.clear();
         self.head = NIL;
@@ -177,7 +177,7 @@ impl LruCache {
 
     /// Rebuild from an exported [`CacheState::Lru`] (entries most-recent
     /// first). The restored cache replays any access stream identically.
-    pub fn from_state(state: &CacheState) -> Result<Self, StateError> {
+    pub(crate) fn from_state(state: &CacheState) -> Result<Self, StateError> {
         let CacheState::Lru { capacity, entries } = state else {
             return Err(StateError::wrong("lru", state));
         };

@@ -133,7 +133,8 @@ impl MadCache {
     }
 
     /// Accumulated aggregate delay of a cached object.
-    pub fn delay_of(&self, id: ObjectId) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn delay_of(&self, id: ObjectId) -> Option<u64> {
         self.index.get(&id).map(|e| e.delay)
     }
 

@@ -78,7 +78,7 @@ impl SieveCache {
 
     /// Rebuild from an exported [`CacheState::Sieve`] (entries newest
     /// first, hand as a position from the head).
-    pub fn from_state(state: &CacheState) -> Result<Self, StateError> {
+    pub(crate) fn from_state(state: &CacheState) -> Result<Self, StateError> {
         let CacheState::Sieve { capacity, entries, hand } = state else {
             return Err(StateError::wrong("sieve", state));
         };

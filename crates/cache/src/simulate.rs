@@ -25,7 +25,7 @@ pub fn replay<C: Cache + ?Sized>(
 /// distribution go to `rec`; the per-item instrumentation is hoisted
 /// behind one `is_enabled` check so the no-op path replays at full
 /// speed.
-pub fn replay_recorded<C: Cache + ?Sized>(
+pub(crate) fn replay_recorded<C: Cache + ?Sized>(
     cache: &mut C,
     accesses: impl IntoIterator<Item = Access>,
     rec: &dyn Recorder,
@@ -156,21 +156,21 @@ pub fn hit_rate_curve(
         .collect()
 }
 
-/// Unique objects and unique bytes in a trace (the working-set footprint,
-/// which normalizes cache sizes across scales).
-pub fn working_set(accesses: &[Access]) -> (usize, u64) {
-    let mut seen = std::collections::HashMap::new();
-    for &(id, size) in accesses {
-        seen.entry(id).or_insert(size);
-    }
-    let bytes = seen.values().sum();
-    (seen.len(), bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::prelude::*;
+
+    /// Unique objects and unique bytes in a trace (the working-set footprint,
+    /// which normalizes cache sizes across scales).
+    fn working_set(accesses: &[Access]) -> (usize, u64) {
+        let mut seen = std::collections::HashMap::new();
+        for &(id, size) in accesses {
+            seen.entry(id).or_insert(size);
+        }
+        let bytes = seen.values().sum();
+        (seen.len(), bytes)
+    }
 
     fn zipf_trace(n_objects: u64, n_requests: usize, alpha: f64, seed: u64) -> Vec<Access> {
         // Inverse-CDF Zipf sampling without external deps.

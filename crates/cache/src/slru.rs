@@ -41,7 +41,7 @@ impl SlruCache {
     }
 
     /// An SLRU cache with an explicit protected share in `[0, 1]`.
-    pub fn with_protected_share(capacity_bytes: u64, share: f64) -> Self {
+    pub(crate) fn with_protected_share(capacity_bytes: u64, share: f64) -> Self {
         assert!((0.0..=1.0).contains(&share), "protected share must be in [0,1]");
         SlruCache {
             capacity: capacity_bytes,
@@ -124,7 +124,7 @@ impl SlruCache {
     /// Rebuild from an exported [`CacheState::Slru`] (both segments
     /// most-recent first). The protected byte budget travels in the
     /// state, so `with_protected_share` customizations survive.
-    pub fn from_state(state: &CacheState) -> Result<Self, StateError> {
+    pub(crate) fn from_state(state: &CacheState) -> Result<Self, StateError> {
         let CacheState::Slru { capacity, protected_capacity, protected, probation } = state else {
             return Err(StateError::wrong("slru", state));
         };

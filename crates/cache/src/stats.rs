@@ -50,11 +50,6 @@ impl CacheStats {
         }
     }
 
-    /// Bytes that had to be fetched upstream (misses) — the uplink cost.
-    pub fn bytes_missed(&self) -> u64 {
-        self.bytes_requested - self.bytes_hit
-    }
-
     /// Number of misses.
     pub fn misses(&self) -> u64 {
         self.requests - self.hits
@@ -92,7 +87,6 @@ mod tests {
         let s = CacheStats::default();
         assert_eq!(s.request_hit_rate(), 0.0);
         assert_eq!(s.byte_hit_rate(), 0.0);
-        assert_eq!(s.bytes_missed(), 0);
         assert_eq!(s.misses(), 0);
     }
 
@@ -105,7 +99,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert!((s.request_hit_rate() - 0.5).abs() < 1e-12);
         assert!((s.byte_hit_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(s.bytes_missed(), 300);
         assert_eq!(s.misses(), 1);
     }
 

@@ -100,7 +100,7 @@ impl TinyLfuCache {
 
     /// Rebuild from an exported [`CacheState::TinyLfu`]: the main LRU
     /// entries plus the sketch's counters and aging-window progress.
-    pub fn from_state(state: &CacheState) -> Result<Self, StateError> {
+    pub(crate) fn from_state(state: &CacheState) -> Result<Self, StateError> {
         let CacheState::TinyLfu { capacity, entries, rows, mask, ops, window } = state else {
             return Err(StateError::wrong("tinylfu", state));
         };

@@ -29,7 +29,7 @@ impl HopDistribution {
     }
 
     /// Total samples.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -44,12 +44,14 @@ impl HopDistribution {
     }
 
     /// Maximum observed hops.
-    pub fn max(&self) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> u16 {
         (self.counts.len().saturating_sub(1)) as u16
     }
 
     /// Fraction of samples at exactly `h` hops.
-    pub fn fraction_at(&self, h: u16) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fraction_at(&self, h: u16) -> f64 {
         let total = self.total();
         if total == 0 {
             return 0.0;
@@ -70,21 +72,6 @@ pub fn bucket_routing_distribution(grid: &GridTopology, tiling: &BucketTiling) -
     }))
 }
 
-/// Distribution of pairwise hop distances over the torus (the grid's
-/// "distance profile"); its max is the grid diameter.
-pub fn pairwise_distance_distribution(grid: &GridTopology) -> HopDistribution {
-    let ids: Vec<_> = grid.iter_ids().collect();
-    // The torus is vertex-transitive: distances from one origin cover the
-    // whole profile.
-    let origin = ids[0];
-    HopDistribution::from_samples(ids.iter().map(|&b| grid.hop_distance(origin, b)))
-}
-
-/// The grid diameter (max shortest-path distance on the healthy torus).
-pub fn diameter(grid: &GridTopology) -> u16 {
-    pairwise_distance_distribution(grid).max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,12 +83,18 @@ mod tests {
     #[test]
     fn starlink_diameter() {
         // 72×18 torus: ⌊72/2⌋ + ⌊18/2⌋ = 45 hops corner to corner.
-        assert_eq!(diameter(&grid()), 45);
+        let g = grid();
+        let origin = g.iter_ids().next().unwrap();
+        assert_eq!(g.iter_ids().map(|b| g.hop_distance(origin, b)).max(), Some(45));
     }
 
     #[test]
     fn pairwise_distribution_covers_grid() {
-        let d = pairwise_distance_distribution(&grid());
+        // The torus is vertex-transitive: distances from one origin cover
+        // the whole profile.
+        let g = grid();
+        let origin = g.iter_ids().next().unwrap();
+        let d = HopDistribution::from_samples(g.iter_ids().map(|b| g.hop_distance(origin, b)));
         assert_eq!(d.total(), 1296);
         assert_eq!(d.fraction_at(0), 1.0 / 1296.0);
         // Four neighbours at distance 1.

@@ -235,14 +235,6 @@ impl CapacityLedger {
         }
     }
 
-    fn budget_of(&self, kind: IslKind) -> u64 {
-        match kind {
-            IslKind::IntraOrbit => self.intra_budget,
-            IslKind::InterOrbit => self.inter_budget,
-            IslKind::Gsl => self.gsl_budget,
-        }
-    }
-
     /// Position in `self.epochs` of `epoch`'s table, opening one (a
     /// finalized table when there is one to reuse) if the epoch is not
     /// in flight yet. A handful of epochs are ever in flight, so the
@@ -465,13 +457,19 @@ impl CapacityLedger {
     }
 
     /// The raw (headroom-less) per-epoch GSL budget, bytes.
-    pub fn gsl_budget_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn gsl_budget_bytes(&self) -> u64 {
         self.gsl_budget
     }
 
     /// The raw per-epoch budget of an ISL class, bytes.
-    pub fn isl_budget_bytes(&self, kind: IslKind) -> u64 {
-        self.budget_of(kind)
+    #[cfg(test)]
+    pub(crate) fn isl_budget_bytes(&self, kind: IslKind) -> u64 {
+        match kind {
+            IslKind::IntraOrbit => self.intra_budget,
+            IslKind::InterOrbit => self.inter_budget,
+            IslKind::Gsl => self.gsl_budget,
+        }
     }
 }
 
@@ -520,7 +518,7 @@ fn link_index(grid: &GridTopology, a: SatelliteId, b: SatelliteId) -> Option<usi
 /// is the hop sequence behind `GridTopology::hop_distance`, so the hop
 /// count always equals the healthy-torus distance. Both ends must be on
 /// the grid.
-pub fn for_each_canonical_hop(
+pub(crate) fn for_each_canonical_hop(
     grid: &GridTopology,
     from: SatelliteId,
     to: SatelliteId,

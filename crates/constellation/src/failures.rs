@@ -19,10 +19,10 @@ use std::fmt;
 pub(crate) mod rand_like {
     pub struct SmallRng(u64);
     impl SmallRng {
-        pub fn new(seed: u64) -> Self {
+        pub(crate) fn new(seed: u64) -> Self {
             SmallRng(seed.max(1))
         }
-        pub fn next_u64(&mut self) -> u64 {
+        pub(crate) fn next_u64(&mut self) -> u64 {
             // xorshift64*
             let mut x = self.0;
             x ^= x >> 12;
@@ -31,15 +31,15 @@ pub(crate) mod rand_like {
             self.0 = x;
             x.wrapping_mul(0x2545_F491_4F6C_DD1D)
         }
-        pub fn gen_range(&mut self, n: u64) -> u64 {
+        pub(crate) fn gen_range(&mut self, n: u64) -> u64 {
             self.next_u64() % n
         }
         /// Uniform in [0, 1).
-        pub fn next_f64(&mut self) -> f64 {
+        pub(crate) fn next_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
         }
         /// Exponentially distributed with the given mean.
-        pub fn next_exp(&mut self, mean: f64) -> f64 {
+        pub(crate) fn next_exp(&mut self, mean: f64) -> f64 {
             -mean * (1.0 - self.next_f64()).ln()
         }
     }

@@ -37,7 +37,7 @@ impl Direction {
         [Direction::North, Direction::South, Direction::East, Direction::West];
 
     /// Whether this is an inter-orbit (east/west) direction.
-    pub fn is_inter_orbit(self) -> bool {
+    pub(crate) fn is_inter_orbit(self) -> bool {
         matches!(self, Direction::East | Direction::West)
     }
 }
@@ -77,7 +77,7 @@ impl GridTopology {
     }
 
     /// Whether an id addresses a slot inside this grid.
-    pub fn contains(&self, id: SatelliteId) -> bool {
+    pub(crate) fn contains(&self, id: SatelliteId) -> bool {
         id.orbit < self.num_planes && id.slot < self.sats_per_plane
     }
 

@@ -1,15 +1,11 @@
 //! Link model: propagation delays and bandwidths of ISLs and GSLs.
 //!
-//! Two delay models are provided:
-//!
-//! * **Table-1 constants** ([`LinkModel::table1`]): the paper's measured
-//!   Starlink values (intra-orbit ISL 8.03 ms avg, inter-orbit 2.15 ms,
-//!   GSL 2.94 ms). Useful for analytic latency accounting.
-//! * **Geometric** ([`LinkModel::geometric`]): delays computed from the
-//!   actual inter-satellite distances of a Walker shell, which reproduce
-//!   the Table-1 averages (see `spacing_matches_table1` in
-//!   `starcdn_orbit::walker`) while capturing latitude-dependent
-//!   inter-orbit shrinkage.
+//! [`LinkModel::table1`] holds the paper's measured Starlink values
+//! (intra-orbit ISL 8.03 ms avg, inter-orbit 2.15 ms, GSL 2.94 ms), used
+//! for analytic latency accounting. [`geometric_delay_stats`] measures the
+//! same delays from the actual inter-satellite distances of a Walker
+//! shell: they reproduce the Table-1 averages while capturing the
+//! latitude-dependent inter-orbit shrinkage.
 
 use crate::grid::Direction;
 use serde::{Deserialize, Serialize};
@@ -31,7 +27,7 @@ pub enum IslKind {
 
 impl IslKind {
     /// Classify a grid direction.
-    pub fn of_direction(dir: Direction) -> IslKind {
+    pub(crate) fn of_direction(dir: Direction) -> IslKind {
         if dir.is_inter_orbit() {
             IslKind::InterOrbit
         } else {
@@ -82,30 +78,8 @@ impl LinkModel {
         }
     }
 
-    /// Build a link model from shell geometry: average delays are computed
-    /// from actual neighbour distances sampled around the constellation.
-    pub fn geometric(shell: &WalkerConstellation) -> Self {
-        let stats = geometric_delay_stats(shell, SimTime::ZERO);
-        let t1 = Self::table1();
-        LinkModel {
-            intra_orbit: LinkParams {
-                avg_delay_ms: stats.intra_avg_ms,
-                min_delay_ms: stats.intra_min_ms,
-                std_delay_ms: stats.intra_std_ms,
-                ..t1.intra_orbit
-            },
-            inter_orbit: LinkParams {
-                avg_delay_ms: stats.inter_avg_ms,
-                min_delay_ms: stats.inter_min_ms,
-                std_delay_ms: stats.inter_std_ms,
-                ..t1.inter_orbit
-            },
-            gsl: t1.gsl,
-        }
-    }
-
     /// Parameters for a link class.
-    pub fn params(&self, kind: IslKind) -> LinkParams {
+    pub(crate) fn params(&self, kind: IslKind) -> LinkParams {
         match kind {
             IslKind::IntraOrbit => self.intra_orbit,
             IslKind::InterOrbit => self.inter_orbit,
@@ -211,19 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn geometric_model_preserves_bandwidths() {
-        let shell = WalkerConstellation::starlink_shell1();
-        let m = LinkModel::geometric(&shell);
-        assert_eq!(m.intra_orbit.bandwidth_gbps, 100.0);
-        assert_eq!(m.inter_orbit.bandwidth_gbps, 100.0);
-        assert_eq!(m.gsl.bandwidth_gbps, 20.0);
-    }
-
-    #[test]
     fn inter_orbit_cheaper_than_intra_orbit() {
         // The relayed-fetch design rests on this asymmetry (§3.3).
         let shell = WalkerConstellation::starlink_shell1();
-        let m = LinkModel::geometric(&shell);
-        assert!(m.delay_ms(IslKind::InterOrbit) < m.delay_ms(IslKind::IntraOrbit) / 2.0);
+        let stats = geometric_delay_stats(&shell, SimTime::ZERO);
+        assert!(stats.inter_avg_ms < stats.intra_avg_ms / 2.0);
     }
 }

@@ -34,8 +34,8 @@ pub use capacity::{AdmitDecision, CapacityLedger, ShedReason, UtilizationPoint};
 pub use failures::{link_id, FailureModel, LinkId};
 pub use grid::GridTopology;
 pub use isl::{IslKind, LinkModel};
-pub use routing::{shortest_path, try_shortest_path, GridPath};
+pub use routing::{shortest_path, GridPath};
 pub use schedule::{
-    CascadingIslParams, ChurnParams, DemandSchedule, DemandSurge, FaultDelta, FaultEvent,
-    FaultSchedule, FlashCrowdParams, ScheduleCursor, SolarStormParams, TimedFault,
+    ChurnParams, DemandSchedule, DemandSurge, FaultDelta, FaultEvent, FaultSchedule,
+    FlashCrowdParams, ScheduleCursor, SolarStormParams, TimedFault,
 };

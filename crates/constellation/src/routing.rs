@@ -6,6 +6,7 @@
 //! falls back to breadth-first search over the surviving grid.
 
 use crate::grid::{Direction, GridTopology};
+#[cfg(test)]
 use crate::isl::{IslKind, LinkModel};
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Histo, Recorder};
@@ -31,7 +32,8 @@ impl GridPath {
     }
 
     /// Total one-way propagation delay along the path under `model`, ms.
-    pub fn delay_ms(&self, model: &LinkModel) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn delay_ms(&self, model: &LinkModel) -> f64 {
         self.hops.iter().map(|&d| model.delay_ms(IslKind::of_direction(d))).sum()
     }
 
@@ -47,7 +49,7 @@ impl GridPath {
 ///
 /// Panics when the grid is degenerate (an axis without a wrap
 /// neighbour); hot paths that must survive a broken topology use
-/// [`try_shortest_path`] and treat `None` as a partition.
+/// `try_shortest_path` and treat `None` as a partition.
 pub fn shortest_path(grid: &GridTopology, from: SatelliteId, to: SatelliteId) -> GridPath {
     try_shortest_path(grid, from, to).expect("canonical walk needs a torus with wrap neighbours")
 }
@@ -55,7 +57,7 @@ pub fn shortest_path(grid: &GridTopology, from: SatelliteId, to: SatelliteId) ->
 /// Fallible [`shortest_path`]: returns `None` instead of panicking when
 /// a neighbour lookup fails mid-walk (degenerate or partitioned grid),
 /// so callers can degrade to the origin bent-pipe path.
-pub fn try_shortest_path(
+pub(crate) fn try_shortest_path(
     grid: &GridTopology,
     from: SatelliteId,
     to: SatelliteId,
@@ -97,7 +99,8 @@ pub fn try_shortest_path(
 
 /// BFS shortest path avoiding satellites for which `alive` returns false.
 /// Endpoints must be alive. Returns `None` if `to` is unreachable.
-pub fn shortest_path_avoiding(
+#[cfg(test)]
+pub(crate) fn shortest_path_avoiding(
     grid: &GridTopology,
     from: SatelliteId,
     to: SatelliteId,
@@ -133,7 +136,7 @@ pub fn shortest_path_avoiding_links(
 /// [`shortest_path_avoiding_links`] would return, without building the
 /// path: this is what every non-local request under a faulted view asks
 /// for. A surviving wrap-minimal staircase answers without a search
-/// ([`staircase_survives`]); either way the resolution is counted
+/// (`staircase_survives`); either way the resolution is counted
 /// ([`Counter::BfsRoutes`]) and the hop length of a found route observed
 /// ([`Histo::BfsPathHops`]).
 pub fn hop_mix_avoiding_links_recorded(

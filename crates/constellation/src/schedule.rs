@@ -103,29 +103,6 @@ pub struct SolarStormParams {
     pub seed: u64,
 }
 
-/// Parameters for [`FaultSchedule::cascading_isl`]: link failures that
-/// spread outward along the torus from an origin satellite, wave by
-/// wave, until the origin's grid neighborhood is fully severed (wave 0
-/// alone already partitions the origin from the rest of the torus).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CascadingIslParams {
-    /// Satellite at the center of the cascade.
-    pub origin: SatelliteId,
-    /// Time of the first wave.
-    pub start_secs: u64,
-    /// Seconds between successive waves; per-link jitter stays inside
-    /// one step so waves never reorder.
-    pub step_secs: u64,
-    /// Number of waves. Wave `w` cuts every ISL crossing the hop-radius
-    /// `w` boundary around the origin.
-    pub waves: u16,
-    /// When set, each cut link is restored this many seconds after its
-    /// own cut (staged, so the cascade heals outside-in last-cut-first).
-    pub restore_after_secs: Option<u64>,
-    /// Seed of the deterministic per-link jitter stream.
-    pub seed: u64,
-}
-
 /// A deterministic, time-ordered stream of fault events.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
@@ -214,7 +191,8 @@ impl FaultSchedule {
     }
 
     /// Combine two schedules (events interleave by time).
-    pub fn merged(self, other: FaultSchedule) -> FaultSchedule {
+    #[cfg(test)]
+    pub(crate) fn merged(self, other: FaultSchedule) -> FaultSchedule {
         Self::from_events(self.events.into_iter().chain(other.events))
     }
 
@@ -240,42 +218,6 @@ impl FaultSchedule {
                 .max(down + 1);
             events.push(TimedFault { at_secs: down, event: FaultEvent::SatDown(id) });
             events.push(TimedFault { at_secs: up, event: FaultEvent::SatUp(id) });
-        }
-        Self::from_events(events)
-    }
-
-    /// Seeded cascading ISL failure: wave `w` (at `start + w·step`, plus
-    /// per-link jitter inside one step) cuts every ISL whose endpoints
-    /// sit at hop distances exactly `w` and `w + 1` from the origin —
-    /// the boundary edges of the hop-radius-`w` ball. Adjacent grid
-    /// nodes differ by at most one hop of origin distance, so those are
-    /// *all* the edges leaving the ball: wave 0 severs the origin from
-    /// the torus (a partition), and later waves widen the cut ring.
-    /// Wave link sets are disjoint by construction, so no live link is
-    /// ever cut twice.
-    pub fn cascading_isl(grid: &GridTopology, p: &CascadingIslParams) -> Self {
-        assert!(grid.contains(p.origin), "cascade origin must be on the grid");
-        let mut rng = SmallRng::new(p.seed ^ 0x0CA5_CADE_0000_1517);
-        let mut events = Vec::new();
-        for id in grid.iter_ids() {
-            // North + East covers every torus link exactly once.
-            for dir in [Direction::North, Direction::East] {
-                let Some(n) = grid.neighbor(id, dir) else { continue };
-                let (da, db) = (grid.hop_distance(p.origin, id), grid.hop_distance(p.origin, n));
-                let wave = da.min(db);
-                if wave >= p.waves || da.abs_diff(db) != 1 {
-                    continue;
-                }
-                let jitter = if p.step_secs > 1 { rng.gen_range(p.step_secs) } else { 0 };
-                let cut = p.start_secs + u64::from(wave) * p.step_secs + jitter;
-                events.push(TimedFault { at_secs: cut, event: FaultEvent::LinkDown(id, n) });
-                if let Some(after) = p.restore_after_secs {
-                    events.push(TimedFault {
-                        at_secs: cut + after,
-                        event: FaultEvent::LinkUp(id, n),
-                    });
-                }
-            }
         }
         Self::from_events(events)
     }
@@ -360,14 +302,14 @@ pub struct DemandSurge {
 
 impl DemandSurge {
     /// Time the envelope returns to baseline.
-    pub fn end_secs(&self) -> u64 {
+    pub(crate) fn end_secs(&self) -> u64 {
         self.onset_secs + self.ramp_secs + self.hold_secs + self.decay_secs
     }
 
     /// Demand multiplier at `t_secs`: 1 outside the envelope, linear up
     /// the ramp, `peak_multiplier` across the plateau, linear down the
     /// decay.
-    pub fn multiplier_at(&self, t_secs: u64) -> f64 {
+    pub(crate) fn multiplier_at(&self, t_secs: u64) -> f64 {
         if t_secs < self.onset_secs || t_secs >= self.end_secs() {
             return 1.0;
         }
@@ -438,12 +380,14 @@ impl DemandSchedule {
     }
 
     /// The onset-ordered surges.
-    pub fn surges(&self) -> &[DemandSurge] {
+    #[cfg(test)]
+    pub(crate) fn surges(&self) -> &[DemandSurge] {
         &self.surges
     }
 
     /// Time the last envelope returns to baseline, if any.
-    pub fn last_event_secs(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn last_event_secs(&self) -> Option<u64> {
         self.surges.iter().map(DemandSurge::end_secs).max()
     }
 
@@ -776,49 +720,6 @@ mod tests {
         assert_eq!(cur.view().dead_count(), 0, "staged recovery must fully heal");
     }
 
-    #[test]
-    fn cascading_isl_wave_zero_partitions_origin() {
-        let g = grid();
-        let origin = sat(10, 7);
-        let p = CascadingIslParams {
-            origin,
-            start_secs: 60,
-            step_secs: 30,
-            waves: 3,
-            restore_after_secs: None,
-            seed: 5,
-        };
-        let sched = FaultSchedule::cascading_isl(&g, &p);
-        let mut cur = ScheduleCursor::new(&sched, FailureModel::none());
-        // After wave 0 (including its jitter) the origin's four incident
-        // links are all cut: it is severed from the rest of the torus.
-        cur.advance_to(p.start_secs + p.step_secs - 1);
-        for (_, n) in g.neighbors(origin) {
-            assert!(!cur.view().is_link_alive(origin, n), "link to {n} survived wave 0");
-        }
-        // Later waves cut strictly more links (the wider rings).
-        let after_wave0 = cur.view().cut_link_count();
-        cur.advance_to(u64::MAX);
-        assert!(cur.view().cut_link_count() > after_wave0);
-    }
-
-    #[test]
-    fn cascading_isl_restore_heals_everything() {
-        let g = grid();
-        let p = CascadingIslParams {
-            origin: sat(0, 0),
-            start_secs: 10,
-            step_secs: 20,
-            waves: 2,
-            restore_after_secs: Some(500),
-            seed: 9,
-        };
-        let sched = FaultSchedule::cascading_isl(&g, &p);
-        let mut cur = ScheduleCursor::new(&sched, FailureModel::none());
-        cur.advance_to(u64::MAX);
-        assert_eq!(cur.view().cut_link_count(), 0, "every cut link must restore");
-    }
-
     fn crowd_params(seed: u64) -> FlashCrowdParams {
         FlashCrowdParams {
             num_locations: 9,
@@ -1004,41 +905,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(ups, down_at.len(), "unpaired knockout");
-        }
-
-        #[test]
-        fn prop_cascading_isl_never_cuts_a_cut_link(
-            seed in 1u64..60,
-            orbit in 0u16..72,
-            slot in 0u16..18,
-            waves in 1u16..6,
-            restore in proptest::option::of(1u64..1000),
-        ) {
-            let g = grid();
-            let p = CascadingIslParams {
-                origin: sat(orbit, slot),
-                start_secs: 30,
-                step_secs: 25,
-                waves,
-                restore_after_secs: restore,
-                seed,
-            };
-            let sched = FaultSchedule::cascading_isl(&g, &p);
-            prop_assert!(!sched.is_empty());
-            // Replaying the stream, every LinkDown must target a live
-            // link (no duplicate cut of an already-cut link).
-            let mut cut = std::collections::HashSet::new();
-            for e in sched.events() {
-                match e.event {
-                    FaultEvent::LinkDown(a, b) => {
-                        prop_assert!(cut.insert(link_id(a, b)), "duplicate cut of {a}-{b}");
-                    }
-                    FaultEvent::LinkUp(a, b) => {
-                        prop_assert!(cut.remove(&link_id(a, b)), "restore of a live link {a}-{b}");
-                    }
-                    _ => prop_assert!(false, "cascade emits only link events"),
-                }
-            }
         }
 
         #[test]

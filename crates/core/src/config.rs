@@ -54,7 +54,7 @@ pub struct DelayedHitConfig {
 
 impl DelayedHitConfig {
     /// The model switched off (the default).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         DelayedHitConfig { fetch_epochs: 0, wait_ms_per_epoch: 0.0, origin_tiers: 1 }
     }
 
@@ -81,7 +81,7 @@ impl DelayedHitConfig {
     /// (split-mix finalizer, independent of the bucket-routing hash),
     /// so every serving path — engine, replayer, resumed checkpoint —
     /// charges the same fetch the same wait.
-    pub fn fetch_epochs_for(&self, object: starcdn_cache::ObjectId) -> u64 {
+    pub(crate) fn fetch_epochs_for(&self, object: starcdn_cache::ObjectId) -> u64 {
         if self.origin_tiers <= 1 {
             return self.fetch_epochs;
         }
@@ -172,7 +172,11 @@ impl StarCdnConfig {
     /// The proactive-prefetch alternative the paper evaluated and
     /// rejected (§3.3): hashing plus per-epoch top-k prefetch from the
     /// west same-bucket neighbour, no reactive relay.
-    pub fn starcdn_prefetch(num_buckets: u32, cache_capacity_bytes: u64, top_k: usize) -> Self {
+    pub(crate) fn starcdn_prefetch(
+        num_buckets: u32,
+        cache_capacity_bytes: u64,
+        top_k: usize,
+    ) -> Self {
         StarCdnConfig {
             relay: RelayPolicy::None,
             prefetch_top_k: Some(top_k),
@@ -191,7 +195,7 @@ impl StarCdnConfig {
     /// "StarCDN-Hashing" (§5.2): relayed fetch only, no hashing — every
     /// request served by the first-contact satellite, relaying to its
     /// immediate inter-orbit neighbours on a miss.
-    pub fn starcdn_no_hashing(cache_capacity_bytes: u64) -> Self {
+    pub(crate) fn starcdn_no_hashing(cache_capacity_bytes: u64) -> Self {
         StarCdnConfig { num_buckets: None, ..Self::starcdn(4, cache_capacity_bytes) }
     }
 
@@ -210,7 +214,7 @@ impl StarCdnConfig {
     /// serving path — the fleet, the replayer's pre-pass — builds its
     /// tiling here, so a bucket count that is not a perfect square or
     /// whose tile does not fit the grid is refused before any request.
-    pub fn tiling(&self) -> Result<Option<BucketTiling>, TilingError> {
+    pub(crate) fn tiling(&self) -> Result<Option<BucketTiling>, TilingError> {
         self.num_buckets.map(|l| BucketTiling::for_grid(l, &self.grid)).transpose()
     }
 

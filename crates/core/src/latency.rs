@@ -53,7 +53,7 @@ pub struct LatencyModel {
 /// first-order piece of it: an object must also be *clocked out* onto
 /// the link, which matters for multi-MB video objects on the 20 Gbps
 /// GSL (1 MiB ≈ 0.42 ms) and is negligible on 100 Gbps ISLs.
-pub fn transmission_delay_ms(size_bytes: u64, bandwidth_gbps: f64) -> f64 {
+pub(crate) fn transmission_delay_ms(size_bytes: u64, bandwidth_gbps: f64) -> f64 {
     if bandwidth_gbps <= 0.0 {
         return 0.0;
     }
@@ -79,13 +79,18 @@ impl LatencyModel {
 
     /// RTT of a request served from the bucket owner's cache:
     /// user→first-contact (GSL) →owner (route), and back.
-    pub fn space_hit_rtt_ms(&self, gsl_oneway_ms: f64, intra_hops: u16, inter_hops: u16) -> f64 {
+    pub(crate) fn space_hit_rtt_ms(
+        &self,
+        gsl_oneway_ms: f64,
+        intra_hops: u16,
+        inter_hops: u16,
+    ) -> f64 {
         2.0 * (gsl_oneway_ms + self.route_oneway_ms(intra_hops, inter_hops))
     }
 
     /// RTT when the owner missed but a same-bucket neighbour
     /// `relay_span` inter-orbit planes away served the object.
-    pub fn relay_hit_rtt_ms(
+    pub(crate) fn relay_hit_rtt_ms(
         &self,
         gsl_oneway_ms: f64,
         intra_hops: u16,
@@ -99,7 +104,7 @@ impl LatencyModel {
     /// RTT when the object had to come from the origin via the ground:
     /// the full space path plus owner→ground GSL plus ground→origin,
     /// both ways. `relay_penalty_span` > 0 adds the wasted relay probes.
-    pub fn ground_miss_rtt_ms(
+    pub(crate) fn ground_miss_rtt_ms(
         &self,
         gsl_oneway_ms: f64,
         intra_hops: u16,
@@ -116,7 +121,13 @@ impl LatencyModel {
     /// (20 Gbps), plus the feeder uplink for ground fetches. Lives here,
     /// not on the fleet, so the engine and the shard replayer charge it
     /// through the same function.
-    pub fn transmission_ms(&self, from: ServedFrom, size: u64, route_hops: u16, span: u16) -> f64 {
+    pub(crate) fn transmission_ms(
+        &self,
+        from: ServedFrom,
+        size: u64,
+        route_hops: u16,
+        span: u16,
+    ) -> f64 {
         let isl_bw = self.link.inter_orbit.bandwidth_gbps;
         let gsl_bw = self.link.gsl.bandwidth_gbps;
         let isl_hops = route_hops
@@ -135,14 +146,14 @@ impl LatencyModel {
 
     /// RTT of regular Starlink with no space cache (bent pipe to a
     /// terrestrial CDN edge): user→sat→GS→IXP→CDN and back.
-    pub fn starlink_no_cache_rtt_ms(&self, gsl_oneway_ms: f64) -> f64 {
+    pub(crate) fn starlink_no_cache_rtt_ms(&self, gsl_oneway_ms: f64) -> f64 {
         2.0 * (gsl_oneway_ms + self.link.delay_ms(IslKind::Gsl) + self.terrestrial_cdn_oneway_ms)
     }
 
     /// RTT of a *terrestrial* user to a terrestrial CDN edge, jittered
     /// deterministically by `u ∈ [0,1)` to form a distribution around
     /// the calibrated median.
-    pub fn terrestrial_cdn_rtt_ms(&self, u: f64) -> f64 {
+    pub(crate) fn terrestrial_cdn_rtt_ms(&self, u: f64) -> f64 {
         // Triangular-ish spread: median 20 ms, range ~[8, 45] ms.
         let med = calibration::TERRESTRIAL_USER_CDN_RTT_MS;
         if u < 0.5 {
@@ -154,7 +165,7 @@ impl LatencyModel {
 
     /// RTT of the Static Cache ideal: the cache hangs permanently above
     /// the user (GSL only) — on a miss it fetches from the ground.
-    pub fn static_cache_rtt_ms(&self, gsl_oneway_ms: f64, hit: bool) -> f64 {
+    pub(crate) fn static_cache_rtt_ms(&self, gsl_oneway_ms: f64, hit: bool) -> f64 {
         if hit {
             2.0 * gsl_oneway_ms
         } else {
@@ -174,20 +185,16 @@ impl LatencyCdf {
     /// ±∞) are dropped: they carry no latency information and would
     /// otherwise poison the top quantiles, since NaN total-orders above
     /// every real sample.
-    pub fn from_samples(samples: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(samples: Vec<f64>) -> Self {
         let mut samples: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
         samples.sort_by(|a, b| a.total_cmp(b));
         LatencyCdf { sorted_ms: samples }
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.sorted_ms.len()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sorted_ms.is_empty()
     }
 
     /// The `q`-quantile: `None` when the CDF is empty or `q` is not a
@@ -206,24 +213,6 @@ impl LatencyCdf {
     /// Median latency.
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
-    }
-
-    /// Smallest sample (p0), `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted_ms.first().copied()
-    }
-
-    /// Largest sample (p100), `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted_ms.last().copied()
-    }
-
-    /// Fraction of samples ≤ `x` ms.
-    pub fn cdf_at(&self, x: f64) -> f64 {
-        if self.sorted_ms.is_empty() {
-            return 0.0;
-        }
-        self.sorted_ms.partition_point(|&v| v <= x) as f64 / self.sorted_ms.len() as f64
     }
 }
 
@@ -334,20 +323,17 @@ mod tests {
         assert_eq!(cdf.median(), Some(30.0));
         assert_eq!(cdf.quantile(0.0), Some(10.0));
         assert_eq!(cdf.quantile(1.0), Some(50.0));
-        assert!((cdf.cdf_at(25.0) - 0.4).abs() < 1e-12);
-        assert_eq!(cdf.cdf_at(1000.0), 1.0);
     }
 
     #[test]
     fn empty_cdf() {
         let cdf = LatencyCdf::default();
-        assert!(cdf.is_empty());
+        assert_eq!(cdf.len(), 0);
         assert_eq!(cdf.median(), None);
         assert_eq!(cdf.quantile(0.0), None);
         assert_eq!(cdf.quantile(1.0), None);
-        assert_eq!(cdf.min(), None);
-        assert_eq!(cdf.max(), None);
-        assert_eq!(cdf.cdf_at(10.0), 0.0);
+        assert_eq!(cdf.quantile(0.0), None);
+        assert_eq!(cdf.quantile(1.0), None);
         // from_samples of nothing is the same as default.
         assert_eq!(LatencyCdf::from_samples(vec![]), cdf);
     }
@@ -359,21 +345,19 @@ mod tests {
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(cdf.quantile(q), Some(42.0), "q={q}");
         }
-        assert_eq!(cdf.min(), Some(42.0));
-        assert_eq!(cdf.max(), Some(42.0));
-        assert_eq!(cdf.cdf_at(41.9), 0.0);
-        assert_eq!(cdf.cdf_at(42.0), 1.0);
+        assert_eq!(cdf.quantile(0.0), Some(42.0));
+        assert_eq!(cdf.quantile(1.0), Some(42.0));
     }
 
     #[test]
     fn p100_is_exact_max_and_out_of_range_clamps() {
         let cdf = LatencyCdf::from_samples(vec![5.0, 1.0, 9.0, 3.0]);
         assert_eq!(cdf.quantile(1.0), Some(9.0));
-        assert_eq!(cdf.max(), Some(9.0));
+        assert_eq!(cdf.quantile(1.0), Some(9.0));
         // q outside [0,1] clamps rather than indexing out of bounds.
         assert_eq!(cdf.quantile(7.5), Some(9.0));
         assert_eq!(cdf.quantile(-2.0), Some(1.0));
-        assert_eq!(cdf.min(), Some(1.0));
+        assert_eq!(cdf.quantile(0.0), Some(1.0));
     }
 
     #[test]
@@ -392,6 +376,6 @@ mod tests {
         assert_eq!(cdf.len(), 2);
         // Without filtering, NaN sorts above every real and p100 is NaN.
         assert_eq!(cdf.quantile(1.0), Some(20.0));
-        assert_eq!(cdf.min(), Some(10.0));
+        assert_eq!(cdf.quantile(0.0), Some(10.0));
     }
 }

@@ -48,7 +48,7 @@ impl IntoIterator for RelayCandidates {
 /// Each candidate is `(source_tag, satellite)`. Candidates equal to the
 /// owner itself (possible after failure remapping collapses neighbours)
 /// are dropped.
-pub fn relay_candidates(
+pub(crate) fn relay_candidates(
     grid: &GridTopology,
     owner: SatelliteId,
     span_planes: u16,

@@ -22,6 +22,7 @@ use crate::kernel::{self, RoutedRequest, ServeEnv, Slots};
 use crate::metrics::SystemMetrics;
 use serde::{Deserialize, Serialize};
 use starcdn_cache::object::ObjectId;
+#[cfg(test)]
 use starcdn_cache::policy::Cache;
 use starcdn_cache::{InflightQueue, InflightState};
 use starcdn_constellation::buckets::BucketTiling;
@@ -133,7 +134,7 @@ pub enum RouteOutcome {
 
 impl RouteOutcome {
     /// The resolved route, dropping the degraded outcomes.
-    pub fn routed(self) -> Option<ResolvedRoute> {
+    pub(crate) fn routed(self) -> Option<ResolvedRoute> {
         match self {
             RouteOutcome::Routed(r) => Some(r),
             RouteOutcome::Partitioned { .. } | RouteOutcome::Unroutable => None,
@@ -279,13 +280,9 @@ impl SpaceCdn {
         self.now_epoch = epoch;
     }
 
-    /// The current delayed-hit clock.
-    pub fn now_epoch(&self) -> u64 {
-        self.now_epoch
-    }
-
     /// Read-only view of one satellite's outstanding-fetch queue.
-    pub fn inflight_of(&self, id: SatelliteId) -> &InflightQueue {
+    #[cfg(test)]
+    pub(crate) fn inflight_of(&self, id: SatelliteId) -> &InflightQueue {
         &self.slots.inflight[self.cache_idx(id)]
     }
 
@@ -309,7 +306,8 @@ impl SpaceCdn {
     }
 
     /// Read-only view of one satellite's cache.
-    pub fn cache_of(&self, id: SatelliteId) -> &dyn Cache {
+    #[cfg(test)]
+    pub(crate) fn cache_of(&self, id: SatelliteId) -> &dyn Cache {
         self.slots.caches[self.cache_idx(id)].as_ref()
     }
 
@@ -326,7 +324,11 @@ impl SpaceCdn {
 
     /// [`SpaceCdn::resolve_route`] with the explicit three-way outcome
     /// (routed / partitioned / unroutable).
-    pub fn classify_route(&self, first_contact: SatelliteId, object: ObjectId) -> RouteOutcome {
+    pub(crate) fn classify_route(
+        &self,
+        first_contact: SatelliteId,
+        object: ObjectId,
+    ) -> RouteOutcome {
         let rec = &starcdn_telemetry::Noop;
         classify_route_in_recorded(&self.env, &self.failures, first_contact, object, rec)
     }
@@ -459,7 +461,8 @@ impl SpaceCdn {
     }
 
     /// Is this satellite still in its post-recovery warm-up?
-    pub fn is_cold(&self, id: SatelliteId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_cold(&self, id: SatelliteId) -> bool {
         self.cold[self.cache_idx(id)]
     }
 
@@ -472,19 +475,6 @@ impl SpaceCdn {
             alive_sats: alive,
             cut_links: self.failures.cut_link_count() as u32,
         });
-    }
-
-    /// Drop all cached content and metrics (fresh run, same config).
-    pub fn reset(&mut self) {
-        for c in &mut self.slots.caches {
-            c.clear();
-        }
-        for q in &mut self.slots.inflight {
-            q.clear();
-        }
-        self.cold.fill(false);
-        self.now_epoch = 0;
-        self.metrics = SystemMetrics::default();
     }
 
     /// Zero the metrics but keep all cached content — used to discount a
@@ -947,10 +937,10 @@ mod tests {
         assert_eq!(cdn.metrics.served_ground, 1);
         assert_eq!(cdn.metrics.served_local, 1);
         assert!((cdn.metrics.uplink_fraction() - 0.5).abs() < 1e-12);
-        cdn.reset();
+        cdn.reset_metrics();
         assert_eq!(cdn.metrics.stats.requests, 0);
         let o = cdn.handle_request(sat, ObjectId(1), 100, 2.9);
-        assert_eq!(o.served_from, ServedFrom::Ground, "caches cleared");
+        assert_eq!(o.served_from, ServedFrom::LocalHit, "content survives a metrics reset");
     }
 
     mod delayed {

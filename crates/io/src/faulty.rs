@@ -232,11 +232,6 @@ impl FaultyIo {
     pub fn crashed(&self) -> bool {
         self.shared.inner.lock().unwrap().stats.crashed_at.is_some()
     }
-
-    /// Operations issued so far.
-    pub fn ops(&self) -> u64 {
-        self.shared.inner.lock().unwrap().next_op
-    }
 }
 
 fn crash_error(op: IoOp, path: &Path, at: u64) -> IoError {

@@ -57,7 +57,7 @@ pub enum IoOp {
 
 impl IoOp {
     /// Lowercase human name, used in error messages.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             IoOp::Create => "create",
             IoOp::Open => "open",
@@ -87,7 +87,7 @@ pub struct IoError {
 }
 
 impl IoError {
-    pub fn new(op: IoOp, path: &Path, source: std::io::Error) -> Self {
+    pub(crate) fn new(op: IoOp, path: &Path, source: std::io::Error) -> Self {
         IoError { op, path: path.to_path_buf(), source }
     }
 

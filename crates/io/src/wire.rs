@@ -52,7 +52,7 @@ impl<'a> Reader<'a> {
 
     /// Bytes not yet read.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

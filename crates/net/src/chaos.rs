@@ -72,7 +72,8 @@ pub struct ChaosPlan {
 
 impl ChaosPlan {
     /// No faults at all: the wrapper becomes a pass-through.
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         ChaosPlan { seed: 0, kinds: Vec::new(), denom: 0, max_faults: 0 }
     }
 
@@ -83,7 +84,7 @@ impl ChaosPlan {
 
     /// The pure decision function: would op `op_index` fault, and how?
     /// Ignores `max_faults` (that is runtime state, not schedule).
-    pub fn decide(&self, op_index: u64) -> Option<FaultKind> {
+    pub(crate) fn decide(&self, op_index: u64) -> Option<FaultKind> {
         if self.kinds.is_empty() || self.denom == 0 {
             return None;
         }

@@ -21,7 +21,7 @@
 //! checksums them where they lie (the router frames every plan batch its
 //! window admits back to back into its endpoint's scratch and sends them
 //! in one write: one copy, one CRC pass per batch);
-//! [`FrameCodec::recv_from`] lets the transport read into the decoder's
+//! `FrameCodec::recv_from` lets the transport read into the decoder's
 //! own buffer, and [`FrameCodec::next_frame_ref`] hands an `Ops` payload
 //! out as a slice of that buffer (the shard applies it in place: one
 //! read, one CRC pass). [`Frame`] is the owning form of the same eleven
@@ -361,7 +361,7 @@ impl<'a> FrameRef<'a> {
 
 /// Incremental frame decoder over a byte stream.
 ///
-/// Put received bytes in ([`recv_from`](Self::recv_from) reads a
+/// Put received bytes in (`recv_from` reads a
 /// connection straight into the buffer, [`push`](Self::push) copies a
 /// slice), pull complete frames out. The internal buffer is bounded: a
 /// hostile length prefix is rejected the moment the four prefix bytes
@@ -413,7 +413,7 @@ impl FrameCodec {
     /// One `recv` on `conn`, straight into the buffer's free tail.
     /// Returns what `recv` returned: the byte count (`0` = nothing yet)
     /// or its error.
-    pub fn recv_from(&mut self, conn: &mut dyn NetConn) -> Result<usize, NetError> {
+    pub(crate) fn recv_from(&mut self, conn: &mut dyn NetConn) -> Result<usize, NetError> {
         self.make_room(READ_CHUNK);
         let n = conn.recv(&mut self.buf[self.end..])?;
         self.end += n;

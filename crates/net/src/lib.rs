@@ -32,5 +32,5 @@ pub use error::NetError;
 pub use frame::{Frame, FrameCodec, FrameRef, MAX_FRAME_LEN, MIN_FRAME_LEN};
 pub use mem::MemNet;
 pub use plane::{serve_replay, CircuitAction, ServeConfig, ServeReport, ServeStats};
-pub use shard::{run_shard_server, ShardServerStats};
+pub use shard::ShardServerStats;
 pub use transport::{Net, NetConn, NetListener, RealNet};

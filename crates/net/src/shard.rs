@@ -19,7 +19,7 @@
 //!
 //! Single-threaded and non-blocking throughout: the loop polls its
 //! listener and every live connection, and a full pass that made no
-//! progress goes to the shared [`Idle`] policy (yield first, sleep
+//! progress goes to the shared `Idle` policy (yield first, sleep
 //! later).
 //!
 //! A batch's bytes are read once and checksummed once: each connection
@@ -145,7 +145,7 @@ enum Action {
 /// Run one shard server until `Shutdown` arrives or `stop` is set.
 /// Returns the final cache state alongside the stats so in-process
 /// supervisors can inspect it after a teardown without a drain.
-pub fn run_shard_server(
+pub(crate) fn run_shard_server(
     mut listener: Box<dyn NetListener>,
     mut state: ShardState,
     shard: u32,

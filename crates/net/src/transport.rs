@@ -11,7 +11,7 @@
 //! the trait boundary is where an async runtime would slot in).
 //!
 //! Polling needs an answer to "nothing moved — now what?", and
-//! [`Idle`] is the one place that gives it: the router loop, the shard
+//! `Idle` is the one place that gives it: the router loop, the shard
 //! server loop and a back-pressured TCP send all yield the processor
 //! for a bounded run of empty passes before they start sleeping.
 

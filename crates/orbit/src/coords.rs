@@ -41,12 +41,14 @@ pub struct Geodetic {
 }
 
 impl Eci {
-    pub fn new(x: f64, y: f64, z: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(x: f64, y: f64, z: f64) -> Self {
         Eci { x, y, z }
     }
 
     /// Euclidean norm in km.
-    pub fn norm(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn norm(&self) -> f64 {
         (self.x * self.x + self.y * self.y + self.z * self.z).sqrt()
     }
 
@@ -63,12 +65,8 @@ impl Eci {
 }
 
 impl Ecef {
-    pub fn new(x: f64, y: f64, z: f64) -> Self {
-        Ecef { x, y, z }
-    }
-
     /// Euclidean norm in km.
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         (self.x * self.x + self.y * self.y + self.z * self.z).sqrt()
     }
 
@@ -81,7 +79,7 @@ impl Ecef {
     }
 
     /// Convert to geodetic coordinates on the spherical Earth model.
-    pub fn to_geodetic(&self) -> Geodetic {
+    pub(crate) fn to_geodetic(self) -> Geodetic {
         let r = self.norm();
         Geodetic {
             lat_rad: (self.z / r).asin(),

@@ -61,28 +61,6 @@ pub fn track_similarity_km(
     total / samples as f64
 }
 
-/// How long a satellite stays within `radius_km` (surface distance) of a
-/// ground point during `[start, start+duration]`, in simulation time.
-///
-/// This quantifies the paper's "a satellite serves a given location for
-/// less than ten minutes".
-pub fn dwell_time(
-    orbit: &CircularOrbit,
-    point: Geodetic,
-    radius_km: f64,
-    start: SimTime,
-    duration: SimDuration,
-    step: SimDuration,
-) -> SimDuration {
-    let mut total = SimDuration::ZERO;
-    for tp in ground_track(orbit, start, duration, step) {
-        if tp.point.haversine_km(&point) <= radius_km {
-            total += step;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,14 +163,12 @@ mod tests {
             (0..72).step_by(6).flat_map(|o| (0..18).step_by(3).map(move |s| (o, s)))
         {
             let orbit = shell.orbit_for(SatelliteId::new(orbit_idx, slot));
-            let d = dwell_time(
-                &orbit,
-                nyc,
-                940.0, // ground radius of the 25° elevation cone
-                SimTime::ZERO,
-                SimDuration::from_secs(6000),
-                SimDuration::from_secs(15),
-            );
+            // Time within 940 km (the ground radius of the 25° elevation
+            // cone) of NYC.
+            let step = SimDuration::from_secs(15);
+            let track = ground_track(&orbit, SimTime::ZERO, SimDuration::from_secs(6000), step);
+            let inside = track.iter().filter(|tp| tp.point.haversine_km(&nyc) <= 940.0).count();
+            let d = SimDuration::from_millis(inside as u64 * step.as_millis());
             max_dwell = max_dwell.max(d);
         }
         assert!(max_dwell <= SimDuration::from_secs(600), "dwell = {max_dwell}");

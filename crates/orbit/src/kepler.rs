@@ -35,21 +35,10 @@ pub struct OrbitalElements {
 }
 
 impl OrbitalElements {
-    /// Orbital period in seconds.
-    pub fn period_s(&self) -> f64 {
-        let a = self.semi_major_axis_km;
-        2.0 * std::f64::consts::PI * (a * a * a / MU_EARTH).sqrt()
-    }
-
-    /// Mean motion in rad/s.
-    pub fn mean_motion_rad_s(&self) -> f64 {
-        2.0 * std::f64::consts::PI / self.period_s()
-    }
-
     /// Collapse to the circular model (ignores eccentricity and argument
     /// of perigee, folding the mean anomaly into the phase). Valid for
     /// near-circular orbits like Starlink's.
-    pub fn to_circular(&self) -> CircularOrbit {
+    pub(crate) fn to_circular(self) -> CircularOrbit {
         CircularOrbit {
             altitude_km: self.semi_major_axis_km - EARTH_RADIUS_KM,
             inclination_rad: self.inclination_rad,
@@ -89,7 +78,7 @@ impl CircularOrbit {
     }
 
     /// Orbital radius, km.
-    pub fn radius_km(&self) -> f64 {
+    pub(crate) fn radius_km(&self) -> f64 {
         EARTH_RADIUS_KM + self.altitude_km
     }
 
@@ -100,13 +89,13 @@ impl CircularOrbit {
     }
 
     /// Mean motion, rad/s.
-    pub fn mean_motion_rad_s(&self) -> f64 {
+    pub(crate) fn mean_motion_rad_s(&self) -> f64 {
         2.0 * std::f64::consts::PI / self.period_s()
     }
 
     /// J2 secular rate of change of the RAAN, rad/s (negative — westward —
     /// for prograde orbits).
-    pub fn raan_drift_rad_s(&self) -> f64 {
+    pub(crate) fn raan_drift_rad_s(&self) -> f64 {
         let n = self.mean_motion_rad_s();
         let a = self.radius_km();
         -1.5 * n * J2 * (EARTH_EQ_RADIUS_KM / a).powi(2) * self.inclination_rad.cos()
@@ -128,11 +117,6 @@ impl CircularOrbit {
         let (so, co) = raan.sin_cos();
         Eci { x: r * (co * cu - so * su * ci), y: r * (so * cu + co * su * ci), z: r * (su * si) }
     }
-
-    /// Orbital speed relative to the Earth's centre, km/s.
-    pub fn speed_km_s(&self) -> f64 {
-        (MU_EARTH / self.radius_km()).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -147,8 +131,11 @@ mod tests {
 
     #[test]
     fn speed_is_about_7_6_km_s() {
-        // The paper cites ~8 km/s for LEO satellites.
-        let v = starlink_orbit().speed_km_s();
+        // The paper cites ~8 km/s for LEO satellites: the chord swept in
+        // one second.
+        let o = starlink_orbit();
+        let (a, b) = (o.position_eci(SimTime::ZERO), o.position_eci(SimTime::from_secs(1)));
+        let v = ((a.x - b.x).powi(2) + (a.y - b.y).powi(2) + (a.z - b.z).powi(2)).sqrt();
         assert!((7.0..8.2).contains(&v), "v = {v}");
     }
 
@@ -211,7 +198,6 @@ mod tests {
         let c = el.to_circular();
         assert!((c.altitude_km - 550.0).abs() < 1e-9);
         assert!((c.phase_rad - 0.75).abs() < 1e-12);
-        assert!((el.period_s() - c.period_s()).abs() < 1e-6);
     }
 
     #[test]

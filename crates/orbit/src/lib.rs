@@ -40,7 +40,6 @@ pub mod walker;
 
 pub use coords::{Ecef, Eci, Geodetic};
 pub use kepler::{CircularOrbit, OrbitalElements};
-pub use propagator::{Propagator, SatelliteState};
 pub use time::SimTime;
 pub use walker::{SatelliteId, WalkerConstellation};
 

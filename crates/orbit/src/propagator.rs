@@ -1,15 +1,16 @@
 //! Satellite state propagation.
 //!
-//! A [`Satellite`] pairs an identifier with its orbit; a [`Propagator`]
-//! turns orbits into time-stamped positions. The default propagator
-//! evaluates the analytic circular model directly; a caching layer
-//! ([`SnapshotPropagator`]) amortizes per-epoch evaluation when many
-//! queries share the same simulation step (the common case: the scheduler
-//! queries all 1296 satellites every 15 s epoch). It holds its positions
-//! in one form, struct-of-arrays columns ([`PositionsSoa`]), which the
-//! visibility scans sweep and [`SnapshotPropagator::position_of`] reads.
+//! A [`Satellite`] pairs an identifier with its orbit, whose analytic
+//! circular model gives its position at any time
+//! ([`CircularOrbit::position_eci`]). [`SnapshotPropagator`] amortizes
+//! that evaluation when many queries share the same simulation step (the
+//! common case: the scheduler queries all 1296 satellites every 15 s
+//! epoch); the tests hold it to the analytic model. It holds its
+//! positions in one form, struct-of-arrays columns ([`PositionsSoa`]),
+//! which the visibility scans sweep and
+//! [`SnapshotPropagator::position_of`] reads.
 
-use crate::coords::{Ecef, Eci, Geodetic};
+use crate::coords::Ecef;
 use crate::kepler::CircularOrbit;
 use crate::time::SimTime;
 use crate::walker::SatelliteId;
@@ -20,39 +21,6 @@ use serde::{Deserialize, Serialize};
 pub struct Satellite {
     pub id: SatelliteId,
     pub orbit: CircularOrbit,
-}
-
-/// Fully resolved satellite state at an instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SatelliteState {
-    pub id: SatelliteId,
-    pub time: SimTime,
-    pub eci: Eci,
-    pub ecef: Ecef,
-    pub geodetic: Geodetic,
-}
-
-/// Anything that can position satellites in time.
-pub trait Propagator {
-    /// Earth-fixed position of one satellite at time `t`.
-    fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef;
-
-    /// Full state for one satellite at time `t`.
-    fn state(&self, sat: &Satellite, t: SimTime) -> SatelliteState {
-        let eci = sat.orbit.position_eci(t);
-        let ecef = eci.to_ecef(t);
-        SatelliteState { id: sat.id, time: t, eci, ecef, geodetic: ecef.to_geodetic() }
-    }
-}
-
-/// Direct analytic evaluation: stateless and exact for the circular model.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AnalyticPropagator;
-
-impl Propagator for AnalyticPropagator {
-    fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef {
-        sat.orbit.position_eci(t).to_ecef(t)
-    }
 }
 
 /// Per-satellite constants hoisted out of the epoch-advance hot loop,
@@ -236,17 +204,17 @@ impl PositionsSoa {
     }
 
     /// ECEF x column, km.
-    pub fn x(&self) -> &[f64] {
+    pub(crate) fn x(&self) -> &[f64] {
         &self.x
     }
 
     /// ECEF y column, km.
-    pub fn y(&self) -> &[f64] {
+    pub(crate) fn y(&self) -> &[f64] {
         &self.y
     }
 
     /// ECEF z column, km.
-    pub fn z(&self) -> &[f64] {
+    pub(crate) fn z(&self) -> &[f64] {
         &self.z
     }
 
@@ -281,7 +249,7 @@ impl PositionsSoa {
 /// The simulation engine advances in 15 s steps and, within a step, asks
 /// for the same positions many times (per user, per request batch); this
 /// cache makes those queries O(1) array lookups. The per-epoch
-/// recomputation itself is hoisted (see [`ConstantsSoa`]): for a
+/// recomputation itself is hoisted (see `ConstantsSoa`): for a
 /// single-shell constellation an `advance_to` costs two `sin_cos` calls
 /// total plus ~a dozen multiplies per satellite, streamed through
 /// struct-of-arrays columns. After the first `advance_to` all buffers are
@@ -583,20 +551,54 @@ fn rate_trigs_into(rates: &[(f64, f64)], t: SimTime, out: &mut Vec<(f64, f64, f6
     }));
 }
 
-impl Propagator for SnapshotPropagator {
-    fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef {
-        if t == self.epoch && self.complete {
-            self.position_of(sat.id)
-        } else {
-            AnalyticPropagator.position_ecef(sat, t)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coords::{Eci, Geodetic};
     use crate::walker::WalkerConstellation;
+
+    /// Fully resolved satellite state at an instant.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct SatelliteState {
+        id: SatelliteId,
+        time: SimTime,
+        eci: Eci,
+        ecef: Ecef,
+        geodetic: Geodetic,
+    }
+
+    /// Anything that can position satellites in time.
+    trait Propagator {
+        /// Earth-fixed position of one satellite at time `t`.
+        fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef;
+
+        /// Full state for one satellite at time `t`.
+        fn state(&self, sat: &Satellite, t: SimTime) -> SatelliteState {
+            let eci = sat.orbit.position_eci(t);
+            let ecef = eci.to_ecef(t);
+            SatelliteState { id: sat.id, time: t, eci, ecef, geodetic: ecef.to_geodetic() }
+        }
+    }
+
+    /// Direct analytic evaluation: stateless and exact for the circular model.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct AnalyticPropagator;
+
+    impl Propagator for AnalyticPropagator {
+        fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef {
+            sat.orbit.position_eci(t).to_ecef(t)
+        }
+    }
+
+    impl Propagator for SnapshotPropagator {
+        fn position_ecef(&self, sat: &Satellite, t: SimTime) -> Ecef {
+            if t == self.epoch && self.complete {
+                self.position_of(sat.id)
+            } else {
+                AnalyticPropagator.position_ecef(sat, t)
+            }
+        }
+    }
 
     #[test]
     fn analytic_state_is_consistent() {

@@ -40,11 +40,6 @@ impl SimTime {
         Self::from_mins(hours * 60)
     }
 
-    /// Construct from whole days.
-    pub fn from_days(days: u64) -> Self {
-        Self::from_hours(days * 24)
-    }
-
     /// Time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1000.0
@@ -58,11 +53,6 @@ impl SimTime {
     /// Time in whole seconds (truncated).
     pub fn as_secs(self) -> u64 {
         self.0 / 1000
-    }
-
-    /// Saturating subtraction of two instants, yielding a duration.
-    pub fn saturating_sub(self, other: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -96,11 +86,6 @@ impl SimDuration {
         Self::from_mins(hours * 60)
     }
 
-    /// Construct from whole days.
-    pub fn from_days(days: u64) -> Self {
-        Self::from_hours(days * 24)
-    }
-
     /// Construct from fractional seconds (rounded to the nearest ms).
     pub fn from_secs_f64(secs: f64) -> Self {
         SimDuration((secs * 1000.0).round().max(0.0) as u64)
@@ -109,11 +94,6 @@ impl SimDuration {
     /// Duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1000.0
-    }
-
-    /// Duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64
     }
 
     /// Duration in whole milliseconds.
@@ -188,7 +168,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(5).as_millis(), 5000);
         assert_eq!(SimTime::from_mins(2), SimTime::from_secs(120));
         assert_eq!(SimTime::from_hours(1), SimTime::from_secs(3600));
-        assert_eq!(SimTime::from_days(1), SimTime::from_hours(24));
         assert_eq!(SimTime::from_millis(1500).as_secs(), 1);
     }
 
@@ -203,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn saturating_sub_does_not_underflow() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(2);
-        assert_eq!(early.saturating_sub(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_sub(early), SimDuration::from_secs(1));
-    }
-
-    #[test]
     fn fractional_seconds() {
         let d = SimDuration::from_secs_f64(0.00803);
         assert_eq!(d.as_millis(), 8);
@@ -220,7 +191,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(SimTime::from_secs(3661).to_string(), "01:01:01");
-        assert_eq!(SimTime::from_days(2).to_string(), "2d00:00:00");
+        assert_eq!(SimTime::from_hours(48).to_string(), "2d00:00:00");
         assert_eq!(SimDuration::from_millis(12).to_string(), "12ms");
         assert_eq!(SimDuration::from_secs(3).to_string(), "3.00s");
     }

@@ -32,8 +32,6 @@ pub struct Tle {
 /// Errors produced while parsing TLE text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TleError {
-    /// The record does not have the expected number of lines.
-    TooFewLines,
     /// A data line is shorter than the 69-column TLE format.
     LineTooShort { line: u8 },
     /// A data line does not start with the expected line number.
@@ -47,7 +45,6 @@ pub enum TleError {
 impl std::fmt::Display for TleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TleError::TooFewLines => write!(f, "TLE record has too few lines"),
             TleError::LineTooShort { line } => write!(f, "TLE line {line} is too short"),
             TleError::BadLineNumber { line } => write!(f, "TLE line {line} has wrong line number"),
             TleError::BadField { line, field } => {
@@ -63,7 +60,7 @@ impl std::fmt::Display for TleError {
 impl std::error::Error for TleError {}
 
 /// TLE modulo-10 checksum: digits count as their value, `-` counts as 1.
-pub fn checksum(line: &str) -> u8 {
+pub(crate) fn checksum(line: &str) -> u8 {
     let mut sum = 0u32;
     for c in line.chars().take(68) {
         match c {
@@ -138,41 +135,14 @@ impl Tle {
         })
     }
 
-    /// Parse a whole 3-line-per-record catalog (CelesTrak format).
-    pub fn parse_catalog(text: &str) -> Result<Vec<Tle>, TleError> {
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < lines.len() {
-            if i + 2 > lines.len() && !lines[i].starts_with("1 ") {
-                return Err(TleError::TooFewLines);
-            }
-            // Records may or may not carry a name line.
-            if lines[i].starts_with("1 ") {
-                if i + 1 >= lines.len() {
-                    return Err(TleError::TooFewLines);
-                }
-                out.push(Tle::parse("", lines[i], lines[i + 1])?);
-                i += 2;
-            } else {
-                if i + 2 >= lines.len() {
-                    return Err(TleError::TooFewLines);
-                }
-                out.push(Tle::parse(lines[i], lines[i + 1], lines[i + 2])?);
-                i += 3;
-            }
-        }
-        Ok(out)
-    }
-
     /// Semi-major axis implied by the mean motion, km.
-    pub fn semi_major_axis_km(&self) -> f64 {
+    pub(crate) fn semi_major_axis_km(&self) -> f64 {
         let n_rad_s = self.mean_motion_rev_day * 2.0 * std::f64::consts::PI / 86400.0;
         (MU_EARTH / (n_rad_s * n_rad_s)).cbrt()
     }
 
     /// Convert to classical orbital elements.
-    pub fn to_elements(&self) -> OrbitalElements {
+    pub(crate) fn to_elements(&self) -> OrbitalElements {
         OrbitalElements {
             semi_major_axis_km: self.semi_major_axis_km(),
             eccentricity: self.eccentricity,
@@ -289,27 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_catalog_with_and_without_names() {
-        let (n, l1, l2) = synthesize_tle("CAT-A", 1, 53.0, 0.0, 0.0, 15.05);
-        let (_, m1, m2) = synthesize_tle("", 2, 53.0, 5.0, 20.0, 15.05);
-        let text = format!("{n}\n{l1}\n{l2}\n{m1}\n{m2}\n");
-        let cat = Tle::parse_catalog(&text).expect("catalog");
-        assert_eq!(cat.len(), 2);
-        assert_eq!(cat[0].name, "CAT-A");
-        assert_eq!(cat[1].norad_id, 2);
-    }
-
-    #[test]
-    fn parse_catalog_truncated_record_errors() {
-        let (n, l1, _) = synthesize_tle("CAT-A", 1, 53.0, 0.0, 0.0, 15.05);
-        let text = format!("{n}\n{l1}\n");
-        assert!(Tle::parse_catalog(&text).is_err());
-    }
-
-    #[test]
     fn error_display_messages() {
         let e = TleError::BadChecksum { line: 2, expected: 3, actual: 7 };
         assert!(e.to_string().contains("checksum"));
-        assert!(TleError::TooFewLines.to_string().contains("few"));
     }
 }

@@ -17,7 +17,7 @@
 use crate::constants::{EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S};
 use crate::coords::{Ecef, Geodetic};
 use crate::propagator::{PlaneFrames, PositionsSoa, Satellite, SnapshotPropagator};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::walker::SatelliteId;
 
 /// Starlink's minimum elevation mask, degrees.
@@ -31,18 +31,6 @@ pub struct VisibleSatellite {
     pub elevation_deg: f64,
     /// Straight-line range, km.
     pub slant_range_km: f64,
-}
-
-impl VisibleSatellite {
-    /// One-way propagation delay over the ground-satellite link.
-    pub fn propagation_delay(&self) -> SimDuration {
-        propagation_delay_km(self.slant_range_km)
-    }
-}
-
-/// One-way propagation delay for a straight-line distance.
-pub fn propagation_delay_km(distance_km: f64) -> SimDuration {
-    SimDuration::from_secs_f64(distance_km / SPEED_OF_LIGHT_KM_S)
 }
 
 /// One-way propagation delay in fractional milliseconds (no rounding),
@@ -560,74 +548,12 @@ impl VisibilityWindow {
 
 /// Maximum slant range to a satellite at `altitude_km` that is still above
 /// `min_elevation_deg` (law of cosines on the Earth-centred triangle).
-pub fn max_slant_range_km(altitude_km: f64, min_elevation_deg: f64) -> f64 {
+pub(crate) fn max_slant_range_km(altitude_km: f64, min_elevation_deg: f64) -> f64 {
     let re = EARTH_RADIUS_KM;
     let rs = re + altitude_km;
     let el = min_elevation_deg.to_radians();
     // range = -Re sin(el) + sqrt(Rs^2 - Re^2 cos^2(el))
     -re * el.sin() + (rs * rs - re * re * el.cos() * el.cos()).sqrt()
-}
-
-/// One visibility pass of a satellite over a ground location.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pass {
-    /// Acquisition of signal (first epoch above the mask).
-    pub aos: SimTime,
-    /// Loss of signal (last epoch above the mask).
-    pub los: SimTime,
-    /// Peak elevation during the pass, degrees.
-    pub max_elevation_deg: f64,
-}
-
-impl Pass {
-    /// Pass duration.
-    pub fn duration(&self) -> SimDuration {
-        self.los.saturating_sub(self.aos)
-    }
-}
-
-/// Predict the visibility passes of one satellite over `ground` within
-/// `[start, start + window]`, sampled every `step`.
-///
-/// This is the substrate API behind §3.1.1's "a satellite serves a given
-/// location for less than ten minutes": passes of the 550 km shell above
-/// a 25° mask last single-digit minutes.
-pub fn predict_passes(
-    satellite: &Satellite,
-    ground: Geodetic,
-    start: SimTime,
-    window: SimDuration,
-    step: SimDuration,
-    min_elevation_deg: f64,
-) -> Vec<Pass> {
-    assert!(step.as_millis() > 0, "step must be positive");
-    let g = ground.to_ecef();
-    let mut passes = Vec::new();
-    let mut current: Option<Pass> = None;
-    let mut t = start;
-    let end = start + window;
-    while t <= end {
-        let p = satellite.orbit.position_eci(t).to_ecef(t);
-        let (el, _) = elevation_and_range(&g, &p);
-        if el >= min_elevation_deg {
-            match current.as_mut() {
-                Some(pass) => {
-                    pass.los = t;
-                    pass.max_elevation_deg = pass.max_elevation_deg.max(el);
-                }
-                None => {
-                    current = Some(Pass { aos: t, los: t, max_elevation_deg: el });
-                }
-            }
-        } else if let Some(pass) = current.take() {
-            passes.push(pass);
-        }
-        t += step;
-    }
-    if let Some(pass) = current {
-        passes.push(pass);
-    }
-    passes
 }
 
 #[cfg(test)]
@@ -931,72 +857,35 @@ mod tests {
     }
 
     #[test]
-    fn propagation_delay_rounding() {
-        let d = propagation_delay_km(2998.0);
-        assert_eq!(d.as_millis(), 10);
-    }
-
-    #[test]
     fn passes_last_single_digit_minutes() {
         // §3.1.1: a satellite serves a location for under ten minutes.
+        // A pass is a run of consecutive 15 s samples in which the
+        // satellite is above the 25° mask over NYC.
         let shell = WalkerConstellation::starlink_shell1();
-        let sats = shell.satellites();
+        let sats: Vec<Satellite> = shell.satellites().into_iter().step_by(37).collect();
         let nyc = Geodetic::from_degrees(40.7128, -74.0060, 0.0);
-        let mut all_passes = Vec::new();
-        for sat in sats.iter().step_by(37) {
-            all_passes.extend(predict_passes(
-                sat,
-                nyc,
-                SimTime::ZERO,
-                SimDuration::from_secs(6 * 3600),
-                SimDuration::from_secs(15),
-                25.0,
-            ));
+        let step_ms = 15_000;
+        let mut run_ms = vec![0u64; shell.total_slots()];
+        let (mut passes, mut longest) = (0, 0);
+        for k in 0..=(6 * 3600 * 1000 / step_ms) {
+            let vis = visible_satellites(&sats, nyc, SimTime::from_millis(k * step_ms), 25.0);
+            for (i, run) in run_ms.iter_mut().enumerate() {
+                let up = vis.iter().any(|v| v.id.index(shell.sats_per_plane) == i);
+                if up {
+                    *run += step_ms;
+                } else if *run > 0 {
+                    passes += 1;
+                    longest = longest.max(*run);
+                    *run = 0;
+                }
+            }
+            for v in &vis {
+                assert!(v.elevation_deg >= 25.0 && v.elevation_deg <= 90.0);
+            }
         }
-        assert!(!all_passes.is_empty(), "six hours must contain passes");
-        for p in &all_passes {
-            assert!(p.los >= p.aos);
-            assert!(
-                p.duration() <= SimDuration::from_secs(600),
-                "pass of {} exceeds ten minutes",
-                p.duration()
-            );
-            assert!(p.max_elevation_deg >= 25.0 && p.max_elevation_deg <= 90.0);
-        }
-        let longest = all_passes.iter().map(|p| p.duration().as_millis()).max().unwrap();
+        assert!(passes > 0, "six hours must contain passes");
+        assert!(longest <= 600_000, "pass of {longest} ms exceeds ten minutes");
         assert!(longest >= 60_000, "longest pass only {longest} ms — sampling broken?");
-    }
-
-    #[test]
-    fn passes_are_disjoint_and_ordered() {
-        let shell = WalkerConstellation::starlink_shell1();
-        let sat = shell.satellites()[40];
-        let passes = predict_passes(
-            &sat,
-            Geodetic::from_degrees(48.0, 16.0, 0.0),
-            SimTime::ZERO,
-            SimDuration::from_secs(12 * 3600),
-            SimDuration::from_secs(15),
-            25.0,
-        );
-        for w in passes.windows(2) {
-            assert!(w[0].los < w[1].aos, "overlapping passes");
-        }
-    }
-
-    #[test]
-    fn no_passes_for_polar_ground_site() {
-        let shell = WalkerConstellation::starlink_shell1();
-        let sat = shell.satellites()[0];
-        let passes = predict_passes(
-            &sat,
-            Geodetic::from_degrees(89.0, 0.0, 0.0),
-            SimTime::ZERO,
-            SimDuration::from_secs(3600),
-            SimDuration::from_secs(15),
-            25.0,
-        );
-        assert!(passes.is_empty());
     }
 
     #[test]
@@ -1006,5 +895,18 @@ mod tests {
         let pole = Geodetic::from_degrees(89.0, 0.0, 0.0);
         let vis = visible_satellites(&sats, pole, SimTime::from_mins(7), 25.0);
         assert!(vis.is_empty(), "polar user saw {} satellites", vis.len());
+    }
+
+    #[test]
+    fn no_passes_for_polar_ground_site() {
+        // One satellite sampled every 15 s for an hour never rises above
+        // the mask at 89° N.
+        let shell = WalkerConstellation::starlink_shell1();
+        let sat = [shell.satellites()[0]];
+        let pole = Geodetic::from_degrees(89.0, 0.0, 0.0);
+        for k in 0..=240 {
+            let t = SimTime::from_secs(15 * k);
+            assert!(visible_satellites(&sat, pole, t, 25.0).is_empty(), "pass at {t}");
+        }
     }
 }

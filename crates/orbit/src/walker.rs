@@ -94,7 +94,7 @@ impl WalkerConstellation {
     }
 
     /// Total number of slots.
-    pub fn total_slots(&self) -> usize {
+    pub(crate) fn total_slots(&self) -> usize {
         self.num_planes as usize * self.sats_per_plane as usize
     }
 
@@ -124,27 +124,12 @@ impl WalkerConstellation {
         }
         out
     }
-
-    /// Approximate intra-plane neighbour spacing (arc length), km.
-    pub fn intra_plane_spacing_km(&self) -> f64 {
-        let r = crate::constants::EARTH_RADIUS_KM + self.altitude_km;
-        2.0 * std::f64::consts::PI * r / self.sats_per_plane as f64
-    }
-
-    /// Approximate inter-plane neighbour spacing at the equator, km.
-    ///
-    /// Chord between ascending nodes of adjacent planes; actual ISL length
-    /// shrinks toward higher latitudes as planes converge.
-    pub fn inter_plane_spacing_equator_km(&self) -> f64 {
-        let r = crate::constants::EARTH_RADIUS_KM + self.altitude_km;
-        let dray = (self.raan_spread_deg / self.num_planes as f64).to_radians();
-        2.0 * r * (dray / 2.0).sin()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coords::Eci;
     use crate::time::SimTime;
 
     #[test]
@@ -188,10 +173,17 @@ mod tests {
         // Sanity-check against Table 1: intra-orbit ISL mean delay 8.03 ms
         // (~2400 km), inter-orbit mean 2.15 ms (~645 km, shorter at high
         // latitudes; equator value slightly above the mean).
+        // Measured as chords between the satellites' positions at t = 0,
+        // when slot (0, 0) sits on the equator at its ascending node.
         let shell = WalkerConstellation::starlink_shell1();
-        let intra = shell.intra_plane_spacing_km();
+        let pos = |o, s| shell.orbit_for(SatelliteId::new(o, s)).position_eci(SimTime::ZERO);
+        let dist = |a: Eci, b: Eci| {
+            ((a.x - b.x).powi(2) + (a.y - b.y).powi(2) + (a.z - b.z).powi(2)).sqrt()
+        };
+        let intra = dist(pos(0, 0), pos(0, 1));
         assert!((2300.0..2550.0).contains(&intra), "intra spacing {intra}");
-        let inter = shell.inter_plane_spacing_equator_km();
+        let inter =
+            (0..shell.sats_per_plane).map(|s| dist(pos(0, 0), pos(1, s))).fold(f64::MAX, f64::min);
         assert!((500.0..700.0).contains(&inter), "inter spacing {inter}");
     }
 

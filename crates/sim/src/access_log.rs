@@ -27,6 +27,7 @@ use starcdn_io::wire::Reader;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Event, Histo, Recorder};
+#[cfg(test)]
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,11 +64,6 @@ impl AccessLog {
         self.entries.is_empty()
     }
 
-    /// Total requested bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.size).sum()
-    }
-
     /// Persist as JSON (the paper's pipeline writes the orbital stage's
     /// per-satellite access logs to disk for the replayer to consume;
     /// this is the equivalent hand-off artifact).
@@ -96,12 +92,8 @@ impl AccessLog {
         Ok(AccessLog { entries, epoch_secs })
     }
 
-    /// Write the binary format to `path` (created or truncated).
-    pub fn write_binary_path(&self, path: impl AsRef<std::path::Path>) -> Result<(), IoError> {
-        self.write_binary_path_io(path.as_ref(), &starcdn_io::RealIo)
-    }
-
-    /// [`AccessLog::write_binary_path`] over an explicit [`starcdn_io::Io`].
+    /// Write the binary format to `path` (created or truncated) through
+    /// an explicit [`starcdn_io::Io`].
     pub fn write_binary_path_io(
         &self,
         path: &std::path::Path,
@@ -129,7 +121,8 @@ impl AccessLog {
     /// CosmicBeats' per-satellite output logs). Unreachable entries are
     /// returned separately. The map is a `BTreeMap` so downstream
     /// iteration order is deterministic.
-    pub fn per_satellite(
+    #[cfg(test)]
+    pub(crate) fn per_satellite(
         &self,
     ) -> (BTreeMap<SatelliteId, Vec<&AccessLogEntry>>, Vec<&AccessLogEntry>) {
         let mut by_sat: BTreeMap<SatelliteId, Vec<&AccessLogEntry>> = BTreeMap::new();
@@ -392,7 +385,7 @@ mod tests {
         let trace = tiny_trace();
         let log = build_access_log(&w, &trace, 15, &SchedulerConfig::default());
         assert_eq!(log.len(), trace.len());
-        assert_eq!(log.total_bytes(), trace.total_bytes());
+        assert_eq!(log.entries.iter().map(|e| e.size).sum::<u64>(), trace.total_bytes());
         assert_eq!(log.epoch_secs, 15);
         // All nine cities are covered by the full shell.
         for e in &log.entries {

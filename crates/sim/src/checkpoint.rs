@@ -60,13 +60,6 @@ pub struct CheckpointPolicy {
     pub keep_last: usize,
 }
 
-impl CheckpointPolicy {
-    /// Checkpoint every `every_n_epochs` into `dir`, keeping the last 3.
-    pub fn new(dir: impl Into<PathBuf>, every_n_epochs: u64) -> Self {
-        CheckpointPolicy { every_n_epochs, dir: dir.into(), keep_last: 3 }
-    }
-}
-
 /// The checkpoint field of a [`RunSpec`]: where and how often to write,
 /// through which filesystem, and whether to start from the newest valid
 /// checkpoint already in `policy.dir`.
@@ -284,7 +277,7 @@ pub fn list_checkpoint_files(dir: &Path) -> Vec<(u64, PathBuf)> {
 }
 
 /// [`list_checkpoint_files`] over an explicit [`Io`].
-pub fn list_checkpoint_files_io(io: &dyn Io, dir: &Path) -> Vec<(u64, PathBuf)> {
+pub(crate) fn list_checkpoint_files_io(io: &dyn Io, dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut out = Vec::new();
     let Ok(names) = io.list_dir(dir) else {
         return out;
@@ -320,7 +313,7 @@ pub fn sweep_stale_tmps(dir: &Path) -> usize {
 }
 
 /// [`sweep_stale_tmps`] over an explicit [`Io`].
-pub fn sweep_stale_tmps_io(io: &dyn Io, dir: &Path) -> usize {
+pub(crate) fn sweep_stale_tmps_io(io: &dyn Io, dir: &Path) -> usize {
     let Ok(names) = io.list_dir(dir) else {
         return 0;
     };

@@ -3,7 +3,7 @@
 //! [`AccessLogColumns`] stores one contiguous buffer per
 //! [`AccessLogEntry`] field instead of an array of structs. The layout
 //! is lossless in both directions ([`AccessLogColumns::from_log`] /
-//! [`AccessLogColumns::to_log`]), and both representations read and
+//! `AccessLogColumns::to_log`), and both representations read and
 //! write the 39-byte binary record format through the one codec in
 //! [`access_log`](crate::access_log), so a file written by either is
 //! read identically by the other.
@@ -25,8 +25,8 @@
 //! no final stitch copy.
 
 use crate::access_log::{
-    contact_lanes, prescan_epoch_runs, read_log, record_fault_delta, write_log, AccessLog,
-    AccessLogEntry, EpochRuns,
+    contact_lanes, prescan_epoch_runs, record_fault_delta, write_log, AccessLog, AccessLogEntry,
+    EpochRuns,
 };
 use crate::scheduler::{epoch_of, Assignment, EpochScheduler, SchedulerConfig};
 use crate::world::World;
@@ -58,7 +58,7 @@ pub struct AccessLogColumns {
 
 impl AccessLogColumns {
     /// An empty columnar log with the given epoch length.
-    pub fn new(epoch_secs: u64) -> Self {
+    pub(crate) fn new(epoch_secs: u64) -> Self {
         AccessLogColumns { epoch_secs, ..Default::default() }
     }
 
@@ -88,30 +88,15 @@ impl AccessLogColumns {
     }
 
     /// Epoch length used when scheduling, seconds.
-    pub fn epoch_secs(&self) -> u64 {
+    pub(crate) fn epoch_secs(&self) -> u64 {
         self.epoch_secs
-    }
-
-    /// Total requested bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.size.iter().sum()
-    }
-
-    /// The request-size column (bytes per entry).
-    pub fn sizes(&self) -> &[u64] {
-        &self.size
-    }
-
-    /// The request-time column, milliseconds since simulation start.
-    pub fn times_ms(&self) -> &[u64] {
-        &self.time_ms
     }
 
     /// Append one row-form entry. `#[inline(always)]`: the sequential
     /// builder appends every entry through here (`push_resolved`), and as
     /// a call it cost ≈ 5 % of the build (measured).
     #[inline(always)]
-    pub fn push(&mut self, e: &AccessLogEntry) {
+    pub(crate) fn push(&mut self, e: &AccessLogEntry) {
         let (tag, orbit, slot) = contact_lanes(e.first_contact);
         self.time_ms.push(e.time.as_millis());
         self.object.push(e.object.0);
@@ -137,7 +122,7 @@ impl AccessLogColumns {
     /// # Panics
     /// Panics when `i >= self.len()`.
     #[inline]
-    pub fn entry(&self, i: usize) -> AccessLogEntry {
+    pub(crate) fn entry(&self, i: usize) -> AccessLogEntry {
         AccessLogEntry {
             time: SimTime::from_millis(self.time_ms[i]),
             object: ObjectId(self.object[i]),
@@ -168,7 +153,7 @@ impl AccessLogColumns {
     /// Transpose back into a row log (lossless inverse of
     /// [`AccessLogColumns::from_log`] for logs produced by the builders
     /// or the codec, where absent contacts carry zero orbit/slot).
-    pub fn to_log(&self) -> AccessLog {
+    pub(crate) fn to_log(&self) -> AccessLog {
         AccessLog { entries: self.iter().collect(), epoch_secs: self.epoch_secs }
     }
 
@@ -176,45 +161,6 @@ impl AccessLogColumns {
     /// [`AccessLog::write_binary`] writes for the equivalent row log.
     pub fn write_binary(&self, w: impl std::io::Write) -> Result<(), IoError> {
         write_log(w, self.epoch_secs, self.iter())
-    }
-
-    /// Load a binary log entry by entry into the columns — the same
-    /// answer (or error) [`AccessLog::read_binary`] gives, transposed.
-    pub fn read_binary(r: impl std::io::Read) -> Result<Self, IoError> {
-        let mut cols = AccessLogColumns::default();
-        cols.epoch_secs = read_log(r, |e| cols.push(&e))?;
-        Ok(cols)
-    }
-
-    /// Write the binary format to `path` (created or truncated).
-    pub fn write_binary_path(&self, path: impl AsRef<std::path::Path>) -> Result<(), IoError> {
-        self.write_binary_path_io(path.as_ref(), &starcdn_io::RealIo)
-    }
-
-    /// [`AccessLogColumns::write_binary_path`] over an explicit
-    /// [`starcdn_io::Io`].
-    pub fn write_binary_path_io(
-        &self,
-        path: &std::path::Path,
-        io: &dyn starcdn_io::Io,
-    ) -> Result<(), IoError> {
-        let mut f = io.create(path)?;
-        self.write_binary(starcdn_io::WriteAdapter(&mut *f))
-    }
-
-    /// Load a binary log from `path`.
-    pub fn read_binary_path(path: impl AsRef<std::path::Path>) -> Result<Self, IoError> {
-        Self::read_binary_path_io(path.as_ref(), &starcdn_io::RealIo)
-    }
-
-    /// [`AccessLogColumns::read_binary_path`] over an explicit
-    /// [`starcdn_io::Io`].
-    pub fn read_binary_path_io(
-        path: &std::path::Path,
-        io: &dyn starcdn_io::Io,
-    ) -> Result<Self, IoError> {
-        let mut f = io.open(path)?;
-        Self::read_binary(starcdn_io::ReadAdapter(&mut *f))
     }
 
     /// Grow every column to `n` entries, zero-filled — backing store for
@@ -254,7 +200,7 @@ impl<'a> From<&'a AccessLogColumns> for LogView<'a> {
 
 impl<'a> LogView<'a> {
     /// Epoch length used when scheduling, seconds.
-    pub fn epoch_secs(&self) -> u64 {
+    pub(crate) fn epoch_secs(&self) -> u64 {
         match self {
             LogView::Rows(l) => l.epoch_secs,
             LogView::Columns(c) => c.epoch_secs(),
@@ -262,23 +208,18 @@ impl<'a> LogView<'a> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             LogView::Rows(l) => l.len(),
             LogView::Columns(c) => c.len(),
         }
     }
 
-    /// True when the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Entry `i` in row form.
     ///
     /// # Panics
     /// Panics when `i >= self.len()`.
-    pub fn entry(&self, i: usize) -> AccessLogEntry {
+    pub(crate) fn entry(&self, i: usize) -> AccessLogEntry {
         match self {
             LogView::Rows(l) => l.entries[i],
             LogView::Columns(c) => c.entry(i),
@@ -497,7 +438,7 @@ pub fn build_access_log_columns_parallel(
 /// keys are unique per run, so concurrent recording lands in disjoint
 /// timeline cells), and [`Stage::Merge`] brackets the chunk split (no
 /// stitch exists).
-pub fn build_access_log_columns_parallel_recorded(
+pub(crate) fn build_access_log_columns_parallel_recorded(
     world: &World,
     trace: &Trace,
     epoch_secs: u64,
@@ -636,7 +577,6 @@ mod tests {
         let log = codec_fixture();
         let cols = AccessLogColumns::from_log(&log);
         assert_eq!(cols.len(), log.len());
-        assert_eq!(cols.total_bytes(), log.total_bytes());
         assert_eq!(cols.epoch_secs(), log.epoch_secs);
         let back = cols.to_log();
         assert_eq!(back, log);
@@ -667,7 +607,8 @@ mod tests {
         assert_eq!(row_bytes, col_bytes, "both writers must emit identical bytes");
 
         // Cross-read both directions.
-        let cols_from_row = AccessLogColumns::read_binary(row_bytes.as_slice()).unwrap();
+        let cols_from_row =
+            AccessLogColumns::from_log(&AccessLog::read_binary(row_bytes.as_slice()).unwrap());
         assert_eq!(cols_from_row, cols);
         let log_from_col = AccessLog::read_binary(col_bytes.as_slice()).unwrap();
         assert_eq!(log_from_col, log);
@@ -679,7 +620,7 @@ mod tests {
         let mut buf = Vec::new();
         cols.write_binary(&mut buf).unwrap();
         assert_eq!(buf.len(), 16);
-        let back = AccessLogColumns::read_binary(buf.as_slice()).unwrap();
+        let back = AccessLogColumns::from_log(&AccessLog::read_binary(buf.as_slice()).unwrap());
         assert_eq!(back, cols);
     }
 
@@ -689,17 +630,14 @@ mod tests {
         let mut buf = Vec::new();
         cols.write_binary(&mut buf).unwrap();
         buf.truncate(buf.len() - 7); // chop mid-record
+        assert!(matches!(AccessLog::read_binary(buf.as_slice()), Err(IoError::TruncatedRecord)));
         assert!(matches!(
-            AccessLogColumns::read_binary(buf.as_slice()),
-            Err(IoError::TruncatedRecord)
-        ));
-        assert!(matches!(
-            AccessLogColumns::read_binary(b"NOTALOG!\0\0\0\0\0\0\0\0".as_slice()),
+            AccessLog::read_binary(b"NOTALOG!\0\0\0\0\0\0\0\0".as_slice()),
             Err(IoError::BadHeader)
         ));
         // A header shorter than 16 bytes is a bad header, not a panic.
         assert!(matches!(
-            AccessLogColumns::read_binary(b"STARLOG1\x0f".as_slice()),
+            AccessLog::read_binary(b"STARLOG1\x0f".as_slice()),
             Err(IoError::BadHeader)
         ));
     }
@@ -714,7 +652,6 @@ mod tests {
         }
         let is_eio =
             |e: &IoError| matches!(e, IoError::Io(e) if e.kind() == std::io::ErrorKind::Other);
-        assert!(is_eio(&AccessLogColumns::read_binary(Eio).unwrap_err()));
         assert!(is_eio(&AccessLog::read_binary(Eio).unwrap_err()));
     }
 
@@ -859,55 +796,8 @@ mod tests {
             let mut col_bytes = Vec::new();
             cols.write_binary(&mut col_bytes).unwrap();
             prop_assert_eq!(&row_bytes, &col_bytes);
-            let back = AccessLogColumns::read_binary(col_bytes.as_slice()).unwrap();
-            prop_assert_eq!(back, cols);
-        }
-
-        /// One decoder: for a valid log with one bit flipped, a truncated
-        /// log, and garbage with and without the magic in front, the
-        /// columnar reader returns exactly the row reader's answer
-        /// transposed — equal values, or an error of the same variant.
-        /// (A tag byte of 0 means "no contact" whatever the orbit/slot
-        /// bytes hold; every third entry of the fixture has no contact,
-        /// so flips land in such records' orbit/slot bytes.)
-        #[test]
-        fn prop_columnar_reader_is_the_row_reader(
-            flip in 0usize..(16 + 39 * 200) * 8,
-            cut in 0usize..(16 + 39 * 200),
-            garbage in proptest::collection::vec(any::<u8>(), 0..120),
-        ) {
-            static VALID: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-            let valid = VALID.get_or_init(|| {
-                let mut log = codec_fixture();
-                for e in log.entries.iter_mut().step_by(3) {
-                    e.first_contact = None;
-                    e.gsl_oneway_ms = 0.0;
-                }
-                let mut bytes = Vec::new();
-                log.write_binary(&mut bytes).unwrap();
-                bytes
-            });
-            let mut flipped = valid.clone();
-            flipped[flip / 8] ^= 1 << (flip % 8);
-            let magic_garbage = [&valid[..16], &garbage[..]].concat();
-            for (what, bytes) in [
-                ("flip", &flipped[..]),
-                ("cut", &valid[..cut]),
-                ("garbage", &garbage[..]),
-                ("magic + garbage", &magic_garbage[..]),
-            ] {
-                let cols = AccessLogColumns::read_binary(bytes);
-                let rows = AccessLog::read_binary(bytes).map(|l| AccessLogColumns::from_log(&l));
-                match (cols, rows) {
-                    (Ok(c), Ok(r)) => prop_assert_eq!(c, r, "{} (flip {}, cut {})", what, flip, cut),
-                    (Err(c), Err(r)) => prop_assert_eq!(
-                        std::mem::discriminant(&c),
-                        std::mem::discriminant(&r),
-                        "{}: {:?} vs {:?}", what, c, r
-                    ),
-                    (c, r) => prop_assert!(false, "{}: {:?} vs {:?}", what, c, r),
-                }
-            }
+            let back = AccessLog::read_binary(col_bytes.as_slice()).unwrap();
+            prop_assert_eq!(AccessLogColumns::from_log(&back), cols);
         }
 
         /// Truncating a valid binary log anywhere either reproduces a
@@ -921,11 +811,11 @@ mod tests {
             log.write_binary(&mut buf).unwrap();
             let cut = cut.min(buf.len());
             buf.truncate(cut);
-            match AccessLogColumns::read_binary(buf.as_slice()) {
-                Ok(cols) => {
+            match AccessLog::read_binary(buf.as_slice()) {
+                Ok(back) => {
                     prop_assert!(cut >= 16);
                     prop_assert_eq!((cut - 16) % 39, 0);
-                    prop_assert_eq!(cols.len(), (cut - 16) / 39);
+                    prop_assert_eq!(back.len(), (cut - 16) / 39);
                 }
                 Err(IoError::BadHeader) => prop_assert!(cut < 16),
                 Err(IoError::TruncatedRecord) => {

@@ -1,6 +1,7 @@
-//! Coverage and handover analytics.
+//! Coverage and handover checks (test-only).
 //!
-//! Quantifies the §3.1 claims that motivate StarCDN's design:
+//! Quantifies, through the visibility sweep and the epoch scheduler, the
+//! §3.1 claims that motivate StarCDN's design:
 //!
 //! * a user sees 10+ satellites at once (§3.1.2);
 //! * the user→satellite mapping changes every few minutes at most — the
@@ -18,29 +19,29 @@ use starcdn_telemetry::Noop;
 
 /// Visibility statistics for one location over a window.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VisibilityStats {
-    pub location: String,
-    pub min_visible: usize,
-    pub mean_visible: f64,
-    pub max_visible: usize,
+struct VisibilityStats {
+    location: String,
+    min_visible: usize,
+    mean_visible: f64,
+    max_visible: usize,
     /// Fraction of epochs with zero coverage.
-    pub outage_fraction: f64,
+    outage_fraction: f64,
 }
 
 /// Per-user link-assignment churn statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct HandoverStats {
+struct HandoverStats {
     /// Number of epoch transitions observed.
-    pub transitions: u64,
+    transitions: u64,
     /// Transitions where the assigned satellite changed.
-    pub handovers: u64,
+    handovers: u64,
     /// Longest run of consecutive epochs on one satellite.
-    pub longest_stable_epochs: u64,
+    longest_stable_epochs: u64,
 }
 
 impl HandoverStats {
     /// Mean consecutive epochs a user keeps one satellite.
-    pub fn mean_stable_epochs(&self) -> f64 {
+    fn mean_stable_epochs(&self) -> f64 {
         if self.handovers == 0 {
             self.transitions as f64 + 1.0
         } else {
@@ -51,7 +52,7 @@ impl HandoverStats {
 
 /// Count visible alive satellites per location every `epoch_secs` over
 /// `duration`.
-pub fn visibility_stats(
+fn visibility_stats(
     world: &World,
     duration: SimDuration,
     epoch_secs: u64,
@@ -96,7 +97,7 @@ pub fn visibility_stats(
 
 /// Track one virtual user's assignment across epochs and summarize the
 /// churn. `user` indexes into the scheduler's per-location users.
-pub fn handover_stats(
+fn handover_stats(
     world: &World,
     location_idx: usize,
     user: usize,

@@ -424,7 +424,7 @@ pub fn run_space_overloaded_columns_recorded(
 /// Replay the log through the Static Cache ideal: each location's
 /// requests hit its own permanent cache; the GSL delay is whatever the
 /// scheduler measured for the user (the cache hangs at the same range).
-pub fn run_static(baseline: &mut StaticCacheBaseline, log: &AccessLog) -> SystemMetrics {
+pub(crate) fn run_static(baseline: &mut StaticCacheBaseline, log: &AccessLog) -> SystemMetrics {
     for e in &log.entries {
         let gsl = if e.gsl_oneway_ms > 0.0 { e.gsl_oneway_ms } else { 2.94 };
         baseline.handle_request(e.location.0 as usize, e.object, e.size, gsl);
@@ -433,7 +433,7 @@ pub fn run_static(baseline: &mut StaticCacheBaseline, log: &AccessLog) -> System
 }
 
 /// Replay the log through today's no-cache Starlink.
-pub fn run_no_cache(baseline: &mut NoCacheBaseline, log: &AccessLog) -> SystemMetrics {
+pub(crate) fn run_no_cache(baseline: &mut NoCacheBaseline, log: &AccessLog) -> SystemMetrics {
     for e in &log.entries {
         let gsl = if e.gsl_oneway_ms > 0.0 { e.gsl_oneway_ms } else { 2.94 };
         baseline.handle_request(e.size, gsl);
@@ -443,7 +443,10 @@ pub fn run_no_cache(baseline: &mut NoCacheBaseline, log: &AccessLog) -> SystemMe
 
 /// Record the terrestrial-CDN latency reference over the same request
 /// volume.
-pub fn run_terrestrial(baseline: &mut TerrestrialCdnBaseline, log: &AccessLog) -> SystemMetrics {
+pub(crate) fn run_terrestrial(
+    baseline: &mut TerrestrialCdnBaseline,
+    log: &AccessLog,
+) -> SystemMetrics {
     for e in &log.entries {
         baseline.handle_request(e.size);
     }

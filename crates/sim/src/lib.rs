@@ -41,7 +41,8 @@ pub mod access_log;
 pub mod checkpoint;
 mod codec;
 pub mod columns;
-pub mod coverage;
+#[cfg(test)]
+mod coverage;
 pub mod engine;
 pub mod experiment;
 pub mod overload;
@@ -55,13 +56,11 @@ pub mod world;
 
 pub use access_log::{build_access_log, AccessLog, AccessLogEntry};
 pub use checkpoint::{
-    list_checkpoint_files, list_checkpoint_files_io, metrics_digest, sweep_stale_tmps,
-    sweep_stale_tmps_io, validate_checkpoint_bytes, CheckpointError, CheckpointPolicy,
-    Checkpointing,
+    list_checkpoint_files, metrics_digest, sweep_stale_tmps, validate_checkpoint_bytes,
+    CheckpointError, CheckpointPolicy, Checkpointing,
 };
 pub use columns::{
-    build_access_log_columns, build_access_log_columns_parallel,
-    build_access_log_columns_parallel_recorded, build_access_log_columns_recorded,
+    build_access_log_columns, build_access_log_columns_parallel, build_access_log_columns_recorded,
     AccessLogColumns, LogView,
 };
 pub use engine::{

@@ -17,13 +17,13 @@
 //! the constellation and stay outside this classification, exactly as in
 //! the non-overload path.
 //!
-//! Determinism (DESIGN.md §10): [`decide`] depends only on the failure
+//! Determinism (DESIGN.md §10): `decide` depends only on the failure
 //! view, the route, the object size, and the ledger state — never on
 //! cache contents — so the parallel replayer runs the whole lifecycle on
 //! its pre-pass and stays bit-for-bit identical to the engine. The
 //! ledger keeps one usage table per epoch, and an attempt charges an
 //! epoch other than its request's only when a retry backs off
-//! ([`OverloadConfig::charges_later_epochs`]); without one, every
+//! (`OverloadConfig::charges_later_epochs`); without one, every
 //! epoch's admissions start from an empty table, and the pre-pass
 //! resolves the log in epoch-aligned chunks as it does without
 //! admission. With one, it resolves as one chunk, in log order.
@@ -81,7 +81,7 @@ impl OverloadConfig {
     }
 
     /// Whether admission control actually runs.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.headroom.is_finite()
     }
 
@@ -89,7 +89,7 @@ impl OverloadConfig {
     /// request's: only a retry that backs off does. Otherwise every
     /// epoch's admissions start from an empty ledger table, and a log's
     /// epochs may be admitted apart from one another.
-    pub fn charges_later_epochs(&self) -> bool {
+    pub(crate) fn charges_later_epochs(&self) -> bool {
         self.is_enabled() && self.retry.backoff_epochs > 0 && self.retry.max_attempts > 1
     }
 }

@@ -4,7 +4,7 @@
 //! running the same cache code, and uses TCP to mimic ISL message
 //! exchange. This reproduction shards satellites over scoped worker
 //! threads in two phases. The pre-pass resolves every request to its
-//! owner ([`crate::resolve`], the function the engine resolves with) and
+//! owner (`crate::resolve`, the function the engine resolves with) and
 //! appends it to that owner's shard stream; it splits the log into
 //! scheduler-epoch-aligned chunks and resolves them in parallel, one
 //! thread per chunk. Then each worker replays its stream in log order
@@ -40,7 +40,7 @@
 //! contents, so its decision sequence is the engine's. The ledger keeps
 //! one usage table per epoch, and only a retry that backs off charges an
 //! epoch after its request's
-//! ([`OverloadConfig::charges_later_epochs`]); otherwise each chunk
+//! (`OverloadConfig::charges_later_epochs`); otherwise each chunk
 //! admits its own epochs from empty tables, as one pass would. A run
 //! whose retries back off resolves as one chunk, in log order.
 //!

@@ -15,10 +15,10 @@
 //! user's pick). [`schedule_epoch_into`] runs the body for every location;
 //! [`EpochScheduler`] steps epochs for the log builders, which schedule a
 //! location only when the first request that reads it arrives
-//! ([`EpochScheduler::assignment`]), and for the coverage analytics and
-//! the transfer model, which read every location
-//! ([`EpochScheduler::step`]); [`schedule_epoch`] /
-//! [`schedule_epoch_with`] run it once with a fresh scratch.
+//! ([`EpochScheduler::assignment`]), and for the transfer model and the
+//! coverage checks, which read every location
+//! (`EpochScheduler::step`); [`schedule_epoch_with`] runs it once with
+//! a fresh scratch.
 
 use crate::world::World;
 use starcdn_constellation::failures::FailureModel;
@@ -98,7 +98,8 @@ fn assign_user(
 /// Compute the schedule for one epoch. `snapshot` must already be
 /// advanced (fully) to the epoch's time; dead satellites are never
 /// assigned.
-pub fn schedule_epoch(
+#[cfg(test)]
+pub(crate) fn schedule_epoch(
     world: &World,
     snapshot: &SnapshotPropagator,
     epoch_index: u64,
@@ -107,7 +108,8 @@ pub fn schedule_epoch(
     schedule_epoch_with(world, snapshot, epoch_index, cfg, &world.failures)
 }
 
-/// [`schedule_epoch`] against an explicit failure view — the churn path
+/// Compute the schedule for one epoch against an explicit failure view
+/// (`snapshot` advanced to the epoch's time) — the churn path
 /// passes the live [`ScheduleCursor`](starcdn_constellation::schedule::ScheduleCursor)
 /// view instead of the world's static base outage, which is how users on
 /// a just-died satellite get force-handed-over at the next epoch.
@@ -275,8 +277,8 @@ pub fn schedule_epoch_into(
 /// whose window tracks it, the schedule they produce and which of its
 /// locations the current epoch has scheduled — and the one boundary step
 /// every epoch loop takes ([`EpochScheduler::begin`]: both log builders;
-/// [`EpochScheduler::step`]: `coverage::handover_stats`, the transfer
-/// model's oracle).
+/// `EpochScheduler::step`: the transfer model's oracle and the
+/// coverage checks).
 #[derive(Debug)]
 pub struct EpochScheduler {
     snapshot: SnapshotPropagator,
@@ -371,7 +373,7 @@ impl EpochScheduler {
 
     /// [`EpochScheduler::begin`] `epoch`, then schedule every location
     /// under `failures`.
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         world: &World,
         epoch: u64,
@@ -387,7 +389,7 @@ impl EpochScheduler {
     }
 
     /// The schedule of the last [`EpochScheduler::step`].
-    pub fn schedule(&self) -> &EpochSchedule {
+    pub(crate) fn schedule(&self) -> &EpochSchedule {
         debug_assert!(self.ready.iter().all(|&r| r), "read after a begin that scheduled lazily");
         &self.schedule
     }

@@ -7,7 +7,7 @@
 //! the deterministic replayer core and that wire world:
 //!
 //! * [`ServePlan`] runs the replayer's pre-pass
-//!   ([`crate::replayer::prepare_shards`], epoch-aligned chunks resolved
+//!   (`crate::replayer::prepare_shards`, epoch-aligned chunks resolved
 //!   in parallel) once on the router side and encodes each shard's op
 //!   stream straight from the chunks' pieces into CRC-friendly byte
 //!   batches — the only copy of the ops it keeps. The
@@ -17,7 +17,7 @@
 //! * [`ShardState`] is what a shard server owns: every slot's cache,
 //!   inflight queues, cold flags, and its accumulated
 //!   [`SystemMetrics`]. [`ShardState::apply_batch`] decodes a batch and
-//!   feeds it through [`crate::replayer::run_shard_ops`] — the very
+//!   feeds it through `crate::replayer::run_shard_ops` — the very
 //!   function the in-process replayer's workers run, over the plain
 //!   slot store the engine's fleet uses — so a zero-fault socket run is
 //!   bit-for-bit identical to `replay_parallel` by construction.
@@ -277,14 +277,6 @@ impl ServePlan {
     pub fn shard_state(&self, record: bool) -> ShardState {
         ShardState::new(&self.cfg, &self.failures, record)
     }
-
-    pub fn config(&self) -> &StarCdnConfig {
-        &self.cfg
-    }
-
-    pub fn failures(&self) -> &FailureModel {
-        &self.failures
-    }
 }
 
 /// Everything one shard server owns: per-slot caches, inflight queues,
@@ -322,7 +314,7 @@ impl ShardState {
     }
 
     /// Decode one batch payload and replay it through
-    /// [`crate::replayer::run_shard_ops`]. Returns the number of ops
+    /// `crate::replayer::run_shard_ops`. Returns the number of ops
     /// applied. Any malformed byte — bad tag, out-of-range slot,
     /// truncation, trailing garbage — is a typed error and leaves the
     /// state untouched (the batch is decoded in full before any op
@@ -365,7 +357,8 @@ impl ShardState {
         out
     }
 
-    pub fn metrics(&self) -> &SystemMetrics {
+    #[cfg(test)]
+    pub(crate) fn metrics(&self) -> &SystemMetrics {
         &self.metrics
     }
 }

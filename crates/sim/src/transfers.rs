@@ -4,7 +4,7 @@
 //! disconnections during object transfer. … A Starlink satellite
 //! triggers a handover every few minutes, thus incurs a potential
 //! transmission failure. Capturing this kind of behavior requires a
-//! complicated simulator. We left [it] as a future work direction."
+//! complicated simulator. We left \[it\] as a future work direction."
 //!
 //! This module is that direction, first-order: each request becomes a
 //! *transfer* occupying the user's service link for
@@ -90,7 +90,7 @@ pub struct TransferStats {
 
 impl TransferStats {
     /// Record one outcome.
-    pub fn record(&mut self, o: &TransferOutcome) {
+    pub(crate) fn record(&mut self, o: &TransferOutcome) {
         self.transfers += 1;
         if o.interruptions > 0 {
             self.interrupted += 1;
@@ -137,7 +137,7 @@ pub struct AssignmentOracle<'a> {
 
 impl<'a> AssignmentOracle<'a> {
     /// Build an oracle over `world` with the given scheduler settings.
-    pub fn new(world: &'a World, cfg: SchedulerConfig, epoch_secs: u64) -> Self {
+    pub(crate) fn new(world: &'a World, cfg: SchedulerConfig, epoch_secs: u64) -> Self {
         AssignmentOracle {
             scheduler: EpochScheduler::new(world),
             world,
@@ -148,7 +148,12 @@ impl<'a> AssignmentOracle<'a> {
     }
 
     /// The satellite assigned to `(location, user)` during `epoch`.
-    pub fn assignment(&mut self, epoch: u64, location: usize, user: usize) -> Option<SatelliteId> {
+    pub(crate) fn assignment(
+        &mut self,
+        epoch: u64,
+        location: usize,
+        user: usize,
+    ) -> Option<SatelliteId> {
         if !self.cache.contains_key(&epoch) {
             let world = self.world;
             self.scheduler.step(world, epoch, self.epoch_secs, &self.cfg, &world.failures, &Noop);
@@ -166,7 +171,7 @@ impl<'a> AssignmentOracle<'a> {
 /// Simulate one transfer starting at `start` for a user at
 /// `(location, user)`: walk the epochs it spans, counting assignment
 /// changes as interruptions.
-pub fn simulate_transfer(
+pub(crate) fn simulate_transfer(
     oracle: &mut AssignmentOracle<'_>,
     cfg: &TransferConfig,
     start: SimTime,

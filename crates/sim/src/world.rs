@@ -30,7 +30,7 @@ impl World {
     }
 
     /// A world over an arbitrary shell and location set.
-    pub fn new(shell: WalkerConstellation, locations: Vec<Location>) -> Self {
+    pub(crate) fn new(shell: WalkerConstellation, locations: Vec<Location>) -> Self {
         let grid = GridTopology::from_shell(&shell);
         let satellites = shell.satellites();
         World {

@@ -7,18 +7,19 @@
 //!     Generate a production-like multi-city trace from the built-in
 //!     workload model (the Akamai-trace substitute).
 //!
-//! spacegen extract --trace prod.csv --locations 9 --out models.json
+//! spacegen extract --trace prod.csv --out models.json
 //!     Extract the traffic models (per-location pFDs + GPD).
 //!
 //! spacegen generate --models models.json --requests 100000 --seed 2 --out synth.csv
 //!     Run Algorithm 1 against extracted models.
 //!
-//! spacegen validate --production prod.csv --synthetic synth.csv --locations 9
-//!     Print fidelity statistics (spreads, overlap, LRU hit rates).
+//! spacegen validate --production prod.csv --synthetic synth.csv
+//!     Print fidelity statistics (spreads, LRU hit rates).
 //! ```
 //!
 //! Traces ending in `.bin` use the compact binary format; anything else
-//! is CSV.
+//! is CSV. The number of locations is read from the trace(s): the highest
+//! location id plus one. An empty trace is an error.
 
 use spacegen::classes::TrafficClass;
 use spacegen::generator::{generate, GeneratorConfig, TimestampMode};
@@ -50,7 +51,7 @@ fn main() {
 fn usage() -> ! {
     eprintln!(
         "usage: spacegen <synthesize|extract|generate|validate> [--class C] [--hours H] \
-         [--seed S] [--trace F] [--models F] [--requests N] [--locations N] \
+         [--seed S] [--scale X] [--trace F] [--models F] [--requests N] \
          [--production F] [--synthetic F] [--out F]"
     );
     exit(2)
@@ -88,6 +89,13 @@ fn load_trace(path: &str) -> Trace {
     result.unwrap_or_else(|e| die(&format!("read {path}: {e}")))
 }
 
+/// Locations a trace spans: its highest location id plus one. Dies on an
+/// empty trace, which has no locations to model.
+fn location_count(trace: &Trace, path: &str) -> usize {
+    let max = trace.requests.iter().map(|r| r.location.0).max();
+    max.map_or_else(|| die(&format!("{path}: the trace is empty")), |m| usize::from(m) + 1)
+}
+
 fn save_trace(trace: &Trace, path: &str) {
     let f = File::create(path).unwrap_or_else(|e| die(&format!("create {path}: {e}")));
     let result = if path.ends_with(".bin") { write_binary(trace, f) } else { write_csv(trace, f) };
@@ -110,9 +118,9 @@ fn synthesize(opts: &HashMap<String, String>) {
 }
 
 fn extract(opts: &HashMap<String, String>) {
-    let trace = load_trace(required(opts, "trace"));
-    let n: usize =
-        opt(opts, "locations", "9").parse().unwrap_or_else(|_| die("--locations: bad usize"));
+    let path = required(opts, "trace");
+    let trace = load_trace(path);
+    let n = location_count(&trace, path);
     let seed: u64 = opt(opts, "seed", "0").parse().unwrap_or_else(|_| die("--seed: bad u64"));
     let out = required(opts, "out");
     let bundle = ModelBundle::from_trace(&trace, n, seed);
@@ -145,10 +153,9 @@ fn generate_cmd(opts: &HashMap<String, String>) {
 }
 
 fn validate(opts: &HashMap<String, String>) {
-    let prod = load_trace(required(opts, "production"));
-    let synth = load_trace(required(opts, "synthetic"));
-    let n: usize =
-        opt(opts, "locations", "9").parse().unwrap_or_else(|_| die("--locations: bad usize"));
+    let (prod_path, synth_path) = (required(opts, "production"), required(opts, "synthetic"));
+    let (prod, synth) = (load_trace(prod_path), load_trace(synth_path));
+    let n = location_count(&prod, prod_path).max(location_count(&synth, synth_path));
 
     println!(
         "production: {} requests / {} objects; synthetic: {} / {}",

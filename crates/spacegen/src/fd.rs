@@ -165,7 +165,7 @@ impl FootprintDescriptor {
 
     /// Sample a stack distance conditioned on `(popularity, size)`;
     /// falls back to the pooled distribution for unseen classes.
-    pub fn sample_distance(&self, popularity: u32, size: u64, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_distance(&self, popularity: u32, size: u64, rng: &mut impl Rng) -> u64 {
         let key = class_key(log2_class(popularity as u64), log2_class(size));
         let res = self.dist.get(&key).filter(|r| !r.samples.is_empty()).unwrap_or(&self.global);
         if res.samples.is_empty() {
@@ -174,18 +174,13 @@ impl FootprintDescriptor {
         res.samples[rng.gen_range(0..res.samples.len())]
     }
 
-    /// Number of (p, s) classes with recorded distances.
-    pub fn class_count(&self) -> usize {
-        self.dist.len()
-    }
-
     /// The `q`-quantile of the pooled finite stack distances (0 when no
     /// distances were recorded). Used by the generator to size its
     /// initialization fill: filling to the absolute maximum distance — a
     /// single-sample outlier on day-length traces — strands far more
     /// partially-consumed objects than the production trace contains,
     /// diluting object popularity.
-    pub fn stack_distance_quantile(&self, q: f64) -> u64 {
+    pub(crate) fn stack_distance_quantile(&self, q: f64) -> u64 {
         if self.global.samples.is_empty() {
             return 0;
         }
@@ -330,6 +325,6 @@ mod tests {
         }
         let fd = FootprintDescriptor::from_trace(&Trace::new(reqs), 0);
         assert!(fd.max_stack_distance >= 50);
-        assert!(fd.class_count() >= 1);
+        assert!(!fd.dist.is_empty());
     }
 }

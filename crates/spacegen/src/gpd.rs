@@ -50,7 +50,7 @@ impl GlobalPopularity {
 
     /// Sample one object definition (uniform over observed objects, as in
     /// TRAGEN's empirical-FD sampling).
-    pub fn sample(&self, rng: &mut impl Rng) -> &GpdRecord {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> &GpdRecord {
         &self.records[rng.gen_range(0..self.records.len())]
     }
 

@@ -20,10 +20,8 @@ use crate::trace::{LocationId, Request, Trace};
 use serde::{Deserialize, Serialize};
 use starcdn_cache::object::ObjectId;
 use starcdn_io::wire::{Reader, WireError};
-use starcdn_io::{Io, ReadAdapter, RealIo, WriteAdapter};
 use starcdn_orbit::time::SimTime;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 /// Errors from trace/model I/O.
 #[derive(Debug)]
@@ -202,50 +200,6 @@ pub fn read_binary(r: impl Read) -> Result<Trace, IoError> {
     Ok(Trace::new(requests))
 }
 
-/// Write a trace as CSV to `path` (created or truncated).
-pub fn write_csv_path(trace: &Trace, path: impl AsRef<Path>) -> Result<(), IoError> {
-    write_csv_path_io(trace, path.as_ref(), &RealIo)
-}
-
-/// [`write_csv_path`] over an explicit [`Io`].
-pub fn write_csv_path_io(trace: &Trace, path: &Path, io: &dyn Io) -> Result<(), IoError> {
-    let mut f = io.create(path)?;
-    write_csv(trace, WriteAdapter(&mut *f))
-}
-
-/// Read a CSV trace from `path`.
-pub fn read_csv_path(path: impl AsRef<Path>) -> Result<Trace, IoError> {
-    read_csv_path_io(path.as_ref(), &RealIo)
-}
-
-/// [`read_csv_path`] over an explicit [`Io`].
-pub fn read_csv_path_io(path: &Path, io: &dyn Io) -> Result<Trace, IoError> {
-    let mut f = io.open(path)?;
-    read_csv(ReadAdapter(&mut *f))
-}
-
-/// Write a binary trace to `path` (created or truncated).
-pub fn write_binary_path(trace: &Trace, path: impl AsRef<Path>) -> Result<(), IoError> {
-    write_binary_path_io(trace, path.as_ref(), &RealIo)
-}
-
-/// [`write_binary_path`] over an explicit [`Io`].
-pub fn write_binary_path_io(trace: &Trace, path: &Path, io: &dyn Io) -> Result<(), IoError> {
-    let mut f = io.create(path)?;
-    write_binary(trace, WriteAdapter(&mut *f))
-}
-
-/// Read a binary trace from `path`.
-pub fn read_binary_path(path: impl AsRef<Path>) -> Result<Trace, IoError> {
-    read_binary_path_io(path.as_ref(), &RealIo)
-}
-
-/// [`read_binary_path`] over an explicit [`Io`].
-pub fn read_binary_path_io(path: &Path, io: &dyn Io) -> Result<Trace, IoError> {
-    let mut f = io.open(path)?;
-    read_binary(ReadAdapter(&mut *f))
-}
-
 /// A serializable bundle of the traffic models SpaceGEN needs: one pFD
 /// per location plus the GPD — the artifact the paper publishes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -276,28 +230,6 @@ impl ModelBundle {
     /// Deserialize from JSON.
     pub fn read_json(r: impl Read) -> Result<Self, IoError> {
         serde_json::from_reader(BufReader::new(r)).map_err(IoError::BadModel)
-    }
-
-    /// Serialize as JSON to `path` (created or truncated).
-    pub fn write_json_path(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
-        self.write_json_path_io(path.as_ref(), &RealIo)
-    }
-
-    /// [`ModelBundle::write_json_path`] over an explicit [`Io`].
-    pub fn write_json_path_io(&self, path: &Path, io: &dyn Io) -> Result<(), IoError> {
-        let mut f = io.create(path)?;
-        self.write_json(WriteAdapter(&mut *f))
-    }
-
-    /// Deserialize from the JSON file at `path`.
-    pub fn read_json_path(path: impl AsRef<Path>) -> Result<Self, IoError> {
-        Self::read_json_path_io(path.as_ref(), &RealIo)
-    }
-
-    /// [`ModelBundle::read_json_path`] over an explicit [`Io`].
-    pub fn read_json_path_io(path: &Path, io: &dyn Io) -> Result<Self, IoError> {
-        let mut f = io.open(path)?;
-        Self::read_json(ReadAdapter(&mut *f))
     }
 }
 
@@ -420,21 +352,6 @@ mod tests {
         let back = ModelBundle::read_json(buf.as_slice()).unwrap();
         assert_eq!(back.pfds.len(), 9);
         assert_eq!(back.gpd.records, bundle.gpd.records);
-    }
-
-    #[test]
-    fn path_roundtrips() {
-        let t = sample_trace();
-        let dir = std::env::temp_dir().join(format!("spacegen-io-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("t.csv");
-        write_csv_path(&t, &csv).unwrap();
-        assert_eq!(read_csv_path(&csv).unwrap(), t);
-        let bin = dir.join("t.bin");
-        write_binary_path(&t, &bin).unwrap();
-        assert_eq!(read_binary_path(&bin).unwrap(), t);
-        assert!(matches!(read_binary_path(dir.join("missing.bin")), Err(IoError::File(_))));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

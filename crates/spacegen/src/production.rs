@@ -148,13 +148,8 @@ impl ProductionModel {
         ProductionModel { locations: locations.to_vec(), params, catalog, per_location }
     }
 
-    /// Number of objects available at a location.
-    pub fn available_at(&self, loc: LocationId) -> usize {
-        self.per_location[loc.0 as usize].object_idx.len()
-    }
-
     /// Sample one object for a request from `loc`.
-    pub fn sample_object(&self, loc: LocationId, rng: &mut impl Rng) -> &CatalogObject {
+    pub(crate) fn sample_object(&self, loc: LocationId, rng: &mut impl Rng) -> &CatalogObject {
         let lc = &self.per_location[loc.0 as usize];
         let u: f64 = rng.gen();
         let k = lc.cdf.partition_point(|&c| c < u).min(lc.cdf.len() - 1);
@@ -163,7 +158,7 @@ impl ProductionModel {
 
     /// Diurnal rate multiplier at simulation time `t` for a location
     /// (peak at 20:00 local time, trough at 08:00).
-    pub fn diurnal_multiplier(&self, loc: LocationId, t: SimTime) -> f64 {
+    pub(crate) fn diurnal_multiplier(&self, loc: LocationId, t: SimTime) -> f64 {
         let lon = self.locations[loc.0 as usize].lon_deg;
         let local_hours = (t.as_secs_f64() / 3600.0 + lon / 15.0).rem_euclid(24.0);
         let phase = (local_hours - 20.0) / 24.0 * std::f64::consts::TAU;
@@ -205,11 +200,6 @@ impl ProductionModel {
             }
         }
         Trace::new(requests)
-    }
-
-    /// Size of an object by id (panics on unknown ids).
-    pub fn size_of(&self, id: ObjectId) -> u64 {
-        self.catalog[id.0 as usize].size
     }
 }
 
@@ -401,7 +391,6 @@ mod tests {
         for o in &m.catalog {
             assert!(o.size >= 1 && o.size <= m.params.size_cap_bytes);
         }
-        assert_eq!(m.size_of(ObjectId(5)), m.catalog[5].size);
     }
 
     #[test]

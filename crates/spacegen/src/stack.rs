@@ -119,22 +119,23 @@ pub struct CacheStack {
 
 impl CacheStack {
     /// An empty stack.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of objects in the stack.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         len(&self.root)
     }
 
     /// True when the stack holds no objects.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.root.is_none()
     }
 
     /// Total bytes of all objects in the stack.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         bytes(&self.root)
     }
 
@@ -144,13 +145,13 @@ impl CacheStack {
     }
 
     /// Append at the bottom (used during the initialization phase).
-    pub fn push_back(&mut self, entry: StackEntry) {
+    pub(crate) fn push_back(&mut self, entry: StackEntry) {
         let node = Node::new(entry, self.next_priority());
         self.root = merge(self.root.take(), Some(node));
     }
 
     /// Remove and return the top-of-stack entry.
-    pub fn pop_front(&mut self) -> Option<StackEntry> {
+    pub(crate) fn pop_front(&mut self) -> Option<StackEntry> {
         fn pop_leftmost(mut t: Box<Node>) -> (Option<Box<Node>>, StackEntry) {
             if let Some(l) = t.left.take() {
                 let (rest, e) = pop_leftmost(l);
@@ -168,7 +169,8 @@ impl CacheStack {
     }
 
     /// Peek at the top-of-stack entry.
-    pub fn peek_front(&self) -> Option<&StackEntry> {
+    #[cfg(test)]
+    pub(crate) fn peek_front(&self) -> Option<&StackEntry> {
         let mut cur = self.root.as_ref()?;
         while let Some(l) = cur.left.as_ref() {
             cur = l;
@@ -179,14 +181,15 @@ impl CacheStack {
     /// Insert so that the bytes *above* the new entry total at least
     /// `byte_offset` (Algorithm 1 line 28). Offsets beyond the stack's
     /// total append at the bottom.
-    pub fn insert_at_bytes(&mut self, byte_offset: u64, entry: StackEntry) {
+    pub(crate) fn insert_at_bytes(&mut self, byte_offset: u64, entry: StackEntry) {
         let node = Node::new(entry, self.next_priority());
         let (a, b) = split_bytes(self.root.take(), byte_offset);
         self.root = merge(merge(a, Some(node)), b);
     }
 
     /// Drain the stack top-to-bottom (test/diagnostic helper).
-    pub fn drain_in_order(&mut self) -> Vec<StackEntry> {
+    #[cfg(test)]
+    pub(crate) fn drain_in_order(&mut self) -> Vec<StackEntry> {
         let mut out = Vec::with_capacity(self.len());
         while let Some(e) = self.pop_front() {
             out.push(e);

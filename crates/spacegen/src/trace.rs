@@ -33,7 +33,7 @@ impl Location {
     }
 
     /// Great-circle distance to another location, km.
-    pub fn distance_km(&self, other: &Location) -> f64 {
+    pub(crate) fn distance_km(&self, other: &Location) -> f64 {
         self.geodetic().haversine_km(&other.geodetic())
     }
 
@@ -65,7 +65,8 @@ impl Location {
     }
 
     /// Find a location by name in a table.
-    pub fn by_name<'a>(table: &'a [Location], name: &str) -> Option<&'a Location> {
+    #[cfg(test)]
+    pub(crate) fn by_name<'a>(table: &'a [Location], name: &str) -> Option<&'a Location> {
         table.iter().find(|l| l.name == name)
     }
 }
@@ -118,7 +119,7 @@ impl Trace {
     }
 
     /// End time of the trace (time of the last request).
-    pub fn end_time(&self) -> SimTime {
+    pub(crate) fn end_time(&self) -> SimTime {
         self.requests.last().map(|r| r.time).unwrap_or(SimTime::ZERO)
     }
 
@@ -130,15 +131,6 @@ impl Trace {
             out[r.location.0 as usize].requests.push(*r);
         }
         out
-    }
-
-    /// Merge several traces into one time-sorted trace.
-    pub fn merge(traces: impl IntoIterator<Item = Trace>) -> Trace {
-        let mut all = Vec::new();
-        for t in traces {
-            all.extend(t.requests);
-        }
-        Trace::new(all)
     }
 
     /// The accesses as `(object, size)` pairs for the cache replay harness.
@@ -238,7 +230,7 @@ mod tests {
         assert_eq!(parts[0].len(), 2);
         assert_eq!(parts[1].len(), 1);
         assert!(parts[2].is_empty());
-        let merged = Trace::merge(parts);
+        let merged = Trace::new(parts.into_iter().flat_map(|p| p.requests).collect());
         assert_eq!(merged, t);
     }
 

@@ -17,17 +17,6 @@ fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
-/// The largest value bucket `k` can hold (its reported upper bound).
-fn bucket_upper(k: usize) -> u64 {
-    if k == 0 {
-        0
-    } else if k >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
-    }
-}
-
 /// A concurrent log₂ histogram. All methods take `&self`; recording is
 /// relaxed atomics only.
 #[derive(Debug)]
@@ -52,13 +41,9 @@ impl Default for LogHistogram {
 }
 
 impl LogHistogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one sample.
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -66,14 +51,9 @@ impl LogHistogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Fold a frozen snapshot back into this live histogram — exact:
     /// bucket counts, count, sum, min and max all combine losslessly.
-    pub fn absorb(&self, s: &HistogramSnapshot) {
+    pub(crate) fn absorb(&self, s: &HistogramSnapshot) {
         if s.count == 0 {
             return;
         }
@@ -91,7 +71,7 @@ impl LogHistogram {
     }
 
     /// Freeze into a plain-data snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
         let buckets = (0..NUM_BUCKETS)
             .filter_map(|k| {
@@ -122,38 +102,12 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
-    /// Mean of the recorded samples (exact, from the running sum).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Quantile estimate: the upper bound of the bucket containing the
-    /// `q`-th sample, clamped to the exact observed min/max. Non-finite
-    /// or out-of-range `q` clamps into `[0, 1]`; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = if q.is_finite() { q.clamp(0.0, 1.0) } else { 0.0 };
-        // Rank of the target sample, 1-based.
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for &(k, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                let hi = bucket_upper(k as usize);
-                return Some(hi.clamp(self.min.unwrap_or(0), self.max.unwrap_or(u64::MAX)));
-            }
-        }
-        self.max
-    }
-
     /// Merge another snapshot into this one (bucket-wise sum).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
             return;
         }
@@ -223,53 +177,18 @@ mod tests {
 
     #[test]
     fn empty_snapshot() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::default();
         let s = h.snapshot();
         assert!(s.is_empty());
-        assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.mean(), None);
         assert_eq!(s.min, None);
         assert_eq!(s.max, None);
     }
 
     #[test]
-    fn single_sample_quantiles_are_exact() {
-        let h = LogHistogram::new();
-        h.record(37);
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.min, Some(37));
-        assert_eq!(s.max, Some(37));
-        // Bucket upper bound is 63 but clamping to observed max fixes it.
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(s.quantile(q), Some(37), "q={q}");
-        }
-    }
-
-    #[test]
-    fn quantiles_are_monotone_and_bounded() {
-        let h = LogHistogram::new();
-        for v in 0..1000u64 {
-            h.record(v * 7);
-        }
-        let s = h.snapshot();
-        let mut prev = 0;
-        for i in 0..=20 {
-            let q = i as f64 / 20.0;
-            let v = s.quantile(q).unwrap();
-            assert!(v >= prev, "quantile must be monotone");
-            assert!(v >= s.min.unwrap() && v <= s.max.unwrap());
-            prev = v;
-        }
-        assert_eq!(s.quantile(1.0), Some(999 * 7), "p100 is the exact max");
-        assert_eq!(s.quantile(f64::NAN), s.quantile(0.0), "NaN clamps low, no panic");
-    }
-
-    #[test]
     fn merge_equals_recording_into_one() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let all = LogHistogram::new();
+        let a = LogHistogram::default();
+        let b = LogHistogram::default();
+        let all = LogHistogram::default();
         for v in 0..500u64 {
             a.record(v * 3);
             all.record(v * 3);
@@ -285,7 +204,7 @@ mod tests {
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let a = LogHistogram::new();
+        let a = LogHistogram::default();
         a.record(5);
         let mut s = a.snapshot();
         s.merge(&HistogramSnapshot::default());

@@ -10,7 +10,7 @@
 //! * scoped [`SpanTimer`]s for the pipeline stages ([`Stage`]) with a
 //!   per-epoch timeline,
 //! * epoch-stamped fault [`Event`]s (remap, reroute, cold miss, churn),
-//! * a deterministic [`TelemetrySnapshot`] with JSON and CSV export.
+//! * a deterministic, mergeable [`TelemetrySnapshot`].
 //!
 //! Everything funnels through the [`Recorder`] trait. The default
 //! implementation of every method is a no-op and [`Noop`] is a unit
@@ -28,8 +28,7 @@
 //! bit-for-bit reproducible at any worker count.
 //!
 //! This crate deliberately has **zero dependencies**: nothing here can
-//! drag a serialisation framework into the hot path, and the exporters
-//! hand-roll their (small, stable) JSON/CSV shapes.
+//! drag a serialisation framework into the hot path.
 
 mod hist;
 mod metric;

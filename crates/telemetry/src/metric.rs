@@ -115,7 +115,7 @@ impl Counter {
         Counter::VisibilityRefreshes,
     ];
 
-    /// Stable snake_case name used by the exporters.
+    /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Counter::RequestsRouted => "requests_routed",
@@ -202,7 +202,7 @@ impl Histo {
         Histo::VisibilityCandidates,
     ];
 
-    /// Stable snake_case name used by the exporters.
+    /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Histo::LatencyUs => "latency_us",
@@ -254,20 +254,6 @@ impl Stage {
         Stage::ReplayShard,
         Stage::Merge,
     ];
-
-    /// Stable snake_case name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Propagate => "propagate",
-            Stage::Visibility => "visibility",
-            Stage::Schedule => "schedule",
-            Stage::PreScan => "pre_scan",
-            Stage::ResolveOwner => "resolve_owner",
-            Stage::CacheAccess => "cache_access",
-            Stage::ReplayShard => "replay_shard",
-            Stage::Merge => "merge",
-        }
-    }
 }
 
 /// Epoch-stamped fault-path events.
@@ -306,7 +292,7 @@ impl Event {
         Event::CheckpointRestoreFallback,
     ];
 
-    /// Stable snake_case name used by the exporters.
+    /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Event::SatDown => "sat_down",
@@ -334,7 +320,7 @@ mod tests {
             assert_eq!(*h as usize, i, "{}", h.name());
         }
         for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(*s as usize, i, "{}", s.name());
+            assert_eq!(*s as usize, i, "{s:?}");
         }
         for (i, e) in Event::ALL.iter().enumerate() {
             assert_eq!(*e as usize, i, "{}", e.name());
@@ -349,9 +335,6 @@ mod tests {
         }
         for h in Histo::ALL {
             assert!(seen.insert(h.name()));
-        }
-        for s in Stage::ALL {
-            assert!(seen.insert(s.name()));
         }
         for e in Event::ALL {
             assert!(seen.insert(e.name()));

@@ -62,11 +62,6 @@ impl MemoryRecorder {
         Self::default()
     }
 
-    /// Current value of one counter.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
-    }
-
     /// Freeze everything into a deterministic plain-data snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let counters = Counter::ALL
@@ -161,7 +156,6 @@ mod tests {
         rec.event(Event::ColdMiss, 9, 11);
         rec.event(Event::ColdMiss, 9, 0);
 
-        assert_eq!(rec.counter(Counter::CacheHits), 7);
         let snap = rec.snapshot();
         assert_eq!(snap.counter(Counter::CacheHits), 7);
         assert_eq!(snap.counter(Counter::CacheMisses), 0);

@@ -1,14 +1,9 @@
-//! Frozen, deterministic telemetry state and its exporters.
-//!
-//! The JSON and CSV writers are hand-rolled: the shapes are small and
-//! stable, and keeping this crate dependency-free guarantees nothing
-//! heavyweight can leak into the instrumented hot paths.
+//! Frozen, deterministic telemetry state.
 
 use crate::hist::HistogramSnapshot;
 use crate::metric::{Counter, Event, Histo, Stage};
 use crate::span::SpanStats;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Plain-data telemetry state. Counters and histograms are sparse
 /// (zero entries dropped) in enum order; spans and events are `BTreeMap`
@@ -37,24 +32,6 @@ impl TelemetrySnapshot {
         self.histograms.iter().find(|(k, _)| *k == h).map(|(_, s)| s)
     }
 
-    /// Total time per stage, summed over the epoch timeline, in
-    /// [`Stage::ALL`] order (stages with no spans are dropped).
-    pub fn stage_totals(&self) -> Vec<(Stage, SpanStats)> {
-        let mut totals: BTreeMap<Stage, SpanStats> = BTreeMap::new();
-        for (&(stage, _), cell) in &self.spans {
-            totals.entry(stage).or_default().merge(cell);
-        }
-        totals.into_iter().collect()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-            && self.events.is_empty()
-    }
-
     /// Fold another snapshot into this one. Deterministic: counters and
     /// histograms stay in enum order, timelines merge by key, so
     /// `a.merge(b)` equals recording both inputs into one recorder.
@@ -79,140 +56,6 @@ impl TelemetrySnapshot {
             *self.events.entry(key).or_insert(0) += count;
         }
     }
-
-    /// Serialise to a stable JSON document.
-    ///
-    /// Shape:
-    /// ```json
-    /// {
-    ///   "counters": {"cache_hits": 7, ...},
-    ///   "histograms": {"latency_us": {"count":.., "sum":.., "min":..,
-    ///       "max":.., "mean":.., "p50":.., "p90":.., "p99":..,
-    ///       "buckets": [[bit_len, samples], ...]}, ...},
-    ///   "spans": [{"stage":"schedule","epoch":0,"count":..,
-    ///       "total_ns":..,"max_ns":..}, ...],
-    ///   "events": [{"event":"remap","epoch":4,"count":2}, ...]
-    /// }
-    /// ```
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": {");
-        for (i, (c, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {v}", c.name());
-        }
-        out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"histograms\": {");
-        for (i, (h, s)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {:.3}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                h.name(),
-                s.count,
-                s.sum,
-                s.min.unwrap_or(0),
-                s.max.unwrap_or(0),
-                s.mean().unwrap_or(0.0),
-                s.quantile(0.50).unwrap_or(0),
-                s.quantile(0.90).unwrap_or(0),
-                s.quantile(0.99).unwrap_or(0),
-            );
-            for (j, &(k, n)) in s.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{k}, {n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.histograms.is_empty() { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"spans\": [");
-        for (i, (&(stage, epoch), cell)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"stage\": \"{}\", \"epoch\": {epoch}, \"count\": {}, \
-                 \"total_ns\": {}, \"max_ns\": {}}}",
-                stage.name(),
-                cell.count,
-                cell.total_ns,
-                cell.max_ns,
-            );
-        }
-        out.push_str(if self.spans.is_empty() { "],\n" } else { "\n  ],\n" });
-
-        out.push_str("  \"events\": [");
-        for (i, (&(event, epoch), &count)) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"event\": \"{}\", \"epoch\": {epoch}, \"count\": {count}}}",
-                event.name(),
-            );
-        }
-        out.push_str(if self.events.is_empty() { "]\n}\n" } else { "\n  ]\n}\n" });
-        out
-    }
-
-    /// Serialise to CSV rows under a single uniform header:
-    /// `kind,name,key,count,total,max`.
-    ///
-    /// * counters: `counter,<name>,,<value>,,`
-    /// * histogram stats: `histogram,<name>,<stat>,<value>,,` for
-    ///   `count|sum|min|max|p50|p90|p99`
-    /// * histogram buckets: `bucket,<name>,<bit_len>,<samples>,,`
-    /// * spans: `span,<stage>,<epoch>,<count>,<total_ns>,<max_ns>`
-    /// * events: `event,<name>,<epoch>,<count>,,`
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("kind,name,key,count,total,max\n");
-        for &(c, v) in &self.counters {
-            let _ = writeln!(out, "counter,{},,{v},,", c.name());
-        }
-        for (h, s) in &self.histograms {
-            let stats: [(&str, u64); 7] = [
-                ("count", s.count),
-                ("sum", s.sum),
-                ("min", s.min.unwrap_or(0)),
-                ("max", s.max.unwrap_or(0)),
-                ("p50", s.quantile(0.50).unwrap_or(0)),
-                ("p90", s.quantile(0.90).unwrap_or(0)),
-                ("p99", s.quantile(0.99).unwrap_or(0)),
-            ];
-            for (stat, v) in stats {
-                let _ = writeln!(out, "histogram,{},{stat},{v},,", h.name());
-            }
-            for &(k, n) in &s.buckets {
-                let _ = writeln!(out, "bucket,{},{k},{n},,", h.name());
-            }
-        }
-        for (&(stage, epoch), cell) in &self.spans {
-            let _ = writeln!(
-                out,
-                "span,{},{epoch},{},{},{}",
-                stage.name(),
-                cell.count,
-                cell.total_ns,
-                cell.max_ns
-            );
-        }
-        for (&(event, epoch), &count) in &self.events {
-            let _ = writeln!(out, "event,{},{epoch},{count},,", event.name());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -233,35 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_is_stable() {
-        let s = sample();
-        let json = s.to_json();
-        assert!(json.contains("\"cache_hits\": 7"), "{json}");
-        assert!(json.contains("\"latency_us\""), "{json}");
-        assert!(json.contains("\"stage\": \"schedule\", \"epoch\": 1"), "{json}");
-        assert!(json.contains("\"event\": \"remap\", \"epoch\": 1, \"count\": 2"), "{json}");
-        assert_eq!(json, sample().to_json(), "export is deterministic");
-    }
-
-    #[test]
-    fn empty_json_is_well_formed() {
-        let json = TelemetrySnapshot::default().to_json();
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"spans\": []"));
-    }
-
-    #[test]
-    fn csv_rows_cover_everything() {
-        let s = sample();
-        let csv = s.to_csv();
-        assert!(csv.starts_with("kind,name,key,count,total,max\n"));
-        assert!(csv.contains("counter,cache_hits,,7,,"), "{csv}");
-        assert!(csv.contains("histogram,latency_us,count,2,,"), "{csv}");
-        assert!(csv.contains("span,schedule,1,1,3000,3000"), "{csv}");
-        assert!(csv.contains("event,remap,1,2,,"), "{csv}");
-    }
-
-    #[test]
     fn merge_is_order_insensitive_for_commutative_state() {
         let a = sample();
         let rec = MemoryRecorder::new();
@@ -279,15 +93,5 @@ mod tests {
         assert_eq!(ab.counter(Counter::CacheMisses), 3);
         assert_eq!(ab.histogram(Histo::LatencyUs).unwrap().count, 3);
         assert_eq!(ab.spans[&(Stage::Schedule, 0)].count, 2);
-    }
-
-    #[test]
-    fn stage_totals_aggregate_over_epochs() {
-        let s = sample();
-        let totals = s.stage_totals();
-        assert_eq!(totals.len(), 1);
-        assert_eq!(totals[0].0, Stage::Schedule);
-        assert_eq!(totals[0].1.count, 2);
-        assert_eq!(totals[0].1.total_ns, 4000);
     }
 }

@@ -17,24 +17,15 @@ pub struct SpanStats {
 
 impl SpanStats {
     /// One observed span.
-    pub fn one(ns: u64) -> Self {
+    pub(crate) fn one(ns: u64) -> Self {
         SpanStats { count: 1, total_ns: ns, max_ns: ns }
     }
 
     /// Fold another cell into this one.
-    pub fn merge(&mut self, other: &SpanStats) {
+    pub(crate) fn merge(&mut self, other: &SpanStats) {
         self.count += other.count;
         self.total_ns += other.total_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Mean span length, nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
     }
 }
 
@@ -101,7 +92,5 @@ mod tests {
         let mut a = SpanStats::one(10);
         a.merge(&SpanStats::one(30));
         assert_eq!(a, SpanStats { count: 2, total_ns: 40, max_ns: 30 });
-        assert!((a.mean_ns() - 20.0).abs() < 1e-12);
-        assert_eq!(SpanStats::default().mean_ns(), 0.0);
     }
 }

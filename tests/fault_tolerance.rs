@@ -12,7 +12,10 @@ use starcdn::variants::Variant;
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{ChurnParams, FaultEvent, FaultSchedule, TimedFault};
+use starcdn_orbit::fleet::fleet_from_tles;
 use starcdn_orbit::time::SimDuration;
+use starcdn_orbit::tle::{synthesize_tle, Tle};
+use starcdn_orbit::walker::WalkerConstellation;
 use starcdn_sim::access_log::build_access_log;
 use starcdn_sim::access_log::AccessLog;
 use starcdn_sim::engine::{run, run_space, RunSpec, SimConfig};
@@ -84,6 +87,55 @@ fn extreme_outage_still_serves_all_requests() {
         .run(Variant::StarCdn { l: 4 }, t.unique_objects().1 / 50);
     assert_eq!(m.stats.requests as usize, t.len());
     assert!(m.stats.request_hit_rate() > 0.0);
+}
+
+#[test]
+fn tle_catalog_gaps_become_the_failure_set() {
+    // From a TLE catalog to a running space CDN: the paper feeds CelesTrak
+    // TLEs into its simulator and derives the ISL grid and the out-of-slot
+    // failure set from them. The catalog here is synthesized from the shell
+    // with every 11th satellite missing (118 of 1296; the paper observed
+    // 126 out of slot).
+    let shell = WalkerConstellation::starlink_shell1();
+    let tles: Vec<Tle> = shell
+        .satellites()
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 11 != 0)
+        .map(|(i, sat)| {
+            let o = &sat.orbit;
+            let (name, l1, l2) = synthesize_tle(
+                &format!("STARLINK-SYN-{i}"),
+                44000 + i as u32,
+                o.inclination_rad.to_degrees(),
+                o.raan_rad.to_degrees(),
+                o.phase_rad.to_degrees().rem_euclid(360.0),
+                86400.0 / o.period_s(),
+            );
+            Tle::parse(&name, &l1, &l2).expect("synthesized TLE parses")
+        })
+        .collect();
+    assert_eq!(tles.len(), 1296 - 118);
+
+    let fleet = fleet_from_tles(&tles, 72, 18).expect("fleet assembles");
+    assert_eq!(fleet.satellites.len(), 1296 - 118);
+    assert_eq!(fleet.empty_slots.len(), 118);
+
+    let world = World::from_tle_fleet(&fleet, Location::akamai_nine());
+    assert_eq!(world.failures.dead_count(), 118);
+    assert!(world.failures.broken_isl_count(&world.grid) > 0);
+
+    // StarCDN on the degraded fleet (buckets of missing slots remap) still
+    // serves every request and beats naive LRU.
+    let t = trace();
+    let cache = t.unique_objects().1 / 50;
+    let runner = Runner::new(world, &t, SimConfig::default());
+    let star = runner.run(Variant::StarCdn { l: 9 }, cache);
+    let lru = runner.run(Variant::NaiveLru, cache);
+    assert_eq!(star.stats.requests as usize, t.len());
+    assert_eq!(lru.stats.requests as usize, t.len());
+    let (s, l) = (star.stats.request_hit_rate(), lru.stats.request_hit_rate());
+    assert!(s > l, "StarCDN {s} !> LRU {l} on the TLE fleet");
 }
 
 #[test]
