@@ -422,6 +422,104 @@ mod tests {
         mixed_trace(&classes, &locs, SimDuration::from_secs(10), 1);
     }
 
+    /// The benchmark's model: the video class over the nine cities,
+    /// catalog and request rate scaled independently, catalog seed 42.
+    fn bench_model(catalog_factor: f64, rate_factor: f64) -> ProductionModel {
+        let class = TrafficClass::Video;
+        let mut params = class.params().scaled(catalog_factor);
+        params.base_rate_per_loc_hz = class.params().base_rate_per_loc_hz * rate_factor;
+        ProductionModel::build(params, &Location::akamai_nine(), 42)
+    }
+
+    /// `(len, CRC-32 of the binary encoding)` of a trace.
+    fn trace_pin(trace: &Trace) -> (usize, u32) {
+        let mut bytes = Vec::new();
+        crate::io::write_binary(trace, &mut bytes).unwrap();
+        (trace.len(), starcdn_io::wire::crc32(&bytes))
+    }
+
+    /// CRC-32 of every location's `(object_idx, cdf bits)` after `build`.
+    fn catalog_pins(m: &ProductionModel) -> Vec<u32> {
+        m.per_location
+            .iter()
+            .map(|lc| {
+                let mut bytes = Vec::new();
+                for (&i, &c) in lc.object_idx.iter().zip(&lc.cdf) {
+                    bytes.extend_from_slice(&i.to_le_bytes());
+                    bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+                }
+                starcdn_io::wire::crc32(&bytes)
+            })
+            .collect()
+    }
+
+    /// The generated bytes, pinned before generation moved to compact
+    /// keys, a guide-table draw and a radix sort on time. Never
+    /// regenerate these: a change that moves one changed the workload
+    /// every result rests on, not just its speed.
+    #[test]
+    fn generated_traces_are_pinned() {
+        let video = bench_model(0.5, 2.0);
+        let sparse = bench_model(0.02, 0.02);
+        assert_eq!(catalog_pins(&video), PINNED_VIDEO_CATALOG);
+        assert_eq!(catalog_pins(&sparse), PINNED_SPARSE_CATALOG);
+        assert_eq!(catalog_pins(&small_model()), PINNED_SMALL_CATALOG);
+
+        // The benchmark's four shapes (steady_video, sparse_longhaul,
+        // degraded_churn, sharded_replay) at two seeds.
+        let shapes: [(&ProductionModel, u64); 4] =
+            [(&video, 4 * 60), (&sparse, 48 * 60), (&video, 30), (&video, 2 * 60)];
+        let mut got = Vec::new();
+        for seed in [42, 7] {
+            for (m, minutes) in shapes {
+                got.push(trace_pin(&m.generate_trace(SimDuration::from_mins(minutes), seed)));
+            }
+        }
+        // Not a whole number of hours: the last bucket is partial.
+        got.push(trace_pin(&video.generate_trace(SimDuration::from_millis(5_417_321), 3)));
+        // Nine busy locations over one minute: requests from two
+        // locations share a millisecond, so the order of ties is pinned.
+        let tied = bench_model(0.05, 40.0).generate_trace(SimDuration::from_mins(1), 11);
+        assert!(
+            tied.requests
+                .windows(2)
+                .any(|w| w[0].time == w[1].time && w[0].location != w[1].location),
+            "no cross-location tie to pin"
+        );
+        got.push(trace_pin(&tied));
+        assert_eq!(got, PINNED_TRACES);
+        assert_eq!(
+            video.generate_trace(SimDuration::from_mins(30), 42).unique_objects(),
+            PINNED_UNIQUE
+        );
+    }
+
+    const PINNED_VIDEO_CATALOG: [u32; 9] = [
+        0xc96e6c41, 0x36bdcd8d, 0x5b17657a, 0xfd554f48, 0xbfae4ffd, 0xe4e5f413, 0xcf14378b,
+        0xdbfea979, 0x7effdf67,
+    ];
+    const PINNED_SPARSE_CATALOG: [u32; 9] = [
+        0x95f6b1cf, 0x180e50dd, 0x12015d6d, 0x92e7a253, 0xe2d6741e, 0x627b0af0, 0x099e11a2,
+        0x26623efc, 0xb68677b0,
+    ];
+    const PINNED_SMALL_CATALOG: [u32; 9] = [
+        0xa3a22abb, 0x04d2d722, 0xa2e2dae2, 0xf7a20610, 0x58d56afe, 0xbbd5719f, 0xee073738,
+        0xbdd2d301, 0xf4ca7571,
+    ];
+    const PINNED_TRACES: [(usize, u32); 10] = [
+        (908104, 0x51abb26b),
+        (93530, 0x93e6a7cc),
+        (120143, 0x9d2349f5),
+        (472481, 0x1ce37a65),
+        (910255, 0x24ef314e),
+        (92965, 0x11c7a1cc),
+        (120464, 0xe18e0bec),
+        (473943, 0xb9a6a614),
+        (358349, 0x7e98fcfd),
+        (80723, 0x4350f9fd),
+    ];
+    const PINNED_UNIQUE: (usize, u64) = (14329, 17_895_192_856);
+
     #[test]
     fn poisson_mean_is_lambda() {
         let mut rng = StdRng::seed_from_u64(1);
