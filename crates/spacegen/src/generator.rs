@@ -114,24 +114,33 @@ pub fn generate(
     // strands far more partially-consumed objects than the production
     // trace contains (inflating the unique-object count and diluting
     // popularity — measured +69 % objects before this correction).
+    //
+    // A location whose GPD column is all zero (one the production trace
+    // never saw) can never receive an object: it is left out of the fill
+    // and generates no requests.
+    let live: Vec<bool> = (0..n).map(|i| gpd.records.iter().any(|r| r.popularity[i] > 0)).collect();
     let fill_target: Vec<u64> =
         pfds.iter().map(|fd| fd.stack_distance_quantile(0.99).max(1)).collect();
     let max_fill_iters = 200 * gpd.len().max(1024);
     let mut iters = 0usize;
-    while state.stacks.iter().zip(&fill_target).any(|(s, &t)| s.total_bytes() < t) {
+    while (0..n).any(|i| live[i] && state.stacks[i].total_bytes() < fill_target[i]) {
         state.sample_new_object(&mut rng);
         iters += 1;
         if iters > max_fill_iters {
             // A location whose GPD share is tiny may fill very slowly;
             // proceed once everyone has at least something queued.
-            if state.stacks.iter().all(|s| !s.is_empty()) {
+            if (0..n).all(|i| !live[i] || !state.stacks[i].is_empty()) {
                 break;
             }
         }
     }
 
     // Phase 2: generation, rate-proportional interleaving.
-    let rates: Vec<f64> = pfds.iter().map(|fd| fd.req_rate_hz.max(0.0)).collect();
+    let rates: Vec<f64> = pfds
+        .iter()
+        .zip(&live)
+        .map(|(fd, &l)| if l { fd.req_rate_hz.max(0.0) } else { 0.0 })
+        .collect();
     let max_rate = rates.iter().cloned().fold(0.0f64, f64::max);
     if max_rate <= 0.0 {
         return Trace::default();

@@ -50,6 +50,52 @@ pub struct ProductionModel {
 struct LocationCatalog {
     object_idx: Vec<u32>,
     cdf: Vec<f64>,
+    /// Chen–Asau cutpoints over `m = cdf.len()` equal slices of `[0, 1)`:
+    /// `guide[j]` is the first index whose `cdf` value reaches `j / m`,
+    /// for `j` in `0..=m + 1`.
+    guide: Vec<u32>,
+}
+
+impl LocationCatalog {
+    fn new(object_idx: Vec<u32>, cdf: Vec<f64>) -> Self {
+        let m = cdf.len().max(1);
+        let mut guide = Vec::with_capacity(m + 2);
+        let mut k = 0;
+        for j in 0..=m + 1 {
+            let cut = j as f64 / m as f64;
+            while k < cdf.len() && cdf[k] < cut {
+                k += 1;
+            }
+            guide.push(k as u32);
+        }
+        LocationCatalog { object_idx, cdf, guide }
+    }
+
+    /// The slot `u ∈ [0, 1)` draws: the first `cdf` value at or above
+    /// `u`, clamped to the last — exactly
+    /// `cdf.partition_point(|&c| c < u).min(cdf.len() - 1)`. The search
+    /// covers `u`'s slice widened by one on each side, so a rounding of
+    /// `u * m` or of a cut `j / m` never moves the answer out of it:
+    /// every value before the window is below `u`, every one after it is
+    /// at or above.
+    #[inline]
+    fn draw(&self, u: f64) -> usize {
+        let m = self.guide.len() - 2;
+        let j = ((u * m as f64) as usize).min(m);
+        let lo = self.guide[j.saturating_sub(1)] as usize;
+        let hi = self.guide[(j + 2).min(m + 1)] as usize;
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)).min(self.cdf.len() - 1)
+    }
+}
+
+/// How an object homed at one location reaches another: the distance
+/// decay `exp(-d / scale)` and the language-dependent shares. A function
+/// of the location pair only, so `build` computes it once per pair.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    geo: f64,
+    lang_share: f64,
+    head: f64,
 }
 
 impl ProductionModel {
@@ -92,41 +138,48 @@ impl ProductionModel {
             });
         }
 
-        // Availability and per-location weights.
+        // Availability and per-location weights. `reach[l][h]` is `None`
+        // where an object homed at `h` is at home at location `l`.
         let knee = ((n as f64) * params.popular_knee_frac).max(1.0);
         let noise = LogNormal::new(0.0, params.per_location_noise_sigma).expect("valid lognormal");
+        let pair = |loc: &Location, home: &Location| {
+            let (lang_share, head) = if loc.language == home.language {
+                (params.same_language_share, params.head_share_same)
+            } else {
+                (params.cross_language_share, params.head_share_cross)
+            };
+            let geo = (-loc.distance_km(home) / params.distance_scale_km).exp();
+            Reach { geo, lang_share, head }
+        };
+        let reach: Vec<Vec<Option<Reach>>> = locations
+            .iter()
+            .map(|loc| {
+                let homes = locations.iter().enumerate();
+                homes
+                    .map(|(h, home)| (LocationId(h as u16) != loc.id).then(|| pair(loc, home)))
+                    .collect()
+            })
+            .collect();
+        // Head content travels further than the tail, but *both* decay
+        // with distance — even popular content is regional (Fig. 2: only
+        // ~25 % of London's traffic is also present in New York).
+        let pop_boost: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64 / knee)).collect();
         let mut per_location = Vec::with_capacity(locations.len());
-        for loc in locations {
+        for reach in &reach {
             let mut object_idx = Vec::new();
             let mut weights = Vec::new();
             for (i, obj) in catalog.iter().enumerate() {
-                let home_loc = &locations[obj.home.0 as usize];
-                let available = if obj.home == loc.id {
-                    true
-                } else {
-                    let d = loc.distance_km(home_loc);
-                    let lang_share = if loc.language == home_loc.language {
-                        params.same_language_share
-                    } else {
-                        params.cross_language_share
-                    };
-                    let geo = (-d / params.distance_scale_km).exp();
-                    // Head content travels further than the tail, but
-                    // *both* decay with distance — even popular content is
-                    // regional (Fig. 2: only ~25 % of London's traffic is
-                    // also present in New York).
-                    let pop_boost = 1.0 / (1.0 + i as f64 / knee);
-                    let head = if loc.language == home_loc.language {
-                        params.head_share_same
-                    } else {
-                        params.head_share_cross
-                    };
-                    let p = (geo * (lang_share + pop_boost * head)).min(1.0);
-                    rng.gen::<f64>() < p
+                let away = reach[obj.home.0 as usize];
+                let available = match away {
+                    None => true,
+                    Some(r) => {
+                        let p = (r.geo * (r.lang_share + pop_boost[i] * r.head)).min(1.0);
+                        rng.gen::<f64>() < p
+                    }
                 };
                 if available {
                     let mut w = obj.global_weight * noise.sample(&mut rng);
-                    if obj.home == loc.id {
+                    if away.is_none() {
                         w *= params.home_boost;
                     }
                     object_idx.push(i as u32);
@@ -142,18 +195,17 @@ impl ProductionModel {
                     acc
                 })
                 .collect();
-            per_location.push(LocationCatalog { object_idx, cdf });
+            per_location.push(LocationCatalog::new(object_idx, cdf));
         }
 
         ProductionModel { locations: locations.to_vec(), params, catalog, per_location }
     }
 
-    /// Sample one object for a request from `loc`.
-    pub(crate) fn sample_object(&self, loc: LocationId, rng: &mut impl Rng) -> &CatalogObject {
+    /// Draw the catalog index of one request's object from `loc`.
+    #[inline]
+    fn sample_index(&self, loc: LocationId, rng: &mut impl Rng) -> u32 {
         let lc = &self.per_location[loc.0 as usize];
-        let u: f64 = rng.gen();
-        let k = lc.cdf.partition_point(|&c| c < u).min(lc.cdf.len() - 1);
-        &self.catalog[lc.object_idx[k] as usize]
+        lc.object_idx[lc.draw(rng.gen())]
     }
 
     /// Diurnal rate multiplier at simulation time `t` for a location
@@ -168,9 +220,19 @@ impl ProductionModel {
     /// Generate the production trace over `duration` (deterministic in
     /// `seed`). Request times are Poisson within hourly buckets whose
     /// rates follow the diurnal profile.
+    ///
+    /// Requests are drawn location by location, bucket by bucket; the
+    /// trace orders them by `(millisecond, generation index)` — the
+    /// order a stable sort by time of the generation order gives. Each
+    /// draw is kept as one packed `u64` key (`KeyLayout`) beside its
+    /// catalog index and location, the keys are radix-sorted on their
+    /// time bits, and the `Request`s are written once, in trace order.
     pub fn generate_trace(&self, duration: SimDuration, seed: u64) -> Trace {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5face_97ace);
-        let mut requests = Vec::new();
+        let layout = KeyLayout::for_duration(duration.as_millis());
+        let mut keys = Vec::new();
+        let mut objects = Vec::new();
+        let mut origins = Vec::new();
         let total_secs = duration.as_secs_f64();
         let bucket_secs = 3600.0_f64.min(total_secs.max(1.0));
         let n_buckets = (total_secs / bucket_secs).ceil() as u64;
@@ -189,18 +251,115 @@ impl ProductionModel {
                 let count = poisson_knuth(expected, &mut rng);
                 for _ in 0..count {
                     let t = t0 + rng.gen::<f64>() * span;
-                    let obj = self.sample_object(loc_id, &mut rng);
-                    requests.push(Request {
-                        time: SimTime::from_millis((t * 1000.0) as u64),
-                        object: obj.id,
-                        size: obj.size,
-                        location: loc_id,
-                    });
+                    keys.push(layout.pack((t * 1000.0) as u64, keys.len()));
+                    objects.push(self.sample_index(loc_id, &mut rng));
+                    origins.push(loc_id);
                 }
             }
         }
-        Trace::new(requests)
+
+        let keys = sort_by_time(keys, layout);
+        let mut requests = Vec::with_capacity(keys.len());
+        for &key in &keys {
+            let i = layout.index(key);
+            let obj = &self.catalog[objects[i] as usize];
+            requests.push(Request {
+                time: SimTime::from_millis(layout.ms(key)),
+                object: obj.id,
+                size: obj.size,
+                location: origins[i],
+            });
+        }
+        debug_assert!(requests.windows(2).all(|w| w[0].time <= w[1].time));
+        Trace { requests }
     }
+}
+
+/// The sort key of one generated request: its millisecond in the high
+/// bits, its generation index in the low `idx_bits`. Generation is
+/// location-major, so sorting keys as integers orders requests by time
+/// and breaks ties by location, then by draw order.
+#[derive(Debug, Clone, Copy)]
+struct KeyLayout {
+    idx_bits: u32,
+}
+
+impl KeyLayout {
+    /// The layout for a trace whose times are at most `duration_ms`: the
+    /// time takes the bits `duration_ms` needs, the index the rest (35
+    /// bits over five days).
+    fn for_duration(duration_ms: u64) -> Self {
+        KeyLayout { idx_bits: duration_ms.leading_zeros().min(63) }
+    }
+
+    /// The key of the `index`-th generated request, at `ms`.
+    ///
+    /// # Panics
+    ///
+    /// If `index` does not fit the index share (`2^idx_bits` requests).
+    #[inline]
+    fn pack(self, ms: u64, index: usize) -> u64 {
+        let index = index as u64;
+        assert!(
+            index >> self.idx_bits == 0,
+            "request {index} overflows the {}-bit index share of a sort key \
+             (at most {} requests fit beside the trace's times)",
+            self.idx_bits,
+            1u64 << self.idx_bits
+        );
+        // Times never pass the duration the layout was sized for.
+        debug_assert!(ms.leading_zeros() >= self.idx_bits, "{ms} ms past the layout");
+        ms << self.idx_bits | index
+    }
+
+    #[inline]
+    fn index(self, key: u64) -> usize {
+        (key & ((1 << self.idx_bits) - 1)) as usize
+    }
+
+    #[inline]
+    fn ms(self, key: u64) -> u64 {
+        key >> self.idx_bits
+    }
+}
+
+/// Sort `keys` by their time bits: a least-significant-digit radix sort
+/// over the bits above the index share, at most 12 bits a digit. Each
+/// pass is stable, so keys that share a millisecond keep the order they
+/// came in — for generated keys, the generation order. A pass whose
+/// digit is the same for every key is skipped.
+fn sort_by_time(keys: Vec<u64>, layout: KeyLayout) -> Vec<u64> {
+    const MAX_DIGIT_BITS: u32 = 12;
+    let time_bits = 64 - layout.idx_bits;
+    let passes = time_bits.div_ceil(MAX_DIGIT_BITS);
+    let digit_bits = time_bits.div_ceil(passes);
+    let mask = (1u64 << digit_bits) - 1;
+    let mut src = keys;
+    let mut dst = vec![0u64; src.len()];
+    let mut counts = vec![0usize; 1 << digit_bits];
+    for pass in 0..passes {
+        let shift = layout.idx_bits + pass * digit_bits;
+        counts.fill(0);
+        for &k in &src {
+            counts[((k >> shift) & mask) as usize] += 1;
+        }
+        if counts.contains(&src.len()) {
+            continue;
+        }
+        let mut next = 0;
+        for c in counts.iter_mut() {
+            let n = *c;
+            *c = next;
+            next += n;
+        }
+        for &k in &src {
+            let d = ((k >> shift) & mask) as usize;
+            dst[counts[d]] = k;
+            counts[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
 }
 
 /// Generate a mixed-class trace: each traffic class keeps its own model
@@ -342,8 +501,7 @@ mod tests {
         let mut head = 0usize;
         const N: usize = 5000;
         for _ in 0..N {
-            let o = m.sample_object(LocationId(4), &mut rng);
-            if o.id.0 < (m.catalog.len() / 20) as u64 {
+            if (m.sample_index(LocationId(4), &mut rng) as usize) < m.catalog.len() / 20 {
                 head += 1;
             }
         }
@@ -519,6 +677,128 @@ mod tests {
         (80723, 0x4350f9fd),
     ];
     const PINNED_UNIQUE: (usize, u64) = (14329, 17_895_192_856);
+
+    /// The guide-table draw against the full binary search it replaces:
+    /// `seeded` uniform `u`, every `cdf` value and cut `j / m` with their
+    /// float neighbours, and both ends of `[0, 1)`.
+    fn assert_draw_is_partition_point(lc: &LocationCatalog, seeded: &[f64]) {
+        let slices = (lc.guide.len() - 2) as f64;
+        let cuts = (0..lc.guide.len()).map(|j| j as f64 / slices);
+        let mut us = seeded.to_vec();
+        us.extend([0.0, 1.0f64.next_down(), 0.5, f64::MIN_POSITIVE]);
+        for x in lc.cdf.iter().copied().chain(cuts) {
+            us.extend([x, x.next_up(), x.next_down()]);
+        }
+        for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+            let want = lc.cdf.partition_point(|&c| c < u).min(lc.cdf.len() - 1);
+            assert_eq!(lc.draw(u), want, "u = {u:e}, cdf of {}", lc.cdf.len());
+        }
+    }
+
+    #[test]
+    fn guide_table_draw_is_the_full_binary_search() {
+        let mut rng = StdRng::seed_from_u64(0xD4A3);
+        let seeded: Vec<f64> = (0..1_000_000).map(|_| rng.gen()).collect();
+        for m in [small_model(), bench_model(0.5, 2.0)] {
+            for lc in &m.per_location {
+                assert_draw_is_partition_point(lc, &seeded);
+            }
+        }
+        // Values on the cuts, repeated values, a last value either side of
+        // 1.0, one object, and one head object over a long flat tail.
+        let tail: Vec<f64> = (1..=1000).map(|i| 0.999 + f64::from(i) * 1e-6).collect();
+        let shapes = [
+            vec![0.25, 0.5, 0.75, 1.0],
+            vec![0.2, 0.2, 0.2, 0.6, 0.6, 1.0],
+            vec![0.1, 0.3, 1.0f64.next_down()],
+            vec![0.5, 1.0f64.next_up()],
+            vec![1.0],
+            [0.999].into_iter().chain(tail).collect(),
+        ];
+        for cdf in shapes {
+            let lc = LocationCatalog::new((0..cdf.len() as u32).collect(), cdf);
+            assert_draw_is_partition_point(&lc, &seeded[..10_000]);
+        }
+    }
+
+    /// `sort_by_time` over keys packed in generation order, decoded back to
+    /// `(location, ms)`, against a stable sort by time.
+    fn assert_key_sort_is_stable_sort(duration_ms: u64, generated: &[(u16, u64)]) {
+        let layout = KeyLayout::for_duration(duration_ms);
+        let keys = generated.iter().enumerate().map(|(i, &(_, ms))| layout.pack(ms, i)).collect();
+        let got: Vec<(u16, u64)> = sort_by_time(keys, layout)
+            .into_iter()
+            .map(|k| {
+                assert_eq!(layout.ms(k), generated[layout.index(k)].1);
+                generated[layout.index(k)]
+            })
+            .collect();
+        let mut want = generated.to_vec();
+        want.sort_by_key(|&(_, ms)| ms);
+        assert_eq!(got, want, "duration {duration_ms} ms");
+    }
+
+    #[test]
+    fn key_sort_is_the_stable_sort_by_time() {
+        const HOUR: u64 = 3_600_000;
+        // All equal: the generation order survives untouched.
+        let equal: Vec<(u16, u64)> = (0..5000).map(|i| ((i % 9) as u16, 1234)).collect();
+        assert_key_sort_is_stable_sort(HOUR, &equal);
+        // Descending: every key moves.
+        let descending: Vec<(u16, u64)> = (0..5000).map(|i| (0, 4 * HOUR - 1 - 3 * i)).collect();
+        assert_key_sort_is_stable_sort(4 * HOUR, &descending);
+        // Location-major, hour-bucket-major, with ties across locations on
+        // both sides of an hour edge.
+        let mut edges = Vec::new();
+        for loc in 0..9u16 {
+            for ms in [HOUR - 1, HOUR, HOUR, 2 * HOUR - 1, 0, HOUR + 1, 2 * HOUR] {
+                edges.push((loc, ms));
+            }
+        }
+        assert_key_sort_is_stable_sort(2 * HOUR, &edges);
+        // Times at the top bit of their share, for shares that split into
+        // one, two and three digits, and a dense random mix.
+        for duration in
+            [1, 2047, 4095, 4096, (1 << 23) + 5, 4 * HOUR, 5 * 24 * HOUR, u64::MAX >> 20]
+        {
+            let top = 1u64 << (63 - duration.leading_zeros());
+            let mut rng = StdRng::seed_from_u64(duration);
+            let mixed: Vec<(u16, u64)> = (0..20_000)
+                .map(|i| {
+                    let ms = match i % 4 {
+                        0 => duration,
+                        1 => top,
+                        2 => top - 1,
+                        _ => rng.gen_range(0..=duration.min(1 << 20)) * (duration >> 20).max(1),
+                    };
+                    ((i / 2500) as u16, ms.min(duration))
+                })
+                .collect();
+            assert_key_sort_is_stable_sort(duration, &mixed);
+        }
+    }
+
+    #[test]
+    fn key_index_overflows_at_exactly_its_share() {
+        const DAY_MS: u64 = 24 * 3_600_000;
+        // Five days of times leave 35 index bits, four hours 40.
+        assert_eq!(KeyLayout::for_duration(5 * DAY_MS).idx_bits, 35);
+        assert_eq!(KeyLayout::for_duration(4 * 3_600_000).idx_bits, 40);
+        for duration in [5 * DAY_MS, 4 * 3_600_000, u64::MAX >> 3, 0] {
+            let layout = KeyLayout::for_duration(duration);
+            let share = 1usize << layout.idx_bits;
+            let last = layout.pack(duration, share - 1);
+            assert_eq!((layout.ms(last), layout.index(last)), (duration, share - 1));
+            let overflow = std::panic::catch_unwind(|| layout.pack(duration, share));
+            let message = overflow.expect_err("one past the share must panic");
+            let message = message.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                message.contains(&format!("request {share} "))
+                    && message.contains(&format!("{}-bit", layout.idx_bits)),
+                "{message}"
+            );
+        }
+    }
 
     #[test]
     fn poisson_mean_is_lambda() {

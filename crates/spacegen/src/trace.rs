@@ -2,7 +2,7 @@
 
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
-use starcdn_cache::object::ObjectId;
+use starcdn_cache::object::{IdMap, ObjectId};
 use starcdn_constellation::schedule::DemandSchedule;
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::time::SimTime;
@@ -87,8 +87,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Wrap a request vector, sorting by time (stable, so equal-time
-    /// requests keep their generation order).
+    /// Wrap a request vector, sorting by time with a stable comparison
+    /// sort, so equal-time requests keep their input order. For requests
+    /// that arrive in any order: the readers, merges, the surge overlay,
+    /// Algorithm 1.
+    /// [`ProductionModel::generate_trace`](crate::production::ProductionModel::generate_trace)
+    /// writes its requests in this order itself and does not come through
+    /// here.
     pub fn new(mut requests: Vec<Request>) -> Self {
         requests.sort_by_key(|r| r.time);
         Trace { requests }
@@ -109,9 +114,10 @@ impl Trace {
         self.requests.iter().map(|r| r.size).sum()
     }
 
-    /// Unique objects and their total unique bytes.
+    /// Unique objects and their total unique bytes (each object counted
+    /// at the size of its first request).
     pub fn unique_objects(&self) -> (usize, u64) {
-        let mut seen = std::collections::HashMap::new();
+        let mut seen: IdMap<ObjectId, u64> = IdMap::default();
         for r in &self.requests {
             seen.entry(r.object).or_insert(r.size);
         }

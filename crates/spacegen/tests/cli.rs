@@ -5,7 +5,8 @@
 use spacegen::io::ModelBundle;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn spacegen(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_spacegen")).args(args).output().expect("spawn spacegen")
@@ -78,7 +79,36 @@ fn locations_missing_from_a_sparse_trace_are_modelled_empty() {
 
     let out = spacegen(&["validate", "--production", &prod, "--synthetic", &prod]);
     assert_ok(&out, "validate");
+
+    // Generation leaves the four empty locations out instead of waiting
+    // for objects the GPD never gives them.
+    let synth = path(&dir, "synth.csv");
+    let args = ["generate", "--models", &models, "--requests", "200", "--out", &synth];
+    assert_ok(&spacegen_within(&args, Duration::from_secs(30)), "generate");
+    let trace = spacegen::io::read_csv(File::open(&synth).unwrap()).unwrap();
+    assert!(!trace.is_empty());
+    assert!(trace.requests.iter().all(|r| matches!(r.location.0, 0 | 5)));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Run `spacegen`, killing it (and failing) if it outlives `deadline`.
+fn spacegen_within(args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spacegen"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn spacegen");
+    let start = Instant::now();
+    while child.try_wait().expect("poll spacegen").is_none() {
+        if start.elapsed() > deadline {
+            child.kill().expect("kill spacegen");
+            child.wait().expect("reap spacegen");
+            panic!("spacegen {args:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect spacegen")
 }
 
 #[test]
