@@ -12,14 +12,17 @@
 //! * `--mode crash --dir D --kill-epoch N` — replay only the log prefix
 //!   before epoch `N` (the state a SIGKILL at that epoch leaves behind),
 //!   then simulate a torn write by truncating the newest checkpoint and
-//!   leaving a stray `.tmp` file;
+//!   leaving a stray `.tmp` file. `N` must leave two checkpoints (one to
+//!   tear, one to fall back to) and lie inside the run: 41 ≤ N ≤ 199
+//!   (`KILL_EPOCHS`);
 //! * `--mode resume --dir D --out F` — resume from the newest valid
 //!   checkpoint (falling back past the torn one) and dump the same
 //!   fingerprint;
 //! * `--mode diff --a F1 --b F2` — byte-compare two fingerprint dumps,
 //!   exit non-zero on any difference.
 //!
-//! An unknown flag, or a missing or malformed value, exits 2.
+//! An unknown flag, or a missing, malformed or out-of-range value, exits
+//! 2 before anything is written.
 //!
 //! The fingerprint includes every counter, the bit patterns of all
 //! latency samples, the utilization timeline, and the telemetry
@@ -50,6 +53,13 @@ use std::time::Instant;
 const EPOCHS: u64 = 200;
 const EPOCH_SECS: u64 = 15;
 const REQS_PER_SEC: u64 = 4;
+/// Checkpoint interval of the harness modes, in epochs.
+const CKPT_EVERY: u64 = 20;
+/// The kill epochs `--mode crash` accepts: the prefix before one holds
+/// at least two checkpoint boundaries (the first is written on entering
+/// epoch `CKPT_EVERY`), and the kill falls before the run's last epoch
+/// ends.
+const KILL_EPOCHS: std::ops::RangeInclusive<u64> = 2 * CKPT_EVERY + 1..=EPOCHS - 1;
 
 fn workload() -> (AccessLog, FaultSchedule, OverloadConfig) {
     let w = World::starlink_nine_cities();
@@ -95,7 +105,6 @@ fn run_engine(
             io: &RealIo,
             resume,
         }),
-        measure_from_secs: None,
     };
     engine::run(&mut cdn(), log, &spec)
 }
@@ -207,7 +216,8 @@ fn fingerprint_json(m: &SystemMetrics, tele: &TelemetrySnapshot) -> String {
 
 fn run_golden(dir: &Path, out: &Path) {
     let (log, sched, overload) = workload();
-    let policy = CheckpointPolicy { every_n_epochs: 20, dir: dir.to_path_buf(), keep_last: 0 };
+    let policy =
+        CheckpointPolicy { every_n_epochs: CKPT_EVERY, dir: dir.to_path_buf(), keep_last: 0 };
     let rec = MemoryRecorder::new();
     let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, false)))
         .expect("golden checkpointed run");
@@ -227,7 +237,8 @@ fn run_crash(dir: &Path, kill_epoch: u64) {
         .position(|e| e.time.as_secs() / EPOCH_SECS >= kill_epoch)
         .unwrap_or(log.entries.len());
     let partial = AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
-    let policy = CheckpointPolicy { every_n_epochs: 20, dir: dir.to_path_buf(), keep_last: 0 };
+    let policy =
+        CheckpointPolicy { every_n_epochs: CKPT_EVERY, dir: dir.to_path_buf(), keep_last: 0 };
     run_engine(&partial, &sched, &overload, &MemoryRecorder::new(), Some((&policy, false)))
         .expect("crashed prefix run");
     // Simulate the kill arriving mid-write: tear the newest checkpoint in
@@ -247,7 +258,8 @@ fn run_crash(dir: &Path, kill_epoch: u64) {
 
 fn run_resume(dir: &Path, out: &Path) {
     let (log, sched, overload) = workload();
-    let policy = CheckpointPolicy { every_n_epochs: 20, dir: dir.to_path_buf(), keep_last: 0 };
+    let policy =
+        CheckpointPolicy { every_n_epochs: CKPT_EVERY, dir: dir.to_path_buf(), keep_last: 0 };
     let rec = MemoryRecorder::new();
     let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, true)))
         .expect("resume from crash-left checkpoints");
@@ -405,7 +417,20 @@ fn main() {
     match flags.get::<String>("--mode").as_deref() {
         None => run_overhead(flags.get("--gate")),
         Some("golden") => run_golden(&path("--dir"), &path("--out")),
-        Some("crash") => run_crash(&path("--dir"), flags.require("--kill-epoch")),
+        Some("crash") => {
+            let dir = path("--dir");
+            let kill_epoch = flags.require("--kill-epoch");
+            if !KILL_EPOCHS.contains(&kill_epoch) {
+                eprintln!(
+                    "--kill-epoch {kill_epoch} must lie in {}..={}: a kill must leave two \
+                     checkpoints and fall inside the {EPOCHS}-epoch run",
+                    KILL_EPOCHS.start(),
+                    KILL_EPOCHS.end()
+                );
+                std::process::exit(2);
+            }
+            run_crash(&dir, kill_epoch)
+        }
         Some("resume") => run_resume(&path("--dir"), &path("--out")),
         Some("diff") => run_diff(&path("--a"), &path("--b")),
         Some(other) => {

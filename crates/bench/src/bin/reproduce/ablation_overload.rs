@@ -110,7 +110,7 @@ pub(crate) fn run(a: Args) {
                 None => OverloadConfig::disabled(),
                 Some(h) => OverloadConfig {
                     headroom: h,
-                    retry: RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 },
+                    retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 },
                 },
             };
             let metrics = replay_parallel_overloaded(

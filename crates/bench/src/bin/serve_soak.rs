@@ -25,9 +25,7 @@ use starcdn_bench::table::print_table;
 use starcdn_bench::{interrupt, output, Flags, Scale};
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
-use starcdn_net::{
-    serve_replay, ChaosNet, ChaosPlan, CircuitAction, MemNet, NetError, RealNet, ServeConfig,
-};
+use starcdn_net::{serve_replay, ChaosNet, ChaosPlan, MemNet, NetError, RealNet, ServeConfig};
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{build_access_log, metrics_digest, replay_parallel, AccessLog, ServePlan, World};
@@ -68,7 +66,6 @@ fn scfg() -> ServeConfig {
         backoff_base: Duration::from_micros(200),
         backoff_cap: Duration::from_millis(5),
         max_attempts: 8,
-        on_circuit_open: CircuitAction::Fail,
         overall_deadline: Duration::from_secs(60),
         ..ServeConfig::default()
     }

@@ -80,7 +80,6 @@ fn ckpt_spec<'a>(
         overload: *overload,
         recorder: rec,
         checkpoint: Some(Checkpointing { policy, io, resume }),
-        measure_from_secs: None,
     }
 }
 

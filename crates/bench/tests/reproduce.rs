@@ -75,4 +75,13 @@ fn harness_bins_exit_2_on_malformed_flags() {
     for args in [&["--mode", "crash", "--dir", "d", "--kill-epoch", "x"][..], &["--mode", "diff"]] {
         assert_eq!(run(ckpt, args).status.code(), Some(2), "{args:?}");
     }
+    // A kill that leaves fewer than two checkpoints, or lands past the
+    // run, is refused before the directory is made.
+    let dir = std::env::temp_dir().join(format!("starcdn-kill-epoch-{}", std::process::id()));
+    for epoch in ["0", "40", "200"] {
+        let out =
+            run(ckpt, &["--mode", "crash", "--dir", dir.to_str().unwrap(), "--kill-epoch", epoch]);
+        assert_eq!(out.status.code(), Some(2), "--kill-epoch {epoch}");
+        assert!(!dir.exists(), "--kill-epoch {epoch} created {}", dir.display());
+    }
 }

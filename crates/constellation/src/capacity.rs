@@ -25,10 +25,13 @@
 //!   ties). Fault detours add `extra_hops` that are not link-attributed —
 //!   a first-order approximation, like the latency model's hop mix.
 //!
-//! Retries with a backoff charge a *future* epoch's budget, so the
-//! ledger keeps one usage table per in-flight epoch and finalizes each
-//! into a [`UtilizationPoint`] once [`CapacityLedger::advance_to`] moves
-//! past it.
+//! [`CapacityLedger::admit`] takes the epoch to charge, and the ledger
+//! keeps one usage table per in-flight epoch — the caller may admit
+//! against an epoch it has not advanced to, and a log whose time runs
+//! backwards reopens an earlier one — finalizing each into a
+//! [`UtilizationPoint`] once [`CapacityLedger::advance_to`] moves past
+//! it. The request lifecycle admits every attempt against its request's
+//! own epoch, so each epoch's admissions start from an empty table.
 //!
 //! A usage table is flat (DESIGN.md §7, "The flat ledger"): one `u64`
 //! per GSL and per ISL of the grid, indexed by slot, so an admit is a
@@ -194,7 +197,8 @@ pub struct CapacityLedger {
     gsl_limit: u64,
     intra_limit: u64,
     inter_limit: u64,
-    /// In-flight epochs (current plus backoff targets), ascending.
+    /// In-flight epochs (every epoch charged and not yet finalized),
+    /// ascending.
     epochs: Vec<EpochTable>,
     /// Finalized tables, kept for the next epoch to open.
     spare: Vec<EpochTable>,
@@ -382,10 +386,9 @@ impl CapacityLedger {
         }
     }
 
-    /// Export every in-flight epoch's balances (current plus backoff
-    /// targets), in epoch order with sorted entries — the checkpoint
-    /// hook. Budgets, headroom, and grid travel via configuration, not
-    /// the export.
+    /// Export every in-flight epoch's balances, in epoch order with
+    /// sorted entries — the checkpoint hook. Budgets, headroom, and grid
+    /// travel via configuration, not the export.
     pub fn export_state(&self) -> Vec<EpochUsageState> {
         let slots = self.grid.total_slots();
         let spp = self.grid.sats_per_plane;
@@ -717,7 +720,7 @@ mod tests {
         l.advance_to(0);
         assert!(l.admit(0, fc, owner, budget).is_admit());
         assert_eq!(l.admit(0, fc, owner, 1), AdmitDecision::Shed(ShedReason::GslSaturated));
-        // The next epoch's budget is fresh (the backoff target).
+        // The next epoch's budget is fresh, charged before any advance.
         assert!(l.admit(1, fc, owner, budget).is_admit());
         let pts = l.finish();
         assert_eq!(pts.iter().map(|p| p.epoch).collect::<Vec<_>>(), vec![0, 1]);

@@ -612,7 +612,7 @@ fn admits_do_not_allocate_once_the_epoch_table_exists() {
     for grid in grids() {
         let link = link_model(1);
         let mut ledger = CapacityLedger::new(&grid, &link, EPOCH_SECS, 1e-6);
-        // The current epoch and three backoff targets, opened out of
+        // The current epoch and three later ones, opened out of
         // order; epoch 0 is finalized so epoch 5 reuses its table.
         ledger.advance_to(0);
         for epoch in [3, 1, 2] {

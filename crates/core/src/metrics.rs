@@ -119,8 +119,7 @@ pub struct SystemMetrics {
     /// that was shed counts once; empty unless overload mode is on).
     #[serde(default)]
     pub shed_requests: u64,
-    /// Retry attempts made beyond the first (replica probes + backoff
-    /// re-admissions).
+    /// Retry attempts made beyond the first (replica probes).
     #[serde(default)]
     pub retry_attempts: u64,
     /// Terminal outcome classification under overload mode. A request

@@ -477,13 +477,6 @@ impl SpaceCdn {
         });
     }
 
-    /// Zero the metrics but keep all cached content — used to discount a
-    /// warm-up phase from measurements (the paper's 5-day replays make
-    /// cold-start negligible; shorter runs subtract it explicitly).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = SystemMetrics::default();
-    }
-
     /// Export every piece of run-dependent fleet state (checkpoint
     /// hook): per-slot cache states in slot order, cold flags, the live
     /// failure view, and the accumulated metrics. Everything else
@@ -937,7 +930,7 @@ mod tests {
         assert_eq!(cdn.metrics.served_ground, 1);
         assert_eq!(cdn.metrics.served_local, 1);
         assert!((cdn.metrics.uplink_fraction() - 0.5).abs() < 1e-12);
-        cdn.reset_metrics();
+        cdn.metrics = SystemMetrics::default();
         assert_eq!(cdn.metrics.stats.requests, 0);
         let o = cdn.handle_request(sat, ObjectId(1), 100, 2.9);
         assert_eq!(o.served_from, ServedFrom::LocalHit, "content survives a metrics reset");

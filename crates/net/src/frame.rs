@@ -24,7 +24,7 @@
 //! `FrameCodec::recv_from` lets the transport read into the decoder's
 //! own buffer, and [`FrameCodec::next_frame_ref`] hands an `Ops` payload
 //! out as a slice of that buffer (the shard applies it in place: one
-//! read, one CRC pass). [`Frame`] is the owning form of the same eleven
+//! read, one CRC pass). [`Frame`] is the owning form of the same ten
 //! kinds; its `encode` / `next_frame` are thin wrappers, so the bounds,
 //! CRC and hostile-length checks exist in one decoder body.
 //!
@@ -54,7 +54,8 @@ const K_HELLO: u8 = 1;
 const K_HELLO_ACK: u8 = 2;
 const K_OPS: u8 = 3;
 const K_ACK: u8 = 4;
-const K_SKIP_TO: u8 = 5;
+// Kind 5 is retired (it skipped a shard past unapplied batches) and
+// decodes as an unknown kind; the kinds after it keep their bytes.
 const K_PING: u8 = 6;
 const K_PONG: u8 = 7;
 const K_DRAIN: u8 = 8;
@@ -94,14 +95,8 @@ pub enum Frame {
         seq: u64,
         payload: Vec<u8>,
     },
-    /// Cumulative ack: batches `0..next` are applied (or skipped).
+    /// Cumulative ack: batches `0..next` are applied.
     Ack {
-        next: u64,
-    },
-    /// Router → shard: advance the expected sequence to `next` without
-    /// applying (circuit-open degradation; the skipped ops are served
-    /// from the origin on the router side).
-    SkipTo {
         next: u64,
     },
     /// Health check.
@@ -146,9 +141,6 @@ pub enum FrameRef<'a> {
     Ack {
         next: u64,
     },
-    SkipTo {
-        next: u64,
-    },
     Ping {
         nonce: u64,
     },
@@ -178,7 +170,6 @@ impl Frame {
             Frame::HelloAck { next } => FrameRef::HelloAck { next: *next },
             Frame::Ops { seq, payload } => FrameRef::Ops { seq: *seq, payload },
             Frame::Ack { next } => FrameRef::Ack { next: *next },
-            Frame::SkipTo { next } => FrameRef::SkipTo { next: *next },
             Frame::Ping { nonce } => FrameRef::Ping { nonce: *nonce },
             Frame::Pong { nonce } => FrameRef::Pong { nonce: *nonce },
             Frame::Drain => FrameRef::Drain,
@@ -206,7 +197,6 @@ impl<'a> FrameRef<'a> {
             FrameRef::HelloAck { next } => Frame::HelloAck { next },
             FrameRef::Ops { seq, payload } => Frame::Ops { seq, payload: payload.to_vec() },
             FrameRef::Ack { next } => Frame::Ack { next },
-            FrameRef::SkipTo { next } => Frame::SkipTo { next },
             FrameRef::Ping { nonce } => Frame::Ping { nonce },
             FrameRef::Pong { nonce } => Frame::Pong { nonce },
             FrameRef::Drain => Frame::Drain,
@@ -225,7 +215,6 @@ impl<'a> FrameRef<'a> {
             FrameRef::Hello { .. } => 12,
             FrameRef::HelloAck { .. }
             | FrameRef::Ack { .. }
-            | FrameRef::SkipTo { .. }
             | FrameRef::Ping { .. }
             | FrameRef::Pong { .. } => 8,
             FrameRef::Ops { payload, .. } => 8 + payload.len(),
@@ -262,10 +251,6 @@ impl<'a> FrameRef<'a> {
             }
             FrameRef::Ack { next } => {
                 w.u8(K_ACK);
-                w.u64(next);
-            }
-            FrameRef::SkipTo { next } => {
-                w.u8(K_SKIP_TO);
                 w.u64(next);
             }
             FrameRef::Ping { nonce } => {
@@ -319,11 +304,6 @@ impl<'a> FrameRef<'a> {
                 let next = b.u64()?;
                 b.finish()?;
                 Ok(FrameRef::Ack { next })
-            }
-            K_SKIP_TO => {
-                let next = b.u64()?;
-                b.finish()?;
-                Ok(FrameRef::SkipTo { next })
             }
             K_PING => {
                 let nonce = b.u64()?;

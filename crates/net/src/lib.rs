@@ -4,8 +4,8 @@
 //! front-door router ([`serve_replay`]) streams each shard's op batches
 //! to a shard-server thread over a length-prefixed, CRC-guarded binary
 //! protocol ([`frame`]), with per-request deadlines, bounded retries
-//! with jittered exponential backoff, and circuit breaking to the
-//! origin bent pipe when a shard stays unreachable.
+//! with jittered exponential backoff, and a circuit that fails the run
+//! typed when a shard stays unreachable.
 //!
 //! Everything speaks the object-safe [`Net`] seam, so the same router
 //! runs over loopback TCP ([`RealNet`]), in-process pipes ([`MemNet`]),
@@ -31,6 +31,6 @@ pub use chaos::{ChaosNet, ChaosPlan, ChaosStats, FaultKind};
 pub use error::NetError;
 pub use frame::{Frame, FrameCodec, FrameRef, MAX_FRAME_LEN, MIN_FRAME_LEN};
 pub use mem::MemNet;
-pub use plane::{serve_replay, CircuitAction, ServeConfig, ServeReport, ServeStats};
+pub use plane::{serve_replay, ServeConfig, ServeReport, ServeStats};
 pub use shard::ShardServerStats;
 pub use transport::{Net, NetConn, NetListener, RealNet};

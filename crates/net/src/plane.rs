@@ -29,22 +29,16 @@
 //! resends exactly the unapplied suffix and duplicates are dedup'd
 //! server-side.
 //!
-//! After `max_attempts` consecutive failures the shard's circuit opens:
-//!
-//! * [`CircuitAction::Fail`] — the run aborts with a typed
-//!   [`NetError::RetriesExhausted`]. This is the digest-gated mode: a
-//!   run either matches the golden replay bit-for-bit or fails typed.
-//! * [`CircuitAction::DegradeOrigin`] — the router stops sending ops and
-//!   serves the shard's unapplied suffix from the origin bent pipe
-//!   (the PR 6 `Partitioned` path, via
-//!   [`ServePlan::degraded_metrics`]). One successful resync is still
-//!   required to learn which batches the shard applied (and to drain
-//!   its metrics); a shard that never comes back fails typed.
+//! After `max_attempts` consecutive failures the shard's circuit opens
+//! and the run aborts with a typed [`NetError::RetriesExhausted`]: a
+//! run either matches the golden replay bit-for-bit or fails typed.
 //!
 //! Graceful shutdown: once a shard's batches are all acked the router
 //! health-checks it (ping/pong), drains it (metrics + telemetry
 //! payload), and broadcasts `Shutdown`; in-process supervisors also get
-//! a stop flag for teardown on error paths.
+//! a stop flag for teardown on error paths. Shards record telemetry
+//! exactly when the caller's recorder is enabled, and ship it home in
+//! the drain.
 
 use crate::chaos::splitmix64;
 use crate::error::NetError;
@@ -59,15 +53,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What happens when a shard's circuit opens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CircuitAction {
-    /// Abort the run with [`NetError::RetriesExhausted`].
-    Fail,
-    /// Serve the shard's unapplied batches from the origin bent pipe.
-    DegradeOrigin,
-}
-
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -76,21 +61,15 @@ pub struct ServeConfig {
     pub window: u64,
     /// Deadline for any awaited response (handshake, ack, pong, drain).
     pub deadline: Duration,
-    /// Consecutive failures on one shard before its circuit opens.
+    /// Consecutive failures on one shard before its circuit opens and
+    /// the run fails with [`NetError::RetriesExhausted`].
     pub max_attempts: u32,
     /// First backoff step; doubles per consecutive failure.
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// What an open circuit does.
-    pub on_circuit_open: CircuitAction,
-    /// Extra reconnect budget a degraded shard gets for its final
-    /// resync + drain before the run fails typed anyway.
-    pub degrade_attempts: u32,
     /// Hard wall-clock bound on the whole serve.
     pub overall_deadline: Duration,
-    /// Record per-shard telemetry and ship it home in the drain.
-    pub record_shards: bool,
 }
 
 impl Default for ServeConfig {
@@ -101,10 +80,7 @@ impl Default for ServeConfig {
             max_attempts: 6,
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(100),
-            on_circuit_open: CircuitAction::Fail,
-            degrade_attempts: 24,
             overall_deadline: Duration::from_secs(120),
-            record_shards: false,
         }
     }
 }
@@ -117,10 +93,6 @@ pub struct ServeStats {
     pub timeouts: u64,
     pub reconnects: u64,
     pub circuit_opens: u64,
-    /// Batches served from the origin instead of a shard.
-    pub degraded_batches: u64,
-    /// Requests inside those batches.
-    pub degraded_requests: u64,
     /// Duplicate frames the shard servers dedup'd.
     pub duplicates_dropped: u64,
 }
@@ -152,10 +124,6 @@ struct Endpoint {
     attempts: u32,
     ever_connected: bool,
     backoff_until: Option<Instant>,
-    degraded: bool,
-    /// First unapplied batch, learned from the resync after degrading.
-    degraded_from: Option<u64>,
-    skip_sent: bool,
     probe_sent: bool,
     drain_sent: bool,
     nonce: u64,
@@ -172,7 +140,6 @@ impl Endpoint {
         self.helloed = false;
         self.sent_at.clear();
         self.wait = None;
-        self.skip_sent = false;
         self.probe_sent = false;
         self.drain_sent = false;
     }
@@ -187,9 +154,7 @@ impl Endpoint {
         }
         // `probe_sent` stays true through drain (Drain is only sent
         // from the Pong handler), so it covers both awaited replies.
-        self.acked < self.next_send
-            || (self.skip_sent && self.acked < self.total)
-            || self.probe_sent
+        self.acked < self.next_send || self.probe_sent
     }
 }
 
@@ -198,8 +163,9 @@ impl Endpoint {
 /// Spawns `plan.num_shards()` shard-server threads on listeners bound
 /// from `net`, routes every batch, health-checks and drains each shard,
 /// and merges: pre-pass direct metrics, then each shard's drain payload
-/// in shard index order (the replayer's determinism rule), then any
-/// origin-degraded suffixes.
+/// in shard index order (the replayer's determinism rule). Shards record
+/// telemetry when `rec` is enabled; their snapshots are absorbed into it
+/// in the same order.
 pub fn serve_replay(
     net: &dyn Net,
     plan: &ServePlan,
@@ -220,7 +186,6 @@ pub fn serve_replay(
             }
         }
     }
-    let record = scfg.record_shards && rec.is_enabled();
     let mut stops: Vec<Arc<AtomicBool>> = Vec::with_capacity(shards);
     let mut handles = Vec::with_capacity(shards);
     let mut eps: Vec<Endpoint> = Vec::with_capacity(shards);
@@ -242,7 +207,7 @@ pub fn serve_replay(
         let addr = listener.addr();
         let stop = Arc::new(AtomicBool::new(false));
         stops.push(Arc::clone(&stop));
-        let state = plan.shard_state(record);
+        let state = plan.shard_state(rec.is_enabled());
         let fingerprint = plan.fingerprint();
         handles.push(std::thread::spawn(move || {
             run_shard_server(listener, state, k as u32, fingerprint, stop)
@@ -263,9 +228,6 @@ pub fn serve_replay(
             attempts: 0,
             ever_connected: false,
             backoff_until: None,
-            degraded: false,
-            degraded_from: None,
-            skip_sent: false,
             probe_sent: false,
             drain_sent: false,
             nonce: 0,
@@ -307,13 +269,6 @@ pub fn serve_replay(
         if let Some(snap) = &snap {
             rec.absorb(snap);
         }
-        if let Some(from) = ep.degraded_from {
-            let deg = plan.degraded_metrics(ep.shard as usize, from as usize);
-            stats.degraded_batches += ep.total - from;
-            stats.degraded_requests += deg.partitioned_requests;
-            rec.add(Counter::NetRequestsDegraded, deg.partitioned_requests);
-            total.merge(&deg);
-        }
     }
     Ok(ServeReport { metrics: total, stats })
 }
@@ -353,7 +308,8 @@ fn route_all(
 }
 
 /// One failure on this endpoint: tear down the connection, consume one
-/// retry, open the circuit when the budget is gone.
+/// retry, and fail the run typed once the budget is gone (the circuit
+/// opens).
 fn register_failure(
     ep: &mut Endpoint,
     scfg: &ServeConfig,
@@ -363,27 +319,10 @@ fn register_failure(
 ) -> Result<(), NetError> {
     ep.reset_conn();
     ep.attempts += 1;
-    let budget = if ep.degraded {
-        scfg.max_attempts.saturating_add(scfg.degrade_attempts)
-    } else {
-        scfg.max_attempts
-    };
-    if ep.attempts >= budget {
-        if ep.degraded {
-            // Even the degrade path needs one successful resync; this
-            // shard never came back.
-            return Err(NetError::RetriesExhausted { shard: ep.shard, attempts: ep.attempts });
-        }
+    if ep.attempts >= scfg.max_attempts {
         stats.circuit_opens += 1;
         rec.add(Counter::NetCircuitOpens, 1);
-        match scfg.on_circuit_open {
-            CircuitAction::Fail => {
-                return Err(NetError::RetriesExhausted { shard: ep.shard, attempts: ep.attempts })
-            }
-            CircuitAction::DegradeOrigin => {
-                ep.degraded = true;
-            }
-        }
+        return Err(NetError::RetriesExhausted { shard: ep.shard, attempts: ep.attempts });
     }
     // Jittered exponential backoff, deterministic in (plan, shard,
     // attempt) so chaos runs replay exactly.
@@ -475,9 +414,6 @@ fn drive(
                 ep.sent_at.clear();
                 ep.attempts = 0;
                 ep.wait = None;
-                if ep.degraded && ep.degraded_from.is_none() {
-                    ep.degraded_from = Some(next);
-                }
             }
             Frame::Ack { next } => {
                 if next > ep.acked {
@@ -527,7 +463,6 @@ fn drive(
             // confusion, treat as a connection fault.
             Frame::Hello { .. }
             | Frame::Ops { .. }
-            | Frame::SkipTo { .. }
             | Frame::Ping { .. }
             | Frame::Drain
             | Frame::Shutdown => {
@@ -539,45 +474,33 @@ fn drive(
 
     // Send side.
     if ep.helloed && !ep.done {
-        if ep.degraded {
-            if ep.acked < ep.total && !ep.skip_sent {
-                let skip = FrameRef::SkipTo { next: ep.total };
-                if send_frame(ep, skip, rec, stats).is_err() {
-                    register_failure(ep, scfg, rec, stats, plan)?;
-                    return Ok(true);
+        // Every batch the window admits goes out back to back in one
+        // write; the counters and the ack clock stay per frame.
+        let first = ep.next_send;
+        let last = ep.total.min(ep.acked.saturating_add(scfg.window));
+        if first < last {
+            ep.wire.clear();
+            for seq in first..last {
+                let payload = plan.batch_bytes(ep.shard as usize, seq as usize);
+                if seq < ep.high_water {
+                    stats.frames_resent += 1;
+                    rec.add(Counter::NetFramesResent, 1);
                 }
-                ep.skip_sent = true;
-                progress = true;
+                count_frame(FrameRef::Ops { seq, payload }, &mut ep.wire, rec, stats);
             }
-        } else {
-            // Every batch the window admits goes out back to back in one
-            // write; the counters and the ack clock stay per frame.
-            let first = ep.next_send;
-            let last = ep.total.min(ep.acked.saturating_add(scfg.window));
-            if first < last {
-                ep.wire.clear();
-                for seq in first..last {
-                    let payload = plan.batch_bytes(ep.shard as usize, seq as usize);
-                    if seq < ep.high_water {
-                        stats.frames_resent += 1;
-                        rec.add(Counter::NetFramesResent, 1);
-                    }
-                    count_frame(FrameRef::Ops { seq, payload }, &mut ep.wire, rec, stats);
-                }
-                ep.high_water = ep.high_water.max(last);
-                if send_wire(ep).is_err() {
-                    register_failure(ep, scfg, rec, stats, plan)?;
-                    return Ok(true);
-                }
-                let at = Instant::now();
-                ep.sent_at.extend((first..last).map(|seq| (seq, at)));
-                ep.next_send = last;
-                progress = true;
+            ep.high_water = ep.high_water.max(last);
+            if send_wire(ep).is_err() {
+                register_failure(ep, scfg, rec, stats, plan)?;
+                return Ok(true);
             }
+            let at = Instant::now();
+            ep.sent_at.extend((first..last).map(|seq| (seq, at)));
+            ep.next_send = last;
+            progress = true;
         }
         if ep.acked == ep.total && !ep.probe_sent {
-            // All applied (or skipped): health-check, then drain on the
-            // pong. The nonce is deterministic but connection-unique.
+            // All applied: health-check, then drain on the pong. The
+            // nonce is deterministic but connection-unique.
             ep.nonce = splitmix64(plan.fingerprint() ^ ep.shard as u64 ^ ep.acked);
             if send_frame(ep, FrameRef::Ping { nonce: ep.nonce }, rec, stats).is_err() {
                 register_failure(ep, scfg, rec, stats, plan)?;

@@ -4,10 +4,9 @@
 //! validates the plan fingerprint on handshake, applies `Ops` batches
 //! in sequence through [`ShardState::apply_batch`], and acks
 //! cumulatively. Reconnects are first-class: a fresh `Hello` gets the
-//! current resync point (`HelloAck { next }`), duplicate frames from
-//! retries or chaos duplication are acked-and-dropped, and `SkipTo`
-//! advances past batches the router chose to serve from the origin
-//! instead. `Drain` returns the accumulated metrics; `Shutdown` (or the
+//! current resync point (`HelloAck { next }`), and duplicate frames
+//! from retries or chaos duplication are acked-and-dropped. `Drain`
+//! returns the accumulated metrics; `Shutdown` (or the
 //! shared stop flag, the in-process supervisor's teardown path) ends
 //! the loop.
 //!
@@ -30,7 +29,7 @@
 //!
 //! One write answers a receive pass. The router frames a whole window
 //! of `Ops` into one write, so one pass usually holds several frames:
-//! every `Ops` or `SkipTo` in it (a duplicate or a gap included) owes
+//! every `Ops` in it (a duplicate or a gap included) owes
 //! the one cumulative `Ack { next }` the pass sends at its end, and any
 //! other reply is framed behind the owed ack in the same buffer, so
 //! replies keep the order of the frames they answer. A pass that has
@@ -49,8 +48,6 @@ use std::time::Duration;
 pub struct ShardServerStats {
     /// Batches applied to the cache state.
     pub applied: u64,
-    /// Batches skipped via `SkipTo`.
-    pub skipped: u64,
     /// Duplicate `Ops` frames dropped by sequence dedup.
     pub duplicates: u64,
     /// Connections accepted over the server's lifetime.
@@ -77,7 +74,7 @@ struct Peer {
     greeted: bool,
     /// This pass's replies, framed back to back and sent in one write.
     wire: Vec<u8>,
-    /// The cumulative ack an `Ops` or `SkipTo` of this pass owes.
+    /// The cumulative ack an `Ops` of this pass owes.
     owed: Option<u64>,
     /// Batches applied since the last ack was framed.
     unacked: u32,
@@ -94,7 +91,7 @@ impl Peer {
     /// [`ACK_EVERY`] batches have gone unacked.
     fn ack(&mut self, next: u64, applied: bool) -> Action {
         self.owed = Some(next);
-        self.unacked += applied as u32;
+        self.unacked += u32::from(applied);
         if self.unacked >= ACK_EVERY {
             self.flush()
         } else {
@@ -286,13 +283,6 @@ fn handle_frame(
             // resume.
             peer.ack(*next, applied)
         }
-        FrameRef::SkipTo { next: target } => {
-            if target > *next {
-                stats.skipped += target - *next;
-                *next = target;
-            }
-            peer.ack(*next, false)
-        }
         FrameRef::Ping { nonce } => {
             peer.answer(FrameRef::Pong { nonce });
             Action::Keep
@@ -429,14 +419,13 @@ mod tests {
         let (mut conn, mut codec, flag, server) = greeted_shard();
         let mut wire = ops_write(&[0]);
         FrameRef::Ping { nonce: 9 }.encode_into(&mut wire);
-        FrameRef::SkipTo { next: 5 }.encode_into(&mut wire);
+        wire.extend(ops_write(&[1]));
         conn.send(&wire).unwrap();
         assert_eq!(
             replies_before_pong(conn.as_mut(), &mut codec),
-            [Frame::Ack { next: 1 }, Frame::Pong { nonce: 9 }, Frame::Ack { next: 5 }]
+            [Frame::Ack { next: 1 }, Frame::Pong { nonce: 9 }, Frame::Ack { next: 2 }]
         );
-        let stats = stop(flag, server);
-        assert_eq!((stats.applied, stats.skipped), (1, 4));
+        assert_eq!(stop(flag, server).applied, 2);
     }
 
     #[test]

@@ -13,13 +13,14 @@ use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_net::frame::code;
 use starcdn_net::{
-    serve_replay, ChaosNet, ChaosPlan, CircuitAction, Frame, FrameCodec, MemNet, Net, NetConn,
-    NetError, NetListener, RealNet, ServeConfig,
+    serve_replay, ChaosNet, ChaosPlan, Frame, FrameCodec, MemNet, Net, NetConn, NetError,
+    NetListener, RealNet, ServeConfig,
 };
 use starcdn_orbit::time::SimTime;
-use starcdn_sim::engine::SimConfig;
+use starcdn_sim::engine::{RunSpec, SimConfig};
+use starcdn_sim::replayer;
 use starcdn_sim::{build_access_log, metrics_digest, replay_parallel, AccessLog, ServePlan, World};
-use starcdn_telemetry::Noop;
+use starcdn_telemetry::{Counter, MemoryRecorder, Noop};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,14 +52,12 @@ fn golden(l: &AccessLog, shards: usize) -> SystemMetrics {
 
 /// Fast deadlines for loopback/in-memory tests: stalls and losses are
 /// detected in milliseconds, keeping chaos sweeps cheap.
-fn fast(action: CircuitAction) -> ServeConfig {
+fn fast() -> ServeConfig {
     ServeConfig {
         deadline: Duration::from_millis(40),
         backoff_base: Duration::from_micros(200),
         backoff_cap: Duration::from_millis(5),
         max_attempts: 8,
-        degrade_attempts: 40,
-        on_circuit_open: action,
         overall_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     }
@@ -69,14 +68,45 @@ fn zero_fault_memnet_matches_replayer_digest() {
     let l = log();
     for shards in [1usize, 4, 8] {
         let p = plan(&l, shards);
-        let report = serve_replay(&MemNet::new(), &p, &fast(CircuitAction::Fail), &Noop).unwrap();
+        let report = serve_replay(&MemNet::new(), &p, &fast(), &Noop).unwrap();
         assert_eq!(
             metrics_digest(&golden(&l, shards)),
             metrics_digest(&report.metrics),
             "socket parity over MemNet at {shards} shards"
         );
         assert_eq!(report.stats.reconnects, 0, "zero faults, zero reconnects");
-        assert_eq!(report.stats.degraded_batches, 0);
+    }
+}
+
+/// A serve whose recorder is enabled has every shard record and ship its
+/// telemetry home in the drain: the absorbed counters are the in-process
+/// replayer's, plus the router's own `Net*` ones, and recording leaves
+/// the metrics digest alone.
+#[test]
+fn recorded_serve_ships_the_replayers_counters() {
+    let l = log();
+    let is_net = |c: Counter| c.name().starts_with("net_");
+    for shards in [1usize, 4] {
+        let replay_rec = MemoryRecorder::new();
+        let spec = RunSpec { recorder: &replay_rec, ..RunSpec::default() };
+        replayer::run(&cfg(), &FailureModel::none(), &l, shards, &spec).unwrap();
+        let replayed = replay_rec.snapshot().counters;
+        assert!(replayed.iter().any(|&(c, n)| c == Counter::CacheHits && n > 0));
+
+        let serve_rec = MemoryRecorder::new();
+        let p =
+            ServePlan::build(&cfg(), &FailureModel::none(), &l, None, None, shards, 64, &serve_rec)
+                .unwrap();
+        let report = serve_replay(&MemNet::new(), &p, &ServeConfig::default(), &serve_rec).unwrap();
+        assert_eq!(
+            metrics_digest(&golden(&l, shards)),
+            metrics_digest(&report.metrics),
+            "recorded serve parity at {shards} shards"
+        );
+        let served = serve_rec.snapshot().counters;
+        let (net, rest): (Vec<_>, Vec<_>) = served.into_iter().partition(|&(c, _)| is_net(c));
+        assert_eq!(rest, replayed, "{shards} shards: shard counters");
+        assert!(net.iter().any(|&(c, _)| c == Counter::NetFramesSent), "{shards} shards");
     }
 }
 
@@ -85,7 +115,7 @@ fn zero_fault_realnet_matches_replayer_digest() {
     let l = log();
     for shards in [1usize, 4, 8] {
         let p = plan(&l, shards);
-        let report = serve_replay(&RealNet, &p, &fast(CircuitAction::Fail), &Noop).unwrap();
+        let report = serve_replay(&RealNet, &p, &fast(), &Noop).unwrap();
         assert_eq!(
             metrics_digest(&golden(&l, shards)),
             metrics_digest(&report.metrics),
@@ -114,7 +144,7 @@ fn chaos_sweep_matches_golden_or_fails_typed() {
     let mut injected = 0;
     for seed in 0..40u64 {
         let net = ChaosNet::new(Box::new(MemNet::new()), ChaosPlan::all(seed, 9));
-        let outcome = serve_replay(&net, &p, &fast(CircuitAction::Fail), &Noop);
+        let outcome = serve_replay(&net, &p, &fast(), &Noop);
         injected += net.stats().injected;
         match outcome {
             Ok(report) => {
@@ -144,65 +174,8 @@ fn chaos_sweep_matches_golden_or_fails_typed() {
     assert!(injected >= FAULT_FLOOR, "{injected} faults injected, fewer than {FAULT_FLOOR}");
 }
 
-/// Degraded serving conserves requests: when one shard's circuit opens
-/// and its suffix is served from the origin bent pipe, total requests
-/// still equal the golden run's, and the degraded share is visible in
-/// `partitioned_requests`.
-#[test]
-fn degraded_shard_conserves_requests() {
-    struct RefuseFirst {
-        inner: MemNet,
-        victim: String,
-        refusals_left: AtomicU64,
-    }
-    impl Net for RefuseFirst {
-        fn listen(&self, hint: &str) -> Result<Box<dyn NetListener>, NetError> {
-            self.inner.listen(hint)
-        }
-        fn connect(&self, addr: &str) -> Result<Box<dyn NetConn>, NetError> {
-            if addr == self.victim
-                && self
-                    .refusals_left
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok()
-            {
-                return Err(NetError::Refused(addr.to_string()));
-            }
-            self.inner.connect(addr)
-        }
-    }
-
-    let l = log();
-    let shards = 2;
-    let gold = golden(&l, shards);
-    let p = plan(&l, shards);
-    // MemNet assigns listener addresses in listen order: the second
-    // shard gets "mem:2". Refuse it until past the circuit threshold so
-    // the router degrades, then let the resync + drain through.
-    let mut scfg = fast(CircuitAction::DegradeOrigin);
-    scfg.max_attempts = 3;
-    let net = RefuseFirst {
-        inner: MemNet::new(),
-        victim: "mem:2".to_string(),
-        refusals_left: AtomicU64::new(5),
-    };
-    let report = serve_replay(&net, &p, &scfg, &Noop).unwrap();
-    assert!(report.stats.circuit_opens >= 1, "circuit must have opened");
-    assert!(report.stats.degraded_batches > 0, "suffix served from origin");
-    assert!(report.metrics.partitioned_requests > 0);
-    assert_eq!(
-        gold.stats.requests, report.metrics.stats.requests,
-        "degradation must conserve total requests"
-    );
-    assert_ne!(
-        metrics_digest(&gold),
-        metrics_digest(&report.metrics),
-        "origin-served suffix is visible in the metrics"
-    );
-}
-
-/// A shard that never answers with `CircuitAction::Fail` surfaces as a
-/// typed RetriesExhausted, not a hang or a panic.
+/// A shard that never answers surfaces as a typed RetriesExhausted once
+/// its circuit opens, not a hang or a panic.
 #[test]
 fn unreachable_shard_fails_typed() {
     struct RefuseAlways {
@@ -223,7 +196,7 @@ fn unreachable_shard_fails_typed() {
     let l = log();
     let p = plan(&l, 2);
     let net = RefuseAlways { inner: MemNet::new(), victim: "mem:2".to_string() };
-    let mut scfg = fast(CircuitAction::Fail);
+    let mut scfg = fast();
     scfg.max_attempts = 3;
     let err = serve_replay(&net, &p, &scfg, &Noop).err().unwrap();
     assert!(matches!(err, NetError::RetriesExhausted { shard: 1, .. }), "wrong error: {err}");
@@ -289,7 +262,7 @@ fn oversized_drain_fails_typed_without_a_reconnect() {
     let connects = Arc::new(AtomicU64::new(0));
     let net = ScriptedNet { inner: MemNet::new(), connects: Arc::clone(&connects) };
     let started = Instant::now();
-    let err = serve_replay(&net, &p, &fast(CircuitAction::Fail), &Noop).err().unwrap();
+    let err = serve_replay(&net, &p, &fast(), &Noop).err().unwrap();
     assert!(
         matches!(err, NetError::Protocol { code: code::DRAIN_TOO_LARGE, .. }),
         "wrong error: {err}"

@@ -380,8 +380,8 @@ pub(crate) fn write_atomic(
 // ---------------------------------------------------------------------------
 
 /// A fingerprint of everything a checkpoint must agree with the resuming
-/// run about: system configuration, epoch length, fault schedule,
-/// overload settings and the measurement cutoff. Resume rejects
+/// run about: system configuration, epoch length, fault schedule and
+/// overload settings. Resume rejects
 /// checkpoints whose fingerprint differs (falling back to older files,
 /// which will also mismatch). The one fingerprint both the engine and
 /// the replayer build on.
@@ -400,12 +400,15 @@ pub(crate) fn config_fingerprint(cfg: &StarCdnConfig, epoch_secs: u64, spec: &Ru
     h = fp(h, spec.schedule.len() as u64);
     h = fp(h, spec.overload.headroom.to_bits());
     h = fp(h, spec.overload.retry.max_attempts as u64);
-    h = fp(h, spec.overload.retry.backoff_epochs);
+    // Where a retry backoff was hashed (always 0 in use): keeping the
+    // 0 keeps checkpoints written before it was retired resumable.
+    h = fp(h, 0);
     h = fp(h, spec.overload.retry.deadline_ms.to_bits());
     h = fp(h, cfg.delayed.fetch_epochs);
     h = fp(h, cfg.delayed.wait_ms_per_epoch.to_bits());
     h = fp(h, cfg.delayed.origin_tiers);
-    h = fp(h, spec.measure_from_secs.map_or(0, |s| 1 + s));
+    // Likewise where a measurement cutoff was hashed (always none).
+    h = fp(h, 0);
     h
 }
 
@@ -695,7 +698,6 @@ mod tests {
             overload: *overload,
             recorder: rec,
             checkpoint: Some(Checkpointing { policy, io: &RealIo, resume }),
-            measure_from_secs: None,
         };
         run(cdn, log, &spec)
     }
@@ -1232,56 +1234,6 @@ mod tests {
             &sched,
             &OverloadConfig::with_headroom(0.4),
         );
-    }
-
-    /// The measurement cutoff composes with kill/resume on either side
-    /// of it: a kill before the cutoff resets after the resume, a kill
-    /// past it restores metrics that were already reset.
-    fn measured_resume_roundtrip(name: &str, kill_at_fraction: (usize, usize)) {
-        let log = log();
-        let sched = churn();
-        let cutoff = 250;
-        let measured = |checkpoint| RunSpec {
-            schedule: &sched,
-            checkpoint,
-            measure_from_secs: Some(cutoff),
-            ..RunSpec::default()
-        };
-        let mut plain = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let golden = run(&mut plain, &log, &measured(None)).unwrap();
-        let tail = log.entries.iter().filter(|e| e.time.as_secs() >= cutoff).count() as u64;
-        assert_eq!(golden.stats.requests, tail, "only post-cutoff entries measured");
-
-        let dir = tmpdir(name);
-        let pol = policy(&dir, 3);
-        let ck = |resume| Some(Checkpointing { policy: &pol, io: &RealIo, resume });
-        let cut = log.entries.len() * kill_at_fraction.0 / kill_at_fraction.1;
-        let partial =
-            AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
-        let mut crashed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        run(&mut crashed, &partial, &measured(ck(false))).unwrap();
-        assert!(!list_checkpoint_files(&dir).is_empty(), "crash point past first checkpoint");
-        let mut resumed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m = run(&mut resumed, &log, &measured(ck(true))).unwrap();
-        assert_metrics_identical(&golden, &m);
-
-        // The cutoff is part of the run description: another one finds
-        // no checkpoint it may resume from.
-        let moved = RunSpec { measure_from_secs: Some(cutoff + 15), ..measured(ck(true)) };
-        let mut other = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let err = run(&mut other, &log, &moved).unwrap_err();
-        assert!(matches!(err, CheckpointError::NoValidCheckpoint));
-    }
-
-    #[test]
-    fn resume_before_the_measurement_cutoff_resets_once() {
-        // 2000 requests at 4/s: the cutoff (250 s) is entry 1000.
-        measured_resume_roundtrip("measured-before", (1, 4));
-    }
-
-    #[test]
-    fn resume_past_the_measurement_cutoff_does_not_reset_again() {
-        measured_resume_roundtrip("measured-after", (3, 4));
     }
 
     #[test]

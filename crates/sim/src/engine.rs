@@ -77,11 +77,6 @@ pub struct RunSpec<'a> {
     /// Write crash-consistent checkpoints (and optionally resume from
     /// the newest valid one); see [`crate::checkpoint`].
     pub checkpoint: Option<Checkpointing<'a>>,
-    /// Reset the metrics at the first entry at or after this time, so
-    /// only the steady state after a fault transient is measured while
-    /// caches and cold flags carry the full history. Engine only:
-    /// [`crate::replayer::run`] measures the whole log regardless.
-    pub measure_from_secs: Option<u64>,
 }
 
 static NO_FAULTS: FaultSchedule = FaultSchedule::empty();
@@ -93,7 +88,6 @@ impl Default for RunSpec<'_> {
             overload: OverloadConfig::disabled(),
             recorder: &Noop,
             checkpoint: None,
-            measure_from_secs: None,
         }
     }
 }
@@ -222,8 +216,7 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
     };
 
     // A fleet that served before this run holds counts of other logs.
-    let whole_log = spec.measure_from_secs.is_none()
-        && cdn.metrics.stats.requests + cdn.metrics.dropped_requests == 0;
+    let whole_log = cdn.metrics.stats.requests + cdn.metrics.dropped_requests == 0;
     let mut admission = overload.map(|o| Admission::new(cdn.env(), o, epoch_secs));
     let mut cursor = schedule.map(|s| ScheduleCursor::new(s, cdn.failures().clone()));
     let mut watermark = FaultEventWatermark::default();
@@ -247,12 +240,6 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
             }
         }
     }
-    // The reset fires on the first entry at or after the cutoff; a
-    // resume past that entry restored already-reset metrics.
-    let mut reset_at = spec
-        .measure_from_secs
-        .filter(|&cut| start == 0 || log.entry(start - 1).time.as_secs() < cut);
-
     // The plain run never looks at the clock: skipping the per-request
     // epoch division is the hot loop's one specialization.
     let track_epochs = faulty
@@ -323,11 +310,6 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
                     }
                 }
             }
-        }
-        if reset_at.is_some_and(|cut| e.time.as_secs() >= cut) {
-            cdn.reset_metrics();
-            watermark = FaultEventWatermark::default();
-            reset_at = None;
         }
         // Resolve, then serve at once: the one-shard case of the
         // replayer's pre-pass and workers.
@@ -589,23 +571,6 @@ mod tests {
         let max_alive = m.availability.iter().map(|p| p.alive_sats).max().unwrap();
         assert_eq!(max_alive, 1296);
         assert_eq!(min_alive, 1295, "one satellite down in the dip");
-    }
-
-    #[test]
-    fn measured_run_resets_at_cutoff() {
-        use starcdn_constellation::schedule::{FaultEvent, TimedFault};
-        let log = log();
-        let sched = FaultSchedule::from_events([TimedFault {
-            at_secs: 0,
-            event: FaultEvent::SatDown(starcdn_orbit::walker::SatelliteId::new(0, 0)),
-        }]);
-        let cutoff = 250;
-        let tail_len = log.entries.iter().filter(|e| e.time.as_secs() >= cutoff).count() as u64;
-        let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let spec =
-            RunSpec { schedule: &sched, measure_from_secs: Some(cutoff), ..RunSpec::default() };
-        let m = run(&mut cdn, &log, &spec).unwrap();
-        assert_eq!(m.stats.requests, tail_len, "only post-cutoff entries measured");
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! object's bytes against the serving satellite's GSL and every ISL hop
 //! of the route for the current epoch. A refused (shed) or unroutable
 //! attempt retries against the next same-bucket replica eastward —
-//! bounded by [`RetryPolicy::max_attempts`], each failed attempt adding
-//! a probe round-trip plus the backoff wait to the request's latency —
-//! and finally falls back to an origin-direct bent-pipe serve, or drops
+//! bounded by [`RetryPolicy::max_attempts`], each shed attempt adding
+//! its probe round-trip to the request's latency — and finally falls back to an origin-direct bent-pipe serve, or drops
 //! once the deadline is blown or even the fallback GSL is saturated.
 //!
 //! Every terminal outcome is classified exactly once: `ServedPrimary`
@@ -20,13 +19,11 @@
 //! Determinism (DESIGN.md §10): `decide` depends only on the failure
 //! view, the route, the object size, and the ledger state — never on
 //! cache contents — so the parallel replayer runs the whole lifecycle on
-//! its pre-pass and stays bit-for-bit identical to the engine. The
-//! ledger keeps one usage table per epoch, and an attempt charges an
-//! epoch other than its request's only when a retry backs off
-//! (`OverloadConfig::charges_later_epochs`); without one, every
-//! epoch's admissions start from an empty table, and the pre-pass
-//! resolves the log in epoch-aligned chunks as it does without
-//! admission. With one, it resolves as one chunk, in log order.
+//! its pre-pass and stays bit-for-bit identical to the engine. Every
+//! attempt admits against its request's own epoch, and the ledger keeps
+//! one usage table per epoch, so each epoch's admissions start from an
+//! empty table and the pre-pass resolves the log in epoch-aligned
+//! chunks as it does without admission.
 
 use starcdn::kernel::ServeEnv;
 use starcdn::system::{
@@ -44,9 +41,6 @@ pub struct RetryPolicy {
     /// attempt targets the preferred owner, each further attempt the
     /// next same-bucket replica eastward).
     pub max_attempts: u32,
-    /// Epochs to wait between attempts; a backed-off attempt admits
-    /// against that later epoch's (fresh) budget.
-    pub backoff_epochs: u64,
     /// Drop the request once its accumulated retry penalty exceeds this
     /// many milliseconds.
     pub deadline_ms: f64,
@@ -54,7 +48,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 400.0 }
+        RetryPolicy { max_attempts: 3, deadline_ms: 400.0 }
     }
 }
 
@@ -83,14 +77,6 @@ impl OverloadConfig {
     /// Whether admission control actually runs.
     pub(crate) fn is_enabled(&self) -> bool {
         self.headroom.is_finite()
-    }
-
-    /// Whether an admission may charge an epoch later than its
-    /// request's: only a retry that backs off does. Otherwise every
-    /// epoch's admissions start from an empty ledger table, and a log's
-    /// epochs may be admitted apart from one another.
-    pub(crate) fn charges_later_epochs(&self) -> bool {
-        self.is_enabled() && self.retry.backoff_epochs > 0 && self.retry.max_attempts > 1
     }
 }
 
@@ -126,11 +112,10 @@ pub(crate) struct LifecycleOutcome {
 /// The overload side of a run: the capacity ledger with its clock, and
 /// what [`decide`] needs beside the serve environment. Lives on its
 /// driver's sequential spine: the engine loop, or one replayer pre-pass
-/// chunk (a whole log's worth when retries back off).
+/// chunk.
 pub(crate) struct Admission<'a> {
     pub ledger: CapacityLedger,
     cfg: &'a OverloadConfig,
-    epoch_ms: f64,
     /// The epoch requests are admitted against; `u64::MAX` before the
     /// first [`Admission::advance_to`].
     pub epoch: u64,
@@ -142,7 +127,6 @@ impl<'a> Admission<'a> {
         Admission {
             ledger: CapacityLedger::new(&env.grid, link, epoch_secs, overload.headroom),
             cfg: overload,
-            epoch_ms: epoch_secs as f64 * 1000.0,
             epoch: u64::MAX,
         }
     }
@@ -167,17 +151,15 @@ pub(crate) fn decide(
     rec: &dyn starcdn_telemetry::Recorder,
 ) -> LifecycleOutcome {
     let grid = &env.grid;
-    let Admission { ledger, cfg, epoch_ms, epoch } = adm;
-    let (epoch, epoch_ms) = (*epoch, *epoch_ms);
+    let Admission { ledger, cfg, epoch } = adm;
+    let epoch = *epoch;
     let preferred = preferred_owner(grid, env.tiling.as_ref(), first_contact, object);
     let policy = &cfg.retry;
-    let backoff_wait_ms = policy.backoff_epochs as f64 * epoch_ms;
     let max_attempts = policy.max_attempts.max(1);
     let mut penalty_ms = 0.0f64;
     let mut sheds = 0u32;
     let mut retries = 0u32;
     let mut partitioned = 0u32;
-    let mut last_epoch = epoch;
     let mut deadline_blown = false;
     for attempt in 0..max_attempts {
         if penalty_ms > policy.deadline_ms {
@@ -189,17 +171,15 @@ pub(crate) fn decide(
         }
         // Attempt k probes the k-th same-bucket replica east of the
         // preferred owner (k = 0 is the preferred owner itself), against
-        // the budget of the backed-off epoch. The offset is reduced
+        // the budget of the request's epoch. The offset is reduced
         // modulo the plane count in `u32`: `max_attempts` is a public
         // `u32`, and `span × k` passes `u16::MAX` long before it does.
         let planes = grid.num_planes as u32;
         let offset = (env.span as u32 % planes) * (attempt % planes) % planes;
         let target = grid.east_by(preferred, offset as u16);
-        let admit_epoch = epoch + attempt as u64 * policy.backoff_epochs;
-        last_epoch = admit_epoch;
         match classify_route_toward_recorded(grid, view, env.remap, first_contact, target, rec) {
             RouteOutcome::Routed(route) => {
-                match ledger.admit(admit_epoch, first_contact, route.owner, size) {
+                match ledger.admit(epoch, first_contact, route.owner, size) {
                     AdmitDecision::Admit => {
                         return LifecycleOutcome {
                             decision: Decision::Serve { route, replica: attempt > 0, penalty_ms },
@@ -211,23 +191,20 @@ pub(crate) fn decide(
                     AdmitDecision::Shed(_) => {
                         sheds += 1;
                         // The refused probe still cost a round trip to the
-                        // owner, plus the backoff wait before the next try.
-                        penalty_ms += 2.0 * env.latency.route_oneway_ms(route.intra, route.inter)
-                            + backoff_wait_ms;
+                        // owner.
+                        penalty_ms += 2.0 * env.latency.route_oneway_ms(route.intra, route.inter);
                     }
                 }
             }
             RouteOutcome::Partitioned { .. } => {
                 // Target alive but cut off behind a grid partition: a
-                // wasted attempt; only the backoff wait accrues. Counted
+                // wasted attempt that costs no latency. Counted
                 // separately so callers can surface degraded serving.
                 partitioned += 1;
-                penalty_ms += backoff_wait_ms;
             }
             RouteOutcome::Unroutable => {
                 // Target (and its whole remap chain) dead or unreachable:
-                // a wasted attempt; only the backoff wait accrues.
-                penalty_ms += backoff_wait_ms;
+                // a wasted attempt that costs no latency.
             }
         }
     }
@@ -235,7 +212,7 @@ pub(crate) fn decide(
         return LifecycleOutcome { decision: Decision::Drop, sheds, retries, partitioned };
     }
     // Origin-direct last resort: only the first contact's GSL carries it.
-    match ledger.admit_direct(last_epoch, first_contact, size) {
+    match ledger.admit_direct(epoch, first_contact, size) {
         AdmitDecision::Admit => LifecycleOutcome {
             decision: Decision::OriginFallback { penalty_ms },
             sheds,
@@ -344,7 +321,7 @@ mod tests {
         let size = 1_000_000u64;
         let headroom = size as f64 * 2.5 / 37_500_000_000.0;
         let mut ocfg = OverloadConfig::with_headroom(headroom);
-        ocfg.retry = RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 };
+        ocfg.retry = RetryPolicy { max_attempts: 3, deadline_ms: 1e9 };
         let mut adm = admission(&env, &ocfg);
         let obj = remote_object(&cfg);
         // Saturate primary + both retry replicas (3 serves of the same
@@ -374,16 +351,27 @@ mod tests {
 
     #[test]
     fn deadline_bounds_the_retry_chain() {
-        let (_, env, view) = ctx();
+        let (cfg, env, view) = ctx();
         let size = 1_000_000u64;
         let headroom = size as f64 * 0.5 / 37_500_000_000.0; // nothing fits
+                                                             // A deadline of exactly the primary's shed round trip: the first
+                                                             // retry is still in time, the second is not.
+        let fc = SatelliteId::new(10, 5);
+        let obj = remote_object(&cfg);
+        let owner = preferred_owner(&cfg.grid, env.tiling.as_ref(), fc, ObjectId(obj));
+        let RouteOutcome::Routed(route) =
+            classify_route_toward_recorded(&cfg.grid, &view, env.remap, fc, owner, &Noop)
+        else {
+            panic!("the preferred owner is routable");
+        };
+        let round_trip = 2.0 * env.latency.route_oneway_ms(route.intra, route.inter);
+        assert!(round_trip > 0.0, "a remote owner costs a round trip");
         let mut ocfg = OverloadConfig::with_headroom(headroom);
-        // One epoch of backoff per attempt (15 s ≫ any deadline).
-        ocfg.retry = RetryPolicy { max_attempts: 5, backoff_epochs: 1, deadline_ms: 100.0 };
+        ocfg.retry = RetryPolicy { max_attempts: 5, deadline_ms: round_trip };
         let mut adm = admission(&env, &ocfg);
-        let out = run_decide(&env, &view, &mut adm, 1, size);
+        let out = run_decide(&env, &view, &mut adm, obj, size);
         assert!(matches!(out.decision, Decision::Drop), "{out:?}");
-        assert!(out.retries < 4, "deadline must cut the chain short, got {} retries", out.retries);
+        assert_eq!((out.retries, out.sheds), (1, 2), "deadline must cut the chain short");
     }
 
     #[test]
@@ -393,7 +381,7 @@ mod tests {
         let headroom = size as f64 * 0.5 / 37_500_000_000.0; // nothing fits
         let mut ocfg = OverloadConfig::with_headroom(headroom);
         // Span 3 × attempt 21 846 is the first product past `u16::MAX`.
-        ocfg.retry = RetryPolicy { max_attempts: 30_000, backoff_epochs: 0, deadline_ms: 1e12 };
+        ocfg.retry = RetryPolicy { max_attempts: 30_000, deadline_ms: 1e12 };
         let mut adm = admission(&env, &ocfg);
         let out = run_decide(&env, &view, &mut adm, remote_object(&cfg), size);
         assert_eq!(out.retries, 29_999);
@@ -407,7 +395,7 @@ mod tests {
         let size = 1_000_000u64;
         let headroom = size as f64 * 0.5 / 37_500_000_000.0;
         let mut ocfg = OverloadConfig::with_headroom(headroom);
-        ocfg.retry = RetryPolicy { max_attempts: 1, backoff_epochs: 0, deadline_ms: 1e9 };
+        ocfg.retry = RetryPolicy { max_attempts: 1, deadline_ms: 1e9 };
         let mut adm = admission(&env, &ocfg);
         let out = run_decide(&env, &view, &mut adm, 1, size);
         assert_eq!(out.retries, 0);
@@ -443,34 +431,5 @@ mod tests {
         assert!(OverloadConfig::with_headroom(0.5).is_enabled());
         let d = RetryPolicy::default();
         assert_eq!(d.max_attempts, 3);
-        assert_eq!(d.backoff_epochs, 0);
-    }
-
-    #[test]
-    fn only_backed_off_retries_charge_a_later_epoch() {
-        let (cfg, env, view) = ctx();
-        let size = 1_000_000u64;
-        let headroom = size as f64 * 1.5 / 37_500_000_000.0; // fits 1, not 2
-        let obj = remote_object(&cfg);
-        for (max_attempts, backoff_epochs, later) in
-            [(3, 0, false), (1, 2, false), (0, 2, false), (3, 1, true), (2, 4, true)]
-        {
-            let retry = RetryPolicy { max_attempts, backoff_epochs, deadline_ms: 1e9 };
-            let ocfg = OverloadConfig { headroom, retry };
-            assert_eq!(ocfg.charges_later_epochs(), later, "{retry:?}");
-            assert!(!OverloadConfig { headroom: f64::INFINITY, retry }.charges_later_epochs());
-            // Saturate the primary, then let the same object retry: the
-            // replica's charge lands `backoff_epochs` later, if it retries.
-            let mut adm = admission(&env, &ocfg);
-            let first = run_decide(&env, &view, &mut adm, obj, size);
-            let Decision::Serve { route, .. } = first.decision else { panic!("{first:?}") };
-            let second = run_decide(&env, &view, &mut adm, obj, size);
-            let charged_later = (1..=8).any(|epoch| {
-                let replica = cfg.grid.east_by(route.owner, cfg.relay_span_planes());
-                adm.ledger.gsl_used(epoch, replica) > 0
-                    || adm.ledger.gsl_used(epoch, SatelliteId::new(10, 5)) > 0
-            });
-            assert_eq!(charged_later, later, "{retry:?}: {second:?}");
-        }
     }
 }

@@ -37,12 +37,10 @@
 //! never share an epoch, so the chunked pre-pass is the sequential one
 //! bit for bit. The overload lifecycle runs on the pre-pass too: it
 //! depends only on routes, sizes and ledger state, never on cache
-//! contents, so its decision sequence is the engine's. The ledger keeps
-//! one usage table per epoch, and only a retry that backs off charges an
-//! epoch after its request's
-//! (`OverloadConfig::charges_later_epochs`); otherwise each chunk
-//! admits its own epochs from empty tables, as one pass would. A run
-//! whose retries back off resolves as one chunk, in log order.
+//! contents, so its decision sequence is the engine's. Every attempt
+//! admits against its request's own epoch and the ledger keeps one usage
+//! table per epoch, so each chunk admits its own epochs from empty
+//! tables, as one pass would.
 //!
 //! Checkpoints (the private `replayer_checkpoint` module) cut the run
 //! into segments at pre-pass barriers; a run without one is a single
@@ -102,9 +100,6 @@ pub(crate) enum ShardOp {
 /// per-worker state in shard index order, so it finishes bit-for-bit
 /// identical to the uninterrupted run at any worker count. A run
 /// without a checkpoint cannot fail.
-///
-/// `spec.measure_from_secs` is not honoured — the sharded workers share
-/// no instant at which to reset — so the whole log is measured.
 ///
 /// # Panics
 /// Panics when `num_workers` is zero.
@@ -225,8 +220,8 @@ pub fn run<'a>(
     for m in &state.metrics {
         total.merge(m);
     }
-    // The replayer measures the whole log whatever `measure_from_secs`
-    // says, so a chunk or shard lost or counted twice shows here.
+    // The replayer measures the whole log, so a chunk or shard lost or
+    // counted twice shows here.
     debug_assert_conserved(&total, log.len(), spec.live_overload().is_some());
     Ok(total)
 }
@@ -330,7 +325,7 @@ pub(crate) fn prepare_shards(
     num_workers: usize,
     barrier_every: Option<u64>,
 ) -> PrePass {
-    let starts = chunk_starts(log, num_workers, spec.overload.charges_later_epochs());
+    let starts = chunk_starts(log, num_workers);
     let pre = prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &starts);
     pre.unwrap_or_else(|| {
         prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &[])
@@ -343,13 +338,11 @@ pub(crate) fn prepare_shards(
 /// `min(num_workers, distinct epochs)` of them, and each cut is the
 /// first epoch start at or after an equal share of the entries — moved
 /// only as far as it takes to leave every chunk an epoch of its own.
-/// There is one chunk when `sequential` (retries back off: an admission
-/// may charge a later epoch's ledger table, so the log resolves in
-/// order). The epochs of a log sorted by time are found by binary
-/// search: O(num_workers · log n) entry reads, not a pass.
-fn chunk_starts(log: LogView<'_>, num_workers: usize, sequential: bool) -> Vec<usize> {
+/// The epochs of a log sorted by time are found by binary search:
+/// O(num_workers · log n) entry reads, not a pass.
+fn chunk_starts(log: LogView<'_>, num_workers: usize) -> Vec<usize> {
     let (n, epoch_secs) = (log.len(), log.epoch_secs().max(1));
-    if sequential || num_workers < 2 || n == 0 {
+    if num_workers < 2 || n == 0 {
         return Vec::new();
     }
     let epoch = |i: usize| log.entry(i).time.as_secs() / epoch_secs;
@@ -975,7 +968,7 @@ mod tests {
         let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
         OverloadConfig {
             headroom: mean as f64 * 1.5 / 37_500_000_000.0,
-            retry: RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 },
+            retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 },
         }
     }
 
@@ -1085,7 +1078,7 @@ mod tests {
 
     #[test]
     fn chunks_start_at_epochs_and_number_min_of_workers_and_epochs() {
-        let starts = |log: &AccessLog, workers| chunk_starts(log.into(), workers, false);
+        let starts = |log: &AccessLog, workers| chunk_starts(log.into(), workers);
         // Empty and one-epoch logs: one chunk.
         assert!(starts(&AccessLog::default(), 4).is_empty());
         assert!(starts(&epochs_log(&[40]), 4).is_empty());
@@ -1094,21 +1087,9 @@ mod tests {
         // Skewed epochs still give every chunk an epoch of its own.
         assert_eq!(starts(&epochs_log(&[1, 1000, 1]), 3), [1, 1001]);
         assert_eq!(starts(&epochs_log(&[1, 1, 1, 1000]), 4), [1, 2, 3]);
-        // One worker, or retries that back off: one chunk. Admission
-        // alone splits like the plain run.
+        // One worker: one chunk.
         let log = log();
         assert!(starts(&log, 1).is_empty());
-        let overloaded = |max_attempts, backoff_epochs| {
-            let retry = RetryPolicy { max_attempts, backoff_epochs, deadline_ms: 1e9 };
-            chunk_starts(
-                (&log).into(),
-                8,
-                OverloadConfig { retry, ..tight_overload(&log) }.charges_later_epochs(),
-            )
-        };
-        assert!(overloaded(3, 1).is_empty());
-        assert_eq!(overloaded(3, 0), starts(&log, 8));
-        assert_eq!(overloaded(1, 2), starts(&log, 8));
         // Otherwise each cut is the first epoch start at or after an
         // equal share of the entries.
         let n = log.entries.len();
@@ -1125,8 +1106,7 @@ mod tests {
 
     /// Any epoch-aligned split resolves to the one pass, bit for bit:
     /// here every epoch is a chunk, under churn, barriers, a live
-    /// recorder and — with retries that never charge a later epoch —
-    /// overload admission.
+    /// recorder and overload admission, with and without retries.
     #[test]
     fn every_epoch_a_chunk_is_the_one_pass() {
         let log = log();
@@ -1136,12 +1116,11 @@ mod tests {
         let every_epoch = every_epoch_start(&log);
         assert!(every_epoch.len() > 30);
         let tight = tight_overload(&log);
-        let retry = |max_attempts, backoff_epochs| OverloadConfig {
-            retry: RetryPolicy { max_attempts, backoff_epochs, ..tight.retry },
+        let retry = |max_attempts| OverloadConfig {
+            retry: RetryPolicy { max_attempts, ..tight.retry },
             ..tight
         };
-        for overload in [OverloadConfig::disabled(), retry(3, 0), retry(1, 2)] {
-            assert!(!overload.charges_later_epochs());
+        for overload in [OverloadConfig::disabled(), retry(3), retry(1)] {
             for workers in [1, 3, 8] {
                 let (one_rec, split_rec) = (MemoryRecorder::new(), MemoryRecorder::new());
                 let spec = |recorder| RunSpec {
@@ -1173,37 +1152,6 @@ mod tests {
         }
     }
 
-    /// The guard is load-bearing: once retries back off, an admission
-    /// charges a later epoch's ledger table, so an every-epoch split
-    /// resolves differently from the one pass — and [`prepare_shards`]
-    /// therefore resolves such a log as that one pass.
-    #[test]
-    fn backed_off_retries_resolve_as_one_pass() {
-        let log = log();
-        let env = ServeEnv::new(&StarCdnConfig::starcdn_no_relay(4, 100_000));
-        let churn = pin_churn();
-        let none = FailureModel::none();
-        let tight = tight_overload(&log);
-        let overload =
-            OverloadConfig { retry: RetryPolicy { backoff_epochs: 1, ..tight.retry }, ..tight };
-        assert!(overload.charges_later_epochs());
-        let spec = RunSpec { schedule: &churn, overload, ..RunSpec::default() };
-        let prepare = |workers, starts: &[usize]| {
-            prepare_chunks(&env, &none, (&log).into(), &spec, workers, None, starts)
-                .expect("a log sorted by time")
-        };
-        for workers in [2, 4, 8] {
-            let one = prepare(workers, &[]);
-            assert!(one.direct.retry_attempts > 0, "retries must back off");
-            let split = prepare(workers, &every_epoch_start(&log));
-            assert_ne!(pre_pass_digest(&split), pre_pass_digest(&one), "{workers} workers");
-            assert_ne!(split.direct.utilization, one.direct.utilization, "{workers} workers");
-            let pre = prepare_shards(&env, &none, (&log).into(), &spec, workers, None);
-            assert_eq!(pre.pieces.len(), 1, "{workers} workers");
-            assert_eq!(pre_pass_digest(&pre), pre_pass_digest(&one), "{workers} workers");
-        }
-    }
-
     /// Engine ≡ replayer, exactly, when the epoch the second chunk starts
     /// at takes one busy satellite down and brings another back up.
     #[test]
@@ -1213,7 +1161,7 @@ mod tests {
         let env = ServeEnv::new(&cfg);
         let busy = busy_sats(&log, 2);
         for workers in [2, 3, 8] {
-            let first_cut = chunk_starts((&log).into(), workers, false)[0];
+            let first_cut = chunk_starts((&log).into(), workers)[0];
             let at = epoch_of(&log, first_cut) * log.epoch_secs;
             let sched = FaultSchedule::from_events([
                 TimedFault { at_secs: 30, event: FaultEvent::SatDown(busy[1]) },

@@ -357,7 +357,6 @@ mod tests {
             overload: *overload,
             recorder: rec,
             checkpoint: Some(Checkpointing { policy, io: &RealIo, resume }),
-            measure_from_secs: None,
         };
         run(&cfg, &FailureModel::none(), log, workers, &spec)
     }

@@ -45,7 +45,7 @@ use crate::replayer::{
     get_shard_op, prepare_shards, put_shard_op, run_shard_ops, shard_op_len, ShardOp,
 };
 use starcdn::config::StarCdnConfig;
-use starcdn::kernel::{bent_pipe, ServeEnv, Slots};
+use starcdn::kernel::{ServeEnv, Slots};
 use starcdn::metrics::SystemMetrics;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
@@ -140,7 +140,6 @@ struct ShardStream {
 /// every shard server must agree with before ops flow.
 pub struct ServePlan {
     cfg: StarCdnConfig,
-    env: ServeEnv,
     failures: FailureModel,
     shards: Vec<ShardStream>,
     direct: SystemMetrics,
@@ -208,7 +207,6 @@ impl ServePlan {
         }
         Ok(ServePlan {
             cfg: cfg.clone(),
-            env,
             failures: failures.clone(),
             shards: streams,
             direct: pre.direct,
@@ -247,30 +245,6 @@ impl ServePlan {
     /// `replay_parallel` exactly.
     pub fn direct_metrics(&self) -> &SystemMetrics {
         &self.direct
-    }
-
-    /// Origin bent-pipe accounting for every request op in batches
-    /// `from_batch..` of `shard`, decoded from the batches themselves —
-    /// the circuit-breaker degradation path.
-    /// Each request is served exactly like the engine's `Partitioned`
-    /// outcome (uplink on the request's GSL, zero ISL hops), attributed
-    /// to the resolved owner; churn pseudo-ops are skipped (a degraded
-    /// shard's cache state is gone anyway).
-    pub fn degraded_metrics(&self, shard: usize, from_batch: usize) -> SystemMetrics {
-        let mut m = SystemMetrics::default();
-        let (spp, total_slots) = (self.env.grid.sats_per_plane, self.cfg.grid.total_slots());
-        for batch in self.shards[shard].batches.iter().skip(from_batch) {
-            let mut r = Reader::new(batch);
-            let count = r.u32().expect("the plan encoded this batch");
-            for _ in 0..count {
-                let op = get_shard_op(&mut r, spp, total_slots).expect("the plan encoded this op");
-                if let ShardOp::Request(e) = op {
-                    bent_pipe(&self.env, &mut m, e.owner, e.size, e.gsl_oneway_ms, e.penalty_ms);
-                    m.partitioned_requests += 1;
-                }
-            }
-        }
-        m
     }
 
     /// A fresh shard server state matching this plan's configuration.
@@ -521,85 +495,6 @@ mod tests {
             Err(CheckpointError::Malformed("wipe slot out of range"))
         ));
         assert_eq!(before, metrics_digest(st.metrics()), "failed batches leave state untouched");
-    }
-
-    /// Degrading a suffix of a shard's stream to the origin conserves
-    /// the request count: direct + served shards + degraded tail covers
-    /// every request in the log exactly once.
-    #[test]
-    fn degraded_tail_conserves_requests() {
-        let l = log();
-        let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
-        let golden = replay_parallel(cfg.clone(), FailureModel::none(), &l, 4);
-        let p =
-            ServePlan::build(&cfg, &FailureModel::none(), &l, None, None, 4, 64, &Noop).unwrap();
-        // Serve shards 0..3 fully; shard 3 degrades from its midpoint.
-        let mut total = p.direct_metrics().clone();
-        for k in 0..4 {
-            let mut st = p.shard_state(false);
-            let cutoff = if k == 3 { p.batch_count(k) / 2 } else { p.batch_count(k) };
-            for b in 0..cutoff {
-                st.apply_batch(p.batch_bytes(k, b)).unwrap();
-            }
-            total.merge(st.metrics());
-            if cutoff < p.batch_count(k) {
-                let deg = p.degraded_metrics(k, cutoff);
-                assert!(deg.partitioned_requests > 0, "midpoint cut degrades something");
-                total.merge(&deg);
-            }
-        }
-        assert_eq!(golden.stats.requests, total.stats.requests, "no request lost or doubled");
-    }
-
-    /// The plan keeps its ops only as encoded batches: degrading from the
-    /// first, a middle or the last batch, or past the end, books what the
-    /// pre-pass's request ops from that batch on would, and the request
-    /// count is theirs.
-    #[test]
-    fn degraded_metrics_decode_the_batches() {
-        use starcdn_constellation::schedule::{FaultEvent, TimedFault};
-        use starcdn_orbit::walker::SatelliteId;
-        let l = log();
-        let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
-        let churn = FaultSchedule::from_events([
-            TimedFault { at_secs: 100, event: FaultEvent::SatDown(SatelliteId::new(3, 7)) },
-            TimedFault { at_secs: 300, event: FaultEvent::SatUp(SatelliteId::new(3, 7)) },
-        ]);
-        let (shards, batch_ops) = (3, 64);
-        let none = FailureModel::none();
-        let p = ServePlan::build(&cfg, &none, &l, Some(&churn), None, shards, batch_ops, &Noop)
-            .unwrap();
-        let spec = RunSpec { schedule: &churn, ..RunSpec::default() };
-        let pre = prepare_shards(&ServeEnv::new(&cfg), &none, (&l).into(), &spec, shards, None);
-        for shard in 0..shards {
-            let ops: Vec<&ShardOp> =
-                pre.stream(shard, 0..pre.stream_len(shard)).flatten().collect();
-            let requests = ops.iter().filter(|op| matches!(op, ShardOp::Request(_))).count();
-            assert_eq!(p.request_count(shard), requests as u64);
-            let n = p.batch_count(shard);
-            for from in [0, n / 2, n - 1, n, n + 3] {
-                let mut want = SystemMetrics::default();
-                for op in &ops[(from * batch_ops).min(ops.len())..] {
-                    if let ShardOp::Request(e) = op {
-                        bent_pipe(
-                            &p.env,
-                            &mut want,
-                            e.owner,
-                            e.size,
-                            e.gsl_oneway_ms,
-                            e.penalty_ms,
-                        );
-                        want.partitioned_requests += 1;
-                    }
-                }
-                let got = p.degraded_metrics(shard, from);
-                assert_eq!(
-                    metrics_digest(&got),
-                    metrics_digest(&want),
-                    "shard {shard} from {from}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -71,8 +71,11 @@ pub enum Counter {
     NetCircuitOpens,
     /// Duplicate frames dropped by shard-server sequence dedup.
     NetDuplicatesDropped,
-    /// Requests degraded to the origin bent pipe because a shard's
-    /// circuit stayed open.
+    /// Never incremented: an open circuit fails the run rather than
+    /// serving a shard's requests from the origin. It stays because
+    /// counters are persisted and framed as their index into
+    /// [`Counter::ALL`]; removing it would renumber every counter after
+    /// it.
     NetRequestsDegraded,
     /// Full-fleet rescans that restarted a scheduler's visibility window
     /// (every other scheduled epoch tested its candidate lists only).

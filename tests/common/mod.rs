@@ -20,6 +20,5 @@ pub fn ckpt_spec<'a>(
         overload: *overload,
         recorder: rec,
         checkpoint: Some(Checkpointing { policy, io, resume }),
-        measure_from_secs: None,
     }
 }

@@ -681,15 +681,12 @@ fn resume_under_a_different_run_description_is_rejected() {
 
     let mut other_retry = written;
     other_retry.retry.max_attempts += 1;
-    let mut other_backoff = written;
-    other_backoff.retry.backoff_epochs += 1;
     let mut other_deadline = written;
     other_deadline.retry.deadline_ms /= 2.0;
     let mut other_cfg = cfg.clone();
     other_cfg.model_transmission_delay = true;
     let resumes = [
         ("max_attempts", &cfg, &other_retry),
-        ("backoff_epochs", &cfg, &other_backoff),
         ("deadline_ms", &cfg, &other_deadline),
         ("model_transmission_delay", &other_cfg, &written),
     ];

@@ -22,15 +22,13 @@ use starcdn_sim::engine::{run, run_space, RunSpec, SimConfig};
 use starcdn_sim::experiment::Runner;
 use starcdn_sim::world::World;
 
-/// The engine under a fault schedule, optionally measuring only from
-/// `measure_from_secs` on.
+/// The engine under a fault schedule.
 fn run_with_faults(
     cdn: &mut SpaceCdn,
     log: &AccessLog,
     schedule: &FaultSchedule,
-    measure_from_secs: Option<u64>,
 ) -> starcdn::metrics::SystemMetrics {
-    run(cdn, log, &RunSpec { schedule, measure_from_secs, ..RunSpec::default() }).unwrap()
+    run(cdn, log, &RunSpec { schedule, ..RunSpec::default() }).unwrap()
 }
 
 fn trace() -> Trace {
@@ -152,7 +150,7 @@ fn empty_schedule_is_bit_for_bit_identical_to_static_run() {
     let mut plain = SpaceCdn::new(cfg.clone());
     let m_plain = run_space(&mut plain, &log);
     let mut churn = SpaceCdn::new(cfg);
-    let m_churn = run_with_faults(&mut churn, &log2, &w2.schedule, None);
+    let m_churn = run_with_faults(&mut churn, &log2, &w2.schedule);
     assert_eq!(m_plain.stats, m_churn.stats);
     assert_eq!(m_plain.latencies_ms, m_churn.latencies_ms);
     assert_eq!(m_plain.uplink_bytes, m_churn.uplink_bytes);
@@ -181,7 +179,7 @@ fn mass_outage_at_t0_reproduces_static_outage_metrics() {
     assert_eq!(log_static, log_churn, "t=0 mass outage must schedule like the static set");
 
     let mut c = SpaceCdn::new(cfg);
-    let m_churn = run_with_faults(&mut c, &log_churn, &sched, None);
+    let m_churn = run_with_faults(&mut c, &log_churn, &sched);
     assert_eq!(m_static.stats, m_churn.stats);
     assert_eq!(m_static.uplink_bytes, m_churn.uplink_bytes);
     assert_eq!(m_static.latencies_ms, m_churn.latencies_ms);
@@ -211,8 +209,8 @@ fn recovered_satellites_rewarm_within_the_run() {
     let log = build_access_log(&w, &t, 15, &SimConfig::default().scheduler());
     let cfg = StarCdnConfig::starcdn(9, 5_000_000);
 
-    let mut full = SpaceCdn::new(cfg.clone());
-    let m_full = run_with_faults(&mut full, &log, &sched, None);
+    let fresh_run = |log: &AccessLog| run_with_faults(&mut SpaceCdn::new(cfg.clone()), log, &sched);
+    let m_full = fresh_run(&log);
     assert!(m_full.cold_restart_misses > 0, "recovery must be observed as cold misses");
     assert!(m_full.remapped_requests > 0, "outage phase remaps");
     // Availability timeline shows the dip and the recovery.
@@ -221,17 +219,21 @@ fn recovered_satellites_rewarm_within_the_run() {
     assert_eq!(first.alive_sats, 1296 - 300);
     assert_eq!(last.alive_sats, 1296);
 
-    // Windowed hit rates after recovery (deterministic runs, so the
-    // difference of two measured tails isolates the early window).
-    let mut a = SpaceCdn::new(cfg.clone());
-    let m_a = run_with_faults(&mut a, &log, &sched, Some(3600)); // [3600, end)
-    let mut b = SpaceCdn::new(cfg);
-    let m_b = run_with_faults(&mut b, &log, &sched, Some(5400)); // [5400, end)
-    let early_requests = m_a.stats.requests - m_b.stats.requests;
-    let early_hits = m_a.stats.hits - m_b.stats.hits;
-    assert!(early_requests > 0 && m_b.stats.requests > 0, "both windows see traffic");
+    // Windowed hit rates after recovery. The engine is deterministic, so
+    // a fresh run over the log's prefix before `secs` is the whole run's
+    // state at that entry, and two prefixes isolate a window.
+    let before = |secs: u64| {
+        let cut = log.entries.partition_point(|e| e.time.as_secs() < secs);
+        fresh_run(&AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs })
+    };
+    let (m_a, m_b) = (before(3600), before(5400)); // [0, 3600), [0, 5400)
+    let early_requests = m_b.stats.requests - m_a.stats.requests;
+    let early_hits = m_b.stats.hits - m_a.stats.hits;
+    let late_requests = m_full.stats.requests - m_b.stats.requests;
+    let late_hits = m_full.stats.hits - m_b.stats.hits;
+    assert!(early_requests > 0 && late_requests > 0, "both windows see traffic");
     let early_rate = early_hits as f64 / early_requests as f64;
-    let late_rate = m_b.stats.request_hit_rate();
+    let late_rate = late_hits as f64 / late_requests as f64;
     assert!(
         late_rate > early_rate,
         "hit rate must recover after the cold restarts: early {early_rate:.4} late {late_rate:.4}"
@@ -257,7 +259,7 @@ fn link_flap_churn_runs_and_reroutes() {
     let w = World::starlink_nine_cities().with_fault_schedule(sched.clone());
     let log = build_access_log(&w, &t, 15, &SimConfig::default().scheduler());
     let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(9, 5_000_000));
-    let m = run_with_faults(&mut cdn, &log, &sched, None);
+    let m = run_with_faults(&mut cdn, &log, &sched);
     assert_eq!(m.stats.requests as usize, t.len());
     assert_eq!(m.cold_restart_misses, 0, "links flapping wipes no caches");
     assert_eq!(m.remapped_requests, 0, "ownership is node-liveness based");

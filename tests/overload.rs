@@ -119,10 +119,8 @@ fn demand_spike_sheds_and_falls_back_without_panicking() {
     // spiked bucket blows through its owner and both retry replicas
     // within an epoch, while background traffic mostly serves in place.
     let headroom = mean as f64 * 1.5 / 37_500_000_000.0;
-    let overload = OverloadConfig {
-        headroom,
-        retry: RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 },
-    };
+    let overload =
+        OverloadConfig { headroom, retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 } };
 
     let mut cdn = SpaceCdn::new(cfg.clone());
     let m = run_space_overloaded(&mut cdn, &spiked, &FaultSchedule::empty(), &overload);
@@ -167,10 +165,8 @@ fn demand_spike_sheds_and_falls_back_without_panicking() {
 fn max_attempts_one_never_retries_in_a_full_run() {
     let log = log();
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
-    let overload = OverloadConfig {
-        headroom: 1e-5,
-        retry: RetryPolicy { max_attempts: 1, backoff_epochs: 0, deadline_ms: 1e9 },
-    };
+    let overload =
+        OverloadConfig { headroom: 1e-5, retry: RetryPolicy { max_attempts: 1, deadline_ms: 1e9 } };
     let mut cdn = SpaceCdn::new(cfg);
     let m = run_space_overloaded(&mut cdn, &log, &FaultSchedule::empty(), &overload);
     assert_eq!(m.retry_attempts, 0, "max_attempts = 1 must never probe a replica");

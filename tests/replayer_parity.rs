@@ -179,25 +179,14 @@ fn parallel_exact_parity_under_churn() {
     }
 }
 
-#[test]
-fn parallel_exact_parity_under_overload_and_churn() {
-    overload_and_churn_parity(RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 });
-}
-
-/// Retries that back off charge a later epoch's ledger table, which the
-/// pre-pass can honour only by resolving the log in one chunk.
-#[test]
-fn parallel_exact_parity_under_backed_off_retries() {
-    overload_and_churn_parity(RetryPolicy { max_attempts: 3, backoff_epochs: 1, deadline_ms: 1e9 });
-}
-
-/// Overload admission under `retry` on top of a nonempty churn schedule:
-/// the lifecycle (admit/shed/retry/fallback/drop) runs on the replayer's
+/// Overload admission on top of a nonempty churn schedule: the
+/// lifecycle (admit/shed/retry/fallback/drop) runs on the replayer's
 /// pre-pass against the same failure views and ledger state as the
 /// engine, so every metric — including the overload counters, the
 /// utilization timeline, and each individual latency sample — must
 /// agree bit-for-bit at any worker count.
-fn overload_and_churn_parity(retry: RetryPolicy) {
+#[test]
+fn parallel_exact_parity_under_overload_and_churn() {
     use starcdn_sim::engine::run_space_overloaded;
     use starcdn_sim::overload::OverloadConfig;
     use starcdn_sim::replayer::replay_parallel_overloaded;
@@ -222,6 +211,7 @@ fn overload_and_churn_parity(retry: RetryPolicy) {
     // Headroom ≈ 1.5 mean objects per satellite per epoch: tight enough
     // that shedding, retries, fallbacks and drops all actually happen.
     let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
+    let retry = RetryPolicy { max_attempts: 3, deadline_ms: 1e9 };
     let overload = OverloadConfig { headroom: mean as f64 * 1.5 / 37_500_000_000.0, retry };
 
     let mut seq = SpaceCdn::new(cfg.clone());
@@ -245,7 +235,7 @@ fn overload_and_churn_parity(retry: RetryPolicy) {
             workers,
             &overload,
         );
-        assert_eq!(par.stats, reference.stats, "{retry:?} at {workers} workers");
+        assert_eq!(par.stats, reference.stats, "{workers} workers");
         assert_eq!(par.uplink_bytes, reference.uplink_bytes, "{workers} workers");
         assert_eq!(par.per_satellite, reference.per_satellite, "{workers} workers");
         assert_eq!(par.cold_restart_misses, reference.cold_restart_misses, "{workers} workers");
@@ -553,7 +543,7 @@ fn delayed_exact_parity_under_overload_and_churn() {
     let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
     let overload = OverloadConfig {
         headroom: mean as f64 * 1.5 / 37_500_000_000.0,
-        retry: RetryPolicy { max_attempts: 3, backoff_epochs: 0, deadline_ms: 1e9 },
+        retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 },
     };
 
     let mut seq = SpaceCdn::new(cfg.clone());
