@@ -10,9 +10,9 @@
 //! [`visible_top_k_into`] sweeps a struct-of-arrays snapshot with a
 //! conservative cone cull; and a [`VisibilityWindow`] reuses per-ground
 //! candidate lists across the epochs they provably cover — the scan the
-//! scheduler runs. The last two are bit for bit the brute-force scan
-//! (every satellite's exact elevation, a stable sort by it), which is
-//! what their tests compare against.
+//! scheduler runs. All three rank by `sin(el)`, with an `asin` only near
+//! the mask and near ties, bit for bit like the brute-force scan (every
+//! satellite's exact elevation, a stable sort by it) their tests run.
 
 use crate::constants::{EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S};
 use crate::coords::{Ecef, Geodetic};
@@ -27,10 +27,18 @@ pub const STARLINK_MIN_ELEVATION_DEG: f64 = 25.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisibleSatellite {
     pub id: SatelliteId,
-    /// Elevation above the local horizon, degrees.
-    pub elevation_deg: f64,
+    /// Sine of the elevation above the local horizon.
+    pub sin_elevation: f64,
     /// Straight-line range, km.
     pub slant_range_km: f64,
+}
+
+impl VisibleSatellite {
+    /// Elevation above the local horizon, degrees: bit for bit
+    /// [`elevation_and_range`]'s.
+    pub fn elevation_deg(&self) -> f64 {
+        self.sin_elevation.asin().to_degrees()
+    }
 }
 
 /// One-way propagation delay in fractional milliseconds (no rounding),
@@ -46,13 +54,21 @@ pub fn propagation_delay_ms_f64(distance_km: f64) -> f64 {
 /// of sight: `sin(el) = (r̂_ground · d) / |d|` where `d` is the vector
 /// from ground to satellite.
 pub fn elevation_and_range(ground_ecef: &Ecef, sat_ecef: &Ecef) -> (f64, f64) {
+    let (sin_el, range) = sine_and_range(ground_ecef, sat_ecef);
+    (sin_el.asin().to_degrees(), range)
+}
+
+/// [`elevation_and_range`] before the `asin`: `sin(el)` and the slant
+/// range, km.
+#[inline]
+fn sine_and_range(ground_ecef: &Ecef, sat_ecef: &Ecef) -> (f64, f64) {
     let dx = sat_ecef.x - ground_ecef.x;
     let dy = sat_ecef.y - ground_ecef.y;
     let dz = sat_ecef.z - ground_ecef.z;
     let range = (dx * dx + dy * dy + dz * dz).sqrt();
     let gnorm = ground_ecef.norm();
     let dot = (ground_ecef.x * dx + ground_ecef.y * dy + ground_ecef.z * dz) / (gnorm * range);
-    (dot.asin().to_degrees(), range)
+    (dot, range)
 }
 
 /// All satellites visible from `ground` at time `t` above `min_elevation_deg`,
@@ -69,25 +85,19 @@ pub fn visible_satellites(
     // would reject it in a mixed-altitude fleet (a TLE catalog).
     let max_altitude_km = satellites.iter().map(|s| s.orbit.altitude_km).reduce(f64::max);
     let max_range = max_slant_range_km(max_altitude_km.unwrap_or(550.0), min_elevation_deg);
-    let mut out: Vec<VisibleSatellite> = satellites
-        .iter()
-        .filter_map(|sat| {
-            let p = sat.orbit.position_eci(t).to_ecef(t);
-            // Cheap rejection: beyond the max slant range nothing can be
-            // above the elevation mask.
-            let dx = p.x - g.x;
-            if dx.abs() > max_range {
-                return None;
-            }
-            let (el, range) = elevation_and_range(&g, &p);
-            (el >= min_elevation_deg && range <= max_range + 1.0).then_some(VisibleSatellite {
-                id: sat.id,
-                elevation_deg: el,
-                slant_range_km: range,
-            })
-        })
-        .collect();
-    out.sort_by(|a, b| b.elevation_deg.total_cmp(&a.elevation_deg));
+    let mut ranking = Ranking::default();
+    ranking.begin(min_elevation_deg);
+    for sat in satellites {
+        let p = sat.orbit.position_eci(t).to_ecef(t);
+        // Cheap rejection: beyond the max slant range nothing can be
+        // above the elevation mask.
+        if (p.x - g.x).abs() <= max_range {
+            ranking.offer(sat.id, sine_and_range(&g, &p));
+        }
+    }
+    let mut out = Vec::new();
+    ranking.best_k_into(usize::MAX, &mut out);
+    out.retain(|v| v.slant_range_km <= max_range + 1.0);
     out
 }
 
@@ -114,16 +124,71 @@ fn max_central_angle_rad(
 }
 
 /// Reusable buffers for [`visible_top_k_into`]: the per-satellite culling
-/// verdicts and the tagged candidate list the top-k selection runs over.
-/// One scratch per worker makes repeated scans allocation-free once the
-/// buffers are warm.
+/// verdicts and the ranking the top-k selection runs over. One scratch
+/// per worker makes repeated scans allocation-free once the buffers are
+/// warm.
 #[derive(Debug, Default)]
 pub struct VisScratch {
     /// 1 where the conservative dot-product bound cannot rule the
     /// satellite out (recomputed per scan).
     pass: Vec<u8>,
-    /// Candidates tagged with their collection order for tie-breaking.
+    ranking: Ranking,
+}
+
+/// Sines further apart than this order and mask-test like their
+/// elevations: `asin′ ≥ 1`, so they are ≥ 5.7e-11° apart, thousands of
+/// ulps of any elevation, far beyond the rounding of `sin` and `asin`.
+const SINE_BAND: f64 = 1e-12;
+
+/// The ranking all three scans share: the survivors offered, above the
+/// mask, in the brute force's order (degrees descending, collection order
+/// ascending), with degrees taken only where the sines cannot decide.
+#[derive(Debug, Default)]
+struct Ranking {
+    mask_deg: f64,
+    /// The sines around the mask's in which the `asin` decides.
+    band: (f64, f64),
+    /// Above-mask survivors tagged with their collection order.
     tagged: Vec<(usize, VisibleSatellite)>,
+}
+
+impl Ranking {
+    fn begin(&mut self, mask_deg: f64) {
+        // `sin` is monotone on [-90°, 90°]; a NaN mask leaves the band's
+        // top NaN, so every sine goes to the exact test.
+        let sin = mask_deg.clamp(-90.0, 90.0).to_radians().sin();
+        self.mask_deg = mask_deg;
+        self.band = ((sin - SINE_BAND).max(-1.0), sin + SINE_BAND);
+        self.tagged.clear();
+    }
+
+    /// A survivor, kept when `asin(sin).to_degrees() >= mask_deg`: the
+    /// `asin` is taken in the band only (and past 1, where it is NaN).
+    #[inline]
+    fn offer(&mut self, id: SatelliteId, (sin, slant_range_km): (f64, f64)) {
+        let (lo, hi) = self.band;
+        if sin >= lo && (sin > hi && sin <= 1.0 || sin.asin().to_degrees() >= self.mask_deg) {
+            let v = VisibleSatellite { id, sin_elevation: sin, slant_range_km };
+            self.tagged.push((self.tagged.len(), v));
+        }
+    }
+
+    /// The `k ≥ 1` best appended to `out`: sorted by sine; whatever is
+    /// within `SINE_BAND` of the `k`-th could rank among them by degrees,
+    /// and each run whose neighbours are that close is ordered by exact
+    /// degrees, then collection order.
+    fn best_k_into(&mut self, k: usize, out: &mut Vec<VisibleSatellite>) {
+        let sine = |v: &(usize, VisibleSatellite)| v.1.sin_elevation;
+        self.tagged.sort_unstable_by(|a, b| sine(b).total_cmp(&sine(a)));
+        let floor = self.tagged.get(k - 1).map_or(f64::NEG_INFINITY, |v| sine(v) - SINE_BAND);
+        let head = self.tagged.partition_point(|v| sine(v) >= floor);
+        let head = &mut self.tagged[..head];
+        for run in head.chunk_by_mut(|a, b| sine(a) - sine(b) <= SINE_BAND) {
+            let deg = |v: &(usize, VisibleSatellite)| v.1.elevation_deg();
+            run.sort_unstable_by(|a, b| deg(b).total_cmp(&deg(a)).then(a.0.cmp(&b.0)));
+        }
+        out.extend(head.iter().take(k).map(|&(_, v)| v));
+    }
 }
 
 /// [`max_central_angle_rad`] for a ground point against a fleet whose
@@ -194,38 +259,6 @@ fn for_each_survivor(pass: &[u8], mut survivor: impl FnMut(usize)) {
     }
 }
 
-/// The exact test every cull survivor pays: `keep`, then the
-/// `asin`/`sqrt` elevation math; above the mask it is tagged with its
-/// collection order and pushed.
-#[inline]
-fn push_if_visible(
-    tagged: &mut Vec<(usize, VisibleSatellite)>,
-    id: SatelliteId,
-    p: &Ecef,
-    g: &Ecef,
-    min_elevation_deg: f64,
-    keep: &mut impl FnMut(SatelliteId) -> bool,
-) {
-    if !keep(id) {
-        return;
-    }
-    let (el, range) = elevation_and_range(g, p);
-    if el >= min_elevation_deg {
-        let tag = tagged.len();
-        tagged.push((tag, VisibleSatellite { id, elevation_deg: el, slant_range_km: range }));
-    }
-}
-
-/// Total order of the top-k selection: elevation descending, collection
-/// order ascending (so ties break exactly like a stable elevation-only
-/// sort).
-fn by_elevation_then_order(
-    a: &(usize, VisibleSatellite),
-    b: &(usize, VisibleSatellite),
-) -> std::cmp::Ordering {
-    b.1.elevation_deg.total_cmp(&a.1.elevation_deg).then(a.0.cmp(&b.0))
-}
-
 /// The `k` best (highest-elevation) satellites above the mask from
 /// `ground`, best first, restricted to ids passing `keep`, computed over
 /// a struct-of-arrays snapshot into a caller buffer; `k = usize::MAX`
@@ -235,7 +268,8 @@ fn by_elevation_then_order(
 /// bound (the cone of the fleet's `γ_max`, see `max_central_angle_rad`)
 /// for every satellite over the contiguous x/y/z/p2 columns, then only
 /// the survivors — a dozen out of 1296 for a Starlink shell — pay the
-/// `keep` lookup and the exact `asin`/`sqrt` elevation math. The bound
+/// `keep` lookup and the elevation's sine, ranked with an `asin` only
+/// near the mask and between near-ties. The bound
 /// only rejects satellites below the mask and `keep` is independent of
 /// it, so the output is bit for bit the brute-force scan's: every
 /// satellite's [`elevation_and_range`], `keep`, `el >= mask`, a stable
@@ -260,28 +294,16 @@ pub fn visible_top_k_into(
     let g = ground.to_ecef();
     let g2 = g.x * g.x + g.y * g.y + g.z * g.z;
     let gamma = fleet_central_angle(g2, soa.r2_max(), min_elevation_deg);
-    let VisScratch { pass, tagged } = scratch;
-    tagged.clear();
+    let VisScratch { pass, ranking } = scratch;
+    ranking.begin(min_elevation_deg);
     sweep_cone(pass, soa, &g, gamma.and_then(|gamma| cone_threshold(gamma, g2)));
     for_each_survivor(pass, |i| {
-        push_if_visible(tagged, satellites[i].id, &soa.ecef(i), &g, min_elevation_deg, &mut keep)
+        let id = satellites[i].id;
+        if keep(id) {
+            ranking.offer(id, sine_and_range(&g, &soa.ecef(i)));
+        }
     });
-    best_k_into(tagged, k, out);
-}
-
-/// The `k` best of `tagged` appended to `out`, best first, under
-/// [`by_elevation_then_order`] (`k ≥ 1`).
-fn best_k_into(
-    tagged: &mut Vec<(usize, VisibleSatellite)>,
-    k: usize,
-    out: &mut Vec<VisibleSatellite>,
-) {
-    if tagged.len() > k {
-        tagged.select_nth_unstable_by(k - 1, by_elevation_then_order);
-        tagged.truncate(k);
-    }
-    tagged.sort_unstable_by(by_elevation_then_order);
-    out.extend(tagged.iter().map(|&(_, v)| v));
+    ranking.best_k_into(k, out);
 }
 
 /// What a [`VisibilityWindow`]'s candidate lists were collected for. A
@@ -340,12 +362,13 @@ struct WindowGround {
 /// [`VisibilityWindow::advance`] then moves the new union only.
 ///
 /// **Exactness.** [`VisibilityWindow::top_k_into`] runs the same tight
-/// cull, the same `keep`, the same [`elevation_and_range`] and the same
-/// top-k order as [`visible_top_k_into`], over the candidates in
-/// ascending index order. The lists are a superset of the above-mask
-/// satellites, the cull only filters and the exact elevation test
-/// decides, so the members, their collection order and therefore the
-/// output are bit for bit the full scan's. Liveness is the caller's
+/// cull, the same `keep` and the same ranking as [`visible_top_k_into`],
+/// over the candidates in ascending index order. The lists are a
+/// superset of the above-mask satellites, the cull only filters and the
+/// ranking's mask test and order are the exact elevation's (an `asin`
+/// wherever a sine is within 1e-12 of the mask's or a neighbour's), so
+/// the members, their collection order and therefore the output are bit
+/// for bit the full scan's. Liveness is the caller's
 /// `keep`, applied per call: the lists hold geometry only.
 ///
 /// All buffers are sized at the first refresh for a given fleet and
@@ -368,9 +391,8 @@ pub struct VisibilityWindow {
     member: Vec<u8>,
     /// Every plane's basis at the refresh time (refresh scratch).
     frames: PlaneFrames,
-    /// Above-mask candidates tagged with their collection order (scan
-    /// scratch).
-    tagged: Vec<(usize, VisibleSatellite)>,
+    /// Scan scratch.
+    ranking: Ranking,
 }
 
 impl VisibilityWindow {
@@ -434,8 +456,8 @@ impl VisibilityWindow {
         self.union.reserve(n);
         self.member.clear();
         self.member.resize(n, 0);
-        self.tagged.clear();
-        self.tagged.reserve(n);
+        self.ranking.begin(min_elevation_deg);
+        self.ranking.tagged.reserve(n);
         let mut window_ms = u64::MAX;
         for &at in grounds {
             let ecef = at.to_ecef();
@@ -504,12 +526,13 @@ impl VisibilityWindow {
             "snapshot at {} is incomplete and this window did not advance it there",
             snapshot.epoch()
         );
-        let key = self.key.expect("top_k_into before the first refresh");
+        assert!(self.key.is_some(), "top_k_into before the first refresh");
         let WindowGround { ecef: g, tight, .. } = self.grounds[ground];
         let soa = snapshot.columns();
         let satellites = snapshot.satellites();
-        let tagged = &mut self.tagged;
-        tagged.clear();
+        // The refresh set the ranking's mask.
+        let ranking = &mut self.ranking;
+        ranking.tagged.clear();
         let list = &self.candidates[self.starts[ground]..self.starts[ground + 1]];
         // A no-op once `out` has held `k` (or the fleet): later calls
         // never grow it, whatever the sky looks like.
@@ -523,9 +546,12 @@ impl VisibilityWindow {
                     continue;
                 }
             }
-            push_if_visible(tagged, satellites[i].id, &p, &g, key.min_elevation_deg, &mut keep);
+            let id = satellites[i].id;
+            if keep(id) {
+                ranking.offer(id, sine_and_range(&g, &p));
+            }
         }
-        best_k_into(tagged, k, out);
+        ranking.best_k_into(k, out);
     }
 
     /// Candidate indices of ground point `ground`, ascending.
@@ -562,6 +588,9 @@ mod tests {
     use crate::walker::WalkerConstellation;
     use proptest::prelude::*;
 
+    /// `(id, elevation bits, range bits)`: what a scan is compared on.
+    type Bits = Vec<(SatelliteId, u64, u64)>;
+
     /// The brute-force reference: every satellite's [`elevation_and_range`]
     /// at `position(i)`, then `keep`, then `el >= mask`, then a stable
     /// descending sort by elevation, then the first `k`.
@@ -572,23 +601,18 @@ mod tests {
         mask: f64,
         k: usize,
         keep: impl Fn(SatelliteId) -> bool,
-    ) -> Vec<VisibleSatellite> {
+    ) -> Bits {
         let g = ground.to_ecef();
-        let mut out: Vec<VisibleSatellite> = (0..satellites.len())
+        let mut out: Vec<(SatelliteId, f64, f64)> = (0..satellites.len())
             .filter(|&i| keep(satellites[i].id))
             .filter_map(|i| {
                 let (el, range) = elevation_and_range(&g, &position(i));
-                let id = satellites[i].id;
-                (el >= mask).then_some(VisibleSatellite {
-                    id,
-                    elevation_deg: el,
-                    slant_range_km: range,
-                })
+                (el >= mask).then_some((satellites[i].id, el, range))
             })
             .collect();
-        out.sort_by(|a, b| b.elevation_deg.total_cmp(&a.elevation_deg));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out.truncate(k);
-        out
+        out.into_iter().map(|(id, el, range)| (id, el.to_bits(), range.to_bits())).collect()
     }
 
     /// [`brute_force`] over a snapshot's columns.
@@ -598,7 +622,7 @@ mod tests {
         mask: f64,
         k: usize,
         keep: impl Fn(SatelliteId) -> bool,
-    ) -> Vec<VisibleSatellite> {
+    ) -> Bits {
         brute_force(snap.satellites(), |i| snap.positions_soa().ecef(i), g, mask, k, keep)
     }
 
@@ -616,9 +640,9 @@ mod tests {
         out
     }
 
-    /// Ids with both floats as bit patterns.
-    fn bits(v: &[VisibleSatellite]) -> Vec<(SatelliteId, u64, u64)> {
-        v.iter().map(|v| (v.id, v.elevation_deg.to_bits(), v.slant_range_km.to_bits())).collect()
+    /// Ids with the elevation in degrees and the range as bit patterns.
+    fn bits(v: &[VisibleSatellite]) -> Bits {
+        v.iter().map(|v| (v.id, v.elevation_deg().to_bits(), v.slant_range_km.to_bits())).collect()
     }
 
     fn shell1_snapshot() -> SnapshotPropagator {
@@ -636,7 +660,7 @@ mod tests {
                 for mask in [5.0, 25.0, 40.0] {
                     let fast = scan(&snap, g, mask, usize::MAX, |_| true);
                     let slow = brute_force_snap(&snap, g, mask, usize::MAX, |_| true);
-                    assert_eq!(bits(&fast), bits(&slow), "({lat},{lon}) t={secs} mask={mask}");
+                    assert_eq!(bits(&fast), slow, "({lat},{lon}) t={secs} mask={mask}");
                 }
             }
         }
@@ -674,7 +698,7 @@ mod tests {
                     for k in [0usize, 1, 4, 100, usize::MAX] {
                         visible_top_k_into(sats, soa, g, mask, k, keep, &mut scratch, &mut out);
                         let want = brute_force_snap(&snap, g, mask, k, keep);
-                        assert_eq!(bits(&out), bits(&want), "k={k} ({lat},{lon}) t={secs} {mask}");
+                        assert_eq!(bits(&out), want, "k={k} ({lat},{lon}) t={secs} {mask}");
                     }
                 }
             }
@@ -687,7 +711,7 @@ mod tests {
         let g = Geodetic::from_degrees(40.7128, -74.0060, 0.0);
         let banned = scan(&snap, g, 25.0, 1, |_| true)[0].id;
         let out = scan(&snap, g, 25.0, 4, |id| id != banned);
-        assert_eq!(bits(&out), bits(&brute_force_snap(&snap, g, 25.0, 4, |id| id != banned)));
+        assert_eq!(bits(&out), brute_force_snap(&snap, g, 25.0, 4, |id| id != banned));
         assert!(!out.iter().any(|v| v.id == banned));
     }
 
@@ -701,6 +725,103 @@ mod tests {
         let top = scan(&snap, g, 25.0, 4, |id| id != banned);
         assert!(!top.iter().any(|v| v.id == banned));
         assert_eq!(top[0].id, full[1].id, "next-best satellite moves up");
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `x`'s bit pattern plus `n`: `n` ulps away from zero (toward it for
+    /// a negative `n`; past ±0 that wraps to NaN patterns).
+    fn ulps(x: f64, n: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(n))
+    }
+
+    /// The ranking on runs of sines 0–3 ulps apart near 0.53, where
+    /// neighbouring sines can share their degrees, chained runs about the
+    /// band's width apart, and sines far from both: for every `k`, the
+    /// ranking's output against every degree value computed and a stable
+    /// descending sort.
+    #[test]
+    fn ranking_breaks_near_ties_by_exact_degrees_then_collection_order() {
+        let mut rng = 0x5EED_0053u64;
+        let mut ranking = Ranking::default();
+        let mut out = Vec::new();
+        // Pairs in collection order whose sines rise but whose degrees
+        // are equal: ranked by sine alone, the later one would lead.
+        let mut inversions = 0;
+        for round in 0..400 {
+            let base = ulps(0.53, (splitmix(&mut rng) % 4096) as i64);
+            let n = 2 + round % 23;
+            let sines: Vec<f64> = (0..n)
+                .map(|_| {
+                    let r = splitmix(&mut rng);
+                    let near = ulps(base, (r >> 8 & 3) as i64);
+                    match r % 10 {
+                        0..=5 => near,
+                        6 | 7 => near + SINE_BAND * (1 + (r >> 16) % 2) as f64,
+                        _ => base + ((r >> 16) % 2001) as f64 * 1e-7 - 1e-4,
+                    }
+                })
+                .collect();
+            let degrees: Vec<f64> = sines.iter().map(|s| s.asin().to_degrees()).collect();
+            for i in 0..n {
+                for j in i + 1..n {
+                    inversions += (sines[i] < sines[j] && degrees[i] == degrees[j]) as usize;
+                }
+            }
+            let mut want: Vec<usize> = (0..n).collect();
+            want.sort_by(|&a, &b| degrees[b].total_cmp(&degrees[a]));
+            for k in (1..=n + 1).chain([usize::MAX]) {
+                ranking.begin(STARLINK_MIN_ELEVATION_DEG);
+                for (i, &s) in sines.iter().enumerate() {
+                    ranking.offer(SatelliteId::from_index(i, 1), (s, i as f64));
+                }
+                out.clear();
+                ranking.best_k_into(k, &mut out);
+                let got: Vec<(usize, u64)> = out
+                    .iter()
+                    .map(|v| (v.slant_range_km as usize, v.sin_elevation.to_bits()))
+                    .collect();
+                let want: Vec<(usize, u64)> =
+                    want.iter().take(k).map(|&i| (i, sines[i].to_bits())).collect();
+                assert_eq!(got, want, "round {round} k {k}: sines {sines:?}");
+            }
+        }
+        assert!(inversions > 100, "only {inversions} equal-degree pairs with rising sines");
+    }
+
+    /// The mask test against `asin(sin).to_degrees() >= mask` for sines
+    /// within a few hundred ulps of the mask's, the band's edges, ±1 and
+    /// one ulp past them, at ordinary masks, the horizon, the zenith,
+    /// beyond both and NaN.
+    #[test]
+    fn mask_test_admits_exactly_what_the_degrees_admit() {
+        let masks = [-95.0, -90.0, -10.0, 0.0, 5.0, 25.0, 40.0, 89.9, 90.0, 95.0, f64::NAN];
+        let mut near_mask = 0;
+        let mut ranking = Ranking::default();
+        for mask in masks {
+            ranking.begin(mask);
+            let s0 = mask.clamp(-90.0, 90.0).to_radians().sin();
+            let edges = [s0, s0 - SINE_BAND, s0 + SINE_BAND, -1.0, 1.0, 0.0, -0.0];
+            let sines = edges
+                .into_iter()
+                .flat_map(|e| (-300..=300).map(move |n| ulps(e, n)))
+                .chain([f64::NAN]);
+            for s in sines {
+                let want = s.asin().to_degrees() >= mask;
+                let before = ranking.tagged.len();
+                ranking.offer(SatelliteId::from_index(0, 1), (s, 0.0));
+                assert_eq!(ranking.tagged.len() > before, want, "mask {mask} sine {s:e}");
+                near_mask += (want != (s >= s0)) as usize;
+            }
+        }
+        // The sine alone would get some of these wrong.
+        assert!(near_mask > 0);
     }
 
     proptest! {
@@ -790,10 +911,10 @@ mod tests {
             25.0,
         );
         for w in vis.windows(2) {
-            assert!(w[0].elevation_deg >= w[1].elevation_deg);
+            assert!(w[0].elevation_deg() >= w[1].elevation_deg());
         }
         for v in &vis {
-            assert!(v.elevation_deg >= 25.0);
+            assert!(v.elevation_deg() >= 25.0);
             assert!(v.slant_range_km <= max_slant_range_km(550.0, 25.0) + 1.0);
         }
     }
@@ -823,8 +944,8 @@ mod tests {
                 let position = |i: usize| sats[i].orbit.position_eci(t).to_ecef(t);
                 let want = brute_force(&sats, position, ground, 25.0, usize::MAX, |_| true);
                 let got = visible_satellites(&sats, ground, t, 25.0);
-                assert_eq!(got, want, "({lat},{lon}) t={secs}");
-                beyond_first_cut += want.iter().filter(|v| v.slant_range_km > first_cut).count();
+                assert_eq!(bits(&got), want, "({lat},{lon}) t={secs}");
+                beyond_first_cut += want.iter().filter(|v| f64::from_bits(v.2) > first_cut).count();
             }
         }
         assert!(beyond_first_cut > 20, "only {beyond_first_cut} witnesses past the first cut");
@@ -843,7 +964,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);
-            assert!((x.elevation_deg - y.elevation_deg).abs() < 1e-9);
+            assert!((x.elevation_deg() - y.elevation_deg()).abs() < 1e-9);
         }
     }
 
@@ -880,7 +1001,7 @@ mod tests {
                 }
             }
             for v in &vis {
-                assert!(v.elevation_deg >= 25.0 && v.elevation_deg <= 90.0);
+                assert!(v.elevation_deg() >= 25.0 && v.elevation_deg() <= 90.0);
             }
         }
         assert!(passes > 0, "six hours must contain passes");

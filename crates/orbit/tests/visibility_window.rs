@@ -2,7 +2,7 @@
 //! [`VisibilityWindow`] over a snapshot it subset-advances) against the
 //! brute-force scan of a separately, fully advanced snapshot (every
 //! satellite's exact elevation, `keep`, the mask, a stable sort, the first
-//! `k`), compared id for id with `elevation_deg.to_bits()` and
+//! `k`), compared id for id with `elevation_deg().to_bits()` and
 //! `slant_range_km.to_bits()`.
 //!
 //! The window's claim is a proof (see `VisibilityWindow`'s docs), so the
@@ -12,16 +12,23 @@
 //! `keep` whose dead set changes at every step. A refresh reads the
 //! orbital elements, plane by plane, not positions; its lists are held
 //! to the widened cone tested on a complete snapshot's positions, from
-//! both sides and down to the cone's edge. Run it under the release
-//! profile too (`cargo test --release -p starcdn-orbit --test
+//! both sides and down to the cone's edge. The scans rank by the sine of
+//! the elevation and take degrees only near the mask and near ties, so a
+//! fleet phased onto the mask itself, and masks at and past the horizon
+//! and the zenith, hold them to the reference there. Run it under the
+//! release profile too (`cargo test --release -p starcdn-orbit --test
 //! visibility_window`): the benchmark executes the release build's
 //! arithmetic.
 
+use starcdn_orbit::coords::Ecef;
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::kepler::CircularOrbit;
 use starcdn_orbit::propagator::{Satellite, SnapshotPropagator};
 use starcdn_orbit::time::SimTime;
-use starcdn_orbit::visibility::{elevation_and_range, VisibilityWindow, VisibleSatellite};
+use starcdn_orbit::visibility::{
+    elevation_and_range, visible_satellites, visible_top_k_into, VisScratch, VisibilityWindow,
+    VisibleSatellite,
+};
 use starcdn_orbit::walker::{SatelliteId, WalkerConstellation};
 
 /// The nine trace cities, (0°, 0°), a high-latitude point at the shell's
@@ -146,34 +153,55 @@ impl Tracked {
     }
 }
 
+/// `(id, elevation, range)` of one satellite above the mask, as the
+/// brute-force scan computes them.
+type Seen = (SatelliteId, f64, f64);
+
 /// The brute-force reference: every satellite's [`elevation_and_range`]
-/// at its snapshot position, then `keep`, then `el >= mask`, then a
-/// stable descending sort by elevation, then the first `k`.
+/// at `position(i)`, then `keep`, then `el >= mask`, then a stable
+/// descending sort by elevation, then the first `k`.
+fn brute_force_at(
+    satellites: &[Satellite],
+    position: impl Fn(usize) -> Ecef,
+    ground: Geodetic,
+    mask: f64,
+    k: usize,
+    keep: impl Fn(SatelliteId) -> bool,
+) -> Vec<Seen> {
+    let g = ground.to_ecef();
+    let mut out: Vec<Seen> = satellites
+        .iter()
+        .enumerate()
+        .filter(|(_, sat)| keep(sat.id))
+        .filter_map(|(i, sat)| {
+            let (el, range) = elevation_and_range(&g, &position(i));
+            (el >= mask).then_some((sat.id, el, range))
+        })
+        .collect();
+    out.sort_by(|a, b| b.1.total_cmp(&a.1));
+    out.truncate(k);
+    out
+}
+
+/// [`brute_force_at`] the snapshot's positions.
 fn brute_force(
     snap: &SnapshotPropagator,
     ground: Geodetic,
     mask: f64,
     k: usize,
     keep: impl Fn(SatelliteId) -> bool,
-) -> Vec<VisibleSatellite> {
-    let g = ground.to_ecef();
-    let mut out: Vec<VisibleSatellite> = snap
-        .satellites()
-        .iter()
-        .enumerate()
-        .filter(|(_, sat)| keep(sat.id))
-        .filter_map(|(i, sat)| {
-            let (el, range) = elevation_and_range(&g, &snap.positions_soa().ecef(i));
-            (el >= mask).then_some(VisibleSatellite {
-                id: sat.id,
-                elevation_deg: el,
-                slant_range_km: range,
-            })
-        })
-        .collect();
-    out.sort_by(|a, b| b.elevation_deg.total_cmp(&a.elevation_deg));
-    out.truncate(k);
-    out
+) -> Vec<Seen> {
+    brute_force_at(snap.satellites(), |i| snap.positions_soa().ecef(i), ground, mask, k, keep)
+}
+
+/// A scan's output against the reference, id for id, bit for bit.
+fn assert_matches(got: &[VisibleSatellite], want: &[Seen], what: std::fmt::Arguments) {
+    assert_eq!(got.len(), want.len(), "{what}: count");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.id, b.0, "{what}");
+        assert_eq!(a.elevation_deg().to_bits(), b.1.to_bits(), "{what}");
+        assert_eq!(a.slant_range_km.to_bits(), b.2.to_bits(), "{what}");
+    }
 }
 
 /// One time step of both paths, compared bit for bit for every ground.
@@ -193,12 +221,7 @@ fn check_step(
     for (j, &g) in grounds.iter().enumerate() {
         tracked.window.top_k_into(j, &tracked.snapshot, k, &keep, &mut tracked.out);
         let want = brute_force(full, g, mask, k, &keep);
-        assert_eq!(tracked.out.len(), want.len(), "{what}: t={t} ground {j}: count");
-        for (a, b) in tracked.out.iter().zip(&want) {
-            assert_eq!(a.id, b.id, "{what}: t={t} ground {j}");
-            assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits(), "{what}: t={t}");
-            assert_eq!(a.slant_range_km.to_bits(), b.slant_range_km.to_bits(), "{what}: t={t}");
-        }
+        assert_matches(&tracked.out, &want, format_args!("{what}: t={t} ground {j}"));
     }
 }
 
@@ -472,6 +495,158 @@ fn refresh_lists_the_widened_cone_from_both_sides_down_to_its_edge() {
     assert!(edge_members >= on_edge, "{edge_members} of {on_edge} edge satellites inside");
 }
 
+/// A fleet of `count` planes of two satellites each, phased by bisection
+/// onto `el == mask` over `ground` at `t0` (on a snapshot's positions):
+/// slot 0 at the last phase whose elevation is at or above the mask,
+/// slot 1 at the next, below it. Their sines are within ulps of the
+/// mask's and of each other. Planes that never rise that high keep their
+/// two satellites half an orbit apart.
+fn mask_edge_fleet(
+    ground: Geodetic,
+    t0: SimTime,
+    mask: f64,
+    count: usize,
+) -> (Vec<Satellite>, usize) {
+    let sat = |i: usize, slot: usize, phase_rad: f64| {
+        let mut orbit =
+            CircularOrbit::from_degrees(550.0, 53.0, i as f64 * 360.0 / count as f64, 0.0);
+        orbit.phase_rad = phase_rad;
+        Satellite { id: SatelliteId::from_index(2 * i + slot, 2), orbit }
+    };
+    let above = |i: usize, phase_rad: f64| {
+        let mut one = SnapshotPropagator::new(vec![sat(i, 0, phase_rad)], 2);
+        one.advance_to(t0);
+        elevation_and_range(&ground.to_ecef(), &one.positions_soa().ecef(0)).0 >= mask
+    };
+    let mut on_edge = 0;
+    let mut sats = Vec::with_capacity(2 * count);
+    for i in 0..count {
+        let step = std::f64::consts::TAU / 360.0;
+        let flip = (0..360).map(|d| d as f64 * step).find(|&p| above(i, p) && !above(i, p + step));
+        let (inside, outside) = match flip {
+            Some(mut inside) => {
+                let mut outside = inside + step;
+                for _ in 0..80 {
+                    let mid = 0.5 * (inside + outside);
+                    if mid == inside || mid == outside {
+                        break;
+                    }
+                    *(if above(i, mid) { &mut inside } else { &mut outside }) = mid;
+                }
+                on_edge += 1;
+                (inside, outside)
+            }
+            None => (0.0, std::f64::consts::PI),
+        };
+        sats.extend([sat(i, 0, inside), sat(i, 1, outside)]);
+    }
+    (sats, on_edge)
+}
+
+/// The scans where the mask's band decides: a fleet phased onto the mask
+/// over one ground point, scanned there (and from the other grounds) by
+/// the window, the snapshot scan and the analytic scan, against the
+/// brute force at every `k`. The edge satellites' sines are also near
+/// ties of each other, so the top-k selects among them by exact degrees.
+#[test]
+fn satellites_on_the_mask_match_the_full_scan() {
+    let grounds = grounds(&GROUNDS);
+    let t0 = SimTime::from_secs(7_777);
+    let mut undecided_by_sine = 0;
+    for mask in [5.0, 25.0, 40.0] {
+        let fleet = mask_edge_fleet(grounds[4], t0, mask, 120);
+        assert!(fleet.1 >= 12, "mask {mask}: only {} planes reach the mask", fleet.1);
+        let fleet = (fleet.0, 2);
+        let mut full = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
+        full.advance_to(t0);
+        // The fixture has teeth: the sine against the mask's sine gets
+        // some of these satellites wrong.
+        let (sats, soa) = (full.satellites(), full.positions_soa());
+        let mut near = Vec::new();
+        let mut scratch = VisScratch::default();
+        visible_top_k_into(
+            sats,
+            soa,
+            grounds[4],
+            mask - 1.0,
+            usize::MAX,
+            |_| true,
+            &mut scratch,
+            &mut near,
+        );
+        let sin_mask = mask.to_radians().sin();
+        undecided_by_sine += near
+            .iter()
+            .filter(|v| (v.sin_elevation >= sin_mask) != (v.elevation_deg() >= mask))
+            .count();
+        for k in [1usize, 4, 100] {
+            let what = format!("mask {mask} k {k}");
+            let mut tracked = Tracked::new(&fleet);
+            check_step(&mut tracked, &mut full, t0, mask, k, &grounds, |_| true, &what);
+            let mut out = Vec::new();
+            for (j, &g) in grounds.iter().enumerate() {
+                let (sats, soa) = (full.satellites(), full.positions_soa());
+                visible_top_k_into(sats, soa, g, mask, k, |_| true, &mut scratch, &mut out);
+                let want = brute_force(&full, g, mask, k, |_| true);
+                assert_matches(&out, &want, format_args!("{what}: snapshot scan, ground {j}"));
+            }
+        }
+        for (j, &g) in grounds.iter().enumerate() {
+            let position = |i: usize| fleet.0[i].orbit.position_eci(t0).to_ecef(t0);
+            let want = brute_force_at(&fleet.0, position, g, mask, usize::MAX, |_| true);
+            let got = visible_satellites(&fleet.0, g, t0, mask);
+            assert_matches(&got, &want, format_args!("mask {mask}: analytic scan, ground {j}"));
+        }
+    }
+    assert!(undecided_by_sine > 0, "no edge satellite where the sine alone disagrees");
+}
+
+/// Masks below the horizon, at it, at the zenith, past it and NaN: each
+/// scan keeps what the exact degrees keep (past the zenith, and for NaN,
+/// nothing), for shell 1 and for a fleet high enough that a
+/// hemisphere sees it.
+#[test]
+fn masks_at_and_past_the_horizon_and_zenith_match_the_full_scan() {
+    let grounds = grounds(&GROUNDS);
+    let mut seen = 0;
+    for fleet in [shell1(), high_fleet(35_786.0)] {
+        for secs in [0u64, 4_321, 86_400] {
+            let t = SimTime::from_secs(secs);
+            let mut full = SnapshotPropagator::new(fleet.0.clone(), fleet.1);
+            full.advance_to(t);
+            let (sats, soa) = (full.satellites(), full.positions_soa());
+            let (mut out, mut scratch) = (Vec::new(), VisScratch::default());
+            for mask in [-10.0, 0.0, 90.0, 95.0, f64::NAN] {
+                let mut window = VisibilityWindow::default();
+                window.refresh(&full, t, mask, &grounds);
+                for (j, &g) in grounds.iter().enumerate() {
+                    for k in [1usize, 4, usize::MAX] {
+                        let what = format!("mask {mask} t={t} ground {j} k {k}");
+                        let want = brute_force(&full, g, mask, k, |_| true);
+                        window.top_k_into(j, &full, k, |_| true, &mut out);
+                        assert_matches(&out, &want, format_args!("{what}: window"));
+                        visible_top_k_into(sats, soa, g, mask, k, |_| true, &mut scratch, &mut out);
+                        assert_matches(&out, &want, format_args!("{what}: snapshot scan"));
+                        seen += want.len();
+                    }
+                    let position = |i: usize| fleet.0[i].orbit.position_eci(t).to_ecef(t);
+                    let want = brute_force_at(&fleet.0, position, g, mask, usize::MAX, |_| true);
+                    let got = visible_satellites(&fleet.0, g, t, mask);
+                    assert_matches(
+                        &got,
+                        &want,
+                        format_args!("mask {mask} t={t} ground {j}: analytic"),
+                    );
+                    if mask > 90.0 || mask.is_nan() {
+                        assert!(got.is_empty(), "mask {mask}: {} satellites", got.len());
+                    }
+                }
+            }
+        }
+    }
+    assert!(seen > 1000, "only {seen} satellites above the low masks");
+}
+
 #[test]
 fn lists_are_ascending_and_the_union_is_their_sorted_merge() {
     let grounds = grounds(&GROUNDS);
@@ -591,7 +766,7 @@ fn refresh_on_a_subset_advanced_snapshot_matches_a_complete_one() {
         reference.top_k_into(j, &full, 4, |_| true, &mut want);
         assert_eq!(got, want, "ground {j}");
         for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits(), "ground {j}");
+            assert_eq!(a.elevation_deg().to_bits(), b.elevation_deg().to_bits(), "ground {j}");
             assert_eq!(a.slant_range_km.to_bits(), b.slant_range_km.to_bits(), "ground {j}");
         }
     }

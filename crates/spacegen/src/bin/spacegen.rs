@@ -51,7 +51,8 @@ fn main() {
 fn usage() -> ! {
     eprintln!(
         "usage: spacegen <synthesize|extract|generate|validate> [--class C] [--hours H] \
-         [--seed S] [--scale X] [--trace F] [--models F] [--requests N] \
+         [--seed S] [--scale X (finite, > 0; catalog of at most 2^32 objects)] [--trace F] \
+         [--models F] [--requests N] \
          [--production F] [--synthetic F] [--out F]"
     );
     exit(2)
@@ -109,10 +110,11 @@ fn synthesize(opts: &HashMap<String, String>) {
     let hours: u64 = opt(opts, "hours", "24").parse().unwrap_or_else(|_| die("--hours: bad u64"));
     let seed: u64 = opt(opts, "seed", "42").parse().unwrap_or_else(|_| die("--seed: bad u64"));
     let scale: f64 = opt(opts, "scale", "0.1").parse().unwrap_or_else(|_| die("--scale: bad f64"));
+    let params = class.params().try_scaled(scale).unwrap_or_else(|e| die(&format!("--scale: {e}")));
     let out = required(opts, "out");
 
     let locations = Location::akamai_nine();
-    let model = ProductionModel::build(class.params().scaled(scale), &locations, seed);
+    let model = ProductionModel::build(params, &locations, seed);
     let trace = model.generate_trace(SimDuration::from_hours(hours), seed);
     save_trace(&trace, out);
 }

@@ -155,14 +155,35 @@ pub struct ClassParams {
     pub per_location_noise_sigma: f64,
 }
 
+/// The most objects a catalog may hold: a model indexes them with `u32`.
+const MAX_CATALOG: usize = 1 << 32;
+
 impl ClassParams {
     /// Scale the catalog and request rate by `factor` (for smoke tests
     /// and CI-speed experiments), keeping all shape parameters.
-    pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0);
-        self.catalog_size = ((self.catalog_size as f64 * factor).round() as usize).max(100);
+    ///
+    /// # Panics
+    /// Where [`ClassParams::try_scaled`] returns an error.
+    pub fn scaled(self, factor: f64) -> Self {
+        self.try_scaled(factor).unwrap_or_else(|e| panic!("scale {e}"))
+    }
+
+    /// [`ClassParams::scaled`], or why `factor` cannot scale this class:
+    /// it is not a finite positive number, or the scaled catalog holds
+    /// more objects than a model indexes (`u32` object indices).
+    pub fn try_scaled(mut self, factor: f64) -> Result<Self, String> {
+        if !(factor.is_finite() && factor > 0.0) {
+            return Err(format!("{factor} is not a finite positive number"));
+        }
+        let objects = (self.catalog_size as f64 * factor).round();
+        if objects > MAX_CATALOG as f64 {
+            return Err(format!(
+                "{factor} makes a catalog of {objects:e} objects, more than {MAX_CATALOG}"
+            ));
+        }
+        self.catalog_size = (objects as usize).max(100);
         self.base_rate_per_loc_hz *= factor;
-        self
+        Ok(self)
     }
 }
 
@@ -207,6 +228,17 @@ mod tests {
     #[should_panic]
     fn scaled_rejects_zero() {
         TrafficClass::Video.params().scaled(0.0);
+    }
+
+    #[test]
+    fn try_scaled_rejects_what_no_catalog_can_hold() {
+        let video = TrafficClass::Video.params();
+        for factor in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            assert!(video.try_scaled(factor).is_err(), "scale {factor}");
+        }
+        let largest = MAX_CATALOG as f64 / video.catalog_size as f64;
+        assert_eq!(video.try_scaled(largest).unwrap().catalog_size, MAX_CATALOG);
+        assert!(video.try_scaled(largest * (1.0 + 1e-9)).is_err());
     }
 
     #[test]

@@ -122,3 +122,20 @@ fn an_empty_trace_is_an_error_not_a_panic() {
     assert_clean_error(&out, "validate");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `--scale` must be a finite positive number whose scaled catalog a
+/// model can index: anything else exits 2 with a message and writes no
+/// trace.
+#[test]
+fn a_scale_no_catalog_can_hold_is_an_error_not_a_panic() {
+    let dir = scratch("scale");
+    let prod = path(&dir, "prod.csv");
+    for scale in ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "1e5"] {
+        let out = spacegen(&["synthesize", "--hours", "1", "--scale", scale, "--out", &prod]);
+        let what = format!("synthesize --scale {scale}");
+        assert_clean_error(&out, &what);
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert!(!Path::new(&prod).exists(), "{what} wrote {prod}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
