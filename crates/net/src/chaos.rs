@@ -4,9 +4,10 @@
 //! and every fault decision becomes a pure function of
 //! `(seed, op_index)` — no RNG state, no time dependence — so a failing
 //! schedule replays exactly from its seed. The op index advances only on
-//! *decision points*: each `connect` and each `send`. Reads and idle
-//! polls never consume an index, so the schedule is stable no matter how
-//! often the router polls or how the loopback scheduler interleaves.
+//! *decision points*: each `connect` and each `send`. Reads and waits
+//! never consume an index, so the schedule is stable no matter how often
+//! or how long the router polls or waits, or how the loopback scheduler
+//! interleaves.
 //!
 //! Fault kinds model the LEO serving plane's observed failure modes
 //! (connection loss and stalls are routine on satellite paths):
@@ -36,6 +37,7 @@ use crate::error::NetError;
 use crate::transport::{Net, NetConn, NetListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// One injectable network fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,6 +267,19 @@ impl NetConn for ChaosConn {
             ConnState::Stalled => Ok(0),
             ConnState::Dead => Err(NetError::Reset("chaos: dead connection")),
             ConnState::Live => self.inner.recv(buf),
+        }
+    }
+
+    /// Delegates; no decision point. A black hole never becomes
+    /// readable, so waiting on one takes the whole timeout.
+    fn wait(&mut self, timeout: Duration) -> Result<(), NetError> {
+        match self.state {
+            ConnState::Stalled => {
+                std::thread::sleep(timeout);
+                Ok(())
+            }
+            ConnState::Dead => Err(NetError::Reset("chaos: dead connection")),
+            ConnState::Live => self.inner.wait(timeout),
         }
     }
 }

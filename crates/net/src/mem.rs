@@ -3,12 +3,15 @@
 //! Used by the chaos sweep, where hundreds of seeded runs must be fast
 //! and deterministic-ish without exhausting ephemeral ports. Semantics
 //! match [`RealNet`](crate::transport::RealNet): non-blocking reads,
-//! orderly close on drop, connect to a dropped listener refuses.
+//! orderly close on drop, connect to a dropped listener refuses, and a
+//! `wait` that a write or a close into the pipe ends (a condition
+//! variable the writer and the closer notify).
 
 use crate::error::NetError;
 use crate::transport::{Net, NetConn, NetListener};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 #[derive(Default)]
 struct Registry {
@@ -29,15 +32,35 @@ impl MemNet {
     }
 }
 
+#[derive(Default)]
 struct Pipe {
     buf: VecDeque<u8>,
     closed: bool,
 }
 
-type Shared = Arc<Mutex<Pipe>>;
+/// One direction of a connection: its bytes, and the condition variable
+/// its reader waits on.
+#[derive(Default)]
+struct PipeEnd {
+    pipe: Mutex<Pipe>,
+    ready: Condvar,
+}
+
+impl PipeEnd {
+    fn lock(&self) -> MutexGuard<'_, Pipe> {
+        self.pipe.lock().expect("pipe lock")
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
+
+type Shared = Arc<PipeEnd>;
 
 fn pipe() -> Shared {
-    Arc::new(Mutex::new(Pipe { buf: VecDeque::new(), closed: false }))
+    Arc::default()
 }
 
 struct MemConn {
@@ -48,23 +71,25 @@ struct MemConn {
 impl Drop for MemConn {
     fn drop(&mut self) {
         // Orderly close: the peer drains buffered bytes, then sees EOF.
-        self.rx.lock().expect("pipe lock").closed = true;
-        self.tx.lock().expect("pipe lock").closed = true;
+        self.rx.close();
+        self.tx.close();
     }
 }
 
 impl NetConn for MemConn {
     fn send(&mut self, bytes: &[u8]) -> Result<(), NetError> {
-        let mut p = self.tx.lock().expect("pipe lock");
+        let mut p = self.tx.lock();
         if p.closed {
             return Err(NetError::Reset("peer gone"));
         }
         p.buf.extend(bytes);
+        drop(p);
+        self.tx.ready.notify_all();
         Ok(())
     }
 
     fn recv(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
-        let mut p = self.rx.lock().expect("pipe lock");
+        let mut p = self.rx.lock();
         if p.buf.is_empty() {
             return if p.closed { Err(NetError::Closed) } else { Ok(0) };
         }
@@ -75,6 +100,19 @@ impl NetConn for MemConn {
         buf[h..n].copy_from_slice(&tail[..n - h]);
         p.buf.drain(..n);
         Ok(n)
+    }
+
+    fn wait(&mut self, timeout: Duration) -> Result<(), NetError> {
+        let until = Instant::now() + timeout;
+        let mut p = self.rx.lock();
+        while p.buf.is_empty() && !p.closed {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            p = self.rx.ready.wait_timeout(p, left).expect("pipe lock").0;
+        }
+        Ok(())
     }
 }
 
@@ -153,6 +191,11 @@ mod tests {
         assert_eq!(c.recv(&mut buf).unwrap(), 2);
         assert!(matches!(c.recv(&mut buf), Err(NetError::Closed)));
         assert!(matches!(c.send(b"x"), Err(NetError::Reset(_))));
+    }
+
+    #[test]
+    fn wait_wakes_on_send_and_close_and_times_out_otherwise() {
+        crate::transport::tests::wait_contract(&MemNet::new());
     }
 
     #[test]

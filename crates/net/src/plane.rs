@@ -44,7 +44,7 @@ use crate::chaos::splitmix64;
 use crate::error::NetError;
 use crate::frame::{code, Frame, FrameCodec, FrameRef, MAX_FRAME_LEN};
 use crate::shard::run_shard_server;
-use crate::transport::{Idle, Net, NetConn};
+use crate::transport::{Net, NetConn};
 use starcdn::metrics::SystemMetrics;
 use starcdn_sim::serve::{decode_drain, ServePlan};
 use starcdn_telemetry::{Counter, Histo, Recorder};
@@ -290,21 +290,56 @@ fn route_all(
     eps: &mut [Endpoint],
     stats: &mut ServeStats,
 ) -> Result<(), NetError> {
-    let start = Instant::now();
-    let mut idle = Idle::new(Duration::from_micros(100));
+    let end = Instant::now() + scfg.overall_deadline;
+    let mut turn = 0;
     loop {
         if eps.iter().all(|e| e.done) {
             return Ok(());
         }
-        if start.elapsed() > scfg.overall_deadline {
+        if Instant::now() > end {
             return Err(NetError::Timeout("serve overall deadline"));
         }
         let mut progress = false;
         for ep in eps.iter_mut() {
             progress |= drive(net, plan, scfg, rec, ep, stats)?;
         }
-        idle.pass(progress);
+        if !progress {
+            await_progress(plan, scfg, rec, eps, stats, &mut turn, end)?;
+        }
     }
+}
+
+/// A pass moved nothing: block until something may have. The router
+/// waits on the next connection, in rotation from `turn`, that owes it a
+/// reply, no longer than the earliest armed deadline or backoff (so the
+/// next pass fires it in time); with no reply owed, it sleeps until the
+/// earliest backoff ends.
+fn await_progress(
+    plan: &ServePlan,
+    scfg: &ServeConfig,
+    rec: &dyn Recorder,
+    eps: &mut [Endpoint],
+    stats: &mut ServeStats,
+    turn: &mut usize,
+    end: Instant,
+) -> Result<(), NetError> {
+    let wake = eps
+        .iter()
+        .flat_map(|e| [e.wait.map(|(t, _)| t), e.backoff_until])
+        .flatten()
+        .fold(end, Instant::min);
+    let timeout = wake.saturating_duration_since(Instant::now());
+    let n = eps.len();
+    let Some(k) = (0..n).map(|i| (*turn + i) % n).find(|&k| eps[k].outstanding()) else {
+        std::thread::sleep(timeout);
+        return Ok(());
+    };
+    *turn = k + 1;
+    let ep = &mut eps[k];
+    if ep.conn.as_mut().expect("a connection owes the reply").wait(timeout).is_err() {
+        register_failure(ep, scfg, rec, stats, plan)?;
+    }
+    Ok(())
 }
 
 /// One failure on this endpoint: tear down the connection, consume one

@@ -17,9 +17,10 @@
 //! arrived whole ahead of a torn one or an EOF are still handled.
 //!
 //! Single-threaded and non-blocking throughout: the loop polls its
-//! listener and every live connection, and a full pass that made no
-//! progress goes to the shared `Idle` policy (yield first, sleep
-//! later).
+//! listener and every live connection, and after a full pass that made
+//! no progress it blocks on its newest connection until the router
+//! writes or closes, at most `WAIT_CAP` (without a connection it
+//! sleeps that long).
 //!
 //! A batch's bytes are read once and checksummed once: each connection
 //! receives straight into its codec's buffer, the decoded `Ops` payload
@@ -37,7 +38,7 @@
 //! can refill its window while the rest of the pass is applied.
 
 use crate::frame::{code, FrameCodec, FrameRef, MAX_FRAME_LEN};
-use crate::transport::{Idle, NetConn, NetListener};
+use crate::transport::{NetConn, NetListener};
 use starcdn_sim::ShardState;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,6 +62,11 @@ pub struct ShardServerStats {
 /// whole window, and then the shard idle while the router frames the
 /// next; acking every batch spends a write per batch again.
 const ACK_EVERY: u32 = 4;
+
+/// Longest an idle shard server blocks on its connection, or sleeps
+/// without one: how late it can notice a new connection or its stop
+/// flag (everything the router writes or a close ends the wait at once).
+const WAIT_CAP: Duration = Duration::from_millis(1);
 
 struct SrvConn {
     codec: FrameCodec,
@@ -152,7 +158,6 @@ pub(crate) fn run_shard_server(
     let mut stats = ShardServerStats::default();
     let mut conns: Vec<SrvConn> = Vec::new();
     let mut next: u64 = 0;
-    let mut idle = Idle::new(Duration::from_micros(200));
     while !stop.load(Ordering::Relaxed) {
         let mut progress = false;
         match listener.accept() {
@@ -187,7 +192,16 @@ pub(crate) fn run_shard_server(
         if shutdown {
             break;
         }
-        idle.pass(progress);
+        if !progress {
+            match conns.last_mut() {
+                Some(sc) => {
+                    if sc.peer.conn.wait(WAIT_CAP).is_err() {
+                        conns.pop();
+                    }
+                }
+                None => std::thread::sleep(WAIT_CAP),
+            }
+        }
     }
     (stats, state)
 }
@@ -350,7 +364,7 @@ mod tests {
                 return f;
             }
             if codec.recv_from(conn).unwrap() == 0 {
-                std::thread::yield_now();
+                conn.wait(Duration::from_secs(1)).unwrap();
             }
         }
     }

@@ -7,18 +7,20 @@
 //! serving plane knowing. All connections are non-blocking: `recv`
 //! returns `Ok(0)` when no bytes are available, which lets the
 //! single-threaded router and shard event loops multiplex many
-//! connections with plain polling (the roadmap's tokio substitution —
-//! the trait boundary is where an async runtime would slot in).
+//! connections (the roadmap's tokio substitution — the trait boundary
+//! is where an async runtime would slot in).
 //!
-//! Polling needs an answer to "nothing moved — now what?", and
-//! `Idle` is the one place that gives it: the router loop, the shard
-//! server loop and a back-pressured TCP send all yield the processor
-//! for a bounded run of empty passes before they start sleeping.
+//! A loop that made no progress does not spin or yield: it blocks in
+//! [`NetConn::wait`] on one of its connections, bounded by a timeout,
+//! so the kernel (or `MemNet`'s condition variable) wakes it when that
+//! peer writes or closes. A serve is a router and its shard
+//! threads on usually fewer hardware threads than there are loops, and
+//! a waiting loop leaves its core to the peer that has the work.
 
 use crate::error::NetError;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Connection factory. Implementations: [`RealNet`] (TCP),
 /// [`crate::mem::MemNet`] (in-process pipes),
@@ -50,70 +52,19 @@ pub trait NetConn: Send {
     /// Non-blocking read: `Ok(0)` means no data right now,
     /// `Err(NetError::Closed)` means orderly EOF.
     fn recv(&mut self, buf: &mut [u8]) -> Result<usize, NetError>;
-}
 
-/// Empty passes an event loop answers with `yield_now` before it starts
-/// sleeping. A serve is a router and its shard threads trading frames
-/// every few tens of microseconds, usually on fewer hardware threads
-/// than there are loops: a yield hands the core to whichever peer has
-/// the reply, while a sleep's timer slack costs more than the reply
-/// takes. The bound keeps a genuinely idle loop (backoff, a stalled
-/// peer) from spinning for longer than about one such sleep.
-const IDLE_YIELDS: u32 = 64;
-
-/// What [`Idle::step`] decided for one pass of a polling loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IdleStep {
-    /// The pass made progress: go straight round again.
-    Run,
-    Yield,
-    Sleep,
-}
-
-/// The idle policy every polling loop in this crate shares: progress
-/// resets it, the first [`IDLE_YIELDS`] consecutive empty passes yield,
-/// the ones after that sleep `nap` each. It touches no connection, so
-/// [`crate::chaos::ChaosNet`]'s op index (connects and sends only) is
-/// the same however often a loop idles.
-pub(crate) struct Idle {
-    nap: Duration,
-    /// Consecutive passes without progress.
-    empty: u32,
-}
-
-impl Idle {
-    pub(crate) fn new(nap: Duration) -> Self {
-        Idle { nap, empty: 0 }
-    }
-
-    /// Account one pass and say what should follow it.
-    pub(crate) fn step(&mut self, progress: bool) -> IdleStep {
-        if progress {
-            self.empty = 0;
-            IdleStep::Run
-        } else if self.empty < IDLE_YIELDS {
-            self.empty += 1;
-            IdleStep::Yield
-        } else {
-            IdleStep::Sleep
-        }
-    }
-
-    /// [`step`](Self::step), carried out.
-    pub(crate) fn pass(&mut self, progress: bool) {
-        match self.step(progress) {
-            IdleStep::Run => {}
-            IdleStep::Yield => std::thread::yield_now(),
-            IdleStep::Sleep => std::thread::sleep(self.nap),
-        }
-    }
+    /// Block until a `recv` may have something to say (bytes arrived,
+    /// or the peer closed) or until `timeout` passes, whichever is
+    /// first. It may return early; the next `recv` tells. An error
+    /// means the connection is unusable.
+    fn wait(&mut self, timeout: Duration) -> Result<(), NetError>;
 }
 
 /// The zero-cost transport: loopback TCP via `std::net`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealNet;
 
-/// Backpressure budget for one whole-buffer send before failing typed.
+/// How long a back-pressured send blocks for room before failing typed.
 const SEND_STALL_BUDGET: Duration = Duration::from_secs(5);
 
 impl Net for RealNet {
@@ -127,9 +78,7 @@ impl Net for RealNet {
 
     fn connect(&self, addr: &str) -> Result<Box<dyn NetConn>, NetError> {
         let s = TcpStream::connect(addr).map_err(NetError::from_io)?;
-        s.set_nodelay(true).map_err(NetError::from_io)?;
-        s.set_nonblocking(true).map_err(NetError::from_io)?;
-        Ok(Box::new(TcpConnWrap { s }))
+        TcpConnWrap::boxed(s)
     }
 }
 
@@ -141,11 +90,7 @@ struct TcpListenerWrap {
 impl NetListener for TcpListenerWrap {
     fn accept(&mut self) -> Result<Option<Box<dyn NetConn>>, NetError> {
         match self.l.accept() {
-            Ok((s, _)) => {
-                s.set_nodelay(true).map_err(NetError::from_io)?;
-                s.set_nonblocking(true).map_err(NetError::from_io)?;
-                Ok(Some(Box::new(TcpConnWrap { s })))
-            }
+            Ok((s, _)) => TcpConnWrap::boxed(s).map(Some),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(None),
             Err(e) => Err(NetError::from_io(e)),
@@ -161,23 +106,41 @@ struct TcpConnWrap {
     s: TcpStream,
 }
 
+impl TcpConnWrap {
+    fn boxed(s: TcpStream) -> Result<Box<dyn NetConn>, NetError> {
+        s.set_nodelay(true).map_err(NetError::from_io)?;
+        // Only a blocking write reads it: see `send`.
+        s.set_write_timeout(Some(SEND_STALL_BUDGET)).map_err(NetError::from_io)?;
+        s.set_nonblocking(true).map_err(NetError::from_io)?;
+        Ok(Box::new(TcpConnWrap { s }))
+    }
+
+    /// Run `f` with the socket switched to blocking, then switch it back.
+    fn blocking<T>(&mut self, f: impl FnOnce(&mut TcpStream) -> T) -> Result<T, NetError> {
+        self.s.set_nonblocking(false).map_err(NetError::from_io)?;
+        let out = f(&mut self.s);
+        self.s.set_nonblocking(true).map_err(NetError::from_io)?;
+        Ok(out)
+    }
+}
+
 impl NetConn for TcpConnWrap {
     fn send(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         let mut off = 0;
-        let start = Instant::now();
-        let mut idle = Idle::new(Duration::from_micros(100));
         while off < bytes.len() {
             match self.s.write(&bytes[off..]) {
                 Ok(0) => return Err(NetError::Reset("zero-byte write")),
-                Ok(n) => {
-                    off += n;
-                    idle.pass(true);
-                }
+                Ok(n) => off += n,
+                // Backpressure: finish the write blocking, each stalled
+                // write bounded by `SEND_STALL_BUDGET`.
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if start.elapsed() > SEND_STALL_BUDGET {
-                        return Err(NetError::Timeout("send backpressure"));
-                    }
-                    idle.pass(false);
+                    let rest = &bytes[off..];
+                    return self.blocking(|s| s.write_all(rest))?.map_err(|e| match e.kind() {
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                            NetError::Timeout("send backpressure")
+                        }
+                        _ => NetError::from_io(e),
+                    });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(NetError::from_io(e)),
@@ -195,35 +158,71 @@ impl NetConn for TcpConnWrap {
             Err(e) => Err(NetError::from_io(e)),
         }
     }
+
+    /// One blocking `peek` under `SO_RCVTIMEO`: it returns when a byte or
+    /// the peer's FIN arrives, or with `EAGAIN` when the timeout passes.
+    /// Whatever it returns, the next `recv` reads the truth.
+    fn wait(&mut self, timeout: Duration) -> Result<(), NetError> {
+        if timeout.is_zero() {
+            return Ok(());
+        }
+        self.s.set_read_timeout(Some(timeout)).map_err(NetError::from_io)?;
+        self.blocking(|s| {
+            let _ = s.peek(&mut [0u8; 1]);
+        })
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::time::Instant;
 
-    /// The contract, read off the helper's own decisions: a loop that
-    /// keeps making progress is never told to wait; an idle one yields
-    /// exactly `IDLE_YIELDS` times, then sleeps until progress resets it.
+    /// `wait` ends well before its timeout when the peer sends or
+    /// closes, at once while bytes or the close are unread, and only
+    /// after its timeout when nothing arrives.
+    pub(crate) fn wait_contract(net: &dyn Net) {
+        let mut l = net.listen("").unwrap();
+        let mut c = net.connect(&l.addr()).unwrap();
+        let mut s = loop {
+            if let Some(s) = l.accept().unwrap() {
+                break s;
+            }
+        };
+        let long = Duration::from_secs(10);
+        let quick = |c: &mut Box<dyn NetConn>, what: &str| {
+            let started = Instant::now();
+            c.wait(long).unwrap();
+            assert!(started.elapsed() < long / 2, "{what} did not end the wait");
+        };
+
+        let started = Instant::now();
+        c.wait(Duration::from_millis(30)).unwrap();
+        assert!(started.elapsed() >= Duration::from_millis(30), "returned before its timeout");
+
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            s.send(b"x").unwrap();
+            s
+        });
+        quick(&mut c, "a send");
+        let s = sender.join().unwrap();
+        quick(&mut c, "an unread byte");
+        let mut buf = [0u8; 4];
+        assert_eq!(c.recv(&mut buf).unwrap(), 1);
+
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(s);
+        });
+        quick(&mut c, "a close");
+        closer.join().unwrap();
+        quick(&mut c, "an unread close");
+        assert!(matches!(c.recv(&mut buf), Err(NetError::Closed)));
+    }
+
     #[test]
-    fn idle_yields_a_bounded_run_then_sleeps_and_resets_on_progress() {
-        let mut idle = Idle::new(Duration::from_micros(100));
-        for _ in 0..10 * IDLE_YIELDS {
-            assert_eq!(idle.step(true), IdleStep::Run);
-        }
-        for round in 0..3 {
-            for pass in 0..IDLE_YIELDS {
-                assert_eq!(idle.step(false), IdleStep::Yield, "round {round}, pass {pass}");
-            }
-            for _ in 0..5 {
-                assert_eq!(idle.step(false), IdleStep::Sleep, "round {round}");
-            }
-            assert_eq!(idle.step(true), IdleStep::Run);
-        }
-        // Progress one pass short of the bound starts the run over.
-        for _ in 0..IDLE_YIELDS - 1 {
-            assert_eq!(idle.step(false), IdleStep::Yield);
-        }
-        assert_eq!(idle.step(true), IdleStep::Run);
-        assert_eq!(idle.step(false), IdleStep::Yield);
+    fn wait_wakes_on_send_and_close_and_times_out_otherwise() {
+        wait_contract(&RealNet);
     }
 }

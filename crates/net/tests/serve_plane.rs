@@ -240,6 +240,14 @@ fn oversized_drain_fails_typed_without_a_reconnect() {
             self.to_router.drain(..n);
             Ok(n)
         }
+        /// Replies are framed as the router sends, so none can arrive
+        /// while it waits.
+        fn wait(&mut self, timeout: Duration) -> Result<(), NetError> {
+            if self.to_router.is_empty() {
+                std::thread::sleep(timeout);
+            }
+            Ok(())
+        }
     }
     /// Real listeners (the shard threads idle on them until teardown),
     /// scripted connections, and a count of the dials.
@@ -271,48 +279,55 @@ fn oversized_drain_fails_typed_without_a_reconnect() {
     assert_eq!(connects.load(Ordering::Relaxed), 1, "one dial, no reconnect");
 }
 
-/// ChaosNet's op index advances only on connects and sends, so a fault
-/// schedule is a pure function of the op sequence — identical across
-/// runs, reconnects included, no matter how often either side polls.
-#[test]
-fn chaos_schedule_stable_across_reconnects_and_polls() {
-    let run = |poll_factor: usize| -> (Vec<bool>, starcdn_net::ChaosStats) {
-        let net = ChaosNet::new(Box::new(MemNet::new()), ChaosPlan::all(0xC0FFEE, 5));
-        let mut outcomes = Vec::new();
-        let mut listener = net.listen("").unwrap();
-        for _round in 0..20 {
-            // Reconnect each round; poll recv a varying number of times
-            // (idle polls must not consume op indices).
-            match net.connect(&listener.addr()) {
-                Err(_) => outcomes.push(false),
-                Ok(mut conn) => {
-                    outcomes.push(true);
-                    if let Ok(Some(mut server)) = listener.accept() {
-                        let mut buf = [0u8; 64];
-                        for _ in 0..poll_factor {
-                            let _ = server.recv(&mut buf);
-                        }
-                        for i in 0..5u8 {
-                            outcomes.push(conn.send(&[i; 16]).is_ok());
-                            for _ in 0..poll_factor {
-                                let _ = server.recv(&mut buf);
-                            }
-                        }
+/// Twenty reconnects of five sends each through one chaos schedule:
+/// each send's and connect's outcome, and the fault counts. Between ops
+/// the server end is polled `polls` times, each poll after a `wait` on
+/// both ends when one is given.
+fn chaos_outcomes(polls: usize, wait: Option<Duration>) -> (Vec<bool>, starcdn_net::ChaosStats) {
+    let net = ChaosNet::new(Box::new(MemNet::new()), ChaosPlan::all(0xC0FFEE, 5));
+    let mut outcomes = Vec::new();
+    let mut listener = net.listen("").unwrap();
+    let idle = |server: &mut Box<dyn NetConn>, client: &mut Box<dyn NetConn>| {
+        let mut buf = [0u8; 64];
+        for _ in 0..polls {
+            if let Some(t) = wait {
+                let _ = server.wait(t);
+                let _ = client.wait(t);
+            }
+            let _ = server.recv(&mut buf);
+        }
+    };
+    for _round in 0..20 {
+        match net.connect(&listener.addr()) {
+            Err(_) => outcomes.push(false),
+            Ok(mut conn) => {
+                outcomes.push(true);
+                if let Ok(Some(mut server)) = listener.accept() {
+                    idle(&mut server, &mut conn);
+                    for i in 0..5u8 {
+                        outcomes.push(conn.send(&[i; 16]).is_ok());
+                        idle(&mut server, &mut conn);
                     }
                 }
             }
         }
-        (outcomes, net.stats())
-    };
-    let (a, sa) = run(1);
-    let (b, sb) = run(7);
-    assert_eq!(a, b, "op-index schedule must ignore polling frequency");
-    assert_eq!(sa, sb, "fault counts must be identical");
-    // Far more empty polls in a row than any event loop yields through
-    // before it starts sleeping: neither side of that boundary is an op.
-    let (c, sc) = run(1000);
-    assert_eq!(a, c, "op-index schedule must ignore how long a loop idles");
-    assert_eq!(sa, sc, "fault counts must be identical");
+    }
+    (outcomes, net.stats())
+}
+
+/// ChaosNet's op index advances only on connects and sends, so a fault
+/// schedule is a pure function of the op sequence — identical across
+/// runs, reconnects included, no matter how often either side polls or
+/// how long it waits.
+#[test]
+fn chaos_schedule_stable_across_reconnects_and_polls() {
+    let (a, sa) = chaos_outcomes(1, None);
+    let short = Some(Duration::from_micros(50));
+    for (polls, wait) in [(7, None), (1000, None), (1, short), (7, short)] {
+        let (b, sb) = chaos_outcomes(polls, wait);
+        assert_eq!(a, b, "op-index schedule must ignore polls ({polls}) and waits ({wait:?})");
+        assert_eq!(sa, sb, "fault counts must be identical ({polls} polls, waits {wait:?})");
+    }
     assert!(sa.injected > 0, "schedule actually injected faults");
 }
 
@@ -402,6 +417,12 @@ impl NetConn for TapConn {
         }
         self.inner.recv(buf)
     }
+    fn wait(&mut self, timeout: Duration) -> Result<(), NetError> {
+        if self.dead {
+            return Err(NetError::Reset("tap: torn"));
+        }
+        self.inner.wait(timeout)
+    }
 }
 
 struct CountingConn {
@@ -416,6 +437,9 @@ impl NetConn for CountingConn {
     }
     fn recv(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
         self.inner.recv(buf)
+    }
+    fn wait(&mut self, timeout: Duration) -> Result<(), NetError> {
+        self.inner.wait(timeout)
     }
 }
 
