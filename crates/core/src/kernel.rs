@@ -5,11 +5,10 @@
 //! only place a served request's latency is composed. Its callers are
 //! [`crate::system::SpaceCdn`] (the sequential engine: the one-shard
 //! case), the parallel replayer's workers and the socket plane's shard
-//! servers; they differ in where the per-slot state lives, which
-//! [`SlotStore`] abstracts — plain [`Slots`] under the fleet and a shard
-//! server, mutex-guarded slots under the threaded workers, whose relay
-//! probes cross shards. What a configuration fixes for a whole run is in
-//! one [`ServeEnv`].
+//! servers. Each owns its own [`Slots`]: the replayer and the plane give
+//! a worker whole relay groups ([`crate::relay::shard_table`]), so no
+//! serve reads a slot another worker writes. What a configuration fixes
+//! for a whole run is in one [`ServeEnv`].
 //!
 //! `starcdn_cache::simulate::access_delayed` is the single-cache
 //! reference for the same order; the property tests and the benchmark's
@@ -27,7 +26,6 @@ use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_orbit::walker::SatelliteId;
-use std::ops::DerefMut;
 
 /// Everything a [`StarCdnConfig`] fixes for a whole run, derived once:
 /// what routing, the overload lifecycle and [`serve_one`] read per
@@ -93,17 +91,8 @@ pub struct RoutedRequest {
     pub epoch: u64,
 }
 
-/// Per-slot cache state as [`serve_one`] reaches it: two methods, each
-/// handing out one slot's cache or in-flight queue. Both borrow the
-/// store mutably, so a caller can hold one slot at a time — for a locked
-/// store, one lock at a time, and the workers cannot deadlock.
-pub trait SlotStore {
-    fn cache(&mut self, slot: usize) -> impl DerefMut<Target = Box<dyn Cache + Send>>;
-    fn inflight(&mut self, slot: usize) -> impl DerefMut<Target = InflightQueue>;
-}
-
-/// The plain store: one cache and one in-flight queue per grid slot,
-/// owned by a single thread (the fleet, a shard server).
+/// One cache and one in-flight queue per grid slot, owned by a single
+/// thread (the fleet, a replayer worker, a shard server).
 pub struct Slots {
     pub caches: Vec<Box<dyn Cache + Send>>,
     /// All empty unless the delayed-hit model is enabled.
@@ -121,22 +110,10 @@ impl Slots {
     }
 }
 
-impl SlotStore for Slots {
-    #[inline]
-    fn cache(&mut self, slot: usize) -> impl DerefMut<Target = Box<dyn Cache + Send>> {
-        &mut self.caches[slot]
-    }
-
-    #[inline]
-    fn inflight(&mut self, slot: usize) -> impl DerefMut<Target = InflightQueue> {
-        &mut self.inflight[slot]
-    }
-}
-
 /// Serve one routed request at its owner and book it into `m`.
 ///
 /// `relay_view` is the failure view relay candidates and neighbour
-/// probes resolve against — the one input besides the store that
+/// probes resolve against — the one input besides the slots that
 /// legitimately differs per caller: the engine passes the live view of
 /// the request's epoch, the replayer and the shard servers the static
 /// base set (their workers run ahead of and behind the churn cursor, so
@@ -146,8 +123,8 @@ impl SlotStore for Slots {
 /// outcome go through memory — ≈ 12 ns per request, a tenth of an engine
 /// request (EXPERIMENTS.md "Serve kernel").
 #[inline(always)]
-pub fn serve_one<S: SlotStore>(
-    store: &mut S,
+pub fn serve_one(
+    slots: &mut Slots,
     env: &ServeEnv,
     relay_view: &FailureModel,
     cold: &mut [bool],
@@ -169,25 +146,22 @@ pub fn serve_one<S: SlotStore>(
     let mut coalesced = 0u64;
     let mut residual_epochs = 0u64;
     let local = if !delayed.is_enabled() {
-        store.cache(owner_idx).access(object, size)
+        slots.caches[owner_idx].access(object, size)
     } else {
-        let landed = store.inflight(owner_idx).take_completed(object, epoch);
-        if let Some(r) = landed {
-            let mut cache = store.cache(owner_idx);
+        let (cache, inflight) = (&mut slots.caches[owner_idx], &mut slots.inflight[owner_idx]);
+        if let Some(r) = inflight.take_completed(object, epoch) {
             cache.insert(object, r.size);
             cache.record_fetch_delay(object, r.delay_epochs);
             fetch_retired = true;
             coalesced = r.followers;
             m.coalesced_requests += r.followers;
         }
-        let mut cache = store.cache(owner_idx);
         if cache.contains(object) {
             let hit = cache.access(object, size);
             debug_assert!(hit.is_hit());
             hit
         } else {
-            drop(cache);
-            match store.inflight(owner_idx).coalesce(object, epoch) {
+            match inflight.coalesce(object, epoch) {
                 Some(residual) => {
                     residual_epochs = residual;
                     m.delayed_hits += 1;
@@ -214,13 +188,13 @@ pub fn serve_one<S: SlotStore>(
     } else {
         // Table-3 monitor: neighbour availability at miss time.
         if env.probe {
-            let west = neighbor_has(store, env, relay_view, owner, true, object);
-            let east = neighbor_has(store, env, relay_view, owner, false, object);
+            let west = neighbor_has(slots, env, relay_view, owner, true, object);
+            let east = neighbor_has(slots, env, relay_view, owner, false, object);
             m.neighbor_availability.record(west, east, size);
         }
         let mut relay_hit = None;
         for (tag, neighbor) in relay_candidates(&env.grid, owner, env.span, env.relay, relay_view) {
-            let mut cache = store.cache(neighbor.index(spp));
+            let cache = &mut slots.caches[neighbor.index(spp)];
             if cache.contains(object) {
                 // Serving refreshes the neighbour's recency state.
                 cache.access(object, size);
@@ -255,11 +229,11 @@ pub fn serve_one<S: SlotStore>(
     let latency_ms = if !delayed.is_enabled() {
         latency_ms
     } else if relayed {
-        store.cache(owner_idx).insert(object, size);
+        slots.caches[owner_idx].insert(object, size);
         latency_ms
     } else if served_from == ServedFrom::Ground {
         let fetch_epochs = delayed.fetch_epochs_for(object);
-        store.inflight(owner_idx).register(object, size, epoch, fetch_epochs);
+        slots.inflight[owner_idx].register(object, size, epoch, fetch_epochs);
         latency_ms + fetch_epochs as f64 * delayed.wait_ms_per_epoch
     } else if residual_epochs > 0 {
         latency_ms + residual_epochs as f64 * delayed.wait_ms_per_epoch
@@ -288,8 +262,8 @@ pub fn serve_one<S: SlotStore>(
 
 /// Does the same-bucket neighbour `span` planes west (or east) of
 /// `owner` — after failure remapping — hold `object`?
-fn neighbor_has<S: SlotStore>(
-    store: &mut S,
+fn neighbor_has(
+    slots: &Slots,
     env: &ServeEnv,
     view: &FailureModel,
     owner: SatelliteId,
@@ -300,7 +274,7 @@ fn neighbor_has<S: SlotStore>(
         if west { env.grid.west_by(owner, env.span) } else { env.grid.east_by(owner, env.span) };
     view.resolve_owner(&env.grid, slot)
         .filter(|&s| s != owner)
-        .is_some_and(|s| store.cache(s.index(env.grid.sats_per_plane)).contains(object))
+        .is_some_and(|s| slots.caches[s.index(env.grid.sats_per_plane)].contains(object))
 }
 
 /// Gated: `x + 0.0` is not a bitwise no-op for every float (-0.0), and

@@ -43,6 +43,6 @@ pub mod system;
 pub mod variants;
 
 pub use config::{RelayPolicy, StarCdnConfig};
-pub use kernel::{serve_one, RoutedRequest, ServeEnv, SlotStore, Slots};
+pub use kernel::{serve_one, RoutedRequest, ServeEnv, Slots};
 pub use metrics::{AvailabilityPoint, RecoverySlo, SystemMetrics};
 pub use system::{ResolvedRoute, RouteOutcome, ServeOutcome, ServedFrom, SpaceCdn};

@@ -9,8 +9,14 @@
 //! Under failures a neighbour slot may be out of service; its bucket
 //! responsibilities were remapped (§3.4), so the probe follows the remap
 //! to the satellite actually holding that neighbour's content.
+//!
+//! Relay edges keep the slot and shift the plane, so they split the
+//! fleet into closed groups; [`shard_table`] hands each parallel worker
+//! whole groups, which makes every serve a worker runs read only slots
+//! that worker owns.
 
 use crate::config::RelayPolicy;
+use crate::kernel::ServeEnv;
 use crate::system::ServedFrom;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
@@ -76,6 +82,56 @@ pub(crate) fn relay_candidates(
     out
 }
 
+/// The worker, of `workers`, that serves each slot (indexed like
+/// [`SatelliteId::index`]) in the replayer and on the socket plane.
+///
+/// With relay or neighbour probing on, each slot is joined to its west
+/// and east neighbours `env.span` planes away as `base` resolves them —
+/// every slot a serve at that owner can read, whatever the policy — and
+/// the joined groups are dealt out whole: largest first, ties by lowest
+/// member id, each to the least-loaded worker, ties by lowest index.
+/// Without relay edges every group is one slot, so slot `i` goes to
+/// worker `i % workers`. The table depends on the configuration, the
+/// base failures and `workers` (at least one) alone, never on a log.
+pub fn shard_table(env: &ServeEnv, base: &FailureModel, workers: usize) -> Vec<usize> {
+    let (grid, spp) = (&env.grid, env.grid.sats_per_plane);
+    let n = grid.total_slots();
+    // Union-find whose root is always the group's lowest member.
+    let mut root: Vec<usize> = (0..n).collect();
+    let find = |root: &mut Vec<usize>, mut i: usize| {
+        while root[i] != i {
+            root[i] = root[root[i]];
+            i = root[i];
+        }
+        i
+    };
+    if env.relay.enabled() || env.probe {
+        for id in grid.iter_ids() {
+            for slot in [grid.west_by(id, env.span), grid.east_by(id, env.span)] {
+                if let Some(neighbor) = base.resolve_owner(grid, slot) {
+                    let a = find(&mut root, id.index(spp));
+                    let b = find(&mut root, neighbor.index(spp));
+                    root[a.max(b)] = a.min(b);
+                }
+            }
+        }
+    }
+    let mut size = vec![0usize; n];
+    for i in 0..n {
+        root[i] = find(&mut root, i);
+        size[root[i]] += 1;
+    }
+    let mut groups: Vec<usize> = (0..n).filter(|&i| root[i] == i).collect();
+    groups.sort_by_key(|&g| (std::cmp::Reverse(size[g]), g));
+    let (mut load, mut worker) = (vec![0usize; workers], vec![0usize; n]);
+    for g in groups {
+        let w = (0..workers).min_by_key(|&w| load[w]).expect("at least one worker");
+        load[w] += size[g];
+        worker[g] = w;
+    }
+    root.iter().map(|&g| worker[g]).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +190,67 @@ mod tests {
         let owner = SatelliteId::new(10, 5);
         let c = relay_candidates(&grid(), owner, 72, RelayPolicy::Both, &FailureModel::none());
         assert!(c.is_empty(), "self-relay must be dropped: {c:?}");
+    }
+
+    /// Every slot a serve at each owner can read: the owner, its relay
+    /// candidates and its probe neighbours, as `base` resolves them.
+    fn reads(env: &ServeEnv, base: &FailureModel, owner: SatelliteId) -> Vec<SatelliteId> {
+        let (g, span) = (&env.grid, env.span);
+        let probes = [g.west_by(owner, span), g.east_by(owner, span)];
+        let probes = probes.into_iter().filter_map(|s| base.resolve_owner(g, s));
+        let relays = relay_candidates(g, owner, span, env.relay, base).into_iter().map(|c| c.1);
+        std::iter::once(owner).chain(probes).chain(relays).collect()
+    }
+
+    #[test]
+    fn shard_table_without_relay_is_slot_mod_workers() {
+        let env = ServeEnv::new(&crate::StarCdnConfig::starcdn_no_relay(9, 1000));
+        let base = FailureModel::sample(&env.grid, 126, 3);
+        for workers in [1, 2, 3, 4, 7, 8, 16] {
+            let table = shard_table(&env, &base, workers);
+            assert!(table.iter().enumerate().all(|(i, &w)| w == i % workers), "{workers}");
+        }
+    }
+
+    #[test]
+    fn shard_table_keeps_every_read_on_the_owners_worker() {
+        for buckets in [4, 9] {
+            let mut cfg = crate::StarCdnConfig::starcdn(buckets, 1000);
+            cfg.relay = RelayPolicy::WestOnly;
+            cfg.probe_neighbors_on_miss = true;
+            let env = ServeEnv::new(&cfg);
+            let spp = env.grid.sats_per_plane;
+            for base in [FailureModel::none(), FailureModel::sample(&env.grid, 126, 3)] {
+                for workers in [1, 2, 4, 8] {
+                    let table = shard_table(&env, &base, workers);
+                    for owner in env.grid.iter_ids() {
+                        let w = table[owner.index(spp)];
+                        for s in reads(&env, &base, owner) {
+                            assert_eq!(table[s.index(spp)], w, "L={buckets} {owner:?} → {s:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_table_deals_largest_groups_to_the_least_loaded_worker() {
+        // No failures: the groups are (plane mod span, slot), all of one
+        // size, so they go round-robin in order of their lowest member.
+        let env = ServeEnv::new(&crate::StarCdnConfig::starcdn(4, 1000));
+        let (g, spp) = (&env.grid, env.grid.sats_per_plane as usize);
+        let span = env.span as usize;
+        let table = shard_table(&env, &FailureModel::none(), 4);
+        assert_eq!(g.num_planes as usize % span, 0);
+        for (i, &w) in table.iter().enumerate() {
+            // The group's lowest member is its rank in the deal.
+            let lowest = (i / spp % span) * spp + i % spp;
+            assert_eq!(w, lowest % 4, "slot {i}");
+        }
+        let mut load = [0; 4];
+        table.iter().for_each(|&w| load[w] += 1);
+        assert_eq!(load, [g.total_slots() / 4; 4]);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! never silent divergence.
 
 use spacegen::trace::{LocationId, Request, Trace};
-use starcdn::config::StarCdnConfig;
+use starcdn::config::{DelayedHitConfig, StarCdnConfig};
 use starcdn::metrics::SystemMetrics;
+use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_net::frame::code;
@@ -19,7 +20,9 @@ use starcdn_net::{
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::engine::{RunSpec, SimConfig};
 use starcdn_sim::replayer;
-use starcdn_sim::{build_access_log, metrics_digest, replay_parallel, AccessLog, ServePlan, World};
+use starcdn_sim::{
+    build_access_log, metrics_digest, replay_parallel, run_space, AccessLog, ServePlan, World,
+};
 use starcdn_telemetry::{Counter, MemoryRecorder, Noop};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,19 +66,55 @@ fn fast() -> ServeConfig {
     }
 }
 
-#[test]
-fn zero_fault_memnet_matches_replayer_digest() {
+/// `m`'s digest with its latency samples sorted: the engine books them
+/// in log order, the plane shard after shard.
+fn sorted_digest(m: &SystemMetrics) -> u64 {
+    let mut m = m.clone();
+    m.latencies_ms.sort_by(f64::total_cmp);
+    metrics_digest(&m)
+}
+
+/// Zero-fault serves over `net` at 1/4/8 shards: the no-relay plan
+/// lands on the replayer's digest, and relay plans — `starcdn(4, …)`,
+/// and `starcdn(9, …)` with probing, delayed hits and static outages —
+/// on the engine's. Returns the reconnects the serves took.
+fn zero_fault_parity(net: &dyn Net, over: &str) -> u64 {
     let l = log();
+    let outages = FailureModel::sample(&World::starlink_nine_cities().grid, 126, 3);
+    let mut nine = StarCdnConfig::starcdn(9, 100_000)
+        .with_delayed_hits(DelayedHitConfig::with_latency(2, 40.0));
+    nine.probe_neighbors_on_miss = true;
+    let relay = [(StarCdnConfig::starcdn(4, 100_000), FailureModel::none()), (nine, outages)];
+    let engine = relay.clone().map(|(cfg, failures)| {
+        let metrics = run_space(&mut SpaceCdn::with_failures(cfg, failures), &l);
+        assert!(metrics.served_relay_west + metrics.served_relay_east > 0);
+        sorted_digest(&metrics)
+    });
+    let mut reconnects = 0;
     for shards in [1usize, 4, 8] {
-        let p = plan(&l, shards);
-        let report = serve_replay(&MemNet::new(), &p, &fast(), &Noop).unwrap();
+        let report = serve_replay(net, &plan(&l, shards), &fast(), &Noop).unwrap();
         assert_eq!(
             metrics_digest(&golden(&l, shards)),
             metrics_digest(&report.metrics),
-            "socket parity over MemNet at {shards} shards"
+            "socket parity over {over} at {shards} shards"
         );
-        assert_eq!(report.stats.reconnects, 0, "zero faults, zero reconnects");
+        reconnects += report.stats.reconnects;
+        for ((cfg, failures), want) in relay.iter().zip(engine) {
+            let p = ServePlan::build(cfg, failures, &l, None, None, shards, 64, &Noop).unwrap();
+            let report = serve_replay(net, &p, &fast(), &Noop).unwrap();
+            let buckets = cfg.num_buckets.unwrap_or_default();
+            let cell = format!("L={buckets} over {over} at {shards} shards");
+            assert_eq!(sorted_digest(&report.metrics), want, "engine parity, {cell}");
+            reconnects += report.stats.reconnects;
+        }
     }
+    reconnects
+}
+
+#[test]
+fn zero_fault_memnet_matches_replayer_digest() {
+    let reconnects = zero_fault_parity(&MemNet::new(), "MemNet");
+    assert_eq!(reconnects, 0, "zero faults, zero reconnects");
 }
 
 /// A serve whose recorder is enabled has every shard record and ship its
@@ -112,16 +151,7 @@ fn recorded_serve_ships_the_replayers_counters() {
 
 #[test]
 fn zero_fault_realnet_matches_replayer_digest() {
-    let l = log();
-    for shards in [1usize, 4, 8] {
-        let p = plan(&l, shards);
-        let report = serve_replay(&RealNet, &p, &fast(), &Noop).unwrap();
-        assert_eq!(
-            metrics_digest(&golden(&l, shards)),
-            metrics_digest(&report.metrics),
-            "socket parity over loopback TCP at {shards} shards"
-        );
-    }
+    zero_fault_parity(&RealNet, "loopback TCP");
 }
 
 /// The acceptance gate in miniature (the full ≥500-seed sweep lives in

@@ -5,39 +5,40 @@
 //! exchange. This reproduction shards satellites over scoped worker
 //! threads in two phases. The pre-pass resolves every request to its
 //! owner (`crate::resolve`, the function the engine resolves with) and
-//! appends it to that owner's shard stream; it splits the log into
-//! scheduler-epoch-aligned chunks and resolves them in parallel, one
-//! thread per chunk. Then each worker replays its stream in log order
-//! through [`starcdn::kernel::serve_one`] — the body the engine serves
-//! with. There are no channels — the streams are plain vectors handed to
-//! the workers by reference. Per-satellite caches sit behind mutexes,
-//! so relay probes can read neighbour caches across shards (DESIGN.md
-//! substitution #3); each lock and each cache has cache lines of its
-//! own, since neighbouring slots belong to different workers.
+//! appends it to the stream of the shard that owns that slot; it splits
+//! the log into scheduler-epoch-aligned chunks and resolves them in
+//! parallel, one thread per chunk. Then each worker replays its stream
+//! in log order through [`starcdn::kernel::serve_one`] — the body the
+//! engine serves with — against a full-size [`Slots`] of its own. There
+//! are no channels and no locks: the streams are plain vectors handed to
+//! the workers by reference, and no worker touches another's slots.
 //!
-//! Determinism: each satellite's own request stream is processed in
-//! order, so *per-satellite* cache behaviour is exact. Relay probes read
-//! a neighbour's cache at whatever point that shard has reached, so
-//! relay hit counts can differ slightly from the sequential engine run
-//! (bounded by in-flight skew); variants without relayed fetch produce
-//! bit-identical statistics. Locks are never held two-at-a-time, so the
-//! workers cannot deadlock.
+//! Determinism: a shard is a set of whole relay groups
+//! ([`shard_table`]). An owner, its relay candidates and its probe
+//! neighbours, as the base failure view resolves them, all sit on one
+//! worker, which sees every op on those slots in log order. So every
+//! cache a serve reads is in the state the sequential engine's serve
+//! reads, and the replay is the engine's bit for bit at any worker
+//! count, relay and probe included (only the latency samples come out
+//! shard by shard instead of in log order). Without relay or probing
+//! every slot is a group of its own, and slot `i` goes to worker
+//! `i % num_workers`.
 //!
 //! Fault schedules keep that exactness: the pre-pass resolves every
 //! request against the live failure view of its epoch and injects
 //! cache-wipe / mark-cold pseudo-ops into the owning satellite's shard
 //! stream. A dead satellite receives no routed requests while dead, so
 //! the pseudo-ops land at the same stream position the sequential engine
-//! applies them — per-satellite behaviour stays bit-for-bit identical
-//! for no-relay configurations. (Relay probes under churn resolve
-//! candidates against the *base* failure set, the same approximation as
-//! the static path; with one worker, whose single stream is the log's
-//! order, the replay is the engine's exactly, relay included.) A chunk
-//! starts from the failure view the entry before it left, and chunks
-//! never share an epoch, so the chunked pre-pass is the sequential one
-//! bit for bit. The overload lifecycle runs on the pre-pass too: it
-//! depends only on routes, sizes and ledger state, never on cache
-//! contents, so its decision sequence is the engine's. Every attempt
+//! applies them — per-satellite behaviour stays bit-for-bit identical.
+//! Relay candidates and probes resolve against the *base* failure set,
+//! the view the groups are drawn on, while the engine resolves them
+//! against the live view of each epoch: with relay under churn the
+//! replay is the same at every worker count but can differ from the
+//! engine's. A chunk starts from the failure view the entry before it
+//! left, and chunks never share an epoch, so the chunked pre-pass is the
+//! sequential one bit for bit. The overload lifecycle runs on the
+//! pre-pass too: it depends only on routes, sizes and ledger state, never
+//! on cache contents, so its decision sequence is the engine's. Every attempt
 //! admits against its request's own epoch and the ledger keeps one usage
 //! table per epoch, so each chunk admits its own epochs from empty
 //! tables, as one pass would.
@@ -58,8 +59,9 @@ use crate::overload::{Admission, OverloadConfig};
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
 use crate::resolve::{record_outcome, resolve_request, Resolved};
 use starcdn::config::StarCdnConfig;
-use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, SlotStore};
+use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, Slots};
 use starcdn::metrics::{AvailabilityPoint, SystemMetrics};
+use starcdn::relay::shard_table;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_io::wire::{Reader, WireError, Writer};
@@ -93,9 +95,9 @@ pub(crate) enum ShardOp {
 /// schedule in each chunk's epoch order.
 ///
 /// A checkpointed run joins all workers at every `every_n_epochs`
-/// barrier — so the snapshot is globally consistent even with relay
-/// probes reading neighbour caches across shards — and writes the
-/// worker-side state there. A resumed run re-runs the pre-pass in full
+/// barrier — so every worker's part of the snapshot is taken at the
+/// same point of the log — and writes the worker-side state there. A
+/// resumed run re-runs the pre-pass in full
 /// (it is deterministic and cheap next to the cache work) and restores
 /// per-worker state in shard index order, so it finishes bit-for-bit
 /// identical to the uninterrupted run at any worker count. A run
@@ -115,11 +117,11 @@ pub fn run<'a>(
     let rec = spec.recorder;
     let enabled = rec.is_enabled();
     let env = ServeEnv::new(cfg);
+    let shard_of = shard_table(&env, base_failures, num_workers);
 
-    let checkpointer = spec
-        .checkpoint
-        .as_ref()
-        .map(|ck| ReplayCheckpointer::open(ck, cfg, base_failures, log, spec, num_workers));
+    let checkpointer = spec.checkpoint.as_ref().map(|ck| {
+        ReplayCheckpointer::open(ck, cfg, base_failures, log, spec, &shard_of, num_workers)
+    });
     // A resume first finds a checkpoint to start from, so a hopeless one
     // fails before the pre-pass runs or records anything.
     let resuming = checkpointer.as_ref().filter(|cp| cp.resuming());
@@ -128,13 +130,13 @@ pub fn run<'a>(
         None => None,
     };
 
-    // The pre-pass: partition by owner, preserving per-owner order.
+    // The pre-pass: partition by shard, preserving per-owner order.
     // Route resolution uses the live failure view of each entry's epoch;
     // wipe/cold pseudo-ops land in the owning satellite's stream at the
     // epoch boundary. Unreachable or unroutable requests and the
     // degraded-mode counters are accounted directly there.
     let barrier_every = checkpointer.as_ref().map(|cp| cp.every_n_epochs());
-    let pre = prepare_shards(&env, base_failures, log, spec, num_workers, barrier_every);
+    let pre = prepare_shards(&env, base_failures, log, spec, &shard_of, num_workers, barrier_every);
     let cuts = &pre.cuts;
 
     // Per-worker recorders: workers never touch the shared `rec`, so the
@@ -170,27 +172,18 @@ pub fn run<'a>(
             None => (0..num_workers).map(|w| pre.stream_len(w)).collect(),
         };
         {
-            let (store, workers) = state.split();
             let (env, pre, starts, ends, worker_recs) = (&env, &pre, &starts, &ends, &worker_recs);
             std::thread::scope(|s| {
-                for (w, (m, cold)) in workers.enumerate() {
+                for (w, (slots, m, cold)) in state.workers().enumerate() {
                     s.spawn(move || {
                         let wrec = worker_recs.get(w);
                         let _shard_span =
                             wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
                         // Count on this thread's stack, not beside the
                         // other workers' metrics; write back at the end.
-                        let (mut local, mut store) = (std::mem::take(m), store);
+                        let mut local = std::mem::take(m);
                         for ops in pre.stream(w, starts[w]..ends[w]) {
-                            run_shard_ops(
-                                ops,
-                                &mut store,
-                                env,
-                                base_failures,
-                                &mut local,
-                                cold,
-                                wrec,
-                            );
+                            run_shard_ops(ops, slots, env, base_failures, &mut local, cold, wrec);
                         }
                         *m = local;
                     });
@@ -303,7 +296,8 @@ impl PrePass {
 /// The pre-pass, shared by [`run`] and the socket plane's
 /// [`crate::serve::ServePlan`] so both resolve, admit, and shard every
 /// request identically: [`resolve_request`] per entry under the live
-/// failure view of its epoch, then a push onto the owner's stream.
+/// failure view of its epoch, then a push onto the stream of shard
+/// `shard_of[owner]` (a [`shard_table`] of `num_workers`).
 /// `barrier_every` additionally records a [`ShardCut`] each time the log
 /// crosses that many scheduler epochs; `None` records no cuts and
 /// changes nothing else. Of `spec`, the schedule, the overload
@@ -322,15 +316,15 @@ pub(crate) fn prepare_shards(
     base_failures: &FailureModel,
     log: LogView<'_>,
     spec: &RunSpec<'_>,
+    shard_of: &[usize],
     num_workers: usize,
     barrier_every: Option<u64>,
 ) -> PrePass {
     let starts = chunk_starts(log, num_workers);
-    let pre = prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &starts);
-    pre.unwrap_or_else(|| {
-        prepare_chunks(env, base_failures, log, spec, num_workers, barrier_every, &[])
-            .expect("one chunk is the one-pass order")
-    })
+    let prepare = |starts: &[usize]| {
+        prepare_chunks(env, base_failures, log, spec, shard_of, num_workers, barrier_every, starts)
+    };
+    prepare(&starts).unwrap_or_else(|| prepare(&[]).expect("one chunk is the one-pass order"))
 }
 
 /// Where the pre-pass splits `log`: the first entry of every chunk but
@@ -412,11 +406,13 @@ struct Chunk {
 /// when there are several and the log's time runs backwards, which one
 /// pass would resolve differently (it keeps such a log's availability
 /// timeline in log order, a merge sorts it).
+#[allow(clippy::too_many_arguments)]
 fn prepare_chunks(
     env: &ServeEnv,
     base_failures: &FailureModel,
     log: LogView<'_>,
     spec: &RunSpec<'_>,
+    shard_of: &[usize],
     num_workers: usize,
     barrier_every: Option<u64>,
     starts: &[usize],
@@ -442,9 +438,8 @@ fn prepare_chunks(
             }
         })
         .collect();
-    let resolve = &|ch: &mut Chunk| {
-        resolve_chunk(env, base_failures, log, spec, num_workers, barrier_every, ch)
-    };
+    let resolve =
+        &|ch: &mut Chunk| resolve_chunk(env, base_failures, log, spec, shard_of, barrier_every, ch);
     std::thread::scope(|s| {
         let (first, rest) = chunks.split_first_mut().expect("bounds hold at least one chunk");
         for ch in rest {
@@ -495,7 +490,7 @@ fn resolve_chunk(
     base_failures: &FailureModel,
     log: LogView<'_>,
     spec: &RunSpec<'_>,
-    num_workers: usize,
+    shard_of: &[usize],
     barrier_every: Option<u64>,
     ch: &mut Chunk,
 ) {
@@ -565,11 +560,11 @@ fn resolve_chunk(
                 }
                 for &id in &delta.went_down {
                     let idx = id.index(spp);
-                    pieces[idx % num_workers].push(ShardOp::Wipe(idx));
+                    pieces[shard_of[idx]].push(ShardOp::Wipe(idx));
                 }
                 for &id in &delta.came_up {
                     let idx = id.index(spp);
-                    pieces[idx % num_workers].push(ShardOp::MarkCold(idx));
+                    pieces[shard_of[idx]].push(ShardOp::MarkCold(idx));
                 }
                 direct.availability.push(AvailabilityPoint {
                     epoch,
@@ -587,7 +582,7 @@ fn resolve_chunk(
         if let Resolved::Serve(req) =
             resolve_request(env, view, admission.as_mut(), epoch, &e, direct, rec)
         {
-            pieces[req.owner.index(spp) % num_workers].push(ShardOp::Request(req));
+            pieces[shard_of[req.owner.index(spp)]].push(ShardOp::Request(req));
         }
     }
     // Close out the last epoch's resolve span and event cells.
@@ -600,14 +595,14 @@ fn resolve_chunk(
     }
 }
 
-/// Replay one contiguous slice of a shard's op stream against `store`,
-/// accumulating into the worker's persistent `m`/`cold` state: wipe,
-/// mark cold, or [`serve_one`]. Relay candidates resolve against the
-/// static `base_failures`, not a live view — workers run ahead of and
-/// behind the pre-pass's churn cursor.
-pub(crate) fn run_shard_ops<S: SlotStore>(
+/// Replay one contiguous slice of a shard's op stream against the
+/// shard's own `slots`, accumulating into the worker's persistent
+/// `m`/`cold` state: wipe, mark cold, or [`serve_one`]. Relay candidates
+/// resolve against the static `base_failures`, not a live view —
+/// workers run ahead of and behind the pre-pass's churn cursor.
+pub(crate) fn run_shard_ops(
     ops: &[ShardOp],
-    store: &mut S,
+    slots: &mut Slots,
     env: &ServeEnv,
     base_failures: &FailureModel,
     m: &mut SystemMetrics,
@@ -617,14 +612,14 @@ pub(crate) fn run_shard_ops<S: SlotStore>(
     for op in ops {
         match op {
             ShardOp::Request(req) => {
-                let out = serve_one(store, env, base_failures, cold, m, req);
+                let out = serve_one(slots, env, base_failures, cold, m, req);
                 if let Some(r) = wrec {
                     record_outcome(r, &out, req.size);
                 }
             }
             ShardOp::Wipe(idx) => {
-                store.cache(*idx).clear();
-                store.inflight(*idx).clear();
+                slots.caches[*idx].clear();
+                slots.inflight[*idx].clear();
                 cold[*idx] = false;
             }
             ShardOp::MarkCold(idx) => cold[*idx] = true,
@@ -804,18 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn close_to_engine_with_relay() {
-        let log = log();
-        let cfg = StarCdnConfig::starcdn(4, 100_000);
-        let mut seq = SpaceCdn::new(cfg.clone());
-        let m_seq = run_space(&mut seq, &log);
-        let m_par = replay_parallel(cfg, FailureModel::none(), &log, 4);
-        assert_eq!(m_par.stats.requests, m_seq.stats.requests);
-        let d = (m_par.stats.request_hit_rate() - m_seq.stats.request_hit_rate()).abs();
-        assert!(d < 0.05, "parallel RHR deviates by {d}");
-    }
-
-    #[test]
     fn single_worker_degenerate_case() {
         let log = log();
         let cfg = StarCdnConfig::starcdn_no_relay(9, 50_000);
@@ -929,6 +912,33 @@ mod tests {
         }
     }
 
+    /// [`prepare_shards`] over the shard table of `workers`.
+    fn shards(
+        env: &ServeEnv,
+        base: &FailureModel,
+        log: &AccessLog,
+        spec: &RunSpec<'_>,
+        workers: usize,
+        barrier: Option<u64>,
+    ) -> PrePass {
+        let table = shard_table(env, base, workers);
+        prepare_shards(env, base, log.into(), spec, &table, workers, barrier)
+    }
+
+    /// [`prepare_chunks`] over the shard table of `workers`.
+    fn chunks(
+        env: &ServeEnv,
+        base: &FailureModel,
+        log: &AccessLog,
+        spec: &RunSpec<'_>,
+        workers: usize,
+        barrier: Option<u64>,
+        starts: &[usize],
+    ) -> Option<PrePass> {
+        let table = shard_table(env, base, workers);
+        prepare_chunks(env, base, log.into(), spec, &table, workers, barrier, starts)
+    }
+
     /// Everything [`prepare_shards`] returns, as one number: every shard
     /// stream's op bytes in stream order, the direct metrics, every cut.
     fn pre_pass_digest(p: &PrePass) -> u64 {
@@ -1034,7 +1044,7 @@ mod tests {
                     "churn+overload" => (spec.schedule, spec.overload) = (&churn, overload),
                     _ => (spec.schedule, spec.recorder) = (&churn, &rec),
                 }
-                let pre = prepare_shards(&env, base, (&log).into(), &spec, workers, barrier);
+                let pre = shards(&env, base, &log, &spec, workers, barrier);
                 let got = pre_pass_digest(&pre);
                 assert_eq!(got, pins[k], "{name} at {workers} workers: {got:#018x}");
                 if spec.recorder.is_enabled() {
@@ -1132,7 +1142,7 @@ mod tests {
                 let [one, split] =
                     [(&one_rec, &[][..]), (&split_rec, &every_epoch[..])].map(|(rec, starts)| {
                         let spec = spec(rec);
-                        prepare_chunks(&env, &base, (&log).into(), &spec, workers, Some(3), starts)
+                        chunks(&env, &base, &log, &spec, workers, Some(3), starts)
                             .expect("a log sorted by time")
                     });
                 let tag = format!("{:?} at {workers} workers", overload.retry);
@@ -1171,8 +1181,8 @@ mod tests {
             ]);
             let spec = RunSpec { schedule: &sched, ..RunSpec::default() };
             let none = FailureModel::none();
-            let chunked = prepare_shards(&env, &none, (&log).into(), &spec, workers, None);
-            let one = prepare_chunks(&env, &none, (&log).into(), &spec, workers, None, &[]);
+            let chunked = shards(&env, &none, &log, &spec, workers, None);
+            let one = chunks(&env, &none, &log, &spec, workers, None, &[]);
             assert_eq!(pre_pass_digest(&chunked), pre_pass_digest(&one.unwrap()));
 
             let m_seq = crate::engine::run(&mut SpaceCdn::new(cfg.clone()), &log, &spec).unwrap();
@@ -1205,16 +1215,15 @@ mod tests {
         let churn = pin_churn();
         let spec = RunSpec { schedule: &churn, ..RunSpec::default() };
         let none = FailureModel::none();
-        let prepare = |workers, starts: &[usize]| {
-            prepare_chunks(&env, &none, (&log).into(), &spec, workers, Some(5), starts)
-        };
+        let prepare =
+            |workers, starts: &[usize]| chunks(&env, &none, &log, &spec, workers, Some(5), starts);
         let first_epoch_start = (1..n).find(|&i| epoch_of(&log, i - 1) < epoch_of(&log, i));
         for workers in [2, 4] {
             // The jump at a chunk start, or inside a chunk.
             assert!(prepare(workers, &[back]).is_none());
             assert!(prepare(workers, &[first_epoch_start.unwrap()]).is_none());
             let one = pre_pass_digest(&prepare(workers, &[]).unwrap());
-            let pre = prepare_shards(&env, &none, (&log).into(), &spec, workers, Some(5));
+            let pre = shards(&env, &none, &log, &spec, workers, Some(5));
             assert_eq!(pre_pass_digest(&pre), one, "{workers} workers");
         }
     }

@@ -9,7 +9,10 @@
 //! Only the worker-side state ([`ReplayState`]) is persisted: every
 //! slot's cache contents and in-flight fetches, each worker's
 //! cold-satellite flags, accumulated metrics, and telemetry recorder.
-//! Live, the state keeps each slot's lock on cache lines of its own.
+//! Live, each worker holds a full-size slot store; a checkpoint takes
+//! slot `i` from, and restores it into, worker `shard_of[i]` — the one
+//! [`starcdn::relay::shard_table`] gives it — so the body lists every
+//! slot once, whatever the worker count.
 //!
 //! [`crate::replayer::run`] segments execution at the pre-pass's
 //! [`crate::replayer::ShardCut`] barriers (one per `every_n_epochs`
@@ -20,8 +23,7 @@
 //! TELEMETRY is one snapshot per worker. Workers keep their metric/cold
 //! state across segments, and per-shard streams are replayed in order,
 //! so a checkpointed run's output is bit-for-bit the uncheckpointed
-//! one's for configurations whose parallel replay is itself
-//! deterministic (no-relay; relay configs keep the usual bounded skew).
+//! one's.
 
 use crate::checkpoint::{
     config_fingerprint, decode_container, encode_container, list_checkpoint_files_io,
@@ -30,30 +32,32 @@ use crate::checkpoint::{
 use crate::codec::{decode, encode, wire_struct};
 use crate::columns::LogView;
 use crate::engine::RunSpec;
-use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
-use starcdn::kernel::{SlotStore, Slots};
+use starcdn::kernel::Slots;
 use starcdn::metrics::SystemMetrics;
-use starcdn_cache::policy::Cache;
 use starcdn_cache::{CacheState, InflightQueue, InflightState};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_io::wire::fp;
 use starcdn_telemetry::{Event, MemoryRecorder, Recorder, TelemetrySnapshot};
-use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
 /// Fingerprint of everything a replayer checkpoint must agree with the
 /// resuming run about: the shared [`config_fingerprint`], plus the
-/// worker count (shard assignment is `owner % num_workers`) and the
-/// static base failure set (it shapes routing and the relay view).
+/// worker count, the worker of every slot (`shard_of`, the relay-group
+/// shard table) and the static base failure set (it shapes routing and
+/// the relay view).
 fn replay_fingerprint(
     cfg: &StarCdnConfig,
     base_failures: &FailureModel,
     epoch_secs: u64,
     spec: &RunSpec<'_>,
+    shard_of: &[usize],
     num_workers: usize,
 ) -> u64 {
     let mut h = fp(config_fingerprint(cfg, epoch_secs, spec), num_workers as u64);
+    for &w in shard_of {
+        h = fp(h, w as u64);
+    }
     for s in base_failures.dead() {
         h = fp(h, ((s.orbit as u64) << 16) | s.slot as u64);
     }
@@ -99,90 +103,55 @@ pub(crate) fn validate_sections(raw: &RawCheckpoint<'_>) -> Result<(), Checkpoin
     Ok(())
 }
 
-/// One slot's lock on cache lines of its own. Slot `i` belongs to worker
-/// `i % num_workers`, so unpadded neighbours alternate workers and every
-/// lock or unlock would write a line the other worker's core holds. 128
-/// bytes, not 64: x86 prefetchers pull lines in aligned pairs.
-#[repr(align(128))]
-struct SlotLock<T>(Mutex<T>);
-
-impl<T> Deref for SlotLock<T> {
-    type Target = Mutex<T>;
-
-    fn deref(&self) -> &Mutex<T> {
-        &self.0
-    }
-}
-
-/// The worker-side state of a replay — what a checkpoint persists.
+/// The worker-side state of a replay — what a checkpoint persists. Per
+/// worker, shard index order.
 pub(crate) struct ReplayState {
-    caches: Vec<SlotLock<Box<dyn Cache + Send>>>,
-    /// Per-slot outstanding-fetch queues, owner-sharded like the caches.
-    inflight: Vec<SlotLock<InflightQueue>>,
-    /// Per worker, shard index order: cold flags and accumulated metrics.
+    /// A full-size slot store each, of which a worker touches only the
+    /// slots its shard owns.
+    slots: Vec<Slots>,
     pub cold: Vec<Vec<bool>>,
     pub metrics: Vec<SystemMetrics>,
-}
-
-/// The threaded replayer's slot store: every slot behind its own mutex,
-/// because a relay probe reads a neighbour's cache on another worker's
-/// shard. The in-flight queues are only ever touched by the worker that
-/// owns their slot — those mutexes are uncontended and exist for `Sync`.
-#[derive(Clone, Copy)]
-pub(crate) struct SharedSlots<'s> {
-    caches: &'s [SlotLock<Box<dyn Cache + Send>>],
-    inflight: &'s [SlotLock<InflightQueue>],
-}
-
-impl SlotStore for SharedSlots<'_> {
-    fn cache(&mut self, slot: usize) -> impl DerefMut<Target = Box<dyn Cache + Send>> {
-        self.caches[slot].lock()
-    }
-
-    fn inflight(&mut self, slot: usize) -> impl DerefMut<Target = InflightQueue> {
-        self.inflight[slot].lock()
-    }
 }
 
 impl ReplayState {
     /// Empty caches and queues, nothing cold, nothing counted.
     pub(crate) fn fresh(cfg: &StarCdnConfig, num_workers: usize) -> Self {
         let total_slots = cfg.grid.total_slots();
-        let Slots { caches, inflight } = Slots::new(cfg);
         ReplayState {
-            caches: caches.into_iter().map(|c| SlotLock(Mutex::new(c))).collect(),
-            inflight: inflight.into_iter().map(|q| SlotLock(Mutex::new(q))).collect(),
+            slots: (0..num_workers).map(|_| Slots::new(cfg)).collect(),
             cold: (0..num_workers).map(|_| vec![false; total_slots]).collect(),
             metrics: (0..num_workers).map(|_| SystemMetrics::default()).collect(),
         }
     }
 
-    /// The state as the workers borrow it: the slot store they share,
-    /// and each worker's own metrics and cold flags, shard index order.
-    pub(crate) fn split(
+    /// Each worker's slots, metrics and cold flags, shard index order.
+    pub(crate) fn workers(
         &mut self,
-    ) -> (SharedSlots<'_>, impl Iterator<Item = (&mut SystemMetrics, &mut Vec<bool>)>) {
-        let store = SharedSlots { caches: &self.caches, inflight: &self.inflight };
-        (store, self.metrics.iter_mut().zip(&mut self.cold))
+    ) -> impl Iterator<Item = (&mut Slots, &mut SystemMetrics, &mut Vec<bool>)> {
+        let workers = self.slots.iter_mut().zip(&mut self.metrics).zip(&mut self.cold);
+        workers.map(|((slots, m), cold)| (slots, m, cold))
     }
 
     /// Rebuild live state from a decoded body, slot by slot in index
-    /// order (the PR 3 determinism rule).
-    fn restore(body: ReplayBody) -> Result<Self, CheckpointError> {
-        let mut caches = Vec::with_capacity(body.caches.len());
-        for (slot, state) in body.caches.into_iter().enumerate() {
-            let built = state
+    /// order, each into the worker `shard_of` gives it; the other
+    /// workers' copies of a slot stay empty.
+    fn restore(
+        cfg: &StarCdnConfig,
+        body: ReplayBody,
+        shard_of: &[usize],
+    ) -> Result<Self, CheckpointError> {
+        let mut state = ReplayState::fresh(cfg, body.cold.len());
+        for (slot, cache) in body.caches.into_iter().enumerate() {
+            state.slots[shard_of[slot]].caches[slot] = cache
                 .build()
                 .map_err(|e| CheckpointError::State(format!("cache slot {slot}: {e:?}")))?;
-            caches.push(SlotLock(Mutex::new(built)));
         }
-        let mut inflight = Vec::with_capacity(body.inflight.len());
         for (slot, qs) in body.inflight.iter().enumerate() {
-            let q = InflightQueue::from_state(qs)
+            state.slots[shard_of[slot]].inflight[slot] = InflightQueue::from_state(qs)
                 .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
-            inflight.push(SlotLock(Mutex::new(q)));
         }
-        Ok(ReplayState { caches, inflight, cold: body.cold, metrics: body.metrics })
+        (state.cold, state.metrics) = (body.cold, body.metrics);
+        Ok(state)
     }
 }
 
@@ -199,29 +168,28 @@ pub(crate) struct Restored {
 pub(crate) struct ReplayCheckpointer<'a> {
     ck: &'a Checkpointing<'a>,
     fingerprint: u64,
+    shard_of: Vec<usize>,
     num_workers: usize,
-    total_slots: usize,
 }
 
 impl<'a> ReplayCheckpointer<'a> {
-    /// Open `ck.policy.dir` for a `num_workers` replay of `log` under
-    /// `spec`, sweeping the droppings of writes that died mid-way.
+    /// Open `ck.policy.dir` for a replay of `log` under `spec`, sharded
+    /// over `num_workers` by `shard_of`, sweeping the droppings of
+    /// writes that died mid-way.
     pub(crate) fn open(
         ck: &'a Checkpointing<'a>,
         cfg: &StarCdnConfig,
         base_failures: &FailureModel,
         log: LogView<'_>,
         spec: &RunSpec<'_>,
+        shard_of: &[usize],
         num_workers: usize,
     ) -> Self {
         sweep_stale_tmps_io(ck.io, &ck.policy.dir);
         let epoch_secs = log.epoch_secs().max(1);
-        ReplayCheckpointer {
-            ck,
-            fingerprint: replay_fingerprint(cfg, base_failures, epoch_secs, spec, num_workers),
-            num_workers,
-            total_slots: cfg.grid.total_slots(),
-        }
+        let fingerprint =
+            replay_fingerprint(cfg, base_failures, epoch_secs, spec, shard_of, num_workers);
+        ReplayCheckpointer { ck, fingerprint, shard_of: shard_of.to_vec(), num_workers }
     }
 
     /// Scheduler epochs between barriers.
@@ -269,16 +237,17 @@ impl<'a> ReplayCheckpointer<'a> {
         if meta.barrier_epoch != epoch
             || meta.fingerprint != self.fingerprint
             || meta.num_workers != self.num_workers as u64
-            || meta.total_slots != self.total_slots as u64
+            || meta.total_slots != self.shard_of.len() as u64
         {
             return Err(CheckpointError::ConfigMismatch);
         }
         let body: ReplayBody = decode(raw.body)?;
-        if body.caches.len() != self.total_slots
-            || body.inflight.len() != self.total_slots
+        let total_slots = self.shard_of.len();
+        if body.caches.len() != total_slots
+            || body.inflight.len() != total_slots
             || body.cold.len() != self.num_workers
             || body.metrics.len() != self.num_workers
-            || body.cold.iter().any(|c| c.len() != self.total_slots)
+            || body.cold.iter().any(|c| c.len() != total_slots)
         {
             return Err(CheckpointError::Malformed("replay body shape mismatch"));
         }
@@ -291,7 +260,7 @@ impl<'a> ReplayCheckpointer<'a> {
         }
         Ok(Restored {
             barrier_epoch: meta.barrier_epoch,
-            state: ReplayState::restore(body)?,
+            state: ReplayState::restore(cfg, body, &self.shard_of)?,
             telemetry,
         })
     }
@@ -304,9 +273,11 @@ impl<'a> ReplayCheckpointer<'a> {
         state: &ReplayState,
         worker_recs: &[MemoryRecorder],
     ) -> Result<(), CheckpointError> {
+        let owner = |slot: usize| &state.slots[self.shard_of[slot]];
+        let slots = 0..self.shard_of.len();
         let body = ReplayBody {
-            caches: state.caches.iter().map(|c| c.lock().to_state()).collect(),
-            inflight: state.inflight.iter().map(|q| q.lock().to_state()).collect(),
+            caches: slots.clone().map(|i| owner(i).caches[i].to_state()).collect(),
+            inflight: slots.map(|i| owner(i).inflight[i].to_state()).collect(),
             cold: state.cold.clone(),
             metrics: state.metrics.clone(),
         };
@@ -314,7 +285,7 @@ impl<'a> ReplayCheckpointer<'a> {
             fingerprint: self.fingerprint,
             barrier_epoch,
             num_workers: self.num_workers as u64,
-            total_slots: self.total_slots as u64,
+            total_slots: self.shard_of.len() as u64,
         };
         let snaps: Vec<TelemetrySnapshot> = worker_recs.iter().map(|r| r.snapshot()).collect();
         let bytes = encode_container(KIND_REPLAY, &encode(&meta), &encode(&body), &encode(&snaps));
@@ -507,6 +478,19 @@ mod tests {
     fn resume_is_bit_identical_at_1_4_8_workers() {
         for workers in [1usize, 4, 8] {
             crash_resume("plain", &churn(), &OverloadConfig::disabled(), workers);
+        }
+    }
+
+    /// Relay groups span workers' slot stores only as the shard table
+    /// says: a resume restores each slot into the worker that serves it.
+    #[test]
+    fn resume_with_relay_and_probe_is_bit_identical() {
+        let mut cfg = StarCdnConfig::starcdn(4, 100_000);
+        cfg.probe_neighbors_on_miss = true;
+        for workers in [1usize, 4, 8] {
+            let off = OverloadConfig::disabled();
+            let golden = crash_resume_cfg("relay", cfg.clone(), &log(), &churn(), &off, workers);
+            assert!(golden.served_relay_west > 0, "scenario must relay");
         }
     }
 

@@ -22,12 +22,10 @@
 //!   slot store the engine's fleet uses — so a zero-fault socket run is
 //!   bit-for-bit identical to `replay_parallel` by construction.
 //!
-//! Only no-relay, no-probe configurations are accepted: relay probes
-//! read *neighbour* caches, which live on other shards once the plane is
-//! distributed, and their in-process semantics (bounded skew) cannot be
-//! reproduced over a wire without cross-shard reads. [`ServePlan::build`]
-//! rejects such configs with a typed error instead of silently
-//! diverging.
+//! Relay and neighbour probes read caches other than the owner's; the
+//! plan shards by whole relay groups ([`starcdn::relay::shard_table`],
+//! the replayer's table), so every cache a shard's serves read is its
+//! own and relay configurations serve exactly over the wire too.
 //!
 //! Every decoder here is hostile-input safe: batch payloads, drain
 //! payloads, and op records are read through the one bounded
@@ -47,6 +45,7 @@ use crate::replayer::{
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::{ServeEnv, Slots};
 use starcdn::metrics::SystemMetrics;
+use starcdn::relay::shard_table;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_io::wire::{fp, fp_bytes, Reader, Writer};
@@ -57,11 +56,6 @@ use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
 pub enum ServePlanError {
     /// `num_shards` was zero.
     NoShards,
-    /// Relayed fetch reads neighbour caches across shards; the socket
-    /// plane gives each shard only its own slots.
-    RelayUnsupported,
-    /// Neighbour probing has the same cross-shard read problem.
-    ProbeUnsupported,
     /// `batch_ops` was zero.
     EmptyBatch,
 }
@@ -70,12 +64,6 @@ impl std::fmt::Display for ServePlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServePlanError::NoShards => write!(f, "serving plane needs at least one shard"),
-            ServePlanError::RelayUnsupported => {
-                write!(f, "relay configs are not servable over sockets (cross-shard reads)")
-            }
-            ServePlanError::ProbeUnsupported => {
-                write!(f, "neighbour-probe configs are not servable over sockets")
-            }
             ServePlanError::EmptyBatch => write!(f, "batch size must be at least one op"),
         }
     }
@@ -83,22 +71,12 @@ impl std::fmt::Display for ServePlanError {
 
 impl std::error::Error for ServePlanError {}
 
-fn validate(
-    cfg: &StarCdnConfig,
-    num_shards: usize,
-    batch_ops: usize,
-) -> Result<(), ServePlanError> {
+fn validate(num_shards: usize, batch_ops: usize) -> Result<(), ServePlanError> {
     if num_shards == 0 {
         return Err(ServePlanError::NoShards);
     }
     if batch_ops == 0 {
         return Err(ServePlanError::EmptyBatch);
-    }
-    if cfg.relay.enabled() {
-        return Err(ServePlanError::RelayUnsupported);
-    }
-    if cfg.probe_neighbors_on_miss {
-        return Err(ServePlanError::ProbeUnsupported);
     }
     Ok(())
 }
@@ -147,9 +125,8 @@ pub struct ServePlan {
 }
 
 impl ServePlan {
-    /// Run the replayer's pre-pass and freeze per-shard op batches of at
-    /// most `batch_ops` ops each. Rejects configurations whose parallel
-    /// replay is not bit-deterministic when distributed (relay, probe).
+    /// Run the replayer's pre-pass, sharded as the replayer shards, and
+    /// freeze per-shard op batches of at most `batch_ops` ops each.
     /// `schedule`, `overload` and `rec` are [`RunSpec`]'s fields of those
     /// names (`None` = its default).
     #[allow(clippy::too_many_arguments)]
@@ -163,12 +140,14 @@ impl ServePlan {
         batch_ops: usize,
         rec: &dyn Recorder,
     ) -> Result<ServePlan, ServePlanError> {
-        validate(cfg, num_shards, batch_ops)?;
+        validate(num_shards, batch_ops)?;
         let env = ServeEnv::new(cfg);
         let mut spec = RunSpec { recorder: rec, ..RunSpec::default() };
         spec.schedule = schedule.unwrap_or(spec.schedule);
         spec.overload = overload.copied().unwrap_or(spec.overload);
-        let mut pre = prepare_shards(&env, failures, log.into(), &spec, num_shards, None);
+        let shard_of = shard_table(&env, failures, num_shards);
+        let mut pre =
+            prepare_shards(&env, failures, log.into(), &spec, &shard_of, num_shards, None);
         let mut streams = Vec::with_capacity(num_shards);
         let mut h = 0x7365_7276_6531_3030u64; // "serve100"
         h = fp(h, num_shards as u64);
@@ -255,14 +234,14 @@ impl ServePlan {
 
 /// Everything one shard server owns: per-slot caches, inflight queues,
 /// cold flags, accumulated metrics, and an optional telemetry recorder.
-/// A server is single-threaded and a plan carries no relay and no
-/// probe, so nothing here is shared or locked.
+/// A server is single-threaded and its serves read only its own slots,
+/// so nothing here is shared or locked.
 ///
 /// The slot vectors are full-size (`total_slots`): a shard only ever
-/// receives ops for slots it owns (`owner.index(spp) % num_shards`), so
-/// the untouched slots cost empty caches and nothing else — exactly the
-/// in-process replayer's memory layout, which keeps the parity argument
-/// trivial.
+/// receives ops for slots it owns (those the plan's shard table gives
+/// it), so the untouched slots cost empty caches and nothing else —
+/// exactly a replayer worker's memory layout, which keeps the parity
+/// argument trivial.
 pub struct ShardState {
     env: ServeEnv,
     failures: FailureModel,
@@ -442,26 +421,52 @@ mod tests {
         assert_ne!(sorted(&plain), sorted(&total), "the flag must move the latencies");
     }
 
+    /// `m`'s digest with its latency samples sorted: the engine books
+    /// them in log order, a plan shard after shard.
+    fn sorted_digest(m: &SystemMetrics) -> u64 {
+        let mut m = m.clone();
+        m.latencies_ms.sort_by(f64::total_cmp);
+        metrics_digest(&m)
+    }
+
+    /// Relay and probe plans serve the engine's metrics, through shard
+    /// states applied one after another; only an empty shard set or an
+    /// empty batch is no plan.
     #[test]
-    fn relay_and_probe_configs_rejected() {
+    fn relay_and_probe_plans_serve_the_engines_digest() {
+        let l = log();
+        let outages = FailureModel::sample(&World::starlink_nine_cities().grid, 126, 3);
+        for buckets in [4, 9] {
+            let mut cfg = StarCdnConfig::starcdn(buckets, 100_000);
+            cfg.probe_neighbors_on_miss = true;
+            for failures in [FailureModel::none(), outages.clone()] {
+                let mut fleet =
+                    starcdn::system::SpaceCdn::with_failures(cfg.clone(), failures.clone());
+                let engine = crate::engine::run_space(&mut fleet, &l);
+                assert!(engine.served_relay_west + engine.served_relay_east > 0);
+                for shards in [1usize, 4, 8] {
+                    let p = ServePlan::build(&cfg, &failures, &l, None, None, shards, 64, &Noop)
+                        .unwrap();
+                    let mut total = p.direct_metrics().clone();
+                    for k in 0..shards {
+                        let mut st = p.shard_state(false);
+                        for b in 0..p.batch_count(k) {
+                            st.apply_batch(p.batch_bytes(k, b)).unwrap();
+                        }
+                        total.merge(st.metrics());
+                    }
+                    let cell = format!("L={buckets} at {shards} shards");
+                    assert_eq!(sorted_digest(&engine), sorted_digest(&total), "{cell}");
+                }
+            }
+        }
         let cfg = StarCdnConfig::starcdn(4, 100_000);
-        let err = ServePlan::build(&cfg, &FailureModel::none(), &log(), None, None, 2, 64, &Noop)
-            .err()
-            .unwrap();
-        assert_eq!(err, ServePlanError::RelayUnsupported);
-        let mut cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
-        cfg.probe_neighbors_on_miss = true;
-        let err = ServePlan::build(&cfg, &FailureModel::none(), &log(), None, None, 2, 64, &Noop)
-            .err()
-            .unwrap();
-        assert_eq!(err, ServePlanError::ProbeUnsupported);
-        let cfg = StarCdnConfig::starcdn_no_relay(4, 100_000);
-        assert_eq!(
-            ServePlan::build(&cfg, &FailureModel::none(), &log(), None, None, 0, 64, &Noop)
+        let build = |shards, batch| {
+            ServePlan::build(&cfg, &FailureModel::none(), &l, None, None, shards, batch, &Noop)
                 .err()
-                .unwrap(),
-            ServePlanError::NoShards
-        );
+        };
+        assert_eq!(build(0, 64), Some(ServePlanError::NoShards));
+        assert_eq!(build(2, 0), Some(ServePlanError::EmptyBatch));
     }
 
     /// Corrupt batch payloads are typed errors, never panics, and never

@@ -4,12 +4,19 @@
 //! kinds. The values were recorded before the codecs were moved onto one
 //! reader and writer; a change that moves any of them changed the format,
 //! not only the code. Never regenerate them.
+//!
+//! A checkpoint container's CRC-32 sees only its section lengths: every
+//! section ends in the CRC-32 of itself, and the CRC-32 of a message
+//! followed by its own CRC-32 is one constant. So each container is also
+//! pinned by an FNV-1a digest of its bytes, recorded when the replay
+//! fingerprint came to name the shard table (the worker of every slot).
 
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultEvent, FaultSchedule, TimedFault};
+use starcdn_io::wire::fp_bytes;
 use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
@@ -62,20 +69,23 @@ fn replay_checkpoint_containers_are_pinned() {
         ..RunSpec::default()
     };
     replayer::run(&cfg(), &FailureModel::none(), &log(), 2, &spec).unwrap();
-    let got: Vec<(u64, (u32, usize))> = list_checkpoint_files(&dir)
+    let got: Vec<(u64, (u32, usize), u64)> = list_checkpoint_files(&dir)
         .into_iter()
-        .map(|(epoch, path)| (epoch, pin(&std::fs::read(path).unwrap())))
+        .map(|(epoch, path)| {
+            let bytes = std::fs::read(path).unwrap();
+            (epoch, pin(&bytes), fp_bytes(0xCBF2_9CE4_8422_2325, &bytes))
+        })
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
     let want = [
-        (4, (0x84FB_7F6A, 47400)),
-        (8, (0x4B13_993A, 56172)),
-        (12, (0x464B_D70C, 64924)),
-        (16, (0x761D_E5E3, 72944)),
-        (20, (0x2BF5_D038, 80880)),
-        (24, (0x2886_7BEA, 88184)),
-        (28, (0x649C_E6F4, 95132)),
-        (32, (0x1B75_5B0F, 102436)),
+        (4, (0x84FB_7F6A, 47400), 0x81C0_99C7_8FA8_2891),
+        (8, (0x4B13_993A, 56172), 0x4BC5_C895_FD78_3A07),
+        (12, (0x464B_D70C, 64924), 0xFED9_E73E_78FA_8562),
+        (16, (0x761D_E5E3, 72944), 0x2DF9_C34A_D243_4BD2),
+        (20, (0x2BF5_D038, 80880), 0x6452_8D29_43D4_83D5),
+        (24, (0x2886_7BEA, 88184), 0xC15B_EE47_CBA6_742C),
+        (28, (0x649C_E6F4, 95132), 0xD0E6_8CF2_FB2A_64FF),
+        (32, (0x1B75_5B0F, 102436), 0x2937_FFDD_FB48_89CE),
     ];
     assert_eq!(got, want);
 }

@@ -1,6 +1,5 @@
 //! Integration: the sharded parallel replayer agrees with the
-//! deterministic engine — exactly without relay at any worker count,
-//! exactly with relay at one worker, request-for-request beyond.
+//! deterministic engine exactly at any worker count, relay included.
 
 use spacegen::classes::TrafficClass;
 use spacegen::production::ProductionModel;
@@ -62,81 +61,95 @@ fn parallel_exact_parity_without_relay_across_worker_counts() {
     }
 }
 
-#[test]
-fn parallel_close_parity_with_relay() {
-    // With relay, workers read neighbour caches at whatever point the
-    // other shards have reached, so hit counts under real concurrency
-    // depend on thread scheduling (the 8-worker drift crossed 0.03 in 2
-    // of 15 runs) — but every request is still served exactly once and
-    // moves the same bytes. The deterministic case, one worker, is held
-    // to the engine exactly by `one_worker_is_the_engine`.
-    let log = log();
-    let cfg = StarCdnConfig::starcdn(4, 5_000_000);
-    let mut seq = SpaceCdn::new(cfg.clone());
-    let reference = run_space(&mut seq, &log);
-    let par = replay_parallel(cfg, FailureModel::none(), &log, 8);
-    assert_eq!(par.stats.requests, reference.stats.requests);
-    assert_eq!(par.stats.bytes_requested, reference.stats.bytes_requested);
+/// `m`'s digest with its latency samples sorted: the engine books them
+/// in log order, the replayer shard after shard.
+fn sorted_digest(m: &starcdn::metrics::SystemMetrics) -> u64 {
+    let mut m = m.clone();
+    m.latencies_ms.sort_by(f64::total_cmp);
+    metrics_digest(&m)
 }
 
-/// One worker replays its single shard in log order, so every relay and
-/// probe read sees the neighbour state the engine saw: the one-worker
-/// replayer *is* the engine, relay, probe, transmission delay, delayed
-/// hits and static outages included — the pin that lets both run the
-/// one serve kernel.
+/// Each worker owns whole relay groups, so every relay and probe read
+/// sees the neighbour state the engine saw: the replayer *is* the
+/// engine at every worker count, relay, probe, transmission delay,
+/// delayed hits and static outages included — the pin that lets both
+/// run the one serve kernel.
 #[test]
-fn one_worker_is_the_engine() {
+fn every_worker_count_is_the_engine() {
     use starcdn::config::DelayedHitConfig;
     let log = log();
     let grid = World::starlink_nine_cities().grid;
-    let sorted_bits = |m: &starcdn::metrics::SystemMetrics| {
-        let mut bits: Vec<u64> = m.latencies_ms.iter().map(|l| l.to_bits()).collect();
-        bits.sort_unstable();
-        bits
-    };
     let mut relay_west = 0;
     let mut delayed_hits = 0;
-    for delayed in [false, true] {
-        for extras in [false, true] {
-            for outages in [false, true] {
-                let mut cfg = StarCdnConfig::starcdn(4, 5_000_000);
-                if delayed {
-                    cfg = cfg.with_delayed_hits(
-                        DelayedHitConfig::with_latency(2, 40.0).with_origin_tiers(3),
-                    );
+    for buckets in [4, 9] {
+        for delayed in [false, true] {
+            for extras in [false, true] {
+                for outages in [false, true] {
+                    let mut cfg = StarCdnConfig::starcdn(buckets, 5_000_000);
+                    if delayed {
+                        cfg = cfg.with_delayed_hits(
+                            DelayedHitConfig::with_latency(2, 40.0).with_origin_tiers(3),
+                        );
+                    }
+                    cfg.probe_neighbors_on_miss = extras;
+                    cfg.model_transmission_delay = extras;
+                    let failures = if outages {
+                        FailureModel::sample(&grid, 126, 3)
+                    } else {
+                        FailureModel::none()
+                    };
+                    let cell =
+                        format!("L={buckets} delayed={delayed} extras={extras} outages={outages}");
+                    let mut seq = SpaceCdn::with_failures(cfg.clone(), failures.clone());
+                    let engine = run_space(&mut seq, &log);
+                    for workers in [1, 2, 4, 8] {
+                        let par = replay_parallel(cfg.clone(), failures.clone(), &log, workers);
+                        let cell = format!("{cell} at {workers} workers");
+                        assert_eq!(par.stats, engine.stats, "{cell}: stats");
+                        assert_eq!(sorted_digest(&par), sorted_digest(&engine), "{cell}: digest");
+                    }
+                    assert_eq!(outages, engine.remapped_requests > 0, "{cell}: remap coverage");
+                    let probed = engine.neighbor_availability.total_misses() > 0;
+                    assert_eq!(extras, probed, "{cell}: probe coverage");
+                    relay_west += engine.served_relay_west;
+                    delayed_hits += engine.delayed_hits;
                 }
-                cfg.probe_neighbors_on_miss = extras;
-                cfg.model_transmission_delay = extras;
-                let failures = if outages {
-                    FailureModel::sample(&grid, 126, 3)
-                } else {
-                    FailureModel::none()
-                };
-                let cell = format!("delayed={delayed} extras={extras} outages={outages}");
-                let mut seq = SpaceCdn::with_failures(cfg.clone(), failures.clone());
-                let engine = run_space(&mut seq, &log);
-                let one = replay_parallel(cfg, failures, &log, 1);
-                assert_eq!(one.stats, engine.stats, "{cell}: stats");
-                assert_eq!(one.per_satellite, engine.per_satellite, "{cell}: per-satellite");
-                assert_eq!(one.uplink_bytes, engine.uplink_bytes, "{cell}: uplink");
-                assert_eq!(one.served_relay_west, engine.served_relay_west, "{cell}: west");
-                assert_eq!(one.served_relay_east, engine.served_relay_east, "{cell}: east");
-                assert_eq!(one.delayed_hits, engine.delayed_hits, "{cell}: delayed hits");
-                assert_eq!(one.coalesced_requests, engine.coalesced_requests, "{cell}: coalesced");
-                assert_eq!(
-                    one.neighbor_availability, engine.neighbor_availability,
-                    "{cell}: probe cells"
-                );
-                assert_eq!(one.remapped_requests, engine.remapped_requests, "{cell}: remapped");
-                assert_eq!(sorted_bits(&one), sorted_bits(&engine), "{cell}: latency multiset");
-                assert_eq!(outages, engine.remapped_requests > 0, "{cell}: remap coverage");
-                relay_west += engine.served_relay_west;
-                delayed_hits += engine.delayed_hits;
             }
         }
     }
     assert!(relay_west > 0, "the cells must exercise relayed fetch");
     assert!(delayed_hits > 0, "the delayed cells must exercise coalescing");
+}
+
+/// Under churn the replayer resolves relay and probe candidates against
+/// the base failure view, the view its shard table is drawn on, while
+/// the engine resolves them against each epoch's live view: with relay
+/// the two may differ. The replayer still equals itself at every worker
+/// count.
+#[test]
+fn relay_under_churn_is_the_same_at_every_worker_count() {
+    let world = World::starlink_nine_cities();
+    let params = ChurnParams {
+        sat_mtbf_secs: 3.0 * 3600.0,
+        sat_mttr_secs: 600.0,
+        link_mtbf_secs: Some(4.0 * 3600.0),
+        link_mttr_secs: 600.0,
+        horizon_secs: 3600,
+        seed: 91,
+    };
+    let sched = FaultSchedule::churn(&world.grid, &params);
+    let base = FailureModel::sample(&world.grid, 126, 3);
+    let log = log();
+    let mut cfg = StarCdnConfig::starcdn(9, 5_000_000);
+    cfg.probe_neighbors_on_miss = true;
+    let spec = RunSpec { schedule: &sched, ..RunSpec::default() };
+    let replay = |workers| starcdn_sim::replayer::run(&cfg, &base, &log, workers, &spec).unwrap();
+    let one = replay(1);
+    assert!(one.served_relay_west + one.served_relay_east > 0, "the run must relay");
+    assert!(one.cold_restart_misses > 0, "churn must surface cold restarts");
+    for workers in [2, 4, 8] {
+        assert_eq!(sorted_digest(&replay(workers)), sorted_digest(&one), "{workers} workers");
+    }
 }
 
 #[test]
