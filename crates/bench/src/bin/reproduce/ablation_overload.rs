@@ -18,7 +18,7 @@ use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_sim::access_log::{build_access_log, AccessLog};
 use starcdn_sim::engine::SimConfig;
-use starcdn_sim::overload::{OverloadConfig, RetryPolicy};
+use starcdn_sim::overload::OverloadConfig;
 use starcdn_sim::replayer::replay_parallel_overloaded;
 use starcdn_sim::world::World;
 
@@ -108,10 +108,7 @@ pub(crate) fn run(a: Args) {
         for (headroom, hlabel) in headrooms {
             let overload = match headroom {
                 None => OverloadConfig::disabled(),
-                Some(h) => OverloadConfig {
-                    headroom: h,
-                    retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 },
-                },
+                Some(h) => OverloadConfig { headroom: h, retry_deadline_ms: 1e9 },
             };
             let metrics = replay_parallel_overloaded(
                 cfg.clone(),

@@ -65,7 +65,7 @@ impl Workload {
 /// cache-pressure regime as the paper's 50 GB. The value is calibrated
 /// (see `reproduce calibrate` and EXPERIMENTS.md) so the Naive-LRU baseline
 /// lands near the paper's ~60 % request hit rate at the 50 GB label.
-pub const RATIO_AT_100GB: f64 = 0.04;
+pub(crate) const RATIO_AT_100GB: f64 = 0.04;
 
 /// Bytes for a "GB"-labelled cache against a given working set.
 pub fn cache_bytes_for_gb(label_gb: u64, working_set_bytes: u64) -> u64 {

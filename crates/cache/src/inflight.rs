@@ -13,7 +13,7 @@
 //!    object's fetch has landed (`completes_at <= now`), retire it:
 //!    the caller admits the object into the cache and charges the
 //!    fetch's aggregate delay to the eviction policy
-//!    ([`Cache::record_fetch_delay`](crate::Cache::record_fetch_delay)).
+//!    ([`Cache::record_fetch_delay`](crate::policy::Cache::record_fetch_delay)).
 //! 2. Cache presence check — a cached object is a plain hit.
 //! 3. [`coalesce`](InflightQueue::coalesce) — an in-flight fetch makes
 //!    this request a delayed hit with `completes_at - now` residual

@@ -5,11 +5,11 @@
 //! cache) and *byte hit rate* (fraction of bytes served from cache).
 //! This crate provides the eviction policies the paper discusses — LRU
 //! (the deployed default), LFU, FIFO, and SIEVE (NSDI '24) — behind one
-//! [`Cache`] trait, plus statistics and a trace-replay harness used by
-//! every experiment.
+//! [`Cache`](policy::Cache) trait, plus statistics and a trace-replay
+//! harness used by every experiment.
 //!
 //! ```
-//! use starcdn_cache::{Cache, lru::LruCache, object::ObjectId, policy::AccessOutcome};
+//! use starcdn_cache::{lru::LruCache, object::ObjectId, policy::{AccessOutcome, Cache}};
 //!
 //! let mut c = LruCache::new(100);
 //! assert_eq!(c.access(ObjectId(1), 60), AccessOutcome::Miss);
@@ -34,6 +34,4 @@ pub mod tinylfu;
 
 pub use inflight::{InflightQueue, InflightState, RetiredFetch};
 pub use object::ObjectId;
-pub use policy::{AccessOutcome, Cache, PolicyKind};
 pub use state::{CacheState, StateError};
-pub use stats::CacheStats;

@@ -21,10 +21,10 @@ pub(crate) struct LinkedSlab {
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
-    pub id: ObjectId,
-    pub size: u64,
+    pub(crate) id: ObjectId,
+    pub(crate) size: u64,
     /// Extra per-node bit; SIEVE uses it as the "visited" flag.
-    pub flag: bool,
+    pub(crate) flag: bool,
     prev: usize,
     next: usize,
 }

@@ -11,7 +11,7 @@ use crate::stats::CacheStats;
 use starcdn_telemetry::{Counter, Histo, Noop, Recorder};
 
 /// A single replayable access: `(object, size_bytes)`.
-pub type Access = (ObjectId, u64);
+pub(crate) type Access = (ObjectId, u64);
 
 /// Replay `accesses` through `cache`, returning aggregate statistics.
 pub fn replay<C: Cache + ?Sized>(

@@ -10,7 +10,7 @@
 //! map iteration order, which are free to differ across processes.
 //!
 //! Every policy implements `to_state()` (exported via
-//! [`crate::Cache::to_state`]) and an inherent `from_state()`;
+//! [`Cache::to_state`]) and an inherent `from_state()`;
 //! [`CacheState::build`] dispatches to the right policy. Restores
 //! validate structural invariants (no duplicate objects, byte totals
 //! within capacity, positions in range) and return a typed

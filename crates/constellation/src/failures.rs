@@ -17,7 +17,7 @@ use std::fmt;
 /// dependency for the sampling tasks it performs (outage sampling here,
 /// churn-schedule generation in [`crate::schedule`]).
 pub(crate) mod rand_like {
-    pub struct SmallRng(u64);
+    pub(crate) struct SmallRng(u64);
     impl SmallRng {
         pub(crate) fn new(seed: u64) -> Self {
             SmallRng(seed.max(1))

@@ -9,7 +9,7 @@
 //! paper's √L×√L pattern, and implements the failure-remap scheme of §3.4.
 //!
 //! ```
-//! use starcdn_constellation::{GridTopology, buckets::BucketTiling};
+//! use starcdn_constellation::{buckets::BucketTiling, grid::GridTopology};
 //! use starcdn_orbit::walker::SatelliteId;
 //!
 //! let grid = GridTopology::starlink();
@@ -28,14 +28,3 @@ pub mod grid;
 pub mod isl;
 pub mod routing;
 pub mod schedule;
-
-pub use buckets::{BucketId, BucketTiling};
-pub use capacity::{AdmitDecision, CapacityLedger, ShedReason, UtilizationPoint};
-pub use failures::{link_id, FailureModel, LinkId};
-pub use grid::GridTopology;
-pub use isl::{IslKind, LinkModel};
-pub use routing::{shortest_path, GridPath};
-pub use schedule::{
-    ChurnParams, DemandSchedule, DemandSurge, FaultDelta, FaultEvent, FaultSchedule,
-    FlashCrowdParams, ScheduleCursor, SolarStormParams, TimedFault,
-};

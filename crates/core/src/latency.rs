@@ -28,13 +28,13 @@ pub mod calibration {
     /// One-way ground-station→IXP→CDN-edge delay, ms. Chosen so the
     /// regular-Starlink (no cache) median RTT lands at the paper's
     /// ~55 ms: 2×(GSL + GSL + this) ≈ 55 with Table-1 GSL averages.
-    pub const TERRESTRIAL_CDN_ONEWAY_MS: f64 = 21.6;
+    pub(crate) const TERRESTRIAL_CDN_ONEWAY_MS: f64 = 21.6;
     /// One-way ground-station→origin delay, ms (origins sit behind the
     /// CDN edge; misses pay this instead).
-    pub const ORIGIN_ONEWAY_MS: f64 = 30.0;
+    pub(crate) const ORIGIN_ONEWAY_MS: f64 = 30.0;
     /// Median RTT of a *terrestrial* user to a terrestrial CDN edge, ms
     /// (the "Terrestrial CDN" curve of Fig. 10).
-    pub const TERRESTRIAL_USER_CDN_RTT_MS: f64 = 20.0;
+    pub(crate) const TERRESTRIAL_USER_CDN_RTT_MS: f64 = 20.0;
 }
 
 /// The latency model: link-level delays plus terrestrial legs.

@@ -41,8 +41,3 @@ pub mod metrics;
 pub mod relay;
 pub mod system;
 pub mod variants;
-
-pub use config::{RelayPolicy, StarCdnConfig};
-pub use kernel::{serve_one, RoutedRequest, ServeEnv, Slots};
-pub use metrics::{AvailabilityPoint, RecoverySlo, SystemMetrics};
-pub use system::{ResolvedRoute, RouteOutcome, ServeOutcome, ServedFrom, SpaceCdn};

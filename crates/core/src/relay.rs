@@ -26,7 +26,7 @@ use starcdn_orbit::walker::SatelliteId;
 /// miss asks for them, so they must not cost an allocation). Derefs to
 /// the slice of candidates and iterates by value, both in probe order.
 #[derive(Debug, Clone, Copy)]
-pub struct RelayCandidates {
+pub(crate) struct RelayCandidates {
     slots: [(ServedFrom, SatelliteId); 2],
     len: usize,
 }
@@ -93,6 +93,14 @@ pub(crate) fn relay_candidates(
 /// Without relay edges every group is one slot, so slot `i` goes to
 /// worker `i % workers`. The table depends on the configuration, the
 /// base failures and `workers` (at least one) alone, never on a log.
+///
+/// The deal keeps every group whole and worker loads within the largest
+/// group of each other; it does not balance them. A base view with
+/// outages can join the groups into a few large ones: the remap walk of
+/// `FailureModel::sample(grid, 126, 3)` merges them into 2 groups of 648
+/// slots for L = 4 and 3 of 432 for L = 9, so at most 2 or 3 workers are
+/// busy, and at 2 workers L = 9 splits 864 / 432. Dead slots count as
+/// load too.
 pub fn shard_table(env: &ServeEnv, base: &FailureModel, workers: usize) -> Vec<usize> {
     let (grid, spp) = (&env.grid, env.grid.sats_per_plane);
     let n = grid.total_slots();
@@ -204,7 +212,7 @@ mod tests {
 
     #[test]
     fn shard_table_without_relay_is_slot_mod_workers() {
-        let env = ServeEnv::new(&crate::StarCdnConfig::starcdn_no_relay(9, 1000));
+        let env = ServeEnv::new(&crate::config::StarCdnConfig::starcdn_no_relay(9, 1000));
         let base = FailureModel::sample(&env.grid, 126, 3);
         for workers in [1, 2, 3, 4, 7, 8, 16] {
             let table = shard_table(&env, &base, workers);
@@ -215,7 +223,7 @@ mod tests {
     #[test]
     fn shard_table_keeps_every_read_on_the_owners_worker() {
         for buckets in [4, 9] {
-            let mut cfg = crate::StarCdnConfig::starcdn(buckets, 1000);
+            let mut cfg = crate::config::StarCdnConfig::starcdn(buckets, 1000);
             cfg.relay = RelayPolicy::WestOnly;
             cfg.probe_neighbors_on_miss = true;
             let env = ServeEnv::new(&cfg);
@@ -238,7 +246,7 @@ mod tests {
     fn shard_table_deals_largest_groups_to_the_least_loaded_worker() {
         // No failures: the groups are (plane mod span, slot), all of one
         // size, so they go round-robin in order of their lowest member.
-        let env = ServeEnv::new(&crate::StarCdnConfig::starcdn(4, 1000));
+        let env = ServeEnv::new(&crate::config::StarCdnConfig::starcdn(4, 1000));
         let (g, spp) = (&env.grid, env.grid.sats_per_plane as usize);
         let span = env.span as usize;
         let table = shard_table(&env, &FailureModel::none(), 4);
@@ -251,6 +259,74 @@ mod tests {
         let mut load = [0; 4];
         table.iter().for_each(|&w| load[w] += 1);
         assert_eq!(load, [g.total_slots() / 4; 4]);
+    }
+
+    /// What the deal guarantees on any base view: no group (slots joined
+    /// by what a serve reads) is split, and the loads differ by at most
+    /// the largest group. It does not promise balance: the remap walk of
+    /// `sample(grid, 126, 3)` joins everything into 2 groups of 648
+    /// slots for L = 4 and 3 of 432 for L = 9, so 2 workers take 864 and
+    /// 432 there.
+    #[test]
+    fn shard_table_keeps_groups_whole_within_the_largest_group() {
+        for buckets in [4, 9] {
+            let env = ServeEnv::new(&crate::config::StarCdnConfig::starcdn(buckets, 1000));
+            let (g, spp) = (&env.grid, env.grid.sats_per_plane);
+            let n = g.total_slots();
+            for sampled in [false, true] {
+                let base =
+                    if sampled { FailureModel::sample(g, 126, 3) } else { FailureModel::none() };
+                // Groups: the components of the read relation, undirected.
+                let mut adjacent = vec![Vec::new(); n];
+                for owner in g.iter_ids() {
+                    for s in reads(&env, &base, owner) {
+                        adjacent[owner.index(spp)].push(s.index(spp));
+                        adjacent[s.index(spp)].push(owner.index(spp));
+                    }
+                }
+                let (mut group, mut sizes) = (vec![usize::MAX; n], Vec::new());
+                for start in 0..n {
+                    if group[start] != usize::MAX {
+                        continue;
+                    }
+                    let (mut stack, mut size) = (vec![start], 0);
+                    group[start] = sizes.len();
+                    while let Some(i) = stack.pop() {
+                        size += 1;
+                        for &j in &adjacent[i] {
+                            if group[j] == usize::MAX {
+                                group[j] = sizes.len();
+                                stack.push(j);
+                            }
+                        }
+                    }
+                    sizes.push(size);
+                }
+                if sampled {
+                    let merged: &[usize] = if buckets == 4 { &[648, 648] } else { &[432; 3] };
+                    assert_eq!(sizes, merged, "L={buckets}");
+                }
+                let largest = *sizes.iter().max().unwrap();
+                for workers in [1, 2, 4, 8] {
+                    let table = shard_table(&env, &base, workers);
+                    let mut owner_of = vec![usize::MAX; sizes.len()];
+                    let mut load = vec![0; workers];
+                    for (i, &w) in table.iter().enumerate() {
+                        let owner = &mut owner_of[group[i]];
+                        if *owner == usize::MAX {
+                            *owner = w;
+                        }
+                        assert_eq!(*owner, w, "L={buckets} W={workers}: slot {i}'s group is split");
+                        load[w] += 1;
+                    }
+                    let (lo, hi) = (load.iter().min().unwrap(), load.iter().max().unwrap());
+                    assert!(hi - lo <= largest, "L={buckets} W={workers}: loads {load:?}");
+                    if sampled && buckets == 9 && workers == 2 {
+                        assert_eq!(load, [864, 432]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Every decision is a pure function of `(plan.seed, op_index)`, so a
 //! failing schedule replays exactly from its seed. Crash semantics are
 //! permanent: once a crash point fires, every later operation fails
-//! with the same [`CrashPoint`] error — the "process" is dead, and
+//! with the same `CrashPoint` error — the "process" is dead, and
 //! whatever bytes made it to disk are what resume gets to work with.
 
 use crate::{CrashPoint, Io, IoError, IoFile, IoOp, IoResult, RealIo};

@@ -28,7 +28,7 @@
 pub mod faulty;
 pub mod wire;
 
-pub use faulty::{FaultKind, FaultPlan, FaultStats, FaultyIo};
+pub use faulty::{FaultKind, FaultPlan, FaultyIo};
 
 use std::ffi::OsString;
 use std::fmt;
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 
 /// Which filesystem operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoOp {
+pub(crate) enum IoOp {
     Create,
     Open,
     Read,
@@ -79,7 +79,7 @@ impl IoOp {
 #[derive(Debug)]
 pub struct IoError {
     /// The operation that failed.
-    pub op: IoOp,
+    pub(crate) op: IoOp,
     /// The path it was applied to (the *source* path for renames).
     pub path: PathBuf,
     /// The underlying error.
@@ -115,9 +115,9 @@ impl std::error::Error for IoError {
 /// crash point fires. Carries the operation index so a failing seed can
 /// be replayed to the exact call.
 #[derive(Debug)]
-pub struct CrashPoint {
+pub(crate) struct CrashPoint {
     /// Index of the I/O operation at which the simulated process died.
-    pub op_index: u64,
+    pub(crate) op_index: u64,
 }
 
 impl fmt::Display for CrashPoint {
@@ -128,7 +128,7 @@ impl fmt::Display for CrashPoint {
 
 impl std::error::Error for CrashPoint {}
 
-pub type IoResult<T> = Result<T, IoError>;
+pub(crate) type IoResult<T> = Result<T, IoError>;
 
 // ---------------------------------------------------------------------------
 // The traits.

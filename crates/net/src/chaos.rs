@@ -12,17 +12,17 @@
 //! Fault kinds model the LEO serving plane's observed failure modes
 //! (connection loss and stalls are routine on satellite paths):
 //!
-//! * [`FaultKind::ConnectRefused`] — the dial fails typed.
-//! * [`FaultKind::Disconnect`] — the connection dies mid-stream: this
+//! * `FaultKind::ConnectRefused` — the dial fails typed.
+//! * `FaultKind::Disconnect` — the connection dies mid-stream: this
 //!   send fails, every later op on the connection fails.
-//! * [`FaultKind::PartialFrame`] — the first half of this send is
+//! * `FaultKind::PartialFrame` — the first half of this send is
 //!   delivered and reported as success; the receiver handles the frames
 //!   that arrived whole, its codec detects the torn one (CRC/desync) or
 //!   the EOF behind it, and it drops the connection.
-//! * [`FaultKind::Stall`] — the connection black-holes: this send and
+//! * `FaultKind::Stall` — the connection black-holes: this send and
 //!   everything after it is silently swallowed and reads return no
 //!   data, so only the router's deadline can detect it.
-//! * [`FaultKind::Duplicate`] — the send is delivered twice; the
+//! * `FaultKind::Duplicate` — the send is delivered twice; the
 //!   shard's sequence dedup must absorb every frame of the copy.
 //!
 //! A router send carries every `Ops` frame its window admits, so one
@@ -41,7 +41,7 @@ use std::time::Duration;
 
 /// One injectable network fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     ConnectRefused,
     Disconnect,
     PartialFrame,
@@ -50,7 +50,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    pub const ALL: [FaultKind; 5] = [
+    pub(crate) const ALL: [FaultKind; 5] = [
         FaultKind::ConnectRefused,
         FaultKind::Disconnect,
         FaultKind::PartialFrame,
@@ -65,7 +65,7 @@ pub struct ChaosPlan {
     /// Schedule seed; two runs with equal seeds make equal decisions.
     pub seed: u64,
     /// Kinds eligible for injection (empty = no faults).
-    pub kinds: Vec<FaultKind>,
+    pub(crate) kinds: Vec<FaultKind>,
     /// One op in `denom` faults (0 behaves as "never").
     pub denom: u64,
     /// Stop injecting after this many faults (`u64::MAX` = unbounded).

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `len` counts everything after itself (kind + body + CRC). The decoder
-//! is hostile-input safe: a length prefix below [`MIN_FRAME_LEN`]
+//! is hostile-input safe: a length prefix below `MIN_FRAME_LEN`
 //! (zero-length frames included) or above [`MAX_FRAME_LEN`] fails typed
 //! before any allocation, a CRC mismatch fails before the body is
 //! interpreted, and the body is read through the workspace's one
@@ -45,7 +45,7 @@ use starcdn_sim::wire::{crc32, Reader, Writer};
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 
 /// Smallest well-formed `len`: one kind byte plus the CRC.
-pub const MIN_FRAME_LEN: u32 = 5;
+pub(crate) const MIN_FRAME_LEN: u32 = 5;
 
 /// Cap on an `Error` frame's message.
 const MAX_ERR_MSG: usize = 256;
@@ -66,11 +66,11 @@ const K_ERROR: u8 = 11;
 /// Error-frame codes (carried in [`Frame::Error`]).
 pub mod code {
     /// The peer's Hello named a different plan fingerprint or shard.
-    pub const BAD_HANDSHAKE: u16 = 1;
+    pub(crate) const BAD_HANDSHAKE: u16 = 1;
     /// A batch payload failed the shard-op codec.
-    pub const BAD_PAYLOAD: u16 = 2;
+    pub(crate) const BAD_PAYLOAD: u16 = 2;
     /// A frame kind arrived that this side never accepts.
-    pub const UNEXPECTED: u16 = 3;
+    pub(crate) const UNEXPECTED: u16 = 3;
     /// The shard's drain payload does not fit one frame: asking again
     /// cannot shrink it, so the router fails typed instead of retrying.
     pub const DRAIN_TOO_LARGE: u16 = 4;

@@ -27,10 +27,9 @@ pub mod plane;
 pub mod shard;
 pub mod transport;
 
-pub use chaos::{ChaosNet, ChaosPlan, ChaosStats, FaultKind};
+pub use chaos::{ChaosNet, ChaosPlan, ChaosStats};
 pub use error::NetError;
-pub use frame::{Frame, FrameCodec, FrameRef, MAX_FRAME_LEN, MIN_FRAME_LEN};
+pub use frame::{Frame, FrameCodec, FrameRef, MAX_FRAME_LEN};
 pub use mem::MemNet;
-pub use plane::{serve_replay, ServeConfig, ServeReport, ServeStats};
-pub use shard::ShardServerStats;
+pub use plane::{serve_replay, ServeConfig, ServeStats};
 pub use transport::{Net, NetConn, NetListener, RealNet};

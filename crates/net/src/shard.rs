@@ -46,13 +46,13 @@ use std::time::Duration;
 
 /// What one shard server did, returned when its loop exits.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ShardServerStats {
+pub(crate) struct ShardServerStats {
     /// Batches applied to the cache state.
-    pub applied: u64,
+    pub(crate) applied: u64,
     /// Duplicate `Ops` frames dropped by sequence dedup.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
     /// Connections accepted over the server's lifetime.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
 }
 
 /// Batches applied since the last ack after which a receive pass acks

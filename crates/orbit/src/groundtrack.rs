@@ -141,7 +141,7 @@ mod tests {
         }
         // Baseline: a satellite half the constellation away, no shift.
         let far = shell.orbit_for(SatelliteId::new(46, 9));
-        let baseline = track_similarity_km(&east, &far, SimDuration::ZERO, 60, step);
+        let baseline = track_similarity_km(&east, &far, SimDuration(0), 60, step);
         assert!(
             best < baseline * 0.25,
             "west-neighbour retrace {best:.0} km vs baseline {baseline:.0} km"
@@ -158,7 +158,7 @@ mod tests {
         // The paper: a LEO satellite serves a location for < 10 minutes.
         let shell = WalkerConstellation::starlink_shell1();
         let nyc = Geodetic::from_degrees(40.7128, -74.0060, 0.0);
-        let mut max_dwell = SimDuration::ZERO;
+        let mut max_dwell = SimDuration(0);
         for (orbit_idx, slot) in
             (0..72).step_by(6).flat_map(|o| (0..18).step_by(3).map(move |s| (o, s)))
         {
@@ -172,7 +172,7 @@ mod tests {
             max_dwell = max_dwell.max(d);
         }
         assert!(max_dwell <= SimDuration::from_secs(600), "dwell = {max_dwell}");
-        assert!(max_dwell > SimDuration::ZERO, "no satellite ever covered NYC");
+        assert!(max_dwell > SimDuration(0), "no satellite ever covered NYC");
     }
 
     #[test]
@@ -180,6 +180,6 @@ mod tests {
     fn zero_step_panics() {
         let shell = WalkerConstellation::test_shell();
         let orbit = shell.orbit_for(SatelliteId::new(0, 0));
-        ground_track(&orbit, SimTime::ZERO, SimDuration::from_secs(10), SimDuration::ZERO);
+        ground_track(&orbit, SimTime::ZERO, SimDuration::from_secs(10), SimDuration(0));
     }
 }

@@ -19,19 +19,19 @@ use serde::{Deserialize, Serialize};
 /// parser produces these and [`CircularOrbit`] is the specialization used
 /// by the constellation builder.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OrbitalElements {
+pub(crate) struct OrbitalElements {
     /// Semi-major axis, km.
-    pub semi_major_axis_km: f64,
+    pub(crate) semi_major_axis_km: f64,
     /// Eccentricity (dimensionless, `0 ≤ e < 1`).
-    pub eccentricity: f64,
+    pub(crate) eccentricity: f64,
     /// Inclination, radians.
-    pub inclination_rad: f64,
+    pub(crate) inclination_rad: f64,
     /// Right ascension of the ascending node, radians.
-    pub raan_rad: f64,
+    pub(crate) raan_rad: f64,
     /// Argument of perigee, radians.
-    pub arg_perigee_rad: f64,
+    pub(crate) arg_perigee_rad: f64,
     /// Mean anomaly at epoch, radians.
-    pub mean_anomaly_rad: f64,
+    pub(crate) mean_anomaly_rad: f64,
 }
 
 impl OrbitalElements {

@@ -38,29 +38,24 @@ pub mod tle;
 pub mod visibility;
 pub mod walker;
 
-pub use coords::{Ecef, Eci, Geodetic};
-pub use kepler::{CircularOrbit, OrbitalElements};
-pub use time::SimTime;
-pub use walker::{SatelliteId, WalkerConstellation};
-
 /// Physical constants used throughout the crate.
 pub mod constants {
     /// Mean Earth radius in kilometres (WGS-84 mean).
-    pub const EARTH_RADIUS_KM: f64 = 6371.0;
+    pub(crate) const EARTH_RADIUS_KM: f64 = 6371.0;
     /// Earth's standard gravitational parameter, km^3/s^2.
-    pub const MU_EARTH: f64 = 398_600.441_8;
+    pub(crate) const MU_EARTH: f64 = 398_600.441_8;
     /// Earth's rotation rate, rad/s (sidereal).
-    pub const EARTH_ROTATION_RAD_S: f64 = 7.292_115_9e-5;
+    pub(crate) const EARTH_ROTATION_RAD_S: f64 = 7.292_115_9e-5;
     /// Speed of light in km/s.
     pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
     /// J2 zonal harmonic coefficient of the Earth.
-    pub const J2: f64 = 1.082_626_68e-3;
+    pub(crate) const J2: f64 = 1.082_626_68e-3;
     /// Equatorial Earth radius in kilometres (used by the J2 model).
-    pub const EARTH_EQ_RADIUS_KM: f64 = 6378.137;
+    pub(crate) const EARTH_EQ_RADIUS_KM: f64 = 6378.137;
     /// Default Starlink shell-1 altitude in kilometres.
-    pub const STARLINK_ALTITUDE_KM: f64 = 550.0;
+    pub(crate) const STARLINK_ALTITUDE_KM: f64 = 550.0;
     /// Default Starlink shell-1 inclination in degrees.
-    pub const STARLINK_INCLINATION_DEG: f64 = 53.0;
+    pub(crate) const STARLINK_INCLINATION_DEG: f64 = 53.0;
 }
 
 #[cfg(test)]

@@ -63,9 +63,6 @@ impl SimTime {
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
-    /// Zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
     /// Construct from whole seconds.
     pub fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1000)

@@ -20,9 +20,6 @@ use crate::propagator::{PlaneFrames, PositionsSoa, Satellite, SnapshotPropagator
 use crate::time::SimTime;
 use crate::walker::SatelliteId;
 
-/// Starlink's minimum elevation mask, degrees.
-pub const STARLINK_MIN_ELEVATION_DEG: f64 = 25.0;
-
 /// A visible satellite as seen from a ground location.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisibleSatellite {
@@ -777,7 +774,7 @@ mod tests {
             let mut want: Vec<usize> = (0..n).collect();
             want.sort_by(|&a, &b| degrees[b].total_cmp(&degrees[a]));
             for k in (1..=n + 1).chain([usize::MAX]) {
-                ranking.begin(STARLINK_MIN_ELEVATION_DEG);
+                ranking.begin(25.0); // Starlink's elevation mask, degrees
                 for (i, &s) in sines.iter().enumerate() {
                     ranking.offer(SatelliteId::from_index(i, 1), (s, i as f64));
                 }

@@ -173,10 +173,10 @@ pub(crate) const KIND_REPLAY: u32 = 2;
 
 /// A container's sections, borrowed from its bytes.
 pub(crate) struct RawCheckpoint<'a> {
-    pub kind: u32,
-    pub meta: &'a [u8],
-    pub body: &'a [u8],
-    pub telemetry: &'a [u8],
+    pub(crate) kind: u32,
+    pub(crate) meta: &'a [u8],
+    pub(crate) body: &'a [u8],
+    pub(crate) telemetry: &'a [u8],
 }
 
 /// `tag | len | payload | crc32(tag‖len‖payload)`, checksummed where it
@@ -399,11 +399,12 @@ pub(crate) fn config_fingerprint(cfg: &StarCdnConfig, epoch_secs: u64, spec: &Ru
     h = fp(h, epoch_secs);
     h = fp(h, spec.schedule.len() as u64);
     h = fp(h, spec.overload.headroom.to_bits());
-    h = fp(h, spec.overload.retry.max_attempts as u64);
-    // Where a retry backoff was hashed (always 0 in use): keeping the
-    // 0 keeps checkpoints written before it was retired resumable.
+    // Where a settable attempt count was hashed (always 3 in use) and a
+    // retry backoff (always 0): keeping both values keeps checkpoints
+    // written before they were retired resumable.
+    h = fp(h, crate::overload::MAX_ATTEMPTS as u64);
     h = fp(h, 0);
-    h = fp(h, spec.overload.retry.deadline_ms.to_bits());
+    h = fp(h, spec.overload.retry_deadline_ms.to_bits());
     h = fp(h, cfg.delayed.fetch_epochs);
     h = fp(h, cfg.delayed.wait_ms_per_epoch.to_bits());
     h = fp(h, cfg.delayed.origin_tiers);
@@ -413,16 +414,16 @@ pub(crate) fn config_fingerprint(cfg: &StarCdnConfig, epoch_secs: u64, spec: &Ru
 }
 
 pub(crate) struct EngineMeta {
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// Epoch boundary the checkpoint was taken at (names the file).
-    pub boundary_epoch: u64,
+    pub(crate) boundary_epoch: u64,
     /// The epoch the driver was in before the boundary; resume restores
     /// `current_epoch` to this so the boundary re-executes.
-    pub prev_epoch: u64,
+    pub(crate) prev_epoch: u64,
     /// Index of the first unprocessed entry.
-    pub entry_index: u64,
-    pub use_cursor: bool,
-    pub use_overload: bool,
+    pub(crate) entry_index: u64,
+    pub(crate) use_cursor: bool,
+    pub(crate) use_overload: bool,
 }
 
 wire_struct!(EngineMeta {
@@ -488,14 +489,14 @@ pub fn metrics_digest(m: &SystemMetrics) -> u64 {
 pub(crate) struct LoopState {
     /// The epoch the loop was in before the boundary; resume restores
     /// `current_epoch` to this so the boundary re-executes.
-    pub prev_epoch: u64,
+    pub(crate) prev_epoch: u64,
     /// Index of the first unprocessed entry.
-    pub entry_index: usize,
+    pub(crate) entry_index: usize,
     /// `(events applied, live failure view)` of the schedule cursor.
-    pub cursor: Option<(u64, FailureModel)>,
-    pub ledger: Option<Vec<EpochUsageState>>,
-    pub watermark: FaultEventWatermark,
-    pub telemetry: Option<TelemetrySnapshot>,
+    pub(crate) cursor: Option<(u64, FailureModel)>,
+    pub(crate) ledger: Option<Vec<EpochUsageState>>,
+    pub(crate) watermark: FaultEventWatermark,
+    pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
 /// Writes the engine loop's checkpoints and, on resume, finds the one

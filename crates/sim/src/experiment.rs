@@ -24,7 +24,7 @@ pub struct Runner {
 /// mid-latitudes) act like a terrestrial edge cluster — consistent-hashed
 /// internally, so their capacity pools without redundancy. The baseline
 /// gets `cache_bytes × STATIC_CLUSTER_SATS` per location.
-pub const STATIC_CLUSTER_SATS: u64 = 16;
+pub(crate) const STATIC_CLUSTER_SATS: u64 = 16;
 
 impl Runner {
     /// Resolve `trace` against `world` once.

@@ -28,8 +28,8 @@
 //!   experiment binaries.
 //!
 //! One description drives both: a [`RunSpec`] (fault schedule, overload
-//! lifecycle, telemetry recorder, checkpoint/resume, measurement
-//! cutoff — each free at its default) goes to [`engine::run`] or
+//! lifecycle, telemetry recorder, checkpoint/resume — each free at
+//! its default) goes to [`engine::run`] or
 //! [`replayer::run`] together with a log in either representation
 //! ([`LogView`]). Recording never changes simulation output (the
 //! replayer merges per-worker recorders in shard index order, so even
@@ -67,9 +67,9 @@ pub use engine::{
     run_space, run_space_columns, run_space_columns_recorded, run_space_overloaded,
     run_space_overloaded_columns, run_space_overloaded_columns_recorded, RunSpec, SimConfig,
 };
-pub use overload::{OverloadConfig, RetryPolicy};
+pub use overload::OverloadConfig;
 pub use replayer::{replay_parallel, replay_parallel_overloaded};
-pub use serve::{decode_drain, ServePlan, ServePlanError, ShardState};
+pub use serve::{decode_drain, ServePlan, ShardState};
 /// The one wire byte layer, for crates that reach `starcdn-io` through
 /// this one (`starcdn-net`'s frame codec).
 pub use starcdn_io::wire;

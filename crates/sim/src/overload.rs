@@ -5,7 +5,7 @@
 //! object's bytes against the serving satellite's GSL and every ISL hop
 //! of the route for the current epoch. A refused (shed) or unroutable
 //! attempt retries against the next same-bucket replica eastward —
-//! bounded by [`RetryPolicy::max_attempts`], each shed attempt adding
+//! bounded by [`MAX_ATTEMPTS`], each shed attempt adding
 //! its probe round-trip to the request's latency — and finally falls back to an origin-direct bent-pipe serve, or drops
 //! once the deadline is blown or even the fallback GSL is saturated.
 //!
@@ -34,23 +34,10 @@ use starcdn_constellation::capacity::{AdmitDecision, CapacityLedger, Utilization
 use starcdn_constellation::failures::FailureModel;
 use starcdn_orbit::walker::SatelliteId;
 
-/// Bounded-retry parameters of the overload lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Admission attempts before giving up on space (≥ 1; the first
-    /// attempt targets the preferred owner, each further attempt the
-    /// next same-bucket replica eastward).
-    pub max_attempts: u32,
-    /// Drop the request once its accumulated retry penalty exceeds this
-    /// many milliseconds.
-    pub deadline_ms: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, deadline_ms: 400.0 }
-    }
-}
+/// Admission attempts before giving up on space: the first targets the
+/// preferred owner, each further one the next same-bucket replica
+/// eastward.
+pub const MAX_ATTEMPTS: u32 = 3;
 
 /// Overload-mode switch for an engine or replayer run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,19 +46,20 @@ pub struct OverloadConfig {
     /// disables capacity enforcement entirely: runs are byte-identical
     /// to the non-overload entry points.
     pub headroom: f64,
-    /// Retry behaviour for shed or unroutable requests.
-    pub retry: RetryPolicy,
+    /// Drop a shed or unroutable request once its accumulated retry
+    /// penalty exceeds this many milliseconds.
+    pub retry_deadline_ms: f64,
 }
 
 impl OverloadConfig {
     /// Capacity enforcement off (the strictly-opt-in default).
     pub fn disabled() -> Self {
-        OverloadConfig { headroom: f64::INFINITY, retry: RetryPolicy::default() }
+        OverloadConfig::with_headroom(f64::INFINITY)
     }
 
-    /// Enforcement at the given headroom with the default retry policy.
+    /// Enforcement at the given headroom with a 400 ms retry deadline.
     pub fn with_headroom(headroom: f64) -> Self {
-        OverloadConfig { headroom, retry: RetryPolicy::default() }
+        OverloadConfig { headroom, retry_deadline_ms: 400.0 }
     }
 
     /// Whether admission control actually runs.
@@ -98,15 +86,15 @@ pub(crate) enum Decision {
 /// metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LifecycleOutcome {
-    pub decision: Decision,
+    pub(crate) decision: Decision,
     /// Admission refusals encountered (including the fallback's, if it
     /// was refused).
-    pub sheds: u32,
+    pub(crate) sheds: u32,
     /// Attempts made beyond the first.
-    pub retries: u32,
+    pub(crate) retries: u32,
     /// Attempts whose live target sat across a grid partition from the
     /// first contact.
-    pub partitioned: u32,
+    pub(crate) partitioned: u32,
 }
 
 /// The overload side of a run: the capacity ledger with its clock, and
@@ -114,11 +102,11 @@ pub(crate) struct LifecycleOutcome {
 /// driver's sequential spine: the engine loop, or one replayer pre-pass
 /// chunk.
 pub(crate) struct Admission<'a> {
-    pub ledger: CapacityLedger,
+    pub(crate) ledger: CapacityLedger,
     cfg: &'a OverloadConfig,
     /// The epoch requests are admitted against; `u64::MAX` before the
     /// first [`Admission::advance_to`].
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 impl<'a> Admission<'a> {
@@ -154,15 +142,14 @@ pub(crate) fn decide(
     let Admission { ledger, cfg, epoch } = adm;
     let epoch = *epoch;
     let preferred = preferred_owner(grid, env.tiling.as_ref(), first_contact, object);
-    let policy = &cfg.retry;
-    let max_attempts = policy.max_attempts.max(1);
+    let deadline_ms = cfg.retry_deadline_ms;
     let mut penalty_ms = 0.0f64;
     let mut sheds = 0u32;
     let mut retries = 0u32;
     let mut partitioned = 0u32;
     let mut deadline_blown = false;
-    for attempt in 0..max_attempts {
-        if penalty_ms > policy.deadline_ms {
+    for attempt in 0..MAX_ATTEMPTS {
+        if penalty_ms > deadline_ms {
             deadline_blown = true;
             break;
         }
@@ -171,11 +158,9 @@ pub(crate) fn decide(
         }
         // Attempt k probes the k-th same-bucket replica east of the
         // preferred owner (k = 0 is the preferred owner itself), against
-        // the budget of the request's epoch. The offset is reduced
-        // modulo the plane count in `u32`: `max_attempts` is a public
-        // `u32`, and `span × k` passes `u16::MAX` long before it does.
-        let planes = grid.num_planes as u32;
-        let offset = (env.span as u32 % planes) * (attempt % planes) % planes;
+        // the budget of the request's epoch, `span × k` planes east,
+        // wrapping around the shell.
+        let offset = env.span as u32 * attempt % grid.num_planes as u32;
         let target = grid.east_by(preferred, offset as u16);
         match classify_route_toward_recorded(grid, view, env.remap, first_contact, target, rec) {
             RouteOutcome::Routed(route) => {
@@ -208,7 +193,7 @@ pub(crate) fn decide(
             }
         }
     }
-    if deadline_blown || penalty_ms > policy.deadline_ms {
+    if deadline_blown || penalty_ms > deadline_ms {
         return LifecycleOutcome { decision: Decision::Drop, sheds, retries, partitioned };
     }
     // Origin-direct last resort: only the first contact's GSL carries it.
@@ -320,8 +305,7 @@ mod tests {
         // first contact's GSL can still take a couple of direct serves.
         let size = 1_000_000u64;
         let headroom = size as f64 * 2.5 / 37_500_000_000.0;
-        let mut ocfg = OverloadConfig::with_headroom(headroom);
-        ocfg.retry = RetryPolicy { max_attempts: 3, deadline_ms: 1e9 };
+        let ocfg = OverloadConfig { headroom, retry_deadline_ms: 1e9 };
         let mut adm = admission(&env, &ocfg);
         let obj = remote_object(&cfg);
         // Saturate primary + both retry replicas (3 serves of the same
@@ -366,8 +350,7 @@ mod tests {
         };
         let round_trip = 2.0 * env.latency.route_oneway_ms(route.intra, route.inter);
         assert!(round_trip > 0.0, "a remote owner costs a round trip");
-        let mut ocfg = OverloadConfig::with_headroom(headroom);
-        ocfg.retry = RetryPolicy { max_attempts: 5, deadline_ms: round_trip };
+        let ocfg = OverloadConfig { headroom, retry_deadline_ms: round_trip };
         let mut adm = admission(&env, &ocfg);
         let out = run_decide(&env, &view, &mut adm, obj, size);
         assert!(matches!(out.decision, Decision::Drop), "{out:?}");
@@ -375,31 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn replica_offset_survives_a_long_retry_chain() {
+    fn nothing_fits_sheds_every_attempt_and_the_fallback() {
         let (cfg, env, view) = ctx();
         let size = 1_000_000u64;
         let headroom = size as f64 * 0.5 / 37_500_000_000.0; // nothing fits
-        let mut ocfg = OverloadConfig::with_headroom(headroom);
-        // Span 3 × attempt 21 846 is the first product past `u16::MAX`.
-        ocfg.retry = RetryPolicy { max_attempts: 30_000, deadline_ms: 1e12 };
+        let ocfg = OverloadConfig { headroom, retry_deadline_ms: 1e12 };
         let mut adm = admission(&env, &ocfg);
         let out = run_decide(&env, &view, &mut adm, remote_object(&cfg), size);
-        assert_eq!(out.retries, 29_999);
-        assert_eq!(out.sheds, 30_001, "every probe and the origin fallback were shed");
+        assert_eq!(out.retries, MAX_ATTEMPTS - 1);
+        assert_eq!(out.sheds, MAX_ATTEMPTS + 1, "every probe and the origin fallback were shed");
         assert!(matches!(out.decision, Decision::Drop), "{:?}", out.decision);
-    }
-
-    #[test]
-    fn max_attempts_one_never_retries() {
-        let (_, env, view) = ctx();
-        let size = 1_000_000u64;
-        let headroom = size as f64 * 0.5 / 37_500_000_000.0;
-        let mut ocfg = OverloadConfig::with_headroom(headroom);
-        ocfg.retry = RetryPolicy { max_attempts: 1, deadline_ms: 1e9 };
-        let mut adm = admission(&env, &ocfg);
-        let out = run_decide(&env, &view, &mut adm, 1, size);
-        assert_eq!(out.retries, 0);
-        assert!(matches!(out.decision, Decision::OriginFallback { .. } | Decision::Drop));
     }
 
     #[test]
@@ -429,7 +397,6 @@ mod tests {
     fn disabled_config_reports_disabled() {
         assert!(!OverloadConfig::disabled().is_enabled());
         assert!(OverloadConfig::with_headroom(0.5).is_enabled());
-        let d = RetryPolicy::default();
-        assert_eq!(d.max_attempts, 3);
+        assert_eq!(OverloadConfig::with_headroom(0.5).retry_deadline_ms, 400.0);
     }
 }

@@ -254,8 +254,8 @@ pub fn replay_parallel_overloaded(
 /// boundary (before that boundary's churn pseudo-ops were pushed).
 /// Workers joining at these cut points see a globally consistent state.
 pub(crate) struct ShardCut {
-    pub barrier_epoch: u64,
-    pub lens: Vec<usize>,
+    pub(crate) barrier_epoch: u64,
+    pub(crate) lens: Vec<usize>,
 }
 
 /// Everything the pre-pass produces: per-shard op streams, the
@@ -267,10 +267,10 @@ pub(crate) struct PrePass {
     /// `pieces[c][w]` is chunk `c`'s part of shard `w`'s stream: the
     /// stream is chunk 0's piece, then chunk 1's, and so on. Readers walk
     /// the pieces in place; nothing concatenates them.
-    pub pieces: Vec<Vec<Vec<ShardOp>>>,
-    pub direct: SystemMetrics,
+    pub(crate) pieces: Vec<Vec<Vec<ShardOp>>>,
+    pub(crate) direct: SystemMetrics,
     /// [`ShardCut::lens`] are offsets into the whole streams.
-    pub cuts: Vec<ShardCut>,
+    pub(crate) cuts: Vec<ShardCut>,
 }
 
 impl PrePass {
@@ -511,8 +511,8 @@ fn resolve_chunk(
         cur
     });
     // Overload mode: each chunk's ledger starts empty, as one pass's
-    // does at the chunk's first epoch unless retries back off (and then
-    // there is one chunk), so admission decisions are the engine's.
+    // does at the chunk's first epoch, so admission decisions are the
+    // engine's.
     let mut admission = spec.live_overload().map(|o| Admission::new(env, o, epoch_secs));
     let mut current_epoch = before.unwrap_or(u64::MAX);
     let mut seg_epoch = before.unwrap_or(u64::MAX);
@@ -746,7 +746,6 @@ mod tests {
     use super::*;
     use crate::access_log::build_access_log;
     use crate::engine::{run_space, SimConfig};
-    use crate::overload::RetryPolicy;
     use crate::world::World;
     use spacegen::trace::{LocationId, Request, Trace};
     use starcdn::system::SpaceCdn;
@@ -976,10 +975,7 @@ mod tests {
     /// that shedding, retries, fallbacks and drops all happen.
     fn tight_overload(log: &AccessLog) -> OverloadConfig {
         let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
-        OverloadConfig {
-            headroom: mean as f64 * 1.5 / 37_500_000_000.0,
-            retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 },
-        }
+        OverloadConfig { headroom: mean as f64 * 1.5 / 37_500_000_000.0, retry_deadline_ms: 1e9 }
     }
 
     /// Satellite and link churn over the whole 500 s of [`log`].
@@ -1116,7 +1112,8 @@ mod tests {
 
     /// Any epoch-aligned split resolves to the one pass, bit for bit:
     /// here every epoch is a chunk, under churn, barriers, a live
-    /// recorder and overload admission, with and without retries.
+    /// recorder and overload admission, with a loose and the default
+    /// retry deadline.
     #[test]
     fn every_epoch_a_chunk_is_the_one_pass() {
         let log = log();
@@ -1126,11 +1123,8 @@ mod tests {
         let every_epoch = every_epoch_start(&log);
         assert!(every_epoch.len() > 30);
         let tight = tight_overload(&log);
-        let retry = |max_attempts| OverloadConfig {
-            retry: RetryPolicy { max_attempts, ..tight.retry },
-            ..tight
-        };
-        for overload in [OverloadConfig::disabled(), retry(3), retry(1)] {
+        let default_deadline = OverloadConfig::with_headroom(tight.headroom);
+        for overload in [OverloadConfig::disabled(), tight, default_deadline] {
             for workers in [1, 3, 8] {
                 let (one_rec, split_rec) = (MemoryRecorder::new(), MemoryRecorder::new());
                 let spec = |recorder| RunSpec {
@@ -1145,7 +1139,7 @@ mod tests {
                         chunks(&env, &base, &log, &spec, workers, Some(3), starts)
                             .expect("a log sorted by time")
                     });
-                let tag = format!("{:?} at {workers} workers", overload.retry);
+                let tag = format!("{overload:?} at {workers} workers");
                 assert_eq!(split.pieces.len(), every_epoch.len() + 1);
                 assert_eq!(pre_pass_digest(&one), pre_pass_digest(&split), "{tag}");
                 assert_eq!(one.direct.utilization, split.direct.utilization, "{tag}");

@@ -109,8 +109,8 @@ pub(crate) struct ReplayState {
     /// A full-size slot store each, of which a worker touches only the
     /// slots its shard owns.
     slots: Vec<Slots>,
-    pub cold: Vec<Vec<bool>>,
-    pub metrics: Vec<SystemMetrics>,
+    pub(crate) cold: Vec<Vec<bool>>,
+    pub(crate) metrics: Vec<SystemMetrics>,
 }
 
 impl ReplayState {
@@ -158,9 +158,9 @@ impl ReplayState {
 /// What a checkpoint restores: the worker state at `barrier_epoch` and
 /// each worker's telemetry (empty when the run recorded none).
 pub(crate) struct Restored {
-    pub barrier_epoch: u64,
-    pub state: ReplayState,
-    pub telemetry: Vec<TelemetrySnapshot>,
+    pub(crate) barrier_epoch: u64,
+    pub(crate) state: ReplayState,
+    pub(crate) telemetry: Vec<TelemetrySnapshot>,
 }
 
 /// Writes the replayer's barrier checkpoints and, on resume, finds the

@@ -4,8 +4,7 @@
 //! The engine serves the result at once; the replayer's pre-pass pushes
 //! it onto the owner's shard stream. Nothing here reads cache contents —
 //! only the failure view, the route, the object size and the ledger's
-//! table for the request's epoch (and, when retries back off, later
-//! ones) — which is why the pre-pass may run ahead of the workers, in
+//! table for the request's epoch — which is why the pre-pass may run ahead of the workers, in
 //! epoch-aligned chunks, and stay bit-for-bit the engine.
 
 use crate::access_log::AccessLogEntry;

@@ -64,16 +64,16 @@ impl TransferConfig {
 
 /// Outcome of one transfer.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub struct TransferOutcome {
+pub(crate) struct TransferOutcome {
     /// Pure serialization time at the service-link rate, ms.
-    pub base_ms: f64,
+    pub(crate) base_ms: f64,
     /// Handover interruptions suffered.
-    pub interruptions: u32,
+    pub(crate) interruptions: u32,
     /// Total completion time including interruption costs, ms.
-    pub total_ms: f64,
+    pub(crate) total_ms: f64,
     /// The transfer hit the epoch-walk cap with bytes still remaining
     /// (no coverage long enough to finish) and was abandoned.
-    pub dropped: bool,
+    pub(crate) dropped: bool,
 }
 
 /// Aggregate transfer statistics.
@@ -127,7 +127,7 @@ impl TransferStats {
 
 /// A per-(location, user) assignment oracle over epochs, backed by the
 /// real scheduler and memoized (transfers can span many epochs).
-pub struct AssignmentOracle<'a> {
+pub(crate) struct AssignmentOracle<'a> {
     world: &'a World,
     cfg: SchedulerConfig,
     epoch_secs: u64,

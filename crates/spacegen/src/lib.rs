@@ -37,10 +37,3 @@ pub mod production;
 pub mod stack;
 pub mod trace;
 pub mod validate;
-
-pub use classes::TrafficClass;
-pub use fd::FootprintDescriptor;
-pub use generator::{generate, GeneratorConfig};
-pub use gpd::GlobalPopularity;
-pub use production::ProductionModel;
-pub use trace::{Location, LocationId, Request, Trace};

@@ -27,12 +27,12 @@ use starcdn_orbit::time::{SimDuration, SimTime};
 
 /// Metadata of one catalog object.
 #[derive(Debug, Clone)]
-pub struct CatalogObject {
-    pub id: ObjectId,
-    pub size: u64,
-    pub home: LocationId,
+pub(crate) struct CatalogObject {
+    pub(crate) id: ObjectId,
+    pub(crate) size: u64,
+    pub(crate) home: LocationId,
     /// Global popularity weight (unnormalized Zipf).
-    pub global_weight: f64,
+    pub(crate) global_weight: f64,
 }
 
 /// The calibrated multi-location workload model.
@@ -40,7 +40,7 @@ pub struct CatalogObject {
 pub struct ProductionModel {
     pub locations: Vec<Location>,
     pub params: ClassParams,
-    pub catalog: Vec<CatalogObject>,
+    pub(crate) catalog: Vec<CatalogObject>,
     /// Per location: (object index, weight) for available objects, plus a
     /// prefix-sum CDF aligned with it.
     per_location: Vec<LocationCatalog>,

@@ -11,13 +11,13 @@ use starcdn_cache::object::ObjectId;
 
 /// An object resident in the generation stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StackEntry {
-    pub object: ObjectId,
+pub(crate) struct StackEntry {
+    pub(crate) object: ObjectId,
     /// Target number of requests this object must receive at this
     /// location (its popularity from the GPD sample).
-    pub popularity: u32,
+    pub(crate) popularity: u32,
     /// Object size in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
 }
 
 #[derive(Debug)]
@@ -112,7 +112,7 @@ fn mix(mut x: u64) -> u64 {
 /// The generation stack: a sequence of [`StackEntry`] ordered from cache
 /// top (front) to bottom (back).
 #[derive(Debug, Default)]
-pub struct CacheStack {
+pub(crate) struct CacheStack {
     root: Option<Box<Node>>,
     counter: u64,
 }

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets: bit lengths 0..=64.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// The bucket index (bit length) of a value.
 #[inline]
@@ -20,7 +20,7 @@ fn bucket_of(v: u64) -> usize {
 /// A concurrent log₂ histogram. All methods take `&self`; recording is
 /// relaxed atomics only.
 #[derive(Debug)]
-pub struct LogHistogram {
+pub(crate) struct LogHistogram {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,

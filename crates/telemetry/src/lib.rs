@@ -36,7 +36,7 @@ mod recorder;
 mod snapshot;
 mod span;
 
-pub use hist::{HistogramSnapshot, LogHistogram, NUM_BUCKETS};
+pub use hist::HistogramSnapshot;
 pub use metric::{Counter, Event, Histo, Stage};
 pub use recorder::{MemoryRecorder, Noop, Recorder};
 pub use snapshot::TelemetrySnapshot;

@@ -7,7 +7,7 @@ use starcdn_sim::{CheckpointPolicy, Checkpointing, OverloadConfig, RunSpec};
 use starcdn_telemetry::Recorder;
 
 /// The [`RunSpec`] of a checkpointed (or, with `resume`, resumed) run.
-pub fn ckpt_spec<'a>(
+pub(crate) fn ckpt_spec<'a>(
     schedule: &'a FaultSchedule,
     overload: &OverloadConfig,
     policy: &'a CheckpointPolicy,

@@ -660,7 +660,7 @@ fn replayer_kill_resume_at_a_chunk_boundary_is_bit_identical() {
 }
 
 /// One fingerprint for both drivers: a checkpoint written under one
-/// retry policy (or transmission-delay setting) must not be accepted on
+/// headroom or retry deadline (or transmission-delay setting) must not be accepted on
 /// resume under another — the restored caches and ledger would meet a
 /// pre-pass or lifecycle that decides differently.
 #[test]
@@ -679,15 +679,15 @@ fn resume_under_a_different_run_description_is_rejected() {
     let spec = ckpt_spec(&sched, &written, &pol_replay, &rec, &RealIo, false);
     replayer::run(&cfg, &FailureModel::none(), &log, 4, &spec).unwrap();
 
-    let mut other_retry = written;
-    other_retry.retry.max_attempts += 1;
+    let mut other_headroom = written;
+    other_headroom.headroom *= 2.0;
     let mut other_deadline = written;
-    other_deadline.retry.deadline_ms /= 2.0;
+    other_deadline.retry_deadline_ms /= 2.0;
     let mut other_cfg = cfg.clone();
     other_cfg.model_transmission_delay = true;
     let resumes = [
-        ("max_attempts", &cfg, &other_retry),
-        ("deadline_ms", &cfg, &other_deadline),
+        ("headroom", &cfg, &other_headroom),
+        ("retry_deadline_ms", &cfg, &other_deadline),
         ("model_transmission_delay", &other_cfg, &written),
     ];
     for (what, cfg, overload) in resumes {

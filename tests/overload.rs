@@ -18,7 +18,7 @@ use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_orbit::time::SimDuration;
 use starcdn_sim::access_log::{build_access_log, AccessLog};
 use starcdn_sim::engine::{run_space, run_space_overloaded, SimConfig};
-use starcdn_sim::overload::{OverloadConfig, RetryPolicy};
+use starcdn_sim::overload::{OverloadConfig, MAX_ATTEMPTS};
 use starcdn_sim::replayer::{replay_parallel, replay_parallel_overloaded};
 use starcdn_sim::world::World;
 
@@ -119,8 +119,7 @@ fn demand_spike_sheds_and_falls_back_without_panicking() {
     // spiked bucket blows through its owner and both retry replicas
     // within an epoch, while background traffic mostly serves in place.
     let headroom = mean as f64 * 1.5 / 37_500_000_000.0;
-    let overload =
-        OverloadConfig { headroom, retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 } };
+    let overload = OverloadConfig { headroom, retry_deadline_ms: 1e9 };
 
     let mut cdn = SpaceCdn::new(cfg.clone());
     let m = run_space_overloaded(&mut cdn, &spiked, &FaultSchedule::empty(), &overload);
@@ -130,6 +129,10 @@ fn demand_spike_sheds_and_falls_back_without_panicking() {
     assert!(m.served_primary > 0, "uncongested satellites still serve");
     assert!(m.served_replica > 0, "retries must rescue some requests at replicas");
     assert!(m.retry_attempts > 0, "sheds must trigger retries");
+    assert!(
+        m.retry_attempts <= (MAX_ATTEMPTS as u64 - 1) * (m.stats.requests + m.dropped_requests),
+        "at most MAX_ATTEMPTS - 1 retries per request"
+    );
     assert!(!m.utilization.is_empty(), "ledger must emit a utilization timeline");
     assert!(m.utilization.iter().any(|p| p.shed_requests > 0));
 
@@ -159,16 +162,13 @@ fn demand_spike_sheds_and_falls_back_without_panicking() {
         "retry + fallback must rescue some requests ({} dropped of {classified})",
         m.dropped_requests
     );
-}
 
-#[test]
-fn max_attempts_one_never_retries_in_a_full_run() {
-    let log = log();
-    let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
-    let overload =
-        OverloadConfig { headroom: 1e-5, retry: RetryPolicy { max_attempts: 1, deadline_ms: 1e9 } };
+    // A zero deadline is blown by the first shed probe that cost a round
+    // trip: those requests drop instead of retrying at a replica.
+    let zero = OverloadConfig { retry_deadline_ms: 0.0, ..overload };
     let mut cdn = SpaceCdn::new(cfg);
-    let m = run_space_overloaded(&mut cdn, &log, &FaultSchedule::empty(), &overload);
-    assert_eq!(m.retry_attempts, 0, "max_attempts = 1 must never probe a replica");
-    assert_eq!(m.served_replica, 0);
+    let z = run_space_overloaded(&mut cdn, &spiked, &FaultSchedule::empty(), &zero);
+    assert_eq!(z.stats.requests + z.dropped_requests, spiked.entries.len() as u64);
+    assert!(z.dropped_requests > m.dropped_requests, "a blown deadline must drop");
+    assert!(z.retry_attempts < m.retry_attempts, "a blown deadline must cut retries");
 }

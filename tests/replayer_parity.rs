@@ -11,7 +11,6 @@ use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormPara
 use starcdn_orbit::time::SimDuration;
 use starcdn_sim::access_log::{build_access_log, AccessLog};
 use starcdn_sim::engine::{run_space, RunSpec, SimConfig};
-use starcdn_sim::overload::RetryPolicy;
 use starcdn_sim::replayer::replay_parallel;
 use starcdn_sim::world::World;
 use starcdn_sim::{build_access_log_columns_recorded, metrics_digest};
@@ -224,8 +223,8 @@ fn parallel_exact_parity_under_overload_and_churn() {
     // Headroom ≈ 1.5 mean objects per satellite per epoch: tight enough
     // that shedding, retries, fallbacks and drops all actually happen.
     let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
-    let retry = RetryPolicy { max_attempts: 3, deadline_ms: 1e9 };
-    let overload = OverloadConfig { headroom: mean as f64 * 1.5 / 37_500_000_000.0, retry };
+    let headroom = mean as f64 * 1.5 / 37_500_000_000.0;
+    let overload = OverloadConfig { headroom, retry_deadline_ms: 1e9 };
 
     let mut seq = SpaceCdn::new(cfg.clone());
     let reference = run_space_overloaded(&mut seq, &log, &sched, &overload);
@@ -554,10 +553,8 @@ fn delayed_exact_parity_under_overload_and_churn() {
     let log = delayed_log();
     let cfg = delayed_cfg();
     let mean = log.entries.iter().map(|e| e.size).sum::<u64>() / log.entries.len() as u64;
-    let overload = OverloadConfig {
-        headroom: mean as f64 * 1.5 / 37_500_000_000.0,
-        retry: RetryPolicy { max_attempts: 3, deadline_ms: 1e9 },
-    };
+    let headroom = mean as f64 * 1.5 / 37_500_000_000.0;
+    let overload = OverloadConfig { headroom, retry_deadline_ms: 1e9 };
 
     let mut seq = SpaceCdn::new(cfg.clone());
     let reference = run_space_overloaded(&mut seq, &log, &sched, &overload);
