@@ -24,10 +24,11 @@
 //! An unknown flag, or a missing, malformed or out-of-range value, exits
 //! 2 before anything is written.
 //!
-//! The fingerprint includes every counter, the bit patterns of all
-//! latency samples, the utilization timeline, and the telemetry
-//! counters/histograms/events — if `golden` and `resume` dumps are
-//! byte-equal, the resumed run was bit-for-bit identical.
+//! The fingerprint is two digests: every metric (counters, the bit
+//! patterns of all latency samples, per-satellite rows, the availability
+//! and utilization timelines) and the telemetry counters, histograms and
+//! events — if `golden` and `resume` dumps are byte-equal, the resumed
+//! run was bit-for-bit identical.
 
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
@@ -42,8 +43,8 @@ use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
-    build_access_log, engine, list_checkpoint_files, AccessLog, CheckpointPolicy, Checkpointing,
-    OverloadConfig, RunSpec, World,
+    build_access_log, engine, list_checkpoint_files, metrics_digest, telemetry_digest, AccessLog,
+    CheckpointPolicy, Checkpointing, OverloadConfig, RunSpec, World,
 };
 use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
 use std::path::{Path, PathBuf};
@@ -109,109 +110,13 @@ fn run_engine(
     engine::run(&mut cdn(), log, &spec)
 }
 
-/// FNV-1a over a byte stream, for compact fingerprint lines.
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Hand-rolled JSON fingerprint of a run: plain counters verbatim,
-/// vectors as FNV-64 over their bit patterns. Byte-equal dumps mean
-/// bit-identical runs. (No serialization framework: this must stay
-/// dependency-free and deterministic.)
-fn fingerprint_json(m: &SystemMetrics, tele: &TelemetrySnapshot) -> String {
-    let lat_hash = fnv(m.latencies_ms.iter().flat_map(|l| l.to_bits().to_le_bytes()));
-    let util_hash = fnv(m.utilization.iter().flat_map(|p| {
-        let mut b = Vec::with_capacity(48);
-        b.extend_from_slice(&p.epoch.to_le_bytes());
-        b.extend_from_slice(&p.peak_gsl_util.to_bits().to_le_bytes());
-        b.extend_from_slice(&p.peak_isl_util.to_bits().to_le_bytes());
-        b.extend_from_slice(&p.gsl_bytes.to_le_bytes());
-        b.extend_from_slice(&p.isl_bytes.to_le_bytes());
-        b.extend_from_slice(&p.shed_requests.to_le_bytes());
-        b
-    }));
-    let avail_hash = fnv(m.availability.iter().flat_map(|p| {
-        let mut b = Vec::with_capacity(16);
-        b.extend_from_slice(&p.epoch.to_le_bytes());
-        b.extend_from_slice(&p.alive_sats.to_le_bytes());
-        b.extend_from_slice(&p.cut_links.to_le_bytes());
-        b
-    }));
-    let mut per_sat: Vec<_> = m.per_satellite.iter().collect();
-    per_sat.sort_by_key(|(s, _)| **s);
-    let per_sat_hash = fnv(per_sat.iter().flat_map(|(s, st)| {
-        let mut b = Vec::with_capacity(36);
-        b.extend_from_slice(&s.orbit.to_le_bytes());
-        b.extend_from_slice(&s.slot.to_le_bytes());
-        b.extend_from_slice(&st.requests.to_le_bytes());
-        b.extend_from_slice(&st.hits.to_le_bytes());
-        b.extend_from_slice(&st.bytes_requested.to_le_bytes());
-        b.extend_from_slice(&st.bytes_hit.to_le_bytes());
-        b
-    }));
-    let counters: Vec<String> =
-        tele.counters.iter().map(|(c, v)| format!("    \"{}\": {v}", c.name())).collect();
-    // `CheckpointRestoreFallback` is emitted on the resuming caller's
-    // recorder (it reports recovery-path behaviour, not simulation
-    // state), so it is excluded from the bit-equality fingerprint.
-    let events_hash = fnv(tele
-        .events
-        .iter()
-        .filter(|((e, _), _)| *e != starcdn_telemetry::Event::CheckpointRestoreFallback)
-        .flat_map(|((e, epoch), count)| {
-            let mut b = format!("{}:{epoch}:", e.name()).into_bytes();
-            b.extend_from_slice(&count.to_le_bytes());
-            b
-        }));
-    let histo_hash = fnv(tele.histograms.iter().flat_map(|(h, snap)| {
-        let mut b = format!("{}:{}:{}", h.name(), snap.count, snap.sum).into_bytes();
-        for &(k, n) in &snap.buckets {
-            b.push(k);
-            b.extend_from_slice(&n.to_le_bytes());
-        }
-        b
-    }));
-    format!(
-        "{{\n  \"requests\": {},\n  \"hits\": {},\n  \"bytes_requested\": {},\n  \
-         \"bytes_hit\": {},\n  \"served_local\": {},\n  \"served_relay_west\": {},\n  \
-         \"served_relay_east\": {},\n  \"served_ground\": {},\n  \"uplink_bytes\": {},\n  \
-         \"relay_bytes\": {},\n  \"remapped_requests\": {},\n  \"cold_restart_misses\": {},\n  \
-         \"reroute_extra_hops\": {},\n  \"shed_requests\": {},\n  \"retry_attempts\": {},\n  \
-         \"served_primary\": {},\n  \"served_replica\": {},\n  \"served_origin_fallback\": {},\n  \
-         \"dropped_requests\": {},\n  \"latency_samples\": {},\n  \
-         \"latency_bits_fnv\": \"{lat_hash:016x}\",\n  \
-         \"utilization_fnv\": \"{util_hash:016x}\",\n  \
-         \"availability_fnv\": \"{avail_hash:016x}\",\n  \
-         \"per_satellite_fnv\": \"{per_sat_hash:016x}\",\n  \
-         \"telemetry_events_fnv\": \"{events_hash:016x}\",\n  \
-         \"telemetry_histos_fnv\": \"{histo_hash:016x}\",\n  \"telemetry_counters\": {{\n{}\n  }}\n}}\n",
-        m.stats.requests,
-        m.stats.hits,
-        m.stats.bytes_requested,
-        m.stats.bytes_hit,
-        m.served_local,
-        m.served_relay_west,
-        m.served_relay_east,
-        m.served_ground,
-        m.uplink_bytes,
-        m.relay_bytes,
-        m.remapped_requests,
-        m.cold_restart_misses,
-        m.reroute_extra_hops,
-        m.shed_requests,
-        m.retry_attempts,
-        m.served_primary,
-        m.served_replica,
-        m.served_origin_fallback,
-        m.dropped_requests,
-        m.latencies_ms.len(),
-        counters.join(",\n"),
-    )
+/// A run's fingerprint: `metrics_digest` (every counter, latency bit
+/// pattern, per-satellite row and timeline) and `telemetry_digest`
+/// (counters, histogram buckets and events, without span timings or
+/// checkpoint fallbacks). Byte-equal dumps mean bit-identical runs.
+fn fingerprint(m: &SystemMetrics, tele: &TelemetrySnapshot) -> String {
+    let (metrics, telemetry) = (metrics_digest(m), telemetry_digest(tele));
+    format!("requests {}\nmetrics {metrics:016x}\ntelemetry {telemetry:016x}\n", m.stats.requests)
 }
 
 fn run_golden(dir: &Path, out: &Path) {
@@ -221,7 +126,7 @@ fn run_golden(dir: &Path, out: &Path) {
     let rec = MemoryRecorder::new();
     let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, false)))
         .expect("golden checkpointed run");
-    std::fs::write(out, fingerprint_json(&m, &rec.snapshot())).expect("write golden fingerprint");
+    std::fs::write(out, fingerprint(&m, &rec.snapshot())).expect("write golden fingerprint");
     println!(
         "golden: {} requests, {} checkpoints",
         m.stats.requests,
@@ -270,7 +175,7 @@ fn run_resume(dir: &Path, out: &Path) {
         .filter(|((e, _), _)| *e == starcdn_telemetry::Event::CheckpointRestoreFallback)
         .map(|(_, &c)| c)
         .sum();
-    std::fs::write(out, fingerprint_json(&m, &rec.snapshot())).expect("write resumed fingerprint");
+    std::fs::write(out, fingerprint(&m, &rec.snapshot())).expect("write resumed fingerprint");
     println!("resumed: {} requests, {fallbacks} checkpoint(s) skipped as torn", m.stats.requests);
     assert!(fallbacks >= 1, "the torn newest checkpoint must have been skipped");
 }

@@ -91,22 +91,44 @@ pub struct RoutedRequest {
     pub epoch: u64,
 }
 
-/// One cache and one in-flight queue per grid slot, owned by a single
-/// thread (the fleet, a replayer worker, a shard server).
+/// One cache, one in-flight queue and one cold-restart flag per grid
+/// slot, owned by a single thread (the fleet, a replayer worker, a shard
+/// server). A slot's restart is [`Slots::wipe`] when its satellite goes
+/// down, then [`Slots::mark_cold`] when it comes back.
 pub struct Slots {
     pub caches: Vec<Box<dyn Cache + Send>>,
     /// All empty unless the delayed-hit model is enabled.
     pub inflight: Vec<InflightQueue>,
+    /// Set when a satellite recovers from an outage with an empty cache,
+    /// cleared by its first local hit; its misses until then are
+    /// cold-restart misses.
+    pub cold: Vec<bool>,
 }
 
 impl Slots {
-    /// Empty caches of the configured policy and capacity for every slot.
+    /// Empty caches of the configured policy and capacity for every slot,
+    /// none of them cold.
     pub fn new(cfg: &StarCdnConfig) -> Self {
         let slots = cfg.grid.total_slots();
         Slots {
             caches: (0..slots).map(|_| cfg.policy.build(cfg.cache_capacity_bytes)).collect(),
             inflight: (0..slots).map(|_| InflightQueue::new()).collect(),
+            cold: vec![false; slots],
         }
+    }
+
+    /// Slot `idx`'s satellite went down: its cache and its outstanding
+    /// fetches are lost (their followers were already counted as delayed
+    /// hits), and it is not cold until it comes back.
+    pub fn wipe(&mut self, idx: usize) {
+        self.caches[idx].clear();
+        self.inflight[idx].clear();
+        self.cold[idx] = false;
+    }
+
+    /// Slot `idx`'s satellite recovered: cold until its first local hit.
+    pub fn mark_cold(&mut self, idx: usize) {
+        self.cold[idx] = true;
     }
 }
 
@@ -117,8 +139,8 @@ impl Slots {
 /// legitimately differs per caller: the engine passes the live view of
 /// the request's epoch, the replayer and the shard servers the static
 /// base set (their workers run ahead of and behind the churn cursor, so
-/// no single live view exists; DESIGN.md §7). `cold` holds the per-slot
-/// cold-restart flags of whoever owns these slots. Forced inline: each
+/// no single live view exists; DESIGN.md §7). The owner's cold flag
+/// lives in `slots` beside its cache. Forced inline: each
 /// caller is a per-request loop, and across a call the request and the
 /// outcome go through memory — ≈ 12 ns per request, a tenth of an engine
 /// request (EXPERIMENTS.md "Serve kernel").
@@ -127,7 +149,6 @@ pub fn serve_one(
     slots: &mut Slots,
     env: &ServeEnv,
     relay_view: &FailureModel,
-    cold: &mut [bool],
     m: &mut SystemMetrics,
     req: &RoutedRequest,
 ) -> ServeOutcome {
@@ -173,10 +194,10 @@ pub fn serve_one(
         }
     };
     let mut cold_miss = false;
-    if cold[owner_idx] {
+    if slots.cold[owner_idx] {
         if local.is_hit() {
             // Re-warmed: cached content is flowing again.
-            cold[owner_idx] = false;
+            slots.cold[owner_idx] = false;
         } else {
             m.cold_restart_misses += 1;
             cold_miss = true;

@@ -241,12 +241,9 @@ pub struct SpaceCdn {
     /// and delayed-hit parameters.
     env: ServeEnv,
     failures: FailureModel,
-    /// One cache and one outstanding-fetch queue per grid slot (the
-    /// queues stay empty unless the delayed-hit model is enabled).
+    /// One cache, one outstanding-fetch queue (empty unless the
+    /// delayed-hit model is enabled) and one cold flag per grid slot.
     slots: Slots,
-    /// Per-slot cold-restart flag: set when a satellite recovers from an
-    /// outage with an empty cache, cleared by its first local hit.
-    cold: Vec<bool>,
     /// Current scheduler epoch, the delayed-hit clock of
     /// [`SpaceCdn::handle_request`].
     now_epoch: u64,
@@ -266,7 +263,6 @@ impl SpaceCdn {
         SpaceCdn {
             env: ServeEnv::new(&cfg),
             slots: Slots::new(&cfg),
-            cold: vec![false; cfg.grid.total_slots()],
             cfg,
             failures,
             now_epoch: 0,
@@ -346,14 +342,7 @@ impl SpaceCdn {
     /// the engine's loop holds the kernel's body as the workers' do.
     #[inline(always)]
     pub fn serve(&mut self, req: &RoutedRequest) -> ServeOutcome {
-        kernel::serve_one(
-            &mut self.slots,
-            &self.env,
-            &self.failures,
-            &mut self.cold,
-            &mut self.metrics,
-            req,
-        )
+        kernel::serve_one(&mut self.slots, &self.env, &self.failures, &mut self.metrics, req)
     }
 
     /// Handle one request arriving at `first_contact` with the given
@@ -448,33 +437,20 @@ impl SpaceCdn {
     /// it — their followers were already counted as delayed hits.
     pub fn wipe_cache(&mut self, id: SatelliteId) {
         let idx = self.cache_idx(id);
-        self.slots.caches[idx].clear();
-        self.slots.inflight[idx].clear();
-        self.cold[idx] = false;
+        self.slots.wipe(idx);
     }
 
     /// Mark a satellite as freshly recovered: its next misses count as
     /// cold-restart misses until the first local hit.
     pub fn mark_cold(&mut self, id: SatelliteId) {
         let idx = self.cache_idx(id);
-        self.cold[idx] = true;
+        self.slots.mark_cold(idx);
     }
 
     /// Is this satellite still in its post-recovery warm-up?
     #[cfg(test)]
     pub(crate) fn is_cold(&self, id: SatelliteId) -> bool {
-        self.cold[self.cache_idx(id)]
-    }
-
-    /// Append one availability sample for the epoch that just started.
-    pub fn record_availability(&mut self, epoch: u64) {
-        let total = self.cfg.grid.total_slots();
-        let alive = (total - self.failures.dead_count()) as u32;
-        self.metrics.availability.push(crate::metrics::AvailabilityPoint {
-            epoch,
-            alive_sats: alive,
-            cut_links: self.failures.cut_link_count() as u32,
-        });
+        self.slots.cold[self.cache_idx(id)]
     }
 
     /// Export every piece of run-dependent fleet state (checkpoint
@@ -485,7 +461,7 @@ impl SpaceCdn {
         CdnState {
             failures: self.failures.clone(),
             caches: self.slots.caches.iter().map(|c| c.to_state()).collect(),
-            cold: self.cold.clone(),
+            cold: self.slots.cold.clone(),
             inflight: self.slots.inflight.iter().map(|q| q.to_state()).collect(),
             metrics: self.metrics.clone(),
         }
@@ -519,8 +495,7 @@ impl SpaceCdn {
         for qs in &state.inflight {
             queues.push(InflightQueue::from_state(qs).map_err(CdnStateError::Inflight)?);
         }
-        self.slots = Slots { caches: rebuilt, inflight: queues };
-        self.cold = state.cold;
+        self.slots = Slots { caches: rebuilt, inflight: queues, cold: state.cold };
         self.failures = state.failures;
         self.metrics = state.metrics;
         Ok(())
@@ -826,23 +801,6 @@ mod tests {
         let out = cdn.handle_request(fc, ObjectId(5), 100, 2.9);
         assert_eq!(out.served_from, ServedFrom::Ground);
         assert_eq!(cdn.metrics.partitioned_requests, 0);
-    }
-
-    #[test]
-    fn record_availability_snapshots_failure_view() {
-        let g = StarCdnConfig::starcdn(4, CAP).grid;
-        let total = g.total_slots() as u32;
-        let mut failures = FailureModel::from_dead([SatelliteId::new(1, 1)]);
-        failures.cut_link(SatelliteId::new(2, 2), SatelliteId::new(2, 3));
-        let mut cdn = SpaceCdn::with_failures(StarCdnConfig::starcdn(4, CAP), failures);
-        cdn.record_availability(0);
-        cdn.set_failures(FailureModel::none());
-        cdn.record_availability(1);
-        assert_eq!(cdn.metrics.availability.len(), 2);
-        assert_eq!(cdn.metrics.availability[0].alive_sats, total - 1);
-        assert_eq!(cdn.metrics.availability[0].cut_links, 1);
-        assert_eq!(cdn.metrics.availability[1].alive_sats, total);
-        assert_eq!(cdn.metrics.availability[1].cut_links, 0);
     }
 
     #[test]

@@ -149,6 +149,76 @@ fn recorded_serve_ships_the_replayers_counters() {
     }
 }
 
+/// The plane's row of `tests/replayer_parity.rs::every_driver_records_the_same_fault_event_timeline`:
+/// a recorded MemNet serve at 1 and 4 shards records the engine's
+/// fault-event timeline cell for cell — the router's pre-pass the
+/// remaps, detours and churn, the shards the cold misses — under churn
+/// and under static outages with no schedule.
+#[test]
+fn recorded_serve_ships_the_engines_fault_event_timeline() {
+    use spacegen::classes::TrafficClass;
+    use spacegen::production::ProductionModel;
+    use spacegen::trace::Location;
+    use starcdn_constellation::schedule::{ChurnParams, FaultSchedule};
+    use starcdn_orbit::time::SimDuration;
+    use starcdn_telemetry::{Event, TelemetrySnapshot};
+    use std::collections::BTreeMap;
+
+    let fault_events = |snap: &TelemetrySnapshot| -> BTreeMap<(Event, u64), u64> {
+        let timeline =
+            snap.events.iter().filter(|((e, _), _)| *e != Event::CheckpointRestoreFallback);
+        timeline.map(|(&cell, &n)| (cell, n)).collect()
+    };
+    let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
+    let world = World::starlink_nine_cities();
+    let churn = FaultSchedule::churn(
+        &world.grid,
+        &ChurnParams {
+            sat_mtbf_secs: 3.0 * 3600.0,
+            sat_mttr_secs: 600.0,
+            link_mtbf_secs: Some(4.0 * 3600.0),
+            link_mttr_secs: 600.0,
+            horizon_secs: 3600,
+            seed: 91,
+        },
+    );
+    let outages = FailureModel::sample(&world.grid, 126, 3);
+    let model = ProductionModel::build(
+        TrafficClass::Video.params().scaled(0.02),
+        &Location::akamai_nine(),
+        61,
+    );
+    let trace = model.generate_trace(SimDuration::from_hours(1), 61);
+    let scheduler = SimConfig::default().scheduler();
+    let churn_world = World::starlink_nine_cities().with_fault_schedule(churn.clone());
+    let scenarios = [
+        (
+            "churn",
+            FailureModel::none(),
+            Some(&churn),
+            build_access_log(&churn_world, &trace, 15, &scheduler),
+        ),
+        ("static outages", outages, None, build_access_log(&world, &trace, 15, &scheduler)),
+    ];
+    for (name, base, schedule, l) in scenarios {
+        let rec = MemoryRecorder::new();
+        let mut spec = RunSpec { recorder: &rec, ..RunSpec::default() };
+        spec.schedule = schedule.unwrap_or(spec.schedule);
+        let mut fleet = SpaceCdn::with_failures(cfg.clone(), base.clone());
+        let m = starcdn_sim::engine::run(&mut fleet, &l, &spec).unwrap();
+        let engine = fault_events(&rec.snapshot());
+        assert!(m.remapped_requests > 0 && engine.keys().any(|&(e, _)| e == Event::Remap));
+        assert_eq!(m.cold_restart_misses > 0, schedule.is_some(), "{name}: cold restarts");
+        for shards in [1usize, 4] {
+            let rec = MemoryRecorder::new();
+            let p = ServePlan::build(&cfg, &base, &l, schedule, None, shards, 64, &rec).unwrap();
+            let report = serve_replay(&MemNet::new(), &p, &ServeConfig::default(), &rec).unwrap();
+            assert_eq!(report.metrics.stats, m.stats, "{name} at {shards} shards: stats");
+            assert_eq!(fault_events(&rec.snapshot()), engine, "{name} at {shards} shards");
+        }
+    }
+}
+
 #[test]
 fn zero_fault_realnet_matches_replayer_digest() {
     zero_fault_parity(&RealNet, "loopback TCP");

@@ -4,9 +4,8 @@
 //! A checkpoint freezes the full engine state at a scheduler-epoch
 //! boundary — every cache's policy-internal state, the fault-schedule
 //! cursor, the capacity ledger, partially-accumulated metrics and
-//! latency samples, the telemetry snapshot, and the fault-event
-//! watermark — so a killed run can resume and finish **bit-for-bit
-//! identical** to the uninterrupted one.
+//! latency samples, and the telemetry snapshot — so a killed run can
+//! resume and finish **bit-for-bit identical** to the uninterrupted one.
 //!
 //! Durability model:
 //!
@@ -30,14 +29,15 @@
 //!
 //! Snapshot semantics: a checkpoint taken when entering boundary epoch
 //! `E` captures the state *before* any of `E`'s boundary actions
-//! (watermark flush, churn application, availability sample, ledger
-//! advance, prefetch round). Resume restores `current_epoch` to the
+//! (churn application, availability sample, ledger advance, prefetch
+//! round). Resume restores `current_epoch` to the
 //! previous epoch and re-enters the loop at the same entry index, so the
 //! boundary re-executes exactly as the uninterrupted run did.
 
 use crate::codec::{decode, encode, wire_struct};
 use crate::columns::LogView;
-use crate::engine::{FaultEventWatermark, RunSpec};
+use crate::engine::RunSpec;
+use crate::resolve::EpochBoundary;
 use starcdn::config::StarCdnConfig;
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::{CdnState, SpaceCdn};
@@ -446,6 +446,8 @@ struct EngineBody {
     /// `(events applied, live failure view)` of the schedule cursor.
     cursor: Option<(u64, FailureModel)>,
     ledger: Option<Vec<EpochUsageState>>,
+    /// Retired: the fault-event counter levels of an older engine.
+    /// Written as zeros, ignored on read; kept so the layout stays.
     watermark: [u64; 3],
 }
 
@@ -480,6 +482,18 @@ pub fn metrics_digest(m: &SystemMetrics) -> u64 {
     fp_bytes(0xCBF2_9CE4_8422_2325, &encode(m))
 }
 
+/// FNV-1a over the canonical encoding of what a recorded run's `snap`
+/// says about the simulation: every counter, histogram bucket and fault
+/// event. Span timings (wall clock) and `CheckpointRestoreFallback`
+/// events (a resume's recovery path, not the run) are left out, so a
+/// resumed run's digest is the uninterrupted one's.
+pub fn telemetry_digest(snap: &TelemetrySnapshot) -> u64 {
+    let mut snap = snap.clone();
+    snap.spans.clear();
+    snap.events.retain(|(e, _), _| *e != Event::CheckpointRestoreFallback);
+    fp_bytes(0xCBF2_9CE4_8422_2325, &encode(&snap))
+}
+
 // ---------------------------------------------------------------------------
 // The engine loop's checkpoint side.
 // ---------------------------------------------------------------------------
@@ -495,7 +509,6 @@ pub(crate) struct LoopState {
     /// `(events applied, live failure view)` of the schedule cursor.
     pub(crate) cursor: Option<(u64, FailureModel)>,
     pub(crate) ledger: Option<Vec<EpochUsageState>>,
-    pub(crate) watermark: FaultEventWatermark,
     pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -579,13 +592,11 @@ impl<'a> EngineCheckpointer<'a> {
             return Err(CheckpointError::Malformed("mode does not match stored sections"));
         }
         let telemetry = decode(raw.telemetry)?;
-        let [remapped, extra_hops, cold_misses] = body.watermark;
         let state = LoopState {
             prev_epoch: meta.prev_epoch,
             entry_index: meta.entry_index as usize,
             cursor: body.cursor,
             ledger: body.ledger,
-            watermark: FaultEventWatermark { remapped, extra_hops, cold_misses },
             telemetry,
         };
         let fleet = CdnState {
@@ -598,14 +609,11 @@ impl<'a> EngineCheckpointer<'a> {
         Ok((meta.boundary_epoch, fleet, state))
     }
 
-    /// Whether crossing from `current_epoch` into `epoch` owes a
-    /// checkpoint: every `every_n_epochs`, never before the first epoch,
-    /// and not the boundary a resume just restored.
-    pub(crate) fn due(&self, current_epoch: u64, epoch: u64) -> bool {
-        let every_n = self.ck.policy.every_n_epochs.max(1);
-        current_epoch != u64::MAX
-            && epoch / every_n != current_epoch / every_n
-            && self.last_written != Some(epoch)
+    /// Whether entering `epoch` from where `boundary` stands owes a
+    /// checkpoint: at every `every_n_epochs` barrier it crosses, but not
+    /// the boundary a resume just restored.
+    pub(crate) fn due(&self, boundary: &EpochBoundary<'_>, epoch: u64) -> bool {
+        boundary.crosses(epoch, self.ck.policy.every_n_epochs) && self.last_written != Some(epoch)
     }
 
     /// Write the checkpoint for boundary `epoch`: the fleet as it stands
@@ -625,7 +633,6 @@ impl<'a> EngineCheckpointer<'a> {
             use_overload: self.use_overload,
         };
         let fleet = cdn.export_state();
-        let wm = state.watermark;
         let body = EngineBody {
             failures: fleet.failures,
             caches: fleet.caches,
@@ -634,7 +641,7 @@ impl<'a> EngineCheckpointer<'a> {
             metrics: fleet.metrics,
             cursor: state.cursor,
             ledger: state.ledger,
-            watermark: [wm.remapped, wm.extra_hops, wm.cold_misses],
+            watermark: [0; 3],
         };
         let bytes = encode_container(
             KIND_ENGINE,

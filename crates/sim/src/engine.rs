@@ -4,18 +4,20 @@
 //! variant), the Static Cache ideal, the no-cache bent pipe, or the
 //! terrestrial-CDN latency reference. Single-threaded and bit-for-bit
 //! reproducible; the throughput-oriented parallel path lives in
-//! [`crate::replayer`].
+//! [`crate::replayer`]. Both cross scheduler-epoch boundaries through one
+//! step (`crate::resolve::EpochBoundary`) and resolve requests through
+//! one function, so they count — and record — the same faults.
 
-use crate::access_log::{record_fault_delta, AccessLog, AccessLogEntry};
+use crate::access_log::{AccessLog, AccessLogEntry};
 use crate::checkpoint::{CheckpointError, Checkpointing, EngineCheckpointer, LoopState};
 use crate::columns::{AccessLogColumns, LogView};
-use crate::overload::{Admission, OverloadConfig};
-use crate::resolve::{record_outcome, resolve_request, Resolved};
+use crate::overload::OverloadConfig;
+use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::SpaceCdn;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
-use starcdn_telemetry::{Counter, Event, MemoryRecorder, Noop, Recorder, SpanTimer, Stage};
+use starcdn_telemetry::{Counter, MemoryRecorder, Noop, Recorder, Stage};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,50 +132,23 @@ pub(crate) fn debug_assert_conserved(m: &SystemMetrics, entries: usize, admissio
     assert!(coalesced <= delayed_hits, "coalesced {coalesced} > delayed hits {delayed_hits}");
 }
 
-/// Degraded-mode counter levels at the last epoch boundary; the deltas
-/// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Checkpoints
-/// persist the levels so a resumed run emits the same per-epoch deltas
-/// as the uninterrupted one.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct FaultEventWatermark {
-    pub(crate) remapped: u64,
-    pub(crate) extra_hops: u64,
-    pub(crate) cold_misses: u64,
-}
-
-impl FaultEventWatermark {
-    fn of(m: &SystemMetrics) -> Self {
-        FaultEventWatermark {
-            remapped: m.remapped_requests,
-            extra_hops: m.reroute_extra_hops,
-            cold_misses: m.cold_restart_misses,
-        }
-    }
-
-    /// Emit this epoch's growth and advance the watermark.
-    pub(crate) fn flush(&mut self, rec: &dyn Recorder, epoch: u64, m: &SystemMetrics) {
-        let now = Self::of(m);
-        rec.event(Event::Remap, epoch, now.remapped.saturating_sub(self.remapped));
-        rec.event(Event::Reroute, epoch, now.extra_hops.saturating_sub(self.extra_hops));
-        rec.event(Event::ColdMiss, epoch, now.cold_misses.saturating_sub(self.cold_misses));
-        *self = now;
-    }
-}
-
 /// Replay `log` (rows or columns) through a satellite fleet as `spec`
 /// describes; returns the run's metrics (also left in `cdn.metrics`).
 ///
 /// At every scheduler-epoch boundary met in the log: a due checkpoint
-/// is written, the fault cursor advances (wipe, mark cold, availability
-/// sample), the capacity ledger rolls over, and — when the fleet is
-/// configured with proactive prefetch — a prefetch round runs. Each
+/// is written, the boundary is entered (the fault cursor advances and
+/// availability is sampled, the capacity ledger rolls over), its churn
+/// is applied to the fleet (wipe, mark cold, the new failure view), and
+/// — when the fleet is configured with proactive prefetch — a prefetch
+/// round runs. Each
 /// request is then resolved (`resolve_request`: the overload lifecycle
 /// when enforcement is on, plain route classification otherwise) and
 /// served at once by [`SpaceCdn::serve`], the serve kernel.
 ///
 /// A run without a checkpoint cannot fail. With telemetry, per-request
 /// histograms and counters, a [`Stage::CacheAccess`] span per epoch and
-/// the epoch-stamped fault events are recorded; all of it is gated on
+/// the fault events, each stamped with its request's epoch, are
+/// recorded; all of it is gated on
 /// one hoisted [`Recorder::is_enabled`] check. A checkpointed run's
 /// output is bit-for-bit the uncheckpointed one's; only span wall-clock
 /// times differ. On resume `cdn` must be freshly built with the
@@ -200,7 +175,6 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
 ) -> Result<SystemMetrics, CheckpointError> {
     let schedule = spec.live_schedule();
     let overload = spec.live_overload();
-    let faulty = schedule.is_some() || overload.is_some();
     let prefetching = cdn.config().prefetch_top_k.is_some();
     let enabled = spec.recorder.is_enabled();
     let epoch_secs = log.epoch_secs().max(1);
@@ -217,91 +191,75 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
 
     // A fleet that served before this run holds counts of other logs.
     let whole_log = cdn.metrics.stats.requests + cdn.metrics.dropped_requests == 0;
-    let mut admission = overload.map(|o| Admission::new(cdn.env(), o, epoch_secs));
-    let mut cursor = schedule.map(|s| ScheduleCursor::new(s, cdn.failures().clone()));
-    let mut watermark = FaultEventWatermark::default();
-    let mut current_epoch = u64::MAX;
+    let mut boundary =
+        EpochBoundary::new(cdn.env(), cdn.failures(), spec, epoch_secs, rec, Stage::CacheAccess);
     let mut start = 0usize;
 
     let mut checkpointer = None;
     if let Some(ck) = &spec.checkpoint {
-        let ledger = admission.as_mut().map(|a| &mut a.ledger);
+        let ledger = boundary.admission.as_mut().map(|a| &mut a.ledger);
         let (cp, resumed) = EngineCheckpointer::open(ck, cdn, ledger, log, spec)?;
         checkpointer = Some(cp);
         if let Some(rs) = resumed {
-            if let (Some(s), Some((applied, view))) = (schedule, rs.cursor) {
-                cursor = Some(ScheduleCursor::resume(s, applied as usize, view));
-            }
-            watermark = rs.watermark;
-            current_epoch = rs.prev_epoch;
+            let cursor = schedule
+                .zip(rs.cursor)
+                .map(|(s, (applied, view))| ScheduleCursor::resume(s, applied as usize, view));
+            boundary.restore(rs.prev_epoch, cursor);
             start = rs.entry_index;
             if let (Some(m), Some(t)) = (&mrec, rs.telemetry.as_ref()) {
                 m.absorb(t);
             }
         }
     }
-    // The plain run never looks at the clock: skipping the per-request
-    // epoch division is the hot loop's one specialization.
-    let track_epochs = faulty
-        || prefetching
-        || enabled
-        || cdn.config().delayed.is_enabled()
-        || checkpointer.is_some();
-    let mut epoch_span: Option<SpanTimer> = None;
-    for (k, e) in entries_from(start).enumerate() {
-        if track_epochs {
+    // The plain run never looks at the clock and crosses no boundary, so
+    // it gets a loop of its own: one loop that tested this per request
+    // read ≈ 10 % slower on a plain no-relay run (EXPERIMENTS.md
+    // "Epoch boundary").
+    let plain = schedule.is_none()
+        && overload.is_none()
+        && !prefetching
+        && !enabled
+        && !cdn.config().delayed.is_enabled()
+        && checkpointer.is_none();
+    let entries = entries_from(start);
+    if plain {
+        for e in entries {
+            let (env, view, metrics) = cdn.resolving();
+            if let Resolved::Serve(req) =
+                resolve_request(env, view, None, u64::MAX, &e, metrics, rec)
+            {
+                cdn.serve(&req);
+            }
+        }
+    } else {
+        for (k, e) in entries.enumerate() {
             let epoch = e.time.as_secs() / epoch_secs;
-            if epoch != current_epoch {
-                if let Some(cp) = checkpointer.as_mut() {
-                    if cp.due(current_epoch, epoch) {
-                        // Close the open span first so its stats make
-                        // the snapshot; the checkpoint then captures the
-                        // state *before* any of this boundary's actions.
-                        epoch_span = None;
-                        let state = LoopState {
-                            prev_epoch: current_epoch,
-                            entry_index: start + k,
-                            cursor: cursor
-                                .as_ref()
-                                .map(|c| (c.position() as u64, c.view().clone())),
-                            ledger: admission.as_ref().map(|a| a.ledger.export_state()),
-                            watermark,
-                            telemetry: mrec.as_ref().map(|m| m.snapshot()),
-                        };
-                        cp.write(cdn, epoch, state)?;
-                    }
+            if epoch != boundary.epoch {
+                if let Some(cp) = checkpointer.as_mut().filter(|cp| cp.due(&boundary, epoch)) {
+                    // Close the open span first so its stats make the
+                    // snapshot; the checkpoint then captures the state
+                    // *before* any of this boundary's actions.
+                    boundary.close_span();
+                    let state = LoopState {
+                        prev_epoch: boundary.epoch,
+                        entry_index: start + k,
+                        cursor: boundary.cursor_state(),
+                        ledger: boundary.admission.as_ref().map(|a| a.ledger.export_state()),
+                        telemetry: mrec.as_ref().map(|m| m.snapshot()),
+                    };
+                    cp.write(cdn, epoch, state)?;
                 }
-                if faulty && enabled && current_epoch != u64::MAX {
-                    watermark.flush(rec, current_epoch, &cdn.metrics);
-                }
-                current_epoch = epoch;
                 cdn.set_now_epoch(epoch);
-                if enabled {
-                    // Replacing the guard closes the previous epoch's span.
-                    epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
-                }
-                if let Some(cur) = cursor.as_mut() {
-                    let delta = cur.advance_to(epoch * epoch_secs);
-                    if !delta.is_empty() {
-                        if enabled {
-                            record_fault_delta(rec, epoch, &delta);
-                            rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                            rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                        }
-                        // Down first: a satellite that restarted within
-                        // one step is wiped, then marked cold.
-                        for &id in &delta.went_down {
-                            cdn.wipe_cache(id);
-                        }
-                        for &id in &delta.came_up {
-                            cdn.mark_cold(id);
-                        }
-                        cdn.set_failures(cur.view().clone());
+                if let Some(churn) = boundary.enter(epoch, &mut cdn.metrics) {
+                    // Down first: a satellite that restarted within one
+                    // step is wiped, then marked cold.
+                    for &id in &churn.went_down {
+                        cdn.wipe_cache(id);
                     }
-                    cdn.record_availability(epoch);
-                }
-                if let Some(adm) = admission.as_mut() {
-                    cdn.metrics.utilization.extend(adm.advance_to(epoch));
+                    for &id in &churn.came_up {
+                        cdn.mark_cold(id);
+                    }
+                    cdn.set_failures(boundary.view().expect("churn comes from a cursor").clone());
                 }
                 if prefetching {
                     cdn.prefetch_round();
@@ -310,26 +268,21 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
                     }
                 }
             }
-        }
-        // Resolve, then serve at once: the one-shard case of the
-        // replayer's pre-pass and workers.
-        let (env, view, metrics) = cdn.resolving();
-        let out =
-            match resolve_request(env, view, admission.as_mut(), current_epoch, &e, metrics, rec) {
-                Resolved::Serve(req) => cdn.serve(&req),
+            // Resolve, then serve at once: the one-shard case of the
+            // replayer's pre-pass and workers.
+            let (env, view, metrics) = cdn.resolving();
+            let admission = boundary.admission.as_mut();
+            let req = match resolve_request(env, view, admission, epoch, &e, metrics, rec) {
+                Resolved::Serve(req) => req,
                 Resolved::Accounted => continue,
             };
-        if enabled {
-            record_outcome(rec, &out, e.size);
+            let out = cdn.serve(&req);
+            if enabled {
+                record_outcome(rec, &out, &req);
+            }
         }
     }
-    drop(epoch_span);
-    if faulty && enabled && current_epoch != u64::MAX {
-        watermark.flush(rec, current_epoch, &cdn.metrics);
-    }
-    if let Some(mut adm) = admission {
-        cdn.metrics.utilization.extend(adm.ledger.finish());
-    }
+    boundary.finish(&mut cdn.metrics);
     if let Some(m) = &mrec {
         spec.recorder.absorb(&m.snapshot());
     }

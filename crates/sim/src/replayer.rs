@@ -24,12 +24,18 @@
 //! every slot is a group of its own, and slot `i` goes to worker
 //! `i % num_workers`.
 //!
-//! Fault schedules keep that exactness: the pre-pass resolves every
-//! request against the live failure view of its epoch and injects
-//! cache-wipe / mark-cold pseudo-ops into the owning satellite's shard
-//! stream. A dead satellite receives no routed requests while dead, so
-//! the pseudo-ops land at the same stream position the sequential engine
-//! applies them — per-satellite behaviour stays bit-for-bit identical.
+//! Fault schedules keep that exactness: the pre-pass crosses each
+//! scheduler-epoch boundary through the engine's own step
+//! (`crate::resolve::EpochBoundary`), resolves every request against the
+//! live failure view of its epoch, and turns the boundary's churn into
+//! cache-wipe / mark-cold pseudo-ops on the owning satellite's shard
+//! stream where the engine applies it to its fleet. A dead satellite
+//! receives no routed requests while dead, so the pseudo-ops land at the
+//! same stream position the sequential engine applies them —
+//! per-satellite behaviour stays bit-for-bit identical. Fault events are
+//! recorded where their counters are counted — remaps and detours on
+//! resolve, cold misses on serve — so the event timeline is the
+//! engine's too.
 //! Relay candidates and probes resolve against the *base* failure set,
 //! the view the groups are drawn on, while the engine resolves them
 //! against the live view of each epoch: with relay under churn the
@@ -47,26 +53,26 @@
 //! into segments at pre-pass barriers; a run without one is a single
 //! segment.
 //!
-//! Proactive-prefetch configurations are *not* simulated here (prefetch
-//! rounds are global barriers, which would defeat the sharding); use the
-//! sequential engine for the prefetch ablation.
+//! Proactive-prefetch configurations are refused (prefetch rounds are
+//! global barriers, which would defeat the sharding); use the sequential
+//! engine for the prefetch ablation.
 
 use crate::access_log::AccessLog;
 use crate::checkpoint::CheckpointError;
 use crate::columns::LogView;
-use crate::engine::{debug_assert_conserved, FaultEventWatermark, RunSpec};
-use crate::overload::{Admission, OverloadConfig};
+use crate::engine::{debug_assert_conserved, RunSpec};
+use crate::overload::OverloadConfig;
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
-use crate::resolve::{record_outcome, resolve_request, Resolved};
+use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, Slots};
-use starcdn::metrics::{AvailabilityPoint, SystemMetrics};
+use starcdn::metrics::SystemMetrics;
 use starcdn::relay::shard_table;
 use starcdn_constellation::failures::FailureModel;
-use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
+use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_io::wire::{Reader, WireError, Writer};
 use starcdn_telemetry::{
-    Counter, Event, Histo, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot,
+    Event, Histo, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot,
 };
 use std::ops::Range;
 
@@ -91,8 +97,8 @@ pub(crate) enum ShardOp {
 /// that are merged into `spec.recorder` in chunk, then shard index
 /// order, so the returned metrics — and the recorded snapshot — are
 /// identical run-to-run regardless of thread interleaving. Fault events
-/// are stamped with their epoch in the pre-pass, which walks the
-/// schedule in each chunk's epoch order.
+/// are stamped with their request's epoch (churn with the epoch it
+/// applies at), so the timeline is the engine's.
 ///
 /// A checkpointed run joins all workers at every `every_n_epochs`
 /// barrier — so every worker's part of the snapshot is taken at the
@@ -104,7 +110,8 @@ pub(crate) enum ShardOp {
 /// without a checkpoint cannot fail.
 ///
 /// # Panics
-/// Panics when `num_workers` is zero.
+/// Panics when `num_workers` is zero, or when `cfg` configures proactive
+/// prefetch (`prefetch_top_k`), which only the engine runs.
 pub fn run<'a>(
     cfg: &StarCdnConfig,
     base_failures: &FailureModel,
@@ -113,6 +120,10 @@ pub fn run<'a>(
     spec: &RunSpec<'_>,
 ) -> Result<SystemMetrics, CheckpointError> {
     assert!(num_workers > 0);
+    assert!(
+        cfg.prefetch_top_k.is_none(),
+        "the replayer does not run prefetch rounds; replay a prefetch configuration with the engine"
+    );
     let log = log.into();
     let rec = spec.recorder;
     let enabled = rec.is_enabled();
@@ -174,7 +185,7 @@ pub fn run<'a>(
         {
             let (env, pre, starts, ends, worker_recs) = (&env, &pre, &starts, &ends, &worker_recs);
             std::thread::scope(|s| {
-                for (w, (slots, m, cold)) in state.workers().enumerate() {
+                for (w, (slots, m)) in state.workers().enumerate() {
                     s.spawn(move || {
                         let wrec = worker_recs.get(w);
                         let _shard_span =
@@ -183,7 +194,7 @@ pub fn run<'a>(
                         // other workers' metrics; write back at the end.
                         let mut local = std::mem::take(m);
                         for ops in pre.stream(w, starts[w]..ends[w]) {
-                            run_shard_ops(ops, slots, env, base_failures, &mut local, cold, wrec);
+                            run_shard_ops(ops, slots, env, base_failures, &mut local, wrec);
                         }
                         *m = local;
                     });
@@ -483,8 +494,8 @@ fn prepare_chunks(
 
 /// The pre-pass's one per-entry loop, over chunk `ch`'s entries. A chunk
 /// after the first starts where the entry before it left one pass: the
-/// fault cursor advanced silently to that entry's epoch, which also
-/// seeds the epoch the barriers count from.
+/// boundary skipped silently to that entry's epoch, which also seeds the
+/// epoch the barriers count from.
 fn resolve_chunk(
     env: &ServeEnv,
     base_failures: &FailureModel,
@@ -498,131 +509,78 @@ fn resolve_chunk(
         Some(r) => r,
         None => spec.recorder,
     };
-    let enabled = rec.is_enabled();
     let spp = env.grid.sats_per_plane;
-    let total_slots = env.grid.total_slots();
     let epoch_secs = log.epoch_secs().max(1);
-    let before = ch.range.start.checked_sub(1).map(|i| log.entry(i).time.as_secs() / epoch_secs);
-    let mut cursor = spec.live_schedule().map(|s| {
-        let mut cur = ScheduleCursor::new(s, base_failures.clone());
-        if let Some(epoch) = before {
-            cur.advance_to(epoch * epoch_secs);
-        }
-        cur
-    });
     // Overload mode: each chunk's ledger starts empty, as one pass's
     // does at the chunk's first epoch, so admission decisions are the
     // engine's.
-    let mut admission = spec.live_overload().map(|o| Admission::new(env, o, epoch_secs));
-    let mut current_epoch = before.unwrap_or(u64::MAX);
-    let mut seg_epoch = before.unwrap_or(u64::MAX);
-    // Telemetry epoch tracking is independent of the fault cursor so the
-    // static (no-schedule) path still gets a per-epoch resolve timeline.
-    let mut tele_epoch = u64::MAX;
-    let mut resolve_span: Option<SpanTimer> = None;
-    let mut watermark = FaultEventWatermark::default();
+    let mut boundary =
+        EpochBoundary::new(env, base_failures, spec, epoch_secs, rec, Stage::ResolveOwner);
+    let before = ch.range.start.checked_sub(1).map(|i| log.entry(i).time.as_secs() / epoch_secs);
+    if let Some(epoch) = before {
+        boundary.skip_to(epoch);
+    }
     let mut floor = before.map_or(0, |epoch| epoch + 1);
     let Chunk { range, pieces, direct, cuts, in_order, .. } = ch;
     for e in log.entries(range.clone()) {
         let epoch = e.time.as_secs() / epoch_secs;
         *in_order &= epoch >= floor;
         floor = epoch;
-        if let Some(every) = barrier_every {
-            let every = every.max(1);
+        if epoch != boundary.epoch {
             // Cut before this epoch's churn pseudo-ops are pushed: a
             // checkpoint at this barrier captures the state *before*
-            // the boundary, mirroring the engine checkpoint semantics.
-            if seg_epoch != u64::MAX && epoch / every != seg_epoch / every {
+            // the boundary, as an engine checkpoint does.
+            if barrier_every.is_some_and(|every| boundary.crosses(epoch, every)) {
                 cuts.push(ShardCut {
                     barrier_epoch: epoch,
                     lens: pieces.iter().map(Vec::len).collect(),
                 });
             }
-            seg_epoch = epoch;
-        }
-        if enabled && epoch != tele_epoch {
-            if tele_epoch != u64::MAX {
-                watermark.flush(rec, tele_epoch, direct);
-            }
-            tele_epoch = epoch;
-            // Replacing the span drops (and thus reports) the previous
-            // epoch's resolve time.
-            resolve_span = Some(SpanTimer::start(rec, Stage::ResolveOwner, epoch));
-        }
-        if let Some(cur) = cursor.as_mut() {
-            if epoch != current_epoch {
-                current_epoch = epoch;
-                let delta = cur.advance_to(epoch * epoch_secs);
-                if enabled {
-                    crate::access_log::record_fault_delta(rec, epoch, &delta);
-                    rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                    rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                }
-                for &id in &delta.went_down {
+            if let Some(churn) = boundary.enter(epoch, direct) {
+                for &id in &churn.went_down {
                     let idx = id.index(spp);
                     pieces[shard_of[idx]].push(ShardOp::Wipe(idx));
                 }
-                for &id in &delta.came_up {
+                for &id in &churn.came_up {
                     let idx = id.index(spp);
                     pieces[shard_of[idx]].push(ShardOp::MarkCold(idx));
                 }
-                direct.availability.push(AvailabilityPoint {
-                    epoch,
-                    alive_sats: (total_slots - cur.view().dead_count()) as u32,
-                    cut_links: cur.view().cut_link_count() as u32,
-                });
             }
         }
-        if let Some(adm) = admission.as_mut().filter(|adm| adm.epoch != epoch) {
-            direct.utilization.extend(adm.advance_to(epoch));
-        }
-        let view = cursor.as_ref().map(|c| c.view()).unwrap_or(base_failures);
         // Workers only touch caches: whatever is decided without one is
         // accounted here, in the pre-pass.
-        if let Resolved::Serve(req) =
-            resolve_request(env, view, admission.as_mut(), epoch, &e, direct, rec)
+        let (view, admission) = boundary.resolving(base_failures);
+        if let Resolved::Serve(req) = resolve_request(env, view, admission, epoch, &e, direct, rec)
         {
             pieces[shard_of[req.owner.index(spp)]].push(ShardOp::Request(req));
         }
     }
-    // Close out the last epoch's resolve span and event cells.
-    drop(resolve_span);
-    if let Some(mut adm) = admission {
-        direct.utilization.extend(adm.ledger.finish());
-    }
-    if enabled && tele_epoch != u64::MAX {
-        watermark.flush(rec, tele_epoch, direct);
-    }
+    boundary.finish(direct);
 }
 
 /// Replay one contiguous slice of a shard's op stream against the
-/// shard's own `slots`, accumulating into the worker's persistent
-/// `m`/`cold` state: wipe, mark cold, or [`serve_one`]. Relay candidates
-/// resolve against the static `base_failures`, not a live view —
-/// workers run ahead of and behind the pre-pass's churn cursor.
+/// shard's own `slots`, accumulating into the worker's persistent `m`:
+/// wipe, mark cold, or [`serve_one`]. Relay candidates resolve against
+/// the static `base_failures`, not a live view — workers run ahead of
+/// and behind the pre-pass's churn cursor.
 pub(crate) fn run_shard_ops(
     ops: &[ShardOp],
     slots: &mut Slots,
     env: &ServeEnv,
     base_failures: &FailureModel,
     m: &mut SystemMetrics,
-    cold: &mut [bool],
     wrec: Option<&MemoryRecorder>,
 ) {
     for op in ops {
         match op {
             ShardOp::Request(req) => {
-                let out = serve_one(slots, env, base_failures, cold, m, req);
+                let out = serve_one(slots, env, base_failures, m, req);
                 if let Some(r) = wrec {
-                    record_outcome(r, &out, req.size);
+                    record_outcome(r, &out, req);
                 }
             }
-            ShardOp::Wipe(idx) => {
-                slots.caches[*idx].clear();
-                slots.inflight[*idx].clear();
-                cold[*idx] = false;
-            }
-            ShardOp::MarkCold(idx) => cold[*idx] = true,
+            ShardOp::Wipe(idx) => slots.wipe(*idx),
+            ShardOp::MarkCold(idx) => slots.mark_cold(*idx),
         }
     }
 }
@@ -1220,6 +1178,16 @@ mod tests {
             let pre = shards(&env, &none, &log, &spec, workers, Some(5));
             assert_eq!(pre_pass_digest(&pre), one, "{workers} workers");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run prefetch rounds")]
+    fn prefetch_configurations_are_refused() {
+        let cfg = StarCdnConfig {
+            prefetch_top_k: Some(8),
+            ..StarCdnConfig::starcdn_no_relay(4, 100_000)
+        };
+        replay_parallel(cfg, FailureModel::none(), &log(), 2);
     }
 
     #[test]

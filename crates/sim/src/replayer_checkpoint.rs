@@ -7,8 +7,8 @@
 //! change neither: a cut is an offset into a shard's whole stream, the
 //! one pass's offset bit for bit, wherever the chunk boundaries fall.
 //! Only the worker-side state ([`ReplayState`]) is persisted: every
-//! slot's cache contents and in-flight fetches, each worker's
-//! cold-satellite flags, accumulated metrics, and telemetry recorder.
+//! slot's cache contents and in-flight fetches, each worker's slot
+//! store's cold flags, accumulated metrics, and telemetry recorder.
 //! Live, each worker holds a full-size slot store; a checkpoint takes
 //! slot `i` from, and restores it into, worker `shard_of[i]` — the one
 //! [`starcdn::relay::shard_table`] gives it — so the body lists every
@@ -20,8 +20,8 @@
 //! calls [`ReplayCheckpointer::write`] at each, with the same
 //! atomic-rename/CRC container as the engine's ([`crate::checkpoint`],
 //! KIND_REPLAY). META and BODY are each one `codec` field list, and
-//! TELEMETRY is one snapshot per worker. Workers keep their metric/cold
-//! state across segments, and per-shard streams are replayed in order,
+//! TELEMETRY is one snapshot per worker. Workers keep their slots and
+//! metrics across segments, and per-shard streams are replayed in order,
 //! so a checkpointed run's output is bit-for-bit the uncheckpointed
 //! one's.
 
@@ -109,27 +109,21 @@ pub(crate) struct ReplayState {
     /// A full-size slot store each, of which a worker touches only the
     /// slots its shard owns.
     slots: Vec<Slots>,
-    pub(crate) cold: Vec<Vec<bool>>,
     pub(crate) metrics: Vec<SystemMetrics>,
 }
 
 impl ReplayState {
     /// Empty caches and queues, nothing cold, nothing counted.
     pub(crate) fn fresh(cfg: &StarCdnConfig, num_workers: usize) -> Self {
-        let total_slots = cfg.grid.total_slots();
         ReplayState {
             slots: (0..num_workers).map(|_| Slots::new(cfg)).collect(),
-            cold: (0..num_workers).map(|_| vec![false; total_slots]).collect(),
             metrics: (0..num_workers).map(|_| SystemMetrics::default()).collect(),
         }
     }
 
-    /// Each worker's slots, metrics and cold flags, shard index order.
-    pub(crate) fn workers(
-        &mut self,
-    ) -> impl Iterator<Item = (&mut Slots, &mut SystemMetrics, &mut Vec<bool>)> {
-        let workers = self.slots.iter_mut().zip(&mut self.metrics).zip(&mut self.cold);
-        workers.map(|((slots, m), cold)| (slots, m, cold))
+    /// Each worker's slots and metrics, shard index order.
+    pub(crate) fn workers(&mut self) -> impl Iterator<Item = (&mut Slots, &mut SystemMetrics)> {
+        self.slots.iter_mut().zip(&mut self.metrics)
     }
 
     /// Rebuild live state from a decoded body, slot by slot in index
@@ -150,7 +144,10 @@ impl ReplayState {
             state.slots[shard_of[slot]].inflight[slot] = InflightQueue::from_state(qs)
                 .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
         }
-        (state.cold, state.metrics) = (body.cold, body.metrics);
+        for (slots, cold) in state.slots.iter_mut().zip(body.cold) {
+            slots.cold = cold;
+        }
+        state.metrics = body.metrics;
         Ok(state)
     }
 }
@@ -278,7 +275,7 @@ impl<'a> ReplayCheckpointer<'a> {
         let body = ReplayBody {
             caches: slots.clone().map(|i| owner(i).caches[i].to_state()).collect(),
             inflight: slots.map(|i| owner(i).inflight[i].to_state()).collect(),
-            cold: state.cold.clone(),
+            cold: state.slots.iter().map(|s| s.cold.clone()).collect(),
             metrics: state.metrics.clone(),
         };
         let meta = ReplayMeta {

@@ -14,9 +14,9 @@
 //!   directly-accounted metrics (unroutable, partitioned, overload
 //!   decisions, availability timeline) stay on the router, exactly as
 //!   `replay_parallel` keeps them on the caller.
-//! * [`ShardState`] is what a shard server owns: every slot's cache,
-//!   inflight queues, cold flags, and its accumulated
-//!   [`SystemMetrics`]. [`ShardState::apply_batch`] decodes a batch and
+//! * [`ShardState`] is what a shard server owns: a full-size slot store
+//!   (every slot's cache, inflight queue and cold flag) and its
+//!   accumulated [`SystemMetrics`]. [`ShardState::apply_batch`] decodes a batch and
 //!   feeds it through `crate::replayer::run_shard_ops` — the very
 //!   function the in-process replayer's workers run, over the plain
 //!   slot store the engine's fleet uses — so a zero-fault socket run is
@@ -58,6 +58,9 @@ pub enum ServePlanError {
     NoShards,
     /// `batch_ops` was zero.
     EmptyBatch,
+    /// The configuration runs proactive prefetch rounds, which only the
+    /// sequential engine simulates.
+    Prefetch,
 }
 
 impl std::fmt::Display for ServePlanError {
@@ -65,18 +68,28 @@ impl std::fmt::Display for ServePlanError {
         match self {
             ServePlanError::NoShards => write!(f, "serving plane needs at least one shard"),
             ServePlanError::EmptyBatch => write!(f, "batch size must be at least one op"),
+            ServePlanError::Prefetch => {
+                write!(f, "prefetch rounds are not sharded; serve this configuration by the engine")
+            }
         }
     }
 }
 
 impl std::error::Error for ServePlanError {}
 
-fn validate(num_shards: usize, batch_ops: usize) -> Result<(), ServePlanError> {
+fn validate(
+    cfg: &StarCdnConfig,
+    num_shards: usize,
+    batch_ops: usize,
+) -> Result<(), ServePlanError> {
     if num_shards == 0 {
         return Err(ServePlanError::NoShards);
     }
     if batch_ops == 0 {
         return Err(ServePlanError::EmptyBatch);
+    }
+    if cfg.prefetch_top_k.is_some() {
+        return Err(ServePlanError::Prefetch);
     }
     Ok(())
 }
@@ -140,7 +153,7 @@ impl ServePlan {
         batch_ops: usize,
         rec: &dyn Recorder,
     ) -> Result<ServePlan, ServePlanError> {
-        validate(num_shards, batch_ops)?;
+        validate(cfg, num_shards, batch_ops)?;
         let env = ServeEnv::new(cfg);
         let mut spec = RunSpec { recorder: rec, ..RunSpec::default() };
         spec.schedule = schedule.unwrap_or(spec.schedule);
@@ -232,12 +245,13 @@ impl ServePlan {
     }
 }
 
-/// Everything one shard server owns: per-slot caches, inflight queues,
-/// cold flags, accumulated metrics, and an optional telemetry recorder.
+/// Everything one shard server owns: a slot store (per-slot caches,
+/// inflight queues and cold flags), accumulated metrics, and an optional
+/// telemetry recorder.
 /// A server is single-threaded and its serves read only its own slots,
 /// so nothing here is shared or locked.
 ///
-/// The slot vectors are full-size (`total_slots`): a shard only ever
+/// The slot store is full-size (`total_slots`): a shard only ever
 /// receives ops for slots it owns (those the plan's shard table gives
 /// it), so the untouched slots cost empty caches and nothing else —
 /// exactly a replayer worker's memory layout, which keeps the parity
@@ -246,7 +260,6 @@ pub struct ShardState {
     env: ServeEnv,
     failures: FailureModel,
     slots: Slots,
-    cold: Vec<bool>,
     metrics: SystemMetrics,
     rec: Option<MemoryRecorder>,
     /// The batch being applied, decoded; kept for its capacity.
@@ -259,7 +272,6 @@ impl ShardState {
             env: ServeEnv::new(cfg),
             failures: failures.clone(),
             slots: Slots::new(cfg),
-            cold: vec![false; cfg.grid.total_slots()],
             metrics: SystemMetrics::default(),
             rec: record.then(MemoryRecorder::new),
             ops: Vec::new(),
@@ -284,7 +296,7 @@ impl ShardState {
         self.ops.clear();
         self.ops.reserve(r.capacity_for::<ShardOp>(count as usize));
         for _ in 0..count {
-            self.ops.push(get_shard_op(&mut r, spp, self.cold.len())?);
+            self.ops.push(get_shard_op(&mut r, spp, self.slots.cold.len())?);
         }
         r.finish()?;
         run_shard_ops(
@@ -293,7 +305,6 @@ impl ShardState {
             &self.env,
             &self.failures,
             &mut self.metrics,
-            &mut self.cold,
             self.rec.as_ref(),
         );
         Ok(count)
@@ -384,6 +395,18 @@ mod tests {
                 "serve parity at {shards} shards"
             );
         }
+    }
+
+    /// A prefetch configuration is refused, not served without its
+    /// prefetch rounds.
+    #[test]
+    fn prefetch_configurations_are_refused() {
+        let cfg = StarCdnConfig {
+            prefetch_top_k: Some(8),
+            ..StarCdnConfig::starcdn_no_relay(4, 100_000)
+        };
+        let built = ServePlan::build(&cfg, &FailureModel::none(), &log(), None, None, 2, 64, &Noop);
+        assert_eq!(built.err(), Some(ServePlanError::Prefetch));
     }
 
     /// The shard servers charge serialization delay through the same

@@ -273,7 +273,8 @@ pub enum Event {
     LinkUp,
     /// Requests remapped off a dead owner during this epoch.
     Remap,
-    /// Requests detoured around cut links during this epoch.
+    /// Extra ISL hops of the requests detoured around failures during
+    /// this epoch.
     Reroute,
     /// Misses charged to cold restarted caches during this epoch.
     ColdMiss,

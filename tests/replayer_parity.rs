@@ -14,7 +14,8 @@ use starcdn_sim::engine::{run_space, RunSpec, SimConfig};
 use starcdn_sim::replayer::replay_parallel;
 use starcdn_sim::world::World;
 use starcdn_sim::{build_access_log_columns_recorded, metrics_digest};
-use starcdn_telemetry::{Noop, Recorder};
+use starcdn_telemetry::{Event, MemoryRecorder, Noop, Recorder, TelemetrySnapshot};
+use std::collections::BTreeMap;
 
 /// The engine under a fault schedule.
 fn engine_with_faults(
@@ -44,6 +45,18 @@ fn log() -> AccessLog {
     let trace = model.generate_trace(SimDuration::from_hours(1), 61);
     let world = World::starlink_nine_cities();
     build_access_log(&world, &trace, 15, &SimConfig::default().scheduler())
+}
+
+/// Satellite and link churn over the hour of [`log`]'s trace.
+fn churn_params() -> ChurnParams {
+    ChurnParams {
+        sat_mtbf_secs: 3.0 * 3600.0,
+        sat_mttr_secs: 600.0,
+        link_mtbf_secs: Some(4.0 * 3600.0),
+        link_mttr_secs: 600.0,
+        horizon_secs: 3600,
+        seed: 91,
+    }
 }
 
 #[test]
@@ -274,21 +287,13 @@ fn telemetry_recording_never_changes_replayer_output() {
     // perturb a single metric relative to the no-op recorder, under
     // churn and at any worker count — and the recorder itself must merge
     // its per-worker shards deterministically.
-    use starcdn_telemetry::{Counter, MemoryRecorder, Stage};
+    use starcdn_telemetry::{Counter, Stage};
 
     let locations = Location::akamai_nine();
     let model = ProductionModel::build(TrafficClass::Video.params().scaled(0.02), &locations, 61);
     let trace = model.generate_trace(SimDuration::from_hours(1), 61);
     let world = World::starlink_nine_cities();
-    let params = ChurnParams {
-        sat_mtbf_secs: 3.0 * 3600.0,
-        sat_mttr_secs: 600.0,
-        link_mtbf_secs: Some(4.0 * 3600.0),
-        link_mttr_secs: 600.0,
-        horizon_secs: 3600,
-        seed: 91,
-    };
-    let sched = FaultSchedule::churn(&world.grid, &params);
+    let sched = FaultSchedule::churn(&world.grid, &churn_params());
     let world = world.with_fault_schedule(sched.clone());
     let log = build_access_log(&world, &trace, 15, &SimConfig::default().scheduler());
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
@@ -418,12 +423,69 @@ fn telemetry_recording_never_changes_replayer_output() {
     assert!((1..=epochs).contains(&refreshes), "{refreshes} refreshes in {epochs} epochs");
 }
 
+/// The fault-event timeline of a recorded run: every `(event, epoch)`
+/// cell's count, checkpoint fallbacks (a resume's, not the run's) left
+/// out.
+fn fault_events(snap: &TelemetrySnapshot) -> BTreeMap<(Event, u64), u64> {
+    let timeline = snap.events.iter().filter(|((e, _), _)| *e != Event::CheckpointRestoreFallback);
+    timeline.map(|(&cell, &n)| (cell, n)).collect()
+}
+
+/// Every driver records one fault-event timeline, because each event is
+/// recorded where its counter is counted, stamped with its request's
+/// epoch: the engine and the replayer at 1/4/8 workers agree cell for
+/// cell under churn (cold misses are counted by the workers) and under
+/// static outages with no schedule (remaps and detours are counted on
+/// resolve, whatever the fault source), and each event's total is its
+/// counter. The socket plane's row is in `crates/net/tests/serve_plane.rs`.
+#[test]
+fn every_driver_records_the_same_fault_event_timeline() {
+    let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
+    let world = World::starlink_nine_cities();
+    let churn = FaultSchedule::churn(&world.grid, &churn_params());
+    let churn_log = {
+        let locations = Location::akamai_nine();
+        let model =
+            ProductionModel::build(TrafficClass::Video.params().scaled(0.02), &locations, 61);
+        let trace = model.generate_trace(SimDuration::from_hours(1), 61);
+        let world = World::starlink_nine_cities().with_fault_schedule(churn.clone());
+        build_access_log(&world, &trace, 15, &SimConfig::default().scheduler())
+    };
+    let (no_schedule, outages) =
+        (FaultSchedule::empty(), FailureModel::sample(&world.grid, 126, 3));
+    let scenarios = [
+        ("churn", FailureModel::none(), &churn, churn_log),
+        ("static outages", outages, &no_schedule, log()),
+    ];
+    for (name, base, schedule, log) in scenarios {
+        let rec = MemoryRecorder::new();
+        let spec = RunSpec { schedule, recorder: &rec, ..RunSpec::default() };
+        let mut fleet = SpaceCdn::with_failures(cfg.clone(), base.clone());
+        let m = starcdn_sim::engine::run(&mut fleet, &log, &spec).unwrap();
+        let engine = fault_events(&rec.snapshot());
+        let total = |event| -> u64 {
+            engine.iter().filter(|((e, _), _)| *e == event).map(|(_, n)| n).sum()
+        };
+        assert_eq!(total(Event::Remap), m.remapped_requests, "{name}: remaps");
+        assert_eq!(total(Event::Reroute), m.reroute_extra_hops, "{name}: detour hops");
+        assert_eq!(total(Event::ColdMiss), m.cold_restart_misses, "{name}: cold misses");
+        assert!(m.remapped_requests > 0 && m.reroute_extra_hops > 0, "{name}: faults route");
+        assert_eq!(m.cold_restart_misses > 0, name == "churn", "{name}: cold restarts");
+        for workers in [1, 4, 8] {
+            let rec = MemoryRecorder::new();
+            let spec = RunSpec { schedule, recorder: &rec, ..RunSpec::default() };
+            starcdn_sim::replayer::run(&cfg, &base, &log, workers, &spec).unwrap();
+            assert_eq!(fault_events(&rec.snapshot()), engine, "{name} at {workers} workers");
+        }
+    }
+}
+
 /// A request whose owner no path reaches is booked where it is resolved
 /// and never served, so both drivers count it once, as partitioned or
 /// unroutable — never also as routed, missed and timed.
 #[test]
 fn engine_and_replayer_record_owner_unreachable_alike() {
-    use starcdn_telemetry::{Counter, MemoryRecorder};
+    use starcdn_telemetry::Counter;
     let log = log();
     let failures = FailureModel::sample(&World::starlink_nine_cities().grid, 126, 3);
     let cfg = StarCdnConfig::starcdn_no_relay(9, 5_000_000);
