@@ -12,7 +12,11 @@ use crate::policy::AccessOutcome;
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
-/// Running request/byte hit counters.
+/// Running request/byte hit counters. The byte counters saturate at
+/// `u64::MAX` rather than overflow: a log's sizes are input, and hostile
+/// ones (two records of `u64::MAX` bytes) must neither panic a run nor
+/// wrap to a plausible total. Saturation is order-free, so a merge of
+/// partial counts reads what one sequential count does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     pub requests: u64,
@@ -25,10 +29,10 @@ impl CacheStats {
     /// Record one access of `size` bytes with the given outcome.
     pub fn record(&mut self, outcome: AccessOutcome, size: u64) {
         self.requests += 1;
-        self.bytes_requested += size;
+        self.bytes_requested = self.bytes_requested.saturating_add(size);
         if outcome.is_hit() {
             self.hits += 1;
-            self.bytes_hit += size;
+            self.bytes_hit = self.bytes_hit.saturating_add(size);
         }
     }
 
@@ -60,8 +64,8 @@ impl AddAssign for CacheStats {
     fn add_assign(&mut self, rhs: CacheStats) {
         self.requests += rhs.requests;
         self.hits += rhs.hits;
-        self.bytes_requested += rhs.bytes_requested;
-        self.bytes_hit += rhs.bytes_hit;
+        self.bytes_requested = self.bytes_requested.saturating_add(rhs.bytes_requested);
+        self.bytes_hit = self.bytes_hit.saturating_add(rhs.bytes_hit);
     }
 }
 

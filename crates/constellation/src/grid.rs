@@ -77,7 +77,7 @@ impl GridTopology {
     }
 
     /// Whether an id addresses a slot inside this grid.
-    pub(crate) fn contains(&self, id: SatelliteId) -> bool {
+    pub fn contains(&self, id: SatelliteId) -> bool {
         id.orbit < self.num_planes && id.slot < self.sats_per_plane
     }
 

@@ -30,19 +30,19 @@ impl NeighborAvailability {
         match (west, east) {
             (true, false) => {
                 self.west_only_requests += 1;
-                self.west_only_bytes += bytes;
+                self.west_only_bytes = self.west_only_bytes.saturating_add(bytes);
             }
             (false, true) => {
                 self.east_only_requests += 1;
-                self.east_only_bytes += bytes;
+                self.east_only_bytes = self.east_only_bytes.saturating_add(bytes);
             }
             (true, true) => {
                 self.both_requests += 1;
-                self.both_bytes += bytes;
+                self.both_bytes = self.both_bytes.saturating_add(bytes);
             }
             (false, false) => {
                 self.neither_requests += 1;
-                self.neither_bytes += bytes;
+                self.neither_bytes = self.neither_bytes.saturating_add(bytes);
             }
         }
     }
@@ -69,7 +69,8 @@ pub struct AvailabilityPoint {
     pub cut_links: u32,
 }
 
-/// Aggregate metrics of one simulation run.
+/// Aggregate metrics of one simulation run. Every byte counter
+/// saturates at `u64::MAX`, as [`CacheStats`]' do.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SystemMetrics {
     /// System-wide hit statistics: a "hit" is any request served from
@@ -207,15 +208,15 @@ impl SystemMetrics {
             ServedFrom::LocalHit => self.served_local += 1,
             ServedFrom::RelayWest => {
                 self.served_relay_west += 1;
-                self.relay_bytes += size;
+                self.relay_bytes = self.relay_bytes.saturating_add(size);
             }
             ServedFrom::RelayEast => {
                 self.served_relay_east += 1;
-                self.relay_bytes += size;
+                self.relay_bytes = self.relay_bytes.saturating_add(size);
             }
             ServedFrom::Ground => {
                 self.served_ground += 1;
-                self.uplink_bytes += size;
+                self.uplink_bytes = self.uplink_bytes.saturating_add(size);
             }
         }
     }
@@ -283,13 +284,13 @@ impl SystemMetrics {
     /// Merge another run's metrics into this one.
     pub fn merge(&mut self, other: &SystemMetrics) {
         self.stats += other.stats;
-        self.uplink_bytes += other.uplink_bytes;
+        self.uplink_bytes = self.uplink_bytes.saturating_add(other.uplink_bytes);
         self.served_local += other.served_local;
         self.served_relay_west += other.served_relay_west;
         self.served_relay_east += other.served_relay_east;
         self.served_ground += other.served_ground;
-        self.relay_bytes += other.relay_bytes;
-        self.prefetch_bytes += other.prefetch_bytes;
+        self.relay_bytes = self.relay_bytes.saturating_add(other.relay_bytes);
+        self.prefetch_bytes = self.prefetch_bytes.saturating_add(other.prefetch_bytes);
         self.prefetch_copies += other.prefetch_copies;
         self.latencies_ms.extend_from_slice(&other.latencies_ms);
         self.remapped_requests += other.remapped_requests;
@@ -319,13 +320,13 @@ impl SystemMetrics {
         let n = &mut self.neighbor_availability;
         let o = &other.neighbor_availability;
         n.west_only_requests += o.west_only_requests;
-        n.west_only_bytes += o.west_only_bytes;
+        n.west_only_bytes = n.west_only_bytes.saturating_add(o.west_only_bytes);
         n.east_only_requests += o.east_only_requests;
-        n.east_only_bytes += o.east_only_bytes;
+        n.east_only_bytes = n.east_only_bytes.saturating_add(o.east_only_bytes);
         n.both_requests += o.both_requests;
-        n.both_bytes += o.both_bytes;
+        n.both_bytes = n.both_bytes.saturating_add(o.both_bytes);
         n.neither_requests += o.neither_requests;
-        n.neither_bytes += o.neither_bytes;
+        n.neither_bytes = n.neither_bytes.saturating_add(o.neither_bytes);
     }
 }
 

@@ -413,7 +413,7 @@ impl SpaceCdn {
         for (idx, obj, size) in planned {
             if !self.slots.caches[idx].contains(obj) {
                 self.slots.caches[idx].insert(obj, size);
-                self.metrics.prefetch_bytes += size;
+                self.metrics.prefetch_bytes = self.metrics.prefetch_bytes.saturating_add(size);
                 self.metrics.prefetch_copies += 1;
             }
         }

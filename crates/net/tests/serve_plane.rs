@@ -18,6 +18,7 @@ use starcdn_net::{
     NetListener, RealNet, ServeConfig,
 };
 use starcdn_orbit::time::SimTime;
+use starcdn_orbit::walker::SatelliteId;
 use starcdn_sim::engine::{RunSpec, SimConfig};
 use starcdn_sim::replayer;
 use starcdn_sim::{
@@ -109,6 +110,41 @@ fn zero_fault_parity(net: &dyn Net, over: &str) -> u64 {
         }
     }
     reconnects
+}
+
+/// A log read from disk may name a first contact outside the fleet's
+/// grid. Mixed among valid records, such contacts — an orbit past the
+/// last plane, a slot past the last in its plane — are booked as
+/// unreachable by the engine, the replayer at 1 and 4 workers and a
+/// MemNet serve alike, relay on at 9 and 4 buckets.
+#[test]
+fn contacts_outside_the_grid_are_unreachable_in_every_driver() {
+    let mut l = log();
+    let bad = [SatelliteId::new(500, 3), SatelliteId::new(71, 500), SatelliteId::new(72, 0)];
+    let mut planted = 0u64;
+    for (i, e) in l.entries.iter_mut().enumerate().filter(|(i, _)| i % 37 == 5) {
+        e.first_contact = Some(bad[i % bad.len()]);
+        planted += 1;
+    }
+    let mut bytes = Vec::new();
+    l.write_binary(&mut bytes).unwrap();
+    let l = AccessLog::read_binary(bytes.as_slice()).unwrap();
+    let sentinel = SatelliteId::new(u16::MAX, u16::MAX);
+    for cfg in [StarCdnConfig::starcdn(9, 100_000), StarCdnConfig::starcdn(4, 100_000)] {
+        let engine = run_space(&mut SpaceCdn::new(cfg.clone()), &l);
+        assert_eq!(engine.stats.requests, l.len() as u64, "every entry counted once");
+        let unreachable = engine.per_satellite.get(&sentinel).map_or(0, |s| s.requests);
+        assert_eq!(unreachable, planted, "every foreign contact booked as unreachable");
+        let want = sorted_digest(&engine);
+        for workers in [1usize, 4] {
+            let m = replay_parallel(cfg.clone(), FailureModel::none(), &l, workers);
+            assert_eq!(sorted_digest(&m), want, "replayer at {workers} workers");
+        }
+        let p =
+            ServePlan::build(&cfg, &FailureModel::none(), &l, None, None, 4, 64, &Noop).unwrap();
+        let report = serve_replay(&MemNet::new(), &p, &fast(), &Noop).unwrap();
+        assert_eq!(sorted_digest(&report.metrics), want, "MemNet serve");
+    }
 }
 
 #[test]

@@ -34,8 +34,8 @@
 //! previous epoch and re-enters the loop at the same entry index, so the
 //! boundary re-executes exactly as the uninterrupted run did.
 
+use crate::access_log::AccessLog;
 use crate::codec::{decode, encode, wire_struct};
-use crate::columns::LogView;
 use crate::engine::RunSpec;
 use crate::resolve::EpochBoundary;
 use starcdn::config::StarCdnConfig;
@@ -531,12 +531,12 @@ impl<'a> EngineCheckpointer<'a> {
         ck: &Checkpointing<'a>,
         cdn: &mut SpaceCdn,
         mut ledger: Option<&mut CapacityLedger>,
-        log: LogView<'_>,
+        log: &AccessLog,
         spec: &RunSpec<'_>,
     ) -> Result<(Self, Option<LoopState>), CheckpointError> {
         let mut cp = EngineCheckpointer {
             ck: *ck,
-            fingerprint: config_fingerprint(cdn.config(), log.epoch_secs().max(1), spec),
+            fingerprint: config_fingerprint(cdn.config(), log.epoch_secs.max(1), spec),
             use_cursor: spec.live_schedule().is_some(),
             use_overload: spec.live_overload().is_some(),
             last_written: None,

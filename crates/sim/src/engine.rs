@@ -8,9 +8,8 @@
 //! step (`crate::resolve::EpochBoundary`) and resolve requests through
 //! one function, so they count — and record — the same faults.
 
-use crate::access_log::{AccessLog, AccessLogEntry};
+use crate::access_log::{AccessLog, AccessLogColumns};
 use crate::checkpoint::{CheckpointError, Checkpointing, EngineCheckpointer, LoopState};
-use crate::columns::{AccessLogColumns, LogView};
 use crate::overload::OverloadConfig;
 use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};
@@ -132,8 +131,8 @@ pub(crate) fn debug_assert_conserved(m: &SystemMetrics, entries: usize, admissio
     assert!(coalesced <= delayed_hits, "coalesced {coalesced} > delayed hits {delayed_hits}");
 }
 
-/// Replay `log` (rows or columns) through a satellite fleet as `spec`
-/// describes; returns the run's metrics (also left in `cdn.metrics`).
+/// Replay `log` through a satellite fleet as `spec` describes; returns
+/// the run's metrics (also left in `cdn.metrics`).
 ///
 /// At every scheduler-epoch boundary met in the log: a due checkpoint
 /// is written, the boundary is entered (the fault cursor advances and
@@ -153,31 +152,16 @@ pub(crate) fn debug_assert_conserved(m: &SystemMetrics, entries: usize, admissio
 /// output is bit-for-bit the uncheckpointed one's; only span wall-clock
 /// times differ. On resume `cdn` must be freshly built with the
 /// original run's configuration.
-pub fn run<'a>(
+pub fn run(
     cdn: &mut SpaceCdn,
-    log: impl Into<LogView<'a>>,
-    spec: &RunSpec<'_>,
-) -> Result<SystemMetrics, CheckpointError> {
-    let log = log.into();
-    // One loop, monomorphized per representation so neither pays a
-    // conversion copy or a per-entry dispatch.
-    match log {
-        LogView::Rows(l) => drive(cdn, log, |from| l.entries[from..].iter().copied(), spec),
-        LogView::Columns(c) => drive(cdn, log, |from| (from..c.len()).map(|i| c.entry(i)), spec),
-    }
-}
-
-fn drive<I: Iterator<Item = AccessLogEntry>>(
-    cdn: &mut SpaceCdn,
-    log: LogView<'_>,
-    entries_from: impl FnOnce(usize) -> I,
+    log: &AccessLog,
     spec: &RunSpec<'_>,
 ) -> Result<SystemMetrics, CheckpointError> {
     let schedule = spec.live_schedule();
     let overload = spec.live_overload();
     let prefetching = cdn.config().prefetch_top_k.is_some();
     let enabled = spec.recorder.is_enabled();
-    let epoch_secs = log.epoch_secs().max(1);
+    let epoch_secs = log.epoch_secs.max(1);
 
     // A checkpointed run records through an internal recorder that is
     // snapshotted into each checkpoint and absorbed into the caller's
@@ -221,18 +205,18 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
         && !enabled
         && !cdn.config().delayed.is_enabled()
         && checkpointer.is_none();
-    let entries = entries_from(start);
+    let entries = &log.entries[start..];
     if plain {
         for e in entries {
             let (env, view, metrics) = cdn.resolving();
             if let Resolved::Serve(req) =
-                resolve_request(env, view, None, u64::MAX, &e, metrics, rec)
+                resolve_request(env, view, None, u64::MAX, e, metrics, rec)
             {
                 cdn.serve(&req);
             }
         }
     } else {
-        for (k, e) in entries.enumerate() {
+        for (k, e) in entries.iter().enumerate() {
             let epoch = e.time.as_secs() / epoch_secs;
             if epoch != boundary.epoch {
                 if let Some(cp) = checkpointer.as_mut().filter(|cp| cp.due(&boundary, epoch)) {
@@ -272,7 +256,7 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
             // replayer's pre-pass and workers.
             let (env, view, metrics) = cdn.resolving();
             let admission = boundary.admission.as_mut();
-            let req = match resolve_request(env, view, admission, epoch, &e, metrics, rec) {
+            let req = match resolve_request(env, view, admission, epoch, e, metrics, rec) {
                 Resolved::Serve(req) => req,
                 Resolved::Accounted => continue,
             };
@@ -296,20 +280,16 @@ fn drive<I: Iterator<Item = AccessLogEntry>>(
 // BENCHMARK.json and pinned to these signatures). Each is [`run`] with
 // the arguments it names; none can fail, since no checkpoint is set.
 
-fn run_infallible<'a>(
-    cdn: &mut SpaceCdn,
-    log: impl Into<LogView<'a>>,
-    spec: &RunSpec<'_>,
-) -> SystemMetrics {
+fn run_infallible(cdn: &mut SpaceCdn, log: &AccessLog, spec: &RunSpec<'_>) -> SystemMetrics {
     run(cdn, log, spec).expect("a run without a checkpoint performs no I/O")
 }
 
-/// [`run`] with the default [`RunSpec`] over a row log.
+/// [`run`] with the default [`RunSpec`].
 pub fn run_space(cdn: &mut SpaceCdn, log: &AccessLog) -> SystemMetrics {
     run_infallible(cdn, log, &RunSpec::default())
 }
 
-/// [`run`] with the default [`RunSpec`] over a columnar log.
+/// [`run_space`] under its benchmark name.
 pub fn run_space_columns(cdn: &mut SpaceCdn, cols: &AccessLogColumns) -> SystemMetrics {
     run_infallible(cdn, cols, &RunSpec::default())
 }
@@ -323,8 +303,7 @@ pub fn run_space_columns_recorded(
     run_infallible(cdn, cols, &RunSpec { recorder: rec, ..RunSpec::default() })
 }
 
-/// [`run`] under a fault schedule and an overload configuration, over a
-/// row log.
+/// [`run`] under a fault schedule and an overload configuration.
 pub fn run_space_overloaded(
     cdn: &mut SpaceCdn,
     log: &AccessLog,
@@ -334,7 +313,7 @@ pub fn run_space_overloaded(
     run_infallible(cdn, log, &RunSpec { schedule, overload: *overload, ..RunSpec::default() })
 }
 
-/// [`run_space_overloaded`] over a columnar log.
+/// [`run_space_overloaded`] under its benchmark name.
 pub fn run_space_overloaded_columns(
     cdn: &mut SpaceCdn,
     cols: &AccessLogColumns,

@@ -10,12 +10,11 @@
 //!   (Starlink's global scheduler reconfiguration interval) each
 //!   location's virtual users are (re)assigned to one of the best
 //!   visible satellites;
-//! * [`access_log`] / [`columns`] — per-request first-contact
-//!   assignments, the analog of CosmicBeats' per-satellite access logs,
-//!   as rows or as struct-of-arrays columns; built sequentially or
-//!   epoch-sharded over threads
-//!   ([`build_access_log_columns_parallel`]) with bit-for-bit identical
-//!   output;
+//! * [`access_log`] — per-request first-contact assignments, the
+//!   analog of CosmicBeats' per-satellite access logs, one row per
+//!   request; built sequentially or epoch-sharded over threads
+//!   ([`access_log::build_access_log_parallel`]) with bit-for-bit
+//!   identical output;
 //! * [`engine`] — the deterministic single-threaded replay of an access
 //!   log through a [`starcdn::system::SpaceCdn`] or a baseline;
 //! * [`replayer`] — scoped worker threads over owner-sharded op
@@ -30,17 +29,18 @@
 //! One description drives both: a [`RunSpec`] (fault schedule, overload
 //! lifecycle, telemetry recorder, checkpoint/resume — each free at
 //! its default) goes to [`engine::run`] or
-//! [`replayer::run`] together with a log in either representation
-//! ([`LogView`]). Recording never changes simulation output (the
-//! replayer merges per-worker recorders in shard index order, so even
-//! its telemetry is deterministic). The `run_space*` and
-//! `replay_parallel*` functions are those two calls under the names the
-//! frozen `benchmark/` package links against.
+//! [`replayer::run`] together with an [`AccessLog`]. Recording never
+//! changes simulation output (the replayer merges per-worker recorders
+//! in shard index order, so even its telemetry is deterministic). The
+//! `run_space*` and `replay_parallel*` functions are those two calls
+//! under the names the frozen `benchmark/` package links against, as
+//! are [`AccessLogColumns`] and the `build_access_log_columns*`
+//! builders (the log under the names of a struct-of-arrays layout it no
+//! longer has).
 
 pub mod access_log;
 pub mod checkpoint;
 mod codec;
-pub mod columns;
 #[cfg(test)]
 mod coverage;
 pub mod engine;
@@ -54,14 +54,13 @@ pub mod serve;
 pub mod transfers;
 pub mod world;
 
-pub use access_log::{build_access_log, AccessLog, AccessLogEntry};
+pub use access_log::{
+    build_access_log, build_access_log_columns, build_access_log_columns_parallel,
+    build_access_log_recorded, AccessLog, AccessLogColumns, AccessLogEntry,
+};
 pub use checkpoint::{
     list_checkpoint_files, metrics_digest, sweep_stale_tmps, telemetry_digest,
     validate_checkpoint_bytes, CheckpointError, CheckpointPolicy, Checkpointing,
-};
-pub use columns::{
-    build_access_log_columns, build_access_log_columns_parallel, build_access_log_columns_recorded,
-    AccessLogColumns, LogView,
 };
 pub use engine::{
     run_space, run_space_columns, run_space_columns_recorded, run_space_overloaded,

@@ -59,7 +59,6 @@
 
 use crate::access_log::AccessLog;
 use crate::checkpoint::CheckpointError;
-use crate::columns::LogView;
 use crate::engine::{debug_assert_conserved, RunSpec};
 use crate::overload::OverloadConfig;
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
@@ -88,10 +87,9 @@ pub(crate) enum ShardOp {
     MarkCold(usize),
 }
 
-/// Replay `log` (rows or columns) against the fleet described by
-/// `cfg`/`failures` on `num_workers` threads, as `spec` describes;
-/// returns the aggregate metrics. The schedule applies on top of the
-/// static `failures` base.
+/// Replay `log` against the fleet described by `cfg`/`failures` on
+/// `num_workers` threads, as `spec` describes; returns the aggregate
+/// metrics. The schedule applies on top of the static `failures` base.
 ///
 /// Pre-pass chunks and workers record into private [`MemoryRecorder`]s
 /// that are merged into `spec.recorder` in chunk, then shard index
@@ -112,10 +110,10 @@ pub(crate) enum ShardOp {
 /// # Panics
 /// Panics when `num_workers` is zero, or when `cfg` configures proactive
 /// prefetch (`prefetch_top_k`), which only the engine runs.
-pub fn run<'a>(
+pub fn run(
     cfg: &StarCdnConfig,
     base_failures: &FailureModel,
-    log: impl Into<LogView<'a>>,
+    log: &AccessLog,
     num_workers: usize,
     spec: &RunSpec<'_>,
 ) -> Result<SystemMetrics, CheckpointError> {
@@ -124,7 +122,6 @@ pub fn run<'a>(
         cfg.prefetch_top_k.is_none(),
         "the replayer does not run prefetch rounds; replay a prefetch configuration with the engine"
     );
-    let log = log.into();
     let rec = spec.recorder;
     let enabled = rec.is_enabled();
     let env = ServeEnv::new(cfg);
@@ -325,7 +322,7 @@ impl PrePass {
 pub(crate) fn prepare_shards(
     env: &ServeEnv,
     base_failures: &FailureModel,
-    log: LogView<'_>,
+    log: &AccessLog,
     spec: &RunSpec<'_>,
     shard_of: &[usize],
     num_workers: usize,
@@ -345,12 +342,12 @@ pub(crate) fn prepare_shards(
 /// only as far as it takes to leave every chunk an epoch of its own.
 /// The epochs of a log sorted by time are found by binary search:
 /// O(num_workers · log n) entry reads, not a pass.
-fn chunk_starts(log: LogView<'_>, num_workers: usize) -> Vec<usize> {
-    let (n, epoch_secs) = (log.len(), log.epoch_secs().max(1));
+fn chunk_starts(log: &AccessLog, num_workers: usize) -> Vec<usize> {
+    let (n, epoch_secs) = (log.len(), log.epoch_secs.max(1));
     if num_workers < 2 || n == 0 {
         return Vec::new();
     }
-    let epoch = |i: usize| log.entry(i).time.as_secs() / epoch_secs;
+    let epoch = |i: usize| log.entries[i].time.as_secs() / epoch_secs;
     // The first index in `lo..hi` where `holds` stops holding.
     let first_not = |mut lo: usize, mut hi: usize, holds: &dyn Fn(usize) -> bool| {
         while lo < hi {
@@ -421,7 +418,7 @@ struct Chunk {
 fn prepare_chunks(
     env: &ServeEnv,
     base_failures: &FailureModel,
-    log: LogView<'_>,
+    log: &AccessLog,
     spec: &RunSpec<'_>,
     shard_of: &[usize],
     num_workers: usize,
@@ -499,7 +496,7 @@ fn prepare_chunks(
 fn resolve_chunk(
     env: &ServeEnv,
     base_failures: &FailureModel,
-    log: LogView<'_>,
+    log: &AccessLog,
     spec: &RunSpec<'_>,
     shard_of: &[usize],
     barrier_every: Option<u64>,
@@ -510,19 +507,19 @@ fn resolve_chunk(
         None => spec.recorder,
     };
     let spp = env.grid.sats_per_plane;
-    let epoch_secs = log.epoch_secs().max(1);
+    let epoch_secs = log.epoch_secs.max(1);
     // Overload mode: each chunk's ledger starts empty, as one pass's
     // does at the chunk's first epoch, so admission decisions are the
     // engine's.
     let mut boundary =
         EpochBoundary::new(env, base_failures, spec, epoch_secs, rec, Stage::ResolveOwner);
-    let before = ch.range.start.checked_sub(1).map(|i| log.entry(i).time.as_secs() / epoch_secs);
+    let before = ch.range.start.checked_sub(1).map(|i| log.entries[i].time.as_secs() / epoch_secs);
     if let Some(epoch) = before {
         boundary.skip_to(epoch);
     }
     let mut floor = before.map_or(0, |epoch| epoch + 1);
     let Chunk { range, pieces, direct, cuts, in_order, .. } = ch;
-    for e in log.entries(range.clone()) {
+    for e in &log.entries[range.clone()] {
         let epoch = e.time.as_secs() / epoch_secs;
         *in_order &= epoch >= floor;
         floor = epoch;
@@ -550,8 +547,7 @@ fn resolve_chunk(
         // Workers only touch caches: whatever is decided without one is
         // accounted here, in the pre-pass.
         let (view, admission) = boundary.resolving(base_failures);
-        if let Resolved::Serve(req) = resolve_request(env, view, admission, epoch, &e, direct, rec)
-        {
+        if let Resolved::Serve(req) = resolve_request(env, view, admission, epoch, e, direct, rec) {
             pieces[shard_of[req.owner.index(spp)]].push(ShardOp::Request(req));
         }
     }
@@ -879,7 +875,7 @@ mod tests {
         barrier: Option<u64>,
     ) -> PrePass {
         let table = shard_table(env, base, workers);
-        prepare_shards(env, base, log.into(), spec, &table, workers, barrier)
+        prepare_shards(env, base, log, spec, &table, workers, barrier)
     }
 
     /// [`prepare_chunks`] over the shard table of `workers`.
@@ -893,7 +889,7 @@ mod tests {
         starts: &[usize],
     ) -> Option<PrePass> {
         let table = shard_table(env, base, workers);
-        prepare_chunks(env, base, log.into(), spec, &table, workers, barrier, starts)
+        prepare_chunks(env, base, log, spec, &table, workers, barrier, starts)
     }
 
     /// Everything [`prepare_shards`] returns, as one number: every shard
@@ -1042,7 +1038,7 @@ mod tests {
 
     #[test]
     fn chunks_start_at_epochs_and_number_min_of_workers_and_epochs() {
-        let starts = |log: &AccessLog, workers| chunk_starts(log.into(), workers);
+        let starts = |log: &AccessLog, workers| chunk_starts(log, workers);
         // Empty and one-epoch logs: one chunk.
         assert!(starts(&AccessLog::default(), 4).is_empty());
         assert!(starts(&epochs_log(&[40]), 4).is_empty());
@@ -1123,7 +1119,7 @@ mod tests {
         let env = ServeEnv::new(&cfg);
         let busy = busy_sats(&log, 2);
         for workers in [2, 3, 8] {
-            let first_cut = chunk_starts((&log).into(), workers)[0];
+            let first_cut = chunk_starts(&log, workers)[0];
             let at = epoch_of(&log, first_cut) * log.epoch_secs;
             let sched = FaultSchedule::from_events([
                 TimedFault { at_secs: 30, event: FaultEvent::SatDown(busy[1]) },

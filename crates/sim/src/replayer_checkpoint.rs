@@ -25,12 +25,12 @@
 //! so a checkpointed run's output is bit-for-bit the uncheckpointed
 //! one's.
 
+use crate::access_log::AccessLog;
 use crate::checkpoint::{
     config_fingerprint, decode_container, encode_container, list_checkpoint_files_io,
     sweep_stale_tmps_io, write_atomic, CheckpointError, Checkpointing, RawCheckpoint, KIND_REPLAY,
 };
 use crate::codec::{decode, encode, wire_struct};
-use crate::columns::LogView;
 use crate::engine::RunSpec;
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::Slots;
@@ -177,13 +177,13 @@ impl<'a> ReplayCheckpointer<'a> {
         ck: &'a Checkpointing<'a>,
         cfg: &StarCdnConfig,
         base_failures: &FailureModel,
-        log: LogView<'_>,
+        log: &AccessLog,
         spec: &RunSpec<'_>,
         shard_of: &[usize],
         num_workers: usize,
     ) -> Self {
         sweep_stale_tmps_io(ck.io, &ck.policy.dir);
-        let epoch_secs = log.epoch_secs().max(1);
+        let epoch_secs = log.epoch_secs.max(1);
         let fingerprint =
             replay_fingerprint(cfg, base_failures, epoch_secs, spec, shard_of, num_workers);
         ReplayCheckpointer { ck, fingerprint, shard_of: shard_of.to_vec(), num_workers }

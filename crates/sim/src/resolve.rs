@@ -173,7 +173,11 @@ pub(crate) enum Resolved {
 
 /// Resolve one log entry under `view`, the failure view of its epoch:
 /// unreachable → the overload lifecycle when `admission` is set, plain
-/// route classification otherwise → [`Resolved`]. Everything decided
+/// route classification otherwise → [`Resolved`]. A first contact
+/// outside the fleet's grid (a corrupt or foreign log record) is booked
+/// as unreachable, like a request with no satellite in view, so the
+/// entry is still counted once and no route is walked from a slot that
+/// does not exist. Everything decided
 /// here is booked here, into `m` and `rec`: the direct serves
 /// (unreachable, degraded, origin fallback), drops, sheds and retries,
 /// partitions, and the route's remap and detour hops. Forced inline into
@@ -189,9 +193,9 @@ pub(crate) fn resolve_request(
     rec: &dyn Recorder,
 ) -> Resolved {
     let enabled = rec.is_enabled();
-    let Some(fc) = e.first_contact else {
-        // No satellite in view: outside the overload lifecycle too (no
-        // GSL of ours carries it).
+    let Some(fc) = e.first_contact.filter(|&fc| env.grid.contains(fc)) else {
+        // No satellite in view (or none of this grid's): outside the
+        // overload lifecycle too (no GSL of ours carries it).
         serve_unreachable(env, m, e.size);
         if enabled {
             rec.add(Counter::RequestsUnreachable, 1);

@@ -159,8 +159,7 @@ impl ServePlan {
         spec.schedule = schedule.unwrap_or(spec.schedule);
         spec.overload = overload.copied().unwrap_or(spec.overload);
         let shard_of = shard_table(&env, failures, num_shards);
-        let mut pre =
-            prepare_shards(&env, failures, log.into(), &spec, &shard_of, num_shards, None);
+        let mut pre = prepare_shards(&env, failures, log, &spec, &shard_of, num_shards, None);
         let mut streams = Vec::with_capacity(num_shards);
         let mut h = 0x7365_7276_6531_3030u64; // "serve100"
         h = fp(h, num_shards as u64);

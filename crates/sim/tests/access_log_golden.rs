@@ -1,4 +1,5 @@
-//! Golden-file and corruption tests for the `AccessLog` binary format.
+//! Golden-file, corruption and hostile-record tests for the `AccessLog`
+//! binary format.
 //!
 //! The committed fixture pins the on-disk layout: if the format changes,
 //! `golden_fixture_decodes_to_known_entries` fails and the fixture must
@@ -8,10 +9,13 @@
 use proptest::prelude::*;
 use spacegen::io::IoError;
 use spacegen::trace::LocationId;
+use starcdn::config::StarCdnConfig;
+use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
+use starcdn_constellation::failures::FailureModel;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
-use starcdn_sim::{AccessLog, AccessLogEntry};
+use starcdn_sim::{replay_parallel, run_space, AccessLog, AccessLogEntry};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/access_log_v1.bin");
 
@@ -120,6 +124,50 @@ fn empty_log_roundtrips() {
     log.write_binary(&mut buf).unwrap();
     assert_eq!(buf.len(), 16);
     assert_eq!(AccessLog::read_binary(&buf[..]).unwrap(), log);
+}
+
+/// Hostile sizes: two records of `u64::MAX` bytes (one reachable, one
+/// with no contact) among ordinary ones. The codec keeps them exactly,
+/// and the engine and the replayer count them without overflowing: every
+/// byte counter the sizes reach saturates at `u64::MAX` and the request
+/// counts stay exact.
+#[test]
+fn hostile_sizes_saturate_the_byte_counters() {
+    let entry = |ms: u64, size: u64, first_contact: Option<SatelliteId>| AccessLogEntry {
+        time: SimTime::from_millis(ms),
+        object: ObjectId(ms % 7),
+        size,
+        location: LocationId(4),
+        first_contact,
+        gsl_oneway_ms: 2.5,
+    };
+    let sat = Some(SatelliteId::new(12, 5));
+    let log = AccessLog {
+        entries: vec![
+            entry(0, 1_000, sat),
+            entry(1_000, u64::MAX, sat),
+            entry(2_000, 1_000, sat),
+            entry(16_000, u64::MAX, None),
+            entry(17_000, 512, sat),
+        ],
+        epoch_secs: 15,
+    };
+    let mut buf = Vec::new();
+    log.write_binary(&mut buf).unwrap();
+    let back = AccessLog::read_binary(&buf[..]).unwrap();
+    assert_eq!(back, log, "the codec keeps hostile sizes exactly");
+
+    let cfg = StarCdnConfig::starcdn_no_relay(4, 1_000_000);
+    let engine = run_space(&mut SpaceCdn::new(cfg.clone()), &back);
+    assert_eq!(engine.stats.requests, 5);
+    assert_eq!(engine.stats.bytes_requested, u64::MAX);
+    assert_eq!(engine.uplink_bytes, u64::MAX);
+    for workers in [1usize, 4] {
+        let m = replay_parallel(cfg.clone(), FailureModel::none(), &back, workers);
+        assert_eq!(m.stats, engine.stats, "replayer at {workers} workers");
+        assert_eq!(m.uplink_bytes, engine.uplink_bytes, "replayer at {workers} workers");
+        assert_eq!(m.per_satellite, engine.per_satellite, "replayer at {workers} workers");
+    }
 }
 
 proptest! {

@@ -6,14 +6,14 @@
 //! visibility-window refresh from orbital elements where the window runs
 //! out), the candidate union's advance, each location scheduled into
 //! reusable scratch on the first request that reads it, per-request
-//! resolution into a pre-sized columnar log — must perform zero heap
+//! resolution appended to a pre-sized row log — must perform zero heap
 //! allocations. The 40 measured epochs span five refreshes, and every
 //! other epoch leaves five of the nine cities silent: the candidate lists
 //! are sized once, not grown refresh by refresh, and a cell first read
 //! late allocates no more than one read at the boundary. This pins the
-//! contract the parallel columnar builder's worker loop relies on
-//! (`build_access_log_columns_parallel` hands each worker warm scratch
-//! plus pre-split column chunks). A second measured pass drives a
+//! contract the parallel builder's worker loop relies on
+//! (`build_access_log_parallel` hands each worker warm scratch plus its
+//! pre-split slice of the log). A second measured pass drives a
 //! window alone across five refreshes, none of them a full advance.
 //!
 //! One `#[test]` only: the allocation counter is process-global, and a
@@ -24,9 +24,8 @@ use starcdn_cache::object::ObjectId;
 use starcdn_orbit::coords::Geodetic;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::visibility::VisibilityWindow;
-use starcdn_sim::columns::AccessLogColumns;
 use starcdn_sim::scheduler::{epoch_of, EpochScheduler};
-use starcdn_sim::{build_access_log_columns_recorded, SimConfig, World};
+use starcdn_sim::{build_access_log_recorded, AccessLogEntry, SimConfig, World};
 use starcdn_telemetry::{Counter, MemoryRecorder, Noop, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,12 +80,12 @@ fn steady_state_epoch_loop_allocates_nothing() {
 
     let mut scheduler = EpochScheduler::new(&world);
     let mut rr = vec![0usize; world.num_locations()];
-    let mut cols = AccessLogColumns::with_capacity(trace.len(), cfg.epoch_secs);
+    let mut entries = Vec::with_capacity(trace.len());
 
     // The steady-state loop under test — identical shape to one parallel
-    // columnar worker's per-run body.
+    // worker's per-run body, appending as the sequential builder does.
     let run_epochs = |trace: &Trace,
-                      cols: &mut AccessLogColumns,
+                      entries: &mut Vec<AccessLogEntry>,
                       scheduler: &mut EpochScheduler,
                       rr: &mut [usize],
                       rec: &dyn Recorder| {
@@ -101,7 +100,8 @@ fn steady_state_epoch_loop_allocates_nothing() {
             let loc = r.location.0 as usize;
             let user = rr[loc] % sched_cfg.users_per_location;
             rr[loc] += 1;
-            cols.push_resolved(r, scheduler.assignment(loc, user, &world.failures, rec));
+            let assignment = scheduler.assignment(loc, user, &world.failures, rec);
+            entries.push(AccessLogEntry::resolved(r, assignment));
         }
     };
 
@@ -111,13 +111,13 @@ fn steady_state_epoch_loop_allocates_nothing() {
     // inside the measured pass.
     let first_epoch = Trace::new(trace.requests[..90].to_vec());
     assert_eq!(epoch_of(first_epoch.requests[89].time, cfg.epoch_secs), 0);
-    run_epochs(&first_epoch, &mut cols, &mut scheduler, &mut rr, &Noop);
+    run_epochs(&first_epoch, &mut entries, &mut scheduler, &mut rr, &Noop);
 
     // Measured pass over all 40 epochs (a backward jump to epoch 0
     // first): zero allocator calls allowed.
-    let mut fresh_cols = AccessLogColumns::with_capacity(trace.len(), cfg.epoch_secs);
+    let mut fresh = Vec::with_capacity(trace.len());
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    run_epochs(&trace, &mut fresh_cols, &mut scheduler, &mut rr, &Noop);
+    run_epochs(&trace, &mut fresh, &mut scheduler, &mut rr, &Noop);
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
@@ -127,11 +127,10 @@ fn steady_state_epoch_loop_allocates_nothing() {
     );
 
     // And the allocation-free pass produced the right answer — the
-    // sequential columnar builder's — across at least three refreshes.
+    // sequential builder's — across at least three refreshes.
     let counted = MemoryRecorder::new();
-    let want =
-        build_access_log_columns_recorded(&world, &trace, cfg.epoch_secs, &sched_cfg, &counted);
-    assert_eq!(fresh_cols, want);
+    let want = build_access_log_recorded(&world, &trace, cfg.epoch_secs, &sched_cfg, &counted);
+    assert_eq!(fresh, want.entries);
     let refreshes = counted.snapshot().counter(Counter::VisibilityRefreshes);
     assert!(refreshes >= 3, "the measured epochs span only {refreshes} refreshes");
 

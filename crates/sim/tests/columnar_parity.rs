@@ -1,13 +1,12 @@
 //! One scenario table, every driver: each row — a world (with its fault
 //! schedule), a trace, a fleet configuration and an overload setting —
-//! goes through the log builders, the engine over rows
-//! and over columns, the replayer over rows and over columns at 1, 4
-//! and 8 workers, and a kill-at-mid-epoch → resume of the engine and of
-//! the replayer, and must come out as one bit-exact `SystemMetrics`.
+//! goes through the log builders, the engine, the replayer at 1, 4 and 8
+//! workers, and a kill-at-mid-epoch → resume of the engine and of the
+//! replayer at each worker count, and must come out as one bit-exact
+//! `SystemMetrics`.
 //!
-//! Within one driver the comparison is field by field with latency
-//! samples in sequence order (row and columnar runs execute identical
-//! code, so even the ordering must agree). Across drivers the latency
+//! A resumed engine is compared with the uninterrupted one field by
+//! field, latency samples in sequence order. Across drivers the latency
 //! samples are sorted first — the replayer merges per-shard samples in
 //! shard order — and everything else is compared through
 //! `metrics_digest`, which hashes every field a checkpoint preserves.
@@ -47,13 +46,12 @@ use starcdn_constellation::schedule::{
 use starcdn_io::RealIo;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
-use starcdn_sim::columns::AccessLogColumns;
+use starcdn_sim::access_log::build_access_log_parallel;
 use starcdn_sim::overload::OverloadConfig;
 use starcdn_sim::scheduler::{schedule_epoch_with, EpochSchedule, SchedulerConfig};
 use starcdn_sim::{
-    build_access_log, build_access_log_columns, build_access_log_columns_parallel, crc32, engine,
-    metrics_digest, replayer, AccessLog, AccessLogEntry, CheckpointPolicy, Checkpointing, LogView,
-    RunSpec, SimConfig, World,
+    build_access_log, crc32, engine, metrics_digest, replayer, AccessLog, AccessLogEntry,
+    CheckpointPolicy, Checkpointing, RunSpec, SimConfig, World,
 };
 use std::path::PathBuf;
 
@@ -335,22 +333,22 @@ scenario_table! {
 
 // The licence constants: CRC-32 of the three `builders_*` logs' binary
 // encoding, recorded through the row builder and both columnar builders
-// at the parent of the PR that deleted the row builder, the AoS scans
-// and the allocating scheduler (15f0bb9). The reference and every
-// builder that remains must still produce these bytes.
+// at the parent of the change that deleted the scalar row builder, the
+// AoS scans and the allocating scheduler (15f0bb9). The reference and
+// every builder that remains must still produce these bytes.
 const CALM_LOG_CRC: u32 = 0x1b74_11db;
 const SPARSE_LOG_CRC: u32 = 0x4259_a899;
 const BURSTS_LOG_CRC: u32 = 0xa961_e5ff;
 
 #[test]
 fn builders_calm_nine_cities() {
-    let (_, _, crc) = check_builders("calm", &calm(), &trace());
+    let (_, crc) = check_builders("calm", &calm(), &trace());
     assert_eq!(crc, CALM_LOG_CRC, "calm: log bytes moved");
 }
 
 #[test]
 fn builders_sparse_two_days() {
-    let (log, _, crc) =
+    let (log, crc) =
         check_builders("sparse 48 h", &churning_with_outage(48 * 3600, 7), &sparse_two_days());
     assert_eq!(crc, SPARSE_LOG_CRC, "sparse 48 h: log bytes moved");
     let epochs: std::collections::BTreeSet<u64> =
@@ -361,7 +359,7 @@ fn builders_sparse_two_days() {
 
 #[test]
 fn builders_bursts_and_silences() {
-    let (log, _, crc) =
+    let (log, crc) =
         check_builders("bursts", &churning_with_outage(12 * 3600, 11), &bursts_and_silences());
     assert_eq!(crc, BURSTS_LOG_CRC, "bursts: log bytes moved");
     let gaps: Vec<u64> = log
@@ -387,7 +385,7 @@ const BACKWARD_CRCS: [u32; 2] = [0xcd4b_e0b7, 0x9014_a594];
 /// outage over `hours`; returns the two CRC-32s.
 fn check_builders_calm_and_churn(name: &str, trace: &Trace, hours: u64) -> [u32; 2] {
     let churn = churning_with_outage(hours * 3600, 13);
-    [check_builders(name, &calm(), trace).2, check_builders(name, &churn, trace).2]
+    [check_builders(name, &calm(), trace).1, check_builders(name, &churn, trace).1]
 }
 
 #[test]
@@ -415,8 +413,8 @@ fn builders_one_request_epochs() {
 #[test]
 fn builders_first_read_after_sat_down() {
     let (churn, trace, boundaries) = sat_down_before_first_read();
-    let (calm_log, _, calm_crc) = check_builders("sat down, calm", &calm(), &trace);
-    let (log, _, crc) = check_builders("sat down", &churn, &trace);
+    let (calm_log, calm_crc) = check_builders("sat down, calm", &calm(), &trace);
+    let (log, crc) = check_builders("sat down", &churn, &trace);
     assert_eq!(
         [calm_crc, crc],
         SAT_DOWN_CRCS,
@@ -526,112 +524,83 @@ fn reference_log(
     AccessLog { entries, epoch_secs }
 }
 
-/// Reference ≡ rows ≡ sequential columnar ≡ parallel columnar at every
-/// worker count, entry for entry with the GSL delay compared as bits;
-/// returns the logs and the CRC-32 of their (identical) binary encoding.
-fn check_builders(name: &str, world: &World, trace: &Trace) -> (AccessLog, AccessLogColumns, u32) {
+/// Reference ≡ sequential builder ≡ parallel builder at every worker
+/// count, entry for entry with the GSL delay compared as bits; returns
+/// the log and the CRC-32 of its binary encoding.
+fn check_builders(name: &str, world: &World, trace: &Trace) -> (AccessLog, u32) {
     let sim = SimConfig::default();
-    let log = reference_log(world, trace, sim.epoch_secs, &sim.scheduler());
-    let cols: AccessLogColumns =
-        build_access_log_columns(world, trace, sim.epoch_secs, &sim.scheduler());
-    assert_eq!(cols.len(), log.len(), "{name}: columnar builder's entry count");
-    for (i, (c, r)) in cols.iter().zip(&log.entries).enumerate() {
-        assert_eq!(c, *r, "{name}: columnar builder diverged from the reference at entry {i}");
-        assert_eq!(c.gsl_oneway_ms.to_bits(), r.gsl_oneway_ms.to_bits(), "{name}: entry {i} gsl");
-    }
-    let crc = crc_of(|b| log.write_binary(b));
-    assert_eq!(crc_of(|b| cols.write_binary(b)), crc, "{name}: columnar builder's bytes");
-    let rows = build_access_log(world, trace, sim.epoch_secs, &sim.scheduler());
-    assert_eq!(crc_of(|b| rows.write_binary(b)), crc, "{name}: row builder's bytes");
-    let gsl_bits = |c: &AccessLogColumns| -> Vec<u64> {
-        c.iter().map(|e| e.gsl_oneway_ms.to_bits()).collect()
+    let reference = reference_log(world, trace, sim.epoch_secs, &sim.scheduler());
+    let gsl_bits = |l: &AccessLog| -> Vec<u64> {
+        l.entries.iter().map(|e| e.gsl_oneway_ms.to_bits()).collect()
     };
-    let want_bits = gsl_bits(&cols);
+    let want_bits = gsl_bits(&reference);
+    let crc = crc_of(|b| reference.write_binary(b));
+    let log = build_access_log(world, trace, sim.epoch_secs, &sim.scheduler());
+    assert_eq!(log.len(), reference.len(), "{name}: builder's entry count");
+    for (i, (e, r)) in log.entries.iter().zip(&reference.entries).enumerate() {
+        assert_eq!(e, r, "{name}: builder diverged from the reference at entry {i}");
+    }
+    assert_eq!(gsl_bits(&log), want_bits, "{name}: builder's gsl bits");
+    assert_eq!(crc_of(|b| log.write_binary(b)), crc, "{name}: builder's bytes");
     for n in BUILD_WORKERS {
-        let par =
-            build_access_log_columns_parallel(world, trace, sim.epoch_secs, &sim.scheduler(), n);
-        assert_eq!(par, cols, "{name}: parallel columnar builder at {n} workers");
+        let par = build_access_log_parallel(world, trace, sim.epoch_secs, &sim.scheduler(), n);
+        assert_eq!(par, log, "{name}: parallel builder at {n} workers");
         assert_eq!(gsl_bits(&par), want_bits, "{name}: gsl bits at {n} workers");
         assert_eq!(crc_of(|b| par.write_binary(b)), crc, "{name}: bytes at {n} workers");
     }
-    (log, cols, crc)
+    (log, crc)
 }
 
 fn check(name: &str, row: &Row) {
     let Row { world, trace, cdn, overload } = row;
-    let (log, cols, _) = check_builders(name, world, trace);
+    let (log, _) = check_builders(name, world, trace);
 
     let spec = RunSpec { schedule: &world.schedule, overload: *overload, ..RunSpec::default() };
-    let run_engine = |log: LogView<'_>, spec: &RunSpec<'_>| {
+    let run_engine = |log: &AccessLog, spec: &RunSpec<'_>| {
         let mut fleet = SpaceCdn::with_failures(cdn.clone(), world.failures.clone());
         engine::run(&mut fleet, log, spec)
     };
-    let run_replayer = |log: LogView<'_>, workers: usize, spec: &RunSpec<'_>| {
+    let run_replayer = |log: &AccessLog, workers: usize, spec: &RunSpec<'_>| {
         replayer::run(cdn, &world.failures, log, workers, spec)
     };
 
-    // Engine: rows vs columns.
-    let m_row = run_engine((&log).into(), &spec).unwrap();
-    let m_col = run_engine((&cols).into(), &spec).unwrap();
-    assert_metrics_identical(&m_row, &m_col, &format!("{name}: engine"));
+    let m_engine = run_engine(&log, &spec).unwrap();
     if cdn.delayed.is_enabled() {
-        assert!(m_row.delayed_hits > 0, "{name}: delayed config must exercise coalescing");
+        assert!(m_engine.delayed_hits > 0, "{name}: delayed config must exercise coalescing");
     }
-    let golden = canonical(&m_row);
+    let golden = canonical(&m_engine);
 
-    // Replayer: rows vs columns at each worker count, and both against
-    // the engine.
+    // Replayer at each worker count against the engine.
     for n in WORKERS {
-        let m_rpar = run_replayer((&log).into(), n, &spec).unwrap();
-        let m_cpar = run_replayer((&cols).into(), n, &spec).unwrap();
-        assert_metrics_identical(&m_rpar, &m_cpar, &format!("{name}: replayer {n} workers"));
-        assert_eq!(m_row.stats, m_rpar.stats, "{name}: engine vs replayer {n} workers");
-        assert_eq!(m_row.per_satellite, m_rpar.per_satellite, "{name}: {n} workers");
-        assert_eq!(golden, canonical(&m_rpar), "{name}: engine vs replayer {n} workers");
+        let m_par = run_replayer(&log, n, &spec).unwrap();
+        assert_eq!(m_engine.stats, m_par.stats, "{name}: engine vs replayer {n} workers");
+        assert_eq!(m_engine.per_satellite, m_par.per_satellite, "{name}: {n} workers");
+        assert_eq!(golden, canonical(&m_par), "{name}: engine vs replayer {n} workers");
     }
 
     // Kill mid-epoch, resume: a run over a prefix that ends inside an
     // epoch leaves exactly the checkpoints a process killed there would;
-    // resuming over the full log must land on the same metrics, in
-    // either representation.
+    // resuming over the full log must land on the same metrics.
     let cut = log.len() * 2 / 3;
     let epoch_of = |i: usize| log.entries[i].time.as_secs() / log.epoch_secs;
     assert_eq!(epoch_of(cut - 1), epoch_of(cut), "{name}: the kill must land inside an epoch");
     let prefix = AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
-    let prefix_cols = AccessLogColumns::from_log(&prefix);
-    let kill_resume = |tag: &str, run: &dyn Fn(bool, &RunSpec<'_>) -> SystemMetrics| {
+    let kill_resume = |tag: &str, run: &dyn Fn(&AccessLog, &RunSpec<'_>) -> SystemMetrics| {
         let dir = tmpdir(&format!("{name}-{tag}"));
         let policy = CheckpointPolicy { every_n_epochs: 3, dir: dir.clone(), keep_last: 0 };
         let with = |resume| RunSpec {
             checkpoint: Some(Checkpointing { policy: &policy, io: &RealIo, resume }),
             ..spec
         };
-        run(true, &with(false));
-        let resumed = run(false, &with(true));
+        run(&prefix, &with(false));
+        let resumed = run(&log, &with(true));
         assert_eq!(golden, canonical(&resumed), "{name}: {tag} kill/resume");
         let _ = std::fs::remove_dir_all(&dir);
         resumed
     };
-    let e_rows = kill_resume("engine-rows", &|killed, spec| {
-        run_engine(if killed { (&prefix).into() } else { (&log).into() }, spec).unwrap()
-    });
-    assert_metrics_identical(&m_row, &e_rows, &format!("{name}: engine rows kill/resume"));
-    let e_cols = kill_resume("engine-cols", &|killed, spec| {
-        run_engine(if killed { (&prefix_cols).into() } else { (&cols).into() }, spec).unwrap()
-    });
-    assert_metrics_identical(&m_row, &e_cols, &format!("{name}: engine columns kill/resume"));
+    let resumed = kill_resume("engine", &|log, spec| run_engine(log, spec).unwrap());
+    assert_metrics_identical(&m_engine, &resumed, &format!("{name}: engine kill/resume"));
     for n in WORKERS {
-        // Alternate the representation so both meet every worker count
-        // across the table without doubling the runs.
-        let columnar = n == 4;
-        kill_resume(&format!("replayer-{n}"), &|killed, spec| {
-            let view: LogView<'_> = match (killed, columnar) {
-                (true, false) => (&prefix).into(),
-                (true, true) => (&prefix_cols).into(),
-                (false, false) => (&log).into(),
-                (false, true) => (&cols).into(),
-            };
-            run_replayer(view, n, spec).unwrap()
-        });
+        kill_resume(&format!("replayer-{n}"), &|log, spec| run_replayer(log, n, spec).unwrap());
     }
 }

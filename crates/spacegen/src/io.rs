@@ -147,7 +147,7 @@ pub fn write_binary(trace: &Trace, w: impl Write) -> Result<(), IoError> {
 /// clean EOF at a record boundary, and [`IoError::TruncatedRecord`] when
 /// the stream ends mid-record — a partial trailing record is corruption,
 /// never silently dropped. Shared by every fixed-record binary codec in
-/// the pipeline (spacegen traces, access logs, columnar access logs).
+/// the pipeline (spacegen traces, access logs).
 pub fn read_fixed_record(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, IoError> {
     let mut filled = 0usize;
     while filled < buf.len() {

@@ -13,7 +13,7 @@ use starcdn_sim::access_log::{build_access_log, AccessLog};
 use starcdn_sim::engine::{run_space, RunSpec, SimConfig};
 use starcdn_sim::replayer::replay_parallel;
 use starcdn_sim::world::World;
-use starcdn_sim::{build_access_log_columns_recorded, metrics_digest};
+use starcdn_sim::{build_access_log_recorded, metrics_digest};
 use starcdn_telemetry::{Event, MemoryRecorder, Noop, Recorder, TelemetrySnapshot};
 use std::collections::BTreeMap;
 
@@ -391,13 +391,13 @@ fn telemetry_recording_never_changes_replayer_output() {
     assert_eq!(again.histograms, snapshots[1].histograms);
     assert_eq!(again.events, snapshots[1].events);
 
-    // The whole pipeline under one recorder: the columnar log build
+    // The whole pipeline under one recorder: the log build
     // feeding the engine and the replayer. Recording moves the metrics
     // of neither, and a second recorded pipeline exports the same
     // counters, events and histogram buckets.
     let pipeline = |rec: &dyn Recorder| {
         let scheduler = SimConfig::default().scheduler();
-        let log = build_access_log_columns_recorded(&world, &trace, 15, &scheduler, rec);
+        let log = build_access_log_recorded(&world, &trace, 15, &scheduler, rec);
         let spec = RunSpec { schedule: &sched, recorder: rec, ..RunSpec::default() };
         let engine = starcdn_sim::engine::run(&mut SpaceCdn::new(cfg.clone()), &log, &spec);
         let replayer = starcdn_sim::replayer::run(&cfg, &FailureModel::none(), &log, 4, &spec);
