@@ -453,36 +453,6 @@ fn balanced_block_sizes(
     sizes
 }
 
-// The names `benchmark/src/abi.rs` links (that package is frozen by
-// BENCHMARK.json and pinned to these names), kept from when the log also
-// had a struct-of-arrays layout: each is the row log under that name.
-
-/// [`AccessLog`] under the name `benchmark/src/abi.rs` links; that file
-/// is its only reason to exist.
-pub type AccessLogColumns = AccessLog;
-
-/// [`build_access_log`] under the name `benchmark/src/abi.rs` links.
-pub fn build_access_log_columns(
-    world: &World,
-    trace: &Trace,
-    epoch_secs: u64,
-    cfg: &SchedulerConfig,
-) -> AccessLog {
-    build_access_log(world, trace, epoch_secs, cfg)
-}
-
-/// [`build_access_log_parallel`] under the name `benchmark/src/abi.rs`
-/// links.
-pub fn build_access_log_columns_parallel(
-    world: &World,
-    trace: &Trace,
-    epoch_secs: u64,
-    cfg: &SchedulerConfig,
-    num_workers: usize,
-) -> AccessLog {
-    build_access_log_parallel(world, trace, epoch_secs, cfg, num_workers)
-}
-
 /// Record one epoch boundary's applied churn as epoch-stamped events.
 /// Shared with the replayer's pre-pass.
 pub(crate) fn record_fault_delta(

@@ -8,8 +8,9 @@
 //! step (`crate::resolve::EpochBoundary`) and resolve requests through
 //! one function, so they count — and record — the same faults.
 
-use crate::access_log::{AccessLog, AccessLogColumns};
+use crate::access_log::AccessLog;
 use crate::checkpoint::{CheckpointError, Checkpointing, EngineCheckpointer, LoopState};
+use crate::columns::AccessLogColumns;
 use crate::overload::OverloadConfig;
 use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};

@@ -36,11 +36,12 @@
 //! under the names the frozen `benchmark/` package links against, as
 //! are [`AccessLogColumns`] and the `build_access_log_columns*`
 //! builders (the log under the names of a struct-of-arrays layout it no
-//! longer has).
+//! longer has, kept in the private `columns` module).
 
 pub mod access_log;
 pub mod checkpoint;
 mod codec;
+mod columns;
 #[cfg(test)]
 mod coverage;
 pub mod engine;
@@ -54,14 +55,12 @@ pub mod serve;
 pub mod transfers;
 pub mod world;
 
-pub use access_log::{
-    build_access_log, build_access_log_columns, build_access_log_columns_parallel,
-    build_access_log_recorded, AccessLog, AccessLogColumns, AccessLogEntry,
-};
+pub use access_log::{build_access_log, build_access_log_recorded, AccessLog, AccessLogEntry};
 pub use checkpoint::{
     list_checkpoint_files, metrics_digest, sweep_stale_tmps, telemetry_digest,
     validate_checkpoint_bytes, CheckpointError, CheckpointPolicy, Checkpointing,
 };
+pub use columns::{build_access_log_columns, build_access_log_columns_parallel, AccessLogColumns};
 pub use engine::{
     run_space, run_space_columns, run_space_columns_recorded, run_space_overloaded,
     run_space_overloaded_columns, run_space_overloaded_columns_recorded, RunSpec, SimConfig,
