@@ -8,37 +8,37 @@
 //! with identical inputs.
 //!
 //! The log has one layout, rows: an [`AccessLog`] is a `Vec` of
-//! [`AccessLogEntry`]. Two builders write it, [`build_access_log`] and
-//! [`build_access_log_parallel`], and produce bit-for-bit the same log.
-//! Both take every epoch boundary through one [`EpochScheduler::begin`]
-//! (the schedule's prologue, then the visibility window's advance), read
-//! every entry's assignment through [`EpochScheduler::assignment`] —
-//! which schedules a location on the first request that reads it in the
-//! epoch, so an (epoch, location) cell no request reads is never
-//! scheduled — and store every entry through the one entry constructor,
-//! [`AccessLogEntry::resolved`]. The parallel builder sizes the log once
-//! and hands each worker a disjoint `&mut` slice of it (split at
-//! epoch-run boundaries), so the steady-state epoch loop — propagate,
-//! schedule into reusable scratch, write entries in place — performs
-//! zero heap allocations and there is no final stitch copy. The 39-byte
-//! binary format has one encoder ([`AccessLog::write_binary`]) and one
-//! decoder ([`AccessLog::read_binary`]).
+//! [`AccessLogEntry`]. One per-entry loop writes it: it takes every
+//! epoch boundary through one [`EpochScheduler::begin`] (the schedule's
+//! prologue, then the visibility window's advance), reads every entry's
+//! assignment through [`EpochScheduler::assignment`] — which schedules a
+//! location on the first request that reads it in the epoch, so an
+//! (epoch, location) cell no request reads is never scheduled — and
+//! stores every entry through the one entry constructor,
+//! [`AccessLogEntry::resolved`]. [`build_access_log_parallel`] runs that
+//! loop over epoch-aligned chunks of the trace on threads, cut as the
+//! replayer's pre-pass cuts a log, and [`build_access_log`] runs it as
+//! one chunk; both produce bit-for-bit the same log. Each chunk's output
+//! is sized before it starts, so its steady-state epoch loop —
+//! propagate, schedule into reusable scratch, push entries — performs
+//! zero heap allocations; the chunks after the first are appended to
+//! the first's. The 39-byte binary format has one encoder
+//! ([`AccessLog::write_binary`]) and one decoder
+//! ([`AccessLog::read_binary`]).
 
+use crate::epoch_chunks::{chunk_starts, or_one_chunk, run_chunks};
 use crate::scheduler::{epoch_of, Assignment, EpochScheduler, SchedulerConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
 use spacegen::io::{read_fixed_record, IoError};
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn_cache::object::ObjectId;
-use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::ScheduleCursor;
 use starcdn_io::wire::Reader;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{Counter, Event, Histo, Noop, Recorder, SpanTimer, Stage};
-#[cfg(test)]
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// One request with its resolved first-contact satellite.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -180,25 +180,6 @@ impl AccessLog {
         let mut f = io.open(path)?;
         Self::read_binary(starcdn_io::ReadAdapter(&mut *f))
     }
-
-    /// Requests grouped per first-contact satellite (the shape of
-    /// CosmicBeats' per-satellite output logs). Unreachable entries are
-    /// returned separately. The map is a `BTreeMap` so downstream
-    /// iteration order is deterministic.
-    #[cfg(test)]
-    pub(crate) fn per_satellite(
-        &self,
-    ) -> (BTreeMap<SatelliteId, Vec<&AccessLogEntry>>, Vec<&AccessLogEntry>) {
-        let mut by_sat: BTreeMap<SatelliteId, Vec<&AccessLogEntry>> = BTreeMap::new();
-        let mut unreachable = Vec::new();
-        for e in &self.entries {
-            match e.first_contact {
-                Some(sat) => by_sat.entry(sat).or_default().push(e),
-                None => unreachable.push(e),
-            }
-        }
-        (by_sat, unreachable)
-    }
 }
 
 impl AccessLogEntry {
@@ -238,7 +219,7 @@ const RECORD_LEN: usize = 39;
 ///
 /// One sequential pass over the trace, one [`EpochScheduler::begin`] per
 /// epoch with reusable scratch, each location scheduled on its first read
-/// in the epoch.
+/// in the epoch: [`build_access_log_parallel`]'s loop run as one chunk.
 pub fn build_access_log(
     world: &World,
     trace: &Trace,
@@ -261,79 +242,20 @@ pub fn build_access_log_recorded(
     cfg: &SchedulerConfig,
     rec: &dyn Recorder,
 ) -> AccessLog {
-    assert!(epoch_secs > 0);
-    let enabled = rec.is_enabled();
-    let users = cfg.users_per_location;
-    assert!(users > 0, "users_per_location must be positive");
-    let mut scheduler = EpochScheduler::new(world);
-    let mut entries = Vec::with_capacity(trace.len());
-    let mut epoch_len = 0u64;
-    let mut have_schedule = false;
-    // Wrapped round-robin cursors: each slot holds `raw_count % users`,
-    // stepped without a per-entry modulo.
-    let mut rr_counters = vec![0usize; world.num_locations()];
-    let mut cursor = ScheduleCursor::new(&world.schedule, world.failures.clone());
-    // `epoch_of(t) == e  ⇔  e·epoch_ms ≤ t_ms < (e+1)·epoch_ms` (u64
-    // floor division composes), so steady-state entries replace the two
-    // divisions inside `epoch_of` with one range check. The empty
-    // initial range forces the first entry to compute its epoch.
-    let epoch_ms = epoch_secs * 1000;
-    let mut epoch_start_ms = u64::MAX;
-    let mut epoch_end_ms = 0u64;
-
-    for r in &trace.requests {
-        let t_ms = r.time.as_millis();
-        if t_ms < epoch_start_ms || t_ms >= epoch_end_ms {
-            let epoch = epoch_of(r.time, epoch_secs);
-            if enabled && have_schedule {
-                rec.observe(Histo::QueueDepth, epoch_len);
-            }
-            epoch_len = 0;
-            epoch_start_ms = epoch * epoch_ms;
-            epoch_end_ms = epoch_start_ms + epoch_ms;
-            let delta = cursor.advance_to(epoch * epoch_secs);
-            if enabled && !delta.is_empty() {
-                record_fault_delta(rec, epoch, &delta);
-            }
-            scheduler.begin(world, epoch, epoch_secs, cfg, rec);
-            have_schedule = true;
-        }
-        epoch_len += 1;
-        debug_assert!(have_schedule);
-        let loc = r.location.0 as usize;
-        let user = rr_counters[loc];
-        rr_counters[loc] = if user + 1 == users { 0 } else { user + 1 };
-        let assignment = scheduler.assignment(loc, user, cursor.view(), rec);
-        entries.push(AccessLogEntry::resolved(r, assignment));
-    }
-    if enabled && epoch_len > 0 {
-        rec.observe(Histo::QueueDepth, epoch_len);
-    }
-    AccessLog { entries, epoch_secs }
+    build_access_log_parallel_recorded(world, trace, epoch_secs, cfg, 1, rec)
 }
 
 /// [`build_access_log`] fanned out over `num_workers` OS threads.
 ///
-/// The trace is pre-scanned into epoch runs — maximal runs of
-/// consecutive same-epoch entries, exactly the granularity at which the
-/// sequential builder recomputes the link schedule. The pre-scan also
-/// replays the [`ScheduleCursor`] once (the cursor is monotonic state,
-/// so this is the one part that cannot be parallelized) and snapshots a
-/// per-run failure view and the round-robin user counters' starting
-/// values (one flat runs × locations table). With the sequential
-/// dependencies captured, epoch runs are
-/// embarrassingly parallel: each worker owns a private
-/// [`EpochScheduler`] (a satellite's position is a pure function of
-/// `t`, so worker-local snapshots produce identical bits, whichever
-/// epochs a worker's visibility window happens to refresh at), takes a
-/// contiguous block of runs, schedules each run's locations on their
-/// first read through the same [`EpochScheduler::assignment`] as the
-/// sequential builder, and writes the entries directly into its
-/// disjoint slice of the pre-sized log. Once a worker's scratch is warm,
-/// its steady-state epoch loop — propagate, schedule into scratch, write
-/// the run's entries — performs zero heap allocations, and there is no
-/// stitch copy at the end. Output is bit-for-bit the sequential
-/// builder's.
+/// The trace is cut at scheduler-epoch starts into at most `num_workers`
+/// chunks of near-equal length, as the replayer's pre-pass cuts a log,
+/// and each chunk runs the sequential builder's loop on a thread of its
+/// own (the first on the calling thread) with an [`EpochScheduler`] of
+/// its own: a satellite's position is a pure function of `t`. Each
+/// chunk pushes onto a vector sized on the calling thread; the first
+/// chunk's holds the whole log, and the others are appended to it.
+/// Output is bit-for-bit the sequential builder's; a trace whose time
+/// runs backwards is built again as one chunk.
 pub fn build_access_log_parallel(
     world: &World,
     trace: &Trace,
@@ -344,13 +266,11 @@ pub fn build_access_log_parallel(
     build_access_log_parallel_recorded(world, trace, epoch_secs, cfg, num_workers, &Noop)
 }
 
-/// [`build_access_log_parallel`] with telemetry: the sequential pre-scan
-/// is timed as [`Stage::PreScan`] (with per-run [`Histo::QueueDepth`]
-/// observations and churn events), workers report the scheduler's
-/// per-epoch spans through the shared recorder (epoch keys are unique
-/// per run, so concurrent recording lands in disjoint timeline cells),
-/// and [`Stage::Merge`] brackets the split of the log into the workers'
-/// slices (no stitch exists).
+/// [`build_access_log_parallel`] with telemetry: chunks record through
+/// the shared recorder (no epoch spans two chunks, so concurrent
+/// recording lands in disjoint timeline cells), the cut is timed as
+/// [`Stage::PreScan`] and the append of the chunks' entries as
+/// [`Stage::Merge`].
 pub(crate) fn build_access_log_parallel_recorded(
     world: &World,
     trace: &Trace,
@@ -360,97 +280,98 @@ pub(crate) fn build_access_log_parallel_recorded(
     rec: &dyn Recorder,
 ) -> AccessLog {
     assert!(epoch_secs > 0);
-    if num_workers <= 1 || trace.len() < 2 {
-        return build_access_log_recorded(world, trace, epoch_secs, cfg, rec);
-    }
+    assert!(cfg.users_per_location > 0, "users_per_location must be positive");
     let reqs = &trace.requests;
-
-    let prescan_span = SpanTimer::start(rec, Stage::PreScan, 0);
-    let EpochRuns { runs, rr_start } = prescan_epoch_runs(world, reqs, epoch_secs, rec);
-    prescan_span.stop();
-
-    // Every slot is overwritten by the worker that owns it.
-    let mut entries = vec![AccessLogEntry::resolved(&reqs[0], None); reqs.len()];
-
-    // Deal the runs to workers as contiguous blocks, each with the slice
-    // of the log its runs cover: consecutive epochs share a visibility
-    // window, so a worker that walks neighbouring runs rescans the fleet
-    // once per ~8 epochs, where a round-robin deal at 8 workers would put
-    // every run a whole window from the worker's previous one. Static
-    // assignment needs no claim queue.
-    let merge_span = SpanTimer::start(rec, Stage::Merge, 0);
-    let workers = num_workers.min(runs.len()).max(1);
-    let sizes = balanced_block_sizes(runs.iter().map(|r| r.end - r.start), reqs.len(), workers);
-    let mut blocks = Vec::with_capacity(workers);
-    let (mut rest, mut first) = (entries.as_mut_slice(), 0);
-    for size in sizes.into_iter().filter(|&size| size > 0) {
-        let block = first..first + size;
-        let len = runs[block.end - 1].end - runs[block.start].start;
-        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        blocks.push((block, slice));
-        (rest, first) = (tail, first + size);
-    }
-    merge_span.stop();
-
-    let users = cfg.users_per_location;
-    assert!(users > 0, "users_per_location must be positive");
-    let locations = world.num_locations();
-    let (runs, rr_start) = (&runs, &rr_start);
-    std::thread::scope(|s| {
-        for (block, slice) in blocks {
-            s.spawn(move || {
-                let mut scheduler = EpochScheduler::new(world);
-                let mut rr = vec![0usize; locations];
-                let base = runs[block.start].start;
-                for i in block {
-                    let run = &runs[i];
-                    scheduler.begin(world, run.epoch, epoch_secs, cfg, rec);
-                    // Fold the pre-scan's raw counts into wrapped
-                    // cursors once per run; entries then step without
-                    // the modulo (see the sequential builder).
-                    let counts = &rr_start[i * locations..(i + 1) * locations];
-                    for (w, &raw) in rr.iter_mut().zip(counts) {
-                        *w = raw % users;
-                    }
-                    let out = &mut slice[run.start - base..run.end - base];
-                    for (slot, r) in out.iter_mut().zip(&reqs[run.start..run.end]) {
-                        let loc = r.location.0 as usize;
-                        let user = rr[loc];
-                        rr[loc] = if user + 1 == users { 0 } else { user + 1 };
-                        let assignment = scheduler.assignment(loc, user, &run.view, rec);
-                        *slot = AccessLogEntry::resolved(r, assignment);
-                    }
-                }
-            });
-        }
+    let cut = SpanTimer::start(rec, Stage::PreScan, 0);
+    let starts = chunk_starts(reqs.len(), num_workers, |i| epoch_of(reqs[i].time, epoch_secs));
+    cut.stop();
+    let entries = or_one_chunk(&starts, |starts| {
+        let chunks = run_chunks(
+            reqs.len(),
+            starts,
+            |range| {
+                let capacity = if range.start == 0 { reqs.len() } else { range.len() };
+                (range, Vec::with_capacity(capacity))
+            },
+            |(range, out)| build_chunk(world, reqs, range.clone(), epoch_secs, cfg, rec, out),
+        )?;
+        let _merge = SpanTimer::start(rec, Stage::Merge, 0);
+        chunks.into_iter().map(|(_, out)| out).reduce(|mut entries, mut out| {
+            entries.append(&mut out);
+            entries
+        })
     });
     AccessLog { entries, epoch_secs }
 }
 
-/// Cut consecutive runs into `blocks` consecutive blocks of near-equal
-/// work; returns how many runs each block takes, in order. A run costs a
-/// fixed part (propagate and schedule its epoch) and a part per entry;
-/// with no constant to tune between the two, each run weighs its share
-/// of the runs plus its share of the `entries`, so a block exceeds its
-/// fair share of either cost by at most its fair share of the other. A
-/// block is empty when a single run outweighs it whole.
-fn balanced_block_sizes(
-    run_lens: impl ExactSizeIterator<Item = usize>,
-    entries: usize,
-    blocks: usize,
-) -> Vec<usize> {
-    let (runs, entries) = (run_lens.len() as u128, entries as u128);
-    // 1/runs + len/entries, scaled by runs·entries.
-    let total = (2 * runs * entries).max(1);
-    let mut sizes = vec![0usize; blocks];
-    let mut before = 0u128;
-    for len in run_lens {
-        // The block a run starts in owns it: monotone in `before`, so
-        // the blocks are contiguous.
-        sizes[(before * blocks as u128 / total) as usize] += 1;
-        before += entries + len as u128 * runs;
+/// The one per-entry build loop: resolve `reqs[range]` onto `out`,
+/// starting where the request before `range` left one pass — the fault
+/// cursor advanced silently to its epoch (the chunk that crossed that
+/// churn records it), the round-robin counters at the location counts
+/// before `range`. Returns whether the chunk's epochs never decrease,
+/// starting above that request's epoch.
+fn build_chunk(
+    world: &World,
+    reqs: &[Request],
+    range: Range<usize>,
+    epoch_secs: u64,
+    cfg: &SchedulerConfig,
+    rec: &dyn Recorder,
+    out: &mut Vec<AccessLogEntry>,
+) -> bool {
+    let enabled = rec.is_enabled();
+    let users = cfg.users_per_location;
+    let mut scheduler = EpochScheduler::new(world);
+    // Wrapped round-robin cursors: each slot holds `raw_count % users`,
+    // stepped without a per-entry modulo.
+    let mut rr_counters = vec![0usize; world.num_locations()];
+    for r in &reqs[..range.start] {
+        rr_counters[r.location.0 as usize] += 1;
     }
-    sizes
+    rr_counters.iter_mut().for_each(|count| *count %= users);
+    let mut cursor = ScheduleCursor::new(&world.schedule, world.failures.clone());
+    // `epoch_of(t) == e  ⇔  e·epoch_ms ≤ t_ms < (e+1)·epoch_ms` (u64
+    // floor division composes), so steady-state entries replace the two
+    // divisions inside `epoch_of` with one range check. The empty
+    // initial range forces the first entry to compute its epoch; its end
+    // is where an entry in order may start: above the epoch before.
+    let epoch_ms = epoch_secs * 1000;
+    let (mut epoch_start_ms, mut epoch_end_ms) = (u64::MAX, 0);
+    if let Some(before) = range.start.checked_sub(1) {
+        let epoch = epoch_of(reqs[before].time, epoch_secs);
+        cursor.advance_to(epoch * epoch_secs);
+        epoch_end_ms = (epoch + 1) * epoch_ms;
+    }
+    let (mut in_order, mut epoch_len) = (true, 0u64);
+
+    for r in &reqs[range] {
+        let t_ms = r.time.as_millis();
+        if t_ms < epoch_start_ms || t_ms >= epoch_end_ms {
+            in_order &= t_ms >= epoch_end_ms;
+            let epoch = epoch_of(r.time, epoch_secs);
+            if enabled && epoch_len > 0 {
+                rec.observe(Histo::QueueDepth, epoch_len);
+            }
+            epoch_len = 0;
+            epoch_start_ms = epoch * epoch_ms;
+            epoch_end_ms = epoch_start_ms + epoch_ms;
+            let delta = cursor.advance_to(epoch * epoch_secs);
+            if enabled && !delta.is_empty() {
+                record_fault_delta(rec, epoch, &delta);
+            }
+            scheduler.begin(world, epoch, epoch_secs, cfg, rec);
+        }
+        epoch_len += 1;
+        let loc = r.location.0 as usize;
+        let user = rr_counters[loc];
+        rr_counters[loc] = if user + 1 == users { 0 } else { user + 1 };
+        let assignment = scheduler.assignment(loc, user, cursor.view(), rec);
+        out.push(AccessLogEntry::resolved(r, assignment));
+    }
+    if enabled && epoch_len > 0 {
+        rec.observe(Histo::QueueDepth, epoch_len);
+    }
+    in_order
 }
 
 /// Record one epoch boundary's applied churn as epoch-stamped events.
@@ -471,86 +392,28 @@ pub(crate) fn record_fault_delta(
     rec.add(Counter::FaultEventsApplied, applied as u64);
 }
 
-/// A maximal run of consecutive same-epoch trace entries, plus the
-/// failure view the sequential pass would have used for it.
-pub(crate) struct EpochRun {
-    pub(crate) start: usize,
-    pub(crate) end: usize,
-    pub(crate) epoch: u64,
-    pub(crate) view: Arc<FailureModel>,
-}
-
-/// What the parallel builder's workers need to schedule runs
-/// independently: the runs, and the round-robin counters as they stood
-/// when each run began — one flat runs × locations table, run `i`'s row
-/// at `rr_start[i * L..(i + 1) * L]`.
-pub(crate) struct EpochRuns {
-    pub(crate) runs: Vec<EpochRun>,
-    pub(crate) rr_start: Vec<usize>,
-}
-
-/// Sequential pre-scan of the parallel builder: splits `reqs`
-/// into maximal same-epoch runs, replays the fault cursor once (the
-/// only inherently sequential state), and snapshots per-run
-/// failure views and round-robin counters so workers can schedule runs
-/// independently and still reproduce the sequential builder bit-for-bit.
-pub(crate) fn prescan_epoch_runs(
-    world: &World,
-    reqs: &[Request],
-    epoch_secs: u64,
-    rec: &dyn Recorder,
-) -> EpochRuns {
-    let enabled = rec.is_enabled();
-    let mut runs: Vec<EpochRun> = Vec::new();
-    let mut rr_start = Vec::new();
-    let mut cursor = ScheduleCursor::new(&world.schedule, world.failures.clone());
-    let mut rr = vec![0usize; world.num_locations()];
-    let mut shared_view: Option<Arc<FailureModel>> = None;
-    let mut start = 0usize;
-    let epoch_ms = epoch_secs * 1000;
-    while start < reqs.len() {
-        let epoch = epoch_of(reqs[start].time, epoch_secs);
-        // `epoch_of(t) == epoch ⇔ epoch·epoch_ms ≤ t_ms < (epoch+1)·epoch_ms`
-        // (u64 floor division composes) — one range check per entry
-        // instead of the two divisions inside `epoch_of`.
-        let run_start_ms = epoch * epoch_ms;
-        let run_end_ms = run_start_ms + epoch_ms;
-        let mut end = start + 1;
-        while end < reqs.len() && {
-            let t_ms = reqs[end].time.as_millis();
-            t_ms >= run_start_ms && t_ms < run_end_ms
-        } {
-            end += 1;
-        }
-        let delta = cursor.advance_to(epoch * epoch_secs);
-        if enabled {
-            rec.observe(Histo::QueueDepth, (end - start) as u64);
-            if !delta.is_empty() {
-                record_fault_delta(rec, epoch, &delta);
-            }
-        }
-        let view = match &shared_view {
-            Some(v) if delta.is_empty() => v.clone(),
-            _ => {
-                let v = Arc::new(cursor.view().clone());
-                shared_view = Some(v.clone());
-                v
-            }
-        };
-        runs.push(EpochRun { start, end, epoch, view });
-        rr_start.extend_from_slice(&rr);
-        for r in &reqs[start..end] {
-            rr[r.location.0 as usize] += 1;
-        }
-        start = end;
-    }
-    EpochRuns { runs, rr_start }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spacegen::trace::Request;
+    use std::collections::BTreeMap;
+
+    /// Requests grouped per first-contact satellite (the shape of
+    /// CosmicBeats' per-satellite output logs). Unreachable entries are
+    /// returned separately. The map is a `BTreeMap` so downstream
+    /// iteration order is deterministic.
+    fn per_satellite(
+        log: &AccessLog,
+    ) -> (BTreeMap<SatelliteId, Vec<&AccessLogEntry>>, Vec<&AccessLogEntry>) {
+        let mut by_sat: BTreeMap<SatelliteId, Vec<&AccessLogEntry>> = BTreeMap::new();
+        let mut unreachable = Vec::new();
+        for e in &log.entries {
+            match e.first_contact {
+                Some(sat) => by_sat.entry(sat).or_default().push(e),
+                None => unreachable.push(e),
+            }
+        }
+        (by_sat, unreachable)
+    }
 
     fn tiny_trace() -> Trace {
         let mut reqs = Vec::new();
@@ -653,7 +516,7 @@ mod tests {
     fn per_satellite_grouping_partitions_the_log() {
         let w = World::starlink_nine_cities();
         let log = build_access_log(&w, &tiny_trace(), 15, &SchedulerConfig::default());
-        let (by_sat, unreachable) = log.per_satellite();
+        let (by_sat, unreachable) = per_satellite(&log);
         let total: usize = by_sat.values().map(|v| v.len()).sum::<usize>() + unreachable.len();
         assert_eq!(total, log.len());
         assert!(by_sat.len() > 5, "requests should spread over satellites");
@@ -857,35 +720,24 @@ mod tests {
         }
     }
 
+    /// A trace whose time runs backwards — built through the public
+    /// field, since `Trace::new` sorts — builds as one chunk, so the
+    /// worker count cannot change its log. Its last quarter comes first,
+    /// so the cuts fall after the jump back, where one pass's fault
+    /// cursor stays at the latest epoch seen and a chunk's would start
+    /// from the request before it, under churn an older failure view.
     #[test]
-    fn blocks_are_contiguous_and_balance_runs_and_entries() {
-        // Uniform runs: an even split.
-        assert_eq!(balanced_block_sizes([10usize; 12].into_iter(), 120, 4), [3, 3, 3, 3]);
-        // One heavy run among empty-ish ones: it takes a block's worth of
-        // weight, the light runs share the rest.
-        let mut lens = vec![1usize; 99];
-        lens.insert(0, 901);
-        let sizes = balanced_block_sizes(lens.iter().copied(), 1000, 2);
-        assert_eq!(sizes.iter().sum::<usize>(), 100);
-        assert!(sizes[0] < 20, "the heavy run's block took {} runs", sizes[0]);
-        // More blocks than weight boundaries: some stay empty, none is lost.
-        let sizes = balanced_block_sizes([5usize, 5].into_iter(), 10, 8);
-        assert_eq!(sizes.iter().sum::<usize>(), 2);
-        assert_eq!(sizes.len(), 8);
-        // Each block's share of runs plus its share of entries is within
-        // one run's weight of 2/blocks.
-        let lens: Vec<usize> = (0..500).map(|i| i * 7919 % 40).collect();
-        let entries: usize = lens.iter().sum();
-        let sizes = balanced_block_sizes(lens.iter().copied(), entries, 3);
-        let mut start = 0;
-        for size in sizes {
-            let block = &lens[start..start + size];
-            let share =
-                block.len() as f64 / 500.0 + block.iter().sum::<usize>() as f64 / entries as f64;
-            assert!((share - 2.0 / 3.0).abs() < 0.01, "block share {share}");
-            start += size;
+    fn a_trace_running_backwards_builds_as_one_chunk() {
+        let cfg = SchedulerConfig::default();
+        let w = churny_world();
+        let mut requests = tiny_trace().requests;
+        let last_quarter = requests.len() * 3 / 4;
+        requests.rotate_left(last_quarter);
+        let trace = Trace { requests };
+        let seq = build_access_log(&w, &trace, 15, &cfg);
+        for n in [2usize, 3, 8] {
+            assert_eq!(build_access_log_parallel(&w, &trace, 15, &cfg, n), seq, "{n} workers");
         }
-        assert_eq!(start, 500);
     }
 
     #[test]
@@ -909,7 +761,7 @@ mod tests {
     fn per_satellite_iteration_is_sorted() {
         let w = World::starlink_nine_cities();
         let log = build_access_log(&w, &tiny_trace(), 15, &SchedulerConfig::default());
-        let (by_sat, _) = log.per_satellite();
+        let (by_sat, _) = per_satellite(&log);
         let ids: Vec<_> = by_sat.keys().copied().collect();
         let mut sorted = ids.clone();
         sorted.sort();

@@ -12,7 +12,8 @@
 //!   visible satellites;
 //! * [`access_log`] — per-request first-contact assignments, the
 //!   analog of CosmicBeats' per-satellite access logs, one row per
-//!   request; built sequentially or epoch-sharded over threads
+//!   request; built by one per-entry loop, run over the whole trace or
+//!   over epoch-aligned chunks on threads
 //!   ([`access_log::build_access_log_parallel`]) with bit-for-bit
 //!   identical output;
 //! * [`engine`] — the deterministic single-threaded replay of an access
@@ -45,6 +46,7 @@ mod columns;
 #[cfg(test)]
 mod coverage;
 pub mod engine;
+mod epoch_chunks;
 pub mod experiment;
 pub mod overload;
 pub mod replayer;

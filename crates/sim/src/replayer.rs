@@ -60,6 +60,7 @@
 use crate::access_log::AccessLog;
 use crate::checkpoint::CheckpointError;
 use crate::engine::{debug_assert_conserved, RunSpec};
+use crate::epoch_chunks::{chunk_starts, or_one_chunk, run_chunks};
 use crate::overload::OverloadConfig;
 use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
 use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
@@ -311,11 +312,11 @@ impl PrePass {
 /// changes nothing else. Of `spec`, the schedule, the overload
 /// configuration and the recorder are read.
 ///
-/// The log resolves in the chunks [`chunk_starts`] picks, one thread
-/// each, the first on the calling thread. Their results merge in chunk
-/// order — metrics by [`SystemMetrics::merge`] (chunks never share an
-/// epoch, so that is the one-pass metrics bit for bit, availability and
-/// utilization timelines included), telemetry by
+/// The log resolves in the chunks `epoch_chunks::chunk_starts` picks,
+/// one thread each, the first on the calling thread. Their results merge
+/// in chunk order — metrics by [`SystemMetrics::merge`] (chunks never
+/// share an epoch, so that is the one-pass metrics bit for bit,
+/// availability and utilization timelines included), telemetry by
 /// absorbing each chunk's recorder — into what one pass over the whole
 /// log produces. A log whose time runs backwards is resolved again as
 /// one chunk.
@@ -328,86 +329,22 @@ pub(crate) fn prepare_shards(
     num_workers: usize,
     barrier_every: Option<u64>,
 ) -> PrePass {
-    let starts = chunk_starts(log, num_workers);
-    let prepare = |starts: &[usize]| {
+    let epoch_secs = log.epoch_secs.max(1);
+    let starts =
+        chunk_starts(log.len(), num_workers, |i| log.entries[i].time.as_secs() / epoch_secs);
+    or_one_chunk(&starts, |starts| {
         prepare_chunks(env, base_failures, log, spec, shard_of, num_workers, barrier_every, starts)
-    };
-    prepare(&starts).unwrap_or_else(|| prepare(&[]).expect("one chunk is the one-pass order"))
-}
-
-/// Where the pre-pass splits `log`: the first entry of every chunk but
-/// the first. Chunks start at scheduler-epoch boundaries, there are
-/// `min(num_workers, distinct epochs)` of them, and each cut is the
-/// first epoch start at or after an equal share of the entries — moved
-/// only as far as it takes to leave every chunk an epoch of its own.
-/// The epochs of a log sorted by time are found by binary search:
-/// O(num_workers · log n) entry reads, not a pass.
-fn chunk_starts(log: &AccessLog, num_workers: usize) -> Vec<usize> {
-    let (n, epoch_secs) = (log.len(), log.epoch_secs.max(1));
-    if num_workers < 2 || n == 0 {
-        return Vec::new();
-    }
-    let epoch = |i: usize| log.entries[i].time.as_secs() / epoch_secs;
-    // The first index in `lo..hi` where `holds` stops holding.
-    let first_not = |mut lo: usize, mut hi: usize, holds: &dyn Fn(usize) -> bool| {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if holds(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-    // The first entry of the epoch after entry `i`'s (`n` if none), and
-    // the first entry of entry `i`'s own epoch.
-    let next_start = |i: usize| first_not(i + 1, n, &|j| epoch(j) == epoch(i));
-    let own_start = |i: usize| first_not(0, i, &|j| epoch(j) < epoch(i));
-    // The last `num_workers - 1` epoch starts, latest last: cut `c` may
-    // lie no later than `lasts[c]`, so every later cut still finds an
-    // epoch. Reaching entry 0 first means fewer epochs than workers, and
-    // then every epoch is a chunk.
-    let mut lasts = Vec::with_capacity(num_workers - 1);
-    let mut b = n;
-    while lasts.len() < num_workers - 1 {
-        b = own_start(b - 1);
-        if b == 0 {
-            break;
-        }
-        lasts.push(b);
-    }
-    lasts.reverse();
-    if lasts.len() < num_workers - 1 {
-        return lasts;
-    }
-    let mut cuts: Vec<usize> = Vec::with_capacity(num_workers - 1);
-    for (c, &last) in lasts.iter().enumerate() {
-        let (prev, share) = (cuts.last().copied().unwrap_or(0), (c + 1) * n / num_workers);
-        let cut = next_start(share - 1).max(next_start(prev)).min(last);
-        // Only a log unsorted by time can fail this; `prepare_chunks`
-        // then falls back to one chunk anyway.
-        if prev < cut && cut < n {
-            cuts.push(cut);
-        }
-    }
-    cuts
+    })
 }
 
 /// One chunk of the pre-pass: its entry range and everything resolving
-/// it produces. Built on the calling thread, outputs pre-sized, so the
-/// chunk's thread fills memory from the caller's allocator arena: glibc
-/// keeps what a thread allocates in that thread's own arena, and with
-/// trimming off (as the benchmark pins it) never returns it.
+/// it produces, pre-sized on the calling thread (`epoch_chunks::run_chunks`).
 struct Chunk {
     range: Range<usize>,
     pieces: Vec<Vec<ShardOp>>,
     direct: SystemMetrics,
     cuts: Vec<ShardCut>,
     rec: Option<MemoryRecorder>,
-    /// Whether the chunk's epochs never decrease, starting above the
-    /// epoch of the entry before it.
-    in_order: bool,
 }
 
 /// [`prepare_shards`] over the chunks that begin at `starts`; `None`
@@ -427,37 +364,24 @@ fn prepare_chunks(
 ) -> Option<PrePass> {
     let rec = spec.recorder;
     let enabled = rec.is_enabled();
-    let bounds: Vec<usize> =
-        std::iter::once(0).chain(starts.iter().copied()).chain([log.len()]).collect();
-    let mut chunks: Vec<Chunk> = bounds
-        .windows(2)
-        .map(|b| {
+    let chunks = run_chunks(
+        log.len(),
+        starts,
+        |range| {
             // Reserve each piece for its expected share up front: the
             // streams together hold nearly every entry, and pre-sizing
             // keeps the hot loop free of reallocation copies.
-            let hint = (b[1] - b[0]) / num_workers + 16;
+            let hint = range.len() / num_workers + 16;
             Chunk {
-                range: b[0]..b[1],
+                range,
                 pieces: (0..num_workers).map(|_| Vec::with_capacity(hint)).collect(),
                 direct: SystemMetrics::default(),
                 cuts: Vec::new(),
                 rec: enabled.then(MemoryRecorder::new),
-                in_order: true,
             }
-        })
-        .collect();
-    let resolve =
-        &|ch: &mut Chunk| resolve_chunk(env, base_failures, log, spec, shard_of, barrier_every, ch);
-    std::thread::scope(|s| {
-        let (first, rest) = chunks.split_first_mut().expect("bounds hold at least one chunk");
-        for ch in rest {
-            s.spawn(move || resolve(ch));
-        }
-        resolve(first);
-    });
-    if chunks.len() > 1 && !chunks.iter().all(|ch| ch.in_order) {
-        return None;
-    }
+        },
+        |ch| resolve_chunk(env, base_failures, log, spec, shard_of, barrier_every, ch),
+    )?;
 
     // The first chunk is the base, not merged into an empty one: a merge
     // sorts the availability timeline, which one chunk of a log whose
@@ -492,7 +416,8 @@ fn prepare_chunks(
 /// The pre-pass's one per-entry loop, over chunk `ch`'s entries. A chunk
 /// after the first starts where the entry before it left one pass: the
 /// boundary skipped silently to that entry's epoch, which also seeds the
-/// epoch the barriers count from.
+/// epoch the barriers count from. Returns whether the chunk's epochs
+/// never decrease, starting above that entry's epoch.
 fn resolve_chunk(
     env: &ServeEnv,
     base_failures: &FailureModel,
@@ -501,7 +426,7 @@ fn resolve_chunk(
     shard_of: &[usize],
     barrier_every: Option<u64>,
     ch: &mut Chunk,
-) {
+) -> bool {
     let rec: &dyn Recorder = match &ch.rec {
         Some(r) => r,
         None => spec.recorder,
@@ -518,10 +443,11 @@ fn resolve_chunk(
         boundary.skip_to(epoch);
     }
     let mut floor = before.map_or(0, |epoch| epoch + 1);
-    let Chunk { range, pieces, direct, cuts, in_order, .. } = ch;
+    let mut in_order = true;
+    let Chunk { range, pieces, direct, cuts, .. } = ch;
     for e in &log.entries[range.clone()] {
         let epoch = e.time.as_secs() / epoch_secs;
-        *in_order &= epoch >= floor;
+        in_order &= epoch >= floor;
         floor = epoch;
         if epoch != boundary.epoch {
             // Cut before this epoch's churn pseudo-ops are pushed: a
@@ -552,6 +478,7 @@ fn resolve_chunk(
         }
     }
     boundary.finish(direct);
+    in_order
 }
 
 /// Replay one contiguous slice of a shard's op stream against the
@@ -1014,56 +941,6 @@ mod tests {
         (1..log.entries.len()).filter(|&i| epoch_of(log, i - 1) < epoch_of(log, i)).collect()
     }
 
-    /// `sizes[e]` entries spread over 15 s epoch `e`, nine cities.
-    fn epochs_log(sizes: &[u64]) -> AccessLog {
-        let reqs: Vec<Request> = sizes
-            .iter()
-            .enumerate()
-            .flat_map(|(e, &n)| {
-                (0..n).map(move |k| Request {
-                    time: SimTime::from_millis(e as u64 * 15_000 + k * 15_000 / n),
-                    object: ObjectId(k % 50),
-                    size: 500,
-                    location: LocationId((k % 9) as u16),
-                })
-            })
-            .collect();
-        build_access_log(
-            &World::starlink_nine_cities(),
-            &Trace::new(reqs),
-            15,
-            &SimConfig::default().scheduler(),
-        )
-    }
-
-    #[test]
-    fn chunks_start_at_epochs_and_number_min_of_workers_and_epochs() {
-        let starts = |log: &AccessLog, workers| chunk_starts(log, workers);
-        // Empty and one-epoch logs: one chunk.
-        assert!(starts(&AccessLog::default(), 4).is_empty());
-        assert!(starts(&epochs_log(&[40]), 4).is_empty());
-        // Fewer epochs than workers: every epoch is a chunk.
-        assert_eq!(starts(&epochs_log(&[5, 7, 3]), 8), [5, 12]);
-        // Skewed epochs still give every chunk an epoch of its own.
-        assert_eq!(starts(&epochs_log(&[1, 1000, 1]), 3), [1, 1001]);
-        assert_eq!(starts(&epochs_log(&[1, 1, 1, 1000]), 4), [1, 2, 3]);
-        // One worker: one chunk.
-        let log = log();
-        assert!(starts(&log, 1).is_empty());
-        // Otherwise each cut is the first epoch start at or after an
-        // equal share of the entries.
-        let n = log.entries.len();
-        for workers in [2, 3, 4, 8] {
-            let cuts = starts(&log, workers);
-            assert_eq!(cuts.len(), workers - 1, "{workers} workers");
-            for (c, &b) in cuts.iter().enumerate() {
-                let share = (c + 1) * n / workers;
-                assert!(epoch_of(&log, b - 1) < epoch_of(&log, b), "cut {b} starts an epoch");
-                assert!(b >= share && epoch_of(&log, share - 1) == epoch_of(&log, b - 1));
-            }
-        }
-    }
-
     /// Any epoch-aligned split resolves to the one pass, bit for bit:
     /// here every epoch is a chunk, under churn, barriers, a live
     /// recorder and overload admission, with a loose and the default
@@ -1119,7 +996,7 @@ mod tests {
         let env = ServeEnv::new(&cfg);
         let busy = busy_sats(&log, 2);
         for workers in [2, 3, 8] {
-            let first_cut = chunk_starts(&log, workers)[0];
+            let first_cut = chunk_starts(log.len(), workers, |i| epoch_of(&log, i))[0];
             let at = epoch_of(&log, first_cut) * log.epoch_secs;
             let sched = FaultSchedule::from_events([
                 TimedFault { at_secs: 30, event: FaultEvent::SatDown(busy[1]) },

@@ -15,7 +15,10 @@ use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
-use starcdn_sim::{replay_parallel, run_space, AccessLog, AccessLogEntry};
+use starcdn_sim::{
+    engine, replay_parallel, replayer, run_space, AccessLog, AccessLogEntry, RunSpec,
+};
+use starcdn_telemetry::{Histo, MemoryRecorder};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/access_log_v1.bin");
 
@@ -130,7 +133,8 @@ fn empty_log_roundtrips() {
 /// with no contact) among ordinary ones. The codec keeps them exactly,
 /// and the engine and the replayer count them without overflowing: every
 /// byte counter the sizes reach saturates at `u64::MAX` and the request
-/// counts stay exact.
+/// counts stay exact. Recorded, so does the object-size histogram's sum,
+/// whether a worker's recorder holds it or a merge of several.
 #[test]
 fn hostile_sizes_saturate_the_byte_counters() {
     let entry = |ms: u64, size: u64, first_contact: Option<SatelliteId>| AccessLogEntry {
@@ -167,6 +171,24 @@ fn hostile_sizes_saturate_the_byte_counters() {
         assert_eq!(m.stats, engine.stats, "replayer at {workers} workers");
         assert_eq!(m.uplink_bytes, engine.uplink_bytes, "replayer at {workers} workers");
         assert_eq!(m.per_satellite, engine.per_satellite, "replayer at {workers} workers");
+    }
+
+    let object_bytes = |rec: &MemoryRecorder| {
+        let snap = rec.snapshot();
+        snap.histogram(Histo::ObjectBytes).map(|h| (h.count, h.sum))
+    };
+    let rec = MemoryRecorder::new();
+    let spec = RunSpec { recorder: &rec, ..RunSpec::default() };
+    let recorded = engine::run(&mut SpaceCdn::new(cfg.clone()), &back, &spec).unwrap();
+    assert_eq!(recorded.stats, engine.stats);
+    // The four served requests; the unreachable one is never routed.
+    assert_eq!(object_bytes(&rec), Some((4, u64::MAX)), "engine");
+    for workers in [1usize, 4] {
+        let rec = MemoryRecorder::new();
+        let spec = RunSpec { recorder: &rec, ..RunSpec::default() };
+        let m = replayer::run(&cfg, &FailureModel::none(), &back, workers, &spec).unwrap();
+        assert_eq!(m.stats, engine.stats, "recorded replayer at {workers} workers");
+        assert_eq!(object_bytes(&rec), Some((4, u64::MAX)), "replayer at {workers} workers");
     }
 }
 

@@ -11,9 +11,10 @@
 //! other epoch leaves five of the nine cities silent: the candidate lists
 //! are sized once, not grown refresh by refresh, and a cell first read
 //! late allocates no more than one read at the boundary. This pins the
-//! contract the parallel builder's worker loop relies on
-//! (`build_access_log_parallel` hands each worker warm scratch plus its
-//! pre-split slice of the log). A second measured pass drives a
+//! contract of the builders' one per-entry loop, which every chunk of
+//! `build_access_log_parallel` runs: after its first epoch a chunk
+//! allocates nothing, pushing onto a vector sized on the calling thread
+//! before the chunk starts. A second measured pass drives a
 //! window alone across five refreshes, none of them a full advance.
 //!
 //! One `#[test]` only: the allocation counter is process-global, and a

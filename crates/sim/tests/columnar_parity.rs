@@ -17,7 +17,7 @@
 //!
 //! Every row's log is first held to a reference builder that reuses
 //! nothing: a full advance and a fresh whole-fleet scan at every epoch
-//! (`reference_log`). So the builders' window reuse, epoch runs and
+//! (`reference_log`). So the builders' window reuse and epoch-aligned
 //! chunks are pinned to the plainest answer, entry for entry down to
 //! `gsl_oneway_ms.to_bits()`, at every worker count (1, 2, 3, 4, 8).
 //!

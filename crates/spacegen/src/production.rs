@@ -230,24 +230,34 @@ impl ProductionModel {
     pub fn generate_trace(&self, duration: SimDuration, seed: u64) -> Trace {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5face_97ace);
         let layout = KeyLayout::for_duration(duration.as_millis());
-        let mut keys = Vec::new();
-        let mut objects = Vec::new();
-        let mut origins = Vec::new();
         let total_secs = duration.as_secs_f64();
         let bucket_secs = 3600.0_f64.min(total_secs.max(1.0));
         let n_buckets = (total_secs / bucket_secs).ceil() as u64;
-
-        for loc in 0..self.locations.len() {
-            let loc_id = LocationId(loc as u16);
-            for b in 0..n_buckets {
+        // Location `loc`'s buckets: start, length and Poisson mean each.
+        let buckets = |loc: LocationId| {
+            (0..n_buckets).map_while(move |b| {
                 let t0 = b as f64 * bucket_secs;
                 let span = bucket_secs.min(total_secs - t0);
-                if span <= 0.0 {
-                    break;
-                }
                 let mid = SimTime::from_millis(((t0 + span / 2.0) * 1000.0) as u64);
                 let expected =
-                    self.params.base_rate_per_loc_hz * self.diurnal_multiplier(loc_id, mid) * span;
+                    self.params.base_rate_per_loc_hz * self.diurnal_multiplier(loc, mid) * span;
+                (span > 0.0).then_some((t0, span, expected))
+            })
+        };
+        // The trace and the draw buffers are sized once, from the summed
+        // means plus eight standard deviations (no draw), the trace first:
+        // what the buffers and the sort free is then the top of the heap,
+        // which the next large block reuses, not holes below the trace.
+        let locations = || (0..self.locations.len()).map(|loc| LocationId(loc as u16));
+        let mean: f64 = locations().flat_map(buckets).map(|(_, _, expected)| expected).sum();
+        let capacity = (mean + 8.0 * mean.sqrt()) as usize + 64;
+        let mut requests = Vec::with_capacity(capacity);
+        let mut keys = Vec::with_capacity(capacity);
+        let mut objects = Vec::with_capacity(capacity);
+        let mut origins = Vec::with_capacity(capacity);
+
+        for loc_id in locations() {
+            for (t0, span, expected) in buckets(loc_id) {
                 let count = poisson_knuth(expected, &mut rng);
                 for _ in 0..count {
                     let t = t0 + rng.gen::<f64>() * span;
@@ -259,7 +269,6 @@ impl ProductionModel {
         }
 
         let keys = sort_by_time(keys, layout);
-        let mut requests = Vec::with_capacity(keys.len());
         for &key in &keys {
             let i = layout.index(key);
             let obj = &self.catalog[objects[i] as usize];

@@ -2,8 +2,8 @@
 //!
 //! Bucket `k` holds values whose bit length is `k`: bucket 0 is exactly
 //! `{0}`, bucket 1 is `{1}`, bucket 2 is `{2,3}`, …, bucket 64 is
-//! `[2⁶³, 2⁶⁴)`. One `fetch_add` per sample, no allocation, ~2× value
-//! resolution — the same trade HDR-style recorders make at their
+//! `[2⁶³, 2⁶⁴)`. A few relaxed atomics per sample, no allocation, ~2×
+//! value resolution — the same trade HDR-style recorders make at their
 //! coarsest setting, and plenty for "where did the time go" questions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +46,7 @@ impl LogHistogram {
     pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.add_to_sum(v);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -61,13 +61,20 @@ impl LogHistogram {
             self.buckets[k as usize].fetch_add(n, Ordering::Relaxed);
         }
         self.count.fetch_add(s.count, Ordering::Relaxed);
-        self.sum.fetch_add(s.sum, Ordering::Relaxed);
+        self.add_to_sum(s.sum);
         if let Some(m) = s.min {
             self.min.fetch_min(m, Ordering::Relaxed);
         }
         if let Some(m) = s.max {
             self.max.fetch_max(m, Ordering::Relaxed);
         }
+    }
+
+    /// Add `v` to the sum, saturating at `u64::MAX` (the update never
+    /// fails: the closure always returns `Some`).
+    fn add_to_sum(&self, v: u64) {
+        let add = |sum: u64| Some(sum.saturating_add(v));
+        let _ = self.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Freeze into a plain-data snapshot.
@@ -106,7 +113,8 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Merge another snapshot into this one (bucket-wise sum).
+    /// Merge another snapshot into this one (bucket-wise; the sum
+    /// saturates at `u64::MAX`, as a recorded one does).
     pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
             return;
@@ -147,7 +155,7 @@ impl HistogramSnapshot {
         }
         self.buckets = merged;
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = match (self.min, other.min) {
             (Some(x), Some(y)) => Some(x.min(y)),
             (x, y) => x.or(y),
@@ -200,6 +208,20 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m, all.snapshot());
+    }
+
+    #[test]
+    fn sums_saturate_recorded_absorbed_and_merged() {
+        let h = LogHistogram::default();
+        h.record(u64::MAX - 1);
+        h.record(5);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.sum, s.max), (2, u64::MAX, Some(u64::MAX - 1)));
+        h.absorb(&s);
+        assert_eq!(h.snapshot().sum, u64::MAX);
+        let mut m = s.clone();
+        m.merge(&s);
+        assert_eq!((m.count, m.sum), (4, u64::MAX));
     }
 
     #[test]

@@ -233,7 +233,9 @@ pub enum Stage {
     Visibility,
     /// Per-epoch link scheduling.
     Schedule,
-    /// Replayer sequential pre-scan (partition by owner).
+    /// The parallel log builder's serial part: the cut of the trace
+    /// into epoch-aligned chunks. (The name is kept from a sequential
+    /// pre-scan that is gone; the discriminant is on the wire.)
     PreScan,
     /// Consistent-hash owner resolution + routing.
     ResolveOwner,
