@@ -129,14 +129,6 @@ impl Flags {
     {
         self.try_get(key).unwrap_or_else(|e| die(&e))
     }
-
-    /// [`Flags::get`] for a flag the run cannot do without.
-    pub fn require<T: FromStr>(&self, key: &str) -> T
-    where
-        T::Err: Display,
-    {
-        self.get(key).unwrap_or_else(|| die(&format!("{key} is required")))
-    }
 }
 
 /// Parse `--scale` / `--seed` from an iterator of CLI tokens.

@@ -1,34 +1,16 @@
-//! Checkpoint overhead benchmark and crash-recovery harness.
+//! Checkpoint overhead benchmark.
 //!
-//! Default mode measures the cost of crash-consistent checkpointing
-//! (DESIGN.md §11) against the uninterrupted engine run: wall-clock
-//! overhead, bytes per checkpoint, and restore latency as a function of
-//! the checkpoint interval. Writes `BENCH_checkpoint.json`.
+//! Measures the cost of crash-consistent checkpointing (DESIGN.md §11)
+//! against the uninterrupted engine run: wall-clock overhead, bytes per
+//! checkpoint, and restore latency as a function of the checkpoint
+//! interval. Writes `BENCH_checkpoint.json`. `--gate F` then fails the
+//! run if the relative overhead is out of family with the committed
+//! record `F`.
 //!
-//! Harness modes drive the CI crash-recovery smoke test:
-//!
-//! * `--mode golden --dir D --out F` — run the checkpointed engine
-//!   uninterrupted, dump a metrics fingerprint to `F`;
-//! * `--mode crash --dir D --kill-epoch N` — replay only the log prefix
-//!   before epoch `N` (the state a SIGKILL at that epoch leaves behind),
-//!   then simulate a torn write by truncating the newest checkpoint and
-//!   leaving a stray `.tmp` file. `N` must leave two checkpoints (one to
-//!   tear, one to fall back to) and lie inside the run: 41 ≤ N ≤ 199
-//!   (`KILL_EPOCHS`);
-//! * `--mode resume --dir D --out F` — resume from the newest valid
-//!   checkpoint (falling back past the torn one) and dump the same
-//!   fingerprint;
-//! * `--mode diff --a F1 --b F2` — byte-compare two fingerprint dumps,
-//!   exit non-zero on any difference.
-//!
-//! An unknown flag, or a missing, malformed or out-of-range value, exits
-//! 2 before anything is written.
-//!
-//! The fingerprint is two digests: every metric (counters, the bit
-//! patterns of all latency samples, per-satellite rows, the availability
-//! and utilization timelines) and the telemetry counters, histograms and
-//! events — if `golden` and `resume` dumps are byte-equal, the resumed
-//! run was bit-for-bit identical.
+//! That a killed run resumes bit for bit — past a torn newest file and
+//! a stranded `.tmp` — is `tests/crash_recovery.rs`
+//! (`torn_checkpoint_is_skipped_and_resume_still_exact`). An unknown
+//! flag or a missing value exits 2 before anything is written.
 
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::config::StarCdnConfig;
@@ -43,10 +25,10 @@ use starcdn_orbit::time::SimTime;
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
-    build_access_log, engine, list_checkpoint_files, metrics_digest, telemetry_digest, AccessLog,
-    CheckpointPolicy, Checkpointing, OverloadConfig, RunSpec, World,
+    build_access_log, engine, list_checkpoint_files, AccessLog, CheckpointPolicy, Checkpointing,
+    OverloadConfig, RunSpec, World,
 };
-use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
+use starcdn_telemetry::{MemoryRecorder, Recorder};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -54,13 +36,6 @@ use std::time::Instant;
 const EPOCHS: u64 = 200;
 const EPOCH_SECS: u64 = 15;
 const REQS_PER_SEC: u64 = 4;
-/// Checkpoint interval of the harness modes, in epochs.
-const CKPT_EVERY: u64 = 20;
-/// The kill epochs `--mode crash` accepts: the prefix before one holds
-/// at least two checkpoint boundaries (the first is written on entering
-/// epoch `CKPT_EVERY`), and the kill falls before the run's last epoch
-/// ends.
-const KILL_EPOCHS: std::ops::RangeInclusive<u64> = 2 * CKPT_EVERY + 1..=EPOCHS - 1;
 
 fn workload() -> (AccessLog, FaultSchedule, OverloadConfig) {
     let w = World::starlink_nine_cities();
@@ -108,86 +83,6 @@ fn run_engine(
         }),
     };
     engine::run(&mut cdn(), log, &spec)
-}
-
-/// A run's fingerprint: `metrics_digest` (every counter, latency bit
-/// pattern, per-satellite row and timeline) and `telemetry_digest`
-/// (counters, histogram buckets and events, without span timings or
-/// checkpoint fallbacks). Byte-equal dumps mean bit-identical runs.
-fn fingerprint(m: &SystemMetrics, tele: &TelemetrySnapshot) -> String {
-    let (metrics, telemetry) = (metrics_digest(m), telemetry_digest(tele));
-    format!("requests {}\nmetrics {metrics:016x}\ntelemetry {telemetry:016x}\n", m.stats.requests)
-}
-
-fn run_golden(dir: &Path, out: &Path) {
-    let (log, sched, overload) = workload();
-    let policy =
-        CheckpointPolicy { every_n_epochs: CKPT_EVERY, dir: dir.to_path_buf(), keep_last: 0 };
-    let rec = MemoryRecorder::new();
-    let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, false)))
-        .expect("golden checkpointed run");
-    std::fs::write(out, fingerprint(&m, &rec.snapshot())).expect("write golden fingerprint");
-    println!(
-        "golden: {} requests, {} checkpoints",
-        m.stats.requests,
-        list_checkpoint_files(dir).len()
-    );
-}
-
-fn run_crash(dir: &Path, kill_epoch: u64) {
-    let (log, sched, overload) = workload();
-    let cut = log
-        .entries
-        .iter()
-        .position(|e| e.time.as_secs() / EPOCH_SECS >= kill_epoch)
-        .unwrap_or(log.entries.len());
-    let partial = AccessLog { entries: log.entries[..cut].to_vec(), epoch_secs: log.epoch_secs };
-    let policy =
-        CheckpointPolicy { every_n_epochs: CKPT_EVERY, dir: dir.to_path_buf(), keep_last: 0 };
-    run_engine(&partial, &sched, &overload, &MemoryRecorder::new(), Some((&policy, false)))
-        .expect("crashed prefix run");
-    // Simulate the kill arriving mid-write: tear the newest checkpoint in
-    // half and leave a stray temp file. Resume must detect both and fall
-    // back to the previous intact checkpoint.
-    let files = list_checkpoint_files(dir);
-    let (newest_epoch, newest) =
-        files.last().expect("kill epoch must lie past the first checkpoint interval");
-    let bytes = std::fs::read(newest).expect("read newest checkpoint");
-    std::fs::write(newest, &bytes[..bytes.len() / 2]).expect("tear newest checkpoint");
-    std::fs::write(dir.join("ckpt-9999999999.ckpt.tmp"), b"interrupted").expect("stray tmp");
-    println!(
-        "crashed at epoch {kill_epoch}: {} checkpoints on disk, newest (epoch {newest_epoch}) torn",
-        files.len()
-    );
-}
-
-fn run_resume(dir: &Path, out: &Path) {
-    let (log, sched, overload) = workload();
-    let policy =
-        CheckpointPolicy { every_n_epochs: CKPT_EVERY, dir: dir.to_path_buf(), keep_last: 0 };
-    let rec = MemoryRecorder::new();
-    let m = run_engine(&log, &sched, &overload, &rec, Some((&policy, true)))
-        .expect("resume from crash-left checkpoints");
-    let fallbacks: u64 = rec
-        .snapshot()
-        .events
-        .iter()
-        .filter(|((e, _), _)| *e == starcdn_telemetry::Event::CheckpointRestoreFallback)
-        .map(|(_, &c)| c)
-        .sum();
-    std::fs::write(out, fingerprint(&m, &rec.snapshot())).expect("write resumed fingerprint");
-    println!("resumed: {} requests, {fallbacks} checkpoint(s) skipped as torn", m.stats.requests);
-    assert!(fallbacks >= 1, "the torn newest checkpoint must have been skipped");
-}
-
-fn run_diff(a: &Path, b: &Path) {
-    let da = std::fs::read(a).expect("read first fingerprint");
-    let db = std::fs::read(b).expect("read second fingerprint");
-    if da != db {
-        eprintln!("FAIL: {} and {} differ — resume was not bit-for-bit", a.display(), b.display());
-        std::process::exit(1);
-    }
-    println!("OK: {} == {} (bit-for-bit)", a.display(), b.display());
 }
 
 /// Assert the current run's relative overhead is in family with the
@@ -316,31 +211,6 @@ fn run_overhead(gate: Option<PathBuf>) {
 }
 
 fn main() {
-    let flags =
-        Flags::from_env(&["--mode", "--gate", "--dir", "--out", "--kill-epoch", "--a", "--b"]);
-    let path = |key| flags.require::<PathBuf>(key);
-    match flags.get::<String>("--mode").as_deref() {
-        None => run_overhead(flags.get("--gate")),
-        Some("golden") => run_golden(&path("--dir"), &path("--out")),
-        Some("crash") => {
-            let dir = path("--dir");
-            let kill_epoch = flags.require("--kill-epoch");
-            if !KILL_EPOCHS.contains(&kill_epoch) {
-                eprintln!(
-                    "--kill-epoch {kill_epoch} must lie in {}..={}: a kill must leave two \
-                     checkpoints and fall inside the {EPOCHS}-epoch run",
-                    KILL_EPOCHS.start(),
-                    KILL_EPOCHS.end()
-                );
-                std::process::exit(2);
-            }
-            run_crash(&dir, kill_epoch)
-        }
-        Some("resume") => run_resume(&path("--dir"), &path("--out")),
-        Some("diff") => run_diff(&path("--a"), &path("--b")),
-        Some(other) => {
-            eprintln!("unknown --mode {other}; use golden|crash|resume|diff or no mode");
-            std::process::exit(2);
-        }
-    }
+    let flags = Flags::from_env(&["--gate"]);
+    run_overhead(flags.get("--gate"));
 }

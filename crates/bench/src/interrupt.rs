@@ -1,6 +1,6 @@
 //! Graceful Ctrl-C / SIGTERM for long-running sweeps.
 //!
-//! The torture and chaos sweeps run thousands of seeded schedules; an
+//! The serving-plane chaos sweep runs hundreds of seeded schedules; an
 //! interrupted run that throws away every completed schedule wastes the
 //! evidence. Sweep loops poll [`interrupted`] between schedules and, on
 //! a pending signal, stop cleanly and flush a partial `BENCH_*`

@@ -1,6 +1,6 @@
 //! Shared infrastructure for the bench binaries: `reproduce`, which
 //! regenerates every table, figure and ablation of the paper by name,
-//! and the `checkpoint_overhead`, `serve_soak` and `torture` harnesses.
+//! and the `checkpoint_overhead` and `serve_soak` harnesses.
 //!
 //! `reproduce` accepts:
 //!

@@ -64,24 +64,16 @@ fn no_name_and_bad_flags_exit_2() {
 
 #[test]
 fn harness_bins_exit_2_on_malformed_flags() {
-    for bin in [env!("CARGO_BIN_EXE_torture"), env!("CARGO_BIN_EXE_serve_soak")] {
-        for args in [&["--scale", "smok"][..], &["--seeds", "x"], &["--sedes", "5"]] {
-            let out = run(bin, args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-            assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
-        }
+    let soak = env!("CARGO_BIN_EXE_serve_soak");
+    for args in [&["--scale", "smok"][..], &["--seeds", "x"], &["--sedes", "5"]] {
+        let out = run(soak, args);
+        assert_eq!(out.status.code(), Some(2), "serve_soak {args:?}");
+        assert!(out.stdout.is_empty(), "serve_soak {args:?} ran anyway");
     }
     let ckpt = env!("CARGO_BIN_EXE_checkpoint_overhead");
-    for args in [&["--mode", "crash", "--dir", "d", "--kill-epoch", "x"][..], &["--mode", "diff"]] {
-        assert_eq!(run(ckpt, args).status.code(), Some(2), "{args:?}");
-    }
-    // A kill that leaves fewer than two checkpoints, or lands past the
-    // run, is refused before the directory is made.
-    let dir = std::env::temp_dir().join(format!("starcdn-kill-epoch-{}", std::process::id()));
-    for epoch in ["0", "40", "200"] {
-        let out =
-            run(ckpt, &["--mode", "crash", "--dir", dir.to_str().unwrap(), "--kill-epoch", epoch]);
-        assert_eq!(out.status.code(), Some(2), "--kill-epoch {epoch}");
-        assert!(!dir.exists(), "--kill-epoch {epoch} created {}", dir.display());
+    for args in [&["--mode", "golden"][..], &["--gate"]] {
+        let out = run(ckpt, args);
+        assert_eq!(out.status.code(), Some(2), "checkpoint_overhead {args:?}");
+        assert!(out.stdout.is_empty(), "checkpoint_overhead {args:?} ran anyway");
     }
 }

@@ -21,7 +21,7 @@ use crate::relay::relay_candidates;
 use crate::system::{RouteOutcome, ServeOutcome, ServedFrom};
 use starcdn_cache::object::ObjectId;
 use starcdn_cache::policy::{AccessOutcome, Cache};
-use starcdn_cache::InflightQueue;
+use starcdn_cache::{CacheState, InflightQueue, InflightState};
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
@@ -129,6 +129,32 @@ impl Slots {
     /// Slot `idx`'s satellite recovered: cold until its first local hit.
     pub fn mark_cold(&mut self, idx: usize) {
         self.cold[idx] = true;
+    }
+
+    /// Slot `idx`'s cache and outstanding fetches as plain state: what a
+    /// checkpoint body holds per slot.
+    pub fn export(&self, idx: usize) -> (CacheState, InflightState) {
+        (self.caches[idx].to_state(), self.inflight[idx].to_state())
+    }
+
+    /// Rebuild slot `idx` from [`Slots::export`]ed state. A cache of
+    /// another policy than the slot's, or a state that fails its
+    /// structural validation, is refused and leaves the slot as it was.
+    pub fn restore(
+        &mut self,
+        idx: usize,
+        cache: &CacheState,
+        inflight: &InflightState,
+    ) -> Result<(), String> {
+        let (want, got) = (self.caches[idx].policy_name(), cache.policy_name());
+        if got != want {
+            return Err(format!("slot {idx} holds a `{got}` cache, this run's policy is `{want}`"));
+        }
+        let built = cache.build().map_err(|e| format!("cache slot {idx}: {e}"))?;
+        self.inflight[idx] =
+            InflightQueue::from_state(inflight).map_err(|e| format!("inflight slot {idx}: {e}"))?;
+        self.caches[idx] = built;
+        Ok(())
     }
 }
 

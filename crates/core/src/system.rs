@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 use starcdn_cache::object::ObjectId;
 #[cfg(test)]
 use starcdn_cache::policy::Cache;
-use starcdn_cache::{InflightQueue, InflightState};
+#[cfg(test)]
+use starcdn_cache::InflightQueue;
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
@@ -242,8 +243,9 @@ pub struct SpaceCdn {
     env: ServeEnv,
     failures: FailureModel,
     /// One cache, one outstanding-fetch queue (empty unless the
-    /// delayed-hit model is enabled) and one cold flag per grid slot.
-    slots: Slots,
+    /// delayed-hit model is enabled) and one cold flag per grid slot:
+    /// what a checkpoint takes and restores.
+    pub slots: Slots,
     /// Current scheduler epoch, the delayed-hit clock of
     /// [`SpaceCdn::handle_request`].
     now_epoch: u64,
@@ -452,99 +454,7 @@ impl SpaceCdn {
     pub(crate) fn is_cold(&self, id: SatelliteId) -> bool {
         self.slots.cold[self.cache_idx(id)]
     }
-
-    /// Export every piece of run-dependent fleet state (checkpoint
-    /// hook): per-slot cache states in slot order, cold flags, the live
-    /// failure view, and the accumulated metrics. Everything else
-    /// (tiling, latency model) is derivable from the config.
-    pub fn export_state(&self) -> CdnState {
-        CdnState {
-            failures: self.failures.clone(),
-            caches: self.slots.caches.iter().map(|c| c.to_state()).collect(),
-            cold: self.slots.cold.clone(),
-            inflight: self.slots.inflight.iter().map(|q| q.to_state()).collect(),
-            metrics: self.metrics.clone(),
-        }
-    }
-
-    /// Restore fleet state exported by [`SpaceCdn::export_state`] into a
-    /// freshly built fleet of the same config. Validates shape and cache
-    /// invariants; on error the fleet is left unchanged.
-    pub fn import_state(&mut self, state: CdnState) -> Result<(), CdnStateError> {
-        let slots = self.cfg.grid.total_slots();
-        if state.caches.len() != slots || state.cold.len() != slots || state.inflight.len() != slots
-        {
-            return Err(CdnStateError::SlotCountMismatch {
-                expected: slots,
-                got: state.caches.len().max(state.cold.len()).max(state.inflight.len()),
-            });
-        }
-        let expected = self.cfg.policy.name();
-        let mut rebuilt = Vec::with_capacity(slots);
-        for (slot, cs) in state.caches.iter().enumerate() {
-            if cs.policy_name() != expected {
-                return Err(CdnStateError::PolicyMismatch {
-                    slot,
-                    expected,
-                    got: cs.policy_name(),
-                });
-            }
-            rebuilt.push(cs.build().map_err(CdnStateError::Cache)?);
-        }
-        let mut queues = Vec::with_capacity(slots);
-        for qs in &state.inflight {
-            queues.push(InflightQueue::from_state(qs).map_err(CdnStateError::Inflight)?);
-        }
-        self.slots = Slots { caches: rebuilt, inflight: queues, cold: state.cold };
-        self.failures = state.failures;
-        self.metrics = state.metrics;
-        Ok(())
-    }
 }
-
-/// The run-dependent state of a [`SpaceCdn`], as exported by
-/// [`SpaceCdn::export_state`]. Plain data: the checkpoint layer decides
-/// how each part is encoded on disk.
-#[derive(Debug, Clone)]
-pub struct CdnState {
-    pub failures: FailureModel,
-    pub caches: Vec<starcdn_cache::CacheState>,
-    pub cold: Vec<bool>,
-    /// Per-slot outstanding-fetch queues, slot order (all empty unless
-    /// the delayed-hit model is enabled).
-    pub inflight: Vec<InflightState>,
-    pub metrics: SystemMetrics,
-}
-
-/// Why a [`CdnState`] could not be imported.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CdnStateError {
-    /// The state was exported from a different constellation size.
-    SlotCountMismatch { expected: usize, got: usize },
-    /// A slot's cache state belongs to a different eviction policy.
-    PolicyMismatch { slot: usize, expected: &'static str, got: &'static str },
-    /// A cache state failed its structural validation.
-    Cache(starcdn_cache::StateError),
-    /// An outstanding-fetch queue failed its structural validation.
-    Inflight(starcdn_cache::StateError),
-}
-
-impl std::fmt::Display for CdnStateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CdnStateError::SlotCountMismatch { expected, got } => {
-                write!(f, "fleet state has {got} slots, this constellation has {expected}")
-            }
-            CdnStateError::PolicyMismatch { slot, expected, got } => {
-                write!(f, "slot {slot} cache state is `{got}`, config wants `{expected}`")
-            }
-            CdnStateError::Cache(e) => write!(f, "cache state: {e}"),
-            CdnStateError::Inflight(e) => write!(f, "in-flight fetch state: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CdnStateError {}
 
 #[cfg(test)]
 mod tests {
@@ -990,9 +900,11 @@ mod tests {
             let o = cdn.handle_request(fc, ObjectId(1), 100, 2.9); // completes at 6
             cdn.set_now_epoch(2);
             cdn.handle_request(fc, ObjectId(1), 100, 2.9); // follower, residual 4
-            let state = cdn.export_state();
             let mut fresh = delayed_system(5, 10.0);
-            fresh.import_state(state).unwrap();
+            for i in 0..cdn.config().grid.total_slots() {
+                let (cache, inflight) = cdn.slots.export(i);
+                fresh.slots.restore(i, &cache, &inflight).unwrap();
+            }
             fresh.set_now_epoch(3);
             let q = fresh.inflight_of(o.owner);
             assert_eq!(q.len(), 1);

@@ -20,7 +20,9 @@
 //!   checkpoint when one fails validation, emitting an
 //!   [`Event::CheckpointRestoreFallback`] per skipped file.
 //!
-//! This module is the container and its files. What the sections hold
+//! This module is the container, its files and the one checkpointer
+//! both drivers write and resume through (the engine's payloads are
+//! here, the replayer's in `replayer_checkpoint`). What the sections hold
 //! is written and read by the `codec` module's field lists over the one
 //! little-endian [`starcdn_io::wire`] reader and writer (no serialization
 //! framework on the simulation path): floats travel as IEEE-754 bit
@@ -34,19 +36,19 @@
 //! previous epoch and re-enters the loop at the same entry index, so the
 //! boundary re-executes exactly as the uninterrupted run did.
 
-use crate::access_log::AccessLog;
 use crate::codec::{decode, encode, wire_struct};
 use crate::engine::RunSpec;
 use crate::resolve::EpochBoundary;
 use starcdn::config::StarCdnConfig;
+use starcdn::kernel::Slots;
 use starcdn::metrics::SystemMetrics;
-use starcdn::system::{CdnState, SpaceCdn};
+use starcdn::system::SpaceCdn;
 use starcdn_cache::{CacheState, InflightState};
 use starcdn_constellation::capacity::{CapacityLedger, EpochUsageState, LedgerStateError};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_io::wire::{crc32, fp, fp_bytes, Reader, WireError, Writer};
 use starcdn_io::{Io, RealIo};
-use starcdn_telemetry::{Event, TelemetrySnapshot};
+use starcdn_telemetry::{Event, Recorder, TelemetrySnapshot};
 use std::path::{Path, PathBuf};
 
 /// When and where the engine writes checkpoints.
@@ -290,10 +292,10 @@ pub(crate) fn list_checkpoint_files_io(io: &dyn Io, dir: &Path) -> Vec<(u64, Pat
         else {
             continue;
         };
-        if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            continue;
-        }
-        let Ok(epoch) = digits.parse::<u64>() else {
+        // Exactly the names `checkpoint_path` writes: ten digits, more
+        // for an epoch past 9 999 999 999, never a sign or extra zeros.
+        let Some(epoch) = digits.parse::<u64>().ok().filter(|e| format!("{e:010}") == digits)
+        else {
             continue;
         };
         out.push((epoch, dir.join(name)));
@@ -337,9 +339,9 @@ pub(crate) fn sweep_stale_tmps_io(io: &dyn Io, dir: &Path) -> usize {
 /// checkpoints beyond `keep_last` (0 = keep everything).
 ///
 /// On failure the temp file is removed rather than leaked — unless the
-/// failure is an injected crash point, where the "process" is dead and
-/// cleanup code would never have run; those tmps are collected by
-/// [`sweep_stale_tmps`] on the next open.
+/// "process" died at an injected crash point, in the write or in that
+/// cleanup: then the crash is the error returned, and the tmp is left
+/// for [`sweep_stale_tmps`] on the next open.
 pub(crate) fn write_atomic(
     io: &dyn Io,
     dir: &Path,
@@ -356,10 +358,12 @@ pub(crate) fn write_atomic(
         io.rename(&tmp, &checkpoint_path(dir, epoch))
     })();
     if let Err(e) = written {
-        if !e.is_crash() {
-            let _ = io.remove_file(&tmp);
+        let cleanup = if e.is_crash() { Ok(()) } else { io.remove_file(&tmp) };
+        return Err(match cleanup {
+            Err(died) if died.is_crash() => died,
+            _ => e,
         }
-        return Err(e.into());
+        .into());
     }
     // Make the rename durable. Directory fsync is best-effort: not every
     // filesystem supports opening a directory for sync.
@@ -371,6 +375,135 @@ pub(crate) fn write_atomic(
                 let _ = io.remove_file(path);
             }
         }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// The checkpointer: one for both drivers.
+// ---------------------------------------------------------------------------
+
+/// The file side of checkpointing, one for both drivers: it sweeps the
+/// directory on open, finds the newest file a resume can start from,
+/// and writes each new one. What a driver adds is its META and BODY
+/// field lists, its fingerprint and its restore.
+pub(crate) struct Checkpointer<'a> {
+    ck: Checkpointing<'a>,
+    /// [`KIND_ENGINE`] or [`KIND_REPLAY`]: which driver's files these are.
+    kind: u32,
+    pub(crate) fingerprint: u64,
+    /// The boundary last written or resumed from.
+    last_written: Option<u64>,
+}
+
+impl<'a> Checkpointer<'a> {
+    /// Open `ck.policy.dir` for a run whose checkpoints are of `kind`
+    /// and carry `fingerprint`, sweeping the droppings of writes that
+    /// died mid-way.
+    pub(crate) fn open(ck: &Checkpointing<'a>, kind: u32, fingerprint: u64) -> Self {
+        sweep_stale_tmps_io(ck.io, &ck.policy.dir);
+        Checkpointer { ck: *ck, kind, fingerprint, last_written: None }
+    }
+
+    pub(crate) fn resuming(&self) -> bool {
+        self.ck.resume
+    }
+
+    /// Scheduler epochs between checkpoints.
+    pub(crate) fn every_n_epochs(&self) -> u64 {
+        self.ck.policy.every_n_epochs.max(1)
+    }
+
+    /// Whether entering `epoch` from where `boundary` stands owes a
+    /// checkpoint: at every `every_n_epochs` barrier it crosses, but not
+    /// the boundary a resume just restored.
+    pub(crate) fn due(&self, boundary: &EpochBoundary<'_>, epoch: u64) -> bool {
+        boundary.crosses(epoch, self.every_n_epochs()) && self.last_written != Some(epoch)
+    }
+
+    /// Restore from the newest checkpoint written before epoch `before`
+    /// that `load` accepts, newest first. A file is skipped, with one
+    /// [`Event::CheckpointRestoreFallback`] into `rec` keyed by its
+    /// epoch, when it cannot be read or fails its CRCs, when it is the
+    /// other driver's or another run's, when its META epoch is not its
+    /// name's, and when `load` refuses it — which must then leave the
+    /// run as it was.
+    pub(crate) fn resume<T>(
+        &mut self,
+        before: u64,
+        rec: &dyn Recorder,
+        mut load: impl FnMut(&RawCheckpoint<'_>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let files = list_checkpoint_files_io(self.ck.io, &self.ck.policy.dir);
+        for (epoch, path) in files.iter().rev().filter(|(epoch, _)| *epoch < before) {
+            match self.load_file(path, *epoch, &mut load) {
+                Ok(restored) => {
+                    self.last_written = Some(*epoch);
+                    return Ok(restored);
+                }
+                Err(_) => rec.event(Event::CheckpointRestoreFallback, *epoch, 1),
+            }
+        }
+        Err(CheckpointError::NoValidCheckpoint)
+    }
+
+    fn load_file<T>(
+        &self,
+        path: &Path,
+        epoch: u64,
+        load: &mut impl FnMut(&RawCheckpoint<'_>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let bytes = self.ck.io.read(path)?;
+        let raw = decode_container(&bytes)?;
+        // Both drivers' META field lists open with `fingerprint, epoch`,
+        // the epoch the file is named after.
+        let mut head = Reader::new(raw.meta);
+        if raw.kind != self.kind || head.u64()? != self.fingerprint || head.u64()? != epoch {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        load(&raw)
+    }
+
+    /// Write the checkpoint for `epoch` from its encoded sections: one
+    /// container, renamed into place atomically, older files pruned to
+    /// `keep_last`.
+    pub(crate) fn write(
+        &mut self,
+        epoch: u64,
+        meta: &[u8],
+        body: &[u8],
+        telemetry: &[u8],
+    ) -> Result<(), CheckpointError> {
+        let bytes = encode_container(self.kind, meta, body, telemetry);
+        let policy = self.ck.policy;
+        write_atomic(self.ck.io, &policy.dir, epoch, &bytes, policy.keep_last)?;
+        self.last_written = Some(epoch);
+        Ok(())
+    }
+}
+
+/// A body's slot lists: slot `i`'s cache and outstanding fetches, taken
+/// from the slot store `owner(i)` (slot order, whatever the worker count).
+pub(crate) fn export_slots<'s>(
+    total_slots: usize,
+    owner: impl Fn(usize) -> &'s Slots,
+) -> (Vec<CacheState>, Vec<InflightState>) {
+    (0..total_slots).map(|i| owner(i).export(i)).unzip()
+}
+
+/// Restore a body's slot lists, slot `i` into `stores[owner(i)]`.
+pub(crate) fn restore_slots(
+    stores: &mut [Slots],
+    owner: impl Fn(usize) -> usize,
+    caches: &[CacheState],
+    inflight: &[InflightState],
+) -> Result<(), CheckpointError> {
+    let total_slots = stores[0].caches.len();
+    if caches.len() != total_slots || inflight.len() != total_slots {
+        return Err(CheckpointError::Malformed("slot count does not match the grid"));
+    }
+    for (i, (cache, queue)) in caches.iter().zip(inflight).enumerate() {
+        stores[owner(i)].restore(i, cache, queue).map_err(CheckpointError::State)?;
     }
     Ok(())
 }
@@ -476,30 +609,14 @@ pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
 /// FNV-1a over the canonical checkpoint encoding of `m` — every
 /// counter, histogram bucket, and latency *bit pattern* contributes, so
 /// two metrics with equal digests are bit-for-bit identical for
-/// everything checkpoints preserve. The torture harness compares runs
-/// through this.
+/// everything checkpoints preserve. The storage-fault tests compare
+/// runs through this.
 pub fn metrics_digest(m: &SystemMetrics) -> u64 {
     fp_bytes(0xCBF2_9CE4_8422_2325, &encode(m))
 }
 
-/// FNV-1a over the canonical encoding of what a recorded run's `snap`
-/// says about the simulation: every counter, histogram bucket and fault
-/// event. Span timings (wall clock) and `CheckpointRestoreFallback`
-/// events (a resume's recovery path, not the run) are left out, so a
-/// resumed run's digest is the uninterrupted one's.
-pub fn telemetry_digest(snap: &TelemetrySnapshot) -> u64 {
-    let mut snap = snap.clone();
-    snap.spans.clear();
-    snap.events.retain(|(e, _), _| *e != Event::CheckpointRestoreFallback);
-    fp_bytes(0xCBF2_9CE4_8422_2325, &encode(&snap))
-}
-
-// ---------------------------------------------------------------------------
-// The engine loop's checkpoint side.
-// ---------------------------------------------------------------------------
-
 /// The loop-local state of [`crate::engine::run`] that a checkpoint
-/// freezes beside the fleet's own ([`CdnState`]).
+/// freezes beside the fleet's own.
 pub(crate) struct LoopState {
     /// The epoch the loop was in before the boundary; resume restores
     /// `current_epoch` to this so the boundary re-executes.
@@ -512,147 +629,85 @@ pub(crate) struct LoopState {
     pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
-/// Writes the engine loop's checkpoints and, on resume, finds the one
-/// to start from.
-pub(crate) struct EngineCheckpointer<'a> {
-    ck: Checkpointing<'a>,
-    fingerprint: u64,
-    use_cursor: bool,
-    use_overload: bool,
-    last_written: Option<u64>,
-}
-
-impl<'a> EngineCheckpointer<'a> {
-    /// Open `ck.policy.dir` for a run of `log` under `spec`. With
-    /// `ck.resume`, also restore `cdn` and the overload `ledger` from
-    /// the newest checkpoint that validates against this run and return
-    /// the loop state to continue from.
-    pub(crate) fn open(
-        ck: &Checkpointing<'a>,
+impl LoopState {
+    /// Restore `cdn` and the overload `ledger` from the newest engine
+    /// checkpoint that validates against this run of a `log_len`-entry
+    /// log under `spec`, and return the loop state to continue from.
+    pub(crate) fn resume(
+        cp: &mut Checkpointer<'_>,
         cdn: &mut SpaceCdn,
         mut ledger: Option<&mut CapacityLedger>,
-        log: &AccessLog,
-        spec: &RunSpec<'_>,
-    ) -> Result<(Self, Option<LoopState>), CheckpointError> {
-        let mut cp = EngineCheckpointer {
-            ck: *ck,
-            fingerprint: config_fingerprint(cdn.config(), log.epoch_secs.max(1), spec),
-            use_cursor: spec.live_schedule().is_some(),
-            use_overload: spec.live_overload().is_some(),
-            last_written: None,
-        };
-        sweep_stale_tmps_io(ck.io, &ck.policy.dir);
-        if !ck.resume {
-            return Ok((cp, None));
-        }
-        let files = list_checkpoint_files_io(ck.io, &ck.policy.dir);
-        for (epoch, path) in files.iter().rev() {
-            // The ledger goes first: it refuses a set of balances whole,
-            // so a checkpoint rejected here has restored nothing yet.
-            let loaded = cp.try_load(path, log.len()).and_then(|(boundary_epoch, body, state)| {
-                if let (Some(l), Some(usage)) = (ledger.as_deref_mut(), state.ledger.as_ref()) {
-                    l.import_state(usage)?;
-                }
-                Ok((boundary_epoch, body, state))
-            });
-            let Ok((boundary_epoch, body, state)) = loaded else {
-                spec.recorder.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            };
-            if cdn.import_state(body).is_err() {
-                spec.recorder.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            }
-            cp.last_written = Some(boundary_epoch);
-            return Ok((cp, Some(state)));
-        }
-        Err(CheckpointError::NoValidCheckpoint)
-    }
-
-    fn try_load(
-        &self,
-        path: &Path,
         log_len: usize,
-    ) -> Result<(u64, CdnState, LoopState), CheckpointError> {
-        let bytes = self.ck.io.read(path)?;
-        let raw = decode_container(&bytes)?;
-        if raw.kind != KIND_ENGINE {
-            return Err(CheckpointError::ConfigMismatch);
-        }
-        let meta: EngineMeta = decode(raw.meta)?;
-        if meta.fingerprint != self.fingerprint
-            || meta.use_cursor != self.use_cursor
-            || meta.use_overload != self.use_overload
-            || meta.entry_index as usize > log_len
-        {
-            return Err(CheckpointError::ConfigMismatch);
-        }
-        let body: EngineBody = decode(raw.body)?;
-        if self.use_cursor != body.cursor.is_some() || self.use_overload != body.ledger.is_some() {
-            return Err(CheckpointError::Malformed("mode does not match stored sections"));
-        }
-        let telemetry = decode(raw.telemetry)?;
-        let state = LoopState {
-            prev_epoch: meta.prev_epoch,
-            entry_index: meta.entry_index as usize,
-            cursor: body.cursor,
-            ledger: body.ledger,
-            telemetry,
-        };
-        let fleet = CdnState {
-            failures: body.failures,
-            caches: body.caches,
-            inflight: body.inflight,
-            cold: body.cold,
-            metrics: body.metrics,
-        };
-        Ok((meta.boundary_epoch, fleet, state))
-    }
-
-    /// Whether entering `epoch` from where `boundary` stands owes a
-    /// checkpoint: at every `every_n_epochs` barrier it crosses, but not
-    /// the boundary a resume just restored.
-    pub(crate) fn due(&self, boundary: &EpochBoundary<'_>, epoch: u64) -> bool {
-        boundary.crosses(epoch, self.ck.policy.every_n_epochs) && self.last_written != Some(epoch)
+        spec: &RunSpec<'_>,
+    ) -> Result<Self, CheckpointError> {
+        let use_cursor = spec.live_schedule().is_some();
+        let use_overload = spec.live_overload().is_some();
+        cp.resume(u64::MAX, spec.recorder, |raw| {
+            let meta: EngineMeta = decode(raw.meta)?;
+            if meta.use_cursor != use_cursor
+                || meta.use_overload != use_overload
+                || meta.entry_index as usize > log_len
+            {
+                return Err(CheckpointError::ConfigMismatch);
+            }
+            let body: EngineBody = decode(raw.body)?;
+            if use_cursor != body.cursor.is_some() || use_overload != body.ledger.is_some() {
+                return Err(CheckpointError::Malformed("mode does not match stored sections"));
+            }
+            let telemetry = decode(raw.telemetry)?;
+            // Restore into fresh slots, and the ledger (which refuses a
+            // set of balances whole) last: a file refused anywhere here
+            // has changed nothing.
+            let mut slots = Slots::new(cdn.config());
+            if body.cold.len() != slots.cold.len() {
+                return Err(CheckpointError::Malformed("slot count does not match the grid"));
+            }
+            restore_slots(std::slice::from_mut(&mut slots), |_| 0, &body.caches, &body.inflight)?;
+            slots.cold = body.cold;
+            if let (Some(l), Some(usage)) = (ledger.as_deref_mut(), &body.ledger) {
+                l.import_state(usage)?;
+            }
+            cdn.slots = slots;
+            cdn.set_failures(body.failures);
+            cdn.metrics = body.metrics;
+            Ok(LoopState {
+                prev_epoch: meta.prev_epoch,
+                entry_index: meta.entry_index as usize,
+                cursor: body.cursor,
+                ledger: body.ledger,
+                telemetry,
+            })
+        })
     }
 
     /// Write the checkpoint for boundary `epoch`: the fleet as it stands
-    /// plus the loop's `state`, both from *before* any boundary action.
+    /// plus this loop state, both from *before* any boundary action.
     pub(crate) fn write(
-        &mut self,
+        self,
+        cp: &mut Checkpointer<'_>,
         cdn: &SpaceCdn,
         epoch: u64,
-        state: LoopState,
     ) -> Result<(), CheckpointError> {
         let meta = EngineMeta {
-            fingerprint: self.fingerprint,
+            fingerprint: cp.fingerprint,
             boundary_epoch: epoch,
-            prev_epoch: state.prev_epoch,
-            entry_index: state.entry_index as u64,
-            use_cursor: self.use_cursor,
-            use_overload: self.use_overload,
+            prev_epoch: self.prev_epoch,
+            entry_index: self.entry_index as u64,
+            use_cursor: self.cursor.is_some(),
+            use_overload: self.ledger.is_some(),
         };
-        let fleet = cdn.export_state();
+        let (caches, inflight) = export_slots(cdn.slots.caches.len(), |_| &cdn.slots);
         let body = EngineBody {
-            failures: fleet.failures,
-            caches: fleet.caches,
-            inflight: fleet.inflight,
-            cold: fleet.cold,
-            metrics: fleet.metrics,
-            cursor: state.cursor,
-            ledger: state.ledger,
+            failures: cdn.failures().clone(),
+            caches,
+            inflight,
+            cold: cdn.slots.cold.clone(),
+            metrics: cdn.metrics.clone(),
+            cursor: self.cursor,
+            ledger: self.ledger,
             watermark: [0; 3],
         };
-        let bytes = encode_container(
-            KIND_ENGINE,
-            &encode(&meta),
-            &encode(&body),
-            &encode(&state.telemetry),
-        );
-        let policy = self.ck.policy;
-        write_atomic(self.ck.io, &policy.dir, epoch, &bytes, policy.keep_last)?;
-        self.last_written = Some(epoch);
-        Ok(())
+        cp.write(epoch, &encode(&meta), &encode(&body), &encode(&self.telemetry))
     }
 }
 
@@ -1244,47 +1299,64 @@ mod tests {
         );
     }
 
+    /// Two ways the newest file can be unusable: a flipped byte, and a
+    /// valid checkpoint under a newer name (its META epoch is not the
+    /// name's). Either way resume skips it with one fallback event and
+    /// converges on the golden run from the older file.
     #[test]
     fn corrupt_newest_falls_back_to_older() {
         let log = log();
         let sched = churn();
         let overload = OverloadConfig::disabled();
-        let dir = tmpdir("fallback");
-        let rec_golden = MemoryRecorder::new();
-        let mut golden = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m_golden = checkpointed(
-            &mut golden,
-            &log,
-            &sched,
-            &overload,
-            &policy(&dir, 3),
-            &rec_golden,
-            false,
-        )
-        .unwrap();
+        for (name, misnamed) in [("fallback", false), ("fallback-misnamed", true)] {
+            let dir = tmpdir(name);
+            let rec_golden = MemoryRecorder::new();
+            let mut golden = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+            let m_golden = checkpointed(
+                &mut golden,
+                &log,
+                &sched,
+                &overload,
+                &policy(&dir, 3),
+                &rec_golden,
+                false,
+            )
+            .unwrap();
 
-        let files = list_checkpoint_files(&dir);
-        assert!(files.len() >= 2, "need at least two checkpoints for fallback");
-        let (newest_epoch, newest) = files.last().unwrap();
-        let mut bytes = fs::read(newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x5A;
-        fs::write(newest, &bytes).unwrap();
+            let files = list_checkpoint_files(&dir);
+            assert!(files.len() >= 2, "need at least two checkpoints for fallback");
+            let (newest_epoch, newest) = files.last().unwrap();
+            let skipped_epoch = if misnamed {
+                fs::copy(newest, checkpoint_path(&dir, newest_epoch + 1)).unwrap();
+                newest_epoch + 1
+            } else {
+                let mut bytes = fs::read(newest).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x5A;
+                fs::write(newest, &bytes).unwrap();
+                *newest_epoch
+            };
 
-        let rec = MemoryRecorder::new();
-        let mut resumed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
-        let m_resumed =
-            checkpointed(&mut resumed, &log, &sched, &overload, &policy(&dir, 3), &rec, true)
-                .unwrap();
-        // Resuming from ANY valid checkpoint of the same run converges to
-        // the same final state.
-        assert_metrics_identical(&m_golden, &m_resumed);
-        let snap = rec.snapshot();
-        assert_eq!(
-            snap.events.get(&(Event::CheckpointRestoreFallback, *newest_epoch)),
-            Some(&1),
-            "skipping the corrupt file is telemetered"
-        );
+            let rec = MemoryRecorder::new();
+            let mut resumed = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+            let m_resumed =
+                checkpointed(&mut resumed, &log, &sched, &overload, &policy(&dir, 3), &rec, true)
+                    .unwrap();
+            // Resuming from ANY valid checkpoint of the same run
+            // converges to the same final state.
+            assert_metrics_identical(&m_golden, &m_resumed);
+            let fallbacks: Vec<_> = rec
+                .snapshot()
+                .events
+                .into_iter()
+                .filter(|((e, _), _)| *e == Event::CheckpointRestoreFallback)
+                .collect();
+            assert_eq!(
+                fallbacks,
+                vec![((Event::CheckpointRestoreFallback, skipped_epoch), 1)],
+                "{name}: skipping the newest file is telemetered, once"
+            );
+        }
     }
 
     #[test]

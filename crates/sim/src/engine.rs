@@ -9,7 +9,9 @@
 //! one function, so they count — and record — the same faults.
 
 use crate::access_log::AccessLog;
-use crate::checkpoint::{CheckpointError, Checkpointing, EngineCheckpointer, LoopState};
+use crate::checkpoint::{
+    config_fingerprint, CheckpointError, Checkpointer, Checkpointing, LoopState, KIND_ENGINE,
+};
 use crate::columns::AccessLogColumns;
 use crate::overload::OverloadConfig;
 use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
@@ -182,10 +184,11 @@ pub fn run(
 
     let mut checkpointer = None;
     if let Some(ck) = &spec.checkpoint {
-        let ledger = boundary.admission.as_mut().map(|a| &mut a.ledger);
-        let (cp, resumed) = EngineCheckpointer::open(ck, cdn, ledger, log, spec)?;
-        checkpointer = Some(cp);
-        if let Some(rs) = resumed {
+        let fingerprint = config_fingerprint(cdn.config(), epoch_secs, spec);
+        let mut cp = Checkpointer::open(ck, KIND_ENGINE, fingerprint);
+        if cp.resuming() {
+            let ledger = boundary.admission.as_mut().map(|a| &mut a.ledger);
+            let rs = LoopState::resume(&mut cp, cdn, ledger, log.len(), spec)?;
             let cursor = schedule
                 .zip(rs.cursor)
                 .map(|(s, (applied, view))| ScheduleCursor::resume(s, applied as usize, view));
@@ -195,6 +198,7 @@ pub fn run(
                 m.absorb(t);
             }
         }
+        checkpointer = Some(cp);
     }
     // The plain run never looks at the clock and crosses no boundary, so
     // it gets a loop of its own: one loop that tested this per request
@@ -232,7 +236,7 @@ pub fn run(
                         ledger: boundary.admission.as_ref().map(|a| a.ledger.export_state()),
                         telemetry: mrec.as_ref().map(|m| m.snapshot()),
                     };
-                    cp.write(cdn, epoch, state)?;
+                    state.write(cp, cdn, epoch)?;
                 }
                 cdn.set_now_epoch(epoch);
                 if let Some(churn) = boundary.enter(epoch, &mut cdn.metrics) {

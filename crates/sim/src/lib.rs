@@ -59,8 +59,8 @@ pub mod world;
 
 pub use access_log::{build_access_log, build_access_log_recorded, AccessLog, AccessLogEntry};
 pub use checkpoint::{
-    list_checkpoint_files, metrics_digest, sweep_stale_tmps, telemetry_digest,
-    validate_checkpoint_bytes, CheckpointError, CheckpointPolicy, Checkpointing,
+    list_checkpoint_files, metrics_digest, sweep_stale_tmps, validate_checkpoint_bytes,
+    CheckpointError, CheckpointPolicy, Checkpointing,
 };
 pub use columns::{build_access_log_columns, build_access_log_columns_parallel, AccessLogColumns};
 pub use engine::{

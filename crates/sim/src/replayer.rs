@@ -58,11 +58,11 @@
 //! engine for the prefetch ablation.
 
 use crate::access_log::AccessLog;
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{CheckpointError, Checkpointer, KIND_REPLAY};
 use crate::engine::{debug_assert_conserved, RunSpec};
 use crate::epoch_chunks::{chunk_starts, or_one_chunk, run_chunks};
 use crate::overload::OverloadConfig;
-use crate::replayer_checkpoint::{ReplayCheckpointer, ReplayState};
+use crate::replayer_checkpoint::{replay_fingerprint, ReplayState};
 use crate::resolve::{record_outcome, resolve_request, EpochBoundary, Resolved};
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::{serve_one, RoutedRequest, ServeEnv, Slots};
@@ -128,14 +128,19 @@ pub fn run(
     let env = ServeEnv::new(cfg);
     let shard_of = shard_table(&env, base_failures, num_workers);
 
-    let checkpointer = spec.checkpoint.as_ref().map(|ck| {
-        ReplayCheckpointer::open(ck, cfg, base_failures, log, spec, &shard_of, num_workers)
+    let mut checkpointer = spec.checkpoint.as_ref().map(|ck| {
+        let epoch_secs = log.epoch_secs.max(1);
+        let fingerprint =
+            replay_fingerprint(cfg, base_failures, epoch_secs, spec, &shard_of, num_workers);
+        Checkpointer::open(ck, KIND_REPLAY, fingerprint)
     });
     // A resume first finds a checkpoint to start from, so a hopeless one
     // fails before the pre-pass runs or records anything.
-    let resuming = checkpointer.as_ref().filter(|cp| cp.resuming());
-    let mut restored = match resuming {
-        Some(cp) => Some(cp.load_newest(cfg, u64::MAX, rec)?),
+    let resume = |cp: &mut Checkpointer<'_>, before| {
+        ReplayState::resume(cp, cfg, &shard_of, num_workers, before, rec)
+    };
+    let mut restored = match checkpointer.as_mut().filter(|cp| cp.resuming()) {
+        Some(cp) => Some(resume(cp, u64::MAX)?),
         None => None,
     };
 
@@ -159,12 +164,12 @@ pub fn run(
     let mut state = ReplayState::fresh(cfg, num_workers);
     let mut starts: Vec<usize> = vec![0; num_workers];
     let mut next_segment = 0usize; // segments are [0, cuts.len()]
-    while let (Some(cp), Some(r)) = (resuming, restored.take()) {
+    while let (Some(cp), Some(r)) = (checkpointer.as_mut(), restored.take()) {
         // A valid checkpoint can still be wrong for this log (its
         // barrier is past the log's end): fall back to an older one.
         let Some(pos) = cuts.iter().position(|c| c.barrier_epoch == r.barrier_epoch) else {
             rec.event(Event::CheckpointRestoreFallback, r.barrier_epoch, 1);
-            restored = Some(cp.load_newest(cfg, r.barrier_epoch, rec)?);
+            restored = Some(resume(cp, r.barrier_epoch)?);
             continue;
         };
         state = r.state;
@@ -200,9 +205,9 @@ pub fn run(
             });
         }
         starts = ends;
-        if let (Some(cp), Some(cut)) = (&checkpointer, cuts.get(seg)) {
+        if let (Some(cp), Some(cut)) = (checkpointer.as_mut(), cuts.get(seg)) {
             // All workers joined: the snapshot is globally consistent.
-            cp.write(cut.barrier_epoch, &state, &worker_recs)?;
+            state.write(cp, cut.barrier_epoch, &shard_of, &worker_recs)?;
         }
     }
 

@@ -16,37 +16,32 @@
 //!
 //! [`crate::replayer::run`] segments execution at the pre-pass's
 //! [`crate::replayer::ShardCut`] barriers (one per `every_n_epochs`
-//! scheduler epochs) and
-//! calls [`ReplayCheckpointer::write`] at each, with the same
-//! atomic-rename/CRC container as the engine's ([`crate::checkpoint`],
-//! KIND_REPLAY). META and BODY are each one `codec` field list, and
-//! TELEMETRY is one snapshot per worker. Workers keep their slots and
-//! metrics across segments, and per-shard streams are replayed in order,
-//! so a checkpointed run's output is bit-for-bit the uncheckpointed
-//! one's.
+//! scheduler epochs) and writes one at each through the engine's
+//! checkpointer ([`crate::checkpoint`], KIND_REPLAY). META and BODY are
+//! each one `codec` field list, and TELEMETRY is one snapshot per
+//! worker. Workers keep their slots and metrics across segments, and
+//! per-shard streams are replayed in order, so a checkpointed run's
+//! output is bit-for-bit the uncheckpointed one's.
 
-use crate::access_log::AccessLog;
 use crate::checkpoint::{
-    config_fingerprint, decode_container, encode_container, list_checkpoint_files_io,
-    sweep_stale_tmps_io, write_atomic, CheckpointError, Checkpointing, RawCheckpoint, KIND_REPLAY,
+    config_fingerprint, export_slots, restore_slots, CheckpointError, Checkpointer, RawCheckpoint,
 };
 use crate::codec::{decode, encode, wire_struct};
 use crate::engine::RunSpec;
 use starcdn::config::StarCdnConfig;
 use starcdn::kernel::Slots;
 use starcdn::metrics::SystemMetrics;
-use starcdn_cache::{CacheState, InflightQueue, InflightState};
+use starcdn_cache::{CacheState, InflightState};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_io::wire::fp;
-use starcdn_telemetry::{Event, MemoryRecorder, Recorder, TelemetrySnapshot};
-use std::path::Path;
+use starcdn_telemetry::{MemoryRecorder, Recorder, TelemetrySnapshot};
 
 /// Fingerprint of everything a replayer checkpoint must agree with the
 /// resuming run about: the shared [`config_fingerprint`], plus the
 /// worker count, the worker of every slot (`shard_of`, the relay-group
 /// shard table) and the static base failure set (it shapes routing and
 /// the relay view).
-fn replay_fingerprint(
+pub(crate) fn replay_fingerprint(
     cfg: &StarCdnConfig,
     base_failures: &FailureModel,
     epoch_secs: u64,
@@ -76,6 +71,7 @@ fn replay_fingerprint(
 struct ReplayMeta {
     fingerprint: u64,
     barrier_epoch: u64,
+    /// Both are in the fingerprint too, so resume reads neither.
     num_workers: u64,
     total_slots: u64,
 }
@@ -112,6 +108,14 @@ pub(crate) struct ReplayState {
     pub(crate) metrics: Vec<SystemMetrics>,
 }
 
+/// What a checkpoint restores: the worker state at `barrier_epoch` and
+/// each worker's telemetry (empty when the run recorded none).
+pub(crate) struct Restored {
+    pub(crate) barrier_epoch: u64,
+    pub(crate) state: ReplayState,
+    pub(crate) telemetry: Vec<TelemetrySnapshot>,
+}
+
 impl ReplayState {
     /// Empty caches and queues, nothing cold, nothing counted.
     pub(crate) fn fresh(cfg: &StarCdnConfig, num_workers: usize) -> Self {
@@ -126,168 +130,66 @@ impl ReplayState {
         self.slots.iter_mut().zip(&mut self.metrics)
     }
 
-    /// Rebuild live state from a decoded body, slot by slot in index
-    /// order, each into the worker `shard_of` gives it; the other
-    /// workers' copies of a slot stay empty.
-    fn restore(
+    /// Restore the newest replay checkpoint written before epoch
+    /// `before` that validates against this run — everything that can
+    /// be checked without the pre-pass — each slot into the worker
+    /// `shard_of` gives it; the other workers' copies of a slot stay
+    /// empty.
+    pub(crate) fn resume(
+        cp: &mut Checkpointer<'_>,
         cfg: &StarCdnConfig,
-        body: ReplayBody,
-        shard_of: &[usize],
-    ) -> Result<Self, CheckpointError> {
-        let mut state = ReplayState::fresh(cfg, body.cold.len());
-        for (slot, cache) in body.caches.into_iter().enumerate() {
-            state.slots[shard_of[slot]].caches[slot] = cache
-                .build()
-                .map_err(|e| CheckpointError::State(format!("cache slot {slot}: {e:?}")))?;
-        }
-        for (slot, qs) in body.inflight.iter().enumerate() {
-            state.slots[shard_of[slot]].inflight[slot] = InflightQueue::from_state(qs)
-                .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
-        }
-        for (slots, cold) in state.slots.iter_mut().zip(body.cold) {
-            slots.cold = cold;
-        }
-        state.metrics = body.metrics;
-        Ok(state)
-    }
-}
-
-/// What a checkpoint restores: the worker state at `barrier_epoch` and
-/// each worker's telemetry (empty when the run recorded none).
-pub(crate) struct Restored {
-    pub(crate) barrier_epoch: u64,
-    pub(crate) state: ReplayState,
-    pub(crate) telemetry: Vec<TelemetrySnapshot>,
-}
-
-/// Writes the replayer's barrier checkpoints and, on resume, finds the
-/// one to start from.
-pub(crate) struct ReplayCheckpointer<'a> {
-    ck: &'a Checkpointing<'a>,
-    fingerprint: u64,
-    shard_of: Vec<usize>,
-    num_workers: usize,
-}
-
-impl<'a> ReplayCheckpointer<'a> {
-    /// Open `ck.policy.dir` for a replay of `log` under `spec`, sharded
-    /// over `num_workers` by `shard_of`, sweeping the droppings of
-    /// writes that died mid-way.
-    pub(crate) fn open(
-        ck: &'a Checkpointing<'a>,
-        cfg: &StarCdnConfig,
-        base_failures: &FailureModel,
-        log: &AccessLog,
-        spec: &RunSpec<'_>,
         shard_of: &[usize],
         num_workers: usize,
-    ) -> Self {
-        sweep_stale_tmps_io(ck.io, &ck.policy.dir);
-        let epoch_secs = log.epoch_secs.max(1);
-        let fingerprint =
-            replay_fingerprint(cfg, base_failures, epoch_secs, spec, shard_of, num_workers);
-        ReplayCheckpointer { ck, fingerprint, shard_of: shard_of.to_vec(), num_workers }
-    }
-
-    /// Scheduler epochs between barriers.
-    pub(crate) fn every_n_epochs(&self) -> u64 {
-        self.ck.policy.every_n_epochs.max(1)
-    }
-
-    pub(crate) fn resuming(&self) -> bool {
-        self.ck.resume
-    }
-
-    /// Restore the newest checkpoint written before epoch `before` that
-    /// validates against this run — everything that can be checked
-    /// without the pre-pass. Corrupt or mismatched files fall back to
-    /// older ones with one [`Event::CheckpointRestoreFallback`] each.
-    pub(crate) fn load_newest(
-        &self,
-        cfg: &StarCdnConfig,
         before: u64,
         rec: &dyn Recorder,
     ) -> Result<Restored, CheckpointError> {
-        let files = list_checkpoint_files_io(self.ck.io, &self.ck.policy.dir);
-        for (epoch, path) in files.iter().rev().filter(|(epoch, _)| *epoch < before) {
-            match self.try_load(path, *epoch, cfg) {
-                Ok(restored) => return Ok(restored),
-                Err(_) => rec.event(Event::CheckpointRestoreFallback, *epoch, 1),
+        cp.resume(before, rec, |raw| {
+            let meta: ReplayMeta = decode(raw.meta)?;
+            let body: ReplayBody = decode(raw.body)?;
+            if body.cold.len() != num_workers
+                || body.metrics.len() != num_workers
+                || body.cold.iter().any(|c| c.len() != shard_of.len())
+            {
+                return Err(CheckpointError::Malformed("replay body shape mismatch"));
             }
-        }
-        Err(CheckpointError::NoValidCheckpoint)
-    }
-
-    fn try_load(
-        &self,
-        path: &Path,
-        epoch: u64,
-        cfg: &StarCdnConfig,
-    ) -> Result<Restored, CheckpointError> {
-        let bytes = self.ck.io.read(path)?;
-        let raw = decode_container(&bytes)?;
-        if raw.kind != KIND_REPLAY {
-            return Err(CheckpointError::ConfigMismatch);
-        }
-        let meta: ReplayMeta = decode(raw.meta)?;
-        // The file name's epoch is what `load_newest` orders by.
-        if meta.barrier_epoch != epoch
-            || meta.fingerprint != self.fingerprint
-            || meta.num_workers != self.num_workers as u64
-            || meta.total_slots != self.shard_of.len() as u64
-        {
-            return Err(CheckpointError::ConfigMismatch);
-        }
-        let body: ReplayBody = decode(raw.body)?;
-        let total_slots = self.shard_of.len();
-        if body.caches.len() != total_slots
-            || body.inflight.len() != total_slots
-            || body.cold.len() != self.num_workers
-            || body.metrics.len() != self.num_workers
-            || body.cold.iter().any(|c| c.len() != total_slots)
-        {
-            return Err(CheckpointError::Malformed("replay body shape mismatch"));
-        }
-        if body.caches.iter().any(|c| c.policy_name() != cfg.policy.name()) {
-            return Err(CheckpointError::ConfigMismatch);
-        }
-        let telemetry: Vec<TelemetrySnapshot> = decode(raw.telemetry)?;
-        if !telemetry.is_empty() && telemetry.len() != self.num_workers {
-            return Err(CheckpointError::Malformed("worker telemetry count mismatch"));
-        }
-        Ok(Restored {
-            barrier_epoch: meta.barrier_epoch,
-            state: ReplayState::restore(cfg, body, &self.shard_of)?,
-            telemetry,
+            let telemetry: Vec<TelemetrySnapshot> = decode(raw.telemetry)?;
+            if !telemetry.is_empty() && telemetry.len() != num_workers {
+                return Err(CheckpointError::Malformed("worker telemetry count mismatch"));
+            }
+            let mut state = ReplayState::fresh(cfg, num_workers);
+            restore_slots(&mut state.slots, |i| shard_of[i], &body.caches, &body.inflight)?;
+            for (slots, cold) in state.slots.iter_mut().zip(body.cold) {
+                slots.cold = cold;
+            }
+            state.metrics = body.metrics;
+            Ok(Restored { barrier_epoch: meta.barrier_epoch, state, telemetry })
         })
     }
 
     /// Write the checkpoint for the barrier at `barrier_epoch`. All
-    /// workers have joined, so `state` is globally consistent.
+    /// workers have joined, so the state is globally consistent.
     pub(crate) fn write(
         &self,
+        cp: &mut Checkpointer<'_>,
         barrier_epoch: u64,
-        state: &ReplayState,
+        shard_of: &[usize],
         worker_recs: &[MemoryRecorder],
     ) -> Result<(), CheckpointError> {
-        let owner = |slot: usize| &state.slots[self.shard_of[slot]];
-        let slots = 0..self.shard_of.len();
+        let (caches, inflight) = export_slots(shard_of.len(), |i| &self.slots[shard_of[i]]);
         let body = ReplayBody {
-            caches: slots.clone().map(|i| owner(i).caches[i].to_state()).collect(),
-            inflight: slots.map(|i| owner(i).inflight[i].to_state()).collect(),
-            cold: state.slots.iter().map(|s| s.cold.clone()).collect(),
-            metrics: state.metrics.clone(),
+            caches,
+            inflight,
+            cold: self.slots.iter().map(|s| s.cold.clone()).collect(),
+            metrics: self.metrics.clone(),
         };
         let meta = ReplayMeta {
-            fingerprint: self.fingerprint,
+            fingerprint: cp.fingerprint,
             barrier_epoch,
-            num_workers: self.num_workers as u64,
-            total_slots: self.shard_of.len() as u64,
+            num_workers: self.slots.len() as u64,
+            total_slots: shard_of.len() as u64,
         };
         let snaps: Vec<TelemetrySnapshot> = worker_recs.iter().map(|r| r.snapshot()).collect();
-        let bytes = encode_container(KIND_REPLAY, &encode(&meta), &encode(&body), &encode(&snaps));
-        let policy = self.ck.policy;
-        write_atomic(self.ck.io, &policy.dir, barrier_epoch, &bytes, policy.keep_last)
+        cp.write(barrier_epoch, &encode(&meta), &encode(&body), &encode(&snaps))
     }
 }
 
@@ -295,7 +197,7 @@ impl<'a> ReplayCheckpointer<'a> {
 mod tests {
     use super::*;
     use crate::access_log::{build_access_log, AccessLog};
-    use crate::checkpoint::{list_checkpoint_files, CheckpointPolicy};
+    use crate::checkpoint::{list_checkpoint_files, CheckpointPolicy, Checkpointing};
     use crate::engine::SimConfig;
     use crate::overload::OverloadConfig;
     use crate::replayer::run;
@@ -306,7 +208,8 @@ mod tests {
     use starcdn_io::RealIo;
     use starcdn_orbit::time::SimTime;
     use starcdn_orbit::walker::SatelliteId;
-    use std::path::PathBuf;
+    use starcdn_telemetry::Event;
+    use std::path::{Path, PathBuf};
 
     /// A no-base-failures replay of `log`, checkpointing per `policy`.
     #[allow(clippy::too_many_arguments)]

@@ -446,7 +446,7 @@ fn engine_kill_resume_bit_identical_with_fetches_in_flight() {
         // The kill must actually strand fetches: the crashed process's
         // final state — which equals the newest checkpoint's, since one
         // is written every epoch — has a nonempty outstanding queue.
-        let stranded: usize = crashed.export_state().inflight.iter().map(|q| q.fetches.len()).sum();
+        let stranded: usize = crashed.slots.inflight.iter().map(|q| q.len()).sum();
         assert!(stranded > 0, "kill epoch {kill} left no fetch in flight — weak scenario");
 
         let rec = MemoryRecorder::new();
@@ -761,6 +761,65 @@ fn torn_checkpoint_is_skipped_and_resume_still_exact() {
     assert!(fallbacks >= 1, "the torn newest checkpoint must be counted as skipped");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&gold_dir);
+}
+
+/// A log read through the 39-byte codec may carry any `u64` time, so
+/// its epochs can outgrow the ten digits a checkpoint name pads to:
+/// those files must still be found, resumed from and pruned, by the
+/// engine and the replayer alike.
+#[test]
+fn checkpoints_past_epoch_ten_billion_are_found_and_pruned() {
+    const SHIFT_EPOCHS: u64 = 10_000_000_000;
+    let mut log = log();
+    for e in &mut log.entries {
+        e.time = SimTime::from_millis(e.time.as_millis() + SHIFT_EPOCHS * EPOCH_SECS * 1000);
+    }
+    let sched = FaultSchedule::empty();
+    let off = OverloadConfig::disabled();
+    let cfg = StarCdnConfig::starcdn_no_relay(4, 2_000_000);
+    let first_epoch = log.entries[0].time.as_secs() / EPOCH_SECS;
+    let kill = first_epoch + 40;
+    let pol =
+        |dir: &Path| CheckpointPolicy { every_n_epochs: 5, dir: dir.to_path_buf(), keep_last: 2 };
+    let assert_two_newest = |dir: &Path, what: &str| {
+        let files = list_checkpoint_files(dir);
+        assert_eq!(files.len(), 2, "{what}: keep_last = 2 leaves two files: {files:?}");
+        assert!(files.iter().all(|(epoch, _)| *epoch >= SHIFT_EPOCHS), "{what}: {files:?}");
+    };
+
+    // The engine.
+    let golden = metrics_digest(&engine::run_space(&mut SpaceCdn::new(cfg.clone()), &log));
+    let dir = tmpdir("epoch-1e10-engine");
+    let rec = MemoryRecorder::new();
+    engine::run(
+        &mut SpaceCdn::new(cfg.clone()),
+        &prefix_before(&log, kill),
+        &ckpt_spec(&sched, &off, &pol(&dir), &rec, &RealIo, false),
+    )
+    .unwrap();
+    assert_two_newest(&dir, "engine");
+    let resumed = engine::run(
+        &mut SpaceCdn::new(cfg.clone()),
+        &log,
+        &ckpt_spec(&sched, &off, &pol(&dir), &rec, &RealIo, true),
+    )
+    .unwrap();
+    assert_eq!(metrics_digest(&resumed), golden, "engine resume diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The replayer at 4 workers.
+    let run = |log: &AccessLog, dir: &Path, resume: bool| {
+        let pol = pol(dir);
+        let spec = ckpt_spec(&sched, &off, &pol, &Noop, &RealIo, resume);
+        replayer::run(&cfg, &FailureModel::none(), log, 4, &spec).unwrap()
+    };
+    let golden =
+        metrics_digest(&replayer::replay_parallel(cfg.clone(), FailureModel::none(), &log, 4));
+    let dir = tmpdir("epoch-1e10-replay");
+    run(&prefix_before(&log, kill), &dir, false);
+    assert_two_newest(&dir, "replayer");
+    assert_eq!(metrics_digest(&run(&log, &dir, true)), golden, "replayer resume diverged");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -13,8 +13,14 @@
 //! > [`CheckpointError::NoValidCheckpoint`]. Nothing ever panics, and
 //! > nothing ever silently diverges.
 //!
-//! The CI tests sweep a few dozen seeds per scenario; the
-//! `torture` bench binary runs the same legs over 1000+ seeds.
+//! Each sweep runs `IO_TORTURE_SEEDS` seeds per scenario (32 by
+//! default, 192 schedules across the six sweeps) and prints one tally
+//! line. The full record, `results/io_torture.txt`, is those lines at
+//! 256 seeds (1536 schedules):
+//!
+//! ```text
+//! IO_TORTURE_SEEDS=256 cargo test --release --test io_torture -- --nocapture --test-threads=1
+//! ```
 
 mod common;
 
@@ -25,7 +31,7 @@ use starcdn::system::SpaceCdn;
 use starcdn_cache::object::ObjectId;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
-use starcdn_io::{FaultKind, FaultPlan, FaultyIo, RealIo};
+use starcdn_io::{FaultKind, FaultPlan, FaultyIo, Io, RealIo};
 use starcdn_orbit::time::SimTime;
 use starcdn_sim::engine::SimConfig;
 use starcdn_sim::{
@@ -37,10 +43,45 @@ use std::path::{Path, PathBuf};
 
 const EPOCH_SECS: u64 = 15;
 
-/// Seeds per scenario in the CI-sized sweep. The torture bench binary
-/// runs the 1000+-seed version of the same legs.
+/// Seeds per scenario: `IO_TORTURE_SEEDS`, 32 when unset.
 fn seeds() -> u64 {
     std::env::var("IO_TORTURE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
+}
+
+/// What one sweep did, printed as one line when it ends.
+#[derive(Default)]
+struct Tally {
+    schedules: u64,
+    faults: u64,
+    crashes: u64,
+    completed_identical: u64,
+    typed_errors: u64,
+    resumed: u64,
+    rerun_fresh: u64,
+}
+
+impl Tally {
+    /// Count one schedule and what its plan injected through `io`.
+    fn faulted(&mut self, io: &FaultyIo) {
+        let s = io.stats();
+        self.schedules += 1;
+        self.faults += s.faults;
+        self.crashes += u64::from(s.crashed());
+    }
+
+    fn print(&self, sweep: &str) {
+        println!(
+            "io_torture {sweep}: {} schedules, {} faults injected, {} crash points, \
+             {} completed identical, {} typed errors, {} resumed, {} rerun fresh",
+            self.schedules,
+            self.faults,
+            self.crashes,
+            self.completed_identical,
+            self.typed_errors,
+            self.resumed,
+            self.rerun_fresh
+        );
+    }
 }
 
 fn log() -> AccessLog {
@@ -87,7 +128,14 @@ fn tmp_files(dir: &Path) -> Vec<String> {
 /// either reproduce the golden digest or report `NoValidCheckpoint` —
 /// in which case a fresh run must reproduce it. Either way the stale
 /// tmp sweep on open leaves no `.tmp` files behind.
-fn assert_recoverable(dir: &Path, pol: &CheckpointPolicy, log: &AccessLog, golden: u64, tag: &str) {
+fn assert_recoverable(
+    t: &mut Tally,
+    dir: &Path,
+    pol: &CheckpointPolicy,
+    log: &AccessLog,
+    golden: u64,
+    tag: &str,
+) {
     let sched = FaultSchedule::empty();
     let ov = OverloadConfig::disabled();
     match engine::run(
@@ -95,7 +143,10 @@ fn assert_recoverable(dir: &Path, pol: &CheckpointPolicy, log: &AccessLog, golde
         log,
         &ckpt_spec(&sched, &ov, pol, &MemoryRecorder::new(), &RealIo, true),
     ) {
-        Ok(m) => assert_eq!(metrics_digest(&m), golden, "{tag}: resume diverged"),
+        Ok(m) => {
+            assert_eq!(metrics_digest(&m), golden, "{tag}: resume diverged");
+            t.resumed += 1;
+        }
         Err(CheckpointError::NoValidCheckpoint) => {
             let m = engine::run(
                 &mut fresh_cdn(),
@@ -104,6 +155,7 @@ fn assert_recoverable(dir: &Path, pol: &CheckpointPolicy, log: &AccessLog, golde
             )
             .unwrap();
             assert_eq!(metrics_digest(&m), golden, "{tag}: fresh rerun diverged");
+            t.rerun_fresh += 1;
         }
         Err(e) => panic!("{tag}: unexpected resume error: {e}"),
     }
@@ -112,7 +164,7 @@ fn assert_recoverable(dir: &Path, pol: &CheckpointPolicy, log: &AccessLog, golde
 
 /// One engine leg: run under the given plan, demand typed-error-or-
 /// bit-identical, then demand recoverability on real I/O.
-fn engine_leg(golden: u64, log: &AccessLog, plan: FaultPlan, dir: &Path, tag: &str) -> FaultyIo {
+fn engine_leg(t: &mut Tally, golden: u64, log: &AccessLog, plan: FaultPlan, dir: &Path, tag: &str) {
     let sched = FaultSchedule::empty();
     let ov = OverloadConfig::disabled();
     let pol = policy(dir, 3, 0);
@@ -122,18 +174,22 @@ fn engine_leg(golden: u64, log: &AccessLog, plan: FaultPlan, dir: &Path, tag: &s
         log,
         &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
     ) {
-        Ok(m) => assert_eq!(metrics_digest(&m), golden, "{tag}: faulted run silently diverged"),
+        Ok(m) => {
+            assert_eq!(metrics_digest(&m), golden, "{tag}: faulted run silently diverged");
+            t.completed_identical += 1;
+        }
         Err(CheckpointError::Io(e)) => {
             // Ordinary failures clean their own tmp; only a crash point
             // (dead process) may strand one for the next open's sweep.
             if !e.is_crash() {
                 assert!(tmp_files(dir).is_empty(), "{tag}: non-crash failure leaked a tmp");
             }
+            t.typed_errors += 1;
         }
         Err(e) => panic!("{tag}: unexpected error type: {e}"),
     }
-    assert_recoverable(dir, &pol, log, golden, tag);
-    io
+    t.faulted(&io);
+    assert_recoverable(t, dir, &pol, log, golden, tag);
 }
 
 #[test]
@@ -155,14 +211,14 @@ fn engine_seeded_write_fault_sweep() {
     .unwrap();
     let golden = metrics_digest(&golden);
 
-    let mut faults = 0u64;
+    let mut t = Tally::default();
     for seed in 0..seeds() {
         let dir = tmpdir(&format!("eng-seeded-{seed}"));
-        let io = engine_leg(golden, &log, FaultPlan::seeded(seed), &dir, &format!("seed {seed}"));
-        faults += io.stats().faults;
+        engine_leg(&mut t, golden, &log, FaultPlan::seeded(seed), &dir, &format!("seed {seed}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(faults > 0, "the sweep must actually inject faults");
+    t.print("engine-seeded");
+    assert!(t.faults > 0, "the sweep must actually inject faults");
     let _ = std::fs::remove_dir_all(&gold_dir);
 }
 
@@ -185,15 +241,15 @@ fn engine_crash_point_sweep() {
     .unwrap();
     let golden = metrics_digest(&golden);
 
-    let mut crashes = 0u64;
+    let mut t = Tally::default();
     for seed in 0..seeds() {
         let dir = tmpdir(&format!("eng-crash-{seed}"));
-        let io =
-            engine_leg(golden, &log, FaultPlan::crash_only(seed), &dir, &format!("crash {seed}"));
-        crashes += u64::from(io.crashed());
+        let tag = format!("crash {seed}");
+        engine_leg(&mut t, golden, &log, FaultPlan::crash_only(seed), &dir, &tag);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(crashes > 0, "the sweep must actually hit crash points");
+    t.print("engine-crash");
+    assert!(t.crashes > 0, "the sweep must actually hit crash points");
     let _ = std::fs::remove_dir_all(&gold_dir);
 }
 
@@ -216,23 +272,32 @@ fn single_fault_with_keep2_always_leaves_a_restorable_checkpoint() {
     .unwrap();
     let golden = metrics_digest(&golden);
 
-    let mut restorable = 0u64;
+    let mut t = Tally::default();
     for seed in 0..seeds() * 2 {
         let dir = tmpdir(&format!("single-{seed}"));
         let pol = policy(&dir, 2, 2);
         let io = FaultyIo::new(FaultPlan::single(seed));
-        let res = engine::run(
+        match engine::run(
             &mut fresh_cdn(),
             &log,
             &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
-        );
-        if let Ok(m) = &res {
-            assert_eq!(metrics_digest(m), golden, "seed {seed}: faulted run silently diverged");
+        ) {
+            Ok(m) => {
+                assert_eq!(
+                    metrics_digest(&m),
+                    golden,
+                    "seed {seed}: faulted run silently diverged"
+                );
+                t.completed_identical += 1;
+            }
+            Err(CheckpointError::Io(_)) => t.typed_errors += 1,
+            Err(e) => panic!("seed {seed}: unexpected error type: {e}"),
         }
+        t.faulted(&io);
         let stats = io.stats();
         assert!(!stats.crashed(), "single plans never crash");
         if stats.clean_renames >= 1 {
-            restorable += 1;
+            t.resumed += 1;
             let m = engine::run(
                 &mut fresh_cdn(),
                 &log,
@@ -248,7 +313,8 @@ fn single_fault_with_keep2_always_leaves_a_restorable_checkpoint() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(restorable > 0, "the sweep must exercise the restorable case");
+    t.print("single-keep2");
+    assert!(t.resumed > 0, "the sweep must exercise the restorable case");
     let _ = std::fs::remove_dir_all(&gold_dir);
 }
 
@@ -271,61 +337,50 @@ fn replayer_seeded_and_crash_sweeps() {
     .unwrap();
     let golden = metrics_digest(&golden);
 
+    let replay = |pol: &CheckpointPolicy, io: &dyn Io, resume: bool| {
+        let rec = MemoryRecorder::new();
+        let spec = ckpt_spec(&sched, &ov, pol, &rec, io, resume);
+        replayer::run(&cfg, &FailureModel::none(), &log, workers, &spec)
+    };
+    let mut tallies = [("replayer-seeded", Tally::default()), ("replayer-crash", Tally::default())];
     for seed in 0..seeds() / 2 {
-        for (mode, plan) in
-            [("seeded", FaultPlan::seeded(seed)), ("crash", FaultPlan::crash_only(seed))]
-        {
+        let plans = [FaultPlan::seeded(seed), FaultPlan::crash_only(seed)];
+        for ((mode, t), plan) in tallies.iter_mut().zip(plans) {
             let dir = tmpdir(&format!("rep-{mode}-{seed}"));
             let pol = policy(&dir, 3, 0);
             let io = FaultyIo::new(plan);
-            match replayer::run(
-                &cfg,
-                &FailureModel::none(),
-                &log,
-                workers,
-                &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
-            ) {
-                Ok(m) => assert_eq!(
-                    metrics_digest(&m),
-                    golden,
-                    "{mode} {seed}: faulted replay silently diverged"
-                ),
-                Err(CheckpointError::Io(_)) => {}
+            match replay(&pol, &io, false) {
+                Ok(m) => {
+                    let digest = metrics_digest(&m);
+                    assert_eq!(digest, golden, "{mode} {seed}: faulted replay silently diverged");
+                    t.completed_identical += 1;
+                }
+                Err(CheckpointError::Io(_)) => t.typed_errors += 1,
                 Err(e) => panic!("{mode} {seed}: unexpected error type: {e}"),
             }
-            let resumed = if list_checkpoint_files(&dir).is_empty() {
-                replayer::run(
-                    &cfg,
-                    &FailureModel::none(),
-                    &log,
-                    workers,
-                    &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
-                )
-                .unwrap()
-            } else {
-                match replayer::run(
-                    &cfg,
-                    &FailureModel::none(),
-                    &log,
-                    workers,
-                    &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, true),
-                ) {
-                    Ok(m) => m,
-                    Err(CheckpointError::NoValidCheckpoint) => replayer::run(
-                        &cfg,
-                        &FailureModel::none(),
-                        &log,
-                        workers,
-                        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &RealIo, false),
-                    )
-                    .unwrap(),
-                    Err(e) => panic!("{mode} {seed}: unexpected resume error: {e}"),
-                }
+            t.faulted(&io);
+            let resumed = match list_checkpoint_files(&dir).is_empty() {
+                true => Err(CheckpointError::NoValidCheckpoint),
+                false => replay(&pol, &RealIo, true),
             };
-            assert_eq!(metrics_digest(&resumed), golden, "{mode} {seed}: recovery diverged");
+            let recovered = match resumed {
+                Ok(m) => {
+                    t.resumed += 1;
+                    m
+                }
+                Err(CheckpointError::NoValidCheckpoint) => {
+                    t.rerun_fresh += 1;
+                    replay(&pol, &RealIo, false).unwrap()
+                }
+                Err(e) => panic!("{mode} {seed}: unexpected resume error: {e}"),
+            };
+            assert_eq!(metrics_digest(&recovered), golden, "{mode} {seed}: recovery diverged");
             assert!(tmp_files(&dir).is_empty(), "{mode} {seed}: stale tmps survived");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+    for (mode, t) in &tallies {
+        t.print(mode);
     }
     let _ = std::fs::remove_dir_all(&gold_dir);
 }
@@ -349,9 +404,10 @@ fn read_fault_resume_sweep() {
     .unwrap();
     let golden = metrics_digest(&golden);
 
-    let (mut flips, mut eios, mut oks) = (0u64, 0u64, 0u64);
+    let (mut t, mut flips, mut eios) = (Tally::default(), 0u64, 0u64);
     for seed in 0..seeds() {
         let io = FaultyIo::new(FaultPlan::read_faults(seed));
+        // Here the faulted run is the resume itself.
         match engine::run(
             &mut fresh_cdn(),
             &log,
@@ -359,18 +415,20 @@ fn read_fault_resume_sweep() {
         ) {
             Ok(m) => {
                 assert_eq!(metrics_digest(&m), golden, "seed {seed}: corrupted resume was silent");
-                oks += 1;
+                t.resumed += 1;
             }
-            Err(CheckpointError::NoValidCheckpoint) => {}
+            Err(CheckpointError::NoValidCheckpoint) => t.typed_errors += 1,
             Err(e) => panic!("seed {seed}: unexpected resume error: {e}"),
         }
+        t.faulted(&io);
         let s = io.stats();
         flips += s.bit_flips;
         eios += s.read_errs;
     }
+    t.print("read-resume");
     assert!(flips > 0, "the sweep must inject bit flips");
     assert!(eios > 0, "the sweep must inject read errors");
-    assert!(oks > 0, "some seeds must still resume through the noise");
+    assert!(t.resumed > 0, "some seeds must still resume through the noise");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -506,6 +564,41 @@ fn non_crash_checkpoint_failure_cleans_its_own_tmp() {
     assert!(io.stats().sync_fails >= 1);
     assert!(tmp_files(&dir).is_empty(), "failed write must not leak its tmp");
     assert!(list_checkpoint_files(&dir).is_empty(), "nothing durable was ever renamed in");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_while_cleaning_up_a_failed_write_is_the_error() {
+    let log = log();
+    let sched = FaultSchedule::empty();
+    let ov = OverloadConfig::disabled();
+    let dir = tmpdir("tmp-cleanup-crash");
+    let pol = policy(&dir, 1, 0);
+
+    // Ops: 0 = open sweep's list_dir, 1 = create_dir_all, 2 = create
+    // tmp, 3 = the body write fails, 4 = removing the tmp — die there.
+    // The process is dead, so the tmp stays and the crash is reported
+    // (seed 187 of the seeded sweep reported the write error instead).
+    let io = FaultyIo::new(FaultPlan {
+        seed: 0,
+        kinds: vec![FaultKind::WriteErr],
+        denom: 1,
+        max_faults: Some(1),
+        enospc_budget: None,
+        crash_at_op: Some(4),
+    });
+    let err = engine::run(
+        &mut fresh_cdn(),
+        &log,
+        &ckpt_spec(&sched, &ov, &pol, &MemoryRecorder::new(), &io, false),
+    )
+    .unwrap_err();
+    match err {
+        CheckpointError::Io(e) => assert!(e.is_crash(), "expected the cleanup's crash, got {e}"),
+        e => panic!("unexpected error type: {e}"),
+    }
+    assert_eq!(io.stats().write_errs, 1);
+    assert_eq!(tmp_files(&dir).len(), 1, "a dead process cleans nothing up");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
