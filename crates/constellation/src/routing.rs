@@ -36,12 +36,6 @@ impl GridPath {
     pub(crate) fn delay_ms(&self, model: &LinkModel) -> f64 {
         self.hops.iter().map(|&d| model.delay_ms(IslKind::of_direction(d))).sum()
     }
-
-    /// Count of (intra, inter) hops.
-    pub fn hop_mix(&self) -> (usize, usize) {
-        let inter = self.hops.iter().filter(|d| d.is_inter_orbit()).count();
-        (self.hops.len() - inter, inter)
-    }
 }
 
 /// Canonical shortest path on the healthy torus: wrap-minimal plane moves
@@ -396,7 +390,8 @@ mod tests {
         let m = LinkModel::table1();
         // 2 east + 1 north = 2×2.15 + 8.03 = 12.33 ms.
         let p = shortest_path(&g, SatelliteId::new(0, 0), SatelliteId::new(2, 1));
-        assert_eq!(p.hop_mix(), (1, 2));
+        let inter = p.hops.iter().filter(|d| d.is_inter_orbit()).count();
+        assert_eq!((p.len() - inter, inter), (1, 2));
         assert!((p.delay_ms(&m) - 12.33).abs() < 1e-9);
     }
 

@@ -123,14 +123,6 @@ impl FaultSchedule {
         FaultSchedule { events }
     }
 
-    /// All of `dead` go down at `at_secs` and never recover — the
-    /// dynamic encoding of the paper's static outage set.
-    pub fn mass_outage_at(at_secs: u64, dead: impl IntoIterator<Item = SatelliteId>) -> Self {
-        Self::from_events(
-            dead.into_iter().map(|s| TimedFault { at_secs, event: FaultEvent::SatDown(s) }),
-        )
-    }
-
     /// Seeded MTBF/MTTR churn over every grid slot (and, when
     /// `link_mtbf_secs` is set, every ISL): each element alternates
     /// up/down with exponentially distributed durations.
@@ -612,7 +604,9 @@ mod tests {
     fn mass_outage_matches_static_model() {
         let g = grid();
         let outage = FailureModel::sample(&g, 126, 7);
-        let sched = FaultSchedule::mass_outage_at(0, outage.dead());
+        // Every dead satellite goes down at t = 0 and never recovers.
+        let down = outage.dead().map(|s| TimedFault { at_secs: 0, event: FaultEvent::SatDown(s) });
+        let sched = FaultSchedule::from_events(down);
         assert_eq!(sched.len(), 126);
         let mut cur = ScheduleCursor::new(&sched, FailureModel::none());
         let d = cur.advance_to(0);

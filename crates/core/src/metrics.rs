@@ -46,14 +46,6 @@ impl NeighborAvailability {
             }
         }
     }
-
-    /// Total probed misses.
-    pub fn total_misses(&self) -> u64 {
-        self.west_only_requests
-            + self.east_only_requests
-            + self.both_requests
-            + self.neither_requests
-    }
 }
 
 /// One sample of the per-epoch availability timeline recorded under a
@@ -373,7 +365,7 @@ mod tests {
         assert_eq!(n.east_only_bytes, 20);
         assert_eq!(n.both_bytes, 30);
         assert_eq!(n.neither_bytes, 40);
-        assert_eq!(n.total_misses(), 4);
+        assert_eq!([n.east_only_requests, n.both_requests, n.neither_requests], [1, 1, 1]);
     }
 
     #[test]

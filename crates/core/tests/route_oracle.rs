@@ -107,7 +107,8 @@ fn reference_classify(
         return RouteOutcome::Partitioned { owner };
     };
     rec.observe(Histo::BfsPathHops, path.len() as u64);
-    let (intra, inter) = path.hop_mix();
+    let inter = path.hops.iter().filter(|d| matches!(d, Direction::East | Direction::West)).count();
+    let intra = path.len() - inter;
     let extra = (path.len() as u16).saturating_sub(grid.hop_distance(first_contact, owner));
     routed(intra as u16, inter as u16, extra)
 }

@@ -168,12 +168,6 @@ pub struct FaultStats {
     pub crashed_at: Option<u64>,
 }
 
-impl FaultStats {
-    pub fn crashed(&self) -> bool {
-        self.crashed_at.is_some()
-    }
-}
-
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -226,11 +220,6 @@ impl FaultyIo {
     /// Snapshot of everything injected so far.
     pub fn stats(&self) -> FaultStats {
         self.shared.inner.lock().unwrap().stats.clone()
-    }
-
-    /// True once a crash point has fired (all later ops fail).
-    pub fn crashed(&self) -> bool {
-        self.shared.inner.lock().unwrap().stats.crashed_at.is_some()
     }
 }
 
@@ -561,7 +550,7 @@ mod tests {
                 Ok(()) => "ok".to_string(),
                 Err(e) => format!("{}:{}", e.op.name(), e.is_crash()),
             });
-            if io.crashed() {
+            if io.stats().crashed_at.is_some() {
                 break;
             }
         }
@@ -680,7 +669,7 @@ mod tests {
             let _ = run_script(&io, &d);
             let s = io.stats();
             assert!(s.faults <= 1, "seed {seed}: {} faults", s.faults);
-            assert!(!s.crashed(), "single plans never crash");
+            assert!(s.crashed_at.is_none(), "single plans never crash");
             let _ = std::fs::remove_dir_all(&d);
         }
     }

@@ -176,22 +176,9 @@ fn into_std(e: IoError) -> std::io::Error {
     std::io::Error::new(e.source.kind(), e)
 }
 
-/// Wraps an [`IoFile`] as a `std::io::Write`, so the streaming binary
-/// codecs (spacegen traces, access logs) run unchanged over the seam.
-/// The typed [`IoError`] travels inside the `std::io::Error` it emits.
-pub struct WriteAdapter<'a>(pub &'a mut dyn IoFile);
-
-impl std::io::Write for WriteAdapter<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.write_all(buf).map_err(into_std)?;
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Wraps an [`IoFile`] as a `std::io::Read` for the streaming decoders.
+/// Wraps an [`IoFile`] as a `std::io::Read`, so the streaming access-log
+/// decoder runs unchanged over the seam. The typed [`IoError`] travels
+/// inside the `std::io::Error` it emits.
 pub struct ReadAdapter<'a>(pub &'a mut dyn IoFile);
 
 impl std::io::Read for ReadAdapter<'_> {
@@ -325,20 +312,6 @@ mod tests {
         }
         let names: Vec<OsString> = ["a", "b", "c"].iter().map(OsString::from).collect();
         assert_eq!(RealIo.list_dir(&d).unwrap(), names);
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn write_adapter_roundtrip() {
-        let d = tmpdir("adapter");
-        let p = d.join("f");
-        let mut f = RealIo.create(&p).unwrap();
-        use std::io::Write as _;
-        let mut w = WriteAdapter(&mut *f);
-        w.write_all(b"abc").unwrap();
-        w.flush().unwrap();
-        drop(f);
-        assert_eq!(RealIo.read(&p).unwrap(), b"abc");
         let _ = fs::remove_dir_all(&d);
     }
 }

@@ -270,6 +270,7 @@ pub fn serve_replay(
             rec.absorb(snap);
         }
     }
+    plan.assert_conserved(&total);
     Ok(ServeReport { metrics: total, stats })
 }
 

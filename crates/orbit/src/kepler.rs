@@ -13,41 +13,6 @@ use crate::coords::Eci;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Classical orbital elements for the general (elliptical) case.
-///
-/// Only the subset needed to position a satellite is retained; the TLE
-/// parser produces these and [`CircularOrbit`] is the specialization used
-/// by the constellation builder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct OrbitalElements {
-    /// Semi-major axis, km.
-    pub(crate) semi_major_axis_km: f64,
-    /// Eccentricity (dimensionless, `0 ≤ e < 1`).
-    pub(crate) eccentricity: f64,
-    /// Inclination, radians.
-    pub(crate) inclination_rad: f64,
-    /// Right ascension of the ascending node, radians.
-    pub(crate) raan_rad: f64,
-    /// Argument of perigee, radians.
-    pub(crate) arg_perigee_rad: f64,
-    /// Mean anomaly at epoch, radians.
-    pub(crate) mean_anomaly_rad: f64,
-}
-
-impl OrbitalElements {
-    /// Collapse to the circular model (ignores eccentricity and argument
-    /// of perigee, folding the mean anomaly into the phase). Valid for
-    /// near-circular orbits like Starlink's.
-    pub(crate) fn to_circular(self) -> CircularOrbit {
-        CircularOrbit {
-            altitude_km: self.semi_major_axis_km - EARTH_RADIUS_KM,
-            inclination_rad: self.inclination_rad,
-            raan_rad: self.raan_rad,
-            phase_rad: self.arg_perigee_rad + self.mean_anomaly_rad,
-        }
-    }
-}
-
 /// A circular orbit: the workhorse model for the Starlink shell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CircularOrbit {
@@ -183,21 +148,6 @@ mod tests {
         let drift_deg_day = starlink_orbit().raan_drift_rad_s().to_degrees() * 86400.0;
         assert!(drift_deg_day < 0.0);
         assert!((drift_deg_day.abs() - 5.0).abs() < 1.0, "drift = {drift_deg_day} deg/day");
-    }
-
-    #[test]
-    fn elements_to_circular_preserves_geometry() {
-        let el = OrbitalElements {
-            semi_major_axis_km: EARTH_RADIUS_KM + 550.0,
-            eccentricity: 0.0001,
-            inclination_rad: 53f64.to_radians(),
-            raan_rad: 1.0,
-            arg_perigee_rad: 0.25,
-            mean_anomaly_rad: 0.5,
-        };
-        let c = el.to_circular();
-        assert!((c.altitude_km - 550.0).abs() < 1e-9);
-        assert!((c.phase_rad - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! simulator fed by CelesTrak TLE data for the Starlink 53°-inclination
 //! Gen-1 shell. This crate replaces that substrate with an analytic
 //! circular-orbit Keplerian propagator (with J2 nodal regression), a
-//! Walker-delta constellation builder matching that shell, a TLE parser,
-//! coordinate transforms, ground-track computation, and line-of-sight
-//! visibility between ground locations and satellites.
+//! Walker-delta constellation builder matching that shell in place of the
+//! TLE feed (no catalog is parsed), coordinate transforms, ground-track
+//! computation, and line-of-sight visibility between ground locations and
+//! satellites.
 //!
 //! Starlink shell-1 orbits have eccentricity below 0.002, so the circular
 //! model reproduces ground tracks and fields of view to well under a beam
@@ -29,12 +30,10 @@
 //! ```
 
 pub mod coords;
-pub mod fleet;
 pub mod groundtrack;
 pub mod kepler;
 pub mod propagator;
 pub mod time;
-pub mod tle;
 pub mod visibility;
 pub mod walker;
 

@@ -81,8 +81,9 @@ impl WalkerConstellation {
         }
     }
 
-    /// A small constellation for fast tests and examples (8 planes × 6).
-    pub fn test_shell() -> Self {
+    /// A small constellation for fast tests (8 planes × 6).
+    #[cfg(test)]
+    pub(crate) fn test_shell() -> Self {
         WalkerConstellation {
             num_planes: 8,
             sats_per_plane: 6,

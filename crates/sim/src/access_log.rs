@@ -156,23 +156,8 @@ impl AccessLog {
         Ok(AccessLog { entries, epoch_secs })
     }
 
-    /// Write the binary format to `path` (created or truncated) through
-    /// an explicit [`starcdn_io::Io`].
-    pub fn write_binary_path_io(
-        &self,
-        path: &std::path::Path,
-        io: &dyn starcdn_io::Io,
-    ) -> Result<(), IoError> {
-        let mut f = io.create(path)?;
-        self.write_binary(starcdn_io::WriteAdapter(&mut *f))
-    }
-
-    /// Load a binary log from `path`.
-    pub fn read_binary_path(path: impl AsRef<std::path::Path>) -> Result<Self, IoError> {
-        Self::read_binary_path_io(path.as_ref(), &starcdn_io::RealIo)
-    }
-
-    /// [`AccessLog::read_binary_path`] over an explicit [`starcdn_io::Io`].
+    /// Load a binary log from `path` through an explicit
+    /// [`starcdn_io::Io`].
     pub fn read_binary_path_io(
         path: &std::path::Path,
         io: &dyn starcdn_io::Io,

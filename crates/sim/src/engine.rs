@@ -108,18 +108,15 @@ impl<'a> RunSpec<'a> {
     }
 }
 
-/// Check, in debug builds, the conservation identities of a run that
-/// measured every one of its log's `entries` into `m`, from empty
-/// metrics: every entry is recorded or dropped; with `admission` live,
-/// primary + replica + origin fallback + unreachable serves are exactly
-/// the recorded requests; and every follower a retired fetch carried was
-/// counted as a delayed hit when it coalesced. (Followers are not
-/// bounded by misses: a delayed hit is a space hit, and one missed fetch
-/// carries any number of them.)
-pub(crate) fn debug_assert_conserved(m: &SystemMetrics, entries: usize, admission: bool) {
-    if !cfg!(debug_assertions) {
-        return;
-    }
+/// Check, in every profile (it is O(1) per run), the conservation
+/// identities of a run that measured every one of its log's `entries`
+/// into `m`, from empty metrics: every entry is recorded or dropped;
+/// with `admission` live, primary + replica + origin fallback +
+/// unreachable serves are exactly the recorded requests; and every
+/// follower a retired fetch carried was counted as a delayed hit when it
+/// coalesced. (Followers are not bounded by misses: a delayed hit is a
+/// space hit, and one missed fetch carries any number of them.)
+pub(crate) fn assert_conserved(m: &SystemMetrics, entries: usize, admission: bool) {
     let recorded = m.stats.requests;
     assert_eq!(recorded + m.dropped_requests, entries as u64, "recorded + dropped = log entries");
     if admission {
@@ -276,7 +273,7 @@ pub fn run(
         spec.recorder.absorb(&m.snapshot());
     }
     if whole_log {
-        debug_assert_conserved(&cdn.metrics, log.len(), overload.is_some());
+        assert_conserved(&cdn.metrics, log.len(), overload.is_some());
     }
     Ok(cdn.metrics.clone())
 }
@@ -394,6 +391,30 @@ mod tests {
             })
             .collect();
         build_access_log(&w, &Trace::new(reqs), 15, &SimConfig::default().scheduler())
+    }
+
+    #[test]
+    fn a_broken_conservation_identity_panics_with_its_message() {
+        let panic_of = |m: &SystemMetrics, admission: bool| {
+            let run = std::panic::AssertUnwindSafe(|| assert_conserved(m, 3, admission));
+            let payload = std::panic::catch_unwind(run).expect_err("the identity is broken");
+            payload.downcast::<String>().map(|s| *s).unwrap_or_default()
+        };
+        let mut m = SystemMetrics::default();
+        m.stats.requests = 2;
+        m.dropped_requests = 1;
+        m.served_primary = 2;
+        assert_conserved(&m, 3, true);
+
+        m.dropped_requests = 0;
+        assert!(panic_of(&m, false).contains("recorded + dropped = log entries"));
+        m.stats.requests = 3;
+        let msg = panic_of(&m, true);
+        assert!(msg.contains("primary + replica + fallback + unreachable = recorded"), "{msg}");
+        m.served_primary = 3;
+        m.coalesced_requests = 2;
+        m.delayed_hits = 1;
+        assert!(panic_of(&m, true).contains("coalesced 2 > delayed hits 1"));
     }
 
     #[test]

@@ -150,6 +150,9 @@ mod tests {
         // The monitor fires on every *owner-local* miss — i.e. ground
         // fetches plus the misses that relay then rescued.
         let local_misses = m.served_ground + m.served_relay_west + m.served_relay_east;
-        assert_eq!(m.neighbor_availability.total_misses(), local_misses);
+        let n = &m.neighbor_availability;
+        let probed =
+            n.west_only_requests + n.east_only_requests + n.both_requests + n.neither_requests;
+        assert_eq!(probed, local_misses);
     }
 }

@@ -59,7 +59,7 @@
 
 use crate::access_log::AccessLog;
 use crate::checkpoint::{CheckpointError, Checkpointer, KIND_REPLAY};
-use crate::engine::{debug_assert_conserved, RunSpec};
+use crate::engine::{assert_conserved, RunSpec};
 use crate::epoch_chunks::{chunk_starts, or_one_chunk, run_chunks};
 use crate::overload::OverloadConfig;
 use crate::replayer_checkpoint::{replay_fingerprint, ReplayState};
@@ -229,7 +229,7 @@ pub fn run(
     }
     // The replayer measures the whole log, so a chunk or shard lost or
     // counted twice shows here.
-    debug_assert_conserved(&total, log.len(), spec.live_overload().is_some());
+    assert_conserved(&total, log.len(), spec.live_overload().is_some());
     Ok(total)
 }
 

@@ -109,12 +109,9 @@ pub(crate) fn schedule_epoch(
 }
 
 /// Compute the schedule for one epoch against an explicit failure view
-/// (`snapshot` advanced to the epoch's time) — the churn path
-/// passes the live [`ScheduleCursor`](starcdn_constellation::schedule::ScheduleCursor)
-/// view instead of the world's static base outage, which is how users on
-/// a just-died satellite get force-handed-over at the next epoch.
-///
-/// [`schedule_epoch_into`] with a fresh scratch: a whole-fleet scan.
+/// (`snapshot` advanced to the epoch's time): [`schedule_epoch_into`]
+/// with a fresh scratch, a whole-fleet scan. It is the reference the
+/// builders' lazy per-location scheduling is tested against.
 pub fn schedule_epoch_with(
     world: &World,
     snapshot: &SnapshotPropagator,

@@ -37,7 +37,7 @@
 use crate::access_log::AccessLog;
 use crate::checkpoint::CheckpointError;
 use crate::codec::{decode, Wire};
-use crate::engine::RunSpec;
+use crate::engine::{assert_conserved, RunSpec};
 use crate::overload::OverloadConfig;
 use crate::replayer::{
     get_shard_op, prepare_shards, put_shard_op, run_shard_ops, shard_op_len, ShardOp,
@@ -135,6 +135,10 @@ pub struct ServePlan {
     shards: Vec<ShardStream>,
     direct: SystemMetrics,
     fingerprint: u64,
+    /// The log's length and whether admission was live: what a merged
+    /// serve is checked against.
+    entries: usize,
+    admission: bool,
 }
 
 impl ServePlan {
@@ -202,6 +206,8 @@ impl ServePlan {
             shards: streams,
             direct: pre.direct,
             fingerprint: h,
+            entries: log.len(),
+            admission: spec.live_overload().is_some(),
         })
     }
 
@@ -236,6 +242,13 @@ impl ServePlan {
     /// `replay_parallel` exactly.
     pub fn direct_metrics(&self) -> &SystemMetrics {
         &self.direct
+    }
+
+    /// Check the merged metrics of a serve of this plan against the
+    /// replayer's conservation identities; panics on a chunk or shard
+    /// lost or counted twice.
+    pub fn assert_conserved(&self, merged: &SystemMetrics) {
+        assert_conserved(merged, self.entries, self.admission);
     }
 
     /// A fresh shard server state matching this plan's configuration.

@@ -76,17 +76,6 @@ impl GlobalPopularity {
             .count();
         shared as f64 / self.records.len() as f64
     }
-
-    /// Serialize to JSON (the paper publishes its traffic models for
-    /// download; this is the equivalent export surface).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("GPD serializes")
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -132,8 +121,8 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let gpd = GlobalPopularity::from_trace(&sample_trace(), 3);
-        let json = gpd.to_json();
-        let back = GlobalPopularity::from_json(&json).unwrap();
+        let json = serde_json::to_string(&gpd).unwrap();
+        let back: GlobalPopularity = serde_json::from_str(&json).unwrap();
         assert_eq!(back.records, gpd.records);
         assert_eq!(back.num_locations, 3);
     }

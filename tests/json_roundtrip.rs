@@ -3,14 +3,13 @@
 //! The offline container builds against vendored stand-ins for
 //! serde/serde_json (see `vendor/stubs/README.md`); these tests pin that
 //! the stand-ins do real work on the workspace's actual persistence
-//! surfaces — SpaceGEN model bundles, the GPD export, and the replayer
-//! access-log hand-off — plus the full derive-shape matrix (struct
+//! surfaces — SpaceGEN model bundles (which carry the GPD) and the
+//! replayer access-log hand-off — plus the full derive-shape matrix (struct
 //! kinds, enum variant kinds, generics, `#[serde(default)]`) and the
 //! error paths: malformed input must fail with a typed error, never
 //! panic and never silently succeed.
 
 use serde::{Deserialize, Serialize};
-use spacegen::gpd::GlobalPopularity;
 use spacegen::io::ModelBundle;
 use spacegen::trace::{LocationId, Request, Trace};
 use starcdn::variants::Variant;
@@ -43,6 +42,10 @@ fn model_bundle_roundtrips_through_json() {
     let mut buf = Vec::new();
     bundle.write_json(&mut buf).expect("write_json");
     let back = ModelBundle::read_json(&buf[..]).expect("read_json");
+    // The export is deterministic: same model, same bytes.
+    let mut again = Vec::new();
+    bundle.write_json(&mut again).expect("write_json");
+    assert_eq!(again, buf);
     assert_eq!(back.gpd.num_locations, bundle.gpd.num_locations);
     assert_eq!(back.gpd.records, bundle.gpd.records);
     assert_eq!(back.pfds.len(), bundle.pfds.len());
@@ -53,17 +56,6 @@ fn model_bundle_roundtrips_through_json() {
         assert!((a.req_rate_hz - b.req_rate_hz).abs() < 1e-12);
         assert!((a.mean_interarrival_s - b.mean_interarrival_s).abs() < 1e-12);
     }
-}
-
-#[test]
-fn gpd_roundtrips_through_json() {
-    let gpd = GlobalPopularity::from_trace(&small_trace(), 3);
-    let json = gpd.to_json();
-    let back = GlobalPopularity::from_json(&json).expect("from_json");
-    assert_eq!(back.num_locations, gpd.num_locations);
-    assert_eq!(back.records, gpd.records);
-    // The export is deterministic: same model, same bytes.
-    assert_eq!(json, gpd.to_json());
 }
 
 #[test]

@@ -5,6 +5,7 @@ use spacegen::classes::TrafficClass;
 use spacegen::production::ProductionModel;
 use spacegen::trace::Location;
 use starcdn::config::StarCdnConfig;
+use starcdn::metrics::NeighborAvailability;
 use starcdn::system::SpaceCdn;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{ChurnParams, FaultSchedule, SolarStormParams};
@@ -121,7 +122,7 @@ fn every_worker_count_is_the_engine() {
                         assert_eq!(sorted_digest(&par), sorted_digest(&engine), "{cell}: digest");
                     }
                     assert_eq!(outages, engine.remapped_requests > 0, "{cell}: remap coverage");
-                    let probed = engine.neighbor_availability.total_misses() > 0;
+                    let probed = engine.neighbor_availability != NeighborAvailability::default();
                     assert_eq!(extras, probed, "{cell}: probe coverage");
                     relay_west += engine.served_relay_west;
                     delayed_hits += engine.delayed_hits;
